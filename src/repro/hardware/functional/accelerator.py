@@ -22,7 +22,7 @@ cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -61,13 +61,19 @@ class ButterflyAccelerator:
         self.trace = AcceleratorTrace()
 
     # ------------------------------------------------------------------
+    def _on_engine(self, run, *args) -> Tuple[np.ndarray, int]:
+        """``run(*args)`` plus the pair ops every engine invocation inside
+        it took (one per row or column); bank conflicts go to the trace."""
+        total = self.engine.cumulative_stats
+        pair_ops, conflicts = total.pair_ops, total.bank_conflicts
+        out = run(*args)
+        self.trace.bank_conflicts += total.bank_conflicts - conflicts
+        return out, total.pair_ops - pair_ops
+
     def _run_butterfly_linear(self, layer: ButterflyLinear, x: np.ndarray) -> np.ndarray:
         """x: (rows, in_features) -> (rows, out_features)."""
-        out = self.executor.forward(layer, x)
-        stats = self.engine.last_stats
-        if stats is not None:
-            self.trace.butterfly_pair_ops += stats.pair_ops
-            self.trace.bank_conflicts += stats.bank_conflicts
+        out, pair_ops = self._on_engine(self.executor.forward, layer, x)
+        self.trace.butterfly_pair_ops += pair_ops
         return out
 
     def _run_ffn(self, ffn: FeedForward, x: np.ndarray) -> np.ndarray:
@@ -82,7 +88,8 @@ class ButterflyAccelerator:
 
     def _run_fourier_mixing(self, x: np.ndarray) -> np.ndarray:
         """x: (seq, d) -> Re(FFT2(x)) via two engine FFT passes."""
-        out = self.engine.run_fft2(x)
+        out, pair_ops = self._on_engine(self.engine.run_fft2, x)
+        self.trace.fft_pair_ops += pair_ops
         return out.real
 
     def _run_attention(self, attn: MultiHeadAttention, x: np.ndarray) -> np.ndarray:

@@ -46,6 +46,12 @@ class EngineRunStats:
     pair_ops: int = 0
     mult_ops: int = 0
 
+    def add(self, other: "EngineRunStats") -> None:
+        self.read_cycles += other.read_cycles
+        self.bank_conflicts += other.bank_conflicts
+        self.pair_ops += other.pair_ops
+        self.mult_ops += other.mult_ops
+
 
 class ButterflyEngine:
     """One BE: ``pbu`` butterfly units over a ``2 * pbu``-bank buffer.
@@ -71,7 +77,11 @@ class ButterflyEngine:
         self.layout = layout
         self.verify = verify
         self.units = [AdaptableButterflyUnit() for _ in range(pbu)]
+        #: Counts of the most recent invocation only: one vector.
         self.last_stats: Optional[EngineRunStats] = None
+        #: Counts summed over every invocation since construction; callers
+        #: that run many vectors (a layer's rows, a 2D FFT) difference it.
+        self.cumulative_stats = EngineRunStats()
 
     # ------------------------------------------------------------------
     def _pair_index(self, top: int, half: int) -> int:
@@ -128,6 +138,7 @@ class ButterflyEngine:
             mult_ops=sum(u.mult_ops for u in self.units),
         )
         self.last_stats = stats
+        self.cumulative_stats.add(stats)
         counter_inc("hardware_be_read_cycles_total", amount=stats.read_cycles)
         counter_inc("hardware_be_bank_conflicts_total",
                     amount=stats.bank_conflicts)

@@ -39,10 +39,27 @@ Two overhead-control tricks matter as much as the GEMMs themselves:
 At ``n = 1024`` this path makes ``ButterflyLinear`` forward+backward
 several times faster than the per-stage chain while staying exactly
 equivalent up to matmul reassociation of the 2x2 accumulations.
+
+Training and inference use the chunk matrices differently:
+
+* **Training** (:func:`grouped_forward` / :func:`grouped_vjp`, a VJP
+  context is wanted) rebuilds them on every call — the weights move
+  every step, so the build cost really is per step, and
+  :data:`MIN_STAGES` / :data:`MIN_WORK` decide when it beats the
+  per-stage chain.  Those thresholds gate nothing else.
+* **Inference** (:class:`FrozenLadder`, no context) builds the
+  contiguous, already-transposed chunk operators **once per weight
+  version** and every later call is rearrange + GEMM per chunk, at every
+  ``(rows, n)``: trained factors are static at inference, laid out once
+  for the engine's buffers while every token streams through them.
+  :func:`frozen_ladder` keeps the built ladder on the object that owns
+  the stages and revalidates it against the stage parameters' version
+  counters on each call.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -51,18 +68,30 @@ import numpy as np
 
 from ..telemetry import counter_inc
 from .backend import resolve_backend
-from .layout import check_power_of_two, num_stages
+from .layout import check_power_of_two, num_stages, stage_halves
 
 #: Largest number of stages fused into one chunk.  Radix 32 balances the
 #: batched-GEMM efficiency against the O(n * 2^g) chunk-matrix build cost.
 MAX_GROUP = 5
 
-#: Use the grouped path only when the stage ladder is at least this deep;
-#: below it the per-stage kernels win (chunk build cost is batch-independent).
+#: Training path only: rebuild-and-GEMM beats the per-stage chain when the
+#: ladder is at least this deep (the chunk build cost is batch-independent
+#: and paid on every step).  Inference has no such floor — a
+#: :class:`FrozenLadder` pays the build once per weight version.
 MIN_STAGES = 6
 
-#: Minimum total elements (rows * n) for the grouped path to pay off.
+#: Training path only: minimum total elements (rows * n) for the per-step
+#: chunk build to pay off.
 MIN_WORK = 16384
+
+#: A :class:`FrozenLadder` this small multiplies its chunks out into one
+#: dense ``n x n`` block at build time.  Measured crossover (fp32/fp64,
+#: one BLAS thread): at n=64 the single GEMM beats the two-chunk form at
+#: every shape tried, from 10x at ``(B, 1, n)`` decode rows (1.5 vs 15 us)
+#: to 1.8-2.5x at ``(1, 1024, n)``; at n=128 it still wins 3-7x on decode
+#: rows but only ties at ``S >= 128`` in fp64 (622 vs 589 us at S=1024);
+#: at n=256 the chunked form wins from S=32 up (39 vs 84 us).
+DENSE_MAX_N = 64
 
 
 @dataclass
@@ -177,7 +206,7 @@ class GroupedPlan:
             self._tls.bytes = 0
         key = (tag, np.dtype(dtype))
         buf = pool.get(key)
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         counter_inc("kernels_scratch_hits_total" if buf is not None
                     and buf.size == size else "kernels_scratch_misses_total")
         if buf is None or buf.size != size:
@@ -204,27 +233,38 @@ _PLAN_CACHE_LOCK = threading.Lock()
 # the telemetry registry when that is enabled.
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
+# Frozen ladders built / reused (see :func:`frozen_ladder`).  Builds that
+# keep pace with hits mean inference is interleaved with weight updates
+# and every call pays the chunk-matrix build again.
+_FROZEN_BUILDS = 0
+_FROZEN_HITS = 0
 
 
 def plan_cache_stats() -> dict:
-    """Lifetime plan-cache ``{"hits", "misses", "size", "hit_rate"}``."""
+    """Lifetime plan-cache ``{"hits", "misses", "size", "hit_rate"}`` plus
+    the frozen-ladder ``{"frozen_builds", "frozen_hits"}``."""
     with _PLAN_CACHE_LOCK:
         hits, misses = _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
         size = len(_PLAN_CACHE)
+        frozen_builds, frozen_hits = _FROZEN_BUILDS, _FROZEN_HITS
     total = hits + misses
     return {
         "hits": hits,
         "misses": misses,
         "size": size,
         "hit_rate": (hits / total) if total else None,
+        "frozen_builds": frozen_builds,
+        "frozen_hits": frozen_hits,
     }
 
 
 def reset_plan_cache_stats() -> None:
-    global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
+    global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES, _FROZEN_BUILDS, _FROZEN_HITS
     with _PLAN_CACHE_LOCK:
         _PLAN_CACHE_HITS = 0
         _PLAN_CACHE_MISSES = 0
+        _FROZEN_BUILDS = 0
+        _FROZEN_HITS = 0
 
 
 def get_plan(n: int, stages: int, g: int = MAX_GROUP) -> GroupedPlan:
@@ -389,8 +429,7 @@ def _rearrange_between(
 def _arrange_last_inv(
     y: np.ndarray, chunk: _ChunkPlan, rows: int, n: int
 ) -> np.ndarray:
-    # (o, h0, B, T) -> (B, n).  Always an owned copy: ``y`` may live in
-    # pooled scratch, and the result escapes to the caller.
+    # (o, h0, B, T) -> (B, n)
     out = np.empty((rows, n), dtype=y.dtype)
     np.copyto(out.reshape(rows, chunk.o, chunk.T, chunk.h0),
               y.transpose(2, 0, 3, 1))
@@ -401,17 +440,17 @@ def grouped_forward(
     x: np.ndarray,
     coeffs: Sequence[np.ndarray],
     plan: GroupedPlan,
-    need_ctx: bool = True,
     backend=None,
-) -> Tuple[np.ndarray, Optional[GroupedContext]]:
-    """Apply the full stage ladder to ``x`` of shape ``(rows, n)``."""
+) -> Tuple[np.ndarray, GroupedContext]:
+    """Apply the full stage ladder to ``x`` of shape ``(rows, n)`` and
+    save what :func:`grouped_vjp` needs (the training path; inference
+    runs a :class:`FrozenLadder`)."""
     backend = resolve_backend(backend)
     rows, n = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
     Ms, build_saved = _build_matrices(plan, coeffs, dtype)
-    ctx = GroupedContext(plan, dtype, rows) if need_ctx else None
-    if ctx is not None:
-        ctx.build_saved = build_saved
+    ctx = GroupedContext(plan, dtype, rows)
+    ctx.build_saved = build_saved
     out = None
     for k, chunk in enumerate(plan.chunks):
         if k == 0:
@@ -419,21 +458,15 @@ def grouped_forward(
                                       dtype=dtype)
         else:
             xr = _rearrange_between(out, plan.chunks[k - 1], chunk, rows)
-        if ctx is not None:
-            # MT is reused by the backward pass, and the next chunk's
-            # rearrangement of ``out`` may alias it (a transpose over
-            # singleton axes can be a view) and gets saved in the context
-            # — so both must own their memory here.
-            MT = np.ascontiguousarray(Ms[k].swapaxes(-1, -2))
-            out = np.empty(xr.shape, dtype=dtype)
-            backend.matmul(xr, MT, out)
-            ctx.MTs.append(MT)
-            ctx.xs.append(xr)
-        else:
-            MT = plan.scratch(f"MT{k}", Ms[k].shape, dtype)
-            np.copyto(MT, Ms[k].swapaxes(-1, -2))
-            out = plan.scratch(f"y{k}", xr.shape, dtype)
-            backend.matmul(xr, MT, out)
+        # MT is reused by the backward pass, and the next chunk's
+        # rearrangement of ``out`` may alias it (a transpose over
+        # singleton axes can be a view) and gets saved in the context
+        # — so both must own their memory here.
+        MT = np.ascontiguousarray(Ms[k].swapaxes(-1, -2))
+        out = np.empty(xr.shape, dtype=dtype)
+        backend.matmul(xr, MT, out)
+        ctx.MTs.append(MT)
+        ctx.xs.append(xr)
     return _arrange_last_inv(out, plan.chunks[-1], rows, n), ctx
 
 
@@ -479,3 +512,210 @@ def grouped_vjp(
               gT.transpose(3, 0, 2, 1))
     G = _build_matrices_vjp(dMs, ctx.build_saved, plan, ctx.dtype)
     return gx, list(G)
+
+
+# ----------------------------------------------------------------------
+# Frozen ladder: the inference path
+# ----------------------------------------------------------------------
+def stage_array(stage) -> np.ndarray:
+    """A stage's ``(4, n/2)`` array: a parameter holder's ``.data``, or
+    the raw array(-like) itself."""
+    if isinstance(stage, np.ndarray):
+        return stage
+    data = getattr(stage, "data", None)
+    return data if isinstance(data, np.ndarray) else np.asarray(stage)
+
+
+def is_full_ladder(n: int, halves: Sequence[int]) -> bool:
+    """Whether ``halves`` is the complete ``1, 2, ..., n/2`` ladder of a
+    power-of-two ``n`` (single stages may have other sizes — divisible
+    blocks — but only the full ladder densifies into chunk operators)."""
+    if n < 2 or (n & (n - 1)) != 0:
+        return False
+    return list(halves) == stage_halves(n)
+
+
+class FrozenLadder:
+    """A full real ladder densified once: the chunk operators of
+    :func:`_build_matrices`, contiguous and already transposed, and an
+    :meth:`apply` that is only rearrange + ``backend.matmul`` per chunk.
+
+    A ladder of at most :data:`MAX_GROUP` stages is a single ``n x n``
+    block and :meth:`apply` a single GEMM; so is any ladder up to
+    :data:`DENSE_MAX_N`, whose chunks are multiplied out at build time.
+    Arithmetic per row is the grouped path's ``n * T`` multiply-adds per
+    chunk (what training already pays), not the butterfly's ``2 n`` per
+    stage; layers keep reporting the butterfly count in ``flops()``.
+
+    ``in_features`` / ``out_features`` fold :class:`ButterflyLinear
+    <repro.nn.butterfly_layer.ButterflyLinear>`'s zero-pad and output
+    slice into the operators: input positions past ``in_features`` are
+    zero, so the operator rows that would multiply them — and, chunk by
+    chunk, every block that only ever sees zeros — are dropped; the last
+    chunk keeps only the columns that land below ``out_features``.
+    :meth:`apply` then takes ``(..., in_features)`` and returns
+    ``(..., out_features)`` directly.
+
+    **Row independence.**  ``apply`` multiplies on the input's own
+    leading axes, like :func:`repro.kernels.linear_act_forward`:
+    ``(B, S, in)`` runs per-``B`` GEMMs with ``M = S`` and never
+    flattens the batch into ``M``.  BLAS picks its kernel (gemv, or a
+    gemm blocking) by ``M``, so a flattened ``(B*S, n)`` GEMM gives a
+    decode row different last bits depending on who shares its batch;
+    the serving engine's failover replay and its batched-vs-solo
+    identity rely on a row's bits being its own.
+    """
+
+    __slots__ = ("plan", "dtype", "in_features", "out_features", "ops")
+
+    def __init__(
+        self,
+        coeffs: Sequence[np.ndarray],
+        dtype,
+        in_features: Optional[int] = None,
+        out_features: Optional[int] = None,
+    ) -> None:
+        n = 2 * coeffs[0].shape[-1]
+        plan = get_plan(n, len(coeffs))
+        in_features = n if in_features is None else in_features
+        out_features = n if out_features is None else out_features
+        if not (1 <= in_features <= n and 1 <= out_features <= n):
+            raise ValueError(
+                f"in/out features must lie in [1, {n}], got "
+                f"in={in_features}, out={out_features}"
+            )
+        self.plan = plan
+        self.dtype = np.dtype(dtype)
+        self.in_features = in_features
+        self.out_features = out_features
+        Ms, _ = _build_matrices(plan, coeffs, self.dtype)
+        # ``support`` bounds the positions that can be nonzero on entry
+        # to each chunk.  Within a chunk a position is (o, t, j) with
+        # index (o * T + t) * h0 + j, so the (o, t) "units" below
+        # ceil(support / h0) are live: one block keeps just those rows,
+        # several blocks are rounded up to a power of two so the next
+        # chunk's regrouping of them divides evenly.
+        self.ops: List[np.ndarray] = []
+        support = in_features
+        for k, (chunk, M) in enumerate(zip(plan.chunks, Ms)):
+            units = -(-support // chunk.h0)
+            if units <= chunk.T:
+                blocks, rows = 1, units
+            else:
+                blocks = (1 << (units - 1).bit_length()) // chunk.T
+                rows = chunk.T
+            cols = chunk.T
+            if k == len(plan.chunks) - 1:
+                cols = -(-out_features // chunk.h0)
+            # M[o, j] maps x -> M @ x, so operator rows are M's columns.
+            self.ops.append(np.ascontiguousarray(
+                M[:blocks, :, :cols, :rows].swapaxes(-1, -2)))
+            support = blocks * chunk.T * chunk.h0
+        if len(self.ops) == 1:
+            self.ops[0] = self.ops[0][0, 0]  # plain (in, out) matrix
+        elif n <= DENSE_MAX_N:
+            # Rows of the identity through the chunks: the (in, out) product.
+            self.ops = [np.ascontiguousarray(
+                self.apply(np.eye(in_features, dtype=self.dtype)))]
+
+    def apply(self, x: np.ndarray, backend=None) -> np.ndarray:
+        """``(..., in_features) -> (..., out_features)``; the result is
+        always an owned array (intermediates live in pooled scratch)."""
+        backend = resolve_backend(backend)
+        x = np.asarray(x, dtype=self.dtype)
+        lead = x.shape[:-1]
+        dtype, ops, scratch = self.dtype, self.ops, self.plan.scratch
+        if len(ops) == 1:
+            out = np.empty(lead + (self.out_features,), dtype=dtype)
+            backend.matmul(x, ops[0], out)
+            return out
+        S = lead[-1] if lead else 1
+        B = math.prod(lead[:-1])
+        blocks, _, rows, _ = ops[0].shape
+        x = x.reshape(B, S, self.in_features)
+        if self.in_features < blocks * rows:
+            # Ragged in_features: zero-fill up to whole blocks.
+            whole = scratch(f"pad{blocks}", (B, S, blocks * rows), dtype)
+            whole[..., : self.in_features] = x
+            whole[..., self.in_features:] = 0
+            x = whole
+        # Chunk inputs and outputs are carried as (B, blocks, h0, S, T):
+        # the GEMM axes are (S, T), everything before them a batch axis.
+        # The first chunk has h0 == 1, so its arrangement is a view.
+        cur = x.reshape(B, S, blocks, 1, rows).transpose(0, 2, 3, 1, 4)
+        y = None
+        for k, MT in enumerate(ops):
+            blocks, h0, rows, cols = MT.shape
+            if k:
+                # Previous output (B, blocks * rows, h0', S, T') regroups
+                # into (B, blocks, h0 = T' * h0', S, rows): undo the old
+                # grouping and apply the new one in a single copy.
+                h0p, Tp = y.shape[2], y.shape[4]
+                cur = scratch(f"x{k}b{blocks}", (B, blocks, h0, S, rows), dtype)
+                np.copyto(
+                    cur.reshape(B, blocks, Tp, h0p, S, rows),
+                    y.reshape(B, blocks, rows, h0p, S, Tp)
+                    .transpose(0, 1, 5, 3, 4, 2),
+                )
+            y = scratch(f"y{k}b{blocks}", (B, blocks, h0, S, cols), dtype)
+            backend.matmul(cur, MT, y)
+        # Last chunk has one block: (B, 1, h0, S, cols) -> (B, S, cols * h0).
+        out = np.empty((B, S, cols, h0), dtype=dtype)
+        np.copyto(out, y[:, 0].transpose(0, 2, 3, 1))
+        out = out.reshape(lead + (cols * h0,))
+        if cols * h0 > self.out_features:
+            out = out[..., : self.out_features]
+        return out
+
+
+def frozen_ladder(
+    stages: Sequence,
+    halves: Sequence[int],
+    x_dtype,
+    in_features: int,
+    out_features: Optional[int] = None,
+    holder=None,
+) -> Optional[FrozenLadder]:
+    """The :class:`FrozenLadder` for an inference call over ``stages``,
+    or ``None`` when they are not a real, full, power-of-two ladder.
+
+    ``stages`` are parameter holders (objects exposing ``.data`` and a
+    ``version`` counter, i.e. :class:`repro.nn.module.Parameter`) or raw
+    arrays.  With a ``holder`` — the object that owns the stages, in
+    practice the ``ButterflyLinear`` — the built ladder is kept on it
+    and reused while nothing it was built from has changed: the entry
+    records each stage's ``(version, data)`` plus the input dtype and
+    the in/out geometry, and is rebuilt when an optimizer step or
+    ``load_state_dict`` bumps a version, a ``.data`` is rebound, or the
+    dtype context switches — the rule :func:`cached_transpose
+    <repro.kernels.fused.cached_transpose>` uses for ``W^T``.  Without a
+    holder, or with stages that carry no version counter (raw arrays),
+    there is nothing to validate a cache against and the ladder is built
+    for this call only.
+    """
+    global _FROZEN_BUILDS, _FROZEN_HITS
+    key = (np.dtype(x_dtype), in_features, out_features, tuple(halves))
+    entry = getattr(holder, "_frozen_ladder", None)
+    if entry is not None:
+        cached_key, stamps, ladder = entry
+        if cached_key == key and len(stamps) == len(stages) and all(
+            getattr(stage, "version", None) == version and stage.data is data
+            for stage, (version, data) in zip(stages, stamps)
+        ):
+            with _PLAN_CACHE_LOCK:
+                _FROZEN_HITS += 1
+            counter_inc("kernels_frozen_ladder_hits_total")
+            return ladder
+    arrays = [stage_array(stage) for stage in stages]
+    n = 2 * arrays[0].shape[-1] if arrays else 0
+    dtype = np.result_type(x_dtype, *[a.dtype for a in arrays])
+    if not is_full_ladder(n, halves) or dtype.kind == "c":
+        return None
+    ladder = FrozenLadder(arrays, dtype, in_features, out_features)
+    with _PLAN_CACHE_LOCK:
+        _FROZEN_BUILDS += 1
+    counter_inc("kernels_frozen_ladder_builds_total")
+    if holder is not None and all(hasattr(s, "version") for s in stages):
+        stamps = [(stage.version, stage.data) for stage in stages]
+        holder._frozen_ladder = (key, stamps, ladder)
+    return ladder

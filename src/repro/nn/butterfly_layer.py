@@ -68,6 +68,15 @@ class ButterflyLinear(Module):
             coeffs = rng.normal(0.0, scale, size=(4, self.n // 2))
             setattr(self, f"stage_{i}", Parameter(coeffs))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
+        # Inference-time fused operators of the ladder, written by
+        # repro.kernels.frozen_ladder and revalidated there against the
+        # stage parameters' (version, data) on every call.
+        self._frozen_ladder = None
+
+    def __getstate__(self) -> dict:
+        # Derived state (and it pins a thread-local scratch pool): copies
+        # and pickles rebuild it on their first inference call.
+        return {**self.__dict__, "_frozen_ladder": None}
 
     # ------------------------------------------------------------------
     def stage_parameters(self) -> list[Parameter]:
@@ -79,15 +88,24 @@ class ButterflyLinear(Module):
             raise ValueError(
                 f"expected input dim {self.in_features}, got {x.shape[-1]}"
             )
-        out = x
-        if self.in_features < self.n:
-            out = F.pad_last(out, 0, self.n - self.in_features)
         # One fused autograd op for the whole ladder (one graph node per
         # layer, not per stage), dispatching to the shared kernel layer.
-        out = F.butterfly_apply(out, self.stage_parameters(), self.halves)
-        if self.out_features < self.n:
-            index = tuple([slice(None)] * (out.ndim - 1) + [slice(0, self.out_features)])
-            out = F.getitem(out, index)
+        stages = self.stage_parameters()
+        if not F.is_grad_enabled():
+            # Inference: the frozen operators take (..., in) to (..., out)
+            # directly, zero-pad and output slice folded in.
+            out = F.butterfly_apply(
+                x, stages, self.halves,
+                out_features=self.out_features, holder=self,
+            )
+        else:
+            out = x
+            if self.in_features < self.n:
+                out = F.pad_last(out, 0, self.n - self.in_features)
+            out = F.butterfly_apply(out, stages, self.halves, holder=self)
+            if self.out_features < self.n:
+                index = tuple([slice(None)] * (out.ndim - 1) + [slice(0, self.out_features)])
+                out = F.getitem(out, index)
         if self.bias is not None:
             out = out + self.bias
         return out

@@ -608,9 +608,11 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def pad_last(a: Tensor, before: int, after: int) -> Tensor:
     """Zero-pad the last dimension (used to embed vectors in larger butterflies)."""
-    widths = [(0, 0)] * (a.ndim - 1) + [(before, after)]
-    data = np.pad(a.data, widths)
     n = a.shape[-1]
+    # Zero-allocate + slice assignment: np.pad's generic machinery costs
+    # ~20 us per call whatever the size.
+    data = np.zeros(a.shape[:-1] + (before + n + after,), dtype=a.dtype)
+    data[..., before : before + n] = a.data
 
     def backward(grad: np.ndarray):
         sl = [slice(None)] * (grad.ndim - 1) + [slice(before, before + n)]
@@ -879,7 +881,11 @@ def butterfly_stage(x: Tensor, coeffs: Tensor, half: int) -> Tensor:
 
 
 def butterfly_apply(
-    x: Tensor, coeffs: Sequence[Tensor], halves: Sequence[int]
+    x: Tensor,
+    coeffs: Sequence[Tensor],
+    halves: Sequence[int],
+    out_features: Optional[int] = None,
+    holder=None,
 ) -> Tensor:
     """Apply a full ladder of butterfly stages as a single autograd op.
 
@@ -887,13 +893,22 @@ def butterfly_apply(
     ``halves[s]``; stages apply in order (``halves = [1, 2, ..., n/2]``
     for a complete butterfly matrix).  Compared to chaining
     :func:`butterfly_stage`, this records one graph node for the whole
-    ladder and dispatches to :mod:`repro.kernels`' fused grouped kernel,
-    which is several times faster at ``n >= 256``.
+    ladder and dispatches to :mod:`repro.kernels`: the fused grouped
+    kernel when the op is recorded, and — when it is not (``no_grad``,
+    or nothing upstream requires a gradient) — the ladder's frozen
+    chunk operators, built once per weight version and kept on
+    ``holder`` (the module that owns ``coeffs``).  Only on that
+    inference path may ``x`` be narrower than the ladder (the tail is
+    zero) and ``out_features`` truncate the result; see
+    :func:`repro.kernels.butterfly_apply`.
     """
     parents = (x, *coeffs)
     record = _should_record(parents)
+    # The stage tensors themselves, not their arrays: the kernel reads
+    # their version counters to validate the holder's frozen ladder.
     data, ctx = _kernels.butterfly_apply(
-        x.data, [c.data for c in coeffs], halves, need_ctx=record
+        x.data, coeffs, halves, need_ctx=record,
+        out_features=out_features, holder=holder,
     )
 
     def backward(grad: np.ndarray):

@@ -105,6 +105,37 @@ class TestTrace:
         assert accel.trace.qk_macs == 2 * 16 * 16 * 8
 
 
+    def test_butterfly_pair_ops_count_every_row(self, fab_config, rng):
+        """Each row of a layer call is an engine invocation, and every one
+        is counted: twice the sequence, twice the butterfly pair ops —
+        equal to what the engine itself saw."""
+        model = build_fabnet(fab_config).eval()
+        counts = {}
+        for seq in (8, 16):
+            accel = ButterflyAccelerator(
+                AcceleratorConfig(pbe=1, pbu=4, pae=2, pqk=4, psv=4))
+            accel.run_encoder(model, rng.integers(0, 32, size=(1, seq)))
+            counts[seq] = accel.trace.butterfly_pair_ops
+            assert (accel.trace.butterfly_pair_ops + accel.trace.fft_pair_ops
+                    == accel.engine.cumulative_stats.pair_ops)
+        assert counts[16] == 2 * counts[8] > 0
+
+    def test_fft_pair_ops_counted(self, fab_config, accel, rng):
+        """The Fourier block's two FFT passes land in ``fft_pair_ops``:
+        seq FFTs of size d, then d FFTs of size seq, n/2 log2 n pairs each."""
+        model = build_fabnet(fab_config.with_(n_abfly=0, n_total=1)).eval()
+        accel.run_encoder(model, rng.integers(0, 32, size=(1, 16)))
+        assert accel.trace.fft_pair_ops == 2 * 16 * (8 * 4)
+
+    def test_last_stats_stays_one_invocation(self, accel, rng):
+        from repro.butterfly.matrix import ButterflyMatrix
+        engine = accel.engine
+        engine.run_butterfly_rows(rng.normal(size=(3, 8)),
+                                  ButterflyMatrix.random(8, rng))
+        assert engine.last_stats.pair_ops == 4 * 3  # n/2 pairs x log2 n
+        assert engine.cumulative_stats.pair_ops == 3 * engine.last_stats.pair_ops
+
+
 class TestPostProcessor:
     def test_layer_norm_matches_nn(self, rng):
         from repro import nn

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import kernels, nn
 from repro.butterfly.matrix import butterfly_flops
+from repro.kernels.grouped import plan_cache_stats
 
 
 class TestForwardEquivalence:
@@ -123,3 +124,199 @@ class TestFlops:
         # Snapshot is a copy: mutating the layer does not affect it.
         layer.stage_parameters()[0].data[:] = 0.0
         np.testing.assert_allclose(matrix.apply(x), padded_out)
+
+
+def _fresh_reference(layer, x):
+    """Zero-pad, per-stage reference chain, slice, bias — from the layer's
+    current weights, sharing no code with the frozen path."""
+    padded = np.zeros(x.shape[:-1] + (layer.n,), dtype=x.dtype)
+    padded[..., : layer.in_features] = x
+    out = kernels.butterfly_apply_reference(
+        padded, [p.data for p in layer.stage_parameters()], layer.halves)
+    return out[..., : layer.out_features] + layer.bias.data
+
+
+def _builds():
+    return plan_cache_stats()["frozen_builds"]
+
+
+class TestFrozenInference:
+    """Under ``no_grad`` the layer runs its frozen ladder: built once per
+    weight version, rebuilt by exactly the events that change the weights."""
+
+    @pytest.mark.parametrize("d_in,d_out", [(32, 64), (64, 32), (24, 40), (128, 512)])
+    @pytest.mark.parametrize("lead", [(1, 1), (4, 1), (1, 33), (3, 17)])
+    def test_matches_reference_and_grad_path(self, rng, d_in, d_out, lead):
+        layer = nn.ButterflyLinear(d_in, d_out, rng=rng)
+        x = rng.normal(size=lead + (d_in,))
+        with nn.no_grad():
+            frozen = layer(nn.Tensor(x)).data
+        assert frozen.shape == lead + (d_out,)
+        np.testing.assert_allclose(frozen, _fresh_reference(layer, x), atol=1e-9)
+        np.testing.assert_allclose(frozen, layer(nn.Tensor(x)).data, atol=1e-9)
+
+    def test_second_call_does_not_rebuild(self, rng):
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        x = nn.Tensor(rng.normal(size=(4, 1, 32)))
+        with nn.no_grad():
+            before = _builds()
+            first = layer(x).data
+            assert _builds() == before + 1
+            hits = plan_cache_stats()["frozen_hits"]
+            second = layer(x).data
+            assert _builds() == before + 1
+            assert plan_cache_stats()["frozen_hits"] == hits + 1
+        np.testing.assert_array_equal(first, second)
+
+    def _assert_rebuilt_once_and_fresh(self, layer, x, before):
+        with nn.no_grad():
+            out = layer(nn.Tensor(x)).data
+            assert _builds() == before + 1
+            np.testing.assert_allclose(out, _fresh_reference(layer, x), atol=1e-9)
+            np.testing.assert_array_equal(layer(nn.Tensor(x)).data, out)
+            assert _builds() == before + 1
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_optimizer_step_invalidates(self, rng, optimizer):
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        opt = (nn.SGD(layer.parameters(), lr=0.1) if optimizer == "sgd"
+               else nn.Adam(layer.parameters(), lr=0.1))
+        x = rng.normal(size=(4, 1, 32))
+        with nn.no_grad():
+            stale = layer(nn.Tensor(x)).data
+        (layer(nn.Tensor(x)) ** 2).sum().backward()
+        opt.step()
+        self._assert_rebuilt_once_and_fresh(layer, x, _builds())
+        with nn.no_grad():
+            assert np.abs(layer(nn.Tensor(x)).data - stale).max() > 1e-3
+
+    def test_load_state_dict_invalidates(self, rng):
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        donor = nn.ButterflyLinear(32, 64, rng=rng)
+        x = rng.normal(size=(4, 1, 32))
+        with nn.no_grad():
+            layer(nn.Tensor(x))
+        layer.load_state_dict(donor.state_dict())
+        self._assert_rebuilt_once_and_fresh(layer, x, _builds())
+        with nn.no_grad():
+            np.testing.assert_array_equal(
+                layer(nn.Tensor(x)).data, donor(nn.Tensor(x)).data)
+
+    def test_data_rebind_invalidates(self, rng):
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        x = rng.normal(size=(4, 1, 32))
+        with nn.no_grad():
+            layer(nn.Tensor(x))
+        stage = layer.stage_parameters()[2]
+        stage.data = stage.data * 0.5  # no version bump: identity alone
+        self._assert_rebuilt_once_and_fresh(layer, x, _builds())
+
+    def test_dtype_context_switch_invalidates(self, rng):
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        x = rng.normal(size=(4, 1, 32))
+        with nn.no_grad():
+            out64 = layer(nn.Tensor(x)).data
+            with nn.default_dtype("float32"):
+                before = _builds()
+                out32 = layer(nn.Tensor(x)).data  # float32 input, float64 stages
+                assert _builds() == before + 1
+                layer(nn.Tensor(x))
+                assert _builds() == before + 1
+            np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)
+            before = _builds()
+            np.testing.assert_array_equal(layer(nn.Tensor(x)).data, out64)
+            assert _builds() == before + 1
+
+    def test_float32_model_runs_frozen_in_float32(self, rng):
+        with nn.default_dtype("float32"):
+            layer = nn.ButterflyLinear(128, 512, rng=rng)
+            x = rng.normal(size=(2, 9, 128)).astype(np.float32)
+            with nn.no_grad():
+                out = layer(nn.Tensor(x)).data
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, _fresh_reference(layer, x),
+                                   rtol=2e-3, atol=2e-3)
+
+    def test_copies_and_pickles_drop_the_ladder(self, rng):
+        import copy
+        import pickle
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        x = nn.Tensor(rng.normal(size=(4, 1, 32)))
+        with nn.no_grad():
+            expected = layer(x).data
+        assert layer._frozen_ladder is not None
+        for clone in (copy.deepcopy(layer), pickle.loads(pickle.dumps(layer))):
+            assert clone._frozen_ladder is None
+            with nn.no_grad():
+                np.testing.assert_array_equal(clone(x).data, expected)
+        assert layer._frozen_ladder is not None
+
+    def test_batch_rows_bitwise_equal_to_solo_rows(self, rng):
+        layer = nn.ButterflyLinear(32, 64, rng=rng)
+        x = rng.normal(size=(5, 1, 32))
+        with nn.no_grad():
+            batched = layer(nn.Tensor(x)).data
+            for row in range(5):
+                solo = layer(nn.Tensor(x[row : row + 1])).data
+                np.testing.assert_array_equal(batched[row], solo[0])
+
+
+class TestTrainingPathUnchanged:
+    """With gradients recorded the layer is the graph it always was:
+    ``pad_last`` -> one ladder node -> ``getitem`` -> bias."""
+
+    @pytest.mark.parametrize("d_in,d_out,rows", [(6, 8, 4), (24, 40, 3), (128, 512, 64)])
+    def test_forward_backward_bits(self, rng, d_in, d_out, rows):
+        layer = nn.ButterflyLinear(d_in, d_out, rng=rng)
+        stages = [p.data for p in layer.stage_parameters()]
+        x = rng.normal(size=(rows, d_in))
+        xt = nn.Tensor(x, requires_grad=True)
+        before = _builds()
+        out = layer(xt)
+        grad = rng.normal(size=out.shape)
+        out.backward(grad)
+        assert _builds() == before  # nothing frozen on the recorded path
+
+        padded = np.pad(x, [(0, 0), (0, layer.n - d_in)])
+        y, ctx = kernels.butterfly_apply(padded, stages, layer.halves)
+        np.testing.assert_array_equal(out.data, y[:, :d_out] + layer.bias.data)
+        full = np.zeros_like(y)
+        full[:, :d_out] = grad
+        gx, gstages = kernels.butterfly_apply_vjp(full, ctx)
+        np.testing.assert_array_equal(xt.grad, gx[:, :d_in])
+        for param, expected in zip(layer.stage_parameters(), gstages):
+            np.testing.assert_array_equal(param.grad, expected)
+        np.testing.assert_array_equal(layer.bias.grad, grad.sum(axis=0))
+
+
+class TestFaultPointTraversals:
+    def test_one_traversal_per_ladder_call_per_decode_step(self):
+        """A ``REPRO_FAULTS`` schedule on ``kernels.butterfly_apply`` counts
+        one traversal per butterfly layer per decode step — what it counted
+        before the ladder was frozen — so ``every=``/``after=`` schedules
+        land on the same steps."""
+        from repro.faults import use_faults
+        from repro.models import ModelConfig, build_butterfly_decoder
+
+        config = ModelConfig(vocab_size=28, max_len=32, d_hidden=32, n_heads=4,
+                             r_ffn=2, n_total=2, seed=0)
+        model = build_butterfly_decoder(config).eval()
+        ladders = sum(isinstance(m, nn.ButterflyLinear)
+                      for m in _walk_modules(model))
+        assert ladders == 12
+        tokens = np.zeros((3,), dtype=np.int64)
+        with nn.no_grad():
+            cache = model.make_cache(3)
+            model.prefill(np.ones((3, 4), dtype=np.int64), cache)
+            model.decode_step(tokens, cache)  # ladders built
+            with use_faults("kernels.butterfly_apply:transient:after=1000000") as injector:
+                for _ in range(5):
+                    model.decode_step(tokens, cache)
+            hits = injector.snapshot()["rules"][0]["hits"]
+        assert hits == 5 * ladders
+
+
+def _walk_modules(module):
+    yield module
+    for child in module._modules.values():
+        yield from _walk_modules(child)
