@@ -12,22 +12,11 @@ TTFT/latency histograms):
 * **enabled**: ``telemetry.enable()`` active for the identical workload,
   spans and counters recording throughout.
 
-Acceptance bar: enabled decode tokens/s within 20% of disabled
-(``overhead_ratio = enabled / disabled >= 0.8``), and the disabled rate
+Acceptance bar: enabled decode tokens/s within 10% of disabled
+(``overhead_ratio = enabled / disabled >= 0.9``), and the disabled rate
 inside the timing band of the committed ``BENCH_quant.json`` trajectory
 (proving instrumentation did not tax the off state).  Both are gated by
 ``scripts/check_bench.py`` under the ``telemetry`` subsystem.
-
-The bar is relative, so it moves with the decode step it is measured
-against.  Telemetry's cost is per event — 3-6 us per span and ~3 us per
-counter increment in situ — and a batch-8 decode step of this model
-carries 17 spans and two dozen counter increments, ~150-200 us.  That
-was 3-5% of the 4-6 ms step the 10% bar was written for; since the
-butterfly ladders run frozen the same step takes ~1.4 ms and the same
-events are 10-13% of it (measured 0.85-0.87 over 12 interleaved pairs).
-Cutting the per-event cost is the tracing work's job (ROADMAP item 1);
-until then the bar is 20%, which still fails if an instrument lands in
-an inner loop.
 
 Enabled runs also re-check bit-neutrality: the exact token sequences
 must match the disabled run (telemetry must never perturb compute).
@@ -54,8 +43,8 @@ CONFIG = ModelConfig(
     n_heads=4, r_ffn=2, n_total=2, seed=0,
 )
 
-#: Enabled tokens/s must stay within 20% of disabled (see the docstring).
-OVERHEAD_BOUND = 0.8
+#: Enabled tokens/s must stay within 10% of disabled.
+OVERHEAD_BOUND = 0.9
 
 
 def _decode_run(model, prompts, new_tokens):
@@ -115,7 +104,7 @@ def run(batch=8, prompt_len=64, new_tokens=64, repeats=3):
         "enabled_tokens_per_s": round(enabled_tps, 1),
         "spans_per_enabled_run": span_count,
         "bit_neutral": 1,
-        # headline: enabled/disabled tokens/s (1.0 = free, bar >= 0.8)
+        # headline: enabled/disabled tokens/s (1.0 = free, bar >= 0.9)
         "overhead_ratio": round(enabled_tps / disabled_tps, 4),
     }
 
@@ -136,11 +125,9 @@ def _report(title, result):
 
 
 def test_telemetry_overhead(smoke: bool = False):
-    """Enabled decode tokens/s within 20% of disabled, bit-neutral."""
+    """Enabled decode tokens/s within 10% of disabled, bit-neutral."""
     if smoke:
-        # A 16-token pass is ~40 ms: best-of-5 per side, or one slow
-        # spell on the runner decides the ratio.
-        result = run(new_tokens=16, repeats=5)
+        result = run(new_tokens=16, repeats=2)
         _report("Telemetry overhead smoke (batch 8 decode)", result)
         update_bench_json("telemetry_overhead_smoke", result,
                           filename="BENCH_quant.json")

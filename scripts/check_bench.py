@@ -254,12 +254,10 @@ MANIFEST: Tuple[Bench, ...] = (
         json_file="BENCH_quant.json",
         smoke_args=("--smoke",),
         smoke_checks=(
-            # Enabled decode must stay within 20% of disabled (the bar
-            # and why it is not 10% any more: bench_telemetry_overhead's
-            # docstring): the overhead ratio is a same-run comparison, so
-            # it is far more stable than cross-machine tokens/s and gets
-            # a hard bound.
-            Check("telemetry_overhead_smoke.overhead_ratio", "higher", 0.8),
+            # Enabled decode must stay within 10% of disabled: the
+            # overhead ratio is a same-run comparison, so it is far more
+            # stable than cross-machine tokens/s and gets a hard bound.
+            Check("telemetry_overhead_smoke.overhead_ratio", "higher", 0.9),
             Check("telemetry_overhead_smoke.bit_neutral", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
             # Disabled tokens/s vs the committed trajectory (timing band,
@@ -268,7 +266,7 @@ MANIFEST: Tuple[Bench, ...] = (
                   "higher", 100.0),
         ),
         full_checks=(
-            Check("telemetry_overhead.overhead_ratio", "higher", 0.8),
+            Check("telemetry_overhead.overhead_ratio", "higher", 0.9),
             Check("telemetry_overhead.bit_neutral", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("telemetry_overhead.disabled_tokens_per_s",

@@ -23,11 +23,11 @@ dtype policy (float64 default, float32 opt-in) in
 Entry points
 ------------
 :func:`butterfly_apply` / :func:`butterfly_apply_vjp` dispatch between
-the fused grouped kernels (real power-of-two ladders: a
-:class:`FrozenLadder` for every inference call, the per-step grouped
-kernel for large training calls) and the per-stage vectorized kernels
-(small training calls, complex twiddles, partial ladders).  All paths
-are loop-free over pairs.
+the fused grouped kernels (real power-of-two ladders: a layer's
+:class:`FrozenLadder` for its every inference call, the per-call
+grouped kernel for large training and raw-array calls) and the
+per-stage vectorized kernels (small such calls, complex twiddles,
+partial ladders).  All paths are loop-free over pairs.
 
 The package also hosts the fused streaming-softmax attention kernel
 (:mod:`repro.kernels.attention`): :func:`attention_forward` /
@@ -125,14 +125,12 @@ from .grouped import (
     MIN_STAGES,
     MIN_WORK,
     FrozenLadder,
+    FrozenLadderCache,
     GroupedContext,
     GroupedPlan,
-    frozen_ladder,
     get_plan,
     grouped_forward,
     grouped_vjp,
-    is_full_ladder,
-    stage_array,
 )
 from .layout import (
     bit_reversal_permutation,
@@ -176,10 +174,17 @@ from .quant import (
 from .stage import stage_dense, stage_forward, stage_vjp
 
 
+def _is_full_ladder(n: int, halves: Sequence[int]) -> bool:
+    if n < 2 or (n & (n - 1)) != 0:
+        # Non-power-of-two sizes are legal for single stages (divisible
+        # blocks); they just can't take the grouped full-ladder path.
+        return False
+    return list(halves) == stage_halves(n)
+
+
 def _use_grouped(x: np.ndarray, coeffs: Sequence[np.ndarray], halves) -> bool:
-    """Training path: does the per-step chunk build beat the stage chain?"""
     n = x.shape[-1]
-    if n < (1 << MIN_STAGES) or not is_full_ladder(n, halves):
+    if n < (1 << MIN_STAGES) or not _is_full_ladder(n, halves):
         return False
     if x.size < MIN_WORK:
         return False
@@ -190,65 +195,56 @@ def _use_grouped(x: np.ndarray, coeffs: Sequence[np.ndarray], halves) -> bool:
 
 def butterfly_apply(
     x: np.ndarray,
-    coeffs: Sequence,
+    coeffs: Sequence[np.ndarray],
     halves: Sequence[int],
     need_ctx: bool = True,
     backend=None,
-    out_features: Optional[int] = None,
-    holder=None,
+    ladder: Optional[FrozenLadder] = None,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
     """Apply a ladder of butterfly stages to the last axis of ``x``.
 
     ``coeffs[s]`` is the ``(4, n/2)`` pair-major array of stage
-    ``halves[s]`` — or the parameter object holding it — and stages are
-    applied in order.  Returns ``(y, ctx)`` where ``ctx`` (when
-    ``need_ctx``) feeds :func:`butterfly_apply_vjp`.  Arbitrary leading
-    batch dimensions are supported.  ``backend`` overrides the active
-    :mod:`kernel backend <repro.kernels.backend>` for the GEMM paths
-    (execution only — results are identical).
+    ``halves[s]``; stages are applied in order.  Returns ``(y, ctx)``
+    where ``ctx`` (when ``need_ctx``) feeds :func:`butterfly_apply_vjp`.
+    Arbitrary leading batch dimensions are supported.  ``backend``
+    overrides the active :mod:`kernel backend <repro.kernels.backend>`
+    for the GEMM paths (execution only — results are identical).
 
-    **Inference** (``need_ctx=False``): every real, full, power-of-two
-    ladder runs as a :class:`FrozenLadder` at every ``(rows, n)`` — the
-    chunk operators are built once per weight version when ``holder``
-    (the object owning the stage parameters) is given to host them, per
-    call otherwise (see :func:`frozen_ladder`).  On this path ``x`` may
-    be narrower than ``n`` (the missing tail is zero) and
-    ``out_features`` truncates the result; the zero-pad and the slice
-    are folded into the operators.
+    **Inference over a layer's parameters**: the layer passes the
+    :class:`FrozenLadder` its :class:`FrozenLadderCache` holds for
+    ``coeffs`` (``need_ctx`` must be off) and the call is that ladder's
+    ``apply``, at every ``(rows, n)`` — ``x`` is then ``(...,
+    ladder.in_features)`` and the result ``(..., ladder.out_features)``.
 
-    **Training** (``need_ctx=True``): the fused grouped kernel above
-    :data:`MIN_STAGES` / :data:`MIN_WORK`, the per-stage chain below;
-    complex (FFT) stages and partial ladders always take the per-stage
-    chain.
+    **Every other call** pays for what it builds — training steps
+    because the weights move, raw-array callers because there is nothing
+    to validate a cache against — so real full power-of-two ladders
+    take the fused grouped kernel only above :data:`MIN_STAGES` /
+    :data:`MIN_WORK` and the per-stage chain below; complex (FFT) stages
+    and partial ladders always take the chain.
     """
     x = np.asarray(x)
+    coeffs = [np.asarray(c) for c in coeffs]
     if len(coeffs) != len(halves):
         raise ValueError(
             f"got {len(coeffs)} coefficient arrays for {len(halves)} stages"
         )
     fault_point("kernels.butterfly_apply", stages=len(halves))
-    lead = x.shape[:-1]
-    if not need_ctx:
-        ladder = frozen_ladder(coeffs, halves, x.dtype, x.shape[-1],
-                               out_features, holder)
-        if ladder is not None:
-            with span("kernels.butterfly_apply", n=ladder.plan.n,
-                      path="frozen"):
-                return ladder.apply(x, backend), None
-    coeffs = [stage_array(c) for c in coeffs]
+    if ladder is not None:
+        if need_ctx:
+            raise ValueError("a frozen ladder has no VJP context to give")
+        with span("kernels.butterfly_apply", n=ladder.plan.n, path="frozen"):
+            return ladder.apply(x, backend), None
     n = x.shape[-1]
-    if out_features not in (None, n):
-        raise ValueError(
-            "out_features is folded into the frozen inference operators "
-            "only (need_ctx=False over a real, full, power-of-two ladder)"
-        )
-    if need_ctx and _use_grouped(x, coeffs, halves):
+    lead = x.shape[:-1]
+    if _use_grouped(x, coeffs, halves):
         rows = int(np.prod(lead)) if lead else 1
         plan = get_plan(n, len(halves))
         with span("kernels.butterfly_apply", n=n, rows=rows, path="grouped"):
             y, gctx = grouped_forward(x.reshape(rows, n), coeffs, plan,
-                                      backend=backend)
-        return y.reshape(*lead, n), ("grouped", lead, gctx)
+                                      need_ctx=need_ctx, backend=backend)
+        ctx = ("grouped", lead, gctx) if need_ctx else None
+        return y.reshape(*lead, n), ctx
     with span("kernels.butterfly_apply", n=n, path="stages"):
         saved = [] if need_ctx else None
         out = x
@@ -313,6 +309,7 @@ __all__ = [
     "AttentionContext",
     "CrossEntropyContext",
     "FrozenLadder",
+    "FrozenLadderCache",
     "GroupedContext",
     "GroupedPlan",
     "KernelBackend",
@@ -353,7 +350,6 @@ __all__ = [
     "fft_stage_coeffs",
     "fft_stage_forward",
     "fft_twiddles",
-    "frozen_ladder",
     "fused_enabled",
     "get_backend",
     "get_default_dtype",

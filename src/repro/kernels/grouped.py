@@ -40,21 +40,22 @@ At ``n = 1024`` this path makes ``ButterflyLinear`` forward+backward
 several times faster than the per-stage chain while staying exactly
 equivalent up to matmul reassociation of the 2x2 accumulations.
 
-Training and inference use the chunk matrices differently:
+The chunk matrices are used in two ways:
 
-* **Training** (:func:`grouped_forward` / :func:`grouped_vjp`, a VJP
-  context is wanted) rebuilds them on every call — the weights move
-  every step, so the build cost really is per step, and
-  :data:`MIN_STAGES` / :data:`MIN_WORK` decide when it beats the
-  per-stage chain.  Those thresholds gate nothing else.
-* **Inference** (:class:`FrozenLadder`, no context) builds the
-  contiguous, already-transposed chunk operators **once per weight
+* **Built per call** (:func:`grouped_forward` / :func:`grouped_vjp`):
+  training, where the weights move every step, and raw-array callers,
+  who hold nothing a cache could be validated against.  The build cost
+  is paid on every call, so :data:`MIN_STAGES` / :data:`MIN_WORK` decide
+  when it beats the per-stage chain.  Those thresholds gate nothing
+  else.
+* **Frozen** (:class:`FrozenLadder`): a layer's inference path builds
+  the contiguous, already-transposed chunk operators **once per weight
   version** and every later call is rearrange + GEMM per chunk, at every
-  ``(rows, n)``: trained factors are static at inference, laid out once
-  for the engine's buffers while every token streams through them.
-  :func:`frozen_ladder` keeps the built ladder on the object that owns
-  the stages and revalidates it against the stage parameters' version
-  counters on each call.
+  ``(rows, n)`` — trained factors are static at inference, laid out once
+  for the engine's buffers while every token streams through them.  The
+  layer keeps the ladder in a :class:`FrozenLadderCache`, which
+  revalidates it against the stage parameters' version counters on each
+  call.
 """
 
 from __future__ import annotations
@@ -66,32 +67,33 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry import counter_inc
+from ..telemetry import counter_inc, publish_on_snapshot
 from .backend import resolve_backend
-from .layout import check_power_of_two, num_stages, stage_halves
+from .layout import check_power_of_two, num_stages
 
 #: Largest number of stages fused into one chunk.  Radix 32 balances the
 #: batched-GEMM efficiency against the O(n * 2^g) chunk-matrix build cost.
 MAX_GROUP = 5
 
-#: Training path only: rebuild-and-GEMM beats the per-stage chain when the
-#: ladder is at least this deep (the chunk build cost is batch-independent
-#: and paid on every step).  Inference has no such floor — a
-#: :class:`FrozenLadder` pays the build once per weight version.
+#: Calls that build the chunk matrices themselves (training steps,
+#: raw-array callers) use the grouped path only when the stage ladder is
+#: at least this deep; below it the per-stage kernels win (chunk build
+#: cost is batch-independent).  A layer's inference path has no such
+#: floor: its :class:`FrozenLadder` pays the build once per weight version.
 MIN_STAGES = 6
 
-#: Training path only: minimum total elements (rows * n) for the per-step
-#: chunk build to pay off.
+#: Minimum total elements (rows * n) for a per-call build to pay off.
 MIN_WORK = 16384
 
 #: A :class:`FrozenLadder` this small multiplies its chunks out into one
-#: dense ``n x n`` block at build time.  Measured crossover (fp32/fp64,
-#: one BLAS thread): at n=64 the single GEMM beats the two-chunk form at
-#: every shape tried, from 10x at ``(B, 1, n)`` decode rows (1.5 vs 15 us)
-#: to 1.8-2.5x at ``(1, 1024, n)``; at n=128 it still wins 3-7x on decode
-#: rows but only ties at ``S >= 128`` in fp64 (622 vs 589 us at S=1024);
-#: at n=256 the chunked form wins from S=32 up (39 vs 84 us).
-DENSE_MAX_N = 64
+#: dense ``n x n`` block at build time.  Measured crossover (one BLAS
+#: thread, us, chunked vs dense): at n=128 the single GEMM wins at every
+#: shape in fp32 — ``(1, 1, n)`` 16 vs 6, ``(8, 1, n)`` 24 vs 11,
+#: ``(1, 1024, n)`` 384 vs 247 — and in fp64 wins the decode rows (16 vs
+#: 6, 26 vs 21) and gives back at most a quarter from ``S >= 64`` up (537
+#: vs 590 at S=1024); at n=256 it still wins a lone row (17 vs 13) but
+#: loses everything else, 1.4x (fp32) to 2.4x (fp64) at S=1024.
+DENSE_MAX_N = 128
 
 
 @dataclass
@@ -198,7 +200,10 @@ class GroupedPlan:
 
         Buffers are pooled per calling thread (see ``_tls`` above), so
         concurrent kernel invocations sharing one cached plan never
-        alias each other's scratch.
+        alias each other's scratch.  A tag's buffer only grows: callers
+        of different shapes share a plan (an FFN's up and down ladders,
+        a served model's prefill and decode steps) and take turns, so
+        an exact-size pool would reallocate on every alternation.
         """
         pool = getattr(self._tls, "pool", None)
         if pool is None:
@@ -208,9 +213,9 @@ class GroupedPlan:
         buf = pool.get(key)
         size = math.prod(shape)
         counter_inc("kernels_scratch_hits_total" if buf is not None
-                    and buf.size == size else "kernels_scratch_misses_total")
-        if buf is None or buf.size != size:
-            # A cached buffer of the wrong size is useless for this tag
+                    and buf.size >= size else "kernels_scratch_misses_total")
+        if buf is None or buf.size < size:
+            # A cached buffer that is too small is useless for this tag
             # now — evict it up front so it can't stay pinned if the new
             # request ends up over budget.
             old = pool.pop(key, None)
@@ -222,7 +227,7 @@ class GroupedPlan:
             buf = np.empty(size, dtype=dtype)
             pool[key] = buf
             self._tls.bytes += buf.nbytes
-        return buf.reshape(shape)
+        return buf[:size].reshape(shape)
 
 
 _PLAN_CACHE: dict = {}
@@ -233,11 +238,12 @@ _PLAN_CACHE_LOCK = threading.Lock()
 # the telemetry registry when that is enabled.
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
-# Frozen ladders built / reused (see :func:`frozen_ladder`).  Builds that
-# keep pace with hits mean inference is interleaved with weight updates
-# and every call pays the chunk-matrix build again.
+# Frozen ladders built / reused (see :class:`FrozenLadderCache`).  Builds
+# that keep pace with hits mean inference is interleaved with weight
+# updates and every call pays the chunk-matrix build again.
 _FROZEN_BUILDS = 0
 _FROZEN_HITS = 0
+_FROZEN_PUBLISHED = [0, 0]  # what the telemetry counters have seen
 
 
 def plan_cache_stats() -> dict:
@@ -265,6 +271,21 @@ def reset_plan_cache_stats() -> None:
         _PLAN_CACHE_MISSES = 0
         _FROZEN_BUILDS = 0
         _FROZEN_HITS = 0
+        _FROZEN_PUBLISHED[:] = [0, 0]
+
+
+@publish_on_snapshot
+def _publish_frozen_counters() -> None:
+    # The frozen-ladder totals as telemetry counters.  Twelve ladders run
+    # per decode step, so they are counted as plain ints and only the
+    # growth since the last read of the registry is added here.
+    for i, (name, total) in enumerate((
+        ("kernels_frozen_ladder_builds_total", _FROZEN_BUILDS),
+        ("kernels_frozen_ladder_hits_total", _FROZEN_HITS),
+    )):
+        if total > _FROZEN_PUBLISHED[i]:
+            counter_inc(name, total - _FROZEN_PUBLISHED[i])
+            _FROZEN_PUBLISHED[i] = total
 
 
 def get_plan(n: int, stages: int, g: int = MAX_GROUP) -> GroupedPlan:
@@ -429,7 +450,8 @@ def _rearrange_between(
 def _arrange_last_inv(
     y: np.ndarray, chunk: _ChunkPlan, rows: int, n: int
 ) -> np.ndarray:
-    # (o, h0, B, T) -> (B, n)
+    # (o, h0, B, T) -> (B, n).  Always an owned copy: ``y`` may live in
+    # pooled scratch, and the result escapes to the caller.
     out = np.empty((rows, n), dtype=y.dtype)
     np.copyto(out.reshape(rows, chunk.o, chunk.T, chunk.h0),
               y.transpose(2, 0, 3, 1))
@@ -440,17 +462,17 @@ def grouped_forward(
     x: np.ndarray,
     coeffs: Sequence[np.ndarray],
     plan: GroupedPlan,
+    need_ctx: bool = True,
     backend=None,
-) -> Tuple[np.ndarray, GroupedContext]:
-    """Apply the full stage ladder to ``x`` of shape ``(rows, n)`` and
-    save what :func:`grouped_vjp` needs (the training path; inference
-    runs a :class:`FrozenLadder`)."""
+) -> Tuple[np.ndarray, Optional[GroupedContext]]:
+    """Apply the full stage ladder to ``x`` of shape ``(rows, n)``."""
     backend = resolve_backend(backend)
     rows, n = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
     Ms, build_saved = _build_matrices(plan, coeffs, dtype)
-    ctx = GroupedContext(plan, dtype, rows)
-    ctx.build_saved = build_saved
+    ctx = GroupedContext(plan, dtype, rows) if need_ctx else None
+    if ctx is not None:
+        ctx.build_saved = build_saved
     out = None
     for k, chunk in enumerate(plan.chunks):
         if k == 0:
@@ -458,15 +480,21 @@ def grouped_forward(
                                       dtype=dtype)
         else:
             xr = _rearrange_between(out, plan.chunks[k - 1], chunk, rows)
-        # MT is reused by the backward pass, and the next chunk's
-        # rearrangement of ``out`` may alias it (a transpose over
-        # singleton axes can be a view) and gets saved in the context
-        # — so both must own their memory here.
-        MT = np.ascontiguousarray(Ms[k].swapaxes(-1, -2))
-        out = np.empty(xr.shape, dtype=dtype)
-        backend.matmul(xr, MT, out)
-        ctx.MTs.append(MT)
-        ctx.xs.append(xr)
+        if ctx is not None:
+            # MT is reused by the backward pass, and the next chunk's
+            # rearrangement of ``out`` may alias it (a transpose over
+            # singleton axes can be a view) and gets saved in the context
+            # — so both must own their memory here.
+            MT = np.ascontiguousarray(Ms[k].swapaxes(-1, -2))
+            out = np.empty(xr.shape, dtype=dtype)
+            backend.matmul(xr, MT, out)
+            ctx.MTs.append(MT)
+            ctx.xs.append(xr)
+        else:
+            MT = plan.scratch(f"MT{k}", Ms[k].shape, dtype)
+            np.copyto(MT, Ms[k].swapaxes(-1, -2))
+            out = plan.scratch(f"y{k}", xr.shape, dtype)
+            backend.matmul(xr, MT, out)
     return _arrange_last_inv(out, plan.chunks[-1], rows, n), ctx
 
 
@@ -517,24 +545,6 @@ def grouped_vjp(
 # ----------------------------------------------------------------------
 # Frozen ladder: the inference path
 # ----------------------------------------------------------------------
-def stage_array(stage) -> np.ndarray:
-    """A stage's ``(4, n/2)`` array: a parameter holder's ``.data``, or
-    the raw array(-like) itself."""
-    if isinstance(stage, np.ndarray):
-        return stage
-    data = getattr(stage, "data", None)
-    return data if isinstance(data, np.ndarray) else np.asarray(stage)
-
-
-def is_full_ladder(n: int, halves: Sequence[int]) -> bool:
-    """Whether ``halves`` is the complete ``1, 2, ..., n/2`` ladder of a
-    power-of-two ``n`` (single stages may have other sizes — divisible
-    blocks — but only the full ladder densifies into chunk operators)."""
-    if n < 2 or (n & (n - 1)) != 0:
-        return False
-    return list(halves) == stage_halves(n)
-
-
 class FrozenLadder:
     """A full real ladder densified once: the chunk operators of
     :func:`_build_matrices`, contiguous and already transposed, and an
@@ -549,10 +559,10 @@ class FrozenLadder:
 
     ``in_features`` / ``out_features`` fold :class:`ButterflyLinear
     <repro.nn.butterfly_layer.ButterflyLinear>`'s zero-pad and output
-    slice into the operators: input positions past ``in_features`` are
-    zero, so the operator rows that would multiply them — and, chunk by
-    chunk, every block that only ever sees zeros — are dropped; the last
-    chunk keeps only the columns that land below ``out_features``.
+    slice into the operators where that is free: a single block keeps
+    only its first ``in_features`` rows and ``out_features`` columns,
+    and a chunked ladder's last chunk only the columns that land below
+    ``out_features`` (its input is zero-filled to ``n`` in scratch).
     :meth:`apply` then takes ``(..., in_features)`` and returns
     ``(..., out_features)`` directly.
 
@@ -575,6 +585,7 @@ class FrozenLadder:
         in_features: Optional[int] = None,
         out_features: Optional[int] = None,
     ) -> None:
+        global _FROZEN_BUILDS
         n = 2 * coeffs[0].shape[-1]
         plan = get_plan(n, len(coeffs))
         in_features = n if in_features is None else in_features
@@ -589,133 +600,121 @@ class FrozenLadder:
         self.in_features = in_features
         self.out_features = out_features
         Ms, _ = _build_matrices(plan, coeffs, self.dtype)
-        # ``support`` bounds the positions that can be nonzero on entry
-        # to each chunk.  Within a chunk a position is (o, t, j) with
-        # index (o * T + t) * h0 + j, so the (o, t) "units" below
-        # ceil(support / h0) are live: one block keeps just those rows,
-        # several blocks are rounded up to a power of two so the next
-        # chunk's regrouping of them divides evenly.
-        self.ops: List[np.ndarray] = []
-        support = in_features
-        for k, (chunk, M) in enumerate(zip(plan.chunks, Ms)):
-            units = -(-support // chunk.h0)
-            if units <= chunk.T:
-                blocks, rows = 1, units
-            else:
-                blocks = (1 << (units - 1).bit_length()) // chunk.T
-                rows = chunk.T
-            cols = chunk.T
-            if k == len(plan.chunks) - 1:
-                cols = -(-out_features // chunk.h0)
-            # M[o, j] maps x -> M @ x, so operator rows are M's columns.
-            self.ops.append(np.ascontiguousarray(
-                M[:blocks, :, :cols, :rows].swapaxes(-1, -2)))
-            support = blocks * chunk.T * chunk.h0
-        if len(self.ops) == 1:
-            self.ops[0] = self.ops[0][0, 0]  # plain (in, out) matrix
-        elif n <= DENSE_MAX_N:
-            # Rows of the identity through the chunks: the (in, out) product.
-            self.ops = [np.ascontiguousarray(
-                self.apply(np.eye(in_features, dtype=self.dtype)))]
+        # M[o, j] maps x -> M @ x, so the operators are the transposes.
+        self.ops: List[np.ndarray] = [M.swapaxes(-1, -2) for M in Ms]
+        # An output position is t * h0 + j in the last chunk (one block).
+        last = plan.chunks[-1]
+        self.ops[-1] = self.ops[-1][..., : -(-out_features // last.h0)]
+        if len(self.ops) > 1 and n <= DENSE_MAX_N:
+            self.ops = [self._chunked(np.eye(n, dtype=self.dtype), None)]
+        elif len(self.ops) == 1:
+            self.ops[0] = self.ops[0][0, 0]
+        if len(self.ops) == 1:  # one (in, out) matrix
+            self.ops[0] = self.ops[0][:in_features, :out_features]
+        self.ops = [np.ascontiguousarray(op) for op in self.ops]
+        with _PLAN_CACHE_LOCK:
+            _FROZEN_BUILDS += 1
 
     def apply(self, x: np.ndarray, backend=None) -> np.ndarray:
         """``(..., in_features) -> (..., out_features)``; the result is
         always an owned array (intermediates live in pooled scratch)."""
-        backend = resolve_backend(backend)
         x = np.asarray(x, dtype=self.dtype)
-        lead = x.shape[:-1]
-        dtype, ops, scratch = self.dtype, self.ops, self.plan.scratch
-        if len(ops) == 1:
-            out = np.empty(lead + (self.out_features,), dtype=dtype)
-            backend.matmul(x, ops[0], out)
+        if x.shape[-1] != self.in_features:
+            raise ValueError(
+                f"expected input dim {self.in_features}, got {x.shape[-1]}"
+            )
+        backend = resolve_backend(backend)
+        if len(self.ops) == 1:
+            out = np.empty(x.shape[:-1] + (self.out_features,),
+                           dtype=self.dtype)
+            backend.matmul(x, self.ops[0], out)
             return out
-        S = lead[-1] if lead else 1
-        B = math.prod(lead[:-1])
-        blocks, _, rows, _ = ops[0].shape
-        x = x.reshape(B, S, self.in_features)
-        if self.in_features < blocks * rows:
-            # Ragged in_features: zero-fill up to whole blocks.
-            whole = scratch(f"pad{blocks}", (B, S, blocks * rows), dtype)
+        n = self.plan.n
+        if self.in_features < n:
+            whole = self.plan.scratch("pad", x.shape[:-1] + (n,), self.dtype)
             whole[..., : self.in_features] = x
             whole[..., self.in_features:] = 0
             x = whole
-        # Chunk inputs and outputs are carried as (B, blocks, h0, S, T):
-        # the GEMM axes are (S, T), everything before them a batch axis.
+        return self._chunked(x, backend)[..., : self.out_features]
+
+    def _chunked(self, x: np.ndarray, backend) -> np.ndarray:
+        # (..., n) through every chunk.  Chunk inputs and outputs are
+        # carried as (B, o, h0, S, T): the GEMM axes are (S, T),
+        # everything before them a batch axis.
+        backend = resolve_backend(backend)
+        lead = x.shape[:-1]
+        S = lead[-1] if lead else 1
+        B = math.prod(lead[:-1])
+        dtype, scratch = self.dtype, self.plan.scratch
+        first = self.plan.chunks[0]
         # The first chunk has h0 == 1, so its arrangement is a view.
-        cur = x.reshape(B, S, blocks, 1, rows).transpose(0, 2, 3, 1, 4)
+        cur = (x.reshape(B, S, first.o, 1, first.T)
+               .transpose(0, 2, 3, 1, 4))
         y = None
-        for k, MT in enumerate(ops):
-            blocks, h0, rows, cols = MT.shape
+        for k, (chunk, MT) in enumerate(zip(self.plan.chunks, self.ops)):
             if k:
-                # Previous output (B, blocks * rows, h0', S, T') regroups
-                # into (B, blocks, h0 = T' * h0', S, rows): undo the old
-                # grouping and apply the new one in a single copy.
+                # Previous output (B, o * T, h0', S, T') regroups into
+                # (B, o, h0 = T' * h0', S, T): undo the old grouping and
+                # apply the new one in a single copy.
                 h0p, Tp = y.shape[2], y.shape[4]
-                cur = scratch(f"x{k}b{blocks}", (B, blocks, h0, S, rows), dtype)
+                cur = scratch(f"x{k}", (B, chunk.o, chunk.h0, S, chunk.T),
+                              dtype)
                 np.copyto(
-                    cur.reshape(B, blocks, Tp, h0p, S, rows),
-                    y.reshape(B, blocks, rows, h0p, S, Tp)
+                    cur.reshape(B, chunk.o, Tp, h0p, S, chunk.T),
+                    y.reshape(B, chunk.o, chunk.T, h0p, S, Tp)
                     .transpose(0, 1, 5, 3, 4, 2),
                 )
-            y = scratch(f"y{k}b{blocks}", (B, blocks, h0, S, cols), dtype)
+            y = scratch(f"y{k}", cur.shape[:-1] + (MT.shape[-1],), dtype)
             backend.matmul(cur, MT, y)
-        # Last chunk has one block: (B, 1, h0, S, cols) -> (B, S, cols * h0).
-        out = np.empty((B, S, cols, h0), dtype=dtype)
+        # Last chunk has one block: (B, 1, h0, S, cols) -> (..., cols * h0).
+        out = np.empty((B, S, y.shape[4], y.shape[2]), dtype=dtype)
         np.copyto(out, y[:, 0].transpose(0, 2, 3, 1))
-        out = out.reshape(lead + (cols * h0,))
-        if cols * h0 > self.out_features:
-            out = out[..., : self.out_features]
-        return out
+        return out.reshape(lead + (-1,))
 
 
-def frozen_ladder(
-    stages: Sequence,
-    halves: Sequence[int],
-    x_dtype,
-    in_features: int,
-    out_features: Optional[int] = None,
-    holder=None,
-) -> Optional[FrozenLadder]:
-    """The :class:`FrozenLadder` for an inference call over ``stages``,
-    or ``None`` when they are not a real, full, power-of-two ladder.
+class FrozenLadderCache:
+    """One layer's :class:`FrozenLadder`, rebuilt only when what it was
+    built from changes.
 
-    ``stages`` are parameter holders (objects exposing ``.data`` and a
-    ``version`` counter, i.e. :class:`repro.nn.module.Parameter`) or raw
-    arrays.  With a ``holder`` — the object that owns the stages, in
-    practice the ``ButterflyLinear`` — the built ladder is kept on it
-    and reused while nothing it was built from has changed: the entry
-    records each stage's ``(version, data)`` plus the input dtype and
-    the in/out geometry, and is rebuilt when an optimizer step or
-    ``load_state_dict`` bumps a version, a ``.data`` is rebound, or the
-    dtype context switches — the rule :func:`cached_transpose
-    <repro.kernels.fused.cached_transpose>` uses for ``W^T``.  Without a
-    holder, or with stages that carry no version counter (raw arrays),
-    there is nothing to validate a cache against and the ladder is built
-    for this call only.
+    The owner (a ``ButterflyLinear``) keeps one of these and asks it for
+    the ladder on every inference call.  The entry records each stage
+    parameter's ``(version, data)`` plus the input dtype — the rule
+    :func:`cached_transpose <repro.kernels.fused.cached_transpose>` uses
+    for ``W^T`` — so an optimizer step or ``load_state_dict`` (version
+    bump), a ``.data`` rebind, or a dtype-context switch rebuilds it and
+    nothing else does.  Copies and pickles start empty: the ladder is
+    derived state, and its plan pins a thread-local scratch pool.
     """
-    global _FROZEN_BUILDS, _FROZEN_HITS
-    key = (np.dtype(x_dtype), in_features, out_features, tuple(halves))
-    entry = getattr(holder, "_frozen_ladder", None)
-    if entry is not None:
-        cached_key, stamps, ladder = entry
-        if cached_key == key and len(stamps) == len(stages) and all(
-            getattr(stage, "version", None) == version and stage.data is data
-            for stage, (version, data) in zip(stages, stamps)
+
+    __slots__ = ("in_features", "out_features", "_entry")
+
+    def __init__(self, in_features: int, out_features: int) -> None:
+        self.in_features = in_features
+        self.out_features = out_features
+        self._entry = None
+
+    def __reduce__(self):
+        return (FrozenLadderCache, (self.in_features, self.out_features))
+
+    def get(self, stages: Sequence, x_dtype) -> Optional[FrozenLadder]:
+        """The ladder over ``stages`` (objects with ``.data`` and a
+        ``version`` counter, in full-ladder order) for inputs of
+        ``x_dtype``; ``None`` when the result would be complex — FFT
+        stages stay on the per-stage chain."""
+        global _FROZEN_HITS
+        entry = self._entry
+        if entry is not None and entry[0] == x_dtype and all(
+            stage.version == version and stage.data is data
+            for stage, (version, data) in zip(stages, entry[1])
         ):
-            with _PLAN_CACHE_LOCK:
-                _FROZEN_HITS += 1
-            counter_inc("kernels_frozen_ladder_hits_total")
-            return ladder
-    arrays = [stage_array(stage) for stage in stages]
-    n = 2 * arrays[0].shape[-1] if arrays else 0
-    dtype = np.result_type(x_dtype, *[a.dtype for a in arrays])
-    if not is_full_ladder(n, halves) or dtype.kind == "c":
-        return None
-    ladder = FrozenLadder(arrays, dtype, in_features, out_features)
-    with _PLAN_CACHE_LOCK:
-        _FROZEN_BUILDS += 1
-    counter_inc("kernels_frozen_ladder_builds_total")
-    if holder is not None and all(hasattr(s, "version") for s in stages):
+            _FROZEN_HITS += 1  # unlocked: a diagnostic on the decode path
+            return entry[2]
+        arrays = [stage.data for stage in stages]
+        dtype = np.result_type(x_dtype, *[a.dtype for a in arrays])
+        if dtype.kind == "c":
+            return None
+        ladder = FrozenLadder(arrays, dtype, self.in_features,
+                              self.out_features)
         stamps = [(stage.version, stage.data) for stage in stages]
-        holder._frozen_ladder = (key, stamps, ladder)
-    return ladder
+        self._entry = (np.dtype(x_dtype), stamps, ladder)
+        return ladder

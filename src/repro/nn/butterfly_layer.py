@@ -18,6 +18,7 @@ import numpy as np
 from ..butterfly.factor import stage_halves
 from ..butterfly.matrix import ButterflyMatrix, butterfly_flops
 from ..butterfly.factor import ButterflyFactor
+from ..kernels import FrozenLadderCache
 from . import tensor as F
 from .module import Module, Parameter
 from .tensor import Tensor
@@ -68,15 +69,9 @@ class ButterflyLinear(Module):
             coeffs = rng.normal(0.0, scale, size=(4, self.n // 2))
             setattr(self, f"stage_{i}", Parameter(coeffs))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
-        # Inference-time fused operators of the ladder, written by
-        # repro.kernels.frozen_ladder and revalidated there against the
-        # stage parameters' (version, data) on every call.
-        self._frozen_ladder = None
-
-    def __getstate__(self) -> dict:
-        # Derived state (and it pins a thread-local scratch pool): copies
-        # and pickles rebuild it on their first inference call.
-        return {**self.__dict__, "_frozen_ladder": None}
+        # The ladder's fused inference operators, rebuilt when a stage
+        # parameter's (version, data) or the input dtype changes.
+        self._frozen = FrozenLadderCache(in_features, out_features)
 
     # ------------------------------------------------------------------
     def stage_parameters(self) -> list[Parameter]:
@@ -91,18 +86,18 @@ class ButterflyLinear(Module):
         # One fused autograd op for the whole ladder (one graph node per
         # layer, not per stage), dispatching to the shared kernel layer.
         stages = self.stage_parameters()
+        ladder = None
         if not F.is_grad_enabled():
+            ladder = self._frozen.get(stages, x.dtype)
+        if ladder is not None:
             # Inference: the frozen operators take (..., in) to (..., out)
             # directly, zero-pad and output slice folded in.
-            out = F.butterfly_apply(
-                x, stages, self.halves,
-                out_features=self.out_features, holder=self,
-            )
+            out = F.butterfly_apply(x, stages, self.halves, ladder=ladder)
         else:
             out = x
             if self.in_features < self.n:
                 out = F.pad_last(out, 0, self.n - self.in_features)
-            out = F.butterfly_apply(out, stages, self.halves, holder=self)
+            out = F.butterfly_apply(out, stages, self.halves)
             if self.out_features < self.n:
                 index = tuple([slice(None)] * (out.ndim - 1) + [slice(0, self.out_features)])
                 out = F.getitem(out, index)

@@ -884,8 +884,7 @@ def butterfly_apply(
     x: Tensor,
     coeffs: Sequence[Tensor],
     halves: Sequence[int],
-    out_features: Optional[int] = None,
-    holder=None,
+    ladder=None,
 ) -> Tensor:
     """Apply a full ladder of butterfly stages as a single autograd op.
 
@@ -893,22 +892,20 @@ def butterfly_apply(
     ``halves[s]``; stages apply in order (``halves = [1, 2, ..., n/2]``
     for a complete butterfly matrix).  Compared to chaining
     :func:`butterfly_stage`, this records one graph node for the whole
-    ladder and dispatches to :mod:`repro.kernels`: the fused grouped
-    kernel when the op is recorded, and — when it is not (``no_grad``,
-    or nothing upstream requires a gradient) — the ladder's frozen
-    chunk operators, built once per weight version and kept on
-    ``holder`` (the module that owns ``coeffs``).  Only on that
-    inference path may ``x`` be narrower than the ladder (the tail is
-    zero) and ``out_features`` truncate the result; see
-    :func:`repro.kernels.butterfly_apply`.
+    ladder and dispatches to :mod:`repro.kernels`' fused grouped kernel,
+    which is several times faster at ``n >= 256``.
+
+    ``ladder`` is the caller's :class:`repro.kernels.FrozenLadder` over
+    ``coeffs`` for an inference call (under ``no_grad``; the kernel
+    refuses it when the op has to be recorded): ``x`` is then the
+    ladder's ``(..., in_features)`` and the result its
+    ``(..., out_features)``.
     """
     parents = (x, *coeffs)
     record = _should_record(parents)
-    # The stage tensors themselves, not their arrays: the kernel reads
-    # their version counters to validate the holder's frozen ladder.
     data, ctx = _kernels.butterfly_apply(
-        x.data, coeffs, halves, need_ctx=record,
-        out_features=out_features, holder=holder,
+        x.data, [c.data for c in coeffs], halves, need_ctx=record,
+        ladder=ladder,
     )
 
     def backward(grad: np.ndarray):

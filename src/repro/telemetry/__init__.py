@@ -60,6 +60,7 @@ from .registry import (
     gauge_set,
     get_registry,
     observe,
+    publish_on_snapshot,
     reset,
     set_registry,
     use_telemetry,
@@ -102,6 +103,7 @@ __all__ = [
     "get_collector",
     "get_registry",
     "observe",
+    "publish_on_snapshot",
     "render_prometheus",
     "render_sections",
     "render_span_tree",

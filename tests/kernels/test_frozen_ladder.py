@@ -1,10 +1,13 @@
-"""The frozen ladder: ``kernels.butterfly_apply(need_ctx=False)``'s one path.
+"""The frozen ladder: a layer's one inference path through the kernels.
 
 Value parity against the per-stage reference at every size and shape,
 the bitwise row-independence contract the serving engine relies on, the
-holder-hosted cache and its counters, and the training path left exactly
-where it was.
+layer-owned cache and its counters, and every other caller's dispatch
+left exactly where it was.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +15,11 @@ import pytest
 from repro import kernels as K
 from repro import telemetry
 from repro.kernels import grouped
-from repro.kernels.grouped import FrozenLadder, plan_cache_stats
+from repro.kernels.grouped import (
+    FrozenLadder,
+    FrozenLadderCache,
+    plan_cache_stats,
+)
 
 SIZES = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 LEADS = [(1, 1), (4, 1), (1, 33), (3, 17)]
@@ -41,10 +48,6 @@ def _rectangles(n):
     return sorted(shapes)
 
 
-class Holder:
-    """Stand-in for the module that owns the stages."""
-
-
 class Stage:
     """Stand-in for ``nn.Parameter``: ``.data`` plus a version counter."""
 
@@ -59,10 +62,11 @@ class TestMatchesReference:
     def test_every_rectangle_and_leading_shape(self, rng, n, dtype):
         coeffs, halves = _ladder(rng, n, dtype)
         for d_in, d_out in _rectangles(n):
+            ladder = FrozenLadder(coeffs, dtype, d_in, d_out)
             for lead in LEADS:
                 x = rng.normal(size=lead + (d_in,)).astype(dtype)
                 y, ctx = K.butterfly_apply(
-                    x, coeffs, halves, need_ctx=False, out_features=d_out)
+                    x, coeffs, halves, need_ctx=False, ladder=ladder)
                 expected = _reference(x, coeffs, halves, n, d_out)
                 assert ctx is None
                 assert y.shape == expected.shape and y.dtype == dtype
@@ -72,9 +76,10 @@ class TestMatchesReference:
 
     def test_vector_and_matrix_inputs(self, rng, n, dtype):
         coeffs, halves = _ladder(rng, n, dtype)
+        ladder = FrozenLadder(coeffs, dtype)
         for shape in [(n,), (5, n), (2, 3, 4, n)]:
             x = rng.normal(size=shape).astype(dtype)
-            y, _ = K.butterfly_apply(x, coeffs, halves, need_ctx=False)
+            y = ladder.apply(x)
             expected = K.butterfly_apply_reference(x, coeffs, halves)
             np.testing.assert_allclose(
                 y, expected, atol=TOLERANCE[dtype] * max(1.0, np.abs(expected).max()))
@@ -93,18 +98,23 @@ class TestOperatorGeometry:
         ladder = FrozenLadder(coeffs, np.float64, n // 2, n)
         assert [op.shape for op in ladder.ops] == [(n // 2, n)]
 
-    def test_zero_blocks_and_sliced_columns_are_dropped(self, rng):
-        """n=512 is chunks of T=32 then T=16.  An FFN-up layer (128 -> 512)
-        feeds 4 of the first chunk's 16 blocks, so the second chunk keeps 4
-        of its 16 operator rows; an FFN-down layer (512 -> 128) keeps 4 of
-        the last chunk's 16 columns."""
+    def test_chunked_ladder_slices_only_the_last_chunks_columns(self, rng):
+        """n=512 is chunks of T=32 then T=16.  An FFN-down layer
+        (512 -> 128) keeps 4 of the last chunk's 16 columns; an FFN-up
+        layer (128 -> 512) keeps every operator whole and zero-fills its
+        input instead."""
         coeffs, _ = _ladder(rng, 512)
-        up = FrozenLadder(coeffs, np.float64, 128, 512)
-        assert [op.shape for op in up.ops] == [(4, 1, 32, 32), (1, 32, 4, 16)]
         down = FrozenLadder(coeffs, np.float64, 512, 128)
         assert [op.shape for op in down.ops] == [(16, 1, 32, 32), (1, 32, 16, 4)]
-        full = FrozenLadder(coeffs, np.float64)
-        assert sum(op.size for op in full.ops) == 512 * (32 + 16)
+        up = FrozenLadder(coeffs, np.float64, 128, 512)
+        assert [op.shape for op in up.ops] == [(16, 1, 32, 32), (1, 32, 16, 16)]
+        assert all(op.flags.c_contiguous for op in up.ops + down.ops)
+
+    def test_input_of_the_wrong_width_rejected(self, rng):
+        coeffs, _ = _ladder(rng, 64)
+        ladder = FrozenLadder(coeffs, np.float64, 48, 64)
+        with pytest.raises(ValueError, match="expected input dim 48"):
+            ladder.apply(rng.normal(size=(2, 64)))
 
     def test_features_outside_the_ladder_rejected(self, rng):
         coeffs, _ = _ladder(rng, 8)
@@ -112,6 +122,21 @@ class TestOperatorGeometry:
             FrozenLadder(coeffs, np.float64, 9, 8)
         with pytest.raises(ValueError, match="in/out features"):
             FrozenLadder(coeffs, np.float64, 8, 0)
+
+    def test_layers_sharing_a_plan_do_not_evict_each_others_scratch(self, rng):
+        """An FFN's up and down ladders share the n=512 plan and take turns;
+        their scratch shapes differ, and the pool must serve both from one
+        buffer instead of reallocating on every alternation."""
+        coeffs, _ = _ladder(rng, 512)
+        up = FrozenLadder(coeffs, np.float64, 128, 512)
+        down = FrozenLadder(coeffs, np.float64, 512, 128)
+        x_up, x_down = rng.normal(size=(2, 9, 128)), rng.normal(size=(2, 9, 512))
+        up.apply(x_up), down.apply(x_down)  # pool sized by the larger of each
+        pool = up.plan._tls.pool
+        before = {key: buf.ctypes.data for key, buf in pool.items()}
+        for _ in range(3):
+            up.apply(x_up), down.apply(x_down)
+        assert {key: buf.ctypes.data for key, buf in pool.items()} == before
 
     def test_result_is_owned_not_pooled_scratch(self, rng):
         coeffs, halves = _ladder(rng, 256)
@@ -138,13 +163,12 @@ class TestRowIndependence:
 
     def test_every_row_equals_its_solo_run(self, rng, n, dtype):
         coeffs, halves = _ladder(rng, n, dtype)
+        ladder = FrozenLadder(coeffs, dtype, n // 2, n)
         x = rng.normal(size=(6, 1, n // 2)).astype(dtype)
-        batched, _ = K.butterfly_apply(
-            x, coeffs, halves, need_ctx=False, out_features=n)
+        batched = ladder.apply(x)
         for row in range(6):
-            solo, _ = K.butterfly_apply(
-                x[row : row + 1], coeffs, halves, need_ctx=False, out_features=n)
-            np.testing.assert_array_equal(batched[row], solo[0])
+            np.testing.assert_array_equal(
+                batched[row], ladder.apply(x[row : row + 1])[0])
 
     def test_prefill_rows_independent_of_batch(self, rng, n, dtype):
         """(B, S, n): each batch entry is its own GEMM with M = S."""
@@ -156,138 +180,145 @@ class TestRowIndependence:
             np.testing.assert_array_equal(batched[b], ladder.apply(x[b : b + 1])[0])
 
 
-class TestHolderCache:
-    def _setup(self, rng, n=64):
+class TestLayerCache:
+    def _setup(self, rng, n=64, d_in=None, d_out=None):
         coeffs, halves = _ladder(rng, n)
-        return [Stage(c) for c in coeffs], halves, Holder()
-
-    def _apply(self, x, stages, halves, holder):
-        y, _ = K.butterfly_apply(x, stages, halves, need_ctx=False, holder=holder)
-        return y
+        cache = FrozenLadderCache(d_in or n, d_out or n)
+        return [Stage(c) for c in coeffs], halves, cache
 
     def _counts(self):
         stats = plan_cache_stats()
         return stats["frozen_builds"], stats["frozen_hits"]
 
+    def _check(self, ladder, x, stages, halves):
+        np.testing.assert_allclose(
+            ladder.apply(x),
+            K.butterfly_apply_reference(x, [s.data for s in stages], halves),
+            atol=1e-9)
+
     def test_built_once_then_reused(self, rng):
-        stages, halves, holder = self._setup(rng)
-        x = rng.normal(size=(2, 64))
+        stages, halves, cache = self._setup(rng)
         builds, hits = self._counts()
-        first = self._apply(x, stages, halves, holder)
+        ladder = cache.get(stages, np.float64)
         assert self._counts() == (builds + 1, hits)
-        ladder = holder._frozen_ladder[2]
-        second = self._apply(x, stages, halves, holder)
+        assert cache.get(stages, np.float64) is ladder
         assert self._counts() == (builds + 1, hits + 1)
-        assert holder._frozen_ladder[2] is ladder
-        np.testing.assert_array_equal(first, second)
+        self._check(ladder, rng.normal(size=(2, 64)), stages, halves)
 
     def test_version_bump_and_data_rebind_rebuild(self, rng):
-        stages, halves, holder = self._setup(rng)
+        stages, halves, cache = self._setup(rng)
         x = rng.normal(size=(2, 64))
-        self._apply(x, stages, halves, holder)
+        first = cache.get(stages, x.dtype)
         # in-place update + version bump (what the optimizers do)
         stages[3].data *= 0.5
         stages[3].version += 1
         builds, _ = self._counts()
-        y = self._apply(x, stages, halves, holder)
-        assert self._counts()[0] == builds + 1
-        arrays = [s.data for s in stages]
-        np.testing.assert_allclose(
-            y, K.butterfly_apply_reference(x, arrays, halves), atol=1e-9)
+        second = cache.get(stages, x.dtype)
+        assert second is not first and self._counts()[0] == builds + 1
+        self._check(second, x, stages, halves)
         # rebind without touching the version (load_state_dict, quantization)
         stages[0].data = stages[0].data * 2.0
-        y = self._apply(x, stages, halves, holder)
-        assert self._counts()[0] == builds + 2
-        arrays = [s.data for s in stages]
-        np.testing.assert_allclose(
-            y, K.butterfly_apply_reference(x, arrays, halves), atol=1e-9)
-        self._apply(x, stages, halves, holder)
+        third = cache.get(stages, x.dtype)
+        assert third is not second and self._counts()[0] == builds + 2
+        self._check(third, x, stages, halves)
+        assert cache.get(stages, x.dtype) is third
         assert self._counts()[0] == builds + 2
 
-    def test_input_dtype_and_geometry_are_part_of_the_key(self, rng):
-        stages, halves, holder = self._setup(rng)
-        x = rng.normal(size=(2, 64))
-        self._apply(x, stages, halves, holder)
+    def test_input_dtype_is_part_of_the_key(self, rng):
+        stages, halves, cache = self._setup(rng)
+        ladder64 = cache.get(stages, np.float64)
         builds, _ = self._counts()
-        y32 = self._apply(x.astype(np.float32), stages, halves, holder)
-        assert y32.dtype == np.float64  # float64 stages promote
-        assert self._counts()[0] == builds + 1
-        narrow, _ = K.butterfly_apply(
-            x[:, :16], stages, halves, need_ctx=False, out_features=8,
-            holder=holder)
-        assert narrow.shape == (2, 8)
-        assert self._counts()[0] == builds + 2
+        ladder32 = cache.get(stages, np.float32)
+        assert ladder32 is not ladder64 and self._counts()[0] == builds + 1
+        assert ladder32.dtype == np.float64  # float64 stages promote
+        for stage in stages:
+            stage.data = stage.data.astype(np.float32)
+        assert cache.get(stages, np.float32).dtype == np.float32
 
-    def test_raw_arrays_build_per_call(self, rng):
-        coeffs, halves = _ladder(rng, 64)
-        x = rng.normal(size=(2, 64))
-        builds, hits = self._counts()
-        K.butterfly_apply(x, coeffs, halves, need_ctx=False)
-        K.butterfly_apply(x, coeffs, halves, need_ctx=False)
-        assert self._counts() == (builds + 2, hits)
+    def test_geometry_comes_from_the_owner(self, rng):
+        stages, halves, cache = self._setup(rng, d_in=16, d_out=8)
+        ladder = cache.get(stages, np.float64)
+        assert (ladder.in_features, ladder.out_features) == (16, 8)
+        assert ladder.apply(rng.normal(size=(2, 16))).shape == (2, 8)
 
-    def test_unversioned_stages_are_never_cached(self, rng):
-        """A holder cannot vouch for raw arrays: nothing says when they change."""
-        coeffs, halves = _ladder(rng, 64)
-        holder = Holder()
-        x = rng.normal(size=(2, 64))
-        first = self._apply(x, coeffs, halves, holder)
-        coeffs[2][:] *= 0.5  # in place, same array objects
-        second = self._apply(x, coeffs, halves, holder)
-        assert getattr(holder, "_frozen_ladder", None) is None
-        assert np.abs(second - first).max() > 1e-6
-        np.testing.assert_allclose(
-            second, K.butterfly_apply_reference(x, coeffs, halves), atol=1e-9)
+    def test_complex_result_has_no_frozen_ladder(self, rng):
+        stages, halves, cache = self._setup(rng)
+        builds, _ = self._counts()
+        assert cache.get(stages, np.complex128) is None
+        stages[0].data = stages[0].data.astype(np.complex128)
+        assert cache.get(stages, np.float64) is None
+        assert self._counts()[0] == builds
 
-    def test_counters_mirrored_into_telemetry(self, rng):
-        stages, halves, holder = self._setup(rng)
-        x = rng.normal(size=(2, 64))
+    def test_copies_and_pickles_start_empty(self, rng):
+        stages, halves, cache = self._setup(rng, d_in=16, d_out=8)
+        cache.get(stages, np.float64)
+        for clone in (copy.deepcopy(cache), pickle.loads(pickle.dumps(cache))):
+            assert clone._entry is None
+            assert (clone.in_features, clone.out_features) == (16, 8)
+        assert cache._entry is not None
+
+    def test_counters_published_when_the_registry_is_read(self, rng):
+        stages, halves, cache = self._setup(rng)
         telemetry.clear_all()
         try:
             with telemetry.use_telemetry(True):
+                telemetry.get_registry().snapshot()  # flush earlier tests' counts
+                telemetry.clear_all()
                 for _ in range(3):
-                    self._apply(x, stages, halves, holder)
-            snapshot = telemetry.get_registry().snapshot()
+                    cache.get(stages, np.float64)
+                snapshot = telemetry.get_registry().snapshot()
+                text = telemetry.render_prometheus()
         finally:
             telemetry.clear_all()
         assert snapshot["kernels_frozen_ladder_builds_total"]["value"] == 1
         assert snapshot["kernels_frozen_ladder_hits_total"]["value"] == 2
+        assert "kernels_frozen_ladder_hits_total 2" in text
 
     def test_plan_cache_stats_keeps_its_old_keys(self):
         assert {"hits", "misses", "size", "hit_rate", "frozen_builds",
                 "frozen_hits"} == set(plan_cache_stats())
 
 
-class TestOtherPathsStay:
+class TestOtherCallersStay:
+    def test_a_ladder_cannot_give_a_vjp_context(self, rng):
+        coeffs, halves = _ladder(rng, 64)
+        ladder = FrozenLadder(coeffs, np.float64)
+        with pytest.raises(ValueError, match="no VJP context"):
+            K.butterfly_apply(rng.normal(size=(3, 64)), coeffs, halves,
+                              ladder=ladder)
+
+    @pytest.mark.parametrize("rows,n", [(1, 64), (4, 32), (1, 1024), (512, 32)])
+    def test_raw_arrays_below_the_thresholds_take_the_stage_chain(
+            self, rng, rows, n):
+        """No holder, nothing to cache against: a per-call build would lose
+        to the chain here, so the bits are the chain's and nothing is built."""
+        coeffs, halves = _ladder(rng, n)
+        x = rng.normal(size=(rows, n))
+        builds = plan_cache_stats()["frozen_builds"]
+        y, ctx = K.butterfly_apply(x, coeffs, halves, need_ctx=False)
+        assert ctx is None
+        assert plan_cache_stats()["frozen_builds"] == builds
+        np.testing.assert_array_equal(
+            y, K.butterfly_apply_reference(x, coeffs, halves))
+
+    def test_raw_arrays_above_the_thresholds_take_the_grouped_kernel(self, rng):
+        coeffs, halves = _ladder(rng, 256)
+        x = rng.normal(size=(4, 16, 256))
+        builds = plan_cache_stats()["frozen_builds"]
+        y, _ = K.butterfly_apply(x, coeffs, halves, need_ctx=False)
+        assert plan_cache_stats()["frozen_builds"] == builds
+        y2, _ = K.grouped_forward(x.reshape(64, 256), coeffs,
+                                  K.get_plan(256, len(halves)), need_ctx=False)
+        np.testing.assert_array_equal(y, y2.reshape(4, 16, 256))
+
     def test_complex_stages_take_the_stage_chain(self, rng):
         n = 64
         halves = K.stage_halves(n)
         coeffs = [K.fft_stage_coeffs(n, h) for h in halves]
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-        builds = plan_cache_stats()["frozen_builds"]
         y, _ = K.butterfly_apply(
             x[..., K.bit_reversal_permutation(n)], coeffs, halves, need_ctx=False)
-        assert plan_cache_stats()["frozen_builds"] == builds
         np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
-
-    def test_partial_ladder_takes_the_stage_chain(self, rng):
-        n = 64
-        coeffs, halves = _ladder(rng, n)
-        x = rng.normal(size=(3, n))
-        builds = plan_cache_stats()["frozen_builds"]
-        y, _ = K.butterfly_apply(x, coeffs[:3], halves[:3], need_ctx=False)
-        assert plan_cache_stats()["frozen_builds"] == builds
-        np.testing.assert_array_equal(
-            y, K.butterfly_apply_reference(x, coeffs[:3], halves[:3]))
-        with pytest.raises(ValueError, match="out_features"):
-            K.butterfly_apply(x, coeffs[:3], halves[:3], need_ctx=False,
-                              out_features=8)
-
-    def test_out_features_rejected_when_a_context_is_wanted(self, rng):
-        coeffs, halves = _ladder(rng, 64)
-        with pytest.raises(ValueError, match="out_features"):
-            K.butterfly_apply(rng.normal(size=(3, 64)), coeffs, halves,
-                              out_features=8)
 
     @pytest.mark.parametrize("rows,n,kind", [
         (1, 1024, "stages"),     # below MIN_WORK

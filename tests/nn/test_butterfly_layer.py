@@ -244,12 +244,26 @@ class TestFrozenInference:
         x = nn.Tensor(rng.normal(size=(4, 1, 32)))
         with nn.no_grad():
             expected = layer(x).data
-        assert layer._frozen_ladder is not None
+        assert layer._frozen._entry is not None
         for clone in (copy.deepcopy(layer), pickle.loads(pickle.dumps(layer))):
-            assert clone._frozen_ladder is None
+            assert clone._frozen._entry is None
             with nn.no_grad():
                 np.testing.assert_array_equal(clone(x).data, expected)
-        assert layer._frozen_ladder is not None
+        assert layer._frozen._entry is not None
+
+    def test_no_ladder_falls_back_to_pad_chain_slice(self, rng, monkeypatch):
+        """When the cache has no ladder to give (a complex result), a
+        rectangular layer pads, runs the per-stage chain and slices, as it
+        does when recording."""
+        layer = nn.ButterflyLinear(24, 40, rng=rng)
+        monkeypatch.setattr(kernels.FrozenLadderCache, "get",
+                            lambda self, stages, dtype: None)
+        x = rng.normal(size=(3, 24))
+        before = _builds()
+        with nn.no_grad():
+            out = layer(nn.Tensor(x)).data
+        assert _builds() == before
+        np.testing.assert_array_equal(out, _fresh_reference(layer, x))
 
     def test_batch_rows_bitwise_equal_to_solo_rows(self, rng):
         layer = nn.ButterflyLinear(32, 64, rng=rng)
