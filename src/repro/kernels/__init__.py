@@ -29,15 +29,16 @@ grouped kernel for large training and raw-array calls) and the
 per-stage vectorized kernels (small such calls, complex twiddles,
 partial ladders).  All paths are loop-free over pairs.
 
-The package also hosts the fused streaming-softmax attention kernel
+The package also hosts the fused query-tiled attention kernel
 (:mod:`repro.kernels.attention`): :func:`attention_forward` /
-:func:`attention_vjp` (blockwise online softmax, one autograd node per
+:func:`attention_vjp` (query-tiled exact softmax, one autograd node per
 attention call), :func:`attention_decode` (the KV-cache single-token
 fast path) and :func:`attention_reference` (the parity oracle shared
 with the hardware attention engine's ``verify=True`` mode) — and the
 fused training-step kernels (:mod:`repro.kernels.fused`):
 :func:`linear_act_forward` / :func:`linear_act_vjp` (GEMM + bias +
-activation with a parameter-cached ``W^T``),
+activation with a parameter-cached ``W^T``), :func:`gelu_forward` /
+:func:`gelu_vjp` (the one in-place GELU chain, shared with ``nn.gelu``),
 :func:`residual_layer_norm_forward` / :func:`residual_layer_norm_vjp`,
 :func:`cross_entropy_logits_forward` / :func:`cross_entropy_logits_vjp`
 and the segment-sum :func:`embedding_grad`, all toggleable back to the
@@ -113,6 +114,8 @@ from .fused import (
     cross_entropy_logits_vjp,
     embedding_grad,
     fused_enabled,
+    gelu_forward,
+    gelu_vjp,
     linear_act_forward,
     linear_act_vjp,
     residual_layer_norm_forward,
@@ -355,6 +358,8 @@ __all__ = [
     "get_default_dtype",
     "get_plan",
     "get_tuned",
+    "gelu_forward",
+    "gelu_vjp",
     "grouped_forward",
     "grouped_vjp",
     "half_butterfly_apply",

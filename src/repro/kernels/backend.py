@@ -2,7 +2,7 @@
 
 Every hot path in the kernel layer — the fused grouped butterfly GEMMs
 (:mod:`repro.kernels.grouped`), the blocked dequant GEMM
-(:mod:`repro.kernels.quant`), streaming-softmax attention
+(:mod:`repro.kernels.quant`), query-tiled attention
 (:mod:`repro.kernels.attention`) and the fused training projections
 (:mod:`repro.kernels.fused`) — used to run single-threaded.  This module
 extracts the *execution strategy* out of those kernels into an explicit

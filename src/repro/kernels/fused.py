@@ -1,7 +1,7 @@
 """Fused training-step kernels: projection, residual-norm and loss nodes.
 
 PRs 1 and 3 fused the inference-side hot paths (butterfly ladders,
-streaming-softmax attention); this module gives the *training* loop the
+query-tiled attention); this module gives the *training* loop the
 same treatment.  Each kernel implements one logical operation of the
 encoder/decoder training step as a single forward/VJP pair so the
 autograd engine records **one** graph node where the composite path
@@ -172,6 +172,55 @@ def _grad_w_into(
 
 
 # ----------------------------------------------------------------------
+# GELU
+# ----------------------------------------------------------------------
+def gelu_forward(
+    z: np.ndarray, need_ctx: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Tanh-approximation GELU ``0.5 z (1 + tanh(c (z + 0.044715 z^3)))``.
+
+    Returns ``(y, t)``: ``t`` is the tanh, which :func:`gelu_vjp` reuses,
+    or None unless ``need_ctx``.  The chain runs in place through one
+    fresh buffer (a second one for ``y`` when ``t`` must survive) and
+    never writes into ``z``.  The cube is spelled ``z*z*z`` because
+    ``np.power``'s pow() loop is ~40x slower than two multiplies, and
+    every scalar is a Python float, so the chain stays in ``z``'s dtype.
+    """
+    u = z * z
+    u *= z
+    u *= 0.044715
+    u += z
+    u *= _GELU_C
+    t = np.tanh(u, out=u)
+    y = t + 1.0 if need_ctx else np.add(t, 1.0, out=t)
+    y *= z
+    y *= 0.5
+    return y, (t if need_ctx else None)
+
+
+def gelu_vjp(grad: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``grad * gelu'(z)`` from the pre-activation and the saved tanh.
+
+    ``d/dz gelu(z) = 0.5 * (1 + t + z * (1 - t^2) * dinner)``, chained in
+    place through two fresh buffers; ``grad``, ``z`` and ``t`` are only
+    read.
+    """
+    dinner = z * z
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_C
+    dact = t * t
+    np.subtract(1.0, dact, out=dact)
+    dact *= dinner
+    dact *= z
+    dact += t
+    dact += 1.0
+    dact *= 0.5
+    dact *= grad
+    return dact
+
+
+# ----------------------------------------------------------------------
 # Fused linear + bias + activation
 # ----------------------------------------------------------------------
 class LinearActContext(NamedTuple):
@@ -224,20 +273,9 @@ def linear_act_forward(
     elif activation == "relu":
         data = np.maximum(y, 0.0, out=y)  # relu(z) > 0  <=>  z > 0
         act_out = data
-    else:  # gelu — same tanh approximation as the composite op, computed
-        # through two scratch buffers (the cube is spelled z*z*z because
-        # np.power's pow() loop is ~40x slower than two multiplies, and
-        # the chain runs in place to avoid five full-activation temps)
+    else:
         z = y
-        u = z * z
-        u *= z
-        u *= 0.044715
-        u += z
-        u *= _GELU_C
-        t = np.tanh(u, out=u)
-        data = t + 1.0
-        data *= z
-        data *= 0.5
+        data, t = gelu_forward(z, need_ctx)
     if not need_ctx:
         return data, None
     scratch = _pop_grad_scratch(holder)
@@ -254,21 +292,7 @@ def linear_act_vjp(grad: np.ndarray, ctx: LinearActContext) -> tuple:
     elif activation == "relu":
         ga = grad * (act_out > 0.0)
     else:
-        # d/dz gelu(z) = 0.5 * (1 + t + z * (1 - t^2) * dinner), chained
-        # in place through two scratch buffers (never touching `grad`).
-        dinner = z * z
-        dinner *= 3 * 0.044715
-        dinner += 1.0
-        dinner *= _GELU_C
-        dact = t * t
-        np.subtract(1.0, dact, out=dact)
-        dact *= dinner
-        dact *= z
-        dact += t
-        dact += 1.0
-        dact *= 0.5
-        ga = dact
-        ga *= grad
+        ga = gelu_vjp(grad, z, t)
     backend = resolve_backend(None)
     gx = np.empty(ga.shape[:-1] + (w.shape[1],),
                   dtype=np.result_type(ga.dtype, w.dtype))

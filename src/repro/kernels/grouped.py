@@ -85,14 +85,37 @@ MIN_STAGES = 6
 #: Minimum total elements (rows * n) for a per-call build to pay off.
 MIN_WORK = 16384
 
-#: A :class:`FrozenLadder` this small multiplies its chunks out into one
-#: dense ``n x n`` block at build time.  Measured crossover (one BLAS
-#: thread, us, chunked vs dense): at n=128 the single GEMM wins at every
-#: shape in fp32 — ``(1, 1, n)`` 16 vs 6, ``(8, 1, n)`` 24 vs 11,
-#: ``(1, 1024, n)`` 384 vs 247 — and in fp64 wins the decode rows (16 vs
-#: 6, 26 vs 21) and gives back at most a quarter from ``S >= 64`` up (537
-#: vs 590 at S=1024); at n=256 it still wins a lone row (17 vs 13) but
-#: loses everything else, 1.4x (fp32) to 2.4x (fp64) at S=1024.
+#: A :class:`FrozenLadder` multiplies its chunks out into one dense block
+#: at build time when the block the layer's fold leaves of it,
+#: ``in_features x out_features``, is no larger than ``DENSE_MAX_N x n``
+#: (for a square ladder: ``n <= DENSE_MAX_N``).  Measured (one BLAS
+#: thread, ms, chunked vs dense; ``*`` = dense under the rule):
+#:
+#: ======================  ==============  ==============  ==============
+#: n, in -> out, dtype     ``(1,1024,.)``  ``(1,1,.)``     ``(8,1,.)``
+#: ======================  ==============  ==============  ==============
+#: 128, square, fp32 *     0.44 vs 0.32    0.023 vs 0.006  0.035 vs 0.014
+#: 128, square, fp64 *     0.58 vs 0.61    0.017 vs 0.005  0.027 vs 0.021
+#: 256, 64->256, fp32 *    0.80 vs 0.28    0.021 vs 0.006  0.036 vs 0.010
+#: 256, 128->256, fp32 *   0.77 vs 0.49    0.020 vs 0.005  0.033 vs 0.016
+#: 256, square, fp32       1.07 vs 0.98    0.018 vs 0.006  0.031 vs 0.027
+#: 256, square, fp64       1.61 vs 2.20    0.018 vs 0.012  0.036 vs 0.077
+#: 512, 128->512, fp32 *   4.49 vs 1.77    0.041 vs 0.013  0.081 vs 0.055
+#: 512, 512->128, fp32 *   3.65 vs 1.67    0.033 vs 0.013  0.070 vs 0.048
+#: 512, 128->512, fp64 *   7.00 vs 2.60    0.031 vs 0.014  0.071 vs 0.080
+#: 512, 512->128, fp64 *   4.49 vs 3.02    0.027 vs 0.014  0.071 vs 0.074
+#: 512, 256->512, fp32     2.85 vs 1.91    0.022 vs 0.012  0.047 vs 0.068
+#: 512, square, fp32       3.99 vs 3.75    0.019 vs 0.020  0.043 vs 0.138
+#: 512, square, fp64       5.21 vs 9.91    0.028 vs 0.063  0.077 vs 0.424
+#: 1024, 128->1024, fp32 * 8.82 vs 2.56    0.033 vs 0.012  0.087 vs 0.062
+#: 1024, 256->1024, fp32   8.84 vs 4.00    0.026 vs 0.016  0.070 vs 0.101
+#: 1024, 256->1024, fp64   14.4 vs 8.02    0.030 vs 0.055  0.127 vs 0.362
+#: ======================  ==============  ==============  ==============
+#:
+#: Within the budget the single GEMM wins prefill 1.5-3x and the decode
+#: rows in fp32, and gives back under 15 % on a few fp64 rows; past it
+#: the batched decode rows (the serving engine's step) lose up to 5x,
+#: whatever a long prefill would gain.
 DENSE_MAX_N = 128
 
 
@@ -551,11 +574,14 @@ class FrozenLadder:
     :meth:`apply` that is only rearrange + ``backend.matmul`` per chunk.
 
     A ladder of at most :data:`MAX_GROUP` stages is a single ``n x n``
-    block and :meth:`apply` a single GEMM; so is any ladder up to
-    :data:`DENSE_MAX_N`, whose chunks are multiplied out at build time.
+    block and :meth:`apply` a single GEMM; so is any ladder whose folded
+    ``in_features x out_features`` block fits the :data:`DENSE_MAX_N`
+    budget (an ``r_ffn = 4`` FFN's two ladders up to ``d_hidden = 128``,
+    say), whose chunks are multiplied out at build time.
     Arithmetic per row is the grouped path's ``n * T`` multiply-adds per
-    chunk (what training already pays), not the butterfly's ``2 n`` per
-    stage; layers keep reporting the butterfly count in ``flops()``.
+    chunk (what training already pays) or the dense block's ``in * out``,
+    not the butterfly's ``2 n`` per stage; layers keep reporting the
+    butterfly count in ``flops()``.
 
     ``in_features`` / ``out_features`` fold :class:`ButterflyLinear
     <repro.nn.butterfly_layer.ButterflyLinear>`'s zero-pad and output
@@ -605,8 +631,15 @@ class FrozenLadder:
         # An output position is t * h0 + j in the last chunk (one block).
         last = plan.chunks[-1]
         self.ops[-1] = self.ops[-1][..., : -(-out_features // last.h0)]
-        if len(self.ops) > 1 and n <= DENSE_MAX_N:
-            self.ops = [self._chunked(np.eye(n, dtype=self.dtype), None)]
+        if len(self.ops) > 1 and in_features * out_features <= DENSE_MAX_N * n:
+            # The identity's first in_features rows through the chunks,
+            # DENSE_MAX_N at a time: the build's scratch, which the plan's
+            # pool keeps, stays the size of a short prefill's.
+            rows = min(n, DENSE_MAX_N)
+            self.ops = [np.concatenate([
+                self._chunked(np.eye(rows, n, k=i, dtype=self.dtype), None)
+                for i in range(0, in_features, rows)
+            ])]
         elif len(self.ops) == 1:
             self.ops[0] = self.ops[0][0, 0]
         if len(self.ops) == 1:  # one (in, out) matrix

@@ -9,6 +9,7 @@ projections are all butterfly-compressed.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -54,7 +55,7 @@ class CrossAttention(nn.Module):
         k = split(self.k_proj(memory), ls)
         v = split(self.v_proj(memory), ls)
         scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2))) * (
-            1.0 / np.sqrt(self.d_head)
+            1.0 / math.sqrt(self.d_head)
         )
         attn = F.softmax(scores, axis=-1)
         ctx = F.matmul(attn, v)

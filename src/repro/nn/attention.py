@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -22,8 +23,8 @@ class MultiHeadAttention(Module):
     block) by setting ``butterfly=True``.
 
     The attention computation itself runs through the fused
-    streaming-softmax kernel (:mod:`repro.kernels.attention`): one
-    autograd node per call, ``O(B*H*L*block)`` peak score memory, cached
+    attention kernel (:mod:`repro.kernels.attention`): one
+    autograd node per call, one cache-sized score tile at a time, cached
     causal bias buffers, and a dedicated single-token fast path for
     KV-cache decoding.  The composite op chain survives only for the
     training-with-attention-dropout configuration, which needs the
@@ -99,7 +100,7 @@ class MultiHeadAttention(Module):
         else:
             context = F.scaled_dot_attention(
                 q, k, v, causal=self.causal, key_mask=mask,
-                scale=1.0 / np.sqrt(self.d_head),
+                scale=1.0 / math.sqrt(self.d_head),
             )
         context = F.transpose(context, (0, 2, 1, 3))
         context = F.reshape(context, (batch, seq, self.d_model))
@@ -109,7 +110,7 @@ class MultiHeadAttention(Module):
         self, q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray], seq: int
     ) -> Tensor:
         """Composite-op attention (only used for attention-prob dropout)."""
-        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.d_head))
+        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(self.d_head))
         if mask is not None:
             scores = scores + Tensor(AK.padding_bias(mask, scores.dtype)[:, None, None, :])
         if self.causal:
@@ -141,7 +142,7 @@ class MultiHeadAttention(Module):
         layer_kv.write(k.data, v.data)
         total = int(lengths.max()) + seq if batch else seq
         k_all, v_all = layer_kv.view(total)
-        scale = 1.0 / np.sqrt(self.d_head)
+        scale = 1.0 / math.sqrt(self.d_head)
         if seq == 1 and not F.is_grad_enabled():
             # Decode fast path: one new token per row against the cached
             # context — no transposes, no reshapes, no bias arrays

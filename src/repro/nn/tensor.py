@@ -15,6 +15,7 @@ verified against finite differences in ``tests/nn/test_autograd.py``.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -453,30 +454,34 @@ def relu(a: Tensor) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT).
 
-    On the live path the cube/square are spelled as repeated multiplies
-    — ``np.power``'s pow() inner loop is ~40x slower for the same
-    last-ulp result.  Under :func:`repro.kernels.use_fused` ``(False)``
-    the seed's ``x**3`` form is kept verbatim, so the composite baseline
-    the training benchmark compares against stays the true pre-fusion
-    implementation.
+    The live path is the in-place chain of
+    :func:`repro.kernels.gelu_forward`, the one ``linear_act(...,
+    "gelu")`` runs.  Under :func:`repro.kernels.use_fused` ``(False)``
+    the seed's formula is kept verbatim (``x**3`` and all), so the
+    composite baseline the training benchmark compares against stays the
+    true pre-fusion implementation and the parity oracle of the chain.
     """
     x = a.data
-    fast = _kernels.fused_enabled()
-    cube = x * x * x if fast else x**3
-    inner = _GELU_C * (x + 0.044715 * cube)
+    if _kernels.fused_enabled():
+        data, t = _kernels.gelu_forward(x, need_ctx=_should_record((a,)))
+
+        def backward(grad: np.ndarray):
+            return (_kernels.gelu_vjp(grad, x, t),)
+
+        return _make_result(data, (a,), backward)
+    inner = _GELU_C * (x + 0.044715 * x**3)
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def backward(grad: np.ndarray):
-        square = x * x if fast else x**2
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * square)
-        dt = ((1.0 - t * t) if fast else (1.0 - t**2)) * dinner
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dt = (1.0 - t**2) * dinner
         return (grad * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
     return _make_result(data, (a,), backward)
@@ -931,8 +936,9 @@ def scaled_dot_attention(
     ``q`` is ``(B, H, Lq, Dh)``; ``k``/``v`` are ``(B, H, Lk, Dh)``.
     Compared to composing :func:`matmul`/:func:`softmax`/bias adds, this
     records **one** graph node, never materializes the full
-    ``(B, H, Lq, Lk)`` softmax in the graph, and streams the softmax
-    over key blocks (see :mod:`repro.kernels.attention`).  ``key_mask``
+    ``(B, H, Lq, Lk)`` softmax in the graph, and computes it one
+    cache-sized query tile at a time (see
+    :mod:`repro.kernels.attention`).  ``key_mask``
     is a boolean ``(B, Lk)`` validity mask; ``q_start`` gives per-row
     absolute query offsets for causal KV-cache continuation.
     """

@@ -1,22 +1,29 @@
-"""Golden-parity tests for the fused streaming-softmax attention kernel.
+"""Golden-parity tests for the fused query-tiled attention kernel.
 
 Oracles:
 
 * :func:`repro.kernels.attention_reference` — the one-shot composite
-  softmax attention (seed semantics) that the blockwise streaming
-  forward must reproduce, in every masking configuration and both
-  policy dtypes;
+  softmax attention (seed semantics) that the tiled forward must
+  reproduce, in every masking configuration and both policy dtypes;
 * finite differences — the analytic one-node VJP must match numeric
   gradients for q, k and v (causal / non-causal / padding mask);
 * the autograd wrapper :func:`repro.nn.scaled_dot_attention` checked
   through the shared ``gradcheck`` fixture.
 
-``block`` is forced small throughout so every test exercises the
-multi-block streaming path, not just the single-block fast case.
+``block`` is forced small in the hand-picked cases, so the backward's
+key blocks and the causal forward's query tiles are many; the generated
+cases (:class:`TestGeneratedShapes`) also shrink
+:data:`~repro.kernels.attention.TILE_SCORES`, so every kind of tile —
+query blocks, head runs, batch runs, and their ragged last ones — is
+drawn on shapes a test can afford.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels as K
 from repro import nn
@@ -96,6 +103,125 @@ class TestForwardParity:
             AK.attention_forward(q, k[:, :, :, :3], v, need_ctx=False)
         with pytest.raises(ValueError, match="B, H, L, D"):
             AK.attention_forward(q[0], k[0], v[0], need_ctx=False)
+
+
+@contextlib.contextmanager
+def _tile_scores(n):
+    """Scope :data:`TILE_SCORES` (the ``monkeypatch`` fixture would
+    outlive a hypothesis example)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AK, "TILE_SCORES", n)
+        yield
+
+
+@st.composite
+def _cases(draw, max_batch=4, ragged=True):
+    """Operands, masking arguments and a tile budget that cuts them at
+    odd places: ``Lq``/``Lk`` off the tile grid, ``H`` above and below a
+    head run, causal suffixes (``Lk > Lq``), ragged ``q_start``, padding
+    masks with fully padded tails."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    b, h = draw(st.integers(1, max_batch)), draw(st.integers(1, 5))
+    lq, d = draw(st.integers(1, 12)), draw(st.sampled_from([1, 3, 8]))
+    causal = draw(st.booleans())
+    lk = lq + draw(st.integers(0, 9)) if causal else draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k, v = _qkv(rng, b=b, h=h, lq=lq, lk=lk, d=d, dtype=dtype)
+    kwargs = dict(causal=causal, block=draw(st.sampled_from([1, 2, 5, 128])))
+    if causal and ragged and draw(st.booleans()):
+        starts = rng.integers(0, lk - lq + 1, size=b)
+        starts[rng.integers(b)] = lk - lq  # some row fills the key axis
+        kwargs["q_start"] = starts
+    if draw(st.booleans()):
+        mask = rng.random((b, lk)) > 0.3
+        for row in range(b):
+            mask[row, rng.integers(1, lk + 1):] = False  # padded tail
+        mask[:, 0] = True  # every query keeps one visible key
+        kwargs["key_mask"] = mask
+    budget = draw(st.sampled_from([1, 7, 16, 40, 128, 1 << 17]))
+    return q, k, v, kwargs, budget
+
+
+class TestGeneratedShapes:
+    @settings(max_examples=150, deadline=None)
+    @given(_cases())
+    def test_forward_matches_reference(self, case):
+        q, k, v, kwargs, budget = case
+        with _tile_scores(budget):
+            out, ctx = AK.attention_forward(q, k, v, **kwargs)
+        ref = AK.attention_reference(
+            q, k, v, **{key: kwargs[key] for key in kwargs if key != "block"})
+        assert out.dtype == ref.dtype == q.dtype
+        atol = 1e-12 if q.dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(out, ref, atol=atol)
+        scores = np.matmul(q, k.swapaxes(-1, -2)) * ctx.scale
+        for bias, lift in ((ctx.bias2d, np.s_[:]), (ctx.bias3d, np.s_[:, None]),
+                           (ctx.kbias, np.s_[:, None, None])):
+            if bias is not None:
+                scores = scores + bias[lift]
+        np.testing.assert_allclose(
+            ctx.lse, np.logaddexp.reduce(scores, axis=-1), atol=100 * atol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_cases(max_batch=2), st.integers(0, 2**32 - 1))
+    def test_vjp_of_the_tiled_context_matches_finite_differences(
+            self, case, seed):
+        q, k, v, kwargs, budget = case
+        q, k, v = (a.astype(np.float64) for a in (q, k, v))
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=q.shape)
+        with _tile_scores(budget):
+            _, ctx = AK.attention_forward(q, k, v, **kwargs)
+            grads = AK.attention_vjp(weights, ctx)
+
+            def loss():
+                out, _ = AK.attention_forward(q, k, v, need_ctx=False, **kwargs)
+                return float((out * weights).sum())
+
+            eps = 1e-6
+            for arr, grad in zip((q, k, v), grads):
+                flat = arr.reshape(-1)
+                for i in rng.integers(flat.size, size=3):
+                    orig = flat[i]
+                    flat[i] = orig + eps
+                    hi = loss()
+                    flat[i] = orig - eps
+                    lo = loss()
+                    flat[i] = orig
+                    assert abs((hi - lo) / (2 * eps) - grad.reshape(-1)[i]) < 1e-5
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cases(ragged=False))
+    def test_a_row_is_bitwise_its_solo_run(self, case):
+        """The tile schedule follows ``(H, Lq, Lk)``, never ``B``: a row's
+        bits do not depend on who shares its batch."""
+        q, k, v, kwargs, budget = case
+        mask = kwargs.pop("key_mask", None)
+        with _tile_scores(budget):
+            out, ctx = AK.attention_forward(q, k, v, key_mask=mask, **kwargs)
+            for row in range(q.shape[0]):
+                one = slice(row, row + 1)
+                solo, solo_ctx = AK.attention_forward(
+                    q[one], k[one], v[one],
+                    key_mask=None if mask is None else mask[one], **kwargs)
+                np.testing.assert_array_equal(out[one], solo)
+                np.testing.assert_array_equal(ctx.lse[one], solo_ctx.lse)
+
+    def test_causal_with_more_queries_than_keys_rejected(self, rng):
+        q, k, v = _qkv(rng, lq=6, lk=4)
+        with pytest.raises(ValueError, match="6 queries over 4 keys"):
+            AK.attention_forward(q, k, v, causal=True)
+
+    @pytest.mark.parametrize("geometry,cap,tile", [
+        ((4, 1024, 1024), 1024, (1, 1, 128)),   # a block of one head's queries
+        ((4, 1024, 1024), 64, (1, 1, 64)),      # capped (causal)
+        ((8, 128, 256), 128, (1, 4, 128)),      # a run of whole heads
+        ((4, 32, 32), 32, (32, 4, 32)),         # a run of whole batch rows
+        ((4, 32, 32), 128, (32, 4, 32)),
+        ((1, 1, 1 << 20), 1, (1, 1, 1)),        # a key row beyond the budget
+    ])
+    def test_tile_shape(self, geometry, cap, tile):
+        assert AK._tile_shape(*geometry, cap) == tile
 
 
 class TestBiasCache:

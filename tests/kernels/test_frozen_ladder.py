@@ -99,16 +99,53 @@ class TestOperatorGeometry:
         assert [op.shape for op in ladder.ops] == [(n // 2, n)]
 
     def test_chunked_ladder_slices_only_the_last_chunks_columns(self, rng):
-        """n=512 is chunks of T=32 then T=16.  An FFN-down layer
-        (512 -> 128) keeps 4 of the last chunk's 16 columns; an FFN-up
-        layer (128 -> 512) keeps every operator whole and zero-fills its
-        input instead."""
+        """n=512 is chunks of T=32 then T=16.  A 512 -> 256 layer keeps 8
+        of the last chunk's 16 columns; a 256 -> 512 layer keeps every
+        operator whole and zero-fills its input instead."""
         coeffs, _ = _ladder(rng, 512)
-        down = FrozenLadder(coeffs, np.float64, 512, 128)
-        assert [op.shape for op in down.ops] == [(16, 1, 32, 32), (1, 32, 16, 4)]
-        up = FrozenLadder(coeffs, np.float64, 128, 512)
+        down = FrozenLadder(coeffs, np.float64, 512, 256)
+        assert [op.shape for op in down.ops] == [(16, 1, 32, 32), (1, 32, 16, 8)]
+        up = FrozenLadder(coeffs, np.float64, 256, 512)
         assert [op.shape for op in up.ops] == [(16, 1, 32, 32), (1, 32, 16, 16)]
         assert all(op.flags.c_contiguous for op in up.ops + down.ops)
+
+    @pytest.mark.parametrize("n,d_in,d_out", [
+        (512, 128, 512), (512, 512, 128), (256, 64, 256), (256, 128, 256),
+        (1024, 128, 1024),
+    ])
+    def test_rectangle_within_the_dense_budget_is_one_block(
+            self, rng, n, d_in, d_out):
+        """The rule prices the folded ``in x out`` block, not ``n x n``:
+        an r_ffn=4 FFN's two ladders at d_hidden=128 are single GEMMs."""
+        assert d_in * d_out <= grouped.DENSE_MAX_N * n
+        coeffs, _ = _ladder(rng, n)
+        ladder = FrozenLadder(coeffs, np.float64, d_in, d_out)
+        assert [op.shape for op in ladder.ops] == [(d_in, d_out)]
+
+    @pytest.mark.parametrize("n,d_in,d_out", [
+        (256, 256, 256), (512, 512, 512), (512, 256, 512), (1024, 256, 1024),
+    ])
+    def test_rectangle_over_the_dense_budget_stays_chunked(
+            self, rng, n, d_in, d_out):
+        assert d_in * d_out > grouped.DENSE_MAX_N * n
+        coeffs, _ = _ladder(rng, n)
+        ladder = FrozenLadder(coeffs, np.float64, d_in, d_out)
+        assert len(ladder.ops) == len(ladder.plan.chunks) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n,d_in,d_out", [
+        (512, 128, 512), (512, 512, 128), (256, 64, 256)])
+    def test_newly_dense_rectangles_match_the_stage_chain(
+            self, rng, n, d_in, d_out, dtype):
+        coeffs, halves = _ladder(rng, n, dtype)
+        ladder = FrozenLadder(coeffs, dtype, d_in, d_out)
+        assert len(ladder.ops) == 1
+        for lead in LEADS + [(1, 300)]:
+            x = rng.normal(size=lead + (d_in,)).astype(dtype)
+            expected = _reference(x, coeffs, halves, n, d_out)
+            np.testing.assert_allclose(
+                ladder.apply(x), expected,
+                atol=TOLERANCE[dtype] * max(1.0, np.abs(expected).max()))
 
     def test_input_of_the_wrong_width_rejected(self, rng):
         coeffs, _ = _ladder(rng, 64)
@@ -124,15 +161,16 @@ class TestOperatorGeometry:
             FrozenLadder(coeffs, np.float64, 8, 0)
 
     def test_layers_sharing_a_plan_do_not_evict_each_others_scratch(self, rng):
-        """An FFN's up and down ladders share the n=512 plan and take turns;
+        """An up and a down ladder share the n=512 plan and take turns;
         their scratch shapes differ, and the pool must serve both from one
         buffer instead of reallocating on every alternation."""
         coeffs, _ = _ladder(rng, 512)
-        up = FrozenLadder(coeffs, np.float64, 128, 512)
-        down = FrozenLadder(coeffs, np.float64, 512, 128)
-        x_up, x_down = rng.normal(size=(2, 9, 128)), rng.normal(size=(2, 9, 512))
+        up = FrozenLadder(coeffs, np.float64, 256, 512)
+        down = FrozenLadder(coeffs, np.float64, 512, 256)
+        x_up, x_down = rng.normal(size=(2, 9, 256)), rng.normal(size=(2, 9, 512))
         up.apply(x_up), down.apply(x_down)  # pool sized by the larger of each
         pool = up.plan._tls.pool
+        assert pool  # both ladders chunk, so both go through the pool
         before = {key: buf.ctypes.data for key, buf in pool.items()}
         for _ in range(3):
             up.apply(x_up), down.apply(x_down)
@@ -162,22 +200,27 @@ class TestRowIndependence:
             np.testing.assert_array_equal(ladder.apply(x[:batch])[0], solo[0])
 
     def test_every_row_equals_its_solo_run(self, rng, n, dtype):
+        """Chunked and dense alike: n // 2 -> n chunks at n=512, the
+        FFN rectangles n // 4 <-> n are one block."""
         coeffs, halves = _ladder(rng, n, dtype)
-        ladder = FrozenLadder(coeffs, dtype, n // 2, n)
-        x = rng.normal(size=(6, 1, n // 2)).astype(dtype)
-        batched = ladder.apply(x)
-        for row in range(6):
-            np.testing.assert_array_equal(
-                batched[row], ladder.apply(x[row : row + 1])[0])
+        for d_in, d_out in [(n // 2, n), (n // 4, n), (n, n // 4)]:
+            ladder = FrozenLadder(coeffs, dtype, d_in, d_out)
+            x = rng.normal(size=(6, 1, d_in)).astype(dtype)
+            batched = ladder.apply(x)
+            for row in range(6):
+                np.testing.assert_array_equal(
+                    batched[row], ladder.apply(x[row : row + 1])[0])
 
     def test_prefill_rows_independent_of_batch(self, rng, n, dtype):
         """(B, S, n): each batch entry is its own GEMM with M = S."""
         coeffs, halves = _ladder(rng, n, dtype)
-        ladder = FrozenLadder(coeffs, dtype)
-        x = rng.normal(size=(3, 9, n)).astype(dtype)
-        batched = ladder.apply(x)
-        for b in range(3):
-            np.testing.assert_array_equal(batched[b], ladder.apply(x[b : b + 1])[0])
+        for d_in, d_out in [(n, n), (n // 4, n), (n, n // 4)]:
+            ladder = FrozenLadder(coeffs, dtype, d_in, d_out)
+            x = rng.normal(size=(3, 9, d_in)).astype(dtype)
+            batched = ladder.apply(x)
+            for b in range(3):
+                np.testing.assert_array_equal(
+                    batched[b], ladder.apply(x[b : b + 1])[0])
 
 
 class TestLayerCache:

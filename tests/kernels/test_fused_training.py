@@ -1,6 +1,6 @@
 """Parity and gradcheck suite for the fused training-step kernels.
 
-Every fused node (``linear_act``, ``residual_layer_norm``,
+Every fused node (``linear_act``, ``gelu``, ``residual_layer_norm``,
 ``cross_entropy_logits``) is validated two ways:
 
 * **finite differences** — the autograd gradient of the fused node must
@@ -115,6 +115,96 @@ class TestLinearActParity:
         (out * out).sum().backward()
         single = w2.grad
         np.testing.assert_allclose(w.grad, 2 * single, atol=1e-12)
+
+
+class TestGelu:
+    """The one GELU chain: ``kernels.gelu_forward`` / ``gelu_vjp``, run by
+    both ``nn.gelu`` and ``linear_act(..., "gelu")``."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_the_seed_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        z = (3.0 * rng.normal(size=(4, 9, 8))).astype(dtype)
+        grad = rng.normal(size=z.shape).astype(dtype)
+        with K.default_dtype(dtype), K.use_fused(False):
+            seed_in = Tensor(z, requires_grad=True)
+            seed_out = F.gelu(seed_in)
+            seed_out.backward(grad)
+        for need_ctx in (True, False):
+            y, t = K.gelu_forward(z, need_ctx)
+            assert y.dtype == dtype and (t is None) == (not need_ctx)
+            np.testing.assert_allclose(y, seed_out.data, atol=ATOL[dtype],
+                                       rtol=ATOL[dtype])
+        _, t = K.gelu_forward(z)
+        gz = K.gelu_vjp(grad, z, t)
+        assert gz.dtype == t.dtype == dtype
+        np.testing.assert_allclose(gz, seed_in.grad, atol=ATOL[dtype],
+                                   rtol=ATOL[dtype])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_vjp_matches_finite_differences(self, dtype):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(3, 5)).astype(dtype)
+        _, t = K.gelu_forward(z)
+        gz = K.gelu_vjp(np.ones_like(z), z, t)
+        z64, eps = z.astype(np.float64), 1e-6
+        numeric = (K.gelu_forward(z64 + eps, False)[0]
+                   - K.gelu_forward(z64 - eps, False)[0]) / (2 * eps)
+        np.testing.assert_allclose(gz, numeric, atol=FD_ATOL[dtype])
+
+    @pytest.mark.parametrize("need_ctx", [True, False])
+    def test_inputs_are_never_written(self, need_ctx):
+        """Also through a view: the chain's buffers are all its own."""
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(6, 10))
+        for z in (base, base[::2, 1:7], base.T):
+            before = base.copy()
+            y, _ = K.gelu_forward(z, need_ctx)
+            grad = np.ones_like(y)
+            K.gelu_vjp(grad, z, K.gelu_forward(z)[1])
+            assert not np.shares_memory(y, base)
+            np.testing.assert_array_equal(base, before)
+            np.testing.assert_array_equal(grad, 1.0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_nn_gelu_and_linear_act_agree_to_the_byte(self, dtype):
+        """Same pre-activation in, same bytes out, recording or not — and
+        the same input gradient."""
+        rng = np.random.default_rng(8)
+        with K.default_dtype(dtype):
+            x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+            w = nn.Parameter(rng.normal(size=(4, 6)))
+            b = nn.Parameter(rng.normal(size=4))
+            fused = F.linear_act(x, w, b, activation="gelu")
+            pre = Tensor(F.linear_act(x, w, b).data, requires_grad=True)
+            plain = F.gelu(pre)
+            with nn.no_grad():
+                no_grad_fused = F.linear_act(x, w, b, activation="gelu")
+                no_grad_plain = F.gelu(pre)
+            grad = rng.normal(size=plain.shape).astype(dtype)
+            plain.backward(grad)
+            fused.backward(grad)
+        assert plain.dtype == dtype
+        for other in (fused, no_grad_fused, no_grad_plain):
+            assert other.data.tobytes() == plain.data.tobytes()
+        np.testing.assert_array_equal(b.grad, pre.grad.sum(axis=0))
+
+    def test_float32_fabnet_step_leaves_fc1_grads_float32(self):
+        """``nn.gelu``'s backward once ran in float64 (a ``np.float64``
+        constant is a strong scalar), and fc1's butterfly VJP with it."""
+        from repro.models import ModelConfig, build_fabnet
+
+        cfg = ModelConfig(vocab_size=16, n_classes=2, max_len=8, d_hidden=8,
+                          n_heads=2, r_ffn=2, n_total=2, n_abfly=1,
+                          dtype="float32")
+        model = build_fabnet(cfg)
+        tokens = np.random.default_rng(9).integers(0, 16, size=(2, 8))
+        with cfg.dtype_context():
+            nn.cross_entropy_logits(model(tokens), np.array([0, 1])).backward()
+        for block in model.blocks:
+            fc1 = block.ffn.fc1
+            grads = [p.grad for p in fc1.stage_parameters()] + [fc1.bias.grad]
+            assert [g.dtype for g in grads] == [np.float32] * len(grads)
 
 
 class TestResidualLayerNormParity:

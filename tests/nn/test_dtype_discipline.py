@@ -1,0 +1,101 @@
+"""A float32 model stays float32, end to end.
+
+Under NEP 50 an ``np.float64`` *scalar* is strong: one
+``1.0 / np.sqrt(d)`` or ``np.sqrt(2 / np.pi)`` meeting a float32
+activation promotes the whole array to float64, and ``Tensor.__init__``
+then quietly casts it back — twice the arithmetic, twice the memory
+traffic and a copy, with nothing failing.  These tests fail on that:
+a spy on :func:`repro.nn.tensor._as_array` must never see a floating
+ndarray that is not already the policy dtype, in a forward + backward
+and in a ``no_grad`` forward of every model family, and every
+parameter gradient must come out float32.
+"""
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.kernels import attention as AK
+from repro.models import (
+    ModelConfig,
+    build_butterfly_decoder,
+    build_dense_decoder,
+    build_fabnet,
+    build_transformer,
+)
+from repro.nn import tensor as F
+
+CONFIG = ModelConfig(
+    vocab_size=32, n_classes=4, max_len=16, d_hidden=16, n_heads=2, r_ffn=2,
+    n_total=2, n_abfly=1, seed=7, dtype="float32",
+)
+
+
+def _spy_on_casts(monkeypatch):
+    """Floating ndarrays that reach ``_as_array`` in the wrong dtype from
+    here on (installed after the model is built: initializers draw
+    float64 and cast once, by design)."""
+    seen = []
+    real = F._as_array
+
+    def spy(value, dtype=None):
+        want = F.get_default_dtype() if dtype is None else dtype
+        if (isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                and value.dtype != want):
+            seen.append((value.dtype, value.shape))
+        return real(value, dtype)
+
+    monkeypatch.setattr(F, "_as_array", spy)
+    return seen
+
+
+def _assert_float32_grads(model):
+    wrong = {
+        name: p.grad.dtype for name, p in model.named_parameters()
+        if p.grad is None or p.grad.dtype != np.float32
+    }
+    assert not wrong
+
+
+@pytest.mark.parametrize("build", [build_fabnet, build_transformer])
+def test_encoders_train_and_infer_in_float32(build, monkeypatch, rng):
+    model = build(CONFIG)
+    casts = _spy_on_casts(monkeypatch)
+    tokens = rng.integers(0, CONFIG.vocab_size, size=(3, CONFIG.max_len))
+    targets = rng.integers(0, CONFIG.n_classes, size=3)
+    with CONFIG.dtype_context():
+        logits = model(tokens)
+        nn.cross_entropy_logits(logits, targets).backward()
+        with nn.no_grad():
+            eval_logits = model.eval()(tokens)
+    assert logits.dtype == eval_logits.dtype == np.float32
+    assert casts == []
+    _assert_float32_grads(model)
+
+
+@pytest.mark.parametrize("build", [build_dense_decoder, build_butterfly_decoder])
+def test_decoders_train_prefill_and_decode_in_float32(build, monkeypatch, rng):
+    model = build(CONFIG)
+    casts = _spy_on_casts(monkeypatch)
+    tokens = rng.integers(0, CONFIG.vocab_size, size=(2, 8))
+    with CONFIG.dtype_context():
+        logits = model(tokens[:, :-1])
+        flat = F.reshape(logits, (-1, CONFIG.vocab_size))
+        nn.cross_entropy_logits(flat, tokens[:, 1:].reshape(-1)).backward()
+        model.eval()
+        with nn.no_grad():
+            cache = model.make_cache(2)
+            prefill = model.prefill(tokens, cache)
+            step = model.decode_step(prefill.argmax(axis=-1), cache)
+    assert logits.dtype == prefill.dtype == step.dtype == np.float32
+    assert casts == []
+    _assert_float32_grads(model)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_kernels_return_the_input_dtype(rng, dtype):
+    q, k, v = (rng.normal(size=(2, 2, 5, 4)).astype(dtype) for _ in range(3))
+    lengths = np.array([4, 2])
+    assert AK.attention_forward(q, k, v, causal=True)[0].dtype == dtype
+    assert AK.attention_reference(q, k, v, causal=True).dtype == dtype
+    assert AK.attention_decode(q[:, :, 0], k, v, lengths=lengths).dtype == dtype
