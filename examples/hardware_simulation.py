@@ -10,13 +10,18 @@ Demonstrates the paper's core hardware claims at value level:
    row-/column-major layouts suffer (Fig. 8-10);
 3. the cycle-level model shows where a deployment is compute- vs
    bandwidth-bound (Fig. 21) and what it costs in DSP/BRAM/power
-   (Tables VI/VII).
+   (Tables VI/VII);
+4. the whole accelerator reproduces the software model's logits at the
+   paper's long-sequence length (Appendix C).
 
 Run:  python examples/hardware_simulation.py
 """
 
+import time
+
 import numpy as np
 
+from repro import nn
 from repro.butterfly import ButterflyMatrix
 from repro.hardware import (
     AcceleratorConfig,
@@ -26,8 +31,13 @@ from repro.hardware import (
     estimate_resources,
     latency_vs_bandwidth,
 )
-from repro.hardware.functional import ButterflyEngine, stage_read_cycles
+from repro.hardware.functional import (
+    ButterflyAccelerator,
+    ButterflyEngine,
+    stage_read_cycles,
+)
 from repro.butterfly.factor import stage_halves
+from repro.models import ModelConfig, build_fabnet
 
 
 def unified_engine_demo() -> None:
@@ -88,10 +98,34 @@ def deployment_demo() -> None:
           f"(dynamic {power.dynamic:.2f} W, static {power.static:.2f} W)")
 
 
+def cross_validation_demo() -> None:
+    print("\n== 4. Cross-validation at the paper's sequence length ==")
+    config = ModelConfig(
+        vocab_size=64, n_classes=2, max_len=1024, d_hidden=128, n_heads=4,
+        r_ffn=4, n_total=2, n_abfly=1, dtype="float64", seed=0,
+    )
+    model = build_fabnet(config).eval()
+    tokens = np.random.default_rng(0).integers(0, 64, size=(1, 1024))
+    accelerator = ButterflyAccelerator(AcceleratorConfig(pqk=8, psv=8))
+    start = time.perf_counter()
+    hw = accelerator.run_encoder(model, tokens)
+    host_s = time.perf_counter() - start
+    with config.dtype_context(), nn.no_grad():
+        sw = model(tokens).data
+    trace = accelerator.trace
+    pair_ops = trace.butterfly_pair_ops + trace.fft_pair_ops
+    print("  FABNet L=1024 d=128 (1 FBfly + 1 ABfly), one sample:")
+    print(f"  max|sim - software|={np.abs(hw - sw).max():.2e}  "
+          f"bank conflicts={trace.bank_conflicts}")
+    print(f"  {pair_ops:,} pair-ops ({trace.fft_pair_ops:,} FFT) in {host_s:.2f} s "
+          f"of host time ({host_s * 1e6 / pair_ops:.2f} us per pair-op)")
+
+
 def main() -> None:
     unified_engine_demo()
     memory_layout_demo()
     deployment_demo()
+    cross_validation_demo()
 
 
 if __name__ == "__main__":

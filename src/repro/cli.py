@@ -330,6 +330,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import time
+
+    from . import nn
     from .data import load_task
     from .hardware.config import AcceleratorConfig
     from .hardware.functional import ButterflyAccelerator
@@ -346,13 +349,21 @@ def cmd_simulate(args) -> int:
     dataset = load_task(args.task, **kwargs)
     tokens = dataset.x_test[: args.n_samples]
     accel = ButterflyAccelerator(AcceleratorConfig(pbe=1, pbu=args.pbu))
+    t0 = time.perf_counter()
     hw = accel.run_encoder(model, tokens)
-    sw = model(tokens).data
+    host_s = time.perf_counter() - t0
+    with cfg.dtype_context(), nn.no_grad():
+        sw = model(tokens).data
     err = float(np.abs(hw - sw).max())
     agree = int((hw.argmax(-1) == sw.argmax(-1)).sum())
+    engine = accel.engine.cumulative_stats
     print(f"simulated {len(tokens)} samples: max |logit error| = {err:.3e}")
     print(f"prediction agreement: {agree}/{len(tokens)}")
     print(f"bank conflicts: {accel.trace.bank_conflicts}")
+    print(f"pair ops: {engine.pair_ops}")
+    print(f"read cycles: {engine.read_cycles}")
+    print(f"host time: {host_s:.3f} s "
+          f"({host_s * 1e6 / max(engine.pair_ops, 1):.2f} us per pair-op)")
     return 0 if err < 1e-6 else 1
 
 

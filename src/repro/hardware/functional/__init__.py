@@ -10,7 +10,9 @@ from .attention_engine import (
 )
 from .butterfly_unit import AdaptableButterflyUnit, BUMode
 from .coalesce import (
+    StageProgram,
     coalesce_pairs,
+    compile_stage,
     min_stage_cycles,
     schedule_stage,
     stage_read_cycles,
@@ -43,12 +45,14 @@ __all__ = [
     "PostProcessor",
     "QKUnit",
     "SVUnit",
+    "StageProgram",
     "StreamingExecutor",
     "StreamingResult",
     "TilePhase",
     "bank_matrix",
     "bank_of",
     "coalesce_pairs",
+    "compile_stage",
     "min_stage_cycles",
     "popcount",
     "schedule_stage",

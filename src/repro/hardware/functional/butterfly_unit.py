@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
+import numpy as np
+
 
 class BUMode(Enum):
     """Runtime configuration of the unit's muxes/demuxes."""
@@ -26,13 +28,52 @@ class BUMode(Enum):
     FFT = "fft"
 
 
+def butterfly_datapath(in1, in2, w1, w2, w3, w4):
+    """Butterfly linear transform pair-op (Fig. 7b)::
+
+        out1 = in1 * w1 + in2 * w3
+        out2 = in1 * w2 + in2 * w4
+
+    on the four real multipliers and the two real adders; the
+    de-multiplexers bypass the complex adders.  Operands are floats (one
+    pair-op) or equal-length lane vectors (one pair-op per lane): the
+    same IEEE operations in the same order either way.
+    """
+    return in1 * w1 + in2 * w3, in1 * w2 + in2 * w4
+
+
+def fft_datapath(in1, in2, w):
+    """FFT pair-op (Fig. 7c)::
+
+        t    = in2 * w      (one complex multiply on the 4 multipliers)
+        out1 = in1 + t
+        out2 = in1 - t
+
+    The product is composed from the four real products, exactly as the
+    demux routes them: the real adders combine ``rr - ii`` and
+    ``ri + ir``, then the two complex adders produce the sums.  This is
+    deliberately not a library complex multiply, whose rounding may
+    differ.  Scalars or lane vectors, as :func:`butterfly_datapath`.
+    """
+    rr = in2.real * w.real
+    ii = in2.imag * w.imag
+    ri = in2.real * w.imag
+    ir = in2.imag * w.real
+    t = np.empty(np.shape(rr), dtype=np.complex128)
+    t.real = rr - ii
+    t.imag = ri + ir
+    return in1 + t, in1 - t
+
+
 @dataclass
 class AdaptableButterflyUnit:
     """Value-level model of one adaptable BU.
 
     The unit is configured per layer (``configure``), then driven one
     pair-operation per cycle.  ``mult_ops`` / ``add_ops`` count real
-    arithmetic operations so resource sharing can be asserted.
+    arithmetic operations so resource sharing can be asserted.  The
+    arithmetic itself is :func:`butterfly_datapath` / :func:`fft_datapath`,
+    shared with the engine's per-stage lane vectors.
     """
 
     mode: BUMode = BUMode.BUTTERFLY
@@ -50,63 +91,31 @@ class AdaptableButterflyUnit:
         self.cycles = 0
 
     # ------------------------------------------------------------------
-    def _mult(self, a: float, b: float) -> float:
-        self.mult_ops += 1
-        return a * b
+    def issue(self, mode: BUMode, ops: int = 1) -> None:
+        """Account for ``ops`` pair-operations driven through the unit.
 
-    def _add(self, a: float, b: float) -> float:
-        self.add_ops += 1
-        return a + b
+        Per pair-op both modes fire the four real multipliers once;
+        butterfly mode uses the two real adders, FFT mode those two plus
+        the two complex adders (two real additions each).
+        """
+        if self.mode is not mode:
+            name = "FFT" if self.mode is BUMode.FFT else "butterfly"
+            raise RuntimeError(f"BU is configured for {name}; call configure() first")
+        self.cycles += ops
+        self.mult_ops += 4 * ops
+        self.add_ops += (6 if mode is BUMode.FFT else 2) * ops
 
-    def _sub(self, a: float, b: float) -> float:
-        self.add_ops += 1
-        return a - b
-
-    # ------------------------------------------------------------------
     def butterfly_op(
         self, in1: float, in2: float, w1: float, w2: float, w3: float, w4: float
     ) -> Tuple[float, float]:
-        """Butterfly linear transform pair-op (Fig. 7b)::
-
-            out1 = in1 * w1 + in2 * w3
-            out2 = in1 * w2 + in2 * w4
-
-        Uses the unit's four real multipliers and the two real adders;
-        the de-multiplexers bypass the complex adders.
-        """
-        if self.mode is not BUMode.BUTTERFLY:
-            raise RuntimeError("BU is configured for FFT; call configure() first")
-        self.cycles += 1
-        p1 = self._mult(in1, w1)
-        p2 = self._mult(in2, w3)
-        p3 = self._mult(in1, w2)
-        p4 = self._mult(in2, w4)
-        return self._add(p1, p2), self._add(p3, p4)
+        """One butterfly linear transform pair-op (Fig. 7b)."""
+        self.issue(BUMode.BUTTERFLY)
+        return butterfly_datapath(in1, in2, w1, w2, w3, w4)
 
     def fft_op(self, in1: complex, in2: complex, w: complex) -> Tuple[complex, complex]:
-        """FFT pair-op (Fig. 7c)::
-
-            t    = in2 * w      (one complex multiply on the 4 multipliers)
-            out1 = in1 + t
-            out2 = in1 - t
-
-        The real adders compute the complex product's combines and the two
-        complex adders produce the final sums, exactly as the demux routes.
-        """
-        if self.mode is not BUMode.FFT:
-            raise RuntimeError("BU is configured for butterfly; call configure() first")
-        self.cycles += 1
-        # Complex multiply in2 * w reusing the four real multipliers.
-        rr = self._mult(in2.real, w.real)
-        ii = self._mult(in2.imag, w.imag)
-        ri = self._mult(in2.real, w.imag)
-        ir = self._mult(in2.imag, w.real)
-        t_real = self._sub(rr, ii)
-        t_imag = self._add(ri, ir)
-        t = complex(t_real, t_imag)
-        # Two complex adders.
-        self.add_ops += 4  # each complex add/sub is two real additions
-        return in1 + t, in1 - t
+        """One FFT pair-op (Fig. 7c)."""
+        self.issue(BUMode.FFT)
+        return fft_datapath(in1, in2, w)
 
     # ------------------------------------------------------------------
     @property

@@ -12,14 +12,24 @@ arrives from the banks in arbitrary bank order, and the crossbar reorders
 it into (top, bottom) operand pairs for the butterfly units using the
 element indices (bit-count + shift in RTL; here, a direct reordering whose
 output order is asserted by tests).
+
+None of this depends on the data — the engine is configured per layer and
+then streams vectors through fixed wiring — so ``compile_stage`` issues a
+stage's cycles once through those primitives and records the trace as a
+:class:`StageProgram` that the Butterfly Engine replays for every vector.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from ...butterfly.factor import pair_indices
-from .memory import bank_of
+from ...kernels import pair_index_of
+from .memory import BankedBuffer, bank_of
 
 Pair = Tuple[int, int]
 
@@ -62,24 +72,63 @@ def schedule_stage(
     return groups
 
 
+@dataclass(frozen=True)
+class StageProgram:
+    """Address trace of one stage under one engine configuration.
+
+    Read-only and shared by every engine and thread with the same key.
+    """
+
+    #: ``(2, n/2)`` top / bottom element of each pair, in issue order.
+    elements: np.ndarray
+    #: Coefficient index of each pair, same order.
+    coeff: np.ndarray
+    #: Pair-ops the stage issues to each of the ``pbu`` butterfly units.
+    unit_ops: Tuple[int, ...]
+    #: What the banked buffer credited for the stage's read cycles.
+    reads: int
+    cycles: int
+    conflicts: int
+
+
+@lru_cache(maxsize=1024)  # a model uses a few dozen keys; each trace is 12 n bytes
+def compile_stage(n: int, half: int, nbanks: int, layout: str, pbu: int) -> StageProgram:
+    """Issue one stage's read cycles once and record where everything went.
+
+    A vector of element ids takes the path a data vector takes —
+    ``schedule_stage`` groups, one ``BankedBuffer.read_elements`` per
+    cycle (so its lane limit and conflict count apply, for any layout),
+    the ``coalesce_pairs`` crossbar (which raises if it disagrees with
+    the scheduler) — so the ids reaching lane ``i`` are that lane's
+    operands.  Lane ``i`` of a cycle drives butterfly unit ``i % pbu``.
+    """
+    buffer = BankedBuffer(n, nbanks, layout)
+    buffer.store(np.arange(n))
+    lanes: List[Pair] = []
+    unit_ops = [0] * pbu
+    for group in schedule_stage(n, half, nbanks, layout):
+        elements = [e for pair in group for e in pair]
+        ids, _conflict = buffer.read_elements(elements)
+        for lane, (top, bottom) in enumerate(coalesce_pairs(elements, ids, group)):
+            lanes.append((int(top.real), int(bottom.real)))
+            unit_ops[lane % pbu] += 1
+    wiring = np.ascontiguousarray(np.array(lanes, dtype=np.intp).T)
+    coeff = pair_index_of(wiring[0], half)
+    for array in (wiring, coeff):
+        array.setflags(write=False)
+    stats = buffer.stats
+    return StageProgram(
+        wiring, coeff, tuple(unit_ops), stats.reads, stats.cycles, stats.conflicts
+    )
+
+
 def stage_read_cycles(n: int, half: int, nbanks: int, layout: str = "butterfly") -> int:
     """Number of read cycles for one stage under a layout.
 
     A group whose two operands share a bank still needs two accesses, so a
     self-conflicting pair counts as two cycles.
     """
-    cycles = 0
-    for group in schedule_stage(n, half, nbanks, layout):
-        banks = set()
-        accesses = 0
-        for a, b in group:
-            banks.add(bank_of(a, n, nbanks, layout))
-            banks.add(bank_of(b, n, nbanks, layout))
-            accesses += 2
-        # One cycle per full set of distinct banks; serialized extra
-        # accesses for any collisions within the group.
-        cycles += 1 + (accesses - len(banks) if len(banks) < accesses else 0)
-    return cycles
+    return compile_stage(n, half, nbanks, layout, nbanks // 2).cycles
 
 
 def min_stage_cycles(n: int, nbanks: int) -> int:

@@ -6,23 +6,36 @@ either a trainable butterfly linear transform or an FFT, selected at
 runtime — the paper's central hardware-efficiency claim.
 
 The model is *value-accurate* and *access-accurate*: every operand read
-goes through the banked buffer (so bank conflicts would surface), every
-pair-operation goes through a BU (so multiplier usage is counted), and the
-result is bit-identical (up to float64 rounding) to the numpy reference.
+is accounted by the banked buffer (so bank conflicts surface), every
+pair-operation is accounted to a BU (so multiplier usage is counted), and
+the result is bit-identical (up to float64 rounding) to the numpy
+reference.
 
-The per-pair loop below is the *hardware* model and is intentionally kept
-— it is what makes the simulation access-accurate.  The software hot path
-lives in :mod:`repro.kernels`, which implements the same pair geometry
-(see :mod:`repro.kernels.layout` for the pair-major order that mirrors
-the S2P bank striping consumed here via ``schedule_stage``).  Construct
-the engine with ``verify=True`` to assert bit-parity of every run against
-that shared kernel reference
+Access-accurate does not mean re-deriving the wiring per vector: which
+pairs share a cycle, which banks the cycle hits and how the crossbar
+routes it depend on ``(n, half, banks, layout, pbu)`` and never on the
+data — the hardware is configured per layer and then streams.
+:func:`~repro.hardware.functional.coalesce.compile_stage` issues each
+stage once through ``schedule_stage`` / ``BankedBuffer.read_elements`` /
+``coalesce_pairs``, counting conflicts cycle by cycle as a property of
+the addresses; ``_run_stages`` replays the cached trace per vector as one
+gather, the BU datapath over the stage's lane vector (the same IEEE
+operations in the same order as the scalar ``butterfly_op`` / ``fft_op``,
+so outputs are bit-identical to issuing the pairs one by one) and one
+scatter, crediting buffer and units from the trace's counts.
+
+The software hot path lives in :mod:`repro.kernels`, which implements the
+same pair geometry (see :mod:`repro.kernels.layout` for the pair-major
+order that mirrors the S2P bank striping consumed here via
+``schedule_stage``).  Construct the engine with ``verify=True`` to assert
+bit-parity of every run against that shared kernel reference
 (:func:`repro.kernels.butterfly_apply_reference`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,10 +43,15 @@ import numpy as np
 from ... import kernels as _kernels
 from ...telemetry import counter_inc
 from ...butterfly.factor import ButterflyFactor
-from ...butterfly.fft import bit_reversal_permutation, fft_stage_factor
+from ...butterfly.fft import bit_reversal_permutation, fft_butterfly
 from ...butterfly.matrix import ButterflyMatrix
-from .butterfly_unit import AdaptableButterflyUnit, BUMode
-from .coalesce import coalesce_pairs, schedule_stage
+from .butterfly_unit import (
+    AdaptableButterflyUnit,
+    BUMode,
+    butterfly_datapath,
+    fft_datapath,
+)
+from .coalesce import compile_stage
 from .memory import BankedBuffer
 
 
@@ -53,6 +71,17 @@ class EngineRunStats:
         self.mult_ops += other.mult_ops
 
 
+@lru_cache(maxsize=32)  # one entry per power-of-two size
+def _fft_plan(n: int) -> Tuple[np.ndarray, Tuple[ButterflyFactor, ...]]:
+    """Input permutation and twiddle stages of a size-``n`` FFT (read-only)."""
+    perm = bit_reversal_permutation(n)
+    perm.setflags(write=False)
+    factors = tuple(fft_butterfly(n).factors)
+    for factor in factors:
+        factor.coeffs.setflags(write=False)
+    return perm, factors
+
+
 class ButterflyEngine:
     """One BE: ``pbu`` butterfly units over a ``2 * pbu``-bank buffer.
 
@@ -63,7 +92,7 @@ class ButterflyEngine:
         verify: when True, every ``_run_stages`` invocation is checked
             for bit-parity (float64 ``allclose`` at twelve decimals)
             against the shared software kernels in :mod:`repro.kernels`.
-            This is the contract that the access-accurate hardware loop
+            This is the contract that the access-accurate hardware model
             and the vectorized software path compute the same function.
     """
 
@@ -84,16 +113,6 @@ class ButterflyEngine:
         self.cumulative_stats = EngineRunStats()
 
     # ------------------------------------------------------------------
-    def _pair_index(self, top: int, half: int) -> int:
-        """Recover the coefficient index of the pair starting at ``top``.
-
-        Same closed form as :func:`repro.kernels.pair_index_of`, inlined
-        with integer arithmetic because this sits in the simulator's
-        innermost per-pair loop (a numpy round-trip per scalar is ~16x
-        slower); drift is caught by the ``verify=True`` parity check.
-        """
-        return (top // (2 * half)) * half + top % half
-
     def _run_stages(
         self,
         x: np.ndarray,
@@ -110,27 +129,19 @@ class ButterflyEngine:
             unit.reset_counters()
         pair_ops = 0
         for factor in factors:
-            half = factor.half
-            for group in schedule_stage(n, half, nbanks, self.layout):
-                elements = [e for pair in group for e in pair]
-                values, _conflict = buffer.read_elements(elements)
-                operand_pairs = coalesce_pairs(elements, values, group)
-                results: List[complex] = []
-                for lane, (pair, (top_val, bot_val)) in enumerate(
-                    zip(group, operand_pairs)
-                ):
-                    unit = self.units[lane % self.pbu]
-                    p = self._pair_index(pair[0], half)
-                    a, b, c, d = factor.coeffs[:, p]
-                    if mode is BUMode.FFT:
-                        out_top, out_bot = unit.fft_op(top_val, bot_val, b)
-                    else:
-                        out_top, out_bot = unit.butterfly_op(
-                            top_val.real, bot_val.real, a, c, b, d
-                        )
-                    results.extend((out_top, out_bot))
-                    pair_ops += 1
-                buffer.write_elements(elements, results)
+            program = compile_stage(n, factor.half, nbanks, self.layout, self.pbu)
+            top, bottom = buffer.read_trace(
+                program.elements, program.reads, program.cycles, program.conflicts
+            )
+            if mode is BUMode.FFT:  # the twiddle is the ``b`` coefficient
+                results = fft_datapath(top, bottom, factor.coeffs[1, program.coeff])
+            else:
+                a, b, c, d = factor.coeffs[:, program.coeff]
+                results = butterfly_datapath(top.real, bottom.real, a, c, b, d)
+            buffer.write_elements(program.elements, results)
+            for unit, ops in zip(self.units, program.unit_ops):
+                unit.issue(mode, ops)
+            pair_ops += program.coeff.size
         stats = EngineRunStats(
             read_cycles=buffer.stats.cycles,
             bank_conflicts=buffer.stats.conflicts,
@@ -168,9 +179,7 @@ class ButterflyEngine:
     def run_fft(self, x: np.ndarray) -> np.ndarray:
         """Compute the FFT of a vector of power-of-two size n."""
         x = np.asarray(x, dtype=np.complex128)
-        n = x.shape[0]
-        perm = bit_reversal_permutation(n)
-        factors = [fft_stage_factor(n, f.half) for f in ButterflyMatrix.identity(n).factors]
+        perm, factors = _fft_plan(x.shape[0])
         out, _ = self._run_stages(x[perm], factors, BUMode.FFT)
         return out
 

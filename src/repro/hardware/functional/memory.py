@@ -116,9 +116,24 @@ class BankedBuffer:
         self.stats.conflicts += n_conflicts
         return self._values[elements], n_conflicts > 0
 
+    def read_trace(
+        self, elements: np.ndarray, reads: int, cycles: int, conflicts: int
+    ) -> np.ndarray:
+        """Replay an already-issued sequence of read cycles as one gather.
+
+        Which banks a cycle hits depends on the addresses alone, so a
+        trace issued once through :meth:`read_elements` costs the same
+        every time it runs: ``elements`` are its accesses (any shape) and
+        the counts are what ``read_elements`` credited for them then.
+        """
+        self.stats.reads += reads
+        self.stats.cycles += cycles
+        self.stats.conflicts += conflicts
+        return self._values[elements]
+
     def write_elements(self, elements: Sequence[int], values: Sequence[complex]) -> None:
         """Write results back (the Recover module restores original order)."""
-        self._values[list(elements)] = np.asarray(values)
+        self._values[np.asarray(elements, dtype=np.intp)] = np.asarray(values)
 
     def snapshot(self) -> np.ndarray:
         """Current contents in original element order."""

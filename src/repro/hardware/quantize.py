@@ -63,7 +63,7 @@ import numpy as np
 from ..butterfly.factor import ButterflyFactor
 from ..butterfly.matrix import ButterflyMatrix
 from ..kernels import quant as _QK
-from .functional.engine import ButterflyEngine
+from .functional.engine import ButterflyEngine, EngineRunStats
 
 
 def quantize_fp16(values: np.ndarray) -> np.ndarray:
@@ -93,10 +93,14 @@ class Fp16ButterflyEngine(ButterflyEngine):
             coeffs = quantize_fp16(factor.coeffs)
             quantized_factors.append(type(factor)(factor.n, factor.half, coeffs))
         out = x
-        stats = None
+        stats = EngineRunStats()
         for factor in quantized_factors:
-            out, stats = super()._run_stages(out, [factor], mode)
+            out, stage_stats = super()._run_stages(out, [factor], mode)
+            stats.add(stage_stats)
             out = quantize_fp16(out)
+        # Each re-entry above left ``last_stats`` at one stage; it means
+        # one vector, as on every other engine.
+        self.last_stats = stats
         return out, stats
 
 

@@ -11,7 +11,7 @@ stages.  Consumers:
 * :mod:`repro.nn` registers :func:`butterfly_apply` as a single autograd
   op (one graph node for the whole ``log2 n``-stage ladder);
 * :mod:`repro.hardware.functional` keeps its access-accurate banked
-  memory loop but verifies bit-parity against these kernels.
+  memory model but verifies bit-parity against these kernels.
 
 Layout documentation (pair-major coefficients and their correspondence
 to the paper's S2P banked memory) lives in :mod:`repro.kernels.layout`;

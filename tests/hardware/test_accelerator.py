@@ -71,6 +71,34 @@ class TestCrossValidation:
             accel.run_encoder(model, tokens), model(tokens).data, atol=1e-9
         )
 
+    def test_matches_software_at_the_papers_sequence_length(self, rng):
+        """The benchmark's ``encode_long`` shape (L=1024, d=128, one FBfly
+        + one ABfly) in float64, one sample through every engine."""
+        from repro import nn
+
+        config = ModelConfig(
+            vocab_size=64, n_classes=2, max_len=1024, d_hidden=128, n_heads=4,
+            r_ffn=4, n_total=2, n_abfly=1, dtype="float64", seed=0,
+        )
+        model = build_fabnet(config).eval()
+        tokens = rng.integers(0, 64, size=(1, 1024))
+        accel = ButterflyAccelerator(AcceleratorConfig(pqk=8, psv=8))
+        hw = accel.run_encoder(model, tokens)
+        with config.dtype_context(), nn.no_grad():
+            sw = model(tokens).data
+        assert np.abs(hw - sw).max() <= 1e-9
+        assert accel.trace.bank_conflicts == 0
+
+        def pair_ops(vectors, n):
+            return vectors * (n // 2) * (n.bit_length() - 1)
+
+        seq, d, ffn = 1024, 128, 4 * 128
+        ffn_ops = 2 * pair_ops(seq, ffn)  # fc1 and fc2 both pad to 512
+        assert accel.trace.fft_pair_ops == pair_ops(seq, d) + pair_ops(d, seq)
+        assert accel.trace.butterfly_pair_ops == 2 * ffn_ops + 4 * pair_ops(seq, d)
+        assert (accel.trace.butterfly_pair_ops + accel.trace.fft_pair_ops
+                == accel.engine.cumulative_stats.pair_ops == 12_386_304)
+
 
 class TestRejectsForeignWorkloads:
     def test_vanilla_transformer_rejected(self, fab_config, accel, rng):

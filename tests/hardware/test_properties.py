@@ -1,13 +1,33 @@
 """Property-based tests (hypothesis) for the hardware models."""
 
+import dataclasses
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.butterfly import ButterflyMatrix
 from repro.butterfly.factor import stage_halves
+from repro.butterfly.fft import bit_reversal_permutation, fft_butterfly
 from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel, WorkloadSpec
-from repro.hardware.functional import ButterflyEngine, stage_read_cycles
+from repro.hardware.functional import (
+    AdaptableButterflyUnit,
+    BankedBuffer,
+    BUMode,
+    ButterflyAccelerator,
+    ButterflyEngine,
+    ButterflyLinearExecutor,
+    coalesce_pairs,
+    compile_stage,
+    schedule_stage,
+    stage_read_cycles,
+)
+from repro.hardware.functional import engine as engine_module
+from repro.hardware.functional.memory import LAYOUTS
 from repro.hardware.quantize import quantize_fp16
 from repro.hardware.resources import dsp_usage, estimate_resources
 
@@ -46,6 +66,189 @@ def test_butterfly_layout_conflict_free_all_stages(n, nbanks):
         return
     for half in stage_halves(n):
         assert stage_read_cycles(n, half, nbanks, "butterfly") == n // nbanks
+
+
+# ----------------------------------------------------------------------
+# The compiled stage program against the per-cycle, per-pair model it is
+# compiled from.
+# ----------------------------------------------------------------------
+def replay_per_pair(x, factors, mode, pbu, layout):
+    """One vector the slow way: every cycle through the public primitives,
+    every pair through a scalar Butterfly Unit op."""
+    n = x.shape[0]
+    nbanks = min(2 * pbu, n)
+    buffer = BankedBuffer(n, nbanks, layout)
+    buffer.store(x)
+    units = [AdaptableButterflyUnit(mode=mode) for _ in range(pbu)]
+    for factor in factors:
+        half = factor.half
+        for group in schedule_stage(n, half, nbanks, layout):
+            elements = [e for pair in group for e in pair]
+            values, _ = buffer.read_elements(elements)
+            results = []
+            for lane, (pair, (top, bottom)) in enumerate(
+                zip(group, coalesce_pairs(elements, values, group))
+            ):
+                unit = units[lane % pbu]
+                p = (pair[0] // (2 * half)) * half + pair[0] % half
+                a, b, c, d = factor.coeffs[:, p]
+                if mode is BUMode.FFT:
+                    results.extend(unit.fft_op(top, bottom, b))
+                else:
+                    results.extend(unit.butterfly_op(top.real, bottom.real, a, c, b, d))
+            buffer.write_elements(elements, results)
+    return buffer.snapshot(), buffer.stats, units
+
+
+def unit_counters(units):
+    return [(u.mult_ops, u.add_ops, u.cycles) for u in units]
+
+
+@given(
+    log_n=st.integers(min_value=1, max_value=8),
+    pbu=st.sampled_from([1, 2, 4, 8]),
+    layout=st.sampled_from(LAYOUTS),
+    mode=st.sampled_from(list(BUMode)),
+    seed=seeds,
+)
+@settings(max_examples=60, deadline=None)
+def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, seed):
+    n = 1 << log_n
+    rng = np.random.default_rng(seed)
+    buffers = []
+
+    class RecordedBuffer(BankedBuffer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            buffers.append(self)
+
+    engine = ButterflyEngine(pbu=pbu, layout=layout)
+    with mock.patch.object(engine_module, "BankedBuffer", RecordedBuffer):
+        if mode is BUMode.FFT:
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            got = engine.run_fft(x)
+            start, factors = x[bit_reversal_permutation(n)], fft_butterfly(n).factors
+        else:
+            x = rng.normal(size=n)
+            matrix = ButterflyMatrix.random(n, rng)
+            got = engine.run_butterfly(x, matrix)
+            start, factors = x.astype(np.complex128), matrix.factors
+    want, access, units = replay_per_pair(start, factors, mode, pbu, layout)
+    if mode is BUMode.BUTTERFLY:
+        want = want.real
+
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+    (buffer,) = buffers
+    assert buffer.stats == access
+    assert unit_counters(engine.units) == unit_counters(units)
+    stats = engine.last_stats
+    assert (stats.read_cycles, stats.bank_conflicts) == (access.cycles, access.conflicts)
+    assert stats.pair_ops == (n // 2) * log_n
+    assert stats.mult_ops == sum(u.mult_ops for u in units) == 4 * stats.pair_ops
+
+
+HW_SIM_MODEL = dict(
+    vocab_size=64, n_classes=2, max_len=16, d_hidden=64, n_heads=4,
+    r_ffn=4, n_total=2, n_abfly=1, dtype="float64", seed=0,
+)
+
+
+@pytest.mark.parametrize("layout, read_cycles, bank_conflicts", [
+    ("butterfly", 20736, 0),
+    ("row_major", 106752, 49152),
+    ("column_major", 106752, 49152),
+])
+def test_hw_sim_sample_counts_are_pinned(layout, read_cycles, bank_conflicts):
+    """One sample of the benchmark's ``hw_sim`` model, counts measured with
+    the per-pair loop in place (PR 13): a change that moved the compiled
+    program and the replay above together would still move these."""
+    from repro.models import ModelConfig, build_fabnet
+
+    config = ModelConfig(**HW_SIM_MODEL)
+    model = build_fabnet(config).eval()
+    accelerator = ButterflyAccelerator(AcceleratorConfig(pqk=8, psv=8))
+    engine = ButterflyEngine(pbu=accelerator.config.pbu, layout=layout, verify=True)
+    accelerator.engine = engine
+    accelerator.executor = ButterflyLinearExecutor(engine)
+    tokens = np.random.default_rng(0).integers(0, 64, size=(1, 16))
+    accelerator.run_encoder(model, tokens)
+    total = engine.cumulative_stats
+    assert total.read_cycles == read_cycles
+    assert total.bank_conflicts == bank_conflicts
+    assert total.pair_ops == 82944
+    assert total.mult_ops == 331776
+
+
+def test_compiled_programs_are_read_only():
+    program = compile_stage(64, 4, 8, "butterfly", 4)
+    for array in (program.elements, program.coeff):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.cycles = 0
+    perm, factors = engine_module._fft_plan(64)
+    assert not perm.flags.writeable
+    assert not any(factor.coeffs.flags.writeable for factor in factors)
+
+
+def test_programs_are_keyed_by_the_whole_configuration():
+    base = compile_stage(32, 2, 8, "butterfly", 4)
+    assert compile_stage(32, 2, 8, "butterfly", 4) is base
+    assert compile_stage(32, 2, 8, "row_major", 4) is not base
+    assert compile_stage(32, 2, 4, "butterfly", 2) is not base
+    # More units than the vector has lanes: same banks, different unit map.
+    narrow, wide = compile_stage(4, 1, 4, "butterfly", 4), compile_stage(4, 1, 4, "butterfly", 8)
+    assert narrow is not wide
+    assert (narrow.unit_ops, wide.unit_ops) == ((1, 1, 0, 0), (1, 1, 0, 0, 0, 0, 0, 0))
+    # ... and engines built that way never see each other's program.
+    rng = np.random.default_rng(0)
+    matrix, x = ButterflyMatrix.random(32, rng), rng.normal(size=32)
+    cycles = {}
+    for pbu, layout in [(2, "butterfly"), (4, "butterfly"), (4, "column_major")]:
+        engine = ButterflyEngine(pbu=pbu, layout=layout)
+        np.testing.assert_allclose(engine.run_butterfly(x, matrix), matrix.apply(x), atol=1e-12)
+        cycles[pbu, layout] = engine.last_stats.read_cycles
+    assert cycles == {(2, "butterfly"): 40, (4, "butterfly"): 20, (4, "column_major"): 76}
+
+
+def test_engines_on_eight_threads_agree():
+    """Programs are shared between threads, including while the cache is
+    still cold and several threads compile the same key at once."""
+    rng = np.random.default_rng(5)
+    n = 128
+    matrix = ButterflyMatrix.random(n, rng)
+    rows = rng.normal(size=(4, n))
+    compile_stage.cache_clear()
+    engine_module._fft_plan.cache_clear()
+    results = [None] * 8
+    barrier = threading.Barrier(len(results), timeout=60)
+
+    def work(slot):
+        engine = ButterflyEngine(pbu=4)
+        barrier.wait()
+        out = engine.run_butterfly_rows(rows, matrix)
+        spectrum = engine.run_fft_rows(rows)
+        results[slot] = (
+            out.tobytes(), spectrum.tobytes(), engine.cumulative_stats,
+            unit_counters(engine.units),
+        )
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == results[0] for result in results)
+    assert results[0][2].pair_ops == 2 * 4 * (n // 2) * 7
+    assert results[0][2].bank_conflicts == 0
 
 
 @given(seed=seeds)

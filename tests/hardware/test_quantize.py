@@ -67,6 +67,27 @@ class TestFp16Engine:
         out = engine.run_butterfly(rng.normal(size=16), matrix)
         np.testing.assert_array_equal(out, quantize_fp16(out))
 
+    @pytest.mark.parametrize("mode", ["butterfly", "fft"])
+    def test_last_stats_cover_the_whole_vector(self, mode, rng):
+        """The fp16 engine re-enters the stage runner once per stage;
+        ``last_stats`` still means one vector, as on the fp64 engine."""
+        from repro.hardware.functional import ButterflyEngine
+
+        n = 32
+        matrix = ButterflyMatrix.random(n, rng)
+        x = rng.normal(size=n)
+        engines = [Fp16ButterflyEngine(pbu=4), ButterflyEngine(pbu=4)]
+        for engine in engines:
+            if mode == "fft":
+                engine.run_fft(x)
+            else:
+                engine.run_butterfly(x, matrix)
+        fp16, fp64 = engines
+        assert fp16.last_stats == fp16.cumulative_stats == fp64.last_stats
+        assert fp16.last_stats.read_cycles == 20
+        assert fp16.last_stats.pair_ops == 80
+        assert fp16.last_stats.mult_ops == 320
+
 
 class TestErrorReport:
     def test_error_grows_with_depth_but_stays_small(self, rng):

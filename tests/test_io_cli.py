@@ -1,5 +1,7 @@
 """Checkpoint serialization and the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "bank conflicts: 0" in out
+        # What was simulated: n/2 log2 n pair-ops per vector, one read
+        # cycle for every pbu=4 of them.
+        cfg = load_model(ckpt).config
+
+        def pair_ops(vectors, n):
+            return vectors * (n // 2) * (n.bit_length() - 1)
+
+        seq, d = cfg.max_len, cfg.d_hidden
+        ffn = 2 * pair_ops(seq, cfg.r_ffn * d)
+        fbfly = pair_ops(seq, d) + pair_ops(d, seq) + ffn
+        abfly = 4 * pair_ops(seq, d) + ffn
+        total = 2 * ((cfg.n_total - cfg.n_abfly) * fbfly + cfg.n_abfly * abfly)
+        assert f"pair ops: {total}\n" in out
+        assert f"read cycles: {total // 4}\n" in out
+        assert re.search(r"host time: \d+\.\d{3} s \(\d+\.\d{2} us per pair-op\)", out)
 
     def test_train_rejects_paired_task(self, capsys):
         code = main(["train", "--task", "retrieval", "--epochs", "1",
