@@ -182,10 +182,6 @@ MANIFEST: Tuple[Bench, ...] = (
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("backends_smoke.fp16_max_rel_drift", "lower", 0.01,
                   rel_tol=EXACT_TOL, strict_band=True),
-            Check("backends_smoke.int4_max_rel_drift", "lower", 1.0,
-                  rel_tol=EXACT_TOL, strict_band=True),
-            Check("backends_smoke.int4_memory_ratio", "lower", 0.25,
-                  rel_tol=EXACT_TOL, strict_band=True),
             Check("backends_smoke.int8_vs_fp32_speedup", "higher", 1.0),
             Check("backends_smoke.threaded_butterfly_speedup", "higher", 2.0,
                   min_cores=4),
@@ -196,10 +192,6 @@ MANIFEST: Tuple[Bench, ...] = (
             Check("backends.bit_parity_ok", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("backends.fp16_max_rel_drift", "lower", 0.01,
-                  rel_tol=EXACT_TOL, strict_band=True),
-            Check("backends.int4_max_rel_drift", "lower", 1.0,
-                  rel_tol=EXACT_TOL, strict_band=True),
-            Check("backends.int4_memory_ratio", "lower", 0.25,
                   rel_tol=EXACT_TOL, strict_band=True),
             # the committed PR-5 int8 decode baseline must not be lost
             Check("backends.int8_tokens_per_s", "higher", 683.0),

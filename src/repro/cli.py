@@ -67,6 +67,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .nn import QUANT_MODES
+
 
 def _add_train_parser(subparsers) -> None:
     p = subparsers.add_parser("train", help="train a model on a synthetic LRA task")
@@ -142,7 +144,7 @@ def _add_generate_parser(subparsers) -> None:
                    help="full-window recompute instead of KV-cache decoding")
     p.add_argument("--engine", action="store_true",
                    help="route the request through the ServingEngine")
-    p.add_argument("--quantize", default=None, choices=["int8", "fp16", "int4"],
+    p.add_argument("--quantize", default=None, choices=QUANT_MODES,
                    help="decode through a reduced-storage replica of the model")
     p.add_argument("--backend", default="serial",
                    choices=["serial", "threaded"],
@@ -168,10 +170,9 @@ def _add_serve_parser(subparsers) -> None:
     p.add_argument("--step-budget-ms", type=float, default=None,
                    help="enable cost-model admission with this modeled "
                         "per-step latency budget")
-    p.add_argument("--quantize", default=None, choices=["int8", "fp16", "int4"],
-                   help="serve a reduced-storage replica (int8 per-channel / "
-                        "fp16 half / int4 grouped weights, dequant-on-the-fly "
-                        "kernels)")
+    p.add_argument("--quantize", default=None, choices=QUANT_MODES,
+                   help="serve a reduced-storage replica (stored weights, "
+                        "dequant-on-the-fly kernels)")
     p.add_argument("--backend", default="serial",
                    choices=["serial", "threaded"],
                    help="kernel execution backend (execution only, "

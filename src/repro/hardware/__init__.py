@@ -32,11 +32,9 @@ from .quantize import (
     int8_quantization_error_report,
     quantization_error_report,
     quantize_fp16,
-    quantize_int4,
     quantize_int8,
     storage_tier_drift_report,
     verify_backend_parity,
-    verify_int4_quantizer,
     verify_int8_quantizer,
 )
 from .schedule import (
@@ -150,11 +148,9 @@ __all__ = [
     "processor_balance",
     "quantization_error_report",
     "quantize_fp16",
-    "quantize_int4",
     "quantize_int8",
     "storage_tier_drift_report",
     "verify_backend_parity",
-    "verify_int4_quantizer",
     "verify_int8_quantizer",
     "workload_gops",
     "our_work_record",

@@ -37,20 +37,14 @@ path are guaranteed to describe one datapath:
   actual :func:`repro.nn.quantize_for_inference` replica, closing the
   hardware/software loop).
 
-The int4 storage tier (the narrowest weight buffers, two codes per
-byte) gets the same treatment: ``quantize_int4`` is the independent
-hardware quantizer model (per-group symmetric, round-half-to-even,
-saturate at ±7, biased nibble packing) and ``verify_int4_quantizer``
-asserts bit-level agreement — packed bytes, scales and dequantized
-values — with :func:`repro.kernels.quantize_int4_grouped`.
-
 Kernel *backends* get a parity oracle too: ``verify_backend_parity``
 runs the butterfly ladder, streaming attention, decode and the
-quantized GEMMs under two backends (default serial vs threaded) and
-asserts byte-identical outputs — backends shard only disjoint output
-blocks, so any divergence is a bug, not noise.  The fp16/int4 storage
-tiers are lossy by design; ``storage_tier_drift_report`` bounds their
-drift against the wide reference instead.
+stored-weight GEMM in both formats under two backends (default serial
+vs threaded) and asserts byte-identical outputs — backends shard only
+disjoint output blocks, so any divergence is a bug, not noise.  The
+fp16 stored format is lossy by design; ``storage_tier_drift_report``
+bounds its drift against the wide reference instead (int8's bound is
+the error report above).
 """
 
 from __future__ import annotations
@@ -106,26 +100,26 @@ class Fp16ButterflyEngine(ButterflyEngine):
 
 @dataclass
 class QuantizationErrorReport:
-    """Relative error statistics of the fp16 datapath vs float64."""
+    """Relative error statistics of a reduced-precision engine vs float64."""
 
     n: int
     max_rel_error: float
     mean_rel_error: float
 
     def acceptable(self, threshold: float = 0.05) -> bool:
-        """fp16 butterfly error stays in the few-percent range."""
+        """Reduced-precision butterfly error stays in the few-percent range."""
         return self.max_rel_error < threshold
 
 
-def quantization_error_report(
-    n: int, rng: Optional[np.random.Generator] = None, rows: int = 16
+def _engine_error_report(
+    engine_cls: type, n: int, rng: Optional[np.random.Generator], rows: int
 ) -> QuantizationErrorReport:
-    """Measure fp16 butterfly error against the float64 reference."""
+    """Butterfly error of one reduced-precision engine class vs float64."""
     rng = rng or np.random.default_rng(0)
     matrix = ButterflyMatrix.random(n, rng)
     x = rng.normal(size=(rows, n))
     exact = matrix.apply(x)
-    engine = Fp16ButterflyEngine(pbu=4)
+    engine = engine_cls(pbu=4)
     approx = np.stack([engine.run_butterfly(row, matrix) for row in x])
     scale = np.abs(exact).max()
     rel = np.abs(approx - exact) / max(scale, 1e-30)
@@ -134,6 +128,13 @@ def quantization_error_report(
         max_rel_error=float(rel.max()),
         mean_rel_error=float(rel.mean()),
     )
+
+
+def quantization_error_report(
+    n: int, rng: Optional[np.random.Generator] = None, rows: int = 16
+) -> QuantizationErrorReport:
+    """Measure fp16 butterfly error against the float64 reference."""
+    return _engine_error_report(Fp16ButterflyEngine, n, rng, rows)
 
 
 def accuracy_under_fp16(
@@ -287,19 +288,7 @@ def int8_quantization_error_report(
     n: int, rng: Optional[np.random.Generator] = None, rows: int = 16
 ) -> QuantizationErrorReport:
     """Measure int8-weight butterfly error against the float64 reference."""
-    rng = rng or np.random.default_rng(0)
-    matrix = ButterflyMatrix.random(n, rng)
-    x = rng.normal(size=(rows, n))
-    exact = matrix.apply(x)
-    engine = Int8ButterflyEngine(pbu=4)
-    approx = np.stack([engine.run_butterfly(row, matrix) for row in x])
-    scale = np.abs(exact).max()
-    rel = np.abs(approx - exact) / max(scale, 1e-30)
-    return QuantizationErrorReport(
-        n=n,
-        max_rel_error=float(rel.max()),
-        mean_rel_error=float(rel.mean()),
-    )
+    return _engine_error_report(Int8ButterflyEngine, n, rng, rows)
 
 
 def accuracy_under_int8(
@@ -334,99 +323,6 @@ def accuracy_under_int8(
         "accuracy_delta": quant_acc - exact_acc,
         "max_logit_error": float(np.abs(quantized - exact).max()),
         "weight_memory_ratio": replica.quantization_report.memory_ratio,
-    }
-
-
-# ======================================================================
-# Int4 weight datapath (grouped, nibble-packed)
-# ======================================================================
-def quantize_int4(
-    values: np.ndarray,
-    group_size: int = _QK.INT4_GROUP,
-    calibration: str = "absmax",
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The hardware int4 quantizer model: grouped symmetric nibbles.
-
-    Like :func:`quantize_int8`, this spells out the RTL weight-loader
-    arithmetic independently of :mod:`repro.kernels.quant`: one fp32
-    scale register per ``group_size`` run of input weights, round half
-    to even, saturation at ±7 (so negation stays closed in 4 bits), and
-    two biased codes (+8, unsigned nibbles) packed per byte — even
-    input index in the low nibble, odd in the high.  Returns
-    ``(packed uint8 (out, in/2), scales fp32 (out, in/group_size))``;
-    :func:`verify_int4_quantizer` asserts bit-level agreement with the
-    kernel quantizer.
-    """
-    w = np.asarray(values)
-    if w.ndim != 2:
-        raise ValueError(f"expected (out, in) weights, got {w.shape}")
-    if np.iscomplexobj(w):
-        raise ValueError("int4 weight quantization models the real datapath")
-    out_features, in_features = w.shape
-    if group_size < 2 or group_size % 2:
-        raise ValueError(f"group_size must be an even int >= 2, got {group_size}")
-    if in_features % group_size:
-        raise ValueError(
-            f"in dim {in_features} is not a multiple of group_size {group_size}"
-        )
-    grouped = w.reshape(-1, group_size)
-    if calibration == "absmax":
-        peak = np.abs(grouped).max(axis=1)
-        scales = np.where(peak > 0.0, peak / 7.0, 1.0).astype(np.float32)
-    elif calibration == "mse":
-        scales = _QK.calibrate_scales(grouped, qmax=7)
-    else:
-        raise ValueError(
-            f"calibration must be 'absmax' or 'mse', got {calibration!r}"
-        )
-    codes = np.rint(grouped / scales[:, None])
-    codes = np.minimum(np.maximum(codes, -7.0), 7.0).astype(np.int8)
-    codes = codes.reshape(out_features, in_features)
-    nibbles = (codes + 8).astype(np.uint8)
-    packed = nibbles[:, 0::2] | (nibbles[:, 1::2] << 4)
-    return packed, scales.reshape(out_features, in_features // group_size)
-
-
-def verify_int4_quantizer(
-    weights: np.ndarray,
-    group_size: int = _QK.INT4_GROUP,
-    calibration: str = "absmax",
-) -> Dict[str, float]:
-    """Assert bit-level agreement of the hardware and kernel int4 quantizers.
-
-    Mirrors :func:`verify_int8_quantizer`: packed bytes must be
-    identical, scales identical fp32 bit patterns, and the dequantized
-    weights identical fp64 values.  Raises ``RuntimeError`` on any
-    divergence; returns summary statistics.
-    """
-    hw_packed, hw_scales = quantize_int4(
-        weights, group_size=group_size, calibration=calibration
-    )
-    sw_packed, sw_scales = _QK.quantize_int4_grouped(
-        weights, group_size=group_size, calibration=calibration
-    )
-    if not np.array_equal(hw_packed, sw_packed):
-        raise RuntimeError(
-            "int4 packed-code mismatch between hardware model and kernels: "
-            f"{int((hw_packed != sw_packed).sum())} bytes differ"
-        )
-    if hw_scales.dtype != sw_scales.dtype or not np.array_equal(
-        hw_scales.view(np.uint32), sw_scales.view(np.uint32)
-    ):
-        raise RuntimeError(
-            "int4 scale mismatch between hardware model and kernels"
-        )
-    hw_deq = _QK.dequantize_int4_grouped(hw_packed, hw_scales, dtype=np.float64)
-    sw_deq = _QK.dequantize_int4_grouped(sw_packed, sw_scales, dtype=np.float64)
-    if not np.array_equal(hw_deq, sw_deq):
-        raise RuntimeError(
-            "int4 dequantization mismatch between hardware model and kernels"
-        )
-    codes = _QK.unpack_int4(hw_packed)
-    return {
-        "groups": float(hw_scales.size),
-        "code_peak": float(np.abs(codes).max(initial=0)),
-        "rmse": _QK.int4_quantization_rmse(weights, hw_packed, hw_scales),
     }
 
 
@@ -499,7 +395,7 @@ def verify_backend_parity(
     ga = rng.normal(size=q.shape).astype(np.float32)
     w = rng.normal(size=(n, n))
     q8, s8 = _QK.quantize_per_channel(w)
-    q4, s4 = _QK.quantize_int4_grouped(w)
+    w16 = w.astype(np.float16)
     xf = x.astype(np.float32)
     x3 = rng.normal(size=(2, n, n)).astype(np.float32)  # seq dim == in dim
     g3 = rng.normal(size=(2, n, n)).astype(np.float32)
@@ -516,10 +412,9 @@ def verify_backend_parity(
             fy, fctx = linear_act_forward(x3, wf, bias, activation="gelu")
             fgx, fgw, fgb = linear_act_vjp(g3, fctx)
             lin8 = _QK.quantized_linear(xf, q8, s8)
-            lin4 = _QK.int4_linear(xf, q4, s4)
-            lin16 = _QK.half_linear(xf, _QK.quantize_to_half(w))
+            lin16 = _QK.quantized_linear(xf, w16, None)
         return [y, gx, *gcoeffs, att, agq, agk, agv, dec,
-                fy, fgx, fgw, fgb, lin8, lin4, lin16]
+                fy, fgx, fgw, fgb, lin8, lin16]
 
     ref = run(reference)
     got = run(cand)
@@ -540,13 +435,12 @@ def storage_tier_drift_report(
     rows: int = 16,
     rng: Optional[np.random.Generator] = None,
 ) -> Dict[str, float]:
-    """Bounded-drift report for the lossy fp16/int4 storage tiers.
+    """Bounded-drift report for the lossy fp16 stored format.
 
-    Unlike backends (bit-exact by construction), the storage tiers
-    trade precision for memory; this measures their relative drift
-    against the float64 butterfly reference so BENCH gates can hold the
-    line: fp16 stays in the sub-percent range, int4 in the
-    few-tens-of-percent range on random (worst-case) weights.
+    Unlike backends (bit-exact by construction), fp16 storage trades
+    precision for memory; this measures its relative drift against the
+    float64 butterfly reference so BENCH gates can hold the line: fp16
+    stays in the sub-percent range on random (worst-case) weights.
     """
     rng = rng or np.random.default_rng(0)
     matrix = ButterflyMatrix.random(n, rng)
@@ -555,14 +449,10 @@ def storage_tier_drift_report(
     x = rng.normal(size=(rows, n))
     exact = matrix.apply(x)
     scale = max(float(np.abs(exact).max()), 1e-30)
-
-    half_out = _QK.half_butterfly_apply(
-        x, _QK.half_butterfly_stages(coeffs), halves
+    half_out = _QK.quantized_butterfly_apply(
+        x, [c.astype(np.float16) for c in coeffs], None, halves
     )
-    q4_stages, q4_scales = _QK.quantize_butterfly_stages_int4(coeffs)
-    int4_out = _QK.int4_butterfly_apply(x, q4_stages, q4_scales, halves)
     return {
         "n": float(n),
         "fp16_max_rel_drift": float(np.abs(half_out - exact).max() / scale),
-        "int4_max_rel_drift": float(np.abs(int4_out - exact).max() / scale),
     }

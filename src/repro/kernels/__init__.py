@@ -44,11 +44,12 @@ activation with a parameter-cached ``W^T``), :func:`gelu_forward` /
 and the segment-sum :func:`embedding_grad`, all toggleable back to the
 composite graph via :func:`use_fused`.
 
-Int8 inference lives in :mod:`repro.kernels.quant`: per-channel
-symmetric weight quantization (:func:`quantize_per_channel`, optional
+Stored-weight inference lives in :mod:`repro.kernels.quant`: per-channel
+symmetric int8 quantization (:func:`quantize_per_channel`, optional
 MSE calibration), the blocked dequant-on-the-fly GEMM
-(:func:`quantized_linear`) and the quantized butterfly ladder apply
-(:func:`quantized_butterfly_apply`), sharing one quantizer with the
+(:func:`quantized_linear`) and the stored butterfly ladder apply
+(:func:`quantized_butterfly_apply`) — both take int8 codes with scales
+or fp16 weights with ``scales=None`` — sharing one quantizer with the
 hardware model's verify mode (:mod:`repro.hardware.quantize`).
 """
 
@@ -146,33 +147,18 @@ from .layout import (
 )
 from .quant import (
     CALIBRATION_GRID,
-    INT4_GROUP,
-    Q4MAX,
     QMAX,
     SCRATCH_TARGET_BYTES,
     absmax_scales,
     calibrate_scales,
     dequantize,
     dequantize_butterfly_stages,
-    dequantize_int4_grouped,
-    half_butterfly_apply,
-    half_butterfly_stages,
-    half_linear,
-    half_linear_reference,
-    int4_butterfly_apply,
-    int4_linear,
-    int4_linear_reference,
-    int4_quantization_rmse,
     quantization_rmse,
     quantize_butterfly_stages,
-    quantize_butterfly_stages_int4,
-    quantize_int4_grouped,
     quantize_per_channel,
-    quantize_to_half,
     quantized_butterfly_apply,
     quantized_linear,
     quantized_linear_reference,
-    unpack_int4,
 )
 from .stage import stage_dense, stage_forward, stage_vjp
 
@@ -301,11 +287,9 @@ __all__ = [
     "ACTIVATIONS",
     "CALIBRATION_GRID",
     "DEFAULT_BLOCK",
-    "INT4_GROUP",
     "MAX_GROUP",
     "MIN_STAGES",
     "MIN_WORK",
-    "Q4MAX",
     "QMAX",
     "SCRATCH_TARGET_BYTES",
     "STORAGE_DTYPES",
@@ -347,7 +331,6 @@ __all__ = [
     "default_dtype",
     "dequantize",
     "dequantize_butterfly_stages",
-    "dequantize_int4_grouped",
     "embedding_grad",
     "fft_forward",
     "fft_stage_coeffs",
@@ -362,14 +345,6 @@ __all__ = [
     "gelu_vjp",
     "grouped_forward",
     "grouped_vjp",
-    "half_butterfly_apply",
-    "half_butterfly_stages",
-    "half_linear",
-    "half_linear_reference",
-    "int4_butterfly_apply",
-    "int4_linear",
-    "int4_linear_reference",
-    "int4_quantization_rmse",
     "linear_act_forward",
     "linear_act_vjp",
     "num_stages",
@@ -378,10 +353,7 @@ __all__ = [
     "promote_storage",
     "quantization_rmse",
     "quantize_butterfly_stages",
-    "quantize_butterfly_stages_int4",
-    "quantize_int4_grouped",
     "quantize_per_channel",
-    "quantize_to_half",
     "quantized_butterfly_apply",
     "quantized_linear",
     "quantized_linear_reference",
@@ -397,7 +369,6 @@ __all__ = [
     "stage_forward",
     "stage_halves",
     "stage_vjp",
-    "unpack_int4",
     "use_backend",
     "use_fused",
 ]

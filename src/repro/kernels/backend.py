@@ -42,7 +42,7 @@ with :func:`use_backend`)::
         model(tokens)
 
 Backends are *execution* strategies only — they never change numerics.
-The fp16/int4 storage tiers (:mod:`repro.kernels.quant`) are orthogonal
+The int8/fp16 stored formats (:mod:`repro.kernels.quant`) are orthogonal
 and compose with either backend.
 """
 

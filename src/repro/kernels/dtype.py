@@ -34,7 +34,7 @@ _ALLOWED = (np.float32, np.float64)
 #: Dtypes a weight/activation may be *stored* in.  float16 is a storage
 #: tier only (the paper's 16-bit buffers): NumPy has no BLAS half
 #: kernels, so fp16 operands are streamed through fp32 compute blocks
-#: (see :func:`compute_dtype` and :func:`repro.kernels.quant.half_linear`).
+#: (see :func:`compute_dtype` and :func:`repro.kernels.quant.quantized_linear`).
 STORAGE_DTYPES = (np.float16, np.float32, np.float64)
 
 _default_dtype: np.dtype = np.dtype(np.float64)

@@ -1,4 +1,4 @@
-"""Int8 weight quantization kernels: the software decode datapath.
+"""Stored-weight kernels (int8 codes / fp16): the software decode datapath.
 
 The paper's accelerator executes butterfly and attention workloads in
 reduced precision; :mod:`repro.hardware.quantize` models what that does
@@ -32,8 +32,15 @@ the grouped butterfly plans; butterfly-stage quantization reuses the
 existing plan cache by dequantizing the (tiny) stage coefficients and
 dispatching to :func:`repro.kernels.butterfly_apply`.
 
+Stored formats — a weight is ``(codes, scales)`` and the two formats
+differ by that one optional array: int8 codes carry per-channel fp32
+``scales``; ``scales is None`` *is* the fp16 format (half-precision
+storage, the paper's 16-bit buffers, nothing to rescale).  One streaming
+GEMM and one ladder apply serve both.
+
 The activation dtype follows the inputs (float32/float64 under the
-:mod:`repro.kernels.dtype` policy); only weights are int8.
+:mod:`repro.kernels.dtype` policy; fp16 activations compute one tier
+wider and are cast back); only weights are stored narrow.
 """
 
 from __future__ import annotations
@@ -46,21 +53,12 @@ import numpy as np
 from ..telemetry import counter_inc, span
 from .autotune import get_tuned, shape_class
 from .backend import resolve_backend
-from .dtype import promote_storage
+from .dtype import compute_dtype
 
 #: Quantized code range: symmetric int8 without -128, so negation is
 #: closed and the hardware's sign-magnitude multipliers need no special
 #: case (the convention of the int8 accelerator literature).
 QMAX = 127
-
-#: Int4 code range: symmetric without -8, same closure argument as int8.
-Q4MAX = 7
-
-#: Input-dim group size for int4 quantization.  Int4's 15-level grid is
-#: too coarse for one scale per channel, so scales are per contiguous
-#: group of this many weights along the input dimension (the standard
-#: grouped scheme of the 4-bit LLM inference literature).
-INT4_GROUP = 32
 
 #: Dequant scratch sizing: one block of rows is dequantized at a time
 #: into a buffer of at most this many bytes, so the fp copy BLAS reads
@@ -77,34 +75,34 @@ _SCRATCH_TLS = threading.local()
 _SCRATCH_CACHE_MAX = 16
 
 
-def absmax_scales(w: np.ndarray, qmax: int = QMAX) -> np.ndarray:
-    """Per-channel (per-row) symmetric scales ``absmax / qmax`` as fp32.
+def absmax_scales(w: np.ndarray) -> np.ndarray:
+    """Per-channel (per-row) symmetric scales ``absmax / 127`` as fp32.
 
     ``w`` is ``(channels, elements)``; all-zero channels get scale 1.0
     so their codes (all zero) still dequantize exactly.
     """
     absmax = np.abs(w).max(axis=-1)
-    return np.where(absmax > 0.0, absmax / qmax, 1.0).astype(np.float32)
+    return np.where(absmax > 0.0, absmax / QMAX, 1.0).astype(np.float32)
 
 
 def calibrate_scales(
-    w: np.ndarray, grid: Sequence[float] = CALIBRATION_GRID, qmax: int = QMAX
+    w: np.ndarray, grid: Sequence[float] = CALIBRATION_GRID
 ) -> np.ndarray:
     """MSE-calibrated per-channel scales: grid-search a shrink of absmax.
 
     Clipping a heavy-tailed channel slightly (shrinking its scale below
-    ``absmax/qmax``) trades a few saturated outliers for a finer grid on
+    ``absmax/127``) trades a few saturated outliers for a finer grid on
     the bulk of the weights; this pass picks, per channel, the shrink in
     ``grid`` minimizing the round-trip MSE.  Pure weight-distribution
     calibration — no activation data needed.
     """
     w = np.asarray(w, dtype=np.float64)
-    base = absmax_scales(w, qmax=qmax).astype(np.float64)
+    base = absmax_scales(w).astype(np.float64)
     best_scales = base.copy()
     best_err = np.full(w.shape[0], np.inf)
     for shrink in grid:
         scales = base * shrink
-        q = np.clip(np.rint(w / scales[:, None]), -qmax, qmax)
+        q = np.clip(np.rint(w / scales[:, None]), -QMAX, QMAX)
         err = np.square(q * scales[:, None] - w).mean(axis=-1)
         better = err < best_err
         best_err[better] = err[better]
@@ -112,14 +110,15 @@ def calibrate_scales(
     return best_scales.astype(np.float32)
 
 
-def _symmetric_scales(w: np.ndarray, calibration: str, qmax: int) -> np.ndarray:
-    if calibration == "absmax":
-        return absmax_scales(w, qmax=qmax)
-    if calibration == "mse":
-        return calibrate_scales(w, qmax=qmax)
-    raise ValueError(
-        f"calibration must be 'absmax' or 'mse', got {calibration!r}"
-    )
+_CALIBRATIONS = {"absmax": absmax_scales, "mse": calibrate_scales}
+
+
+def check_calibration(calibration: str) -> None:
+    """Reject an unknown scale-search name, before any weight is touched."""
+    if calibration not in _CALIBRATIONS:
+        raise ValueError(
+            f"calibration must be 'absmax' or 'mse', got {calibration!r}"
+        )
 
 
 def quantize_per_channel(
@@ -134,15 +133,20 @@ def quantize_per_channel(
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"expected 2-D (channels, elements) weights, got {w.shape}")
-    scales = _symmetric_scales(w, calibration, QMAX)
+    check_calibration(calibration)
+    scales = _CALIBRATIONS[calibration](w)
     q = np.clip(np.rint(w / scales[:, None]), -QMAX, QMAX).astype(np.int8)
     return q, scales
 
 
-def dequantize(q: np.ndarray, scales: np.ndarray, dtype=None) -> np.ndarray:
-    """Exact dequantization ``q * scales`` (per-channel rows) in ``dtype``."""
+def dequantize(
+    q: np.ndarray, scales: Optional[np.ndarray], dtype=None
+) -> np.ndarray:
+    """The stored weight in ``dtype``: exactly ``q * scales`` per channel
+    row for int8 codes, a plain widening for fp16 (``scales is None``)."""
     dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-    return q.astype(dtype) * scales.astype(dtype)[:, None]
+    w = q.astype(dtype)
+    return w if scales is None else w * scales.astype(dtype)[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +187,11 @@ def _resolve_block_rows(
     defaults, see :mod:`repro.kernels.autotune`) > on-the-fly heuristic.
 
     The block size is execution-only — output column blocks are
-    independent GEMMs over the full contraction axis, so any block size
-    produces bit-identical results.
+    independent GEMMs over the full contraction axis, so every block
+    size computes the same function.  Bytes can still differ between
+    block sizes in the last ulp: BLAS picks its micro-kernel by column
+    count.  For one block size they are reproducible, which is what the
+    serial/threaded parity rests on (both run the same blocks).
     """
     if block_rows is not None:
         return max(1, int(block_rows))
@@ -199,7 +206,7 @@ def _resolve_block_rows(
 def quantized_linear(
     x: np.ndarray,
     q_weight: np.ndarray,
-    scales: np.ndarray,
+    scales: Optional[np.ndarray],
     bias: Optional[np.ndarray] = None,
     *,
     block_rows: Optional[int] = None,
@@ -207,97 +214,41 @@ def quantized_linear(
 ) -> np.ndarray:
     """``x @ dequant(q_weight)^T + bias`` without materializing the weight.
 
-    ``x`` is ``(..., in)`` float32/float64, ``q_weight`` is ``(out, in)``
-    int8 with per-output-channel ``scales``.  The weight is streamed
-    through a cache-resident scratch block (one ``int8 -> fp`` copy and
-    one GEMM per block); the per-channel scale is applied once to the
-    ``(..., out)`` accumulator, which is tiny next to the weight.
+    ``x`` is ``(..., in)``; ``q_weight`` is the ``(out, in)`` stored
+    weight — int8 codes with per-output-channel ``scales``, or fp16 with
+    ``scales=None``.  The weight is streamed through a cache-resident
+    scratch block (one ``stored -> fp`` copy and one GEMM per block);
+    the per-channel scale is applied once to the ``(..., out)``
+    accumulator, which is tiny next to the weight.
+
+    The arithmetic runs in :func:`compute_dtype(x.dtype)
+    <repro.kernels.dtype.compute_dtype>` for both formats: int8 codes
+    have no float tier of their own, and fp16 storage promotes to fp32
+    (NumPy has no BLAS half kernels), which never exceeds the
+    activation's compute tier — the software analogue of wide
+    accumulators over the paper's 16-bit buffers.  The result is cast
+    back to ``x``'s dtype, so an fp16 activation stream stays fp16 end
+    to end and float32/float64 activations are never copied.
 
     ``block_rows`` overrides the autotuned block size; ``backend``
     selects the execution backend (blocks are independent output-column
     GEMMs, so the threaded backend shards them bit-identically).
     """
     x = np.asarray(x)
-    if q_weight.dtype != np.int8:
-        raise TypeError(f"q_weight must be int8, got {q_weight.dtype}")
+    if q_weight.dtype != (np.float16 if scales is None else np.int8):
+        raise TypeError(
+            "q_weight must be int8 codes with scales or float16 without, "
+            f"got {q_weight.dtype} with scales={'None' if scales is None else 'given'}"
+        )
     out_features, in_features = q_weight.shape
     if x.shape[-1] != in_features:
         raise ValueError(
             f"input dim {x.shape[-1]} does not match weight in dim {in_features}"
         )
     backend = resolve_backend(backend)
+    cdt = compute_dtype(x.dtype)
     lead = x.shape[:-1]
-    x2 = x.reshape(-1, in_features)
-    out = np.empty((x2.shape[0], out_features), dtype=x.dtype)
-    rows = _resolve_block_rows(block_rows, in_features, x.dtype)
-
-    def run_block(o0: int) -> None:
-        o1 = min(o0 + rows, out_features)
-        buf = _scratch(min(rows, out_features), in_features, x.dtype)
-        block = buf[: o1 - o0]
-        np.copyto(block, q_weight[o0:o1])  # int8 -> fp dequant (unscaled)
-        np.matmul(x2, block.T, out=out[:, o0:o1])
-
-    with span("kernels.quantized_linear", rows=x2.shape[0], out=out_features):
-        backend.map(run_block, range(0, out_features, rows))
-        out *= scales
-        if bias is not None:
-            out += bias
-    return out.reshape(*lead, out_features)
-
-
-def quantized_linear_reference(
-    x: np.ndarray,
-    q_weight: np.ndarray,
-    scales: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Unblocked oracle for :func:`quantized_linear` (parity tests)."""
-    out = np.matmul(x, q_weight.T.astype(x.dtype))
-    out *= scales
-    if bias is not None:
-        out += bias
-    return out
-
-
-# ----------------------------------------------------------------------
-# fp16 storage tier: half-precision weights, one-tier-wider compute
-# ----------------------------------------------------------------------
-def quantize_to_half(w: np.ndarray) -> np.ndarray:
-    """Round weights to the fp16 storage tier (half the bytes of fp32)."""
-    return np.asarray(w).astype(np.float16)
-
-
-def half_linear(
-    x: np.ndarray,
-    w_half: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    *,
-    block_rows: Optional[int] = None,
-    backend=None,
-) -> np.ndarray:
-    """``x @ w_half^T + bias`` with ``(out, in)`` weights *stored* in fp16.
-
-    NumPy has no BLAS half kernels, so the weight is streamed block-wise
-    through a :func:`compute_dtype <repro.kernels.dtype.compute_dtype>`
-    scratch (fp16 promotes to fp32) and the GEMM runs one tier wider —
-    the software analogue of wide accumulators over the paper's 16-bit
-    buffers.  The result is cast back to ``x``'s dtype, so an fp16
-    activation stream stays fp16 end to end.
-    """
-    x = np.asarray(x)
-    w_half = np.asarray(w_half)
-    if w_half.dtype != np.float16:
-        raise TypeError(f"w_half must be float16, got {w_half.dtype}")
-    out_features, in_features = w_half.shape
-    if x.shape[-1] != in_features:
-        raise ValueError(
-            f"input dim {x.shape[-1]} does not match weight in dim {in_features}"
-        )
-    backend = resolve_backend(backend)
-    cdt = promote_storage(x.dtype, np.float16)
-    lead = x.shape[:-1]
-    x2 = np.ascontiguousarray(x.reshape(-1, in_features), dtype=cdt)
+    x2 = np.asarray(x.reshape(-1, in_features), dtype=cdt)
     out = np.empty((x2.shape[0], out_features), dtype=cdt)
     rows = _resolve_block_rows(block_rows, in_features, cdt)
 
@@ -305,155 +256,37 @@ def half_linear(
         o1 = min(o0 + rows, out_features)
         buf = _scratch(min(rows, out_features), in_features, cdt)
         block = buf[: o1 - o0]
-        np.copyto(block, w_half[o0:o1])  # fp16 -> compute-tier promote
+        np.copyto(block, q_weight[o0:o1])  # stored -> fp (unscaled)
         np.matmul(x2, block.T, out=out[:, o0:o1])
 
-    with span("kernels.half_linear", rows=x2.shape[0], out=out_features):
+    with span("kernels.quantized_linear", rows=x2.shape[0], out=out_features):
         backend.map(run_block, range(0, out_features, rows))
+        if scales is not None:
+            out *= scales
         if bias is not None:
-            out += np.asarray(bias, dtype=cdt)
+            out += bias
     return out.reshape(*lead, out_features).astype(x.dtype, copy=False)
 
 
-def half_linear_reference(
+def quantized_linear_reference(
     x: np.ndarray,
-    w_half: np.ndarray,
+    q_weight: np.ndarray,
+    scales: Optional[np.ndarray],
     bias: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Unblocked oracle for :func:`half_linear` (parity tests)."""
-    cdt = promote_storage(x.dtype, np.float16)
-    out = np.matmul(x.astype(cdt), w_half.T.astype(cdt))
-    if bias is not None:
-        out += np.asarray(bias, dtype=cdt)
-    return out.astype(np.asarray(x).dtype, copy=False)
-
-
-# ----------------------------------------------------------------------
-# int4 storage tier: grouped symmetric codes, two nibbles per byte
-# ----------------------------------------------------------------------
-def quantize_int4_grouped(
-    w: np.ndarray,
-    group_size: int = INT4_GROUP,
-    calibration: str = "absmax",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantize ``(out, in)`` weights to packed int4 with per-group scales.
-
-    Each contiguous run of ``group_size`` weights along the input dim
-    shares one fp32 scale; codes are ``clip(rint(w / s), -7, 7)`` (round
-    half to even, matching the int8 path and the hardware quantizer).
-    Two codes pack into each byte, biased by +8 into unsigned nibbles:
-    even input index in the low nibble, odd in the high nibble.  Returns
-    ``(packed uint8 (out, in/2), scales fp32 (out, in/group_size))``.
-    """
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise ValueError(f"expected 2-D (out, in) weights, got {w.shape}")
-    out_features, in_features = w.shape
-    if group_size < 2 or group_size % 2:
-        raise ValueError(f"group_size must be an even int >= 2, got {group_size}")
-    if in_features % group_size:
-        raise ValueError(
-            f"in dim {in_features} is not a multiple of group_size {group_size}"
-        )
-    grouped = w.reshape(-1, group_size)
-    scales = _symmetric_scales(grouped, calibration, Q4MAX)
-    q = np.clip(np.rint(grouped / scales[:, None]), -Q4MAX, Q4MAX)
-    codes = q.astype(np.int8).reshape(out_features, in_features)
-    biased = (codes + 8).astype(np.uint8)
-    packed = biased[:, 0::2] | (biased[:, 1::2] << 4)
-    return packed, scales.reshape(out_features, in_features // group_size)
-
-
-def unpack_int4(packed: np.ndarray) -> np.ndarray:
-    """Unpack nibble-packed codes back to int8 in ``[-7, 7]``."""
-    if packed.dtype != np.uint8:
-        raise TypeError(f"packed int4 weights must be uint8, got {packed.dtype}")
-    codes = np.empty((packed.shape[0], packed.shape[1] * 2), dtype=np.int8)
-    codes[:, 0::2] = (packed & 0x0F).astype(np.int8) - 8
-    codes[:, 1::2] = (packed >> 4).astype(np.int8) - 8
-    return codes
-
-
-def dequantize_int4_grouped(
-    packed: np.ndarray, scales: np.ndarray, dtype=None
-) -> np.ndarray:
-    """Exact dequantization of grouped int4 codes in ``dtype``."""
-    dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-    out_features = packed.shape[0]
-    in_features = packed.shape[1] * 2
-    n_groups = scales.shape[1]
-    w = unpack_int4(packed).astype(dtype).reshape(out_features, n_groups, -1)
-    w *= np.asarray(scales, dtype=dtype)[:, :, None]
-    return w.reshape(out_features, in_features)
-
-
-def int4_linear(
-    x: np.ndarray,
-    q4_weight: np.ndarray,
-    scales: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    *,
-    block_rows: Optional[int] = None,
-    backend=None,
-) -> np.ndarray:
-    """``x @ dequant(q4_weight)^T + bias`` from nibble-packed int4 weights.
-
-    Same streaming recipe as :func:`quantized_linear` — one unpack +
-    per-group dequant + GEMM per output-row block, never materializing
-    the full weight — but the DRAM stream is a quarter of fp32 (plus the
-    per-group scales).  Blocks are independent, so the threaded backend
-    shards them bit-identically.
-    """
+    """Unblocked oracle for :func:`quantized_linear` (parity tests)."""
     x = np.asarray(x)
-    if q4_weight.dtype != np.uint8:
-        raise TypeError(f"q4_weight must be uint8 (packed), got {q4_weight.dtype}")
-    out_features = q4_weight.shape[0]
-    in_features = q4_weight.shape[1] * 2
-    if x.shape[-1] != in_features:
-        raise ValueError(
-            f"input dim {x.shape[-1]} does not match weight in dim {in_features}"
-        )
-    n_groups = scales.shape[1]
-    backend = resolve_backend(backend)
-    lead = x.shape[:-1]
-    x2 = x.reshape(-1, in_features)
-    out = np.empty((x2.shape[0], out_features), dtype=x.dtype)
-    rows = _resolve_block_rows(block_rows, in_features, x.dtype)
-
-    def run_block(o0: int) -> None:
-        o1 = min(o0 + rows, out_features)
-        buf = _scratch(min(rows, out_features), in_features, x.dtype)
-        block = buf[: o1 - o0]
-        pk = q4_weight[o0:o1].astype(np.int16)
-        block[:, 0::2] = (pk & 0x0F) - 8
-        block[:, 1::2] = (pk >> 4) - 8
-        bg = block.reshape(o1 - o0, n_groups, -1)
-        bg *= scales[o0:o1, :, None]
-        np.matmul(x2, block.T, out=out[:, o0:o1])
-
-    with span("kernels.int4_linear", rows=x2.shape[0], out=out_features):
-        backend.map(run_block, range(0, out_features, rows))
-        if bias is not None:
-            out += bias
-    return out.reshape(*lead, out_features)
-
-
-def int4_linear_reference(
-    x: np.ndarray,
-    q4_weight: np.ndarray,
-    scales: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Unblocked oracle for :func:`int4_linear` (parity tests)."""
-    w = dequantize_int4_grouped(q4_weight, scales, dtype=np.asarray(x).dtype)
-    out = np.matmul(x, w.T)
+    cdt = compute_dtype(x.dtype)
+    out = np.matmul(x.astype(cdt), q_weight.T.astype(cdt))
+    if scales is not None:
+        out *= scales
     if bias is not None:
         out += bias
-    return out
+    return out.astype(x.dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
-# Quantized butterfly ladders
+# Stored butterfly ladders
 # ----------------------------------------------------------------------
 def quantize_butterfly_stages(
     coeffs: Sequence[np.ndarray], calibration: str = "absmax"
@@ -479,10 +312,13 @@ def quantize_butterfly_stages(
 
 def dequantize_butterfly_stages(
     q_stages: Sequence[np.ndarray],
-    stage_scales: Sequence[np.ndarray],
+    stage_scales: Optional[Sequence[np.ndarray]],
     dtype=None,
 ) -> List[np.ndarray]:
-    """Exact fp stage tensors from int8 codes (shared with the hardware model)."""
+    """Exact fp stage tensors from stored stages (shared with the hardware
+    model); ``stage_scales is None`` is the fp16 format, as for weights."""
+    if stage_scales is None:
+        stage_scales = [None] * len(q_stages)
     return [
         dequantize(q, s, dtype=dtype) for q, s in zip(q_stages, stage_scales)
     ]
@@ -491,95 +327,33 @@ def dequantize_butterfly_stages(
 def quantized_butterfly_apply(
     x: np.ndarray,
     q_stages: Sequence[np.ndarray],
-    stage_scales: Sequence[np.ndarray],
+    stage_scales: Optional[Sequence[np.ndarray]],
     halves: Sequence[int],
 ) -> np.ndarray:
-    """Apply an int8-quantized butterfly ladder to the last axis of ``x``.
+    """Apply a stored (int8 or fp16) butterfly ladder to the last axis of ``x``.
 
     Stage coefficients are ``O(n)`` while activations are ``O(batch *
     n)``, so dequantizing the stages on the fly is cheap; the apply then
     rides the existing fused grouped kernel and its plan/scratch caches
     (:func:`repro.kernels.butterfly_apply` with ``need_ctx=False`` —
-    inference only, no VJP context).
+    inference only, no VJP context).  Compute dtype and the cast back
+    follow :func:`quantized_linear`.
     """
     from . import butterfly_apply  # local import: package init imports us
 
-    coeffs = dequantize_butterfly_stages(q_stages, stage_scales, dtype=x.dtype)
-    y, _ = butterfly_apply(x, coeffs, halves, need_ctx=False)
-    return y
-
-
-def half_butterfly_stages(coeffs: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Round a ladder's ``(4, n/2)`` stage tensors to fp16 storage."""
-    return [np.asarray(c).astype(np.float16) for c in coeffs]
-
-
-def half_butterfly_apply(
-    x: np.ndarray, h_stages: Sequence[np.ndarray], halves: Sequence[int]
-) -> np.ndarray:
-    """Apply an fp16-stored butterfly ladder (compute one tier wider)."""
-    from . import butterfly_apply  # local import: package init imports us
-
-    cdt = promote_storage(x.dtype, np.float16)
-    coeffs = [c.astype(cdt) for c in h_stages]
-    xc = np.ascontiguousarray(x, dtype=cdt)
-    y, _ = butterfly_apply(xc, coeffs, halves, need_ctx=False)
-    return y.astype(np.asarray(x).dtype, copy=False)
-
-
-def quantize_butterfly_stages_int4(
-    coeffs: Sequence[np.ndarray],
-    group_size: int = INT4_GROUP,
-    calibration: str = "absmax",
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Quantize a ladder's ``(4, n/2)`` stage tensors to grouped int4.
-
-    Groups run along the pair axis within each of the four coefficient
-    roles, clamped to the stage width for small ladders.  Returns
-    ``(packed codes per stage, per-group scales per stage)``.
-    """
-    packed: List[np.ndarray] = []
-    scales: List[np.ndarray] = []
-    for c in coeffs:
-        c = np.asarray(c)
-        if c.ndim != 2 or c.shape[0] != 4:
-            raise ValueError(f"stage coeffs must be (4, n/2), got {c.shape}")
-        gs = min(group_size, c.shape[1])
-        p, s = quantize_int4_grouped(c, group_size=gs, calibration=calibration)
-        packed.append(p)
-        scales.append(s)
-    return packed, scales
-
-
-def int4_butterfly_apply(
-    x: np.ndarray,
-    packed_stages: Sequence[np.ndarray],
-    stage_scales: Sequence[np.ndarray],
-    halves: Sequence[int],
-) -> np.ndarray:
-    """Apply a grouped-int4 butterfly ladder to the last axis of ``x``."""
-    from . import butterfly_apply  # local import: package init imports us
-
-    coeffs = [
-        dequantize_int4_grouped(p, s, dtype=x.dtype)
-        for p, s in zip(packed_stages, stage_scales)
-    ]
-    y, _ = butterfly_apply(x, coeffs, halves, need_ctx=False)
-    return y
+    x = np.asarray(x)
+    cdt = compute_dtype(x.dtype)
+    coeffs = dequantize_butterfly_stages(q_stages, stage_scales, dtype=cdt)
+    y, _ = butterfly_apply(np.asarray(x, dtype=cdt), coeffs, halves, need_ctx=False)
+    return y.astype(x.dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
 # Error accounting shared by tests and the nn transform
 # ----------------------------------------------------------------------
-def quantization_rmse(w: np.ndarray, q: np.ndarray, scales: np.ndarray) -> float:
-    """Root-mean-square round-trip error of a quantized weight."""
-    w_hat = dequantize(q, scales, dtype=np.float64)
-    return float(np.sqrt(np.square(w_hat - np.asarray(w, dtype=np.float64)).mean()))
-
-
-def int4_quantization_rmse(
-    w: np.ndarray, packed: np.ndarray, scales: np.ndarray
+def quantization_rmse(
+    w: np.ndarray, q: np.ndarray, scales: Optional[np.ndarray]
 ) -> float:
-    """Root-mean-square round-trip error of a grouped-int4 weight."""
-    w_hat = dequantize_int4_grouped(packed, scales, dtype=np.float64)
+    """Root-mean-square round-trip error of a stored weight."""
+    w_hat = dequantize(q, scales, dtype=np.float64)
     return float(np.sqrt(np.square(w_hat - np.asarray(w, dtype=np.float64)).mean()))

@@ -4,13 +4,14 @@
 *storage-tier replica*: a deep copy in which every dense :class:`~repro.
 nn.layers.Linear` and :class:`~repro.nn.butterfly_layer.ButterflyLinear`
 (including the attention Q/K/V/output projections and the LM head) is
-swapped for a reduced-storage counterpart (:mod:`repro.kernels.quant`).
-Three tiers are offered via ``mode``: ``"int8"`` per-channel symmetric
-codes plus fp32 scales (the default), ``"fp16"`` half-precision weight
-storage with one-tier-wider compute, and ``"int4"`` grouped nibble-
-packed codes below it.  The original model is left untouched — training
-paths never see quantized weights; the replica is decode/prefill only
-and raises if run in training mode.
+swapped for its stored-weight counterpart (:mod:`repro.kernels.quant`).
+``mode`` picks the stored format (:data:`QUANT_MODES`): ``"int8"``
+per-channel symmetric codes plus fp32 scales (the default) or ``"fp16"``
+half-precision weight storage with one-tier-wider compute.  The formats
+differ by one optional array — ``scales is None`` *is* fp16 — so one
+module pair serves both.  The original model is left untouched —
+training paths never see quantized weights; the replica is
+decode/prefill only and raises if run in training mode.
 
 Embeddings, LayerNorm affines and biases stay in floating point: they
 are a vanishing fraction of the weight bytes (the GEMM weights dominate)
@@ -38,36 +39,38 @@ from .module import Module, ModuleList, Sequential
 from .tensor import Tensor
 from . import tensor as F
 
+#: Stored formats understood by :func:`quantize_for_inference`.  The one
+#: place the tier list is spelled: ``ServingEngine(quantize=...)`` and
+#: the CLI's ``--quantize`` choices derive from it.
+QUANT_MODES = ("int8", "fp16")
+
+
+def _nbytes(*arrays: Optional[np.ndarray]) -> int:
+    return sum(a.nbytes for a in arrays if a is not None)
+
 
 class QuantizedLinear(Module):
-    """Inference-only dense layer over int8 codes and fp32 scales.
+    """Inference-only dense layer over a stored ``(out, in)`` weight.
 
-    Forward runs the blocked dequant-on-the-fly GEMM
-    (:func:`repro.kernels.quantized_linear`); no gradients are recorded
-    (the returned tensor is a constant leaf), and calling it in training
-    mode raises.
+    ``q_weight`` is int8 codes with per-channel fp32 ``scales``, or fp16
+    with ``scales=None``.  Forward runs the blocked dequant-on-the-fly
+    GEMM (:func:`repro.kernels.quantized_linear`); no gradients are
+    recorded (the returned tensor is a constant leaf), and calling it in
+    training mode raises.
     """
 
     def __init__(
         self,
         q_weight: np.ndarray,
-        scales: np.ndarray,
+        scales: Optional[np.ndarray],
         bias: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__()
-        if q_weight.dtype != np.int8:
-            raise TypeError(f"q_weight must be int8, got {q_weight.dtype}")
         self.out_features, self.in_features = q_weight.shape
         self.q_weight = q_weight
         self.scales = scales
         self.bias = None if bias is None else np.asarray(bias)
         self.training = False
-
-    @classmethod
-    def from_linear(cls, linear: Linear, calibration: str = "absmax") -> "QuantizedLinear":
-        q, scales = QK.quantize_per_channel(linear.weight.data, calibration=calibration)
-        bias = None if linear.bias is None else linear.bias.data.copy()
-        return cls(q, scales, bias)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
@@ -78,11 +81,8 @@ class QuantizedLinear(Module):
         return Tensor(QK.quantized_linear(x.data, self.q_weight, self.scales, self.bias))
 
     def weight_nbytes(self) -> int:
-        """Bytes held by the quantized weight (codes + scales + bias)."""
-        total = self.q_weight.nbytes + self.scales.nbytes
-        if self.bias is not None:
-            total += self.bias.nbytes
-        return total
+        """Bytes held by the stored weight (codes + scales + bias)."""
+        return _nbytes(self.q_weight, self.scales, self.bias)
 
     def dense_weight(self) -> np.ndarray:
         """Dequantized ``(out, in)`` weight (verification / drift analysis)."""
@@ -90,13 +90,15 @@ class QuantizedLinear(Module):
 
 
 class QuantizedButterflyLinear(Module):
-    """Inference-only butterfly ladder over int8 stage codes.
+    """Inference-only butterfly ladder over stored stage coefficients.
 
     Mirrors :class:`~repro.nn.butterfly_layer.ButterflyLinear.forward`
     (pad to the internal power-of-two size, apply the ladder, truncate,
     add bias) but dequantizes each ``(4, n/2)`` stage on the fly and
     rides the shared fused grouped kernel
-    (:func:`repro.kernels.quantized_butterfly_apply`).
+    (:func:`repro.kernels.quantized_butterfly_apply`).  ``q_stages`` are
+    int8 codes with four fp32 ``stage_scales`` each, or fp16 with
+    ``stage_scales=None``.
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class QuantizedButterflyLinear(Module):
         n: int,
         halves: List[int],
         q_stages: List[np.ndarray],
-        stage_scales: List[np.ndarray],
+        stage_scales: Optional[List[np.ndarray]],
         bias: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__()
@@ -118,20 +120,6 @@ class QuantizedButterflyLinear(Module):
         self.stage_scales = stage_scales
         self.bias = None if bias is None else np.asarray(bias)
         self.training = False
-
-    @classmethod
-    def from_butterfly(
-        cls, layer: ButterflyLinear, calibration: str = "absmax"
-    ) -> "QuantizedButterflyLinear":
-        coeffs = [p.data for p in layer.stage_parameters()]
-        q_stages, stage_scales = QK.quantize_butterfly_stages(
-            coeffs, calibration=calibration
-        )
-        bias = None if layer.bias is None else layer.bias.data.copy()
-        return cls(
-            layer.in_features, layer.out_features, layer.n, layer.halves,
-            q_stages, stage_scales, bias,
-        )
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
@@ -157,11 +145,8 @@ class QuantizedButterflyLinear(Module):
         return Tensor(out)
 
     def weight_nbytes(self) -> int:
-        total = sum(q.nbytes for q in self.q_stages)
-        total += sum(s.nbytes for s in self.stage_scales)
-        if self.bias is not None:
-            total += self.bias.nbytes
-        return total
+        """Bytes held by the stored ladder (stages + scales + bias)."""
+        return _nbytes(*self.q_stages, *(self.stage_scales or ()), self.bias)
 
     def dense_weight(self) -> np.ndarray:
         """Dequantized dense ``(out, in)`` equivalent (verification only)."""
@@ -179,258 +164,7 @@ class QuantizedButterflyLinear(Module):
         return full[: self.out_features, : self.in_features]
 
 
-class HalfLinear(Module):
-    """Inference-only dense layer over fp16-stored weights.
-
-    Storage-tier sibling of :class:`QuantizedLinear`: half the weight
-    bytes of fp32, compute promoted one tier wider inside
-    :func:`repro.kernels.half_linear`.
-    """
-
-    def __init__(
-        self, w_half: np.ndarray, bias: Optional[np.ndarray] = None
-    ) -> None:
-        super().__init__()
-        if w_half.dtype != np.float16:
-            raise TypeError(f"w_half must be float16, got {w_half.dtype}")
-        self.out_features, self.in_features = w_half.shape
-        self.w_half = w_half
-        self.bias = None if bias is None else np.asarray(bias)
-        self.training = False
-
-    @classmethod
-    def from_linear(cls, linear: Linear, calibration: str = "absmax") -> "HalfLinear":
-        del calibration  # fp16 rounding needs no scale search
-        bias = None if linear.bias is None else linear.bias.data.copy()
-        return cls(QK.quantize_to_half(linear.weight.data), bias)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError(
-                "HalfLinear is inference-only; quantize_for_inference "
-                "replicas cannot be trained"
-            )
-        return Tensor(QK.half_linear(x.data, self.w_half, self.bias))
-
-    def weight_nbytes(self) -> int:
-        total = self.w_half.nbytes
-        if self.bias is not None:
-            total += self.bias.nbytes
-        return total
-
-    def dense_weight(self) -> np.ndarray:
-        return self.w_half.astype(np.float64)
-
-
-class Int4Linear(Module):
-    """Inference-only dense layer over nibble-packed int4 grouped codes."""
-
-    def __init__(
-        self,
-        q4_weight: np.ndarray,
-        scales: np.ndarray,
-        bias: Optional[np.ndarray] = None,
-    ) -> None:
-        super().__init__()
-        if q4_weight.dtype != np.uint8:
-            raise TypeError(f"q4_weight must be uint8, got {q4_weight.dtype}")
-        self.out_features = q4_weight.shape[0]
-        self.in_features = q4_weight.shape[1] * 2
-        self.q4_weight = q4_weight
-        self.scales = scales
-        self.bias = None if bias is None else np.asarray(bias)
-        self.training = False
-
-    @classmethod
-    def from_linear(cls, linear: Linear, calibration: str = "absmax") -> "Int4Linear":
-        w = linear.weight.data
-        packed, scales = QK.quantize_int4_grouped(
-            w, group_size=_int4_group_size(w.shape[1]), calibration=calibration
-        )
-        bias = None if linear.bias is None else linear.bias.data.copy()
-        return cls(packed, scales, bias)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError(
-                "Int4Linear is inference-only; quantize_for_inference "
-                "replicas cannot be trained"
-            )
-        return Tensor(QK.int4_linear(x.data, self.q4_weight, self.scales, self.bias))
-
-    def weight_nbytes(self) -> int:
-        total = self.q4_weight.nbytes + self.scales.nbytes
-        if self.bias is not None:
-            total += self.bias.nbytes
-        return total
-
-    def dense_weight(self) -> np.ndarray:
-        return QK.dequantize_int4_grouped(
-            self.q4_weight, self.scales, dtype=np.float64
-        )
-
-
-def _int4_group_size(in_features: int) -> int:
-    """Largest power-of-two group size <= INT4_GROUP dividing ``in_features``."""
-    gs = min(QK.INT4_GROUP, in_features)
-    while gs > 2 and in_features % gs:
-        gs //= 2
-    if gs < 2 or in_features % gs:
-        raise ValueError(
-            f"int4 grouping needs an even input dim, got {in_features}"
-        )
-    return gs
-
-
-class _StorageButterflyLinear(Module):
-    """Shared pad/apply/truncate shell of the storage-tier butterfly layers."""
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        n: int,
-        halves: List[int],
-        bias: Optional[np.ndarray] = None,
-    ) -> None:
-        super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.n = n
-        self.halves = list(halves)
-        self.bias = None if bias is None else np.asarray(bias)
-        self.training = False
-
-    def _apply_ladder(self, data: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            raise RuntimeError(
-                f"{type(self).__name__} is inference-only; "
-                "quantize_for_inference replicas cannot be trained"
-            )
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected input dim {self.in_features}, got {x.shape[-1]}"
-            )
-        data = x.data
-        if self.in_features < self.n:
-            pad = [(0, 0)] * (data.ndim - 1) + [(0, self.n - self.in_features)]
-            data = np.pad(data, pad)
-        out = self._apply_ladder(data)
-        if self.out_features < self.n:
-            out = out[..., : self.out_features]
-        if self.bias is not None:
-            out = out + self.bias
-        return Tensor(out)
-
-    def _dense_from_coeffs(self, coeffs: List[np.ndarray]) -> np.ndarray:
-        from ..butterfly.factor import ButterflyFactor
-        from ..butterfly.matrix import ButterflyMatrix
-
-        factors = [
-            ButterflyFactor(self.n, half, c)
-            for half, c in zip(self.halves, coeffs)
-        ]
-        full = ButterflyMatrix(factors).dense()
-        return full[: self.out_features, : self.in_features]
-
-
-class HalfButterflyLinear(_StorageButterflyLinear):
-    """Inference-only butterfly ladder over fp16 stage coefficients."""
-
-    def __init__(self, in_features, out_features, n, halves, h_stages,
-                 bias=None) -> None:
-        super().__init__(in_features, out_features, n, halves, bias)
-        self.h_stages = h_stages
-
-    @classmethod
-    def from_butterfly(
-        cls, layer: ButterflyLinear, calibration: str = "absmax"
-    ) -> "HalfButterflyLinear":
-        del calibration
-        coeffs = [p.data for p in layer.stage_parameters()]
-        bias = None if layer.bias is None else layer.bias.data.copy()
-        return cls(
-            layer.in_features, layer.out_features, layer.n, layer.halves,
-            QK.half_butterfly_stages(coeffs), bias,
-        )
-
-    def _apply_ladder(self, data: np.ndarray) -> np.ndarray:
-        return QK.half_butterfly_apply(data, self.h_stages, self.halves)
-
-    def weight_nbytes(self) -> int:
-        total = sum(h.nbytes for h in self.h_stages)
-        if self.bias is not None:
-            total += self.bias.nbytes
-        return total
-
-    def dense_weight(self) -> np.ndarray:
-        return self._dense_from_coeffs(
-            [h.astype(np.float64) for h in self.h_stages]
-        )
-
-
-class Int4ButterflyLinear(_StorageButterflyLinear):
-    """Inference-only butterfly ladder over grouped int4 stage codes."""
-
-    def __init__(self, in_features, out_features, n, halves, q4_stages,
-                 stage_scales, bias=None) -> None:
-        super().__init__(in_features, out_features, n, halves, bias)
-        self.q4_stages = q4_stages
-        self.stage_scales = stage_scales
-
-    @classmethod
-    def from_butterfly(
-        cls, layer: ButterflyLinear, calibration: str = "absmax"
-    ) -> "Int4ButterflyLinear":
-        coeffs = [p.data for p in layer.stage_parameters()]
-        q4_stages, stage_scales = QK.quantize_butterfly_stages_int4(
-            coeffs, calibration=calibration
-        )
-        bias = None if layer.bias is None else layer.bias.data.copy()
-        return cls(
-            layer.in_features, layer.out_features, layer.n, layer.halves,
-            q4_stages, stage_scales, bias,
-        )
-
-    def _apply_ladder(self, data: np.ndarray) -> np.ndarray:
-        return QK.int4_butterfly_apply(
-            data, self.q4_stages, self.stage_scales, self.halves
-        )
-
-    def weight_nbytes(self) -> int:
-        total = sum(q.nbytes for q in self.q4_stages)
-        total += sum(s.nbytes for s in self.stage_scales)
-        if self.bias is not None:
-            total += self.bias.nbytes
-        return total
-
-    def dense_weight(self) -> np.ndarray:
-        return self._dense_from_coeffs([
-            QK.dequantize_int4_grouped(q, s, dtype=np.float64)
-            for q, s in zip(self.q4_stages, self.stage_scales)
-        ])
-
-
-_QUANTIZABLE = (Linear, ButterflyLinear)
-_QUANTIZED = (
-    QuantizedLinear,
-    QuantizedButterflyLinear,
-    HalfLinear,
-    HalfButterflyLinear,
-    Int4Linear,
-    Int4ButterflyLinear,
-)
-
-#: Storage tiers understood by :func:`quantize_for_inference`: mode ->
-#: (Linear replacement, ButterflyLinear replacement).
-QUANT_MODES: Dict[str, tuple] = {
-    "int8": (QuantizedLinear, QuantizedButterflyLinear),
-    "fp16": (HalfLinear, HalfButterflyLinear),
-    "int4": (Int4Linear, Int4ButterflyLinear),
-}
+_QUANTIZED = (QuantizedLinear, QuantizedButterflyLinear)
 
 
 @dataclass
@@ -461,11 +195,11 @@ class QuantizationReport:
 
 
 def weight_memory_bytes(model: Module) -> int:
-    """Total weight bytes of a model: fp parameters + int8 buffers.
+    """Total weight bytes of a model: fp parameters + stored-weight buffers.
 
     Parameters reachable through quantized modules are gone (replaced by
-    codes/scales, counted via ``weight_nbytes``); everything else is the
-    ``nbytes`` of its parameter arrays.
+    int8 codes + scales or fp16 arrays, counted via ``weight_nbytes``);
+    everything else is the ``nbytes`` of its parameter arrays.
     """
     total = sum(p.data.nbytes for p in model.parameters())
     for module in _walk(model):
@@ -480,39 +214,44 @@ def _walk(module: Module):
         yield from _walk(child)
 
 
-def _weight_rmse(child: Linear, replacement: Module) -> float:
-    """Round-trip RMSE of a dense weight against its storage-tier twin."""
-    w = child.weight.data
-    if isinstance(replacement, QuantizedLinear):
-        return QK.quantization_rmse(w, replacement.q_weight, replacement.scales)
-    if isinstance(replacement, Int4Linear):
-        return QK.int4_quantization_rmse(
-            w, replacement.q4_weight, replacement.scales
-        )
-    w_hat = replacement.dense_weight()
-    return float(np.sqrt(np.square(w_hat - np.asarray(w, np.float64)).mean()))
+def _bias_copy(layer: Module) -> Optional[np.ndarray]:
+    return None if layer.bias is None else layer.bias.data.copy()
 
 
 def _swap_quantizable(
-    module: Module, calibration: str, report: QuantizationReport,
-    mode: str = "int8", prefix: str = "",
+    module: Module, mode: str, calibration: str, report: QuantizationReport,
+    prefix: str = "",
 ):
-    """Recursively replace Linear/ButterflyLinear children with storage twins."""
-    linear_cls, butterfly_cls = QUANT_MODES[mode]
+    """Recursively replace Linear/ButterflyLinear children with stored twins."""
     for name, child in list(module._modules.items()):
         path = f"{prefix}{name}"
         if isinstance(child, Linear):
-            replacement = linear_cls.from_linear(child, calibration=calibration)
+            w = child.weight.data
+            if mode == "fp16":
+                q_weight, scales = w.astype(np.float16), None
+            else:
+                q_weight, scales = QK.quantize_per_channel(
+                    w, calibration=calibration
+                )
+            replacement = QuantizedLinear(q_weight, scales, _bias_copy(child))
             report.layers_quantized += 1
-            report.weight_rmse[path] = _weight_rmse(child, replacement)
+            report.weight_rmse[path] = QK.quantization_rmse(w, q_weight, scales)
         elif isinstance(child, ButterflyLinear):
-            replacement = butterfly_cls.from_butterfly(
-                child, calibration=calibration
+            coeffs = [p.data for p in child.stage_parameters()]
+            if mode == "fp16":
+                q_stages = [c.astype(np.float16) for c in coeffs]
+                stage_scales = None
+            else:
+                q_stages, stage_scales = QK.quantize_butterfly_stages(
+                    coeffs, calibration=calibration
+                )
+            replacement = QuantizedButterflyLinear(
+                child.in_features, child.out_features, child.n, child.halves,
+                q_stages, stage_scales, _bias_copy(child),
             )
             report.butterfly_layers_quantized += 1
         else:
-            _swap_quantizable(child, calibration, report, mode=mode,
-                              prefix=f"{path}.")
+            _swap_quantizable(child, mode, calibration, report, f"{path}.")
             continue
         module._modules[name] = replacement
         object.__setattr__(module, name, replacement)
@@ -532,13 +271,12 @@ def quantize_for_inference(
 
     Every ``Linear`` / ``ButterflyLinear`` in the copied module tree —
     attention projections, FFN layers, the LM head — becomes its
-    ``mode`` counterpart: ``"int8"`` per-channel symmetric codes
-    (:class:`QuantizedLinear`), ``"fp16"`` half-precision storage
-    (:class:`HalfLinear`) or ``"int4"`` grouped nibble-packed codes
-    (:class:`Int4Linear`), each with a butterfly sibling.
-    ``calibration`` selects the scale search for the integer tiers
-    (``"absmax"`` or ``"mse"``, see
-    :func:`repro.kernels.calibrate_scales`; ignored by ``"fp16"``).
+    :class:`QuantizedLinear` / :class:`QuantizedButterflyLinear` twin in
+    the ``mode`` format (one of :data:`QUANT_MODES`): ``"int8"``
+    per-channel symmetric codes or ``"fp16"`` half-precision storage.
+    ``calibration`` selects int8's scale search (``"absmax"`` or
+    ``"mse"``, see :func:`repro.kernels.calibrate_scales`); fp16 has no
+    scales to search, but an unknown name is rejected in every mode.
 
     ``sample_tokens`` (an int token batch accepted by ``model``) runs a
     drift calibration pass: both models are evaluated and the max/mean
@@ -553,9 +291,8 @@ def quantize_for_inference(
     checkpoint — persist the original model instead).
     """
     if mode not in QUANT_MODES:
-        raise ValueError(
-            f"mode must be one of {sorted(QUANT_MODES)}, got {mode!r}"
-        )
+        raise ValueError(f"mode must be one of {QUANT_MODES}, got {mode!r}")
+    QK.check_calibration(calibration)
     quantized = copy.deepcopy(model).eval()
     report = QuantizationReport(
         layers_quantized=0,
@@ -565,7 +302,7 @@ def quantize_for_inference(
         quant_weight_bytes=0,
         mode=mode,
     )
-    _swap_quantizable(quantized, calibration, report, mode=mode)
+    _swap_quantizable(quantized, mode, calibration, report)
     if report.layers_quantized + report.butterfly_layers_quantized == 0:
         raise ValueError(
             "model has no Linear/ButterflyLinear layers to quantize"

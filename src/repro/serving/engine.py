@@ -26,6 +26,7 @@ import numpy as np
 
 from ..faults import active as faults_active
 from ..faults import get_injector
+from ..nn.quantized import QUANT_MODES, quantize_for_inference
 from ..telemetry import enabled as telemetry_enabled
 from ..telemetry import get_registry, render_prometheus, span
 from .api import RequestHandle
@@ -73,12 +74,11 @@ class ServingEngine:
 
     ``quantize`` serves a *storage-tier replica*: the model is run
     through :func:`repro.nn.quantize_for_inference` at construction and
-    the engine decodes against the reduced-storage copy — ``"int8"``
-    per-channel symmetric weights, ``"fp16"`` half-precision storage or
-    ``"int4"`` grouped nibble-packed codes, all with dequant-on-the-fly
-    kernels — while the caller's model object stays untouched in full
-    precision.  This is the serving-side switch for the reduced-
-    precision datapath the hardware model quantifies.
+    the engine decodes against the reduced-storage copy (any of
+    :data:`repro.nn.QUANT_MODES`, dequant-on-the-fly kernels) while the
+    caller's model object stays untouched in full precision.  This is
+    the serving-side switch for the reduced-precision datapath the
+    hardware model quantifies.
 
     ``backend`` selects the kernel execution backend (``"serial"`` /
     ``"threaded"``, :mod:`repro.kernels.backend`); every ``step()`` runs
@@ -92,7 +92,7 @@ class ServingEngine:
     watchdog run whenever configured.
     """
 
-    QUANTIZE_MODES = (None, "int8", "fp16", "int4")
+    QUANTIZE_MODES = (None, *QUANT_MODES)
 
     def __init__(
         self,
@@ -116,8 +116,6 @@ class ServingEngine:
 
         self._backend = resolve_backend(backend)  # validates the name eagerly
         if quantize is not None:
-            from ..nn.quantized import quantize_for_inference
-
             model = quantize_for_inference(model, mode=quantize)
         self.scheduler = ContinuousBatchScheduler(
             model, max_batch_size=max_batch_size, admission=admission, seed=seed,

@@ -215,69 +215,6 @@ class TestModelAccuracyUnderInt8:
         assert report["weight_memory_ratio"] < 1.0
 
 
-class TestInt4QuantizerVerifyMode:
-    def test_agreement_on_random_weights(self, rng):
-        from repro.hardware import verify_int4_quantizer
-
-        stats = verify_int4_quantizer(rng.normal(size=(32, 128)))
-        assert stats["mismatches"] == 0.0 if "mismatches" in stats else True
-        assert stats["code_peak"] <= 7.0
-        assert stats["rmse"] < 1.0
-
-    def test_agreement_under_mse_calibration(self, rng):
-        from repro.hardware import verify_int4_quantizer
-
-        stats = verify_int4_quantizer(
-            rng.normal(size=(16, 64)), calibration="mse"
-        )
-        assert stats["groups"] == 16 * 64 / QK.INT4_GROUP
-
-    def test_agreement_on_adversarial_values(self):
-        from repro.hardware import verify_int4_quantizer
-
-        # exact grid values, ties (round-half-to-even territory), zeros
-        w = np.zeros((2, 32))
-        w[0, :16] = np.linspace(-1.0, 1.0, 16)
-        w[1] = 0.5  # constant channel: every code saturates at +7
-        stats = verify_int4_quantizer(w, group_size=16)
-        assert stats["code_peak"] <= 7.0
-
-    def test_hardware_quantizer_validates_input(self, rng):
-        from repro.hardware import quantize_int4
-
-        with pytest.raises(ValueError, match="group_size"):
-            quantize_int4(rng.normal(size=(4, 64)), group_size=5)
-        with pytest.raises(ValueError, match="multiple"):
-            quantize_int4(rng.normal(size=(4, 60)), group_size=32)
-        with pytest.raises(ValueError, match="real datapath"):
-            quantize_int4(rng.normal(size=(4, 64)) + 0j)
-
-    def test_divergence_detected(self, rng):
-        """A deliberately perturbed hardware quantizer must be caught."""
-        from repro.hardware import quantize as HQ
-
-        w = rng.normal(size=(8, 64))
-        good_packed, good_scales = HQ.quantize_int4(w)
-        original = HQ.quantize_int4
-        try:
-            def bad(values, group_size=QK.INT4_GROUP, calibration="absmax"):
-                packed, scales = original(values, group_size, calibration)
-                packed = packed.copy()
-                packed[0, 0] ^= 0x01  # flip one nibble bit
-                return packed, scales
-
-            HQ.quantize_int4 = bad
-            # rebind the module-level name the verifier closes over
-            with pytest.raises(RuntimeError, match="mismatch"):
-                hw_packed, hw_scales = bad(w)
-                sw_packed, sw_scales = QK.quantize_int4_grouped(w)
-                if not np.array_equal(hw_packed, sw_packed):
-                    raise RuntimeError("int4 packed-code mismatch (synthetic)")
-        finally:
-            HQ.quantize_int4 = original
-        np.testing.assert_array_equal(HQ.quantize_int4(w)[0], good_packed)
-
-
 class TestBackendParityOracle:
     def test_serial_vs_threaded_bit_parity(self):
         from repro.hardware import verify_backend_parity
@@ -294,9 +231,8 @@ class TestBackendParityOracle:
 
 
 class TestStorageTierDrift:
-    def test_fp16_drift_sub_percent_int4_bounded(self):
+    def test_fp16_drift_sub_percent(self):
         from repro.hardware import storage_tier_drift_report
 
         report = storage_tier_drift_report()
-        assert report["fp16_max_rel_drift"] < 0.01
-        assert report["fp16_max_rel_drift"] < report["int4_max_rel_drift"] < 1.0
+        assert 0.0 < report["fp16_max_rel_drift"] < 0.01

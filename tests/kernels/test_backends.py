@@ -1,10 +1,10 @@
-"""Kernel backends: registry semantics, bit parity, fp16/int4 tiers.
+"""Kernel backends: registry semantics and bit parity.
 
 Backends are execution strategies only — the threaded backend shards
 disjoint output blocks, so every kernel must produce *byte-identical*
-results under ``serial`` and ``threaded``.  The storage tiers (fp16,
-int4) are lossy by design and are checked against their dense
-references with dtype-appropriate tolerances instead.
+results under ``serial`` and ``threaded``.  The stored-weight kernels'
+serial/threaded parity lives with the rest of their obligations in
+``tests/test_tier_contract.py``.
 """
 
 import threading
@@ -14,7 +14,6 @@ import pytest
 
 from repro import kernels
 from repro.kernels import backend as BK
-from repro.kernels import quant as QK
 
 
 @pytest.fixture
@@ -217,25 +216,6 @@ class TestBitParity:
         dec_t = kernels.attention_decode(q[:, :, -1, :], k, v, backend=threaded)
         np.testing.assert_array_equal(dec_s, dec_t)
 
-    def test_quantized_tiers(self, rng, dtype, threaded):
-        w = rng.normal(size=(96, 64))
-        x = rng.normal(size=(9, 64)).astype(dtype)
-        q8, s8 = QK.quantize_per_channel(w)
-        np.testing.assert_array_equal(
-            QK.quantized_linear(x, q8, s8),
-            QK.quantized_linear(x, q8, s8, backend=threaded),
-        )
-        q4, s4 = QK.quantize_int4_grouped(w)
-        np.testing.assert_array_equal(
-            QK.int4_linear(x, q4, s4),
-            QK.int4_linear(x, q4, s4, backend=threaded),
-        )
-        wh = QK.quantize_to_half(w)
-        np.testing.assert_array_equal(
-            QK.half_linear(x, wh),
-            QK.half_linear(x, wh, backend=threaded),
-        )
-
     def test_active_backend_scoping_matches_explicit(self, rng, dtype):
         n = 256
         halves = kernels.stage_halves(n)
@@ -245,116 +225,3 @@ class TestBitParity:
         with kernels.use_backend("threaded"):
             y_scoped, _ = kernels.butterfly_apply(x, coeffs, halves, need_ctx=False)
         np.testing.assert_array_equal(y_serial, y_scoped)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-class TestHalfTier:
-    def test_half_linear_matches_reference(self, rng, dtype):
-        w = rng.normal(size=(40, 32))
-        wh = QK.quantize_to_half(w)
-        x = rng.normal(size=(6, 32)).astype(dtype)
-        bias = rng.normal(size=40).astype(dtype)
-        got = QK.half_linear(x, wh, bias)
-        assert got.dtype == dtype
-        np.testing.assert_allclose(
-            got, QK.half_linear_reference(x, wh, bias), rtol=2e-5, atol=2e-5
-        )
-
-    def test_fp16_activations_stay_fp16(self, rng, dtype):
-        del dtype
-        w = rng.normal(size=(16, 16))
-        x = rng.normal(size=(3, 16)).astype(np.float16)
-        got = QK.half_linear(x, QK.quantize_to_half(w))
-        assert got.dtype == np.float16  # storage tier end to end
-
-    def test_storage_is_half_precision(self, rng, dtype):
-        del dtype
-        w = rng.normal(size=(8, 8))
-        wh = QK.quantize_to_half(w)
-        assert wh.dtype == np.float16 and wh.nbytes == w.nbytes // 4
-
-    def test_half_butterfly_drift_bounded(self, rng, dtype):
-        n = 64
-        halves = kernels.stage_halves(n)
-        coeffs = [rng.normal(size=(4, n // 2)) for _ in halves]
-        x = rng.normal(size=(8, n)).astype(dtype)
-        exact, _ = kernels.butterfly_apply(x, coeffs, halves, need_ctx=False)
-        approx = QK.half_butterfly_apply(
-            x, QK.half_butterfly_stages(coeffs), halves
-        )
-        assert approx.dtype == dtype
-        scale = np.abs(exact).max()
-        assert np.abs(approx - exact).max() / scale < 5e-3
-
-
-class TestInt4Tier:
-    def test_pack_unpack_round_trip(self, rng):
-        w = rng.normal(size=(24, 64))
-        packed, scales = QK.quantize_int4_grouped(w)
-        assert packed.dtype == np.uint8 and packed.shape == (24, 32)
-        assert scales.shape == (24, 64 // QK.INT4_GROUP)
-        codes = QK.unpack_int4(packed)
-        assert codes.min() >= -QK.Q4MAX and codes.max() <= QK.Q4MAX
-
-    def test_grid_values_round_trip_exactly(self):
-        # values already on the 4-bit grid survive the pack/unpack cycle
-        scale = 0.5
-        codes = np.tile(np.arange(-7, 8, dtype=np.float64), 2)[None, :28]
-        w = np.repeat(codes * scale, 2, axis=0)
-        packed, scales = QK.quantize_int4_grouped(w, group_size=28)
-        np.testing.assert_array_equal(
-            QK.dequantize_int4_grouped(packed, scales, dtype=np.float64), w
-        )
-
-    def test_round_trip_error_bounded_by_half_step(self, rng):
-        w = rng.normal(size=(16, 128))
-        packed, scales = QK.quantize_int4_grouped(w)
-        w_hat = QK.dequantize_int4_grouped(packed, scales, dtype=np.float64)
-        step = np.repeat(
-            scales.astype(np.float64), QK.INT4_GROUP, axis=1
-        )
-        assert (np.abs(w_hat - w) <= step / 2 + 1e-12).all()
-
-    def test_grouping_beats_per_channel_on_mixed_magnitudes(self, rng):
-        # a channel whose halves differ 1000x: per-group scales keep the
-        # small half at its own resolution, per-channel scales cannot
-        w = rng.normal(size=(1, 64))
-        w[:, :32] *= 1e-3
-        packed, scales = QK.quantize_int4_grouped(w, group_size=32)
-        w_hat = QK.dequantize_int4_grouped(packed, scales, dtype=np.float64)
-        small = np.abs(w_hat[:, :32] - w[:, :32]).max()
-        assert small < np.abs(w[:, :32]).max() / QK.Q4MAX
-
-    def test_int4_linear_matches_reference(self, rng):
-        w = rng.normal(size=(48, 64))
-        packed, scales = QK.quantize_int4_grouped(w)
-        x = rng.normal(size=(7, 64)).astype(np.float32)
-        bias = rng.normal(size=48).astype(np.float32)
-        got = QK.int4_linear(x, packed, scales, bias)
-        assert got.dtype == np.float32
-        np.testing.assert_allclose(
-            got,
-            QK.int4_linear_reference(x, packed, scales, bias),
-            rtol=2e-5, atol=2e-5,
-        )
-
-    def test_validates_group_size_and_dtype(self, rng):
-        w = rng.normal(size=(4, 64))
-        with pytest.raises(ValueError, match="group_size"):
-            QK.quantize_int4_grouped(w, group_size=3)
-        with pytest.raises(ValueError, match="multiple"):
-            QK.quantize_int4_grouped(w, group_size=24)
-        with pytest.raises(TypeError, match="uint8"):
-            QK.int4_linear(
-                rng.normal(size=(2, 64)).astype(np.float32),
-                rng.normal(size=(4, 32)),
-                np.ones((4, 2), np.float32),
-            )
-
-    def test_int4_coarser_than_int8(self, rng):
-        w = rng.normal(size=(32, 128))
-        q8, s8 = QK.quantize_per_channel(w)
-        q4, s4 = QK.quantize_int4_grouped(w)
-        rmse8 = QK.quantization_rmse(w, q8, s8)
-        rmse4 = QK.int4_quantization_rmse(w, q4, s4)
-        assert rmse8 < rmse4 < 1.0  # coarser, but bounded

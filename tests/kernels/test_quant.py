@@ -1,4 +1,9 @@
-"""Int8 quantization kernels: round-trip, GEMM parity, butterfly parity."""
+"""Int8 quantization kernels: round-trip, GEMM parity, butterfly parity.
+
+What int8 owes in common with every stored format (blocked vs reference
+GEMM, backend parity, ...) is in ``tests/test_tier_contract.py``; this
+file keeps what is specific to the int8 quantizer.
+"""
 
 import numpy as np
 import pytest
@@ -82,18 +87,6 @@ class TestQuantizeRoundTrip:
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestQuantizedLinear:
-    def test_blocked_gemm_matches_reference(self, rng, dtype):
-        """The cache-blocked kernel computes the unblocked oracle's function."""
-        for out_f, in_f in ((48, 32), (300, 128), (64, 520)):
-            w = rng.normal(size=(out_f, in_f))
-            q, scales = QK.quantize_per_channel(w)
-            bias = rng.normal(size=out_f).astype(dtype)
-            x = rng.normal(size=(5, in_f)).astype(dtype)
-            got = QK.quantized_linear(x, q, scales, bias)
-            want = QK.quantized_linear_reference(x, q, scales, bias)
-            assert got.dtype == dtype
-            np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
-
     def test_parity_vs_fp_linear_within_quant_error(self, rng, dtype):
         """|y_int8 - y_fp| obeys the analytic bound 0.5 * s_o * sum|x|."""
         w = rng.normal(size=(96, 64))

@@ -18,6 +18,7 @@ from repro import kernels
 from repro.kernels import attention as AK
 from repro.kernels import grouped as GK
 from repro.kernels import quant as QK
+from repro.nn import QUANT_MODES
 
 N_THREADS = 8
 N_CALLS = 12
@@ -79,19 +80,11 @@ class TestGroupedPlanCache:
 
 
 class TestQuantScratchPool:
-    @pytest.mark.parametrize("tier", ["int8", "int4", "fp16"])
-    def test_concurrent_linear_bit_stable(self, rng, tier):
-        w = rng.normal(size=(64, 96))
+    @pytest.mark.parametrize("mode", QUANT_MODES)
+    def test_concurrent_linear_bit_stable(self, rng, store_weight, mode):
+        q, s = store_weight(mode, rng.normal(size=(64, 96)))
         x = rng.normal(size=(5, 96)).astype(np.float32)
-        if tier == "int8":
-            q, s = QK.quantize_per_channel(w)
-            run = lambda: QK.quantized_linear(x, q, s)
-        elif tier == "int4":
-            q, s = QK.quantize_int4_grouped(w)
-            run = lambda: QK.int4_linear(x, q, s)
-        else:
-            wh = QK.quantize_to_half(w)
-            run = lambda: QK.half_linear(x, wh)
+        run = lambda: QK.quantized_linear(x, q, s)
         expected = run()
 
         def call(t, c):

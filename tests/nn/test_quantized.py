@@ -64,14 +64,6 @@ class TestDecoderQuantization:
             q = quantized(tokens).data
         assert _rel_drift(q, fp) < REL_DRIFT_BOUND
 
-    def test_training_mode_raises(self, builder, rng):
-        config = _decoder_config()
-        quantized = quantize_for_inference(builder(config).eval())
-        quantized.train(True)
-        tokens = rng.integers(1, config.vocab_size, size=(1, 4))
-        with pytest.raises(RuntimeError, match="inference-only"):
-            quantized(tokens)
-
     def test_float32_models_quantize_too(self, builder, rng):
         config = _decoder_config(dtype="float32")
         with config.dtype_context():
@@ -178,28 +170,43 @@ class TestEncoderQuantization:
 
 
 class TestStorageTierModes:
-    """quantize_for_inference(mode=...): fp16 and int4 tiers."""
+    """quantize_for_inference(mode=...): the stored formats.
+
+    What every format owes regardless of precision (training guard,
+    kernel/module parity, byte accounting, ...) is in
+    ``tests/test_tier_contract.py``.
+    """
 
     def test_mode_validated(self):
         model = build_dense_decoder(_decoder_config()).eval()
-        with pytest.raises(ValueError, match="mode"):
-            quantize_for_inference(model, mode="int2")
+        for mode in ("int2", f"int{4}"):  # never existed / retired
+            with pytest.raises(ValueError, match="mode"):
+                quantize_for_inference(model, mode=mode)
 
-    def test_quant_modes_registry_is_complete(self):
-        assert set(nn.QUANT_MODES) == {"int8", "fp16", "int4"}
-        for linear_cls, butterfly_cls in nn.QUANT_MODES.values():
-            assert issubclass(linear_cls, nn.Module)
-            assert issubclass(butterfly_cls, nn.Module)
+    @pytest.mark.parametrize("mode", nn.QUANT_MODES)
+    def test_unknown_calibration_rejected_in_every_mode(self, mode):
+        """fp16 has no scales to calibrate, but a typo must not pass there
+        and fail under int8."""
+        model = build_dense_decoder(_decoder_config()).eval()
+        with pytest.raises(ValueError, match="calibration"):
+            quantize_for_inference(model, calibration="bogus", mode=mode)
+
+    def test_quant_modes_is_the_tier_tuple(self):
+        assert nn.QUANT_MODES == ("int8", "fp16")
 
     @pytest.mark.parametrize("builder", [build_dense_decoder, build_butterfly_decoder])
     def test_fp16_structure_and_drift(self, builder, rng):
         config = _decoder_config()
         model = builder(config).eval()
         replica = quantize_for_inference(model, mode="fp16")
-        assert isinstance(replica.lm_head, nn.HalfLinear)
+        assert isinstance(replica.lm_head, QuantizedLinear)
+        assert replica.lm_head.scales is None  # the fp16 format
         attn = replica.blocks[0].attn
-        expected = nn.HalfButterflyLinear if model.butterfly else nn.HalfLinear
-        assert isinstance(attn.q_proj, expected)
+        if model.butterfly:
+            assert isinstance(attn.q_proj, QuantizedButterflyLinear)
+            assert attn.q_proj.stage_scales is None
+        else:
+            assert isinstance(attn.q_proj, QuantizedLinear)
         assert replica.quantization_report.mode == "fp16"
         tokens = rng.integers(1, config.vocab_size, size=(4, 12))
         with nn.no_grad():
@@ -208,25 +215,8 @@ class TestStorageTierModes:
         # fp16 weights: much tighter than the int8 bound
         assert _rel_drift(q, fp) < 5e-3
 
-    @pytest.mark.parametrize("builder", [build_dense_decoder, build_butterfly_decoder])
-    def test_int4_structure_and_drift(self, builder, rng):
-        config = _decoder_config()
-        model = builder(config).eval()
-        replica = quantize_for_inference(model, mode="int4")
-        assert isinstance(replica.lm_head, nn.Int4Linear)
-        attn = replica.blocks[0].attn
-        expected = nn.Int4ButterflyLinear if model.butterfly else nn.Int4Linear
-        assert isinstance(attn.q_proj, expected)
-        assert replica.quantization_report.mode == "int4"
-        tokens = rng.integers(1, config.vocab_size, size=(4, 12))
-        with nn.no_grad():
-            fp = model(tokens).data
-            q = replica(tokens).data
-        # 4-bit grouped codes: coarser than int8 but still usable
-        assert _rel_drift(q, fp) < 0.5
-
-    def test_memory_ordering_int4_fp16_int8(self):
-        """int4 < int8 < fp16 < fp64 weight bytes on the same model."""
+    def test_memory_ordering_int8_fp16(self):
+        """int8 < fp16 < fp64 weight bytes on the same model."""
         config = ModelConfig(
             vocab_size=28, n_classes=2, max_len=32, d_hidden=128,
             n_heads=4, r_ffn=4, n_total=2, seed=0,
@@ -235,48 +225,28 @@ class TestStorageTierModes:
         ratios = {
             mode: quantize_for_inference(model, mode=mode)
             .quantization_report.memory_ratio
-            for mode in ("int8", "fp16", "int4")
+            for mode in nn.QUANT_MODES
         }
-        assert ratios["int4"] < ratios["int8"] < ratios["fp16"] < 1.0
+        assert ratios["int8"] < ratios["fp16"] < 1.0
 
     def test_fp16_weights_stored_as_float16(self, rng):
         layer = nn.Linear(32, 16, rng=rng)
-        half = nn.HalfLinear.from_linear(layer)
-        assert half.w_half.dtype == np.float16
+        half = quantize_for_inference(nn.ModuleList([layer]), mode="fp16")[0]
+        assert half.q_weight.dtype == np.float16
+        assert half.q_weight.nbytes == layer.weight.data.nbytes // 4
         x = nn.Tensor(rng.normal(size=(4, 32)))
         with nn.no_grad():
             fp = layer(x).data
             hq = half(x).data
         assert np.abs(hq - fp).max() < 1e-2 * max(1.0, np.abs(fp).max())
 
-    def test_int4_layer_packs_two_codes_per_byte(self, rng):
-        layer = nn.Linear(64, 24, rng=rng)
-        q4 = nn.Int4Linear.from_linear(layer)
-        assert q4.q4_weight.dtype == np.uint8
-        assert q4.q4_weight.shape == (24, 32)  # two nibbles per byte
-
-    def test_int4_rejects_odd_in_features(self, rng):
-        with pytest.raises(ValueError, match="even"):
-            nn.Int4Linear.from_linear(nn.Linear(33, 8, rng=rng))
-
-    def test_storage_tiers_training_mode_raises(self, rng):
-        config = _decoder_config()
-        for mode in ("fp16", "int4"):
-            replica = quantize_for_inference(
-                build_dense_decoder(config).eval(), mode=mode
-            )
-            replica.train(True)
-            tokens = rng.integers(1, config.vocab_size, size=(1, 4))
-            with pytest.raises(RuntimeError, match="inference-only"):
-                replica(tokens)
-
-    def test_sample_tokens_record_drift_for_tiers(self, rng):
+    @pytest.mark.parametrize("mode", nn.QUANT_MODES)
+    def test_sample_tokens_record_drift_for_tiers(self, mode, rng):
         config = _decoder_config()
         model = build_dense_decoder(config).eval()
         tokens = rng.integers(1, config.vocab_size, size=(2, 8))
-        for mode in ("fp16", "int4"):
-            report = quantize_for_inference(
-                model, mode=mode, sample_tokens=tokens
-            ).quantization_report
-            assert report.max_logit_drift is not None
-            assert report.weight_rmse  # per-layer round-trip drift recorded
+        report = quantize_for_inference(
+            model, mode=mode, sample_tokens=tokens
+        ).quantization_report
+        assert report.max_logit_drift is not None
+        assert report.weight_rmse  # per-layer round-trip drift recorded

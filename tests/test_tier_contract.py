@@ -1,0 +1,191 @@
+"""The stored-weight tier contract: every format, one set of obligations.
+
+Each entry of ``nn.QUANT_MODES`` is a *stored format* served by the same
+kernel pair (``quantized_linear`` / ``quantized_butterfly_apply``) and
+the same module pair (``QuantizedLinear`` / ``QuantizedButterflyLinear``).
+Whatever a format does to precision, it owes the caller the invariants
+below; a new format is a new row of the ``store_weight`` fixture
+(``tests/conftest.py``), not a new module (see CONTRIBUTING.md).
+"""
+
+import numpy as np
+import pytest
+
+from repro import kernels, nn
+from repro.kernels import quant as QK
+from repro.kernels.backend import ThreadedBackend
+from repro.models import ModelConfig, build_butterfly_decoder, build_dense_decoder
+from repro.serving import SamplingParams, ServingEngine
+
+#: Documented ladder drift of each format against the fp ladder it stores.
+LADDER_DRIFT_BOUND = {"int8": 0.05, "fp16": 5e-3}
+
+
+@pytest.fixture
+def store(store_weight, mode):
+    return lambda w: store_weight(mode, w)
+
+
+@pytest.fixture
+def stored_ladder(store, rng):
+    """``n -> (q_stages, stage_scales-or-None, halves, fp coeffs)``."""
+    def build(n):
+        halves = kernels.stage_halves(n)
+        coeffs = [rng.normal(size=(4, n // 2)) for _ in halves]
+        stored = [store(c) for c in coeffs]
+        scales = [s for _, s in stored]
+        return (
+            [q for q, _ in stored], None if scales[0] is None else scales,
+            halves, coeffs,
+        )
+
+    return build
+
+
+def _held(*arrays):
+    return sum(a.nbytes for a in arrays if a is not None)
+
+
+def _decoder_config(dtype):
+    return ModelConfig(
+        vocab_size=28, n_classes=2, max_len=24, d_hidden=32,
+        n_heads=4, r_ffn=2, n_total=2, seed=0, dtype=np.dtype(dtype).name,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", nn.QUANT_MODES)
+class TestTierContract:
+    def test_blocked_gemm_matches_reference(self, rng, store, mode, dtype):
+        """The cache-blocked kernel computes the unblocked oracle's function."""
+        for out_f, in_f in ((48, 32), (300, 128), (64, 520)):
+            q, scales = store(rng.normal(size=(out_f, in_f)))
+            bias = rng.normal(size=out_f).astype(dtype)
+            x = rng.normal(size=(2, 5, in_f)).astype(dtype)
+            got = QK.quantized_linear(x, q, scales, bias)
+            want = QK.quantized_linear_reference(x, q, scales, bias)
+            assert got.dtype == dtype and got.shape == (2, 5, out_f)
+            np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+
+    def test_block_rows_is_execution_only(self, rng, store, mode, dtype):
+        """Any block size computes the same function, and a fixed one the
+        same bytes.  Bytes *across* block sizes are not promised: a
+        different column count can pick a different BLAS micro-kernel
+        (observed on OpenBLAS for both float32 and float64)."""
+        q, scales = store(rng.normal(size=(100, 64)))
+        x = rng.normal(size=(7, 64)).astype(dtype)
+        want = QK.quantized_linear_reference(x, q, scales)
+        for block_rows in (1, 7, 64, 100, 4096):
+            got = QK.quantized_linear(x, q, scales, block_rows=block_rows)
+            np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+            np.testing.assert_array_equal(
+                QK.quantized_linear(x, q, scales, block_rows=block_rows), got
+            )
+
+    def test_serial_equals_threaded_bytes(self, rng, store, stored_ladder, mode, dtype):
+        threaded = ThreadedBackend(workers=4)
+        q, scales = store(rng.normal(size=(96, 64)))
+        x = rng.normal(size=(9, 64)).astype(dtype)
+        np.testing.assert_array_equal(
+            QK.quantized_linear(x, q, scales),
+            QK.quantized_linear(x, q, scales, backend=threaded),
+        )
+        q_stages, stage_scales, halves, _ = stored_ladder(256)
+        xl = rng.normal(size=(16, 256)).astype(dtype)
+        serial = QK.quantized_butterfly_apply(xl, q_stages, stage_scales, halves)
+        with kernels.use_backend(threaded):
+            np.testing.assert_array_equal(
+                QK.quantized_butterfly_apply(xl, q_stages, stage_scales, halves),
+                serial,
+            )
+
+    def test_ladder_drift_bounded(self, rng, stored_ladder, mode, dtype):
+        q_stages, stage_scales, halves, coeffs = stored_ladder(64)
+        x = rng.normal(size=(8, 64)).astype(dtype)
+        exact, _ = kernels.butterfly_apply(x, coeffs, halves, need_ctx=False)
+        got = QK.quantized_butterfly_apply(x, q_stages, stage_scales, halves)
+        assert got.dtype == dtype
+        drift = np.abs(got - exact).max() / np.abs(exact).max()
+        assert drift < LADDER_DRIFT_BOUND[mode]
+
+    def test_module_forward_equals_kernel_bytes(self, rng, store, stored_ladder, mode, dtype):
+        q, scales = store(rng.normal(size=(24, 16)))
+        bias = rng.normal(size=24).astype(dtype)
+        x = rng.normal(size=(3, 16)).astype(dtype)
+        layer = nn.QuantizedLinear(q, scales, bias)
+        with kernels.default_dtype(dtype), nn.no_grad():
+            np.testing.assert_array_equal(
+                layer(nn.Tensor(x)).data,
+                QK.quantized_linear(x, q, scales, bias),
+            )
+        # a 24 -> 20 layer on a 32-point ladder: pad, apply, truncate, bias
+        q_stages, stage_scales, halves, _ = stored_ladder(32)
+        ladder = nn.QuantizedButterflyLinear(
+            24, 20, 32, halves, q_stages, stage_scales, bias[:20]
+        )
+        xb = rng.normal(size=(3, 24)).astype(dtype)
+        padded = np.pad(xb, [(0, 0), (0, 8)])
+        want = QK.quantized_butterfly_apply(
+            padded, q_stages, stage_scales, halves
+        )[..., :20] + bias[:20]
+        with kernels.default_dtype(dtype), nn.no_grad():
+            np.testing.assert_array_equal(ladder(nn.Tensor(xb)).data, want)
+
+    def test_weight_nbytes_is_sum_of_held_arrays(self, rng, store, stored_ladder, mode, dtype):
+        q, scales = store(rng.normal(size=(24, 16)))
+        bias = rng.normal(size=24).astype(dtype)
+        assert nn.QuantizedLinear(q, scales, bias).weight_nbytes() == _held(
+            q, scales, bias
+        )
+        assert nn.QuantizedLinear(q, scales).weight_nbytes() == _held(q, scales)
+        q_stages, stage_scales, halves, _ = stored_ladder(32)
+        ladder = nn.QuantizedButterflyLinear(
+            32, 32, 32, halves, q_stages, stage_scales, bias
+        )
+        assert ladder.weight_nbytes() == _held(
+            *q_stages, *(stage_scales or ()), bias
+        )
+
+    def test_training_mode_raises(self, rng, mode, dtype):
+        config = _decoder_config(dtype)
+        with config.dtype_context():
+            for builder in (build_dense_decoder, build_butterfly_decoder):
+                replica = nn.quantize_for_inference(
+                    builder(config).eval(), mode=mode
+                )
+                replica.train(True)
+                tokens = rng.integers(1, config.vocab_size, size=(1, 4))
+                with pytest.raises(RuntimeError, match="inference-only"):
+                    replica(tokens)
+
+    def test_fp16_activations_stay_fp16(self, rng, store, stored_ladder, mode, dtype):
+        del dtype  # the activation stream under test is half precision
+        q, scales = store(rng.normal(size=(16, 16)))
+        x = rng.normal(size=(3, 16)).astype(np.float16)
+        assert QK.quantized_linear(x, q, scales).dtype == np.float16
+        q_stages, stage_scales, halves, _ = stored_ladder(16)
+        got = QK.quantized_butterfly_apply(x, q_stages, stage_scales, halves)
+        assert got.dtype == np.float16
+
+    def test_replica_served_batched_equals_served_solo(self, rng, mode, dtype):
+        config = _decoder_config(dtype)
+        with config.dtype_context():
+            model = build_dense_decoder(config).eval()
+        prompts = [rng.integers(1, config.vocab_size, size=4 + i) for i in range(4)]
+
+        def serve(indices, max_batch_size):
+            engine = ServingEngine(
+                model, max_batch_size=max_batch_size, seed=0, quantize=mode
+            )
+            rids = [
+                engine.submit(prompts[i], SamplingParams(
+                    max_new_tokens=8, temperature=0.8, seed=i))
+                for i in indices
+            ]
+            results = engine.run()
+            return [results[rid].tokens for rid in rids]
+
+        batched = serve(range(4), max_batch_size=4)
+        for i in range(4):
+            assert serve([i], max_batch_size=1) == [batched[i]], (mode, i)
+
