@@ -5,7 +5,14 @@ GEMM-heavy dense decoder:
 
 * **fp64 engine**: the default-precision serving path;
 * **fp32 engine**: the same model built under the float32 dtype policy —
-  the *baseline the acceptance bar is measured against*;
+  the *baseline the acceptance bar is measured against*.  Its engine
+  runs with no dtype context, and decodes in float32 all the same: the
+  decoder's inference program takes the parameters' dtype.  Before that
+  program existed the activations followed the ambient (float64) policy,
+  so this row — and the int8 row, whose replica inherits the dtype —
+  silently computed in float64 over float32 weights, NumPy re-casting
+  the weight per GEMM; every committed number in which fp64 out-decoded
+  fp32 (386 vs 333, 413 vs 370 tok/s) measured that, not float32;
 * **int8 engine**: ``ServingEngine(model_fp32, quantize="int8")`` — the
   per-channel symmetric weight replica decoding through the blocked
   dequant-on-the-fly kernels (:mod:`repro.kernels.quant`).

@@ -48,11 +48,9 @@ class FeedForward(nn.Module):
 class DecoderBlock(nn.Module):
     """Causal ABfly block: masked butterfly attention + butterfly FFN.
 
-    ``forward`` optionally takes a per-layer KV cache handle
-    (:class:`repro.serving.kv_cache.LayerKV`) for incremental decoding:
-    ``x`` then carries only the new tokens and attention runs against
-    the cached context.  The FFN/LayerNorm sub-layers are position-wise,
-    so the cached path reuses them unchanged.
+    ``forward`` is the full-window (training) path.  KV-cached
+    incremental decoding reads this block's layers from the decoder's
+    inference program (:mod:`repro.models.decode_program`) instead.
     """
 
     def __init__(
@@ -76,11 +74,11 @@ class DecoderBlock(nn.Module):
         self.norm2 = nn.LayerNorm(d_hidden)
         self.drop = nn.Dropout(dropout, rng=rng)
 
-    def forward(self, x: nn.Tensor, layer_kv=None) -> nn.Tensor:
+    def forward(self, x: nn.Tensor) -> nn.Tensor:
         # norm(x + sub(x)) runs as one fused node per sub-layer close
         # (residual add never materialized as a separate graph node).
         x = F.residual_layer_norm(
-            x, self.drop(self.attn(x, layer_kv=layer_kv)),
+            x, self.drop(self.attn(x)),
             self.norm1.gamma, self.norm1.beta, eps=self.norm1.eps,
         )
         return F.residual_layer_norm(

@@ -1,0 +1,247 @@
+"""A decoder's incremental inference as one flat program of kernel calls.
+
+The paper's engine is configured once per layer and then streams
+vectors.  :class:`~repro.kernels.FrozenLadder` does that for one
+butterfly ladder; :class:`DecodeProgram` does it for a whole
+:class:`~repro.models.decoder.ButterflyDecoderLM`: ``prefill`` /
+``decode_step`` / cached ``generate`` run
+
+    embedding gather -> per block { Q/K/V projections, heads addressed
+    as strided views, K/V written to the cache tail, ``attention_decode``
+    (one new token) or ``attention_forward(q_start=...)``, output
+    projection, ``residual_layer_norm_forward``, FFN with bias + GELU in
+    the GEMM epilogue, ``residual_layer_norm_forward`` } -> final norm
+    -> LM head
+
+on plain arrays, with no ``Tensor``, ``Module.__call__`` or autograd
+bookkeeping in between.  The ``Tensor`` graph stays the training path;
+this is the only incremental inference path.
+
+The contract (see CONTRIBUTING, "The inference program"):
+
+* **Keyed like** :class:`~repro.kernels.FrozenLadderCache`: the program
+  records the ``(version, data)`` of every parameter it read and the
+  identity of every projection layer, and :class:`DecodeProgramCache`
+  rebuilds it when an optimizer step, ``load_state_dict``, a ``.data``
+  rebind (a dtype switch is one) or a layer swap (quantization) changes
+  any of them — one sweep per call.  Copies and pickles start empty.
+* **Activations take the parameters' dtype** (``token_emb.weight``),
+  never the ambient :func:`~repro.kernels.default_dtype` policy.
+* **Row independence**: every projection is the layer's own inference
+  operator applied on the input's own ``(B, S, in)`` axes — never a
+  flattened ``(B*S, in)`` and never a fused QKV operator, because BLAS
+  picks its kernel by the GEMM's shape — so the program adds no
+  dependence of a row's bytes on who shares its batch.  For fp replicas
+  at equal context lengths a batched row *is* the solo row, byte for
+  byte; ragged batches (attention over a key view as wide as the longest
+  row) and stored-weight replicas (the dequant GEMM streams the weight
+  once for the flattened batch) keep the token-level identity they had.
+* **Owned outputs**: the returned logits are a fresh array; the program
+  keeps no scratch of its own (the kernels' pools are per-thread), so
+  concurrent callers never alias.
+* **Oracle**: ``tests/conftest.py::reference_incremental`` is the
+  ``Tensor``-graph version; ``tests/models/test_decode_program.py``
+  holds the program to its bytes.
+
+Adding a layer kind means one branch in :meth:`DecodeProgram._projection`.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, List, NamedTuple, Tuple
+
+import numpy as np
+
+from .. import nn
+from ..kernels import (
+    attention_decode,
+    attention_forward,
+    butterfly_apply,
+    gelu_forward,
+    linear_act_forward,
+    residual_layer_norm_forward,
+)
+from ..nn.tensor import layer_norm_forward
+
+Projection = Callable[[np.ndarray], np.ndarray]
+Norm = Tuple[np.ndarray, np.ndarray, float]
+
+
+class _Block(NamedTuple):
+    q_proj: Projection
+    k_proj: Projection
+    v_proj: Projection
+    out_proj: Projection
+    norm1: Norm
+    fc1: Projection  # bias + GELU included
+    fc2: Projection
+    norm2: Norm
+    n_heads: int
+    d_head: int
+
+
+class DecodeProgram:
+    """The compiled incremental forward of one decoder, valid while
+    :meth:`current` holds."""
+
+    def __init__(self, model) -> None:
+        self._stamps: List[tuple] = []  # (parameter, version, data) read
+        self._slots: List[tuple] = []  # (owner, attribute, projection layer)
+        self.max_len = model.config.max_len
+        self._token_emb = self._array(model.token_emb.weight)
+        self._pos_emb = self._array(model.pos_emb)
+        self.dtype = self._token_emb.dtype
+        self._blocks = [
+            _Block(
+                self._projection(block.attn, "q_proj"),
+                self._projection(block.attn, "k_proj"),
+                self._projection(block.attn, "v_proj"),
+                self._projection(block.attn, "out_proj"),
+                self._norm(block.norm1),
+                self._projection(block.ffn, "fc1", activation="gelu"),
+                self._projection(block.ffn, "fc2"),
+                self._norm(block.norm2),
+                block.attn.n_heads,
+                block.attn.d_head,
+            )
+            for block in model.blocks
+        ]
+        self._final_norm = self._norm(model.final_norm)
+        self._lm_head = self._projection(model, "lm_head")
+
+    # -- compile -------------------------------------------------------
+    def _array(self, param) -> np.ndarray:
+        self._stamps.append((param, param.version, param.data))
+        return param.data
+
+    def _norm(self, norm) -> Norm:
+        return self._array(norm.gamma), self._array(norm.beta), norm.eps
+
+    def _projection(self, owner, name: str, activation: str = "identity") -> Projection:
+        """``x -> act(layer(x))`` through the layer's own inference operator."""
+        layer = getattr(owner, name)
+        self._slots.append((owner, name, layer))
+        if isinstance(layer, nn.Linear):
+            weight = layer.weight  # read live: cached_transpose keys W^T on it
+            bias = None if layer.bias is None else self._array(layer.bias)
+
+            def dense(x: np.ndarray) -> np.ndarray:
+                return linear_act_forward(
+                    x, weight, bias, activation, need_ctx=False)[0]
+
+            return dense
+        if isinstance(layer, nn.ButterflyLinear):
+            stages = layer.stage_parameters()
+            coeffs = [self._array(stage) for stage in stages]
+            ladder = layer.frozen_ladder(self.dtype)
+            halves = layer.halves
+            bias = None if layer.bias is None else self._array(layer.bias)
+
+            def apply(x: np.ndarray) -> np.ndarray:
+                y, _ = butterfly_apply(
+                    x, coeffs, halves, need_ctx=False, ladder=ladder)
+                if bias is not None:
+                    y += bias  # the ladder's output is an owned array
+                return y
+
+        elif isinstance(layer, (nn.QuantizedLinear, nn.QuantizedButterflyLinear)):
+            apply = layer.apply  # reads its stored arrays live
+        else:
+            raise TypeError(
+                f"no inference operator for {type(layer).__name__} ({name})"
+            )
+        if activation == "identity":
+            return apply
+
+        def activated(x: np.ndarray) -> np.ndarray:
+            return gelu_forward(apply(x), need_ctx=False)[0]
+
+        return activated
+
+    def current(self) -> bool:
+        """Whether everything the program was built from is unchanged."""
+        for param, version, data in self._stamps:
+            if param.version != version or param.data is not data:
+                return False
+        for owner, name, layer in self._slots:
+            if getattr(owner, name) is not layer:
+                return False
+        return True
+
+    # -- run -----------------------------------------------------------
+    def run(self, tokens: np.ndarray, cache) -> np.ndarray:
+        """Forward the new ``(batch, s_new)`` tokens against ``cache``.
+
+        Writes their keys/values at each row's tail, advances the cache
+        and returns owned ``(batch, s_new, vocab)`` logits.
+        """
+        batch, s_new = tokens.shape
+        lengths = cache.lengths
+        positions = lengths[:, None] + np.arange(s_new)
+        max_len = min(self.max_len, cache.max_len)
+        if positions.size and positions.max() >= max_len:
+            raise ValueError(
+                f"position {positions.max()} exceeds max_len "
+                f"{max_len}; re-prefill the sliding window"
+            )
+        rows = np.arange(batch)[:, None]
+        total = int(lengths.max()) + s_new if batch else s_new
+        x = self._token_emb[tokens] + self._pos_emb[positions]
+        for index, block in enumerate(self._blocks):
+            (q_proj, k_proj, v_proj, out_proj, (gamma1, beta1, eps1),
+             fc1, fc2, (gamma2, beta2, eps2), n_heads, d_head) = block
+            heads = (batch, s_new, n_heads, d_head)
+            kv = cache.layer(index)
+            # Heads are strided views of each projection's output; the
+            # new keys/values go straight to the cache tail.
+            q = q_proj(x).reshape(heads)
+            kv.k[rows, :, positions] = k_proj(x).reshape(heads)
+            kv.v[rows, :, positions] = v_proj(x).reshape(heads)
+            k_all, v_all = kv.view(total)
+            scale = 1.0 / math.sqrt(d_head)
+            if s_new == 1:
+                context = attention_decode(
+                    q[:, 0], k_all, v_all, lengths=lengths, scale=scale)
+            else:
+                context, _ = attention_forward(
+                    q.transpose(0, 2, 1, 3), k_all, v_all, causal=True,
+                    q_start=lengths, scale=scale, need_ctx=False)
+                context = context.transpose(0, 2, 1, 3)
+            attended = out_proj(context.reshape(batch, s_new, n_heads * d_head))
+            x, _ = residual_layer_norm_forward(
+                x, attended, gamma1, beta1, eps=eps1, need_ctx=False)
+            x, _ = residual_layer_norm_forward(
+                x, fc2(fc1(x)), gamma2, beta2, eps=eps2, need_ctx=False)
+        x, _, _ = layer_norm_forward(x, *self._final_norm)
+        logits = self._lm_head(x)
+        cache.advance(s_new)
+        return logits
+
+
+class DecodeProgramCache:
+    """One decoder's :class:`DecodeProgram`, rebuilt only when what it
+    was built from changes.
+
+    The model keeps one of these and asks it for the program on every
+    incremental call.  Copies and pickles start empty: the program is
+    derived state — closures over the source model's layers — so a
+    ``deepcopy`` (``quantize_for_inference``) or a pickle (a ``spawn``
+    cluster worker) must compile its own.
+    """
+
+    __slots__ = ("_program", "builds")
+
+    def __init__(self) -> None:
+        self._program = None
+        self.builds = 0  # programs compiled so far (tests count these)
+
+    def __reduce__(self):
+        return (DecodeProgramCache, ())
+
+    def get(self, model) -> DecodeProgram:
+        program = self._program
+        if program is None or not program.current():
+            program = self._program = DecodeProgram(model)
+            self.builds += 1
+        return program

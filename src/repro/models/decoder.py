@@ -11,7 +11,10 @@ generation.
 Generation runs over a per-layer KV cache (:mod:`repro.serving.kv_cache`)
 by default: the prompt is prefetched once and every further token costs a
 single-token forward against the cached keys/values instead of the
-O(T^2) full-window recompute of the seed loop.  Because positions are
+O(T^2) full-window recompute of the seed loop.  That incremental forward
+is not the ``Tensor`` graph: it is the model's compiled
+:class:`~repro.models.decode_program.DecodeProgram`, a flat ``no_grad``
+sequence of kernel calls in the parameters' own dtype.  Because positions are
 learned *absolute* embeddings, the sliding-window eviction at ``max_len``
 re-prefills the clipped window (cached keys cannot shift), keeping
 incremental decoding exactly equivalent to full recompute.
@@ -29,6 +32,7 @@ from ..serving.kv_cache import DecoderKVCache
 from ..serving.sampling import sample_logits
 from .blocks import DecoderBlock
 from .config import ModelConfig
+from .decode_program import DecodeProgramCache
 
 __all__ = [
     "ButterflyDecoderLM",
@@ -62,8 +66,17 @@ class ButterflyDecoderLM(nn.Module):
         self.final_norm = nn.LayerNorm(config.d_hidden)
         self.lm_head = nn.Linear(config.d_hidden, config.vocab_size, rng=rng)
         self.drop = nn.Dropout(config.dropout, rng=rng)
+        # The incremental-inference program, rebuilt when a parameter's
+        # (version, data) or a projection layer changes.
+        self._program = DecodeProgramCache()
 
     # ------------------------------------------------------------------
+    def _dtype_context(self):
+        """The ``Tensor`` graph in the parameters' own dtype: activations
+        follow the ambient policy, so an fp32 model called outside a
+        dtype context would otherwise silently compute in fp64."""
+        return nn.default_dtype(self.token_emb.weight.dtype)
+
     def forward(self, tokens: np.ndarray) -> nn.Tensor:
         """Return next-token logits of shape (batch, seq, vocab)."""
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -72,21 +85,23 @@ class ButterflyDecoderLM(nn.Module):
         seq = tokens.shape[1]
         if seq > self.config.max_len:
             raise ValueError(f"sequence length {seq} exceeds max_len {self.config.max_len}")
-        x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
-        x = self.drop(x)
-        for block in self.blocks:
-            x = block(x)
-        return self.lm_head(self.final_norm(x))
+        with self._dtype_context():
+            x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
+            x = self.drop(x)
+            for block in self.blocks:
+                x = block(x)
+            return self.lm_head(self.final_norm(x))
 
     def loss(self, tokens: np.ndarray) -> nn.Tensor:
         """Teacher-forced next-token cross-entropy over a token batch."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        logits = self.forward(tokens[:, :-1])
-        batch, seq, vocab = logits.shape
-        flat = F.reshape(logits, (batch * seq, vocab))
-        targets = tokens[:, 1:].reshape(-1)
-        # Fused logsumexp loss: never materializes (B*L, V) log-probs.
-        return F.cross_entropy_logits(flat, targets)
+        with self._dtype_context():
+            logits = self.forward(tokens[:, :-1])
+            batch, seq, vocab = logits.shape
+            flat = F.reshape(logits, (batch * seq, vocab))
+            targets = tokens[:, 1:].reshape(-1)
+            # Fused logsumexp loss: never materializes (B*L, V) log-probs.
+            return F.cross_entropy_logits(flat, targets)
 
     # ------------------------------------------------------------------
     # KV-cache incremental decoding (inference-only)
@@ -106,11 +121,12 @@ class ButterflyDecoderLM(nn.Module):
         """Forward only the new ``(batch, s_new)`` tokens against ``cache``.
 
         Appends the new keys/values to the cache, advances its lengths,
-        and returns plain-numpy logits ``(batch, s_new, vocab)``.  Rows
-        may sit at different context lengths (continuous batching);
-        every new token lands at its row's next absolute position, which
-        must stay below ``max_len`` (callers re-prefill the clipped
-        window at the sliding-window edge).
+        and returns owned plain-numpy logits ``(batch, s_new, vocab)`` in
+        the parameters' dtype.  Rows may sit at different context lengths
+        (continuous batching); every new token lands at its row's next
+        absolute position, which must stay below ``max_len`` (callers
+        re-prefill the clipped window at the sliding-window edge).  Runs
+        the compiled :class:`~repro.models.decode_program.DecodeProgram`.
         """
         if self.training:
             raise RuntimeError(
@@ -124,20 +140,7 @@ class ButterflyDecoderLM(nn.Module):
                 f"batch mismatch: cache has {cache.batch} rows, "
                 f"tokens have {tokens.shape[0]}"
             )
-        s_new = tokens.shape[1]
-        positions = cache.lengths[:, None] + np.arange(s_new)[None, :]
-        if positions.size and positions.max() >= self.config.max_len:
-            raise ValueError(
-                f"position {positions.max()} exceeds max_len "
-                f"{self.config.max_len}; re-prefill the sliding window"
-            )
-        with nn.no_grad():
-            x = self.token_emb(tokens) + F.embedding(self.pos_emb, positions)
-            for index, block in enumerate(self.blocks):
-                x = block(x, layer_kv=cache.layer(index))
-            logits = self.lm_head(self.final_norm(x))
-        cache.advance(s_new)
-        return logits.data
+        return self._program.get(self).run(tokens, cache)
 
     def prefill(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
         """Run the prompt through an empty-tail cache; return last-position logits."""

@@ -25,10 +25,12 @@ class MultiHeadAttention(Module):
     The attention computation itself runs through the fused
     attention kernel (:mod:`repro.kernels.attention`): one
     autograd node per call, one cache-sized score tile at a time, cached
-    causal bias buffers, and a dedicated single-token fast path for
-    KV-cache decoding.  The composite op chain survives only for the
+    causal bias buffers.  The composite op chain survives only for the
     training-with-attention-dropout configuration, which needs the
-    materialized softmax.
+    materialized softmax.  KV-cached incremental attention is not a
+    module path: a decoder's inference program
+    (:mod:`repro.models.decode_program`) runs the projections and the
+    attention kernels directly.
     """
 
     def __init__(
@@ -61,37 +63,16 @@ class MultiHeadAttention(Module):
         x = F.reshape(x, (batch, seq, self.n_heads, self.d_head))
         return F.transpose(x, (0, 2, 1, 3))
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: Optional[np.ndarray] = None,
-        layer_kv=None,
-    ) -> Tensor:
+    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         """Attend over ``x`` of shape (batch, seq, d_model).
 
         ``mask`` is an optional boolean array (batch, seq) with True for
         valid positions; masked positions receive -inf scores as keys.
-
-        ``layer_kv`` (a :class:`repro.serving.kv_cache.LayerKV`) switches
-        to the incremental decode path: ``x`` then holds only *new*
-        tokens, whose keys/values are appended to the cache, and queries
-        attend over the full cached context.  Requires ``causal=True``
-        and is inference-only (gradients do not flow through the cache).
         """
         batch, seq, _ = x.shape
         q = self._split_heads(self.q_proj(x), batch, seq)
         k = self._split_heads(self.k_proj(x), batch, seq)
         v = self._split_heads(self.v_proj(x), batch, seq)
-        if layer_kv is not None:
-            if not self.causal:
-                raise ValueError("KV-cached attention requires causal=True")
-            if mask is not None:
-                raise ValueError(
-                    "KV-cached attention handles padding via the cache's "
-                    "per-row lengths; an explicit key mask is not supported"
-                )
-            return self._attend_cached(q, k, v, layer_kv, batch, seq)
-
         if self.training and self.attn_dropout.rate > 0.0:
             # Attention-probability dropout needs the materialized
             # softmax; only this (training + dropout) configuration pays
@@ -118,47 +99,6 @@ class MultiHeadAttention(Module):
         attn = F.softmax(scores, axis=-1)
         attn = self.attn_dropout(attn)
         return F.matmul(attn, v)  # (B, H, L, Dh)
-
-    def _attend_cached(
-        self, q: Tensor, k: Tensor, v: Tensor, layer_kv, batch: int, seq: int
-    ) -> Tensor:
-        """Incremental attention over cached keys/values plus new tokens.
-
-        Row ``b`` already holds ``lengths[b]`` cached positions; the new
-        tokens land at ``lengths[b] .. lengths[b] + seq - 1``.  Query
-        ``s`` may attend to cached positions and to new positions up to
-        its own (causal), which also masks the padding of shorter rows
-        in a ragged batch.  A single new token outside autograd (the
-        serving decode step) takes :func:`repro.kernels.attention_decode`;
-        everything else (prefill, multi-token continuation) goes through
-        the fused kernel with per-row query offsets.
-        """
-        if self.training and self.attn_dropout.rate > 0.0:
-            raise RuntimeError(
-                "KV-cached attention is inference-only and does not apply "
-                "attention dropout; call .eval() first"
-            )
-        lengths = layer_kv.lengths
-        layer_kv.write(k.data, v.data)
-        total = int(lengths.max()) + seq if batch else seq
-        k_all, v_all = layer_kv.view(total)
-        scale = 1.0 / math.sqrt(self.d_head)
-        if seq == 1 and not F.is_grad_enabled():
-            # Decode fast path: one new token per row against the cached
-            # context — no transposes, no reshapes, no bias arrays
-            # (ragged rows are masked by per-row lengths inside the
-            # kernel).  This is the serving engine's per-step hot path.
-            ctx = AK.attention_decode(
-                q.data[:, :, 0], k_all, v_all, lengths=lengths, scale=scale
-            )
-            return self.out_proj(Tensor(ctx.reshape(batch, 1, self.d_model)))
-        context = F.scaled_dot_attention(
-            q, Tensor(k_all), Tensor(v_all),
-            causal=True, q_start=lengths, scale=scale,
-        )  # (B, H, S, Dh)
-        context = F.transpose(context, (0, 2, 1, 3))
-        context = F.reshape(context, (batch, seq, self.d_model))
-        return self.out_proj(context)
 
 
 class FourierMixing(Module):

@@ -78,6 +78,12 @@ class ButterflyLinear(Module):
         """Stage coefficient tensors in application order."""
         return [getattr(self, f"stage_{i}") for i in range(len(self.halves))]
 
+    def frozen_ladder(self, dtype):
+        """This layer's inference operator for ``dtype`` inputs — the
+        :class:`~repro.kernels.FrozenLadder` built once per weight
+        version (what a decoder's inference program applies)."""
+        return self._frozen.get(self.stage_parameters(), dtype)
+
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
             raise ValueError(
@@ -88,7 +94,7 @@ class ButterflyLinear(Module):
         stages = self.stage_parameters()
         ladder = None
         if not F.is_grad_enabled():
-            ladder = self._frozen.get(stages, x.dtype)
+            ladder = self.frozen_ladder(x.dtype)
         if ladder is not None:
             # Inference: the frozen operators take (..., in) to (..., out)
             # directly, zero-pad and output slice folded in.

@@ -72,13 +72,18 @@ class QuantizedLinear(Module):
         self.bias = None if bias is None else np.asarray(bias)
         self.training = False
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The layer on a plain ``(..., in)`` array, in ``x``'s own dtype
+        (what the decoder's inference program calls)."""
+        return QK.quantized_linear(x, self.q_weight, self.scales, self.bias)
+
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
             raise RuntimeError(
                 "QuantizedLinear is inference-only; quantize_for_inference "
                 "replicas cannot be trained"
             )
-        return Tensor(QK.quantized_linear(x.data, self.q_weight, self.scales, self.bias))
+        return Tensor(self.apply(x.data))
 
     def weight_nbytes(self) -> int:
         """Bytes held by the stored weight (codes + scales + bias)."""
@@ -121,28 +126,32 @@ class QuantizedButterflyLinear(Module):
         self.bias = None if bias is None else np.asarray(bias)
         self.training = False
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The layer on a plain ``(..., in)`` array, in ``x``'s own dtype
+        (what the decoder's inference program calls)."""
+        if x.shape[-1] != self.in_features:
+            raise ValueError(
+                f"expected input dim {self.in_features}, got {x.shape[-1]}"
+            )
+        if self.in_features < self.n:
+            pad = [(0, 0)] * (x.ndim - 1) + [(0, self.n - self.in_features)]
+            x = np.pad(x, pad)
+        out = QK.quantized_butterfly_apply(
+            x, self.q_stages, self.stage_scales, self.halves
+        )
+        if self.out_features < self.n:
+            out = out[..., : self.out_features]
+        if self.bias is not None:
+            out = out + self.bias
+        return out
+
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
             raise RuntimeError(
                 "QuantizedButterflyLinear is inference-only; "
                 "quantize_for_inference replicas cannot be trained"
             )
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected input dim {self.in_features}, got {x.shape[-1]}"
-            )
-        data = x.data
-        if self.in_features < self.n:
-            pad = [(0, 0)] * (data.ndim - 1) + [(0, self.n - self.in_features)]
-            data = np.pad(data, pad)
-        out = QK.quantized_butterfly_apply(
-            data, self.q_stages, self.stage_scales, self.halves
-        )
-        if self.out_features < self.n:
-            out = out[..., : self.out_features]
-        if self.bias is not None:
-            out = out + self.bias
-        return Tensor(out)
+        return Tensor(self.apply(x.data))
 
     def weight_nbytes(self) -> int:
         """Bytes held by the stored ladder (stages + scales + bias)."""

@@ -744,13 +744,24 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return _make_result(a.data * mask, (a,), backward)
 
 
+def layer_norm_forward(
+    a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(out, normed, inv)`` of an affine layer norm over the last axis.
+
+    The array-level forward of :func:`layer_norm`, shared with the
+    decoder's inference program so both produce the same bytes.
+    """
+    mu = a.mean(axis=-1, keepdims=True)
+    var = a.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = (a - mu) * inv
+    return normed * gamma + beta, normed, inv
+
+
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last dimension with affine parameters."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    normed = (a.data - mu) * inv
-    data = normed * gamma.data + beta.data
+    data, normed, inv = layer_norm_forward(a.data, gamma.data, beta.data, eps)
     n = a.shape[-1]
 
     def backward(grad: np.ndarray):

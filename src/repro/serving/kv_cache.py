@@ -35,34 +35,11 @@ from ..kernels.dtype import get_default_dtype
 class LayerKV:
     """Cached keys/values of one attention layer: ``(batch, heads, max_len, d_head)``."""
 
-    __slots__ = ("_cache", "k", "v")
+    __slots__ = ("k", "v")
 
-    def __init__(self, cache: "DecoderKVCache", k: np.ndarray, v: np.ndarray) -> None:
-        self._cache = cache
+    def __init__(self, k: np.ndarray, v: np.ndarray) -> None:
         self.k = k
         self.v = v
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Valid positions per row (shared across all layers of the cache)."""
-        return self._cache.lengths
-
-    def write(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Store ``(batch, heads, s_new, d_head)`` projections at each row's tail."""
-        batch, _, s_new, _ = k_new.shape
-        if batch != self.k.shape[0]:
-            raise ValueError(
-                f"batch mismatch: cache has {self.k.shape[0]} rows, got {batch}"
-            )
-        positions = self.lengths[:, None] + np.arange(s_new)[None, :]
-        if positions.size and positions.max() >= self.k.shape[2]:
-            raise ValueError(
-                f"cache overflow: writing positions up to {positions.max()} "
-                f"into capacity {self.k.shape[2]} (re-prefill the window instead)"
-            )
-        rows = np.arange(batch)[:, None]
-        self.k[rows, :, positions] = np.swapaxes(k_new, 1, 2)
-        self.v[rows, :, positions] = np.swapaxes(v_new, 1, 2)
 
     def view(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
         """Cached keys/values truncated to ``total`` positions."""
@@ -92,7 +69,7 @@ class DecoderKVCache:
         self.lengths = np.zeros(batch, dtype=np.int64)
         shape = (batch, n_heads, max_len, d_head)
         self._layers = [
-            LayerKV(self, np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
+            LayerKV(np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype))
             for _ in range(n_layers)
         ]
 

@@ -44,6 +44,66 @@ def store_weight():
     return store
 
 
+def _reference_incremental(model, tokens, cache):
+    """The ``Tensor``-graph incremental forward: the byte oracle of the
+    decoder's compiled ``DecodeProgram`` (``models/decode_program.py``).
+
+    Module calls, ``Tensor`` wrappers and head split/merge nodes, under
+    ``no_grad`` in the model's own dtype — what ``forward_incremental``
+    ran before it was compiled.  Same contract: writes the new
+    keys/values at each row's tail, advances ``cache``, returns
+    ``(batch, s_new, vocab)`` logits.
+    """
+    import math
+
+    from repro import kernels, nn
+    from repro.nn import tensor as F
+
+    tokens = np.asarray(tokens, dtype=np.int64)
+    batch, seq = tokens.shape
+    lengths = cache.lengths
+    positions = lengths[:, None] + np.arange(seq)[None, :]
+    rows = np.arange(batch)[:, None]
+    with nn.default_dtype(model.token_emb.weight.dtype), nn.no_grad():
+        x = model.token_emb(tokens) + F.embedding(model.pos_emb, positions)
+        for index, block in enumerate(model.blocks):
+            attn, layer_kv = block.attn, cache.layer(index)
+            q, k, v = (
+                attn._split_heads(proj(x), batch, seq)
+                for proj in (attn.q_proj, attn.k_proj, attn.v_proj)
+            )
+            layer_kv.k[rows, :, positions] = np.swapaxes(k.data, 1, 2)
+            layer_kv.v[rows, :, positions] = np.swapaxes(v.data, 1, 2)
+            k_all, v_all = layer_kv.view(int(lengths.max()) + seq)
+            scale = 1.0 / math.sqrt(attn.d_head)
+            if seq == 1:
+                context = nn.Tensor(kernels.attention_decode(
+                    q.data[:, :, 0], k_all, v_all, lengths=lengths, scale=scale,
+                ).reshape(batch, 1, attn.d_model))
+            else:
+                context = F.scaled_dot_attention(
+                    q, nn.Tensor(k_all), nn.Tensor(v_all),
+                    causal=True, q_start=lengths, scale=scale,
+                )
+                context = F.reshape(
+                    F.transpose(context, (0, 2, 1, 3)), (batch, seq, attn.d_model))
+            x = F.residual_layer_norm(
+                x, attn.out_proj(context),
+                block.norm1.gamma, block.norm1.beta, eps=block.norm1.eps)
+            x = F.residual_layer_norm(
+                x, block.ffn(x),
+                block.norm2.gamma, block.norm2.beta, eps=block.norm2.eps)
+        logits = model.lm_head(model.final_norm(x)).data
+    cache.advance(seq)
+    return logits
+
+
+@pytest.fixture
+def reference_incremental():
+    """``(model, tokens, cache) -> logits``: see :func:`_reference_incremental`."""
+    return _reference_incremental
+
+
 def numeric_gradient(f, x, eps=1e-6):
     """Central finite-difference gradient of scalar f at array x."""
     x = np.asarray(x, dtype=np.float64)

@@ -9,6 +9,13 @@ a spy on :func:`repro.nn.tensor._as_array` must never see a floating
 ndarray that is not already the policy dtype, in a forward + backward
 and in a ``no_grad`` forward of every model family, and every
 parameter gradient must come out float32.
+
+The same holds with *no* dtype context at all for a decoder: its
+activations take its parameters' dtype, so a bare ``ServingEngine``
+over a float32 (or int8-stored) decoder never hands a GEMM a float64
+operand.  It used to: ``Tensor.__init__`` coerces to the ambient policy,
+the engine never entered the model's context, and so float32 replicas
+decoded in float64 — the cause of "fp64 out-decodes fp32".
 """
 
 import numpy as np
@@ -16,6 +23,8 @@ import pytest
 
 from repro import nn
 from repro.kernels import attention as AK
+from repro.kernels import quant as QK
+from repro.kernels.backend import KernelBackend
 from repro.models import (
     ModelConfig,
     build_butterfly_decoder,
@@ -24,6 +33,7 @@ from repro.models import (
     build_transformer,
 )
 from repro.nn import tensor as F
+from repro.serving import SamplingParams, ServingEngine
 
 CONFIG = ModelConfig(
     vocab_size=32, n_classes=4, max_len=16, d_hidden=16, n_heads=2, r_ffn=2,
@@ -88,6 +98,70 @@ def test_decoders_train_prefill_and_decode_in_float32(build, monkeypatch, rng):
             prefill = model.prefill(tokens, cache)
             step = model.decode_step(prefill.argmax(axis=-1), cache)
     assert logits.dtype == prefill.dtype == step.dtype == np.float32
+    assert casts == []
+    _assert_float32_grads(model)
+
+
+@pytest.mark.parametrize("build,quantize", [
+    (build_dense_decoder, None),
+    (build_butterfly_decoder, None),
+    (build_dense_decoder, "int8"),
+])
+def test_bare_serving_engine_decodes_in_the_models_dtype(
+    build, quantize, monkeypatch, rng
+):
+    engine = ServingEngine(build(CONFIG).eval(), max_batch_size=2,
+                           quantize=quantize)
+    operands, logits = [], []
+    real_matmul, real_quantized = KernelBackend.matmul, QK.quantized_linear
+
+    def matmul(self, a, b, out):
+        operands.extend([a.dtype, b.dtype, out.dtype])
+        return real_matmul(self, a, b, out)
+
+    def quantized_linear(x, *args, **kwargs):
+        y = real_quantized(x, *args, **kwargs)
+        operands.extend([x.dtype, y.dtype])
+        return y
+
+    monkeypatch.setattr(KernelBackend, "matmul", matmul)
+    monkeypatch.setattr(QK, "quantized_linear", quantized_linear)
+    for name in ("prefill", "decode_step"):
+        real = getattr(engine.model, name)
+        monkeypatch.setattr(
+            engine.model, name,
+            lambda *a, _real=real: (logits.append(_real(*a)), logits[-1])[1],
+        )
+    assert F.get_default_dtype() == np.float64  # no context anywhere
+    handles = [
+        engine.submit(rng.integers(0, CONFIG.vocab_size, size=n),
+                      SamplingParams(max_new_tokens=4, seed=n))
+        for n in (3, 5, 4)
+    ]
+    engine.drain(timeout_s=30.0)
+    assert all(len(h.result().tokens) == 4 for h in handles)
+    assert operands and set(operands) == {np.dtype(np.float32)}
+    assert len(logits) >= 4 and {l.dtype for l in logits} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("build", [build_dense_decoder, build_butterfly_decoder])
+def test_decoder_forward_and_loss_ignore_the_ambient_policy(build, monkeypatch, rng):
+    """Outside any dtype context an fp32 decoder's full-window forward,
+    loss and uncached generate stay fp32 (they enter the parameters'
+    dtype themselves), so the full-window oracle and the program agree."""
+    model = build(CONFIG)
+    casts = _spy_on_casts(monkeypatch)
+    tokens = rng.integers(0, CONFIG.vocab_size, size=(2, 8))
+    assert F.get_default_dtype() == np.float64
+    loss = model.loss(tokens)
+    with CONFIG.dtype_context():  # backward seeds its gradient from the policy
+        loss.backward()
+    model.eval()
+    with nn.no_grad():
+        logits = model(tokens)
+    cached = model.generate(tokens[:, :3], 4)
+    assert np.array_equal(model.generate(tokens[:, :3], 4, use_cache=False), cached)
+    assert loss.dtype == logits.dtype == np.float32
     assert casts == []
     _assert_float32_grads(model)
 

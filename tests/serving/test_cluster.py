@@ -90,11 +90,26 @@ class TestClusterBasics:
 
     def test_spawn_start_method(self, model):
         """The default spawn path (fresh interpreter, pickled model)
-        boots, serves and drains."""
+        boots, serves and drains — with a model that has already decoded
+        in this process: its compiled inference program (closures over
+        its layers) is derived state and must not travel in the pickle."""
+        prompts = _prompts(4)
+        want = ServingEngine(model, max_batch_size=4, seed=0)
+        rids = [
+            want.submit(p, SamplingParams(
+                max_new_tokens=8, temperature=0.8,
+                seed=derive_request_seed(0, i),
+            ))
+            for i, p in enumerate(prompts)
+        ]
+        expected = want.run()
+        assert model._program.builds >= 1
         with _cluster(model, start_method="spawn") as cluster:
-            gids = _submit_all(cluster, _prompts(4))
+            gids = _submit_all(cluster, prompts)
             results = cluster.drain(timeout_s=300)
         assert all(results[g].finish_reason == "length" for g in gids)
+        for rid, gid in zip(rids, gids):
+            assert results[gid].tokens == expected[rid].tokens
 
     def test_submit_validation_and_unknown_session(self, model):
         with _cluster(model, workers=1) as cluster:

@@ -1,58 +1,62 @@
 """The ``seq == 1`` decode fast path must match full-context recompute.
 
-The serving engine's per-token hot path now goes through
-:func:`repro.kernels.attention_decode` (no transposes, no bias arrays)
-instead of the composite cached-attention ops.  These tests pin the fast
-path against the fused full-recompute path at the attention-layer level
-and against whole-model forward logits, in both policy dtypes and for
-ragged (continuous-batching) row lengths.
+The serving engine's per-token hot path is the decoder's compiled
+inference program (:mod:`repro.models.decode_program`), whose
+single-token branch goes through :func:`repro.kernels.attention_decode`
+(no transposes, no bias arrays).  These tests pin that branch against
+the full-window ``Tensor`` forward — on a one-block decoder, so the
+attention layer is what is being compared, and on whole-model logits —
+in both policy dtypes and for ragged (continuous-batching) row lengths.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import ModelConfig, build_butterfly_decoder
-from repro.nn.tensor import Tensor
+from repro.models import ModelConfig, build_butterfly_decoder, build_dense_decoder
 from repro.serving import DecoderKVCache
 
 ATOL = {"float64": 1e-9, "float32": 1e-4}
 
 
+def one_block_decoder(dtype, d_hidden, n_heads, seed):
+    config = ModelConfig(
+        vocab_size=16, n_classes=2, max_len=12, d_hidden=d_hidden,
+        n_heads=n_heads, r_ffn=2, n_total=1, seed=seed, dtype=dtype,
+    )
+    return build_dense_decoder(config).eval()
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 class TestAttentionLayerFastPath:
     def test_single_token_step_matches_full_attention(self, dtype, rng):
-        with nn.default_dtype(dtype):
-            attn = nn.MultiHeadAttention(16, 4, causal=True,
-                                         rng=np.random.default_rng(5)).eval()
-            cache = DecoderKVCache(1, 2, 4, 4, max_len=12)
-            x = rng.normal(size=(2, 7, 16))
-            with nn.no_grad():
-                attn(Tensor(x[:, :6]), layer_kv=cache.layer(0))
-                cache.advance(6)
-                step = attn(Tensor(x[:, 6:7]), layer_kv=cache.layer(0)).data
-                full = attn(Tensor(x)).data[:, 6:7]
+        model = one_block_decoder(dtype, 16, 4, seed=5)
+        tokens = rng.integers(0, 16, size=(2, 7))
+        cache = model.make_cache(2)
+        model.prefill(tokens[:, :6], cache)
+        step = model.decode_step(tokens[:, 6], cache)
+        with nn.no_grad():
+            full = model(tokens).data[:, 6]
+        assert step.dtype == np.dtype(dtype)
         np.testing.assert_allclose(step, full, atol=ATOL[dtype])
 
     def test_ragged_rows_mask_by_length(self, dtype, rng):
         """Rows at different context lengths attend only to their own prefix."""
-        with nn.default_dtype(dtype):
-            attn = nn.MultiHeadAttention(8, 2, causal=True,
-                                         rng=np.random.default_rng(6)).eval()
-            cache = DecoderKVCache(1, 2, 2, 4, max_len=12)
-            x = rng.normal(size=(2, 5, 8))
-            xnew = rng.normal(size=(2, 1, 8))
+        model = one_block_decoder(dtype, 8, 2, seed=6)
+        contexts = [rng.integers(0, 16, size=n) for n in (5, 3)]
+        new = rng.integers(0, 16, size=2)
+        caches = []
+        for context in contexts:  # solo prefills joined, as the scheduler does
+            caches.append(model.make_cache(1))
+            model.prefill(context[None, :], caches[-1])
+        cache = DecoderKVCache.merge(caches)
+        assert cache.lengths.tolist() == [5, 3]
+        got = model.decode_step(new, cache)
+        for row, context in enumerate(contexts):
+            window = np.append(context, new[row])[None, :]
             with nn.no_grad():
-                attn(Tensor(x), layer_kv=cache.layer(0))
-                cache.lengths = np.array([5, 3])  # row 1 holds a shorter prefix
-                got = attn(Tensor(xnew), layer_kv=cache.layer(0)).data
-                for row in range(2):
-                    n = int(cache.lengths[row])
-                    xfull = np.concatenate([x[row:row + 1, :n],
-                                            xnew[row:row + 1]], axis=1)
-                    ref = attn(Tensor(xfull)).data[:, -1:]
-                    np.testing.assert_allclose(got[row:row + 1], ref,
-                                               atol=ATOL[dtype])
+                ref = model(window).data[:, -1]
+            np.testing.assert_allclose(got[row:row + 1], ref, atol=ATOL[dtype])
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -78,21 +82,21 @@ class TestModelDecodeFastPath:
 
 class TestFastPathEngagement:
     def test_grad_enabled_single_token_still_exact(self, rng):
-        """Outside no_grad the cached path falls back to the fused op —
-        and still matches the fast path bit-for-bit up to fp rounding."""
-        attn = nn.MultiHeadAttention(8, 2, causal=True,
-                                     rng=np.random.default_rng(7)).eval()
-        x = rng.normal(size=(1, 4, 8))
-        xnew = rng.normal(size=(1, 1, 8))
+        """The program has one behaviour whatever the autograd mode is,
+        and its single-token branch (``attention_decode``) agrees with
+        its multi-token branch (``attention_forward``) on the same token."""
+        model = one_block_decoder("float64", 8, 2, seed=7)
+        tokens = rng.integers(0, 16, size=(1, 6))
 
-        def run():
-            cache = DecoderKVCache(1, 1, 2, 4, max_len=8)
-            with nn.no_grad():
-                attn(Tensor(x), layer_kv=cache.layer(0))
-                cache.advance(4)
+        def primed(n):
+            cache = model.make_cache(1)
+            model.prefill(tokens[:, :n], cache)
             return cache
 
         with nn.no_grad():
-            fast = attn(Tensor(xnew), layer_kv=run().layer(0)).data
-        slow = attn(Tensor(xnew), layer_kv=run().layer(0)).data
+            fast = model.decode_step(tokens[:, 5], primed(5))
+        recorded = model.decode_step(tokens[:, 5], primed(5))
+        assert isinstance(recorded, np.ndarray)
+        assert recorded.tobytes() == fast.tobytes()
+        slow = model.forward_incremental(tokens[:, 4:6], primed(4))[:, -1]
         np.testing.assert_allclose(fast, slow, atol=1e-12)

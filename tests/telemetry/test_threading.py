@@ -76,6 +76,51 @@ class TestInstrumentHammer:
         assert all(inst is seen[0] for inst in seen)
 
 
+class TestSpanHammer:
+    def test_lock_free_spans_lose_nothing_under_contention(self):
+        """``SpanCollector._open/_close`` take no lock: every span must
+        still land exactly once, with a unique id and its own thread's
+        parent.  More threads than cores, and a short switch interval so
+        the interpreter preempts inside the span bookkeeping."""
+        import sys
+
+        threads, per_thread = 8, 500
+        barrier = threading.Barrier(threads)
+
+        def work(index):
+            barrier.wait()
+            for i in range(per_thread):
+                with telemetry.span("outer", thread=index, i=i):
+                    with telemetry.span("inner", thread=index, i=i):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_telemetry(True):
+                pool = [threading.Thread(target=work, args=(t,))
+                        for t in range(threads)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        records = telemetry.span_records()
+        assert len(records) == 2 * threads * per_thread
+        assert len({r.span_id for r in records}) == len(records)
+        assert telemetry.get_collector().dropped == 0
+        by_id = {r.span_id: r for r in records}
+        for r in records:
+            if r.name == "inner":
+                parent = by_id[r.parent_id]
+                assert parent.name == "outer" and parent.attrs == r.attrs
+                assert parent.thread_id == r.thread_id
+            else:
+                assert r.parent_id is None and r.depth == 0
+
+
 class TestThreadedBackend:
     def test_sharded_gemm_counts_and_parity(self):
         from repro.kernels.backend import ThreadedBackend
