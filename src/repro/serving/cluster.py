@@ -209,9 +209,11 @@ class ClusterEngine:
         self._draining = False
         self._closed = False
         # Serializes supervisor-side mutations (submit/cancel/pump/
-        # check_workers/dispatch) so the asyncio HTTP front end can step
-        # the cluster from an executor thread while handlers submit from
-        # the event loop.  Reentrant: submit -> dispatch nests.
+        # check_workers/dispatch) against callers on other threads: the
+        # HTTP front end steps and submits from its one loop thread, but
+        # the thread that started it in a `ServerThread` still calls in
+        # (kill_worker, result, close).  Reentrant: submit -> dispatch
+        # nests.
         self._lock = threading.RLock()
 
         if admission is not None and getattr(

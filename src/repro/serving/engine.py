@@ -127,10 +127,12 @@ class ServingEngine:
         self._next_id = 0
         self._shut_down = False
         # Serializes every state mutation (submit/cancel/step/shutdown)
-        # so a threaded front end — the asyncio HTTP control plane runs
-        # steps on an executor thread while handlers submit from the
-        # event loop — sees atomic transitions.  Reentrant: shutdown's
-        # drain runs step() under the same lock.
+        # so callers on other threads see atomic transitions.  The HTTP
+        # control plane itself makes every engine call from its one loop
+        # thread, but whoever started it in a `ServerThread` (tests,
+        # benches, the CLI self-test) still reaches the engine from
+        # theirs.  Reentrant: shutdown's drain runs step() under the
+        # same lock.
         self._lock = threading.RLock()
 
     @property

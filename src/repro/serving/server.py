@@ -29,15 +29,47 @@ Endpoints
         server records into the engine-local registry.
 
 Concurrency model
-    The engines are synchronous and thread-safe (an internal
-    ``RLock``); the event loop must never block on a decode step.  A
-    single **dispatcher task** owns engine stepping: it runs
-    ``engine.step()`` on a one-thread executor and, after each step,
-    routes newly generated tokens to per-request ``asyncio.Queue``s
-    that the handler coroutines consume.  Handlers call
-    ``submit``/``cancel`` through the same executor, so every engine
-    operation is serialized off-loop and the event loop stays free to
-    accept connections and flush streams.
+    One thread, no hand-offs: accept, parse, ``engine.submit`` /
+    ``cancel`` / ``close``, ``engine.step()`` and every socket write run
+    on the event loop's thread.  A single **dispatcher task** calls
+    ``engine.step()`` directly, then writes each tracked request's new
+    tokens to that request's transport itself — one preformatted byte
+    string and one ``write`` per connection per step — and at the finish
+    the terminal frames (or the blocking JSON response), and resolves
+    the one future the request's handler coroutine waits on.  A handler
+    parses, submits, tracks and, for a stream, writes head + ``start``
+    event in one synchronous stretch, so no token is ever generated for
+    a request the dispatcher does not know about.
+
+    *What a step blocks.*  While ``engine.step()`` runs, accept, parsing,
+    ``/healthz`` and ``/metrics`` wait — one step at most (0.3-6 ms on
+    every committed workload; ``ClusterEngine.step`` is a non-blocking
+    pump), the bound ``submit`` always had behind the engine lock.
+    ``http_loop_block_ms`` on ``/metrics`` records how long each
+    dispatcher turn (step + fan-out) held the loop, so an operator
+    serving a larger model sees it rather than guesses.
+
+    *Why token writes are not awaited.*  ``transport.write`` sends at
+    once when the socket takes the bytes and buffers otherwise; a stream
+    buffers at most ``max_new_tokens`` frames of ~45 bytes (tokens the
+    engine holds anyway), so the dispatcher never waits on a slow
+    reader.  A write to a closed transport does not raise: the
+    dispatcher checks ``transport.is_closing()`` before each write and
+    cancels the request of a connection that is gone.
+
+    *Turns per step.*  asyncio takes five loop turns from a connection's
+    ``accept`` to its request being read (accept → transport task, which
+    calls :meth:`ServingHTTPServer._protocol` → ``connection_made`` +
+    ``add_reader`` → handler start + first ``recv`` → handler resumes
+    and parses), and a task that yields sees only what earlier turns
+    did; with one turn between steps each hop costs a whole engine step
+    of time-to-first-token.  So the dispatcher yields ``_MIN_TURNS``
+    turns after every step — enough for an ``accept`` to reach
+    ``_protocol``, which counts the connection as arriving — and keeps
+    yielding, up to ``_MAX_TURNS``, while a connection is arriving:
+    streams pay for arrivals only while there is one, and a client that
+    connects and stays silent costs them at most ``_MAX_TURNS`` turns a
+    step.  The measured table sits beside the constants.
 
 Backpressure & deadlines are enforced at the HTTP boundary: an
 engine-level :class:`~repro.serving.admission.LoadSheddingAdmission`
@@ -58,7 +90,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -86,6 +117,7 @@ _REASON_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
     413: "Payload Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -100,6 +132,29 @@ _FINISH_STATUS = {
     FINISH_ERROR: 500,
 }
 
+#: Status counted for a connection whose client left before a response
+#: was written (nginx's "client closed request"); never sent.
+_CLIENT_CLOSED = 499
+
+#: A client gets this long to send its head, and as long again its body.
+_READ_TIMEOUT_S = 10.0
+
+#: Loop turns the dispatcher yields between two engine steps: at least
+#: ``_MIN_TURNS``, and up to ``_MAX_TURNS`` while a connection is arriving
+#: ("Turns per step" in the module docstring).  A turn is one
+#: ``select(0)`` plus the loop's bookkeeping: 3 us in a tight loop,
+#: nearer 9 us between engine steps.  Measured on the 2-vCPU reference
+#: box, ``http_stream``, medians of seeds 11-16
+#: (``itl_p50_ms`` / ``ttft_p50_ms``; the parent's executor path read
+#: 0.89 / 4.10 beside the fixed-1 row, seeds 11-14):
+#:
+#:     fixed 1        0.71 / 5.67      min 1, max 8    0.69 / 4.01
+#:     fixed 5        0.72 / 3.38      min 2, max 8    0.73 / 3.47
+#:     fixed 8        0.75 / 2.91      min 3, max 8    0.72 / 2.91
+#:                                     min 3, max 12   0.73 / 2.87
+_MIN_TURNS = 3
+_MAX_TURNS = 8
+
 
 class _BadRequest(Exception):
     """Client error: carries the HTTP status and a message."""
@@ -110,18 +165,78 @@ class _BadRequest(Exception):
         self.message = message
 
 
+def _response(
+    status: int, body: bytes, content_type: str = "application/json",
+    extra_headers=(),
+) -> bytes:
+    """Head and body of one ``Connection: close`` response."""
+    return _head(status, [
+        ("Content-Type", content_type),
+        ("Content-Length", str(len(body))),
+        ("Connection", "close"),
+        *extra_headers,
+    ]) + body
+
+
+def _json_response(status: int, payload, extra_headers=()) -> bytes:
+    return _response(
+        status, json.dumps(payload).encode("utf-8"),
+        extra_headers=extra_headers,
+    )
+
+
+def _head(status: int, headers) -> bytes:
+    phrase = _REASON_PHRASES.get(status, "Unknown")
+    lines = [f"HTTP/1.1 {status} {phrase}"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _chunk(payload: bytes) -> bytes:
+    """One HTTP/1.1 chunked-transfer frame."""
+    return b"%x\r\n%b\r\n" % (len(payload), payload)
+
+
+def _sse(payload, event: str) -> bytes:
+    """One named SSE event as one chunk."""
+    return _chunk(
+        f"event: {event}\ndata: {json.dumps(payload)}\n\n".encode("utf-8")
+    )
+
+
+def _token_frame(token: int, index: int) -> bytes:
+    """One token's SSE event as one chunk — the bytes ``json.dumps``
+    gives for ``{"token": token, "index": index}``, without the call."""
+    return _chunk(b'data: {"token": %d, "index": %d}\n\n' % (token, index))
+
+
+_STREAM_HEAD = _head(200, [
+    ("Content-Type", "text/event-stream"),
+    ("Cache-Control", "no-cache"),
+    ("Transfer-Encoding", "chunked"),
+    ("Connection", "close"),
+])
+#: ``[DONE]`` and the terminal zero-length chunk.
+_STREAM_TAIL = _chunk(b"data: [DONE]\n\n") + b"0\r\n\r\n"
+
+
 class _Tracked:
     """Dispatcher-side record of one in-flight HTTP request."""
 
-    __slots__ = ("request_id", "queue", "delivered", "done")
+    __slots__ = ("request_id", "transport", "stream", "delivered", "done")
 
-    def __init__(self, request_id: int) -> None:
+    def __init__(
+        self, request_id: int, transport: asyncio.Transport, stream: bool
+    ) -> None:
         self.request_id = request_id
-        #: token / sentinel queue consumed by the handler coroutine.
-        self.queue: asyncio.Queue = asyncio.Queue()
-        #: how many engine-side tokens were already routed.
+        self.transport = transport
+        self.stream = stream
+        #: how many engine-side tokens were already written (stream) or
+        #: seen (blocking: progress only; the response is built at the end).
         self.delivered = 0
-        self.done = False
+        #: resolved by the dispatcher with the HTTP status to count, once
+        #: the whole response is written; the handler waits on it.
+        self.done = asyncio.get_running_loop().create_future()
 
 
 class ServingHTTPServer:
@@ -134,8 +249,9 @@ class ServingHTTPServer:
 
     ``step_idle_s`` paces the dispatcher when a step makes no progress
     (idle engine, cluster waiting on worker pipes) so an idle server
-    doesn't spin a core.  ``drain_timeout_s`` bounds the stop-time
-    drain; ``None`` waits indefinitely.
+    doesn't spin a core; a submission ends the wait early.
+    ``drain_timeout_s`` bounds the stop-time drain; ``None`` waits
+    indefinitely.
     """
 
     def __init__(
@@ -158,29 +274,34 @@ class ServingHTTPServer:
         self.registry = engine.metrics.registry
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        # One worker on purpose: engine calls are serialized off-loop in
-        # submission order, and the engine lock is never contended from
-        # the server side.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-http-engine"
-        )
         self._tracked: Dict[int, _Tracked] = {}
+        #: connections accepted whose request is not read yet.
+        self._arriving = 0
+        #: set by a submission, so an idle dispatcher steps at once.
+        self._wake = asyncio.Event()
         self._stopping = False
         self._stopped = asyncio.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "ServingHTTPServer":
         """Bind the listening socket and start the dispatcher task."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._protocol, host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="repro-http-dispatcher"
         )
         return self
+
+    def _protocol(self) -> asyncio.StreamReaderProtocol:
+        """What ``asyncio.start_server`` builds per accepted connection,
+        counted: the loop calls this one turn after ``accept``, three
+        before :meth:`_handle_client` first reads."""
+        self._arriving += 1
+        return asyncio.StreamReaderProtocol(
+            asyncio.StreamReader(), self._handle_client
+        )
 
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting; optionally drain in-flight requests; stop.
@@ -199,16 +320,13 @@ class ServingHTTPServer:
             self._server.close()
             await self._server.wait_closed()
         if not drain:
-            for tracked in list(self._tracked.values()):
-                await self._engine_call(self.engine.cancel, tracked.request_id)
+            self._cancel_tracked()
         try:
-            await asyncio.wait_for(
-                self._await_drained(), timeout=self.drain_timeout_s
-            )
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(self.drain_timeout_s):
+                await self._await_drained()
+        except TimeoutError:
             self.registry.counter("http_drain_timeouts_total").inc()
-            for tracked in list(self._tracked.values()):
-                await self._engine_call(self.engine.cancel, tracked.request_id)
+            self._cancel_tracked()
             await self._await_drained()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
@@ -217,11 +335,16 @@ class ServingHTTPServer:
             except asyncio.CancelledError:
                 pass
         if self.own_engine:
-            await self._engine_call(self.engine.close)
-        self._executor.shutdown(wait=True)
+            self.engine.close()
         self._stopped.set()
 
+    def _cancel_tracked(self) -> None:
+        for request_id in self._tracked:
+            self.engine.cancel(request_id)
+
     async def _await_drained(self) -> None:
+        # The dispatcher writes a request's whole response before it
+        # untracks it, so an empty table means every byte is handed over.
         while self._tracked:
             await asyncio.sleep(self.step_idle_s)
 
@@ -239,52 +362,94 @@ class ServingHTTPServer:
                 sig, lambda: asyncio.ensure_future(self.stop(drain=True))
             )
 
-    def _engine_call(self, fn, *args):
-        """Run an engine method on the serialized executor thread."""
-        return self._loop.run_in_executor(self._executor, fn, *args)
-
     # -- dispatcher ----------------------------------------------------
     async def _dispatch_loop(self) -> None:
         """The single engine-stepping task.
 
-        Steps the engine off-loop whenever work exists, then routes new
-        tokens / terminal states to the per-request queues.  Runs until
+        Steps the engine on the loop whenever work exists, then writes
+        new tokens / terminal states to their connections.  Runs until
         cancelled by :meth:`stop` (it must outlive the accept loop so
         in-flight requests finish during drain).
         """
+        clock = self.engine.metrics.clock
+        block_ms = self.registry.histogram(
+            "http_loop_block_ms", boundaries=LATENCY_MS_BOUNDARIES
+        )
         while True:
             progressed = False
             if self._tracked or self.engine.has_work:
+                started = clock()
                 try:
-                    await self._engine_call(self.engine.step)
+                    self.engine.step()
                 except Exception:
                     self.registry.counter("http_step_errors_total").inc()
-                progressed = self._route_tokens()
-            if not progressed:
-                await asyncio.sleep(self.step_idle_s)
+                progressed = self._fan_out()
+                block_ms.observe((clock() - started) * 1e3)
+            if progressed:
+                turns = 0
+                while turns < _MIN_TURNS or (
+                    self._arriving and turns < _MAX_TURNS
+                ):
+                    await asyncio.sleep(0)
+                    turns += 1
+            else:
+                self._wake.clear()
+                try:
+                    async with asyncio.timeout(self.step_idle_s):
+                        await self._wake.wait()
+                except TimeoutError:
+                    pass
 
-    def _route_tokens(self) -> bool:
-        """Push newly generated tokens/finishes into request queues.
+    def _fan_out(self) -> bool:
+        """Write each tracked request's new tokens / terminal state to
+        its connection; True when any request moved.
 
-        Runs on the event loop between executor steps, so it never races
-        an in-progress ``step`` (the dispatcher is the only step
-        driver); appended tokens are immutable once visible.
+        One ``write`` per connection per step, never awaited: a stream
+        buffers at most ``max_new_tokens`` frames of ~45 bytes, so there
+        is no flow control to wait for (see "Concurrency model").
         """
         progressed = False
-        for request_id in list(self._tracked):
-            tracked = self._tracked[request_id]
-            result = self.engine.result(request_id)
+        for tracked in list(self._tracked.values()):
+            result = self.engine.result(tracked.request_id)
             tokens = result.tokens
-            while tracked.delivered < len(tokens):
-                tracked.queue.put_nowait(("token", tokens[tracked.delivered]))
-                tracked.delivered += 1
-                progressed = True
-            if result.finished and not tracked.done:
-                tracked.done = True
-                tracked.queue.put_nowait(("finish", result.finish_reason))
-                del self._tracked[request_id]
-                progressed = True
+            total = len(tokens)
+            if total == tracked.delivered and not result.finished:
+                continue
+            progressed = True
+            if tracked.transport.is_closing():
+                # The client hung up: stop decoding for a dead connection.
+                self.engine.cancel(tracked.request_id)
+                self.registry.counter("http_stream_disconnects_total").inc()
+                self._untrack(tracked, _CLIENT_CLOSED)
+                continue
+            status = 200
+            frames = b""
+            if tracked.stream:
+                for index in range(tracked.delivered, total):
+                    frames += _token_frame(tokens[index], index)
+                if result.finished:
+                    frames += _sse({
+                        "request_id": tracked.request_id,
+                        "finish_reason": result.finish_reason,
+                        "tokens": total,
+                    }, event="end") + _STREAM_TAIL
+            elif result.finished:
+                status = _FINISH_STATUS.get(result.finish_reason, 200)
+                frames = _json_response(status, {
+                    "request_id": tracked.request_id,
+                    "tokens": [int(token) for token in tokens],
+                    "finish_reason": result.finish_reason,
+                })
+            tracked.delivered = total
+            if frames:
+                tracked.transport.write(frames)
+            if result.finished:
+                self._untrack(tracked, status)
         return progressed
+
+    def _untrack(self, tracked: _Tracked, status: int) -> None:
+        del self._tracked[tracked.request_id]
+        tracked.done.set_result(status)
 
     # -- HTTP plumbing -------------------------------------------------
     async def _handle_client(
@@ -292,33 +457,34 @@ class ServingHTTPServer:
     ) -> None:
         started = self.engine.metrics.clock()
         endpoint = "unknown"
-        status = 500
+        status = _CLIENT_CLOSED
         try:
             try:
-                method, path, headers = await asyncio.wait_for(
-                    self._read_head(reader), timeout=10.0
-                )
-            except asyncio.TimeoutError:
-                status = 408
-                await self._respond_json(
-                    writer, 408, {"error": "request header timeout"}
-                )
-                return
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return  # client went away before sending a request
-            endpoint = f"{method} {path}"
-            try:
-                body = await self._read_body(reader, headers)
-                status = await self._route(
-                    writer, method, path, body
-                )
+                try:
+                    method, path, headers = await self._read_head(reader)
+                    endpoint = f"{method} {path}"
+                    body = await self._read_body(reader, headers)
+                finally:
+                    # Read, or never will be: either way no longer a
+                    # reason for the dispatcher to wait between steps.
+                    self._arriving -= 1
+                status = await self._route(writer, method, path, body)
             except _BadRequest as exc:
-                status = exc.status
-                await self._respond_json(
+                status = self._respond_json(
                     writer, exc.status, {"error": exc.message}
                 )
-        except (ConnectionResetError, BrokenPipeError):
-            status = 499  # client disconnected mid-response
+            await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionResetError,
+                BrokenPipeError):
+            status = _CLIENT_CLOSED  # gone before or during the response
+        except Exception:
+            # A bug, not the client.  Every response is one write made
+            # last, so nothing is on the wire yet: answer, then let
+            # asyncio's exception handler log the traceback.
+            status = self._respond_json(
+                writer, 500, {"error": "internal server error"}
+            )
+            raise
         finally:
             elapsed_ms = (self.engine.metrics.clock() - started) * 1e3
             self.registry.counter(
@@ -338,26 +504,37 @@ class ServingHTTPServer:
     async def _read_head(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, Dict[str, str]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        """Method, path (without any ``?query``) and lower-cased headers."""
+        headers: Dict[str, str] = {}
+        try:
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                request_line = (await reader.readline()).decode("latin-1")
+                while True:
+                    line = (await reader.readline()).decode("latin-1")
+                    if line in ("\r\n", "\n", ""):
+                        break
+                    name, _, value = line.partition(":")
+                    headers[name.strip().lower()] = value.strip()
+        except TimeoutError:
+            raise _BadRequest(408, "request header timeout")
+        except ValueError:  # a line over StreamReader's 64 KiB limit
+            raise _BadRequest(431, "request header line too long")
+        request_line = request_line.strip()
         if not request_line:
             raise asyncio.IncompleteReadError(b"", None)
         parts = request_line.split(" ")
         if len(parts) != 3:
             raise _BadRequest(400, f"malformed request line: {request_line!r}")
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return method.upper(), path, headers
+        method, target, _version = parts
+        return method.upper(), target.partition("?")[0], headers
 
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: Dict[str, str]
     ) -> bytes:
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            raise _BadRequest(400, "Content-Length must be an integer")
         if length > self.max_body_bytes:
             raise _BadRequest(
                 413, f"body of {length} bytes exceeds {self.max_body_bytes}"
@@ -365,50 +542,37 @@ class ServingHTTPServer:
         if length <= 0:
             return b""
         try:
-            return await asyncio.wait_for(
-                reader.readexactly(length), timeout=10.0
-            )
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                return await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, TimeoutError):
             raise _BadRequest(400, "request body shorter than Content-Length")
 
     async def _route(
         self, writer: asyncio.StreamWriter, method: str, path: str, body: bytes
     ) -> int:
-        if path == "/healthz":
-            if method != "GET":
-                return await self._method_not_allowed(writer, "GET")
-            return await self._handle_healthz(writer)
-        if path == "/metrics":
-            if method != "GET":
-                return await self._method_not_allowed(writer, "GET")
-            return await self._handle_metrics(writer)
-        if path == "/v1/generate":
-            if method != "POST":
-                return await self._method_not_allowed(writer, "POST")
-            return await self._handle_generate(writer, body)
-        if path == "/v1/cancel":
-            if method != "POST":
-                return await self._method_not_allowed(writer, "POST")
-            return await self._handle_cancel(writer, body)
-        await self._respond_json(
-            writer, 404, {"error": f"no such endpoint: {path}"}
-        )
-        return 404
-
-    async def _method_not_allowed(
-        self, writer: asyncio.StreamWriter, allowed: str
-    ) -> int:
-        await self._respond_json(
-            writer, 405, {"error": f"method not allowed; use {allowed}"},
-            extra_headers=[("Allow", allowed)],
-        )
-        return 405
+        """Answer one request; returns the status written."""
+        route = {
+            "/healthz": ("GET", self._handle_healthz),
+            "/metrics": ("GET", self._handle_metrics),
+            "/v1/generate": ("POST", self._handle_generate),
+            "/v1/cancel": ("POST", self._handle_cancel),
+        }.get(path)
+        if route is None:
+            return self._respond_json(
+                writer, 404, {"error": f"no such endpoint: {path}"}
+            )
+        allowed, handler = route
+        if method != allowed:
+            return self._respond_json(
+                writer, 405, {"error": f"method not allowed; use {allowed}"},
+                extra_headers=[("Allow", allowed)],
+            )
+        return await handler(writer, body)
 
     # -- endpoints -----------------------------------------------------
-    async def _handle_healthz(self, writer: asyncio.StreamWriter) -> int:
+    async def _handle_healthz(self, writer, body: bytes) -> int:
         health = self.engine.health()
         healthy = bool(health.get("healthy")) and not self._stopping
-        status = 200 if healthy else 503
         payload = dict(health)
         payload["healthy"] = healthy
         payload["draining"] = self._stopping
@@ -417,15 +581,13 @@ class ServingHTTPServer:
             payload["workers"] = {
                 str(slot): info for slot, info in payload["workers"].items()
             }
-        await self._respond_json(writer, status, payload)
-        return status
+        return self._respond_json(writer, 200 if healthy else 503, payload)
 
-    async def _handle_metrics(self, writer: asyncio.StreamWriter) -> int:
-        text = self.engine.render_prometheus()
-        await self._respond(
-            writer, 200, text.encode("utf-8"),
+    async def _handle_metrics(self, writer, body: bytes) -> int:
+        writer.write(_response(
+            200, self.engine.render_prometheus().encode("utf-8"),
             content_type="text/plain; version=0.0.4",
-        )
+        ))
         return 200
 
     def _parse_generate(self, body: bytes):
@@ -438,6 +600,7 @@ class ServingHTTPServer:
         prompt = request.get("prompt")
         if not isinstance(prompt, list) or not prompt or not all(
             isinstance(token, int) and not isinstance(token, bool)
+            and abs(token) < 1 << 63
             for token in prompt
         ):
             raise _BadRequest(
@@ -460,37 +623,33 @@ class ServingHTTPServer:
     ) -> int:
         prompt, params, stream = self._parse_generate(body)
         if self._stopping:
-            await self._respond_json(
+            return self._respond_json(
                 writer, 503, {"error": "server is draining"},
                 extra_headers=[("Retry-After", "1")],
             )
-            return 503
         try:
-            handle = await self._engine_call(
-                self.engine.submit, prompt, params
-            )
+            request_id = int(self.engine.submit(prompt, params))
         except RuntimeError as exc:  # engine draining/closed under us
-            await self._respond_json(writer, 503, {"error": str(exc)})
-            return 503
-        request_id = int(handle)
-        result = self.engine.result(request_id)
-        if result.finished and result.finish_reason == FINISH_SHED:
-            await self._respond_json(
+            return self._respond_json(writer, 503, {"error": str(exc)})
+        if self.engine.result(request_id).finish_reason == FINISH_SHED:
+            return self._respond_json(
                 writer, 429,
                 {"error": "request shed: engine overloaded",
                  "request_id": request_id, "finish_reason": FINISH_SHED},
                 extra_headers=[("Retry-After", self._retry_after())],
             )
-            return 429
-        # Track *after* submit returns: any tokens generated in between
-        # are still in result.tokens, so the dispatcher's first routing
-        # pass delivers them (and the terminal state, even if the
-        # request already finished — e.g. an at-submit deadline).
-        tracked = _Tracked(request_id)
+        # No ``await`` between submit and here: the dispatcher cannot
+        # step, so no token exists that it has not been told about.  A
+        # request already finished (e.g. by a cross-thread cancel) takes
+        # the same path: the dispatcher's next pass writes its end.
+        tracked = _Tracked(request_id, writer.transport, stream)
         self._tracked[request_id] = tracked
+        self._wake.set()
         if stream:
-            return await self._stream_response(writer, request_id, tracked)
-        return await self._blocking_response(writer, request_id, tracked)
+            writer.write(_STREAM_HEAD + _sse(
+                {"request_id": request_id}, event="start"
+            ))
+        return await tracked.done
 
     def _retry_after(self) -> str:
         """Retry hint from the admission cost model when available."""
@@ -503,66 +662,6 @@ class ServingHTTPServer:
             return f"{max(est * depth, 0.001):.3f}"
         return "1"
 
-    async def _blocking_response(
-        self, writer: asyncio.StreamWriter, request_id: int, tracked: _Tracked
-    ) -> int:
-        tokens = []
-        while True:
-            kind, value = await tracked.queue.get()
-            if kind == "token":
-                tokens.append(int(value))
-            else:
-                finish_reason = value
-                break
-        status = _FINISH_STATUS.get(finish_reason, 200)
-        await self._respond_json(writer, status, {
-            "request_id": request_id,
-            "tokens": tokens,
-            "finish_reason": finish_reason,
-        })
-        return status
-
-    async def _stream_response(
-        self, writer: asyncio.StreamWriter, request_id: int, tracked: _Tracked
-    ) -> int:
-        await self._write_head(
-            writer, 200, [
-                ("Content-Type", "text/event-stream"),
-                ("Cache-Control", "no-cache"),
-                ("Transfer-Encoding", "chunked"),
-                ("Connection", "close"),
-            ],
-        )
-        index = 0
-        try:
-            await self._write_sse(
-                writer, {"request_id": request_id}, event="start"
-            )
-            while True:
-                kind, value = await tracked.queue.get()
-                if kind == "token":
-                    await self._write_sse(
-                        writer, {"token": int(value), "index": index}
-                    )
-                    index += 1
-                else:
-                    await self._write_sse(writer, {
-                        "request_id": request_id,
-                        "finish_reason": value,
-                        "tokens": index,
-                    }, event="end")
-                    break
-            await _write_chunk(writer, b"data: [DONE]\n\n")
-            await _write_chunk(writer, b"")  # terminal zero-length chunk
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            # Client hung up mid-stream: cancel server-side so the
-            # engine stops decoding for a dead connection.
-            self._tracked.pop(request_id, None)
-            await self._engine_call(self.engine.cancel, request_id)
-            self.registry.counter("http_stream_disconnects_total").inc()
-            return 499
-        return 200
-
     async def _handle_cancel(
         self, writer: asyncio.StreamWriter, body: bytes
     ) -> int:
@@ -573,53 +672,20 @@ class ServingHTTPServer:
         try:
             self.engine.result(request_id)
         except KeyError:
-            await self._respond_json(
+            return self._respond_json(
                 writer, 404, {"error": f"unknown request id {request_id}"}
             )
-            return 404
-        cancelled = await self._engine_call(self.engine.cancel, request_id)
-        await self._respond_json(writer, 200, {
-            "request_id": request_id, "cancelled": bool(cancelled),
+        return self._respond_json(writer, 200, {
+            "request_id": request_id,
+            "cancelled": bool(self.engine.cancel(request_id)),
         })
-        return 200
 
-    # -- response helpers ----------------------------------------------
-    async def _write_head(self, writer, status: int, headers) -> None:
-        phrase = _REASON_PHRASES.get(status, "Unknown")
-        lines = [f"HTTP/1.1 {status} {phrase}"]
-        lines += [f"{name}: {value}" for name, value in headers]
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        await writer.drain()
-
-    async def _respond(
-        self, writer, status: int, body: bytes,
-        content_type: str = "application/json",
-        extra_headers=(),
-    ) -> None:
-        headers = [
-            ("Content-Type", content_type),
-            ("Content-Length", str(len(body))),
-            ("Connection", "close"),
-            *extra_headers,
-        ]
-        await self._write_head(writer, status, headers)
-        writer.write(body)
-        await writer.drain()
-
-    async def _respond_json(
+    def _respond_json(
         self, writer, status: int, payload, extra_headers=()
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        await self._respond(
-            writer, status, body, extra_headers=extra_headers
-        )
-
-    async def _write_sse(self, writer, payload, event=None) -> None:
-        text = ""
-        if event is not None:
-            text += f"event: {event}\n"
-        text += f"data: {json.dumps(payload)}\n\n"
-        await _write_chunk(writer, text.encode("utf-8"))
+    ) -> int:
+        """Write one JSON response (one ``write``); returns ``status``."""
+        writer.write(_json_response(status, payload, extra_headers))
+        return status
 
 
 def _parse_json_object(body: bytes) -> Dict[str, object]:
@@ -627,19 +693,11 @@ def _parse_json_object(body: bytes) -> Dict[str, object]:
         raise _BadRequest(400, "request body must be a JSON object")
     try:
         request = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
         raise _BadRequest(400, f"invalid JSON body: {exc}")
     if not isinstance(request, dict):
         raise _BadRequest(400, "request body must be a JSON object")
     return request
-
-
-async def _write_chunk(writer: asyncio.StreamWriter, payload: bytes) -> None:
-    """One HTTP/1.1 chunked-transfer frame (empty payload terminates)."""
-    writer.write(f"{len(payload):x}\r\n".encode("latin-1"))
-    writer.write(payload)
-    writer.write(b"\r\n")
-    await writer.drain()
 
 
 class ServerThread:

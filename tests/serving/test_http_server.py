@@ -1,11 +1,13 @@
 """HTTP control-plane contract tests over real sockets.
 
-Covers the endpoint contract (status codes, SSE framing, validation),
-the 429 shed path with ``Retry-After``, mid-stream cancellation, health
-flipping once a worker fault domain is exhausted, drain-on-stop, and a
-subprocess ``repro serve --http`` run that must drain cleanly on
-SIGTERM.  Everything goes through the unified Engine protocol — the
-same server code is exercised against :class:`ServingEngine` and
+Covers the endpoint contract (status codes, SSE framing, validation,
+malformed heads), the 429 shed path with ``Retry-After``, mid-stream
+cancellation, the write path (wire bytes, one write per step and
+connection, client hang-ups, no helper thread), health flipping once a
+worker fault domain is exhausted, drain-on-stop, and a subprocess
+``repro serve --http`` run that must drain cleanly on SIGTERM.
+Everything goes through the unified Engine protocol — the same server
+code is exercised against :class:`ServingEngine` and
 :class:`ClusterEngine`.
 """
 
@@ -13,6 +15,8 @@ import http.client
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -24,7 +28,11 @@ from repro.models import ModelConfig, build_butterfly_decoder
 from repro.serving import LoadSheddingAdmission
 from repro.serving.cluster import ClusterEngine
 from repro.serving.engine import ServingEngine
-from repro.serving.server import start_http_server
+from repro.serving.server import (
+    ServerThread,
+    ServingHTTPServer,
+    start_http_server,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +93,71 @@ def _parse_sse(raw):
                 finish_reason = data["finish_reason"]
             event = None
     return request_id, tokens, finish_reason, saw_done
+
+
+def _raw_exchange(server, data):
+    """Send ``data`` on a fresh socket; every byte until the server closes."""
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(data)
+        received = []
+        while True:
+            piece = sock.recv(65536)
+            if not piece:
+                return b"".join(received)
+            received.append(piece)
+
+
+def _generate_bytes(**fields):
+    body = json.dumps({"prompt": [1, 2, 3], **fields}).encode()
+    return (
+        b"POST /v1/generate HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+
+
+def _requests_counted(engine, endpoint, status):
+    return engine.metrics.registry.counter(
+        "http_requests_total", endpoint=endpoint, status=status
+    ).value
+
+
+def _chunk(payload):
+    return b"%x\r\n" % len(payload) + payload + b"\r\n"
+
+
+def _stream_wire(request_id, tokens, finish_reason="length"):
+    """The exact response bytes of one stream, from ``json.dumps``."""
+    def event(payload, name=None):
+        prefix = b"event: %s\n" % name if name else b""
+        return _chunk(
+            prefix + b"data: " + json.dumps(payload).encode() + b"\n\n")
+
+    return (
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+        b"Cache-Control: no-cache\r\nTransfer-Encoding: chunked\r\n"
+        b"Connection: close\r\n\r\n"
+        + event({"request_id": request_id}, b"start")
+        + b"".join(
+            event({"token": token, "index": index})
+            for index, token in enumerate(tokens))
+        + event({"request_id": request_id, "finish_reason": finish_reason,
+                 "tokens": len(tokens)}, b"end")
+        + _chunk(b"data: [DONE]\n\n") + b"0\r\n\r\n"
+    )
+
+
+def _slow(engine, seconds):
+    """Make every step take at least ``seconds``; returns the step log."""
+    real_step = engine.step
+    steps = []
+
+    def step():
+        time.sleep(seconds)
+        steps.append(None)
+        return real_step()
+
+    engine.step = step
+    return steps
 
 
 class TestEndpointContract:
@@ -162,6 +235,8 @@ class TestEndpointContract:
         ({"prompt": [1], "stream": "yes"}, b"stream"),
         ({"prompt": [1], "bogus_field": 1}, b"unknown field"),
         ({"prompt": [1], "max_new_tokens": -3}, b"max_new_tokens"),
+        (b"\xff\xfe{", b"invalid JSON"),  # truncated UTF-16
+        ({"prompt": [1 << 70]}, b"prompt"),
     ])
     def test_validation_400(self, served, body, fragment):
         server, _ = served
@@ -177,6 +252,59 @@ class TestEndpointContract:
         try:
             status, _, _ = _generate(server, prompt=list(range(1, 28)) * 4)
             assert status == 413
+        finally:
+            server.stop()
+            engine.close()
+
+    @pytest.mark.parametrize("request_bytes,status,endpoint", [
+        (b"POST /v1/generate HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+         400, "POST /v1/generate"),
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n",
+         431, "unknown"),
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 431, "unknown"),
+    ])
+    def test_malformed_head_answers(
+        self, served, caplog, request_bytes, status, endpoint,
+    ):
+        server, engine = served
+        with caplog.at_level("ERROR", logger="asyncio"):
+            raw = _raw_exchange(server, request_bytes)
+        assert raw.startswith(b"HTTP/1.1 %d " % status), raw[:80]
+        assert b'{"error": ' in raw
+        # The status that was written is the one that is counted, and
+        # no handler task died on the way.
+        assert _requests_counted(engine, endpoint, status) == 1
+        assert _requests_counted(engine, endpoint, 500) == 0
+        assert not caplog.records, caplog.text
+
+    def test_query_string_is_not_part_of_the_route(self, served):
+        server, engine = served
+        status, _, body = _request(server, "GET", "/healthz?probe=1")
+        assert status == 200
+        assert json.loads(body)["healthy"] is True
+
+    def test_client_that_sends_nothing_counts_no_response(self, served):
+        server, engine = served
+        socket.create_connection((server.host, server.port)).close()
+        deadline = time.monotonic() + 5.0
+        while (not _requests_counted(engine, "unknown", 499)
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        assert _requests_counted(engine, "unknown", 499) == 1
+        assert _requests_counted(engine, "unknown", 500) == 0
+
+    def test_loop_block_histogram_counts_steps(self, model):
+        engine = ServingEngine(model, max_batch_size=4, seed=0)
+        steps = _slow(engine, 0.0)
+        server = start_http_server(engine)
+        try:
+            assert _generate(server, max_new_tokens=5)[0] == 200
+            _, _, body = _request(server, "GET", "/metrics")
+            count = [
+                line for line in body.decode().splitlines()
+                if line.startswith("http_loop_block_ms_count")
+            ]
+            assert count and float(count[0].split()[1]) == len(steps) >= 5
         finally:
             server.stop()
             engine.close()
@@ -238,8 +366,7 @@ class TestShedAndCancel:
 
     def test_cancel_mid_stream(self, model):
         engine = ServingEngine(model, max_batch_size=2, seed=0)
-        real_step = engine.step
-        engine.step = lambda: (time.sleep(0.01), real_step())[1]
+        _slow(engine, 0.01)
         server = start_http_server(engine)
         try:
             conn = http.client.HTTPConnection(
@@ -281,7 +408,229 @@ class TestShedAndCancel:
             engine.close()
 
 
+class _CountingServer(ServingHTTPServer):
+    """Records every ``transport.write`` of every connection."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.writes = []
+
+    async def _handle_client(self, reader, writer):
+        transport = writer.transport
+        real_write = transport.write
+
+        def write(data):
+            self.writes.append(bytes(data))
+            real_write(data)
+
+        transport.write = write
+        await super()._handle_client(reader, writer)
+
+
+class TestWritePath:
+    def test_stream_wire_bytes_are_golden(self, served):
+        server, _ = served
+        raw = _raw_exchange(
+            server, _generate_bytes(max_new_tokens=7, seed=5, stream=True))
+        _, _, twin = _generate(server, max_new_tokens=7, seed=5)
+        tokens = json.loads(twin)["tokens"]
+        assert len(tokens) == 7
+        assert raw == _stream_wire(0, tokens)
+
+    def test_one_write_per_step_and_connection(self, model):
+        engine = ServingEngine(model, max_batch_size=4, seed=0)
+        thread = ServerThread(engine)
+        thread.server = counting = _CountingServer(engine)
+        thread.start()
+        try:
+            raw = _raw_exchange(
+                thread, _generate_bytes(max_new_tokens=6, seed=2, stream=True))
+        finally:
+            thread.stop()
+            engine.close()
+        writes = counting.writes
+        assert b"".join(writes) == raw
+        # Head + start event, then one write per step; the last step's
+        # carries the end of the stream as well.
+        assert len(writes) == 1 + 6
+        assert writes[0].endswith(b'{"request_id": 0}\n\n\r\n')
+        for index, data in enumerate(writes[1:]):
+            assert data.count(b'data: {"token"') == 1
+            assert b'"index": %d}' % index in data
+        assert writes[-1].endswith(b"0\r\n\r\n")
+
+    def test_client_hang_up_cancels_at_the_next_token(self, model):
+        engine = ServingEngine(model, max_batch_size=2, seed=0)
+        _slow(engine, 0.01)
+        server = start_http_server(engine)
+        try:
+            sock = socket.create_connection(
+                (server.host, server.port), timeout=30)
+            sock.sendall(_generate_bytes(max_new_tokens=100, stream=True))
+            seen = b""
+            while b'data: {"token"' not in seen:
+                piece = sock.recv(4096)
+                assert piece, "stream ended before the first token"
+                seen += piece
+            # Reset, not FIN: the server learns at once that nobody reads.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            generated = len(engine.result(0).tokens)
+            sock.close()
+
+            deadline = time.monotonic() + 10.0
+            while (not engine.result(0).finished
+                   and time.monotonic() < deadline):
+                time.sleep(0.002)
+            assert engine.result(0).finish_reason == "cancelled"
+            # Noticed at the next token or the one after (the reset may
+            # land mid-step), plus one for reading ``generated`` unlocked.
+            assert len(engine.result(0).tokens) <= generated + 3
+            registry = engine.metrics.registry
+            assert registry.counter("http_stream_disconnects_total").value == 1
+            assert server.server._tracked == {}
+            while (not _requests_counted(engine, "POST /v1/generate", 499)
+                   and time.monotonic() < deadline):
+                time.sleep(0.002)
+            assert _requests_counted(engine, "POST /v1/generate", 499) == 1
+
+            status, _, body = _generate(server, max_new_tokens=3)
+            assert status == 200
+            assert json.loads(body)["finish_reason"] == "length"
+        finally:
+            server.stop()
+            engine.close()
+
+    def test_no_thread_besides_the_server_thread(self, model):
+        before = set(threading.enumerate())
+        engine = ServingEngine(model, max_batch_size=2, seed=0)
+        server = start_http_server(engine)
+        try:
+            assert _generate(server, max_new_tokens=3, stream=True)[0] == 200
+            assert _generate(server, max_new_tokens=3)[0] == 200
+            started = set(threading.enumerate()) - before
+            assert [t.name for t in started] == ["repro-http-server"]
+        finally:
+            server.stop()
+            engine.close()
+
+    def test_concurrent_streams_keep_their_own_order(self, served):
+        server, _ = served
+        requests = [
+            dict(prompt=[1, 2, 3], max_new_tokens=24, seed=7),
+            dict(prompt=[4, 5, 6, 7], max_new_tokens=17, seed=8),
+        ]
+        streamed = [None, None]
+
+        def consume(slot):
+            streamed[slot] = _generate(server, stream=True, **requests[slot])
+
+        threads = [
+            threading.Thread(target=consume, args=(slot,)) for slot in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        for slot, request in enumerate(requests):
+            status, _, raw = streamed[slot]
+            assert status == 200
+            events = [
+                json.loads(line[len(b"data: "):])
+                for line in raw.split(b"\n")
+                if line.startswith(b'data: {"token"')
+            ]
+            assert [event["index"] for event in events] == list(
+                range(request["max_new_tokens"]))
+            _, _, twin = _generate(server, **request)
+            assert [event["token"] for event in events] == json.loads(
+                twin)["tokens"]
+
+    def test_request_finished_by_its_first_step(self, served):
+        # Nothing is generated, so the first thing the dispatcher has for
+        # the request is its end: both paths must still answer in full.
+        server, _ = served
+        status, _, body = _generate(server, max_new_tokens=4, deadline_s=1e-9)
+        assert status == 504
+        payload = json.loads(body)
+        assert payload["tokens"] == []
+        assert payload["finish_reason"] == "deadline"
+        raw = _raw_exchange(server, _generate_bytes(
+            max_new_tokens=4, deadline_s=1e-9, stream=True))
+        assert raw == _stream_wire(1, [], finish_reason="deadline")
+
+    def test_step_error_is_counted_and_survived(self, model):
+        engine = ServingEngine(model, max_batch_size=2, seed=0)
+        real_step = engine.step
+        calls = []
+
+        def step():
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("injected step failure")
+            return real_step()
+
+        engine.step = step
+        server = start_http_server(engine)
+        try:
+            status, _, body = _generate(server, max_new_tokens=5)
+            assert status == 200
+            assert len(json.loads(body)["tokens"]) == 5
+            assert engine.metrics.registry.counter(
+                "http_step_errors_total").value == 1
+        finally:
+            server.stop()
+            engine.close()
+
+
 class TestLifecycle:
+    def test_submit_wakes_an_idle_dispatcher(self, model):
+        engine = ServingEngine(model, max_batch_size=2, seed=0)
+        server = start_http_server(engine, step_idle_s=0.5)
+        try:
+            _generate(server, max_new_tokens=2)  # warm the decode program
+            for _ in range(5):
+                time.sleep(0.01)  # let the dispatcher go idle
+                start = time.monotonic()
+                status, _, _ = _generate(server, max_new_tokens=2)
+                assert status == 200
+                assert time.monotonic() - start < 0.25
+        finally:
+            server.stop()
+            engine.close()
+
+    def test_stop_without_drain_cancels_streams(self, model):
+        engine = ServingEngine(model, max_batch_size=2, seed=0)
+        _slow(engine, 0.005)
+        server = start_http_server(engine)
+        result = {}
+
+        def consume():
+            result["response"] = _generate(
+                server, max_new_tokens=100, stream=True,
+            )
+
+        consumer = threading.Thread(target=consume)
+        try:
+            consumer.start()
+            deadline = time.monotonic() + 10.0
+            while not engine.has_work and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert engine.has_work
+            server.stop(drain=False)
+            consumer.join(timeout=30.0)
+            assert not consumer.is_alive()
+            status, _, raw = result["response"]
+            assert status == 200
+            _, tokens, finish_reason, saw_done = _parse_sse(raw)
+            assert finish_reason == "cancelled"
+            assert saw_done
+            assert len(tokens) < 100
+        finally:
+            consumer.join(timeout=5.0)
+            engine.close()
+
     def test_health_flips_when_fault_domain_exhausted(self, model):
         engine = ClusterEngine(
             model, workers=1, max_batch_size=2, seed=0,
@@ -305,8 +654,7 @@ class TestLifecycle:
 
     def test_stop_drains_in_flight_stream(self, model):
         engine = ServingEngine(model, max_batch_size=2, seed=0)
-        real_step = engine.step
-        engine.step = lambda: (time.sleep(0.005), real_step())[1]
+        _slow(engine, 0.005)
         server = start_http_server(engine)
         result = {}
 
