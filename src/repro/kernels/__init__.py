@@ -15,8 +15,9 @@ stages.  Consumers:
 
 Layout documentation (pair-major coefficients and their correspondence
 to the paper's S2P banked memory) lives in :mod:`repro.kernels.layout`;
-the fused batched-GEMM hot path (per-step for training, frozen once per
-weight version for inference) in :mod:`repro.kernels.grouped`; the
+the fused batched-GEMM hot path (per-step for training — densified per
+call when the layer's fold is small — and frozen once per weight version
+for inference) in :mod:`repro.kernels.grouped`; the
 dtype policy (float64 default, float32 opt-in) in
 :mod:`repro.kernels.dtype`.
 
@@ -25,9 +26,12 @@ Entry points
 :func:`butterfly_apply` / :func:`butterfly_apply_vjp` dispatch between
 the fused grouped kernels (real power-of-two ladders: a layer's
 :class:`FrozenLadder` for its every inference call, the per-call
-grouped kernel for large training and raw-array calls) and the
-per-stage vectorized kernels (small such calls, complex twiddles,
-partial ladders).  All paths are loop-free over pairs.
+grouped kernel for large training and raw-array calls, run on the
+identity's rows and one dense GEMM when a recorded fold is inside the
+frozen ladder's area budget) and the per-stage vectorized kernels
+(small such calls, complex twiddles, partial ladders).  All paths are
+loop-free over pairs, and the entry owns a layer's zero-pad and output
+slice in every one of them.
 
 The package also hosts the fused query-tiled attention kernel
 (:mod:`repro.kernels.attention`): :func:`attention_forward` /
@@ -55,6 +59,7 @@ hardware model's verify mode (:mod:`repro.hardware.quantize`).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,6 +137,9 @@ from .grouped import (
     FrozenLadderCache,
     GroupedContext,
     GroupedPlan,
+    dense_by_area,
+    dense_forward,
+    dense_vjp,
     get_plan,
     grouped_forward,
     grouped_vjp,
@@ -171,15 +179,26 @@ def _is_full_ladder(n: int, halves: Sequence[int]) -> bool:
     return list(halves) == stage_halves(n)
 
 
-def _use_grouped(x: np.ndarray, coeffs: Sequence[np.ndarray], halves) -> bool:
-    n = x.shape[-1]
+def _use_grouped(rows: int, n: int, arrays: Sequence[np.ndarray], halves) -> bool:
     if n < (1 << MIN_STAGES) or not _is_full_ladder(n, halves):
         return False
-    if x.size < MIN_WORK:
+    if rows * n < MIN_WORK:
         return False
-    if np.iscomplexobj(x) or any(np.iscomplexobj(c) for c in coeffs):
-        return False
-    return True
+    return not any(np.iscomplexobj(a) for a in arrays)
+
+
+def _pad_last(x: np.ndarray, n: int) -> np.ndarray:
+    # Zero-allocate + slice assignment: np.pad's generic machinery costs
+    # ~20 us per call whatever the size.
+    if x.shape[-1] == n:
+        return x
+    out = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
+    out[..., : x.shape[-1]] = x
+    return out
+
+
+def _head(x: np.ndarray, width: int) -> np.ndarray:
+    return x if x.shape[-1] == width else x[..., :width]
 
 
 def butterfly_apply(
@@ -189,6 +208,8 @@ def butterfly_apply(
     need_ctx: bool = True,
     backend=None,
     ladder: Optional[FrozenLadder] = None,
+    in_features: Optional[int] = None,
+    out_features: Optional[int] = None,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
     """Apply a ladder of butterfly stages to the last axis of ``x``.
 
@@ -199,18 +220,29 @@ def butterfly_apply(
     overrides the active :mod:`kernel backend <repro.kernels.backend>`
     for the GEMM paths (execution only — results are identical).
 
+    ``in_features`` / ``out_features`` are a layer's fold of the ``n``
+    wide ladder (``n`` is read off ``coeffs``): ``x`` is ``(...,
+    in_features)``, zero-padded to ``n`` here, and the result the first
+    ``out_features`` columns; the VJP undoes both.  Each defaults to
+    ``n``.
+
     **Inference over a layer's parameters**: the layer passes the
     :class:`FrozenLadder` its :class:`FrozenLadderCache` holds for
     ``coeffs`` (``need_ctx`` must be off) and the call is that ladder's
-    ``apply``, at every ``(rows, n)`` — ``x`` is then ``(...,
-    ladder.in_features)`` and the result ``(..., ladder.out_features)``.
+    ``apply``, at every ``(rows, n)`` — the fold is the ladder's own.
 
     **Every other call** pays for what it builds — training steps
     because the weights move, raw-array callers because there is nothing
     to validate a cache against — so real full power-of-two ladders
     take the fused grouped kernel only above :data:`MIN_STAGES` /
     :data:`MIN_WORK` and the per-stage chain below; complex (FFT) stages
-    and partial ladders always take the chain.
+    and partial ladders always take the chain.  Of the calls the grouped
+    kernel takes, one that wants a context, whose fold passes the frozen
+    ladder's area rule (``in_features * out_features <= DENSE_MAX_N *
+    n``) and that brings at least ``in_features`` rows runs densified
+    instead (:func:`repro.kernels.grouped.dense_forward`): the ladder
+    and its VJP see the ``in_features`` identity rows, the call's rows
+    one GEMM each way.
     """
     x = np.asarray(x)
     coeffs = [np.asarray(c) for c in coeffs]
@@ -224,48 +256,66 @@ def butterfly_apply(
             raise ValueError("a frozen ladder has no VJP context to give")
         with span("kernels.butterfly_apply", n=ladder.plan.n, path="frozen"):
             return ladder.apply(x, backend), None
-    n = x.shape[-1]
     lead = x.shape[:-1]
-    if _use_grouped(x, coeffs, halves):
-        rows = int(np.prod(lead)) if lead else 1
+    rows = math.prod(lead)
+    n = 2 * coeffs[0].shape[-1] if coeffs else x.shape[-1]
+    in_features = n if in_features is None else in_features
+    out_features = n if out_features is None else out_features
+    if x.shape[-1] != in_features:
+        raise ValueError(f"expected input dim {in_features}, got {x.shape[-1]}")
+    widths = (in_features, n)
+    if _use_grouped(rows, n, [x, *coeffs], halves):
         plan = get_plan(n, len(halves))
+        if (need_ctx and rows >= in_features
+                and dense_by_area(in_features, out_features, n)):
+            with span("kernels.butterfly_apply", n=n, rows=rows, path="dense"):
+                y, dctx = dense_forward(x.reshape(rows, in_features), coeffs,
+                                        plan, out_features, backend=backend)
+            return (y.reshape(*lead, out_features),
+                    ("dense", lead, widths, dctx))
         with span("kernels.butterfly_apply", n=n, rows=rows, path="grouped"):
-            y, gctx = grouped_forward(x.reshape(rows, n), coeffs, plan,
-                                      need_ctx=need_ctx, backend=backend)
-        ctx = ("grouped", lead, gctx) if need_ctx else None
-        return y.reshape(*lead, n), ctx
+            y, gctx = grouped_forward(_pad_last(x, n).reshape(rows, n), coeffs,
+                                      plan, need_ctx=need_ctx, backend=backend)
+        ctx = ("grouped", lead, widths, gctx) if need_ctx else None
+        return _head(y.reshape(*lead, n), out_features), ctx
     with span("kernels.butterfly_apply", n=n, path="stages"):
         saved = [] if need_ctx else None
-        out = x
+        out = _pad_last(x, n)
         for c, half in zip(coeffs, halves):
             if need_ctx:
                 saved.append(out)  # each stage's input is all the VJP needs
             out = stage_forward(out, c, half)
-    ctx = ("stages", lead, saved, coeffs, list(halves)) if need_ctx else None
-    return out, ctx
+    ctx = (("stages", lead, widths, (saved, coeffs, list(halves)))
+           if need_ctx else None)
+    return _head(out, out_features), ctx
 
 
 def butterfly_apply_vjp(
     grad: np.ndarray, ctx: tuple, backend=None
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """VJP of :func:`butterfly_apply`: ``(grad_x, [grad_coeffs per stage])``."""
-    kind = ctx[0]
+    kind, lead, (in_features, n), saved = ctx
+    grad = np.asarray(grad)
+    rows = math.prod(lead)
+    if kind == "dense":
+        with span("kernels.butterfly_apply_vjp", n=n, rows=rows, path="dense"):
+            gx, gcoeffs = dense_vjp(grad.reshape(rows, -1), saved,
+                                    backend=backend)
+        return gx.reshape(*lead, in_features), gcoeffs
+    grad = _pad_last(grad, n)
     if kind == "grouped":
-        _, lead, gctx = ctx
-        n = gctx.plan.n
-        rows = gctx.rows
         with span("kernels.butterfly_apply_vjp", n=n, rows=rows,
                   path="grouped"):
-            gx, gcoeffs = grouped_vjp(np.asarray(grad).reshape(rows, n), gctx,
+            gx, gcoeffs = grouped_vjp(grad.reshape(rows, n), saved,
                                       backend=backend)
-        return gx.reshape(*lead, n), gcoeffs
-    _, lead, saved, coeffs, halves = ctx
+        return _head(gx.reshape(*lead, n), in_features), gcoeffs
+    inputs, coeffs, halves = saved
     with span("kernels.butterfly_apply_vjp", path="stages"):
-        g = np.asarray(grad)
+        g = grad
         gcoeffs: List[Optional[np.ndarray]] = [None] * len(coeffs)
         for s in range(len(coeffs) - 1, -1, -1):
-            g, gcoeffs[s] = stage_vjp(g, saved[s], coeffs[s], halves[s])
-    return g, gcoeffs
+            g, gcoeffs[s] = stage_vjp(g, inputs[s], coeffs[s], halves[s])
+    return _head(g, in_features), gcoeffs
 
 
 def butterfly_apply_reference(

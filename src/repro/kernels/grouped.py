@@ -40,7 +40,7 @@ At ``n = 1024`` this path makes ``ButterflyLinear`` forward+backward
 several times faster than the per-stage chain while staying exactly
 equivalent up to matmul reassociation of the 2x2 accumulations.
 
-The chunk matrices are used in two ways:
+The chunk matrices are used in three ways:
 
 * **Built per call** (:func:`grouped_forward` / :func:`grouped_vjp`):
   training, where the weights move every step, and raw-array callers,
@@ -48,6 +48,14 @@ The chunk matrices are used in two ways:
   is paid on every call, so :data:`MIN_STAGES` / :data:`MIN_WORK` decide
   when it beats the per-stage chain.  Those thresholds gate nothing
   else.
+* **Built per call and densified** (:func:`dense_forward` /
+  :func:`dense_vjp`): a recorded call whose folded ``in_features x
+  out_features`` block fits the :data:`DENSE_MAX_N` budget and that
+  brings at least ``in_features`` rows.  The ladder then runs on the
+  ``in_features`` identity rows only — forward to get the block ``W``,
+  VJP to take ``dW`` back to the per-stage coefficient gradients — and
+  the call's own rows see one GEMM each way, so the ladder's cost no
+  longer scales with batch x sequence.
 * **Frozen** (:class:`FrozenLadder`): a layer's inference path builds
   the contiguous, already-transposed chunk operators **once per weight
   version** and every later call is rearrange + GEMM per chunk, at every
@@ -88,8 +96,11 @@ MIN_WORK = 16384
 #: A :class:`FrozenLadder` multiplies its chunks out into one dense block
 #: at build time when the block the layer's fold leaves of it,
 #: ``in_features x out_features``, is no larger than ``DENSE_MAX_N x n``
-#: (for a square ladder: ``n <= DENSE_MAX_N``).  Measured (one BLAS
-#: thread, ms, chunked vs dense; ``*`` = dense under the rule):
+#: (for a square ladder: ``n <= DENSE_MAX_N``); a recorded call with at
+#: least ``in_features`` rows densifies the ladder per call under the
+#: same rule (:func:`dense_forward`).  Measured (one BLAS thread, ms,
+#: chunked vs dense; ``*`` = dense under the rule).  Inference, by input
+#: shape:
 #:
 #: ======================  ==============  ==============  ==============
 #: n, in -> out, dtype     ``(1,1024,.)``  ``(1,1,.)``     ``(8,1,.)``
@@ -116,7 +127,49 @@ MIN_WORK = 16384
 #: rows in fp32, and gives back under 15 % on a few fp64 rows; past it
 #: the batched decode rows (the serving engine's step) lose up to 5x,
 #: whatever a long prefill would gain.
+#:
+#: Recorded call, forward + VJP, by rows (PR 18; the dense column of a
+#: shape the rule refuses, or of rows < in, is :func:`dense_forward`
+#: called directly):
+#:
+#: ======================  ==============  ==============
+#: n, in -> out, dtype     2048 rows       256 rows
+#: ======================  ==============  ==============
+#: 128, square, fp32 *     2.49 vs 2.12    0.49 vs 0.56
+#: 128, square, fp64 *     5.23 vs 4.22    0.58 vs 0.88
+#: 256, 64->256, fp32 *    8.07 vs 2.30    0.87 vs 0.66
+#: 256, 128->256, fp32 *   7.94 vs 3.66    0.83 vs 1.03
+#: 256, square, fp32       7.31 vs 7.19    0.90 vs 1.69
+#: 256, square, fp64       14.6 vs 14.1    1.18 vs 2.79
+#: 512, 128->512, fp32 *   23.9 vs 7.62    1.89 vs 2.04
+#: 512, 512->128, fp32 *   23.8 vs 9.22    1.84 vs 4.14  (rows < in)
+#: 512, 128->512, fp64 *   34.8 vs 15.3    2.73 vs 3.22
+#: 512, 512->128, fp64 *   36.3 vs 20.9    2.83 vs 8.52  (rows < in)
+#: 512, 256->512, fp32     24.4 vs 13.4    1.91 vs 3.41
+#: 512, square, fp32       24.0 vs 24.6    1.71 vs 5.65
+#: 512, square, fp64       33.6 vs 50.6    2.69 vs 12.4
+#: 1024, 128->1024, fp32 * 59.7 vs 14.7    3.89 vs 4.12
+#: 1024, 256->1024, fp32   55.3 vs 25.9    3.89 vs 6.52
+#: 1024, 256->1024, fp64   93.3 vs 56.2    7.77 vs 13.8
+#: ======================  ==============  ==============
+#:
+#: Within the budget the dense call wins 1.2-4x at 2048 rows.  The
+#: squares the rule refuses are break-even or lose at both row counts;
+#: the refused rectangles (256->512, 256->1024) win ~2x at 2048 rows and
+#: lose ~1.7x at 256, so no refused shape wins at both.  The build is a
+#: ladder over ``in`` rows whatever the call brings: at ``rows < in`` it
+#: is more ladder than the call (the two marked cells, 2-3x slower —
+#: what the row floor is for), and from ``in`` up to about ``4 * in``
+#: rows the dense call still gives back 5-50 % of a sub-3 ms call (the
+#: 256-row column is ``2 * in`` for the 128 -> . shapes) before it pulls
+#: ahead for good.
 DENSE_MAX_N = 128
+
+
+def dense_by_area(in_features: int, out_features: int, n: int) -> bool:
+    """The one dense-or-chunked rule, shared by inference
+    (:class:`FrozenLadder`) and recorded calls (:func:`dense_forward`)."""
+    return in_features * out_features <= DENSE_MAX_N * n
 
 
 @dataclass
@@ -566,6 +619,54 @@ def grouped_vjp(
 
 
 # ----------------------------------------------------------------------
+# Densified per call: the recorded path of a small fold
+# ----------------------------------------------------------------------
+def dense_forward(
+    x: np.ndarray,
+    coeffs: Sequence[np.ndarray],
+    plan: GroupedPlan,
+    out_features: int,
+    backend=None,
+) -> Tuple[np.ndarray, tuple]:
+    """``(rows, in_features) -> (rows, out_features)`` as one GEMM with
+    ``W = ladder(eye(in_features, n))[:, :out_features]``, built for this
+    call through :func:`grouped_forward` (the weights move every step, so
+    nothing is cached across calls).
+
+    The context keeps ``x`` by reference, ``W`` and the build's own
+    context: nothing else of ``rows`` height.
+    """
+    backend = resolve_backend(backend)
+    rows, in_features = x.shape
+    dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
+    full, build = grouped_forward(np.eye(in_features, plan.n, dtype=dtype),
+                                  coeffs, plan, backend=backend)
+    W = full[:, :out_features]
+    y = np.empty((rows, out_features), dtype=dtype)
+    backend.matmul(x, W, y)
+    return y, (x, W, build)
+
+
+def dense_vjp(
+    grad: np.ndarray, ctx: tuple, backend=None
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """VJP of :func:`dense_forward`: ``gx = g @ W^T``, and the chain rule
+    through the build — ``dW = x^T @ g``, zero past ``out_features``, is
+    the gradient of the identity rows' ladder output."""
+    backend = resolve_backend(backend)
+    x, W, build = ctx
+    plan, dtype = build.plan, build.dtype
+    out_features = W.shape[1]
+    gx = np.empty(x.shape, dtype=dtype)
+    backend.matmul(grad, W.T, gx)
+    dW = plan.scratch("dW", (x.shape[1], plan.n), dtype)
+    dW[:, out_features:] = 0
+    backend.matmul(x.T, grad, dW[:, :out_features])
+    _, gcoeffs = grouped_vjp(dW, build, backend=backend)
+    return gx, gcoeffs
+
+
+# ----------------------------------------------------------------------
 # Frozen ladder: the inference path
 # ----------------------------------------------------------------------
 class FrozenLadder:
@@ -631,7 +732,7 @@ class FrozenLadder:
         # An output position is t * h0 + j in the last chunk (one block).
         last = plan.chunks[-1]
         self.ops[-1] = self.ops[-1][..., : -(-out_features // last.h0)]
-        if len(self.ops) > 1 and in_features * out_features <= DENSE_MAX_N * n:
+        if len(self.ops) > 1 and dense_by_area(in_features, out_features, n):
             # The identity's first in_features rows through the chunks,
             # DENSE_MAX_N at a time: the build's scratch, which the plan's
             # pool keeps, stays the size of a short prefill's.

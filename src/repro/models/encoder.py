@@ -38,6 +38,13 @@ class EncoderClassifier(nn.Module):
         self.drop = nn.Dropout(config.dropout, rng=rng)
 
     # ------------------------------------------------------------------
+    def _dtype_context(self):
+        """The ``Tensor`` graph in the parameters' own dtype: constants an
+        op creates follow the ambient policy, so an fp32 model called
+        outside a dtype context would otherwise silently compute in fp64
+        (as :class:`~repro.models.decoder.ButterflyDecoderLM` does it)."""
+        return nn.default_dtype(self.token_emb.weight.dtype)
+
     def encode(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> nn.Tensor:
         """Return pooled (batch, d_hidden) features for integer token ids."""
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -46,26 +53,28 @@ class EncoderClassifier(nn.Module):
         seq = tokens.shape[1]
         if seq > self.config.max_len:
             raise ValueError(f"sequence length {seq} exceeds max_len {self.config.max_len}")
-        x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
-        x = self.drop(x)
-        for block in self.blocks:
-            x = block(x, mask=mask)
-        x = self.head_norm(x)
-        if self.config.pooling == "cls":
-            pooled = F.getitem(x, (slice(None), 0))
-        else:
-            if mask is not None:
-                m = mask.astype(x.dtype)[..., None]
-                x = x * nn.Tensor(m)
-                denom = nn.Tensor(m.sum(axis=1).clip(min=1.0))
-                pooled = F.sum_(x, axis=1) / denom
+        with self._dtype_context():
+            x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
+            x = self.drop(x)
+            for block in self.blocks:
+                x = block(x, mask=mask)
+            x = self.head_norm(x)
+            if self.config.pooling == "cls":
+                pooled = F.getitem(x, (slice(None), 0))
             else:
-                pooled = F.mean(x, axis=1)
-        return pooled
+                if mask is not None:
+                    m = mask.astype(x.dtype)[..., None]
+                    x = x * nn.Tensor(m)
+                    denom = nn.Tensor(m.sum(axis=1).clip(min=1.0))
+                    pooled = F.sum_(x, axis=1) / denom
+                else:
+                    pooled = F.mean(x, axis=1)
+            return pooled
 
     def forward(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> nn.Tensor:
         """Return class logits of shape (batch, n_classes)."""
-        return self.head(self.encode(tokens, mask=mask))
+        with self._dtype_context():
+            return self.head(self.encode(tokens, mask=mask))
 
 
 def build_transformer(config: ModelConfig) -> EncoderClassifier:
@@ -182,13 +191,14 @@ class DualEncoderClassifier(nn.Module):
             raise ValueError(
                 f"expected (batch, 2, seq) token pairs, got {tokens_pair.shape}"
             )
-        h1 = self.encoder.encode(tokens_pair[:, 0])
-        h2 = self.encoder.encode(tokens_pair[:, 1])
-        feats = F.concat([h1, h2, h1 * h2, h1 - h2], axis=-1)
-        if isinstance(self.fc, nn.Linear):
-            # Head MLP on the fused fast path: projection + GELU in one node.
-            hidden = F.linear_act(feats, self.fc.weight, self.fc.bias,
-                                  activation="gelu")
-        else:  # int8 inference replica: run through the module call
-            hidden = F.gelu(self.fc(feats))
-        return self.out(hidden)
+        with self.encoder._dtype_context():
+            h1 = self.encoder.encode(tokens_pair[:, 0])
+            h2 = self.encoder.encode(tokens_pair[:, 1])
+            feats = F.concat([h1, h2, h1 * h2, h1 - h2], axis=-1)
+            if isinstance(self.fc, nn.Linear):
+                # Head MLP on the fused fast path: projection + GELU in one node.
+                hidden = F.linear_act(feats, self.fc.weight, self.fc.bias,
+                                      activation="gelu")
+            else:  # int8 inference replica: run through the module call
+                hidden = F.gelu(self.fc(feats))
+            return self.out(hidden)

@@ -85,28 +85,18 @@ class ButterflyLinear(Module):
         return self._frozen.get(self.stage_parameters(), dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected input dim {self.in_features}, got {x.shape[-1]}"
-            )
         # One fused autograd op for the whole ladder (one graph node per
-        # layer, not per stage), dispatching to the shared kernel layer.
-        stages = self.stage_parameters()
+        # layer, not per stage or per pad/slice): the kernel entry owns the
+        # fold, its input-width check included.  Inference hands it the
+        # frozen operators, which have the fold built in; a complex result
+        # has none and runs as recorded.
         ladder = None
         if not F.is_grad_enabled():
             ladder = self.frozen_ladder(x.dtype)
-        if ladder is not None:
-            # Inference: the frozen operators take (..., in) to (..., out)
-            # directly, zero-pad and output slice folded in.
-            out = F.butterfly_apply(x, stages, self.halves, ladder=ladder)
-        else:
-            out = x
-            if self.in_features < self.n:
-                out = F.pad_last(out, 0, self.n - self.in_features)
-            out = F.butterfly_apply(out, stages, self.halves)
-            if self.out_features < self.n:
-                index = tuple([slice(None)] * (out.ndim - 1) + [slice(0, self.out_features)])
-                out = F.getitem(out, index)
+        out = F.butterfly_apply(
+            x, self.stage_parameters(), self.halves, ladder=ladder,
+            in_features=self.in_features, out_features=self.out_features,
+        )
         if self.bias is not None:
             out = out + self.bias
         return out

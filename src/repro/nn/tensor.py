@@ -89,8 +89,11 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         name: str = "",
+        dtype=None,
     ) -> None:
-        self.data: np.ndarray = _as_array(data)
+        """``data`` is coerced to ``dtype``, by default the ambient policy
+        dtype (:mod:`repro.kernels.dtype`)."""
+        self.data: np.ndarray = _as_array(data, dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = requires_grad and _GRAD_ENABLED
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -167,7 +170,9 @@ class Tensor:
                     f"tensor, got shape {self.shape}"
                 )
             grad = np.ones_like(self.data)
-        grad = _as_array(grad)
+        # In the tensor's own dtype, not the ambient policy's: an fp32
+        # model's loss backpropagates in fp32 outside any dtype context.
+        grad = _as_array(grad, self.data.dtype)
         if grad.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match tensor shape {self.shape}"
@@ -346,8 +351,17 @@ def _make_result(
     parents: Sequence[Tensor],
     backward: Callable[[np.ndarray], tuple],
 ) -> Tensor:
-    """Create an op result node, recording the graph only when needed."""
-    out = Tensor(data)
+    """Create an op result node, recording the graph only when needed.
+
+    The result takes its operands' (promoted) dtype, not the ambient
+    policy's: an fp32 model's activations, and a loss taken on its
+    logits, stay fp32 wherever they are computed, and only what callers
+    hand ``Tensor(...)`` themselves is coerced to the policy dtype.  An
+    op that computed in anything else (a stray float64 scalar under NEP
+    50) is cast back here, where ``tests/nn/test_dtype_discipline.py``
+    sees it.
+    """
+    out = Tensor(data, dtype=np.result_type(*[p.data.dtype for p in parents]))
     if _should_record(parents):
         out._parents = tuple(parents)
         out._backward = backward
@@ -901,6 +915,8 @@ def butterfly_apply(
     coeffs: Sequence[Tensor],
     halves: Sequence[int],
     ladder=None,
+    in_features: Optional[int] = None,
+    out_features: Optional[int] = None,
 ) -> Tensor:
     """Apply a full ladder of butterfly stages as a single autograd op.
 
@@ -916,12 +932,16 @@ def butterfly_apply(
     refuses it when the op has to be recorded): ``x`` is then the
     ladder's ``(..., in_features)`` and the result its
     ``(..., out_features)``.
+
+    ``in_features`` / ``out_features`` hand a layer's fold to the kernel,
+    which owns the zero-pad to ``n`` and the output slice in both
+    directions — a rectangular layer is still one graph node.
     """
     parents = (x, *coeffs)
     record = _should_record(parents)
     data, ctx = _kernels.butterfly_apply(
         x.data, [c.data for c in coeffs], halves, need_ctx=record,
-        ladder=ladder,
+        ladder=ladder, in_features=in_features, out_features=out_features,
     )
 
     def backward(grad: np.ndarray):

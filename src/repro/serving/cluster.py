@@ -67,6 +67,7 @@ from .scheduler import (
     FINISH_DEADLINE,
     FINISH_ERROR,
     FINISH_SHED,
+    validated_prompt,
 )
 from .worker import WorkerConfig, child_environment, worker_main
 
@@ -342,9 +343,7 @@ class ClusterEngine:
                     "cluster is draining/closed and no longer admits sessions"
                 )
             params = params or SamplingParams()
-            prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-            if prompt.size == 0:
-                raise ValueError("request prompt must be non-empty")
+            prompt = validated_prompt(prompt, self.model.config.vocab_size)
             if params.seed is None:
                 params = replace(
                     params, seed=derive_request_seed(self.seed, self._next_id)

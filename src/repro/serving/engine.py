@@ -40,6 +40,7 @@ from .scheduler import (
     ContinuousBatchScheduler,
     Request,
     StepEvent,
+    validated_prompt,
 )
 
 
@@ -173,9 +174,7 @@ class ServingEngine:
                     "engine is shut down and no longer admits requests"
                 )
             params = params or SamplingParams()
-            prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-            if prompt.size == 0:
-                raise ValueError("request prompt must be non-empty")
+            prompt = validated_prompt(prompt, self.model.config.vocab_size)
 
             deadline_s = params.deadline_s
             if deadline_s is None:

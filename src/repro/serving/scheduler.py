@@ -42,6 +42,22 @@ FINISH_DEADLINE = "deadline"
 FINISH_SHED = "shed"
 
 
+def validated_prompt(prompt, vocab_size: int) -> np.ndarray:
+    """``prompt`` as a flat int64 array — what both engines' ``submit``
+    check before an id is burned.  An id outside ``[0, vocab_size)`` would
+    otherwise raise inside ``step`` (a negative one silently wraps in the
+    embedding gather) and the request never reach a terminal state."""
+    prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
+    if prompt.size == 0:
+        raise ValueError("request prompt must be non-empty")
+    if prompt.min() < 0 or prompt.max() >= vocab_size:
+        raise ValueError(
+            f"prompt token ids must lie in [0, {vocab_size}), got "
+            f"[{prompt.min()}, {prompt.max()}]"
+        )
+    return prompt
+
+
 @dataclass(frozen=True)
 class Request:
     """A prompt plus sampling parameters, as queued by the engine."""

@@ -631,6 +631,8 @@ class ServingHTTPServer:
             request_id = int(self.engine.submit(prompt, params))
         except RuntimeError as exc:  # engine draining/closed under us
             return self._respond_json(writer, 503, {"error": str(exc)})
+        except ValueError as exc:  # a token id outside the model's vocabulary
+            raise _BadRequest(400, str(exc))
         if self.engine.result(request_id).finish_reason == FINISH_SHED:
             return self._respond_json(
                 writer, 429,

@@ -1,0 +1,206 @@
+"""The recorded call of a small fold: the ladder densified per call.
+
+``kernels.butterfly_apply`` with a context wanted runs a fold inside the
+frozen ladder's area budget, on at least ``in_features`` rows, as one
+GEMM with ``W = ladder(eye)`` and takes ``dW`` back through the build.
+The oracle here is the per-stage chain (``butterfly_apply_reference`` +
+``stage_vjp``), which shares no code with the grouped or the dense path.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels as K
+from repro.kernels import grouped
+from repro.nn import tensor as F
+
+RELATIVE = {np.float64: 1e-10, np.float32: 2e-5}
+
+
+def _ladder(rng, n, dtype=np.float64):
+    halves = K.stage_halves(n)
+    # ~unit gain per stage keeps float32 outputs O(1) through ten stages
+    coeffs = [(rng.normal(size=(4, n // 2)) * 0.7).astype(dtype)
+              for _ in halves]
+    return coeffs, halves
+
+
+def _chain(x, coeffs, halves, n, d_out, grad):
+    """Zero-pad, per-stage forward, slice — and the per-stage VJP back —
+    in float64 whatever the inputs' dtype."""
+    x, grad = x.astype(np.float64), grad.astype(np.float64)
+    coeffs = [c.astype(np.float64) for c in coeffs]
+    saved = [np.zeros(x.shape[:-1] + (n,))]
+    saved[0][..., : x.shape[-1]] = x
+    for c, half in zip(coeffs[:-1], halves[:-1]):
+        saved.append(K.stage_forward(saved[-1], c, half))
+    y = K.butterfly_apply_reference(saved[0], coeffs, halves)[..., :d_out]
+    g = np.zeros_like(saved[0])
+    g[..., :d_out] = grad
+    gcoeffs = [None] * len(coeffs)
+    for s in range(len(coeffs) - 1, -1, -1):
+        g, gcoeffs[s] = K.stage_vjp(g, saved[s], coeffs[s], halves[s])
+    return y, g[..., : x.shape[-1]], gcoeffs
+
+
+def _expected_kind(rows, d_in, d_out, n):
+    """The dispatch as the docs state it: a function of these four only."""
+    if n < (1 << K.MIN_STAGES) or rows * n < K.MIN_WORK:
+        return "stages"
+    if rows >= d_in and d_in * d_out <= grouped.DENSE_MAX_N * n:
+        return "dense"
+    return "grouped"
+
+
+def _assert_close(got, want, relative, what):
+    scale = max(np.abs(want).max(), 1e-30)
+    np.testing.assert_allclose(got, want, rtol=0, atol=relative * scale,
+                               err_msg=what)
+
+
+@st.composite
+def _cases(draw):
+    n = draw(st.sampled_from([64, 128, 256, 512, 1024]))
+    # Widths on both sides of the area rule: a few fixed fractions of n
+    # (the FFN shapes) plus ragged ones.
+    width = st.one_of(
+        st.sampled_from([n, n // 2, n // 4, n // 8, n // 16]),
+        st.integers(1, n),
+    )
+    d_in, d_out = draw(width), draw(width)
+    # Rows on both sides of in_features and of MIN_WORK.
+    rows = draw(st.one_of(
+        st.sampled_from([d_in - 1, d_in, d_in + 1, K.MIN_WORK // n]),
+        st.integers(1, 320),
+    ))
+    rows = max(rows, 1)
+    lead = (rows,)
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([d for d in (1, 2, 3, 4) if rows % d == 0]))
+        lead = (b, rows // b)
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, d_in, d_out, lead, dtype, seed
+
+
+class TestAgainstTheStageChain:
+    @settings(max_examples=80, deadline=None)
+    @given(_cases())
+    def test_forward_and_every_gradient(self, case):
+        n, d_in, d_out, lead, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        coeffs, halves = _ladder(rng, n, dtype)
+        x = rng.normal(size=lead + (d_in,)).astype(dtype)
+        grad = rng.normal(size=lead + (d_out,)).astype(dtype)
+        y, ctx = K.butterfly_apply(x, coeffs, halves,
+                                   in_features=d_in, out_features=d_out)
+        gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx)
+        rows = int(np.prod(lead))
+        assert ctx[0] == _expected_kind(rows, d_in, d_out, n)
+        assert y.shape == lead + (d_out,) and gx.shape == x.shape
+        assert y.dtype == gx.dtype == dtype
+        want_y, want_gx, want_gcoeffs = _chain(x, coeffs, halves, n, d_out, grad)
+        relative = RELATIVE[dtype]
+        _assert_close(y, want_y, relative, "y")
+        _assert_close(gx, want_gx, relative, "gx")
+        for s, (got, want) in enumerate(zip(gcoeffs, want_gcoeffs)):
+            assert got.shape == (4, n // 2) and got.dtype == dtype
+            _assert_close(got, want, relative, f"stage {s}")
+
+    def test_finite_differences_through_the_recorded_node(self, rng, gradcheck):
+        """float64 central differences on the layer's one graph node.  The
+        analytic side records (dense); the numeric side's tensors require
+        nothing, so it runs the no-context grouped kernel."""
+        n, d_in, d_out, rows = 64, 4, 40, 256
+        coeffs, halves = _ladder(rng, n)
+        kinds = []
+        real = K.butterfly_apply
+
+        def spy(*args, **kwargs):
+            y, ctx = real(*args, **kwargs)
+            kinds.append(ctx and ctx[0])
+            return y, ctx
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(K, "butterfly_apply", spy)
+            gradcheck(
+                lambda x, *stages: F.butterfly_apply(
+                    x, stages, halves, in_features=d_in, out_features=d_out),
+                rng.normal(size=(rows, d_in)), *coeffs,
+            )
+        assert kinds[0] == "dense" and set(kinds[1:]) == {None}
+
+
+class _MatmulSpy(K.SerialBackend):
+    def __init__(self):
+        self.dtypes = set()
+
+    def matmul(self, a, b, out):
+        self.dtypes.update((a.dtype, b.dtype, out.dtype))
+        return super().matmul(a, b, out)
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_gemm_operand_is_the_inputs_dtype(self, rng, dtype):
+        coeffs, halves = _ladder(rng, 512, dtype)
+        x = rng.normal(size=(2, 128, 128)).astype(dtype)
+        grad = rng.normal(size=(2, 128, 512)).astype(dtype)
+        spy = _MatmulSpy()
+        y, ctx = K.butterfly_apply(x, coeffs, halves, backend=spy,
+                                   in_features=128, out_features=512)
+        gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx, backend=spy)
+        assert ctx[0] == "dense"
+        assert spy.dtypes == {np.dtype(dtype)}
+        assert {a.dtype for a in (y, gx, *gcoeffs)} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threaded_backend_is_bitwise_serial(rng, dtype, workers):
+    """Every GEMM of the dense call goes through ``backend.matmul``, which
+    shards disjoint output rows."""
+    threaded = K.ThreadedBackend(workers=workers)
+    for n, d_in, d_out, rows in [(512, 128, 512, 512), (512, 512, 128, 512),
+                                 (128, 128, 128, 1024)]:
+        coeffs, halves = _ladder(rng, n, dtype)
+        x = rng.normal(size=(rows, d_in)).astype(dtype)
+        grad = rng.normal(size=(rows, d_out)).astype(dtype)
+        results = []
+        for backend in (None, threaded):
+            y, ctx = K.butterfly_apply(x, coeffs, halves, backend=backend,
+                                       in_features=d_in, out_features=d_out)
+            assert ctx[0] == "dense"
+            gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx, backend=backend)
+            results.append([y, gx, *gcoeffs])
+        for serial, sharded in zip(*results):
+            np.testing.assert_array_equal(serial, sharded)
+
+
+class TestContextLifetime:
+    def test_retained_context_gives_the_same_vjp_twice(self, rng):
+        """``retain_graph=True``: the VJP reads the context and writes only
+        pooled scratch, so a second backward sees what the first saw — also
+        after another layer has used the same plan in between."""
+        coeffs, halves = _ladder(rng, 256)
+        other, _ = _ladder(rng, 256)
+        x = rng.normal(size=(128, 64))
+        grad = rng.normal(size=(128, 256))
+        _, ctx = K.butterfly_apply(x, coeffs, halves,
+                                   in_features=64, out_features=256)
+        first = K.butterfly_apply_vjp(grad, ctx)
+        _, ctx_other = K.butterfly_apply(rng.normal(size=(128, 64)), other, halves,
+                                         in_features=64, out_features=256)
+        K.butterfly_apply_vjp(grad, ctx_other)
+        second = K.butterfly_apply_vjp(grad, ctx)
+        np.testing.assert_array_equal(first[0], second[0])
+        for a, b in zip(first[1], second[1]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_fold_of_the_wrong_width_rejected(self, rng):
+        coeffs, halves = _ladder(rng, 64)
+        with pytest.raises(ValueError, match="expected input dim 16"):
+            K.butterfly_apply(rng.normal(size=(3, 17)), coeffs, halves,
+                              in_features=16, out_features=64)

@@ -363,35 +363,66 @@ class TestOtherCallersStay:
             x[..., K.bit_reversal_permutation(n)], coeffs, halves, need_ctx=False)
         np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
 
-    @pytest.mark.parametrize("rows,n,kind", [
-        (1, 1024, "stages"),     # below MIN_WORK
-        (512, 32, "stages"),     # below MIN_STAGES
-        (256, 64, "grouped"),    # at both thresholds
+    @pytest.mark.parametrize("rows,n,d_in,d_out,kind", [
+        (1, 1024, 1024, 1024, "stages"),   # below MIN_WORK
+        (512, 32, 32, 32, "stages"),       # below MIN_STAGES
+        (512, 32, 8, 32, "stages"),        # ... whatever the fold
+        (64, 256, 256, 256, "grouped"),    # at both thresholds, over the area budget
+        (256, 512, 256, 512, "grouped"),   # a fold over the budget
+        (64, 512, 128, 512, "grouped"),    # inside it, rows < in_features
+        (255, 256, 256, 128, "grouped"),   # ... by one row
+        (256, 256, 256, 128, "dense"),
+        (256, 64, 64, 64, "dense"),        # at both thresholds, inside the budget
+        (128, 512, 128, 512, "dense"),     # rows == in_features, area == budget
+        (512, 512, 512, 128, "dense"),
     ])
-    def test_training_dispatch_and_bits_unchanged(self, rng, rows, n, kind):
-        """With a context wanted, the thresholds still pick the path and the
-        bits are those of the per-stage chain / the per-step grouped kernel."""
+    def test_training_dispatch_and_bits_unchanged(
+            self, rng, rows, n, d_in, d_out, kind):
+        """With a context wanted, the dispatch table.  The thresholds pick
+        chain or fused kernel as they always did, and there the bits are
+        those of the per-stage chain / the per-step grouped kernel on the
+        zero-padded input; of the calls the grouped kernel used to take,
+        the folds inside the frozen ladder's area budget that bring at
+        least ``in_features`` rows run densified."""
         coeffs, halves = _ladder(rng, n)
-        x = rng.normal(size=(rows, n))
-        y, ctx = K.butterfly_apply(x, coeffs, halves)
+        x = rng.normal(size=(rows, d_in))
+        y, ctx = K.butterfly_apply(x, coeffs, halves,
+                                   in_features=d_in, out_features=d_out)
         assert ctx[0] == kind
         grad = rng.normal(size=y.shape)
         gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx)
-        if kind == "stages":
-            np.testing.assert_array_equal(
-                y, K.butterfly_apply_reference(x, coeffs, halves))
-            g, saved = grad, [x]
-            for c, h in zip(coeffs[:-1], halves[:-1]):
-                saved.append(K.stage_forward(saved[-1], c, h))
-            for s in range(len(coeffs) - 1, -1, -1):
-                g, gc = K.stage_vjp(g, saved[s], coeffs[s], halves[s])
-                np.testing.assert_array_equal(gcoeffs[s], gc)
-            np.testing.assert_array_equal(gx, g)
-        else:
+        padded = np.zeros((rows, n))
+        padded[:, :d_in] = x
+        full = np.zeros((rows, n))
+        full[:, :d_out] = grad
+        # The per-stage chain: the bits of "stages", the oracle of the rest.
+        g, saved = full, [padded]
+        for c, h in zip(coeffs[:-1], halves[:-1]):
+            saved.append(K.stage_forward(saved[-1], c, h))
+        chain = [None] * len(coeffs)
+        for s in range(len(coeffs) - 1, -1, -1):
+            g, chain[s] = K.stage_vjp(g, saved[s], coeffs[s], halves[s])
+        expected = (K.butterfly_apply_reference(padded, coeffs, halves)[:, :d_out],
+                    g[:, :d_in], *chain)
+        if kind == "grouped":
             plan = K.get_plan(n, len(halves))
-            y2, gctx = K.grouped_forward(x, coeffs, plan)
-            np.testing.assert_array_equal(y, y2)
-            gx2, gcoeffs2 = K.grouped_vjp(grad, gctx)
-            np.testing.assert_array_equal(gx, gx2)
-            for a, b in zip(gcoeffs, gcoeffs2):
-                np.testing.assert_array_equal(a, b)
+            y2, gctx = K.grouped_forward(padded, coeffs, plan)
+            gx2, gcoeffs2 = K.grouped_vjp(full, gctx)
+            expected = (y2[:, :d_out], gx2[:, :d_in], *gcoeffs2)
+        for got, want in zip((y, gx, *gcoeffs), expected):
+            if kind == "dense":
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+            else:
+                np.testing.assert_array_equal(got, want)
+
+    def test_a_call_that_wants_no_context_is_never_densified(self, rng):
+        """The dense build is paid for by the backward it makes cheap; raw
+        no-context callers (stored-weight ladders, the hardware model's
+        verify mode) keep the grouped kernel's bits."""
+        coeffs, halves = _ladder(rng, 64)
+        x = rng.normal(size=(256, 64))
+        y, ctx = K.butterfly_apply(x, coeffs, halves, need_ctx=False)
+        assert ctx is None
+        y2, _ = K.grouped_forward(x, coeffs, K.get_plan(64, len(halves)),
+                                  need_ctx=False)
+        np.testing.assert_array_equal(y, y2)

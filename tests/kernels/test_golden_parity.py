@@ -68,12 +68,14 @@ class TestForwardVsDense:
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_grouped_matches_reference(self, rng, n):
-        """The fused GEMM path equals the per-stage reference kernel."""
+        """The fused GEMM paths equal the per-stage reference kernel: the
+        chunked one, and at n = 64 (inside the dense area budget, rows >= n)
+        the one densified for the call."""
         coeffs, halves = _random_ladder(rng, n)
         rows = max(64, K.MIN_WORK // n)  # enough work to engage the fused path
         x = rng.normal(size=(rows, n))
         y, ctx = K.butterfly_apply(x, coeffs, halves)
-        assert ctx is not None and ctx[0] == "grouped"
+        assert ctx is not None and ctx[0] == ("dense" if n == 64 else "grouped")
         np.testing.assert_allclose(
             y, K.butterfly_apply_reference(x, coeffs, halves), atol=1e-9
         )
@@ -194,27 +196,31 @@ class TestVJPvsFiniteDifferences:
 
 
 class TestInterleavedContexts:
-    def test_two_layers_interleaved(self, rng):
+    @pytest.mark.parametrize("d_in,kind", [(256, "grouped"), (64, "dense")])
+    def test_two_layers_interleaved(self, rng, d_in, kind):
         """fwd/fwd/bwd/bwd on a shared plan must not cross-contaminate.
 
         Regression test for scratch-buffer aliasing: saved activations
         must own their memory even when rearrangements degenerate to
-        views.
+        views — and the densified call's context (the 64 -> 256 fold)
+        must hold nothing that lives in the plan's pooled scratch.
         """
         n, rows = 256, 64
         halves = K.stage_halves(n)
         ca, _ = _random_ladder(rng, n)
         cb, _ = _random_ladder(rng, n)
-        xa = rng.normal(size=(rows, n))
-        xb = rng.normal(size=(rows, n))
+        xa = rng.normal(size=(rows, d_in))
+        xb = rng.normal(size=(rows, d_in))
         sa = rng.normal(size=(rows, n))
         sb = rng.normal(size=(rows, n))
-        ya, ctxa = K.butterfly_apply(xa, ca, halves)
-        yb, ctxb = K.butterfly_apply(xb, cb, halves)
+        fold = dict(in_features=d_in, out_features=n)
+        ya, ctxa = K.butterfly_apply(xa, ca, halves, **fold)
+        yb, ctxb = K.butterfly_apply(xb, cb, halves, **fold)
+        assert ctxa[0] == ctxb[0] == kind
         gxb, gcsb = K.butterfly_apply_vjp(sb, ctxb)
         gxa, gcsa = K.butterfly_apply_vjp(sa, ctxa)
         # solo (non-interleaved) references
-        _, ctx = K.butterfly_apply(xa, ca, halves)
+        _, ctx = K.butterfly_apply(xa, ca, halves, **fold)
         gxa_ref, gcsa_ref = K.butterfly_apply_vjp(sa, ctx)
         np.testing.assert_allclose(gxa, gxa_ref, atol=1e-12)
         for a, b in zip(gcsa, gcsa_ref):

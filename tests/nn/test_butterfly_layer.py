@@ -275,24 +275,71 @@ class TestFrozenInference:
                 np.testing.assert_array_equal(batched[row], solo[0])
 
 
-class TestTrainingPathUnchanged:
-    """With gradients recorded the layer is the graph it always was:
-    ``pad_last`` -> one ladder node -> ``getitem`` -> bias."""
+def _recorded_call(layer, xt):
+    """``layer(xt)`` plus the kernel context its one ladder node saved."""
+    contexts = []
+    real = kernels.butterfly_apply
 
-    @pytest.mark.parametrize("d_in,d_out,rows", [(6, 8, 4), (24, 40, 3), (128, 512, 64)])
-    def test_forward_backward_bits(self, rng, d_in, d_out, rows):
+    def spy(*args, **kwargs):
+        y, ctx = real(*args, **kwargs)
+        contexts.append(ctx)
+        return y, ctx
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "butterfly_apply", spy)
+        out = layer(xt)
+    (ctx,) = contexts  # one kernel call per layer call
+    # One graph node between x and the bias add, whatever the fold.
+    ladder_node, bias = out._parents
+    assert bias is layer.bias
+    assert ladder_node._parents == (xt, *layer.stage_parameters())
+    return out, ctx
+
+
+def _reachable_arrays(obj, seen):
+    """Every ndarray a kernel context keeps alive, views counted as the
+    buffer they pin."""
+    if isinstance(obj, np.ndarray):
+        while obj.base is not None:
+            obj = obj.base
+        seen[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _reachable_arrays(item, seen)
+    elif isinstance(obj, kernels.GroupedContext):
+        for name in obj.__slots__:
+            _reachable_arrays(getattr(obj, name), seen)
+    return seen
+
+
+class TestTrainingPathUnchanged:
+    """With gradients recorded the layer is one ladder node -> bias; the
+    kernel entry owns the zero-pad and the output slice.  Which kernel runs
+    under that node is the dispatch table below."""
+
+    @pytest.mark.parametrize("d_in,d_out,rows,kind", [
+        (6, 8, 4, "stages"),
+        (24, 40, 3, "stages"),
+        (128, 512, 64, "grouped"),    # inside the area budget, rows < in_features
+        (256, 512, 256, "grouped"),   # over the area budget
+    ])
+    def test_forward_backward_bits(self, rng, d_in, d_out, rows, kind):
+        """Shapes the dense rule leaves alone: the bits of ``pad_last`` ->
+        ladder -> ``getitem``, as they always were."""
         layer = nn.ButterflyLinear(d_in, d_out, rng=rng)
         stages = [p.data for p in layer.stage_parameters()]
         x = rng.normal(size=(rows, d_in))
         xt = nn.Tensor(x, requires_grad=True)
         before = _builds()
-        out = layer(xt)
+        out, layer_ctx = _recorded_call(layer, xt)
+        assert layer_ctx[0] == kind
         grad = rng.normal(size=out.shape)
         out.backward(grad)
         assert _builds() == before  # nothing frozen on the recorded path
 
         padded = np.pad(x, [(0, 0), (0, layer.n - d_in)])
         y, ctx = kernels.butterfly_apply(padded, stages, layer.halves)
+        assert ctx[0] == kind
         np.testing.assert_array_equal(out.data, y[:, :d_out] + layer.bias.data)
         full = np.zeros_like(y)
         full[:, :d_out] = grad
@@ -301,6 +348,51 @@ class TestTrainingPathUnchanged:
         for param, expected in zip(layer.stage_parameters(), gstages):
             np.testing.assert_array_equal(param.grad, expected)
         np.testing.assert_array_equal(layer.bias.grad, grad.sum(axis=0))
+
+    @pytest.mark.parametrize("d_in,d_out,lead", [
+        (128, 512, (2, 1024)),   # train_fit's FFN, up and down
+        (512, 128, (2, 1024)),
+        (128, 128, (2, 1024)),   # ... and its attention projections
+        (64, 256, (64,)),        # rows == in_features
+    ])
+    def test_small_folds_run_densified(self, rng, d_in, d_out, lead):
+        """Shapes the rule takes: the ladder runs on the identity's
+        ``in_features`` rows, and the context keeps ``x`` by reference and
+        nothing else of ``rows`` height."""
+        layer = nn.ButterflyLinear(d_in, d_out, rng=rng)
+        x = rng.normal(size=lead + (d_in,))
+        xt = nn.Tensor(x, requires_grad=True)
+        before = _builds()
+        out, ctx = _recorded_call(layer, xt)
+        assert ctx[0] == "dense"
+        kept = _reachable_arrays(ctx, {})
+        assert kept.pop(id(xt.data)) is xt.data
+        rows = int(np.prod(lead))
+        kept_bytes = sum(a.nbytes for a in kept.values())
+        # W, the identity's two chunk inputs, the chunk operators and the
+        # build's levels: O(in_features * n), where the chunked kernel
+        # keeps two rows x n chunk inputs.
+        assert kept_bytes <= 6 * d_in * layer.n * x.itemsize
+        if rows >= 4 * d_in:
+            assert kept_bytes < rows * layer.n * x.itemsize
+
+        np.testing.assert_allclose(out.data, _fresh_reference(layer, x), atol=1e-9)
+        grad = rng.normal(size=out.shape)
+        out.backward(grad)
+        assert _builds() == before
+        dense = layer.dense_weight()
+        np.testing.assert_allclose(xt.grad, grad @ dense, atol=1e-9)
+        # Stage gradients against the chunked kernel on the padded input.
+        padded = np.zeros((rows, layer.n))
+        padded[:, :d_in] = x.reshape(rows, d_in)
+        full = np.zeros((rows, layer.n))
+        full[:, :d_out] = grad.reshape(rows, d_out)
+        _, gctx = kernels.grouped_forward(
+            padded, [p.data for p in layer.stage_parameters()],
+            kernels.get_plan(layer.n, len(layer.halves)))
+        _, gstages = kernels.grouped_vjp(full, gctx)
+        for param, expected in zip(layer.stage_parameters(), gstages):
+            np.testing.assert_allclose(param.grad, expected, rtol=1e-9, atol=1e-9)
 
 
 class TestFaultPointTraversals:

@@ -10,12 +10,16 @@ ndarray that is not already the policy dtype, in a forward + backward
 and in a ``no_grad`` forward of every model family, and every
 parameter gradient must come out float32.
 
-The same holds with *no* dtype context at all for a decoder: its
-activations take its parameters' dtype, so a bare ``ServingEngine``
+The same holds with *no* dtype context at all, for every model family:
+activations take the parameters' dtype, so a bare ``ServingEngine``
 over a float32 (or int8-stored) decoder never hands a GEMM a float64
-operand.  It used to: ``Tensor.__init__`` coerces to the ambient policy,
-the engine never entered the model's context, and so float32 replicas
-decoded in float64 — the cause of "fp64 out-decodes fp32".
+operand, and ``loss.backward()`` on an fp32 encoder leaves fp32
+gradients.  It used to be otherwise: ``Tensor.__init__`` coerced every
+op result to the ambient policy, ``backward`` seeded its gradient from
+it, and neither the engine nor the encoders entered the model's context
+— so float32 replicas decoded in float64 (the cause of "fp64 out-decodes
+fp32") and an fp32 model trained outside a context got a mix of float64
+and float32 gradients.
 """
 
 import numpy as np
@@ -26,10 +30,12 @@ from repro.kernels import attention as AK
 from repro.kernels import quant as QK
 from repro.kernels.backend import KernelBackend
 from repro.models import (
+    DualEncoderClassifier,
     ModelConfig,
     build_butterfly_decoder,
     build_dense_decoder,
     build_fabnet,
+    build_fnet,
     build_transformer,
 )
 from repro.nn import tensor as F
@@ -59,10 +65,12 @@ def _spy_on_casts(monkeypatch):
     return seen
 
 
-def _assert_float32_grads(model):
+def _assert_float32_grads(model, unused=()):
     wrong = {
-        name: p.grad.dtype for name, p in model.named_parameters()
-        if p.grad is None or p.grad.dtype != np.float32
+        name: getattr(p.grad, "dtype", None)
+        for name, p in model.named_parameters()
+        if not name.startswith(unused)
+        and (p.grad is None or p.grad.dtype != np.float32)
     }
     assert not wrong
 
@@ -81,6 +89,58 @@ def test_encoders_train_and_infer_in_float32(build, monkeypatch, rng):
     assert logits.dtype == eval_logits.dtype == np.float32
     assert casts == []
     _assert_float32_grads(model)
+
+
+def _build_pair_classifier(config):
+    return DualEncoderClassifier(build_fabnet(config))
+
+
+@pytest.mark.parametrize("build", [
+    build_fabnet, build_fnet, build_transformer, _build_pair_classifier])
+def test_encoders_ignore_the_ambient_policy(build, monkeypatch, rng):
+    """No dtype context anywhere: an fp32 encoder's forward, a loss taken on
+    its logits and ``backward()`` stay fp32 (the encoder enters its
+    parameters' dtype itself; op results and the gradient seed keep the
+    dtype they were computed in)."""
+    model = build(CONFIG)
+    casts = _spy_on_casts(monkeypatch)
+    tokens = rng.integers(0, CONFIG.vocab_size, size=(3, CONFIG.max_len))
+    if build is _build_pair_classifier:
+        tokens = np.stack([tokens, tokens[::-1]], axis=1)
+    targets = rng.integers(0, CONFIG.n_classes, size=3)
+    assert F.get_default_dtype() == np.float64
+    logits = model(tokens)
+    loss = nn.cross_entropy_logits(logits, targets)
+    loss.backward()
+    with nn.no_grad():
+        eval_logits = model.eval()(tokens)
+    assert logits.dtype == loss.dtype == eval_logits.dtype == np.float32
+    assert casts == []
+    # The pair classifier pools both towers and never calls the encoder's
+    # own classification head.
+    pair = build is _build_pair_classifier
+    _assert_float32_grads(model, unused=("encoder.head.",) if pair else ())
+
+
+def test_backward_runs_in_the_tensors_own_dtype(monkeypatch, rng):
+    """The gradient is seeded, and an explicit one cast, in the dtype of the
+    tensor ``backward`` is called on, not the ambient policy's."""
+    with nn.default_dtype("float32"):
+        a = nn.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = nn.Tensor(rng.normal(size=(4,)), requires_grad=True)
+        out = F.tanh(a * b)
+        loss = F.sum_(out)
+    assert F.get_default_dtype() == np.float64
+    assert out.dtype == loss.dtype == np.float32
+    casts = _spy_on_casts(monkeypatch)
+    loss.backward(retain_graph=True)
+    assert a.grad.dtype == b.grad.dtype == np.float32
+    assert casts == []
+    seeded = a.grad.copy()
+    a.grad = None
+    out.backward(np.ones((3, 4)))  # a float64 seed from the caller: cast once
+    assert a.grad.dtype == np.float32
+    np.testing.assert_array_equal(a.grad, seeded)
 
 
 @pytest.mark.parametrize("build", [build_dense_decoder, build_butterfly_decoder])
@@ -154,8 +214,7 @@ def test_decoder_forward_and_loss_ignore_the_ambient_policy(build, monkeypatch, 
     tokens = rng.integers(0, CONFIG.vocab_size, size=(2, 8))
     assert F.get_default_dtype() == np.float64
     loss = model.loss(tokens)
-    with CONFIG.dtype_context():  # backward seeds its gradient from the policy
-        loss.backward()
+    loss.backward()
     model.eval()
     with nn.no_grad():
         logits = model(tokens)

@@ -114,6 +114,24 @@ class TestProtocolConformance:
         engine.close()
         assert list(handle.stream()) == list(handle.result().tokens)
 
+    @pytest.mark.parametrize("bad", [
+        [3, 28, 5],     # == vocab_size: raised inside step, never terminal
+        [3, -1, 5],     # negative: silently wrapped in the embedding gather
+        [],
+    ])
+    def test_prompt_outside_the_vocabulary_refused_at_submit(self, engine, bad):
+        first = engine.submit(_prompt(7), SamplingParams(max_new_tokens=2))
+        assert len(list(first.stream())) == 2
+        with pytest.raises(ValueError, match="prompt"):
+            engine.submit(np.asarray(bad, dtype=np.int64),
+                          SamplingParams(max_new_tokens=2))
+        assert engine.has_work is False
+        second = engine.submit(_prompt(8), SamplingParams(max_new_tokens=2))
+        assert int(second) == int(first) + 1  # the refusal consumed no id
+        engine.drain(timeout_s=60.0)
+        assert first.finish_reason == second.finish_reason == FINISH_LENGTH
+        assert engine.metrics_snapshot()["aggregate"]["completed"] == 2
+
     def test_health_and_metrics_surface(self, engine):
         health = engine.health()
         assert health["healthy"] is True

@@ -246,6 +246,22 @@ class TestEndpointContract:
         assert status == 400
         assert fragment in data
 
+    @pytest.mark.parametrize("prompt", [[1, 28, 3], [1, -1, 3]])
+    def test_token_id_outside_the_vocabulary_400(self, served, prompt):
+        """Refused at ``submit``: it used to be accepted, fail inside
+        ``step`` (``http_step_errors_total`` 1) and hold a drain for
+        ``drain_timeout_s`` without ever reaching a terminal state."""
+        server, engine = served
+        status, _, data = _generate(server, prompt=prompt, max_new_tokens=2)
+        assert status == 400
+        assert b"[0, 28)" in data
+        assert engine.has_work is False
+        status, _, body = _generate(server, max_new_tokens=3)
+        assert status == 200
+        assert len(json.loads(body)["tokens"]) == 3
+        assert engine.metrics.registry.counter(
+            "http_step_errors_total").value == 0
+
     def test_body_too_large_413(self, model):
         engine = ServingEngine(model, max_batch_size=2, seed=0)
         server = start_http_server(engine, max_body_bytes=64)

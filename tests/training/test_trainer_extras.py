@@ -79,3 +79,41 @@ class TestTrainerExtras:
                           log=lines.append)
         trainer.fit(dataset, epochs=10)
         assert any("early stop" in line for line in lines)
+
+
+class TestRecordedLadderMemory:
+    def test_a_train_fit_shaped_step_keeps_no_per_token_ladder_state(self):
+        """One optimizer step of the e2e ``train_fit`` model (sequence 512
+        here, 1024 there): every butterfly layer's fold is inside the dense
+        area budget, so its ladder context is ``O(in_features * n)`` and the
+        step peaks lower than with the rule switched off, where each layer
+        saves two ``rows x n`` chunk inputs."""
+        import tracemalloc
+
+        from repro import kernels
+
+        seq_len = 512
+        dataset = load_task("text", seq_len=seq_len, n_samples=4, seed=0,
+                            test_fraction=0.5)
+        config = ModelConfig(
+            vocab_size=dataset.vocab_size, n_classes=dataset.n_classes,
+            max_len=seq_len, d_hidden=128, n_heads=4, r_ffn=4, n_total=2,
+            n_abfly=1, dtype="float32", seed=0,
+        )
+
+        def peak_bytes():
+            # A throwaway step first: pooled scratch is not the step's own.
+            Trainer(build_fabnet(config), batch_size=2).fit(dataset, epochs=1)
+            trainer = Trainer(build_fabnet(config), batch_size=2)
+            tracemalloc.start()
+            try:
+                trainer.fit(dataset, epochs=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        dense = peak_bytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "dense_by_area", lambda *fold: False)
+            chunked = peak_bytes()
+        assert dense < 0.85 * chunked
