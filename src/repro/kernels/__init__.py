@@ -44,9 +44,18 @@ fused training-step kernels (:mod:`repro.kernels.fused`):
 activation with a parameter-cached ``W^T``), :func:`gelu_forward` /
 :func:`gelu_vjp` (the one in-place GELU chain, shared with ``nn.gelu``),
 :func:`residual_layer_norm_forward` / :func:`residual_layer_norm_vjp`,
-:func:`cross_entropy_logits_forward` / :func:`cross_entropy_logits_vjp`
-and the segment-sum :func:`embedding_grad`, all toggleable back to the
-composite graph via :func:`use_fused`.
+:func:`cross_entropy_logits_forward` / :func:`cross_entropy_logits_vjp`,
+the real-input Fourier mixing :func:`fourier_mix` and the segment-sum
+:func:`embedding_grad`, all toggleable back to the composite graph via
+:func:`use_fused`.
+
+The forward kernels an inference program calls take an optional
+``out=``: a C-contiguous array of the result's shape and dtype that
+aliases no input (:func:`gelu_forward` alone defines in place) and
+receives the bytes the allocating call returns; validation, spans and
+fault points stay in the entry point.  Call-local temporaries come from
+the per-thread, grow-only, capped :class:`ScratchPool`
+(:mod:`repro.kernels.pool`).
 
 Stored-weight inference lives in :mod:`repro.kernels.quant`: per-channel
 symmetric int8 quantization (:func:`quantize_per_channel`, optional
@@ -119,6 +128,7 @@ from .fused import (
     cross_entropy_logits_forward,
     cross_entropy_logits_vjp,
     embedding_grad,
+    fourier_mix,
     fused_enabled,
     gelu_forward,
     gelu_vjp,
@@ -153,6 +163,7 @@ from .layout import (
     pair_indices,
     stage_halves,
 )
+from .pool import ScratchPool
 from .quant import (
     CALIBRATION_GRID,
     QMAX,
@@ -210,6 +221,7 @@ def butterfly_apply(
     ladder: Optional[FrozenLadder] = None,
     in_features: Optional[int] = None,
     out_features: Optional[int] = None,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
     """Apply a ladder of butterfly stages to the last axis of ``x``.
 
@@ -230,6 +242,9 @@ def butterfly_apply(
     :class:`FrozenLadder` its :class:`FrozenLadderCache` holds for
     ``coeffs`` (``need_ctx`` must be off) and the call is that ladder's
     ``apply``, at every ``(rows, n)`` — the fold is the ladder's own.
+    Only this path takes ``out``: a C-contiguous array of the result's
+    shape and dtype, not aliasing ``x``, that receives the bytes the
+    allocating call would return (an inference program's owned buffer).
 
     **Every other call** pays for what it builds — training steps
     because the weights move, raw-array callers because there is nothing
@@ -255,7 +270,9 @@ def butterfly_apply(
         if need_ctx:
             raise ValueError("a frozen ladder has no VJP context to give")
         with span("kernels.butterfly_apply", n=ladder.plan.n, path="frozen"):
-            return ladder.apply(x, backend), None
+            return ladder.apply(x, backend, out), None
+    if out is not None:
+        raise ValueError("out= is the frozen ladder's; this call has none")
     lead = x.shape[:-1]
     rows = math.prod(lead)
     n = 2 * coeffs[0].shape[-1] if coeffs else x.shape[-1]
@@ -352,6 +369,7 @@ __all__ = [
     "KernelBackend",
     "LinearActContext",
     "ResidualLNContext",
+    "ScratchPool",
     "SerialBackend",
     "ThreadedBackend",
     "absmax_scales",
@@ -386,6 +404,7 @@ __all__ = [
     "fft_stage_coeffs",
     "fft_stage_forward",
     "fft_twiddles",
+    "fourier_mix",
     "fused_enabled",
     "get_backend",
     "get_default_dtype",

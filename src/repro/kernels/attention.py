@@ -12,11 +12,15 @@ Design
 * **Query tiles, exact softmax**: the forward walks tiles of about
   :data:`TILE_SCORES` scores — a block of queries against every key
   they can see — and runs the textbook softmax on each: one QK^T GEMM
-  into reused scratch, scale, biases, row max, subtract, exp, row sum,
-  one PV GEMM straight into the output.  A query's whole key row is in
-  its tile, so there is no running max and nothing to rescale, the
+  into pooled scratch, biases, row max, subtract, exp, one PV GEMM.
+  Three passes over a tile, not five: the scale sits on the tile's
+  queries (``D`` columns instead of ``Lk``) and the row sum comes out of
+  the PV GEMM through a ones column on ``V``.  A query's whole key row
+  is in its tile, so there is no running max and nothing to rescale, the
   passes hit a cache-resident buffer, and peak score memory is one
-  tile per worker instead of ``O(B*H*Lq*Lk)``.
+  tile per worker instead of ``O(B*H*Lq*Lk)``.  Every temporary is the
+  per-thread pool's (:data:`repro.kernels.pool.SCRATCH`): a steady
+  caller allocates only its result.
 * **Analytic backward**: the forward stores only ``(q, k, v, out,
   logsumexp)``; :func:`attention_vjp` recomputes the probabilities
   key block by key block from the logsumexp and applies the standard
@@ -42,18 +46,26 @@ from ..telemetry import span
 from .autotune import get_tuned, shape_class
 from .backend import _split_ranges, resolve_backend
 from .dtype import mask_fill_value
+from .pool import SCRATCH, check_out
 
 #: Step along a causal mask's diagonal: keys per block of the backward's
 #: recompute loop, and most queries in a causal forward tile (which
 #: computes the whole rectangle up to its last query's diagonal).  Causal
-#: fp32 forward ms at 64 / 128 / 256: ``(4,4,256,64)`` 4.7 / 5.0 / 7.0,
-#: ``(1,4,1024,32)`` 8.7 / 8.5 / 8.5, ``(1,8,512,64)`` 7.5 / 7.3 / 8.5.
+#: fp32 forward ms at 64 / 128 / 256, re-measured on the three-pass tile
+#: (PR 19, best of 25 interleaved): ``(4,4,256,64)`` 5.9 / 6.3 / 6.3,
+#: ``(1,4,1024,32)`` 9.4 / 9.0 / 9.6, ``(1,8,512,64)`` 7.6 / 8.0 / 8.6 —
+#: flatter than the five-pass tile's (4.7 / 5.0 / 7.0 on the first), no
+#: reason to move.
 DEFAULT_BLOCK = 128
 
 #: Score elements in one forward tile (see :func:`_tile_shape`): 512 KB of
 #: float32, inside a 2 MB L2 beside the K/V rows it streams.  fp32 forward
-#: ms, 1 BLAS thread, at 64K / 128K / 256K: ``(1,4,1024,32)`` 16.2 / 14.1 /
-#: 13.7 (fp64 26.9 / 23.3 / 27.7), ``(1,8,512,64)`` 10.0 / 9.1 / 12.1.
+#: ms, 1 BLAS thread, at 64K / 128K / 256K on the three-pass tile (PR 19):
+#: ``(1,4,1024,32)`` 13.4 / 12.5 / 12.0 (fp64 23.6 / 22.1 / 22.5),
+#: ``(1,8,512,64)`` 9.7 / 9.3 / 9.0.  With two passes fewer a larger tile
+#: costs less than it did (five-pass: 16.2 / 14.1 / 13.7, fp64 26.9 /
+#: 23.3 / 27.7, 10.0 / 9.1 / 12.1): fp32 now leans to 256K by 3-4 % and
+#: fp64 to 128K by 2 %, both inside the box's noise, so the constant stays.
 TILE_SCORES = 1 << 17
 
 #: Minimum score elements (B*H*Lq*Lk) before the threaded backend shards
@@ -204,6 +216,7 @@ def attention_forward(
     block: Optional[int] = None,
     need_ctx: bool = True,
     backend=None,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[AttentionContext]]:
     """Fused ``softmax(Q K^T * scale + bias) V``, one query tile at a time.
 
@@ -216,6 +229,10 @@ def attention_forward(
     ``block`` (see :data:`DEFAULT_BLOCK`) defaults to the autotuned value
     for this shape class.  The ``backend`` shards the batch axis — rows are
     independent, so the threaded backend is bit-identical to the serial one.
+
+    ``out`` (``need_ctx`` must be off) is a C-contiguous ``(B, H, Lq, D)``
+    array of ``q``'s dtype aliasing no operand; it receives the bytes the
+    allocating call returns.
     """
     q = np.asarray(q)
     k = np.asarray(k)
@@ -240,8 +257,13 @@ def attention_forward(
     if bias2d is not None and lq > lk:
         raise ValueError(f"causal attention of {lq} queries over {lk} keys")
     kbias = padding_bias(key_mask, dtype) if key_mask is not None else None
+    if out is None:
+        out = np.empty((b, h, lq, d), dtype=dtype)
+    else:
+        if need_ctx:
+            raise ValueError("out= cannot back a VJP context")
+        check_out(out, (b, h, lq, d), dtype, q, k, v)
 
-    out = np.empty((b, h, lq, d), dtype=dtype)
     m, lsum = np.empty((2, b, h, lq), dtype=dtype)
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
     kt = k.swapaxes(-1, -2)  # (B, H, D, Lk) view
@@ -251,36 +273,58 @@ def attention_forward(
     offset = lk - lq
 
     def run_rows(shard: range) -> None:
-        scores = np.empty(min(nb, len(shard)) * nh * nq * lk, dtype=dtype)
-        for b0, h0, i0 in itertools.product(
-            range(shard.start, shard.stop, nb), range(0, h, nh),
-            range(0, lq, nq),
+        # Three passes over a score tile (max, subtract, exp) between its
+        # two GEMMs: the scale goes onto the tile's queries (D columns,
+        # not Lk) and a ones column on V makes the PV GEMM return each
+        # row's softmax denominator beside its weighted values.
+        rows = min(nb, len(shard))
+        scores = SCRATCH.take("attention.tile", (rows * nh * nq * lk,), dtype)
+        # The scaled queries are spent when the PV product is written:
+        # one buffer holds first the one, then the other.
+        summed = SCRATCH.take("attention.pv", (rows * nh * nq * (d + 1),), dtype)
+        ones = SCRATCH.take("attention.v", (rows, nh, lk, d + 1), dtype)
+        for b0, h0 in itertools.product(
+            range(shard.start, shard.stop, nb), range(0, h, nh)
         ):
             b1 = min(b0 + nb, shard.stop)
             h1 = min(h0 + nh, h)
-            i1 = min(i0 + nq, lq)
-            j1 = offset + i1 if bias2d is not None else lk
-            tile = np.s_[b0:b1, h0:h1, i0:i1]
-            shape = (b1 - b0, h1 - h0, i1 - i0, j1)
-            s = scores[:math.prod(shape)].reshape(shape)
-            np.matmul(q[tile], kt[b0:b1, h0:h1, :, :j1], out=s)
-            s *= scale
-            if bias2d is not None:
-                j0 = offset + i0 + 1
-                s[..., j0:] += bias2d[i0:i1, j0:j1]
-            if bias3d is not None:
-                s += bias3d[b0:b1, None, i0:i1]
-            if kbias is not None:
-                s += kbias[b0:b1, None, None, :j1]
-            np.max(s, axis=-1, out=m[tile])
-            s -= m[tile][..., None]
-            np.exp(s, out=s)
-            np.sum(s, axis=-1, out=lsum[tile])
-            np.matmul(s, v[b0:b1, h0:h1, :j1], out=out[tile])
+            v1 = ones[:b1 - b0, :h1 - h0]
+            v1[..., :d] = v[b0:b1, h0:h1]
+            v1[..., d] = 1.0
+            keys = kt[b0:b1, h0:h1]
+            if nq < lq:
+                # Every tile of the head reads these keys: lay K^T out
+                # once, rows contiguous, for the QK GEMMs to stream.
+                keys = SCRATCH.take("attention.k", keys.shape, dtype)
+                np.copyto(keys, kt[b0:b1, h0:h1])
+            for i0 in range(0, lq, nq):
+                i1 = min(i0 + nq, lq)
+                j1 = offset + i1 if bias2d is not None else lk
+                tile = np.s_[b0:b1, h0:h1, i0:i1]
+                shape = (b1 - b0, h1 - h0, i1 - i0)
+                size = math.prod(shape)
+                qs = np.multiply(q[tile], scale,
+                                 out=summed[:size * d].reshape(*shape, d))
+                s = scores[:size * j1].reshape(*shape, j1)
+                np.matmul(qs, keys[..., :j1], out=s)
+                if bias2d is not None:
+                    j0 = offset + i0 + 1
+                    s[..., j0:] += bias2d[i0:i1, j0:j1]
+                if bias3d is not None:
+                    s += bias3d[b0:b1, None, i0:i1]
+                if kbias is not None:
+                    s += kbias[b0:b1, None, None, :j1]
+                np.max(s, axis=-1, out=m[tile])
+                s -= m[tile][..., None]
+                np.exp(s, out=s)
+                pv = summed[:size * (d + 1)].reshape(*shape, d + 1)
+                np.matmul(s, v1[:, :, :j1], out=pv)
+                np.divide(pv[..., :d], pv[..., d:], out=out[tile])
+                if need_ctx:
+                    lsum[tile] = pv[..., d]
 
     with span("kernels.attention_forward", lq=lq, lk=lk, block=block):
         backend.map(run_rows, _batch_shards(backend, b, b * h * lq * lk))
-    out /= lsum[..., None]
     if not need_ctx:
         return out, None
     lse = m + np.log(lsum)

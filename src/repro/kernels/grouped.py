@@ -78,6 +78,7 @@ import numpy as np
 from ..telemetry import counter_inc, publish_on_snapshot
 from .backend import resolve_backend
 from .layout import check_power_of_two, num_stages
+from .pool import ScratchPool, check_out
 
 #: Largest number of stages fused into one chunk.  Radix 32 balances the
 #: batched-GEMM efficiency against the O(n * 2^g) chunk-matrix build cost.
@@ -198,12 +199,10 @@ class _StackLevel:
 class GroupedPlan:
     """Cached index geometry for one ``(n, num_stages, radix)`` problem.
 
-    Also owns a small pool of *transient* scratch buffers (see
-    :meth:`scratch`): large numpy temporaries are returned to the OS on
-    free, so reusing them across kernel invocations avoids repeated page
-    faulting on the hot path.  Only arrays that never escape a single
-    kernel call may use the pool — anything saved in a context or
-    returned to the caller is allocated normally.
+    Also owns a pool of *transient* scratch buffers (:meth:`scratch`).
+    Only arrays that never escape a single kernel call may use it —
+    anything saved in a context or returned to the caller is allocated
+    normally.
     """
 
     def __init__(self, n: int, stages: int, g: int = MAX_GROUP) -> None:
@@ -257,53 +256,14 @@ class GroupedPlan:
             self.levels.append(
                 _StackLevel(m=m, N=N, K=K, active=active, idx=idx)
             )
-        # Scratch pools are *thread-local*: plans are shared through the
-        # process-global cache, and the threaded backend runs kernel
-        # shards on pool workers — a shared pool would hand two workers
-        # the same buffer.  Each thread gets its own pool dict keyed by
-        # (tag, dtype), with its own byte budget.
-        self._tls = threading.local()
-
-    #: Pool budget per plan *per thread*.  Plans live in a process-global
-    #: cache, so without a cap the pool would pin buffers sized to the
-    #: largest batch ever seen for the process lifetime.  Oversized
-    #: requests are served with ordinary (garbage-collected) allocations
-    #: instead.
-    SCRATCH_MAX_BYTES = 64 << 20
+        # Plans are shared through the process-global cache, so the pool
+        # is per thread and capped (see :class:`ScratchPool`).
+        self._pool = ScratchPool()
 
     def scratch(self, tag: str, shape: tuple, dtype) -> np.ndarray:
-        """A reusable uninitialized buffer for call-local temporaries.
-
-        Buffers are pooled per calling thread (see ``_tls`` above), so
-        concurrent kernel invocations sharing one cached plan never
-        alias each other's scratch.  A tag's buffer only grows: callers
-        of different shapes share a plan (an FFN's up and down ladders,
-        a served model's prefill and decode steps) and take turns, so
-        an exact-size pool would reallocate on every alternation.
-        """
-        pool = getattr(self._tls, "pool", None)
-        if pool is None:
-            pool = self._tls.pool = {}
-            self._tls.bytes = 0
-        key = (tag, np.dtype(dtype))
-        buf = pool.get(key)
-        size = math.prod(shape)
-        counter_inc("kernels_scratch_hits_total" if buf is not None
-                    and buf.size >= size else "kernels_scratch_misses_total")
-        if buf is None or buf.size < size:
-            # A cached buffer that is too small is useless for this tag
-            # now — evict it up front so it can't stay pinned if the new
-            # request ends up over budget.
-            old = pool.pop(key, None)
-            if old is not None:
-                self._tls.bytes -= old.nbytes
-            nbytes = size * np.dtype(dtype).itemsize
-            if self._tls.bytes + nbytes > self.SCRATCH_MAX_BYTES:
-                return np.empty(shape, dtype=dtype)
-            buf = np.empty(size, dtype=dtype)
-            pool[key] = buf
-            self._tls.bytes += buf.nbytes
-        return buf[:size].reshape(shape)
+        """A reusable uninitialized buffer for call-local temporaries,
+        from this plan's :class:`~repro.kernels.pool.ScratchPool`."""
+        return self._pool.take(tag, shape, dtype)
 
 
 _PLAN_CACHE: dict = {}
@@ -749,18 +709,23 @@ class FrozenLadder:
         with _PLAN_CACHE_LOCK:
             _FROZEN_BUILDS += 1
 
-    def apply(self, x: np.ndarray, backend=None) -> np.ndarray:
+    def apply(self, x: np.ndarray, backend=None, out=None) -> np.ndarray:
         """``(..., in_features) -> (..., out_features)``; the result is
-        always an owned array (intermediates live in pooled scratch)."""
+        always an owned array (intermediates live in pooled scratch) —
+        or ``out``, a C-contiguous array of the result's shape and dtype
+        that does not alias ``x``, filled with the same bytes."""
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"expected input dim {self.in_features}, got {x.shape[-1]}"
             )
+        shape = x.shape[:-1] + (self.out_features,)
+        if out is None:
+            out = np.empty(shape, dtype=self.dtype)
+        else:
+            check_out(out, shape, self.dtype, x)
         backend = resolve_backend(backend)
         if len(self.ops) == 1:
-            out = np.empty(x.shape[:-1] + (self.out_features,),
-                           dtype=self.dtype)
             backend.matmul(x, self.ops[0], out)
             return out
         n = self.plan.n
@@ -769,12 +734,13 @@ class FrozenLadder:
             whole[..., : self.in_features] = x
             whole[..., self.in_features:] = 0
             x = whole
-        return self._chunked(x, backend)[..., : self.out_features]
+        return self._chunked(x, backend, out)
 
-    def _chunked(self, x: np.ndarray, backend) -> np.ndarray:
-        # (..., n) through every chunk.  Chunk inputs and outputs are
-        # carried as (B, o, h0, S, T): the GEMM axes are (S, T),
-        # everything before them a batch axis.
+    def _chunked(self, x: np.ndarray, backend, out=None) -> np.ndarray:
+        # (..., n) through every chunk, into ``out`` (..., out_features)
+        # or, without one, a fresh array of every column the last chunk
+        # kept.  Chunk inputs and outputs are carried as (B, o, h0, S, T):
+        # the GEMM axes are (S, T), everything before them a batch axis.
         backend = resolve_backend(backend)
         lead = x.shape[:-1]
         S = lead[-1] if lead else 1
@@ -800,10 +766,20 @@ class FrozenLadder:
                 )
             y = scratch(f"y{k}", cur.shape[:-1] + (MT.shape[-1],), dtype)
             backend.matmul(cur, MT, y)
-        # Last chunk has one block: (B, 1, h0, S, cols) -> (..., cols * h0).
-        out = np.empty((B, S, y.shape[4], y.shape[2]), dtype=dtype)
-        np.copyto(out, y[:, 0].transpose(0, 2, 3, 1))
-        return out.reshape(lead + (-1,))
+        # Last chunk has one block: (B, 1, h0, S, cols) -> (..., cols * h0),
+        # of which ``out`` keeps its own width: whole groups of h0
+        # positions in one copy, the group the fold cuts in another.
+        cols, h0 = y.shape[4], y.shape[2]
+        arranged = y[:, 0].transpose(0, 2, 3, 1)
+        if out is None:
+            out = np.empty(lead + (cols * h0,), dtype=dtype)
+        flat = out.reshape(B, S, -1)
+        whole, rest = divmod(flat.shape[-1], h0)
+        np.copyto(flat[..., : whole * h0].reshape(B, S, whole, h0),
+                  arranged[:, :, :whole])
+        if rest:
+            flat[..., whole * h0:] = arranged[:, :, whole, :rest]
+        return out
 
 
 class FrozenLadderCache:

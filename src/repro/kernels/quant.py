@@ -27,8 +27,8 @@ the accumulated outputs per channel afterwards.  A batch-8 decode GEMM
 is memory-bound on weight traffic, so reading int8 instead of fp32
 is what the speedup in ``BENCH_quant.json`` comes from — the same
 bandwidth argument the paper makes for its reduced-precision buffers.
-Scratch blocks are cached per ``(in_features, dtype)`` FFTW-style, like
-the grouped butterfly plans; butterfly-stage quantization reuses the
+Scratch blocks are pooled per ``(in_features, dtype)`` and thread, like
+the grouped butterfly plans'; butterfly-stage quantization reuses the
 existing plan cache by dequantizing the (tiny) stage coefficients and
 dispatching to :func:`repro.kernels.butterfly_apply`.
 
@@ -50,10 +50,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry import counter_inc, span
+from ..telemetry import span
 from .autotune import get_tuned, shape_class
 from .backend import resolve_backend
 from .dtype import compute_dtype
+from .pool import ScratchPool
 
 #: Quantized code range: symmetric int8 without -128, so negation is
 #: closed and the hardware's sign-magnitude multipliers need no special
@@ -68,11 +69,10 @@ SCRATCH_TARGET_BYTES = 96 * 1024
 #: Per-channel shrink factors tried by the MSE calibration grid search.
 CALIBRATION_GRID = (1.0, 0.95, 0.9, 0.85, 0.8)
 
-#: Dequant scratch blocks are pooled *per thread* (see :func:`_scratch`):
-#: the threaded backend runs column-span shards on pool workers, and a
-#: process-global pool would hand two workers the same buffer.
-_SCRATCH_TLS = threading.local()
-_SCRATCH_CACHE_MAX = 16
+#: Dequant scratch blocks, one per ``in_features`` and dtype, pooled *per
+#: thread*: the threaded backend runs column-span shards on pool workers,
+#: and a process-global pool would hand two workers the same buffer.
+_SCRATCH = ScratchPool("kernels_quant_scratch")
 
 
 def absmax_scales(w: np.ndarray) -> np.ndarray:
@@ -158,28 +158,6 @@ def _block_rows(in_features: int, itemsize: int) -> int:
     return int(np.clip(rows, 8, 256))
 
 
-def _scratch(rows: int, in_features: int, dtype: np.dtype) -> np.ndarray:
-    """Thread-local cached dequant scratch block for ``(in_features, dtype)``.
-
-    Per-thread pooling (not a shared dict) so the threaded backend's
-    workers never alias one buffer while dequantizing different spans.
-    """
-    cache = getattr(_SCRATCH_TLS, "cache", None)
-    if cache is None:
-        cache = _SCRATCH_TLS.cache = {}
-    key = (in_features, dtype.str)
-    buf = cache.get(key)
-    if buf is None or buf.shape[0] < rows:
-        counter_inc("kernels_quant_scratch_misses_total")
-        if len(cache) >= _SCRATCH_CACHE_MAX and key not in cache:
-            cache.pop(next(iter(cache)))
-        buf = np.empty((rows, in_features), dtype=dtype)
-        cache[key] = buf
-    else:
-        counter_inc("kernels_quant_scratch_hits_total")
-    return buf
-
-
 def _resolve_block_rows(
     block_rows: Optional[int], in_features: int, dtype: np.dtype
 ) -> int:
@@ -252,9 +230,15 @@ def quantized_linear(
     out = np.empty((x2.shape[0], out_features), dtype=cdt)
     rows = _resolve_block_rows(block_rows, in_features, cdt)
 
+    taken = {}  # thread -> its scratch block: one take per thread and call
+
     def run_block(o0: int) -> None:
         o1 = min(o0 + rows, out_features)
-        buf = _scratch(min(rows, out_features), in_features, cdt)
+        thread = threading.get_ident()
+        buf = taken.get(thread)
+        if buf is None:
+            buf = taken[thread] = _SCRATCH.take(
+                in_features, (min(rows, out_features), in_features), cdt)
         block = buf[: o1 - o0]
         np.copyto(block, q_weight[o0:o1])  # stored -> fp (unscaled)
         np.matmul(x2, block.T, out=out[:, o0:o1])

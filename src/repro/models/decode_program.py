@@ -21,10 +21,12 @@ The contract (see CONTRIBUTING, "The inference program"):
 
 * **Keyed like** :class:`~repro.kernels.FrozenLadderCache`: the program
   records the ``(version, data)`` of every parameter it read and the
-  identity of every projection layer, and :class:`DecodeProgramCache`
-  rebuilds it when an optimizer step, ``load_state_dict``, a ``.data``
-  rebind (a dtype switch is one) or a layer swap (quantization) changes
-  any of them — one sweep per call.  Copies and pickles start empty.
+  identity of every projection layer, and the model's
+  :class:`~repro.models.program.ProgramCache` rebuilds it when an
+  optimizer step, ``load_state_dict``, a ``.data`` rebind (a dtype switch
+  is one) or a layer swap (quantization) changes any of them — one sweep
+  per call.  Copies and pickles start empty.  (The base shared with the
+  encoder's program: :mod:`repro.models.program`.)
 * **Activations take the parameters' dtype** (``token_emb.weight``),
   never the ambient :func:`~repro.kernels.default_dtype` policy.
 * **Row independence**: every projection is the layer's own inference
@@ -42,30 +44,22 @@ The contract (see CONTRIBUTING, "The inference program"):
 * **Oracle**: ``tests/conftest.py::reference_incremental`` is the
   ``Tensor``-graph version; ``tests/models/test_decode_program.py``
   holds the program to its bytes.
-
-Adding a layer kind means one branch in :meth:`DecodeProgram._projection`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .. import nn
 from ..kernels import (
     attention_decode,
     attention_forward,
-    butterfly_apply,
-    gelu_forward,
-    linear_act_forward,
     residual_layer_norm_forward,
 )
 from ..nn.tensor import layer_norm_forward
-
-Projection = Callable[[np.ndarray], np.ndarray]
-Norm = Tuple[np.ndarray, np.ndarray, float]
+from .program import InferenceProgram, Norm, Projection
 
 
 class _Block(NamedTuple):
@@ -81,13 +75,12 @@ class _Block(NamedTuple):
     d_head: int
 
 
-class DecodeProgram:
+class DecodeProgram(InferenceProgram):
     """The compiled incremental forward of one decoder, valid while
     :meth:`current` holds."""
 
     def __init__(self, model) -> None:
-        self._stamps: List[tuple] = []  # (parameter, version, data) read
-        self._slots: List[tuple] = []  # (owner, attribute, projection layer)
+        super().__init__()
         self.max_len = model.config.max_len
         self._token_emb = self._array(model.token_emb.weight)
         self._pos_emb = self._array(model.pos_emb)
@@ -109,65 +102,6 @@ class DecodeProgram:
         ]
         self._final_norm = self._norm(model.final_norm)
         self._lm_head = self._projection(model, "lm_head")
-
-    # -- compile -------------------------------------------------------
-    def _array(self, param) -> np.ndarray:
-        self._stamps.append((param, param.version, param.data))
-        return param.data
-
-    def _norm(self, norm) -> Norm:
-        return self._array(norm.gamma), self._array(norm.beta), norm.eps
-
-    def _projection(self, owner, name: str, activation: str = "identity") -> Projection:
-        """``x -> act(layer(x))`` through the layer's own inference operator."""
-        layer = getattr(owner, name)
-        self._slots.append((owner, name, layer))
-        if isinstance(layer, nn.Linear):
-            weight = layer.weight  # read live: cached_transpose keys W^T on it
-            bias = None if layer.bias is None else self._array(layer.bias)
-
-            def dense(x: np.ndarray) -> np.ndarray:
-                return linear_act_forward(
-                    x, weight, bias, activation, need_ctx=False)[0]
-
-            return dense
-        if isinstance(layer, nn.ButterflyLinear):
-            stages = layer.stage_parameters()
-            coeffs = [self._array(stage) for stage in stages]
-            ladder = layer.frozen_ladder(self.dtype)
-            halves = layer.halves
-            bias = None if layer.bias is None else self._array(layer.bias)
-
-            def apply(x: np.ndarray) -> np.ndarray:
-                y, _ = butterfly_apply(
-                    x, coeffs, halves, need_ctx=False, ladder=ladder)
-                if bias is not None:
-                    y += bias  # the ladder's output is an owned array
-                return y
-
-        elif isinstance(layer, (nn.QuantizedLinear, nn.QuantizedButterflyLinear)):
-            apply = layer.apply  # reads its stored arrays live
-        else:
-            raise TypeError(
-                f"no inference operator for {type(layer).__name__} ({name})"
-            )
-        if activation == "identity":
-            return apply
-
-        def activated(x: np.ndarray) -> np.ndarray:
-            return gelu_forward(apply(x), need_ctx=False)[0]
-
-        return activated
-
-    def current(self) -> bool:
-        """Whether everything the program was built from is unchanged."""
-        for param, version, data in self._stamps:
-            if param.version != version or param.data is not data:
-                return False
-        for owner, name, layer in self._slots:
-            if getattr(owner, name) is not layer:
-                return False
-        return True
 
     # -- run -----------------------------------------------------------
     def run(self, tokens: np.ndarray, cache) -> np.ndarray:
@@ -217,31 +151,3 @@ class DecodeProgram:
         logits = self._lm_head(x)
         cache.advance(s_new)
         return logits
-
-
-class DecodeProgramCache:
-    """One decoder's :class:`DecodeProgram`, rebuilt only when what it
-    was built from changes.
-
-    The model keeps one of these and asks it for the program on every
-    incremental call.  Copies and pickles start empty: the program is
-    derived state — closures over the source model's layers — so a
-    ``deepcopy`` (``quantize_for_inference``) or a pickle (a ``spawn``
-    cluster worker) must compile its own.
-    """
-
-    __slots__ = ("_program", "builds")
-
-    def __init__(self) -> None:
-        self._program = None
-        self.builds = 0  # programs compiled so far (tests count these)
-
-    def __reduce__(self):
-        return (DecodeProgramCache, ())
-
-    def get(self, model) -> DecodeProgram:
-        program = self._program
-        if program is None or not program.current():
-            program = self._program = DecodeProgram(model)
-            self.builds += 1
-        return program

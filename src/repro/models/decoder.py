@@ -32,7 +32,8 @@ from ..serving.kv_cache import DecoderKVCache
 from ..serving.sampling import sample_logits
 from .blocks import DecoderBlock
 from .config import ModelConfig
-from .decode_program import DecodeProgramCache
+from .decode_program import DecodeProgram
+from .program import ProgramCache
 
 __all__ = [
     "ButterflyDecoderLM",
@@ -68,7 +69,7 @@ class ButterflyDecoderLM(nn.Module):
         self.drop = nn.Dropout(config.dropout, rng=rng)
         # The incremental-inference program, rebuilt when a parameter's
         # (version, data) or a projection layer changes.
-        self._program = DecodeProgramCache()
+        self._program = ProgramCache(DecodeProgram)
 
     # ------------------------------------------------------------------
     def _dtype_context(self):

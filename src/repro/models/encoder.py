@@ -11,14 +11,29 @@ from typing import List, Optional
 
 import numpy as np
 
-from .. import nn
+from .. import kernels, nn
 from ..nn import tensor as F
 from .blocks import EncoderBlock, make_abfly_block, make_fbfly_block
 from .config import ModelConfig
+from .encode_program import EncodeProgram
+from .program import ProgramCache
+
+
+def _dropout_rates(module: nn.Module):
+    if isinstance(module, nn.Dropout):
+        yield module.rate
+    for child in module._modules.values():
+        yield from _dropout_rates(child)
 
 
 class EncoderClassifier(nn.Module):
-    """Token embeddings + positional embeddings + encoder blocks + head."""
+    """Token embeddings + positional embeddings + encoder blocks + head.
+
+    Under ``no_grad``, with the fused kernels on and no dropout to draw,
+    :meth:`encode` (and so :meth:`forward`) is the model's compiled
+    :class:`~repro.models.encode_program.EncodeProgram`; every other call
+    records the ``Tensor`` graph.
+    """
 
     def __init__(self, config: ModelConfig, blocks: List[EncoderBlock],
                  rng: np.random.Generator) -> None:
@@ -36,6 +51,10 @@ class EncoderClassifier(nn.Module):
         self.head_norm = nn.LayerNorm(config.d_hidden)
         self.head = nn.Linear(config.d_hidden, config.n_classes, rng=rng)
         self.drop = nn.Dropout(config.dropout, rng=rng)
+        self._dropout = max(_dropout_rates(self))
+        # The no-grad forward, rebuilt when a parameter's (version, data)
+        # or a projection layer changes.
+        self._program = ProgramCache(EncodeProgram)
 
     # ------------------------------------------------------------------
     def _dtype_context(self):
@@ -45,14 +64,44 @@ class EncoderClassifier(nn.Module):
         (as :class:`~repro.models.decoder.ButterflyDecoderLM` does it)."""
         return nn.default_dtype(self.token_emb.weight.dtype)
 
-    def encode(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> nn.Tensor:
-        """Return pooled (batch, d_hidden) features for integer token ids."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+    def _validated(self, tokens, mask):
+        """``(tokens, mask)`` as an int64 ``(batch, seq)`` id array and a
+        boolean mask of the same shape (or None) — what the graph and the
+        program both assume.  A negative id would wrap in the embedding
+        gather, a float one be truncated, and a mask of another width die
+        as a broadcast error inside the attention tile loop."""
+        tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, seq), got shape {tokens.shape}")
+        if tokens.dtype.kind not in "iu":
+            raise ValueError(f"tokens must be integer ids, got dtype {tokens.dtype}")
         seq = tokens.shape[1]
         if seq > self.config.max_len:
             raise ValueError(f"sequence length {seq} exceeds max_len {self.config.max_len}")
+        vocab = self.token_emb.num_embeddings
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab):
+            raise ValueError(
+                f"tokens must lie in [0, {vocab}), got "
+                f"[{tokens.min()}, {tokens.max()}]"
+            )
+        if mask is not None:
+            mask = np.asarray(mask)
+            if mask.dtype != np.bool_ or mask.shape != tokens.shape:
+                raise ValueError(
+                    f"mask must be a boolean (batch, seq) = {tokens.shape} "
+                    f"array, got {mask.dtype} {mask.shape}"
+                )
+        return tokens.astype(np.int64, copy=False), mask
+
+    def _run(self, tokens, mask, classify: bool) -> nn.Tensor:
+        tokens, mask = self._validated(tokens, mask)
+        if (not F.is_grad_enabled() and kernels.fused_enabled()
+                and not (self.training and self._dropout > 0.0)):
+            # The program touches no process-wide state (the dtype policy
+            # included), so threads may forward one model concurrently.
+            out = self._program.get(self).run(tokens, mask, classify)
+            return nn.Tensor(out, dtype=out.dtype)
+        seq = tokens.shape[1]
         with self._dtype_context():
             x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
             x = self.drop(x)
@@ -69,12 +118,15 @@ class EncoderClassifier(nn.Module):
                     pooled = F.sum_(x, axis=1) / denom
                 else:
                     pooled = F.mean(x, axis=1)
-            return pooled
+            return self.head(pooled) if classify else pooled
+
+    def encode(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> nn.Tensor:
+        """Return pooled (batch, d_hidden) features for integer token ids."""
+        return self._run(tokens, mask, classify=False)
 
     def forward(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> nn.Tensor:
         """Return class logits of shape (batch, n_classes)."""
-        with self._dtype_context():
-            return self.head(self.encode(tokens, mask=mask))
+        return self._run(tokens, mask, classify=True)
 
 
 def build_transformer(config: ModelConfig) -> EncoderClassifier:
@@ -186,7 +238,7 @@ class DualEncoderClassifier(nn.Module):
 
     def forward(self, tokens_pair: np.ndarray) -> nn.Tensor:
         """``tokens_pair`` has shape (batch, 2, seq)."""
-        tokens_pair = np.asarray(tokens_pair, dtype=np.int64)
+        tokens_pair = np.asarray(tokens_pair)  # encode validates the ids
         if tokens_pair.ndim != 3 or tokens_pair.shape[1] != 2:
             raise ValueError(
                 f"expected (batch, 2, seq) token pairs, got {tokens_pair.shape}"

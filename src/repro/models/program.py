@@ -1,0 +1,142 @@
+"""What the inference programs share: compile, stamp, invalidate, cache.
+
+A model's ``no_grad`` inference runs as a flat program of kernel calls on
+plain arrays (:mod:`~repro.models.decode_program` for a decoder's
+incremental steps, :mod:`~repro.models.encode_program` for an encoder's
+forward).  Both are built, keyed and invalidated the same way — like
+:class:`~repro.kernels.FrozenLadderCache`:
+
+* compiling reads each parameter through :meth:`InferenceProgram._array`,
+  which records its ``(version, data)``, and each projection layer
+  through :meth:`InferenceProgram._projection`, which records the slot it
+  was found in;
+* :meth:`InferenceProgram.current` holds while none of them moved, and
+  :class:`ProgramCache` rebuilds the program when it does not — after an
+  optimizer step, ``load_state_dict``, a ``.data`` rebind (a dtype switch
+  is one) or a layer swap (quantization), and after nothing else.  One
+  sweep per call.
+
+Adding a layer kind means one branch in
+:meth:`InferenceProgram._projection`.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
+
+from .. import nn
+from ..kernels import butterfly_apply, gelu_forward, linear_act_forward
+
+#: ``projection(x, out=None)``: ``act(layer(x))`` as an owned array, or
+#: in ``out`` where the layer's kernel can write there (fp layers; a
+#: stored-weight layer's ``apply`` owns its output and ignores ``out``).
+Projection = Callable[..., np.ndarray]
+Norm = Tuple[np.ndarray, np.ndarray, float]
+
+
+class InferenceProgram:
+    """A compiled forward, valid while :meth:`current` holds.
+
+    Subclasses set ``self.dtype`` (the parameters' own, never the
+    ambient :func:`~repro.kernels.default_dtype` policy) before they
+    compile a projection.
+    """
+
+    def __init__(self) -> None:
+        self._stamps: List[tuple] = []  # (parameter, version, data) read
+        self._slots: List[tuple] = []  # (owner, attribute, projection layer)
+
+    def _array(self, param) -> np.ndarray:
+        self._stamps.append((param, param.version, param.data))
+        return param.data
+
+    def _norm(self, norm) -> Norm:
+        return self._array(norm.gamma), self._array(norm.beta), norm.eps
+
+    def _projection(self, owner, name: str, activation: str = "identity") -> Projection:
+        """``x -> act(layer(x))`` through the layer's own inference operator."""
+        layer = getattr(owner, name)
+        self._slots.append((owner, name, layer))
+        if isinstance(layer, nn.Linear):
+            weight = layer.weight  # read live: cached_transpose keys W^T on it
+            bias = None if layer.bias is None else self._array(layer.bias)
+
+            def dense(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                return linear_act_forward(
+                    x, weight, bias, activation, need_ctx=False, out=out)[0]
+
+            return dense
+        if isinstance(layer, nn.ButterflyLinear):
+            stages = layer.stage_parameters()
+            coeffs = [self._array(stage) for stage in stages]
+            ladder = layer.frozen_ladder(self.dtype)
+            halves = layer.halves
+            bias = None if layer.bias is None else self._array(layer.bias)
+
+            def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                y, _ = butterfly_apply(
+                    x, coeffs, halves, need_ctx=False, ladder=ladder, out=out)
+                if bias is not None:
+                    y += bias  # the ladder's output is an owned array, or out
+                return y
+
+        elif isinstance(layer, (nn.QuantizedLinear, nn.QuantizedButterflyLinear)):
+            def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                return layer.apply(x)  # reads its stored arrays live
+
+        else:
+            raise TypeError(
+                f"no inference operator for {type(layer).__name__} ({name})"
+            )
+        if activation == "identity":
+            return apply
+
+        def activated(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+            y = apply(x, out)
+            # In place where the layer wrote the caller's buffer; a few
+            # rows of decode are cheaper through the allocating chain.
+            return gelu_forward(
+                y, need_ctx=False, out=y if y is out else None)[0]
+
+        return activated
+
+    def current(self) -> bool:
+        """Whether everything the program was built from is unchanged."""
+        for param, version, data in self._stamps:
+            if param.version != version or param.data is not data:
+                return False
+        for owner, name, layer in self._slots:
+            if getattr(owner, name) is not layer:
+                return False
+        return True
+
+
+class ProgramCache:
+    """One model's inference program, rebuilt only when what it was built
+    from changes.
+
+    The model keeps one of these and asks it for the program on every
+    inference call.  Copies and pickles start empty: the program is
+    derived state — closures over the source model's layers — so a
+    ``deepcopy`` (``quantize_for_inference``) or a pickle (a ``spawn``
+    cluster worker) must compile its own.
+    """
+
+    __slots__ = ("_compile", "_program", "builds")
+
+    def __init__(self, compile: Callable[..., InferenceProgram]) -> None:
+        self._compile = compile  # the program class: compile(model)
+        self._program = None
+        self.builds = 0  # programs compiled so far (tests count these)
+
+    def __reduce__(self):
+        return (ProgramCache, (self._compile,))
+
+    def get(self, model) -> InferenceProgram:
+        program = self._program
+        if program is None or not program.current():
+            program = self._program = self._compile(model)
+            self.builds += 1
+        return program

@@ -26,6 +26,8 @@ from .. import kernels as _kernels
 from ..kernels.dtype import default_dtype as default_dtype
 from ..kernels.dtype import get_default_dtype
 from ..kernels.dtype import set_default_dtype as set_default_dtype
+from ..kernels.pool import SCRATCH as _SCRATCH
+from ..kernels.pool import check_out as _check_out
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -759,18 +761,37 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
 
 
 def layer_norm_forward(
-    a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
+    out: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """``(out, normed, inv)`` of an affine layer norm over the last axis.
 
     The array-level forward of :func:`layer_norm`, shared with the
-    decoder's inference program so both produce the same bytes.
+    inference programs so both produce the same bytes.
+
+    ``out`` is a C-contiguous array of ``a``'s shape and dtype that does
+    not alias ``a``: the same arithmetic runs in it (the variance's
+    squares through pooled scratch), it comes back with the bytes of the
+    allocating call, and ``normed`` / ``inv`` — what a VJP would need —
+    are ``None``.
     """
     mu = a.mean(axis=-1, keepdims=True)
-    var = a.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    normed = (a - mu) * inv
-    return normed * gamma + beta, normed, inv
+    if out is None:
+        var = a.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        normed = (a - mu) * inv
+        return normed * gamma + beta, normed, inv
+    _check_out(out, a.shape, a.dtype, a)
+    np.subtract(a, mu, out=out)
+    # ndarray.var, spelled out: sum((a - mean)^2) / n.
+    squares = np.multiply(
+        out, out, out=_SCRATCH.take("layer_norm", a.shape, a.dtype))
+    var = squares.sum(axis=-1, keepdims=True)
+    var /= a.shape[-1]
+    out *= 1.0 / np.sqrt(var + eps)
+    out *= gamma
+    out += beta
+    return out, None, None
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -992,12 +1013,20 @@ def fourier_mix_2d(x: Tensor) -> Tensor:
     ``x`` has shape ``(..., seq, hidden)``.  Because the DFT matrix ``F`` is
     symmetric (``F.T == F``) and the input is real, the Jacobian of
     ``Re(F x F)`` is ``Re(F) (.) Re(F)`` and the backward pass is the same
-    real-FFT mixing applied to the incoming gradient.
+    real-FFT mixing applied to the incoming gradient: one real-input
+    kernel, :func:`repro.kernels.fourier_mix`, both ways.  Under
+    :func:`repro.kernels.use_fused` ``(False)`` the seed's
+    ``np.fft.fft2(x).real`` is kept verbatim as its oracle.
     """
-    data = np.fft.fft2(x.data, axes=(-2, -1)).real
+    if _kernels.fused_enabled():
+        mix = _kernels.fourier_mix
+    else:
+        def mix(a: np.ndarray) -> np.ndarray:
+            return np.fft.fft2(a, axes=(-2, -1)).real
+    data = mix(x.data)
 
     def backward(grad: np.ndarray):
-        return (np.fft.fft2(grad, axes=(-2, -1)).real,)
+        return (mix(grad),)
 
     return _make_result(data, (x,), backward)
 

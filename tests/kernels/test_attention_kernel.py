@@ -75,6 +75,27 @@ class TestForwardParity:
                                        need_ctx=False)
         np.testing.assert_array_equal(out, out2)
 
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_context_logsumexp_is_the_reference_scores(self, rng, dtype, atol, causal):
+        """``ctx.lse`` is assembled from the row max and the denominator
+        the PV GEMM returns through V's ones column (the scale sits on
+        the queries): it must still be the logsumexp of the scores
+        :func:`attention_reference` builds, which the VJP recomputes from."""
+        q, k, v = _qkv(rng, lq=9, lk=9, dtype=dtype)
+        mask = rng.random((2, 9)) > 0.3
+        mask[:, 0] = True
+        _, ctx = AK.attention_forward(q, k, v, causal=causal, key_mask=mask,
+                                      scale=0.3, block=4)
+        s = np.matmul(q, k.swapaxes(-1, -2)).astype(np.float64) * 0.3
+        s += AK.padding_bias(mask, np.float64)[:, None, None, :]
+        if causal:
+            s += AK.causal_bias(9, 9, np.float64)
+        peak = s.max(axis=-1, keepdims=True)
+        lse = (peak + np.log(np.exp(s - peak).sum(axis=-1, keepdims=True)))[..., 0]
+        assert ctx.lse.dtype == np.dtype(dtype)
+        np.testing.assert_allclose(ctx.lse, lse, atol=atol)
+
     def test_q_start_matches_per_row_recompute(self, rng):
         """Ragged causal continuation: each row equals its own full attention."""
         b, h, lq, d = 3, 2, 2, 4

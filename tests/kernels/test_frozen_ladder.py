@@ -169,7 +169,7 @@ class TestOperatorGeometry:
         down = FrozenLadder(coeffs, np.float64, 512, 256)
         x_up, x_down = rng.normal(size=(2, 9, 256)), rng.normal(size=(2, 9, 512))
         up.apply(x_up), down.apply(x_down)  # pool sized by the larger of each
-        pool = up.plan._tls.pool
+        pool = up.plan._pool._tls.pool
         assert pool  # both ladders chunk, so both go through the pool
         before = {key: buf.ctypes.data for key, buf in pool.items()}
         for _ in range(3):

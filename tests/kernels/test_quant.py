@@ -118,9 +118,9 @@ class TestQuantizedLinear:
         first = QK.quantized_linear(x, q, scales)
         for _ in range(3):
             np.testing.assert_array_equal(QK.quantized_linear(x, q, scales), first)
-        # the pool is per-thread now (threaded-backend safety); this
-        # thread's cache still respects the eviction bound
-        assert len(QK._SCRATCH_TLS.cache) <= QK._SCRATCH_CACHE_MAX
+        # the pool is per-thread (threaded-backend safety); this thread's
+        # share respects the byte budget
+        assert QK._SCRATCH._tls.bytes <= QK._SCRATCH.MAX_BYTES
 
     def test_rejects_non_int8_weight(self, rng, dtype):
         x = rng.normal(size=(2, 8)).astype(dtype)

@@ -101,7 +101,7 @@ class TestQuantScratchPool:
 
         def call(t, c):
             QK.quantized_linear(x, q, s)
-            pools[threading.get_ident()] = QK._SCRATCH_TLS.cache
+            pools[threading.get_ident()] = QK._SCRATCH._tls.pool
             return True
 
         _hammer(call, n_threads=4, n_calls=2)
@@ -109,15 +109,18 @@ class TestQuantScratchPool:
         ids = [id(cache) for cache in pools.values()]
         assert len(set(ids)) == len(ids)
 
-    def test_varied_shapes_respect_eviction_bound(self, rng):
-        x32 = rng.normal(size=(2, 32)).astype(np.float32)
+    def test_varied_shapes_respect_the_byte_budget(self, rng, monkeypatch):
+        """Each thread's pool stays under the cap whatever shapes it has
+        seen: past it a block is an ordinary allocation."""
+        monkeypatch.setattr(QK._SCRATCH, "MAX_BYTES", 8 * 1024)
 
         def call(t, c):
-            out_f = 16 + 8 * ((t + c) % (QK._SCRATCH_CACHE_MAX + 4))
-            w = np.ones((out_f, 32))
-            q, s = QK.quantize_per_channel(w)
-            QK.quantized_linear(x32, q, s)
-            return len(QK._SCRATCH_TLS.cache) <= QK._SCRATCH_CACHE_MAX
+            in_f = 16 + 8 * ((t + c) % 20)
+            x = np.ones((2, in_f), dtype=np.float32)
+            q, s = QK.quantize_per_channel(np.ones((40, in_f)))
+            np.testing.assert_array_equal(
+                QK.quantized_linear(x, q, s), np.full((2, 40), in_f))
+            return QK._SCRATCH._tls.bytes <= QK._SCRATCH.MAX_BYTES
 
         assert all(all(row) for row in _hammer(call))
 

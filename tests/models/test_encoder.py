@@ -67,6 +67,47 @@ class TestEncoderBehavior:
         with pytest.raises(ValueError, match="batch"):
             model(np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("no_grad", [False, True],
+                             ids=["graph", "program"])
+    @pytest.mark.parametrize("bad,match", [
+        ({"tokens": -1}, r"tokens must lie in \[0, 32\)"),  # wrapped to the last row
+        ({"tokens": 32}, r"tokens must lie in \[0, 32\)"),  # a bare IndexError
+        ({"tokens": 1.7}, "tokens must be integer ids"),  # truncated to 1
+        ({"mask": "narrow"}, "mask must be a boolean"),  # a broadcast error
+        ({"mask": "batch"}, "mask must be a boolean"),
+        ({"mask": "int"}, "mask must be a boolean"),
+    ])
+    def test_bad_ids_and_masks_refused_and_the_next_call_served(
+        self, bad, match, no_grad, tiny_config, tokens
+    ):
+        """One check for the graph and the program: each refusal names its
+        argument, and the next valid call has the logits it had before."""
+        import contextlib
+
+        model = build_transformer(tiny_config).eval()
+        mask = np.ones(tokens.shape, dtype=bool)
+        mask[:, 10:] = False
+        scope = nn.no_grad if no_grad else contextlib.nullcontext
+        with scope():
+            want = model(tokens, mask=mask).data.copy()
+            if "tokens" in bad:
+                wrong = tokens.astype(type(bad["tokens"]))
+                wrong[1, 3] = bad["tokens"]
+                call = lambda: model(wrong, mask=mask)  # noqa: E731
+            else:
+                wrong = {"narrow": mask[:, :-1], "batch": mask[:1],
+                         "int": mask.astype(np.int64)}[bad["mask"]]
+                call = lambda: model(tokens, mask=wrong)  # noqa: E731
+            with pytest.raises(ValueError, match=match):
+                call()
+            np.testing.assert_array_equal(model(tokens, mask=mask).data, want)
+
+    def test_dual_encoder_refuses_float_ids_too(self, tiny_config, rng):
+        model = DualEncoderClassifier(build_fnet(tiny_config)).eval()
+        pairs = rng.integers(0, 8, size=(2, 2, tiny_config.max_len)) + 0.5
+        with pytest.raises(ValueError, match="integer ids"):
+            model(pairs)
+
     def test_wrong_block_count_rejected(self, tiny_config):
         from repro.models.encoder import EncoderClassifier
         with pytest.raises(ValueError, match="blocks"):
