@@ -69,8 +69,11 @@ def _butterfly_workload(n=1024, rows=64, dtype=np.float32):
 
 def _gemm_workload(n=1024, rows=64, dtype=np.float32):
     rng = np.random.default_rng(0)
-    q = rng.integers(-127, 128, size=(n, n)).astype(np.int8)
     scales = np.full(n, 0.01, dtype=np.float32)
+    # packed once, as a layer holds it: the layout the kernel serves
+    q = QK.pack_weight(
+        rng.integers(-127, 128, size=(n, n)).astype(np.int8), scales,
+        itemsize=np.dtype(dtype).itemsize)
     x = rng.standard_normal((rows, n)).astype(dtype)
 
     def gemm(backend):

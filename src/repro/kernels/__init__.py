@@ -59,8 +59,9 @@ the per-thread, grow-only, capped :class:`ScratchPool`
 
 Stored-weight inference lives in :mod:`repro.kernels.quant`: per-channel
 symmetric int8 quantization (:func:`quantize_per_channel`, optional
-MSE calibration), the blocked dequant-on-the-fly GEMM
-(:func:`quantized_linear`) and the stored butterfly ladder apply
+MSE calibration), the dequant-on-the-fly GEMM over codes packed once
+into the blocks it reads (:func:`pack_weight`, :class:`PackedWeight`,
+:func:`quantized_linear`) and the stored butterfly ladder apply
 (:func:`quantized_butterfly_apply`) — both take int8 codes with scales
 or fp16 weights with ``scales=None`` — sharing one quantizer with the
 hardware model's verify mode (:mod:`repro.hardware.quantize`).
@@ -85,13 +86,6 @@ from .attention import (
     causal_bias,
     expected_macs,
     padding_bias,
-)
-from .autotune import (
-    autotune_enabled,
-    autotune_sweep,
-    cache_path as autotune_cache_path,
-    get_tuned,
-    shape_class,
 )
 from .backend import (
     KernelBackend,
@@ -168,10 +162,12 @@ from .quant import (
     CALIBRATION_GRID,
     QMAX,
     SCRATCH_TARGET_BYTES,
+    PackedWeight,
     absmax_scales,
     calibrate_scales,
     dequantize,
     dequantize_butterfly_stages,
+    pack_weight,
     quantization_rmse,
     quantize_butterfly_stages,
     quantize_per_channel,
@@ -368,14 +364,12 @@ __all__ = [
     "GroupedPlan",
     "KernelBackend",
     "LinearActContext",
+    "PackedWeight",
     "ResidualLNContext",
     "ScratchPool",
     "SerialBackend",
     "ThreadedBackend",
     "absmax_scales",
-    "autotune_cache_path",
-    "autotune_enabled",
-    "autotune_sweep",
     "available_backends",
     "attention_decode",
     "attention_forward",
@@ -409,7 +403,6 @@ __all__ = [
     "get_backend",
     "get_default_dtype",
     "get_plan",
-    "get_tuned",
     "gelu_forward",
     "gelu_vjp",
     "grouped_forward",
@@ -417,6 +410,7 @@ __all__ = [
     "linear_act_forward",
     "linear_act_vjp",
     "num_stages",
+    "pack_weight",
     "pair_index_of",
     "pair_indices",
     "promote_storage",
@@ -433,7 +427,6 @@ __all__ = [
     "set_backend",
     "set_default_dtype",
     "set_fused_enabled",
-    "shape_class",
     "stage_dense",
     "stage_forward",
     "stage_halves",

@@ -43,7 +43,6 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..telemetry import span
-from .autotune import get_tuned, shape_class
 from .backend import _split_ranges, resolve_backend
 from .dtype import mask_fill_value
 from .pool import SCRATCH, check_out
@@ -226,9 +225,9 @@ def attention_forward(
     continuation (see :func:`_resolve_bias`).  Returns ``(out, ctx)``;
     ``ctx`` is None unless ``need_ctx`` and feeds :func:`attention_vjp`.
 
-    ``block`` (see :data:`DEFAULT_BLOCK`) defaults to the autotuned value
-    for this shape class.  The ``backend`` shards the batch axis — rows are
-    independent, so the threaded backend is bit-identical to the serial one.
+    ``block`` defaults to :data:`DEFAULT_BLOCK`.  The ``backend`` shards the
+    batch axis — rows are independent, so the threaded backend is
+    bit-identical to the serial one.
 
     ``out`` (``need_ctx`` must be off) is a C-contiguous ``(B, H, Lq, D)``
     array of ``q``'s dtype aliasing no operand; it receives the bytes the
@@ -250,8 +249,7 @@ def attention_forward(
     scale = 1.0 / math.sqrt(d) if scale is None else float(scale)
     dtype = q.dtype
     if block is None:
-        block = int(get_tuned("attention", shape_class(lk), dtype,
-                              {"block": DEFAULT_BLOCK})["block"])
+        block = DEFAULT_BLOCK
     backend = resolve_backend(backend)
     bias2d, bias3d = _resolve_bias(causal, q_start, lq, lk, dtype)
     if bias2d is not None and lq > lk:

@@ -77,35 +77,6 @@ def _env_workers() -> Optional[int]:
         return None
 
 
-#: Canonical (shape-class, dtype) key for the ``workers`` sweep.  The
-#: backend has one worker count for every op, so both the sweep and the
-#: constructor lookup pin the same representative GEMM class (the
-#: n=1024 fp32 headline benchmark shape) instead of tuning per call.
-WORKERS_TUNE_CLASS = "le1024"
-
-
-def _tuned_workers() -> Optional[int]:
-    """Machine-local autotuned worker count, or None when never swept.
-
-    Consulted between the ``REPRO_KERNEL_WORKERS`` override and the
-    CPU-count fallback, so a persisted ``workers`` sweep (autotune cache
-    or committed defaults) actually steers the backend.  With
-    ``REPRO_AUTOTUNE=1`` a cache miss triggers the sweep on first
-    construction; the sweep itself builds backends with explicit worker
-    counts, which bypass this lookup.
-    """
-    from .autotune import get_tuned
-
-    params = get_tuned(
-        "workers", WORKERS_TUNE_CLASS, np.float32, {"workers": 0}
-    )
-    try:
-        tuned = int(params.get("workers", 0))
-    except (TypeError, ValueError):
-        return None
-    return tuned if tuned >= 1 else None
-
-
 class KernelBackend:
     """Execution strategy consumed by the kernel layer.
 
@@ -182,10 +153,7 @@ class ThreadedBackend(KernelBackend):
     name = "threaded"
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        self._workers = (
-            workers or _env_workers() or _tuned_workers()
-            or os.cpu_count() or 1
-        )
+        self._workers = workers or _env_workers() or os.cpu_count() or 1
         self._in_worker = threading.local()
 
     @property

@@ -20,17 +20,24 @@ Scheme — per-channel symmetric int8, scales in fp32:
 * dequantization is exact multiplication: ``w_hat = q * s_o``.
 
 Execution — :func:`quantized_linear` never materializes the full
-dequantized matrix.  It streams the int8 weight through a small fp
-scratch block (sized to stay cache-resident, see
-:data:`SCRATCH_TARGET_BYTES`) and runs one BLAS GEMM per block, scaling
-the accumulated outputs per channel afterwards.  A batch-8 decode GEMM
-is memory-bound on weight traffic, so reading int8 instead of fp32
-is what the speedup in ``BENCH_quant.json`` comes from — the same
-bandwidth argument the paper makes for its reduced-precision buffers.
-Scratch blocks are pooled per ``(in_features, dtype)`` and thread, like
-the grouped butterfly plans'; butterfly-stage quantization reuses the
-existing plan cache by dequantizing the (tiny) stage coefficients and
-dispatching to :func:`repro.kernels.butterfly_apply`.
+dequantized matrix.  A layer's codes are packed **once**, when the layer
+is built (:func:`pack_weight`), into the layout the GEMM reads: one
+C-contiguous ``(in, rows)`` block per block of output channels
+(:class:`PackedWeight`, the only copy of the codes the layer holds).  A
+call is one loop over those blocks: a straight ``stored -> fp`` copy
+into a cache-resident scratch, ``x @ scratch`` into the block's output
+columns, then one per-channel scale of the accumulator.  ``rows`` comes
+from one rule, :func:`block_rows` — BLAS picks its micro-kernel by
+column count, so the block size is part of the function's bytes and is
+pinned in source, not tuned per machine.  A batch-8 decode GEMM is
+memory-bound on weight traffic, so reading int8 instead of fp32 is what
+the speedup in ``BENCH_quant.json`` comes from — the same bandwidth
+argument the paper makes for its reduced-precision buffers, whose data
+layout is likewise chosen for the datapath that reads them.  The scratch
+is one pooled buffer per dtype and thread, like the grouped butterfly
+plans'; butterfly-stage quantization reuses the existing plan cache by
+dequantizing the (tiny) stage coefficients and dispatching to
+:func:`repro.kernels.butterfly_apply`.
 
 Stored formats — a weight is ``(codes, scales)`` and the two formats
 differ by that one optional array: int8 codes carry per-channel fp32
@@ -51,7 +58,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..telemetry import span
-from .autotune import get_tuned, shape_class
 from .backend import resolve_backend
 from .dtype import compute_dtype
 from .pool import ScratchPool
@@ -61,17 +67,23 @@ from .pool import ScratchPool
 #: case (the convention of the int8 accelerator literature).
 QMAX = 127
 
-#: Dequant scratch sizing: one block of rows is dequantized at a time
-#: into a buffer of at most this many bytes, so the fp copy BLAS reads
-#: stays cache-resident while the int8 stream is the only DRAM traffic.
-SCRATCH_TARGET_BYTES = 96 * 1024
+#: Dequant scratch sizing: a block's ``(in, rows)`` fp copy is at most this
+#: many bytes (:func:`block_rows`), so it stays cache-resident while the
+#: stored stream is the only DRAM traffic.  Min-of-9 fp32 ms at 8 rows (a
+#: decode step), parent layout (48 / 12 rows, ``x @ block.T``) -> packed
+#: at a 128 KB / 256 KB target: ``(512, 512)`` 0.107 -> 0.087 / 0.085,
+#: ``(2048, 512)`` 0.446 -> 0.367 / 0.324, ``(512, 2048)`` 0.462 -> 0.439 /
+#: 0.313.  At 16 rows (this repo's prefills) the smaller target is ahead:
+#: 0.142 -> 0.117 / 0.154, 0.639 -> 0.546 / 0.673, 0.759 -> 0.692 / 0.682
+#: (ROADMAP item 5 keeps the flat-64-rows alternative and its table).
+SCRATCH_TARGET_BYTES = 256 * 1024
 
 #: Per-channel shrink factors tried by the MSE calibration grid search.
 CALIBRATION_GRID = (1.0, 0.95, 0.9, 0.85, 0.8)
 
-#: Dequant scratch blocks, one per ``in_features`` and dtype, pooled *per
-#: thread*: the threaded backend runs column-span shards on pool workers,
-#: and a process-global pool would hand two workers the same buffer.
+#: The dequant scratch, pooled *per thread*: the threaded backend runs
+#: blocks on pool workers, and a process-global pool would hand two
+#: workers the same buffer.
 _SCRATCH = ScratchPool("kernels_quant_scratch")
 
 
@@ -150,54 +162,129 @@ def dequantize(
 
 
 # ----------------------------------------------------------------------
-# Dequant-on-the-fly GEMM
+# Packed layout and the dequant-on-the-fly GEMM
 # ----------------------------------------------------------------------
-def _block_rows(in_features: int, itemsize: int) -> int:
-    """Rows per dequant block so the scratch stays within the target."""
-    rows = SCRATCH_TARGET_BYTES // max(1, in_features * itemsize)
-    return int(np.clip(rows, 8, 256))
+def block_rows(in_features: int, itemsize: int) -> int:
+    """Output channels per block — the one rule, a function of the
+    contraction length and the compute itemsize only: the widest block
+    whose dequantized ``(in, rows)`` copy fits :data:`SCRATCH_TARGET_BYTES`
+    (never under 8 channels, however long the contraction)."""
+    return max(8, SCRATCH_TARGET_BYTES // max(1, in_features * itemsize))
 
 
-def _resolve_block_rows(
-    block_rows: Optional[int], in_features: int, dtype: np.dtype
-) -> int:
-    """Block size: explicit arg > autotuned (machine cache / committed
-    defaults, see :mod:`repro.kernels.autotune`) > on-the-fly heuristic.
+def check_stored(q_weight, scales, bias=None) -> None:
+    """Refuse a stored ``(codes, scales, bias)`` triple that is not one
+    weight: 2-D int8 codes with a 1-D fp32 scale per output channel, or
+    2-D fp16 with ``scales=None``; ``bias`` ``None`` or one per channel."""
+    if len(q_weight.shape) != 2:
+        raise ValueError(
+            f"q_weight must be 2-D (out, in) codes, got shape {q_weight.shape}"
+        )
+    if q_weight.dtype != (np.float16 if scales is None else np.int8):
+        raise TypeError(
+            "q_weight must be int8 codes with scales or float16 without, "
+            f"got {q_weight.dtype} with scales={'None' if scales is None else 'given'}"
+        )
+    out_features = q_weight.shape[0]
+    if scales is not None and (
+        getattr(scales, "dtype", None) != np.float32
+        or scales.shape != (out_features,)
+    ):
+        raise ValueError(
+            f"scales must be None (fp16) or 1-D float32 of length "
+            f"{out_features}, got {_describe(scales)}"
+        )
+    if bias is not None and np.shape(bias) != (out_features,):
+        raise ValueError(
+            f"bias must be None or 1-D of length {out_features}, "
+            f"got {_describe(bias)}"
+        )
 
-    The block size is execution-only — output column blocks are
-    independent GEMMs over the full contraction axis, so every block
-    size computes the same function.  Bytes can still differ between
-    block sizes in the last ulp: BLAS picks its micro-kernel by column
-    count.  For one block size they are reproducible, which is what the
-    serial/threaded parity rests on (both run the same blocks).
+
+def _describe(array) -> str:
+    return f"{getattr(array, 'dtype', type(array).__name__)} {np.shape(array)}"
+
+
+class PackedWeight:
+    """A stored ``(out, in)`` weight laid out the way the GEMM reads it.
+
+    One C-contiguous ``(in, rows)`` code block per block of output
+    channels (``blocks`` holds ``(o0, o1, codes[o0:o1].T)``; the last one
+    may be narrower), so a block is dequantized by one straight copy and
+    multiplied as ``x @ block`` — no transposed operand.  This is the
+    only copy of the codes a layer holds: ``shape``, ``dtype`` and
+    ``nbytes`` are those of the ``(out, in)`` array :meth:`unpack`
+    returns.
     """
-    if block_rows is not None:
-        return max(1, int(block_rows))
-    default = _block_rows(in_features, dtype.itemsize)
-    tuned = get_tuned(
-        "quantized_linear", shape_class(in_features), dtype,
-        {"block_rows": default},
-    )
-    return max(1, int(tuned["block_rows"]))
+
+    __slots__ = ("shape", "dtype", "blocks", "rows")
+
+    def __init__(self, shape, dtype, blocks) -> None:
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self.blocks = blocks
+        self.rows = max((o1 - o0 for o0, o1, _ in blocks), default=0)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for _, _, block in self.blocks)
+
+    def unpack(self) -> np.ndarray:
+        """The ``(out, in)`` codes, element for element as they were packed."""
+        codes = np.empty(self.shape, dtype=self.dtype)
+        for o0, o1, block in self.blocks:
+            codes[o0:o1] = block.T
+        return codes
+
+
+def pack_weight(q_weight, scales, bias=None, *, itemsize: int = 4) -> PackedWeight:
+    """Validate a stored weight once (:func:`check_stored`) and lay its
+    codes out in :func:`block_rows` ``(in_features, itemsize)`` blocks;
+    ``itemsize`` is that of the dtype the layer will compute in.  An
+    already packed weight is validated and returned as it is."""
+    check_stored(q_weight, scales, bias)
+    if isinstance(q_weight, PackedWeight):
+        return q_weight
+    in_features = q_weight.shape[1]
+    data = np.empty(q_weight.size, dtype=q_weight.dtype)  # blocks back to back
+    blocks = []
+    for o0, o1, view in _transposed_blocks(q_weight, block_rows(in_features, itemsize)):
+        block = data[o0 * in_features:o1 * in_features].reshape(view.shape)
+        np.copyto(block, view)
+        blocks.append((o0, o1, block))
+    return PackedWeight(q_weight.shape, q_weight.dtype, blocks)
+
+
+def _transposed_blocks(q_weight: np.ndarray, rows: int) -> list:
+    """A plain ``(out, in)`` array as the blocks :func:`pack_weight` makes
+    of it, each a transposed view instead of a contiguous copy."""
+    out_features = q_weight.shape[0]
+    return [
+        (o0, min(o0 + rows, out_features), q_weight[o0:o0 + rows].T)
+        for o0 in range(0, out_features, rows)
+    ]
 
 
 def quantized_linear(
     x: np.ndarray,
-    q_weight: np.ndarray,
+    q_weight,
     scales: Optional[np.ndarray],
     bias: Optional[np.ndarray] = None,
     *,
-    block_rows: Optional[int] = None,
     backend=None,
 ) -> np.ndarray:
     """``x @ dequant(q_weight)^T + bias`` without materializing the weight.
 
     ``x`` is ``(..., in)``; ``q_weight`` is the ``(out, in)`` stored
     weight — int8 codes with per-output-channel ``scales``, or fp16 with
-    ``scales=None``.  The weight is streamed through a cache-resident
-    scratch block (one ``stored -> fp`` copy and one GEMM per block);
-    the per-channel scale is applied once to the ``(..., out)``
-    accumulator, which is tiny next to the weight.
+    ``scales=None`` — as a :class:`PackedWeight` (what a layer holds:
+    validated when it was packed, not here) or as a plain array, which
+    is validated on every call and read as the same blocks through
+    transposed views: a slower source for identical scratch contents and
+    GEMMs, so both give the same bytes.  Each block is one ``stored ->
+    fp`` copy into a cache-resident scratch and one GEMM; the
+    per-channel scale is applied once to the ``(..., out)`` accumulator,
+    which is tiny next to the weight.
 
     The arithmetic runs in :func:`compute_dtype(x.dtype)
     <repro.kernels.dtype.compute_dtype>` for both formats: int8 codes
@@ -208,43 +295,43 @@ def quantized_linear(
     back to ``x``'s dtype, so an fp16 activation stream stays fp16 end
     to end and float32/float64 activations are never copied.
 
-    ``block_rows`` overrides the autotuned block size; ``backend``
-    selects the execution backend (blocks are independent output-column
-    GEMMs, so the threaded backend shards them bit-identically).
+    ``backend`` selects the execution backend (blocks are independent
+    output-column GEMMs, so the threaded backend shards them
+    bit-identically).
     """
     x = np.asarray(x)
-    if q_weight.dtype != (np.float16 if scales is None else np.int8):
-        raise TypeError(
-            "q_weight must be int8 codes with scales or float16 without, "
-            f"got {q_weight.dtype} with scales={'None' if scales is None else 'given'}"
-        )
+    cdt = compute_dtype(x.dtype)
+    if isinstance(q_weight, PackedWeight):
+        blocks, rows = q_weight.blocks, q_weight.rows
+    else:
+        check_stored(q_weight, scales, bias)
+        rows = block_rows(q_weight.shape[1], cdt.itemsize)
+        blocks = _transposed_blocks(q_weight, rows)
     out_features, in_features = q_weight.shape
     if x.shape[-1] != in_features:
         raise ValueError(
             f"input dim {x.shape[-1]} does not match weight in dim {in_features}"
         )
     backend = resolve_backend(backend)
-    cdt = compute_dtype(x.dtype)
     lead = x.shape[:-1]
     x2 = np.asarray(x.reshape(-1, in_features), dtype=cdt)
     out = np.empty((x2.shape[0], out_features), dtype=cdt)
-    rows = _resolve_block_rows(block_rows, in_features, cdt)
 
-    taken = {}  # thread -> its scratch block: one take per thread and call
+    taken = {}  # thread -> its scratch: one take per thread and call
 
-    def run_block(o0: int) -> None:
-        o1 = min(o0 + rows, out_features)
+    def run_block(item) -> None:
+        o0, o1, block = item
         thread = threading.get_ident()
         buf = taken.get(thread)
         if buf is None:
             buf = taken[thread] = _SCRATCH.take(
-                in_features, (min(rows, out_features), in_features), cdt)
-        block = buf[: o1 - o0]
-        np.copyto(block, q_weight[o0:o1])  # stored -> fp (unscaled)
-        np.matmul(x2, block.T, out=out[:, o0:o1])
+                "block", (in_features * rows,), cdt)
+        scratch = buf[:block.size].reshape(block.shape)
+        np.copyto(scratch, block)  # stored -> fp (unscaled)
+        np.matmul(x2, scratch, out=out[:, o0:o1])
 
     with span("kernels.quantized_linear", rows=x2.shape[0], out=out_features):
-        backend.map(run_block, range(0, out_features, rows))
+        backend.map(run_block, blocks)
         if scales is not None:
             out *= scales
         if bias is not None:

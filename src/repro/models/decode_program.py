@@ -38,6 +38,14 @@ The contract (see CONTRIBUTING, "The inference program"):
   byte; ragged batches (attention over a key view as wide as the longest
   row) and stored-weight replicas (the dequant GEMM streams the weight
   once for the flattened batch) keep the token-level identity they had.
+  A stored dense layer is a closure over its packed blocks
+  (:class:`~repro.kernels.PackedWeight`), scales and bias, run through
+  :func:`~repro.kernels.quantized_linear`.  Stored Q/K/V *could* share
+  one call byte-identically (a packed weight is a list of independent
+  blocks) and were tried so: the call saved is ~45 us of a 3.6 ms step,
+  and the strided ``(B, S, 3 * D)`` views it hands attention and the
+  cache write cost more — 6/6 alternating ``decode_int8`` pairs lost
+  3-4% of ``itl_p50_ms`` — so three calls it stays, for every layer kind.
 * **Owned outputs**: the returned logits are a fresh array; the program
   keeps no scratch of its own (the kernels' pools are per-thread), so
   concurrent callers never alias.

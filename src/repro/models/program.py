@@ -9,12 +9,13 @@ forward).  Both are built, keyed and invalidated the same way — like
 * compiling reads each parameter through :meth:`InferenceProgram._array`,
   which records its ``(version, data)``, and each projection layer
   through :meth:`InferenceProgram._projection`, which records the slot it
-  was found in;
+  was found in (and, for a stored dense layer, the packed weight, scales
+  and bias its closure captured);
 * :meth:`InferenceProgram.current` holds while none of them moved, and
   :class:`ProgramCache` rebuilds the program when it does not — after an
   optimizer step, ``load_state_dict``, a ``.data`` rebind (a dtype switch
-  is one) or a layer swap (quantization), and after nothing else.  One
-  sweep per call.
+  is one), a layer swap (quantization) or a stored layer's arrays being
+  rebound, and after nothing else.  One sweep per call.
 
 Adding a layer kind means one branch in
 :meth:`InferenceProgram._projection`.
@@ -28,10 +29,11 @@ import numpy as np
 
 from .. import nn
 from ..kernels import butterfly_apply, gelu_forward, linear_act_forward
+from ..kernels import quant as QK
 
 #: ``projection(x, out=None)``: ``act(layer(x))`` as an owned array, or
 #: in ``out`` where the layer's kernel can write there (fp layers; a
-#: stored-weight layer's ``apply`` owns its output and ignores ``out``).
+#: stored-weight layer's kernel owns its output and ignores ``out``).
 Projection = Callable[..., np.ndarray]
 Norm = Tuple[np.ndarray, np.ndarray, float]
 
@@ -46,7 +48,7 @@ class InferenceProgram:
 
     def __init__(self) -> None:
         self._stamps: List[tuple] = []  # (parameter, version, data) read
-        self._slots: List[tuple] = []  # (owner, attribute, projection layer)
+        self._slots: List[tuple] = []  # (owner, attribute, the object read there)
 
     def _array(self, param) -> np.ndarray:
         self._stamps.append((param, param.version, param.data))
@@ -82,9 +84,17 @@ class InferenceProgram:
                     y += bias  # the ladder's output is an owned array, or out
                 return y
 
-        elif isinstance(layer, (nn.QuantizedLinear, nn.QuantizedButterflyLinear)):
+        elif isinstance(layer, nn.QuantizedLinear):
+            # Captured, so stamped by identity: rebinding one rebuilds.
+            weight, scales, bias = held = layer.q_weight, layer.scales, layer.bias
+            self._slots += zip((layer,) * 3, ("q_weight", "scales", "bias"), held)
+
             def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-                return layer.apply(x)  # reads its stored arrays live
+                return QK.quantized_linear(x, weight, scales, bias)
+
+        elif isinstance(layer, nn.QuantizedButterflyLinear):
+            def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                return layer.apply(x)  # reads its stored stages live
 
         else:
             raise TypeError(

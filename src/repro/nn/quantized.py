@@ -52,29 +52,35 @@ def _nbytes(*arrays: Optional[np.ndarray]) -> int:
 class QuantizedLinear(Module):
     """Inference-only dense layer over a stored ``(out, in)`` weight.
 
-    ``q_weight`` is int8 codes with per-channel fp32 ``scales``, or fp16
-    with ``scales=None``.  Forward runs the blocked dequant-on-the-fly
-    GEMM (:func:`repro.kernels.quantized_linear`); no gradients are
-    recorded (the returned tensor is a constant leaf), and calling it in
-    training mode raises.
+    Built from int8 codes with per-channel fp32 ``scales``, or fp16 with
+    ``scales=None``; the triple is validated and the codes are packed
+    here, once, into the blocks the GEMM reads (``q_weight`` is that
+    :class:`~repro.kernels.PackedWeight`, the only copy held; ``dtype``
+    is the dtype the layer will compute in, which sizes the blocks).
+    Forward runs the dequant-on-the-fly GEMM
+    (:func:`repro.kernels.quantized_linear`); no gradients are recorded
+    (the returned tensor is a constant leaf), and calling it in training
+    mode raises.
     """
 
     def __init__(
         self,
-        q_weight: np.ndarray,
+        q_weight,
         scales: Optional[np.ndarray],
         bias: Optional[np.ndarray] = None,
+        *,
+        dtype=np.float32,
     ) -> None:
         super().__init__()
-        self.out_features, self.in_features = q_weight.shape
-        self.q_weight = q_weight
-        self.scales = scales
         self.bias = None if bias is None else np.asarray(bias)
+        self.q_weight = QK.pack_weight(
+            q_weight, scales, self.bias, itemsize=np.dtype(dtype).itemsize)
+        self.out_features, self.in_features = self.q_weight.shape
+        self.scales = scales
         self.training = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The layer on a plain ``(..., in)`` array, in ``x``'s own dtype
-        (what the decoder's inference program calls)."""
+        """The layer on a plain ``(..., in)`` array, in ``x``'s own dtype."""
         return QK.quantized_linear(x, self.q_weight, self.scales, self.bias)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -91,7 +97,8 @@ class QuantizedLinear(Module):
 
     def dense_weight(self) -> np.ndarray:
         """Dequantized ``(out, in)`` weight (verification / drift analysis)."""
-        return QK.dequantize(self.q_weight, self.scales, dtype=np.float64)
+        return QK.dequantize(
+            self.q_weight.unpack(), self.scales, dtype=np.float64)
 
 
 class QuantizedButterflyLinear(Module):
@@ -227,46 +234,83 @@ def _bias_copy(layer: Module) -> Optional[np.ndarray]:
     return None if layer.bias is None else layer.bias.data.copy()
 
 
-def _swap_quantizable(
-    module: Module, mode: str, calibration: str, report: QuantizationReport,
-    prefix: str = "",
-):
-    """Recursively replace Linear/ButterflyLinear children with stored twins."""
-    for name, child in list(module._modules.items()):
+def _quantizable(module: Module, prefix: str = ""):
+    """``(owner, name, layer, path)`` of every Linear / ButterflyLinear."""
+    for name, child in list(module._modules.items()):  # swapped under us
         path = f"{prefix}{name}"
-        if isinstance(child, Linear):
-            w = child.weight.data
-            if mode == "fp16":
-                q_weight, scales = w.astype(np.float16), None
-            else:
-                q_weight, scales = QK.quantize_per_channel(
-                    w, calibration=calibration
-                )
-            replacement = QuantizedLinear(q_weight, scales, _bias_copy(child))
-            report.layers_quantized += 1
-            report.weight_rmse[path] = QK.quantization_rmse(w, q_weight, scales)
-        elif isinstance(child, ButterflyLinear):
-            coeffs = [p.data for p in child.stage_parameters()]
-            if mode == "fp16":
-                q_stages = [c.astype(np.float16) for c in coeffs]
-                stage_scales = None
-            else:
-                q_stages, stage_scales = QK.quantize_butterfly_stages(
-                    coeffs, calibration=calibration
-                )
-            replacement = QuantizedButterflyLinear(
-                child.in_features, child.out_features, child.n, child.halves,
-                q_stages, stage_scales, _bias_copy(child),
-            )
-            report.butterfly_layers_quantized += 1
+        if isinstance(child, (Linear, ButterflyLinear)):
+            yield module, name, child, path
         else:
-            _swap_quantizable(child, mode, calibration, report, f"{path}.")
-            continue
-        module._modules[name] = replacement
-        object.__setattr__(module, name, replacement)
-        if isinstance(module, (ModuleList, Sequential)):
+            yield from _quantizable(child, f"{path}.")
+
+
+def _fp_weights(layer: Module) -> List[np.ndarray]:
+    if isinstance(layer, Linear):
+        return [layer.weight.data]
+    return [p.data for p in layer.stage_parameters()]
+
+
+def _check_storable(path: str, layer: Module, mode: str) -> None:
+    """Refuse a weight the format would store as garbage without a word:
+    ``nan`` / ``inf`` (int8 codes of 0 under a ``nan`` or ``inf`` scale),
+    or a magnitude past float16's range (stored as ``inf``)."""
+    peak = np.max([  # nan propagates through max / min
+        (w.max(initial=0.0), -w.min(initial=0.0)) for w in _fp_weights(layer)])
+    if not np.isfinite(peak):
+        raise ValueError(
+            f"{path}: weight has non-finite values; cannot be stored as {mode}")
+    if mode == "fp16" and peak > np.finfo(np.float16).max:
+        raise ValueError(
+            f"{path}: weight magnitude {peak:.3e} overflows float16 "
+            f"(max {np.finfo(np.float16).max:.0f}); store it as int8 or keep it fp")
+
+
+def _stored_twin(
+    layer: Module, path: str, mode: str, calibration: str,
+    report: QuantizationReport,
+) -> Module:
+    """The stored-weight counterpart of one Linear / ButterflyLinear."""
+    weights = _fp_weights(layer)
+    if isinstance(layer, Linear):
+        w, = weights
+        if mode == "fp16":
+            q_weight, scales = w.astype(np.float16), None
+        else:
+            q_weight, scales = QK.quantize_per_channel(w, calibration=calibration)
+        report.layers_quantized += 1
+        report.weight_rmse[path] = QK.quantization_rmse(w, q_weight, scales)
+        return QuantizedLinear(q_weight, scales, _bias_copy(layer), dtype=w.dtype)
+    if mode == "fp16":
+        q_stages = [c.astype(np.float16) for c in weights]
+        stage_scales = None
+    else:
+        q_stages, stage_scales = QK.quantize_butterfly_stages(
+            weights, calibration=calibration
+        )
+    report.butterfly_layers_quantized += 1
+    return QuantizedButterflyLinear(
+        layer.in_features, layer.out_features, layer.n, layer.halves,
+        q_stages, stage_scales, _bias_copy(layer),
+    )
+
+
+def _swap_quantizable(
+    model: Module, mode: str, calibration: str, report: QuantizationReport,
+) -> None:
+    """Replace every Linear / ButterflyLinear below ``model`` with its
+    stored twin — after all of them were found storable, so a refusal
+    names its layer before anything was swapped."""
+    for _, _, layer, path in _quantizable(model):
+        _check_storable(path, layer, mode)
+    # A second walk, not a list: a swapped-out layer's fp weight is freed
+    # as the walk moves on, not held until the last layer is stored.
+    for owner, name, layer, path in _quantizable(model):
+        replacement = _stored_twin(layer, path, mode, calibration, report)
+        owner._modules[name] = replacement
+        object.__setattr__(owner, name, replacement)
+        if isinstance(owner, (ModuleList, Sequential)):
             # Container forwards iterate _items, not _modules.
-            module._items[int(name)] = replacement
+            owner._items[int(name)] = replacement
 
 
 def quantize_for_inference(

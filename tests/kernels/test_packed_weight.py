@@ -1,0 +1,255 @@
+"""The packed stored-weight layout: one copy, laid out for the reader.
+
+A stored layer packs its codes once into C-contiguous ``(in, rows)``
+blocks (``kernels.pack_weight`` -> ``kernels.PackedWeight``) and
+``quantized_linear`` runs one loop over them.  The layout owes the
+caller exactly the values it was packed from and — because a plain
+``(out, in)`` array is read as the same blocks through transposed views
+— exactly the bytes the unpacked call computes.  That equality is the
+oracle here, over drawn shapes (``out`` under, at and off a multiple of
+the block width; ``in`` in {1, 3, 512, 2048}), both stored formats,
+three activation dtypes, leading batch axes and zero rows.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels, nn
+from repro.kernels import quant as QK
+from repro.models import ModelConfig, build_dense_decoder
+
+#: Reference tolerances: the tier contract's for fp32/fp64 activations,
+#: an fp16 ulp for a stream cast back to half.
+TOLERANCE = {np.float16: 2e-3, np.float32: 2e-5, np.float64: 2e-5}
+
+
+@st.composite
+def stored_calls(draw):
+    """``(codes, scales, bias, x)``: one stored weight and an activation."""
+    in_f = draw(st.sampled_from([1, 3, 512, 2048]))
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    rows = QK.block_rows(in_f, kernels.compute_dtype(dtype).itemsize)
+    out_f = draw(st.one_of(
+        st.integers(1, 40),                                   # under one block
+        st.sampled_from([rows, 2 * rows]).filter(lambda o: o <= 300),
+        st.integers(1, 300),                                  # ragged tail
+    ))
+    lead = draw(st.sampled_from([(), (0,), (1,), (8,), (2, 3), (2, 0, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        codes = rng.integers(-127, 128, size=(out_f, in_f)).astype(np.int8)
+        scales = rng.uniform(1e-3, 1e-2, size=out_f).astype(np.float32)
+    else:
+        codes = rng.normal(size=(out_f, in_f)).astype(np.float16)
+        scales = None
+    bias = rng.normal(size=out_f).astype(dtype) if draw(st.booleans()) else None
+    x = rng.normal(size=lead + (in_f,)).astype(dtype)
+    return codes, scales, bias, x
+
+
+def layer_at(model, path):
+    for part in path.split("."):
+        model = model._modules[part]
+    return model
+
+
+def packed_for(codes, scales, bias, x):
+    return QK.pack_weight(
+        codes, scales, bias, itemsize=kernels.compute_dtype(x.dtype).itemsize)
+
+
+class TestLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(call=stored_calls())
+    def test_round_trip_and_packed_equals_unpacked(self, call):
+        codes, scales, bias, x = call
+        packed = packed_for(codes, scales, bias, x)
+        # the values, the logical shape and not one byte more
+        assert packed.shape == codes.shape and packed.dtype == codes.dtype
+        assert packed.nbytes == codes.nbytes
+        unpacked = packed.unpack()
+        assert unpacked.dtype == codes.dtype
+        np.testing.assert_array_equal(unpacked, codes)
+        # the layout: contiguous (in, rows) blocks tiling the channels
+        rows = QK.block_rows(
+            codes.shape[1], kernels.compute_dtype(x.dtype).itemsize)
+        edges = [(o0, o1) for o0, o1, _ in packed.blocks]
+        assert edges == [
+            (o0, min(o0 + rows, codes.shape[0]))
+            for o0 in range(0, codes.shape[0], rows)
+        ]
+        for o0, o1, block in packed.blocks:
+            assert block.shape == (codes.shape[1], o1 - o0)
+            assert block.flags.c_contiguous
+        # one loop, two sources: byte for byte
+        got = QK.quantized_linear(x, packed, scales, bias)
+        plain = QK.quantized_linear(x, codes, scales, bias)
+        assert got.dtype == x.dtype == plain.dtype
+        assert got.shape == x.shape[:-1] + (codes.shape[0],)
+        assert got.tobytes() == plain.tobytes()
+        tol = TOLERANCE[x.dtype.type]
+        np.testing.assert_allclose(
+            got.astype(np.float64),
+            QK.quantized_linear_reference(x, codes, scales, bias).astype(np.float64),
+            rtol=tol, atol=tol * max(1.0, codes.shape[1] ** 0.5))
+
+    @settings(max_examples=15, deadline=None)
+    @given(call=stored_calls())
+    def test_serial_equals_threaded_bytes(self, call):
+        codes, scales, bias, x = call
+        packed = packed_for(codes, scales, bias, x)
+        serial = QK.quantized_linear(x, packed, scales, bias)
+        with kernels.use_backend("threaded"):
+            threaded = QK.quantized_linear(x, packed, scales, bias)
+        assert serial.tobytes() == threaded.tobytes()
+        four = QK.quantized_linear(
+            x, packed, scales, bias, backend=kernels.ThreadedBackend(workers=4))
+        assert serial.tobytes() == four.tobytes()
+
+    def test_pack_copies_and_is_idempotent(self, rng):
+        """The packed weight never aliases what it was packed from (not
+        even where a block's transpose is already contiguous), and a
+        packed weight packs to itself."""
+        for shape in ((5, 1), (1, 7), (40, 16)):
+            codes = rng.integers(-127, 128, size=shape).astype(np.int8)
+            scales = np.ones(shape[0], dtype=np.float32)
+            packed = QK.pack_weight(codes, scales)
+            assert not any(
+                np.shares_memory(block, codes) for _, _, block in packed.blocks)
+            assert QK.pack_weight(packed, scales) is packed
+
+
+class TestValidation:
+    """A stored triple that is not one weight is refused by name, once,
+    where it is packed — and on every call only for a plain array."""
+
+    BAD = [
+        ("scales", dict(scales=lambda s: s[:1])),
+        ("scales", dict(scales=lambda s: s[:, None])),
+        ("scales", dict(scales=lambda s: s.astype(np.float64))),
+        ("bias", dict(bias=lambda b: b[:1])),
+        ("bias", dict(bias=lambda b: b[:, None])),
+        ("q_weight", dict(codes=lambda q: q[0])),
+        ("q_weight", dict(codes=lambda q: q[None])),
+    ]
+
+    @pytest.fixture
+    def triple(self, rng):
+        codes, scales = QK.quantize_per_channel(rng.normal(size=(6, 6)))
+        return codes, scales, np.ones(6)
+
+    @pytest.mark.parametrize("name,change", BAD)
+    def test_wrong_shapes_are_refused_by_name(self, rng, triple, name, change):
+        codes, scales, bias = triple
+        bad = dict(
+            codes=change.get("codes", lambda q: q)(codes),
+            scales=change.get("scales", lambda s: s)(scales),
+            bias=change.get("bias", lambda b: b)(bias),
+        )
+        x = rng.normal(size=(3, 6))
+        for refuse in (
+            lambda: QK.pack_weight(bad["codes"], bad["scales"], bad["bias"]),
+            lambda: nn.QuantizedLinear(bad["codes"], bad["scales"], bad["bias"]),
+            lambda: QK.quantized_linear(
+                x, bad["codes"], bad["scales"], bad["bias"]),
+        ):
+            with pytest.raises(ValueError, match=name):
+                refuse()
+        # the next valid call is served
+        got = QK.quantized_linear(x, codes, scales, bias)
+        assert got.shape == (3, 6)
+        np.testing.assert_allclose(
+            got, QK.quantized_linear_reference(x, codes, scales, bias),
+            rtol=1e-9, atol=1e-9)
+
+    def test_fp16_with_wrong_bias_and_formats_crossed(self, rng):
+        half = rng.normal(size=(6, 6)).astype(np.float16)
+        with pytest.raises(ValueError, match="bias"):
+            QK.pack_weight(half, None, np.ones(5))
+        with pytest.raises(TypeError, match="int8"):
+            QK.pack_weight(half, np.ones(6, dtype=np.float32))
+        with pytest.raises(TypeError, match="float16"):
+            QK.pack_weight(half.astype(np.int8), None)
+        assert nn.QuantizedLinear(half, None, np.ones(6)).q_weight.shape == (6, 6)
+
+    def test_a_packed_weight_is_checked_against_new_scales(self, triple):
+        codes, scales, bias = triple
+        packed = QK.pack_weight(codes, scales, bias)
+        with pytest.raises(ValueError, match="scales"):
+            nn.QuantizedLinear(packed, scales[:3], bias)
+        assert nn.QuantizedLinear(packed, scales, bias).q_weight is packed
+
+
+class TestStoredLayerTravels:
+    @pytest.mark.parametrize("fmt", nn.QUANT_MODES)
+    def test_deepcopy_and_pickle_keep_values_layout_and_bytes(
+        self, rng, store_weight, fmt
+    ):
+        """A ``spawn`` cluster worker receives its replica by pickle."""
+        codes, scales = store_weight(fmt, rng.normal(size=(300, 512)))
+        bias = rng.normal(size=300).astype(np.float32)
+        layer = nn.QuantizedLinear(codes, scales, bias)
+        x = rng.normal(size=(8, 512)).astype(np.float32)
+        want = layer.apply(x)
+        assert [b.shape for _, _, b in layer.q_weight.blocks] == [
+            (512, 128), (512, 128), (512, 44)]
+        for twin in (copy.deepcopy(layer), pickle.loads(pickle.dumps(layer))):
+            assert twin.q_weight is not layer.q_weight
+            np.testing.assert_array_equal(twin.q_weight.unpack(), codes)
+            assert [
+                (o0, o1, b.shape, b.flags.c_contiguous)
+                for o0, o1, b in twin.q_weight.blocks
+            ] == [
+                (o0, o1, b.shape, True) for o0, o1, b in layer.q_weight.blocks
+            ]
+            assert twin.q_weight.nbytes == layer.q_weight.nbytes == codes.nbytes
+            assert twin.weight_nbytes() == layer.weight_nbytes()
+            assert twin.apply(x).tobytes() == want.tobytes()
+
+
+class TestDecodeInt8Decoder:
+    """The e2e ``decode_int8`` workload's decoder: the stored values are
+    the parent layout's, to the element and to the byte count."""
+
+    #: ``nn.weight_memory_bytes`` of the int8 replica at the commit before
+    #: the packed layout (``nn.weight_bytes`` of the e2e workload).
+    INT8_WEIGHT_BYTES = 7_239_680
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        config = ModelConfig(
+            vocab_size=256, n_classes=2, max_len=96, d_hidden=512, n_heads=8,
+            r_ffn=4, n_total=2, dtype="float32", seed=0,
+        )
+        return build_dense_decoder(config).eval()
+
+    @pytest.mark.parametrize("fmt", nn.QUANT_MODES)
+    def test_every_stored_array_equals_the_unpacked_formats(self, model, fmt):
+        replica = nn.quantize_for_inference(model, mode=fmt)
+        if fmt == "int8":
+            assert nn.weight_memory_bytes(replica) == self.INT8_WEIGHT_BYTES
+        paths = list(replica.quantization_report.weight_rmse)
+        assert len(paths) == 13 and "blocks.0.ffn.fc1" in paths
+        for path in paths:
+            source, layer = layer_at(model, path), layer_at(replica, path)
+            assert isinstance(layer, nn.QuantizedLinear)
+            w = source.weight.data
+            if fmt == "int8":
+                codes, scales = QK.quantize_per_channel(w)
+                np.testing.assert_array_equal(layer.scales, scales)
+                assert layer.scales.dtype == np.float32
+            else:
+                codes = w.astype(np.float16)
+                assert layer.scales is None
+            unpacked = layer.q_weight.unpack()
+            assert unpacked.dtype == codes.dtype
+            np.testing.assert_array_equal(unpacked, codes)
+            assert layer.q_weight.nbytes == codes.nbytes
+            np.testing.assert_array_equal(layer.bias, source.bias.data)
+            assert layer.q_weight.rows == min(
+                QK.block_rows(layer.in_features, 4), layer.out_features)

@@ -294,6 +294,91 @@ class TestInvalidation:
         assert traversals(lambda: model.decode_step(tokens[:, 0], cache)) == decode
 
 
+class TestStoredLayers:
+    """A stored dense layer is compiled to a closure over its packed
+    blocks, scales and bias: same bytes as the ``Tensor`` graph over a
+    long run, and rebuilt when — and only when — one of them is replaced."""
+
+    LONG = 32  # room for a ragged 5-token continuation and 20 steps
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("stored", nn.QUANT_MODES)
+    def test_ragged_prefill_then_twenty_steps_match_reference(
+        self, kind, dtype, stored, reference_incremental
+    ):
+        config = ModelConfig(
+            vocab_size=32, n_classes=2, max_len=self.LONG, d_hidden=16,
+            n_heads=2, r_ffn=2, n_total=2, seed=3, dtype=dtype,
+        )
+        model = nn.quantize_for_inference(
+            BUILDERS[kind](config).eval(), mode=stored)
+        cache = ragged_cache(model, [0, 3, 7], seed=2)
+        oracle_cache = cache.clone()
+        tokens = np.random.default_rng(11).integers(0, 32, size=(3, 5))
+        logits = model.forward_incremental(tokens, cache)
+        assert_same_bytes(
+            logits, reference_incremental(model, tokens, oracle_cache))
+        logits = logits[:, -1]
+        for _ in range(20):
+            token = logits.argmax(axis=-1)
+            logits = model.decode_step(token, cache)
+            assert_same_bytes(
+                logits,
+                reference_incremental(model, token[:, None], oracle_cache)[:, 0])
+        assert_same_cache(cache, oracle_cache)
+        assert cache.lengths.tolist() == [25, 28, 32]
+
+    def test_a_stored_swap_or_a_requantization_rebuilds_exactly_once(
+        self, rng, reference_incremental
+    ):
+        from repro.kernels import quant as QK
+
+        source = build("dense", "float32")
+        model = nn.quantize_for_inference(source, mode="int8")
+        holder, tokens = model._program, rng.integers(0, 32, size=(2, 6))
+
+        def decoded(expected_builds):
+            cache = model.make_cache(2)
+            model.prefill(tokens, cache)
+            got = model.decode_step(tokens[:, 0], cache)
+            assert holder.builds == expected_builds
+            oracle_cache = model.make_cache(2)
+            reference_incremental(model, tokens, oracle_cache)
+            assert_same_bytes(got, reference_incremental(
+                model, tokens[:, :1], oracle_cache)[:, 0])
+            return got
+
+        first = decoded(1)
+        decoded(1)
+        # one stored layer swapped for a twin over other weights
+        attn = model.blocks[0].attn
+        twin = nn.QuantizedLinear(
+            *QK.quantize_per_channel(0.5 * source.blocks[0].attn.v_proj.weight.data),
+            attn.v_proj.bias)
+        attn._modules["v_proj"] = twin
+        object.__setattr__(attn, "v_proj", twin)
+        swapped = decoded(2)
+        decoded(2)
+        assert swapped.tobytes() != first.tobytes()
+        # a layer re-quantized where it stands: new codes and new scales
+        # are one rebuild, not two
+        layer = model.blocks[1].ffn.fc2
+        codes, scales = QK.quantize_per_channel(
+            0.5 * source.blocks[1].ffn.fc2.weight.data)
+        layer.q_weight = QK.pack_weight(codes, scales, layer.bias)
+        layer.scales = scales
+        requantized = decoded(3)
+        decoded(3)
+        assert requantized.tobytes() != swapped.tobytes()
+        # and a new replica compiles its own program, once
+        again = nn.quantize_for_inference(source, mode="int8")
+        assert again._program.builds == 0
+        again.prefill(tokens, again.make_cache(2))
+        again.decode_step(tokens[:, 0], again.make_cache(2))
+        assert again._program.builds == 1
+
+
 class TestDerivedStateNeverTravels:
     def test_copies_and_pickles_start_empty(self, rng):
         model = build("butterfly", "float64")

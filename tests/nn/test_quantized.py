@@ -250,3 +250,61 @@ class TestStorageTierModes:
         ).quantization_report
         assert report.max_logit_drift is not None
         assert report.weight_rmse  # per-layer round-trip drift recorded
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning may stand in for the refusal
+class TestUnstorableWeightsRefused:
+    """A weight the format would turn into garbage (``nan`` codes of 0,
+    an ``inf`` scale over all-zero codes, an fp16 ``inf``) is refused by
+    layer path before anything is swapped — never returned as a replica."""
+
+    @pytest.mark.parametrize("builder,path,poison", [
+        (build_dense_decoder, "blocks.0.ffn.fc1",
+         lambda m: m.blocks[0].ffn.fc1.weight),
+        (build_dense_decoder, "lm_head", lambda m: m.lm_head.weight),
+        (build_butterfly_decoder, "blocks.1.attn.k_proj",
+         lambda m: m.blocks[1].attn.k_proj.stage_parameters()[1]),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", nn.QUANT_MODES)
+    def test_non_finite_weight_names_its_layer(
+        self, builder, path, poison, value, mode
+    ):
+        model = builder(_decoder_config()).eval()
+        poison(model).data[1, 2] = value
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        with pytest.raises(ValueError, match=f"^{path}: .*non-finite"):
+            quantize_for_inference(model, mode=mode)
+        # the source model is untouched: still fp layers, the same bytes
+        assert isinstance(model.lm_head, nn.Linear)
+        assert isinstance(model.blocks[0].ffn.fc1, (nn.Linear, nn.ButterflyLinear))
+        for name, array in model.state_dict().items():
+            assert array.tobytes() == before[name].tobytes()
+
+    def test_fp16_overflow_is_refused_and_int8_is_not(self):
+        model = build_dense_decoder(_decoder_config()).eval()
+        model.blocks[0].ffn.fc1.weight.data[0, 0] = 1e6
+        with pytest.raises(ValueError, match="^blocks.0.ffn.fc1: .*overflows float16"):
+            quantize_for_inference(model, mode="fp16")
+        # int8's per-channel scale covers any finite range
+        report = quantize_for_inference(model, mode="int8").quantization_report
+        assert np.isfinite(list(report.weight_rmse.values())).all()
+        # float16's own maximum is storable
+        model.blocks[0].ffn.fc1.weight.data[0, 0] = np.finfo(np.float16).max
+        report = quantize_for_inference(model, mode="fp16").quantization_report
+        assert np.isfinite(list(report.weight_rmse.values())).all()
+
+    def test_the_first_bad_layer_stops_every_swap(self, monkeypatch):
+        """Checked in a walk of its own: the last layer's ``nan`` is found
+        before the first layer is stored."""
+        from repro.nn import quantized
+
+        model = build_dense_decoder(_decoder_config()).eval()
+        model.lm_head.weight.data[0, 0] = np.nan
+        stored = []
+        monkeypatch.setattr(
+            quantized, "_stored_twin",
+            lambda *args, **kwargs: stored.append(args) or pytest.fail("swapped"))
+        with pytest.raises(ValueError, match="^lm_head: "):
+            quantize_for_inference(model)
+        assert stored == []

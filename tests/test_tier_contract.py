@@ -67,20 +67,28 @@ class TestTierContract:
             assert got.dtype == dtype and got.shape == (2, 5, out_f)
             np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
-    def test_block_rows_is_execution_only(self, rng, store, mode, dtype):
-        """Any block size computes the same function, and a fixed one the
-        same bytes.  Bytes *across* block sizes are not promised: a
-        different column count can pick a different BLAS micro-kernel
-        (observed on OpenBLAS for both float32 and float64)."""
-        q, scales = store(rng.normal(size=(100, 64)))
-        x = rng.normal(size=(7, 64)).astype(dtype)
-        want = QK.quantized_linear_reference(x, q, scales)
-        for block_rows in (1, 7, 64, 100, 4096):
-            got = QK.quantized_linear(x, q, scales, block_rows=block_rows)
-            np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+    def test_packed_equals_unpacked_bytes(self, rng, store, mode, dtype):
+        """The layout is execution-only: a weight packed into the blocks
+        the GEMM reads and the plain ``(out, in)`` array it was packed
+        from run the same blocks through the same loop — same values,
+        same bytes.  (One block size, pinned in source: bytes *across*
+        block sizes were never promised, a different column count can
+        pick a different BLAS micro-kernel.)"""
+        for out_f, in_f in ((100, 64), (300, 520), (5, 3)):
+            q, scales = store(rng.normal(size=(out_f, in_f)))
+            bias = rng.normal(size=out_f).astype(dtype)
+            packed = QK.pack_weight(
+                q, scales, bias, itemsize=np.dtype(dtype).itemsize)
+            assert packed.shape == q.shape and packed.dtype == q.dtype
+            assert packed.nbytes == q.nbytes
+            np.testing.assert_array_equal(packed.unpack(), q)
+            x = rng.normal(size=(7, in_f)).astype(dtype)
+            got = QK.quantized_linear(x, packed, scales, bias)
             np.testing.assert_array_equal(
-                QK.quantized_linear(x, q, scales, block_rows=block_rows), got
-            )
+                got, QK.quantized_linear(x, q, scales, bias))
+            np.testing.assert_allclose(
+                got, QK.quantized_linear_reference(x, q, scales, bias),
+                rtol=2e-5, atol=2e-5)
 
     def test_serial_equals_threaded_bytes(self, rng, store, stored_ladder, mode, dtype):
         threaded = ThreadedBackend(workers=4)
