@@ -25,7 +25,7 @@ convention (see CONTRIBUTING)::
 
     kernels.matmul            backend GEMM dispatch
     kernels.butterfly_apply   fused butterfly ladder entry
-    serving.prefill           per-request prompt prefill
+    serving.prefill           each request of a prefill wave, before its call
     serving.decode_step       batched single-token decode
     serving.sample            per-request token sampling
     worker.step               cluster worker engine-step loop (a ``fatal``

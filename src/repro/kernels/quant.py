@@ -73,9 +73,10 @@ QMAX = 127
 #: decode step), parent layout (48 / 12 rows, ``x @ block.T``) -> packed
 #: at a 128 KB / 256 KB target: ``(512, 512)`` 0.107 -> 0.087 / 0.085,
 #: ``(2048, 512)`` 0.446 -> 0.367 / 0.324, ``(512, 2048)`` 0.462 -> 0.439 /
-#: 0.313.  At 16 rows (this repo's prefills) the smaller target is ahead:
-#: 0.142 -> 0.117 / 0.154, 0.639 -> 0.546 / 0.673, 0.759 -> 0.692 / 0.682
-#: (ROADMAP item 5 keeps the flat-64-rows alternative and its table).
+#: 0.313.  Only at 16 rows is the smaller target ahead (0.142 -> 0.117 /
+#: 0.154, 0.639 -> 0.546 / 0.673, 0.759 -> 0.692 / 0.682), a height only a
+#: short prompt admitted alone reaches: the scheduler prefills ``prompt x
+#: wave`` rows per call (128 for eight 16-token prompts).
 SCRATCH_TARGET_BYTES = 256 * 1024
 
 #: Per-channel shrink factors tried by the MSE calibration grid search.

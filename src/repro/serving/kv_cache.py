@@ -142,6 +142,12 @@ class DecoderKVCache:
                 or other.max_len != first.max_len
             ):
                 raise ValueError("cannot merge caches of different geometry")
+            if other.dtype != first.dtype:
+                # Slice assignment would cast silently, and the attention
+                # kernels would run in a dtype the program never compiled for.
+                raise ValueError(
+                    f"cannot merge a {other.dtype} cache into a {first.dtype} batch"
+                )
         total_batch = sum(c.batch for c in caches)
         out = DecoderKVCache(
             first.n_layers, 0, first.n_heads,

@@ -6,13 +6,19 @@ sequence by exactly one token:
 1. rows cancelled since the last step are dropped from the batch cache;
 2. running rows take a batched single-token decode against the shared
    KV cache — except rows at the ``max_len`` sliding-window edge, which
-   are re-prefilled from their clipped window (absolute positions shift,
-   so cached keys cannot be reused across the slide);
+   are re-prefilled from their clipped windows (absolute positions shift,
+   so cached keys cannot be reused across the slide) with one prefill per
+   run of equal window lengths — at the edge every window is ``max_len``
+   long, so one call per step — and follow the decoded rows in the batch;
 3. finished rows (stop token or per-request token budget) are compacted
    out of the cache;
-4. queued requests are admitted into the freed capacity — bounded by the
-   batch-size cap and the pluggable admission policy — and prefilled,
-   producing their first token in the same step (their TTFT).
+4. the FIFO prefix of the queue that fits the freed capacity — bounded
+   by the batch-size cap and the pluggable admission policy — is admitted
+   as one wave and prefilled, again with one prefill per run of equal
+   window lengths (the weights stream once per run, not once per request),
+   each request producing its first token in the same step (its TTFT).
+   New rows and their ``first=True`` events are ordered by run — lengths
+   as first seen, FIFO within a run — after the rows already running.
 
 The scheduler owns no timing or result bookkeeping; it emits
 :class:`StepEvent` records that :class:`repro.serving.engine.ServingEngine`
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -227,19 +233,51 @@ class ContinuousBatchScheduler:
             counter_inc("serving_admission_reject_total")
         return allowed
 
-    def _prefill_one(self, seq: _Sequence) -> Tuple[np.ndarray, DecoderKVCache]:
-        """Prefill a single sequence's clipped window into a fresh cache."""
-        fault_point("serving.prefill", request_id=seq.request.request_id)
-        window = seq.window(self.model.config.max_len)
-        cache = self.model.make_cache(1)
-        logits = self.model.prefill(window[None, :], cache)
-        return logits[0], cache
+    def _prefill(
+        self, seqs: List[_Sequence]
+    ) -> List[Tuple[List[_Sequence], np.ndarray, DecoderKVCache]]:
+        """Prefill ``seqs``' clipped windows into fresh caches, one model call per
+        run of equal window length: ``(sequences, next-token logits, cache)`` per
+        run.  A batched equal-length row is the solo row byte for byte
+        (``decode_program``'s row-independence contract)."""
+        max_len = self.model.config.max_len
+        runs: Dict[int, List[_Sequence]] = {}
+        for seq in seqs:
+            fault_point("serving.prefill", request_id=seq.request.request_id)
+            runs.setdefault(min(len(seq.tokens), max_len), []).append(seq)
+        counter_inc("serving_prefill_calls_total", amount=len(runs))
+        counter_inc("serving_prefill_rows_total", amount=len(seqs))
+        out = []
+        with span("serve.prefill", queued=len(self.waiting), calls=len(runs), rows=len(seqs)):
+            for run in runs.values():
+                cache = self.model.make_cache(len(run))
+                windows = np.stack([seq.window(max_len) for seq in run])
+                out.append((run, self.model.prefill(windows, cache), cache))
+        return out
+
+    def _sample(
+        self, seqs: List[_Sequence], logits, first: bool, events: List[StepEvent]
+    ) -> List[int]:
+        """Sample each row's next token into ``events``; returns the rows that finished."""
+        finished = []
+        for row, seq in enumerate(seqs):
+            token = seq.sample(logits[row])
+            reason = seq.finish_reason()
+            events.append(StepEvent(
+                request_id=seq.request.request_id, token=token,
+                index=len(seq.generated) - 1, first=first,
+                finished=reason is not None, finish_reason=reason,
+            ))
+            if reason is not None:
+                finished.append(row)
+        return finished
 
     def _drop_rows(self, drop: List[int]) -> None:
         """Compact ``drop`` row indices out of the batch cache and active set."""
         if not drop:
             return
-        keep = [i for i in range(len(self.active)) if i not in set(drop)]
+        dropped = set(drop)
+        keep = [i for i in range(len(self.active)) if i not in dropped]
         self.active = [self.active[i] for i in keep]
         self.cache = self.cache.select_rows(keep) if keep else None
 
@@ -295,53 +333,40 @@ class ContinuousBatchScheduler:
                         caches.append(decode_cache)
                     counter_inc("serving_window_refills_total",
                                 amount=len(refill_seqs))
-                    for seq in refill_seqs:
-                        # The pending token is already in seq.tokens, so the
-                        # clipped window ends with it and prefill yields the
-                        # same next-token logits a (impossible) decode past
-                        # max_len would have.
-                        logits_row, cache_one = self._prefill_one(seq)
-                        row_logits.append(logits_row)
-                        caches.append(cache_one)
-                    self.active = decode_seqs + refill_seqs
+                    # The pending token is already in seq.tokens, so the
+                    # clipped window ends with it and prefill yields the
+                    # same next-token logits a (impossible) decode past
+                    # max_len would have.
+                    self.active = decode_seqs
+                    for run, logits, cache in self._prefill(refill_seqs):
+                        self.active.extend(run)
+                        row_logits.extend(logits)
+                        caches.append(cache)
                     self.cache = DecoderKVCache.merge(caches)
 
             with span("serve.sample", batch=len(self.active)):
-                for row, seq in enumerate(self.active):
-                    token = seq.sample(row_logits[row])
-                    reason = seq.finish_reason()
-                    events.append(StepEvent(
-                        request_id=seq.request.request_id, token=token,
-                        index=len(seq.generated) - 1, first=False,
-                        finished=reason is not None, finish_reason=reason,
-                    ))
-                    if reason is not None:
-                        finished_rows.append(row)
+                finished_rows = self._sample(self.active, row_logits, False, events)
         self._drop_rows(finished_rows)
 
-        # 3. Admit + prefill queued requests into the freed capacity.
-        admitted: List[_Sequence] = []
-        admitted_caches: List[DecoderKVCache] = []
-        if self.waiting:
-            with span("serve.prefill", queued=len(self.waiting)):
-                while self.waiting and self._admit_allowed(
-                    len(self.active) + len(admitted) + 1
-                ):
-                    seq = self.waiting.popleft()
-                    counter_inc("serving_admission_accept_total")
-                    logits_row, cache_one = self._prefill_one(seq)
-                    token = seq.sample(logits_row)
-                    reason = seq.finish_reason()
-                    events.append(StepEvent(
-                        request_id=seq.request.request_id, token=token,
-                        index=0, first=True,
-                        finished=reason is not None, finish_reason=reason,
-                    ))
-                    if reason is None:
-                        admitted.append(seq)
-                        admitted_caches.append(cache_one)
-        if admitted_caches:
-            caches = ([self.cache] if self.cache is not None else []) + admitted_caches
-            self.cache = DecoderKVCache.merge(caches)
-            self.active.extend(admitted)
+        # 3. Admit the queue's FIFO prefix into the freed capacity as one
+        #    wave; go round again only if first-token finishes re-opened it.
+        caches = [self.cache] if self.active else []
+        reopened = True
+        while reopened and self.waiting:
+            wave: List[_Sequence] = []
+            while self.waiting and self._admit_allowed(len(self.active) + len(wave) + 1):
+                wave.append(self.waiting.popleft())
+                counter_inc("serving_admission_accept_total")
+            if not wave:
+                break
+            reopened = False
+            for run, logits, cache in self._prefill(wave):
+                done = set(self._sample(run, logits, True, events))
+                keep = [row for row in range(len(run)) if row not in done]
+                if keep:
+                    self.active.extend(run[row] for row in keep)
+                    caches.append(cache.select_rows(keep) if done else cache)
+                reopened = reopened or bool(done)
+        if caches:
+            self.cache = caches[0] if len(caches) == 1 else DecoderKVCache.merge(caches)
         return events

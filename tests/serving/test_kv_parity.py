@@ -140,6 +140,17 @@ class TestCacheGuards:
         with pytest.raises(ValueError, match="geometry"):
             DecoderKVCache.merge([a, b])
 
+    def test_merge_rejects_mismatched_dtype(self):
+        """Slice assignment would round the fp64 newcomer's keys (or widen
+        the batch) without a word; the error names both dtypes."""
+        geometry = dict(n_layers=1, batch=1, n_heads=2, d_head=4, max_len=8)
+        batch = DecoderKVCache(**geometry, dtype=np.float32)
+        newcomer = DecoderKVCache(**geometry, dtype=np.float64)
+        with pytest.raises(ValueError, match="float64.*float32"):
+            DecoderKVCache.merge([batch, newcomer])
+        with pytest.raises(ValueError, match="float32.*float64"):
+            DecoderKVCache.merge([newcomer, batch])
+
     def test_cache_dtype_follows_model(self):
         config = _config("float32")
         model = build_butterfly_decoder(config).eval()

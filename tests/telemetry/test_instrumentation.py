@@ -40,6 +40,30 @@ class TestBitNeutrality:
         assert telemetry.get_registry().snapshot()
 
 
+class TestPrefillAmortisation:
+    def test_rows_per_prefill_call_is_the_wave_width(self):
+        """An 8-wide equal-length backlog is one prefill call of 8 rows, on
+        the counters ``/metrics`` serves and on the ``serve.prefill`` span."""
+        model = build_butterfly_decoder(TINY).eval()
+        prompts = np.random.default_rng(0).integers(1, 28, size=(8, 12))
+        telemetry.STATE.on = True
+        engine = ServingEngine(model, max_batch_size=8, seed=0)
+        for row in prompts:
+            engine.submit(row, SamplingParams(max_new_tokens=4, seed=0))
+        engine.run()
+        counters = telemetry.get_registry().snapshot()
+        calls = counters["serving_prefill_calls_total"]["value"]
+        rows = counters["serving_prefill_rows_total"]["value"]
+        assert (calls, rows / calls) == (1, 8)
+        assert counters["serving_admission_accept_total"]["value"] == rows
+        text = engine.render_prometheus()
+        assert "serving_prefill_calls_total 1" in text
+        assert "serving_prefill_rows_total 8" in text
+        (prefill,) = [r for r in telemetry.span_records()
+                      if r.name == "serve.prefill"]
+        assert (prefill.attrs["calls"], prefill.attrs["rows"]) == (1, 8)
+
+
 class TestEngineMetrics:
     def test_metrics_snapshot_has_percentiles(self):
         model = build_butterfly_decoder(TINY).eval()
