@@ -21,10 +21,12 @@ Design
   tile per worker instead of ``O(B*H*Lq*Lk)``.  Every temporary is the
   per-thread pool's (:data:`repro.kernels.pool.SCRATCH`): a steady
   caller allocates only its result.
-* **Analytic backward**: the forward stores only ``(q, k, v, out,
-  logsumexp)``; :func:`attention_vjp` recomputes the probabilities
-  key block by key block from the logsumexp and applies the standard
-  FlashAttention gradient ``dS = P * (dP - rowsum(dO * O))``.
+* **Analytic backward on the same tiles**: the forward stores only
+  ``(q, k, v, out, logsumexp)``; :func:`attention_vjp` recomputes each
+  query tile's probabilities exactly: ``[q * scale | -lse] @ [K^T ; 1]``
+  is ``s - lse`` and ``[dO | -delta] @ [V^T ; 1]`` is ``dP - delta``
+  (``delta = rowsum(dO * O)``), so ``dS = P * (dP - delta)`` costs two
+  passes over a tile (exp, the product with P) and dQ is written once.
 * **Cached bias buffers**: the causal additive bias is cached keyed by
   ``(seq, total, dtype)`` (:func:`causal_bias`); the fill value is the
   dtype-aware :func:`repro.kernels.dtype.mask_fill_value`, so masked
@@ -45,17 +47,16 @@ import numpy as np
 from ..telemetry import span
 from .backend import _split_ranges, resolve_backend
 from .dtype import mask_fill_value
-from .pool import SCRATCH, check_out
+from .pool import RECYCLER, SCRATCH, check_out
 
-#: Step along a causal mask's diagonal: keys per block of the backward's
-#: recompute loop, and most queries in a causal forward tile (which
-#: computes the whole rectangle up to its last query's diagonal).  Causal
-#: fp32 forward ms at 64 / 128 / 256, re-measured on the three-pass tile
-#: (PR 19, best of 25 interleaved): ``(4,4,256,64)`` 5.9 / 6.3 / 6.3,
-#: ``(1,4,1024,32)`` 9.4 / 9.0 / 9.6, ``(1,8,512,64)`` 7.6 / 8.0 / 8.6 —
-#: flatter than the five-pass tile's (4.7 / 5.0 / 7.0 on the first), no
-#: reason to move.
-DEFAULT_BLOCK = 128
+#: Step along a causal mask's diagonal: most queries in a causal tile,
+#: forward and backward (a tile computes the whole rectangle up to its last
+#: query's diagonal, for as many heads as fit :data:`TILE_SCORES`).  Causal
+#: fp32 ms at 64 / 128 / 256, forward | forward + VJP, median of 15
+#: interleaved: ``(4,4,256,64)`` 4.0 / 4.4 / 5.1 | 10.0 / 11.2 / 13.1,
+#: ``(1,4,1024,32)`` 6.9 / 7.3 / 7.2 | 17.9 / 18.4 / 18.3,
+#: ``(1,8,512,64)`` 6.2 / 6.6 / 7.8 | 18.1 / 19.6 / 20.6.
+DEFAULT_BLOCK = 64
 
 #: Score elements in one forward tile (see :func:`_tile_shape`): 512 KB of
 #: float32, inside a 2 MB L2 beside the K/V rows it streams.  fp32 forward
@@ -190,15 +191,15 @@ def _batch_shards(backend, b: int, score_elems: int) -> list:
 
 
 def _tile_shape(h: int, lq: int, lk: int, cap: int) -> Tuple[int, int, int]:
-    """``(batch rows, heads, queries)`` of a forward tile: at most ``cap``
-    of one head's queries while a head's scores exceed :data:`TILE_SCORES`,
-    a run of whole heads once they do not, a run of whole batch rows once a
-    row's do not — a short prompt, or a batch of them, is one tile and one
-    batched GEMM.  A function of the geometry, never of the batch size."""
+    """``(batch rows, heads, queries)`` of a tile: ``cap`` queries at most,
+    of as many heads as fit :data:`TILE_SCORES`, until a head's scores fit;
+    a run of whole heads once they do, of whole batch rows once a row's do
+    — a short prompt, or a batch of them, is one tile and one batched
+    GEMM.  A function of the geometry, never of the batch size."""
     rows = max(1, TILE_SCORES // lk)  # (head, query) pairs in a tile
     queries = min(lq, rows, cap)
     if queries < lq:
-        return 1, 1, queries
+        return 1, max(1, min(h, rows // queries)), queries
     heads = min(h, rows // lq)
     return (rows // (h * lq) if heads == h else 1), heads, lq
 
@@ -256,13 +257,13 @@ def attention_forward(
         raise ValueError(f"causal attention of {lq} queries over {lk} keys")
     kbias = padding_bias(key_mask, dtype) if key_mask is not None else None
     if out is None:
-        out = np.empty((b, h, lq, d), dtype=dtype)
+        out = RECYCLER.empty((b, h, lq, d), dtype)
     else:
         if need_ctx:
             raise ValueError("out= cannot back a VJP context")
         check_out(out, (b, h, lq, d), dtype, q, k, v)
 
-    m, lsum = np.empty((2, b, h, lq), dtype=dtype)
+    m, lsum = RECYCLER.empty((2, b, h, lq), dtype)
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
     kt = k.swapaxes(-1, -2)  # (B, H, D, Lk) view
     # Uniform causal masking is the suffix convention, query i at absolute
@@ -281,9 +282,7 @@ def attention_forward(
         # one buffer holds first the one, then the other.
         summed = SCRATCH.take("attention.pv", (rows * nh * nq * (d + 1),), dtype)
         ones = SCRATCH.take("attention.v", (rows, nh, lk, d + 1), dtype)
-        for b0, h0 in itertools.product(
-            range(shard.start, shard.stop, nb), range(0, h, nh)
-        ):
+        for b0, h0 in itertools.product(range(shard.start, shard.stop, nb), range(0, h, nh)):
             b1 = min(b0 + nb, shard.stop)
             h1 = min(h0 + nh, h)
             v1 = ones[:b1 - b0, :h1 - h0]
@@ -335,11 +334,8 @@ def attention_vjp(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients ``(dq, dk, dv)`` of :func:`attention_forward`.
 
-    Probabilities are recomputed per key block from the stored
-    logsumexp — exactly (``p = exp(s + bias - lse)``, no renormalization
-    needed) — so the backward is one pass of ``O(B*H*Lq*block)``
-    temporaries, sharded over the batch axis under the threaded backend
-    like the forward.
+    The forward's query tiles (see the module docstring), sharded over the
+    batch axis under the threaded backend like the forward.
     """
     q, k, v, out, lse, scale, block, bias2d, bias3d, kbias = ctx
     g = np.asarray(grad_out)
@@ -347,55 +343,57 @@ def attention_vjp(
     lk = k.shape[2]
     dtype = q.dtype
     backend = resolve_backend(backend)
-    gq = np.zeros((b, h, lq, d), dtype=dtype)
-    gk = np.empty_like(k)
-    gv = np.empty_like(v)
-    offset = lk - lq if bias2d is not None else 0
+    gq, gk, gv = (RECYCLER.empty(a.shape, dtype) for a in (q, k, v))
+    nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
 
-    def run_rows(rows: range) -> None:
-        b0, b1 = rows.start, rows.stop
-        qs, ks, vs, gs = q[b0:b1], k[b0:b1], v[b0:b1], g[b0:b1]
-        gq_r, gk_r, gv_r = gq[b0:b1], gk[b0:b1], gv[b0:b1]
-        lse_r = lse[b0:b1]
-        delta = np.einsum("bhld,bhld->bhl", gs, out[b0:b1])  # rowsum(dO*O)
-        kt = ks.swapaxes(-1, -2)
-        vt = vs.swapaxes(-1, -2)
-        p_full = np.empty((b1 - b0, h, lq, min(block, lk)), dtype=dtype)
-        gp_full = np.empty_like(p_full)
-        gq_blk = np.empty((b1 - b0, h, lq, d), dtype=dtype)
-        for j0 in range(0, lk, block):
-            j1 = min(j0 + block, lk)
-            jb = j1 - j0
-            # Same lower-triangle restriction as the forward: queries
-            # above the block are fully masked, contribute p == 0, and
-            # can be skipped from every GEMM of this block.
-            i0 = max(0, j0 - offset) if bias2d is not None else 0
-            p = p_full[:, :, i0:, :jb]
-            gp = gp_full[:, :, i0:, :jb]
-            g_sub = gs[:, :, i0:]
-            np.matmul(qs[:, :, i0:], kt[..., j0:j1], out=p)
-            p *= scale
-            if bias2d is not None:
-                nb = min(lq, j1 - offset) - i0
-                if nb > 0:
-                    p[:, :, :nb] += bias2d[i0:i0 + nb, j0:j1]
-            if bias3d is not None:
-                p += bias3d[b0:b1, None, :, j0:j1]
-            if kbias is not None:
-                p += kbias[b0:b1, None, None, j0:j1]
-            p -= lse_r[:, :, i0:, None]
-            np.exp(p, out=p)
-            # dv_blk = P^T dO
-            np.matmul(p.swapaxes(-1, -2), g_sub, out=gv_r[:, :, j0:j1])
-            # dP = dO V^T ; dS = P * (dP - delta) * scale (scale folded once)
-            np.matmul(g_sub, vt[..., j0:j1], out=gp)
-            gp -= delta[:, :, i0:, None]
-            gp *= p
-            gp *= scale
-            gq_sub = gq_blk[:, :, i0:]
-            np.matmul(gp, ks[:, :, j0:j1], out=gq_sub)
-            gq_r[:, :, i0:] += gq_sub
-            np.matmul(gp.swapaxes(-1, -2), qs[:, :, i0:], out=gk_r[:, :, j0:j1])
+    def run_rows(shard: range) -> None:
+        # The augmented operands (module docstring), once per run of heads.
+        rows = min(nb, len(shard))
+        qa, ga = SCRATCH.take("attention.pv", (2, rows, nh, lq, d + 1), dtype)
+        kv = SCRATCH.take("attention.k", (2, rows, nh, d + 1, lk), dtype)
+        delta = SCRATCH.take("attention.delta", (rows * nh * lq,), dtype)
+        tiles = SCRATCH.take("attention.tile", (2 * rows * nh * nq * lk,), dtype)
+        part = SCRATCH.take("attention.dkv", (rows * nh * lk * d,), dtype)
+        for b0, h0 in itertools.product(range(shard.start, shard.stop, nb), range(0, h, nh)):
+            b1, h1 = min(b0 + nb, shard.stop), min(h0 + nh, h)
+            run = np.s_[b0:b1, h0:h1]
+            n = (b1 - b0, h1 - h0)
+            qa1, ga1 = qa[:n[0], :n[1]], ga[:n[0], :n[1]]
+            kta, vta = kv[:, :n[0], :n[1]]
+            np.multiply(q[run], scale, out=qa1[..., :d])
+            np.negative(lse[run], out=qa1[..., d])
+            ga1[..., :d] = g[run]
+            # rowsum(dO * O) into a contiguous array, then the column.
+            d1 = np.einsum("...i,...i->...", g[run], out[run],
+                           out=delta[:math.prod(n) * lq].reshape(*n, lq))
+            np.negative(d1, out=ga1[..., d])
+            kta[..., :d, :] = k[run].swapaxes(-1, -2)
+            vta[..., :d, :] = v[run].swapaxes(-1, -2)
+            kta[..., d, :] = vta[..., d, :] = 1.0
+            k1, gq1, gk1, gv1 = k[run], gq[run], gk[run], gv[run]
+            gk1[...] = gv1[...] = 0
+            for i0 in range(0, lq, nq):
+                i1 = min(i0 + nq, lq)
+                j1 = lk - lq + i1 if bias2d is not None else lk
+                size = math.prod(n) * (i1 - i0) * j1
+                p, ds = tiles[:2 * size].reshape(2, *n, i1 - i0, j1)
+                np.matmul(qa1[..., i0:i1, :], kta[..., :j1], out=p)
+                if bias2d is not None:  # whole rows: one contiguous pass
+                    p += bias2d[i0:i1, :j1]
+                if bias3d is not None:
+                    p += bias3d[b0:b1, None, i0:i1, :j1]
+                if kbias is not None:
+                    p += kbias[b0:b1, None, None, :j1]
+                np.exp(p, out=p)
+                np.matmul(ga1[..., i0:i1, :], vta[..., :j1], out=ds)
+                ds *= p
+                np.matmul(ds, k1[..., :j1, :], out=gq1[..., i0:i1, :])
+                # dV += P^T dO and dK += dS^T (scale q), over the tile's keys.
+                for grad, a, rhs in ((gv1, p, ga1), (gk1, ds, qa1)):
+                    dst = grad[..., :j1, :]
+                    dst += np.matmul(a.swapaxes(-1, -2), rhs[..., i0:i1, :d],
+                                     out=part[:dst.size].reshape(dst.shape))
+            gq1 *= scale
 
     with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
         backend.map(run_rows, _batch_shards(backend, b, b * h * lq * lk))

@@ -14,9 +14,7 @@ recorded three to five:
   version counter, see :meth:`repro.nn.module.Parameter.bump_version`)
   or by a ``.data`` rebind; the ``dW`` GEMM writes into a per-parameter
   scratch buffer instead of allocating a fresh ``(out, in)`` array
-  every step.  Consequence: ``.grad`` arrays produced by this path are
-  recycled once ``zero_grad()`` releases them — copy a gradient if you
-  need it to outlive the step (see :func:`_grad_w_into`).
+  every step (the engine copies it into the parameter's own ``.grad``).
 * :func:`residual_layer_norm_forward` / :func:`residual_layer_norm_vjp`
   — the ``norm(x + sub(x))`` pattern that closes every transformer
   sub-layer, fused so the residual sum is never recorded as a separate
@@ -49,7 +47,7 @@ import numpy as np
 
 from ..telemetry import span
 from .backend import resolve_backend
-from .pool import SCRATCH, check_out
+from .pool import RECYCLER, SCRATCH, check_out
 
 ACTIVATIONS = ("identity", "relu", "gelu")
 
@@ -144,24 +142,11 @@ def _grad_w_into(
 ) -> np.ndarray:
     """``dW = g^T @ x`` into the claimed scratch (or a fresh buffer).
 
-    The scratch is rejected when it is currently the parameter's
-    ``.grad`` — that covers both gradient accumulation across
-    ``backward()`` calls and ``retain_graph`` double-backward, where an
-    in-place overwrite would corrupt the accumulated gradient.
-
-    Recycling contract: the array this returns typically *becomes*
-    ``param.grad``, and once ``zero_grad()`` drops that binding the
-    buffer is fair game for the next step's in-place ``dW`` GEMM.
-    Callers that retain gradient arrays across optimizer steps
-    (gradient logging, EMAs, divergence dumps) must ``.copy()`` them —
-    the same caveat as holding views into any in-place-updated state.
+    The array never becomes ``param.grad`` itself — a leaf's gradient is
+    always a copy the autograd engine owns (:meth:`repro.nn.Tensor.
+    backward`) — so the next step may overwrite it.
     """
-    if (
-        scratch is None
-        or scratch.shape != w_shape
-        or scratch.dtype != w_dtype
-        or scratch is getattr(holder, "grad", None)
-    ):
+    if scratch is None or scratch.shape != w_shape or scratch.dtype != w_dtype:
         scratch = np.empty(w_shape, dtype=w_dtype)
     resolve_backend(backend).matmul(g2.T, x2, scratch)
     if holder is not None:
@@ -213,9 +198,9 @@ def gelu_forward(
     block's last two passes write it; any other overlap is refused.
     """
     if out is None:
-        t = _gelu_tanh(z, np.empty_like(z))
+        t = _gelu_tanh(z, RECYCLER.empty(z.shape, z.dtype))
         if need_ctx:
-            y = t + 1.0
+            y = np.add(t, 1.0, out=RECYCLER.empty(z.shape, z.dtype))
             y *= z
         else:
             t += 1.0
@@ -243,16 +228,21 @@ def gelu_vjp(grad: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``grad * gelu'(z)`` from the pre-activation and the saved tanh.
 
     ``d/dz gelu(z) = 0.5 * (1 + t + z * (1 - t^2) * dinner)``, chained in
-    place through two fresh buffers; ``grad``, ``z`` and ``t`` are only
-    read.
+    place through the buffer it returns, ``dinner`` :data:`GELU_BLOCK`
+    elements at a time through pooled scratch; ``grad``, ``z`` and ``t``
+    are only read.
     """
-    dinner = z * z
-    dinner *= 3 * 0.044715
-    dinner += 1.0
-    dinner *= _GELU_C
-    dact = t * t
+    dact = np.multiply(t, t, out=RECYCLER.empty(t.shape, t.dtype))
     np.subtract(1.0, dact, out=dact)
-    dact *= dinner
+    flat_z, flat_dact = z.reshape(-1), dact.reshape(-1)
+    chain = SCRATCH.take("gelu", (min(GELU_BLOCK, z.size),), z.dtype)
+    for start in range(0, z.size, GELU_BLOCK):
+        block = flat_z[start:start + GELU_BLOCK]
+        dinner = np.multiply(block, block, out=chain[:block.size])
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        flat_dact[start:start + GELU_BLOCK] *= dinner
     dact *= z
     dact += t
     dact += 1.0
@@ -311,7 +301,7 @@ def linear_act_forward(
     shape = x.shape[:-1] + (wt.shape[1],)
     dtype = np.result_type(x.dtype, wt.dtype)
     if out is None:
-        y = np.empty(shape, dtype=dtype)
+        y = RECYCLER.empty(shape, dtype)
     else:
         if need_ctx:
             raise ValueError("out= cannot back a VJP context")
@@ -348,8 +338,7 @@ def linear_act_vjp(grad: np.ndarray, ctx: LinearActContext) -> tuple:
     else:
         ga = gelu_vjp(grad, z, t)
     backend = resolve_backend(None)
-    gx = np.empty(ga.shape[:-1] + (w.shape[1],),
-                  dtype=np.result_type(ga.dtype, w.dtype))
+    gx = RECYCLER.empty(ga.shape[:-1] + (w.shape[1],), np.result_type(ga, w))
     with span("kernels.linear_act_vjp", out=w.shape[0]):
         backend.matmul(ga, w, gx)  # (..., out) @ (out, in)
         out_features = w.shape[0]
@@ -395,16 +384,15 @@ def residual_layer_norm_forward(
     if x.shape != sub.shape:
         raise ValueError(f"residual shapes differ: {x.shape} vs {sub.shape}")
     if out is None:
-        h = x + sub
-        squares = None  # a fresh temporary, as ever
+        h = np.add(x, sub, out=RECYCLER.out(x, sub))
     else:
         if need_ctx:
             raise ValueError("out= cannot back a VJP context")
         check_out(out, x.shape, np.result_type(x.dtype, sub.dtype), x, sub)
         h = np.add(x, sub, out=out)
-        squares = SCRATCH.take("layer_norm", h.shape, h.dtype)
     mu = h.mean(axis=-1, keepdims=True)
     h -= mu
+    squares = SCRATCH.take("layer_norm", h.shape, h.dtype)
     var = np.mean(np.square(h, out=squares), axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     h *= inv  # h is now the normalized activation
@@ -412,7 +400,7 @@ def residual_layer_norm_forward(
         h *= gamma
         h += beta
         return h, None
-    y = h * gamma
+    y = np.multiply(h, gamma, out=RECYCLER.out(h, gamma, beta))
     y += beta
     return y, ResidualLNContext(h, inv, gamma)
 
@@ -431,7 +419,7 @@ def residual_layer_norm_vjp(
     g2 = grad.reshape(-1, n)
     dgamma = np.einsum("bi,bi->i", g2, normed.reshape(-1, n))
     dbeta = g2.sum(axis=0)
-    gn = grad * gamma
+    gn = np.multiply(grad, gamma, out=RECYCLER.out(grad, gamma))
     dvar = np.einsum("...i,...i->...", gn, normed)[..., None]
     dmean = gn.sum(axis=-1, keepdims=True)
     # da = inv * (gn - dmean/n - normed * dvar/n), accumulated in place
@@ -439,7 +427,8 @@ def residual_layer_norm_vjp(
     dvar /= n
     dmean /= n
     gn -= dmean
-    gn -= normed * dvar
+    gn -= np.multiply(normed, dvar, out=SCRATCH.take(
+        "layer_norm", normed.shape, np.result_type(normed, dvar)))
     gn *= inv
     return gn, gn, dgamma, dbeta
 
@@ -468,7 +457,7 @@ def fourier_mix(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
             f"expected a real (..., seq, hidden) array, got {x.dtype} {x.shape}"
         )
     if out is None:
-        out = np.empty(x.shape, dtype=x.dtype)
+        out = RECYCLER.empty(x.shape, x.dtype)
     else:
         check_out(out, x.shape, x.dtype, x)
     seq, hidden = x.shape[-2:]
@@ -564,13 +553,16 @@ def embedding_grad(
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     d = grad.shape[-1]
-    out = np.zeros((num_embeddings, d), dtype=grad.dtype)
+    out = RECYCLER.empty((num_embeddings, d), grad.dtype)
+    out[...] = 0
     if idx.size == 0:
         return out
-    g = np.ascontiguousarray(grad).reshape(idx.size, d)
+    g = grad.reshape(idx.size, d)
     order = np.argsort(idx, kind="stable")
     sidx = idx[order]
-    sg = g[order]
+    # ``order`` is a permutation: "clip" clips nothing and, unlike "raise", is unbuffered.
+    sg = np.take(g, order, axis=0, mode="clip",
+                 out=RECYCLER.empty(g.shape, g.dtype))
     seg_starts = np.concatenate(
         ([0], np.flatnonzero(sidx[1:] != sidx[:-1]) + 1)
     )

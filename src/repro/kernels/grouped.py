@@ -78,7 +78,7 @@ import numpy as np
 from ..telemetry import counter_inc, publish_on_snapshot
 from .backend import resolve_backend
 from .layout import check_power_of_two, num_stages
-from .pool import ScratchPool, check_out
+from .pool import RECYCLER, ScratchPool, check_out
 
 #: Largest number of stages fused into one chunk.  Radix 32 balances the
 #: batched-GEMM efficiency against the O(n * 2^g) chunk-matrix build cost.
@@ -201,8 +201,8 @@ class GroupedPlan:
 
     Also owns a pool of *transient* scratch buffers (:meth:`scratch`).
     Only arrays that never escape a single kernel call may use it —
-    anything saved in a context or returned to the caller is allocated
-    normally.
+    anything saved in a context or returned to the caller is the
+    recycler's (:data:`repro.kernels.pool.RECYCLER`).
     """
 
     def __init__(self, n: int, stages: int, g: int = MAX_GROUP) -> None:
@@ -386,9 +386,8 @@ def _build_matrices(
         else:
             V = L.reshape(lev.K, N, 2, m, m)
             C = A.reshape(lev.K, 2, 2, N, m)
-            L = np.einsum("ktqnr,knqrc->kntrqc", C, V).reshape(
-                lev.K, N, 2 * m, 2 * m
-            )
+            prod = RECYCLER.empty((lev.K, N, 2, m, 2, m), dtype)
+            L = np.einsum("ktqnr,knqrc->kntrqc", C, V, out=prod).reshape(lev.K, N, 2 * m, 2 * m)
         saved.append((V, C))
         prev_active = lev.active
     for kpos, ci in enumerate(prev_active):
@@ -488,7 +487,7 @@ def _arrange_last_inv(
 ) -> np.ndarray:
     # (o, h0, B, T) -> (B, n).  Always an owned copy: ``y`` may live in
     # pooled scratch, and the result escapes to the caller.
-    out = np.empty((rows, n), dtype=y.dtype)
+    out = RECYCLER.empty((rows, n), y.dtype)
     np.copyto(out.reshape(rows, chunk.o, chunk.T, chunk.h0),
               y.transpose(2, 0, 3, 1))
     return out
@@ -512,8 +511,9 @@ def grouped_forward(
     out = None
     for k, chunk in enumerate(plan.chunks):
         if k == 0:
-            xr = np.ascontiguousarray(_arrange_first(x, chunk, rows),
-                                      dtype=dtype)
+            xr = _arrange_first(x, chunk, rows)
+            if not xr.flags.c_contiguous or xr.dtype != dtype:
+                xr = RECYCLER.copy(xr, dtype)
         else:
             xr = _rearrange_between(out, plan.chunks[k - 1], chunk, rows)
         if ctx is not None:
@@ -521,8 +521,8 @@ def grouped_forward(
             # rearrangement of ``out`` may alias it (a transpose over
             # singleton axes can be a view) and gets saved in the context
             # — so both must own their memory here.
-            MT = np.ascontiguousarray(Ms[k].swapaxes(-1, -2))
-            out = np.empty(xr.shape, dtype=dtype)
+            MT = RECYCLER.copy(Ms[k].swapaxes(-1, -2))
+            out = RECYCLER.empty(xr.shape, dtype)
             backend.matmul(xr, MT, out)
             ctx.MTs.append(MT)
             ctx.xs.append(xr)
@@ -571,7 +571,7 @@ def grouped_vjp(
         gT = plan.scratch(f"gT{k}", shape, ctx.dtype)
         backend.matmul(ctx.MTs[k], grT, gT)
     chunk0 = plan.chunks[0]
-    gx = np.empty((rows, n), dtype=ctx.dtype)
+    gx = RECYCLER.empty((rows, n), ctx.dtype)
     np.copyto(gx.reshape(rows, chunk0.o, chunk0.T, chunk0.h0),
               gT.transpose(3, 0, 2, 1))
     G = _build_matrices_vjp(dMs, ctx.build_saved, plan, ctx.dtype)
@@ -599,10 +599,12 @@ def dense_forward(
     backend = resolve_backend(backend)
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    full, build = grouped_forward(np.eye(in_features, plan.n, dtype=dtype),
-                                  coeffs, plan, backend=backend)
+    eye = RECYCLER.empty((in_features, plan.n), dtype)
+    eye[...] = 0
+    np.fill_diagonal(eye, 1)
+    full, build = grouped_forward(eye, coeffs, plan, backend=backend)
     W = full[:, :out_features]
-    y = np.empty((rows, out_features), dtype=dtype)
+    y = RECYCLER.empty((rows, out_features), dtype)
     backend.matmul(x, W, y)
     return y, (x, W, build)
 
@@ -617,7 +619,7 @@ def dense_vjp(
     x, W, build = ctx
     plan, dtype = build.plan, build.dtype
     out_features = W.shape[1]
-    gx = np.empty(x.shape, dtype=dtype)
+    gx = RECYCLER.empty(x.shape, dtype)
     backend.matmul(grad, W.T, gx)
     dW = plan.scratch("dW", (x.shape[1], plan.n), dtype)
     dW[:, out_features:] = 0

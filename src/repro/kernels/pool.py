@@ -24,20 +24,23 @@ The rule, everywhere:
   saw past the budget.
 * **Never escapes.**  What :meth:`ScratchPool.take` returns is valid
   until the same thread takes the same tag again; anything handed back
-  to a caller or saved in a context is allocated normally.
+  to a caller or saved in a context is a :class:`Recycler`'s.
 
 :func:`check_out` is the other half of owning buffers: the one rule for
-the ``out=`` a caller hands a kernel.
+the ``out=`` a caller hands a kernel; a :class:`Recycler`, what a pool
+cannot own: the arrays a training step returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import threading
 
 import numpy as np
 
-from ..telemetry import counter_inc
+from ..telemetry import counter_inc, gauge_set
 
 
 class ScratchPool:
@@ -81,6 +84,84 @@ class ScratchPool:
 
 #: The kernels' call-local temporaries (one pool, distinct tags).
 SCRATCH = ScratchPool()
+
+
+def _unheld(bufs: list, refs: int):
+    """The arrays of ``bufs`` whose references ``refs`` accounts for."""
+    return (buf for buf in bufs if sys.getrefcount(buf) == refs)
+
+
+#: What ``sys.getrefcount`` reads there for an array only its list holds.
+_FREE_REFS = next(r for r in range(8) if next(_unheld([np.empty(0)], r), None) is not None)
+_HITS = "training_recycle_hits_total"
+_MISSES = "training_recycle_misses_total"
+_BYTES = "training_recycle_bytes"
+
+
+class Recycler(threading.local):
+    """In :meth:`scope`, :meth:`empty` hands back an array of the dtype and
+    size this thread allocated before that nobody refers to any more (a
+    view keeps its owner in ``.base``), or allocates one and keeps it; so a
+    step that repeats the last reuses its memory.  A request of a dtype and
+    size it keeps none of first drops the free arrays of every one not
+    asked for since :meth:`next_step`, so a step of another shape (a ragged
+    last batch) replaces the last one's arrays instead of adding to them.
+    Outside a scope it is ``np.empty``.  Every attribute is per thread."""
+
+    # {(dtype, size): [arrays]} inside a scope.  A class default: reading
+    # it is not the AttributeError a missing per-thread attribute raises.
+    _free = None
+
+    @contextlib.contextmanager
+    def scope(self):
+        """Recycle on this thread until the block ends.  Not re-entrant: a
+        nested scope ends the outer one's recycling."""
+        self._free, self._asked = {}, set()  # the keys asked for this step
+        try:
+            yield
+        finally:
+            self._free = None
+            gauge_set(_BYTES, 0)
+
+    def next_step(self) -> None:
+        """Start a step: forget which dtypes and sizes were asked for."""
+        self._asked = set()
+
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        free = self._free
+        if free is None:
+            return np.empty(shape, dtype)
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        key = (np.dtype(dtype), size)
+        self._asked.add(key)
+        bufs = free.setdefault(key, [])
+        buf = next(_unheld(bufs, _FREE_REFS), None)
+        counter_inc(_MISSES if buf is None else _HITS)
+        if buf is None:
+            for other, kept in free.items():
+                if not bufs and other not in self._asked:
+                    drop = {id(old) for old in _unheld(kept, _FREE_REFS)}
+                    kept[:] = [old for old in kept if id(old) not in drop]
+            buf = np.empty(size, dtype)
+            bufs.append(buf)
+            gauge_set(_BYTES, sum(old.nbytes for kept in free.values() for old in kept))
+        return buf.reshape(shape)
+
+    def out(self, *arrays: np.ndarray):
+        """The ``out=`` of a ufunc over ``arrays``: ``None`` outside a scope."""
+        if self._free is None:
+            return None
+        return self.empty(np.broadcast(*arrays).shape, np.result_type(*arrays))
+
+    def copy(self, array: np.ndarray, dtype=None) -> np.ndarray:
+        """``array`` cast to ``dtype`` in a C-contiguous :meth:`empty` array."""
+        out = self.empty(array.shape, array.dtype if dtype is None else dtype)
+        np.copyto(out, array)
+        return out
+
+
+#: The arrays of a ``Trainer.fit`` step (see :mod:`repro.nn.tensor`).
+RECYCLER = Recycler()
 
 
 def check_out(out: np.ndarray, shape: tuple, dtype, *inputs: np.ndarray) -> None:

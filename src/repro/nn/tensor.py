@@ -26,6 +26,7 @@ from .. import kernels as _kernels
 from ..kernels.dtype import default_dtype as default_dtype
 from ..kernels.dtype import get_default_dtype
 from ..kernels.dtype import set_default_dtype as set_default_dtype
+from ..kernels.pool import RECYCLER as _RECYCLER
 from ..kernels.pool import SCRATCH as _SCRATCH
 from ..kernels.pool import check_out as _check_out
 
@@ -73,12 +74,17 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     # Sum over leading dimensions that were added by broadcasting.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = grad.sum(axis=tuple(range(extra)), out=_RECYCLER.out(grad[(0,) * extra]))
     # Sum over dimensions that were broadcast from size one.
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _reshaped(array: np.ndarray, shape) -> np.ndarray:
+    """``array.reshape(shape)``; a copy, when it takes one, is recycled."""
+    return (array if array.flags.c_contiguous else _RECYCLER.copy(array)).reshape(shape)
 
 
 class Tensor:
@@ -163,7 +169,8 @@ class Tensor:
         an engine-owned buffer (``np.add(..., out=)``); buffers received
         from op backwards are never mutated, because ops may legally
         hand the same array to several parents (e.g. broadcast-free
-        ``add``, the fused residual LayerNorm).
+        ``add``, the fused residual LayerNorm) — so a leaf's ``.grad`` is
+        always its own copy, which ``clip_grad_norm`` may scale in place.
         """
         if grad is None:
             if self.data.size != 1:
@@ -202,10 +209,13 @@ class Tensor:
             node_grad = grads.pop(id(node), None)
             if node_grad is not None:
                 if node.requires_grad and node._backward is None:
-                    # Leaf tensor: accumulate.
-                    node.grad = (
-                        node_grad if node.grad is None else node.grad + node_grad
-                    )
+                    # Leaf tensor: accumulate into an array it owns.
+                    if node.grad is not None:
+                        node_grad = np.add(node.grad, node_grad,
+                                           out=_RECYCLER.out(node.grad, node_grad))
+                    elif id(node) not in owned:
+                        node_grad = _RECYCLER.copy(node_grad)
+                    node.grad = node_grad
                 if node._backward is not None:
                     node._accumulate_parent_grads(node_grad, grads, owned)
             if not retain_graph and node._backward is not None:
@@ -249,7 +259,7 @@ class Tensor:
             else:
                 # Second contribution: promote to an engine-owned buffer
                 # so every further contribution accumulates in place.
-                grads[key] = buffer + pgrad
+                grads[key] = np.add(buffer, pgrad, out=_RECYCLER.out(buffer, pgrad))
                 owned.add(key)
 
     # ------------------------------------------------------------------
@@ -375,7 +385,7 @@ def _make_result(
 # Elementwise arithmetic
 # ----------------------------------------------------------------------
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    data = np.add(a.data, b.data, out=_RECYCLER.out(a.data, b.data))
 
     def backward(grad: np.ndarray):
         return _unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape)
@@ -543,11 +553,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # Shape manipulation
 # ----------------------------------------------------------------------
 def reshape(a: Tensor, shape: Tuple[int, ...]) -> Tensor:
-    data = a.data.reshape(shape)
+    data = _reshaped(a.data, shape)
     original = a.shape
 
     def backward(grad: np.ndarray):
-        return (grad.reshape(original),)
+        return (_reshaped(grad, original),)
 
     return _make_result(data, (a,), backward)
 
@@ -594,7 +604,8 @@ def getitem(a: Tensor, index) -> Tensor:
     scatter_add = _index_may_repeat(index)
 
     def backward(grad: np.ndarray):
-        full = np.zeros(shape, dtype=grad.dtype)
+        full = _RECYCLER.empty(shape, grad.dtype)
+        full[...] = 0
         if scatter_add:
             np.add.at(full, index, grad)
         else:
@@ -650,15 +661,15 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def backward(grad: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(grad, shape).copy(),)
         g = grad
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             axes = tuple(ax % len(shape) for ax in axes)
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, shape).copy(),)
+        full = _RECYCLER.empty(shape, grad.dtype)
+        np.copyto(full, g)
+        return (full,)
 
     return _make_result(data, (a,), backward)
 
@@ -733,8 +744,11 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     behind :func:`repro.kernels.use_fused` as the parity baseline.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    data = weight.data[indices]
     num_rows = weight.shape[0]
+    if indices.size and not -num_rows <= indices.min() <= indices.max() < num_rows:
+        raise IndexError(f"embedding ids must lie in [{-num_rows}, {num_rows})")
+    data = _RECYCLER.empty(indices.shape + weight.shape[1:], weight.dtype)
+    np.take(weight.data, indices, axis=0, out=data, mode="wrap")  # unbuffered
     segment_sum = _kernels.fused_enabled()
 
     def backward(grad: np.ndarray):
@@ -773,22 +787,25 @@ def layer_norm_forward(
     not alias ``a``: the same arithmetic runs in it (the variance's
     squares through pooled scratch), it comes back with the bytes of the
     allocating call, and ``normed`` / ``inv`` — what a VJP would need —
-    are ``None``.
+    are ``None``.  Without it the arrays returned are the recycler's.
     """
     mu = a.mean(axis=-1, keepdims=True)
     if out is None:
-        var = a.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        normed = (a - mu) * inv
-        return normed * gamma + beta, normed, inv
-    _check_out(out, a.shape, a.dtype, a)
-    np.subtract(a, mu, out=out)
+        normed = _RECYCLER.empty(a.shape, a.dtype)
+    else:
+        _check_out(out, a.shape, a.dtype, a)
+        normed = out
+    squares = _SCRATCH.take("layer_norm", a.shape, a.dtype)
+    np.subtract(a, mu, out=normed)
     # ndarray.var, spelled out: sum((a - mean)^2) / n.
-    squares = np.multiply(
-        out, out, out=_SCRATCH.take("layer_norm", a.shape, a.dtype))
-    var = squares.sum(axis=-1, keepdims=True)
+    var = np.multiply(normed, normed, out=squares).sum(axis=-1, keepdims=True)
     var /= a.shape[-1]
-    out *= 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + eps)
+    normed *= inv
+    if out is None:
+        y = np.multiply(normed, gamma, out=_RECYCLER.out(a, gamma, beta))
+        y += beta
+        return y, normed, inv
     out *= gamma
     out += beta
     return out, None, None
@@ -800,13 +817,19 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     n = a.shape[-1]
 
     def backward(grad: np.ndarray):
-        dgamma = _unbroadcast(grad * normed, gamma.shape)
+        # grad * normed is dgamma itself when nothing was broadcast (a 1-D a).
+        dgamma = _unbroadcast(
+            np.multiply(grad, normed, out=_RECYCLER.out(grad, normed)), gamma.shape)
         dbeta = _unbroadcast(grad, beta.shape)
-        gnormed = grad * gamma.data
-        dvar_term = (gnormed * normed).sum(axis=-1, keepdims=True)
+        gnormed = np.multiply(grad, gamma.data, out=_RECYCLER.out(grad, gamma.data))
+        t = _SCRATCH.take("layer_norm", gnormed.shape, np.result_type(gnormed, normed))
+        dvar_term = np.multiply(gnormed, normed, out=t).sum(axis=-1, keepdims=True)
         dmean_term = gnormed.sum(axis=-1, keepdims=True)
-        da = inv * (gnormed - dmean_term / n - normed * dvar_term / n)
-        return (da, dgamma, dbeta)
+        # inv * (gnormed - dmean_term / n - normed * dvar_term / n), in place:
+        gnormed -= dmean_term / n
+        gnormed -= np.divide(np.multiply(normed, dvar_term, out=t), n, out=t)
+        gnormed *= inv
+        return (gnormed, dgamma, dbeta)
 
     return _make_result(data, (a, gamma, beta), backward)
 

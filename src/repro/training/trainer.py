@@ -11,6 +11,7 @@ import numpy as np
 
 from .. import nn
 from ..data.base import TaskDataset
+from ..kernels.pool import RECYCLER
 from ..telemetry import gauge_set, span
 
 
@@ -131,9 +132,11 @@ class Trainer:
         """Train for ``epochs`` epochs, recording loss and accuracies.
 
         Runs under the model config's dtype policy (see
-        :meth:`repro.models.ModelConfig.dtype_context`).
+        :meth:`repro.models.ModelConfig.dtype_context`), each step in the
+        arrays the last one released (:data:`repro.kernels.pool.RECYCLER`):
+        not re-entrant.
         """
-        with _model_dtype_context(self.model):
+        with _model_dtype_context(self.model), RECYCLER.scope():
             return self._fit(dataset, epochs)
 
     def _fit(self, dataset: TaskDataset, epochs: int) -> TrainResult:
@@ -171,6 +174,7 @@ class Trainer:
                     for xb, yb in dataset.batches(self.batch_size, self.rng)
                 )
             for xb, yb, mb in batch_iter:
+                RECYCLER.next_step()
                 with _phase("forward"):
                     logits = (self.model(xb, mask=mb) if mb is not None
                               else self.model(xb))

@@ -228,6 +228,49 @@ class TestGeneratedShapes:
                 np.testing.assert_array_equal(out[one], solo)
                 np.testing.assert_array_equal(ctx.lse[one], solo_ctx.lse)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_cases(ragged=False), st.integers(0, 2**32 - 1))
+    def test_a_rows_gradients_are_bitwise_its_solo_run(self, case, seed):
+        """The VJP walks the forward's tiles: a row's gradients do not
+        depend on who shares its batch either."""
+        q, k, v, kwargs, budget = case
+        mask = kwargs.pop("key_mask", None)
+        weights = np.random.default_rng(seed).normal(size=q.shape).astype(q.dtype)
+        with _tile_scores(budget):
+            _, ctx = AK.attention_forward(q, k, v, key_mask=mask, **kwargs)
+            grads = AK.attention_vjp(weights, ctx)
+            for row in range(q.shape[0]):
+                one = slice(row, row + 1)
+                _, solo_ctx = AK.attention_forward(
+                    q[one], k[one], v[one],
+                    key_mask=None if mask is None else mask[one], **kwargs)
+                for grad, solo in zip(grads, AK.attention_vjp(weights[one], solo_ctx)):
+                    np.testing.assert_array_equal(grad[one], solo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cases(max_batch=3), st.integers(0, 2**32 - 1))
+    def test_vjp_matches_the_composite_graph(self, case, seed):
+        """fp64 gradients at 1e-12 of the op-by-op graph (matmul, bias
+        adds, softmax, matmul) recorded under ``use_fused(False)``."""
+        q, k, v, kwargs, budget = case
+        q, k, v = (a.astype(np.float64) for a in (q, k, v))
+        weights = np.random.default_rng(seed).normal(size=q.shape)
+        with _tile_scores(budget):
+            _, ctx = AK.attention_forward(q, k, v, **kwargs)
+            grads = AK.attention_vjp(weights, ctx)
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        qt, kt, vt = leaves
+        with K.use_fused(False):
+            scores = nn.matmul(qt, nn.transpose(kt, (0, 1, 3, 2))) * ctx.scale
+            for bias, lift in ((ctx.bias2d, np.s_[:]), (ctx.bias3d, np.s_[:, None]),
+                               (ctx.kbias, np.s_[:, None, None])):
+                if bias is not None:
+                    scores = scores + Tensor(bias[lift])
+            out = nn.matmul(nn.softmax(scores, axis=-1), vt)
+            (out * Tensor(weights)).sum().backward()
+        for grad, leaf in zip(grads, leaves):
+            np.testing.assert_allclose(grad, leaf.grad, rtol=0, atol=1e-12)
+
     def test_causal_with_more_queries_than_keys_rejected(self, rng):
         q, k, v = _qkv(rng, lq=6, lk=4)
         with pytest.raises(ValueError, match="6 queries over 4 keys"):
@@ -235,7 +278,8 @@ class TestGeneratedShapes:
 
     @pytest.mark.parametrize("geometry,cap,tile", [
         ((4, 1024, 1024), 1024, (1, 1, 128)),   # a block of one head's queries
-        ((4, 1024, 1024), 64, (1, 1, 64)),      # capped (causal)
+        ((4, 1024, 1024), 64, (1, 2, 64)),      # capped (causal): 2 heads fit
+        ((4, 256, 256), 128, (1, 4, 128)),
         ((8, 128, 256), 128, (1, 4, 128)),      # a run of whole heads
         ((4, 32, 32), 32, (32, 4, 32)),         # a run of whole batch rows
         ((4, 32, 32), 128, (32, 4, 32)),

@@ -1,9 +1,12 @@
 """Finite-difference gradient checks for every autograd operation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.kernels.pool import RECYCLER
 from repro.nn import tensor as F
 from repro.nn.tensor import Tensor
 
@@ -150,6 +153,14 @@ class TestNNPrimitiveGradients:
         gamma = rng.normal(size=(6,))
         beta = rng.normal(size=(6,))
         gradcheck(F.layer_norm, x, gamma, beta)
+
+    @pytest.mark.parametrize("recycled", [False, True], ids=["plain", "recycled"])
+    def test_layer_norm_of_a_vector(self, rng, gradcheck, recycled):
+        """A 1-D input broadcasts nothing, so ``grad * normed`` is gamma's
+        gradient itself and must not be reused as the backward's scratch."""
+        x, gamma, beta = rng.normal(size=(3, 6))
+        with RECYCLER.scope() if recycled else contextlib.nullcontext():
+            gradcheck(F.layer_norm, x, gamma, beta)
 
     def test_embedding(self, rng, gradcheck):
         idx = np.array([[0, 2], [1, 1]])

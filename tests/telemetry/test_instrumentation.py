@@ -161,6 +161,45 @@ class TestTrainResultThroughput:
         assert TrainResult(wall_time_s=1.0).tokens_per_s is None
 
 
+class TestTrainingRecycle:
+    def test_steady_steps_count_hits_only(self):
+        """``Trainer.fit``'s recycler: its first steps allocate, every later
+        step takes all its arrays from what they released (misses stop,
+        hits keep growing), and the bytes it holds read 0 once fit returns."""
+        from repro.data import load_task
+        from repro.models import build_fabnet
+        from repro.training import Trainer
+
+        dataset = load_task("text", seq_len=32, n_samples=32, seed=0,
+                            test_fraction=0.25)  # six full batches of 4
+        model = build_fabnet(ModelConfig(
+            vocab_size=dataset.vocab_size, n_classes=dataset.n_classes,
+            max_len=32, d_hidden=16, n_heads=2, r_ffn=2, n_total=2, n_abfly=1,
+            seed=0,
+        ))
+        readings = []
+
+        class Feeder:
+            def __getattr__(self, name):
+                return getattr(dataset, name)
+
+            def batches(self, batch_size, rng, split="train"):
+                for batch in dataset.batches(batch_size, rng, split):
+                    yield batch
+                    snapshot = telemetry.get_registry().snapshot()
+                    readings.append([snapshot[f"training_recycle_{name}"]["value"]
+                                     for name in ("misses_total", "hits_total", "bytes")])
+
+        telemetry.STATE.on = True
+        Trainer(model, batch_size=4).fit(Feeder(), epochs=1)
+        misses, hits, held = np.array(readings).T
+        assert len(readings) >= 6
+        assert (misses[2:] == misses[1]).all()
+        assert (np.diff(hits) > 0).all()
+        assert (held == held[1]).all() and held[1] > 0
+        assert telemetry.get_registry().snapshot()["training_recycle_bytes"]["value"] == 0
+
+
 class TestProfileCLI:
     def test_profile_serve_prints_tree_and_writes_trace(self, tmp_path, capsys):
         from repro.cli import main
