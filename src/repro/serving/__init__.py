@@ -10,6 +10,9 @@ ROADMAP's "serve heavy traffic" direction made concrete:
   temperature / top-k / top-p, shared with ``ButterflyDecoderLM.generate``;
 * :mod:`repro.serving.scheduler` — continuous batching: request queue,
   admission, prefill/decode interleaving and batch compaction;
+* :mod:`repro.serving.requests` — :class:`RequestTable`, the one place
+  a request's state changes: ids, results, deadlines, streams and the
+  terminal transition, owned by both engines;
 * :mod:`repro.serving.engine` — :class:`ServingEngine` submit/stream/
   cancel API with per-request and aggregate metrics;
 * :mod:`repro.serving.admission` — cost-based admission backed by the
@@ -48,7 +51,6 @@ from .sampling import SamplingParams, filter_logits, sample_logits
 _LAZY = {
     "Engine": "api",
     "RequestHandle": "api",
-    "SubmitResult": "api",
     "ServingHTTPServer": "server",
     "ServerThread": "server",
     "start_http_server": "server",
@@ -60,7 +62,7 @@ _LAZY = {
     "ContinuousBatchScheduler": "scheduler",
     "Request": "scheduler",
     "StepEvent": "scheduler",
-    "GenerationResult": "engine",
+    "GenerationResult": "requests",
     "ServingEngine": "engine",
     "ResilienceConfig": "resilience",
     "SchedulerSnapshot": "resilience",
@@ -98,7 +100,6 @@ __all__ = [
     "ServingMetrics",
     "StepEvent",
     "StepReport",
-    "SubmitResult",
     "WORKER_FAULT_EXIT",
     "WorkerConfig",
     "child_environment",

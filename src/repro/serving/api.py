@@ -1,38 +1,17 @@
-"""The unified ``Engine`` protocol: one serving API, any topology.
-
-PR 9 left the repo with two parallel engine surfaces —
-:class:`~repro.serving.engine.ServingEngine` (in-process) and
-:class:`~repro.serving.cluster.ClusterEngine` (supervised multi-worker)
-— that duplicated ``submit/stream/cancel/metrics_snapshot`` with
-diverging spellings (local ``request_id`` vs cluster ``gid``, bare-int
-ids, method-vs-property ``has_work``, ``shutdown`` vs ``drain/close``).
-Every consumer (CLI serve/chaos, benches, and now the HTTP control
-plane) had to branch on the engine class.
-
-This module is the single integration surface that replaces that:
+"""The ``Engine`` protocol: one serving API, any topology.
 
 * :class:`Engine` — a :class:`typing.Protocol` naming the one supported
-  serving API.  Both engine classes conform; new front ends (the HTTP
-  server in :mod:`repro.serving.server`, the load harness) target the
+  serving API.  :class:`~repro.serving.engine.ServingEngine`
+  (in-process) and :class:`~repro.serving.cluster.ClusterEngine`
+  (supervised multi-worker) conform; front ends (the HTTP server in
+  :mod:`repro.serving.server`, the CLI, the load harness) target the
   protocol only, so ``--workers 1`` and ``--workers N`` are the same
   code path.
-* :class:`RequestHandle` — the typed result of ``submit``.  It is an
-  ``int`` subclass carrying the engine reference, so the *old* calling
-  convention (``rid = engine.submit(...); engine.stream(rid)``) keeps
-  working unchanged — the bare-int view is the deprecation shim — while
-  new code uses the handle directly: ``handle.stream()``,
-  ``handle.finish_reason``, ``handle.cancel()``.  Handles pickle as
-  plain ints (the cluster ships ids over worker pipes).
-
-Deprecation notes (one release):
-
-* Treating the return of ``submit`` as a bare request id still works
-  but is deprecated; use the :class:`RequestHandle` accessors.
-* The cluster-specific ``gid`` spelling is gone from public signatures;
-  every engine speaks ``request_id``.
-
-``SubmitResult`` is the protocol-level name for what ``submit``
-returns; today that is exactly :class:`RequestHandle`.
+* :class:`RequestHandle` — the request id type ``submit`` returns.  It
+  is an ``int`` carrying the engine reference: ``handle.stream()``,
+  ``handle.finish_reason`` and ``handle.cancel()`` reach the engine,
+  and ``engine.stream(int(handle))`` is the same call.  Handles pickle
+  as plain ints (the cluster ships ids over worker pipes).
 """
 
 from __future__ import annotations
@@ -47,31 +26,28 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import GenerationResult
+    from .requests import GenerationResult
     from .sampling import SamplingParams
 
 __all__ = [
     "Engine",
     "RequestHandle",
-    "SubmitResult",
 ]
 
 
 class RequestHandle(int):
-    """Typed handle for one submitted request.
+    """The id of one submitted request, bound to its engine.
 
-    The handle *is* the request id (``int`` subclass), so everything
-    that treated ``submit``'s return as a bare id — dict keys, pipe
-    messages, log formatting, ``engine.stream(rid)`` — keeps working.
-    That bare-int view is the compatibility shim; the handle accessors
-    are the supported API:
+    The handle *is* the request id (``int`` subclass): it works as a dict
+    key, a pipe message field or an argument to any engine method.  Its
+    accessors reach the engine it came from:
 
     ``handle.id``
         The request id as a plain ``int``.
     ``handle.stream()``
         Token iterator (drives the engine like ``engine.stream(id)``).
     ``handle.result()``
-        The live :class:`~repro.serving.engine.GenerationResult`.
+        The live :class:`~repro.serving.requests.GenerationResult`.
     ``handle.finish_reason``
         Terminal reason, or ``None`` while the request is in flight.
     ``handle.cancel()``
@@ -134,9 +110,6 @@ class RequestHandle(int):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestHandle({int(self)})"
 
-
-#: Protocol-level name for what ``Engine.submit`` returns.
-SubmitResult = RequestHandle
 
 
 @runtime_checkable

@@ -47,7 +47,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from collections import deque
 from dataclasses import replace
@@ -59,16 +58,10 @@ from .. import faults
 from ..faults import FaultRule, parse_fault_spec
 from ..telemetry import render_prometheus
 from .api import RequestHandle
-from .engine import GenerationResult
 from .metrics import ServingMetrics
+from .requests import GenerationResult, RequestTable
 from .sampling import SamplingParams
-from .scheduler import (
-    FINISH_CANCELLED,
-    FINISH_DEADLINE,
-    FINISH_ERROR,
-    FINISH_SHED,
-    validated_prompt,
-)
+from .scheduler import FINISH_CANCELLED, FINISH_DEADLINE, FINISH_ERROR
 from .worker import WorkerConfig, child_environment, worker_main
 
 __all__ = [
@@ -201,21 +194,14 @@ class ClusterEngine:
         self.clock = clock
         self._ctx = multiprocessing.get_context(start_method)
         self.metrics = ServingMetrics()
-        self._results: Dict[int, GenerationResult] = {}
-        self._params: Dict[int, SamplingParams] = {}
+        self.requests = RequestTable(
+            self.metrics, model.config.vocab_size,
+            resilience.default_deadline_s if resilience is not None else None,
+            "cluster_shed_total",
+        )
         self._owner: Dict[int, int] = {}
         self._replay: Dict[int, int] = {}
         self._pending: Deque[int] = deque()
-        self._next_id = 0
-        self._draining = False
-        self._closed = False
-        # Serializes supervisor-side mutations (submit/cancel/pump/
-        # check_workers/dispatch) against callers on other threads: the
-        # HTTP front end steps and submits from its one loop thread, but
-        # the thread that started it in a `ServerThread` still calls in
-        # (kill_worker, result, close).  Reentrant: submit -> dispatch
-        # nests.
-        self._lock = threading.RLock()
 
         if admission is not None and getattr(
             admission, "depth_source", "absent"
@@ -320,7 +306,7 @@ class ClusterEngine:
     def _assigned(self, worker: _Worker) -> Set[int]:
         return {
             gid for gid, slot in self._owner.items()
-            if slot == worker.slot and not self._results[gid].finished
+            if slot == worker.slot and gid in self.requests.live
         }
 
     def submit(
@@ -328,81 +314,53 @@ class ClusterEngine:
     ) -> RequestHandle:
         """Queue a session; returns its request handle.
 
-        Mirrors :meth:`ServingEngine.submit` — validation precedes any
-        state change; shedding (aggregate queue depth) registers an
-        already-finished ``shed`` result; the returned
-        :class:`~repro.serving.api.RequestHandle` doubles as the bare
-        cluster-global id (the deprecated ``gid`` spelling).  The
-        session's sampling seed is pinned here
-        (:func:`derive_request_seed`) so placement and failover never
-        affect its token stream.
+        Shedding sees the aggregate queue depth.  The session's sampling
+        seed is pinned here (:func:`derive_request_seed`) and its
+        deadline in the supervisor's table, so neither placement nor
+        failover affects its token stream or its budget.
         """
-        with self._lock:
-            if self._closed or self._draining:
-                raise RuntimeError(
-                    "cluster is draining/closed and no longer admits sessions"
-                )
+        with self.requests.lock:
             params = params or SamplingParams()
-            prompt = validated_prompt(prompt, self.model.config.vocab_size)
             if params.seed is None:
-                params = replace(
-                    params, seed=derive_request_seed(self.seed, self._next_id)
-                )
-
-            deadline_s = params.deadline_s
-            if deadline_s is None and self.resilience is not None:
-                deadline_s = self.resilience.default_deadline_s
-
-            shed_reason = getattr(self.admission, "shed_reason", None)
-            reason = (
-                shed_reason(self.aggregate_queue_depth(), deadline_s)
-                if shed_reason is not None else None
+                params = replace(params, seed=derive_request_seed(
+                    self.seed, self.requests.next_id))
+            request_id = self.requests.submit(
+                prompt, params, lambda rid, *_: self._pending.append(rid),
+                self.admission, self.aggregate_queue_depth,
             )
-            request_id = self._next_id
-            self._next_id += 1
-            result = GenerationResult(request_id, prompt)
-            self._results[request_id] = result
-            self._params[request_id] = params
-            self.metrics.on_submit(request_id, prompt_tokens=prompt.size)
-            if reason is not None:
-                result.finish_reason = FINISH_SHED
-                self.metrics.on_finish(request_id, FINISH_SHED)
-                self.metrics.registry.counter(
-                    "cluster_shed_total", reason=reason
-                ).inc()
-                return RequestHandle(request_id, self)
-            self._pending.append(request_id)
             self.dispatch()
             return RequestHandle(request_id, self)
 
     def cancel(self, request_id: int) -> bool:
         """Cancel a pending or in-flight session; False if unknown/final."""
-        with self._lock:
-            result = self._results.get(request_id)
-            if result is None or result.finished:
+        with self.requests.lock:
+            if not self.requests.finish(request_id, FINISH_CANCELLED):
                 return False
-            result.finish_reason = FINISH_CANCELLED
-            self.metrics.on_finish(request_id, FINISH_CANCELLED)
-            if request_id in self._pending:
-                self._pending.remove(request_id)
-                return True
-            slot = self._owner.pop(request_id, None)
-            if slot is not None:
-                worker = self._workers[slot]
-                if worker.alive and not worker.conn_broken:
-                    try:
-                        worker.conn.send(("cancel", int(request_id)))
-                    except (BrokenPipeError, OSError):
-                        worker.conn_broken = True
+            self._drop(request_id)
             return True
 
+    def _drop(self, request_id: int) -> None:
+        """Take a session out of the queue, or tell its worker to stop it."""
+        self._replay.pop(request_id, None)
+        if request_id in self._pending:
+            self._pending.remove(request_id)
+            return
+        slot = self._owner.pop(request_id, None)
+        if slot is not None:
+            worker = self._workers[slot]
+            if worker.alive and not worker.conn_broken:
+                try:
+                    worker.conn.send(("cancel", int(request_id)))
+                except (BrokenPipeError, OSError):
+                    worker.conn_broken = True
+
     def result(self, request_id: int) -> GenerationResult:
-        return self._results[request_id]
+        return self.requests.results[request_id]
 
     # -- event pump ----------------------------------------------------
     def pump(self) -> None:
         """Drain every worker pipe; update results, stats and liveness."""
-        with self._lock:
+        with self.requests.lock:
             for worker in self._workers:
                 if worker.conn is None or worker.conn_broken:
                     continue
@@ -434,9 +392,9 @@ class ClusterEngine:
     def _apply_event(
         self, worker: _Worker, gid: int, token, finished: bool, reason
     ) -> None:
-        result = self._results.get(gid)
-        if result is None or result.finished:
+        if gid not in self.requests.live:
             return
+        result = self.requests.results[gid]
         if self._owner.get(gid) != worker.slot:
             # Stale sender: the session migrated away (rolling restart,
             # failover) while this worker was still decoding it.  Its
@@ -465,8 +423,7 @@ class ClusterEngine:
                     del self._replay[gid]
             else:
                 self._replay.pop(gid, None)
-                result.tokens.append(int(token))
-                self.metrics.on_token(gid)
+                self.requests.append(gid, token)
         if finished:
             pos = self._replay.get(gid)
             if (
@@ -487,19 +444,18 @@ class ClusterEngine:
                     f"delivered (determinism bug)"
                 )
             self._replay.pop(gid, None)
-            result.finish_reason = reason
             self._owner.pop(gid, None)
-            self.metrics.on_finish(gid, reason)
+            self.requests.finish(gid, reason)
 
     # -- supervision ---------------------------------------------------
     def check_workers(self) -> None:
         """Detect dead/hung workers, fail their sessions over, respawn."""
-        with self._lock:
+        with self.requests.lock:
             now = self.clock()
             for worker in self._workers:
                 if worker.proc is None:
                     if not worker.retired and now >= worker.next_spawn_at \
-                            and not self._closed:
+                            and not self.requests.closed:
                         self._spawn(worker)
                     continue
                 age = now - worker.last_seen
@@ -576,8 +532,11 @@ class ClusterEngine:
         del exitcode  # recorded implicitly via the death counter
 
     def dispatch(self) -> None:
-        """Hand pending sessions to the least-loaded dispatchable worker."""
-        with self._lock:
+        """Finish sessions past their deadline, then hand pending ones to
+        the least-loaded dispatchable worker with what is left of their
+        budget."""
+        with self.requests.lock:
+            self.requests.expire(self._drop)
             while self._pending:
                 candidates = [w for w in self._workers if w.dispatchable]
                 if not candidates:
@@ -586,12 +545,13 @@ class ClusterEngine:
                     candidates, key=lambda w: (len(self._assigned(w)), w.slot)
                 )
                 gid = self._pending.popleft()
-                result = self._results[gid]
-                if result.finished:
-                    continue
+                params = self.requests.params[gid]
+                remaining_s = self.requests.remaining_s(gid)
+                if remaining_s is not None:
+                    params = replace(params, deadline_s=max(remaining_s, 1e-6))
                 try:
                     worker.conn.send(
-                        ("submit", int(gid), result.prompt, self._params[gid])
+                        ("submit", int(gid), self.requests.results[gid].prompt, params)
                     )
                 except (BrokenPipeError, OSError):
                     worker.conn_broken = True
@@ -605,22 +565,36 @@ class ClusterEngine:
     def step(self) -> List:
         """One supervision cycle (:class:`~repro.serving.api.Engine`
         protocol): pump worker events, run failure detection/respawn,
-        dispatch pending sessions.  Non-blocking; the caller paces the
-        loop (see :meth:`run` / the HTTP dispatcher)."""
-        with self._lock:
+        expire deadlines and dispatch pending sessions.  Non-blocking;
+        the caller paces the loop (see :meth:`run` / the HTTP
+        dispatcher)."""
+        with self.requests.lock:
             self.pump()
             self.check_workers()
             self.dispatch()
         return []
 
-    def _unfinished(self) -> List[int]:
-        return [gid for gid, r in self._results.items() if not r.finished]
-
     @property
     def has_work(self) -> bool:
-        """Whether any session is pending or in flight (protocol
-        property; the PR-9 method spelling is gone)."""
-        return bool(self._unfinished())
+        """Whether any session is pending or in flight."""
+        return self.requests.has_work
+
+    def _advance(self, hook=None) -> None:
+        """One supervision cycle and a poll interval; ``RuntimeError``
+        when every worker is retired (restart budget exhausted) with
+        sessions still unfinished."""
+        self.step()
+        if hook is not None:
+            hook(self)
+        with self.requests.lock:
+            unfinished = self.requests.unfinished()
+            if unfinished and all(w.retired for w in self._workers):
+                raise RuntimeError(
+                    f"all {self.n_workers} workers exhausted their restart "
+                    f"budget with {len(unfinished)} sessions unfinished: "
+                    f"{unfinished}"
+                )
+        time.sleep(self.poll_interval_s)
 
     def run(
         self,
@@ -632,57 +606,15 @@ class ClusterEngine:
         ``hook`` runs once per supervision iteration (chaos tests and
         the recovery benchmark use it to kill workers at a chosen moment
         in the decode).  Raises ``TimeoutError`` listing unfinished
-        sessions when ``timeout_s`` elapses — a hung session is a test
-        failure, not a silent stall — and ``RuntimeError`` when every
-        worker is retired (restart budget exhausted) with sessions still
-        unfinished.
+        sessions when ``timeout_s`` elapses, and ``RuntimeError`` when
+        no worker is left to finish them.
         """
-        deadline = None if timeout_s is None else self.clock() + timeout_s
-        while True:
-            self.step()
-            if hook is not None:
-                hook(self)
-            unfinished = self._unfinished()
-            if not unfinished:
-                return dict(self._results)
-            if all(w.retired for w in self._workers):
-                raise RuntimeError(
-                    f"all {self.n_workers} workers exhausted their restart "
-                    f"budget with {len(unfinished)} sessions unfinished: "
-                    f"{unfinished}"
-                )
-            if deadline is not None and self.clock() > deadline:
-                raise TimeoutError(
-                    f"sessions {unfinished} unfinished after {timeout_s}s "
-                    f"(hung/lost)"
-                )
-            time.sleep(self.poll_interval_s)
+        self.requests.run(lambda: self._advance(hook), timeout_s)
+        return dict(self.requests.results)
 
     def stream(self, request_id: int) -> Iterator[int]:
         """Yield a session's tokens as they arrive (drives supervision)."""
-        if request_id not in self._results:
-            raise KeyError(f"unknown session id {request_id}")
-        emitted = 0
-        while True:
-            result = self._results[request_id]
-            while emitted < len(result.tokens):
-                yield result.tokens[emitted]
-                emitted += 1
-            if result.finished:
-                return
-            self.step()
-            if all(w.retired for w in self._workers):
-                # Serialize with close(): it retires workers and flushes
-                # sessions to "cancelled" under the lock, so once we hold
-                # it an unfinished session really is unrecoverable.
-                with self._lock:
-                    if self._results[request_id].finished:
-                        continue
-                    raise RuntimeError(
-                        f"all workers exhausted their restart budget with "
-                        f"session {request_id} unfinished"
-                    )
-            time.sleep(self.poll_interval_s)
+        return self.requests.stream(request_id, self._advance)
 
     # -- lifecycle -----------------------------------------------------
     def _stop_worker(self, worker: _Worker, timeout_s: float = 10.0) -> None:
@@ -729,11 +661,9 @@ class ClusterEngine:
         session runs to its natural finish (failover included if a
         worker dies mid-drain) before the workers are stopped.
         """
-        self._draining = True
-        if self._unfinished():
-            self.run(timeout_s=timeout_s)
-        self.close()
-        return dict(self._results)
+        self.requests.admitting = False
+        self.run(timeout_s)
+        return self.close()
 
     def rolling_restart(self, timeout_s: Optional[float] = None) -> None:
         """Replace every worker process without dropping a session.
@@ -791,20 +721,16 @@ class ClusterEngine:
     def close(self) -> Dict[int, GenerationResult]:
         """Hard stop: idempotent; flushes unfinished sessions to
         ``finish_reason="cancelled"`` so no stream is left hanging."""
-        with self._lock:
-            if self._closed:
-                return dict(self._results)
-            self._closed = True
-            self._draining = True
-            for worker in self._workers:
-                self._stop_worker(worker)
-            for gid in self._unfinished():
-                result = self._results[gid]
-                result.finish_reason = FINISH_CANCELLED
-                self.metrics.on_finish(gid, FINISH_CANCELLED)
-            self._pending.clear()
-            self._replay.clear()
-            return dict(self._results)
+        with self.requests.lock:
+            if not self.requests.closed:
+                self.requests.admitting = False
+                for worker in self._workers:
+                    self._stop_worker(worker)
+                self.requests.close()
+                self._pending.clear()
+                self._replay.clear()
+                self._owner.clear()
+            return dict(self.requests.results)
 
     def __enter__(self) -> "ClusterEngine":
         return self
@@ -820,7 +746,7 @@ class ClusterEngine:
         cluster has not been closed."""
         alive = self.workers_alive
         return {
-            "healthy": alive > 0 and not self._closed,
+            "healthy": alive > 0 and not self.requests.closed,
             "workers_alive": alive,
             "workers_total": self.n_workers,
             "workers": {

@@ -9,7 +9,7 @@ replica and speaks a small message protocol over a duplex
 parent → child
     ``("submit", gid, prompt, params)``  queue a session (global id)
     ``("cancel", gid)``                  cancel a queued/running session
-    ``("stop",)``                        shut the engine down and exit 0
+    ``("stop",)``                        close the engine and exit 0
 
 child → parent
     ``("hello", pid)``                   boot complete, engine ready
@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,12 +150,19 @@ def _apply_worker_state(config: WorkerConfig) -> None:
             telemetry.disable()
 
 
-def _translate(events, gid_by_local: Dict[int, int]) -> List[Tuple]:
+def _translate(events, engine, gid_by_local: Dict[int, int]) -> List[Tuple]:
+    """Step events as pipe tuples.  A finished event carries the reason
+    the engine's table recorded: a row dropped for its deadline surfaces
+    from the scheduler as ``cancelled``, but it finished as ``deadline``."""
     out = []
     for event in events:
         gid = gid_by_local.get(event.request_id)
         if gid is not None:
-            out.append((gid, event.token, event.finished, event.finish_reason))
+            reason = (
+                engine.result(event.request_id).finish_reason
+                if event.finished else None
+            )
+            out.append((gid, event.token, event.finished, reason))
     return out
 
 
@@ -212,7 +219,7 @@ def worker_main(conn, model, config: WorkerConfig) -> None:
                             (msg[1], None, True, "cancelled")
                         ]))
                 elif kind == "stop":
-                    engine.shutdown(drain=False)
+                    engine.close()
                     conn.send(("stopped", {"steps": steps}))
                     return
                 else:
@@ -221,7 +228,7 @@ def worker_main(conn, model, config: WorkerConfig) -> None:
                 fault_point("worker.step", worker_id=config.worker_id)
                 events = engine.step()
                 steps += 1
-                payload = _translate(events, gid_by_local)
+                payload = _translate(events, engine, gid_by_local)
                 if payload:
                     conn.send(("events", payload))
             now = time.monotonic()

@@ -4,23 +4,31 @@ The unified :class:`repro.serving.api.Engine` protocol is the only
 supported integration surface for front ends; these tests run the same
 behavioural checks against :class:`ServingEngine` and
 :class:`ClusterEngine` so the two can never drift apart again, plus the
-:class:`RequestHandle` semantics (typed accessors, bare-int
-compatibility shim, pickle-to-int) and the stream-vs-shutdown race.
+:class:`RequestHandle` semantics (typed accessors, bare-int id,
+pickle-to-int) and the stream-vs-close race.
 """
 
 import pickle
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.models import ModelConfig, build_butterfly_decoder
-from repro.serving import SamplingParams
-from repro.serving.api import Engine, RequestHandle, SubmitResult
+import repro.serving
+from repro.serving import LoadSheddingAdmission, SamplingParams
+from repro.serving import api
+from repro.serving.api import Engine, RequestHandle
 from repro.serving.cluster import ClusterEngine
 from repro.serving.engine import ServingEngine
-from repro.serving.scheduler import FINISH_CANCELLED, FINISH_LENGTH
+from repro.serving.scheduler import (
+    FINISH_CANCELLED,
+    FINISH_DEADLINE,
+    FINISH_LENGTH,
+    FINISH_SHED,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +80,8 @@ class TestProtocolConformance:
         assert list(tokens) == list(handle.result().tokens)
 
     def test_bare_int_shim(self, engine):
-        """The old convention — treat submit's return as a request id
-        and call the engine with it — must keep working unchanged."""
+        """The handle is the request id: its int calls the engine the
+        same way."""
         rid = engine.submit(_prompt(2), SamplingParams(max_new_tokens=3))
         tokens = list(engine.stream(int(rid)))
         assert len(tokens) == 3
@@ -132,6 +140,64 @@ class TestProtocolConformance:
         assert first.finish_reason == second.finish_reason == FINISH_LENGTH
         assert engine.metrics_snapshot()["aggregate"]["completed"] == 2
 
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_every_request_finishes_exactly_once(self, kind, model):
+        """Normal finish, cancel, shed, deadline and close-with-live-work:
+        each accepted request makes one terminal transition."""
+        if kind == "serving":
+            engine = ServingEngine(
+                model, max_batch_size=1, seed=0,
+                admission=LoadSheddingAdmission(max_queue_depth=2),
+            )
+        else:
+            engine = ClusterEngine(
+                model, workers=2, max_batch_size=1, seed=0,
+                start_method="fork",
+                admission=LoadSheddingAdmission(max_queue_depth=2),
+            )
+        on_finish, transitions = Counter(), Counter()
+        metrics_on_finish = engine.metrics.on_finish
+        table_finish = engine.requests.finish
+
+        def count_on_finish(request_id, reason):
+            on_finish[request_id] += 1
+            metrics_on_finish(request_id, reason)
+
+        def count_finish(request_id, reason):
+            done = table_finish(request_id, reason)
+            transitions[request_id] += done
+            return done
+
+        engine.metrics.on_finish = count_on_finish
+        engine.requests.finish = count_finish
+        long = SamplingParams(max_new_tokens=100_000)
+        try:
+            natural = engine.submit(_prompt(20), SamplingParams(max_new_tokens=2))
+            assert len(list(natural.stream())) == 2
+            cancelled = engine.submit(_prompt(21), long)
+            assert cancelled.cancel()
+            expiring = engine.submit(
+                _prompt(22), SamplingParams(max_new_tokens=100_000, deadline_s=0.3))
+            live = [engine.submit(_prompt(23), long)]
+            while live[-1].finish_reason != FINISH_SHED:
+                assert len(live) < 16, "the queue never filled"
+                live.append(engine.submit(_prompt(24 + len(live)), long))
+            shed = live.pop()
+            stop = time.monotonic() + 30.0
+            while not expiring.finished and time.monotonic() < stop:
+                engine.step()
+                time.sleep(0.001)
+            results = engine.close()
+        finally:
+            engine.close()
+        assert natural.finish_reason == FINISH_LENGTH
+        assert cancelled.finish_reason == FINISH_CANCELLED
+        assert expiring.finish_reason == FINISH_DEADLINE
+        assert shed.finish_reason == FINISH_SHED
+        assert {h.finish_reason for h in live} == {FINISH_CANCELLED}
+        assert set(results) == set(on_finish) == set(transitions)
+        assert set(on_finish.values()) == set(transitions.values()) == {1}
+
     def test_health_and_metrics_surface(self, engine):
         health = engine.health()
         assert health["healthy"] is True
@@ -168,8 +234,10 @@ class TestRequestHandle:
         with pytest.raises(RuntimeError, match="detached"):
             detached.cancel()
 
-    def test_submit_result_alias(self):
-        assert SubmitResult is RequestHandle
+    def test_the_id_type_has_one_name(self):
+        """The id type has one name."""
+        assert not hasattr(api, "SubmitResult")
+        assert "SubmitResult" not in repro.serving.__all__
 
 
 class TestStreamShutdownRace:
@@ -177,8 +245,8 @@ class TestStreamShutdownRace:
     def test_stream_never_hangs_across_shutdown(self, kind, model):
         """A consumer blocked in stream() while another thread closes
         the engine must terminate promptly with a terminal reason, not
-        hang (the PR-9 race: shutdown flushed results while stream()
-        was between its finished-check and its wait)."""
+        hang (close flushes results while stream() may sit between its
+        finished-check and its next step)."""
         if kind == "serving":
             engine = ServingEngine(model, max_batch_size=2, seed=0)
         else:
@@ -200,6 +268,6 @@ class TestStreamShutdownRace:
         consumer.start()
         engine.close()
         consumer.join(timeout=30.0)
-        assert not consumer.is_alive(), "stream() hung across shutdown"
+        assert not consumer.is_alive(), "stream() hung across close"
         assert not error
         assert handle.finish_reason in (FINISH_CANCELLED, FINISH_LENGTH)

@@ -382,32 +382,35 @@ class TestEnvPropagation:
         assert [results[g].tokens for g in gids] == baseline
 
 
-class TestEngineShutdown:
-    """Satellite: ServingEngine.shutdown is idempotent and flushes
-    pending finish events so drain never leaves a stream hanging."""
+class TestEngineClose:
+    """ServingEngine.close is idempotent and flushes pending finish
+    events, so no stream is left hanging; drain finishes naturally."""
 
-    def test_shutdown_flushes_and_is_idempotent(self, model):
+    def test_close_flushes_and_is_idempotent(self, model):
         engine = ServingEngine(model, max_batch_size=2, seed=0)
         rids = [engine.submit(p, SamplingParams(max_new_tokens=32))
                 for p in _prompts(4)]
         for _ in range(3):
             engine.step()
-        results = engine.shutdown(drain=False)
-        assert all(results[r].finished for r in rids)
-        assert engine.shut_down
+        results = engine.close()
+        assert all(results[r].finish_reason == "cancelled" for r in rids)
+        assert engine.health()["healthy"] is False
         # streams terminate instead of hanging on a dead batch
         for rid in rids:
             tokens = list(engine.stream(rid))
             assert tokens == results[rid].tokens
-        again = engine.shutdown(drain=False)
+        again = engine.close()
         assert {r: v.finish_reason for r, v in again.items()} == \
             {r: v.finish_reason for r, v in results.items()}
-        with pytest.raises(RuntimeError, match="shut down"):
+        assert engine.drain() == again
+        with pytest.raises(RuntimeError, match="no longer admits"):
             engine.submit(np.array([1, 2]))
 
-    def test_shutdown_with_drain_finishes_naturally(self, model):
+    def test_drain_finishes_naturally(self, model):
         engine = ServingEngine(model, max_batch_size=4, seed=0)
         rids = [engine.submit(p, SamplingParams(max_new_tokens=4))
                 for p in _prompts(3)]
-        results = engine.shutdown(drain=True)
+        results = engine.drain()
         assert all(results[r].finish_reason == "length" for r in rids)
+        with pytest.raises(RuntimeError, match="no longer admits"):
+            engine.submit(np.array([1, 2]))

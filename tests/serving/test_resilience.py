@@ -250,7 +250,7 @@ class TestDeadlines:
         )
         engine.run()
         assert engine.result(rid).finish_reason == "length"
-        assert engine._deadlines == {}
+        assert engine.requests.expires_at == {}
 
     def test_default_deadline_from_resilience_config(self, model, rng):
         clock = FakeClock()
@@ -385,8 +385,8 @@ class TestSubmitValidation:
         engine = ServingEngine(model, max_batch_size=2, seed=0)
         with pytest.raises(ValueError):
             engine.submit(np.array([], dtype=np.int64))
-        assert engine._next_id == 0
-        assert engine._results == {}
+        assert engine.requests.next_id == 0
+        assert engine.requests.results == {}
         assert engine.metrics.requests == {}
         rid = engine.submit(np.array([1, 2, 3]), SamplingParams(seed=0))
         assert rid == 0
@@ -401,8 +401,8 @@ class TestSubmitValidation:
         engine.scheduler.add_request = reject
         with pytest.raises(ValueError):
             engine.submit(rng.integers(1, 28, size=4))
-        assert engine._next_id == 0
-        assert engine._results == {}
+        assert engine.requests.next_id == 0
+        assert engine.requests.results == {}
         assert engine.metrics.requests == {}
         assert engine.metrics.aggregate()["requests"] == 0
         engine.scheduler.add_request = original
