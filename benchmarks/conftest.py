@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 # Pin BLAS/OMP worker pools before numpy loads (pytest imports conftest
-# first): library-internal threading would make the serial-vs-threaded
-# backend comparisons measure the BLAS pool instead of our row-block
-# sharding, and float32 reductions would vary across runners.  Direct
+# first): one BLAS thread is the byte-stable setting, and library-internal
+# threading would make timings noisy and float32 reductions vary across
+# runners.  Multi-core serving is ``--workers N`` processes.  Direct
 # ``python bench_*.py`` runs get the same pins from scripts/check_bench
 # or scripts/verify.sh; pre-set variables always win.
 for _var in (

@@ -69,11 +69,6 @@ class Check:
     bound: float
     rel_tol: float = TIMING_TOL
     strict_band: bool = False
-    #: Skip (don't fail) when the benchmark section's recorded ``cores``
-    #: is below this.  Threading speedup bars are meaningless on a
-    #: 1-core container — the threaded backend degrades to inline
-    #: execution there by design.
-    min_cores: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,9 +135,6 @@ MANIFEST: Tuple[Bench, ...] = (
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("cluster_smoke.kill_landed", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
-            # Worker processes are real parallelism only with real cores;
-            # 1-core containers time-slice the replicas (SKIP there).
-            Check("cluster_smoke.scaling_2w", "higher", 1.2, min_cores=4),
         ),
         full_checks=(
             Check("cluster.failover_parity_ok", "higher", 1.0,
@@ -151,7 +143,6 @@ MANIFEST: Tuple[Bench, ...] = (
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("cluster.kill_landed", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
-            Check("cluster.scaling_2w", "higher", 1.2, min_cores=4),
             # Failover must complete promptly (timing band: warn-only
             # drift, hard fail past the bound).
             Check("cluster.recovery_after_kill_s", "lower", 5.0),
@@ -178,28 +169,16 @@ MANIFEST: Tuple[Bench, ...] = (
         json_file="BENCH_kernels.json",
         smoke_args=("--smoke",),
         smoke_checks=(
-            Check("backends_smoke.bit_parity_ok", "higher", 1.0,
-                  rel_tol=EXACT_TOL, strict_band=True),
             Check("backends_smoke.fp16_max_rel_drift", "lower", 0.01,
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("backends_smoke.int8_vs_fp32_speedup", "higher", 1.0),
-            Check("backends_smoke.threaded_butterfly_speedup", "higher", 2.0,
-                  min_cores=4),
-            Check("backends_smoke.threaded_gemm_speedup", "higher", 2.0,
-                  min_cores=4),
         ),
         full_checks=(
-            Check("backends.bit_parity_ok", "higher", 1.0,
-                  rel_tol=EXACT_TOL, strict_band=True),
             Check("backends.fp16_max_rel_drift", "lower", 0.01,
                   rel_tol=EXACT_TOL, strict_band=True),
             # the committed PR-5 int8 decode baseline must not be lost
             Check("backends.int8_tokens_per_s", "higher", 683.0),
             Check("backends.int8_vs_fp32_speedup", "higher", 1.0),
-            Check("backends.threaded_butterfly_speedup", "higher", 2.0,
-                  min_cores=4),
-            Check("backends.threaded_gemm_speedup", "higher", 2.0,
-                  min_cores=4),
         ),
     ),
     Bench(
@@ -219,10 +198,8 @@ MANIFEST: Tuple[Bench, ...] = (
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("load_smoke.kill_landed", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
-            # Latency bands (timing, warn-only drift): the loose bound
-            # holds anywhere, the tight one needs real cores.
+            # Latency band (timing, warn-only drift).
             Check("load_smoke.p99_ttft_ms", "lower", 500.0),
-            Check("load_smoke.p99_ttft_ms", "lower", 100.0, min_cores=4),
             Check("load_smoke.tokens_per_s", "higher", 50.0),
         ),
         full_checks=(
@@ -235,7 +212,6 @@ MANIFEST: Tuple[Bench, ...] = (
             Check("load.kill_landed", "higher", 1.0,
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("load.p99_ttft_ms", "lower", 500.0),
-            Check("load.p99_ttft_ms", "lower", 100.0, min_cores=4),
             Check("load.p99_e2e_ms", "lower", 2000.0),
             Check("load.tokens_per_s", "higher", 50.0),
         ),
@@ -321,7 +297,6 @@ class Verdict:
     reference: Optional[float]
     failures: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-    skipped: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -351,15 +326,6 @@ def _evaluate(bench: Bench, check: Check, fresh_data: dict, ref_data: dict) -> V
     fresh = _lookup(fresh_data, check.path)
     reference = _lookup(ref_data, check.path)
     verdict = Verdict(bench.name, check, fresh, reference)
-    if check.min_cores:
-        section = check.path.split(".", 1)[0]
-        cores = _lookup(fresh_data, f"{section}.cores")
-        if cores is None or cores < check.min_cores:
-            have = f"{int(cores)}" if cores is not None else "unknown"
-            verdict.skipped = (
-                f"needs >= {check.min_cores} cores, runner has {have}"
-            )
-            return verdict
     if fresh is None:
         verdict.failures.append("metric missing from fresh results")
         return verdict
@@ -388,8 +354,8 @@ def _run_benchmark(bench: Bench, args: Sequence[str]) -> int:
     src = str(REPO_ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
-    # Single-threaded BLAS/OMP so serial-vs-threaded speedups measure
-    # the explicit kernel backend, not a library pool (see verify.sh).
+    # Single-threaded BLAS/OMP: the byte-stable setting the committed
+    # references were measured in (see verify.sh).
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
@@ -444,9 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for v in verdicts:
         fresh = f"{v.fresh:g}" if v.fresh is not None else "missing"
         ref = f"{v.reference:g}" if v.reference is not None else "new"
-        if v.skipped:
-            status = f"SKIP: {v.skipped}"
-        elif not v.ok:
+        if not v.ok:
             status = "FAIL: " + "; ".join(v.failures + v.warnings)
         elif v.warnings:
             status = "WARN: " + "; ".join(v.warnings)

@@ -19,6 +19,10 @@ Subcommands:
                  ``Engine`` protocol — in-process ``ServingEngine`` for
                  1, supervised multi-process ``ClusterEngine`` for
                  N >= 2 — through one engine-agnostic code path.
+                 Worker processes are how serving uses several cores;
+                 inside a process the only parallelism is BLAS's own
+                 thread pool, and one BLAS thread is the byte-stable
+                 setting.
                  ``--http PORT`` skips the synthetic workload and serves
                  the asyncio HTTP control plane (``/v1/generate``,
                  ``/v1/cancel``, ``/healthz``, ``/metrics``) until
@@ -49,7 +53,7 @@ Example::
     python -m repro.cli generate --checkpoint /tmp/lm.npz --prompt "cat "
     python -m repro.cli serve --requests 8 --max-batch-size 4
     python -m repro.cli serve --requests 8 --quantize int8
-    python -m repro.cli serve --requests 8 --backend threaded --quantize fp16
+    python -m repro.cli serve --requests 8 --workers 2 --quantize fp16
     python -m repro.cli serve --requests 8 --metrics-json metrics.json
     python -m repro.cli serve --requests 16 --workers 2
     python -m repro.cli serve --http 8080 --max-queue-depth 32
@@ -146,10 +150,6 @@ def _add_generate_parser(subparsers) -> None:
                    help="route the request through the ServingEngine")
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
                    help="decode through a reduced-storage replica of the model")
-    p.add_argument("--backend", default="serial",
-                   choices=["serial", "threaded"],
-                   help="kernel execution backend (execution only, "
-                        "never changes numerics)")
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -173,10 +173,6 @@ def _add_serve_parser(subparsers) -> None:
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
                    help="serve a reduced-storage replica (stored weights, "
                         "dequant-on-the-fly kernels)")
-    p.add_argument("--backend", default="serial",
-                   choices=["serial", "threaded"],
-                   help="kernel execution backend (execution only, "
-                        "never changes numerics)")
     # untrained-model shape knobs (ignored when --checkpoint is given)
     p.add_argument("--d-hidden", type=int, default=32)
     p.add_argument("--n-total", type=int, default=2)
@@ -274,8 +270,6 @@ def _add_profile_parser(subparsers) -> None:
     p.add_argument("--n-total", type=int, default=2)
     p.add_argument("--seq-len", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="serial",
-                   choices=["serial", "threaded"])
     p.add_argument("--top", type=int, default=10,
                    help="number of per-op rows in the top-ops table")
     p.add_argument("--min-share", type=float, default=0.005,
@@ -478,7 +472,6 @@ def cmd_generate(args) -> int:
     if args.engine:
         engine = ServingEngine(
             model, max_batch_size=1, seed=args.seed, quantize=args.quantize,
-            backend=args.backend,
         )
         rid = engine.submit(prompt, SamplingParams(
             max_new_tokens=args.max_new_tokens,
@@ -491,15 +484,12 @@ def cmd_generate(args) -> int:
         print(f"[engine] ttft {summary['ttft_ms']:.1f} ms, "
               f"{result.finish_reason} after {len(result.tokens)} tokens")
     else:
-        from .kernels import use_backend
-
-        with use_backend(args.backend):
-            sequence = model.generate(
-                prompt[None, :], args.max_new_tokens,
-                temperature=args.temperature, top_k=args.top_k, top_p=args.top_p,
-                rng=np.random.default_rng(args.seed),
-                use_cache=not args.no_cache,
-            )[0]
+        sequence = model.generate(
+            prompt[None, :], args.max_new_tokens,
+            temperature=args.temperature, top_k=args.top_k, top_p=args.top_p,
+            rng=np.random.default_rng(args.seed),
+            use_cache=not args.no_cache,
+        )[0]
     print(_render_tokens(sequence, model.config.vocab_size))
     return 0
 
@@ -536,14 +526,13 @@ def _build_engine(args, model, worker_faults=None, resilience=None):
             model, workers=args.workers, max_batch_size=args.max_batch_size,
             admission=admission, seed=args.seed,
             quantize=getattr(args, "quantize", None),
-            backend=getattr(args, "backend", None),
             resilience=resilience, start_method=args.start_method,
             worker_faults=worker_faults,
         )
     return ServingEngine(
         model, max_batch_size=args.max_batch_size, admission=admission,
         seed=args.seed, quantize=getattr(args, "quantize", None),
-        backend=getattr(args, "backend", None), resilience=resilience,
+        resilience=resilience,
     )
 
 
@@ -587,9 +576,6 @@ def cmd_serve(args) -> int:
         return 0
     if args.http_self_test:
         return _serve_http_self_test(args, engine, model)
-    if args.backend != "serial" and hasattr(engine, "backend") \
-            and isinstance(engine.backend, str):
-        print(f"kernel backend: {engine.backend}")
     if args.quantize and hasattr(engine.model, "quantization_report"):
         report = engine.model.quantization_report
         print(f"serving {report.mode} replica: {report.layers_quantized} dense + "
@@ -892,7 +878,6 @@ def _profile_instrumented(args, telemetry) -> int:
             model = build_butterfly_decoder(config).eval()
             engine = ServingEngine(
                 model, max_batch_size=args.max_batch_size, seed=args.seed,
-                backend=args.backend,
             )
             rng = np.random.default_rng(args.seed)
             for i in range(args.requests):

@@ -23,7 +23,7 @@ Follows the :mod:`repro.telemetry` opt-in contract:
 Injection points are named ``subsystem.op`` after the telemetry span
 convention (see CONTRIBUTING)::
 
-    kernels.matmul            backend GEMM dispatch
+    kernels.matmul            the kernel layer's one GEMM entry
     kernels.butterfly_apply   fused butterfly ladder entry
     serving.prefill           each request of a prefill wave, before its call
     serving.decode_step       batched single-token decode
@@ -250,8 +250,8 @@ class FaultInjector:
 
     ``check(point, context)`` advances every rule watching ``point`` and
     raises the first that fires.  All counters live here, so the
-    schedule is global across threads (the threaded kernel backend
-    traverses points from pool workers) and a rolled-back serving step
+    schedule is global across threads (a ``ServerThread`` steps its
+    engine off the caller's thread) and a rolled-back serving step
     *keeps* its consumed traversals — which is exactly what makes
     retry-after-rollback deterministic: the fault that already fired is
     spent.

@@ -34,7 +34,6 @@ from .quantize import (
     quantize_fp16,
     quantize_int8,
     storage_tier_drift_report,
-    verify_backend_parity,
     verify_int8_quantizer,
 )
 from .schedule import (
@@ -150,7 +149,6 @@ __all__ = [
     "quantize_fp16",
     "quantize_int8",
     "storage_tier_drift_report",
-    "verify_backend_parity",
     "verify_int8_quantizer",
     "workload_gops",
     "our_work_record",

@@ -37,12 +37,7 @@ path are guaranteed to describe one datapath:
   actual :func:`repro.nn.quantize_for_inference` replica, closing the
   hardware/software loop).
 
-Kernel *backends* get a parity oracle too: ``verify_backend_parity``
-runs the butterfly ladder, streaming attention, decode and the
-stored-weight GEMM in both formats under two backends (default serial
-vs threaded) and asserts byte-identical outputs — backends shard only
-disjoint output blocks, so any divergence is a bug, not noise.  The
-fp16 stored format is lossy by design; ``storage_tier_drift_report``
+The fp16 stored format is lossy by design; ``storage_tier_drift_report``
 bounds its drift against the wide reference instead (int8's bound is
 the error report above).
 """
@@ -327,109 +322,8 @@ def accuracy_under_int8(
 
 
 # ======================================================================
-# Kernel-backend parity and storage-tier drift oracles
+# Storage-tier drift oracle
 # ======================================================================
-def verify_backend_parity(
-    n: int = 256,
-    rows: int = 256,
-    seq_len: int = 192,
-    reference: str = "serial",
-    candidate: str = "threaded",
-    min_workers: int = 4,
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[str, float]:
-    """Assert byte-identical kernel outputs under two backends.
-
-    Backends partition only disjoint output blocks — each worker
-    performs exactly the accumulation the serial call performs for its
-    rows — so the butterfly ladder (forward and VJP), streaming-softmax
-    attention (forward, VJP and decode), the fused training linear
-    (forward and VJP) and the quantized GEMMs must agree *bit-for-bit*
-    between ``reference`` and ``candidate``.  Any divergence raises
-    ``RuntimeError``: it means a backend re-associated an accumulation,
-    which would silently void every hardware parity number reported by
-    the simulator.  Returns the op count checked.
-
-    The default shapes deliberately sit *above* the threaded backend's
-    parallel thresholds (``MIN_PARALLEL_ELEMS`` for GEMM sharding,
-    ``MIN_PARALLEL_SCORES`` for attention batch sharding) so the oracle
-    exercises the sharded code paths, not their serial fallbacks, and
-    they pin the operand-slicing heuristic's coincidence traps: the
-    GEMMs are square (``rows == n == in_features``, so the sharded
-    output-row length equals the contraction length) and the fused
-    linear runs a 3-D ``(B, T, in)`` activation with ``T == in``.
-    Likewise, a threaded candidate whose worker count is below
-    ``min_workers`` (e.g. the registry singleton on a small CI runner,
-    where it defaults to the core count) is replaced by a
-    ``ThreadedBackend(workers=min_workers)`` instance — oversubscribing
-    one core is fine for a correctness oracle, silently verifying the
-    inline fallback is not.
-    """
-    from ..butterfly.matrix import ButterflyMatrix
-    from ..kernels import (
-        attention_decode,
-        attention_forward,
-        attention_vjp,
-        butterfly_apply,
-        butterfly_apply_vjp,
-        linear_act_forward,
-        linear_act_vjp,
-        resolve_backend,
-        use_backend,
-    )
-    from ..kernels.backend import ThreadedBackend
-
-    cand = resolve_backend(candidate)
-    if type(cand) is ThreadedBackend and cand.workers < min_workers:
-        cand = ThreadedBackend(workers=min_workers)
-    rng = rng or np.random.default_rng(0)
-    matrix = ButterflyMatrix.random(n, rng)
-    coeffs = [f.coeffs for f in matrix.factors]
-    halves = [f.half for f in matrix.factors]
-    x = rng.normal(size=(rows, n))
-    grad = rng.normal(size=(rows, n))
-    heads, d_head = 2, 16
-    q = rng.normal(size=(2, heads, seq_len, d_head)).astype(np.float32)
-    k = rng.normal(size=(2, heads, seq_len, d_head)).astype(np.float32)
-    v = rng.normal(size=(2, heads, seq_len, d_head)).astype(np.float32)
-    ga = rng.normal(size=q.shape).astype(np.float32)
-    w = rng.normal(size=(n, n))
-    q8, s8 = _QK.quantize_per_channel(w)
-    w16 = w.astype(np.float16)
-    xf = x.astype(np.float32)
-    x3 = rng.normal(size=(2, n, n)).astype(np.float32)  # seq dim == in dim
-    g3 = rng.normal(size=(2, n, n)).astype(np.float32)
-    wf = w.astype(np.float32)
-    bias = rng.normal(size=n).astype(np.float32)
-
-    def run(backend):
-        with use_backend(backend):
-            y, ctx = butterfly_apply(x, coeffs, halves)
-            gx, gcoeffs = butterfly_apply_vjp(grad, ctx)
-            att, actx = attention_forward(q, k, v, causal=True)
-            agq, agk, agv = attention_vjp(ga, actx)
-            dec = attention_decode(q[:, :, -1, :], k, v)
-            fy, fctx = linear_act_forward(x3, wf, bias, activation="gelu")
-            fgx, fgw, fgb = linear_act_vjp(g3, fctx)
-            lin8 = _QK.quantized_linear(xf, q8, s8)
-            lin16 = _QK.quantized_linear(xf, w16, None)
-        return [y, gx, *gcoeffs, att, agq, agk, agv, dec,
-                fy, fgx, fgw, fgb, lin8, lin16]
-
-    ref = run(reference)
-    got = run(cand)
-    mismatched = [
-        i for i, (a, b) in enumerate(zip(ref, got)) if not np.array_equal(a, b)
-    ]
-    if mismatched:
-        raise RuntimeError(
-            f"backend {candidate!r} diverged from {reference!r} on "
-            f"{len(mismatched)}/{len(ref)} outputs (indices {mismatched}): "
-            "backends must partition disjoint output blocks only"
-        )
-    return {"ops_checked": float(len(ref)), "mismatches": 0.0}
-
-
 def storage_tier_drift_report(
     n: int = 256,
     rows: int = 16,
@@ -437,10 +331,10 @@ def storage_tier_drift_report(
 ) -> Dict[str, float]:
     """Bounded-drift report for the lossy fp16 stored format.
 
-    Unlike backends (bit-exact by construction), fp16 storage trades
-    precision for memory; this measures its relative drift against the
-    float64 butterfly reference so BENCH gates can hold the line: fp16
-    stays in the sub-percent range on random (worst-case) weights.
+    fp16 storage trades precision for memory; this measures its relative
+    drift against the float64 butterfly reference so BENCH gates can hold
+    the line: fp16 stays in the sub-percent range on random (worst-case)
+    weights.
     """
     rng = rng or np.random.default_rng(0)
     matrix = ButterflyMatrix.random(n, rng)

@@ -101,6 +101,9 @@ def load_model(path: Union[str, Path]) -> Module:
         raise ValueError(f"checkpoint uses unknown builder {builder_name!r}")
     if builder_name in ("butterfly_decoder", "dense_decoder"):
         state = _migrate_decoder_keys(state)
+    # ``backend`` picked a kernel execution strategy that never changed
+    # numerics; checkpoints saved while it existed still carry it.
+    config_dict.pop("backend", None)
     model = builder(ModelConfig(**config_dict))
     model.load_state_dict(state)
     return model

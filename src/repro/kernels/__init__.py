@@ -87,17 +87,6 @@ from .attention import (
     expected_macs,
     padding_bias,
 )
-from .backend import (
-    KernelBackend,
-    SerialBackend,
-    ThreadedBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from .dtype import (
     STORAGE_DTYPES,
     compute_dtype,
@@ -213,7 +202,6 @@ def butterfly_apply(
     coeffs: Sequence[np.ndarray],
     halves: Sequence[int],
     need_ctx: bool = True,
-    backend=None,
     ladder: Optional[FrozenLadder] = None,
     in_features: Optional[int] = None,
     out_features: Optional[int] = None,
@@ -224,9 +212,7 @@ def butterfly_apply(
     ``coeffs[s]`` is the ``(4, n/2)`` pair-major array of stage
     ``halves[s]``; stages are applied in order.  Returns ``(y, ctx)``
     where ``ctx`` (when ``need_ctx``) feeds :func:`butterfly_apply_vjp`.
-    Arbitrary leading batch dimensions are supported.  ``backend``
-    overrides the active :mod:`kernel backend <repro.kernels.backend>`
-    for the GEMM paths (execution only — results are identical).
+    Arbitrary leading batch dimensions are supported.
 
     ``in_features`` / ``out_features`` are a layer's fold of the ``n``
     wide ladder (``n`` is read off ``coeffs``): ``x`` is ``(...,
@@ -266,7 +252,7 @@ def butterfly_apply(
         if need_ctx:
             raise ValueError("a frozen ladder has no VJP context to give")
         with span("kernels.butterfly_apply", n=ladder.plan.n, path="frozen"):
-            return ladder.apply(x, backend, out), None
+            return ladder.apply(x, out), None
     if out is not None:
         raise ValueError("out= is the frozen ladder's; this call has none")
     lead = x.shape[:-1]
@@ -283,12 +269,12 @@ def butterfly_apply(
                 and dense_by_area(in_features, out_features, n)):
             with span("kernels.butterfly_apply", n=n, rows=rows, path="dense"):
                 y, dctx = dense_forward(x.reshape(rows, in_features), coeffs,
-                                        plan, out_features, backend=backend)
+                                        plan, out_features)
             return (y.reshape(*lead, out_features),
                     ("dense", lead, widths, dctx))
         with span("kernels.butterfly_apply", n=n, rows=rows, path="grouped"):
             y, gctx = grouped_forward(_pad_last(x, n).reshape(rows, n), coeffs,
-                                      plan, need_ctx=need_ctx, backend=backend)
+                                      plan, need_ctx=need_ctx)
         ctx = ("grouped", lead, widths, gctx) if need_ctx else None
         return _head(y.reshape(*lead, n), out_features), ctx
     with span("kernels.butterfly_apply", n=n, path="stages"):
@@ -304,7 +290,7 @@ def butterfly_apply(
 
 
 def butterfly_apply_vjp(
-    grad: np.ndarray, ctx: tuple, backend=None
+    grad: np.ndarray, ctx: tuple
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """VJP of :func:`butterfly_apply`: ``(grad_x, [grad_coeffs per stage])``."""
     kind, lead, (in_features, n), saved = ctx
@@ -312,15 +298,13 @@ def butterfly_apply_vjp(
     rows = math.prod(lead)
     if kind == "dense":
         with span("kernels.butterfly_apply_vjp", n=n, rows=rows, path="dense"):
-            gx, gcoeffs = dense_vjp(grad.reshape(rows, -1), saved,
-                                    backend=backend)
+            gx, gcoeffs = dense_vjp(grad.reshape(rows, -1), saved)
         return gx.reshape(*lead, in_features), gcoeffs
     grad = _pad_last(grad, n)
     if kind == "grouped":
         with span("kernels.butterfly_apply_vjp", n=n, rows=rows,
                   path="grouped"):
-            gx, gcoeffs = grouped_vjp(grad.reshape(rows, n), saved,
-                                      backend=backend)
+            gx, gcoeffs = grouped_vjp(grad.reshape(rows, n), saved)
         return _head(gx.reshape(*lead, n), in_features), gcoeffs
     inputs, coeffs, halves = saved
     with span("kernels.butterfly_apply_vjp", path="stages"):
@@ -362,15 +346,11 @@ __all__ = [
     "FrozenLadderCache",
     "GroupedContext",
     "GroupedPlan",
-    "KernelBackend",
     "LinearActContext",
     "PackedWeight",
     "ResidualLNContext",
     "ScratchPool",
-    "SerialBackend",
-    "ThreadedBackend",
     "absmax_scales",
-    "available_backends",
     "attention_decode",
     "attention_forward",
     "attention_reference",
@@ -400,7 +380,6 @@ __all__ = [
     "fft_twiddles",
     "fourier_mix",
     "fused_enabled",
-    "get_backend",
     "get_default_dtype",
     "get_plan",
     "gelu_forward",
@@ -420,17 +399,13 @@ __all__ = [
     "quantized_butterfly_apply",
     "quantized_linear",
     "quantized_linear_reference",
-    "register_backend",
     "residual_layer_norm_forward",
     "residual_layer_norm_vjp",
-    "resolve_backend",
-    "set_backend",
     "set_default_dtype",
     "set_fused_enabled",
     "stage_dense",
     "stage_forward",
     "stage_halves",
     "stage_vjp",
-    "use_backend",
     "use_fused",
 ]

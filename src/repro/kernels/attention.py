@@ -18,7 +18,7 @@ Design
   the PV GEMM through a ones column on ``V``.  A query's whole key row
   is in its tile, so there is no running max and nothing to rescale, the
   passes hit a cache-resident buffer, and peak score memory is one
-  tile per worker instead of ``O(B*H*Lq*Lk)``.  Every temporary is the
+  tile instead of ``O(B*H*Lq*Lk)``.  Every temporary is the
   per-thread pool's (:data:`repro.kernels.pool.SCRATCH`): a steady
   caller allocates only its result.
 * **Analytic backward on the same tiles**: the forward stores only
@@ -45,7 +45,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..telemetry import span
-from .backend import _split_ranges, resolve_backend
+from . import backend
 from .dtype import mask_fill_value
 from .pool import RECYCLER, SCRATCH, check_out
 
@@ -68,15 +68,12 @@ DEFAULT_BLOCK = 64
 #: fp64 to 128K by 2 %, both inside the box's noise, so the constant stays.
 TILE_SCORES = 1 << 17
 
-#: Minimum score elements (B*H*Lq*Lk) before the threaded backend shards
-#: an attention call over the batch axis.
-MIN_PARALLEL_SCORES = 1 << 16
-
 # Cached additive causal biases keyed by (seq, total, dtype str).  Entries
 # are (seq, total) arrays of {0, mask_fill_value}; the cache is tiny (one
 # entry per distinct geometry/dtype) but saves an O(L^2) rebuild per call.
 # Guarded by a lock: the pop/reinsert recency bookkeeping is not atomic,
-# and the threaded backend's workers may resolve biases concurrently.
+# and two threads forwarding models (a ``ServerThread`` beside its
+# caller) may resolve biases concurrently.
 _BIAS_CACHE: Dict[Tuple[int, int, str], np.ndarray] = {}
 _BIAS_CACHE_MAX = 64
 _BIAS_CACHE_LOCK = threading.Lock()
@@ -177,19 +174,6 @@ def _resolve_bias(
     return causal_bias(lq, lk, dtype), None
 
 
-def _batch_shards(backend, b: int, score_elems: int) -> list:
-    """Contiguous batch-row shards for one attention call.
-
-    Batch rows are fully independent, so sharding them across workers is
-    bit-identical to the serial pass.  One shard (the serial case) when
-    the backend is serial, the batch is a single row, or the call is too
-    small to amortize the submit/join overhead.
-    """
-    if backend.workers <= 1 or b < 2 or score_elems < MIN_PARALLEL_SCORES:
-        return [range(0, b)]
-    return _split_ranges(b, backend.workers)
-
-
 def _tile_shape(h: int, lq: int, lk: int, cap: int) -> Tuple[int, int, int]:
     """``(batch rows, heads, queries)`` of a tile: ``cap`` queries at most,
     of as many heads as fit :data:`TILE_SCORES`, until a head's scores fit;
@@ -215,7 +199,6 @@ def attention_forward(
     scale: Optional[float] = None,
     block: Optional[int] = None,
     need_ctx: bool = True,
-    backend=None,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[AttentionContext]]:
     """Fused ``softmax(Q K^T * scale + bias) V``, one query tile at a time.
@@ -226,9 +209,7 @@ def attention_forward(
     continuation (see :func:`_resolve_bias`).  Returns ``(out, ctx)``;
     ``ctx`` is None unless ``need_ctx`` and feeds :func:`attention_vjp`.
 
-    ``block`` defaults to :data:`DEFAULT_BLOCK`.  The ``backend`` shards the
-    batch axis — rows are independent, so the threaded backend is
-    bit-identical to the serial one.
+    ``block`` defaults to :data:`DEFAULT_BLOCK`.
 
     ``out`` (``need_ctx`` must be off) is a C-contiguous ``(B, H, Lq, D)``
     array of ``q``'s dtype aliasing no operand; it receives the bytes the
@@ -251,7 +232,6 @@ def attention_forward(
     dtype = q.dtype
     if block is None:
         block = DEFAULT_BLOCK
-    backend = resolve_backend(backend)
     bias2d, bias3d = _resolve_bias(causal, q_start, lq, lk, dtype)
     if bias2d is not None and lq > lk:
         raise ValueError(f"causal attention of {lq} queries over {lk} keys")
@@ -271,19 +251,19 @@ def attention_forward(
     # offset + i1 on, and needs the bias only from its first diagonal.
     offset = lk - lq
 
-    def run_rows(shard: range) -> None:
+    with span("kernels.attention_forward", lq=lq, lk=lk, block=block):
         # Three passes over a score tile (max, subtract, exp) between its
         # two GEMMs: the scale goes onto the tile's queries (D columns,
         # not Lk) and a ones column on V makes the PV GEMM return each
         # row's softmax denominator beside its weighted values.
-        rows = min(nb, len(shard))
+        rows = min(nb, b)
         scores = SCRATCH.take("attention.tile", (rows * nh * nq * lk,), dtype)
         # The scaled queries are spent when the PV product is written:
         # one buffer holds first the one, then the other.
         summed = SCRATCH.take("attention.pv", (rows * nh * nq * (d + 1),), dtype)
         ones = SCRATCH.take("attention.v", (rows, nh, lk, d + 1), dtype)
-        for b0, h0 in itertools.product(range(shard.start, shard.stop, nb), range(0, h, nh)):
-            b1 = min(b0 + nb, shard.stop)
+        for b0, h0 in itertools.product(range(0, b, nb), range(0, h, nh)):
+            b1 = min(b0 + nb, b)
             h1 = min(h0 + nh, h)
             v1 = ones[:b1 - b0, :h1 - h0]
             v1[..., :d] = v[b0:b1, h0:h1]
@@ -319,9 +299,6 @@ def attention_forward(
                 np.divide(pv[..., :d], pv[..., d:], out=out[tile])
                 if need_ctx:
                     lsum[tile] = pv[..., d]
-
-    with span("kernels.attention_forward", lq=lq, lk=lk, block=block):
-        backend.map(run_rows, _batch_shards(backend, b, b * h * lq * lk))
     if not need_ctx:
         return out, None
     lse = m + np.log(lsum)
@@ -330,32 +307,27 @@ def attention_forward(
 
 
 def attention_vjp(
-    grad_out: np.ndarray, ctx: AttentionContext, backend=None
+    grad_out: np.ndarray, ctx: AttentionContext
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients ``(dq, dk, dv)`` of :func:`attention_forward`.
-
-    The forward's query tiles (see the module docstring), sharded over the
-    batch axis under the threaded backend like the forward.
-    """
+    """Gradients ``(dq, dk, dv)`` of :func:`attention_forward`, on the
+    forward's query tiles (see the module docstring)."""
     q, k, v, out, lse, scale, block, bias2d, bias3d, kbias = ctx
     g = np.asarray(grad_out)
     b, h, lq, d = q.shape
     lk = k.shape[2]
     dtype = q.dtype
-    backend = resolve_backend(backend)
     gq, gk, gv = (RECYCLER.empty(a.shape, dtype) for a in (q, k, v))
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
-
-    def run_rows(shard: range) -> None:
+    with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
         # The augmented operands (module docstring), once per run of heads.
-        rows = min(nb, len(shard))
+        rows = min(nb, b)
         qa, ga = SCRATCH.take("attention.pv", (2, rows, nh, lq, d + 1), dtype)
         kv = SCRATCH.take("attention.k", (2, rows, nh, d + 1, lk), dtype)
         delta = SCRATCH.take("attention.delta", (rows * nh * lq,), dtype)
         tiles = SCRATCH.take("attention.tile", (2 * rows * nh * nq * lk,), dtype)
         part = SCRATCH.take("attention.dkv", (rows * nh * lk * d,), dtype)
-        for b0, h0 in itertools.product(range(shard.start, shard.stop, nb), range(0, h, nh)):
-            b1, h1 = min(b0 + nb, shard.stop), min(h0 + nh, h)
+        for b0, h0 in itertools.product(range(0, b, nb), range(0, h, nh)):
+            b1, h1 = min(b0 + nb, b), min(h0 + nh, h)
             run = np.s_[b0:b1, h0:h1]
             n = (b1 - b0, h1 - h0)
             qa1, ga1 = qa[:n[0], :n[1]], ga[:n[0], :n[1]]
@@ -394,9 +366,6 @@ def attention_vjp(
                     dst += np.matmul(a.swapaxes(-1, -2), rhs[..., i0:i1, :d],
                                      out=part[:dst.size].reshape(dst.shape))
             gq1 *= scale
-
-    with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
-        backend.map(run_rows, _batch_shards(backend, b, b * h * lq * lk))
     return gq, gk, gv
 
 
@@ -407,7 +376,6 @@ def attention_decode(
     *,
     lengths: Optional[np.ndarray] = None,
     scale: Optional[float] = None,
-    backend=None,
 ) -> np.ndarray:
     """Single-token KV-cache attention step (the serving decode fast path).
 
@@ -436,7 +404,6 @@ def attention_decode(
     t = k.shape[2]
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[-1])
-    backend = resolve_backend(backend)
     with span("kernels.attention_decode", batch=q.shape[0], t=t):
         # s[b, h, t] = k[b, h, t] . q[b, h]
         s = np.empty((*k.shape[:3], 1), dtype=np.result_type(k.dtype, q.dtype))

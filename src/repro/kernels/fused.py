@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..telemetry import span
-from .backend import resolve_backend
+from . import backend
 from .pool import RECYCLER, SCRATCH, check_out
 
 ACTIVATIONS = ("identity", "relu", "gelu")
@@ -138,7 +138,7 @@ def _pop_grad_scratch(holder) -> Optional[np.ndarray]:
 
 def _grad_w_into(
     scratch: Optional[np.ndarray], holder, g2: np.ndarray, x2: np.ndarray,
-    w_shape: Tuple[int, ...], w_dtype, backend=None,
+    w_shape: Tuple[int, ...], w_dtype,
 ) -> np.ndarray:
     """``dW = g^T @ x`` into the claimed scratch (or a fresh buffer).
 
@@ -148,7 +148,7 @@ def _grad_w_into(
     """
     if scratch is None or scratch.shape != w_shape or scratch.dtype != w_dtype:
         scratch = np.empty(w_shape, dtype=w_dtype)
-    resolve_backend(backend).matmul(g2.T, x2, scratch)
+    backend.matmul(g2.T, x2, scratch)
     if holder is not None:
         try:
             holder._gw_scratch = scratch
@@ -308,7 +308,7 @@ def linear_act_forward(
         check_out(out, shape, dtype, x)
         y = out
     with span("kernels.linear_act", out=wt.shape[1], act=activation):
-        resolve_backend(None).matmul(x, wt, y)
+        backend.matmul(x, wt, y)
     if bias is not None:
         y += bias
     act_out = z = t = None
@@ -337,14 +337,13 @@ def linear_act_vjp(grad: np.ndarray, ctx: LinearActContext) -> tuple:
         ga = grad * (act_out > 0.0)
     else:
         ga = gelu_vjp(grad, z, t)
-    backend = resolve_backend(None)
     gx = RECYCLER.empty(ga.shape[:-1] + (w.shape[1],), np.result_type(ga, w))
     with span("kernels.linear_act_vjp", out=w.shape[0]):
         backend.matmul(ga, w, gx)  # (..., out) @ (out, in)
         out_features = w.shape[0]
         g2 = ga.reshape(-1, out_features)
         x2 = x.reshape(-1, w.shape[1])
-        gw = _grad_w_into(scratch, holder, g2, x2, w.shape, w.dtype, backend)
+        gw = _grad_w_into(scratch, holder, g2, x2, w.shape, w.dtype)
     if not has_bias:
         return gx, gw
     return gx, gw, g2.sum(axis=0)

@@ -76,7 +76,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..telemetry import counter_inc, publish_on_snapshot
-from .backend import resolve_backend
+from . import backend
 from .layout import check_power_of_two, num_stages
 from .pool import RECYCLER, ScratchPool, check_out
 
@@ -498,10 +498,8 @@ def grouped_forward(
     coeffs: Sequence[np.ndarray],
     plan: GroupedPlan,
     need_ctx: bool = True,
-    backend=None,
 ) -> Tuple[np.ndarray, Optional[GroupedContext]]:
     """Apply the full stage ladder to ``x`` of shape ``(rows, n)``."""
-    backend = resolve_backend(backend)
     rows, n = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
     Ms, build_saved = _build_matrices(plan, coeffs, dtype)
@@ -535,10 +533,9 @@ def grouped_forward(
 
 
 def grouped_vjp(
-    grad: np.ndarray, ctx: GroupedContext, backend=None
+    grad: np.ndarray, ctx: GroupedContext
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """VJP of :func:`grouped_forward`: returns ``(grad_x, [grad_coeffs])``."""
-    backend = resolve_backend(backend)
     plan = ctx.plan
     rows, n = ctx.rows, plan.n
     dMs: List[Optional[np.ndarray]] = [None] * len(plan.chunks)
@@ -586,7 +583,6 @@ def dense_forward(
     coeffs: Sequence[np.ndarray],
     plan: GroupedPlan,
     out_features: int,
-    backend=None,
 ) -> Tuple[np.ndarray, tuple]:
     """``(rows, in_features) -> (rows, out_features)`` as one GEMM with
     ``W = ladder(eye(in_features, n))[:, :out_features]``, built for this
@@ -596,13 +592,12 @@ def dense_forward(
     The context keeps ``x`` by reference, ``W`` and the build's own
     context: nothing else of ``rows`` height.
     """
-    backend = resolve_backend(backend)
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
     eye = RECYCLER.empty((in_features, plan.n), dtype)
     eye[...] = 0
     np.fill_diagonal(eye, 1)
-    full, build = grouped_forward(eye, coeffs, plan, backend=backend)
+    full, build = grouped_forward(eye, coeffs, plan)
     W = full[:, :out_features]
     y = RECYCLER.empty((rows, out_features), dtype)
     backend.matmul(x, W, y)
@@ -610,12 +605,11 @@ def dense_forward(
 
 
 def dense_vjp(
-    grad: np.ndarray, ctx: tuple, backend=None
+    grad: np.ndarray, ctx: tuple
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """VJP of :func:`dense_forward`: ``gx = g @ W^T``, and the chain rule
     through the build — ``dW = x^T @ g``, zero past ``out_features``, is
     the gradient of the identity rows' ladder output."""
-    backend = resolve_backend(backend)
     x, W, build = ctx
     plan, dtype = build.plan, build.dtype
     out_features = W.shape[1]
@@ -624,7 +618,7 @@ def dense_vjp(
     dW = plan.scratch("dW", (x.shape[1], plan.n), dtype)
     dW[:, out_features:] = 0
     backend.matmul(x.T, grad, dW[:, :out_features])
-    _, gcoeffs = grouped_vjp(dW, build, backend=backend)
+    _, gcoeffs = grouped_vjp(dW, build)
     return gx, gcoeffs
 
 
@@ -700,7 +694,7 @@ class FrozenLadder:
             # pool keeps, stays the size of a short prefill's.
             rows = min(n, DENSE_MAX_N)
             self.ops = [np.concatenate([
-                self._chunked(np.eye(rows, n, k=i, dtype=self.dtype), None)
+                self._chunked(np.eye(rows, n, k=i, dtype=self.dtype))
                 for i in range(0, in_features, rows)
             ])]
         elif len(self.ops) == 1:
@@ -711,7 +705,7 @@ class FrozenLadder:
         with _PLAN_CACHE_LOCK:
             _FROZEN_BUILDS += 1
 
-    def apply(self, x: np.ndarray, backend=None, out=None) -> np.ndarray:
+    def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         """``(..., in_features) -> (..., out_features)``; the result is
         always an owned array (intermediates live in pooled scratch) —
         or ``out``, a C-contiguous array of the result's shape and dtype
@@ -726,7 +720,6 @@ class FrozenLadder:
             out = np.empty(shape, dtype=self.dtype)
         else:
             check_out(out, shape, self.dtype, x)
-        backend = resolve_backend(backend)
         if len(self.ops) == 1:
             backend.matmul(x, self.ops[0], out)
             return out
@@ -736,14 +729,13 @@ class FrozenLadder:
             whole[..., : self.in_features] = x
             whole[..., self.in_features:] = 0
             x = whole
-        return self._chunked(x, backend, out)
+        return self._chunked(x, out)
 
-    def _chunked(self, x: np.ndarray, backend, out=None) -> np.ndarray:
+    def _chunked(self, x: np.ndarray, out=None) -> np.ndarray:
         # (..., n) through every chunk, into ``out`` (..., out_features)
         # or, without one, a fresh array of every column the last chunk
         # kept.  Chunk inputs and outputs are carried as (B, o, h0, S, T):
         # the GEMM axes are (S, T), everything before them a batch axis.
-        backend = resolve_backend(backend)
         lead = x.shape[:-1]
         S = lead[-1] if lead else 1
         B = math.prod(lead[:-1])

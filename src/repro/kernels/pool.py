@@ -12,9 +12,11 @@ program's activation workspace (:mod:`repro.models.program`).
 
 The rule, everywhere:
 
-* **Per thread.**  Buffers live in a ``threading.local``: the threaded
-  backend's workers, or two threads forwarding one model, never see each
-  other's memory.
+* **Per thread.**  Buffers live in a ``threading.local``: two threads
+  forwarding one model (a ``ServerThread`` beside its caller) never see
+  each other's memory.  The kernels themselves run on the caller's
+  thread; in-process parallelism is BLAS's own pool, and multi-core
+  serving is ``--workers N`` processes.
 * **Grow-only per ``(tag, dtype)``.**  Callers of different shapes take
   turns on one tag (an FFN's up and down ladders, a long and a short
   batch), so a buffer is replaced only by a larger one.

@@ -52,13 +52,11 @@ wider and are cast back); only weights are stored narrow.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry import span
-from .backend import resolve_backend
 from .dtype import compute_dtype
 from .pool import ScratchPool
 
@@ -82,9 +80,8 @@ SCRATCH_TARGET_BYTES = 256 * 1024
 #: Per-channel shrink factors tried by the MSE calibration grid search.
 CALIBRATION_GRID = (1.0, 0.95, 0.9, 0.85, 0.8)
 
-#: The dequant scratch, pooled *per thread*: the threaded backend runs
-#: blocks on pool workers, and a process-global pool would hand two
-#: workers the same buffer.
+#: The dequant scratch, pooled *per thread*: two threads forwarding one
+#: stored model would otherwise be handed the same buffer.
 _SCRATCH = ScratchPool("kernels_quant_scratch")
 
 
@@ -271,8 +268,6 @@ def quantized_linear(
     q_weight,
     scales: Optional[np.ndarray],
     bias: Optional[np.ndarray] = None,
-    *,
-    backend=None,
 ) -> np.ndarray:
     """``x @ dequant(q_weight)^T + bias`` without materializing the weight.
 
@@ -295,10 +290,6 @@ def quantized_linear(
     accumulators over the paper's 16-bit buffers.  The result is cast
     back to ``x``'s dtype, so an fp16 activation stream stays fp16 end
     to end and float32/float64 activations are never copied.
-
-    ``backend`` selects the execution backend (blocks are independent
-    output-column GEMMs, so the threaded backend shards them
-    bit-identically).
     """
     x = np.asarray(x)
     cdt = compute_dtype(x.dtype)
@@ -313,26 +304,15 @@ def quantized_linear(
         raise ValueError(
             f"input dim {x.shape[-1]} does not match weight in dim {in_features}"
         )
-    backend = resolve_backend(backend)
     lead = x.shape[:-1]
     x2 = np.asarray(x.reshape(-1, in_features), dtype=cdt)
     out = np.empty((x2.shape[0], out_features), dtype=cdt)
-
-    taken = {}  # thread -> its scratch: one take per thread and call
-
-    def run_block(item) -> None:
-        o0, o1, block = item
-        thread = threading.get_ident()
-        buf = taken.get(thread)
-        if buf is None:
-            buf = taken[thread] = _SCRATCH.take(
-                "block", (in_features * rows,), cdt)
-        scratch = buf[:block.size].reshape(block.shape)
-        np.copyto(scratch, block)  # stored -> fp (unscaled)
-        np.matmul(x2, scratch, out=out[:, o0:o1])
-
+    buf = _SCRATCH.take("block", (in_features * rows,), cdt)
     with span("kernels.quantized_linear", rows=x2.shape[0], out=out_features):
-        backend.map(run_block, blocks)
+        for o0, o1, block in blocks:
+            scratch = buf[:block.size].reshape(block.shape)
+            np.copyto(scratch, block)  # stored -> fp (unscaled)
+            np.matmul(x2, scratch, out=out[:, o0:o1])
         if scales is not None:
             out *= scales
         if bias is not None:

@@ -19,11 +19,6 @@ class ModelConfig:
     golden parity) or ``"float32"`` (faster; still wider than the
     accelerator's fixed-point datapath).  Wrap model construction *and*
     training in :meth:`dtype_context` so parameters and activations agree.
-
-    ``backend`` selects the kernel execution backend
-    (:mod:`repro.kernels.backend`): ``"serial"`` (default) or
-    ``"threaded"``; backends change execution only, never numerics.
-    Wrap model execution in :meth:`backend_context` to activate it.
     """
 
     vocab_size: int = 64
@@ -38,19 +33,12 @@ class ModelConfig:
     pooling: str = "mean"  # "mean" or "cls"
     seed: int = 0
     dtype: str = "float64"
-    backend: str = "serial"
 
     def dtype_context(self):
         """Context manager scoping the kernel dtype policy to ``dtype``."""
         from ..kernels import default_dtype
 
         return default_dtype(self.dtype)
-
-    def backend_context(self):
-        """Context manager scoping the kernel backend to ``backend``."""
-        from ..kernels import use_backend
-
-        return use_backend(self.backend)
 
     def __post_init__(self) -> None:
         if self.d_hidden % self.n_heads != 0:
@@ -70,13 +58,6 @@ class ModelConfig:
         if self.dtype not in ("float32", "float64"):
             raise ValueError(
                 f"dtype must be 'float32' or 'float64', got {self.dtype!r}"
-            )
-        from ..kernels.backend import available_backends
-
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"backend must be one of {available_backends()}, "
-                f"got {self.backend!r}"
             )
 
     @property

@@ -155,7 +155,6 @@ class ClusterEngine:
         admission=None,
         seed: int = 0,
         quantize: Optional[str] = None,
-        backend: Optional[str] = None,
         resilience=None,
         heartbeat_interval_s: float = 0.05,
         heartbeat_timeout_s: float = 5.0,
@@ -182,7 +181,6 @@ class ClusterEngine:
         self.admission = admission
         self.seed = seed
         self.quantize = quantize
-        self.backend = backend
         self.resilience = resilience
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
@@ -240,7 +238,6 @@ class ClusterEngine:
             max_batch_size=self.max_batch_size,
             seed=self.seed,
             quantize=self.quantize,
-            backend=self.backend,
             resilience=self.resilience,
             heartbeat_interval_s=self.heartbeat_interval_s,
             fault_rules=worker.fault_rules,

@@ -51,11 +51,6 @@ class ServingEngine:
     the serving-side switch for the reduced-precision datapath the
     hardware model quantifies.
 
-    ``backend`` selects the kernel execution backend (``"serial"`` /
-    ``"threaded"``, :mod:`repro.kernels.backend`); every ``step()`` runs
-    under it.  Backends never change numerics, so serial and threaded
-    engines generate identical tokens.
-
     ``resilience`` (:class:`repro.serving.resilience.ResilienceConfig`)
     governs fault recovery, per-request deadlines and the slow-step
     watchdog.  The retry/rollback machinery engages only while a fault
@@ -73,7 +68,6 @@ class ServingEngine:
         seed: int = 0,
         clock=None,
         quantize: Optional[str] = None,
-        backend: Optional[str] = None,
         resilience: Optional[ResilienceConfig] = None,
     ) -> None:
         if quantize not in self.QUANTIZE_MODES:
@@ -81,11 +75,6 @@ class ServingEngine:
                 f"quantize must be one of {self.QUANTIZE_MODES}, got {quantize!r}"
             )
         self.quantize = quantize
-        if backend is None:
-            backend = getattr(getattr(model, "config", None), "backend", "serial")
-        from ..kernels.backend import resolve_backend
-
-        self._backend = resolve_backend(backend)  # validates the name eagerly
         if quantize is not None:
             model = quantize_for_inference(model, mode=quantize)
         self.scheduler = ContinuousBatchScheduler(
@@ -97,11 +86,6 @@ class ServingEngine:
             self.metrics, self.model.config.vocab_size,
             self.resilience.default_deadline_s, "serving_shed_total",
         )
-
-    @property
-    def backend(self) -> str:
-        """Name of the kernel backend every step runs under."""
-        return self._backend.name
 
     # ------------------------------------------------------------------
     @property
@@ -155,8 +139,6 @@ class ServingEngine:
         unrecoverable ones fail a single victim request with
         ``finish_reason="error"``.
         """
-        from ..kernels.backend import use_backend
-
         with self.requests.lock:
             if self.requests.closed:
                 return []
@@ -167,23 +149,22 @@ class ServingEngine:
             step_started = self.metrics.clock()
             with span("serve.step", batch=self.scheduler.batch_size,
                       queued=self.scheduler.queue_depth):
-                with use_backend(self._backend):
-                    if config.enabled and faults_active():
-                        events, report = resilient_step(self.scheduler, config)
-                        if report.retries:
-                            self.metrics.registry.counter(
-                                "serving_fault_retries_total"
-                            ).inc(report.retries)
-                        if report.rollbacks:
-                            self.metrics.registry.counter(
-                                "serving_fault_rollbacks_total"
-                            ).inc(report.rollbacks)
-                        if report.failed_events:
-                            self.metrics.registry.counter(
-                                "serving_request_errors_total"
-                            ).inc(len(report.failed_events))
-                    else:
-                        events = self.scheduler.step()
+                if config.enabled and faults_active():
+                    events, report = resilient_step(self.scheduler, config)
+                    if report.retries:
+                        self.metrics.registry.counter(
+                            "serving_fault_retries_total"
+                        ).inc(report.retries)
+                    if report.rollbacks:
+                        self.metrics.registry.counter(
+                            "serving_fault_rollbacks_total"
+                        ).inc(report.rollbacks)
+                    if report.failed_events:
+                        self.metrics.registry.counter(
+                            "serving_request_errors_total"
+                        ).inc(len(report.failed_events))
+                else:
+                    events = self.scheduler.step()
             if (
                 config.watchdog_step_s is not None
                 and self.metrics.clock() - step_started > config.watchdog_step_s

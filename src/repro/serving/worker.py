@@ -55,9 +55,9 @@ __all__ = [
     "worker_main",
 ]
 
-#: Thread-pool pins propagated into every worker (see scripts/verify.sh:
-#: parallelism in this repo comes from explicit backends and worker
-#: processes, never from a BLAS pool).
+#: Thread-pool pins propagated into every worker (see scripts/verify.sh):
+#: one BLAS thread is the byte-stable setting, and multi-core serving is
+#: ``--workers N`` processes, one engine and one BLAS thread each.
 BLAS_PIN_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -121,7 +121,6 @@ class WorkerConfig:
     max_batch_size: int = 8
     seed: int = 0
     quantize: Optional[str] = None
-    backend: Optional[str] = None
     resilience: Optional[object] = None
     heartbeat_interval_s: float = 0.05
     idle_poll_s: float = 0.01
@@ -186,7 +185,6 @@ def worker_main(conn, model, config: WorkerConfig) -> None:
             max_batch_size=config.max_batch_size,
             seed=config.seed,
             quantize=config.quantize,
-            backend=config.backend,
             resilience=config.resilience,
         )
         gid_by_local: Dict[int, int] = {}

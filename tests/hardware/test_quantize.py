@@ -215,21 +215,6 @@ class TestModelAccuracyUnderInt8:
         assert report["weight_memory_ratio"] < 1.0
 
 
-class TestBackendParityOracle:
-    def test_serial_vs_threaded_bit_parity(self):
-        from repro.hardware import verify_backend_parity
-
-        stats = verify_backend_parity()
-        assert stats["ops_checked"] >= 10
-        assert stats["mismatches"] == 0.0
-
-    def test_serial_vs_serial_trivially_agrees(self):
-        from repro.hardware import verify_backend_parity
-
-        stats = verify_backend_parity(candidate="serial", n=64, seq_len=32)
-        assert stats["mismatches"] == 0.0
-
-
 class TestStorageTierDrift:
     def test_fp16_drift_sub_percent(self):
         from repro.hardware import storage_tier_drift_report

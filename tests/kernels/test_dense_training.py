@@ -9,11 +9,11 @@ The oracle here is the per-stage chain (``butterfly_apply_reference`` +
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels as K
-from repro.kernels import grouped
+from repro.kernels import backend, grouped
 from repro.nn import tensor as F
 
 RELATIVE = {np.float64: 1e-10, np.float32: 2e-5}
@@ -88,6 +88,7 @@ def _cases(draw):
 class TestAgainstTheStageChain:
     @settings(max_examples=80, deadline=None)
     @given(_cases())
+    @example((1024, 64, 1, (117,), np.float32, 354784))
     def test_forward_and_every_gradient(self, case):
         n, d_in, d_out, lead, dtype, seed = case
         rng = np.random.default_rng(seed)
@@ -105,9 +106,16 @@ class TestAgainstTheStageChain:
         relative = RELATIVE[dtype]
         _assert_close(y, want_y, relative, "y")
         _assert_close(gx, want_gx, relative, "gx")
+        # The dense path takes every stage's gradient back from one dW, so
+        # a stage's rounding error follows the largest stage's scale, not
+        # its own: a stage whose gradients are 100x smaller than stage 0's
+        # carries float32 error of stage 0's size.
+        largest = max(np.abs(want).max() for want in want_gcoeffs)
         for s, (got, want) in enumerate(zip(gcoeffs, want_gcoeffs)):
             assert got.shape == (4, n // 2) and got.dtype == dtype
-            _assert_close(got, want, relative, f"stage {s}")
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=relative * max(largest, 1e-30),
+                                       err_msg=f"stage {s}")
 
     def test_finite_differences_through_the_recorded_node(self, rng, gradcheck):
         """float64 central differences on the layer's one graph node.  The
@@ -133,50 +141,26 @@ class TestAgainstTheStageChain:
         assert kinds[0] == "dense" and set(kinds[1:]) == {None}
 
 
-class _MatmulSpy(K.SerialBackend):
-    def __init__(self):
-        self.dtypes = set()
-
-    def matmul(self, a, b, out):
-        self.dtypes.update((a.dtype, b.dtype, out.dtype))
-        return super().matmul(a, b, out)
-
-
 class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_gemm_operand_is_the_inputs_dtype(self, rng, dtype):
+    def test_every_gemm_operand_is_the_inputs_dtype(self, rng, dtype, monkeypatch):
         coeffs, halves = _ladder(rng, 512, dtype)
         x = rng.normal(size=(2, 128, 128)).astype(dtype)
         grad = rng.normal(size=(2, 128, 512)).astype(dtype)
-        spy = _MatmulSpy()
-        y, ctx = K.butterfly_apply(x, coeffs, halves, backend=spy,
+        dtypes = set()
+        real = backend.matmul
+
+        def spy(a, b, out):
+            dtypes.update((a.dtype, b.dtype, out.dtype))
+            return real(a, b, out)
+
+        monkeypatch.setattr(backend, "matmul", spy)
+        y, ctx = K.butterfly_apply(x, coeffs, halves,
                                    in_features=128, out_features=512)
-        gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx, backend=spy)
+        gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx)
         assert ctx[0] == "dense"
-        assert spy.dtypes == {np.dtype(dtype)}
+        assert dtypes == {np.dtype(dtype)}
         assert {a.dtype for a in (y, gx, *gcoeffs)} == {np.dtype(dtype)}
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_threaded_backend_is_bitwise_serial(rng, dtype, workers):
-    """Every GEMM of the dense call goes through ``backend.matmul``, which
-    shards disjoint output rows."""
-    threaded = K.ThreadedBackend(workers=workers)
-    for n, d_in, d_out, rows in [(512, 128, 512, 512), (512, 512, 128, 512),
-                                 (128, 128, 128, 1024)]:
-        coeffs, halves = _ladder(rng, n, dtype)
-        x = rng.normal(size=(rows, d_in)).astype(dtype)
-        grad = rng.normal(size=(rows, d_out)).astype(dtype)
-        results = []
-        for backend in (None, threaded):
-            y, ctx = K.butterfly_apply(x, coeffs, halves, backend=backend,
-                                       in_features=d_in, out_features=d_out)
-            assert ctx[0] == "dense"
-            gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx, backend=backend)
-            results.append([y, gx, *gcoeffs])
-        for serial, sharded in zip(*results):
-            np.testing.assert_array_equal(serial, sharded)
 
 
 class TestContextLifetime:

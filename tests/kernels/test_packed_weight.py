@@ -98,19 +98,6 @@ class TestLayout:
             QK.quantized_linear_reference(x, codes, scales, bias).astype(np.float64),
             rtol=tol, atol=tol * max(1.0, codes.shape[1] ** 0.5))
 
-    @settings(max_examples=15, deadline=None)
-    @given(call=stored_calls())
-    def test_serial_equals_threaded_bytes(self, call):
-        codes, scales, bias, x = call
-        packed = packed_for(codes, scales, bias, x)
-        serial = QK.quantized_linear(x, packed, scales, bias)
-        with kernels.use_backend("threaded"):
-            threaded = QK.quantized_linear(x, packed, scales, bias)
-        assert serial.tobytes() == threaded.tobytes()
-        four = QK.quantized_linear(
-            x, packed, scales, bias, backend=kernels.ThreadedBackend(workers=4))
-        assert serial.tobytes() == four.tobytes()
-
     def test_pack_copies_and_is_idempotent(self, rng):
         """The packed weight never aliases what it was packed from (not
         even where a block's transpose is already contiguous), and a

@@ -1,7 +1,7 @@
 """Int8 quantization kernels: round-trip, GEMM parity, butterfly parity.
 
 What int8 owes in common with every stored format (blocked vs reference
-GEMM, backend parity, ...) is in ``tests/test_tier_contract.py``; this
+GEMM, packed vs plain, ...) is in ``tests/test_tier_contract.py``; this
 file keeps what is specific to the int8 quantizer.
 """
 
@@ -118,8 +118,8 @@ class TestQuantizedLinear:
         first = QK.quantized_linear(x, q, scales)
         for _ in range(3):
             np.testing.assert_array_equal(QK.quantized_linear(x, q, scales), first)
-        # the pool is per-thread (threaded-backend safety); this thread's
-        # share respects the byte budget
+        # the pool is per-thread; this thread's share respects the byte
+        # budget
         assert QK._SCRATCH._tls.bytes <= QK._SCRATCH.MAX_BYTES
 
     def test_rejects_non_int8_weight(self, rng, dtype):

@@ -1,7 +1,8 @@
 """Concurrency safety of the kernel-layer caches (plans, scratch, bias).
 
-The threaded backend runs kernels on pool workers, and two serving
-engines may legitimately share a process — so the grouped-plan cache,
+Kernels run on their caller's thread, and two callers may share a
+process (a ``ServerThread`` beside the thread that started it, two
+serving engines) — so the grouped-plan cache,
 the per-thread dequant scratch pools and the attention bias cache must
 tolerate concurrent callers without corrupting results.  Every test
 hammers one cache from many threads and asserts the outputs stay
@@ -154,19 +155,3 @@ class TestAttentionBiasCache:
 
         assert all(all(row) for row in _hammer(call))
 
-
-class TestBackendUnderConcurrency:
-    def test_threaded_backend_from_many_callers(self, rng):
-        """Callers on distinct threads sharing one threaded backend."""
-        backend = kernels.ThreadedBackend(workers=2)
-        w = rng.normal(size=(64, 64))
-        q, s = QK.quantize_per_channel(w)
-        x = rng.normal(size=(4, 64)).astype(np.float32)
-        expected = QK.quantized_linear(x, q, s)
-
-        def call(t, c):
-            got = QK.quantized_linear(x, q, s, backend=backend)
-            np.testing.assert_array_equal(got, expected)
-            return True
-
-        assert all(all(row) for row in _hammer(call, n_threads=4))

@@ -28,7 +28,7 @@ import pytest
 from repro import nn
 from repro.kernels import attention as AK
 from repro.kernels import quant as QK
-from repro.kernels.backend import KernelBackend
+from repro.kernels import backend
 from repro.models import (
     DualEncoderClassifier,
     ModelConfig,
@@ -173,18 +173,18 @@ def test_bare_serving_engine_decodes_in_the_models_dtype(
     engine = ServingEngine(build(CONFIG).eval(), max_batch_size=2,
                            quantize=quantize)
     operands, logits = [], []
-    real_matmul, real_quantized = KernelBackend.matmul, QK.quantized_linear
+    real_matmul, real_quantized = backend.matmul, QK.quantized_linear
 
-    def matmul(self, a, b, out):
+    def matmul(a, b, out):
         operands.extend([a.dtype, b.dtype, out.dtype])
-        return real_matmul(self, a, b, out)
+        return real_matmul(a, b, out)
 
     def quantized_linear(x, *args, **kwargs):
         y = real_quantized(x, *args, **kwargs)
         operands.extend([x.dtype, y.dtype])
         return y
 
-    monkeypatch.setattr(KernelBackend, "matmul", matmul)
+    monkeypatch.setattr(backend, "matmul", matmul)
     monkeypatch.setattr(QK, "quantized_linear", quantized_linear)
     for name in ("prefill", "decode_step"):
         real = getattr(engine.model, name)

@@ -179,15 +179,14 @@ class TestInstallation:
 
 class TestKernelPoints:
     def test_matmul_point_fires_through_backend(self):
-        from repro.kernels.backend import resolve_backend
+        from repro.kernels.backend import matmul
 
         a = np.ones((4, 4))
         out = np.empty((4, 4))
-        backend = resolve_backend("serial")
         with use_faults("kernels.matmul:transient:times=1"):
             with pytest.raises(TransientFault):
-                backend.matmul(a, a, out)
-            backend.matmul(a, a, out)  # schedule spent
+                matmul(a, a, out)
+            matmul(a, a, out)  # schedule spent
         np.testing.assert_allclose(out, a @ a)
 
     def test_butterfly_apply_point_fires(self):

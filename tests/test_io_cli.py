@@ -139,6 +139,41 @@ class TestDecoderStateDictRoundTrip:
                                    atol=1e-12)
 
 
+    @staticmethod
+    def _with_config_keys(model, path, extra):
+        """``model`` saved as a checkpoint whose config JSON carries
+        ``extra`` beside the current fields."""
+        import json
+        from dataclasses import asdict
+
+        archive = {name: param.data for name, param in model.named_parameters()}
+        archive["__config_json__"] = np.frombuffer(
+            json.dumps({**asdict(model.config), **extra}).encode(), dtype=np.uint8)
+        archive["__builder__"] = np.frombuffer(b"butterfly_decoder", dtype=np.uint8)
+        np.savez(path, **archive)
+        return path
+
+    def test_retired_backend_key_dropped(self, tmp_path, rng):
+        """Checkpoints saved while ``ModelConfig`` had a ``backend`` field
+        still load, whatever it named, and forward to the same bytes."""
+        cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,
+                          n_heads=2, r_ffn=2, n_total=2, seed=3)
+        model = build_butterfly_decoder(cfg).eval()
+        path = self._with_config_keys(model, tmp_path / "old.npz",
+                                      {"backend": "threaded"})
+        restored = load_model(path).eval()
+        assert restored.config == cfg
+        tokens = rng.integers(1, 28, size=(2, 8))
+        assert model(tokens).data.tobytes() == restored(tokens).data.tobytes()
+
+    def test_other_unknown_config_key_rejected(self, tmp_path):
+        cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,
+                          n_heads=2, r_ffn=2, n_total=1, seed=0)
+        path = self._with_config_keys(build_butterfly_decoder(cfg),
+                                      tmp_path / "odd.npz", {"workers": 4})
+        with pytest.raises(TypeError, match="workers"):
+            load_model(path)
+
 class TestCLI:
     def test_parser_subcommands(self):
         parser = build_parser()

@@ -13,7 +13,6 @@ import pytest
 
 from repro import kernels, nn
 from repro.kernels import quant as QK
-from repro.kernels.backend import ThreadedBackend
 from repro.models import ModelConfig, build_butterfly_decoder, build_dense_decoder
 from repro.serving import SamplingParams, ServingEngine
 
@@ -89,23 +88,6 @@ class TestTierContract:
             np.testing.assert_allclose(
                 got, QK.quantized_linear_reference(x, q, scales, bias),
                 rtol=2e-5, atol=2e-5)
-
-    def test_serial_equals_threaded_bytes(self, rng, store, stored_ladder, mode, dtype):
-        threaded = ThreadedBackend(workers=4)
-        q, scales = store(rng.normal(size=(96, 64)))
-        x = rng.normal(size=(9, 64)).astype(dtype)
-        np.testing.assert_array_equal(
-            QK.quantized_linear(x, q, scales),
-            QK.quantized_linear(x, q, scales, backend=threaded),
-        )
-        q_stages, stage_scales, halves, _ = stored_ladder(256)
-        xl = rng.normal(size=(16, 256)).astype(dtype)
-        serial = QK.quantized_butterfly_apply(xl, q_stages, stage_scales, halves)
-        with kernels.use_backend(threaded):
-            np.testing.assert_array_equal(
-                QK.quantized_butterfly_apply(xl, q_stages, stage_scales, halves),
-                serial,
-            )
 
     def test_ladder_drift_bounded(self, rng, stored_ladder, mode, dtype):
         q_stages, stage_scales, halves, coeffs = stored_ladder(64)
