@@ -79,6 +79,37 @@ class TestGroupedPlanCache:
 
         assert all(all(row) for row in _hammer(call))
 
+    def test_concurrent_frozen_and_dense_gemms_bit_stable(self, rng):
+        """The GEMM paths proper, above the stage chain's size: a chunked
+        frozen ladder (its chunk buffers come from the shared plan's
+        per-thread pool) and a recorded dense call, from many callers."""
+        def ladder(n):
+            halves = kernels.stage_halves(n)
+            return [rng.normal(size=(4, n // 2)) * 0.7 for _ in halves], halves
+
+        frozen = kernels.FrozenLadder(ladder(1024)[0], np.float64)
+        x = rng.normal(size=(2, 8, 1024))
+        coeffs, halves = ladder(256)
+        xd = rng.normal(size=(128, 64))
+        grad = rng.normal(size=(128, 256))
+
+        def run():
+            y = frozen.apply(x)
+            yd, ctx = kernels.butterfly_apply(xd, coeffs, halves,
+                                              in_features=64, out_features=256)
+            assert ctx[0] == "dense"
+            gx, gcoeffs = kernels.butterfly_apply_vjp(grad, ctx)
+            return [np.array(a) for a in (y, yd, gx, *gcoeffs)]
+
+        expected = run()
+
+        def call(t, c):
+            for got, want in zip(run(), expected):
+                np.testing.assert_array_equal(got, want)
+            return True
+
+        assert all(all(row) for row in _hammer(call, n_calls=4))
+
 
 class TestQuantScratchPool:
     @pytest.mark.parametrize("mode", QUANT_MODES)
