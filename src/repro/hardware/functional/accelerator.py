@@ -63,7 +63,8 @@ class ButterflyAccelerator:
     # ------------------------------------------------------------------
     def _on_engine(self, run, *args) -> Tuple[np.ndarray, int]:
         """``run(*args)`` plus the pair ops every engine invocation inside
-        it took (one per row or column); bank conflicts go to the trace."""
+        it took (one per layer, two per 2D FFT); bank conflicts go to the
+        trace."""
         total = self.engine.cumulative_stats
         pair_ops, conflicts = total.pair_ops, total.bank_conflicts
         out = run(*args)

@@ -2,9 +2,10 @@
 
 Each AE contains a QK unit (MAC lanes + accumulator + softmax) and an SV
 unit (MAC lanes).  The QK unit streams rows of Q against the whole K
-matrix, emits one softmaxed score row at a time, and the SV unit consumes
-score rows as they appear (this row-by-row handoff is what enables the
-fine-grained BP/AP pipelining of Fig. 14).
+matrix and emits softmaxed score rows; the SV unit consumes score rows as
+they appear (this row-by-row handoff is what enables the fine-grained
+BP/AP pipelining of Fig. 14).  The model runs a head's rows as one tile
+and counts what each row costs.
 
 The model is value-accurate and counts MAC operations; cycle-level timing
 lives in :mod:`repro.hardware.perf`.
@@ -15,7 +16,7 @@ Construct an engine (or processor) with ``verify=True`` to check every
 Engine verifies against :func:`repro.kernels.butterfly_apply_reference`:
 value parity at float64 precision *and* operation-count parity against
 the closed form :func:`repro.kernels.expected_macs` — the contract that
-the row-streaming hardware loop and the blockwise-streaming software
+the row-streaming hardware model and the blockwise-streaming software
 kernel compute the same function with the same amount of MAC work.
 """
 
@@ -40,7 +41,7 @@ class AttentionStats:
 
 
 class QKUnit:
-    """Computes softmax(q_row @ K^T / sqrt(d)) one query row at a time."""
+    """Computes softmax(Q K^T / sqrt(d)), one score row per query row."""
 
     def __init__(self, pqk: int = 8) -> None:
         if pqk < 1:
@@ -48,19 +49,21 @@ class QKUnit:
         self.pqk = pqk
         self.stats = AttentionStats()
 
-    def score_row(self, q_row: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
-        """One softmaxed score row; counts one MAC per multiply-accumulate."""
-        if q_row.ndim != 1 or keys.ndim != 2 or keys.shape[1] != q_row.shape[0]:
+    def score_rows(self, q: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
+        """Softmaxed score rows of a query row or a ``(rows, d)`` tile;
+        counts one MAC per multiply-accumulate."""
+        if q.ndim not in (1, 2) or keys.ndim != 2 or keys.shape[1] != q.shape[-1]:
             raise ValueError(
-                f"shape mismatch: q_row {q_row.shape} vs keys {keys.shape}"
+                f"shape mismatch: q {q.shape} vs keys {keys.shape}"
             )
-        raw = keys @ q_row * scale
-        self.stats.qk_macs += keys.shape[0] * keys.shape[1]
-        shifted = raw - raw.max()
+        rows = q.size // q.shape[-1]
+        raw = q @ keys.T * scale
+        self.stats.qk_macs += rows * keys.size
+        shifted = raw - raw.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        self.stats.softmax_elems += e.shape[0]
-        self.stats.score_rows_emitted += 1
-        return e / e.sum()
+        self.stats.softmax_elems += e.size
+        self.stats.score_rows_emitted += rows
+        return e / e.sum(axis=-1, keepdims=True)
 
 
 class SVUnit:
@@ -72,13 +75,14 @@ class SVUnit:
         self.psv = psv
         self.stats = AttentionStats()
 
-    def context_row(self, score_row: np.ndarray, values: np.ndarray) -> np.ndarray:
-        if score_row.shape[0] != values.shape[0]:
+    def context_rows(self, scores: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Context rows of a score row or a ``(rows, keys)`` tile."""
+        if scores.shape[-1] != values.shape[0]:
             raise ValueError(
-                f"scores ({score_row.shape}) do not match values ({values.shape})"
+                f"scores ({scores.shape}) do not match values ({values.shape})"
             )
-        self.stats.sv_macs += values.shape[0] * values.shape[1]
-        return score_row @ values
+        self.stats.sv_macs += scores.size // scores.shape[-1] * values.size
+        return scores @ values
 
 
 class AttentionEngine:
@@ -99,19 +103,16 @@ class AttentionEngine:
     def attend(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Full single-head attention: softmax(QK^T / sqrt(d)) V.
 
-        Streams row by row exactly as the hardware does, so tests can
-        check value equivalence with the one-shot matrix formula.
+        The head's query rows stream through the QK unit as one tile and
+        their score rows through the SV unit, counted row by row as the
+        hardware issues them.
         """
         if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
             raise ValueError(f"incompatible shapes q={q.shape} k={k.shape} v={v.shape}")
         scale = 1.0 / np.sqrt(q.shape[1])
         before = (self.qk.stats.qk_macs, self.sv.stats.sv_macs,
                   self.qk.stats.softmax_elems)
-        rows = []
-        for q_row in q:
-            scores = self.qk.score_row(q_row, k, scale)
-            rows.append(self.sv.context_row(scores, v))
-        out = np.stack(rows)
+        out = self.sv.context_rows(self.qk.score_rows(q, k, scale), v)
         counter_inc("hardware_ae_qk_macs_total",
                     amount=self.qk.stats.qk_macs - before[0])
         counter_inc("hardware_ae_sv_macs_total",

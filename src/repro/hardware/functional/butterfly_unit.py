@@ -36,8 +36,9 @@ def butterfly_datapath(in1, in2, w1, w2, w3, w4):
 
     on the four real multipliers and the two real adders; the
     de-multiplexers bypass the complex adders.  Operands are floats (one
-    pair-op) or equal-length lane vectors (one pair-op per lane): the
-    same IEEE operations in the same order either way.
+    pair-op) or equal-shape lane arrays (one pair-op per lane, e.g. a
+    tile's ``(rows, n/2)``): the same IEEE operations in the same order
+    either way.
     """
     return in1 * w1 + in2 * w3, in1 * w2 + in2 * w4
 
@@ -73,7 +74,7 @@ class AdaptableButterflyUnit:
     pair-operation per cycle.  ``mult_ops`` / ``add_ops`` count real
     arithmetic operations so resource sharing can be asserted.  The
     arithmetic itself is :func:`butterfly_datapath` / :func:`fft_datapath`,
-    shared with the engine's per-stage lane vectors.
+    shared with the engine's per-stage lane arrays.
     """
 
     mode: BUMode = BUMode.BUTTERFLY

@@ -16,7 +16,8 @@ output order is asserted by tests).
 None of this depends on the data — the engine is configured per layer and
 then streams vectors through fixed wiring — so ``compile_stage`` issues a
 stage's cycles once through those primitives and records the trace as a
-:class:`StageProgram` that the Butterfly Engine replays for every vector.
+:class:`StageProgram` that the Butterfly Engine replays once per tile,
+over all of its rows at a time.
 """
 
 from __future__ import annotations
@@ -64,11 +65,7 @@ def schedule_stage(
                     break
         if not placed:
             groups.append([pair])
-            groups_banks = {
-                bank_of(pair[0], n, nbanks, layout),
-                bank_of(pair[1], n, nbanks, layout),
-            }
-            group_banks.append(groups_banks if len(groups_banks) == 2 else {-1})
+            group_banks.append(banks or {-1})
     return groups
 
 

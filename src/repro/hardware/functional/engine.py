@@ -18,11 +18,12 @@ data — the hardware is configured per layer and then streams.
 :func:`~repro.hardware.functional.coalesce.compile_stage` issues each
 stage once through ``schedule_stage`` / ``BankedBuffer.read_elements`` /
 ``coalesce_pairs``, counting conflicts cycle by cycle as a property of
-the addresses; ``_run_stages`` replays the cached trace per vector as one
-gather, the BU datapath over the stage's lane vector (the same IEEE
-operations in the same order as the scalar ``butterfly_op`` / ``fft_op``,
-so outputs are bit-identical to issuing the pairs one by one) and one
-scatter, crediting buffer and units from the trace's counts.
+the addresses; ``_run_stages`` replays the cached trace once per tile (a
+vector, or a layer's ``(rows, n)`` rows) as one gather, the BU datapath
+over the stage's ``(rows, n/2)`` lanes (the same IEEE operations in the
+same order as the scalar ``butterfly_op`` / ``fft_op``, so outputs are
+bit-identical to issuing the pairs one by one) and one scatter, crediting
+buffer and units ``rows`` times the trace's counts.
 
 The software hot path lives in :mod:`repro.kernels`, which implements the
 same pair geometry (see :mod:`repro.kernels.layout` for the pair-major
@@ -106,42 +107,54 @@ class ButterflyEngine:
         self.layout = layout
         self.verify = verify
         self.units = [AdaptableButterflyUnit() for _ in range(pbu)]
-        #: Counts of the most recent invocation only: one vector.
+        #: Counts of the most recent invocation only: one tile (or vector).
         self.last_stats: Optional[EngineRunStats] = None
         #: Counts summed over every invocation since construction; callers
-        #: that run many vectors (a layer's rows, a 2D FFT) difference it.
+        #: that make several invocations (a 2D FFT) difference it.
         self.cumulative_stats = EngineRunStats()
 
     # ------------------------------------------------------------------
+    def _stage_output(self, results: np.ndarray) -> np.ndarray:
+        """What a stage writes back (a narrower datapath rounds here)."""
+        return results
+
     def _run_stages(
         self,
         x: np.ndarray,
         factors: List[ButterflyFactor],
         mode: BUMode,
-    ) -> Tuple[np.ndarray, EngineRunStats]:
-        n = x.shape[0]
+    ) -> np.ndarray:
+        """One invocation: a vector, or every row of a ``(rows, n)`` tile."""
+        if x.ndim not in (1, 2) or any(f.n != x.shape[-1] for f in factors):
+            raise ValueError(f"expected a vector or (rows, n) tile of size "
+                             f"{factors[0].n}, got {x.shape}")
+        tile = x.reshape(-1, x.shape[-1])
+        rows, n = tile.shape
         # Vectors smaller than the bank array only occupy the first banks.
         nbanks = min(self.nbanks, n)
         buffer = BankedBuffer(n, nbanks, layout=self.layout)
-        buffer.store(x)
+        buffer.store(tile)
         for unit in self.units:
             unit.configure(mode)
             unit.reset_counters()
         pair_ops = 0
         for factor in factors:
             program = compile_stage(n, factor.half, nbanks, self.layout, self.pbu)
-            top, bottom = buffer.read_trace(
+            operands = buffer.read_trace(
                 program.elements, program.reads, program.cycles, program.conflicts
             )
+            top, bottom = operands[:, 0], operands[:, 1]
             if mode is BUMode.FFT:  # the twiddle is the ``b`` coefficient
                 results = fft_datapath(top, bottom, factor.coeffs[1, program.coeff])
             else:
                 a, b, c, d = factor.coeffs[:, program.coeff]
-                results = butterfly_datapath(top.real, bottom.real, a, c, b, d)
-            buffer.write_elements(program.elements, results)
+                results = butterfly_datapath(top, bottom, a, c, b, d)
+            buffer.write_elements(
+                program.elements, self._stage_output(np.stack(results, axis=1))
+            )
             for unit, ops in zip(self.units, program.unit_ops):
-                unit.issue(mode, ops)
-            pair_ops += program.coeff.size
+                unit.issue(mode, rows * ops)
+            pair_ops += rows * program.coeff.size
         stats = EngineRunStats(
             read_cycles=buffer.stats.cycles,
             bank_conflicts=buffer.stats.conflicts,
@@ -155,53 +168,40 @@ class ButterflyEngine:
                     amount=stats.bank_conflicts)
         counter_inc("hardware_be_pair_ops_total", amount=stats.pair_ops)
         counter_inc("hardware_be_mult_ops_total", amount=stats.mult_ops)
-        out = buffer.snapshot()
+        out = buffer.snapshot().reshape(x.shape)
         if self.verify:
-            reference = _kernels.butterfly_apply_reference(
-                x, [f.coeffs for f in factors], [f.half for f in factors]
-            )
+            reference = x
+            for f in factors:  # stage by stage, rounded as the datapath rounds
+                reference = self._stage_output(
+                    _kernels.butterfly_apply_reference(reference, [f.coeffs], [f.half]))
             if not np.allclose(out, reference, rtol=1e-12, atol=1e-12):
                 raise RuntimeError(
                     "butterfly engine diverged from the kernel reference "
                     f"(max |err| = {np.abs(out - reference).max():.3e})"
                 )
-        return out, stats
-
-    # ------------------------------------------------------------------
-    def run_butterfly(self, x: np.ndarray, matrix: ButterflyMatrix) -> np.ndarray:
-        """Apply a trainable butterfly matrix to a real vector of size n."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (matrix.n,):
-            raise ValueError(f"expected vector of size {matrix.n}, got {x.shape}")
-        out, _ = self._run_stages(x.astype(np.complex128), matrix.factors, BUMode.BUTTERFLY)
-        return out.real
-
-    def run_fft(self, x: np.ndarray) -> np.ndarray:
-        """Compute the FFT of a vector of power-of-two size n."""
-        x = np.asarray(x, dtype=np.complex128)
-        perm, factors = _fft_plan(x.shape[0])
-        out, _ = self._run_stages(x[perm], factors, BUMode.FFT)
         return out
 
     # ------------------------------------------------------------------
-    def run_butterfly_rows(self, x: np.ndarray, matrix: ButterflyMatrix) -> np.ndarray:
-        """Apply the butterfly matrix to each row of a (rows, n) array."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.stack([self.run_butterfly(row, matrix) for row in x])
+    def run_butterfly(self, x: np.ndarray, matrix: ButterflyMatrix) -> np.ndarray:
+        """Apply a trainable butterfly matrix to a real vector of size n, or
+        to every row of a ``(rows, n)`` tile in one invocation."""
+        x = np.asarray(x, dtype=np.float64)
+        return self._run_stages(x, matrix.factors, BUMode.BUTTERFLY)
 
-    def run_fft_rows(self, x: np.ndarray) -> np.ndarray:
-        """FFT of each row of a (rows, n) array."""
-        x = np.atleast_2d(np.asarray(x))
-        return np.stack([self.run_fft(row) for row in x])
+    def run_fft(self, x: np.ndarray) -> np.ndarray:
+        """FFT of a vector of power-of-two size n, or of every row of a
+        ``(rows, n)`` tile in one invocation."""
+        x = np.asarray(x, dtype=np.complex128)
+        perm, factors = _fft_plan(x.shape[-1])
+        return self._run_stages(x[..., perm], factors, BUMode.FFT)
 
     def run_fft2(self, x: np.ndarray) -> np.ndarray:
-        """2D FFT of a (rows, cols) tile: rows first, then columns.
+        """2D FFT of a (rows, cols) tile: the rows in one invocation, then
+        the columns in a second.
 
         This is the FBfly Fourier layer; both passes reuse the same engine.
         """
-        step1 = self.run_fft_rows(x)
-        step2 = self.run_fft_rows(step1.T).T
-        return step2
+        return self.run_fft(self.run_fft(x).T).T
 
 
 class ButterflyLinearExecutor:
@@ -224,7 +224,7 @@ class ButterflyLinearExecutor:
         matrix = layer.to_butterfly_matrix()
         padded = np.zeros((x.shape[0], layer.n))
         padded[:, : layer.in_features] = x
-        out = self.engine.run_butterfly_rows(padded, matrix)
+        out = self.engine.run_butterfly(padded, matrix)
         out = out[:, : layer.out_features]
         if layer.bias is not None:
             out = out + layer.bias.data

@@ -69,7 +69,7 @@ class BankedBuffer:
 
     Values are stored according to ``layout``; ``read_elements`` models one
     read cycle and reports whether the requested elements collide in a
-    bank.  Complex values are allowed (FFT mode concatenates the two
+    bank.  Values are real, or complex (FFT mode concatenates the two
     ping-pong banks into a double-width port, paper Fig. 12 — functionally
     the element granularity is unchanged).
     """
@@ -87,11 +87,12 @@ class BankedBuffer:
 
     # ------------------------------------------------------------------
     def store(self, values: Sequence[complex]) -> None:
-        """Load a full vector through S2P (a single streaming pass)."""
+        """Load a vector or a ``(rows, n)`` tile through S2P (a single
+        streaming pass); every row sits in the banks at the same addresses."""
         values = np.asarray(values)
-        if values.shape != (self.n,):
-            raise ValueError(f"expected {self.n} values, got shape {values.shape}")
-        self._values = values.astype(np.complex128)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.n:
+            raise ValueError(f"expected {self.n} values per row, got shape {values.shape}")
+        self._values = values.astype(np.result_type(values, np.float64))
 
     def bank_of(self, element: int) -> int:
         return bank_of(element, self.n, self.nbanks, self.layout)
@@ -114,7 +115,7 @@ class BankedBuffer:
         self.stats.reads += len(elements)
         self.stats.cycles += 1 + n_conflicts
         self.stats.conflicts += n_conflicts
-        return self._values[elements], n_conflicts > 0
+        return self._values[..., elements], n_conflicts > 0
 
     def read_trace(
         self, elements: np.ndarray, reads: int, cycles: int, conflicts: int
@@ -123,17 +124,20 @@ class BankedBuffer:
 
         Which banks a cycle hits depends on the addresses alone, so a
         trace issued once through :meth:`read_elements` costs the same
-        every time it runs: ``elements`` are its accesses (any shape) and
-        the counts are what ``read_elements`` credited for them then.
+        every time it runs, for every row of the tile: ``elements`` are
+        its accesses (any shape) and the counts, credited once per row,
+        are what ``read_elements`` credited for them then.
         """
-        self.stats.reads += reads
-        self.stats.cycles += cycles
-        self.stats.conflicts += conflicts
-        return self._values[elements]
+        rows = self._values.size // self.n
+        self.stats.reads += rows * reads
+        self.stats.cycles += rows * cycles
+        self.stats.conflicts += rows * conflicts
+        return self._values[..., elements]
 
     def write_elements(self, elements: Sequence[int], values: Sequence[complex]) -> None:
-        """Write results back (the Recover module restores original order)."""
-        self._values[np.asarray(elements, dtype=np.intp)] = np.asarray(values)
+        """Write results back (the Recover module restores original order);
+        ``values`` is shaped like the read of ``elements``."""
+        self._values[..., np.asarray(elements, dtype=np.intp)] = np.asarray(values)
 
     def snapshot(self) -> np.ndarray:
         """Current contents in original element order."""

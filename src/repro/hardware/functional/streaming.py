@@ -108,6 +108,16 @@ class StreamingExecutor:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     # ------------------------------------------------------------------
+    def _stream(self, x, run, strategy: Strategy, complex_data: bool) -> StreamingResult:
+        """Run ``x`` through ``run`` one tile of ``tile_rows`` rows at a time."""
+        outputs, phases = [], []
+        for start in range(0, x.shape[0], self.tile_rows):
+            tile = x[start : start + self.tile_rows]
+            outputs.append(run(tile))
+            phases.append(self._phases(tile.shape[0], x.shape[1], complex_data))
+        total = self._timeline(phases, strategy)
+        return StreamingResult(np.concatenate(outputs), total, phases)
+
     def run_butterfly(
         self, x: np.ndarray, matrix: ButterflyMatrix, strategy: Strategy = "butterfly"
     ) -> StreamingResult:
@@ -115,28 +125,15 @@ class StreamingExecutor:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != matrix.n:
             raise ValueError(f"expected width {matrix.n}, got {x.shape[1]}")
-        outputs = []
-        phases = []
-        for start in range(0, x.shape[0], self.tile_rows):
-            tile = x[start : start + self.tile_rows]
-            outputs.append(self.engine.run_butterfly_rows(tile, matrix))
-            phases.append(self._phases(tile.shape[0], matrix.n, complex_data=False))
-        total = self._timeline(phases, strategy)
-        return StreamingResult(np.concatenate(outputs), total, phases)
+        return self._stream(x, lambda tile: self.engine.run_butterfly(tile, matrix),
+                            strategy, complex_data=False)
 
     def run_fft(
         self, x: np.ndarray, strategy: Strategy = "fft"
     ) -> StreamingResult:
         """Stream a (rows, n) complex activation through the FFT."""
         x = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-        outputs = []
-        phases = []
-        for start in range(0, x.shape[0], self.tile_rows):
-            tile = x[start : start + self.tile_rows]
-            outputs.append(self.engine.run_fft_rows(tile))
-            phases.append(self._phases(tile.shape[0], x.shape[1], complex_data=True))
-        total = self._timeline(phases, strategy)
-        return StreamingResult(np.concatenate(outputs), total, phases)
+        return self._stream(x, self.engine.run_fft, strategy, complex_data=True)
 
     def compare_strategies(
         self, x: np.ndarray, matrix: ButterflyMatrix

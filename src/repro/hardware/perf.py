@@ -2,8 +2,13 @@
 
 The paper evaluates all latency numbers with a custom cycle-accurate
 performance model cross-validated against RTL simulation (Section VI-A);
-this module is our equivalent, cross-validated against the functional
-simulator's operation counts in ``tests/hardware/test_perf.py``.
+this module is our equivalent.  ``test_compute_cycles_count_the_simulated_pair_ops``
+in ``tests/hardware/test_perf.py`` draws FABNet shapes and parallelisms,
+runs one sample through the functional simulator, and checks that every
+``bfly:`` / ``fft:`` layer's compute cycles times ``pbe * pbu`` sum to the
+butterfly / FFT pair ops the simulator issued.  It covers compute cycles
+only: the simulator's read cycles, the off-chip traffic, the Fig. 13
+overlap and the Fig. 14 pipelining below are not counted against it.
 
 Modeled effects:
 

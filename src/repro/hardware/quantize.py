@@ -52,7 +52,7 @@ import numpy as np
 from ..butterfly.factor import ButterflyFactor
 from ..butterfly.matrix import ButterflyMatrix
 from ..kernels import quant as _QK
-from .functional.engine import ButterflyEngine, EngineRunStats
+from .functional.engine import ButterflyEngine
 
 
 def quantize_fp16(values: np.ndarray) -> np.ndarray:
@@ -72,25 +72,16 @@ class Fp16ButterflyEngine(ButterflyEngine):
 
     Inherits the banked-memory access behaviour; only arithmetic
     precision changes, mirroring a 16-bit RTL datapath with fp16
-    registers between stages.
+    registers between stages: operands and coefficients are rounded as
+    they are loaded, and each stage's results as they are written back.
     """
 
+    def _stage_output(self, results):
+        return quantize_fp16(results)
+
     def _run_stages(self, x, factors, mode):
-        x = quantize_fp16(x)
-        quantized_factors = []
-        for factor in factors:
-            coeffs = quantize_fp16(factor.coeffs)
-            quantized_factors.append(type(factor)(factor.n, factor.half, coeffs))
-        out = x
-        stats = EngineRunStats()
-        for factor in quantized_factors:
-            out, stage_stats = super()._run_stages(out, [factor], mode)
-            stats.add(stage_stats)
-            out = quantize_fp16(out)
-        # Each re-entry above left ``last_stats`` at one stage; it means
-        # one vector, as on every other engine.
-        self.last_stats = stats
-        return out, stats
+        factors = [type(f)(f.n, f.half, quantize_fp16(f.coeffs)) for f in factors]
+        return super()._run_stages(quantize_fp16(x), factors, mode)
 
 
 @dataclass
@@ -114,8 +105,7 @@ def _engine_error_report(
     matrix = ButterflyMatrix.random(n, rng)
     x = rng.normal(size=(rows, n))
     exact = matrix.apply(x)
-    engine = engine_cls(pbu=4)
-    approx = np.stack([engine.run_butterfly(row, matrix) for row in x])
+    approx = engine_cls(pbu=4).run_butterfly(x, matrix)
     scale = np.abs(exact).max()
     rel = np.abs(approx - exact) / max(scale, 1e-30)
     return QuantizationErrorReport(
@@ -247,9 +237,9 @@ class Int8ButterflyEngine(ButterflyEngine):
     dequantized as they are loaded; operand values between stages stay
     in the wide datapath.  The quantizer itself is cross-checked
     bit-level against :func:`repro.kernels.quantize_butterfly_stages`
-    on every run, and the inherited ``verify=True`` mode additionally
-    asserts the banked-memory stage loop matches the software kernels
-    on the dequantized factors.
+    once per invocation (a whole tile), and the inherited ``verify=True``
+    mode additionally asserts the banked-memory stage loop matches the
+    software kernels on the dequantized factors.
 
     FFT mode is unsupported: twiddles live in the fp16 buffers
     (:class:`Fp16ButterflyEngine`); int8 storage is for trainable
@@ -273,9 +263,7 @@ class Int8ButterflyEngine(ButterflyEngine):
                     "model and repro.kernels.quant"
                 )
             dequant = hw_q.astype(np.float64) * hw_s.astype(np.float64)[:, None]
-            quantized_factors.append(
-                ButterflyFactor(factor.n, factor.half, dequant)
-            )
+            quantized_factors.append(ButterflyFactor(factor.n, factor.half, dequant))
         return super()._run_stages(x, quantized_factors, mode)
 
 

@@ -134,9 +134,9 @@ class TestTrace:
 
 
     def test_butterfly_pair_ops_count_every_row(self, fab_config, rng):
-        """Each row of a layer call is an engine invocation, and every one
-        is counted: twice the sequence, twice the butterfly pair ops —
-        equal to what the engine itself saw."""
+        """A layer call is one engine invocation over all its rows, and
+        every row is counted: twice the sequence, twice the butterfly pair
+        ops — equal to what the engine itself saw."""
         model = build_fabnet(fab_config).eval()
         counts = {}
         for seq in (8, 16):
@@ -156,12 +156,14 @@ class TestTrace:
         assert accel.trace.fft_pair_ops == 2 * 16 * (8 * 4)
 
     def test_last_stats_stays_one_invocation(self, accel, rng):
+        """One invocation is one tile: ``last_stats`` covers all its rows."""
         from repro.butterfly.matrix import ButterflyMatrix
         engine = accel.engine
-        engine.run_butterfly_rows(rng.normal(size=(3, 8)),
-                                  ButterflyMatrix.random(8, rng))
-        assert engine.last_stats.pair_ops == 4 * 3  # n/2 pairs x log2 n
-        assert engine.cumulative_stats.pair_ops == 3 * engine.last_stats.pair_ops
+        engine.run_butterfly(rng.normal(size=(3, 8)),
+                             ButterflyMatrix.random(8, rng))
+        assert engine.last_stats.pair_ops == 3 * 4 * 3 == 36  # rows x n/2 x log2 n
+        assert engine.last_stats.mult_ops == 4 * 36
+        assert engine.cumulative_stats == engine.last_stats
 
 
 class TestPostProcessor:

@@ -23,13 +23,13 @@ class TestQKUnit:
         qk = QKUnit(pqk=4)
         q = rng.normal(size=8)
         k = rng.normal(size=(5, 8))
-        row = qk.score_row(q, k, 1.0 / np.sqrt(8))
+        row = qk.score_rows(q, k, 1.0 / np.sqrt(8))
         assert row.sum() == pytest.approx(1.0)
         assert (row > 0).all()
 
     def test_mac_count(self, rng):
         qk = QKUnit(pqk=4)
-        qk.score_row(rng.normal(size=8), rng.normal(size=(5, 8)), 1.0)
+        qk.score_rows(rng.normal(size=8), rng.normal(size=(5, 8)), 1.0)
         assert qk.stats.qk_macs == 5 * 8
         assert qk.stats.softmax_elems == 5
         assert qk.stats.score_rows_emitted == 1
@@ -37,7 +37,7 @@ class TestQKUnit:
     def test_shape_mismatch(self, rng):
         qk = QKUnit(pqk=4)
         with pytest.raises(ValueError, match="shape"):
-            qk.score_row(rng.normal(size=7), rng.normal(size=(5, 8)), 1.0)
+            qk.score_rows(rng.normal(size=7), rng.normal(size=(5, 8)), 1.0)
 
     def test_invalid_parallelism(self):
         with pytest.raises(ValueError, match="pqk"):
@@ -49,12 +49,12 @@ class TestSVUnit:
         sv = SVUnit(psv=4)
         scores = rng.random(5)
         v = rng.normal(size=(5, 8))
-        np.testing.assert_allclose(sv.context_row(scores, v), scores @ v)
+        np.testing.assert_allclose(sv.context_rows(scores, v), scores @ v)
         assert sv.stats.sv_macs == 5 * 8
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="scores"):
-            SVUnit(psv=2).context_row(rng.random(4), rng.normal(size=(5, 8)))
+            SVUnit(psv=2).context_rows(rng.random(4), rng.normal(size=(5, 8)))
 
 
 class TestAttentionEngine:
@@ -103,8 +103,8 @@ class TestVerifyMode:
         engine = AttentionEngine(verify=True)
 
         class BrokenQK(QKUnit):
-            def score_row(self, q_row, keys, scale):
-                return super().score_row(q_row, keys, scale * 1.01)
+            def score_rows(self, q, keys, scale):
+                return super().score_rows(q, keys, scale * 1.01)
 
         engine.qk = BrokenQK()
         with pytest.raises(RuntimeError, match="diverged from the kernel"):
@@ -115,8 +115,8 @@ class TestVerifyMode:
         engine = AttentionEngine(verify=True)
 
         class Miscounting(QKUnit):
-            def score_row(self, q_row, keys, scale):
-                row = super().score_row(q_row, keys, scale)
+            def score_rows(self, q, keys, scale):
+                row = super().score_rows(q, keys, scale)
                 self.stats.qk_macs += 1  # phantom MAC
                 return row
 

@@ -55,12 +55,20 @@ class TestButterflyMode:
         with pytest.raises(ValueError, match="pbu"):
             ButterflyEngine(pbu=0)
 
-    def test_rows_helper(self, rng):
+    def test_tile_of_rows(self, rng):
         engine = ButterflyEngine(pbu=2)
         matrix = ButterflyMatrix.random(16, rng)
         x = rng.normal(size=(3, 16))
-        np.testing.assert_allclose(engine.run_butterfly_rows(x, matrix),
+        np.testing.assert_allclose(engine.run_butterfly(x, matrix),
                                    matrix.apply(x), atol=1e-10)
+
+    def test_wrong_rank_rejected(self, rng):
+        engine = ButterflyEngine(pbu=2)
+        matrix = ButterflyMatrix.random(16, rng)
+        with pytest.raises(ValueError, match="tile of size 16"):
+            engine.run_butterfly(rng.normal(size=(2, 3, 16)), matrix)
+        with pytest.raises(ValueError, match="tile of size 16"):
+            engine.run_fft(rng.normal(size=(2, 3, 16)) + 0j)
 
 
 class TestFFTMode:
@@ -74,6 +82,14 @@ class TestFFTMode:
         engine = ButterflyEngine(pbu=4)
         x = rng.normal(size=(8, 16))
         np.testing.assert_allclose(engine.run_fft2(x), np.fft.fft2(x), atol=1e-9)
+        # Two invocations: 8 rows of size 16, then 16 columns of size 8.
+        assert engine.cumulative_stats.pair_ops == 8 * 8 * 4 + 16 * 4 * 3
+        assert engine.last_stats.pair_ops == 16 * 4 * 3
+
+    def test_tile_of_rows(self, rng):
+        engine = ButterflyEngine(pbu=4)
+        x = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+        np.testing.assert_allclose(engine.run_fft(x), np.fft.fft(x, axis=-1), atol=1e-9)
 
     def test_unified_engine_same_cost_both_modes(self, rng):
         """FFT and butterfly of the same size use identical multiplier and

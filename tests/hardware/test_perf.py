@@ -1,9 +1,14 @@
 """Cycle-level performance model: hand-checked counts, overlap, pipelining."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel, WorkloadSpec
+from repro.hardware.functional import ButterflyAccelerator
 from repro.hardware.perf import latency_vs_bandwidth
+from repro.models import ModelConfig, build_fabnet
 
 
 @pytest.fixture
@@ -167,3 +172,60 @@ class TestBandwidthSweep:
             WorkloadSpec(seq_len=0, d_hidden=64)
         with pytest.raises(ValueError):
             WorkloadSpec(seq_len=64, d_hidden=64, n_total=1, n_abfly=2)
+
+
+# ----------------------------------------------------------------------
+# The model's compute cycles against the functional simulator's counts.
+# ----------------------------------------------------------------------
+def counted_against_modeled(seq, d_hidden, r_ffn, n_total, n_abfly, n_heads, pbu):
+    """One sample through the functional simulator, and the closed form's
+    compute cycles turned back into pair ops, per layer kind."""
+    config = AcceleratorConfig(pbe=1, pbu=pbu, pae=2, pqk=4, psv=4)
+    model = build_fabnet(ModelConfig(
+        vocab_size=16, n_classes=2, max_len=seq, d_hidden=d_hidden,
+        n_heads=n_heads, r_ffn=r_ffn, n_total=n_total, n_abfly=n_abfly, seed=0,
+    )).eval()
+    accelerator = ButterflyAccelerator(config)
+    accelerator.run_encoder(model, np.arange(seq)[None] % 16)
+    report = ButterflyPerformanceModel(config).model_latency(WorkloadSpec(
+        seq_len=seq, d_hidden=d_hidden, r_ffn=r_ffn, n_total=n_total,
+        n_abfly=n_abfly, n_heads=n_heads,
+    ))
+
+    def modeled(kind):
+        return sum(layer.compute_cycles * config.pbe * config.pbu
+                   for layer in report.layers if layer.name.startswith(kind + ":"))
+
+    trace = accelerator.trace
+    return (trace.butterfly_pair_ops, trace.fft_pair_ops), (modeled("bfly"), modeled("fft"))
+
+
+@st.composite
+def fabnet_shapes(draw):
+    n_total = draw(st.integers(min_value=1, max_value=2))
+    return dict(
+        seq=draw(st.sampled_from([4, 8, 16, 32])),
+        d_hidden=draw(st.sampled_from([16, 32, 64])),
+        r_ffn=draw(st.sampled_from([1, 2, 4])),
+        n_total=n_total,
+        n_abfly=draw(st.integers(min_value=0, max_value=n_total)),
+        n_heads=draw(st.sampled_from([1, 2, 4])),
+        pbu=draw(st.sampled_from([1, 2, 4, 8])),
+    )
+
+
+@given(shape=fabnet_shapes())
+@settings(max_examples=30, deadline=None)
+def test_compute_cycles_count_the_simulated_pair_ops(shape):
+    """Every ``bfly:`` / ``fft:`` layer's compute cycles, times the
+    ``pbe * pbu`` units that share them, are the pair ops the simulator
+    issued for that kind of layer."""
+    counted, modeled = counted_against_modeled(**shape)
+    assert counted == modeled
+
+
+def test_hw_sim_shape_is_counted():
+    """The e2e ``hw_sim`` model: 5120 FFT + 77824 butterfly pair ops."""
+    counted, modeled = counted_against_modeled(
+        seq=16, d_hidden=64, r_ffn=4, n_total=2, n_abfly=1, n_heads=4, pbu=4)
+    assert counted == modeled == (77824, 5120)

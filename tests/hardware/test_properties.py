@@ -16,6 +16,7 @@ from repro.butterfly.fft import bit_reversal_permutation, fft_butterfly
 from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel, WorkloadSpec
 from repro.hardware.functional import (
     AdaptableButterflyUnit,
+    BankAccessStats,
     BankedBuffer,
     BUMode,
     ButterflyAccelerator,
@@ -109,10 +110,13 @@ def unit_counters(units):
     pbu=st.sampled_from([1, 2, 4, 8]),
     layout=st.sampled_from(LAYOUTS),
     mode=st.sampled_from(list(BUMode)),
+    rows=st.sampled_from([1, 2, 5]),
     seed=seeds,
 )
 @settings(max_examples=60, deadline=None)
-def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, seed):
+def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, rows, seed):
+    """A tile of ``rows`` vectors is one invocation: each row's bytes are
+    its per-pair replay, and every count is ``rows`` times one vector's."""
     n = 1 << log_n
     rng = np.random.default_rng(seed)
     buffers = []
@@ -125,27 +129,40 @@ def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, s
     engine = ButterflyEngine(pbu=pbu, layout=layout)
     with mock.patch.object(engine_module, "BankedBuffer", RecordedBuffer):
         if mode is BUMode.FFT:
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
             got = engine.run_fft(x)
-            start, factors = x[bit_reversal_permutation(n)], fft_butterfly(n).factors
+            starts, factors = x[:, bit_reversal_permutation(n)], fft_butterfly(n).factors
         else:
-            x = rng.normal(size=n)
+            x = rng.normal(size=(rows, n))
             matrix = ButterflyMatrix.random(n, rng)
             got = engine.run_butterfly(x, matrix)
-            start, factors = x.astype(np.complex128), matrix.factors
-    want, access, units = replay_per_pair(start, factors, mode, pbu, layout)
-    if mode is BUMode.BUTTERFLY:
-        want = want.real
+            starts, factors = x.astype(np.complex128), matrix.factors
+    replays = [replay_per_pair(start, factors, mode, pbu, layout) for start in starts]
 
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+    assert got.shape == (rows, n)
+    for got_row, (want, _, _) in zip(got, replays):
+        if mode is BUMode.BUTTERFLY:
+            want = want.real
+        assert got_row.dtype == want.dtype
+        assert got_row.tobytes() == want.tobytes()  # bitwise, signed zeros included
+    _, access, units = replays[0]
+    for _, row_access, row_units in replays:  # the addresses never depend on data
+        assert row_access == access
+        assert unit_counters(row_units) == unit_counters(units)
     (buffer,) = buffers
-    assert buffer.stats == access
-    assert unit_counters(engine.units) == unit_counters(units)
+    assert buffer.stats == BankAccessStats(
+        cycles=rows * access.cycles,
+        conflicts=rows * access.conflicts,
+        reads=rows * access.reads,
+    )
+    assert unit_counters(engine.units) == [
+        tuple(rows * count for count in counters) for counters in unit_counters(units)
+    ]
     stats = engine.last_stats
-    assert (stats.read_cycles, stats.bank_conflicts) == (access.cycles, access.conflicts)
-    assert stats.pair_ops == (n // 2) * log_n
-    assert stats.mult_ops == sum(u.mult_ops for u in units) == 4 * stats.pair_ops
+    assert (stats.read_cycles, stats.bank_conflicts) == (
+        rows * access.cycles, rows * access.conflicts)
+    assert stats.pair_ops == rows * (n // 2) * log_n
+    assert stats.mult_ops == rows * sum(u.mult_ops for u in units) == 4 * stats.pair_ops
 
 
 HW_SIM_MODEL = dict(
@@ -228,8 +245,8 @@ def test_engines_on_eight_threads_agree():
     def work(slot):
         engine = ButterflyEngine(pbu=4)
         barrier.wait()
-        out = engine.run_butterfly_rows(rows, matrix)
-        spectrum = engine.run_fft_rows(rows)
+        out = engine.run_butterfly(rows, matrix)
+        spectrum = engine.run_fft(rows)
         results[slot] = (
             out.tobytes(), spectrum.tobytes(), engine.cumulative_stats,
             unit_counters(engine.units),

@@ -69,8 +69,9 @@ class TestFp16Engine:
 
     @pytest.mark.parametrize("mode", ["butterfly", "fft"])
     def test_last_stats_cover_the_whole_vector(self, mode, rng):
-        """The fp16 engine re-enters the stage runner once per stage;
-        ``last_stats`` still means one vector, as on the fp64 engine."""
+        """The fp16 engine rounds inside the one stage runner;
+        ``last_stats`` still means the whole invocation, as on the fp64
+        engine."""
         from repro.hardware.functional import ButterflyEngine
 
         n = 32
@@ -87,6 +88,47 @@ class TestFp16Engine:
         assert fp16.last_stats.read_cycles == 20
         assert fp16.last_stats.pair_ops == 80
         assert fp16.last_stats.mult_ops == 320
+
+    @pytest.mark.parametrize("mode", ["butterfly", "fft"])
+    def test_unit_counters_cover_every_stage(self, mode, rng):
+        """After an invocation the units have counted all of its stages,
+        not just the last one."""
+        n = 16
+        engine = Fp16ButterflyEngine(pbu=4)
+        if mode == "fft":
+            engine.run_fft(rng.normal(size=n) + 0j)
+        else:
+            engine.run_butterfly(rng.normal(size=n), ButterflyMatrix.random(n, rng))
+        assert engine.last_stats.mult_ops == 4 * 4 * (n // 2)
+        assert sum(u.mult_ops for u in engine.units) == engine.last_stats.mult_ops
+
+
+@pytest.mark.parametrize("engine_cls, mode", [
+    (Fp16ButterflyEngine, "butterfly"),
+    (Fp16ButterflyEngine, "fft"),
+    (Int8ButterflyEngine, "butterfly"),
+])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_a_tile_is_its_rows(engine_cls, mode, rows, rng):
+    """A tile through a reduced-precision engine equals its rows run one
+    call each, byte for byte; its counts are the rows' counts summed."""
+    n = 32
+    matrix = ButterflyMatrix.random(n, rng)
+    x = rng.normal(size=(rows, n))
+
+    def run(engine, data):
+        if mode == "fft":
+            return engine.run_fft(data + 1j * data[..., ::-1])
+        return engine.run_butterfly(data, matrix)
+
+    tile_engine, row_engine = engine_cls(pbu=4, verify=True), engine_cls(pbu=4)
+    tile = run(tile_engine, x)
+    stacked = np.stack([run(row_engine, row) for row in x])
+    assert tile.dtype == stacked.dtype
+    assert tile.tobytes() == stacked.tobytes()
+    assert tile_engine.last_stats == tile_engine.cumulative_stats
+    assert tile_engine.cumulative_stats == row_engine.cumulative_stats
+    assert tile_engine.last_stats.pair_ops == rows * 5 * (n // 2)
 
 
 class TestErrorReport:
@@ -186,7 +228,7 @@ class TestInt8Engine:
         x = rng.normal(size=(4, n))
         software = QK.quantized_butterfly_apply(x, qs, scales, halves)
         engine = Int8ButterflyEngine(pbu=4)
-        hardware = np.stack([engine.run_butterfly(row, matrix) for row in x])
+        hardware = engine.run_butterfly(x, matrix)
         np.testing.assert_allclose(hardware, software, rtol=1e-12, atol=1e-12)
 
     def test_fft_mode_rejected(self, rng):
