@@ -23,15 +23,16 @@ dtype policy (float64 default, float32 opt-in) in
 
 Entry points
 ------------
-:func:`butterfly_apply` / :func:`butterfly_apply_vjp` dispatch between
-the fused grouped kernels (real power-of-two ladders: a layer's
-:class:`FrozenLadder` for its every inference call, the per-call
-grouped kernel for large training and raw-array calls, run on the
-identity's rows and one dense GEMM when a recorded fold is inside the
-frozen ladder's area budget) and the per-stage vectorized kernels
-(small such calls, complex twiddles, partial ladders).  All paths are
-loop-free over pairs, and the entry owns a layer's zero-pad and output
-slice in every one of them.
+:func:`butterfly_apply` / :func:`butterfly_apply_vjp` are the recorded
+and raw-array entry: they dispatch between the fused grouped kernels
+(the per-call grouped kernel for large training and raw-array calls,
+run on the identity's rows and one dense GEMM when a recorded fold is
+inside the frozen ladder's area budget) and the per-stage vectorized
+kernels (small such calls, complex twiddles, partial ladders).  All
+paths are loop-free over pairs, and the entry owns a layer's zero-pad
+and output slice in every one of them.  A layer's every inference call
+is its :class:`FrozenLadder`'s own :meth:`~FrozenLadder.apply`, which
+traverses the same fault point and span.
 
 The package also hosts the fused query-tiled attention kernel
 (:mod:`repro.kernels.attention`): :func:`attention_forward` /
@@ -202,10 +203,8 @@ def butterfly_apply(
     coeffs: Sequence[np.ndarray],
     halves: Sequence[int],
     need_ctx: bool = True,
-    ladder: Optional[FrozenLadder] = None,
     in_features: Optional[int] = None,
     out_features: Optional[int] = None,
-    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
     """Apply a ladder of butterfly stages to the last axis of ``x``.
 
@@ -220,18 +219,12 @@ def butterfly_apply(
     ``out_features`` columns; the VJP undoes both.  Each defaults to
     ``n``.
 
-    **Inference over a layer's parameters**: the layer passes the
-    :class:`FrozenLadder` its :class:`FrozenLadderCache` holds for
-    ``coeffs`` (``need_ctx`` must be off) and the call is that ladder's
-    ``apply``, at every ``(rows, n)`` — the fold is the ladder's own.
-    Only this path takes ``out``: a C-contiguous array of the result's
-    shape and dtype, not aliasing ``x``, that receives the bytes the
-    allocating call would return (an inference program's owned buffer).
-
-    **Every other call** pays for what it builds — training steps
-    because the weights move, raw-array callers because there is nothing
-    to validate a cache against — so real full power-of-two ladders
-    take the fused grouped kernel only above :data:`MIN_STAGES` /
+    The recorded / raw-array entry: inference over a layer's parameters
+    calls its :class:`FrozenLadder`'s ``apply`` directly instead.  Every
+    call here pays for what it builds — training steps because the
+    weights move, raw-array callers because there is nothing to validate
+    a cache against — so real full power-of-two ladders take the fused
+    grouped kernel only above :data:`MIN_STAGES` /
     :data:`MIN_WORK` and the per-stage chain below; complex (FFT) stages
     and partial ladders always take the chain.  Of the calls the grouped
     kernel takes, one that wants a context, whose fold passes the frozen
@@ -248,13 +241,6 @@ def butterfly_apply(
             f"got {len(coeffs)} coefficient arrays for {len(halves)} stages"
         )
     fault_point("kernels.butterfly_apply", stages=len(halves))
-    if ladder is not None:
-        if need_ctx:
-            raise ValueError("a frozen ladder has no VJP context to give")
-        with span("kernels.butterfly_apply", n=ladder.plan.n, path="frozen"):
-            return ladder.apply(x, out), None
-    if out is not None:
-        raise ValueError("out= is the frozen ladder's; this call has none")
     lead = x.shape[:-1]
     rows = math.prod(lead)
     n = 2 * coeffs[0].shape[-1] if coeffs else x.shape[-1]

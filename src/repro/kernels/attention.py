@@ -384,9 +384,10 @@ def attention_decode(
     *including* the new token's projections.  ``lengths[b]`` is the
     number of previously cached positions of row ``b`` (the new token
     sits at index ``lengths[b]``), so row ``b`` attends to key indices
-    ``0 .. lengths[b]`` inclusive.  Uniform batches skip masking
-    entirely; ragged batches have their padded slots overwritten with
-    the dtype fill *before* the row max (no bias arrays are built) —
+    ``0 .. lengths[b]`` inclusive.  A key view every row sees whole
+    (uniform lengths, sliced to them) skips masking entirely; otherwise
+    the slots past each row's new token are overwritten with the dtype
+    fill *before* the row max (no bias arrays are built) —
     padded cache slots can hold stale keys from earlier, longer contexts
     that would otherwise skew the softmax max and denominator.  (Cache
     buffers are zeros-born and fully overwritten on merge/compaction, so
@@ -406,27 +407,26 @@ def attention_decode(
         scale = 1.0 / math.sqrt(q.shape[-1])
     with span("kernels.attention_decode", batch=q.shape[0], t=t):
         # s[b, h, t] = k[b, h, t] . q[b, h]
-        s = np.empty((*k.shape[:3], 1), dtype=np.result_type(k.dtype, q.dtype))
+        s = np.empty((*k.shape[:3], 1), dtype=np.promote_types(k.dtype, q.dtype))
         backend.matmul(k, q[..., None], s)
         s = s[..., 0]
         s *= scale
         if lengths is not None:
             lengths = np.asarray(lengths, dtype=np.int64)
-            uniform = lengths.size == 0 or bool((lengths == lengths[0]).all())
-            # A uniform batch only skips masking when the key view is
-            # sliced exactly to the visible prefix; an unsliced
-            # capacity-sized view still has stale tail slots that must be
-            # masked out.
-            if lengths.size and (not uniform or t > int(lengths[0]) + 1):
+            # Only a view sliced exactly to every row's visible prefix
+            # skips masking: a ragged batch, or a capacity-sized view, has
+            # slots past some row's new token.
+            if lengths.size and np.minimum.reduce(lengths) + 1 < t:
                 invalid = np.arange(t)[None, :] > lengths[:, None]
                 np.copyto(s, s.dtype.type(mask_fill_value(s.dtype)),
                           where=invalid[:, None, :])
-        m = s.max(axis=-1, keepdims=True)
+        # The reductions are ndarray.max / .sum's own ufuncs, unwrapped.
+        m = np.maximum.reduce(s, axis=-1, keepdims=True)
         s -= m
         p = np.exp(s, out=s)  # masked slots underflow to exactly 0
-        denom = p.sum(axis=-1)
+        denom = np.add.reduce(p, axis=-1)
         ctx = np.empty((*q.shape[:2], 1, v.shape[-1]),
-                       dtype=np.result_type(p.dtype, v.dtype))
+                       dtype=np.promote_types(p.dtype, v.dtype))
         backend.matmul(p[:, :, None, :], v, ctx)
         ctx = ctx[:, :, 0, :]
         ctx /= denom[..., None]

@@ -299,7 +299,7 @@ def linear_act_forward(
         )
     wt = cached_transpose(weight)
     shape = x.shape[:-1] + (wt.shape[1],)
-    dtype = np.result_type(x.dtype, wt.dtype)
+    dtype = np.promote_types(x.dtype, wt.dtype)
     if out is None:
         y = RECYCLER.empty(shape, dtype)
     else:
@@ -378,7 +378,9 @@ def residual_layer_norm_forward(
     ``out`` (``need_ctx`` must be off) is a C-contiguous array of the
     result's shape and dtype aliasing neither operand: the sum is formed
     and normalized in it, the squares go through pooled scratch, and it
-    comes back with the bytes of the allocating call.
+    comes back with the bytes of the allocating call.  The means are
+    ``np.mean``'s arithmetic, unwrapped (float16, which it would
+    accumulate in float32, is refused).
     """
     if x.shape != sub.shape:
         raise ValueError(f"residual shapes differ: {x.shape} vs {sub.shape}")
@@ -387,13 +389,18 @@ def residual_layer_norm_forward(
     else:
         if need_ctx:
             raise ValueError("out= cannot back a VJP context")
-        check_out(out, x.shape, np.result_type(x.dtype, sub.dtype), x, sub)
+        check_out(out, x.shape, np.promote_types(x.dtype, sub.dtype), x, sub)
         h = np.add(x, sub, out=out)
-    mu = h.mean(axis=-1, keepdims=True)
-    h -= mu
+    if h.dtype == np.float16:
+        raise TypeError("layer norm of a float16 sum: cast it to float32")
+    count = np.intp(h.shape[-1])
+    mu = np.add.reduce(h, axis=-1, keepdims=True)
+    h -= np.true_divide(mu, count, out=mu, casting="unsafe")
     squares = SCRATCH.take("layer_norm", h.shape, h.dtype)
-    var = np.mean(np.square(h, out=squares), axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    var = np.add.reduce(np.square(h, out=squares), axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     h *= inv  # h is now the normalized activation
     if not need_ctx:
         h *= gamma

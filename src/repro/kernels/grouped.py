@@ -75,7 +75,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry import counter_inc, publish_on_snapshot
+from ..faults import fault_point
+from ..telemetry import counter_inc, publish_on_snapshot, span
 from . import backend
 from .layout import check_power_of_two, num_stages
 from .pool import RECYCLER, ScratchPool, check_out
@@ -709,27 +710,31 @@ class FrozenLadder:
         """``(..., in_features) -> (..., out_features)``; the result is
         always an owned array (intermediates live in pooled scratch) —
         or ``out``, a C-contiguous array of the result's shape and dtype
-        that does not alias ``x``, filled with the same bytes."""
-        x = np.asarray(x, dtype=self.dtype)
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected input dim {self.in_features}, got {x.shape[-1]}"
-            )
-        shape = x.shape[:-1] + (self.out_features,)
-        if out is None:
-            out = np.empty(shape, dtype=self.dtype)
-        else:
-            check_out(out, shape, self.dtype, x)
-        if len(self.ops) == 1:
-            backend.matmul(x, self.ops[0], out)
-            return out
-        n = self.plan.n
-        if self.in_features < n:
-            whole = self.plan.scratch("pad", x.shape[:-1] + (n,), self.dtype)
-            whole[..., : self.in_features] = x
-            whole[..., self.in_features:] = 0
-            x = whole
-        return self._chunked(x, out)
+        that does not alias ``x``, filled with the same bytes.  Owns the
+        ``kernels.butterfly_apply`` fault point and ``path="frozen"`` span."""
+        plan = self.plan
+        fault_point("kernels.butterfly_apply", stages=plan.stages)
+        with span("kernels.butterfly_apply", n=plan.n, path="frozen"):
+            x = np.asarray(x, dtype=self.dtype)
+            if x.shape[-1] != self.in_features:
+                raise ValueError(
+                    f"expected input dim {self.in_features}, got {x.shape[-1]}"
+                )
+            shape = x.shape[:-1] + (self.out_features,)
+            if out is None:
+                out = np.empty(shape, dtype=self.dtype)
+            else:
+                check_out(out, shape, self.dtype, x)
+            if len(self.ops) == 1:
+                backend.matmul(x, self.ops[0], out)
+                return out
+            n = plan.n
+            if self.in_features < n:
+                whole = plan.scratch("pad", x.shape[:-1] + (n,), self.dtype)
+                whole[..., : self.in_features] = x
+                whole[..., self.in_features:] = 0
+                x = whole
+            return self._chunked(x, out)
 
     def _chunked(self, x: np.ndarray, out=None) -> np.ndarray:
         # (..., n) through every chunk, into ``out`` (..., out_features)

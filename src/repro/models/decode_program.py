@@ -46,6 +46,11 @@ The contract (see CONTRIBUTING, "The inference program"):
   and the strided ``(B, S, 3 * D)`` views it hands attention and the
   cache write cost more — 6/6 alternating ``decode_int8`` pairs lost
   3-4% of ``itl_p50_ms`` — so three calls it stays, for every layer kind.
+* **Each operator paid for once**: a projection calls its layer's
+  operator directly (a butterfly layer's ``FrozenLadder.apply``, which
+  owns its fault point and span), and the kernels reduce through the
+  ufuncs with ``np.mean``'s arithmetic: a step enters no numpy Python
+  wrapper (``tests/models/test_decode_calls.py`` counts them).
 * **Owned outputs**: the returned logits are a fresh array; the program
   keeps no scratch of its own (the kernels' pools are per-thread), so
   concurrent callers never alias.
@@ -120,15 +125,16 @@ class DecodeProgram(InferenceProgram):
         """
         batch, s_new = tokens.shape
         lengths = cache.lengths
-        positions = lengths[:, None] + np.arange(s_new)
+        # The longest row's context after this call: every key view's width.
+        total = (int(np.maximum.reduce(lengths)) if batch else 0) + s_new
         max_len = min(self.max_len, cache.max_len)
-        if positions.size and positions.max() >= max_len:
+        if batch and s_new and total > max_len:
             raise ValueError(
-                f"position {positions.max()} exceeds max_len "
+                f"position {total - 1} exceeds max_len "
                 f"{max_len}; re-prefill the sliding window"
             )
+        positions = lengths[:, None] + np.arange(s_new)
         rows = np.arange(batch)[:, None]
-        total = int(lengths.max()) + s_new if batch else s_new
         x = self._token_emb[tokens] + self._pos_emb[positions]
         for index, block in enumerate(self._blocks):
             (q_proj, k_proj, v_proj, out_proj, (gamma1, beta1, eps1),

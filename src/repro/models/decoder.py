@@ -129,19 +129,10 @@ class ButterflyDecoderLM(nn.Module):
         re-prefill the clipped window at the sliding-window edge).  Runs
         the compiled :class:`~repro.models.decode_program.DecodeProgram`.
         """
-        if self.training:
-            raise RuntimeError(
-                "KV-cache decoding is inference-only; call .eval() first"
-            )
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, s_new), got {tokens.shape}")
-        if tokens.shape[0] != cache.batch:
-            raise ValueError(
-                f"batch mismatch: cache has {cache.batch} rows, "
-                f"tokens have {tokens.shape[0]}"
-            )
-        return self._program.get(self).run(tokens, cache)
+        return self._run(tokens, cache)
 
     def prefill(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
         """Run the prompt through an empty-tail cache; return last-position logits."""
@@ -150,7 +141,22 @@ class ButterflyDecoderLM(nn.Module):
     def decode_step(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
         """Single-token step: ``(batch,)`` new tokens -> ``(batch, vocab)`` logits."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        return self.forward_incremental(tokens[:, None], cache)[:, 0]
+        if tokens.ndim != 1:
+            raise ValueError(f"tokens must be (batch,), got {tokens.shape}")
+        return self._run(tokens[:, None], cache)[:, 0]
+
+    def _run(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
+        # The checks both entries share, on int64 (batch, s_new) tokens.
+        if self.training:
+            raise RuntimeError(
+                "KV-cache decoding is inference-only; call .eval() first"
+            )
+        if tokens.shape[0] != cache.batch:
+            raise ValueError(
+                f"batch mismatch: cache has {cache.batch} rows, "
+                f"tokens have {tokens.shape[0]}"
+            )
+        return self._program.get(self).run(tokens, cache)
 
     # ------------------------------------------------------------------
     def generate(

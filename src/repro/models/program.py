@@ -17,7 +17,8 @@ forward).  Both are built, keyed and invalidated the same way — like
   is one), a layer swap (quantization) or a stored layer's arrays being
   rebound, and after nothing else.  One sweep per call.
 
-Adding a layer kind means one branch in
+A projection calls its layer's inference operator directly (a butterfly
+layer's ``FrozenLadder.apply``).  Adding a layer kind means one branch in
 :meth:`InferenceProgram._projection`.
 """
 
@@ -28,7 +29,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .. import nn
-from ..kernels import butterfly_apply, gelu_forward, linear_act_forward
+from ..kernels import gelu_forward, linear_act_forward
 from ..kernels import quant as QK
 
 #: ``projection(x, out=None)``: ``act(layer(x))`` as an owned array, or
@@ -71,15 +72,13 @@ class InferenceProgram:
 
             return dense
         if isinstance(layer, nn.ButterflyLinear):
-            stages = layer.stage_parameters()
-            coeffs = [self._array(stage) for stage in stages]
+            for stage in layer.stage_parameters():
+                self._array(stage)  # stamped: the ladder is built from them
             ladder = layer.frozen_ladder(self.dtype)
-            halves = layer.halves
             bias = None if layer.bias is None else self._array(layer.bias)
 
             def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-                y, _ = butterfly_apply(
-                    x, coeffs, halves, need_ctx=False, ladder=ladder, out=out)
+                y = ladder.apply(x, out)  # the fault point and span are its own
                 if bias is not None:
                     y += bias  # the ladder's output is an owned array, or out
                 return y

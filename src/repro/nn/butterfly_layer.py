@@ -85,18 +85,17 @@ class ButterflyLinear(Module):
         return self._frozen.get(self.stage_parameters(), dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        # One fused autograd op for the whole ladder (one graph node per
-        # layer, not per stage or per pad/slice): the kernel entry owns the
-        # fold, its input-width check included.  Inference hands it the
-        # frozen operators, which have the fold built in; a complex result
-        # has none and runs as recorded.
-        ladder = None
-        if not F.is_grad_enabled():
-            ladder = self.frozen_ladder(x.dtype)
-        out = F.butterfly_apply(
-            x, self.stage_parameters(), self.halves, ladder=ladder,
-            in_features=self.in_features, out_features=self.out_features,
-        )
+        # Inference runs the frozen operators (fold built in); a recorded
+        # call, or a complex result, is one autograd node whose kernel
+        # entry owns the fold, its input-width check included.
+        ladder = None if F.is_grad_enabled() else self.frozen_ladder(x.dtype)
+        if ladder is not None:
+            out = Tensor(ladder.apply(x.data), dtype=ladder.dtype)
+        else:
+            out = F.butterfly_apply(
+                x, self.stage_parameters(), self.halves,
+                in_features=self.in_features, out_features=self.out_features,
+            )
         if self.bias is not None:
             out = out + self.bias
         return out

@@ -22,16 +22,11 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Update counter consumed by kernel-side caches."""
-        return self._version
+        self.version = 0  # update counter consumed by kernel-side caches
 
     def bump_version(self) -> None:
         """Record that ``data`` was mutated in place (invalidates caches)."""
-        self._version += 1
+        self.version += 1
 
 
 class Module:

@@ -638,21 +638,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make_result(data, tuple(tensors), backward)
 
 
-def pad_last(a: Tensor, before: int, after: int) -> Tensor:
-    """Zero-pad the last dimension (used to embed vectors in larger butterflies)."""
-    n = a.shape[-1]
-    # Zero-allocate + slice assignment: np.pad's generic machinery costs
-    # ~20 us per call whatever the size.
-    data = np.zeros(a.shape[:-1] + (before + n + after,), dtype=a.dtype)
-    data[..., before : before + n] = a.data
-
-    def backward(grad: np.ndarray):
-        sl = [slice(None)] * (grad.ndim - 1) + [slice(before, before + n)]
-        return (grad[tuple(sl)],)
-
-    return _make_result(data, (a,), backward)
-
-
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
@@ -788,8 +773,13 @@ def layer_norm_forward(
     squares through pooled scratch), it comes back with the bytes of the
     allocating call, and ``normed`` / ``inv`` — what a VJP would need —
     are ``None``.  Without it the arrays returned are the recycler's.
+    The mean is ``np.mean``'s arithmetic, unwrapped (float16, which it
+    would accumulate in float32, is refused).
     """
-    mu = a.mean(axis=-1, keepdims=True)
+    if a.dtype == np.float16:
+        raise TypeError("layer norm of a float16 input: cast it to float32")
+    mu = np.add.reduce(a, axis=-1, keepdims=True)
+    np.true_divide(mu, np.intp(a.shape[-1]), out=mu, casting="unsafe")
     if out is None:
         normed = _RECYCLER.empty(a.shape, a.dtype)
     else:
@@ -798,9 +788,11 @@ def layer_norm_forward(
     squares = _SCRATCH.take("layer_norm", a.shape, a.dtype)
     np.subtract(a, mu, out=normed)
     # ndarray.var, spelled out: sum((a - mean)^2) / n.
-    var = np.multiply(normed, normed, out=squares).sum(axis=-1, keepdims=True)
+    var = np.add.reduce(np.multiply(normed, normed, out=squares), axis=-1,
+                        keepdims=True)
     var /= a.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     normed *= inv
     if out is None:
         y = np.multiply(normed, gamma, out=_RECYCLER.out(a, gamma, beta))
@@ -958,7 +950,6 @@ def butterfly_apply(
     x: Tensor,
     coeffs: Sequence[Tensor],
     halves: Sequence[int],
-    ladder=None,
     in_features: Optional[int] = None,
     out_features: Optional[int] = None,
 ) -> Tensor:
@@ -971,12 +962,6 @@ def butterfly_apply(
     ladder and dispatches to :mod:`repro.kernels`' fused grouped kernel,
     which is several times faster at ``n >= 256``.
 
-    ``ladder`` is the caller's :class:`repro.kernels.FrozenLadder` over
-    ``coeffs`` for an inference call (under ``no_grad``; the kernel
-    refuses it when the op has to be recorded): ``x`` is then the
-    ladder's ``(..., in_features)`` and the result its
-    ``(..., out_features)``.
-
     ``in_features`` / ``out_features`` hand a layer's fold to the kernel,
     which owns the zero-pad to ``n`` and the output slice in both
     directions — a rectangular layer is still one graph node.
@@ -985,7 +970,7 @@ def butterfly_apply(
     record = _should_record(parents)
     data, ctx = _kernels.butterfly_apply(
         x.data, [c.data for c in coeffs], halves, need_ctx=record,
-        ladder=ladder, in_features=in_features, out_features=out_features,
+        in_features=in_features, out_features=out_features,
     )
 
     def backward(grad: np.ndarray):

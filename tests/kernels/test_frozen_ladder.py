@@ -65,10 +65,8 @@ class TestMatchesReference:
             ladder = FrozenLadder(coeffs, dtype, d_in, d_out)
             for lead in LEADS:
                 x = rng.normal(size=lead + (d_in,)).astype(dtype)
-                y, ctx = K.butterfly_apply(
-                    x, coeffs, halves, need_ctx=False, ladder=ladder)
+                y = ladder.apply(x)
                 expected = _reference(x, coeffs, halves, n, d_out)
-                assert ctx is None
                 assert y.shape == expected.shape and y.dtype == dtype
                 scale = max(1.0, np.abs(expected).max())
                 assert np.abs(y - expected).max() / scale < TOLERANCE[dtype], (
@@ -323,13 +321,6 @@ class TestLayerCache:
 
 
 class TestOtherCallersStay:
-    def test_a_ladder_cannot_give_a_vjp_context(self, rng):
-        coeffs, halves = _ladder(rng, 64)
-        ladder = FrozenLadder(coeffs, np.float64)
-        with pytest.raises(ValueError, match="no VJP context"):
-            K.butterfly_apply(rng.normal(size=(3, 64)), coeffs, halves,
-                              ladder=ladder)
-
     @pytest.mark.parametrize("rows,n", [(1, 64), (4, 32), (1, 1024), (512, 32)])
     def test_raw_arrays_below_the_thresholds_take_the_stage_chain(
             self, rng, rows, n):

@@ -134,12 +134,11 @@ def _dense(rng, dtype):
 
 def _frozen_chunked(rng, dtype):
     """A ten-stage frozen ladder: one GEMM per chunk."""
-    coeffs, halves = _ladder(rng, 1024, dtype)
+    coeffs, _ = _ladder(rng, 1024, dtype)
     ladder = K.FrozenLadder(coeffs, dtype)
     assert len(ladder.ops) > 1
     x = rng.normal(size=(3, 5, 1024)).astype(dtype)
-    return lambda: [K.butterfly_apply(x, coeffs, halves, need_ctx=False,
-                                      ladder=ladder)[0]]
+    return lambda: [ladder.apply(x)]
 
 
 def _frozen_folded(rng, dtype):

@@ -64,9 +64,8 @@ def _calls(rng, dtype):
         coeffs, halves, ladder = _ladder(rng, n, dtype, fan_in, fan_out)
         assert (len(ladder.ops) == 1) == (name == "ladder_dense")
         calls[name] = (
-            lambda out=None, c=coeffs, h=halves, lad=ladder, x_in=x_in:
-            kernels.butterfly_apply(x_in, c, h, need_ctx=False, ladder=lad,
-                                    out=out)[0], [x_in])
+            lambda out=None, lad=ladder, x_in=x_in: lad.apply(x_in, out),
+            [x_in])
     return calls
 
 
@@ -142,11 +141,16 @@ class TestOutOnlyWithoutAContext:
                 call()
 
     def test_only_the_frozen_ladder_takes_out(self, rng):
-        coeffs, halves, _ = _ladder(rng, 8, np.float64)
+        """The kernel entry is the recorded / raw-array path: a frozen
+        ladder is applied (into ``out`` or not) through its own ``apply``."""
+        coeffs, halves, ladder = _ladder(rng, 8, np.float64)
         x = rng.normal(size=(2, 8))
-        with pytest.raises(ValueError, match="frozen ladder"):
-            kernels.butterfly_apply(x, coeffs, halves, need_ctx=False,
-                                    out=np.empty_like(x))
+        for name in ("out", "ladder"):
+            with pytest.raises(TypeError, match=name):
+                kernels.butterfly_apply(x, coeffs, halves, need_ctx=False,
+                                        **{name: None})
+        out = np.empty_like(x)
+        assert ladder.apply(x, out) is out
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -1,5 +1,7 @@
 """Butterfly decoder LM: causality, training, generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,18 @@ class TestForwardAndLoss:
         lm = build_butterfly_decoder(lm_config)
         with pytest.raises(ValueError, match="batch"):
             lm(np.zeros(8, dtype=int))
+
+    def test_decode_step_names_the_shape_it_expects(self, lm_config):
+        """A step takes one token per row; anything else is refused with
+        the caller's own shape, before the cache moves."""
+        lm = build_butterfly_decoder(lm_config).eval()
+        cache = lm.make_cache(1)
+        for tokens in (np.ones((1, 1), np.int64), np.int64(3)):
+            shape = np.shape(tokens)
+            with pytest.raises(ValueError, match=(
+                    rf"tokens must be \(batch,\), got {re.escape(str(shape))}")):
+                lm.decode_step(tokens, cache)
+        assert cache.lengths.tolist() == [0]
 
     def test_loss_near_log_vocab_at_init(self, lm_config, rng):
         lm = build_butterfly_decoder(lm_config)

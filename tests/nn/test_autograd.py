@@ -116,9 +116,6 @@ class TestShapeGradients:
             rng.normal(size=(2, 3)),
         )
 
-    def test_pad_last(self, rng, gradcheck):
-        gradcheck(lambda t: F.pad_last(t, 1, 2), rng.normal(size=(2, 3)))
-
 
 class TestReductionGradients:
     def test_sum_all(self, rng, gradcheck):

@@ -324,8 +324,8 @@ class TestTrainingPathUnchanged:
         (256, 512, 256, "grouped"),   # over the area budget
     ])
     def test_forward_backward_bits(self, rng, d_in, d_out, rows, kind):
-        """Shapes the dense rule leaves alone: the bits of ``pad_last`` ->
-        ladder -> ``getitem``, as they always were."""
+        """Shapes the dense rule leaves alone: the bits of zero-pad ->
+        ladder -> slice, as they always were."""
         layer = nn.ButterflyLinear(d_in, d_out, rng=rng)
         stages = [p.data for p in layer.stage_parameters()]
         x = rng.normal(size=(rows, d_in))

@@ -125,27 +125,6 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="half"):
             F.butterfly_stage(Tensor(rng.normal(size=(8,))), Tensor(np.zeros((4, 4))), half=3)
 
-    def test_pad_last_values(self):
-        out = F.pad_last(Tensor(np.array([[1.0, 2.0]])), 1, 2)
-        np.testing.assert_allclose(out.data, [[0.0, 1.0, 2.0, 0.0, 0.0]])
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", [(5,), (1, 1, 32), (3, 17, 6)])
-    def test_pad_last_bit_identical_to_np_pad(self, rng, dtype, shape):
-        """Zero-allocate + slice assignment replaces ``np.pad``: same bits,
-        dtype and shape forward, and the backward is still the slice."""
-        x = rng.normal(size=shape).astype(dtype)
-        with F.default_dtype(np.dtype(dtype).name):
-            t = Tensor(x, requires_grad=True)
-            out = F.pad_last(t, 2, 3)
-            widths = [(0, 0)] * (x.ndim - 1) + [(2, 3)]
-            expected = np.pad(x, widths)
-            assert out.dtype == expected.dtype and out.shape == expected.shape
-            np.testing.assert_array_equal(out.data, expected)
-            grad = rng.normal(size=out.shape).astype(dtype)
-            out.backward(grad)
-        np.testing.assert_array_equal(t.grad, grad[..., 2:-3])
-
     def test_where_selects(self):
         out = F.where(
             np.array([True, False]), Tensor(np.array([1.0, 1.0])), Tensor(np.array([2.0, 2.0]))
