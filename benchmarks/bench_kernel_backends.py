@@ -1,13 +1,10 @@
-"""Storage-tier benchmark: int8/fp16 decode against fp32.
+"""Storage-tier benchmark: int8 decode against fp32.
 
-Measures what the stored-weight tiers add over fp32 decode, against
-the first committed int8 decode baseline (683 tok/s):
-
-* **storage tiers** — decode tokens/s through the serving engine for
-  fp32 and every ``nn.QUANT_MODES`` replica of the same GEMM-heavy decoder,
-  plus their weight-memory ratios and logit drift.
-* **oracle** — the fp16 bounded-drift report, recorded alongside the
-  timings so a drift break fails the gate on any machine.
+Measures what the int8 stored-weight replica adds over fp32 decode,
+against the first committed int8 decode baseline (683 tok/s): decode
+tokens/s through the serving engine for fp32 and the int8 replica of the
+same GEMM-heavy decoder, plus the replica's weight-memory ratio and
+logit drift (deterministic, so a break fails the gate on any machine).
 
 Run directly (``python benchmarks/bench_kernel_backends.py``, add
 ``--smoke`` for the CI quick mode — same shapes, fewer decode tokens,
@@ -21,7 +18,6 @@ import numpy as np
 from conftest import print_table, update_bench_json
 
 from repro import nn
-from repro.hardware import storage_tier_drift_report
 from repro.models import ModelConfig, build_dense_decoder
 from repro.nn import weight_memory_bytes
 from repro.serving import SamplingParams, ServingEngine
@@ -69,21 +65,14 @@ def _decode_tiers(new_tokens, batch=8, prompt_len=16):
     probe = rng.integers(1, CONFIG.vocab_size, size=(4, prompt_len))
     with nn.no_grad():
         fp_logits = model(probe).data
-    for mode in nn.QUANT_MODES:
-        tps, engine = _engine_tokens_per_s(
-            model, prompts, new_tokens, quantize=mode
-        )
-        replica = engine.model
-        with nn.no_grad():
-            q_logits = replica(probe).data
-        drift = float(
-            np.abs(q_logits - fp_logits).max() / np.abs(fp_logits).max()
-        )
-        tiers[f"{mode}_tokens_per_s"] = round(tps, 1)
-        tiers[f"{mode}_memory_ratio"] = round(
-            weight_memory_bytes(replica) / fp_bytes, 4
-        )
-        tiers[f"{mode}_rel_logit_drift"] = round(drift, 5)
+    tps, engine = _engine_tokens_per_s(model, prompts, new_tokens, quantize="int8")
+    replica = engine.model
+    with nn.no_grad():
+        q_logits = replica(probe).data
+    drift = float(np.abs(q_logits - fp_logits).max() / np.abs(fp_logits).max())
+    tiers["int8_tokens_per_s"] = round(tps, 1)
+    tiers["int8_memory_ratio"] = round(weight_memory_bytes(replica) / fp_bytes, 4)
+    tiers["int8_rel_logit_drift"] = round(drift, 5)
     tiers["int8_vs_fp32_speedup"] = round(
         tiers["int8_tokens_per_s"] / fp32_tps, 2
     )
@@ -94,39 +83,29 @@ def _decode_tiers(new_tokens, batch=8, prompt_len=16):
 
 
 def run(smoke: bool):
-    drift = storage_tier_drift_report()
-    tiers = _decode_tiers(new_tokens=12 if smoke else 48)
-
-    result = {
-        "fp16_max_rel_drift": round(drift["fp16_max_rel_drift"], 6),
-        **tiers,
-    }
-
+    result = _decode_tiers(new_tokens=12 if smoke else 48)
     print_table(
         "Decode tiers (batch 8, d_hidden=512)",
         ["tier", "tok/s", "weight mem", "drift"],
-        [("fp32", f"{result['fp32_tokens_per_s']:.0f}", "x1.00", "-")] + [
-            (mode,
-             f"{result[f'{mode}_tokens_per_s']:.0f}",
-             f"x{result[f'{mode}_memory_ratio']:.2f}",
-             f"{result[f'{mode}_rel_logit_drift']:.4f}")
-            for mode in nn.QUANT_MODES
+        [
+            ("fp32", f"{result['fp32_tokens_per_s']:.0f}", "x1.00", "-"),
+            ("int8", f"{result['int8_tokens_per_s']:.0f}",
+             f"x{result['int8_memory_ratio']:.2f}",
+             f"{result['int8_rel_logit_drift']:.4f}"),
         ],
     )
     return result
 
 
 def test_kernel_backends(smoke: bool = False):
-    """Storage tiers: exact memory and drift bars in every mode."""
+    """The int8 tier: exact memory and drift bars in every mode."""
     result = run(smoke)
     section = "backends_smoke" if smoke else "backends"
     update_bench_json(section, result)
 
     # Deterministic oracles: hard bars in every mode.
-    assert result["fp16_max_rel_drift"] < 0.01
-    assert result["int8_memory_ratio"] < result["fp16_memory_ratio"] < 1.0
+    assert result["int8_memory_ratio"] < 0.5
     assert result["int8_rel_logit_drift"] < 0.05
-    assert result["fp16_rel_logit_drift"] < 0.005
 
 
 if __name__ == "__main__":

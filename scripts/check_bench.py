@@ -169,12 +169,12 @@ MANIFEST: Tuple[Bench, ...] = (
         json_file="BENCH_kernels.json",
         smoke_args=("--smoke",),
         smoke_checks=(
-            Check("backends_smoke.fp16_max_rel_drift", "lower", 0.01,
+            Check("backends_smoke.int8_memory_ratio", "lower", 0.5,
                   rel_tol=EXACT_TOL, strict_band=True),
             Check("backends_smoke.int8_vs_fp32_speedup", "higher", 1.0),
         ),
         full_checks=(
-            Check("backends.fp16_max_rel_drift", "lower", 0.01,
+            Check("backends.int8_memory_ratio", "lower", 0.5,
                   rel_tol=EXACT_TOL, strict_band=True),
             # the committed PR-5 int8 decode baseline must not be lost
             Check("backends.int8_tokens_per_s", "higher", 683.0),

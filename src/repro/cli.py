@@ -52,8 +52,7 @@ Example::
     python -m repro.cli codesign --task text --max-accuracy-loss 0.015
     python -m repro.cli generate --checkpoint /tmp/lm.npz --prompt "cat "
     python -m repro.cli serve --requests 8 --max-batch-size 4
-    python -m repro.cli serve --requests 8 --quantize int8
-    python -m repro.cli serve --requests 8 --workers 2 --quantize fp16
+    python -m repro.cli serve --requests 8 --workers 2 --quantize int8
     python -m repro.cli serve --requests 8 --metrics-json metrics.json
     python -m repro.cli serve --requests 16 --workers 2
     python -m repro.cli serve --http 8080 --max-queue-depth 32
@@ -149,7 +148,7 @@ def _add_generate_parser(subparsers) -> None:
     p.add_argument("--engine", action="store_true",
                    help="route the request through the ServingEngine")
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
-                   help="decode through a reduced-storage replica of the model")
+                   help="decode through an int8 stored-weight replica of the model")
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -171,8 +170,8 @@ def _add_serve_parser(subparsers) -> None:
                    help="enable cost-model admission with this modeled "
                         "per-step latency budget")
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
-                   help="serve a reduced-storage replica (stored weights, "
-                        "dequant-on-the-fly kernels)")
+                   help="serve an int8 stored-weight replica "
+                        "(dequant-on-the-fly kernels)")
     # untrained-model shape knobs (ignored when --checkpoint is given)
     p.add_argument("--d-hidden", type=int, default=32)
     p.add_argument("--n-total", type=int, default=2)

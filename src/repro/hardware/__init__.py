@@ -32,9 +32,6 @@ from .quantize import (
     int8_quantization_error_report,
     quantization_error_report,
     quantize_fp16,
-    quantize_int8,
-    storage_tier_drift_report,
-    verify_int8_quantizer,
 )
 from .schedule import (
     ExecutionTrace,
@@ -147,9 +144,6 @@ __all__ = [
     "processor_balance",
     "quantization_error_report",
     "quantize_fp16",
-    "quantize_int8",
-    "storage_tier_drift_report",
-    "verify_int8_quantizer",
     "workload_gops",
     "our_work_record",
     "scale_power",

@@ -63,9 +63,9 @@ symmetric int8 quantization (:func:`quantize_per_channel`, optional
 MSE calibration), the dequant-on-the-fly GEMM over codes packed once
 into the blocks it reads (:func:`pack_weight`, :class:`PackedWeight`,
 :func:`quantized_linear`) and the stored butterfly ladder apply
-(:func:`quantized_butterfly_apply`) — both take int8 codes with scales
-or fp16 weights with ``scales=None`` — sharing one quantizer with the
-hardware model's verify mode (:mod:`repro.hardware.quantize`).
+(:func:`quantized_butterfly_apply`), both over int8 codes with fp32
+scales — the one quantizer, which the hardware model's
+:class:`~repro.hardware.quantize.Int8ButterflyEngine` stores through too.
 """
 
 from __future__ import annotations

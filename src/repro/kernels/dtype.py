@@ -31,10 +31,10 @@ DtypeLike = Union[str, type, np.dtype]
 
 _ALLOWED = (np.float32, np.float64)
 
-#: Dtypes a weight/activation may be *stored* in.  float16 is a storage
-#: tier only (the paper's 16-bit buffers): NumPy has no BLAS half
-#: kernels, so fp16 operands are streamed through fp32 compute blocks
-#: (see :func:`compute_dtype` and :func:`repro.kernels.quant.quantized_linear`).
+#: Dtypes an activation may be *stored* in.  float16 is a storage tier
+#: only (the paper's 16-bit buffers): NumPy has no BLAS half kernels, so
+#: fp16 operands are streamed through fp32 compute blocks (see
+#: :func:`compute_dtype` and :func:`repro.kernels.quant.quantized_linear`).
 STORAGE_DTYPES = (np.float16, np.float32, np.float64)
 
 _default_dtype: np.dtype = np.dtype(np.float64)

@@ -1,4 +1,4 @@
-"""Stored-weight kernels (int8 codes / fp16): the software decode datapath.
+"""Stored-weight kernels (int8 codes): the software decode datapath.
 
 The paper's accelerator executes butterfly and attention workloads in
 reduced precision; :mod:`repro.hardware.quantize` models what that does
@@ -11,8 +11,9 @@ Scheme — per-channel symmetric int8, scales in fp32:
 
 * each output channel ``o`` of a ``(out, in)`` weight gets one scale
   ``s_o``; codes are ``q = clip(rint(w / s_o), -127, 127)`` (round half
-  to even, the IEEE default shared with the hardware quantizer model,
-  which asserts bit-level agreement in its verify mode);
+  to even, the IEEE default; the hardware model's
+  :class:`~repro.hardware.quantize.Int8ButterflyEngine` stores its
+  stages through this same quantizer);
 * ``s_o = absmax_o / 127`` by default, or an MSE-calibrated shrink of it
   (:func:`calibrate_scales` grid-searches a per-channel shrink factor —
   the cheap weight-distribution calibration pass used by
@@ -39,11 +40,8 @@ plans'; butterfly-stage quantization reuses the existing plan cache by
 dequantizing the (tiny) stage coefficients and dispatching to
 :func:`repro.kernels.butterfly_apply`.
 
-Stored formats — a weight is ``(codes, scales)`` and the two formats
-differ by that one optional array: int8 codes carry per-channel fp32
-``scales``; ``scales is None`` *is* the fp16 format (half-precision
-storage, the paper's 16-bit buffers, nothing to rescale).  One streaming
-GEMM and one ladder apply serve both.
+Stored format — a weight is ``(codes, scales)``: int8 codes with
+per-channel fp32 ``scales``, the one stored format.
 
 The activation dtype follows the inputs (float32/float64 under the
 :mod:`repro.kernels.dtype` policy; fp16 activations compute one tier
@@ -149,14 +147,10 @@ def quantize_per_channel(
     return q, scales
 
 
-def dequantize(
-    q: np.ndarray, scales: Optional[np.ndarray], dtype=None
-) -> np.ndarray:
-    """The stored weight in ``dtype``: exactly ``q * scales`` per channel
-    row for int8 codes, a plain widening for fp16 (``scales is None``)."""
+def dequantize(q: np.ndarray, scales: np.ndarray, dtype=None) -> np.ndarray:
+    """The stored weight in ``dtype``: exactly ``q * scales`` per channel row."""
     dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float32)
-    w = q.astype(dtype)
-    return w if scales is None else w * scales.astype(dtype)[:, None]
+    return q.astype(dtype) * scales.astype(dtype)[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -172,25 +166,25 @@ def block_rows(in_features: int, itemsize: int) -> int:
 
 def check_stored(q_weight, scales, bias=None) -> None:
     """Refuse a stored ``(codes, scales, bias)`` triple that is not one
-    weight: 2-D int8 codes with a 1-D fp32 scale per output channel, or
-    2-D fp16 with ``scales=None``; ``bias`` ``None`` or one per channel."""
+    weight: 2-D int8 codes with a 1-D fp32 scale per output channel;
+    ``bias`` ``None`` or one per channel."""
     if len(q_weight.shape) != 2:
         raise ValueError(
             f"q_weight must be 2-D (out, in) codes, got shape {q_weight.shape}"
         )
-    if q_weight.dtype != (np.float16 if scales is None else np.int8):
+    if q_weight.dtype != np.int8:
         raise TypeError(
-            "q_weight must be int8 codes with scales or float16 without, "
-            f"got {q_weight.dtype} with scales={'None' if scales is None else 'given'}"
+            "q_weight must be int8 codes (the one stored format), "
+            f"got {q_weight.dtype}"
         )
     out_features = q_weight.shape[0]
-    if scales is not None and (
+    if (
         getattr(scales, "dtype", None) != np.float32
         or scales.shape != (out_features,)
     ):
         raise ValueError(
-            f"scales must be None (fp16) or 1-D float32 of length "
-            f"{out_features}, got {_describe(scales)}"
+            f"scales must be 1-D float32 of length {out_features}, "
+            f"got {_describe(scales)}"
         )
     if bias is not None and np.shape(bias) != (out_features,):
         raise ValueError(
@@ -266,14 +260,13 @@ def _transposed_blocks(q_weight: np.ndarray, rows: int) -> list:
 def quantized_linear(
     x: np.ndarray,
     q_weight,
-    scales: Optional[np.ndarray],
+    scales: np.ndarray,
     bias: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``x @ dequant(q_weight)^T + bias`` without materializing the weight.
 
-    ``x`` is ``(..., in)``; ``q_weight`` is the ``(out, in)`` stored
-    weight — int8 codes with per-output-channel ``scales``, or fp16 with
-    ``scales=None`` — as a :class:`PackedWeight` (what a layer holds:
+    ``x`` is ``(..., in)``; ``q_weight`` is the ``(out, in)`` int8 codes
+    of a weight with per-output-channel ``scales``, as a :class:`PackedWeight` (what a layer holds:
     validated when it was packed, not here) or as a plain array, which
     is validated on every call and read as the same blocks through
     transposed views: a slower source for identical scratch contents and
@@ -283,13 +276,11 @@ def quantized_linear(
     which is tiny next to the weight.
 
     The arithmetic runs in :func:`compute_dtype(x.dtype)
-    <repro.kernels.dtype.compute_dtype>` for both formats: int8 codes
-    have no float tier of their own, and fp16 storage promotes to fp32
-    (NumPy has no BLAS half kernels), which never exceeds the
-    activation's compute tier — the software analogue of wide
-    accumulators over the paper's 16-bit buffers.  The result is cast
-    back to ``x``'s dtype, so an fp16 activation stream stays fp16 end
-    to end and float32/float64 activations are never copied.
+    <repro.kernels.dtype.compute_dtype>` (int8 codes have no float tier
+    of their own) — the software analogue of wide accumulators over
+    narrow buffers.  The result is cast back to ``x``'s dtype, so an
+    fp16 activation stream stays fp16 end to end and float32/float64
+    activations are never copied.
     """
     x = np.asarray(x)
     cdt = compute_dtype(x.dtype)
@@ -313,8 +304,7 @@ def quantized_linear(
             scratch = buf[:block.size].reshape(block.shape)
             np.copyto(scratch, block)  # stored -> fp (unscaled)
             np.matmul(x2, scratch, out=out[:, o0:o1])
-        if scales is not None:
-            out *= scales
+        out *= scales
         if bias is not None:
             out += bias
     return out.reshape(*lead, out_features).astype(x.dtype, copy=False)
@@ -323,15 +313,14 @@ def quantized_linear(
 def quantized_linear_reference(
     x: np.ndarray,
     q_weight: np.ndarray,
-    scales: Optional[np.ndarray],
+    scales: np.ndarray,
     bias: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unblocked oracle for :func:`quantized_linear` (parity tests)."""
     x = np.asarray(x)
     cdt = compute_dtype(x.dtype)
     out = np.matmul(x.astype(cdt), q_weight.T.astype(cdt))
-    if scales is not None:
-        out *= scales
+    out *= scales
     if bias is not None:
         out += bias
     return out.astype(x.dtype, copy=False)
@@ -364,13 +353,11 @@ def quantize_butterfly_stages(
 
 def dequantize_butterfly_stages(
     q_stages: Sequence[np.ndarray],
-    stage_scales: Optional[Sequence[np.ndarray]],
+    stage_scales: Sequence[np.ndarray],
     dtype=None,
 ) -> List[np.ndarray]:
     """Exact fp stage tensors from stored stages (shared with the hardware
-    model); ``stage_scales is None`` is the fp16 format, as for weights."""
-    if stage_scales is None:
-        stage_scales = [None] * len(q_stages)
+    model's :class:`~repro.hardware.quantize.Int8ButterflyEngine`)."""
     return [
         dequantize(q, s, dtype=dtype) for q, s in zip(q_stages, stage_scales)
     ]
@@ -379,10 +366,10 @@ def dequantize_butterfly_stages(
 def quantized_butterfly_apply(
     x: np.ndarray,
     q_stages: Sequence[np.ndarray],
-    stage_scales: Optional[Sequence[np.ndarray]],
+    stage_scales: Sequence[np.ndarray],
     halves: Sequence[int],
 ) -> np.ndarray:
-    """Apply a stored (int8 or fp16) butterfly ladder to the last axis of ``x``.
+    """Apply a stored int8 butterfly ladder to the last axis of ``x``.
 
     Stage coefficients are ``O(n)`` while activations are ``O(batch *
     n)``, so dequantizing the stages on the fly is cheap; the apply then
@@ -403,9 +390,7 @@ def quantized_butterfly_apply(
 # ----------------------------------------------------------------------
 # Error accounting shared by tests and the nn transform
 # ----------------------------------------------------------------------
-def quantization_rmse(
-    w: np.ndarray, q: np.ndarray, scales: Optional[np.ndarray]
-) -> float:
+def quantization_rmse(w: np.ndarray, q: np.ndarray, scales: np.ndarray) -> float:
     """Root-mean-square round-trip error of a stored weight."""
     w_hat = dequantize(q, scales, dtype=np.float64)
     return float(np.sqrt(np.square(w_hat - np.asarray(w, dtype=np.float64)).mean()))

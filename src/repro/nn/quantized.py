@@ -5,12 +5,10 @@
 nn.layers.Linear` and :class:`~repro.nn.butterfly_layer.ButterflyLinear`
 (including the attention Q/K/V/output projections and the LM head) is
 swapped for its stored-weight counterpart (:mod:`repro.kernels.quant`).
-``mode`` picks the stored format (:data:`QUANT_MODES`): ``"int8"``
-per-channel symmetric codes plus fp32 scales (the default) or ``"fp16"``
-half-precision weight storage with one-tier-wider compute.  The formats
-differ by one optional array — ``scales is None`` *is* fp16 — so one
-module pair serves both.  The original model is left untouched —
-training paths never see quantized weights; the replica is
+The stored format is the one in :data:`QUANT_MODES`: ``"int8"``
+per-channel symmetric codes plus fp32 scales, quantized by
+:func:`repro.kernels.quantize_per_channel`.  The original model is left
+untouched — training paths never see quantized weights; the replica is
 decode/prefill only and raises if run in training mode.
 
 Embeddings, LayerNorm affines and biases stay in floating point: they
@@ -40,9 +38,19 @@ from .tensor import Tensor
 from . import tensor as F
 
 #: Stored formats understood by :func:`quantize_for_inference`.  The one
-#: place the tier list is spelled: ``ServingEngine(quantize=...)`` and
-#: the CLI's ``--quantize`` choices derive from it.
-QUANT_MODES = ("int8", "fp16")
+#: place the tier list is spelled: :func:`check_mode` (and so
+#: ``ServingEngine`` / ``ClusterEngine(quantize=...)``) and the CLI's
+#: ``--quantize`` choices derive from it.
+QUANT_MODES = ("int8",)
+
+
+def check_mode(mode) -> None:
+    """Refuse a stored-format name that is not in :data:`QUANT_MODES`,
+    before any weight is touched."""
+    if mode not in QUANT_MODES:
+        raise ValueError(
+            "quantize mode must be 'int8' (the one stored weight format), "
+            f"got {mode!r}")
 
 
 def _nbytes(*arrays: Optional[np.ndarray]) -> int:
@@ -52,9 +60,9 @@ def _nbytes(*arrays: Optional[np.ndarray]) -> int:
 class QuantizedLinear(Module):
     """Inference-only dense layer over a stored ``(out, in)`` weight.
 
-    Built from int8 codes with per-channel fp32 ``scales``, or fp16 with
-    ``scales=None``; the triple is validated and the codes are packed
-    here, once, into the blocks the GEMM reads (``q_weight`` is that
+    Built from int8 codes with per-channel fp32 ``scales``; the triple
+    is validated and the codes are packed here, once, into the blocks
+    the GEMM reads (``q_weight`` is that
     :class:`~repro.kernels.PackedWeight`, the only copy held; ``dtype``
     is the dtype the layer will compute in, which sizes the blocks).
     Forward runs the dequant-on-the-fly GEMM
@@ -66,7 +74,7 @@ class QuantizedLinear(Module):
     def __init__(
         self,
         q_weight,
-        scales: Optional[np.ndarray],
+        scales: np.ndarray,
         bias: Optional[np.ndarray] = None,
         *,
         dtype=np.float32,
@@ -109,8 +117,7 @@ class QuantizedButterflyLinear(Module):
     add bias) but dequantizes each ``(4, n/2)`` stage on the fly and
     rides the shared fused grouped kernel
     (:func:`repro.kernels.quantized_butterfly_apply`).  ``q_stages`` are
-    int8 codes with four fp32 ``stage_scales`` each, or fp16 with
-    ``stage_scales=None``.
+    int8 codes with four fp32 ``stage_scales`` each.
     """
 
     def __init__(
@@ -120,7 +127,7 @@ class QuantizedButterflyLinear(Module):
         n: int,
         halves: List[int],
         q_stages: List[np.ndarray],
-        stage_scales: Optional[List[np.ndarray]],
+        stage_scales: List[np.ndarray],
         bias: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__()
@@ -162,7 +169,7 @@ class QuantizedButterflyLinear(Module):
 
     def weight_nbytes(self) -> int:
         """Bytes held by the stored ladder (stages + scales + bias)."""
-        return _nbytes(*self.q_stages, *(self.stage_scales or ()), self.bias)
+        return _nbytes(*self.q_stages, *self.stage_scales, self.bias)
 
     def dense_weight(self) -> np.ndarray:
         """Dequantized dense ``(out, in)`` equivalent (verification only)."""
@@ -214,7 +221,7 @@ def weight_memory_bytes(model: Module) -> int:
     """Total weight bytes of a model: fp parameters + stored-weight buffers.
 
     Parameters reachable through quantized modules are gone (replaced by
-    int8 codes + scales or fp16 arrays, counted via ``weight_nbytes``);
+    int8 codes + scales, counted via ``weight_nbytes``);
     everything else is the ``nbytes`` of its parameter arrays.
     """
     total = sum(p.data.nbytes for p in model.parameters())
@@ -250,43 +257,30 @@ def _fp_weights(layer: Module) -> List[np.ndarray]:
     return [p.data for p in layer.stage_parameters()]
 
 
-def _check_storable(path: str, layer: Module, mode: str) -> None:
-    """Refuse a weight the format would store as garbage without a word:
-    ``nan`` / ``inf`` (int8 codes of 0 under a ``nan`` or ``inf`` scale),
-    or a magnitude past float16's range (stored as ``inf``)."""
+def _check_storable(path: str, layer: Module) -> None:
+    """Refuse a weight int8 would store as garbage without a word:
+    ``nan`` / ``inf`` (codes of 0 under a ``nan`` or ``inf`` scale)."""
     peak = np.max([  # nan propagates through max / min
         (w.max(initial=0.0), -w.min(initial=0.0)) for w in _fp_weights(layer)])
     if not np.isfinite(peak):
         raise ValueError(
-            f"{path}: weight has non-finite values; cannot be stored as {mode}")
-    if mode == "fp16" and peak > np.finfo(np.float16).max:
-        raise ValueError(
-            f"{path}: weight magnitude {peak:.3e} overflows float16 "
-            f"(max {np.finfo(np.float16).max:.0f}); store it as int8 or keep it fp")
+            f"{path}: weight has non-finite values; cannot be stored as int8")
 
 
 def _stored_twin(
-    layer: Module, path: str, mode: str, calibration: str,
-    report: QuantizationReport,
+    layer: Module, path: str, calibration: str, report: QuantizationReport,
 ) -> Module:
     """The stored-weight counterpart of one Linear / ButterflyLinear."""
     weights = _fp_weights(layer)
     if isinstance(layer, Linear):
         w, = weights
-        if mode == "fp16":
-            q_weight, scales = w.astype(np.float16), None
-        else:
-            q_weight, scales = QK.quantize_per_channel(w, calibration=calibration)
+        q_weight, scales = QK.quantize_per_channel(w, calibration=calibration)
         report.layers_quantized += 1
         report.weight_rmse[path] = QK.quantization_rmse(w, q_weight, scales)
         return QuantizedLinear(q_weight, scales, _bias_copy(layer), dtype=w.dtype)
-    if mode == "fp16":
-        q_stages = [c.astype(np.float16) for c in weights]
-        stage_scales = None
-    else:
-        q_stages, stage_scales = QK.quantize_butterfly_stages(
-            weights, calibration=calibration
-        )
+    q_stages, stage_scales = QK.quantize_butterfly_stages(
+        weights, calibration=calibration
+    )
     report.butterfly_layers_quantized += 1
     return QuantizedButterflyLinear(
         layer.in_features, layer.out_features, layer.n, layer.halves,
@@ -295,17 +289,17 @@ def _stored_twin(
 
 
 def _swap_quantizable(
-    model: Module, mode: str, calibration: str, report: QuantizationReport,
+    model: Module, calibration: str, report: QuantizationReport,
 ) -> None:
     """Replace every Linear / ButterflyLinear below ``model`` with its
     stored twin — after all of them were found storable, so a refusal
     names its layer before anything was swapped."""
     for _, _, layer, path in _quantizable(model):
-        _check_storable(path, layer, mode)
+        _check_storable(path, layer)
     # A second walk, not a list: a swapped-out layer's fp weight is freed
     # as the walk moves on, not held until the last layer is stored.
     for owner, name, layer, path in _quantizable(model):
-        replacement = _stored_twin(layer, path, mode, calibration, report)
+        replacement = _stored_twin(layer, path, calibration, report)
         owner._modules[name] = replacement
         object.__setattr__(owner, name, replacement)
         if isinstance(owner, (ModuleList, Sequential)):
@@ -324,12 +318,11 @@ def quantize_for_inference(
 
     Every ``Linear`` / ``ButterflyLinear`` in the copied module tree —
     attention projections, FFN layers, the LM head — becomes its
-    :class:`QuantizedLinear` / :class:`QuantizedButterflyLinear` twin in
-    the ``mode`` format (one of :data:`QUANT_MODES`): ``"int8"``
-    per-channel symmetric codes or ``"fp16"`` half-precision storage.
-    ``calibration`` selects int8's scale search (``"absmax"`` or
-    ``"mse"``, see :func:`repro.kernels.calibrate_scales`); fp16 has no
-    scales to search, but an unknown name is rejected in every mode.
+    :class:`QuantizedLinear` / :class:`QuantizedButterflyLinear` twin
+    over per-channel symmetric int8 codes.  ``mode`` names the stored
+    format and must be ``"int8"`` (:data:`QUANT_MODES`); any other name
+    is refused.  ``calibration`` selects the scale search (``"absmax"``
+    or ``"mse"``, see :func:`repro.kernels.calibrate_scales`).
 
     ``sample_tokens`` (an int token batch accepted by ``model``) runs a
     drift calibration pass: both models are evaluated and the max/mean
@@ -343,8 +336,7 @@ def quantize_for_inference(
     carries the quantized weights (it is a serving artifact, not a
     checkpoint — persist the original model instead).
     """
-    if mode not in QUANT_MODES:
-        raise ValueError(f"mode must be one of {QUANT_MODES}, got {mode!r}")
+    check_mode(mode)
     QK.check_calibration(calibration)
     quantized = copy.deepcopy(model).eval()
     report = QuantizationReport(
@@ -355,7 +347,7 @@ def quantize_for_inference(
         quant_weight_bytes=0,
         mode=mode,
     )
-    _swap_quantizable(quantized, mode, calibration, report)
+    _swap_quantizable(quantized, calibration, report)
     if report.layers_quantized + report.butterfly_layers_quantized == 0:
         raise ValueError(
             "model has no Linear/ButterflyLinear layers to quantize"

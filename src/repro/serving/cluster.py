@@ -56,6 +56,7 @@ import numpy as np
 
 from .. import faults
 from ..faults import FaultRule, parse_fault_spec
+from ..nn.quantized import check_mode
 from ..telemetry import render_prometheus
 from .api import RequestHandle
 from .metrics import ServingMetrics
@@ -169,6 +170,8 @@ class ClusterEngine:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if quantize is not None:
+            check_mode(quantize)
         if max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
         if heartbeat_timeout_s <= heartbeat_interval_s:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..faults import active as faults_active
 from ..faults import get_injector
-from ..nn.quantized import QUANT_MODES, quantize_for_inference
+from ..nn.quantized import quantize_for_inference
 from ..telemetry import enabled as telemetry_enabled
 from ..telemetry import get_registry, render_prometheus, span
 from .api import RequestHandle
@@ -45,8 +45,8 @@ class ServingEngine:
 
     ``quantize`` serves a *storage-tier replica*: the model is run
     through :func:`repro.nn.quantize_for_inference` at construction and
-    the engine decodes against the reduced-storage copy (any of
-    :data:`repro.nn.QUANT_MODES`, dequant-on-the-fly kernels) while the
+    the engine decodes against the int8 copy (``quantize="int8"``, the
+    one stored format; dequant-on-the-fly kernels) while the
     caller's model object stays untouched in full precision.  This is
     the serving-side switch for the reduced-precision datapath the
     hardware model quantifies.
@@ -58,8 +58,6 @@ class ServingEngine:
     watchdog run whenever configured.
     """
 
-    QUANTIZE_MODES = (None, *QUANT_MODES)
-
     def __init__(
         self,
         model,
@@ -70,10 +68,6 @@ class ServingEngine:
         quantize: Optional[str] = None,
         resilience: Optional[ResilienceConfig] = None,
     ) -> None:
-        if quantize not in self.QUANTIZE_MODES:
-            raise ValueError(
-                f"quantize must be one of {self.QUANTIZE_MODES}, got {quantize!r}"
-            )
         self.quantize = quantize
         if quantize is not None:
             model = quantize_for_inference(model, mode=quantize)

@@ -29,16 +29,14 @@ def tiny_config():
 
 @pytest.fixture
 def store_weight():
-    """``(mode, w) -> (codes, scales-or-None)``: one 2-D weight in the
-    stored format ``mode``.  A new entry of ``nn.QUANT_MODES`` needs a
-    row here before the tier-contract suite will run on it."""
+    """``(mode, w) -> (codes, scales)``: one 2-D weight in the stored
+    format ``mode`` (an entry of ``nn.QUANT_MODES``; int8 is the only
+    one)."""
     from repro.kernels import quant as QK
 
     def store(mode, w):
         if mode == "int8":
             return QK.quantize_per_channel(w)
-        if mode == "fp16":
-            return w.astype(np.float16), None
         raise AssertionError(f"no tier-contract row for storage format {mode!r}")
 
     return store

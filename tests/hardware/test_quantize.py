@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.butterfly import ButterflyMatrix
+from repro.butterfly import ButterflyFactor, ButterflyMatrix
 from repro.hardware import (
     Fp16ButterflyEngine,
     Int8ButterflyEngine,
@@ -12,9 +12,8 @@ from repro.hardware import (
     int8_quantization_error_report,
     quantization_error_report,
     quantize_fp16,
-    quantize_int8,
-    verify_int8_quantizer,
 )
+from repro.hardware.functional import ButterflyEngine
 from repro.kernels import quant as QK
 from repro.models import ModelConfig, build_fabnet
 
@@ -162,46 +161,6 @@ class TestModelAccuracyUnderFp16:
         assert report["max_logit_error"] < 0.1
 
 
-class TestInt8QuantizerVerifyMode:
-    """Hardware quantizer model vs repro.kernels.quant: bit-level parity."""
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_codes_scales_dequant_agree_bitwise(self, rng, dtype):
-        w = rng.normal(size=(16, 96)).astype(dtype) * np.logspace(
-            -2, 2, 16
-        )[:, None].astype(dtype)
-        stats = verify_int8_quantizer(w)
-        assert stats["channels"] == 16
-        assert stats["code_peak"] == 127
-        hw_q, hw_s = quantize_int8(w)
-        sw_q, sw_s = QK.quantize_per_channel(w)
-        np.testing.assert_array_equal(hw_q, sw_q)
-        np.testing.assert_array_equal(hw_s.view(np.uint32), sw_s.view(np.uint32))
-
-    def test_mse_calibration_agrees_too(self, rng):
-        w = rng.normal(size=(8, 64))
-        w[0, 0] = 30.0
-        verify_int8_quantizer(w, calibration="mse")
-
-    def test_divergence_is_detected(self, rng, monkeypatch):
-        """A drifted kernel quantizer must be caught, not silently accepted."""
-        w = rng.normal(size=(4, 32))
-        good_q, good_s = QK.quantize_per_channel(w)
-        bad_q = good_q.copy()
-        bad_q[0, 0] += 1
-        monkeypatch.setattr(
-            QK, "quantize_per_channel", lambda *a, **k: (bad_q, good_s)
-        )
-        with pytest.raises(RuntimeError, match="code mismatch"):
-            verify_int8_quantizer(w)
-
-    def test_complex_and_bad_shapes_rejected(self, rng):
-        with pytest.raises(ValueError, match="real"):
-            quantize_int8(rng.normal(size=(2, 8)) + 1j)
-        with pytest.raises(ValueError, match="channels"):
-            quantize_int8(rng.normal(size=8))
-
-
 class TestInt8Engine:
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_close_to_float64_reference(self, n, rng):
@@ -231,6 +190,25 @@ class TestInt8Engine:
         hardware = engine.run_butterfly(x, matrix)
         np.testing.assert_allclose(hardware, software, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("pbu", [1, 4])
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_stages_are_the_kernels_codes(self, rng, n, pbu):
+        """One quantizer: the engine runs the plain engine on exactly the
+        stages ``kernels.quantize_butterfly_stages`` stores and
+        ``kernels.dequantize_butterfly_stages`` widens to float64."""
+        matrix = ButterflyMatrix.random(n, rng)
+        x = rng.normal(size=(3, n))
+        codes, scales = QK.quantize_butterfly_stages(
+            [f.coeffs for f in matrix.factors])
+        stages = QK.dequantize_butterfly_stages(codes, scales, dtype=np.float64)
+        stored = ButterflyMatrix([
+            ButterflyFactor(f.n, f.half, c)
+            for f, c in zip(matrix.factors, stages)
+        ])
+        want = ButterflyEngine(pbu=pbu).run_butterfly(x, stored)
+        got = Int8ButterflyEngine(pbu=pbu).run_butterfly(x, matrix)
+        assert got.tobytes() == want.tobytes()
+
     def test_fft_mode_rejected(self, rng):
         engine = Int8ButterflyEngine(pbu=4)
         with pytest.raises(ValueError, match="twiddles"):
@@ -257,9 +235,18 @@ class TestModelAccuracyUnderInt8:
         assert report["weight_memory_ratio"] < 1.0
 
 
-class TestStorageTierDrift:
-    def test_fp16_drift_sub_percent(self):
-        from repro.hardware import storage_tier_drift_report
-
-        report = storage_tier_drift_report()
-        assert 0.0 < report["fp16_max_rel_drift"] < 0.01
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("accuracy", [accuracy_under_fp16, accuracy_under_int8])
+def test_the_callers_training_mode_is_kept(accuracy, training, rng):
+    """Both reports evaluate in eval mode and hand the model back in the
+    mode it came in."""
+    cfg = ModelConfig(vocab_size=16, n_classes=4, max_len=16,
+                      d_hidden=16, n_heads=2, r_ffn=2, n_total=2, seed=0)
+    model = build_fabnet(cfg).train(training)
+    tokens = rng.integers(0, 16, size=(4, 16))
+    accuracy(model, tokens, rng.integers(0, 4, size=4))
+    stack = [model]
+    while stack:  # every submodule, not only the root
+        module = stack.pop()
+        assert module.training is training
+        stack.extend(module._modules.values())

@@ -7,8 +7,8 @@ caller exactly the values it was packed from and — because a plain
 ``(out, in)`` array is read as the same blocks through transposed views
 — exactly the bytes the unpacked call computes.  That equality is the
 oracle here, over drawn shapes (``out`` under, at and off a multiple of
-the block width; ``in`` in {1, 3, 512, 2048}), both stored formats,
-three activation dtypes, leading batch axes and zero rows.
+the block width; ``in`` in {1, 3, 512, 2048}), int8 codes, three
+activation dtypes, leading batch axes and zero rows.
 """
 
 import copy
@@ -41,12 +41,8 @@ def stored_calls(draw):
     ))
     lead = draw(st.sampled_from([(), (0,), (1,), (8,), (2, 3), (2, 0, 3)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        codes = rng.integers(-127, 128, size=(out_f, in_f)).astype(np.int8)
-        scales = rng.uniform(1e-3, 1e-2, size=out_f).astype(np.float32)
-    else:
-        codes = rng.normal(size=(out_f, in_f)).astype(np.float16)
-        scales = None
+    codes = rng.integers(-127, 128, size=(out_f, in_f)).astype(np.int8)
+    scales = rng.uniform(1e-3, 1e-2, size=out_f).astype(np.float32)
     bias = rng.normal(size=out_f).astype(dtype) if draw(st.booleans()) else None
     x = rng.normal(size=lead + (in_f,)).astype(dtype)
     return codes, scales, bias, x
@@ -154,15 +150,61 @@ class TestValidation:
             got, QK.quantized_linear_reference(x, codes, scales, bias),
             rtol=1e-9, atol=1e-9)
 
-    def test_fp16_with_wrong_bias_and_formats_crossed(self, rng):
+    def test_a_half_precision_weight_is_refused_naming_int8(self, rng):
+        """int8 is the one stored format: float16 codes are refused at
+        every entry, with or without scales, and int8 codes need them."""
         half = rng.normal(size=(6, 6)).astype(np.float16)
-        with pytest.raises(ValueError, match="bias"):
-            QK.pack_weight(half, None, np.ones(5))
-        with pytest.raises(TypeError, match="int8"):
-            QK.pack_weight(half, np.ones(6, dtype=np.float32))
-        with pytest.raises(TypeError, match="float16"):
+        scales = np.ones(6, dtype=np.float32)
+        x = rng.normal(size=(3, 6))
+        for given_scales in (None, scales):
+            for refuse in (
+                lambda: QK.pack_weight(half, given_scales),
+                lambda: nn.QuantizedLinear(half, given_scales),
+                lambda: QK.quantized_linear(x, half, given_scales),
+            ):
+                with pytest.raises(TypeError, match="int8"):
+                    refuse()
+        with pytest.raises(ValueError, match="scales"):
             QK.pack_weight(half.astype(np.int8), None)
-        assert nn.QuantizedLinear(half, None, np.ones(6)).q_weight.shape == (6, 6)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.uint8, np.int16])
+    @pytest.mark.parametrize(
+        "entry", ["check_stored", "pack_weight", "QuantizedLinear", "quantized_linear"])
+    def test_codes_of_another_dtype_are_refused_naming_int8(
+        self, rng, triple, entry, dtype
+    ):
+        """Codes are int8 or nothing: a float array, unsigned bytes
+        (an asymmetric scheme's codes) or wider integers are refused at
+        every entry, however they were scaled."""
+        codes, scales, bias = triple
+        other = codes.astype(dtype)
+        x = rng.normal(size=(3, 6))
+        refuse = {
+            "check_stored": lambda: QK.check_stored(other, scales, bias),
+            "pack_weight": lambda: QK.pack_weight(other, scales, bias),
+            "QuantizedLinear": lambda: nn.QuantizedLinear(other, scales, bias),
+            "quantized_linear": lambda: QK.quantized_linear(x, other, scales, bias),
+        }[entry]
+        with pytest.raises(TypeError, match="int8 codes") as info:
+            refuse()
+        assert np.dtype(dtype).name in str(info.value)
+
+    @pytest.mark.parametrize(
+        "entry", ["check_stored", "pack_weight", "QuantizedLinear", "quantized_linear"])
+    def test_int8_codes_without_scales_are_refused(self, rng, triple, entry):
+        """``scales=None`` no longer names a format of its own: int8 codes
+        need their per-channel scales at every entry."""
+        codes, _, bias = triple
+        x = rng.normal(size=(3, 6))
+        refuse = {
+            "check_stored": lambda: QK.check_stored(codes, None, bias),
+            "pack_weight": lambda: QK.pack_weight(codes, None, bias),
+            "QuantizedLinear": lambda: nn.QuantizedLinear(codes, None, bias),
+            "quantized_linear": lambda: QK.quantized_linear(x, codes, None, bias),
+        }[entry]
+        with pytest.raises(ValueError, match="scales must be 1-D float32 of length 6"):
+            refuse()
 
     def test_a_packed_weight_is_checked_against_new_scales(self, triple):
         codes, scales, bias = triple
@@ -218,21 +260,16 @@ class TestDecodeInt8Decoder:
     @pytest.mark.parametrize("fmt", nn.QUANT_MODES)
     def test_every_stored_array_equals_the_unpacked_formats(self, model, fmt):
         replica = nn.quantize_for_inference(model, mode=fmt)
-        if fmt == "int8":
-            assert nn.weight_memory_bytes(replica) == self.INT8_WEIGHT_BYTES
+        assert nn.weight_memory_bytes(replica) == self.INT8_WEIGHT_BYTES
         paths = list(replica.quantization_report.weight_rmse)
         assert len(paths) == 13 and "blocks.0.ffn.fc1" in paths
         for path in paths:
             source, layer = layer_at(model, path), layer_at(replica, path)
             assert isinstance(layer, nn.QuantizedLinear)
             w = source.weight.data
-            if fmt == "int8":
-                codes, scales = QK.quantize_per_channel(w)
-                np.testing.assert_array_equal(layer.scales, scales)
-                assert layer.scales.dtype == np.float32
-            else:
-                codes = w.astype(np.float16)
-                assert layer.scales is None
+            codes, scales = QK.quantize_per_channel(w)
+            np.testing.assert_array_equal(layer.scales, scales)
+            assert layer.scales.dtype == np.float32
             unpacked = layer.q_weight.unpack()
             assert unpacked.dtype == codes.dtype
             np.testing.assert_array_equal(unpacked, codes)

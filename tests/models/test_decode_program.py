@@ -5,7 +5,7 @@ run a flat program of kernel calls (``repro.models.decode_program``).
 The ``Tensor``-graph version it replaced lives on only as
 ``conftest.py::reference_incremental``, and the program is held to its
 *bytes* — logits and every cache array — over {butterfly, dense} x
-{float64, float32} x {fp, int8, fp16} x ``s_new`` in {1, 5, prompt} and
+{float64, float32} x {fp, int8} x ``s_new`` in {1, 5, prompt} and
 drawn ragged row lengths, up to the ``max_len`` edge.  The rest of the
 file pins the contract around it: a batched row equals the row run solo
 (where the kernels make that true), the program is rebuilt exactly when what it was built from changes, the

@@ -79,7 +79,7 @@ class TestDecoderQuantization:
 
 class TestMemoryFootprint:
     def test_dense_weight_bytes_shrink_over_60_percent(self):
-        """Dense decoder: GEMM weights dominate, int8 cuts > 60% of bytes."""
+        """Dense decoder: GEMM weights dominate, int8 cuts > 73% of bytes."""
         config = ModelConfig(
             vocab_size=28, n_classes=2, max_len=32, d_hidden=128,
             n_heads=4, r_ffn=4, n_total=2, seed=0,
@@ -87,7 +87,7 @@ class TestMemoryFootprint:
         model = build_dense_decoder(config).eval()
         quantized = quantize_for_inference(model)
         ratio = weight_memory_bytes(quantized) / weight_memory_bytes(model)
-        assert ratio < 0.4
+        assert ratio < 0.27  # also under half precision storage's 0.2708 here
         assert quantized.quantization_report.memory_ratio == pytest.approx(ratio)
 
     def test_report_accounts_fp_and_quantized_bytes(self):
@@ -170,9 +170,9 @@ class TestEncoderQuantization:
 
 
 class TestStorageTierModes:
-    """quantize_for_inference(mode=...): the stored formats.
+    """quantize_for_inference(mode=...): int8 is the one stored format.
 
-    What every format owes regardless of precision (training guard,
+    What the format owes regardless of precision (training guard,
     kernel/module parity, byte accounting, ...) is in
     ``tests/test_tier_contract.py``.
     """
@@ -183,62 +183,32 @@ class TestStorageTierModes:
             with pytest.raises(ValueError, match="mode"):
                 quantize_for_inference(model, mode=mode)
 
+    def test_half_precision_storage_is_refused_naming_int8(self):
+        model = build_dense_decoder(_decoder_config()).eval()
+        with pytest.raises(ValueError, match="'int8'.*got 'fp16'"):
+            quantize_for_inference(model, mode="fp16")
+
+    def test_the_mode_is_refused_before_the_model_is_copied(self, monkeypatch):
+        """A half-precision request fails on its name alone: nothing is
+        copied, and a non-finite weight it would have met is not what
+        the caller is told about."""
+        from repro.nn import quantized
+
+        model = build_dense_decoder(_decoder_config()).eval()
+        model.lm_head.weight.data[0, 0] = np.nan
+        monkeypatch.setattr(
+            quantized.copy, "deepcopy", lambda *a, **k: pytest.fail("copied"))
+        with pytest.raises(ValueError, match="'int8'.*got 'fp16'"):
+            quantize_for_inference(model, mode="fp16")
+
     @pytest.mark.parametrize("mode", nn.QUANT_MODES)
     def test_unknown_calibration_rejected_in_every_mode(self, mode):
-        """fp16 has no scales to calibrate, but a typo must not pass there
-        and fail under int8."""
         model = build_dense_decoder(_decoder_config()).eval()
         with pytest.raises(ValueError, match="calibration"):
             quantize_for_inference(model, calibration="bogus", mode=mode)
 
     def test_quant_modes_is_the_tier_tuple(self):
-        assert nn.QUANT_MODES == ("int8", "fp16")
-
-    @pytest.mark.parametrize("builder", [build_dense_decoder, build_butterfly_decoder])
-    def test_fp16_structure_and_drift(self, builder, rng):
-        config = _decoder_config()
-        model = builder(config).eval()
-        replica = quantize_for_inference(model, mode="fp16")
-        assert isinstance(replica.lm_head, QuantizedLinear)
-        assert replica.lm_head.scales is None  # the fp16 format
-        attn = replica.blocks[0].attn
-        if model.butterfly:
-            assert isinstance(attn.q_proj, QuantizedButterflyLinear)
-            assert attn.q_proj.stage_scales is None
-        else:
-            assert isinstance(attn.q_proj, QuantizedLinear)
-        assert replica.quantization_report.mode == "fp16"
-        tokens = rng.integers(1, config.vocab_size, size=(4, 12))
-        with nn.no_grad():
-            fp = model(tokens).data
-            q = replica(tokens).data
-        # fp16 weights: much tighter than the int8 bound
-        assert _rel_drift(q, fp) < 5e-3
-
-    def test_memory_ordering_int8_fp16(self):
-        """int8 < fp16 < fp64 weight bytes on the same model."""
-        config = ModelConfig(
-            vocab_size=28, n_classes=2, max_len=32, d_hidden=128,
-            n_heads=4, r_ffn=4, n_total=2, seed=0,
-        )
-        model = build_dense_decoder(config).eval()
-        ratios = {
-            mode: quantize_for_inference(model, mode=mode)
-            .quantization_report.memory_ratio
-            for mode in nn.QUANT_MODES
-        }
-        assert ratios["int8"] < ratios["fp16"] < 1.0
-
-    def test_fp16_weights_stored_as_float16(self, rng):
-        layer = nn.Linear(32, 16, rng=rng)
-        half = quantize_for_inference(nn.ModuleList([layer]), mode="fp16")[0]
-        assert half.q_weight.dtype == np.float16
-        assert half.q_weight.nbytes == layer.weight.data.nbytes // 4
-        x = nn.Tensor(rng.normal(size=(4, 32)))
-        with nn.no_grad():
-            fp = layer(x).data
-            hq = half(x).data
-        assert np.abs(hq - fp).max() < 1e-2 * max(1.0, np.abs(fp).max())
+        assert nn.QUANT_MODES == ("int8",)
 
     @pytest.mark.parametrize("mode", nn.QUANT_MODES)
     def test_sample_tokens_record_drift_for_tiers(self, mode, rng):
@@ -254,9 +224,9 @@ class TestStorageTierModes:
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning may stand in for the refusal
 class TestUnstorableWeightsRefused:
-    """A weight the format would turn into garbage (``nan`` codes of 0,
-    an ``inf`` scale over all-zero codes, an fp16 ``inf``) is refused by
-    layer path before anything is swapped — never returned as a replica."""
+    """A weight int8 would turn into garbage (``nan`` codes of 0, an
+    ``inf`` scale over all-zero codes) is refused by layer path before
+    anything is swapped — never returned as a replica."""
 
     @pytest.mark.parametrize("builder,path,poison", [
         (build_dense_decoder, "blocks.0.ffn.fc1",
@@ -281,17 +251,11 @@ class TestUnstorableWeightsRefused:
         for name, array in model.state_dict().items():
             assert array.tobytes() == before[name].tobytes()
 
-    def test_fp16_overflow_is_refused_and_int8_is_not(self):
+    def test_a_large_finite_weight_is_stored(self):
+        """int8's per-channel scale covers any finite range."""
         model = build_dense_decoder(_decoder_config()).eval()
         model.blocks[0].ffn.fc1.weight.data[0, 0] = 1e6
-        with pytest.raises(ValueError, match="^blocks.0.ffn.fc1: .*overflows float16"):
-            quantize_for_inference(model, mode="fp16")
-        # int8's per-channel scale covers any finite range
         report = quantize_for_inference(model, mode="int8").quantization_report
-        assert np.isfinite(list(report.weight_rmse.values())).all()
-        # float16's own maximum is storable
-        model.blocks[0].ffn.fc1.weight.data[0, 0] = np.finfo(np.float16).max
-        report = quantize_for_inference(model, mode="fp16").quantization_report
         assert np.isfinite(list(report.weight_rmse.values())).all()
 
     def test_the_first_bad_layer_stops_every_swap(self, monkeypatch):

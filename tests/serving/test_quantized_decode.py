@@ -149,7 +149,6 @@ class TestQuantizeModes:
         return build_butterfly_decoder(_config(max_len=48)).eval()
 
     def test_all_modes_accepted(self, model):
-        assert ServingEngine.QUANTIZE_MODES == (None, *QUANT_MODES)
         for mode in QUANT_MODES:
             engine = ServingEngine(model, quantize=mode)
             assert engine.model.quantization_report.mode == mode
@@ -161,19 +160,17 @@ class TestQuantizeModes:
             with pytest.raises(ValueError, match="quantize"):
                 ServingEngine(model, quantize=mode)
 
+    @pytest.mark.parametrize("engine", ["ServingEngine", "ClusterEngine"])
+    def test_half_precision_storage_is_refused_naming_int8(self, model, engine):
+        """int8 is the one stored format; the cluster refuses before it
+        spawns a worker."""
+        import repro.serving
+
+        with pytest.raises(ValueError, match="'int8'.*got 'fp16'"):
+            getattr(repro.serving, engine)(model, quantize="fp16")
+
     def test_caller_model_untouched(self, model):
         before = model.state_dict()
-        ServingEngine(model, quantize="fp16")
+        ServingEngine(model, quantize="int8")
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
-
-    def test_fp16_decode_close_to_fp(self, model):
-        fp = _decode(ServingEngine(model, seed=0), n_requests=2)
-        fp16 = _decode(ServingEngine(model, seed=0, quantize="fp16"), n_requests=2)
-        # greedy-ish sampling at the same seeds: fp16 drift is tiny, the
-        # overwhelming majority of sampled tokens must coincide
-        agree = sum(
-            t1 == t2 for s1, s2 in zip(fp, fp16) for t1, t2 in zip(s1, s2)
-        )
-        total = sum(len(s) for s in fp)
-        assert agree >= int(0.8 * total)

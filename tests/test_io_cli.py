@@ -196,6 +196,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args([command, *required, "--quantize", retired])
         assert f"invalid choice: '{retired}'" in capsys.readouterr().err
+        # int8 is the one stored format: half-precision storage is a
+        # usage error (exit 2) that names it.
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([command, *required, "--quantize", "fp16"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fp16'" in err and "'int8'" in err
 
     def test_estimate_command(self, capsys):
         code = main(["estimate", "--seq-len", "128", "--d-hidden", "128",
