@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..hardware.config import BYTES_PER_VALUE, AcceleratorConfig
-from ..hardware.perf import ButterflyPerformanceModel, WorkloadSpec
+from ..hardware.perf import WorkloadSpec
 
 
 def _next_power_of_two(n: int) -> int:
@@ -109,23 +109,3 @@ def bound_report(spec: WorkloadSpec, config: AcceleratorConfig) -> Dict[str, int
         counts["compute" if layer.intensity >= balance else "memory"] += 1
     return counts
 
-
-def cross_check_with_perf_model(
-    spec: WorkloadSpec, config: AcceleratorConfig
-) -> Dict[str, float]:
-    """Compare the roofline saturation point against the cycle model.
-
-    Returns latency at 0.5x and 2x the predicted saturation bandwidth;
-    the cycle model should show a meaningful gain below saturation and
-    little gain above it.
-    """
-    bw = saturation_bandwidth_gbs(spec, config)
-    lat = {}
-    for factor in (0.5, 1.0, 2.0, 4.0):
-        cfg = config.with_(bandwidth_gbs=max(0.5, bw * factor))
-        lat[factor] = ButterflyPerformanceModel(cfg).model_latency(spec).latency_ms
-    return {
-        "saturation_gbs": bw,
-        "gain_below": lat[0.5] / lat[1.0],
-        "gain_above": lat[2.0] / lat[4.0],
-    }

@@ -65,7 +65,6 @@ from .platforms import (
     XEON_6154,
     ComponentBreakdown,
     Platform,
-    device_memory_bytes,
     fabnet_time_s,
     transformer_breakdown,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "bert_spec",
     "bram_usage",
     "build_trace",
-    "device_memory_bytes",
     "dsp_usage",
     "efficiency_ratio",
     "energy_metrics",

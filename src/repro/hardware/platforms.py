@@ -201,12 +201,3 @@ def fabnet_time_s(platform: Platform, spec: WorkloadSpec, batch: int = 1) -> flo
         for _pass in range(4):  # norms/residuals
             total += platform.op_time_s(5.0 * rows * d, 2 * rows * d * BYTES, gemm=False)
     return total
-
-
-def device_memory_bytes(spec: WorkloadSpec, batch: int = 1) -> float:
-    """Rough activation+weight footprint, used for the Pi-4 OOM check."""
-    r, d = spec.seq_len, spec.d_hidden
-    act = batch * r * d * 12 * BYTES
-    attn = batch * spec.n_heads * r * r * BYTES * max(1, spec.n_abfly)
-    weights = spec.n_total * (12 * d * d if not spec.butterfly else 16 * d * 12) * BYTES
-    return act + attn + weights

@@ -9,18 +9,17 @@ with ``verify=True``).
 
 Design
 ------
-* **Query tiles, exact softmax**: the forward walks tiles of about
-  :data:`TILE_SCORES` scores — a block of queries against every key
-  they can see — and runs the textbook softmax on each: one QK^T GEMM
-  into pooled scratch, biases, row max, subtract, exp, one PV GEMM.
-  Three passes over a tile, not five: the scale sits on the tile's
-  queries (``D`` columns instead of ``Lk``) and the row sum comes out of
-  the PV GEMM through a ones column on ``V``.  A query's whole key row
-  is in its tile, so there is no running max and nothing to rescale, the
-  passes hit a cache-resident buffer, and peak score memory is one
-  tile instead of ``O(B*H*Lq*Lk)``.  Every temporary is the
-  per-thread pool's (:data:`repro.kernels.pool.SCRATCH`): a steady
-  caller allocates only its result.
+* **Query tiles, exact softmax, one pass**: the forward walks tiles of
+  about :data:`TILE_SCORES` scores (a block of queries against every key
+  they can see): one QK^T GEMM into pooled scratch, biases, exp, one PV
+  GEMM.  The scale sits on the queries (``D`` columns, not ``Lk``), a
+  ones column on ``V`` makes the PV GEMM return each row's denominator,
+  and no row max is subtracted: the PV block checks each row
+  (:func:`_unshifted_is_exact`), and only a tile with a failing row is
+  recomputed, shifted by the row max on its failing rows.  A query's
+  whole key row is in its tile: no running max, nothing to rescale, and
+  peak score memory is one tile, not ``O(B*H*Lq*Lk)``.  Every temporary
+  is the per-thread pool's (:data:`repro.kernels.pool.SCRATCH`).
 * **Analytic backward on the same tiles**: the forward stores only
   ``(q, k, v, out, logsumexp)``; :func:`attention_vjp` recomputes each
   query tile's probabilities exactly: ``[q * scale | -lse] @ [K^T ; 1]``
@@ -59,13 +58,11 @@ from .pool import RECYCLER, SCRATCH, check_out
 DEFAULT_BLOCK = 64
 
 #: Score elements in one forward tile (see :func:`_tile_shape`): 512 KB of
-#: float32, inside a 2 MB L2 beside the K/V rows it streams.  fp32 forward
-#: ms, 1 BLAS thread, at 64K / 128K / 256K on the three-pass tile (PR 19):
-#: ``(1,4,1024,32)`` 13.4 / 12.5 / 12.0 (fp64 23.6 / 22.1 / 22.5),
-#: ``(1,8,512,64)`` 9.7 / 9.3 / 9.0.  With two passes fewer a larger tile
-#: costs less than it did (five-pass: 16.2 / 14.1 / 13.7, fp64 26.9 /
-#: 23.3 / 27.7, 10.0 / 9.1 / 12.1): fp32 now leans to 256K by 3-4 % and
-#: fp64 to 128K by 2 %, both inside the box's noise, so the constant stays.
+#: float32, inside a 2 MB L2 beside the K/V rows it streams.  Forward ms,
+#: 1 BLAS thread, 64K / 128K / 256K on the one-pass tile, medians of 15
+#: interleaved, two runs: ``(1,4,1024,32)`` fp32 13.4/11.5/11.5, 13.5/12.3/
+#: 11.9, fp64 21.5/18.9/21.0, 20.6/20.9/20.4; ``(1,8,512,64)`` fp32 7.6/6.9/
+#: 6.9, 10.2/9.7/9.2.  256K never wins by more than the runs disagree.
 TILE_SCORES = 1 << 17
 
 # Cached additive causal biases keyed by (seq, total, dtype str).  Entries
@@ -179,13 +176,31 @@ def _tile_shape(h: int, lq: int, lk: int, cap: int) -> Tuple[int, int, int]:
     of as many heads as fit :data:`TILE_SCORES`, until a head's scores fit;
     a run of whole heads once they do, of whole batch rows once a row's do
     — a short prompt, or a batch of them, is one tile and one batched
-    GEMM.  A function of the geometry, never of the batch size."""
+    GEMM.  A function of the geometry, never of the batch size.  No
+    queries tile as one query: the loops over them are then empty."""
+    lq, cap = max(lq, 1), max(cap, 1)
     rows = max(1, TILE_SCORES // lk)  # (head, query) pairs in a tile
     queries = min(lq, rows, cap)
     if queries < lq:
         return 1, max(1, min(h, rows // queries)), queries
     heads = min(h, rows // lq)
     return (rows // (h * lq) if heads == h else 1), heads, lq
+
+
+def _unshifted_is_exact(pv: np.ndarray, floor: float) -> bool:
+    """Whether every row of an unshifted tile's PV block ``[P V | l]``
+    (``l = sum_j exp(s_j)`` over ``n`` keys) is its softmax to rounding.
+
+    An overflowing ``exp`` makes its row non-finite, and so the block's
+    sum (which may also overflow alone: a spurious, merely slower fail).
+    An ``exp(s_j)`` below ``tiny`` is subnormal or 0 and loses under
+    ``tiny``, so a row loses under ``n * tiny`` of its mass (and of
+    ``l * |v|``): with ``floor = n * tiny / eps``, ``l >= floor`` bounds
+    that by one ``eps`` of ``l``.  Fully masked (``l == 0``) and NaN rows
+    fail.  Two reductions over the ``(rows, D + 1)`` block.
+    """
+    return bool(np.isfinite(np.add.reduce(pv, axis=None))
+                and np.minimum.reduce(pv[..., -1], axis=None) >= floor)
 
 
 def attention_forward(
@@ -209,7 +224,9 @@ def attention_forward(
     continuation (see :func:`_resolve_bias`).  Returns ``(out, ctx)``;
     ``ctx`` is None unless ``need_ctx`` and feeds :func:`attention_vjp`.
 
-    ``block`` defaults to :data:`DEFAULT_BLOCK`.
+    ``block`` defaults to :data:`DEFAULT_BLOCK`.  No queries (``Lq ==
+    0``) give an empty ``(B, H, 0, D)`` result; queries over no keys are
+    refused.
 
     ``out`` (``need_ctx`` must be off) is a C-contiguous ``(B, H, Lq, D)``
     array of ``q``'s dtype aliasing no operand; it receives the bytes the
@@ -228,6 +245,8 @@ def attention_forward(
         )
     b, h, lq, d = q.shape
     lk = k.shape[2]
+    if lq and not lk:
+        raise ValueError(f"{lq} queries over no keys: q={q.shape} k={k.shape}")
     scale = 1.0 / math.sqrt(d) if scale is None else float(scale)
     dtype = q.dtype
     if block is None:
@@ -243,7 +262,9 @@ def attention_forward(
             raise ValueError("out= cannot back a VJP context")
         check_out(out, (b, h, lq, d), dtype, q, k, v)
 
-    m, lsum = RECYCLER.empty((2, b, h, lq), dtype)
+    shift, lsum = RECYCLER.empty((2, b, h, lq), dtype)
+    shift[...] = 0  # a row's shift stays 0 unless its tile fails the check
+    tiny_per_eps = float(np.finfo(dtype).tiny / np.finfo(dtype).eps)
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
     kt = k.swapaxes(-1, -2)  # (B, H, D, Lk) view
     # Uniform causal masking is the suffix convention, query i at absolute
@@ -251,11 +272,11 @@ def attention_forward(
     # offset + i1 on, and needs the bias only from its first diagonal.
     offset = lk - lq
 
-    with span("kernels.attention_forward", lq=lq, lk=lk, block=block):
-        # Three passes over a score tile (max, subtract, exp) between its
-        # two GEMMs: the scale goes onto the tile's queries (D columns,
-        # not Lk) and a ones column on V makes the PV GEMM return each
-        # row's softmax denominator beside its weighted values.
+    with span("kernels.attention_forward", lq=lq, lk=lk, block=block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        # One pass over a score tile (exp) between its two GEMMs, unless
+        # the PV block's check (which sees any overflow) sends it round
+        # again, shifted.
         rows = min(nb, b)
         scores = SCRATCH.take("attention.tile", (rows * nh * nq * lk,), dtype)
         # The scaled queries are spent when the PV product is written:
@@ -280,28 +301,40 @@ def attention_forward(
                 tile = np.s_[b0:b1, h0:h1, i0:i1]
                 shape = (b1 - b0, h1 - h0, i1 - i0)
                 size = math.prod(shape)
-                qs = np.multiply(q[tile], scale,
-                                 out=summed[:size * d].reshape(*shape, d))
                 s = scores[:size * j1].reshape(*shape, j1)
-                np.matmul(qs, keys[..., :j1], out=s)
-                if bias2d is not None:
-                    j0 = offset + i0 + 1
-                    s[..., j0:] += bias2d[i0:i1, j0:j1]
-                if bias3d is not None:
-                    s += bias3d[b0:b1, None, i0:i1]
-                if kbias is not None:
-                    s += kbias[b0:b1, None, None, :j1]
-                np.max(s, axis=-1, out=m[tile])
-                s -= m[tile][..., None]
-                np.exp(s, out=s)
                 pv = summed[:size * (d + 1)].reshape(*shape, d + 1)
-                np.matmul(s, v1[:, :, :j1], out=pv)
+                floor = j1 * tiny_per_eps
+                for shifted in (False, True):
+                    qs = np.multiply(q[tile], scale,
+                                     out=summed[:size * d].reshape(*shape, d))
+                    np.matmul(qs, keys[..., :j1], out=s)
+                    if bias2d is not None:
+                        j0 = offset + i0 + 1
+                        s[..., j0:] += bias2d[i0:i1, j0:j1]
+                    if bias3d is not None:
+                        s += bias3d[b0:b1, None, i0:i1]
+                    if kbias is not None:
+                        s += kbias[b0:b1, None, None, :j1]
+                    if shifted:  # 0 on passing rows: their bytes are kept
+                        np.maximum.reduce(s, axis=-1, out=shift[tile])
+                        np.copyto(shift[tile], 0, where=exact)
+                        s -= shift[tile][..., None]
+                    np.exp(s, out=s)
+                    np.matmul(s, v1[:, :, :j1], out=pv)
+                    if shifted or _unshifted_is_exact(pv, floor):
+                        break
+                    # The same rule row by row: l, or NaN on a non-finite row.
+                    rowwise = np.add.reduce(pv, axis=-1, out=shift[tile])
+                    rowwise *= 0
+                    rowwise += pv[..., d]
+                    exact = SCRATCH.take("attention.exact", shape, bool)
+                    np.greater_equal(rowwise, floor, out=exact)
                 np.divide(pv[..., :d], pv[..., d:], out=out[tile])
                 if need_ctx:
                     lsum[tile] = pv[..., d]
     if not need_ctx:
         return out, None
-    lse = m + np.log(lsum)
+    lse = shift + np.log(lsum)
     return out, AttentionContext(q, k, v, out, lse, scale, block,
                                  bias2d, bias3d, kbias)
 

@@ -101,9 +101,10 @@ def mask_fill_value(dtype: DtypeLike) -> float:
     """Additive-bias fill for masked attention scores, dtype-aware.
 
     Half the dtype's most negative finite value: large enough that
-    ``exp(fill - rowmax)`` underflows to exactly 0 for any realistic
-    score (a hard-coded ``-1e9`` leaves masked keys with tiny nonzero
-    probability once ``exp`` precision is exhausted), yet far enough
+    ``exp(fill + score)`` underflows to exactly 0 for any realistic
+    score, whether or not the row max is subtracted first (a hard-coded
+    ``-1e9`` leaves masked keys with tiny nonzero probability once
+    ``exp`` precision is exhausted), yet far enough
     from the overflow edge that adding a finite score — or stacking the
     causal and padding biases — stays finite in both dtypes.
     """

@@ -130,8 +130,9 @@ class ButterflyDecoderLM(nn.Module):
         the compiled :class:`~repro.models.decode_program.DecodeProgram`.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 2:
-            raise ValueError(f"tokens must be (batch, s_new), got {tokens.shape}")
+        if tokens.ndim != 2 or not tokens.shape[1]:
+            raise ValueError(
+                f"tokens must be (batch, s_new) with s_new >= 1, got {tokens.shape}")
         return self._run(tokens, cache)
 
     def prefill(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:

@@ -55,7 +55,6 @@ _LAZY = {
     "ServerThread": "server",
     "start_http_server": "server",
     "run_http_server": "server",
-    "AlwaysAdmit": "admission",
     "CostModelAdmission": "admission",
     "LoadSheddingAdmission": "admission",
     "estimate_decode_step_ms": "admission",
@@ -78,7 +77,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "AlwaysAdmit",
     "BLAS_PIN_VARS",
     "ClusterEngine",
     "ContinuousBatchScheduler",

@@ -54,13 +54,6 @@ def estimate_decode_step_ms(
     return cycles / (accel_config.clock_mhz * 1e3)
 
 
-class AlwaysAdmit:
-    """Admission policy that only honors the scheduler's batch-size cap."""
-
-    def admit(self, prospective_batch: int) -> bool:
-        return True
-
-
 class LoadSheddingAdmission:
     """Shed requests at submit time when the engine is visibly overloaded.
 

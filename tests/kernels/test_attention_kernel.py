@@ -22,7 +22,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels as K
@@ -124,6 +124,40 @@ class TestForwardParity:
             AK.attention_forward(q, k[:, :, :, :3], v, need_ctx=False)
         with pytest.raises(ValueError, match="B, H, L, D"):
             AK.attention_forward(q[0], k[0], v[0], need_ctx=False)
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_a_fully_masked_key_row_is_the_mean_of_its_values(self, rng, dtype, atol):
+        """A batch row whose every key is padding sees every key at the
+        same (fill) score: its output is the mean of its values, and its
+        logsumexp and gradients stay finite."""
+        q, k, v = _qkv(rng, dtype=dtype)
+        mask = np.ones((2, 7), dtype=bool)
+        mask[1] = False
+        out, ctx = AK.attention_forward(q, k, v, key_mask=mask, block=3)
+        ref = AK.attention_reference(q, k, v, key_mask=mask)
+        np.testing.assert_allclose(out, ref, atol=atol)
+        np.testing.assert_allclose(
+            out[1], np.broadcast_to(v[1].mean(axis=-2, keepdims=True), out[1].shape),
+            atol=atol)
+        assert np.isfinite(ctx.lse).all()
+        for grad in AK.attention_vjp(np.ones_like(out), ctx):
+            assert np.isfinite(grad).all()
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_no_queries_give_an_empty_result(self, rng, causal):
+        q, k, v = _qkv(rng, lq=0, lk=5)
+        out, ctx = AK.attention_forward(q, k, v, causal=causal)
+        assert out.shape == (2, 2, 0, 4) and ctx.lse.shape == (2, 2, 0)
+        gq, gk, gv = AK.attention_vjp(out, ctx)
+        assert gq.shape == q.shape
+        np.testing.assert_array_equal(gk, 0)
+        np.testing.assert_array_equal(gv, 0)
+
+    def test_queries_over_no_keys_are_refused(self, rng):
+        q, k, v = _qkv(rng, lq=3, lk=0)
+        with pytest.raises(ValueError, match=(
+                r"3 queries over no keys: q=\(2, 2, 3, 4\) k=\(2, 2, 0, 4\)")):
+            AK.attention_forward(q, k, v)
 
 
 @contextlib.contextmanager
@@ -287,6 +321,154 @@ class TestGeneratedShapes:
     ])
     def test_tile_shape(self, geometry, cap, tile):
         assert AK._tile_shape(*geometry, cap) == tile
+
+
+#: Per-row score lifts, in units of the dtype's ``log(finfo.max)`` (88.7
+#: in fp32, 709.8 in fp64): above 1 an unshifted ``exp`` overflows, near
+#: -0.8 a row's denominator crosses the check's floor, below -1 every
+#: term underflows.
+_LIFTS = (-1.6, -1.05, -0.85, -0.78, -0.4, 0.0, 0.6, 0.97, 1.03, 1.5)
+
+
+def _lifted(q, k, v, kwargs, budget, lifts):
+    """The case with query row ``(b, h, i)``'s scores lifted by
+    ``lifts[b, h, i] * log(finfo.max)``, carried by a ones column on the
+    keys.  Operands are multiples of 1/4 and the scale is 1/2, so every
+    score is exact in either dtype and in either association: the
+    kernel and the oracles differ only in their exps and sums."""
+    dtype = q.dtype
+    lift = np.round(lifts * np.log(np.finfo(dtype).max) * 4) / 4
+    quarters = [np.round(a * 4) / 4 for a in (q, k)]
+    q = np.concatenate([quarters[0], 2 * lift[..., None]], axis=-1)
+    k = np.concatenate([quarters[1], np.ones((*k.shape[:3], 1))], axis=-1)
+    v = np.concatenate([v, v[..., :1]], axis=-1)
+    return (*(a.astype(dtype) for a in (q, k, v)), dict(kwargs, scale=0.5),
+            budget)
+
+
+@st.composite
+def _lifted_cases(draw, dtype=None, **cases):
+    """:func:`_cases` with every row lifted by one of :data:`_LIFTS`, so a
+    tile mixes overflowing, underflowing and ordinary rows; about half the
+    batch rows stay unlifted, so a tile of whole batch rows also puts rows
+    that pass alone beside rows that fail."""
+    q, k, v, kwargs, budget = draw(_cases(**cases))
+    if dtype is not None:
+        q, k, v = (a.astype(dtype) for a in (q, k, v))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lifts = rng.choice(_LIFTS, size=q.shape[:3])
+    lifts[rng.random(q.shape[0]) < 0.5] = 0.0
+    return _lifted(q, k, v, kwargs, budget, lifts)
+
+
+def _one_lifted_row(dtype):
+    """Two batch rows of two queries over three keys, one tile: row 0's
+    first query lifted past fp32's overflow (scores above 89), the
+    other three queries not."""
+    q, k, v = _qkv(np.random.default_rng(0), b=2, h=1, lq=2, lk=3, d=2,
+                   dtype=dtype)
+    top = 89.5 / np.log(np.finfo(dtype).max)
+    return _lifted(q, k, v, dict(causal=False, block=64), 1 << 17,
+                   np.array([[[top, 0.0]], [[0.0, 0.0]]]))
+
+
+@contextlib.contextmanager
+def _fallbacks():
+    """Count the tiles whose unshifted pass fails its check."""
+    failed = []
+    check = AK._unshifted_is_exact
+
+    def recorded(pv, floor):
+        exact = check(pv, floor)
+        failed.append(not exact)
+        return exact
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AK, "_unshifted_is_exact", recorded)
+        yield failed
+
+
+def _scores(q, k, ctx):
+    """The masked scaled scores the kernel exponentiates (exact here)."""
+    scores = np.matmul(q, k.swapaxes(-1, -2)) * ctx.scale
+    for bias, lift in ((ctx.bias2d, np.s_[:]), (ctx.bias3d, np.s_[:, None]),
+                       (ctx.kbias, np.s_[:, None, None])):
+        if bias is not None:
+            scores = scores + bias[lift]
+    return scores
+
+
+def _must_fall_back(scores):
+    """Whether some row's unshifted pass cannot pass the check: its peak
+    overflows ``exp``, or its denominator (at most ``n * exp(peak)``)
+    lies below the floor ``n * tiny / eps``.  One unit of margin each."""
+    info = np.finfo(scores.dtype)
+    peak = scores.max(axis=-1)
+    return bool((peak > np.log(info.max) + 1).any()
+                or (peak < np.log(info.tiny / info.eps) - 1).any())
+
+
+class TestUnshiftedCheck:
+    """The forward exponentiates scores unshifted and recomputes, shifted,
+    only the tiles whose PV block fails the check; these rows straddle
+    it (:data:`_LIFTS`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lifted_cases(ragged=False))
+    @example(_one_lifted_row(np.float32))
+    @example(_one_lifted_row(np.float64))
+    def test_lifted_rows_match_the_reference_and_their_solo_runs(self, case):
+        q, k, v, kwargs, budget = case
+        with _tile_scores(budget), _fallbacks() as failed:
+            out, ctx = AK.attention_forward(q, k, v, **kwargs)
+        scores = _scores(q, k, ctx)
+        assert any(failed) or not _must_fall_back(scores)
+        ref = AK.attention_reference(
+            q, k, v, **{key: kwargs[key] for key in kwargs if key != "block"})
+        atol = 1e-12 if q.dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(out, ref, atol=atol)
+        np.testing.assert_allclose(
+            ctx.lse, np.logaddexp.reduce(scores, axis=-1), atol=100 * atol)
+        mask = kwargs.pop("key_mask", None)
+        with _tile_scores(budget):
+            for row in range(q.shape[0]):
+                one = slice(row, row + 1)
+                solo, solo_ctx = AK.attention_forward(
+                    q[one], k[one], v[one],
+                    key_mask=None if mask is None else mask[one], **kwargs)
+                np.testing.assert_array_equal(out[one], solo)
+                np.testing.assert_array_equal(ctx.lse[one], solo_ctx.lse)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_lifted_cases(dtype=np.float64, max_batch=3), st.integers(0, 2**32 - 1))
+    @example(_one_lifted_row(np.float64), 0)
+    def test_vjp_of_lifted_rows_matches_the_composite_graph(self, case, seed):
+        """fp64 gradients at 1e-12 of the op-by-op graph, whose softmax
+        subtracts the row max, on rows the forward had to shift.  The
+        lift column is the test's device: ``dK`` there sums ``dS * 2 *
+        lift`` over rows whose lifts reach 1e3 and cancel, so it is held
+        to 1e-12 per unit of the largest lift."""
+        q, k, v, kwargs, budget = case
+        weights = np.random.default_rng(seed).normal(size=q.shape)
+        with _tile_scores(budget), _fallbacks() as failed:
+            _, ctx = AK.attention_forward(q, k, v, **kwargs)
+            grads = AK.attention_vjp(weights, ctx)
+        assert any(failed) or not _must_fall_back(_scores(q, k, ctx))
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        qt, kt, vt = leaves
+        with K.use_fused(False):
+            scores = nn.matmul(qt, nn.transpose(kt, (0, 1, 3, 2))) * ctx.scale
+            for bias, lift in ((ctx.bias2d, np.s_[:]), (ctx.bias3d, np.s_[:, None]),
+                               (ctx.kbias, np.s_[:, None, None])):
+                if bias is not None:
+                    scores = scores + Tensor(bias[lift])
+            out = nn.matmul(nn.softmax(scores, axis=-1), vt)
+            (out * Tensor(weights)).sum().backward()
+        for grad, leaf in zip(grads, leaves):
+            np.testing.assert_allclose(grad[..., :-1], leaf.grad[..., :-1],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grad[..., -1], leaf.grad[..., -1], rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(q[..., -1]).max()))
 
 
 class TestBiasCache:

@@ -79,6 +79,16 @@ class TestForwardAndLoss:
                 lm.decode_step(tokens, cache)
         assert cache.lengths.tolist() == [0]
 
+    @pytest.mark.parametrize("entry", ["prefill", "forward_incremental"])
+    def test_an_empty_sequence_is_refused_before_the_cache_moves(
+            self, lm_config, entry):
+        lm = build_dense_decoder(lm_config).eval()
+        cache = lm.make_cache(1)
+        with pytest.raises(ValueError, match=(
+                r"tokens must be \(batch, s_new\) with s_new >= 1, got \(1, 0\)")):
+            getattr(lm, entry)(np.zeros((1, 0), np.int64), cache)
+        assert cache.lengths.tolist() == [0]
+
     def test_loss_near_log_vocab_at_init(self, lm_config, rng):
         lm = build_butterfly_decoder(lm_config)
         tokens = rng.integers(0, VOCAB_SIZE, size=(4, 16))
@@ -131,6 +141,11 @@ class TestGeneration:
         lm = build_butterfly_decoder(lm_config)
         prompt = rng.integers(1, VOCAB_SIZE, size=(1, 4))
         np.testing.assert_array_equal(lm.generate(prompt, 0), prompt)
+
+    def test_an_empty_prompt_is_refused(self, lm_config):
+        lm = build_dense_decoder(lm_config)
+        with pytest.raises(ValueError, match=r"s_new >= 1, got \(1, 0\)"):
+            lm.generate(np.zeros(0, np.int64), 3)
 
     def test_negative_new_tokens(self, lm_config):
         lm = build_butterfly_decoder(lm_config)
