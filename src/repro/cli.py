@@ -4,7 +4,8 @@ Subcommands:
 
 * ``train``    — train a model on a synthetic LRA task and optionally
                  save a checkpoint.
-* ``simulate`` — run a checkpoint on the functional accelerator and
+* ``simulate`` — compile a checkpoint to the accelerator's instruction
+                 stream, replay it on the functional engines and
                  cross-validate against the software forward pass.
 * ``estimate`` — analytical latency/resource/power estimate for a
                  workload on an accelerator configuration.
@@ -330,6 +331,7 @@ def cmd_simulate(args) -> int:
     from .data import load_task
     from .hardware.config import AcceleratorConfig
     from .hardware.functional import ButterflyAccelerator
+    from .hardware.isa import Opcode, compile_model
     from .io import load_model
 
     model = load_model(args.checkpoint)
@@ -342,9 +344,13 @@ def cmd_simulate(args) -> int:
         kwargs["seq_len"] = cfg.max_len
     dataset = load_task(args.task, **kwargs)
     tokens = dataset.x_test[: args.n_samples]
+    program = compile_model(model)
+    counts = ", ".join(f"{program.count(op)} {op.value}" for op in
+                       (Opcode.EXEC_FFT2, Opcode.EXEC_ATTN, Opcode.EXEC_BFLY))
+    print(f"program: {len(program)} instructions ({counts})")
     accel = ButterflyAccelerator(AcceleratorConfig(pbe=1, pbu=args.pbu))
     t0 = time.perf_counter()
-    hw = accel.run_encoder(model, tokens)
+    hw = accel.run(program, tokens)
     host_s = time.perf_counter() - t0
     with cfg.dtype_context(), nn.no_grad():
         sw = model(tokens).data

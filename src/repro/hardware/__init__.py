@@ -4,6 +4,8 @@ Subpackages/modules:
 
 * :mod:`repro.hardware.functional` — value-accurate simulator of the
   adaptable butterfly accelerator (BUs, BEs, memory system, AP, PostP).
+* :mod:`repro.hardware.isa` — the instruction stream that drives it: the
+  compiler from a FABNet model, and the sequencer's static checks.
 * :mod:`repro.hardware.perf` — cycle-level latency model.
 * :mod:`repro.hardware.resources` / :mod:`repro.hardware.power` — the
   paper's analytical DSP/BRAM model and the Table VI power model.
@@ -17,7 +19,6 @@ from .baseline import BaselineAccelerator, BaselineConfig, bert_spec, fabnet_spe
 from .energy import EnergyMetrics, efficiency_ratio, energy_metrics, workload_gops
 from .isa import (
     Instruction,
-    InstructionExecutor,
     Opcode,
     Program,
     compile_model,
@@ -118,7 +119,6 @@ __all__ = [
     "Fp16ButterflyEngine",
     "Instruction",
     "Int8ButterflyEngine",
-    "InstructionExecutor",
     "Opcode",
     "Program",
     "QuantizationErrorReport",

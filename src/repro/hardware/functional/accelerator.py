@@ -1,16 +1,21 @@
 """Functional model of the complete adaptable butterfly accelerator.
 
-Executes a FABNet :class:`~repro.models.encoder.EncoderClassifier`
-layer-by-layer on the functional engines:
+The accelerator runs what its control stream says, and nothing else:
+:meth:`ButterflyAccelerator.run` replays a compiled
+:class:`~repro.hardware.isa.Program` one instruction at a time, and that
+replay is the simulator's only walk of a model.
 
-* butterfly linear layers (Q/K/V/O projections and FFN) on the
-  :class:`ButterflyEngine` in butterfly mode;
-* Fourier (FBfly) mixing as two 1D FFT passes on the *same* engine in
-  FFT mode;
-* attention score/context matrix multiplies on the
+* CONFIG_BFLY / CONFIG_FFT switch the Butterfly Engine's mode; an EXEC
+  without a CONFIG of its mode raises, as the sequencer would lock up;
+* EXEC_BFLY runs a butterfly linear layer (Q/K/V/O projection or FFN) on
+  the :class:`ButterflyEngine` in butterfly mode;
+* EXEC_FFT2 runs Fourier (FBfly) mixing as two 1D FFT passes on the
+  *same* engine in FFT mode;
+* EXEC_ATTN runs the attention score/context matrix multiplies on the
   :class:`AttentionProcessor`;
-* shortcut addition, layer normalization and GELU on the
-  :class:`PostProcessor`.
+* GELU and ADD_NORM (shortcut addition + layer normalization) run on the
+  :class:`PostProcessor`; LOAD / STORE move nothing the replay's buffers
+  do not already hold.
 
 Embedding lookup and the small classifier head run on the host, as in the
 paper's system (the accelerator covers the encoder blocks, which dominate
@@ -22,18 +27,32 @@ cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...models.blocks import EncoderBlock, FeedForward
+from ...models.blocks import EncoderBlock
 from ...models.encoder import EncoderClassifier
 from ...nn.attention import MultiHeadAttention
 from ...nn.butterfly_layer import ButterflyLinear
 from ..config import AcceleratorConfig
+from ..isa import Opcode, Program, compile_model
 from .attention_engine import AttentionProcessor
 from .engine import ButterflyEngine, ButterflyLinearExecutor
 from .postproc import PostProcessor
+
+#: EXEC_BFLY operands whose output fills an attention buffer rather than
+#: the activation buffer.
+_QKV = ("q_proj", "k_proj", "v_proj")
+
+
+def _layer(block: EncoderBlock, tag: str) -> ButterflyLinear:
+    """The butterfly layer an EXEC_BFLY operand names in ``block``."""
+    if tag == "ffn1":
+        return block.ffn.fc1
+    if tag == "ffn2":
+        return block.ffn.fc2
+    return getattr(block.mixer, tag)
 
 
 @dataclass
@@ -48,7 +67,7 @@ class AcceleratorTrace:
 
 
 class ButterflyAccelerator:
-    """Run FABNet encoder blocks on the functional hardware engines."""
+    """Replay compiled instruction streams on the functional hardware engines."""
 
     def __init__(self, config: Optional[AcceleratorConfig] = None) -> None:
         self.config = config or AcceleratorConfig()
@@ -71,99 +90,86 @@ class ButterflyAccelerator:
         self.trace.bank_conflicts += total.bank_conflicts - conflicts
         return out, total.pair_ops - pair_ops
 
-    def _run_butterfly_linear(self, layer: ButterflyLinear, x: np.ndarray) -> np.ndarray:
-        """x: (rows, in_features) -> (rows, out_features)."""
-        out, pair_ops = self._on_engine(self.executor.forward, layer, x)
-        self.trace.butterfly_pair_ops += pair_ops
-        return out
+    def _run(self, program: Program, x: np.ndarray) -> np.ndarray:
+        """One sample's (seq, d) activations through the stream.
 
-    def _run_ffn(self, ffn: FeedForward, x: np.ndarray) -> np.ndarray:
-        if not isinstance(ffn.fc1, ButterflyLinear):
-            raise TypeError(
-                "the butterfly accelerator only executes butterfly FFNs; "
-                "dense layers belong to the baseline design"
-            )
-        hidden = self._run_butterfly_linear(ffn.fc1, x)
-        hidden = self.postp.gelu(hidden)
-        return self._run_butterfly_linear(ffn.fc2, hidden)
+        ``x`` is the activation buffer, ``shortcut`` the PostP's copy of
+        the current sub-layer's input (the last ADD_NORM's output) and
+        ``qkv`` the attention buffers the Q/K/V projections fill.
+        """
+        blocks = program.model.blocks
+        shortcut, qkv, mode = x, {}, None
+        for inst in program.instructions:
+            op = inst.opcode
+            if op is Opcode.EXEC_BFLY:
+                if mode is not Opcode.CONFIG_BFLY:
+                    raise RuntimeError("EXEC_BFLY without CONFIG_BFLY")
+                layer = _layer(blocks[inst.block], inst.operand)
+                out, pair_ops = self._on_engine(self.executor.forward, layer, x)
+                self.trace.butterfly_pair_ops += pair_ops
+                if inst.operand in _QKV:
+                    qkv[inst.operand] = out
+                else:
+                    x = out
+            elif op is Opcode.CONFIG_BFLY or op is Opcode.CONFIG_FFT:
+                mode = op
+            elif op is Opcode.ADD_NORM:
+                block = blocks[inst.block]
+                norm = block.norm1 if inst.operand == "mix" else block.norm2
+                x = shortcut = self.postp.layer_norm(
+                    self.postp.shortcut_add(x, shortcut),
+                    norm.gamma.data, norm.beta.data,
+                )
+            elif op is Opcode.GELU:
+                x = self.postp.gelu(x)
+            elif op is Opcode.EXEC_FFT2:
+                if mode is not Opcode.CONFIG_FFT:
+                    raise RuntimeError("EXEC_FFT2 without CONFIG_FFT")
+                out, pair_ops = self._on_engine(self.engine.run_fft2, x)
+                self.trace.fft_pair_ops += pair_ops
+                x = out.real
+            elif op is Opcode.EXEC_ATTN:
+                x = self._attend(blocks[inst.block].mixer, qkv)
+        return x
 
-    def _run_fourier_mixing(self, x: np.ndarray) -> np.ndarray:
-        """x: (seq, d) -> Re(FFT2(x)) via two engine FFT passes."""
-        out, pair_ops = self._on_engine(self.engine.run_fft2, x)
-        self.trace.fft_pair_ops += pair_ops
-        return out.real
-
-    def _run_attention(self, attn: MultiHeadAttention, x: np.ndarray) -> np.ndarray:
-        """x: (seq, d) through butterfly projections + attention engines."""
-        if not attn.butterfly:
-            raise TypeError(
-                "the butterfly accelerator only executes ABfly attention "
-                "(butterfly Q/K/V/O projections)"
-            )
-        seq, d = x.shape
-        heads, d_head = attn.n_heads, attn.d_head
-        # The paper's reordered schedule (Fig. 14): K and V first, then Q.
-        k = self._run_butterfly_linear(attn.k_proj, x)
-        v = self._run_butterfly_linear(attn.v_proj, x)
-        q = self._run_butterfly_linear(attn.q_proj, x)
+    def _attend(self, attn: MultiHeadAttention,
+                qkv: Dict[str, np.ndarray]) -> np.ndarray:
+        """The attention buffers through the QK/SV units: (seq, d) context."""
+        seq = qkv["q_proj"].shape[0]
 
         def split(m: np.ndarray) -> np.ndarray:
-            return m.reshape(seq, heads, d_head).transpose(1, 0, 2)
+            return m.reshape(seq, attn.n_heads, attn.d_head).transpose(1, 0, 2)
 
-        context = self.attention.attend_heads(split(q), split(k), split(v))
+        context = self.attention.attend_heads(
+            split(qkv["q_proj"]), split(qkv["k_proj"]), split(qkv["v_proj"])
+        )
         for eng in self.attention.engines:
             self.trace.qk_macs += eng.qk.stats.qk_macs
             self.trace.sv_macs += eng.sv.stats.sv_macs
             eng.qk.stats.qk_macs = 0
             eng.sv.stats.sv_macs = 0
-        merged = context.transpose(1, 0, 2).reshape(seq, d)
-        return self._run_butterfly_linear(attn.out_proj, merged)
+        return context.transpose(1, 0, 2).reshape(seq, attn.d_model)
 
     # ------------------------------------------------------------------
-    def run_block(self, block: EncoderBlock, x: np.ndarray) -> np.ndarray:
-        """Execute one encoder block on (seq, d) activations."""
-        if block.mixing_kind == "fourier":
-            mixed = self._run_fourier_mixing(x)
-        elif block.mixing_kind == "butterfly_attention":
-            mixed = self._run_attention(block.mixer, x)
-        else:
-            raise TypeError(
-                f"block mixing {block.mixing_kind!r} is not executable on the "
-                "butterfly accelerator (vanilla attention needs the baseline)"
-            )
-        x = self.postp.layer_norm(
-            self.postp.shortcut_add(mixed, x),
-            block.norm1.gamma.data,
-            block.norm1.beta.data,
-        )
-        ffn_out = self._run_ffn(block.ffn, x)
-        x = self.postp.layer_norm(
-            self.postp.shortcut_add(ffn_out, x),
-            block.norm2.gamma.data,
-            block.norm2.beta.data,
-        )
-        return x
+    def run(self, program: Program, tokens: np.ndarray) -> np.ndarray:
+        """Replay ``program`` once per sample of ``tokens`` (batch, seq);
+        returns the logits of the model it was compiled from.
 
-    def run_encoder(self, model: EncoderClassifier, tokens: np.ndarray) -> np.ndarray:
-        """Full forward pass; returns logits identical to ``model(tokens)``.
-
-        Embeddings and the classification head run on the host; all
-        encoder blocks run on the accelerator engines.
+        Embeddings and the classification head run on the host; every
+        encoder block runs on the engines, as the stream orders.
         """
+        model = program.model
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, seq), got {tokens.shape}")
-        seq = tokens.shape[1]
-        x = model.token_emb.weight.data[tokens] + model.pos_emb.data[:seq]
-        outputs = []
-        for sample in x:
-            h = sample
-            for block in model.blocks:
-                h = self.run_block(block, h)
-            outputs.append(h)
-        h = np.stack(outputs)
+        x = model.token_emb.weight.data[tokens] + model.pos_emb.data[:tokens.shape[1]]
+        h = np.stack([self._run(program, sample) for sample in x])
         h = self.postp.layer_norm(
             h, model.head_norm.gamma.data, model.head_norm.beta.data
         )
         pooled = h[:, 0] if model.config.pooling == "cls" else h.mean(axis=1)
         return pooled @ model.head.weight.data.T + model.head.bias.data
+
+    def run_encoder(self, model: EncoderClassifier, tokens: np.ndarray) -> np.ndarray:
+        """Full forward pass; returns logits identical to ``model(tokens)``."""
+        return self.run(compile_model(model), tokens)

@@ -1,40 +1,36 @@
-"""Instruction stream and runtime control of the accelerator.
+"""Instruction stream: the accelerator's runtime control.
 
 The paper's engines are "configured at runtime via dedicated hardware
 control": before each layer, control registers select FFT vs butterfly
-mode, buffer address mappings and engine parallelism.  This module makes
-that control path explicit:
+mode, buffer address mappings and engine parallelism.  This module is
+that control path:
 
 * an **instruction set** (`Opcode`, `Instruction`) covering everything the
   accelerator does: configure engines, load/store tiles, execute
   butterfly/FFT/attention, post-process;
 * a **compiler** (`compile_model`) from a FABNet
   :class:`~repro.models.encoder.EncoderClassifier` to a linear
-  instruction stream;
-* an **executor** (`InstructionExecutor`) that replays a stream on the
-  functional engines, producing outputs identical to the software model
-  — the programmable-control analogue of the Appendix C validation.
+  instruction stream, and the one place that refuses a model the machine
+  cannot run (vanilla attention, dense FFNs);
+* a **validator** (`validate_program`) of the structural invariants a
+  hardware sequencer relies on (every EXEC preceded by a CONFIG of the
+  right mode, layer-by-layer order, balanced load/store per layer).
 
-The instruction stream is also what a real driver would ship to the
-device, so tests assert structural invariants a hardware sequencer
-relies on (every EXEC preceded by a CONFIG of the right mode, loads
-before executes, balanced load/store per layer).
+The stream is what the host would ship to the device, and it is what the
+simulator runs: :meth:`ButterflyAccelerator.run
+<repro.hardware.functional.ButterflyAccelerator.run>` replays a `Program`
+instruction by instruction on the functional engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..models.blocks import EncoderBlock
 from ..models.encoder import EncoderClassifier
-from ..nn.attention import MultiHeadAttention
 from ..nn.butterfly_layer import ButterflyLinear
-from .config import AcceleratorConfig
-from .functional.accelerator import ButterflyAccelerator
 
 
 class Opcode(Enum):
@@ -66,10 +62,10 @@ class Instruction:
 
 @dataclass
 class Program:
-    """A compiled instruction stream plus metadata."""
+    """A compiled instruction stream and the model whose weights it runs."""
 
     instructions: List[Instruction] = field(default_factory=list)
-    n_blocks: int = 0
+    model: Optional[EncoderClassifier] = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -93,24 +89,34 @@ def _compile_butterfly_linear(block_idx: int, tag: str) -> List[Instruction]:
 
 
 def compile_block(block: EncoderBlock, block_idx: int) -> List[Instruction]:
-    """Compile one FBfly/ABfly block into the control stream."""
+    """Compile one FBfly/ABfly block into the control stream.
+
+    Raises ``TypeError`` for a block the butterfly accelerator cannot run
+    (vanilla attention, a dense FFN): that is the baseline design's work.
+    """
+    if block.mixing_kind not in ("fourier", "butterfly_attention"):
+        raise TypeError(
+            f"block mixing {block.mixing_kind!r} is not executable on the "
+            "butterfly accelerator (vanilla attention needs the baseline)"
+        )
+    if not all(isinstance(fc, ButterflyLinear)
+               for fc in (block.ffn.fc1, block.ffn.fc2)):
+        raise TypeError(
+            "the butterfly accelerator only executes butterfly FFNs; "
+            "dense layers belong to the baseline design"
+        )
     out: List[Instruction] = []
     if block.mixing_kind == "fourier":
         out.append(Instruction(Opcode.CONFIG_FFT, "mix", block_idx))
         out.append(Instruction(Opcode.LOAD, "mix", block_idx))
         out.append(Instruction(Opcode.EXEC_FFT2, "mix", block_idx))
         out.append(Instruction(Opcode.STORE, "mix", block_idx))
-    elif block.mixing_kind == "butterfly_attention":
+    else:  # butterfly_attention
         # Paper's reordered schedule (Fig. 14): K and V before Q.
         for proj in ("k_proj", "v_proj", "q_proj"):
             out.extend(_compile_butterfly_linear(block_idx, proj))
         out.append(Instruction(Opcode.EXEC_ATTN, "attn", block_idx))
         out.extend(_compile_butterfly_linear(block_idx, "out_proj"))
-    else:
-        raise ValueError(
-            f"block mixing {block.mixing_kind!r} is not compilable to the "
-            "butterfly accelerator"
-        )
     out.append(Instruction(Opcode.ADD_NORM, "mix", block_idx))
     out.extend(_compile_butterfly_linear(block_idx, "ffn1"))
     out.append(Instruction(Opcode.GELU, "ffn", block_idx))
@@ -121,119 +127,10 @@ def compile_block(block: EncoderBlock, block_idx: int) -> List[Instruction]:
 
 def compile_model(model: EncoderClassifier) -> Program:
     """Compile the encoder stack of a FABNet model."""
-    program = Program(n_blocks=len(model.blocks))
+    program = Program(model=model)
     for idx, block in enumerate(model.blocks):
         program.instructions.extend(compile_block(block, idx))
     return program
-
-
-class InstructionExecutor:
-    """Replay a compiled program on the functional engines.
-
-    Holds the activation state between instructions exactly as the
-    accelerator's buffers do; raises on malformed streams (executing
-    without a prior CONFIG, mismatched modes), which is the software
-    analogue of a sequencer lock-up.
-    """
-
-    def __init__(self, model: EncoderClassifier,
-                 config: Optional[AcceleratorConfig] = None) -> None:
-        self.model = model
-        self.accelerator = ButterflyAccelerator(
-            config or AcceleratorConfig(pbe=1, pbu=4, pae=2, pqk=4, psv=4)
-        )
-        self._mode: Optional[Opcode] = None
-
-    # ------------------------------------------------------------------
-    def _layer_of(self, block: EncoderBlock, tag: str) -> ButterflyLinear:
-        if tag in ("k_proj", "v_proj", "q_proj", "out_proj"):
-            return getattr(block.mixer, tag)
-        if tag == "ffn1":
-            return block.ffn.fc1
-        if tag == "ffn2":
-            return block.ffn.fc2
-        raise KeyError(f"unknown layer tag {tag!r}")
-
-    def run(self, program: Program, tokens: np.ndarray) -> np.ndarray:
-        """Execute the program per sample; returns the model logits."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        seq = tokens.shape[1]
-        x = self.model.token_emb.weight.data[tokens] + self.model.pos_emb.data[:seq]
-        outputs = []
-        for sample in x:
-            outputs.append(self._run_sample(program, sample))
-        h = np.stack(outputs)
-        postp = self.accelerator.postp
-        h = postp.layer_norm(h, self.model.head_norm.gamma.data,
-                             self.model.head_norm.beta.data)
-        pooled = h[:, 0] if self.model.config.pooling == "cls" else h.mean(axis=1)
-        return pooled @ self.model.head.weight.data.T + self.model.head.bias.data
-
-    # ------------------------------------------------------------------
-    def _run_sample(self, program: Program, x: np.ndarray) -> np.ndarray:
-        state: Dict[str, np.ndarray] = {"act": x, "shortcut": x}
-        attn_parts: Dict[str, np.ndarray] = {}
-        self._mode = None
-        for inst in program.instructions:
-            state, attn_parts = self._step(inst, state, attn_parts)
-        return state["act"]
-
-    def _step(self, inst: Instruction, state, attn_parts):
-        accel = self.accelerator
-        block = self.model.blocks[inst.block] if inst.block >= 0 else None
-        op = inst.opcode
-        if op in (Opcode.CONFIG_BFLY, Opcode.CONFIG_FFT):
-            self._mode = op
-        elif op in (Opcode.LOAD, Opcode.STORE):
-            pass  # data movement is implicit in the functional state dict
-        elif op == Opcode.EXEC_FFT2:
-            if self._mode is not Opcode.CONFIG_FFT:
-                raise RuntimeError("EXEC_FFT2 without CONFIG_FFT")
-            state["shortcut"] = state["act"]
-            state["act"] = accel._run_fourier_mixing(state["act"])
-        elif op == Opcode.EXEC_BFLY:
-            if self._mode is not Opcode.CONFIG_BFLY:
-                raise RuntimeError("EXEC_BFLY without CONFIG_BFLY")
-            layer = self._layer_of(block, inst.operand)
-            if inst.operand in ("k_proj", "v_proj", "q_proj"):
-                attn_parts[inst.operand] = accel._run_butterfly_linear(
-                    layer, state["act"]
-                )
-            elif inst.operand == "out_proj":
-                state["act"] = accel._run_butterfly_linear(layer, state["act"])
-            elif inst.operand == "ffn1":
-                state["shortcut"] = state["act"]
-                state["act"] = accel._run_butterfly_linear(layer, state["act"])
-            else:  # ffn2
-                state["act"] = accel._run_butterfly_linear(layer, state["act"])
-        elif op == Opcode.EXEC_ATTN:
-            mixer: MultiHeadAttention = block.mixer
-            seq = state["act"].shape[0]
-            heads, d_head = mixer.n_heads, mixer.d_head
-
-            def split(m):
-                return m.reshape(seq, heads, d_head).transpose(1, 0, 2)
-
-            context = accel.attention.attend_heads(
-                split(attn_parts["q_proj"]),
-                split(attn_parts["k_proj"]),
-                split(attn_parts["v_proj"]),
-            )
-            state["shortcut"] = state["act"]
-            state["act"] = context.transpose(1, 0, 2).reshape(seq, mixer.d_model)
-            attn_parts.clear()
-        elif op == Opcode.GELU:
-            state["act"] = accel.postp.gelu(state["act"])
-        elif op == Opcode.ADD_NORM:
-            norm = block.norm1 if inst.operand == "mix" else block.norm2
-            state["act"] = accel.postp.layer_norm(
-                accel.postp.shortcut_add(state["act"], state["shortcut"]),
-                norm.gamma.data, norm.beta.data,
-            )
-            state["shortcut"] = state["act"]
-        else:  # pragma: no cover - exhaustive over Opcode
-            raise ValueError(f"unhandled opcode {op}")
-        return state, attn_parts
 
 
 def validate_program(program: Program) -> List[str]:

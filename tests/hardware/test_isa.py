@@ -1,18 +1,23 @@
-"""Instruction-level control path: compiler, executor, validation."""
+"""Instruction-level control path: compiler, validation, and the
+accelerator's replay of the stream."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import nn
+from repro.hardware.config import AcceleratorConfig
+from repro.hardware.functional import ButterflyAccelerator
 from repro.hardware.isa import (
     Instruction,
-    InstructionExecutor,
     Opcode,
     Program,
     compile_block,
     compile_model,
     validate_program,
 )
-from repro.models import ModelConfig, build_fabnet, build_transformer
+from repro.models import ModelConfig, build_fabnet, build_fnet, build_transformer
 
 
 @pytest.fixture
@@ -22,10 +27,14 @@ def fab_model():
     return build_fabnet(cfg).eval()
 
 
+def accelerator():
+    return ButterflyAccelerator(AcceleratorConfig(pbe=1, pbu=4, pae=2, pqk=4, psv=4))
+
+
 class TestCompiler:
     def test_program_covers_all_blocks(self, fab_model):
         program = compile_model(fab_model)
-        assert program.n_blocks == 2
+        assert program.model is fab_model
         blocks_seen = {i.block for i in program.instructions}
         assert blocks_seen == {0, 1}
 
@@ -52,8 +61,22 @@ class TestCompiler:
         cfg = ModelConfig(vocab_size=16, n_classes=2, max_len=8, d_hidden=16,
                           n_heads=2, r_ffn=2, n_total=1)
         model = build_transformer(cfg)
-        with pytest.raises(ValueError, match="not compilable"):
+        with pytest.raises(TypeError, match="baseline"):
             compile_block(model.blocks[0], 0)
+
+    def test_dense_ffn_refused_before_any_engine_runs(self):
+        """FNet's Fourier mixing compiles, its dense FFN does not: the
+        whole model is refused at compile time, so ``run_encoder`` fails
+        before the FFT pass."""
+        cfg = ModelConfig(vocab_size=16, n_classes=2, max_len=8, d_hidden=16,
+                          n_heads=2, r_ffn=2, n_total=1)
+        model = build_fnet(cfg).eval()
+        with pytest.raises(TypeError, match="butterfly FFN"):
+            compile_model(model)
+        accel = accelerator()
+        with pytest.raises(TypeError, match="butterfly FFN"):
+            accel.run_encoder(model, np.zeros((1, 8), dtype=int))
+        assert accel.engine.cumulative_stats.pair_ops == 0
 
     def test_listing_format(self, fab_model):
         program = compile_model(fab_model)
@@ -94,33 +117,35 @@ class TestValidation:
         assert any("backwards" in v for v in validate_program(program))
 
 
-class TestExecutor:
+class TestReplay:
     def test_matches_software_model(self, fab_model, rng):
         program = compile_model(fab_model)
-        executor = InstructionExecutor(fab_model)
         tokens = rng.integers(0, 16, size=(2, 16))
-        hw = executor.run(program, tokens)
+        hw = accelerator().run(program, tokens)
         sw = fab_model(tokens).data
         np.testing.assert_allclose(hw, sw, atol=1e-9)
 
-    def test_matches_direct_accelerator(self, fab_model, rng):
-        """Program replay and the monolithic accelerator agree."""
-        from repro.hardware.config import AcceleratorConfig
-        from repro.hardware.functional import ButterflyAccelerator
-        program = compile_model(fab_model)
-        executor = InstructionExecutor(fab_model)
-        tokens = rng.integers(0, 16, size=(1, 16))
-        via_program = executor.run(program, tokens)
-        direct = ButterflyAccelerator(
-            AcceleratorConfig(pbe=1, pbu=4, pae=2, pqk=4, psv=4)
-        ).run_encoder(fab_model, tokens)
-        np.testing.assert_allclose(via_program, direct, atol=1e-12)
+    def test_attention_macs_reach_the_trace(self, fab_model, rng):
+        """EXEC_ATTN moves the QK/SV units' counters into the trace:
+        ``heads * seq**2 * d_head`` MACs each, per ABfly block and sample."""
+        accel = accelerator()
+        accel.run(compile_model(fab_model), rng.integers(0, 16, size=(2, 16)))
+        n_abfly, batch, heads, seq, d_head = 1, 2, 2, 16, 8
+        expected = n_abfly * batch * heads * seq ** 2 * d_head
+        assert accel.trace.qk_macs == accel.trace.sv_macs == expected
 
     def test_malformed_program_raises(self, fab_model, rng):
-        bad = Program(instructions=[Instruction(Opcode.EXEC_BFLY, "ffn1", 0)])
-        executor = InstructionExecutor(fab_model)
+        bad = Program(instructions=[Instruction(Opcode.EXEC_BFLY, "ffn1", 0)],
+                      model=fab_model)
         with pytest.raises(RuntimeError, match="CONFIG_BFLY"):
-            executor.run(bad, rng.integers(0, 16, size=(1, 16)))
+            accelerator().run(bad, rng.integers(0, 16, size=(1, 16)))
+
+    def test_fft_in_butterfly_mode_raises(self, fab_model, rng):
+        bad = Program(instructions=[Instruction(Opcode.CONFIG_BFLY, "mix", 0),
+                                    Instruction(Opcode.EXEC_FFT2, "mix", 0)],
+                      model=fab_model)
+        with pytest.raises(RuntimeError, match="CONFIG_FFT"):
+            accelerator().run(bad, rng.integers(0, 16, size=(1, 16)))
 
     def test_all_fbfly_program(self, rng):
         cfg = ModelConfig(vocab_size=16, n_classes=2, max_len=8, d_hidden=16,
@@ -128,5 +153,58 @@ class TestExecutor:
         model = build_fabnet(cfg).eval()
         program = compile_model(model)
         tokens = rng.integers(0, 16, size=(2, 8))
-        hw = InstructionExecutor(model).run(program, tokens)
+        hw = accelerator().run(program, tokens)
         np.testing.assert_allclose(hw, model(tokens).data, atol=1e-9)
+
+
+@st.composite
+def fabnet_cases(draw):
+    """A small FABNet config and the (batch, seq) it runs at: the FFT
+    needs a power-of-two sequence, attention alone does not."""
+    d_hidden = draw(st.sampled_from((16, 32)))
+    n_total = draw(st.integers(1, 3))
+    config = ModelConfig(
+        vocab_size=16, n_classes=3, max_len=16, d_hidden=d_hidden,
+        n_heads=draw(st.sampled_from((1, 2, 4, 8, 16))),
+        r_ffn=draw(st.integers(1, 4)), n_total=n_total,
+        n_abfly=draw(st.integers(0, n_total)),
+        pooling=draw(st.sampled_from(("mean", "cls"))),
+        dtype="float64", seed=draw(st.integers(0, 2 ** 16)),
+    )
+    if config.n_abfly < n_total:
+        seq = draw(st.sampled_from((4, 8, 16)))
+    else:
+        seq = draw(st.integers(2, 16))
+    return config, draw(st.integers(1, 2)), seq
+
+
+@given(case=fabnet_cases(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_generated_models_replay_to_the_software_logits(case, seed):
+    """Any FABNet shape: the replayed stream gives the software logits, the
+    stream is valid and shaped by its blocks, and the trace's counts are
+    the engines' own."""
+    config, batch, seq = case
+    model = build_fabnet(config).eval()
+    tokens = np.random.default_rng(seed).integers(0, 16, size=(batch, seq))
+    program = compile_model(model)
+    accel = accelerator()
+    hw = accel.run(program, tokens)
+    with config.dtype_context(), nn.no_grad():
+        sw = model(tokens).data
+    np.testing.assert_allclose(hw, sw, rtol=0, atol=1e-9)
+
+    assert validate_program(program) == []
+    n_abfly, n_total = config.n_abfly, config.n_total
+    assert program.count(Opcode.CONFIG_FFT) == n_total - n_abfly
+    assert program.count(Opcode.EXEC_FFT2) == n_total - n_abfly
+    assert program.count(Opcode.EXEC_ATTN) == n_abfly
+    assert program.count(Opcode.EXEC_BFLY) == 4 * n_abfly + 2 * n_total
+    assert program.count(Opcode.LOAD) == program.count(Opcode.STORE)
+
+    trace = accel.trace
+    assert (trace.butterfly_pair_ops + trace.fft_pair_ops
+            == accel.engine.cumulative_stats.pair_ops)
+    d_head = config.d_hidden // config.n_heads
+    macs = n_abfly * batch * config.n_heads * seq ** 2 * d_head
+    assert trace.qk_macs == trace.sv_macs == macs

@@ -248,6 +248,12 @@ class TestCLI:
         assert f"pair ops: {total}\n" in out
         assert f"read cycles: {total // 4}\n" in out
         assert re.search(r"host time: \d+\.\d{3} s \(\d+\.\d{2} us per pair-op\)", out)
+        # The stream it replayed: 15 instructions per FBfly block, 28 per
+        # ABfly block (Q/K/V/O projections and the attention call).
+        n_fbfly = cfg.n_total - cfg.n_abfly
+        assert (f"program: {15 * n_fbfly + 28 * cfg.n_abfly} instructions "
+                f"({n_fbfly} exec_fft2, {cfg.n_abfly} exec_attn, "
+                f"{4 * cfg.n_abfly + 2 * cfg.n_total} exec_bfly)\n") in out
 
     def test_train_rejects_paired_task(self, capsys):
         code = main(["train", "--task", "retrieval", "--epochs", "1",
