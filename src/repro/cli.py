@@ -5,8 +5,10 @@ Subcommands:
 * ``train``    — train a model on a synthetic LRA task and optionally
                  save a checkpoint.
 * ``simulate`` — compile a checkpoint to the accelerator's instruction
-                 stream, replay it on the functional engines and
-                 cross-validate against the software forward pass.
+                 stream, replay it on the functional engines,
+                 cross-validate against the software forward pass, and
+                 print the latency model's BP compute cycles beside the
+                 counted ones.
 * ``estimate`` — analytical latency/resource/power estimate for a
                  workload on an accelerator configuration.
 * ``codesign`` — run the joint design-space search and print the Pareto
@@ -332,6 +334,7 @@ def cmd_simulate(args) -> int:
     from .hardware.config import AcceleratorConfig
     from .hardware.functional import ButterflyAccelerator
     from .hardware.isa import Opcode, compile_model
+    from .hardware.perf import ButterflyPerformanceModel, WorkloadSpec
     from .io import load_model
 
     model = load_model(args.checkpoint)
@@ -348,7 +351,9 @@ def cmd_simulate(args) -> int:
     counts = ", ".join(f"{program.count(op)} {op.value}" for op in
                        (Opcode.EXEC_FFT2, Opcode.EXEC_ATTN, Opcode.EXEC_BFLY))
     print(f"program: {len(program)} instructions ({counts})")
-    accel = ButterflyAccelerator(AcceleratorConfig(pbe=1, pbu=args.pbu))
+    # One lane per QK/SV unit: the AP the simulator builds for pqk = psv = 0.
+    config = AcceleratorConfig(pbe=1, pbu=args.pbu, pqk=1, psv=1)
+    accel = ButterflyAccelerator(config)
     t0 = time.perf_counter()
     hw = accel.run(program, tokens)
     host_s = time.perf_counter() - t0
@@ -362,6 +367,15 @@ def cmd_simulate(args) -> int:
     print(f"bank conflicts: {accel.trace.bank_conflicts}")
     print(f"pair ops: {engine.pair_ops}")
     print(f"read cycles: {engine.read_cycles}")
+    report = ButterflyPerformanceModel(config).model_latency(WorkloadSpec(
+        seq_len=tokens.shape[1], d_hidden=cfg.d_hidden, r_ffn=cfg.r_ffn,
+        n_total=cfg.n_total, n_abfly=cfg.n_abfly, n_heads=cfg.n_heads,
+    ))
+    modeled = sum(layer.compute_cycles for layer in report.layers
+                  if layer.name.startswith(("bfly:", "fft:")))
+    counted = engine.pair_ops / (len(tokens) * config.pbe * config.pbu)
+    print(f"BP compute cycles per sample: {modeled:.1f} modeled, "
+          f"{counted:.1f} counted")
     print(f"host time: {host_s:.3f} s "
           f"({host_s * 1e6 / max(engine.pair_ops, 1):.2f} us per pair-op)")
     return 0 if err < 1e-6 else 1

@@ -17,6 +17,7 @@ oracles with one interface:
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -86,9 +87,10 @@ class SurrogateAccuracyOracle:
         ceiling = TASK_ACCURACY_CEILING[self.task]
         cap = self.capacity(spec)
         acc = ceiling - self.deficit * math.exp(-cap / self.tau)
-        # Deterministic per-point jitter so the scatter is not a clean curve.
-        seed = hash((self.task, spec.d_hidden, spec.r_ffn, spec.n_total, spec.n_abfly))
-        rng = np.random.default_rng(abs(seed) % (2**32))
+        # Deterministic per-point jitter so the scatter is not a clean curve,
+        # seeded from a stable digest (``hash`` of a str is salted per process).
+        rng = np.random.default_rng([zlib.crc32(self.task.encode()), spec.d_hidden,
+                                     spec.r_ffn, spec.n_total, spec.n_abfly])
         acc += float(rng.normal(0.0, self.noise_scale))
         floor = self.chance_floor if ceiling > self.chance_floor else 1.0 / 10.0
         return float(min(max(acc, floor * 0.2), ceiling + 3 * self.noise_scale))

@@ -5,8 +5,10 @@ Subpackages/modules:
 * :mod:`repro.hardware.functional` — value-accurate simulator of the
   adaptable butterfly accelerator (BUs, BEs, memory system, AP, PostP).
 * :mod:`repro.hardware.isa` — the instruction stream that drives it: the
-  compiler from a FABNet model, and the sequencer's static checks.
-* :mod:`repro.hardware.perf` — cycle-level latency model.
+  compiler from a FABNet model (or a workload's shape), and the
+  sequencer's static checks.  It is the one description of a block.
+* :mod:`repro.hardware.perf` — cycle-level latency model: a fold over the
+  same stream the simulator replays.
 * :mod:`repro.hardware.resources` / :mod:`repro.hardware.power` — the
   paper's analytical DSP/BRAM model and the Table VI power model.
 * :mod:`repro.hardware.baseline` — dense MAC-array baseline accelerator.
@@ -33,12 +35,6 @@ from .quantize import (
     int8_quantization_error_report,
     quantization_error_report,
     quantize_fp16,
-)
-from .schedule import (
-    ExecutionTrace,
-    ScheduleEntry,
-    build_trace,
-    processor_balance,
 )
 from .config import (
     BE40_CONFIG,
@@ -115,21 +111,18 @@ __all__ = [
     "XEON_6154",
     "ZYNQ7045",
     "EnergyMetrics",
-    "ExecutionTrace",
     "Fp16ButterflyEngine",
     "Instruction",
     "Int8ButterflyEngine",
     "Opcode",
     "Program",
     "QuantizationErrorReport",
-    "ScheduleEntry",
     "compile_model",
     "validate_program",
     "accuracy_under_fp16",
     "accuracy_under_int8",
     "bert_spec",
     "bram_usage",
-    "build_trace",
     "dsp_usage",
     "efficiency_ratio",
     "energy_metrics",
@@ -139,7 +132,6 @@ __all__ = [
     "fabnet_time_s",
     "int8_quantization_error_report",
     "latency_vs_bandwidth",
-    "processor_balance",
     "quantization_error_report",
     "quantize_fp16",
     "workload_gops",

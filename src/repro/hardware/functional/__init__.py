@@ -27,7 +27,6 @@ from .memory import (
     starting_positions,
 )
 from .postproc import PostProcessor
-from .streaming import StreamingExecutor, StreamingResult, TilePhase
 
 __all__ = [
     "AcceleratorTrace",
@@ -46,9 +45,6 @@ __all__ = [
     "QKUnit",
     "SVUnit",
     "StageProgram",
-    "StreamingExecutor",
-    "StreamingResult",
-    "TilePhase",
     "bank_matrix",
     "bank_of",
     "coalesce_pairs",

@@ -11,26 +11,35 @@ that control path:
 * a **compiler** (`compile_model`) from a FABNet
   :class:`~repro.models.encoder.EncoderClassifier` to a linear
   instruction stream, and the one place that refuses a model the machine
-  cannot run (vanilla attention, dense FFNs);
+  cannot run (vanilla attention, dense FFNs).  `compile_spec` emits the
+  same stream for a :class:`~repro.hardware.perf.WorkloadSpec`'s shape,
+  from the same per-block emitter, so a block is described here only;
 * a **validator** (`validate_program`) of the structural invariants a
   hardware sequencer relies on (every EXEC preceded by a CONFIG of the
   right mode, layer-by-layer order, balanced load/store per layer).
 
-The stream is what the host would ship to the device, and it is what the
-simulator runs: :meth:`ButterflyAccelerator.run
+The stream is what the host would ship to the device, and it is what both
+models of the machine read: :meth:`ButterflyAccelerator.run
 <repro.hardware.functional.ButterflyAccelerator.run>` replays a `Program`
-instruction by instruction on the functional engines.
+instruction by instruction on the functional engines, and
+:meth:`ButterflyPerformanceModel.model_latency
+<repro.hardware.perf.ButterflyPerformanceModel.model_latency>` charges
+each instruction of the same stream its cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..models.blocks import EncoderBlock
 from ..models.encoder import EncoderClassifier
 from ..nn.butterfly_layer import ButterflyLinear
+
+if TYPE_CHECKING:
+    from .perf import WorkloadSpec
 
 
 class Opcode(Enum):
@@ -88,25 +97,26 @@ def _compile_butterfly_linear(block_idx: int, tag: str) -> List[Instruction]:
     ]
 
 
-def compile_block(block: EncoderBlock, block_idx: int) -> List[Instruction]:
-    """Compile one FBfly/ABfly block into the control stream.
+def _emit_block(block_idx: int, mixing: str, butterfly_ffn: bool) -> List[Instruction]:
+    """One block's control stream, from its mixing kind alone: the single
+    description of a block that the simulator replays and the latency
+    model charges.
 
     Raises ``TypeError`` for a block the butterfly accelerator cannot run
     (vanilla attention, a dense FFN): that is the baseline design's work.
     """
-    if block.mixing_kind not in ("fourier", "butterfly_attention"):
+    if mixing not in ("fourier", "butterfly_attention"):
         raise TypeError(
-            f"block mixing {block.mixing_kind!r} is not executable on the "
+            f"block mixing {mixing!r} is not executable on the "
             "butterfly accelerator (vanilla attention needs the baseline)"
         )
-    if not all(isinstance(fc, ButterflyLinear)
-               for fc in (block.ffn.fc1, block.ffn.fc2)):
+    if not butterfly_ffn:
         raise TypeError(
             "the butterfly accelerator only executes butterfly FFNs; "
             "dense layers belong to the baseline design"
         )
     out: List[Instruction] = []
-    if block.mixing_kind == "fourier":
+    if mixing == "fourier":
         out.append(Instruction(Opcode.CONFIG_FFT, "mix", block_idx))
         out.append(Instruction(Opcode.LOAD, "mix", block_idx))
         out.append(Instruction(Opcode.EXEC_FFT2, "mix", block_idx))
@@ -125,12 +135,41 @@ def compile_block(block: EncoderBlock, block_idx: int) -> List[Instruction]:
     return out
 
 
+def compile_block(block: EncoderBlock, block_idx: int) -> List[Instruction]:
+    """Compile one FBfly/ABfly block into the control stream.
+
+    Raises ``TypeError`` for a block the butterfly accelerator cannot run
+    (vanilla attention, a dense FFN): that is the baseline design's work.
+    """
+    butterfly_ffn = all(isinstance(fc, ButterflyLinear)
+                        for fc in (block.ffn.fc1, block.ffn.fc2))
+    return _emit_block(block_idx, block.mixing_kind, butterfly_ffn)
+
+
 def compile_model(model: EncoderClassifier) -> Program:
     """Compile the encoder stack of a FABNet model."""
     program = Program(model=model)
     for idx, block in enumerate(model.blocks):
         program.instructions.extend(compile_block(block, idx))
     return program
+
+
+@lru_cache(maxsize=None)
+def _spec_stream(n_fbfly: int, n_abfly: int,
+                 butterfly: bool) -> Tuple[Instruction, ...]:
+    # A dense spec's attention blocks are vanilla attention, its FFNs dense.
+    attention = "butterfly_attention" if butterfly else "attention"
+    kinds = ["fourier"] * n_fbfly + [attention] * n_abfly
+    return tuple(inst for idx, mixing in enumerate(kinds)
+                 for inst in _emit_block(idx, mixing, butterfly))
+
+
+def compile_spec(spec: WorkloadSpec) -> Program:
+    """The stream ``compile_model`` emits for a FABNet of ``spec``'s shape
+    (``n_fbfly`` FBfly blocks, then ``n_abfly`` ABfly blocks), without its
+    weights; the latency model folds over it.  A dense (``butterfly=False``)
+    spec is refused as ``compile_block`` refuses a dense model."""
+    return Program(list(_spec_stream(spec.n_fbfly, spec.n_abfly, spec.butterfly)))
 
 
 def validate_program(program: Program) -> List[str]:

@@ -2,13 +2,17 @@
 
 The paper evaluates all latency numbers with a custom cycle-accurate
 performance model cross-validated against RTL simulation (Section VI-A);
-this module is our equivalent.  ``test_compute_cycles_count_the_simulated_pair_ops``
+this module is our equivalent.  A model's latency is a fold over the
+instruction stream :func:`repro.hardware.isa.compile_spec` emits for it —
+the stream the functional simulator replays — charging each EXEC and
+ADD_NORM one of the primitives below.  ``test_compute_cycles_count_the_simulated_pair_ops``
 in ``tests/hardware/test_perf.py`` draws FABNet shapes and parallelisms,
 runs one sample through the functional simulator, and checks that every
 ``bfly:`` / ``fft:`` layer's compute cycles times ``pbe * pbu`` sum to the
-butterfly / FFT pair ops the simulator issued.  It covers compute cycles
-only: the simulator's read cycles, the off-chip traffic, the Fig. 13
-overlap and the Fig. 14 pipelining below are not counted against it.
+butterfly / FFT pair ops the simulator issued; ``repro simulate`` prints
+the two side by side.  It covers compute cycles only: the simulator's read
+cycles, the off-chip traffic, the Fig. 13 overlap and the Fig. 14
+pipelining below are not counted against it.
 
 Modeled effects:
 
@@ -22,9 +26,11 @@ Modeled effects:
 * fine-grained BP<->AP pipelining of Fig. 14 (toggleable).
 
 A ``WorkloadSpec`` describes the model analytically (no trained weights
-needed) so the same equations cover FABNet, FNet and BERT-style models at
-any size, including the paper's non-power-of-two ``D_hid = 768`` (padded
-to the next power of two inside butterfly layers, as the hardware does).
+needed) so the same equations cover FABNet at any size, including the
+paper's non-power-of-two ``D_hid = 768`` (padded to the next power of two
+inside butterfly layers, as the hardware does).  A dense
+(``butterfly=False``) spec — BERT, FNet — is refused here as the compiler
+refuses a dense model; :mod:`repro.hardware.baseline` times it.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Literal
 
 from .config import BYTES_PER_VALUE, AcceleratorConfig
+from .isa import Opcode, compile_spec
 
 OverlapStrategy = Literal["naive", "butterfly", "fft"]
 
@@ -54,9 +61,10 @@ class WorkloadSpec:
     """Analytical description of an encoder workload.
 
     ``n_abfly`` of the ``n_total`` blocks are ABfly (attention) blocks;
-    the rest are FBfly (Fourier) blocks.  Setting ``fourier=False`` and
-    ``n_abfly == n_total`` with ``butterfly=False`` describes a vanilla
-    BERT-style encoder (used by the baseline comparisons).
+    the rest are FBfly (Fourier) blocks.  ``n_abfly == n_total`` with
+    ``butterfly=False`` describes a vanilla BERT-style encoder (used by
+    the baseline comparisons).  ``n_heads`` must split ``d_hidden`` when
+    the spec has attention.
     """
 
     seq_len: int
@@ -72,6 +80,13 @@ class WorkloadSpec:
             raise ValueError("seq_len and d_hidden must be positive")
         if not 0 <= self.n_abfly <= self.n_total:
             raise ValueError("n_abfly must lie in [0, n_total]")
+        if self.r_ffn < 1 or self.n_heads < 1:
+            raise ValueError("r_ffn and n_heads must be positive")
+        if self.n_abfly and self.d_hidden % self.n_heads:
+            raise ValueError(
+                f"d_hidden={self.d_hidden} does not split into "
+                f"{self.n_heads} attention heads"
+            )
 
     @property
     def d_ffn(self) -> int:
@@ -247,58 +262,42 @@ class ButterflyPerformanceModel:
         return LayerLatency(name, compute, self._mem_cycles(bytes_in + bytes_out), total)
 
     # ------------------------------------------------------------------
-    # Block- and model-level latency
+    # Model-level latency: a fold over the compiled stream
     # ------------------------------------------------------------------
-    def fbfly_block(self, spec: WorkloadSpec, index: int = 0) -> List[LayerLatency]:
-        """FBfly block: 2D FFT mixing + butterfly FFN + two PostP passes."""
-        r, d = spec.seq_len, spec.d_hidden
-        layers = [
-            self.fft2(r, _next_power_of_two(d), name=f"fft:block{index}"),
-            self.postprocess(r, d, name=f"postp:block{index}.mix"),
-            self.butterfly_linear(r, d, spec.d_ffn, name=f"bfly:block{index}.ffn1"),
-            self.butterfly_linear(r, spec.d_ffn, d, name=f"bfly:block{index}.ffn2"),
-            self.postprocess(r, d, name=f"postp:block{index}.ffn"),
-        ]
-        return layers
-
-    def abfly_block(self, spec: WorkloadSpec, index: int = 0) -> List[LayerLatency]:
-        """ABfly block: butterfly Q/K/V/O + attention + butterfly FFN.
-
-        With fine-grained pipelining, the Q projection on the BP overlaps
-        the QK unit's consumption (Fig. 14), modeled by charging only the
-        non-overlapped remainder of the attention core.
-        """
-        r, d = spec.seq_len, spec.d_hidden
-        layers: List[LayerLatency] = []
-        for proj in ("k", "v", "q"):
-            layers.append(
-                self.butterfly_linear(r, d, d, name=f"bfly:block{index}.{proj}_proj")
-            )
-        attn = self.attention_core(r, d, spec.n_heads, name=f"attn:block{index}")
-        if self.fine_grained_pipeline:
-            # The AP starts as soon as the first Q rows leave the BP
-            # (Fig. 14), so the Q projection's cycles are hidden under the
-            # attention core; charge only the non-overlapped remainder.
-            q_cycles = layers[-1].total_cycles
-            remainder = max(0.0, attn.total_cycles - q_cycles)
-            attn = LayerLatency(
-                attn.name, attn.compute_cycles, attn.memory_cycles, remainder
-            )
-        layers.append(attn)
-        layers.append(self.butterfly_linear(r, d, d, name=f"bfly:block{index}.out_proj"))
-        layers.append(self.postprocess(r, d, name=f"postp:block{index}.mix"))
-        layers.append(self.butterfly_linear(r, d, spec.d_ffn, name=f"bfly:block{index}.ffn1"))
-        layers.append(self.butterfly_linear(r, spec.d_ffn, d, name=f"bfly:block{index}.ffn2"))
-        layers.append(self.postprocess(r, d, name=f"postp:block{index}.ffn"))
-        return layers
-
     def model_latency(self, spec: WorkloadSpec) -> LatencyReport:
-        """End-to-end encoder latency for a FABNet workload."""
+        """End-to-end encoder latency: a fold over the stream the simulator
+        would replay for ``spec``, one layer per EXEC and ADD_NORM in
+        stream order.  CONFIG, LOAD, STORE and GELU charge nothing: their
+        bytes are inside each EXEC's ``_combine``.
+
+        With fine-grained pipelining the AP starts as soon as the first Q
+        rows leave the BP (Fig. 14), so the Q projection charged just
+        before EXEC_ATTN is hidden under the attention core: EXEC_ATTN is
+        charged only its non-overlapped remainder.
+        """
         report = LatencyReport(clock_mhz=self.config.clock_mhz)
-        for i in range(spec.n_fbfly):
-            report.layers.extend(self.fbfly_block(spec, i))
-        for i in range(spec.n_fbfly, spec.n_total):
-            report.layers.extend(self.abfly_block(spec, i))
+        layers = report.layers
+        r, d, d_ffn = spec.seq_len, spec.d_hidden, spec.d_ffn
+        for inst in compile_spec(spec).instructions:
+            op, b, operand = inst.opcode, inst.block, inst.operand
+            if op is Opcode.EXEC_BFLY:
+                in_f, out_f = ((d, d_ffn) if operand == "ffn1" else
+                               (d_ffn, d) if operand == "ffn2" else (d, d))
+                layer = self.butterfly_linear(r, in_f, out_f,
+                                              name=f"bfly:block{b}.{operand}")
+            elif op is Opcode.ADD_NORM:
+                layer = self.postprocess(r, d, name=f"postp:block{b}.{operand}")
+            elif op is Opcode.EXEC_FFT2:
+                layer = self.fft2(r, _next_power_of_two(d), name=f"fft:block{b}")
+            elif op is Opcode.EXEC_ATTN:
+                layer = self.attention_core(r, d, spec.n_heads, name=f"attn:block{b}")
+                if self.fine_grained_pipeline:
+                    remainder = max(0.0, layer.total_cycles - layers[-1].total_cycles)
+                    layer = LayerLatency(layer.name, layer.compute_cycles,
+                                         layer.memory_cycles, remainder)
+            else:
+                continue
+            layers.append(layer)
         return report
 
 

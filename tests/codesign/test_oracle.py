@@ -1,5 +1,9 @@
 """Accuracy oracles: surrogate calibration and trained spot-check."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.codesign import (
@@ -46,6 +50,29 @@ class TestSurrogate:
     def test_deterministic_per_point(self):
         oracle = SurrogateAccuracyOracle(task="text")
         assert oracle.accuracy(spec()) == oracle.accuracy(spec())
+
+    def test_jitter_does_not_depend_on_the_hash_seed(self):
+        """``hash`` of a str is salted per process; the jitter's seed is a
+        stable digest, so two hash seeds give the same accuracy."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))), "src")
+        code = (
+            "from repro.codesign import SurrogateAccuracyOracle\n"
+            "from repro.hardware.perf import WorkloadSpec\n"
+            "spec = WorkloadSpec(seq_len=512, d_hidden=128, n_total=2)\n"
+            "print(repr(SurrogateAccuracyOracle(task='text').accuracy(spec)))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": src,
+                                 "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "26")
+        }
+        assert len(outputs) == 1
+        assert float(outputs.pop()) == SurrogateAccuracyOracle(task="text").accuracy(
+            WorkloadSpec(seq_len=512, d_hidden=128, n_total=2))
 
     def test_table3_reference_values(self):
         assert TASK_TRANSFORMER_ACCURACY["text"] == 0.637

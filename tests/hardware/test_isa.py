@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
+from repro.hardware import BE120_CONFIG, ButterflyPerformanceModel, bert_spec
 from repro.hardware.config import AcceleratorConfig
 from repro.hardware.functional import ButterflyAccelerator
 from repro.hardware.isa import (
@@ -15,8 +16,10 @@ from repro.hardware.isa import (
     Program,
     compile_block,
     compile_model,
+    compile_spec,
     validate_program,
 )
+from repro.hardware.perf import WorkloadSpec
 from repro.models import ModelConfig, build_fabnet, build_fnet, build_transformer
 
 
@@ -77,6 +80,20 @@ class TestCompiler:
         with pytest.raises(TypeError, match="butterfly FFN"):
             accel.run_encoder(model, np.zeros((1, 8), dtype=int))
         assert accel.engine.cumulative_stats.pair_ops == 0
+
+    @pytest.mark.parametrize("spec, match", [
+        (bert_spec(512), "vanilla attention needs the baseline"),
+        (WorkloadSpec(seq_len=64, d_hidden=64, n_total=2, n_abfly=0,
+                      butterfly=False), "dense layers belong to the baseline"),
+    ])
+    def test_dense_spec_refused_like_a_dense_model(self, spec, match):
+        """A dense (``butterfly=False``) spec is the baseline's work: its
+        stream is refused as ``compile_block`` refuses a dense model, so the
+        butterfly machine's latency model charges it nothing."""
+        with pytest.raises(TypeError, match=match):
+            compile_spec(spec)
+        with pytest.raises(TypeError, match=match):
+            ButterflyPerformanceModel(BE120_CONFIG).model_latency(spec)
 
     def test_listing_format(self, fab_model):
         program = compile_model(fab_model)
@@ -195,6 +212,14 @@ def test_generated_models_replay_to_the_software_logits(case, seed):
     np.testing.assert_allclose(hw, sw, rtol=0, atol=1e-9)
 
     assert validate_program(program) == []
+    spec = WorkloadSpec(seq_len=seq, d_hidden=config.d_hidden, r_ffn=config.r_ffn,
+                        n_total=config.n_total, n_abfly=config.n_abfly,
+                        n_heads=config.n_heads)
+
+    def triples(instructions):
+        return [(i.opcode, i.operand, i.block) for i in instructions]
+
+    assert triples(compile_spec(spec).instructions) == triples(program.instructions)
     n_abfly, n_total = config.n_abfly, config.n_total
     assert program.count(Opcode.CONFIG_FFT) == n_total - n_abfly
     assert program.count(Opcode.EXEC_FFT2) == n_total - n_abfly

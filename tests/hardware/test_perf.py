@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel, WorkloadSpec
+from repro.hardware import (
+    BE40_CONFIG,
+    BE120_CONFIG,
+    AcceleratorConfig,
+    ButterflyPerformanceModel,
+    WorkloadSpec,
+    fabnet_spec,
+)
 from repro.hardware.functional import ButterflyAccelerator
+from repro.hardware.isa import Opcode, compile_spec
 from repro.hardware.perf import latency_vs_bandwidth
 from repro.models import ModelConfig, build_fabnet
 
@@ -80,6 +88,22 @@ class TestOverlapStrategies:
         with pytest.raises(ValueError, match="strategy"):
             model._combine(1.0, 1.0, 1.0, "magic")
 
+    def test_overlap_gain_grows_as_transfers_get_dearer(self):
+        """Overlap only hides transfers: with free transfers it buys
+        nothing, and it buys more as the bandwidth falls."""
+        spec = WorkloadSpec(seq_len=256, d_hidden=256, n_total=4, n_abfly=0)
+
+        def gain(bandwidth_gbs):
+            config = AcceleratorConfig(pbe=8, pbu=4, bandwidth_gbs=bandwidth_gbs)
+            on = ButterflyPerformanceModel(config, overlap=True)
+            off = ButterflyPerformanceModel(config, overlap=False)
+            return (off.model_latency(spec).total_cycles
+                    / on.model_latency(spec).total_cycles)
+
+        gains = [gain(bw) for bw in (1e6, 100.0, 20.0)]
+        assert gains[0] == pytest.approx(1.0, rel=1e-4)
+        assert gains[0] < gains[1] < gains[2]
+
 
 class TestFineGrainedPipelining:
     def test_pipelining_reduces_abfly_latency(self):
@@ -93,6 +117,27 @@ class TestFineGrainedPipelining:
             piped.model_latency(spec).total_cycles
             < naive.model_latency(spec).total_cycles
         )
+
+    def test_attention_is_charged_its_remainder_over_q_proj(self):
+        """Fig. 14 moves only the attention charge: every other layer is
+        the same with and without the pipeline, and EXEC_ATTN is charged
+        what the AP needs beyond the Q projection it overlaps."""
+        config = AcceleratorConfig(pbe=8, pbu=4, pae=4, pqk=8, psv=8)
+        spec = WorkloadSpec(seq_len=256, d_hidden=256, n_total=2, n_abfly=1,
+                            n_heads=4)
+        piped = ButterflyPerformanceModel(config, fine_grained_pipeline=True)
+        naive = ButterflyPerformanceModel(config, fine_grained_pipeline=False)
+        piped_layers = piped.model_latency(spec).layers
+        naive_layers = naive.model_latency(spec).layers
+        assert [lay.name for lay in piped_layers] == [lay.name for lay in naive_layers]
+        for p, n in zip(piped_layers, naive_layers):
+            if not p.name.startswith("attn:"):
+                assert p == n
+        at = next(i for i, lay in enumerate(piped_layers) if lay.name == "attn:block1")
+        assert piped_layers[at - 1].name == "bfly:block1.q_proj"
+        core = piped.attention_core(256, 256, 4)
+        assert piped_layers[at].total_cycles == max(
+            0.0, core.total_cycles - piped_layers[at - 1].total_cycles)
 
     def test_pipelining_no_effect_on_fbfly_models(self):
         config = AcceleratorConfig(pbe=8, pbu=4)
@@ -140,6 +185,64 @@ class TestModelLatency:
             report.total_cycles
         )
 
+    def test_all_fbfly_workload_keeps_the_bp_busy(self):
+        """The unified-engine payoff: an all-FBfly workload charges the AP
+        nothing and spends > 80% of its cycles on the BP."""
+        config = AcceleratorConfig(pbe=8, pbu=4, pae=4, pqk=8, psv=8)
+        spec = WorkloadSpec(seq_len=256, d_hidden=256, n_total=4, n_abfly=0)
+        kinds = ButterflyPerformanceModel(config).model_latency(spec).cycles_by_kind()
+        assert "attn" not in kinds
+        assert (kinds["bfly"] + kinds["fft"]) / sum(kinds.values()) > 0.8
+
+    def test_layers_follow_the_compiled_stream(self):
+        """One charged layer per EXEC and ADD_NORM, in stream order."""
+        model = ButterflyPerformanceModel(AcceleratorConfig(pae=2, pqk=4, psv=4))
+        spec = WorkloadSpec(seq_len=64, d_hidden=64, n_total=2, n_abfly=1)
+        names = [layer.name for layer in model.model_latency(spec).layers]
+        assert names == [
+            "fft:block0", "postp:block0.mix", "bfly:block0.ffn1",
+            "bfly:block0.ffn2", "postp:block0.ffn",
+            "bfly:block1.k_proj", "bfly:block1.v_proj", "bfly:block1.q_proj",
+            "attn:block1", "bfly:block1.out_proj", "postp:block1.mix",
+            "bfly:block1.ffn1", "bfly:block1.ffn2", "postp:block1.ffn",
+        ]
+
+    @pytest.mark.parametrize("shape", [
+        dict(n_total=1, n_abfly=0),
+        dict(n_total=3, n_abfly=1),
+        dict(n_total=2, n_abfly=2),
+    ])
+    def test_one_layer_per_exec_and_add_norm(self, shape):
+        """CONFIG, LOAD, STORE and GELU charge nothing: the report has one
+        layer per EXEC and ADD_NORM of the spec's stream."""
+        spec = WorkloadSpec(seq_len=64, d_hidden=64, n_heads=4, **shape)
+        charged = {Opcode.EXEC_BFLY, Opcode.EXEC_FFT2, Opcode.EXEC_ATTN,
+                   Opcode.ADD_NORM}
+        n_charged = sum(inst.opcode in charged
+                        for inst in compile_spec(spec).instructions)
+        model = ButterflyPerformanceModel(AcceleratorConfig(pae=2, pqk=4, psv=4))
+        assert len(model.model_latency(spec).layers) == n_charged
+
+    def test_abfly_workload_charges_the_ap(self):
+        """Each kind of layer goes to its processor: attention to the AP,
+        FFT and butterfly layers to the BP, add + norm to PostP."""
+        config = AcceleratorConfig(pbe=8, pbu=4, pae=4, pqk=8, psv=8)
+        spec = WorkloadSpec(seq_len=128, d_hidden=128, r_ffn=4, n_total=2,
+                            n_abfly=1, n_heads=4)
+        kinds = ButterflyPerformanceModel(config).model_latency(spec).cycles_by_kind()
+        assert set(kinds) == {"fft", "bfly", "attn", "postp"}
+        assert all(cycles > 0.0 for cycles in kinds.values())
+
+    def test_abfly_workload_refused_without_an_ap(self):
+        """BE-40 has no QK/SV units: an all-FBfly spec runs on it, and a spec
+        with one ABfly block is refused."""
+        model = ButterflyPerformanceModel(BE40_CONFIG)
+        fbfly = WorkloadSpec(seq_len=64, d_hidden=64, n_total=2, n_abfly=0)
+        assert model.model_latency(fbfly).total_cycles > 0.0
+        with pytest.raises(ValueError, match="no AP"):
+            model.model_latency(WorkloadSpec(seq_len=64, d_hidden=64,
+                                             n_total=2, n_abfly=1))
+
     def test_more_engines_not_slower(self):
         spec = WorkloadSpec(seq_len=512, d_hidden=512, n_total=4, n_abfly=0)
         lat = [
@@ -172,6 +275,56 @@ class TestBandwidthSweep:
             WorkloadSpec(seq_len=0, d_hidden=64)
         with pytest.raises(ValueError):
             WorkloadSpec(seq_len=64, d_hidden=64, n_total=1, n_abfly=2)
+
+
+@pytest.mark.parametrize("shape, match", [
+    (dict(n_heads=0), "n_heads"),
+    (dict(n_heads=0, n_abfly=1), "n_heads"),
+    (dict(d_hidden=100, n_heads=12, n_abfly=1), "heads"),
+    (dict(r_ffn=0), "r_ffn"),
+])
+def test_spec_rejects_shapes_it_cannot_charge(shape, match):
+    """No head count below one, heads that must split ``d_hidden`` when the
+    spec has attention (an all-FBfly spec's heads are unused: see
+    ``test_estimate_command``), and an FFN at least as wide as the hidden size."""
+    with pytest.raises(ValueError, match=match):
+        WorkloadSpec(**{**dict(seq_len=64, d_hidden=64, n_total=2), **shape})
+
+
+class TestPinnedTotals:
+    """``total_cycles`` at named points, pinned with ``==``: a change to any
+    charge, or to the stream it is folded over, moves one of them."""
+
+    @pytest.mark.parametrize("large, config, cycles", [
+        (False, BE40_CONFIG, 5066719.231999998),
+        (False, BE120_CONFIG, 1711276.0320000015),
+        (True, BE40_CONFIG, 10448011.264000015),
+        (True, BE120_CONFIG, 3527409.663999995),
+    ])
+    def test_fabnet_at_1024(self, large, config, cycles):
+        report = ButterflyPerformanceModel(config).model_latency(fabnet_spec(1024, large))
+        assert report.total_cycles == cycles
+
+    def test_hw_sim_shape(self):
+        """The e2e ``hw_sim`` workload's model on its accelerator."""
+        spec = WorkloadSpec(seq_len=16, d_hidden=64, r_ffn=4, n_total=2,
+                            n_abfly=1, n_heads=4)
+        report = ButterflyPerformanceModel(
+            AcceleratorConfig(pqk=8, psv=8)).model_latency(spec)
+        assert report.total_cycles == 778.7306666666666
+
+    @pytest.mark.parametrize("pipeline, overlap, cycles", [
+        (True, True, 1429504.0),
+        (False, True, 2490368.0),
+        (True, False, 1432394.8657777782),
+    ])
+    def test_abfly_point(self, pipeline, overlap, cycles):
+        config = AcceleratorConfig(pbe=8, pbu=4, pae=4, pqk=8, psv=8)
+        spec = WorkloadSpec(seq_len=256, d_hidden=256, n_total=2, n_abfly=2,
+                            n_heads=4)
+        model = ButterflyPerformanceModel(
+            config, fine_grained_pipeline=pipeline, overlap=overlap)
+        assert model.model_latency(spec).total_cycles == cycles
 
 
 # ----------------------------------------------------------------------

@@ -248,6 +248,12 @@ class TestCLI:
         assert f"pair ops: {total}\n" in out
         assert f"read cycles: {total // 4}\n" in out
         assert re.search(r"host time: \d+\.\d{3} s \(\d+\.\d{2} us per pair-op\)", out)
+        # The latency model's fold charges the BP the pair ops the
+        # simulator counted: pair ops / (samples x pbe x pbu), pbe = 1.
+        modeled, counted = re.search(
+            r"BP compute cycles per sample: ([\d.]+) modeled, ([\d.]+) counted\n",
+            out).groups()
+        assert modeled == counted == f"{total / (2 * 1 * 4):.1f}"
         # The stream it replayed: 15 instructions per FBfly block, 28 per
         # ABfly block (Q/K/V/O projections and the attention call).
         n_fbfly = cfg.n_total - cfg.n_abfly
