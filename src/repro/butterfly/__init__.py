@@ -12,7 +12,6 @@ from .fft import (
     bit_reversal_permutation,
     fft,
     fft2,
-    fft2_flops,
     fft_butterfly,
     fft_flops,
     fft_stage_factor,
@@ -34,7 +33,6 @@ __all__ = [
     "dense_flops",
     "fft",
     "fft2",
-    "fft2_flops",
     "fft_butterfly",
     "fft_flops",
     "fft_stage_factor",

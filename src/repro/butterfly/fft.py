@@ -88,8 +88,3 @@ def fft_flops(n: int, rows: int = 1) -> int:
     """
     stages = int(np.log2(n))
     return rows * stages * (n // 2) * 10
-
-
-def fft2_flops(rows: int, cols: int) -> int:
-    """Real FLOPs of a 2D FFT on a ``rows x cols`` tile."""
-    return fft_flops(cols, rows) + fft_flops(rows, cols)

@@ -94,7 +94,6 @@ from .dtype import (
     default_dtype,
     get_default_dtype,
     mask_fill_value,
-    promote_storage,
     set_default_dtype,
 )
 from .fft import (
@@ -378,7 +377,6 @@ __all__ = [
     "pack_weight",
     "pair_index_of",
     "pair_indices",
-    "promote_storage",
     "quantization_rmse",
     "quantize_butterfly_stages",
     "quantize_per_channel",

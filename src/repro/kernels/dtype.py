@@ -92,11 +92,6 @@ def compute_dtype(storage: DtypeLike) -> np.dtype:
     )
 
 
-def promote_storage(a: DtypeLike, b: DtypeLike) -> np.dtype:
-    """Joint compute dtype of two stored operands (widest compute wins)."""
-    return np.result_type(compute_dtype(a), compute_dtype(b))
-
-
 def mask_fill_value(dtype: DtypeLike) -> float:
     """Additive-bias fill for masked attention scores, dtype-aware.
 

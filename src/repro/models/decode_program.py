@@ -15,7 +15,12 @@ butterfly ladder; :class:`DecodeProgram` does it for a whole
 
 on plain arrays, with no ``Tensor``, ``Module.__call__`` or autograd
 bookkeeping in between.  The ``Tensor`` graph stays the training path;
-this is the only incremental inference path.
+this is the only incremental inference path.  ``run`` returns
+``(batch, vocab)`` logits at each row's last new position, and only that
+position feeds them: every block writes the keys/values of every new
+position, but in a multi-token call the last block's query side (Q,
+attention, output projection, norms, FFN), the final norm and the LM
+head run on each row's last position alone.
 
 The contract (see CONTRIBUTING, "The inference program"):
 
@@ -121,7 +126,8 @@ class DecodeProgram(InferenceProgram):
         """Forward the new ``(batch, s_new)`` tokens against ``cache``.
 
         Writes their keys/values at each row's tail, advances the cache
-        and returns owned ``(batch, s_new, vocab)`` logits.
+        and returns owned ``(batch, vocab)`` logits at each row's last
+        new position.
         """
         batch, s_new = tokens.shape
         lengths = cache.lengths
@@ -136,14 +142,19 @@ class DecodeProgram(InferenceProgram):
         positions = lengths[:, None] + np.arange(s_new)
         rows = np.arange(batch)[:, None]
         x = self._token_emb[tokens] + self._pos_emb[positions]
+        last = len(self._blocks) - 1
         for index, block in enumerate(self._blocks):
             (q_proj, k_proj, v_proj, out_proj, (gamma1, beta1, eps1),
              fc1, fc2, (gamma2, beta2, eps2), n_heads, d_head) = block
             heads = (batch, s_new, n_heads, d_head)
             kv = cache.layer(index)
+            # Only the last new position feeds the logits: past the last
+            # block's keys/values, a multi-token call runs on it alone.
+            x_q = x[:, -1:] if index == last and s_new > 1 else x
+            width = x_q.shape[1]
             # Heads are strided views of each projection's output; the
             # new keys/values go straight to the cache tail.
-            q = q_proj(x).reshape(heads)
+            q = q_proj(x_q).reshape(batch, width, n_heads, d_head)
             kv.k[rows, :, positions] = k_proj(x).reshape(heads)
             kv.v[rows, :, positions] = v_proj(x).reshape(heads)
             k_all, v_all = kv.view(total)
@@ -154,14 +165,15 @@ class DecodeProgram(InferenceProgram):
             else:
                 context, _ = attention_forward(
                     q.transpose(0, 2, 1, 3), k_all, v_all, causal=True,
-                    q_start=lengths, scale=scale, need_ctx=False)
+                    q_start=lengths + (s_new - width), scale=scale,
+                    need_ctx=False)
                 context = context.transpose(0, 2, 1, 3)
-            attended = out_proj(context.reshape(batch, s_new, n_heads * d_head))
+            attended = out_proj(context.reshape(batch, width, n_heads * d_head))
             x, _ = residual_layer_norm_forward(
-                x, attended, gamma1, beta1, eps=eps1, need_ctx=False)
+                x_q, attended, gamma1, beta1, eps=eps1, need_ctx=False)
             x, _ = residual_layer_norm_forward(
                 x, fc2(fc1(x)), gamma2, beta2, eps=eps2, need_ctx=False)
         x, _, _ = layer_norm_forward(x, *self._final_norm)
-        logits = self._lm_head(x)
+        logits = self._lm_head(x)[:, 0]
         cache.advance(s_new)
         return logits

@@ -9,10 +9,12 @@ causal ABfly blocks, an autoregressive LM head, and greedy/sampled
 generation.
 
 Generation runs over a per-layer KV cache (:mod:`repro.serving.kv_cache`)
-by default: the prompt is prefetched once and every further token costs a
-single-token forward against the cached keys/values instead of the
-O(T^2) full-window recompute of the seed loop.  That incremental forward
-is not the ``Tensor`` graph: it is the model's compiled
+by default: ``prefill`` runs the prompt once — computing past the last
+block's keys/values only what the next token needs, the last position —
+and every further token costs a single-token ``decode_step`` against the
+cached keys/values instead of the O(T^2) full-window recompute of the
+seed loop.  Those incremental forwards are not the ``Tensor`` graph:
+they are the model's compiled
 :class:`~repro.models.decode_program.DecodeProgram`, a flat ``no_grad``
 sequence of kernel calls in the parameters' own dtype.  Because positions are
 learned *absolute* embeddings, the sliding-window eviction at ``max_len``
@@ -116,18 +118,17 @@ class ButterflyDecoderLM(nn.Module):
             dtype=self.token_emb.weight.dtype,
         )
 
-    def forward_incremental(
-        self, tokens: np.ndarray, cache: DecoderKVCache
-    ) -> np.ndarray:
-        """Forward only the new ``(batch, s_new)`` tokens against ``cache``.
+    def prefill(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
+        """Forward the new ``(batch, s_new)`` tokens against ``cache``.
 
-        Appends the new keys/values to the cache, advances its lengths,
-        and returns owned plain-numpy logits ``(batch, s_new, vocab)`` in
-        the parameters' dtype.  Rows may sit at different context lengths
-        (continuous batching); every new token lands at its row's next
-        absolute position, which must stay below ``max_len`` (callers
-        re-prefill the clipped window at the sliding-window edge).  Runs
-        the compiled :class:`~repro.models.decode_program.DecodeProgram`.
+        The one multi-token entry: any cache, ragged rows included.
+        Appends the new keys/values at each row's tail, advances its
+        lengths, and returns owned plain-numpy logits ``(batch, vocab)``
+        at each row's last new position, in the parameters' dtype.
+        Every new token lands at its row's next absolute position, which
+        must stay below ``max_len`` (callers re-prefill the clipped
+        window at the sliding-window edge).  Runs the compiled
+        :class:`~repro.models.decode_program.DecodeProgram`.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or not tokens.shape[1]:
@@ -135,16 +136,12 @@ class ButterflyDecoderLM(nn.Module):
                 f"tokens must be (batch, s_new) with s_new >= 1, got {tokens.shape}")
         return self._run(tokens, cache)
 
-    def prefill(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
-        """Run the prompt through an empty-tail cache; return last-position logits."""
-        return self.forward_incremental(tokens, cache)[:, -1]
-
     def decode_step(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
         """Single-token step: ``(batch,)`` new tokens -> ``(batch, vocab)`` logits."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1:
             raise ValueError(f"tokens must be (batch,), got {tokens.shape}")
-        return self._run(tokens[:, None], cache)[:, 0]
+        return self._run(tokens[:, None], cache)
 
     def _run(self, tokens: np.ndarray, cache: DecoderKVCache) -> np.ndarray:
         # The checks both entries share, on int64 (batch, s_new) tokens.
@@ -185,35 +182,39 @@ class ButterflyDecoderLM(nn.Module):
         if max_new_tokens == 0:
             return tokens
         max_len = self.config.max_len
+        was_training = self.training
         self.eval()
-        with nn.no_grad():
-            if not use_cache:
-                for _ in range(max_new_tokens):
-                    window = tokens[:, -max_len:]
-                    logits = self.forward(window).data[:, -1]
+        try:
+            with nn.no_grad():
+                if not use_cache:
+                    for _ in range(max_new_tokens):
+                        window = tokens[:, -max_len:]
+                        logits = self.forward(window).data[:, -1]
+                        next_token = sample_logits(
+                            logits, temperature=temperature,
+                            top_k=top_k, top_p=top_p, rng=rng,
+                        )
+                        tokens = np.concatenate([tokens, next_token[:, None]], axis=1)
+                    return tokens
+                cache = self.make_cache(tokens.shape[0])
+                logits = self.prefill(tokens[:, -max_len:], cache)
+                for step in range(max_new_tokens):
                     next_token = sample_logits(
                         logits, temperature=temperature,
                         top_k=top_k, top_p=top_p, rng=rng,
                     )
                     tokens = np.concatenate([tokens, next_token[:, None]], axis=1)
-                return tokens
-            cache = self.make_cache(tokens.shape[0])
-            logits = self.prefill(tokens[:, -max_len:], cache)
-            for step in range(max_new_tokens):
-                next_token = sample_logits(
-                    logits, temperature=temperature,
-                    top_k=top_k, top_p=top_p, rng=rng,
-                )
-                tokens = np.concatenate([tokens, next_token[:, None]], axis=1)
-                if step == max_new_tokens - 1:
-                    break
-                if int(cache.lengths.max()) >= max_len:
-                    # Sliding-window edge: absolute positions shift, so
-                    # re-prime the cache from the clipped window.
-                    cache = self.make_cache(tokens.shape[0])
-                    logits = self.prefill(tokens[:, -max_len:], cache)
-                else:
-                    logits = self.decode_step(next_token, cache)
+                    if step == max_new_tokens - 1:
+                        break
+                    if int(cache.lengths.max()) >= max_len:
+                        # Sliding-window edge: absolute positions shift, so
+                        # re-prime the cache from the clipped window.
+                        cache = self.make_cache(tokens.shape[0])
+                        logits = self.prefill(tokens[:, -max_len:], cache)
+                    else:
+                        logits = self.decode_step(next_token, cache)
+        finally:
+            self.train(was_training)
         return tokens
 
 

@@ -169,14 +169,18 @@ class ButterflySeq2Seq(nn.Module):
         """Greedy decoding from a BOS token."""
         src = np.atleast_2d(np.asarray(src, dtype=np.int64))
         max_len = max_len or src.shape[1] + 1
+        was_training = self.training
         self.eval()
-        with nn.no_grad():
-            memory = self.encode(src)
-            tgt = np.full((src.shape[0], 1), bos, dtype=np.int64)
-            for _ in range(max_len - 1):
-                logits = self.decode(tgt, memory).data[:, -1]
-                nxt = logits.argmax(axis=-1)
-                tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
+        try:
+            with nn.no_grad():
+                memory = self.encode(src)
+                tgt = np.full((src.shape[0], 1), bos, dtype=np.int64)
+                for _ in range(max_len - 1):
+                    logits = self.decode(tgt, memory).data[:, -1]
+                    nxt = logits.argmax(axis=-1)
+                    tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
+        finally:
+            self.train(was_training)
         return tgt
 
 

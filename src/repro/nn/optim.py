@@ -145,40 +145,3 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
         for g in grads:
             np.multiply(g, scale, out=g)
     return float(total)
-
-
-class WarmupCosineSchedule:
-    """Linear warmup followed by cosine decay, applied to an optimizer."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        warmup_steps: int,
-        total_steps: int,
-        min_lr_ratio: float = 0.05,
-    ) -> None:
-        if total_steps <= warmup_steps:
-            raise ValueError("total_steps must exceed warmup_steps")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self.min_lr_ratio = min_lr_ratio
-        self._step = 0
-
-    def current_lr(self) -> float:
-        if self._step < self.warmup_steps:
-            return self.base_lr * (self._step + 1) / max(1, self.warmup_steps)
-        progress = (self._step - self.warmup_steps) / max(
-            1, self.total_steps - self.warmup_steps
-        )
-        progress = min(progress, 1.0)
-        cosine = 0.5 * (1.0 + np.cos(np.pi * progress))
-        floor = self.min_lr_ratio
-        return self.base_lr * (floor + (1.0 - floor) * cosine)
-
-    def step(self) -> float:
-        lr = self.current_lr()
-        self.optimizer.lr = lr
-        self._step += 1
-        return lr

@@ -43,7 +43,7 @@ counters, ``_ms`` / ``_seconds`` for times, ``_per_s`` for rates).
 
 from __future__ import annotations
 
-from .prometheus import render_prometheus, render_sections
+from .prometheus import render_prometheus
 from .registry import (
     DEFAULT_MS_BOUNDARIES,
     DEFAULT_RESERVOIR,
@@ -105,7 +105,6 @@ __all__ = [
     "observe",
     "publish_on_snapshot",
     "render_prometheus",
-    "render_sections",
     "render_span_tree",
     "reset",
     "set_registry",

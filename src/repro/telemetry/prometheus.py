@@ -15,7 +15,7 @@ registry alongside, so one scrape covers both.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .registry import Counter, Gauge, Histogram, Registry, get_registry
 
@@ -89,11 +89,3 @@ def render_prometheus(*registries: Registry) -> str:
                         f"{_fmt(inst.percentile(q))}"
                     )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def render_sections(sections: Sequence[Tuple[str, Registry]]) -> str:
-    """Concatenate labelled registries with comment separators."""
-    chunks = []
-    for title, registry in sections:
-        chunks.append(f"# {title}\n" + render_prometheus(registry))
-    return "\n".join(chunks)

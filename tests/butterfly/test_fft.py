@@ -7,7 +7,6 @@ from repro.butterfly import (
     bit_reversal_permutation,
     fft,
     fft2,
-    fft2_flops,
     fft_butterfly,
     fft_flops,
     fft_stage_factor,
@@ -121,9 +120,6 @@ class TestFFTCosts:
     def test_fft_flops_formula(self):
         assert fft_flops(16) == 4 * 8 * 10
         assert fft_flops(16, rows=3) == 3 * 4 * 8 * 10
-
-    def test_fft2_flops(self):
-        assert fft2_flops(8, 16) == fft_flops(16, 8) + fft_flops(8, 16)
 
     def test_nlogn_scaling(self):
         assert fft_flops(2048) / fft_flops(1024) == pytest.approx(2 * 11 / 10)

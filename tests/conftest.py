@@ -47,10 +47,11 @@ def _reference_incremental(model, tokens, cache):
     decoder's compiled ``DecodeProgram`` (``models/decode_program.py``).
 
     Module calls, ``Tensor`` wrappers and head split/merge nodes, under
-    ``no_grad`` in the model's own dtype — what ``forward_incremental``
-    ran before it was compiled.  Same contract: writes the new
-    keys/values at each row's tail, advances ``cache``, returns
-    ``(batch, s_new, vocab)`` logits.
+    ``no_grad`` in the model's own dtype.  Same contract as the program:
+    writes the new keys/values at each row's tail, advances ``cache``,
+    and returns ``(batch, vocab)`` logits at each row's last new
+    position — past the last block's keys/values, a multi-token call
+    runs its query side on that position alone.
     """
     import math
 
@@ -62,13 +63,18 @@ def _reference_incremental(model, tokens, cache):
     lengths = cache.lengths
     positions = lengths[:, None] + np.arange(seq)[None, :]
     rows = np.arange(batch)[:, None]
+    last = len(model.blocks) - 1
     with nn.default_dtype(model.token_emb.weight.dtype), nn.no_grad():
         x = model.token_emb(tokens) + F.embedding(model.pos_emb, positions)
         for index, block in enumerate(model.blocks):
             attn, layer_kv = block.attn, cache.layer(index)
-            q, k, v = (
+            x_q = (F.getitem(x, (slice(None), slice(-1, None)))
+                   if index == last and seq > 1 else x)
+            width = x_q.shape[1]
+            q = attn._split_heads(attn.q_proj(x_q), batch, width)
+            k, v = (
                 attn._split_heads(proj(x), batch, seq)
-                for proj in (attn.q_proj, attn.k_proj, attn.v_proj)
+                for proj in (attn.k_proj, attn.v_proj)
             )
             layer_kv.k[rows, :, positions] = np.swapaxes(k.data, 1, 2)
             layer_kv.v[rows, :, positions] = np.swapaxes(v.data, 1, 2)
@@ -81,17 +87,17 @@ def _reference_incremental(model, tokens, cache):
             else:
                 context = F.scaled_dot_attention(
                     q, nn.Tensor(k_all), nn.Tensor(v_all),
-                    causal=True, q_start=lengths, scale=scale,
+                    causal=True, q_start=lengths + (seq - width), scale=scale,
                 )
                 context = F.reshape(
-                    F.transpose(context, (0, 2, 1, 3)), (batch, seq, attn.d_model))
+                    F.transpose(context, (0, 2, 1, 3)), (batch, width, attn.d_model))
             x = F.residual_layer_norm(
-                x, attn.out_proj(context),
+                x_q, attn.out_proj(context),
                 block.norm1.gamma, block.norm1.beta, eps=block.norm1.eps)
             x = F.residual_layer_norm(
                 x, block.ffn(x),
                 block.norm2.gamma, block.norm2.beta, eps=block.norm2.eps)
-        logits = model.lm_head(model.final_norm(x)).data
+        logits = model.lm_head(model.final_norm(x)).data[:, 0]
     cache.advance(seq)
     return logits
 

@@ -57,17 +57,6 @@ class TestStorageTiers:
         with pytest.raises(ValueError, match="storage dtype"):
             D.compute_dtype(bad)
 
-    def test_promote_storage_widest_compute_wins(self):
-        assert D.promote_storage(np.float16, np.float16) == np.dtype(np.float32)
-        assert D.promote_storage(np.float16, np.float32) == np.dtype(np.float32)
-        assert D.promote_storage(np.float16, np.float64) == np.dtype(np.float64)
-        assert D.promote_storage(np.float32, np.float64) == np.dtype(np.float64)
-
-    def test_promote_storage_is_symmetric(self):
-        for a in D.STORAGE_DTYPES:
-            for b in D.STORAGE_DTYPES:
-                assert D.promote_storage(a, b) == D.promote_storage(b, a)
-
 
 class TestMaskFillValue:
     @pytest.mark.parametrize("dt", [np.float32, np.float64])

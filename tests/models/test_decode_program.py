@@ -1,16 +1,17 @@
 """The decoder's compiled inference program against its ``Tensor``-graph oracle.
 
-``ButterflyDecoderLM.prefill`` / ``decode_step`` / ``forward_incremental``
-run a flat program of kernel calls (``repro.models.decode_program``).
-The ``Tensor``-graph version it replaced lives on only as
+``ButterflyDecoderLM.prefill`` / ``decode_step`` run a flat program of
+kernel calls (``repro.models.decode_program``).  The ``Tensor``-graph
+version it replaced lives on only as
 ``conftest.py::reference_incremental``, and the program is held to its
 *bytes* — logits and every cache array — over {butterfly, dense} x
 {float64, float32} x {fp, int8} x ``s_new`` in {1, 5, prompt} and
 drawn ragged row lengths, up to the ``max_len`` edge.  The rest of the
 file pins the contract around it: a batched row equals the row run solo
-(where the kernels make that true), the program is rebuilt exactly when what it was built from changes, the
-kernels' fault points are traversed as often as before the program
-existed, and derived state never travels with a copy or a pickle.
+(where the kernels make that true), the program is rebuilt exactly when
+what it was built from changes, the kernels' fault points are traversed
+as often as before the program existed, and derived state never travels
+with a copy or a pickle.
 """
 
 import copy
@@ -38,10 +39,10 @@ CELLS = [
 cells = pytest.mark.parametrize("kind,dtype,stored", CELLS)
 
 
-def build(kind, dtype, stored=None):
+def build(kind, dtype, stored=None, n_total=2):
     config = ModelConfig(
         vocab_size=32, n_classes=2, max_len=MAX_LEN, d_hidden=16, n_heads=2,
-        r_ffn=2, n_total=2, seed=3, dtype=dtype,
+        r_ffn=2, n_total=n_total, seed=3, dtype=dtype,
     )
     model = BUILDERS[kind](config).eval()
     return model if stored is None else nn.quantize_for_inference(model, mode=stored)
@@ -103,7 +104,7 @@ class TestByteOracle:
             0, model.config.vocab_size, size=(len(lengths), s_new))
         cache = ragged_cache(model, lengths, seed)
         oracle_cache = cache.clone()
-        got = model.forward_incremental(tokens, cache)
+        got = model.prefill(tokens, cache)
         want = reference_incremental(model, tokens, oracle_cache)
         assert got.dtype == np.dtype(dtype)
         assert_same_bytes(got, want)
@@ -119,13 +120,13 @@ class TestByteOracle:
         cache, oracle_cache = model.make_cache(batch), model.make_cache(batch)
         logits = model.prefill(prompt, cache)
         assert_same_bytes(
-            logits, reference_incremental(model, prompt, oracle_cache)[:, -1])
+            logits, reference_incremental(model, prompt, oracle_cache))
         for _ in range(MAX_LEN - 9):  # the last step fills slot max_len - 1
             token = logits.argmax(axis=-1)
             logits = model.decode_step(token, cache)
             assert_same_bytes(
                 logits,
-                reference_incremental(model, token[:, None], oracle_cache)[:, 0])
+                reference_incremental(model, token[:, None], oracle_cache))
         assert_same_cache(cache, oracle_cache)
         assert cache.lengths.tolist() == [MAX_LEN] * batch
 
@@ -135,7 +136,7 @@ class TestByteOracle:
         cache = ragged_cache(model, [3, MAX_LEN - 4], seed=1)
         before = cache.clone()
         with pytest.raises(ValueError, match="exceeds max_len"):
-            model.forward_incremental(np.ones((2, 5), dtype=np.int64), cache)
+            model.prefill(np.ones((2, 5), dtype=np.int64), cache)
         with pytest.raises(ValueError, match="exceeds max_len"):
             cache.lengths = np.array([3, MAX_LEN])
             model.decode_step(np.ones(2, dtype=np.int64), cache)
@@ -188,11 +189,67 @@ class TestRowIndependence:
         tokens = rng.integers(0, model.config.vocab_size, size=(4, s_new))
         cache = ragged_cache(model, [7, 7, 7, 7], seed=5)
         solos = [cache.select_rows([row]) for row in range(4)]
-        batched = model.forward_incremental(tokens, cache)
+        batched = model.prefill(tokens, cache)
         for row, solo in enumerate(solos):
-            alone = model.forward_incremental(tokens[row:row + 1], solo)
+            alone = model.prefill(tokens[row:row + 1], solo)
             assert_same_bytes(batched[row:row + 1], alone)
             assert_same_cache(cache.select_rows([row]), solo)
+
+
+class TestLastPositionPrefill:
+    """A prefill computes only what the next token needs: every block
+    writes the keys/values of every new position, and past the last
+    block's the query side runs at each row's last position alone."""
+
+    @cells
+    @pytest.mark.parametrize("n_total", [2, 3])
+    def test_matches_the_full_window_forward(self, kind, dtype, stored, n_total, rng):
+        model = build(kind, dtype, stored, n_total)
+        tokens = rng.integers(0, model.config.vocab_size, size=(3, 9))
+        got = model.prefill(tokens, model.make_cache(3))
+        with nn.no_grad():
+            want = model(tokens).data[:, -1]
+        assert got.dtype == want.dtype == np.dtype(dtype)
+        tol = 1e-12 if dtype == "float64" else 1e-5
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind,stored", [
+        ("dense", None), ("dense", "int8"), ("butterfly", None), ("butterfly", "int8")])
+    @pytest.mark.parametrize("n_total", [2, 3])
+    def test_rows_each_projection_sees(self, kind, stored, n_total, rng):
+        """Counted: ``B * S`` rows for every block's K/V and every
+        projection before the last block, ``B`` for the last block's Q,
+        out, fc1 and fc2 and for the LM head."""
+        model = build(kind, "float32", stored, n_total)
+        program = model._program.get(model)
+        seen = {}
+
+        def counted(name, projection):
+            def run(x):
+                seen[name] = seen.get(name, 0) + int(np.prod(x.shape[:-1]))
+                return projection(x)
+            return run
+
+        names = ("q_proj", "k_proj", "v_proj", "out_proj", "fc1", "fc2")
+        program._blocks = [
+            block._replace(**{
+                name: counted(f"{index}.{name}", getattr(block, name))
+                for name in names})
+            for index, block in enumerate(program._blocks)
+        ]
+        program._lm_head = counted("lm_head", program._lm_head)
+        batch, seq = 3, 7
+        model.prefill(
+            rng.integers(0, 32, size=(batch, seq)), model.make_cache(batch))
+        assert model._program.get(model) is program
+        last = n_total - 1
+        want = {
+            f"{index}.{name}": batch if index == last and name not in (
+                "k_proj", "v_proj") else batch * seq
+            for index in range(n_total) for name in names
+        }
+        want["lm_head"] = batch
+        assert seen == want
 
 
 class TestInvalidation:
@@ -218,7 +275,7 @@ class TestInvalidation:
             assert holder.builds == before + 1
             cache = model.make_cache(2)
             reference_incremental(model, tokens, cache)
-            want = reference_incremental(model, tokens[:, :1], cache)[:, 0]
+            want = reference_incremental(model, tokens[:, :1], cache)
             assert_same_bytes(got, want)
             return got
 
@@ -316,16 +373,15 @@ class TestStoredLayers:
         cache = ragged_cache(model, [0, 3, 7], seed=2)
         oracle_cache = cache.clone()
         tokens = np.random.default_rng(11).integers(0, 32, size=(3, 5))
-        logits = model.forward_incremental(tokens, cache)
+        logits = model.prefill(tokens, cache)
         assert_same_bytes(
             logits, reference_incremental(model, tokens, oracle_cache))
-        logits = logits[:, -1]
         for _ in range(20):
             token = logits.argmax(axis=-1)
             logits = model.decode_step(token, cache)
             assert_same_bytes(
                 logits,
-                reference_incremental(model, token[:, None], oracle_cache)[:, 0])
+                reference_incremental(model, token[:, None], oracle_cache))
         assert_same_cache(cache, oracle_cache)
         assert cache.lengths.tolist() == [25, 28, 32]
 
@@ -346,7 +402,7 @@ class TestStoredLayers:
             oracle_cache = model.make_cache(2)
             reference_incremental(model, tokens, oracle_cache)
             assert_same_bytes(got, reference_incremental(
-                model, tokens[:, :1], oracle_cache)[:, 0])
+                model, tokens[:, :1], oracle_cache))
             return got
 
         first = decoded(1)

@@ -79,14 +79,12 @@ class TestForwardAndLoss:
                 lm.decode_step(tokens, cache)
         assert cache.lengths.tolist() == [0]
 
-    @pytest.mark.parametrize("entry", ["prefill", "forward_incremental"])
-    def test_an_empty_sequence_is_refused_before_the_cache_moves(
-            self, lm_config, entry):
+    def test_an_empty_sequence_is_refused_before_the_cache_moves(self, lm_config):
         lm = build_dense_decoder(lm_config).eval()
         cache = lm.make_cache(1)
         with pytest.raises(ValueError, match=(
                 r"tokens must be \(batch, s_new\) with s_new >= 1, got \(1, 0\)")):
-            getattr(lm, entry)(np.zeros((1, 0), np.int64), cache)
+            lm.prefill(np.zeros((1, 0), np.int64), cache)
         assert cache.lengths.tolist() == [0]
 
     def test_loss_near_log_vocab_at_init(self, lm_config, rng):
@@ -129,6 +127,14 @@ class TestGeneration:
         a = lm.generate(prompt, max_new_tokens=6)
         b = lm.generate(prompt, max_new_tokens=6)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_generation_keeps_the_callers_mode(self, lm_config, rng, training, use_cache):
+        lm = build_dense_decoder(lm_config).train(training)
+        lm.generate(rng.integers(1, VOCAB_SIZE, size=(1, 4)), 3, use_cache=use_cache)
+        assert lm.training is training
+        assert lm.drop.training is training and lm.blocks[0].training is training
 
     def test_sampled_generation_varies_with_rng(self, lm_config, rng):
         lm = build_butterfly_decoder(lm_config)

@@ -95,6 +95,14 @@ class TestSeq2SeqModel:
         assert out.shape == (2, 7)
         assert (out[:, 0] == 1).all()
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_greedy_translate_keeps_the_callers_mode(self, s2s_config, rng, training):
+        model = ButterflySeq2Seq(s2s_config).train(training)
+        model.greedy_translate(rng.integers(2, 12, size=(1, 4)), bos=1)
+        assert model.training is training
+        assert model.encoder.training is training
+        assert model.decoder_blocks[0].training is training
+
     def test_gradients_reach_everything(self, s2s_config, rng):
         model = ButterflySeq2Seq(s2s_config)
         src = rng.integers(2, 12, size=(2, 6))

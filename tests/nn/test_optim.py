@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.optim import WarmupCosineSchedule
 
 
 def quadratic_params(start=5.0):
@@ -96,31 +95,3 @@ class TestAdam:
         loss_of(p).backward()
         opt.zero_grad()
         assert p.grad is None
-
-
-class TestWarmupCosineSchedule:
-    def test_warmup_ramps_linearly(self):
-        opt = nn.SGD([nn.Parameter(np.zeros(1))], lr=1.0)
-        sched = WarmupCosineSchedule(opt, warmup_steps=10, total_steps=100)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] == pytest.approx(0.1)
-        assert lrs[-1] == pytest.approx(1.0)
-        assert all(b > a for a, b in zip(lrs, lrs[1:]))
-
-    def test_cosine_decays_to_floor(self):
-        opt = nn.SGD([nn.Parameter(np.zeros(1))], lr=1.0)
-        sched = WarmupCosineSchedule(opt, warmup_steps=5, total_steps=50, min_lr_ratio=0.1)
-        for _ in range(50):
-            sched.step()
-        assert sched.current_lr() == pytest.approx(0.1, abs=1e-6)
-
-    def test_updates_optimizer_lr(self):
-        opt = nn.SGD([nn.Parameter(np.zeros(1))], lr=1.0)
-        sched = WarmupCosineSchedule(opt, warmup_steps=2, total_steps=10)
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_invalid_total_steps(self):
-        opt = nn.SGD([nn.Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError, match="total_steps"):
-            WarmupCosineSchedule(opt, warmup_steps=10, total_steps=10)

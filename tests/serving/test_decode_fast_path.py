@@ -98,5 +98,5 @@ class TestFastPathEngagement:
         recorded = model.decode_step(tokens[:, 5], primed(5))
         assert isinstance(recorded, np.ndarray)
         assert recorded.tobytes() == fast.tobytes()
-        slow = model.forward_incremental(tokens[:, 4:6], primed(4))[:, -1]
+        slow = model.prefill(tokens[:, 4:6], primed(4))
         np.testing.assert_allclose(fast, slow, atol=1e-12)

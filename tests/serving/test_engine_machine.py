@@ -1,0 +1,131 @@
+"""A stateful machine over ``ServingEngine``: random interleavings of
+``submit``, ``cancel`` and ``step`` on the tiny ``repro serve`` decoder,
+with fp weights and no faults.
+
+Prompts run from one token to ``max_len + 4``, so window clipping,
+window-edge re-prefills and unequal admission waves all occur.  After
+every rule the scheduler holds no more rows than its batch size and a
+cache exactly as wide as its running rows.  At teardown the engine is
+run dry and then:
+
+* every accepted request made exactly one terminal transition
+  (``RequestTable.finish`` returning True) and no step event followed a
+  finished one;
+* nothing but rows cancelled since the last step is held, and after
+  ``drain`` no rows, queue or cache;
+* every request that finished ``length`` has the tokens of its solo run
+  on a fresh engine, whatever it was batched with.
+
+Bounded at 25 examples of up to 25 rules: 1.3-2 s on a 2-vCPU box.
+"""
+
+import functools
+from collections import Counter
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.models import ModelConfig, build_butterfly_decoder
+from repro.serving import SamplingParams, ServingEngine
+
+#: ``repro serve``'s default decoder (``--d-hidden 32 --n-total 2
+#: --max-len 128 --seed 0``).
+TINY_DECODER = dict(
+    vocab_size=28, n_classes=2, max_len=128, d_hidden=32, n_heads=4,
+    r_ffn=2, n_total=2, seed=0,
+)
+MAX_BATCH = 3
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_decoder():
+    return build_butterfly_decoder(ModelConfig(**TINY_DECODER)).eval()
+
+
+@functools.lru_cache(maxsize=None)
+def solo_tokens(prompt: tuple, params: SamplingParams) -> list:
+    engine = ServingEngine(tiny_decoder(), max_batch_size=1, seed=0)
+    handle = engine.submit(np.asarray(prompt, dtype=np.int64), params)
+    return engine.run()[handle.id].tokens
+
+
+class EngineMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = ServingEngine(tiny_decoder(), max_batch_size=MAX_BATCH, seed=0)
+        self.submitted = {}  # request id -> (prompt, params)
+        self.handles = []
+        self.transitions = Counter()
+        self.finished_events = Counter()
+        table_finish = self.engine.requests.finish
+
+        def counted_finish(request_id, reason):
+            done = table_finish(request_id, reason)
+            self.transitions[request_id] += done
+            return done
+
+        self.engine.requests.finish = counted_finish
+
+    @rule(
+        length=st.integers(1, TINY_DECODER["max_len"] + 4),
+        new_tokens=st.integers(1, 6),
+        temperature=st.sampled_from((0.0, 0.8)),
+        seed=st.integers(0, 2**16),
+    )
+    def submit(self, length, new_tokens, temperature, seed):
+        prompt = tuple(int(t) for t in np.random.default_rng(seed).integers(
+            0, TINY_DECODER["vocab_size"], size=length))
+        params = SamplingParams(
+            max_new_tokens=new_tokens, temperature=temperature, seed=seed)
+        handle = self.engine.submit(np.asarray(prompt, dtype=np.int64), params)
+        self.submitted[handle.id] = (prompt, params)
+        self.handles.append(handle)
+
+    @precondition(lambda self: self.engine.has_work)
+    @rule(data=st.data())
+    def cancel(self, data):
+        live = [handle for handle in self.handles if not handle.finished]
+        assert data.draw(st.sampled_from(live)).cancel()
+
+    @rule()
+    def step(self):
+        for event in self.engine.step():
+            assert not self.finished_events[event.request_id], \
+                "an event after a terminal one"
+            self.finished_events[event.request_id] += event.finished
+
+    @invariant()
+    def rows_match_the_cache(self):
+        scheduler = self.engine.scheduler
+        assert scheduler.batch_size <= MAX_BATCH
+        if scheduler.active:
+            assert scheduler.cache.batch == len(scheduler.active)
+        else:
+            assert scheduler.cache is None
+
+    def teardown(self):
+        self.engine.run()
+        scheduler = self.engine.scheduler
+        # A running row cancelled since the last step keeps its cache
+        # rows until the next step or close; nothing else is held.
+        assert not scheduler.waiting
+        assert all(seq.cancelled for seq in scheduler.active)
+        self.engine.drain()
+        assert not scheduler.active and scheduler.cache is None
+        for request_id, (prompt, params) in self.submitted.items():
+            assert self.transitions[request_id] == 1
+            result = self.engine.result(request_id)
+            if result.finish_reason == "length":
+                assert result.tokens == solo_tokens(prompt, params)
+
+
+EngineMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=25, deadline=None)
+TestEngineMachine = EngineMachine.TestCase

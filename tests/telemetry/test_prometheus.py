@@ -1,6 +1,6 @@
 """Prometheus text-format rendering."""
 
-from repro.telemetry import Registry, render_prometheus, render_sections
+from repro.telemetry import Registry, render_prometheus
 
 
 def test_counter_and_gauge_lines():
@@ -59,14 +59,6 @@ def test_multiple_registries_in_one_scrape():
     b.counter("b_total").inc()
     text = render_prometheus(a, b)
     assert "a_total 1" in text and "b_total 1" in text
-
-
-def test_render_sections_labels_chunks():
-    reg = Registry()
-    reg.counter("x_total").inc()
-    text = render_sections([("engine", reg)])
-    assert text.startswith("# engine\n")
-    assert "x_total 1" in text
 
 
 def test_empty_registry_renders_empty():
