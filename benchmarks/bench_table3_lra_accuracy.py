@@ -12,67 +12,48 @@ average, despite its compression.
 import numpy as np
 from conftest import print_table
 
-from repro.data import load_task
-from repro.models import (
-    DualEncoderClassifier,
-    ModelConfig,
-    build_fabnet,
-    build_fnet,
-    build_transformer,
-)
-from repro.training import train_model_on_task
+from repro.training import ExperimentConfig, accuracy_by_model, run_matrix
 
+# The image and pathfinder tasks take an 8x8 grid: 64 tokens.
 TASKS = {
     "listops": dict(n_samples=320, seq_len=48),
     "text": dict(n_samples=280, seq_len=32),
     "retrieval": dict(n_samples=240, seq_len=24),
-    "image": dict(n_samples=320, grid=8),
-    "pathfinder": dict(n_samples=320, grid=8),
+    "image": dict(n_samples=320, seq_len=64),
+    "pathfinder": dict(n_samples=320, seq_len=64),
 }
 # Chance accuracy per task (10-way, binary x3, 10-way).
 CHANCE = {"listops": 0.1, "text": 0.5, "retrieval": 0.5, "image": 0.1,
           "pathfinder": 0.5}
-BUILDERS = {
-    "transformer": build_transformer,
-    "fnet": build_fnet,
-    "fabnet": build_fabnet,
-}
+MODELS = ("transformer", "fnet", "fabnet")
 PAPER_AVG = {"transformer": 0.576, "fnet": 0.544, "fabnet": 0.576}
 
 
 def run_all():
-    scores = {name: {} for name in BUILDERS}
-    for task, kwargs in TASKS.items():
-        dataset = load_task(task, seed=0, **kwargs)
-        for name, builder in BUILDERS.items():
-            config = ModelConfig(
-                vocab_size=dataset.vocab_size, n_classes=dataset.n_classes,
-                max_len=dataset.seq_len, d_hidden=32, n_heads=4, r_ffn=2,
-                n_total=2, n_abfly=1 if name == "fabnet" else 0, seed=0,
-            )
-            model = builder(config)
-            if dataset.paired:
-                model = DualEncoderClassifier(model)
-            result = train_model_on_task(model, dataset, epochs=5, lr=3e-3, seed=0)
-            scores[name][task] = result.best_test_accuracy
-    return scores
+    """The Table III grid; ``n_abfly`` applies to FABNet only."""
+    return run_matrix(
+        ExperimentConfig(task, model, n_abfly=1, epochs=5, **kwargs)
+        for task, kwargs in TASKS.items() for model in MODELS
+    )
 
 
 def test_table3_lra_accuracy(benchmark):
-    scores = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    scores = {name: {} for name in MODELS}
+    for r in results:
+        scores[r.config.model][r.config.task] = r.accuracy
+    avgs = accuracy_by_model(results)
     rows = []
-    for name in BUILDERS:
-        avg = float(np.mean(list(scores[name].values())))
+    for name in MODELS:
         rows.append(
-            (name, *(f"{scores[name][t]:.3f}" for t in TASKS), f"{avg:.3f}",
-             f"{PAPER_AVG[name]:.3f}")
+            (name, *(f"{scores[name][t]:.3f}" for t in TASKS),
+             f"{avgs[name]:.3f}", f"{PAPER_AVG[name]:.3f}")
         )
     print_table(
         "Table III: LRA accuracy (synthetic tasks, scaled down)",
         ["model", *TASKS, "avg", "paper avg"],
         rows,
     )
-    avgs = {n: float(np.mean(list(scores[n].values()))) for n in BUILDERS}
     chance_avg = float(np.mean(list(CHANCE.values())))
     # Paper ordering: FABNet ~ Transformer (avg 0.576 both); both learn
     # meaningfully above chance at this scaled-down setting.

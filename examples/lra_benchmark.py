@@ -11,73 +11,28 @@ Run:  python examples/lra_benchmark.py            (all 5 tasks, ~minutes)
 
 import sys
 
-from repro.data import load_task
-from repro.models import (
-    DualEncoderClassifier,
-    ModelConfig,
-    build_fabnet,
-    build_fnet,
-    build_transformer,
-)
-from repro.training import train_model_on_task
+from repro.training import ExperimentConfig, results_table, run_matrix
 
+# The image and pathfinder tasks take an 8x8 grid: 64 tokens.
 TASK_SETTINGS = {
     "listops": dict(n_samples=400, seq_len=64),
     "text": dict(n_samples=320, seq_len=64),
     "retrieval": dict(n_samples=320, seq_len=32),
-    "image": dict(n_samples=400, grid=8),
-    "pathfinder": dict(n_samples=400, grid=8),
+    "image": dict(n_samples=400, seq_len=64),
+    "pathfinder": dict(n_samples=400, seq_len=64),
 }
 
-BUILDERS = {
-    "transformer": build_transformer,
-    "fnet": build_fnet,
-    "fabnet": build_fabnet,
-}
-
-
-def run_task(task: str) -> dict:
-    dataset = load_task(task, seed=0, **TASK_SETTINGS[task])
-    scores = {}
-    for name, builder in BUILDERS.items():
-        config = ModelConfig(
-            vocab_size=dataset.vocab_size,
-            n_classes=dataset.n_classes,
-            max_len=dataset.seq_len,
-            d_hidden=32,
-            n_heads=4,
-            r_ffn=2,
-            n_total=2,
-            n_abfly=1 if name == "fabnet" else 0,
-            seed=0,
-        )
-        model = builder(config)
-        if dataset.paired:
-            model = DualEncoderClassifier(model)
-        result = train_model_on_task(model, dataset, epochs=5, lr=3e-3, seed=0)
-        scores[name] = {
-            "accuracy": result.best_test_accuracy,
-            "params": model.num_parameters(),
-        }
-        print(f"  {name:12s} acc={result.best_test_accuracy:.3f} "
-              f"params={model.num_parameters():,}")
-    return scores
+MODELS = ("transformer", "fnet", "fabnet")
 
 
 def main() -> None:
     tasks = sys.argv[1:] or list(TASK_SETTINGS)
-    results = {}
-    for task in tasks:
-        print(f"== {task} ==")
-        results[task] = run_task(task)
-    print("\nSummary (test accuracy):")
-    header = f"{'task':12s}" + "".join(f"{m:>14s}" for m in BUILDERS)
-    print(header)
-    for task, scores in results.items():
-        row = f"{task:12s}" + "".join(
-            f"{scores[m]['accuracy']:>14.3f}" for m in BUILDERS
-        )
-        print(row)
+    results = run_matrix(
+        ExperimentConfig(task, model, n_abfly=1, epochs=5,
+                         **TASK_SETTINGS[task])
+        for task in tasks for model in MODELS
+    )
+    print(results_table(results))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from repro import nn
 from repro.data.charlm import VOCAB_SIZE, decode_tokens, encode_text, generate_charlm
 from repro.models import ModelConfig, build_butterfly_decoder
-from repro.serving import CostModelAdmission, SamplingParams, ServingEngine
+from repro.serving import SamplingParams, ServingEngine
 
 
 def train_tiny_lm() -> nn.Module:
@@ -49,12 +49,7 @@ def main() -> None:
     print("training a tiny butterfly decoder on the synthetic grammar:")
     model = train_tiny_lm()
 
-    admission = CostModelAdmission(model.config, step_budget_ms=1.0)
-    print("cost-model admission: modeled decode step at batch 4 = "
-          f"{admission.estimate_step_ms(4) * 1e3:.1f} us/step "
-          f"(budget admits up to batch {admission.max_batch_within_budget(64)})")
-
-    engine = ServingEngine(model, max_batch_size=4, admission=admission, seed=0)
+    engine = ServingEngine(model, max_batch_size=4, seed=0)
     workloads = [
         ("cat ", SamplingParams(max_new_tokens=20, temperature=0.0)),
         ("dog ", SamplingParams(max_new_tokens=20, temperature=0.7, seed=1)),

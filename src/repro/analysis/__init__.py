@@ -8,10 +8,8 @@ from .configs import (
 )
 from .roofline import (
     LayerIntensity,
-    bound_report,
     butterfly_layer_intensity,
     fft2_layer_intensity,
-    machine_balance,
     saturation_bandwidth_gbs,
     workload_intensities,
 )
@@ -29,8 +27,6 @@ from .flops import (
     fft2_mixing_flops,
     fnet_flops,
     fnet_params,
-    model_flops,
-    model_params,
     transformer_flops,
     transformer_params,
 )
@@ -39,10 +35,8 @@ __all__ = [
     "CompressionRatios",
     "LayerIntensity",
     "MAINSTREAM_MODELS",
-    "bound_report",
     "butterfly_layer_intensity",
     "fft2_layer_intensity",
-    "machine_balance",
     "saturation_bandwidth_gbs",
     "workload_intensities",
     "OpBreakdown",
@@ -60,8 +54,6 @@ __all__ = [
     "fft2_mixing_flops",
     "fnet_flops",
     "fnet_params",
-    "model_flops",
-    "model_params",
     "transformer_flops",
     "transformer_params",
 ]

@@ -121,20 +121,6 @@ def fabnet_flops(spec: WorkloadSpec) -> OpBreakdown:
     return OpBreakdown(attention + mixing, linear, other)
 
 
-MODEL_FLOPS = {
-    "transformer": transformer_flops,
-    "fnet": fnet_flops,
-    "fabnet": fabnet_flops,
-}
-
-
-def model_flops(name: str, spec: WorkloadSpec) -> OpBreakdown:
-    try:
-        return MODEL_FLOPS[name](spec)
-    except KeyError:
-        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_FLOPS)}")
-
-
 # ----------------------------------------------------------------------
 def dense_linear_params(d_in: int, d_out: int) -> int:
     return d_in * d_out + d_out
@@ -174,20 +160,6 @@ def fabnet_params(spec: WorkloadSpec) -> int:
     fbfly = ffn + 4 * d
     abfly = 4 * butterfly_linear_params(d, d) + ffn + 4 * d
     return spec.n_fbfly * fbfly + spec.n_abfly * abfly
-
-
-MODEL_PARAMS = {
-    "transformer": transformer_params,
-    "fnet": fnet_params,
-    "fabnet": fabnet_params,
-}
-
-
-def model_params(name: str, spec: WorkloadSpec) -> int:
-    try:
-        return MODEL_PARAMS[name](spec)
-    except KeyError:
-        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_PARAMS)}")
 
 
 def embedding_params(spec: WorkloadSpec, vocab_size: int) -> int:

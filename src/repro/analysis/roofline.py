@@ -4,16 +4,15 @@ Explains the Fig. 21 bandwidth story quantitatively: each layer kind has
 an arithmetic intensity (operations per off-chip byte), and a deployment
 with ``P`` total multipliers at clock ``f`` needs bandwidth
 ``ops_rate / intensity`` to stay compute-bound.  The module computes
-per-layer intensities for a workload, the machine-balance point of an
-accelerator configuration, and the minimum bandwidth at which a given
-design saturates — the quantity Fig. 21 sweeps empirically.
+per-layer intensities for a workload and the minimum bandwidth at which
+a given design saturates — the quantity Fig. 21 sweeps empirically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..hardware.config import BYTES_PER_VALUE, AcceleratorConfig
 from ..hardware.perf import WorkloadSpec
@@ -78,17 +77,6 @@ def workload_intensities(spec: WorkloadSpec) -> List[LayerIntensity]:
     return out
 
 
-def machine_balance(config: AcceleratorConfig) -> float:
-    """Pair-ops per byte the accelerator consumes at peak compute.
-
-    A layer with intensity below this value is bandwidth-bound on the
-    configuration.
-    """
-    ops_per_cycle = config.pbe * config.pbu
-    bytes_per_cycle = config.bandwidth_bytes_per_cycle
-    return ops_per_cycle / bytes_per_cycle
-
-
 def saturation_bandwidth_gbs(spec: WorkloadSpec, config: AcceleratorConfig) -> float:
     """Minimum bandwidth (GB/s) making the whole workload compute-bound.
 
@@ -99,13 +87,3 @@ def saturation_bandwidth_gbs(spec: WorkloadSpec, config: AcceleratorConfig) -> f
     min_intensity = min(layer.intensity for layer in layers)
     ops_per_second = config.pbe * config.pbu * config.clock_mhz * 1e6
     return ops_per_second / min_intensity / 1e9
-
-
-def bound_report(spec: WorkloadSpec, config: AcceleratorConfig) -> Dict[str, int]:
-    """Count compute- vs memory-bound layers at the config's bandwidth."""
-    balance = machine_balance(config)
-    counts = {"compute": 0, "memory": 0}
-    for layer in workload_intensities(spec):
-        counts["compute" if layer.intensity >= balance else "memory"] += 1
-    return counts
-

@@ -5,7 +5,6 @@ from .approx import (
     approximation_error,
     compare_with_truncated_svd,
     fit_butterfly,
-    representable_exactly,
 )
 from .factor import ButterflyFactor, num_stages, pair_indices, stage_halves
 from .fft import (
@@ -13,10 +12,8 @@ from .fft import (
     fft,
     fft2,
     fft_butterfly,
-    fft_flops,
     fft_stage_factor,
     fourier_mix,
-    ifft,
 )
 from .matrix import ButterflyMatrix, butterfly_flops, dense_flops
 
@@ -27,17 +24,14 @@ __all__ = [
     "approximation_error",
     "compare_with_truncated_svd",
     "fit_butterfly",
-    "representable_exactly",
     "bit_reversal_permutation",
     "butterfly_flops",
     "dense_flops",
     "fft",
     "fft2",
     "fft_butterfly",
-    "fft_flops",
     "fft_stage_factor",
     "fourier_mix",
-    "ifft",
     "num_stages",
     "pair_indices",
     "stage_halves",

@@ -7,9 +7,6 @@ on unstructured data.  This module makes that measurable:
 * :func:`fit_butterfly` — gradient-fit a butterfly factorization to an
   arbitrary dense matrix using the library's own autograd.
 * :func:`approximation_error` — relative Frobenius error of the fit.
-* :func:`representable_exactly` — structured matrices (identity, scaled
-  permutation-free DFT-like products of butterfly factors) recover to
-  numerical precision, witnessing the universality claim on its home turf.
 
 This is also the practical migration path for users: take a trained dense
 layer, fit a butterfly, and fine-tune — the compression recipe the paper
@@ -22,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
-
-from .matrix import ButterflyMatrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..nn.butterfly_layer import ButterflyLinear
@@ -90,19 +85,6 @@ def fit_butterfly(
         optimizer.step()
         result.losses.append(loss.item())
     return result
-
-
-def representable_exactly(matrix: ButterflyMatrix, atol: float = 1e-8) -> bool:
-    """Check a ButterflyMatrix's dense form round-trips through its factors.
-
-    Trivially true by construction; used as the executable statement of
-    "butterfly products are closed under the factorization" in tests.
-    """
-    dense = matrix.dense()
-    rebuilt = np.eye(matrix.n, dtype=dense.dtype)
-    for factor in matrix.factors:
-        rebuilt = factor.dense() @ rebuilt
-    return bool(np.allclose(dense, rebuilt, atol=atol))
 
 
 def compare_with_truncated_svd(

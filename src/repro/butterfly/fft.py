@@ -54,13 +54,6 @@ def fft(x: np.ndarray) -> np.ndarray:
     return fft_forward(x)
 
 
-def ifft(x: np.ndarray) -> np.ndarray:
-    """Inverse FFT along the last axis (conjugate trick)."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    return np.conj(fft(np.conj(x))) / n
-
-
 def fft2(x: np.ndarray) -> np.ndarray:
     """2D FFT over the last two axes using the 1D butterfly FFT twice.
 
@@ -77,14 +70,3 @@ def fft2(x: np.ndarray) -> np.ndarray:
 def fourier_mix(x: np.ndarray) -> np.ndarray:
     """FNet token mixing: the real part of the 2D FFT of a real input."""
     return fft2(x).real
-
-
-def fft_flops(n: int, rows: int = 1) -> int:
-    """Real FLOPs of one length-``n`` FFT on ``rows`` vectors.
-
-    Each of the ``n/2 log2 n`` complex butterflies costs one complex
-    multiply (4 real mults + 2 adds) and two complex adds (4 real adds),
-    i.e. 10 real FLOPs.
-    """
-    stages = int(np.log2(n))
-    return rows * stages * (n // 2) * 10

@@ -169,9 +169,6 @@ def _add_serve_parser(subparsers) -> None:
     p.add_argument("--top-k", type=int, default=0)
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-budget-ms", type=float, default=None,
-                   help="enable cost-model admission with this modeled "
-                        "per-step latency budget")
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
                    help="serve an int8 stored-weight replica "
                         "(dequant-on-the-fly kernels)")
@@ -521,23 +518,11 @@ def _build_engine(args, model, worker_faults=None, resilience=None):
     consumer downstream (the workload loop, the HTTP server, the chaos
     oracle) talks to the returned engine through the protocol only.
     """
-    from .serving import (
-        CostModelAdmission,
-        LoadSheddingAdmission,
-        ServingEngine,
-    )
+    from .serving import LoadSheddingAdmission, ServingEngine
 
     admission = None
     if getattr(args, "max_queue_depth", None) is not None:
         admission = LoadSheddingAdmission(max_queue_depth=args.max_queue_depth)
-    elif getattr(args, "step_budget_ms", None) is not None:
-        if args.workers >= 2:
-            print("note: --step-budget-ms admission is single-engine only; "
-                  "ignored in cluster mode", file=sys.stderr)
-        else:
-            admission = CostModelAdmission(
-                model.config, step_budget_ms=args.step_budget_ms
-            )
     if args.workers >= 2:
         from .serving.cluster import ClusterEngine
 
@@ -616,10 +601,6 @@ def cmd_serve(args) -> int:
           f"mean ttft {_fmt(agg['mean_ttft_ms'], '.1f')} ms, "
           f"max queue depth {agg['max_queue_depth']}, "
           f"mean batch {_fmt(agg['mean_batch_size'], '.2f')}")
-    if args.step_budget_ms is not None and args.workers == 1:
-        admission = engine.scheduler.admission
-        print(f"admission: modeled step budget {args.step_budget_ms:.3f} ms "
-              f"-> max batch {admission.max_batch_within_budget(args.max_batch_size)}")
     for slot, info in sorted(snap.get("workers", {}).items()):
         hb = info["heartbeat"]
         print(f"worker {slot}: pid {info['pid']}, "

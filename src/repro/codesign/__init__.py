@@ -7,7 +7,6 @@ from .oracle import (
     SurrogateAccuracyOracle,
     TrainedAccuracyOracle,
 )
-from .random_search import run_random_codesign
 from .search import (
     DesignPoint,
     SearchResult,
@@ -29,5 +28,4 @@ __all__ = [
     "design_space_spread",
     "pareto_front",
     "run_codesign",
-    "run_random_codesign",
 ]

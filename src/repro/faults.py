@@ -79,7 +79,6 @@ __all__ = [
     "install",
     "install_from_env",
     "parse_fault_spec",
-    "register_injection_point",
     "rules_to_spec",
     "uninstall",
     "use_faults",
@@ -99,15 +98,6 @@ INJECTION_POINTS = {
 }
 
 KINDS = ("transient", "fatal")
-
-
-def register_injection_point(point: str) -> None:
-    """Declare a new injection point name (``subsystem.op``)."""
-    if "." not in point:
-        raise ValueError(
-            f"injection point {point!r} must be named subsystem.op"
-        )
-    INJECTION_POINTS.add(point)
 
 
 class FaultError(Exception):
@@ -168,8 +158,7 @@ class FaultRule:
         if self.point not in INJECTION_POINTS:
             raise ValueError(
                 f"unknown injection point {self.point!r}; known: "
-                f"{sorted(INJECTION_POINTS)} (register_injection_point "
-                f"to add one)"
+                f"{sorted(INJECTION_POINTS)}"
             )
         if self.kind not in KINDS:
             raise ValueError(f"fault kind must be one of {KINDS}, got {self.kind!r}")

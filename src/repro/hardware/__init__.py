@@ -18,7 +18,6 @@ Subpackages/modules:
 """
 
 from .baseline import BaselineAccelerator, BaselineConfig, bert_spec, fabnet_spec
-from .energy import EnergyMetrics, efficiency_ratio, energy_metrics, workload_gops
 from .isa import (
     Instruction,
     Opcode,
@@ -28,11 +27,8 @@ from .isa import (
 )
 from .quantize import (
     Fp16ButterflyEngine,
-    Int8ButterflyEngine,
     QuantizationErrorReport,
     accuracy_under_fp16,
-    accuracy_under_int8,
-    int8_quantization_error_report,
     quantization_error_report,
     quantize_fp16,
 )
@@ -74,8 +70,6 @@ from .sota import (
     SOTA_ACCELERATORS,
     AcceleratorRecord,
     our_work_record,
-    scale_power,
-    scale_throughput,
     speedup_over_sota,
     table5,
 )
@@ -110,34 +104,25 @@ __all__ = [
     "WorkloadSpec",
     "XEON_6154",
     "ZYNQ7045",
-    "EnergyMetrics",
     "Fp16ButterflyEngine",
     "Instruction",
-    "Int8ButterflyEngine",
     "Opcode",
     "Program",
     "QuantizationErrorReport",
     "compile_model",
     "validate_program",
     "accuracy_under_fp16",
-    "accuracy_under_int8",
     "bert_spec",
     "bram_usage",
     "dsp_usage",
-    "efficiency_ratio",
-    "energy_metrics",
     "estimate_power",
     "estimate_resources",
     "fabnet_spec",
     "fabnet_time_s",
-    "int8_quantization_error_report",
     "latency_vs_bandwidth",
     "quantization_error_report",
     "quantize_fp16",
-    "workload_gops",
     "our_work_record",
-    "scale_power",
-    "scale_throughput",
     "speedup_over_sota",
     "table5",
     "transformer_breakdown",

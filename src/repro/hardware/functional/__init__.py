@@ -13,7 +13,6 @@ from .coalesce import (
     StageProgram,
     coalesce_pairs,
     compile_stage,
-    min_stage_cycles,
     schedule_stage,
     stage_read_cycles,
 )
@@ -21,10 +20,8 @@ from .engine import ButterflyEngine, ButterflyLinearExecutor, EngineRunStats
 from .memory import (
     BankAccessStats,
     BankedBuffer,
-    bank_matrix,
     bank_of,
     popcount,
-    starting_positions,
 )
 from .postproc import PostProcessor
 
@@ -45,13 +42,10 @@ __all__ = [
     "QKUnit",
     "SVUnit",
     "StageProgram",
-    "bank_matrix",
     "bank_of",
     "coalesce_pairs",
     "compile_stage",
-    "min_stage_cycles",
     "popcount",
     "schedule_stage",
     "stage_read_cycles",
-    "starting_positions",
 ]

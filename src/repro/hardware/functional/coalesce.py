@@ -128,11 +128,6 @@ def stage_read_cycles(n: int, half: int, nbanks: int, layout: str = "butterfly")
     return compile_stage(n, half, nbanks, layout, nbanks // 2).cycles
 
 
-def min_stage_cycles(n: int, nbanks: int) -> int:
-    """Lower bound: all banks busy every cycle."""
-    return n // nbanks if nbanks <= n else 1
-
-
 def coalesce_pairs(
     elements: Sequence[int], values: Sequence[complex], pairs: Sequence[Pair]
 ) -> List[Tuple[complex, complex]]:

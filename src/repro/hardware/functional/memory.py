@@ -20,7 +20,7 @@ Layouts implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -30,17 +30,6 @@ LAYOUTS = ("column_major", "row_major", "butterfly")
 def popcount(value: int) -> int:
     """Number of set bits (the Fig. 9 'bit-count' block)."""
     return bin(value).count("1")
-
-
-def starting_positions(n_columns: int) -> np.ndarray:
-    """Per-column shift-down amounts of the S2P layout (Fig. 9a).
-
-    Defined recursively in the paper as ``P_0 = 0`` and
-    ``P_{2^{n-1}..2^n-1} = P_{0..2^{n-1}-1} - 1``; the closed form is
-    ``P_i = -popcount(i)``, i.e. column ``i`` is rotated by ``popcount(i)``
-    positions.
-    """
-    return np.array([-popcount(i) for i in range(n_columns)], dtype=np.int64)
 
 
 def bank_of(element: int, n: int, nbanks: int, layout: str) -> int:
@@ -142,16 +131,3 @@ class BankedBuffer:
     def snapshot(self) -> np.ndarray:
         """Current contents in original element order."""
         return self._values.copy()
-
-
-def bank_matrix(n: int, nbanks: int, layout: str) -> List[List[int]]:
-    """Element ids per (bank, column) — reproduces Fig. 8b/c and Fig. 10a."""
-    grid: List[List[int]] = [[-1] * (n // nbanks) for _ in range(nbanks)]
-    for element in range(n):
-        if layout == "row_major":
-            column = element % (n // nbanks)
-        else:
-            column = element // nbanks
-        bank = bank_of(element, n, nbanks, layout)
-        grid[bank][column] = element
-    return grid

@@ -1,4 +1,4 @@
-"""Reduced-precision datapath modeling: fp16 arithmetic and int8 weights.
+"""Reduced-precision datapath modeling: fp16 arithmetic.
 
 The paper's accelerator computes in 16-bit half-precision floating point
 (Section VI-A) and stores operands in narrow buffers.  Our functional
@@ -15,19 +15,6 @@ quantifies what the real datapath does:
   activations through the encoder and report the accuracy delta, which
   the paper implicitly claims is negligible by evaluating fp16 hardware
   against fp32-trained models.
-
-Int8 weight storage (the narrowest buffer configuration) has one
-quantizer, :func:`repro.kernels.quantize_per_channel`, shared by the
-kernels, the ``nn`` replica, serving and this model:
-
-* ``Int8ButterflyEngine`` — a banked-memory engine running on int8
-  stage weights stored by :func:`repro.kernels.quantize_butterfly_stages`
-  (dequantized operands; activations stay wide, matching the software
-  weight-only scheme).
-* ``int8_quantization_error_report`` / ``accuracy_under_int8`` — error
-  and accuracy deltas of the int8 weight path (the latter evaluates the
-  actual :func:`repro.nn.quantize_for_inference` replica, closing the
-  hardware/software loop).
 """
 
 from __future__ import annotations
@@ -37,9 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..butterfly.factor import ButterflyFactor
 from ..butterfly.matrix import ButterflyMatrix
-from ..kernels import quant as _QK
 from .functional.engine import ButterflyEngine
 
 
@@ -85,15 +70,15 @@ class QuantizationErrorReport:
         return self.max_rel_error < threshold
 
 
-def _engine_error_report(
-    engine_cls: type, n: int, rng: Optional[np.random.Generator], rows: int
+def quantization_error_report(
+    n: int, rng: Optional[np.random.Generator] = None, rows: int = 16
 ) -> QuantizationErrorReport:
-    """Butterfly error of one reduced-precision engine class vs float64."""
+    """Measure fp16 butterfly error against the float64 reference."""
     rng = rng or np.random.default_rng(0)
     matrix = ButterflyMatrix.random(n, rng)
     x = rng.normal(size=(rows, n))
     exact = matrix.apply(x)
-    approx = engine_cls(pbu=4).run_butterfly(x, matrix)
+    approx = Fp16ButterflyEngine(pbu=4).run_butterfly(x, matrix)
     scale = np.abs(exact).max()
     rel = np.abs(approx - exact) / max(scale, 1e-30)
     return QuantizationErrorReport(
@@ -101,13 +86,6 @@ def _engine_error_report(
         max_rel_error=float(rel.max()),
         mean_rel_error=float(rel.mean()),
     )
-
-
-def quantization_error_report(
-    n: int, rng: Optional[np.random.Generator] = None, rows: int = 16
-) -> QuantizationErrorReport:
-    """Measure fp16 butterfly error against the float64 reference."""
-    return _engine_error_report(Fp16ButterflyEngine, n, rng, rows)
 
 
 def accuracy_under_fp16(
@@ -145,86 +123,4 @@ def accuracy_under_fp16(
         "accuracy_fp16": quant_acc,
         "accuracy_delta": quant_acc - exact_acc,
         "max_logit_error": float(np.abs(quantized - exact).max()),
-    }
-
-
-# ======================================================================
-# Int8 weight datapath
-# ======================================================================
-class Int8ButterflyEngine(ButterflyEngine):
-    """Butterfly engine running on int8-quantized stage weights.
-
-    Weight-only quantization, mirroring the software scheme: stage
-    coefficients are stored as int8 codes with per-coefficient-role
-    scales (the four multiplier operands of the Butterfly Unit) and
-    dequantized as they are loaded; operand values between stages stay
-    in the wide datapath.  The codes and scales are the kernels' own
-    (:func:`repro.kernels.quantize_butterfly_stages`, once per
-    invocation: a whole tile), and the inherited ``verify=True`` mode
-    asserts the banked-memory stage loop matches the software kernels
-    on the dequantized factors.
-
-    FFT mode is unsupported: twiddles live in the fp16 buffers
-    (:class:`Fp16ButterflyEngine`); int8 storage is for trainable
-    butterfly weights.
-    """
-
-    def _run_stages(self, x, factors, mode):
-        coeffs = [factor.coeffs for factor in factors]
-        if any(np.iscomplexobj(c) for c in coeffs):
-            raise ValueError(
-                "Int8ButterflyEngine models the trainable-weight datapath; "
-                "FFT twiddles are not int8-quantized (use Fp16ButterflyEngine)"
-            )
-        codes, scales = _QK.quantize_butterfly_stages(coeffs)
-        dequantized = _QK.dequantize_butterfly_stages(codes, scales, dtype=np.float64)
-        quantized_factors = [
-            ButterflyFactor(factor.n, factor.half, c)
-            for factor, c in zip(factors, dequantized)
-        ]
-        return super()._run_stages(x, quantized_factors, mode)
-
-
-def int8_quantization_error_report(
-    n: int, rng: Optional[np.random.Generator] = None, rows: int = 16
-) -> QuantizationErrorReport:
-    """Measure int8-weight butterfly error against the float64 reference."""
-    return _engine_error_report(Int8ButterflyEngine, n, rng, rows)
-
-
-def accuracy_under_int8(
-    model, tokens: np.ndarray, labels: np.ndarray
-) -> Dict[str, float]:
-    """Accuracy delta of the *runnable* int8 path vs the fp model.
-
-    Unlike :func:`accuracy_under_fp16` (which rounds parameters in
-    place), this evaluates the actual serving artifact — the
-    :func:`repro.nn.quantize_for_inference` replica with its
-    dequant-on-the-fly kernels — so the number reported next to the
-    simulator's resource/power tables is the one the python serving
-    path achieves.  The caller's model keeps its train/eval mode.
-    """
-    from .. import nn
-    from ..nn.quantized import quantize_for_inference
-
-    tokens = np.asarray(tokens, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    was_training = model.training
-    model.eval()
-    try:
-        with nn.no_grad():
-            exact = model(tokens).data
-    finally:
-        model.train(was_training)
-    replica = quantize_for_inference(model)
-    with nn.no_grad():
-        quantized = replica(tokens).data
-    exact_acc = float((exact.argmax(-1) == labels).mean())
-    quant_acc = float((quantized.argmax(-1) == labels).mean())
-    return {
-        "accuracy_fp": exact_acc,
-        "accuracy_int8": quant_acc,
-        "accuracy_delta": quant_acc - exact_acc,
-        "max_logit_error": float(np.abs(quantized - exact).max()),
-        "weight_memory_ratio": replica.quantization_report.memory_ratio,
     }

@@ -3,10 +3,10 @@
 The paper compares published accelerators by normalizing every design to
 the same computational budget — 128 multipliers at 1 GHz (128 GOPS peak)
 — linearly scaling reported throughput and systolic-array power, exactly
-as SpAtten and Sanger do.  This module encodes the published numbers of
-Table V and implements the same normalization arithmetic, plus the
-end-to-end latency of *our* design produced by the performance model with
-640 multipliers at 200 MHz (the same 128 GOPS peak).
+as SpAtten and Sanger do.  This module encodes the published, already
+normalized numbers of Table V, plus the end-to-end latency of *our*
+design produced by the performance model with 640 multipliers at 200 MHz
+(the same 128 GOPS peak).
 
 Workload: one-layer vanilla Transformer on LRA-Image (seq 1024), per the
 experimental setting of DOTA that the paper follows.
@@ -73,24 +73,6 @@ LRA_IMAGE_SPEC = WorkloadSpec(
 NORMALIZED_CONFIG = AcceleratorConfig(
     pbe=40, pbu=4, pae=0, pqk=0, psv=0, clock_mhz=200.0, bandwidth_gbs=450.0
 )
-
-
-def scale_throughput(speedup: float, multipliers: int, budget: int = 128) -> float:
-    """Linear throughput normalization used by SpAtten/Sanger/the paper.
-
-    E.g. DOTA reports 11.4x over a V100 with 12,000 multipliers; scaled to
-    the 128-multiplier budget it becomes ``11.4 / (12000/128) = 0.122x``.
-    """
-    if multipliers <= 0 or budget <= 0:
-        raise ValueError("multiplier counts must be positive")
-    return speedup / (multipliers / budget)
-
-
-def scale_power(power_w: float, multipliers: int, budget: int = 128) -> float:
-    """Linear power normalization for the compute array."""
-    if multipliers <= 0 or budget <= 0:
-        raise ValueError("multiplier counts must be positive")
-    return power_w / (multipliers / budget)
 
 
 def our_work_record(

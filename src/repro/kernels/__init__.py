@@ -64,8 +64,7 @@ MSE calibration), the dequant-on-the-fly GEMM over codes packed once
 into the blocks it reads (:func:`pack_weight`, :class:`PackedWeight`,
 :func:`quantized_linear`) and the stored butterfly ladder apply
 (:func:`quantized_butterfly_apply`), both over int8 codes with fp32
-scales — the one quantizer, which the hardware model's
-:class:`~repro.hardware.quantize.Int8ButterflyEngine` stores through too.
+scales — the one quantizer.
 """
 
 from __future__ import annotations

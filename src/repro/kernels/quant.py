@@ -11,9 +11,7 @@ Scheme — per-channel symmetric int8, scales in fp32:
 
 * each output channel ``o`` of a ``(out, in)`` weight gets one scale
   ``s_o``; codes are ``q = clip(rint(w / s_o), -127, 127)`` (round half
-  to even, the IEEE default; the hardware model's
-  :class:`~repro.hardware.quantize.Int8ButterflyEngine` stores its
-  stages through this same quantizer);
+  to even, the IEEE default);
 * ``s_o = absmax_o / 127`` by default, or an MSE-calibrated shrink of it
   (:func:`calibrate_scales` grid-searches a per-channel shrink factor —
   the cheap weight-distribution calibration pass used by
@@ -356,8 +354,7 @@ def dequantize_butterfly_stages(
     stage_scales: Sequence[np.ndarray],
     dtype=None,
 ) -> List[np.ndarray]:
-    """Exact fp stage tensors from stored stages (shared with the hardware
-    model's :class:`~repro.hardware.quantize.Int8ButterflyEngine`)."""
+    """Exact fp stage tensors from stored stages."""
     return [
         dequantize(q, s, dtype=dtype) for q, s in zip(q_stages, stage_scales)
     ]

@@ -16,9 +16,8 @@ All kernels here are *stride-vectorized*: the ``(..., n)`` input is
 viewed as ``(..., nblocks, 2, half)`` so the whole stage is a handful of
 broadcast numpy operations — no Python loop over pairs.  These kernels
 are the shared reference implementation used by
-:class:`repro.butterfly.factor.ButterflyFactor`,
-:func:`repro.nn.tensor.butterfly_stage`, and the hardware functional
-model's parity checks; the multi-stage hot path additionally fuses
+:class:`repro.butterfly.factor.ButterflyFactor` and the hardware
+functional model's parity checks; the multi-stage hot path additionally fuses
 stages into batched matmuls in :mod:`repro.kernels.grouped`.
 """
 

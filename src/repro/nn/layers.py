@@ -81,27 +81,6 @@ class Dropout(Module):
         return F.dropout(x, self.rate, self.training, self.rng)
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
-
-
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-_ACTIVATIONS = {"relu": ReLU, "gelu": GELU, "tanh": Tanh}
-
-
-def make_activation(name: str) -> Module:
-    """Instantiate an activation module by name ('relu', 'gelu', 'tanh')."""
-    try:
-        return _ACTIVATIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")

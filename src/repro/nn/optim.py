@@ -1,4 +1,4 @@
-"""First-order optimizers (SGD with momentum, Adam) and LR schedules."""
+"""First-order optimizers: the Adam update and its base class."""
 
 from __future__ import annotations
 
@@ -26,47 +26,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay.
-
-    The update runs entirely through in-place ``np.multiply/add(...,
-    out=...)`` kernels over one persistent per-parameter scratch buffer:
-    the step allocates nothing, which matters because it executes once
-    per training batch over every model parameter.
-    """
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v, buf in zip(self.params, self._velocity, self._scratch):
-            if p.grad is None:
-                continue
-            if self.weight_decay:
-                np.multiply(p.data, self.weight_decay, out=buf)
-                np.add(buf, p.grad, out=buf)
-                grad = buf
-            else:
-                grad = p.grad
-            if self.momentum:
-                np.multiply(v, self.momentum, out=v)
-                np.add(v, grad, out=v)
-                grad = v
-            np.multiply(grad, self.lr, out=buf)
-            np.subtract(p.data, buf, out=p.data)
-            p.bump_version()  # invalidate kernel caches (e.g. cached W^T)
 
 
 class Adam(Optimizer):

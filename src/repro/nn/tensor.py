@@ -513,15 +513,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(grad: np.ndarray):
-        return (grad * data * (1.0 - data),)
-
-    return _make_result(data, (a,), backward)
-
-
 # ----------------------------------------------------------------------
 # Linear algebra
 # ----------------------------------------------------------------------
@@ -921,31 +912,6 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _make_result(data, parents, backward)
 
 
-def butterfly_stage(x: Tensor, coeffs: Tensor, half: int) -> Tensor:
-    """Apply one butterfly factor matrix stage to the last dimension of ``x``.
-
-    ``coeffs`` has shape ``(4, n // 2)`` holding, for each of the ``n/2``
-    index pairs ``(i, i + half)`` within each size-``2*half`` block, the
-    entries of the trainable 2x2 block::
-
-        [ y_top ]   [ a  b ] [ x_top ]
-        [ y_bot ] = [ c  d ] [ x_bot ]
-
-    This is the exact computation the paper's adaptable Butterfly Unit
-    performs with its four real multipliers (Fig. 7b).  Forward and VJP
-    delegate to the shared kernel layer
-    (:func:`repro.kernels.stage_forward` / :func:`repro.kernels.stage_vjp`);
-    multi-stage ladders should prefer :func:`butterfly_apply`, which fuses
-    the whole ladder into one graph node and a faster grouped kernel.
-    """
-    data = _kernels.stage_forward(x.data, coeffs.data, half)
-
-    def backward(grad: np.ndarray):
-        return _kernels.stage_vjp(grad, x.data, coeffs.data, half)
-
-    return _make_result(data, (x, coeffs), backward)
-
-
 def butterfly_apply(
     x: Tensor,
     coeffs: Sequence[Tensor],
@@ -957,9 +923,8 @@ def butterfly_apply(
 
     ``coeffs[s]`` is the ``(4, n/2)`` stage tensor for pair stride
     ``halves[s]``; stages apply in order (``halves = [1, 2, ..., n/2]``
-    for a complete butterfly matrix).  Compared to chaining
-    :func:`butterfly_stage`, this records one graph node for the whole
-    ladder and dispatches to :mod:`repro.kernels`' fused grouped kernel,
+    for a complete butterfly matrix).  It records one graph node for the
+    whole ladder and dispatches to :mod:`repro.kernels`' fused grouped kernel,
     which is several times faster at ``n >= 256``.
 
     ``in_features`` / ``out_features`` hand a layer's fold to the kernel,
@@ -1039,16 +1004,6 @@ def fourier_mix_2d(x: Tensor) -> Tensor:
     return _make_result(data, (x,), backward)
 
 
-def abs_(a: Tensor) -> Tensor:
-    """Elementwise absolute value (subgradient 0 at the origin)."""
-    data = np.abs(a.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * np.sign(a.data),)
-
-    return _make_result(data, (a,), backward)
-
-
 def clip(a: Tensor, low: float, high: float) -> Tensor:
     """Clamp values to [low, high]; gradient passes only inside the range."""
     if low > high:
@@ -1060,11 +1015,6 @@ def clip(a: Tensor, low: float, high: float) -> Tensor:
         return (grad * inside,)
 
     return _make_result(data, (a,), backward)
-
-
-def min_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Minimum reduction (gradient split among ties, mirroring max_)."""
-    return -max_(-a, axis=axis, keepdims=keepdims)
 
 
 def var(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -9,15 +9,14 @@ ROADMAP's "serve heavy traffic" direction made concrete:
 * :mod:`repro.serving.sampling` — vectorized Gumbel-max sampling with
   temperature / top-k / top-p, shared with ``ButterflyDecoderLM.generate``;
 * :mod:`repro.serving.scheduler` — continuous batching: request queue,
-  admission, prefill/decode interleaving and batch compaction;
+  prefill/decode interleaving and batch compaction;
 * :mod:`repro.serving.requests` — :class:`RequestTable`, the one place
   a request's state changes: ids, results, deadlines, streams and the
   terminal transition, owned by both engines;
 * :mod:`repro.serving.engine` — :class:`ServingEngine` submit/stream/
   cancel API with per-request and aggregate metrics;
-* :mod:`repro.serving.admission` — cost-based admission backed by the
-  :mod:`repro.hardware.perf` cycle model, plus queue-depth/deadline
-  load shedding;
+* :mod:`repro.serving.admission` — queue-depth / deadline load shedding
+  at submit, the engines' one admission policy;
 * :mod:`repro.serving.metrics` — TTFT / tokens-per-second / queue-depth
   accounting;
 * :mod:`repro.serving.resilience` — step-level snapshot/rollback, retry
@@ -37,9 +36,9 @@ ROADMAP's "serve heavy traffic" direction made concrete:
 Import structure: ``sampling``, ``kv_cache`` and ``metrics`` are
 self-contained (numpy/stdlib only) and imported eagerly — they are the
 pieces :mod:`repro.models.decoder` pulls in, so they must not import the
-model zoo back.  ``engine``, ``scheduler`` and ``admission`` sit above
-the models/hardware layers and are loaded lazily on first attribute
-access to keep the package acyclic.
+model zoo back.  ``engine``, ``scheduler`` and the rest sit above the
+models layer and are loaded lazily on first attribute access to keep the
+package acyclic.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ _LAZY = {
     "ServerThread": "server",
     "start_http_server": "server",
     "run_http_server": "server",
-    "CostModelAdmission": "admission",
     "LoadSheddingAdmission": "admission",
-    "estimate_decode_step_ms": "admission",
     "ContinuousBatchScheduler": "scheduler",
     "Request": "scheduler",
     "StepEvent": "scheduler",
@@ -80,7 +77,6 @@ __all__ = [
     "BLAS_PIN_VARS",
     "ClusterEngine",
     "ContinuousBatchScheduler",
-    "CostModelAdmission",
     "DecoderKVCache",
     "Engine",
     "GenerationResult",
@@ -102,7 +98,6 @@ __all__ = [
     "WorkerConfig",
     "child_environment",
     "derive_request_seed",
-    "estimate_decode_step_ms",
     "filter_logits",
     "resilient_step",
     "run_http_server",

@@ -72,8 +72,9 @@ class ServingEngine:
         if quantize is not None:
             model = quantize_for_inference(model, mode=quantize)
         self.scheduler = ContinuousBatchScheduler(
-            model, max_batch_size=max_batch_size, admission=admission, seed=seed,
+            model, max_batch_size=max_batch_size, seed=seed,
         )
+        self.admission = admission
         self.metrics = ServingMetrics(**({"clock": clock} if clock else {}))
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.requests = RequestTable(
@@ -107,7 +108,7 @@ class ServingEngine:
             prompt, params or SamplingParams(),
             lambda rid, prompt, params: self.scheduler.add_request(
                 Request(rid, prompt, params)),
-            self.scheduler.admission, lambda: self.scheduler.queue_depth,
+            self.admission, lambda: self.scheduler.queue_depth,
         )
         return RequestHandle(request_id, self)
 
@@ -205,18 +206,10 @@ class ServingEngine:
         return render_prometheus(*registries)
 
     def _advance(self) -> None:
-        """One step; raises when the admission policy can never drain
-        the queue."""
+        """One step, when any request is live."""
         with self.requests.lock:
-            if not self.has_work:
-                return
-            events = self.step()
-            # A step that only expired queued requests emits no event.
-            if not events and self.scheduler.batch_size == 0 and self.has_work:
-                raise RuntimeError(
-                    "scheduler made no progress: the admission policy "
-                    "rejects every queued request"
-                )
+            if self.has_work:
+                self.step()
 
     def run(self, max_steps: Optional[int] = None) -> Dict[int, GenerationResult]:
         """Step until no request is live (at most ``max_steps`` steps);

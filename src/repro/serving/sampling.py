@@ -25,8 +25,8 @@ class SamplingParams:
     ignored).  ``top_k == 0`` and ``top_p == 1.0`` disable the
     respective filters.  ``seed`` makes the request's sampling stream
     reproducible regardless of how it is batched with other requests.
-    ``deadline_s`` is a wall-clock budget measured from submission on
-    the engine's injectable clock; a request still unfinished past it
+    ``deadline_s`` is a finite wall-clock budget measured from submission
+    on the engine's injectable clock; a request still unfinished past it
     is cancelled with ``finish_reason="deadline"`` (see
     :mod:`repro.serving.resilience`).
     """
@@ -44,15 +44,18 @@ class SamplingParams:
             raise ValueError(
                 f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
             )
-        if self.temperature < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # Written so that NaN fails each test: it compares false to all.
+        if not 0.0 <= self.temperature < float("inf"):
+            raise ValueError(
+                f"temperature must be finite and >= 0, got {self.temperature}"
+            )
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
+        if self.deadline_s is not None and not 0.0 < self.deadline_s < float("inf"):
             raise ValueError(
-                f"deadline_s must be positive, got {self.deadline_s}"
+                f"deadline_s must be finite and positive, got {self.deadline_s}"
             )
 
 

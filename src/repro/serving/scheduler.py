@@ -13,9 +13,9 @@ sequence by exactly one token:
 3. finished rows (stop token or per-request token budget) are compacted
    out of the cache;
 4. the FIFO prefix of the queue that fits the freed capacity — bounded
-   by the batch-size cap and the pluggable admission policy — is admitted
-   as one wave and prefilled, again with one prefill per run of equal
-   window lengths (the weights stream once per run, not once per request),
+   by the batch-size cap — is admitted as one wave and prefilled, again
+   with one prefill per run of equal window lengths (the weights stream
+   once per run, not once per request),
    each request producing its first token in the same step (its TTFT).
    New rows and their ``first=True`` events are ordered by run — lengths
    as first seen, FIFO within a run — after the rows already running.
@@ -143,7 +143,6 @@ class ContinuousBatchScheduler:
         self,
         model,
         max_batch_size: int = 8,
-        admission=None,
         seed: int = 0,
     ) -> None:
         if max_batch_size < 1:
@@ -151,7 +150,6 @@ class ContinuousBatchScheduler:
         model.eval()
         self.model = model
         self.max_batch_size = max_batch_size
-        self.admission = admission
         self.seed = seed
         self.waiting: Deque[_Sequence] = deque()
         self.active: List[_Sequence] = []
@@ -223,16 +221,6 @@ class ContinuousBatchScheduler:
         return False
 
     # ------------------------------------------------------------------
-    def _admit_allowed(self, prospective_batch: int) -> bool:
-        if prospective_batch > self.max_batch_size:
-            return False
-        if self.admission is None:
-            return True
-        allowed = self.admission.admit(prospective_batch)
-        if not allowed:
-            counter_inc("serving_admission_reject_total")
-        return allowed
-
     def _prefill(
         self, seqs: List[_Sequence]
     ) -> List[Tuple[List[_Sequence], np.ndarray, DecoderKVCache]]:
@@ -354,7 +342,8 @@ class ContinuousBatchScheduler:
         reopened = True
         while reopened and self.waiting:
             wave: List[_Sequence] = []
-            while self.waiting and self._admit_allowed(len(self.active) + len(wave) + 1):
+            while (self.waiting
+                   and len(self.active) + len(wave) < self.max_batch_size):
                 wave.append(self.waiting.popleft())
                 counter_inc("serving_admission_accept_total")
             if not wave:

@@ -654,10 +654,8 @@ class ServingHTTPServer:
         return await tracked.done
 
     def _retry_after(self) -> str:
-        """Retry hint from the admission cost model when available."""
-        admission = getattr(
-            getattr(self.engine, "scheduler", None), "admission", None
-        ) or getattr(self.engine, "admission", None)
+        """Retry hint from the engine's shedding policy when available."""
+        admission = getattr(self.engine, "admission", None)
         est = getattr(admission, "est_step_s", None)
         depth = getattr(admission, "max_queue_depth", None)
         if est and depth:

@@ -16,8 +16,6 @@ from repro.analysis import (
     fabnet_params,
     fft2_mixing_flops,
     fnet_params,
-    model_flops,
-    model_params,
     transformer_flops,
     transformer_params,
 )
@@ -45,15 +43,6 @@ class TestComponentFormulas:
 
     def test_fft2_mixing(self):
         assert fft2_mixing_flops(16, 16) == 10.0 * (16 * 8 * 4 + 16 * 8 * 4)
-
-    def test_model_dispatch(self):
-        s = spec()
-        assert model_flops("transformer", s).total == transformer_flops(s).total
-        assert model_params("fabnet", s) == fabnet_params(s)
-        with pytest.raises(ValueError, match="unknown model"):
-            model_flops("cnn", s)
-        with pytest.raises(ValueError, match="unknown model"):
-            model_params("cnn", s)
 
 
 class TestParamsMatchRealModels:

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.analysis.roofline import (
-    bound_report,
     butterfly_layer_intensity,
     fft2_layer_intensity,
-    machine_balance,
     saturation_bandwidth_gbs,
     workload_intensities,
 )
@@ -48,18 +46,6 @@ class TestIntensities:
         assert len(names) == 6
 
 
-class TestMachineBalance:
-    def test_balance_scales_with_parallelism(self):
-        low = machine_balance(AcceleratorConfig(pbe=16, pbu=4))
-        high = machine_balance(AcceleratorConfig(pbe=128, pbu=4))
-        assert high == pytest.approx(8 * low)
-
-    def test_balance_falls_with_bandwidth(self):
-        slow = machine_balance(AcceleratorConfig(pbe=64, pbu=4, bandwidth_gbs=50))
-        fast = machine_balance(AcceleratorConfig(pbe=64, pbu=4, bandwidth_gbs=450))
-        assert fast < slow
-
-
 class TestSaturation:
     def test_bigger_designs_need_more_bandwidth(self, spec):
         """The Fig. 21 observation, derived analytically."""
@@ -67,14 +53,6 @@ class TestSaturation:
         bw128 = saturation_bandwidth_gbs(spec, AcceleratorConfig(pbe=128, pbu=4))
         assert bw128 == pytest.approx(8 * bw16)
         assert 10.0 < bw16 < 100.0  # the paper's ~50 GB/s ballpark
-
-    def test_bound_report_flips_with_bandwidth(self, spec):
-        starved = bound_report(spec, AcceleratorConfig(pbe=128, pbu=4,
-                                                       bandwidth_gbs=5.0))
-        fed = bound_report(spec, AcceleratorConfig(pbe=128, pbu=4,
-                                                   bandwidth_gbs=450.0))
-        assert starved["memory"] > 0
-        assert fed["compute"] > fed["memory"]
 
     def test_cross_check_against_cycle_model(self, spec):
         """Below saturation the cycle model gains from bandwidth; above

@@ -8,7 +8,6 @@ from repro.butterfly import (
     approximation_error,
     compare_with_truncated_svd,
     fit_butterfly,
-    representable_exactly,
 )
 
 
@@ -55,14 +54,6 @@ class TestApproximationError:
         from repro.nn import ButterflyLinear
         layer = ButterflyLinear(4, 4, bias=False, rng=rng)
         assert approximation_error(layer, np.zeros((4, 4))) >= 0.0
-
-
-class TestRepresentability:
-    def test_round_trip(self, rng):
-        assert representable_exactly(ButterflyMatrix.random(16, rng))
-
-    def test_identity(self):
-        assert representable_exactly(ButterflyMatrix.identity(32))
 
 
 class TestVsLowRank:

@@ -8,10 +8,8 @@ from repro.butterfly import (
     fft,
     fft2,
     fft_butterfly,
-    fft_flops,
     fft_stage_factor,
     fourier_mix,
-    ifft,
 )
 
 
@@ -51,14 +49,6 @@ class TestFFTCorrectness:
     def test_batched_rows(self, rng):
         x = rng.normal(size=(5, 16))
         np.testing.assert_allclose(fft(x), np.fft.fft(x, axis=-1), atol=1e-10)
-
-    def test_ifft_inverts(self, rng):
-        x = rng.normal(size=64) + 1j * rng.normal(size=64)
-        np.testing.assert_allclose(ifft(fft(x)), x, atol=1e-10)
-
-    def test_ifft_matches_numpy(self, rng):
-        x = rng.normal(size=32) + 1j * rng.normal(size=32)
-        np.testing.assert_allclose(ifft(x), np.fft.ifft(x), atol=1e-10)
 
     def test_impulse_gives_flat_spectrum(self):
         x = np.zeros(16)
@@ -114,12 +104,3 @@ class TestFFTStructure:
         trainable butterflies — the unification the hardware exploits."""
         for factor in fft_butterfly(16).factors:
             assert factor.coeffs.shape == (4, 8)
-
-
-class TestFFTCosts:
-    def test_fft_flops_formula(self):
-        assert fft_flops(16) == 4 * 8 * 10
-        assert fft_flops(16, rows=3) == 3 * 4 * 8 * 10
-
-    def test_nlogn_scaling(self):
-        assert fft_flops(2048) / fft_flops(1024) == pytest.approx(2 * 11 / 10)

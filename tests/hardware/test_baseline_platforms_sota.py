@@ -15,8 +15,6 @@ from repro.hardware import (
     fabnet_spec,
     fabnet_time_s,
     our_work_record,
-    scale_power,
-    scale_throughput,
     speedup_over_sota,
     table5,
     transformer_breakdown,
@@ -122,21 +120,6 @@ class TestSOTA:
         spatten = next(r for r in SOTA_ACCELERATORS if r.name == "SpAtten")
         assert spatten.throughput_pred_s == pytest.approx(20.49, abs=0.01)
         assert spatten.energy_eff_pred_j == pytest.approx(19.33, abs=0.01)
-
-    def test_scale_throughput_dota_example(self):
-        """The paper's example: 11.4x over V100 at 12,000 multipliers
-        scales to ~0.122x at the 128-multiplier budget."""
-        assert scale_throughput(11.4, 12_000) == pytest.approx(0.1216, abs=1e-3)
-
-    def test_scale_power_sanger_example(self):
-        """Sanger's 2243 mW systolic array at 1024 mults -> 280 mW at 128."""
-        assert scale_power(2.243, 1024) == pytest.approx(0.280, abs=1e-3)
-
-    def test_scale_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            scale_throughput(1.0, 0)
-        with pytest.raises(ValueError):
-            scale_power(1.0, -5)
 
     def test_our_latency_in_paper_band(self):
         """Paper: 2.4 ms; our model should land within ~2x of it."""

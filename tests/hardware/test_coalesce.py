@@ -5,7 +5,6 @@ import pytest
 from repro.butterfly.factor import stage_halves
 from repro.hardware.functional import (
     coalesce_pairs,
-    min_stage_cycles,
     schedule_stage,
     stage_read_cycles,
 )
@@ -20,15 +19,15 @@ class TestScheduleStage:
             pytest.skip("more banks than elements")
         for half in stage_halves(n):
             cycles = stage_read_cycles(n, half, nbanks, "butterfly")
-            assert cycles == min_stage_cycles(n, nbanks), (
+            assert cycles == n // nbanks, (
                 f"stage half={half} not conflict-free"
             )
 
     def test_row_major_conflicts_at_early_stages(self):
-        assert stage_read_cycles(16, 1, 4, "row_major") > min_stage_cycles(16, 4)
+        assert stage_read_cycles(16, 1, 4, "row_major") > 16 // 4
 
     def test_column_major_conflicts_at_late_stages(self):
-        assert stage_read_cycles(16, 8, 4, "column_major") > min_stage_cycles(16, 4)
+        assert stage_read_cycles(16, 8, 4, "column_major") > 16 // 4
 
     def test_no_single_naive_layout_works_everywhere(self):
         """Fig. 8's point: each naive layout fails at some stage."""
@@ -36,7 +35,7 @@ class TestScheduleStage:
             worst = max(
                 stage_read_cycles(64, half, 8, layout) for half in stage_halves(64)
             )
-            assert worst > min_stage_cycles(64, 8)
+            assert worst > 64 // 8
 
     def test_groups_hold_at_most_lanes_pairs(self):
         for group in schedule_stage(64, 4, 8):

@@ -1,51 +1,34 @@
-"""Butterfly memory system: layouts, S2P starting positions, conflicts."""
+"""Butterfly memory system: layouts and bank conflicts."""
 
 import numpy as np
 import pytest
 
 from repro.butterfly.factor import pair_indices, stage_halves
-from repro.hardware.functional import (
-    BankedBuffer,
-    bank_matrix,
-    bank_of,
-    popcount,
-    starting_positions,
-)
+from repro.hardware.functional import BankedBuffer, bank_of
 
 
-class TestStartingPositions:
-    def test_recursive_definition(self):
-        """P_{2^{n-1}..2^n-1} = P_{0..2^{n-1}-1} - 1 (paper Fig. 9)."""
-        p = starting_positions(16)
-        for n in range(1, 5):
-            half = 2 ** (n - 1)
-            np.testing.assert_array_equal(p[half: 2 * half], p[:half] - 1)
-
-    def test_closed_form_is_negative_popcount(self):
-        p = starting_positions(32)
-        expected = [-popcount(i) for i in range(32)]
-        np.testing.assert_array_equal(p, expected)
-
-    def test_first_is_zero(self):
-        assert starting_positions(8)[0] == 0
+def bank_rows(n, nbanks, layout):
+    """Element ids per bank, in column order (Figs. 8b/c and 10a)."""
+    return [[e for e in range(n) if bank_of(e, n, nbanks, layout) == bank]
+            for bank in range(nbanks)]
 
 
 class TestBankMapping:
     def test_butterfly_layout_matches_paper_fig10(self):
         """The 16-element example of Fig. 10a, banks as rows."""
-        grid = bank_matrix(16, 4, "butterfly")
+        grid = bank_rows(16, 4, "butterfly")
         assert grid[0] == [0, 7, 11, 14]
         assert grid[1] == [1, 4, 8, 15]
         assert grid[2] == [2, 5, 9, 12]
         assert grid[3] == [3, 6, 10, 13]
 
     def test_column_major_matches_paper_fig8b(self):
-        grid = bank_matrix(16, 4, "column_major")
+        grid = bank_rows(16, 4, "column_major")
         assert grid[0] == [0, 4, 8, 12]
         assert grid[3] == [3, 7, 11, 15]
 
     def test_row_major_matches_paper_fig8c(self):
-        grid = bank_matrix(16, 4, "row_major")
+        grid = bank_rows(16, 4, "row_major")
         assert grid[0] == [0, 1, 2, 3]
         assert grid[3] == [12, 13, 14, 15]
 

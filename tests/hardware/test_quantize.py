@@ -1,20 +1,16 @@
-"""Reduced-precision datapaths: fp16 rounding, int8 weights, verify modes."""
+"""Reduced-precision datapaths: fp16 rounding and verify modes."""
 
 import numpy as np
 import pytest
 
-from repro.butterfly import ButterflyFactor, ButterflyMatrix
+from repro.butterfly import ButterflyMatrix
 from repro.hardware import (
     Fp16ButterflyEngine,
-    Int8ButterflyEngine,
     accuracy_under_fp16,
-    accuracy_under_int8,
-    int8_quantization_error_report,
     quantization_error_report,
     quantize_fp16,
 )
 from repro.hardware.functional import ButterflyEngine
-from repro.kernels import quant as QK
 from repro.models import ModelConfig, build_fabnet
 
 
@@ -105,7 +101,6 @@ class TestFp16Engine:
 @pytest.mark.parametrize("engine_cls, mode", [
     (Fp16ButterflyEngine, "butterfly"),
     (Fp16ButterflyEngine, "fft"),
-    (Int8ButterflyEngine, "butterfly"),
 ])
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_a_tile_is_its_rows(engine_cls, mode, rows, rng):
@@ -161,90 +156,15 @@ class TestModelAccuracyUnderFp16:
         assert report["max_logit_error"] < 0.1
 
 
-class TestInt8Engine:
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_close_to_float64_reference(self, n, rng):
-        engine = Int8ButterflyEngine(pbu=4)
-        matrix = ButterflyMatrix.random(n, rng)
-        x = rng.normal(size=n)
-        exact = matrix.apply(x)
-        approx = engine.run_butterfly(x, matrix)
-        assert np.abs(approx - exact).max() / np.abs(exact).max() < 0.05
-
-    def test_verify_mode_passes_on_quantized_factors(self, rng):
-        """Banked loop == software kernels on the dequantized int8 stages."""
-        engine = Int8ButterflyEngine(pbu=4, verify=True)
-        matrix = ButterflyMatrix.random(32, rng)
-        engine.run_butterfly(rng.normal(size=32), matrix)
-
-    def test_matches_software_quantized_ladder(self, rng):
-        """Engine output == kernels.quantized_butterfly_apply on one ladder."""
-        n = 32
-        matrix = ButterflyMatrix.random(n, rng)
-        coeffs = [f.coeffs for f in matrix.factors]
-        halves = [f.half for f in matrix.factors]
-        qs, scales = QK.quantize_butterfly_stages(coeffs)
-        x = rng.normal(size=(4, n))
-        software = QK.quantized_butterfly_apply(x, qs, scales, halves)
-        engine = Int8ButterflyEngine(pbu=4)
-        hardware = engine.run_butterfly(x, matrix)
-        np.testing.assert_allclose(hardware, software, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("pbu", [1, 4])
-    @pytest.mark.parametrize("n", [8, 32, 256])
-    def test_stages_are_the_kernels_codes(self, rng, n, pbu):
-        """One quantizer: the engine runs the plain engine on exactly the
-        stages ``kernels.quantize_butterfly_stages`` stores and
-        ``kernels.dequantize_butterfly_stages`` widens to float64."""
-        matrix = ButterflyMatrix.random(n, rng)
-        x = rng.normal(size=(3, n))
-        codes, scales = QK.quantize_butterfly_stages(
-            [f.coeffs for f in matrix.factors])
-        stages = QK.dequantize_butterfly_stages(codes, scales, dtype=np.float64)
-        stored = ButterflyMatrix([
-            ButterflyFactor(f.n, f.half, c)
-            for f, c in zip(matrix.factors, stages)
-        ])
-        want = ButterflyEngine(pbu=pbu).run_butterfly(x, stored)
-        got = Int8ButterflyEngine(pbu=pbu).run_butterfly(x, matrix)
-        assert got.tobytes() == want.tobytes()
-
-    def test_fft_mode_rejected(self, rng):
-        engine = Int8ButterflyEngine(pbu=4)
-        with pytest.raises(ValueError, match="twiddles"):
-            engine.run_fft(rng.normal(size=16) + 0j)
-
-    def test_error_report(self, rng):
-        report = int8_quantization_error_report(64, rng)
-        assert report.acceptable()
-        assert report.max_rel_error < 0.05
-
-
-class TestModelAccuracyUnderInt8:
-    def test_runnable_int8_path_preserves_accuracy(self, rng):
-        cfg = ModelConfig(vocab_size=16, n_classes=4, max_len=16,
-                          d_hidden=16, n_heads=2, r_ffn=2, n_total=2, seed=0)
-        model = build_fabnet(cfg).eval()
-        tokens = rng.integers(0, 16, size=(16, 16))
-        labels = rng.integers(0, 4, size=16)
-        before = model.state_dict()
-        report = accuracy_under_int8(model, tokens, labels)
-        for key, value in model.state_dict().items():
-            np.testing.assert_array_equal(before[key], value)
-        assert abs(report["accuracy_delta"]) <= 0.25
-        assert report["weight_memory_ratio"] < 1.0
-
-
 @pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("accuracy", [accuracy_under_fp16, accuracy_under_int8])
-def test_the_callers_training_mode_is_kept(accuracy, training, rng):
-    """Both reports evaluate in eval mode and hand the model back in the
+def test_the_callers_training_mode_is_kept(training, rng):
+    """The report evaluates in eval mode and hands the model back in the
     mode it came in."""
     cfg = ModelConfig(vocab_size=16, n_classes=4, max_len=16,
                       d_hidden=16, n_heads=2, r_ffn=2, n_total=2, seed=0)
     model = build_fabnet(cfg).train(training)
     tokens = rng.integers(0, 16, size=(4, 16))
-    accuracy(model, tokens, rng.integers(0, 4, size=4))
+    accuracy_under_fp16(model, tokens, rng.integers(0, 4, size=4))
     stack = [model]
     while stack:  # every submodule, not only the root
         module = stack.pop()

@@ -364,17 +364,6 @@ class TestTransposeCache:
         np.testing.assert_allclose(out2.data, expected, atol=1e-12)
         assert not np.allclose(out1.data, out2.data)
 
-    def test_sgd_step_invalidates_cache(self):
-        rng = np.random.default_rng(37)
-        layer = nn.Linear(4, 4, bias=False, rng=rng)
-        opt = nn.optim.SGD(layer.parameters(), lr=0.5)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        (layer(x) * 2.0).sum().backward()
-        opt.step()
-        out = layer(Tensor(x.data))
-        np.testing.assert_allclose(out.data, x.data @ layer.weight.data.T,
-                                   atol=1e-12)
-
     def test_load_state_dict_invalidates_cache(self):
         rng = np.random.default_rng(41)
         layer = nn.Linear(4, 3, rng=rng)

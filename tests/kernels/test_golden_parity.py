@@ -281,11 +281,11 @@ class TestDtypePolicy:
     def test_layer_trains_in_float32(self, rng):
         """A ButterflyLinear training step stays float32 end to end."""
         from repro.nn import ButterflyLinear, Tensor
-        from repro.nn.optim import SGD
+        from repro.nn.optim import Adam
 
         with K.default_dtype("float32"):
             layer = ButterflyLinear(64, 64, rng=rng)
-            opt = SGD(layer.parameters(), lr=0.01)
+            opt = Adam(layer.parameters(), lr=0.01)
             x = Tensor(rng.normal(size=(32, 64)), requires_grad=True)
             out = layer.forward(x)
             assert out.dtype == np.float32

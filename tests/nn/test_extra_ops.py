@@ -1,21 +1,10 @@
-"""abs/clip/min/var operations."""
+"""clip/var operations."""
 
 import numpy as np
 import pytest
 
 from repro.nn import tensor as F
 from repro.nn.tensor import Tensor
-
-
-class TestAbs:
-    def test_forward(self, rng):
-        x = rng.normal(size=(5,))
-        np.testing.assert_allclose(F.abs_(Tensor(x)).data, np.abs(x))
-
-    def test_gradient(self, rng, gradcheck):
-        x = rng.normal(size=(6,))
-        x[np.abs(x) < 0.1] += 0.5  # keep away from the kink
-        gradcheck(F.abs_, x)
 
 
 class TestClip:
@@ -36,17 +25,6 @@ class TestClip:
         x = rng.normal(size=(8,)) * 2
         x[np.abs(np.abs(x) - 1.0) < 0.1] += 0.3  # away from clip edges
         gradcheck(lambda t: F.clip(t, -1.0, 1.0), x)
-
-
-class TestMin:
-    def test_forward(self, rng):
-        x = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(F.min_(Tensor(x), axis=1).data, x.min(axis=1))
-
-    def test_gradient_flows_to_argmin(self):
-        x = Tensor(np.array([3.0, 1.0, 2.0]), requires_grad=True)
-        F.min_(x).backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
 class TestVar:

@@ -95,26 +95,8 @@ class TestDropout:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("name,cls", [
-        ("relu", nn.ReLU), ("gelu", nn.GELU), ("tanh", nn.Tanh),
-    ])
-    def test_make_activation(self, name, cls):
-        assert isinstance(nn.make_activation(name), cls)
-
-    def test_make_activation_unknown(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            nn.make_activation("swish")
-
-    def test_relu_module(self, rng):
-        out = nn.ReLU()(nn.Tensor(np.array([-1.0, 1.0])))
-        np.testing.assert_allclose(out.data, [0.0, 1.0])
-
     def test_gelu_module_matches_functional(self, rng):
         x = rng.normal(size=(5,))
         np.testing.assert_allclose(
             nn.GELU()(nn.Tensor(x)).data, nn.tensor.gelu(nn.Tensor(x)).data
         )
-
-    def test_tanh_module(self, rng):
-        x = rng.normal(size=(5,))
-        np.testing.assert_allclose(nn.Tanh()(nn.Tensor(x)).data, np.tanh(x))

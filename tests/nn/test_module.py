@@ -102,7 +102,7 @@ class TestStateDict:
 class TestContainers:
     def test_sequential_forward(self):
         rng = np.random.default_rng(0)
-        seq = nn.Sequential(nn.Linear(3, 5, rng=rng), nn.ReLU(), nn.Linear(5, 2, rng=rng))
+        seq = nn.Sequential(nn.Linear(3, 5, rng=rng), nn.GELU(), nn.Linear(5, 2, rng=rng))
         out = seq(nn.Tensor(np.ones((4, 3))))
         assert out.shape == (4, 2)
         assert len(seq) == 3
@@ -120,9 +120,9 @@ class TestContainers:
         assert ml[3].out_features == 2
 
     def test_module_list_iteration(self):
-        ml = nn.ModuleList([nn.ReLU(), nn.GELU()])
+        ml = nn.ModuleList([nn.GELU(), nn.Dropout(0.1)])
         kinds = [type(m).__name__ for m in ml]
-        assert kinds == ["ReLU", "GELU"]
+        assert kinds == ["GELU", "Dropout"]
 
     def test_base_forward_raises(self):
         with pytest.raises(NotImplementedError):

@@ -113,18 +113,6 @@ class TestForwardValues:
         out = F.fourier_mix_2d(Tensor(x))
         np.testing.assert_allclose(out.data, np.fft.fft2(x, axes=(-2, -1)).real)
 
-    def test_butterfly_stage_matches_manual(self, rng):
-        x = rng.normal(size=(8,))
-        coeffs = rng.normal(size=(4, 4))
-        out = F.butterfly_stage(Tensor(x), Tensor(coeffs), half=4)
-        a, b, c, d = coeffs
-        expected = np.concatenate([a * x[:4] + b * x[4:], c * x[:4] + d * x[4:]])
-        np.testing.assert_allclose(out.data, expected)
-
-    def test_butterfly_stage_invalid_half(self, rng):
-        with pytest.raises(ValueError, match="half"):
-            F.butterfly_stage(Tensor(rng.normal(size=(8,))), Tensor(np.zeros((4, 4))), half=3)
-
     def test_where_selects(self):
         out = F.where(
             np.array([True, False]), Tensor(np.array([1.0, 1.0])), Tensor(np.array([2.0, 2.0]))

@@ -1,15 +1,10 @@
-"""ServingEngine: continuous batching, streaming, cancel, admission, metrics."""
+"""ServingEngine: continuous batching, streaming, cancel, metrics."""
 
 import numpy as np
 import pytest
 
 from repro.models import ModelConfig, build_butterfly_decoder
-from repro.serving import (
-    CostModelAdmission,
-    SamplingParams,
-    ServingEngine,
-    estimate_decode_step_ms,
-)
+from repro.serving import SamplingParams, ServingEngine
 
 
 @pytest.fixture(scope="module")
@@ -193,48 +188,6 @@ class TestStreaming:
         engine = ServingEngine(model, max_batch_size=1, seed=0)
         with pytest.raises(KeyError):
             next(engine.stream(123))
-
-
-class TestAdmission:
-    def test_cost_model_is_monotonic_in_batch(self, model):
-        admission = CostModelAdmission(model.config, step_budget_ms=1.0)
-        estimates = [admission.estimate_step_ms(b) for b in (1, 2, 4, 8)]
-        assert all(b > a for a, b in zip(estimates, estimates[1:]))
-
-    def test_budget_caps_concurrency(self, model, rng):
-        admission = CostModelAdmission(model.config, step_budget_ms=1.0)
-        cap = admission.max_batch_within_budget(limit=64)
-        assert cap >= 1
-        tight = CostModelAdmission(
-            model.config, step_budget_ms=admission.estimate_step_ms(cap)
-        )
-        assert tight.admit(cap) and not tight.admit(cap + 1)
-        engine = ServingEngine(model, max_batch_size=64, admission=tight,
-                               seed=0)
-        for p in _prompts(rng, min(2 * cap, 12)):
-            engine.submit(p, SamplingParams(max_new_tokens=3, temperature=0.5,
-                                            seed=0))
-        while engine.has_work:
-            engine.step()
-            assert engine.scheduler.batch_size <= cap
-
-    def test_starving_policy_raises(self, model, rng):
-        class RejectAll:
-            def admit(self, prospective_batch):
-                return False
-
-        engine = ServingEngine(model, max_batch_size=2, admission=RejectAll(),
-                               seed=0)
-        engine.submit(rng.integers(1, 28, size=3), SamplingParams())
-        with pytest.raises(RuntimeError, match="admission"):
-            engine.run()
-
-    def test_estimate_scales_with_context(self, model):
-        short = estimate_decode_step_ms(model.config, CostModelAdmission(
-            model.config).accel_config, batch=4, ctx_len=8)
-        long = estimate_decode_step_ms(model.config, CostModelAdmission(
-            model.config).accel_config, batch=4, ctx_len=512)
-        assert long > short
 
 
 class TestMetrics:

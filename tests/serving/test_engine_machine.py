@@ -1,12 +1,20 @@
 """A stateful machine over ``ServingEngine``: random interleavings of
-``submit``, ``cancel`` and ``step`` on the tiny ``repro serve`` decoder,
-with fp weights and no faults.
+``submit``, ``cancel``, ``tick`` and ``step`` on the tiny ``repro serve``
+decoder, with fp weights and no faults.
 
 Prompts run from one token to ``max_len + 4``, so window clipping,
-window-edge re-prefills and unequal admission waves all occur.  After
-every rule the scheduler holds no more rows than its batch size and a
-cache exactly as wide as its running rows.  At teardown the engine is
-run dry and then:
+window-edge re-prefills and unequal admission waves all occur.  A
+request's deadline is either none or 0.5-3 s, on a fake engine clock
+that only ``tick`` advances, so a step sees one instant.  After every
+rule the scheduler holds no more rows than its batch size and a cache
+exactly as wide as its running rows.  Throughout:
+
+* a request finishes ``deadline`` only at or after its submit time plus
+  its ``deadline_s``;
+* no request gains a token in a step that began at or past its
+  deadline.
+
+At teardown the engine is run dry and then:
 
 * every accepted request made exactly one terminal transition
   (``RequestTable.finish`` returning True) and no step event followed a
@@ -16,9 +24,10 @@ run dry and then:
 * every request that finished ``length`` has the tokens of its solo run
   on a fresh engine, whatever it was batched with.
 
-Bounded at 25 examples of up to 25 rules: 1.3-2 s on a 2-vCPU box.
+Bounded at 25 examples of up to 25 rules: 1.3-2.5 s on a 2-vCPU box.
 """
 
+import dataclasses
 import functools
 from collections import Counter
 
@@ -59,34 +68,55 @@ def solo_tokens(prompt: tuple, params: SamplingParams) -> list:
 class EngineMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        self.engine = ServingEngine(tiny_decoder(), max_batch_size=MAX_BATCH, seed=0)
+        self.now = 0.0
+        self.engine = ServingEngine(tiny_decoder(), max_batch_size=MAX_BATCH,
+                                    seed=0, clock=lambda: self.now)
         self.submitted = {}  # request id -> (prompt, params)
+        self.expires_at = {}  # request id -> submit time + deadline_s
         self.handles = []
         self.transitions = Counter()
         self.finished_events = Counter()
-        table_finish = self.engine.requests.finish
+        table = self.engine.requests
+        table_finish, table_append = table.finish, table.append
 
         def counted_finish(request_id, reason):
             done = table_finish(request_id, reason)
             self.transitions[request_id] += done
+            if done and reason == "deadline":
+                assert self.now >= self.expires_at[request_id], \
+                    "a deadline finish before the deadline"
             return done
 
-        self.engine.requests.finish = counted_finish
+        def checked_append(request_id, token):
+            assert self.now < self.expires_at.get(request_id, float("inf")), \
+                "a token from a step that began past the deadline"
+            table_append(request_id, token)
+
+        table.finish, table.append = counted_finish, checked_append
 
     @rule(
         length=st.integers(1, TINY_DECODER["max_len"] + 4),
         new_tokens=st.integers(1, 6),
         temperature=st.sampled_from((0.0, 0.8)),
         seed=st.integers(0, 2**16),
+        deadline_s=st.none() | st.floats(0.5, 3.0),
     )
-    def submit(self, length, new_tokens, temperature, seed):
+    def submit(self, length, new_tokens, temperature, seed, deadline_s):
         prompt = tuple(int(t) for t in np.random.default_rng(seed).integers(
             0, TINY_DECODER["vocab_size"], size=length))
         params = SamplingParams(
-            max_new_tokens=new_tokens, temperature=temperature, seed=seed)
+            max_new_tokens=new_tokens, temperature=temperature, seed=seed,
+            deadline_s=deadline_s)
         handle = self.engine.submit(np.asarray(prompt, dtype=np.int64), params)
         self.submitted[handle.id] = (prompt, params)
+        if deadline_s is not None:
+            # The same sum the table stores: the clock has not moved.
+            self.expires_at[handle.id] = self.now + deadline_s
         self.handles.append(handle)
+
+    @rule(seconds=st.floats(0.05, 1.5))
+    def tick(self, seconds):
+        self.now += seconds
 
     @precondition(lambda self: self.engine.has_work)
     @rule(data=st.data())
@@ -123,7 +153,8 @@ class EngineMachine(RuleBasedStateMachine):
             assert self.transitions[request_id] == 1
             result = self.engine.result(request_id)
             if result.finish_reason == "length":
-                assert result.tokens == solo_tokens(prompt, params)
+                solo = dataclasses.replace(params, deadline_s=None)
+                assert result.tokens == solo_tokens(prompt, solo)
 
 
 EngineMachine.TestCase.settings = settings(

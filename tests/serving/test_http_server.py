@@ -237,6 +237,8 @@ class TestEndpointContract:
         ({"prompt": [1], "max_new_tokens": -3}, b"max_new_tokens"),
         (b"\xff\xfe{", b"invalid JSON"),  # truncated UTF-16
         ({"prompt": [1 << 70]}, b"prompt"),
+        # json.dumps writes NaN, and json.loads reads it back as a float.
+        ({"prompt": [1], "deadline_s": float("nan")}, b"deadline_s"),
     ])
     def test_validation_400(self, served, body, fragment):
         server, _ = served

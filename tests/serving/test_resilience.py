@@ -362,15 +362,6 @@ class TestShedding:
         assert engine.scheduler.queue_depth == 1
         assert engine.result(shed_rid).tokens == []
 
-    def test_delegates_batch_admission_to_inner(self, model):
-        class Never:
-            def admit(self, prospective_batch):
-                return False
-
-        shedder = LoadSheddingAdmission(inner=Never())
-        assert not shedder.admit(1)
-        assert LoadSheddingAdmission().admit(99)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LoadSheddingAdmission(max_queue_depth=0)

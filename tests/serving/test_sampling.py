@@ -110,6 +110,10 @@ class TestValidation:
         {"top_k": -1},
         {"top_p": 0.0},
         {"top_p": 1.5},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
+        {"deadline_s": float("nan")},
+        {"deadline_s": float("inf")},
     ])
     def test_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from repro.faults import (
     TransientFault,
     fault_point,
     parse_fault_spec,
-    register_injection_point,
     use_faults,
 )
 
@@ -58,18 +57,6 @@ class TestSpecParsing:
     def test_bad_specs_fail_fast(self, spec):
         with pytest.raises(ValueError):
             parse_fault_spec(spec)
-
-    def test_register_new_point(self):
-        register_injection_point("tests.custom_op")
-        try:
-            (rule,) = parse_fault_spec("tests.custom_op:transient")
-            assert rule.point == "tests.custom_op"
-        finally:
-            faults.INJECTION_POINTS.discard("tests.custom_op")
-
-    def test_register_rejects_unqualified_name(self):
-        with pytest.raises(ValueError):
-            register_injection_point("noprefix")
 
 
 class TestSchedule:

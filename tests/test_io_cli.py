@@ -138,7 +138,6 @@ class TestDecoderStateDictRoundTrip:
         np.testing.assert_allclose(model(tokens).data, restored(tokens).data,
                                    atol=1e-12)
 
-
     @staticmethod
     def _with_config_keys(model, path, extra):
         """``model`` saved as a checkpoint whose config JSON carries
@@ -322,14 +321,6 @@ class TestServeCLI:
         assert code == 0
         assert "served 8/8 requests" in out
         assert "tokens/s" in out and "ttft" in out
-
-    def test_serve_with_cost_admission(self, capsys):
-        code = main(["serve", "--requests", "4", "--max-batch-size", "4",
-                     "--max-new-tokens", "3", "--max-len", "32",
-                     "--d-hidden", "16", "--step-budget-ms", "5.0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "admission: modeled step budget" in out
 
     def test_serve_zero_requests_reports_without_crashing(self, capsys):
         code = main(["serve", "--requests", "0", "--max-len", "32",
