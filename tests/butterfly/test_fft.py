@@ -55,6 +55,18 @@ class TestFFTCorrectness:
         x[0] = 1.0
         np.testing.assert_allclose(fft(x), np.ones(16), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 16, 256, 1024])
+    def test_conjugate_trick_inverts(self, n, rng):
+        """``conj(fft(conj(X))) / n`` is the inverse transform."""
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        np.testing.assert_allclose(np.conj(fft(np.conj(fft(x)))) / n, x,
+                                   atol=1e-10)
+
+    def test_linearity(self, rng):
+        x, y = rng.normal(size=(2, 64))
+        np.testing.assert_allclose(fft(2.0 * x - 3.0 * y),
+                                   2.0 * fft(x) - 3.0 * fft(y), atol=1e-9)
+
     def test_parseval(self, rng):
         x = rng.normal(size=128)
         energy_time = (np.abs(x) ** 2).sum()

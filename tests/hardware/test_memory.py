@@ -54,6 +54,15 @@ class TestConflictStructure:
                     b, n, nbanks, "butterfly"
                 ), f"conflict at half={half}, pair=({a},{b})"
 
+    @pytest.mark.parametrize("n, nbanks", [(16, 4), (64, 2), (128, 16),
+                                           (1024, 32)])
+    def test_butterfly_layout_is_conflict_free_at_every_size(self, n, nbanks):
+        for half in stage_halves(n):
+            pairs = pair_indices(n, half)
+            banks = [(bank_of(a, n, nbanks, "butterfly"),
+                      bank_of(b, n, nbanks, "butterfly")) for a, b in pairs]
+            assert all(x != y for x, y in banks), f"half={half}"
+
     def test_column_major_conflicts_at_large_stride(self):
         """Fig. 8b: x0/x8 collide in column-major order."""
         assert bank_of(0, 16, 4, "column_major") == bank_of(8, 16, 4, "column_major")

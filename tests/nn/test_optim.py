@@ -39,6 +39,32 @@ class TestAdam:
         opt.step()
         np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.1 * 2.0])
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_matches_textbook_update(self, weight_decay, rng):
+        lr, (b1, b2), eps = 0.05, (0.9, 0.999), 1e-8
+        start = rng.normal(size=6)
+        grads = rng.normal(size=(4, 6))
+        p = nn.Parameter(start.copy())
+        opt = nn.Adam([p], lr=lr, betas=(b1, b2), eps=eps,
+                      weight_decay=weight_decay)
+        w, m, v = start.copy(), np.zeros(6), np.zeros(6)
+        for t, g in enumerate(grads, 1):
+            p.grad = g.copy()
+            opt.step()
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            w = w * (1 - lr * weight_decay)
+            w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        np.testing.assert_allclose(p.data, w, rtol=1e-12, atol=1e-14)
+
+    def test_skips_params_without_grad(self):
+        held, moved = nn.Parameter(np.array([3.0])), quadratic_params()
+        opt = nn.Adam([held, moved], lr=0.1)
+        loss_of(moved).backward()
+        opt.step()
+        np.testing.assert_array_equal(held.data, [3.0])
+        assert moved.data[0] < 5.0
+
     def test_invalid_lr(self):
         with pytest.raises(ValueError, match="learning rate"):
             nn.Adam([nn.Parameter(np.zeros(1))], lr=0.0)

@@ -239,6 +239,8 @@ class TestEndpointContract:
         ({"prompt": [1 << 70]}, b"prompt"),
         # json.dumps writes NaN, and json.loads reads it back as a float.
         ({"prompt": [1], "deadline_s": float("nan")}, b"deadline_s"),
+        ({"prompt": [1], "deadline_s": float("inf")}, b"deadline_s"),
+        ({"prompt": [1], "temperature": float("nan")}, b"temperature"),
     ])
     def test_validation_400(self, served, body, fragment):
         server, _ = served

@@ -368,6 +368,24 @@ class TestShedding:
         with pytest.raises(ValueError):
             LoadSheddingAdmission(est_step_s=0.0)
 
+    @pytest.mark.parametrize("policy, depth, deadline_s, reason", [
+        ({}, 100, 0.1, None),
+        ({"max_queue_depth": 3}, 2, None, None),
+        ({"max_queue_depth": 3}, 3, None, "queue_full"),
+        # Four queued steps of 0.5 s just fit a 2 s budget.
+        ({"est_step_s": 0.5}, 4, 2.0, None),
+        ({"est_step_s": 0.5}, 4, 1.9, "deadline_unreachable"),
+        ({"est_step_s": 0.5}, 4, None, None),
+        # A full queue is reported before an unreachable deadline.
+        ({"max_queue_depth": 3, "est_step_s": 1.0}, 3, 1.0, "queue_full"),
+        # A shorter fleet-wide backlog never loosens a full replica.
+        ({"max_queue_depth": 3, "depth_source": lambda: 0}, 3, None,
+         "queue_full"),
+    ])
+    def test_shed_reason(self, policy, depth, deadline_s, reason):
+        admission = LoadSheddingAdmission(**policy)
+        assert admission.shed_reason(depth, deadline_s) == reason
+
 
 class TestSubmitValidation:
     """Satellite: a rejected submit must not mutate engine state."""

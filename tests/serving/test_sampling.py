@@ -114,10 +114,23 @@ class TestValidation:
         {"temperature": float("inf")},
         {"deadline_s": float("nan")},
         {"deadline_s": float("inf")},
+        {"temperature": float("-inf")},
+        {"deadline_s": float("-inf")},
+        {"deadline_s": 0.0},
+        {"deadline_s": -1.0},
     ])
     def test_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SamplingParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"temperature": 0.0},
+        {"temperature": 1e6},
+        {"deadline_s": None},
+        {"deadline_s": 1e-6},
+    ])
+    def test_boundary_params_accepted(self, kwargs):
+        assert SamplingParams(**kwargs)
 
     def test_filter_rejects_bad_top_p(self, rng):
         with pytest.raises(ValueError, match="top_p"):

@@ -1,18 +1,26 @@
 """Fault-injection framework: specs, schedules, scoping, zero-cost off."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import faults
 from repro.faults import (
+    INJECTION_POINTS,
+    KINDS,
     FatalFault,
     FaultInjector,
     FaultRule,
     TransientFault,
     fault_point,
     parse_fault_spec,
+    rules_to_spec,
     use_faults,
 )
+
+SRC = Path(faults.__file__).resolve().parent
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +65,32 @@ class TestSpecParsing:
     def test_bad_specs_fail_fast(self, spec):
         with pytest.raises(ValueError):
             parse_fault_spec(spec)
+
+
+class TestInjectionPoints:
+    @pytest.mark.parametrize("point", sorted(INJECTION_POINTS))
+    def test_every_point_is_fired_in_code(self, point):
+        """A point no ``fault_point`` call names is a spec that parses
+        and never fires."""
+        call = re.compile(
+            r"fault_point\(\s*['\"]" + re.escape(point) + "['\"]")
+        assert any(call.search(path.read_text())
+                   for path in SRC.rglob("*.py") if path.name != "faults.py")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("point", sorted(INJECTION_POINTS))
+    def test_rule_round_trips_through_spec(self, point, kind):
+        rule = FaultRule(point, kind, after=2, every=3, times=0, p=0.25)
+        assert parse_fault_spec(rules_to_spec([rule])) == [rule]
+
+    def test_default_options_are_left_out(self):
+        assert rules_to_spec([FaultRule("io.save", "fatal")]) == "io.save:fatal"
+
+    def test_rule_list_round_trips_in_order(self):
+        spec = "serving.prefill:transient;kernels.matmul:fatal:every=2,times=3"
+        rules = parse_fault_spec(spec)
+        assert rules_to_spec(rules) == spec
+        assert parse_fault_spec(rules_to_spec(rules)) == rules
 
 
 class TestSchedule:

@@ -17,6 +17,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 SEARCHED = ("src", "benchmarks", "examples", "scripts")
@@ -66,15 +68,16 @@ def _references(tree, is_init):
                 yield alias.name, node.lineno
 
 
-def unreached_names():
+def unreached_names(root=ROOT, allowed=ALLOWED):
     """``module:name`` for each public top-level def no code refers to,
     and ``allowlist:name`` for each entry that is undefined or reached."""
+    package = root / "src" / "repro"
     trees = {path: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.rglob("*.py"))}
+             for path in sorted(package.rglob("*.py"))}
     defs = _public_defs(trees)
     pending = set(defs)
     for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
+        for path in sorted((root / top).rglob("*.py")):
             text = path.read_text()
             # Parsing dominates the cost: skip files naming nothing pending.
             if pending.isdisjoint(_IDENTIFIER.findall(text)):
@@ -85,12 +88,22 @@ def unreached_names():
                         first <= line <= last
                         for first, last in defs[name].get(path, ())):
                     pending.discard(name)
-    flagged = [f"{path.relative_to(PACKAGE)}:{name}"
-               for name in pending - set(ALLOWED)
+    flagged = [f"{path.relative_to(package)}:{name}"
+               for name in pending - set(allowed)
                if not name.endswith("_reference")
                for path in defs[name]]
-    stale = [f"allowlist:{name}" for name in ALLOWED if name not in pending]
+    stale = [f"allowlist:{name}" for name in allowed if name not in pending]
     return sorted(flagged + stale)
+
+
+def long_prose_lines(root=ROOT):
+    """``file:line`` for each line of the root docs over the limit."""
+    return [
+        f"{name}:{number}"
+        for name in DOCS
+        for number, line in enumerate(
+            (root / name).read_text().splitlines(), 1)
+        if len(line) > MAX_DOC_LINE]
 
 
 def test_every_public_name_is_reached():
@@ -98,10 +111,163 @@ def test_every_public_name_is_reached():
 
 
 def test_prose_lines_are_short():
-    long_lines = [
-        f"{name}:{number}"
-        for name in DOCS
-        for number, line in enumerate(
-            (ROOT / name).read_text().splitlines(), 1)
-        if len(line) > MAX_DOC_LINE]
-    assert long_lines == []
+    assert long_prose_lines() == []
+
+
+# --- The scanner itself, on small trees laid out like this repository. ---
+
+DEF = "def target():\n    return 1\n"
+
+
+def _tree(root, files):
+    """Write ``{relative path: source}`` under ``root`` as a repository."""
+    files = {"src/repro/__init__.py": "", **files}
+    for relative, source in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return root
+
+
+def _scan(tmp_path, files, allowed=()):
+    return unreached_names(_tree(tmp_path, files), dict.fromkeys(allowed, ""))
+
+
+class TestScanner:
+    def test_unused_def_is_flagged(self, tmp_path):
+        assert _scan(tmp_path, {"src/repro/mod.py": DEF}) == ["mod.py:target"]
+
+    def test_call_from_another_module_reaches(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "src/repro/user.py": "from .mod import target\n\n"
+                                 "def run():\n    return target()\n",
+            "examples/demo.py": "from repro.user import run\nrun()\n",
+        }) == []
+
+    def test_reference_inside_own_body_does_not_reach(self, tmp_path):
+        recursive = "def target(n):\n    return target(n - 1) if n else 0\n"
+        assert _scan(tmp_path, {"src/repro/mod.py": recursive}) == [
+            "mod.py:target"]
+
+    def test_call_below_the_def_in_its_own_module_reaches(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF + "\nVALUE = target()\n"}) == []
+
+    def test_docstring_mention_does_not_reach(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "src/repro/other.py": '"""Unlike ``target``, this ..."""\n',
+        }) == ["mod.py:target"]
+
+    def test_all_string_does_not_reach(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF + '\n__all__ = ["target"]\n',
+        }) == ["mod.py:target"]
+
+    def test_package_reexport_does_not_reach(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/__init__.py": "from .mod import target\n",
+            "src/repro/mod.py": DEF,
+        }) == ["mod.py:target"]
+
+    def test_code_in_a_package_init_reaches(self, tmp_path):
+        """Like ``kernels/__init__.py``'s ``butterfly_apply`` calling
+        ``grouped_forward``: the init's own code is a caller."""
+        assert _scan(tmp_path, {
+            "src/repro/__init__.py": "from .mod import target\n\n"
+                                     "def apply():\n    return target()\n",
+            "src/repro/mod.py": DEF,
+        }) == []
+
+    def test_attribute_reference_reaches(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "scripts/tool.py": "from repro import mod\nmod.target()\n",
+        }) == []
+
+    def test_from_import_outside_an_init_reaches(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "benchmarks/bench.py": "from repro.mod import target\n",
+        }) == []
+
+    @pytest.mark.parametrize("top", ["src", "benchmarks", "examples",
+                                     "scripts"])
+    def test_each_searched_tree_counts(self, tmp_path, top):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            f"{top}/caller.py": "import repro.mod\nrepro.mod.target()\n",
+        }) == []
+
+    def test_a_reference_from_tests_does_not_reach(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "tests/test_mod.py": "from repro.mod import target\n"
+                                 "assert target() == 1\n",
+        }) == ["mod.py:target"]
+
+    @pytest.mark.parametrize("source", [
+        "class Target:\n    pass\n",
+        "async def target():\n    return 1\n",
+    ], ids=["class", "async-def"])
+    def test_classes_and_async_defs_are_scanned(self, tmp_path, source):
+        assert len(_scan(tmp_path, {"src/repro/mod.py": source})) == 1
+
+    def test_private_and_nested_names_are_not_scanned(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": "def _helper():\n    pass\n\n"
+                                "class Box:\n    def method(self):\n"
+                                "        pass\n\n"
+                                "BOX = Box()\n",
+        }) == []
+
+    def test_init_modules_define_no_surface(self, tmp_path):
+        assert _scan(tmp_path, {"src/repro/__init__.py": DEF}) == []
+
+    def test_same_name_in_two_modules_is_flagged_in_both(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/a.py": DEF,
+            "src/repro/sub/__init__.py": "",
+            "src/repro/sub/b.py": DEF,
+        }) == ["a.py:target", "sub/b.py:target"]
+
+    def test_reference_oracles_are_allowed_by_suffix(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": "def dense_reference(x):\n    return x\n",
+        }) == []
+
+    def test_allowlisted_name_passes(self, tmp_path):
+        assert _scan(tmp_path, {"src/repro/mod.py": DEF},
+                     allowed=["target"]) == []
+
+    def test_reached_allowlist_entry_is_stale(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF + "\nVALUE = target()\n",
+        }, allowed=["target"]) == ["allowlist:target"]
+
+    def test_undefined_allowlist_entry_is_stale(self, tmp_path):
+        assert _scan(tmp_path, {"src/repro/mod.py": DEF + "\ntarget()\n"},
+                     allowed=["gone"]) == ["allowlist:gone"]
+
+    def test_every_allowlist_reason_names_its_keep_rule(self):
+        assert all(reason.split(":")[0] in ("type", "hook", "oracle")
+                   for reason in ALLOWED.values())
+
+    def test_kernels_init_calls_grouped_forward(self):
+        path = PACKAGE / "kernels" / "__init__.py"
+        names = {name for name, _ in _references(
+            ast.parse(path.read_text()), is_init=True)}
+        assert "grouped_forward" in names
+
+
+class TestProseScan:
+    @pytest.mark.parametrize("width, flagged", [
+        (MAX_DOC_LINE, []),
+        (MAX_DOC_LINE + 1, ["README.md:2"]),
+    ], ids=["at-limit", "over-limit"])
+    def test_line_width(self, tmp_path, width, flagged):
+        for name in DOCS:
+            (tmp_path / name).write_text("# Title\n")
+        (tmp_path / "README.md").write_text("# Title\n" + "x" * width + "\n")
+        assert long_prose_lines(tmp_path) == flagged
