@@ -37,9 +37,8 @@ def run_ablation():
     return error_rows, report
 
 
-def test_ablation_fp16(benchmark):
-    error_rows, model_report = benchmark.pedantic(run_ablation, rounds=1,
-                                                  iterations=1)
+def test_ablation_fp16():
+    error_rows, model_report = run_ablation()
     print_table(
         "Ablation: fp16 butterfly datapath error vs float64",
         ["butterfly size", "max rel err", "mean rel err"],

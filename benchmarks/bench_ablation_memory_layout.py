@@ -34,8 +34,8 @@ def compute_cycles():
     return rows
 
 
-def test_ablation_memory_layout(benchmark):
-    rows = benchmark(compute_cycles)
+def test_ablation_memory_layout():
+    rows = compute_cycles()
     print_table(
         "Ablation: read cycles per full butterfly (8 banks)",
         ["n", "optimum", "S2P layout", "column-major", "row-major",

@@ -28,8 +28,8 @@ def compute_ablation():
     return rows
 
 
-def test_ablation_overlap(benchmark):
-    rows = benchmark(compute_ablation)
+def test_ablation_overlap():
+    rows = compute_ablation()
     print_table(
         "Ablation: Fig. 13 overlap strategies (FABNet-Base, seq 1024, 64 BEs)",
         ["bandwidth GB/s", "naive ms", "overlapped ms", "gain"],

@@ -28,8 +28,8 @@ def compute_ablation():
     return rows
 
 
-def test_ablation_pipeline(benchmark):
-    rows = benchmark(compute_ablation)
+def test_ablation_pipeline():
+    rows = compute_ablation()
     print_table(
         "Ablation: Fig. 14 BP<->AP fine-grained pipelining "
         "(all-ABfly FABNet, 32 BEs)",

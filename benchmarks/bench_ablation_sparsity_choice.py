@@ -45,8 +45,8 @@ def run_comparison():
     return rows
 
 
-def test_ablation_sparsity_choice(benchmark):
-    rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_ablation_sparsity_choice():
+    rows = run_comparison()
     print_table(
         "Ablation: butterfly fit vs parameter-matched truncated SVD "
         "(relative Frobenius error)",

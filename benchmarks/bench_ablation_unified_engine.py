@@ -36,8 +36,8 @@ def compute_ablation():
     return rows
 
 
-def test_ablation_unified_engine(benchmark):
-    rows = benchmark(compute_ablation)
+def test_ablation_unified_engine():
+    rows = compute_ablation()
     print_table(
         "Ablation: unified engine vs dedicated FFT+butterfly engines "
         "(equal multiplier budget, FABNet-Base seq 1024)",

@@ -7,9 +7,9 @@ Measures, on the tiny decoder config:
   served by a single in-process ``ServingEngine`` and by a supervised
   ``ClusterEngine`` at 1 and 2 workers.  Worker processes are real
   parallelism (each replica decodes its share of the sessions in its own
-  interpreter), so on a multi-core runner 2 workers should beat 1 by
-  >= 1.2x; on a 1-core container the workers time-slice and the ratio is
-  meaningless (the ``cores`` field lets check_bench SKIP the bar there).
+  interpreter), so on a multi-core runner 2 workers should beat 1; on a
+  1-core container the workers time-slice.  The ratio is recorded beside
+  ``cores``, not gated (ROADMAP item 13(b)).
 * **recovery after a mid-decode SIGKILL** — one worker of a 2-worker
   cluster is killed once tokens are flowing; recorded are the time from
   the kill to the last session finishing, the number of lost/hung
@@ -136,7 +136,7 @@ def run(config=TINY_CONFIG, requests=16, prompt_len=32, new_tokens=32,
 
 def test_cluster_scaling(quick: bool = False):
     """2-worker failover must be lossless and token-bit-identical; the
-    throughput scaling bar is gated by check_bench only on >= 4 cores."""
+    throughput scaling is recorded, not gated."""
     if quick:
         r = run(requests=8, prompt_len=16, new_tokens=16)
     else:

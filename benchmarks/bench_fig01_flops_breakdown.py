@@ -26,8 +26,8 @@ def compute_breakdown():
     return rows
 
 
-def test_fig01_flops_breakdown(benchmark):
-    rows = benchmark(compute_breakdown)
+def test_fig01_flops_breakdown():
+    rows = compute_breakdown()
     print_table(
         "Figure 1: operation breakdown (% of FLOPs)",
         ["model", "seq", "attention%", "linear%", "other%"],

@@ -27,8 +27,8 @@ def compute_breakdowns():
     return rows
 
 
-def test_fig03_latency_breakdown(benchmark):
-    rows = benchmark(compute_breakdowns)
+def test_fig03_latency_breakdown():
+    rows = compute_breakdowns()
     print_table(
         "Figure 3: BERT-Large execution-time breakdown (%)",
         ["platform", "seq", "attention%", "linear%", "other%"],

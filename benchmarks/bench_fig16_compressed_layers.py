@@ -34,8 +34,8 @@ def run_sweep():
     return accuracies
 
 
-def test_fig16_compressed_layers(benchmark):
-    accuracies = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_fig16_compressed_layers():
+    accuracies = run_sweep()
     print_table(
         "Figure 16: accuracy vs #compressed (FBfly) layers — synthetic LRA-Text",
         ["compressed layers", "test accuracy"],

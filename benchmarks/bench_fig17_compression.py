@@ -25,8 +25,8 @@ def compute_ratios():
     return out
 
 
-def test_fig17_compression(benchmark):
-    ratios = benchmark(compute_ratios)
+def test_fig17_compression():
+    ratios = compute_ratios()
     print_table(
         "Figure 17: FABNet reduction factors (paper: 10-66x FLOPs, "
         "2-22x params over Transformer)",

@@ -23,8 +23,8 @@ def run_search():
     return run_codesign(oracle, seq_len=4096, space=space, max_accuracy_loss=0.015)
 
 
-def test_fig18_codesign(benchmark):
-    result = benchmark.pedantic(run_search, rounds=1, iterations=1)
+def test_fig18_codesign():
+    result = run_search()
     print_table(
         "Figure 18: Pareto front of the co-design search (LRA-Text, VCU128)",
         ["Dhid", "Rffn", "Ntotal", "NABfly", "Pbe", "Pbu", "Pqk", "Psv",

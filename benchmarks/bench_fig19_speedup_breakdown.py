@@ -43,8 +43,8 @@ def compute_breakdown():
     return rows
 
 
-def test_fig19_speedup_breakdown(benchmark):
-    rows = benchmark(compute_breakdown)
+def test_fig19_speedup_breakdown():
+    rows = compute_breakdown()
     print_table(
         "Figure 19: speedup breakdown (paper: algo 1.56-2.3x, "
         "hw 19.5-53.3x, total 30.8-87.3x)",

@@ -59,8 +59,8 @@ def compute_comparison():
     return rows
 
 
-def test_fig20_gpu_cpu_comparison(benchmark):
-    rows = benchmark(compute_comparison)
+def test_fig20_gpu_cpu_comparison():
+    rows = compute_comparison()
     print_table(
         "Figure 20: FPGA vs GPU/CPU (paper: up to 9x server speedup, "
         "3.5-8x Jetson, 36-342x Pi 4)",

@@ -24,8 +24,8 @@ def compute_sweep():
     return table
 
 
-def test_fig21_bandwidth(benchmark):
-    table = benchmark(compute_sweep)
+def test_fig21_bandwidth():
+    table = compute_sweep()
     rows = [
         (seq, n_bes, *(f"{v:.1f}" for v in table[(seq, n_bes)]))
         for seq in SEQ_LENGTHS

@@ -1,16 +1,11 @@
-"""Open-loop HTTP load benchmark: p50/p99 TTFT, shed rate, zero-loss kill.
+"""Open-loop HTTP load benchmark: shed at the door, zero-loss worker kill.
 
 Drives the asyncio HTTP control plane (:mod:`repro.serving.server`) over
 real TCP sockets with an **open-loop** generator — arrivals follow a
 Poisson process on a fixed schedule, so a slow server cannot slow the
 offered load down (closed-loop harnesses hide overload by backing off).
-Three scenarios on the tiny decoder:
+Two scenarios on the tiny decoder:
 
-* **steady** — a ramp profile (each phase raises the arrival rate) with
-  a prompt/output length mix, every request streaming (SSE).  Reports
-  p50/p99 TTFT (first ``data:`` token event on the wire), p99 end-to-end
-  latency and delivered tokens/s.  Every request must be accepted and
-  complete (``lost_requests == 0``).
 * **overload** — a burst far above service capacity against a
   queue-depth-2 :class:`~repro.serving.admission.LoadSheddingAdmission`.
   The server must shed at the door (429 + ``Retry-After``), never hang:
@@ -21,15 +16,15 @@ Three scenarios on the tiny decoder:
   one worker is SIGKILLed mid-load.  Failover replay must finish every
   accepted request bit-silently (zero lost, ``kill_landed``).
 
-Results persist to ``BENCH_load.json`` under ``load`` / ``load_smoke``
-(with ``cores`` so check_bench can SKIP core-conditional latency bars on
-1-core containers).  Run directly (``python benchmarks/bench_load.py``,
-``--quick`` for the CI smoke) or via pytest.
+Every gate is an exact count.  Latency and tokens/s over the same plane
+are the e2e harness's ``http_stream`` workload (``benchmarks/e2e``).
+Results persist to ``BENCH_load.json`` under ``load`` / ``load_smoke``.
+Run directly (``python benchmarks/bench_load.py``, ``--quick`` for the
+CI smoke) or via pytest.
 """
 
 import http.client
 import json
-import os
 import sys
 import threading
 import time
@@ -55,7 +50,7 @@ LENGTH_MIX = ((4, 8), (8, 16), (16, 24))
 def _poisson_plan(rng, phases, seed):
     """Open-loop arrival schedule: ``[(send_at_s, body), ...]``.
 
-    ``phases`` is the ramp profile — ``(rate_rps, n_requests)`` pairs;
+    ``phases`` is a list of ``(rate_rps, n_requests)`` pairs;
     inter-arrival gaps are exponential, so each phase is a Poisson
     process at its rate.
     """
@@ -81,12 +76,10 @@ def _poisson_plan(rng, phases, seed):
 
 
 def _fire(host, port, send_at, body, record):
-    """One open-loop request: sleep to its slot, stream, time it."""
+    """One open-loop request: sleep to its slot, then stream it."""
     delay = send_at - time.perf_counter()
     if delay > 0:
         time.sleep(delay)
-    t0 = time.perf_counter()
-    record["sent_at"] = t0
     try:
         conn = http.client.HTTPConnection(host, port, timeout=300)
         conn.request("POST", "/v1/generate", body=json.dumps(body),
@@ -96,25 +89,17 @@ def _fire(host, port, send_at, body, record):
         if response.status != 200:
             response.read()
             record["retry_after"] = response.getheader("Retry-After")
-            record["e2e_ms"] = (time.perf_counter() - t0) * 1e3
             conn.close()
             return
-        tokens = 0
         while True:
             line = response.readline()
             if not line:
                 break
-            if line.startswith(b'data: {"token"'):
-                if tokens == 0:
-                    record["ttft_ms"] = (time.perf_counter() - t0) * 1e3
-                tokens += 1
-            elif line.startswith(b"event: end"):
+            if line.startswith(b"event: end"):
                 data = response.readline()
                 record["finish_reason"] = json.loads(
                     data.split(b"data: ", 1)[1]
                 )["finish_reason"]
-        record["tokens"] = tokens
-        record["e2e_ms"] = (time.perf_counter() - t0) * 1e3
         conn.close()
     except (OSError, ValueError) as exc:  # pragma: no cover - hard fail
         record["error"] = repr(exc)
@@ -139,48 +124,18 @@ def _run_open_loop(server, plan):
     return records
 
 
-def _percentile(values, q):
-    return round(float(np.percentile(values, q)), 2) if values else None
-
-
 def _summarize(records):
     accepted = [r for r in records if r.get("status") == 200]
-    shed = [r for r in records if r.get("status") == 429]
     completed = [r for r in accepted if r.get("finish_reason") == "length"]
     errors = [r for r in records if "error" in r
               or r.get("status") not in (200, 429)]
-    ttfts = [r["ttft_ms"] for r in accepted if "ttft_ms" in r]
-    e2es = [r["e2e_ms"] for r in accepted if "e2e_ms" in r]
-    total_tokens = sum(r.get("tokens", 0) for r in accepted)
-    finished_at = [r["sent_at"] + r["e2e_ms"] / 1e3 for r in accepted
-                   if "e2e_ms" in r]
-    span = (max(finished_at) - min(r["sent_at"] for r in records)
-            if finished_at else None)
     return {
         "requests": len(records),
         "accepted": len(accepted),
         "completed": len(completed),
-        "shed": len(shed),
+        "shed": sum(r.get("status") == 429 for r in records),
         "lost": len(accepted) - len(completed) + len(errors),
-        "p50_ttft_ms": _percentile(ttfts, 50),
-        "p99_ttft_ms": _percentile(ttfts, 99),
-        "p99_e2e_ms": _percentile(e2es, 99),
-        "tokens_per_s": (
-            round(total_tokens / span, 1) if span and span > 0 else None
-        ),
     }
-
-
-def _steady(model, phases):
-    engine = ServingEngine(model, max_batch_size=4, seed=0)
-    server = start_http_server(engine)
-    try:
-        plan = _poisson_plan(np.random.default_rng(0), phases, seed=100)
-        records = _run_open_loop(server, plan)
-    finally:
-        server.stop()
-        engine.close()
-    return _summarize(records)
 
 
 def _overload(model, burst):
@@ -251,59 +206,39 @@ def _cluster_kill(model, phases, kill_after_tokens):
 def run(quick: bool = False):
     model = build_butterfly_decoder(TINY_CONFIG).eval()
     if quick:
-        steady_phases = [(10.0, 6), (20.0, 6)]
-        burst = 16
-        kill_phases = [(30.0, 10)]
-        kill_after = 10
+        burst, kill_phases, kill_after = 16, [(30.0, 10)], 10
     else:
-        steady_phases = [(10.0, 16), (20.0, 16), (40.0, 16)]
-        burst = 32
-        kill_phases = [(30.0, 24)]
-        kill_after = 30
+        burst, kill_phases, kill_after = 32, [(30.0, 24)], 30
 
-    steady = _steady(model, steady_phases)
     overload = _overload(model, burst)
     cluster = _cluster_kill(model, kill_phases, kill_after)
 
     accepted_completed_ok = 1.0 if (
-        steady["completed"] == steady["accepted"]
-        and overload["completed"] == overload["accepted"]
+        overload["completed"] == overload["accepted"]
         and cluster["completed"] == cluster["accepted"]
     ) else 0.0
     return {
-        "cores": os.cpu_count() or 1,
-        "steady": steady,
         "overload": overload,
         "cluster": cluster,
         # Flattened hard gates (dotted paths for scripts/check_bench.py).
-        "lost_requests": steady["lost"] + overload["lost"] + cluster["lost"],
+        "lost_requests": overload["lost"] + cluster["lost"],
         "shed_gate_ok": overload["shed_gate_ok"],
         "accepted_completed_ok": accepted_completed_ok,
         "kill_landed": cluster["kill_landed"],
-        "p50_ttft_ms": steady["p50_ttft_ms"],
-        "p99_ttft_ms": steady["p99_ttft_ms"],
-        "p99_e2e_ms": steady["p99_e2e_ms"],
-        "tokens_per_s": steady["tokens_per_s"],
     }
 
 
 def test_open_loop_load(quick: bool = False):
     """SLO gates: zero lost requests, overload sheds cleanly at the
-    door, a mid-load worker SIGKILL loses nothing.  The p99 TTFT band is
-    gated by check_bench (core-count-conditional)."""
+    door, a mid-load worker SIGKILL loses nothing."""
     r = run(quick=quick)
     rows = []
-    for name in ("steady", "overload", "cluster"):
+    for name in ("overload", "cluster"):
         s = r[name]
-        rows.append((
-            name, s["requests"], s["accepted"], s["shed"], s["lost"],
-            s["p50_ttft_ms"], s["p99_ttft_ms"], s["p99_e2e_ms"],
-            s["tokens_per_s"],
-        ))
+        rows.append((name, s["requests"], s["accepted"], s["shed"], s["lost"]))
     print_table(
-        "Open-loop HTTP load: accept/shed and latency percentiles",
-        ["scenario", "reqs", "accepted", "shed", "lost",
-         "p50 ttft", "p99 ttft", "p99 e2e", "tok/s"],
+        "Open-loop HTTP load: accepted, shed and lost requests",
+        ["scenario", "reqs", "accepted", "shed", "lost"],
         rows,
     )
     section = "load_smoke" if quick else "load"
@@ -314,7 +249,6 @@ def test_open_loop_load(quick: bool = False):
     assert r["accepted_completed_ok"] == 1.0, \
         "an accepted request did not run to completion"
     assert r["kill_landed"] == 1.0, "the mid-load SIGKILL never landed"
-    assert r["steady"]["shed"] == 0, "steady phase unexpectedly shed"
 
 
 if __name__ == "__main__":

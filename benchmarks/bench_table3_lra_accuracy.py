@@ -37,8 +37,8 @@ def run_all():
     )
 
 
-def test_table3_lra_accuracy(benchmark):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_table3_lra_accuracy():
+    results = run_all()
     scores = {name: {} for name in MODELS}
     for r in results:
         scores[r.config.model][r.config.task] = r.accuracy

@@ -16,8 +16,8 @@ from repro.hardware import (
 )
 
 
-def test_table5_sota(benchmark):
-    rows_data = benchmark(table5)
+def test_table5_sota():
+    rows_data = table5()
     ours = rows_data[-1]
     rows = [
         (r.name, r.technology, f"{r.latency_ms:.1f}", f"{r.throughput_pred_s:.2f}",

@@ -32,8 +32,8 @@ def compute_breakdowns():
     }
 
 
-def test_table6_power(benchmark):
-    power = benchmark(compute_breakdowns)
+def test_table6_power():
+    power = compute_breakdowns()
     rows = []
     for name, p in power.items():
         d = p.as_dict()

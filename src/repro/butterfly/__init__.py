@@ -15,7 +15,7 @@ from .fft import (
     fft_stage_factor,
     fourier_mix,
 )
-from .matrix import ButterflyMatrix, butterfly_flops, dense_flops
+from .matrix import ButterflyMatrix, butterfly_flops
 
 __all__ = [
     "ButterflyFactor",
@@ -26,7 +26,6 @@ __all__ = [
     "fit_butterfly",
     "bit_reversal_permutation",
     "butterfly_flops",
-    "dense_flops",
     "fft",
     "fft2",
     "fft_butterfly",

@@ -101,8 +101,3 @@ def butterfly_flops(n: int, rows: int = 1) -> int:
     costing 4 multiplications and 2 additions.
     """
     return rows * num_stages(n) * (n // 2) * 6
-
-
-def dense_flops(n_in: int, n_out: int, rows: int = 1) -> int:
-    """FLOPs of an equivalent dense matrix multiply (mults + adds)."""
-    return rows * n_out * (2 * n_in - 1)

@@ -13,8 +13,7 @@ Subcommands:
                  workload on an accelerator configuration.
 * ``codesign`` — run the joint design-space search and print the Pareto
                  front and the selected configuration.
-* ``generate`` — decode a prompt from a decoder checkpoint (optionally
-                 through the serving engine).
+* ``generate`` — decode a prompt from a decoder checkpoint.
 * ``serve``    — run a concurrent request workload through the serving
                  engine and report TTFT / throughput metrics
                  (``--metrics-json`` dumps the full metrics snapshot).
@@ -146,10 +145,6 @@ def _add_generate_parser(subparsers) -> None:
     p.add_argument("--top-k", type=int, default=0)
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-cache", action="store_true",
-                   help="full-window recompute instead of KV-cache decoding")
-    p.add_argument("--engine", action="store_true",
-                   help="route the request through the ServingEngine")
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
                    help="decode through an int8 stored-weight replica of the model")
 
@@ -462,7 +457,6 @@ def _render_tokens(tokens, vocab_size: int) -> str:
 
 def cmd_generate(args) -> int:
     from .data.charlm import encode_text
-    from .serving import SamplingParams, ServingEngine
 
     model = _load_decoder(args.checkpoint)
     if model is None:
@@ -481,31 +475,15 @@ def cmd_generate(args) -> int:
         print("error: prompt is empty or out of the model's vocabulary",
               file=sys.stderr)
         return 2
-    if args.quantize and not args.engine:
+    if args.quantize:
         from .nn import quantize_for_inference
 
         model = quantize_for_inference(model, mode=args.quantize)
-    if args.engine:
-        engine = ServingEngine(
-            model, max_batch_size=1, seed=args.seed, quantize=args.quantize,
-        )
-        rid = engine.submit(prompt, SamplingParams(
-            max_new_tokens=args.max_new_tokens,
-            temperature=args.temperature, top_k=args.top_k, top_p=args.top_p,
-            seed=args.seed,
-        ))
-        result = engine.run()[rid]
-        sequence = result.full_sequence()
-        summary = engine.metrics.requests[rid].summary()
-        print(f"[engine] ttft {summary['ttft_ms']:.1f} ms, "
-              f"{result.finish_reason} after {len(result.tokens)} tokens")
-    else:
-        sequence = model.generate(
-            prompt[None, :], args.max_new_tokens,
-            temperature=args.temperature, top_k=args.top_k, top_p=args.top_p,
-            rng=np.random.default_rng(args.seed),
-            use_cache=not args.no_cache,
-        )[0]
+    sequence = model.generate(
+        prompt[None, :], args.max_new_tokens,
+        temperature=args.temperature, top_k=args.top_k, top_p=args.top_p,
+        rng=np.random.default_rng(args.seed),
+    )[0]
     print(_render_tokens(sequence, model.config.vocab_size))
     return 0
 

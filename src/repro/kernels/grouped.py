@@ -301,16 +301,6 @@ def plan_cache_stats() -> dict:
     }
 
 
-def reset_plan_cache_stats() -> None:
-    global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES, _FROZEN_BUILDS, _FROZEN_HITS
-    with _PLAN_CACHE_LOCK:
-        _PLAN_CACHE_HITS = 0
-        _PLAN_CACHE_MISSES = 0
-        _FROZEN_BUILDS = 0
-        _FROZEN_HITS = 0
-        _FROZEN_PUBLISHED[:] = [0, 0]
-
-
 @publish_on_snapshot
 def _publish_frozen_counters() -> None:
     # The frozen-ladder totals as telemetry counters.  Twelve ladders run

@@ -30,7 +30,7 @@ from one rule, :func:`block_rows` — BLAS picks its micro-kernel by
 column count, so the block size is part of the function's bytes and is
 pinned in source, not tuned per machine.  A batch-8 decode GEMM is
 memory-bound on weight traffic, so reading int8 instead of fp32 is what
-the speedup in ``BENCH_quant.json`` comes from — the same bandwidth
+the e2e ``decode_int8`` workload's speed comes from — the same bandwidth
 argument the paper makes for its reduced-precision buffers, whose data
 layout is likewise chosen for the datapath that reads them.  The scratch
 is one pooled buffer per dtype and thread, like the grouped butterfly

@@ -196,9 +196,8 @@ class QuantizationReport:
 
     ``fp_weight_bytes`` / ``quant_weight_bytes`` cover the *whole* model
     (quantized GEMM weights plus the fp parameters left in place), so
-    ``memory_ratio`` is the end-to-end weight-footprint ratio quoted in
-    ``BENCH_quant.json``.  Logit-drift fields are populated only when
-    calibration tokens are supplied.
+    ``memory_ratio`` is the end-to-end weight-footprint ratio.  Logit-drift
+    fields are populated only when calibration tokens are supplied.
     """
 
     layers_quantized: int

@@ -25,6 +25,8 @@ class SamplingParams:
     ignored).  ``top_k == 0`` and ``top_p == 1.0`` disable the
     respective filters.  ``seed`` makes the request's sampling stream
     reproducible regardless of how it is batched with other requests.
+    The integer fields take a Python or numpy integer, never a bool or a
+    float, and ``seed`` must be ``>= 0``.
     ``deadline_s`` is a finite wall-clock budget measured from submission
     on the engine's injectable clock; a request still unfinished past it
     is cancelled with ``finish_reason="deadline"`` (see
@@ -40,6 +42,15 @@ class SamplingParams:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # A float or bool would pass the range tests below and then fail
+        # (or round) inside a decode step, so integers are checked by type.
+        for name, optional in (("max_new_tokens", False), ("top_k", False),
+                               ("seed", True), ("stop_token", True)):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_new_tokens < 1:
             raise ValueError(
                 f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
@@ -51,6 +62,8 @@ class SamplingParams:
             )
         if self.top_k < 0:
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must lie in (0, 1], got {self.top_p}")
         if self.deadline_s is not None and not 0.0 < self.deadline_s < float("inf"):

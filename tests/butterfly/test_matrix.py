@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.butterfly import ButterflyFactor, ButterflyMatrix, butterfly_flops, dense_flops
+from repro.butterfly import ButterflyFactor, ButterflyMatrix, butterfly_flops
+
+
+def _dense_flops(n):
+    """FLOPs (mults + adds) of the dense ``n x n`` matrix-vector product."""
+    return n * (2 * n - 1)
 
 
 class TestConstruction:
@@ -73,14 +78,11 @@ class TestCosts:
         assert butterfly_flops(16, rows=1) == 4 * 8 * 6
         assert butterfly_flops(16, rows=5) == 5 * 4 * 8 * 6
 
-    def test_dense_flops_formula(self):
-        assert dense_flops(4, 3, rows=2) == 2 * 3 * 7
-
     def test_butterfly_cheaper_than_dense_for_large_n(self):
         n = 1024
-        assert butterfly_flops(n) < dense_flops(n, n) / 10
+        assert butterfly_flops(n) < _dense_flops(n) / 10
 
     def test_complexity_crossover(self):
         """O(n log n) vs O(n^2): the ratio grows with n."""
-        ratios = [dense_flops(n, n) / butterfly_flops(n) for n in (16, 64, 256, 1024)]
+        ratios = [_dense_flops(n) / butterfly_flops(n) for n in (16, 64, 256, 1024)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))

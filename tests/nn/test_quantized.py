@@ -19,8 +19,8 @@ from repro.nn import (
 )
 
 #: Documented logit-drift bound of int8 weight quantization on the tiny
-#: decoder configs below, relative to the fp logit scale.  The serving
-#: benchmark (BENCH_quant.json) asserts the same kind of bound at size.
+#: decoder configs below, relative to the fp logit scale.  The e2e
+#: harness's ``decode_int8`` oracle holds the same bound on its replica.
 REL_DRIFT_BOUND = 0.05
 
 
@@ -75,6 +75,9 @@ class TestDecoderQuantization:
                 q = quantized(tokens).data
         assert q.dtype == np.float32
         assert _rel_drift(q, fp) < REL_DRIFT_BOUND
+        # Under half the fp32 footprint (dense 0.37, butterfly 0.49 here):
+        # codes stored at fp32 width would put it above 1.
+        assert weight_memory_bytes(quantized) < 0.5 * weight_memory_bytes(model)
 
 
 class TestMemoryFootprint:

@@ -241,6 +241,8 @@ class TestEndpointContract:
         ({"prompt": [1], "deadline_s": float("nan")}, b"deadline_s"),
         ({"prompt": [1], "deadline_s": float("inf")}, b"deadline_s"),
         ({"prompt": [1], "temperature": float("nan")}, b"temperature"),
+        ({"prompt": [1], "top_k": 2.5}, b"top_k"),
+        ({"prompt": [1], "seed": 1.5}, b"seed"),
     ])
     def test_validation_400(self, served, body, fragment):
         server, _ = served

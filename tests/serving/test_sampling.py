@@ -118,6 +118,17 @@ class TestValidation:
         {"deadline_s": float("-inf")},
         {"deadline_s": 0.0},
         {"deadline_s": -1.0},
+        # Integer fields are checked by type: a float or bool used to be
+        # accepted and then fail (top_k, seed) or round (max_new_tokens)
+        # inside a decode step.
+        {"top_k": 2.5},
+        {"top_k": True},
+        {"max_new_tokens": 2.5},
+        {"max_new_tokens": True},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"stop_token": 3.0},
+        {"stop_token": False},
     ])
     def test_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -128,6 +139,9 @@ class TestValidation:
         {"temperature": 1e6},
         {"deadline_s": None},
         {"deadline_s": 1e-6},
+        {"seed": 0},
+        {"top_k": np.int64(3), "seed": np.uint32(7), "stop_token": np.int8(2),
+         "max_new_tokens": np.int32(4)},
     ])
     def test_boundary_params_accepted(self, kwargs):
         assert SamplingParams(**kwargs)

@@ -10,11 +10,15 @@ what the program does.  CONTRIBUTING's "Reachable surface" section says
 how to add to the allowlist.
 
 The same file holds the project's prose to lines of at most 400
-characters.
+characters, and fails on a ``benchmarks/bench_*.py`` that nothing runs:
+each is a script of ``scripts/check_bench.py``'s ``MANIFEST`` or lies
+under a path that ``ci.yml``'s ``paper`` suite passes to pytest.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,12 +110,45 @@ def long_prose_lines(root=ROOT):
         if len(line) > MAX_DOC_LINE]
 
 
+def _manifest_scripts(root):
+    path = root / "scripts" / "check_bench.py"
+    spec = importlib.util.spec_from_file_location("_check_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {bench.script for bench in module.MANIFEST}
+
+
+def _paper_suite_benches(root):
+    """Names of the benches matched by the ``paper`` suite's paths."""
+    ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+    suite = re.search(r"- suite: paper\n(.*?)(?=\n *- suite: |\n *steps:|\Z)",
+                      ci, re.S)
+    patterns = re.findall(r"benchmarks/\S+", suite.group(1)) if suite else []
+    return {path.name for pattern in patterns for path in root.glob(pattern)}
+
+
+def unrun_benches(root=ROOT):
+    """``bench_*.py`` files that neither ``check_bench`` nor CI's ``paper``
+    suite runs."""
+    run = _manifest_scripts(root) | _paper_suite_benches(root)
+    return sorted(path.name for path in (root / "benchmarks").glob("bench_*.py")
+                  if path.name not in run)
+
+
 def test_every_public_name_is_reached():
     assert unreached_names() == []
 
 
 def test_prose_lines_are_short():
     assert long_prose_lines() == []
+
+
+def test_every_bench_is_run():
+    assert unrun_benches() == []
 
 
 # --- The scanner itself, on small trees laid out like this repository. ---
@@ -271,3 +308,34 @@ class TestProseScan:
             (tmp_path / name).write_text("# Title\n")
         (tmp_path / "README.md").write_text("# Title\n" + "x" * width + "\n")
         assert long_prose_lines(tmp_path) == flagged
+
+
+class TestBenchScan:
+    CHECK_BENCH = ("from collections import namedtuple\n"
+                   'Bench = namedtuple("Bench", "name script")\n'
+                   'MANIFEST = (Bench("load", "bench_load.py"),)\n')
+    CI = ("jobs:\n  test:\n    strategy:\n      matrix:\n        include:\n"
+          "          - suite: paper\n            run: |\n"
+          "              python -m pytest -q \\\n"
+          "                benchmarks/bench_fig*.py\n"
+          "          - suite: core\n"
+          "            run: python -m pytest benchmarks/bench_other.py\n"
+          "    steps:\n      - run: python benchmarks/bench_other.py\n")
+
+    def _unrun(self, tmp_path, names, ci=CI):
+        return unrun_benches(_tree(tmp_path, {
+            "scripts/check_bench.py": self.CHECK_BENCH,
+            ".github/workflows/ci.yml": ci,
+            **{f"benchmarks/{name}": "" for name in names},
+        }))
+
+    def test_manifest_and_paper_benches_are_run(self, tmp_path):
+        assert self._unrun(tmp_path, ["bench_load.py", "bench_fig01.py"]) == []
+
+    def test_a_bench_only_another_suite_names_is_flagged(self, tmp_path):
+        assert self._unrun(tmp_path, ["bench_other.py"]) == ["bench_other.py"]
+
+    def test_dropping_the_paper_suite_flags_its_benches(self, tmp_path):
+        ci = self.CI.replace("- suite: paper", "- suite: papers")
+        assert self._unrun(tmp_path, ["bench_fig01.py"], ci) == [
+            "bench_fig01.py"]
