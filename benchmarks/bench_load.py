@@ -25,6 +25,7 @@ CI smoke) or via pytest.
 
 import http.client
 import json
+import re
 import sys
 import threading
 import time
@@ -155,9 +156,11 @@ def _overload(model, burst):
         engine.close()
     summary = _summarize(records)
     # The overload contract: at least one request shed at the door with
-    # a Retry-After hint, and every response terminal (200 or 429).
+    # a Retry-After hint in whole seconds (RFC 9110 delay-seconds), and
+    # every response terminal (200 or 429).
     retry_after_ok = all(
-        r.get("retry_after") for r in records if r.get("status") == 429
+        re.fullmatch(r"[0-9]+", r.get("retry_after") or "")
+        for r in records if r.get("status") == 429
     )
     summary["shed_gate_ok"] = (
         1.0 if summary["shed"] >= 1 and retry_after_ok

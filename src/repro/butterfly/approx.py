@@ -35,10 +35,6 @@ class FitResult:
     layer: "ButterflyLinear"
     losses: List[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("inf")
-
 
 def approximation_error(layer: "ButterflyLinear", target: np.ndarray) -> float:
     """Relative Frobenius error ||B - T||_F / ||T||_F of the current fit."""

@@ -61,14 +61,6 @@ class ButterflyFactor:
 
     # ------------------------------------------------------------------
     @classmethod
-    def identity(cls, n: int, half: int) -> "ButterflyFactor":
-        """Factor that acts as the identity matrix."""
-        coeffs = np.zeros((4, n // 2))
-        coeffs[0] = 1.0  # a
-        coeffs[3] = 1.0  # d
-        return cls(n, half, coeffs)
-
-    @classmethod
     def random(
         cls, n: int, half: int, rng: np.random.Generator, scale: float | None = None
     ) -> "ButterflyFactor":
@@ -94,8 +86,3 @@ class ButterflyFactor:
     def dense(self) -> np.ndarray:
         """Expand the factor to a dense ``n x n`` matrix."""
         return _kernels.stage_dense(self.coeffs, self.n, self.half)
-
-    def num_multiplies(self, rows: int = 1) -> int:
-        """Real multiplications to apply this factor to ``rows`` vectors."""
-        per_pair = 4
-        return rows * (self.n // 2) * per_pair

@@ -43,10 +43,6 @@ class ButterflyMatrix:
 
     # ------------------------------------------------------------------
     @classmethod
-    def identity(cls, n: int) -> "ButterflyMatrix":
-        return cls([ButterflyFactor.identity(n, h) for h in stage_halves(n)])
-
-    @classmethod
     def random(cls, n: int, rng: Optional[np.random.Generator] = None) -> "ButterflyMatrix":
         rng = rng or np.random.default_rng()
         return cls([ButterflyFactor.random(n, h, rng) for h in stage_halves(n)])
@@ -84,10 +80,6 @@ class ButterflyMatrix:
     def num_parameters(self) -> int:
         """Trainable scalars: ``2 n log2 n`` (vs ``n^2`` dense)."""
         return sum(f.coeffs.size for f in self.factors)
-
-    def num_multiplies(self, rows: int = 1) -> int:
-        """Real multiplications for applying to ``rows`` vectors."""
-        return sum(f.num_multiplies(rows) for f in self.factors)
 
     @property
     def depth(self) -> int:

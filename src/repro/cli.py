@@ -519,21 +519,21 @@ def _build_engine(args, model, worker_faults=None, resilience=None):
 
 
 def _submit_workload(args, engine, vocab: int, max_len: int):
-    """Submit the synthetic request mix; returns the request handles."""
+    """Submit the synthetic request mix; returns the request ids."""
     from .serving import SamplingParams
 
     rng = np.random.default_rng(args.seed)
-    handles = []
+    ids = []
     for i in range(args.requests):
         prompt_len = max(1, min(args.prompt_len + (i % 3), max_len))
         prompt = rng.integers(1, vocab, size=prompt_len)
-        handles.append(engine.submit(prompt, SamplingParams(
+        ids.append(engine.submit(prompt, SamplingParams(
             max_new_tokens=args.max_new_tokens,
             temperature=args.temperature,
             top_k=getattr(args, "top_k", 0), top_p=getattr(args, "top_p", 1.0),
             seed=args.seed + i,
         )))
-    return handles
+    return ids
 
 
 def cmd_serve(args) -> int:
@@ -729,16 +729,15 @@ def cmd_chaos(args) -> int:
         return 2
     cluster_mode = args.workers >= 2
     resilience = None if cluster_mode else ResilienceConfig(
-        max_retries=args.max_retries, sleep=lambda _s: None,
-    )
+        max_retries=args.max_retries)
 
     def run_workload(worker_faults=None, hook=None):
         engine = _build_engine(
             args, model, worker_faults=worker_faults, resilience=resilience,
         )
         try:
-            handles = _submit_workload(args, engine, vocab=28,
-                                       max_len=args.max_len)
+            ids = _submit_workload(args, engine, vocab=28,
+                                   max_len=args.max_len)
             if hook is not None:
                 results = engine.run(timeout_s=600.0, hook=hook)
             else:
@@ -746,7 +745,7 @@ def cmd_chaos(args) -> int:
             snapshot = engine.metrics_snapshot()
         finally:
             engine.close()
-        return handles, results, snapshot
+        return ids, results, snapshot
 
     if cluster_mode:
         baseline_ids, baseline, _ = run_workload()

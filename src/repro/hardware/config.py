@@ -29,10 +29,6 @@ class FpgaDevice:
     bandwidth_gbs: float  # external memory bandwidth (HBM or DDR)
     technology_nm: int
 
-    @property
-    def bandwidth_bytes_per_s(self) -> float:
-        return self.bandwidth_gbs * 1e9
-
 
 # Xilinx VCU128: Virtex UltraScale+ with 2 HBM stacks (Table VII gives the
 # available resources; the paper uses a single HBM at 450 GB/s).
@@ -104,10 +100,6 @@ class AcceleratorConfig:
     def attention_multipliers(self) -> int:
         """Multipliers in the Attention Processor."""
         return self.pae * (self.pqk + self.psv)
-
-    @property
-    def total_multipliers(self) -> int:
-        return self.butterfly_multipliers + self.attention_multipliers
 
     @property
     def cycle_time_s(self) -> float:

@@ -117,9 +117,3 @@ class AdaptableButterflyUnit:
         """One FFT pair-op (Fig. 7c)."""
         self.issue(BUMode.FFT)
         return fft_datapath(in1, in2, w)
-
-    # ------------------------------------------------------------------
-    @property
-    def multipliers(self) -> int:
-        """Physical multipliers in the unit (constant: 4)."""
-        return 4

@@ -82,11 +82,6 @@ class Program:
     def count(self, opcode: Opcode) -> int:
         return sum(1 for i in self.instructions if i.opcode == opcode)
 
-    def listing(self) -> str:
-        return "\n".join(
-            f"{idx:04d}: {inst}" for idx, inst in enumerate(self.instructions)
-        )
-
 
 def _compile_butterfly_linear(block_idx: int, tag: str) -> List[Instruction]:
     return [

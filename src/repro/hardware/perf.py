@@ -196,18 +196,6 @@ class ButterflyPerformanceModel:
         mem = self._mem_cycles(bytes_in + bytes_out)
         return LayerLatency(name, compute, mem, total)
 
-    def dense_linear_equivalent(
-        self, rows: int, in_features: int, out_features: int, name: str = "dense"
-    ) -> LayerLatency:
-        """Dense matmul executed on the BP's multipliers (for comparisons)."""
-        macs = rows * in_features * out_features
-        compute = macs / self.config.butterfly_multipliers
-        bytes_in = rows * in_features * BYTES_PER_VALUE
-        bytes_in += in_features * out_features * BYTES_PER_VALUE
-        bytes_out = rows * out_features * BYTES_PER_VALUE
-        total = self._combine(compute, bytes_in, bytes_out, "butterfly")
-        return LayerLatency(name, compute, self._mem_cycles(bytes_in + bytes_out), total)
-
     def fft2(self, rows: int, cols: int, name: str = "fft") -> LayerLatency:
         """2D FFT over a (rows, cols) activation tile on the BP.
 

@@ -65,10 +65,6 @@ class QuantizationErrorReport:
     max_rel_error: float
     mean_rel_error: float
 
-    def acceptable(self, threshold: float = 0.05) -> bool:
-        """Reduced-precision butterfly error stays in the few-percent range."""
-        return self.max_rel_error < threshold
-
 
 def quantization_error_report(
     n: int, rng: Optional[np.random.Generator] = None, rows: int = 16

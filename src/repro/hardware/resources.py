@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import MULTIPLIERS_PER_BU, AcceleratorConfig, FpgaDevice
+from .config import AcceleratorConfig, FpgaDevice
 
 # BRAM blocks per buffer, for the paper's depth-1024, 16-bit buffers.
 BRAM_BFLY_PER_BE = 4  # double-buffered butterfly buffers A + B
@@ -65,10 +65,7 @@ class ResourceUsage:
 
 def dsp_usage(config: AcceleratorConfig) -> int:
     """Paper's DSP equation: BP multipliers + AP multipliers."""
-    return (
-        config.pbe * config.pbu * MULTIPLIERS_PER_BU
-        + config.pae * (config.pqk + config.psv)
-    )
+    return config.butterfly_multipliers + config.attention_multipliers
 
 
 def bram_usage(config: AcceleratorConfig) -> int:

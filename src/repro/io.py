@@ -101,9 +101,11 @@ def load_model(path: Union[str, Path]) -> Module:
         raise ValueError(f"checkpoint uses unknown builder {builder_name!r}")
     if builder_name in ("butterfly_decoder", "dense_decoder"):
         state = _migrate_decoder_keys(state)
-    # ``backend`` picked a kernel execution strategy that never changed
-    # numerics; checkpoints saved while it existed still carry it.
-    config_dict.pop("backend", None)
+    # Retired fields that checkpoints saved while they existed still
+    # carry: ``backend`` picked a kernel execution strategy that never
+    # changed numerics, and ``dropout`` drew only while training.
+    for retired in ("backend", "dropout"):
+        config_dict.pop(retired, None)
     model = builder(ModelConfig(**config_dict))
     model.load_state_dict(state)
     return model

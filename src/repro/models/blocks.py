@@ -18,7 +18,6 @@ class FeedForward(nn.Module):
         self,
         d_hidden: int,
         d_ffn: int,
-        dropout: float = 0.0,
         butterfly: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -28,21 +27,17 @@ class FeedForward(nn.Module):
         self.fc1 = layer(d_hidden, d_ffn, rng=rng)
         self.fc2 = layer(d_ffn, d_hidden, rng=rng)
         self.act = nn.GELU()
-        self.drop = nn.Dropout(dropout, rng=rng)
 
     def forward(self, x: nn.Tensor) -> nn.Tensor:
         if self.butterfly or not isinstance(self.fc1, nn.Linear):
             # Butterfly layers — and the int8 inference replicas that
             # quantize_for_inference swaps in — run through the module
             # call; only the dense fp projections take the fused path.
-            return self.drop(self.fc2(self.act(self.fc1(x))))
+            return self.fc2(self.act(self.fc1(x)))
         # Dense fast path: GEMM + bias + GELU fused into one graph node
         # for the first projection, one fused node for the second.
-        # Dropout (when enabled) stays its own node after the stack —
-        # the same composite-survives-only-around-dropout rule as the
-        # attention kernel.
         h = F.linear_act(x, self.fc1.weight, self.fc1.bias, activation="gelu")
-        return self.drop(F.linear_act(h, self.fc2.weight, self.fc2.bias))
+        return F.linear_act(h, self.fc2.weight, self.fc2.bias)
 
 
 class DecoderBlock(nn.Module):
@@ -58,27 +53,24 @@ class DecoderBlock(nn.Module):
         d_hidden: int,
         n_heads: int,
         r_ffn: int,
-        dropout: float = 0.0,
         butterfly: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         self.attn = nn.MultiHeadAttention(
-            d_hidden, n_heads, dropout=dropout, butterfly=butterfly,
-            causal=True, rng=rng,
+            d_hidden, n_heads, butterfly=butterfly, causal=True, rng=rng,
         )
         self.norm1 = nn.LayerNorm(d_hidden)
         self.ffn = FeedForward(
-            d_hidden, d_hidden * r_ffn, dropout=dropout, butterfly=butterfly, rng=rng
+            d_hidden, d_hidden * r_ffn, butterfly=butterfly, rng=rng
         )
         self.norm2 = nn.LayerNorm(d_hidden)
-        self.drop = nn.Dropout(dropout, rng=rng)
 
     def forward(self, x: nn.Tensor) -> nn.Tensor:
         # norm(x + sub(x)) runs as one fused node per sub-layer close
         # (residual add never materialized as a separate graph node).
         x = F.residual_layer_norm(
-            x, self.drop(self.attn(x)),
+            x, self.attn(x),
             self.norm1.gamma, self.norm1.beta, eps=self.norm1.eps,
         )
         return F.residual_layer_norm(
@@ -106,7 +98,6 @@ class EncoderBlock(nn.Module):
         d_hidden: int,
         n_heads: int,
         r_ffn: int,
-        dropout: float = 0.0,
         mixing: str = "attention",
         butterfly_ffn: bool = False,
         rng: Optional[np.random.Generator] = None,
@@ -122,22 +113,20 @@ class EncoderBlock(nn.Module):
             self.mixer = nn.MultiHeadAttention(
                 d_hidden,
                 n_heads,
-                dropout=dropout,
                 butterfly=(mixing == "butterfly_attention"),
                 rng=rng,
             )
         self.norm1 = nn.LayerNorm(d_hidden)
         self.ffn = FeedForward(
-            d_hidden, d_hidden * r_ffn, dropout=dropout, butterfly=butterfly_ffn, rng=rng
+            d_hidden, d_hidden * r_ffn, butterfly=butterfly_ffn, rng=rng
         )
         self.norm2 = nn.LayerNorm(d_hidden)
-        self.drop = nn.Dropout(dropout, rng=rng)
 
     def forward(self, x: nn.Tensor, mask: Optional[np.ndarray] = None) -> nn.Tensor:
         mixed = self.mixer(x, mask=mask)
         # Fused residual + LayerNorm closes each sub-layer in one node.
         x = F.residual_layer_norm(
-            x, self.drop(mixed), self.norm1.gamma, self.norm1.beta,
+            x, mixed, self.norm1.gamma, self.norm1.beta,
             eps=self.norm1.eps,
         )
         x = F.residual_layer_norm(
@@ -148,21 +137,21 @@ class EncoderBlock(nn.Module):
 
 
 def make_fbfly_block(
-    d_hidden: int, n_heads: int, r_ffn: int, dropout: float = 0.0,
+    d_hidden: int, n_heads: int, r_ffn: int,
     rng: Optional[np.random.Generator] = None,
 ) -> EncoderBlock:
     """FBfly: Fourier mixing + butterfly FFN (paper Fig. 5, bottom blocks)."""
     return EncoderBlock(
-        d_hidden, n_heads, r_ffn, dropout, mixing="fourier", butterfly_ffn=True, rng=rng
+        d_hidden, n_heads, r_ffn, mixing="fourier", butterfly_ffn=True, rng=rng
     )
 
 
 def make_abfly_block(
-    d_hidden: int, n_heads: int, r_ffn: int, dropout: float = 0.0,
+    d_hidden: int, n_heads: int, r_ffn: int,
     rng: Optional[np.random.Generator] = None,
 ) -> EncoderBlock:
     """ABfly: butterfly-projected attention + butterfly FFN (paper Fig. 5)."""
     return EncoderBlock(
-        d_hidden, n_heads, r_ffn, dropout,
+        d_hidden, n_heads, r_ffn,
         mixing="butterfly_attention", butterfly_ffn=True, rng=rng,
     )

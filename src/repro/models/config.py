@@ -29,7 +29,6 @@ class ModelConfig:
     r_ffn: int = 4
     n_total: int = 2
     n_abfly: int = 0
-    dropout: float = 0.0
     pooling: str = "mean"  # "mean" or "cls"
     seed: int = 0
     dtype: str = "float64"

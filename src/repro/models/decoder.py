@@ -63,12 +63,11 @@ class ButterflyDecoderLM(nn.Module):
         )
         self.blocks = nn.ModuleList([
             DecoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
-                         config.dropout, butterfly=butterfly, rng=rng)
+                         butterfly=butterfly, rng=rng)
             for _ in range(config.n_total)
         ])
         self.final_norm = nn.LayerNorm(config.d_hidden)
         self.lm_head = nn.Linear(config.d_hidden, config.vocab_size, rng=rng)
-        self.drop = nn.Dropout(config.dropout, rng=rng)
         # The incremental-inference program, rebuilt when a parameter's
         # (version, data) or a projection layer changes.
         self._program = ProgramCache(DecodeProgram)
@@ -90,7 +89,6 @@ class ButterflyDecoderLM(nn.Module):
             raise ValueError(f"sequence length {seq} exceeds max_len {self.config.max_len}")
         with self._dtype_context():
             x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
-            x = self.drop(x)
             for block in self.blocks:
                 x = block(x)
             return self.lm_head(self.final_norm(x))

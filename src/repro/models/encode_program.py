@@ -3,7 +3,7 @@
 The paper's engine is configured once per layer and then streams vectors
 through buffers it owns.  :class:`EncodeProgram` does that for an
 :class:`~repro.models.encoder.EncoderClassifier`: under ``no_grad``, with
-the fused kernels on and no dropout to draw, ``encode`` / ``forward`` run
+the fused kernels on, ``encode`` / ``forward`` run
 
     embedding gather + positions -> per block { Fourier mixing, or
     Q/K/V projections with heads as strided views ->

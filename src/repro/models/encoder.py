@@ -19,17 +19,10 @@ from .encode_program import EncodeProgram
 from .program import ProgramCache
 
 
-def _dropout_rates(module: nn.Module):
-    if isinstance(module, nn.Dropout):
-        yield module.rate
-    for child in module._modules.values():
-        yield from _dropout_rates(child)
-
-
 class EncoderClassifier(nn.Module):
     """Token embeddings + positional embeddings + encoder blocks + head.
 
-    Under ``no_grad``, with the fused kernels on and no dropout to draw,
+    Under ``no_grad``, with the fused kernels on,
     :meth:`encode` (and so :meth:`forward`) is the model's compiled
     :class:`~repro.models.encode_program.EncodeProgram`; every other call
     records the ``Tensor`` graph.
@@ -50,8 +43,6 @@ class EncoderClassifier(nn.Module):
         self.blocks = nn.ModuleList(blocks)
         self.head_norm = nn.LayerNorm(config.d_hidden)
         self.head = nn.Linear(config.d_hidden, config.n_classes, rng=rng)
-        self.drop = nn.Dropout(config.dropout, rng=rng)
-        self._dropout = max(_dropout_rates(self))
         # The no-grad forward, rebuilt when a parameter's (version, data)
         # or a projection layer changes.
         self._program = ProgramCache(EncodeProgram)
@@ -95,8 +86,7 @@ class EncoderClassifier(nn.Module):
 
     def _run(self, tokens, mask, classify: bool) -> nn.Tensor:
         tokens, mask = self._validated(tokens, mask)
-        if (not F.is_grad_enabled() and kernels.fused_enabled()
-                and not (self.training and self._dropout > 0.0)):
+        if not F.is_grad_enabled() and kernels.fused_enabled():
             # The program touches no process-wide state (the dtype policy
             # included), so threads may forward one model concurrently.
             out = self._program.get(self).run(tokens, mask, classify)
@@ -104,7 +94,6 @@ class EncoderClassifier(nn.Module):
         seq = tokens.shape[1]
         with self._dtype_context():
             x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
-            x = self.drop(x)
             for block in self.blocks:
                 x = block(x, mask=mask)
             x = self.head_norm(x)
@@ -135,7 +124,7 @@ def build_transformer(config: ModelConfig) -> EncoderClassifier:
         rng = np.random.default_rng(config.seed)
         blocks = [
             EncoderBlock(
-                config.d_hidden, config.n_heads, config.r_ffn, config.dropout,
+                config.d_hidden, config.n_heads, config.r_ffn,
                 mixing="attention", butterfly_ffn=False, rng=rng,
             )
             for _ in range(config.n_total)
@@ -149,7 +138,7 @@ def build_fnet(config: ModelConfig) -> EncoderClassifier:
         rng = np.random.default_rng(config.seed)
         blocks = [
             EncoderBlock(
-                config.d_hidden, config.n_heads, config.r_ffn, config.dropout,
+                config.d_hidden, config.n_heads, config.r_ffn,
                 mixing="fourier", butterfly_ffn=False, rng=rng,
             )
             for _ in range(config.n_total)
@@ -165,12 +154,12 @@ def build_fabnet(config: ModelConfig) -> EncoderClassifier:
         for _ in range(config.n_fbfly):
             blocks.append(
                 make_fbfly_block(config.d_hidden, config.n_heads, config.r_ffn,
-                                 config.dropout, rng=rng)
+                                 rng=rng)
             )
         for _ in range(config.n_abfly):
             blocks.append(
                 make_abfly_block(config.d_hidden, config.n_heads, config.r_ffn,
-                                 config.dropout, rng=rng)
+                                 rng=rng)
             )
         return EncoderClassifier(config, blocks, rng)
 
@@ -192,12 +181,12 @@ def build_hybrid_transformer(config: ModelConfig, n_compressed: int) -> EncoderC
         for _ in range(n_dense):
             blocks.append(
                 EncoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
-                             config.dropout, mixing="attention", rng=rng)
+                             mixing="attention", rng=rng)
             )
         for _ in range(n_compressed):
             blocks.append(
                 make_fbfly_block(config.d_hidden, config.n_heads, config.r_ffn,
-                                 config.dropout, rng=rng)
+                                 rng=rng)
             )
         return EncoderClassifier(config, blocks, rng)
 

@@ -7,10 +7,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..kernels import attention as AK
 from . import tensor as F
 from .butterfly_layer import ButterflyLinear
-from .layers import Dropout, Linear
+from .layers import Linear
 from .module import Module
 from .tensor import Tensor
 
@@ -25,9 +24,7 @@ class MultiHeadAttention(Module):
     The attention computation itself runs through the fused
     attention kernel (:mod:`repro.kernels.attention`): one
     autograd node per call, one cache-sized score tile at a time, cached
-    causal bias buffers.  The composite op chain survives only for the
-    training-with-attention-dropout configuration, which needs the
-    materialized softmax.  KV-cached incremental attention is not a
+    causal bias buffers.  KV-cached incremental attention is not a
     module path: a decoder's inference program
     (:mod:`repro.models.decode_program`) runs the projections and the
     attention kernels directly.
@@ -37,7 +34,6 @@ class MultiHeadAttention(Module):
         self,
         d_model: int,
         n_heads: int,
-        dropout: float = 0.0,
         butterfly: bool = False,
         causal: bool = False,
         rng: Optional[np.random.Generator] = None,
@@ -56,7 +52,6 @@ class MultiHeadAttention(Module):
         self.k_proj = proj(d_model, d_model, rng=rng)
         self.v_proj = proj(d_model, d_model, rng=rng)
         self.out_proj = proj(d_model, d_model, rng=rng)
-        self.attn_dropout = Dropout(dropout, rng=rng)
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         # (B, L, D) -> (B, H, L, Dh)
@@ -73,32 +68,13 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(x), batch, seq)
         k = self._split_heads(self.k_proj(x), batch, seq)
         v = self._split_heads(self.v_proj(x), batch, seq)
-        if self.training and self.attn_dropout.rate > 0.0:
-            # Attention-probability dropout needs the materialized
-            # softmax; only this (training + dropout) configuration pays
-            # for the composite op chain.
-            context = self._attend_composite(q, k, v, mask, seq)
-        else:
-            context = F.scaled_dot_attention(
-                q, k, v, causal=self.causal, key_mask=mask,
-                scale=1.0 / math.sqrt(self.d_head),
-            )
+        context = F.scaled_dot_attention(
+            q, k, v, causal=self.causal, key_mask=mask,
+            scale=1.0 / math.sqrt(self.d_head),
+        )
         context = F.transpose(context, (0, 2, 1, 3))
         context = F.reshape(context, (batch, seq, self.d_model))
         return self.out_proj(context)
-
-    def _attend_composite(
-        self, q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray], seq: int
-    ) -> Tensor:
-        """Composite-op attention (only used for attention-prob dropout)."""
-        scores = F.matmul(q, F.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(self.d_head))
-        if mask is not None:
-            scores = scores + Tensor(AK.padding_bias(mask, scores.dtype)[:, None, None, :])
-        if self.causal:
-            scores = scores + Tensor(AK.causal_bias(seq, seq, scores.dtype))
-        attn = F.softmax(scores, axis=-1)
-        attn = self.attn_dropout(attn)
-        return F.matmul(attn, v)  # (B, H, L, Dh)
 
 
 class FourierMixing(Module):

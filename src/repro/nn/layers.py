@@ -67,20 +67,6 @@ class LayerNorm(Module):
         return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
 
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, rate: float = 0.1, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self.training, self.rng)
-
-
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)

@@ -56,10 +56,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
     # ------------------------------------------------------------------
-    def register_module(self, name: str, module: "Module") -> None:
-        self._modules[name] = module
-        object.__setattr__(self, name, module)
-
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         for name, param in self._parameters.items():
             yield (f"{prefix}{name}", param)

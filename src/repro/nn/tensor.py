@@ -134,16 +134,8 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but outside the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     # ------------------------------------------------------------------
     # Autograd machinery
@@ -735,19 +727,6 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
         return (full,)
 
     return _make_result(data, (weight,), backward)
-
-
-def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
-        return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.shape) < keep).astype(a.dtype) / keep
-
-    def backward(grad: np.ndarray):
-        return (grad * mask,)
-
-    return _make_result(a.data * mask, (a,), backward)
 
 
 def layer_norm_forward(

@@ -20,15 +20,15 @@ ROADMAP's "serve heavy traffic" direction made concrete:
 * :mod:`repro.serving.metrics` — TTFT / tokens-per-second / queue-depth
   accounting;
 * :mod:`repro.serving.resilience` — step-level snapshot/rollback, retry
-  with bounded backoff and single-request fault isolation over the
+  and single-request fault isolation over the
   :mod:`repro.faults` injection framework;
 * :mod:`repro.serving.cluster` / :mod:`repro.serving.worker` —
   supervised multi-worker serving: N engine replicas in child-process
   fault domains under a heartbeat supervisor with bit-identical session
-  failover, restart budgets, graceful drain and rolling restart;
-* :mod:`repro.serving.api` — the unified :class:`Engine` protocol and
-  typed :class:`RequestHandle` both engine classes conform to — the
-  only supported integration surface for front ends;
+  failover, restart budgets and graceful drain;
+* :mod:`repro.serving.api` — the unified :class:`Engine` protocol both
+  engine classes conform to — the only supported integration surface
+  for front ends — and the :class:`RequestHandle` id ``submit`` returns;
 * :mod:`repro.serving.server` — the asyncio HTTP/1.1 control plane
   (``/v1/generate`` with SSE streaming, ``/v1/cancel``, ``/healthz``,
   ``/metrics``) over any :class:`Engine`.

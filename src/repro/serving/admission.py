@@ -23,22 +23,16 @@ class LoadSheddingAdmission:
     the estimated step rate is refused immediately (cheap, honest
     failure) rather than timed out after consuming queue capacity.
 
-    ``depth_source`` makes the policy **cluster-aware**: when set (a
-    zero-argument callable returning the aggregate queued-request count
-    across every worker replica, e.g. :meth:`repro.serving.cluster.
-    ClusterEngine.aggregate_queue_depth`), shedding decisions use the
-    *fleet-wide* backlog rather than the depth the local caller passes
-    in — a replica with a short local queue still sheds when the cluster
-    as a whole is drowning.  Left ``None`` (the default), behavior is
-    exactly the single-engine policy: only the caller-provided depth
-    counts.
+    The policy holds no engine state: each engine passes its own depth,
+    and the cluster's is the aggregate across its workers
+    (:meth:`repro.serving.cluster.ClusterEngine.aggregate_queue_depth`),
+    so one instance may serve several engines.
     """
 
     def __init__(
         self,
         max_queue_depth: Optional[int] = None,
         est_step_s: Optional[float] = None,
-        depth_source=None,
     ) -> None:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
@@ -46,26 +40,17 @@ class LoadSheddingAdmission:
             )
         if est_step_s is not None and est_step_s <= 0.0:
             raise ValueError(f"est_step_s must be positive, got {est_step_s}")
-        if depth_source is not None and not callable(depth_source):
-            raise TypeError("depth_source must be callable (or None)")
         self.max_queue_depth = max_queue_depth
         self.est_step_s = est_step_s
-        self.depth_source = depth_source
 
     def shed_reason(
         self, queue_depth: int, deadline_s: Optional[float] = None
     ) -> Optional[str]:
         """Why a new submission should be refused, or None to accept.
 
-        ``queue_depth`` is the number of requests already waiting (at
-        this replica); ``deadline_s`` the submission's remaining
-        deadline budget.  With a ``depth_source`` bound, the effective
-        depth is the larger of the local and aggregate views — the
-        cluster-wide backlog can only tighten admission, never loosen a
-        locally-full replica.
+        ``queue_depth`` is the number of requests already waiting at
+        the engine; ``deadline_s`` the submission's deadline budget.
         """
-        if self.depth_source is not None:
-            queue_depth = max(int(queue_depth), int(self.depth_source()))
         if (
             self.max_queue_depth is not None
             and queue_depth >= self.max_queue_depth

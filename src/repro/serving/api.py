@@ -7,23 +7,15 @@
   :mod:`repro.serving.server`, the CLI, the load harness) target the
   protocol only, so ``--workers 1`` and ``--workers N`` are the same
   code path.
-* :class:`RequestHandle` — the request id type ``submit`` returns.  It
-  is an ``int`` carrying the engine reference: ``handle.stream()``,
-  ``handle.finish_reason`` and ``handle.cancel()`` reach the engine,
-  and ``engine.stream(int(handle))`` is the same call.  Handles pickle
-  as plain ints (the cluster ships ids over worker pipes).
+* :class:`RequestHandle` — the type of the id ``submit`` returns: an
+  ``int`` every engine method takes.  Its one accessor,
+  ``handle.result()``, is ``engine.result(handle)``; it remains for the
+  solo-run oracle of ``benchmarks/e2e``, and front ends call the engine.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .requests import GenerationResult
@@ -38,78 +30,18 @@ __all__ = [
 class RequestHandle(int):
     """The id of one submitted request, bound to its engine.
 
-    The handle *is* the request id (``int`` subclass): it works as a dict
-    key, a pipe message field or an argument to any engine method.  Its
-    accessors reach the engine it came from:
-
-    ``handle.id``
-        The request id as a plain ``int``.
-    ``handle.stream()``
-        Token iterator (drives the engine like ``engine.stream(id)``).
-    ``handle.result()``
-        The live :class:`~repro.serving.requests.GenerationResult`.
-    ``handle.finish_reason``
-        Terminal reason, or ``None`` while the request is in flight.
-    ``handle.cancel()``
-        Cancel the request; ``False`` if already finished.
-
-    Handles reduce to plain ints under pickle: the engine reference is
-    process-local (worker pipes and caches must not drag the engine
-    along), and an unpickled id is still a valid argument to every
-    engine method.
+    An ``int``: a dict key or an argument to any engine method.
+    ``result()`` reads the request's result from the engine it came from.
     """
 
-    def __new__(cls, request_id: int, engine=None) -> "RequestHandle":
+    def __new__(cls, request_id: int, engine) -> "RequestHandle":
         handle = super().__new__(cls, request_id)
         handle._engine = engine
         return handle
 
-    def __reduce__(self):
-        # Pickle as the bare id: the engine reference is process-local.
-        return (int, (int(self),))
-
-    @property
-    def id(self) -> int:
-        """The request id as a plain ``int``."""
-        return int(self)
-
-    @property
-    def engine(self):
-        """The engine this request was submitted to."""
-        return self._engine
-
-    def _require_engine(self):
-        if self._engine is None:
-            raise RuntimeError(
-                "this RequestHandle is detached (e.g. unpickled); call the "
-                "engine directly with the bare id instead"
-            )
-        return self._engine
-
-    def stream(self) -> Iterator[int]:
-        """Yield this request's tokens as they are generated."""
-        return self._require_engine().stream(int(self))
-
     def result(self) -> "GenerationResult":
         """The request's (possibly still-running) generation result."""
-        return self._require_engine().result(int(self))
-
-    @property
-    def finish_reason(self) -> Optional[str]:
-        """Terminal finish reason, or ``None`` while in flight."""
-        return self.result().finish_reason
-
-    @property
-    def finished(self) -> bool:
-        return self.result().finished
-
-    def cancel(self) -> bool:
-        """Cancel this request; ``False`` if unknown or already final."""
-        return self._require_engine().cancel(int(self))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RequestHandle({int(self)})"
-
+        return self._engine.result(int(self))
 
 
 @runtime_checkable
@@ -126,7 +58,7 @@ class Engine(Protocol):
     Semantics shared by all conformers:
 
     * ``submit`` validates before any state change, sheds at the door
-      when the admission policy refuses (the returned handle is already
+      when the admission policy refuses (the returned id is already
       final with ``finish_reason="shed"``), and pins per-request
       determinism (sampling seed) at submit time.
     * ``step`` advances the world without blocking indefinitely: one
@@ -140,10 +72,8 @@ class Engine(Protocol):
       engine-local registry.
     """
 
-    def submit(
-        self, prompt, params: Optional["SamplingParams"] = None
-    ) -> RequestHandle:
-        """Queue a prompt; returns the typed request handle."""
+    def submit(self, prompt, params: Optional["SamplingParams"] = None) -> int:
+        """Queue a prompt; returns its id."""
         ...
 
     def stream(self, request_id: int) -> Iterator[int]:

@@ -33,9 +33,7 @@ Failure detection & recovery
 
 Lifecycle
     ``drain()`` stops admitting, finishes every in-flight session, then
-    stops the workers; ``rolling_restart()`` cycles each worker through
-    quiesce → migrate-or-drain → stop → fresh spawn without dropping a
-    session; ``close()`` is the idempotent hard stop.
+    stops the workers; ``close()`` is the idempotent hard stop.
 
 Telemetry: per-worker restart counters, failover/requeue counters and a
 heartbeat-age gauge live in the cluster-local registry exposed through
@@ -70,6 +68,18 @@ __all__ = [
     "derive_request_seed",
 ]
 
+#: A booted worker silent this long is declared hung and killed.
+HEARTBEAT_TIMEOUT_S = 5.0
+#: A worker that has not said hello this long after its spawn is hung.
+BOOT_TIMEOUT_S = 120.0
+#: Respawns per slot before it retires; the k-th waits
+#: ``min(RESTART_BACKOFF_CAP_S, RESTART_BACKOFF_BASE_S * 2**(k-1))``.
+MAX_RESTARTS = 3
+RESTART_BACKOFF_BASE_S = 0.05
+RESTART_BACKOFF_CAP_S = 2.0
+#: Sleep between two supervision cycles of :meth:`ClusterEngine.run`.
+POLL_INTERVAL_S = 0.002
+
 
 def derive_request_seed(cluster_seed: int, request_id: int) -> int:
     """Stable per-session sampling seed, independent of worker placement.
@@ -88,7 +98,7 @@ class _Worker:
 
     __slots__ = (
         "slot", "proc", "conn", "pid", "booted", "spawned_at", "last_seen",
-        "restarts", "incarnation", "conn_broken", "retired", "quiesced",
+        "restarts", "incarnation", "conn_broken", "retired",
         "next_spawn_at", "fault_rules", "stats", "stop_acked",
     )
 
@@ -104,7 +114,6 @@ class _Worker:
         self.incarnation = 0
         self.conn_broken = False
         self.retired = False
-        self.quiesced = False
         self.next_spawn_at = 0.0
         self.fault_rules = fault_rules
         self.stats: Dict[str, float] = {}
@@ -121,7 +130,6 @@ class _Worker:
             and self.proc.exitcode is None
             and not self.conn_broken
             and not self.retired
-            and not self.quiesced
         )
 
 
@@ -131,10 +139,9 @@ class ClusterEngine:
     The submit/cancel/stream/run surface mirrors
     :class:`~repro.serving.engine.ServingEngine`; behind it the
     supervisor owns session placement, failure detection and failover.
-    ``admission`` with a ``shed_reason`` method (``LoadSheddingAdmission``)
-    sheds at the cluster door using the *aggregate* queue depth across
-    workers; if its ``depth_source`` hook is unset the cluster binds it
-    to :meth:`aggregate_queue_depth`.
+    ``admission`` (:class:`~repro.serving.admission.LoadSheddingAdmission`)
+    sheds at the cluster door on :meth:`aggregate_queue_depth`.
+    Heartbeat, restart and polling periods are the module constants.
 
     ``worker_faults`` maps worker slots to fault specs (spec string or
     rule list) that *replace* the inherited schedule for that worker —
@@ -157,27 +164,13 @@ class ClusterEngine:
         seed: int = 0,
         quantize: Optional[str] = None,
         resilience=None,
-        heartbeat_interval_s: float = 0.05,
-        heartbeat_timeout_s: float = 5.0,
-        boot_timeout_s: float = 120.0,
-        max_restarts: int = 3,
-        restart_backoff_base_s: float = 0.05,
-        restart_backoff_cap_s: float = 2.0,
-        poll_interval_s: float = 0.002,
         start_method: str = "spawn",
         worker_faults: Optional[Dict[int, object]] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if quantize is not None:
             check_mode(quantize)
-        if max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-        if heartbeat_timeout_s <= heartbeat_interval_s:
-            raise ValueError(
-                "heartbeat_timeout_s must exceed heartbeat_interval_s"
-            )
         self.model = model
         self.n_workers = workers
         self.max_batch_size = max_batch_size
@@ -185,29 +178,14 @@ class ClusterEngine:
         self.seed = seed
         self.quantize = quantize
         self.resilience = resilience
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.boot_timeout_s = boot_timeout_s
-        self.max_restarts = max_restarts
-        self.restart_backoff_base_s = restart_backoff_base_s
-        self.restart_backoff_cap_s = restart_backoff_cap_s
-        self.poll_interval_s = poll_interval_s
-        self.clock = clock
         self._ctx = multiprocessing.get_context(start_method)
         self.metrics = ServingMetrics()
         self.requests = RequestTable(
-            self.metrics, model.config.vocab_size,
-            resilience.default_deadline_s if resilience is not None else None,
-            "cluster_shed_total",
+            self.metrics, model.config.vocab_size, "cluster_shed_total",
         )
         self._owner: Dict[int, int] = {}
         self._replay: Dict[int, int] = {}
         self._pending: Deque[int] = deque()
-
-        if admission is not None and getattr(
-            admission, "depth_source", "absent"
-        ) is None:
-            admission.depth_source = self.aggregate_queue_depth
 
         # Workers get an *explicit* fault schedule (empty list uninstalls)
         # so each child deterministically mirrors the supervisor's state
@@ -242,10 +220,8 @@ class ClusterEngine:
             seed=self.seed,
             quantize=self.quantize,
             resilience=self.resilience,
-            heartbeat_interval_s=self.heartbeat_interval_s,
             fault_rules=worker.fault_rules,
             fault_seed=self._fault_seed,
-            telemetry=None,
         )
 
     def _spawn(self, worker: _Worker) -> None:
@@ -267,7 +243,7 @@ class ClusterEngine:
         worker.conn_broken = False
         worker.stop_acked = False
         worker.incarnation += 1
-        worker.spawned_at = self.clock()
+        worker.spawned_at = time.monotonic()
         worker.last_seen = worker.spawned_at
         worker.stats = {}
 
@@ -276,18 +252,16 @@ class ClusterEngine:
     def workers_alive(self) -> int:
         return sum(1 for w in self._workers if w.alive)
 
-    def worker_pids(self) -> Dict[int, Optional[int]]:
-        """Live pid per worker slot (None for a slot awaiting respawn)."""
-        return {
-            w.slot: (w.proc.pid if w.alive else None) for w in self._workers
-        }
-
-    def kill_worker(self, slot: int, sig: int = signal.SIGKILL) -> bool:
-        """Send ``sig`` to a worker process (chaos/test helper)."""
+    def kill_worker(self, slot: int) -> bool:
+        """SIGKILL a worker process (chaos helper); False when the slot
+        has no live process, ``ValueError`` for a slot it does not have."""
+        if slot not in range(self.n_workers):
+            raise ValueError(
+                f"no worker slot {slot!r} in a {self.n_workers}-worker cluster")
         worker = self._workers[slot]
         if not worker.alive:
             return False
-        os.kill(worker.proc.pid, sig)
+        os.kill(worker.proc.pid, signal.SIGKILL)
         return True
 
     def aggregate_queue_depth(self) -> int:
@@ -372,7 +346,7 @@ class ClusterEngine:
 
     def _handle(self, worker: _Worker, msg) -> None:
         kind = msg[0]
-        worker.last_seen = self.clock()
+        worker.last_seen = time.monotonic()
         if kind == "hello":
             worker.booted = True
             worker.pid = msg[1]
@@ -396,8 +370,7 @@ class ClusterEngine:
             return
         result = self.requests.results[gid]
         if self._owner.get(gid) != worker.slot:
-            # Stale sender: the session migrated away (rolling restart,
-            # failover) while this worker was still decoding it.  Its
+            # Stale sender: the session is no longer this worker's.  Its
             # events must not touch the replay counter the new owner is
             # advancing.
             return
@@ -451,7 +424,7 @@ class ClusterEngine:
     def check_workers(self) -> None:
         """Detect dead/hung workers, fail their sessions over, respawn."""
         with self.requests.lock:
-            now = self.clock()
+            now = time.monotonic()
             for worker in self._workers:
                 if worker.proc is None:
                     if not worker.retired and now >= worker.next_spawn_at \
@@ -463,10 +436,8 @@ class ClusterEngine:
                     "cluster_heartbeat_age_s", worker=worker.slot
                 ).set(age)
                 exited = worker.proc.exitcode is not None
-                hung = (
-                    age > self.heartbeat_timeout_s if worker.booted
-                    else age > self.boot_timeout_s
-                )
+                hung = age > (
+                    HEARTBEAT_TIMEOUT_S if worker.booted else BOOT_TIMEOUT_S)
                 if not (exited or worker.conn_broken or hung):
                     continue
                 if hung and not exited:
@@ -511,12 +482,12 @@ class ClusterEngine:
             self.metrics.registry.counter("cluster_failovers_total").inc()
 
         worker.restarts += 1
-        if worker.restarts > self.max_restarts:
+        if worker.restarts > MAX_RESTARTS:
             worker.retired = True
             return
         backoff = min(
-            self.restart_backoff_cap_s,
-            self.restart_backoff_base_s * (2.0 ** (worker.restarts - 1)),
+            RESTART_BACKOFF_CAP_S,
+            RESTART_BACKOFF_BASE_S * (2.0 ** (worker.restarts - 1)),
         )
         worker.next_spawn_at = now + backoff
         self.metrics.registry.counter(
@@ -594,7 +565,7 @@ class ClusterEngine:
                     f"budget with {len(unfinished)} sessions unfinished: "
                     f"{unfinished}"
                 )
-        time.sleep(self.poll_interval_s)
+        time.sleep(POLL_INTERVAL_S)
 
     def run(
         self,
@@ -624,14 +595,14 @@ class ClusterEngine:
         if worker.alive and not worker.conn_broken:
             try:
                 worker.conn.send(("stop",))
-                deadline = self.clock() + timeout_s
+                deadline = time.monotonic() + timeout_s
                 while (
                     not worker.stop_acked
                     and worker.proc.exitcode is None
-                    and self.clock() < deadline
+                    and time.monotonic() < deadline
                 ):
                     try:
-                        while worker.conn.poll(self.poll_interval_s):
+                        while worker.conn.poll(POLL_INTERVAL_S):
                             self._handle(worker, worker.conn.recv())
                     except (EOFError, BrokenPipeError, OSError):
                         worker.conn_broken = True
@@ -664,59 +635,6 @@ class ClusterEngine:
         self.requests.admitting = False
         self.run(timeout_s)
         return self.close()
-
-    def rolling_restart(self, timeout_s: Optional[float] = None) -> None:
-        """Replace every worker process without dropping a session.
-
-        One slot at a time: quiesce (no new dispatches), migrate its
-        in-flight sessions to the other workers through the
-        deterministic replay path (or, with a single worker, wait for
-        them to finish), stop it gracefully, spawn a fresh process into
-        the slot.  Restarted slots do not consume the failure restart
-        budget.
-        """
-        deadline = None if timeout_s is None else self.clock() + timeout_s
-        for worker in self._workers:
-            if worker.proc is None and worker.retired:
-                continue
-            worker.quiesced = True
-            others = [
-                w for w in self._workers
-                if w is not worker and w.dispatchable
-            ]
-            assigned = sorted(self._assigned(worker))
-            if others and assigned:
-                # Voluntary failover: requeue through the replay path.
-                for gid in assigned:
-                    self._owner.pop(gid, None)
-                    self._replay[gid] = 0
-                    self.metrics.registry.counter(
-                        "cluster_requeued_sessions_total"
-                    ).inc()
-                self._pending.extendleft(reversed(assigned))
-                self.dispatch()
-            else:
-                while self._assigned(worker):
-                    self.pump()
-                    self.check_workers()
-                    self.dispatch()
-                    if worker.proc is None:
-                        break  # died mid-drain; failover already ran
-                    if deadline is not None and self.clock() > deadline:
-                        raise TimeoutError(
-                            f"worker {worker.slot} did not drain in time"
-                        )
-                    time.sleep(self.poll_interval_s)
-            self._stop_worker(worker)
-            worker.retired = False
-            worker.quiesced = False
-            worker.stop_acked = False
-            self.metrics.registry.counter(
-                "cluster_rolling_restarts_total", worker=worker.slot
-            ).inc()
-            self._spawn(worker)
-        # Let the freshly spawned workers pick up anything requeued.
-        self.dispatch()
 
     def close(self) -> Dict[int, GenerationResult]:
         """Hard stop: idempotent; flushes unfinished sessions to

@@ -52,10 +52,8 @@ class ServingEngine:
     hardware model quantifies.
 
     ``resilience`` (:class:`repro.serving.resilience.ResilienceConfig`)
-    governs fault recovery, per-request deadlines and the slow-step
-    watchdog.  The retry/rollback machinery engages only while a fault
-    injector is installed (:mod:`repro.faults`); deadlines and the
-    watchdog run whenever configured.
+    governs fault recovery.  The retry/rollback machinery engages only
+    while a fault injector is installed (:mod:`repro.faults`).
     """
 
     def __init__(
@@ -78,8 +76,7 @@ class ServingEngine:
         self.metrics = ServingMetrics(**({"clock": clock} if clock else {}))
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.requests = RequestTable(
-            self.metrics, self.model.config.vocab_size,
-            self.resilience.default_deadline_s, "serving_shed_total",
+            self.metrics, self.model.config.vocab_size, "serving_shed_total",
         )
 
     # ------------------------------------------------------------------
@@ -98,11 +95,10 @@ class ServingEngine:
 
         Validation happens before any engine state changes: an invalid
         prompt raises without burning a request id or leaving a
-        half-registered result.  When the admission policy implements
-        ``shed_reason`` (:class:`~repro.serving.admission.
-        LoadSheddingAdmission`) and refuses the submission, the request
-        is registered already finished with ``finish_reason="shed"``
-        instead of joining the queue.
+        half-registered result.  When the admission policy
+        (:class:`~repro.serving.admission.LoadSheddingAdmission`) refuses
+        the submission, the request is registered already finished with
+        ``finish_reason="shed"`` instead of joining the queue.
         """
         request_id = self.requests.submit(
             prompt, params or SamplingParams(),
@@ -141,7 +137,6 @@ class ServingEngine:
             # "cancelled" event then finds the request already terminal.
             self.requests.expire(self.scheduler.cancel)
             config = self.resilience
-            step_started = self.metrics.clock()
             with span("serve.step", batch=self.scheduler.batch_size,
                       queued=self.scheduler.queue_depth):
                 if config.enabled and faults_active():
@@ -160,12 +155,6 @@ class ServingEngine:
                         ).inc(len(report.failed_events))
                 else:
                     events = self.scheduler.step()
-            if (
-                config.watchdog_step_s is not None
-                and self.metrics.clock() - step_started > config.watchdog_step_s
-            ):
-                self.metrics.registry.counter(
-                    "serving_watchdog_slow_steps_total").inc()
             for event in events:
                 if event.token is not None:
                     self.requests.append(event.request_id, event.token)
@@ -211,13 +200,11 @@ class ServingEngine:
             if self.has_work:
                 self.step()
 
-    def run(self, max_steps: Optional[int] = None) -> Dict[int, GenerationResult]:
-        """Step until no request is live (at most ``max_steps`` steps);
-        return every result.  The engine stays open."""
-        steps = 0
-        while self.has_work and (max_steps is None or steps < max_steps):
+    def run(self) -> Dict[int, GenerationResult]:
+        """Step until no request is live; return every result.  The
+        engine stays open."""
+        while self.has_work:
             self._advance()
-            steps += 1
         return dict(self.requests.results)
 
     def drain(

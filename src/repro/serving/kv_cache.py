@@ -85,10 +85,6 @@ class DecoderKVCache:
         """Commit ``s_new`` freshly written positions on every row."""
         self.lengths = self.lengths + s_new
 
-    def free_slots(self) -> np.ndarray:
-        """Remaining capacity per row before the sliding-window edge."""
-        return self.max_len - self.lengths
-
     def rows_full(self) -> np.ndarray:
         """Boolean mask of rows that hit ``max_len`` (need window re-prefill)."""
         return self.lengths >= self.max_len

@@ -19,6 +19,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
+from .admission import LoadSheddingAdmission
 from .metrics import ServingMetrics
 from .sampling import SamplingParams
 from .scheduler import FINISH_CANCELLED, FINISH_DEADLINE, FINISH_SHED, validated_prompt
@@ -37,33 +38,23 @@ class GenerationResult:
     def finished(self) -> bool:
         return self.finish_reason is not None
 
-    def full_sequence(self) -> np.ndarray:
-        """Prompt and generated tokens as one id array."""
-        return np.concatenate([
-            np.asarray(self.prompt, dtype=np.int64).reshape(-1),
-            np.asarray(self.tokens, dtype=np.int64),
-        ])
-
 
 class RequestTable:
     """Ids, results, pinned parameters and deadlines of one engine's requests.
 
-    ``default_deadline_s`` applies to requests whose parameters carry no
-    deadline; ``shed_counter`` names the counter a refusal at the door
-    increments.  ``admitting`` turns off at ``drain`` and ``close``;
-    ``closed`` once :meth:`close` has flushed every live request.
+    ``shed_counter`` names the counter a refusal at the door increments.
+    ``admitting`` turns off at ``drain`` and ``close``; ``closed`` once
+    :meth:`close` has flushed every live request.
     """
 
     def __init__(
         self,
         metrics: ServingMetrics,
         vocab_size: int,
-        default_deadline_s: Optional[float],
         shed_counter: str,
     ) -> None:
         self.metrics = metrics
         self.vocab_size = vocab_size
-        self.default_deadline_s = default_deadline_s
         self.shed_counter = shed_counter
         self.results: Dict[int, GenerationResult] = {}
         self.params: Dict[int, SamplingParams] = {}
@@ -90,15 +81,15 @@ class RequestTable:
         prompt,
         params: SamplingParams,
         enqueue: Callable[[int, np.ndarray, SamplingParams], object],
-        admission,
+        admission: Optional[LoadSheddingAdmission],
         queue_depth: Callable[[], int],
     ) -> int:
         """Register one request; returns its id.
 
         Validation and ``enqueue`` (the engine's hand-off of the request)
         run before any state changes, so a refusal burns no id.  An
-        ``admission`` with ``shed_reason`` that refuses registers the
-        request already finished as ``shed``, and ``enqueue`` is skipped.
+        ``admission`` that refuses registers the request already finished
+        as ``shed``, and ``enqueue`` is skipped.
         """
         with self.lock:
             if not self.admitting:
@@ -106,12 +97,9 @@ class RequestTable:
             prompt = validated_prompt(prompt, self.vocab_size)
             request_id = self.next_id
             deadline_s = params.deadline_s
-            if deadline_s is None:
-                deadline_s = self.default_deadline_s
-            shed_reason = getattr(admission, "shed_reason", None)
             reason = (
-                shed_reason(queue_depth(), deadline_s)
-                if shed_reason is not None else None
+                admission.shed_reason(queue_depth(), deadline_s)
+                if admission is not None else None
             )
             if reason is None:
                 enqueue(request_id, prompt, params)

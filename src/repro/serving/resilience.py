@@ -12,7 +12,7 @@ the ROADMAP's multi-worker failure-injection tests will drive:
   indistinguishable from the failed attempt's first run.
 * :func:`resilient_step` — runs ``scheduler.step()`` under that
   snapshot.  A :class:`~repro.faults.TransientFault` rolls the world
-  back and retries with bounded exponential backoff (the injected
+  back and retries at once, up to a budget (the injected
   fault's schedule slot is spent, so the retry replays the *same*
   tokens unless the schedule says to fail again).  A
   :class:`~repro.faults.FatalFault`, or a transient one that exhausts
@@ -25,16 +25,14 @@ the ROADMAP's multi-worker failure-injection tests will drive:
 The snapshot is taken **only while a fault injector is installed**
 (:func:`repro.faults.active`): the fault-free production path pays one
 attribute check per step, nothing more (gated by the ``fault_overhead``
-benchmark).  :class:`ResilienceConfig` also carries the engine's
-per-request deadline default, the slow-step watchdog threshold, and the
-retry/backoff budget.
+benchmark).  :class:`ResilienceConfig` switches the machinery and
+holds the retry budget.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..faults import FatalFault, FaultError, TransientFault
 from ..telemetry import counter_inc
@@ -50,45 +48,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Retry, deadline, watchdog and shedding policy for an engine.
+    """Fault-recovery policy for an engine.
 
     ``max_retries`` bounds transient-fault retries *per step attempt
     round* (a fresh victim eviction resets the budget — each surviving
-    subset of the batch deserves its own retries).  Backoff after the
-    k-th retry sleeps ``min(backoff_cap_s, backoff_base_s * 2**(k-1))``
-    through the injectable ``sleep`` (tests and the chaos CLI pass a
-    no-op).  ``default_deadline_s`` applies to requests whose
-    :class:`~repro.serving.sampling.SamplingParams` carry no deadline;
-    ``watchdog_step_s`` flags steps slower than the threshold into the
-    ``serving_watchdog_slow_steps_total`` counter.  ``enabled=False``
-    restores the pre-resilience engine step wholesale (the benchmark
-    baseline).
+    subset of the batch deserves its own retries); a retry runs at once.
+    ``enabled=False`` restores the pre-resilience engine step wholesale
+    (the benchmark baseline).
     """
 
     enabled: bool = True
     max_retries: int = 3
-    backoff_base_s: float = 0.0
-    backoff_cap_s: float = 0.05
-    default_deadline_s: Optional[float] = None
-    watchdog_step_s: Optional[float] = None
-    sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be positive")
-        if self.watchdog_step_s is not None and self.watchdog_step_s <= 0:
-            raise ValueError("watchdog_step_s must be positive")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based), capped exponential."""
-        if self.backoff_base_s <= 0.0:
-            return 0.0
-        return min(self.backoff_cap_s,
-                   self.backoff_base_s * (2.0 ** (attempt - 1)))
 
 
 class SchedulerSnapshot:
@@ -138,7 +112,6 @@ class StepReport:
 
     retries: int = 0
     rollbacks: int = 0
-    backoff_s: float = 0.0
     failed_events: List[StepEvent] = field(default_factory=list)
 
 
@@ -199,10 +172,6 @@ def resilient_step(
                     attempt += 1
                     report.retries += 1
                     counter_inc("serving_fault_retries_total")
-                    delay = config.backoff_s(attempt)
-                    if delay > 0.0:
-                        report.backoff_s += delay
-                        config.sleep(delay)
                     continue
                 victim = _pick_victim(fault, scheduler)
                 if victim is None:

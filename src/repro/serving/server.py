@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -112,6 +113,16 @@ _PARAM_FIELDS = (
     "seed", "stop_token", "deadline_s",
 )
 _SERVER_FIELDS = ("prompt", "stream")
+
+#: Path -> the one method it answers.  Metrics label a request with its
+#: route only when it names one; every other request counts as
+#: ``unknown``, so what a client sends cannot mint new series.
+_ROUTES = {
+    "/healthz": "GET",
+    "/metrics": "GET",
+    "/v1/generate": "POST",
+    "/v1/cancel": "POST",
+}
 
 _REASON_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -138,6 +149,15 @@ _CLIENT_CLOSED = 499
 
 #: A client gets this long to send its head, and as long again its body.
 _READ_TIMEOUT_S = 10.0
+#: Largest request body accepted (413 above it).
+MAX_BODY_BYTES = 1 << 20
+#: How long an idle dispatcher waits for a submission before it steps
+#: again (an idle engine, or a cluster waiting on worker pipes), so an
+#: idle server does not spin a core.
+STEP_IDLE_S = 0.002
+#: Bound on the stop-time drain; requests still live after it are
+#: cancelled.
+DRAIN_TIMEOUT_S = 30.0
 
 #: Loop turns the dispatcher yields between two engine steps: at least
 #: ``_MIN_TURNS``, and up to ``_MAX_TURNS`` while a connection is arriving
@@ -246,12 +266,6 @@ class ServingHTTPServer:
     anything engine-specific.  ``own_engine=True`` makes ``stop()``
     close the engine as well (the CLI path); tests usually keep the
     engine alive to inspect results after the server exits.
-
-    ``step_idle_s`` paces the dispatcher when a step makes no progress
-    (idle engine, cluster waiting on worker pipes) so an idle server
-    doesn't spin a core; a submission ends the wait early.
-    ``drain_timeout_s`` bounds the stop-time drain; ``None`` waits
-    indefinitely.
     """
 
     def __init__(
@@ -259,17 +273,11 @@ class ServingHTTPServer:
         engine,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_body_bytes: int = 1 << 20,
-        step_idle_s: float = 0.002,
-        drain_timeout_s: Optional[float] = 30.0,
         own_engine: bool = False,
     ) -> None:
         self.engine = engine
         self.host = host
         self.port = port
-        self.max_body_bytes = max_body_bytes
-        self.step_idle_s = step_idle_s
-        self.drain_timeout_s = drain_timeout_s
         self.own_engine = own_engine
         self.registry = engine.metrics.registry
         self._server: Optional[asyncio.AbstractServer] = None
@@ -308,7 +316,7 @@ class ServingHTTPServer:
 
         With ``drain=True`` the dispatcher keeps stepping the engine
         until every tracked request has reached a terminal state (bounded
-        by ``drain_timeout_s``); with ``drain=False`` live requests are
+        by :data:`DRAIN_TIMEOUT_S`); with ``drain=False`` live requests are
         cancelled first so their streams terminate with
         ``finish_reason="cancelled"``.  Idempotent.
         """
@@ -322,7 +330,7 @@ class ServingHTTPServer:
         if not drain:
             self._cancel_tracked()
         try:
-            async with asyncio.timeout(self.drain_timeout_s):
+            async with asyncio.timeout(DRAIN_TIMEOUT_S):
                 await self._await_drained()
         except TimeoutError:
             self.registry.counter("http_drain_timeouts_total").inc()
@@ -346,7 +354,7 @@ class ServingHTTPServer:
         # The dispatcher writes a request's whole response before it
         # untracks it, so an empty table means every byte is handed over.
         while self._tracked:
-            await asyncio.sleep(self.step_idle_s)
+            await asyncio.sleep(STEP_IDLE_S)
 
     async def serve_forever(self) -> None:
         """Serve until :meth:`stop` runs (e.g. from a signal handler)."""
@@ -395,7 +403,7 @@ class ServingHTTPServer:
             else:
                 self._wake.clear()
                 try:
-                    async with asyncio.timeout(self.step_idle_s):
+                    async with asyncio.timeout(STEP_IDLE_S):
                         await self._wake.wait()
                 except TimeoutError:
                     pass
@@ -462,7 +470,8 @@ class ServingHTTPServer:
             try:
                 try:
                     method, path, headers = await self._read_head(reader)
-                    endpoint = f"{method} {path}"
+                    if _ROUTES.get(path) == method:
+                        endpoint = f"{method} {path}"
                     body = await self._read_body(reader, headers)
                 finally:
                     # Read, or never will be: either way no longer a
@@ -535,9 +544,9 @@ class ServingHTTPServer:
             length = int(headers.get("content-length") or 0)
         except ValueError:
             raise _BadRequest(400, "Content-Length must be an integer")
-        if length > self.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise _BadRequest(
-                413, f"body of {length} bytes exceeds {self.max_body_bytes}"
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
         if length <= 0:
             return b""
@@ -551,22 +560,22 @@ class ServingHTTPServer:
         self, writer: asyncio.StreamWriter, method: str, path: str, body: bytes
     ) -> int:
         """Answer one request; returns the status written."""
-        route = {
-            "/healthz": ("GET", self._handle_healthz),
-            "/metrics": ("GET", self._handle_metrics),
-            "/v1/generate": ("POST", self._handle_generate),
-            "/v1/cancel": ("POST", self._handle_cancel),
-        }.get(path)
-        if route is None:
+        allowed = _ROUTES.get(path)
+        if allowed is None:
             return self._respond_json(
                 writer, 404, {"error": f"no such endpoint: {path}"}
             )
-        allowed, handler = route
         if method != allowed:
             return self._respond_json(
                 writer, 405, {"error": f"method not allowed; use {allowed}"},
                 extra_headers=[("Allow", allowed)],
             )
+        handler = {
+            "/healthz": self._handle_healthz,
+            "/metrics": self._handle_metrics,
+            "/v1/generate": self._handle_generate,
+            "/v1/cancel": self._handle_cancel,
+        }[path]
         return await handler(writer, body)
 
     # -- endpoints -----------------------------------------------------
@@ -654,12 +663,13 @@ class ServingHTTPServer:
         return await tracked.done
 
     def _retry_after(self) -> str:
-        """Retry hint from the engine's shedding policy when available."""
+        """Retry hint from the engine's shedding policy when available, in
+        whole seconds (RFC 9110 delay-seconds), at least 1."""
         admission = getattr(self.engine, "admission", None)
-        est = getattr(admission, "est_step_s", None)
-        depth = getattr(admission, "max_queue_depth", None)
-        if est and depth:
-            return f"{max(est * depth, 0.001):.3f}"
+        if admission is not None and admission.est_step_s \
+                and admission.max_queue_depth:
+            return str(max(math.ceil(
+                admission.est_step_s * admission.max_queue_depth), 1))
         return "1"
 
     async def _handle_cancel(
@@ -712,11 +722,8 @@ class ServerThread:
             requests.get(f"http://127.0.0.1:{server.port}/healthz")
     """
 
-    def __init__(self, engine, host: str = "127.0.0.1", port: int = 0,
-                 **server_kwargs) -> None:
-        self.server = ServingHTTPServer(
-            engine, host=host, port=port, **server_kwargs
-        )
+    def __init__(self, engine, host: str = "127.0.0.1", port: int = 0) -> None:
+        self.server = ServingHTTPServer(engine, host=host, port=port)
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -733,10 +740,6 @@ class ServerThread:
     @property
     def port(self) -> int:
         return self.server.port
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.server.host}:{self.server.port}"
 
     def start(self, timeout_s: float = 30.0) -> "ServerThread":
         self._thread = threading.Thread(
@@ -782,15 +785,13 @@ class ServerThread:
         return False
 
 
-def start_http_server(engine, host: str = "127.0.0.1", port: int = 0,
-                      **server_kwargs) -> ServerThread:
+def start_http_server(engine, host: str = "127.0.0.1", port: int = 0) -> ServerThread:
     """Start a background HTTP server over ``engine``; returns the
     running :class:`ServerThread` (``.port`` is the bound port)."""
-    return ServerThread(engine, host=host, port=port, **server_kwargs).start()
+    return ServerThread(engine, host=host, port=port).start()
 
 
-def run_http_server(engine, host: str = "127.0.0.1", port: int = 0,
-                    **server_kwargs) -> None:
+def run_http_server(engine, host: str = "127.0.0.1", port: int = 0) -> None:
     """Blocking CLI entry point: serve until SIGTERM/SIGINT, then drain.
 
     Owns the engine: after the drain completes the engine is closed, so
@@ -799,9 +800,7 @@ def run_http_server(engine, host: str = "127.0.0.1", port: int = 0,
     """
 
     async def _main() -> None:
-        server = ServingHTTPServer(
-            engine, host=host, port=port, own_engine=True, **server_kwargs
-        )
+        server = ServingHTTPServer(engine, host=host, port=port, own_engine=True)
         await server.start()
         server.install_signal_handlers()
         print(f"serving on http://{server.host}:{server.port} "

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,6 +65,12 @@ BLAS_PIN_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+
+#: Seconds between two heartbeats, sent also while idle; the cluster
+#: declares a worker hung after ``cluster.HEARTBEAT_TIMEOUT_S`` without one.
+HEARTBEAT_INTERVAL_S = 0.05
+#: How long an idle worker waits on its pipe before the next heartbeat check.
+IDLE_POLL_S = 0.01
 
 #: Exit code of a worker killed by an injected ``worker.step`` fatal
 #: fault — distinguishable from real crashes (1) and signals (<0) in
@@ -113,8 +119,7 @@ class WorkerConfig:
     ``fault_rules=None`` inherits whatever the child's environment (or,
     under the ``fork`` start method, the parent's installed injector)
     provides; an explicit list — possibly empty, which uninstalls —
-    replaces it.  ``resilience`` must be picklable (the default
-    ``time.sleep`` backoff is; test lambdas are not).
+    replaces it.
     """
 
     worker_id: int
@@ -122,17 +127,12 @@ class WorkerConfig:
     seed: int = 0
     quantize: Optional[str] = None
     resilience: Optional[object] = None
-    heartbeat_interval_s: float = 0.05
-    idle_poll_s: float = 0.01
     fault_rules: Optional[List[FaultRule]] = None
     fault_seed: int = 0
-    telemetry: Optional[bool] = None
-    env: Dict[str, str] = field(default_factory=dict)
 
 
 def _apply_worker_state(config: WorkerConfig) -> None:
-    """Align the child's process-global opt-ins with the supervisor's."""
-    os.environ.update(config.env)
+    """Install the supervisor's fault schedule for this worker."""
     if config.fault_rules is not None:
         if config.fault_rules:
             faults.install(
@@ -140,13 +140,6 @@ def _apply_worker_state(config: WorkerConfig) -> None:
             )
         else:
             faults.uninstall()
-    if config.telemetry is not None:
-        from .. import telemetry
-
-        if config.telemetry:
-            telemetry.enable()
-        else:
-            telemetry.disable()
 
 
 def _translate(events, engine, gid_by_local: Dict[int, int]) -> List[Tuple]:
@@ -171,13 +164,13 @@ def worker_main(conn, model, config: WorkerConfig) -> None:
     The loop interleaves three duties: drain supervisor commands from
     the pipe, advance the engine one step when it has work (forwarding
     the step's events), and emit a heartbeat every
-    ``heartbeat_interval_s`` — also while idle, so a wedged worker and a
+    :data:`HEARTBEAT_INTERVAL_S` — also while idle, so a wedged worker and a
     quiet one are distinguishable.
     """
     try:
         _apply_worker_state(config)
-        # Import after the env/opt-in alignment so even lazily-loaded
-        # modules see the final state.
+        # Import after the fault schedule is installed so even
+        # lazily-loaded modules see it.
         from .engine import ServingEngine
 
         engine = ServingEngine(
@@ -193,7 +186,7 @@ def worker_main(conn, model, config: WorkerConfig) -> None:
         last_heartbeat = 0.0
         conn.send(("hello", os.getpid()))
         while True:
-            timeout = 0.0 if engine.has_work else config.idle_poll_s
+            timeout = 0.0 if engine.has_work else IDLE_POLL_S
             while conn.poll(timeout):
                 timeout = 0.0
                 msg = conn.recv()
@@ -230,7 +223,7 @@ def worker_main(conn, model, config: WorkerConfig) -> None:
                 if payload:
                     conn.send(("events", payload))
             now = time.monotonic()
-            if now - last_heartbeat >= config.heartbeat_interval_s:
+            if now - last_heartbeat >= HEARTBEAT_INTERVAL_S:
                 last_heartbeat = now
                 injector = faults.get_injector()
                 conn.send(("heartbeat", {

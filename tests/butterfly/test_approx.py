@@ -39,10 +39,6 @@ class TestFitButterfly:
         with pytest.raises(ValueError, match="matrix"):
             fit_butterfly(rng.normal(size=8))
 
-    def test_final_loss_property(self, rng):
-        result = fit_butterfly(np.eye(4), steps=10, rng=rng)
-        assert result.final_loss == result.losses[-1]
-
 
 class TestApproximationError:
     def test_zero_for_exact_weight(self, rng):

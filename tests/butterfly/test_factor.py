@@ -11,6 +11,13 @@ from repro.butterfly import (
 )
 
 
+def identity_factor(n, half):
+    """The factor whose dense form is ``eye(n)``: a = d = 1, b = c = 0."""
+    coeffs = np.zeros((4, n // 2))
+    coeffs[0] = coeffs[3] = 1.0
+    return ButterflyFactor(n, half, coeffs)
+
+
 class TestStageStructure:
     @pytest.mark.parametrize("n,expected", [
         (2, [1]), (4, [1, 2]), (16, [1, 2, 4, 8]), (64, [1, 2, 4, 8, 16, 32]),
@@ -59,7 +66,7 @@ class TestStageStructure:
 class TestButterflyFactor:
     def test_identity_factor_is_identity(self, rng):
         for half in stage_halves(16):
-            factor = ButterflyFactor.identity(16, half)
+            factor = identity_factor(16, half)
             x = rng.normal(size=16)
             np.testing.assert_allclose(factor.apply(x), x)
             np.testing.assert_allclose(factor.dense(), np.eye(16))
@@ -92,14 +99,9 @@ class TestButterflyFactor:
             ButterflyFactor(8, 3, np.zeros((4, 4)))
 
     def test_apply_wrong_size(self, rng):
-        factor = ButterflyFactor.identity(8, 2)
+        factor = identity_factor(8, 2)
         with pytest.raises(ValueError, match="last dim"):
             factor.apply(rng.normal(size=7))
-
-    def test_num_multiplies(self):
-        factor = ButterflyFactor.identity(16, 4)
-        assert factor.num_multiplies(rows=1) == 8 * 4
-        assert factor.num_multiplies(rows=10) == 10 * 8 * 4
 
     def test_random_variance_scale(self, rng):
         """Default init keeps outputs near unit variance through a stage."""

@@ -74,9 +74,6 @@ class TestResourceSharing:
         assert bu.add_ops == 0
         assert bu.cycles == 0
 
-    def test_physical_multipliers_constant(self):
-        assert AdaptableButterflyUnit().multipliers == 4
-
     def test_runtime_reconfiguration(self):
         """One unit can alternate modes between layers (the adaptability)."""
         bu = AdaptableButterflyUnit()

@@ -95,12 +95,6 @@ class TestCompiler:
         with pytest.raises(TypeError, match=match):
             ButterflyPerformanceModel(BE120_CONFIG).model_latency(spec)
 
-    def test_listing_format(self, fab_model):
-        program = compile_model(fab_model)
-        listing = program.listing()
-        assert "0000:" in listing
-        assert "exec_fft2" in listing
-
 
 class TestValidation:
     def test_compiled_programs_are_valid(self, fab_model):

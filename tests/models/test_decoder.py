@@ -134,7 +134,7 @@ class TestGeneration:
         lm = build_dense_decoder(lm_config).train(training)
         lm.generate(rng.integers(1, VOCAB_SIZE, size=(1, 4)), 3, use_cache=use_cache)
         assert lm.training is training
-        assert lm.drop.training is training and lm.blocks[0].training is training
+        assert lm.blocks[0].training is training
 
     def test_sampled_generation_varies_with_rng(self, lm_config, rng):
         lm = build_butterfly_decoder(lm_config)

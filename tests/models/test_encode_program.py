@@ -1,6 +1,6 @@
 """The encoder's compiled ``no_grad`` forward against the ``Tensor`` graph.
 
-Under ``no_grad``, with the fused kernels on and no dropout to draw,
+Under ``no_grad``, with the fused kernels on,
 ``EncoderClassifier.encode`` / ``forward`` run a flat program of kernel
 calls over buffers the program owns (``repro.models.encode_program``).
 The ``Tensor`` graph it stands in for is still there — it is the training
@@ -139,26 +139,21 @@ class TestAgainstTheGraph:
 
 
 class TestDispatch:
-    """The program serves fused ``no_grad`` calls with no dropout to draw;
-    everything else records the graph, and nothing selects between them."""
+    """The program serves fused ``no_grad`` calls; everything else records
+    the graph, and nothing selects between them."""
 
-    def test_grad_enabled_unfused_and_live_dropout_take_the_graph(self, rng):
-        model = build("fabnet", dropout=0.1)
+    def test_grad_enabled_and_unfused_take_the_graph(self, rng):
+        model = build("fabnet")
         tokens, _ = inputs(rng)
         assert model(tokens)._parents  # grad enabled
         with nn.no_grad(), kernels.use_fused(False):
             model(tokens)
-        model.train()
-        with nn.no_grad():
-            a, b = model(tokens).data, model(tokens).data
-        assert not np.array_equal(a, b)  # dropout drew twice
         assert model._program.builds == 0
-        model.eval()
         with nn.no_grad():
             out = model(tokens)
         assert model._program.builds == 1 and not out._parents
 
-    def test_training_mode_without_dropout_takes_the_program(self, rng):
+    def test_training_mode_takes_the_program(self, rng):
         model = build("fnet").train()
         tokens, _ = inputs(rng)
         with nn.no_grad():

@@ -227,11 +227,6 @@ class TestBackwardMechanics:
             assert not nn.tensor.is_grad_enabled()
         assert nn.tensor.is_grad_enabled()
 
-    def test_detach_breaks_graph(self):
-        t = Tensor(np.ones(2), requires_grad=True)
-        out = (t * 2.0).detach() * 3.0
-        assert out._backward is None
-
     def test_zero_grad(self):
         t = Tensor(np.ones(2), requires_grad=True)
         (t * t).sum().backward()

@@ -1,7 +1,6 @@
-"""Core layers: Linear, Embedding, LayerNorm, Dropout, activations."""
+"""Core layers: Linear, Embedding, LayerNorm, activations."""
 
 import numpy as np
-import pytest
 
 from repro import nn
 
@@ -75,23 +74,6 @@ class TestLayerNorm:
 
     def test_parameters_registered(self):
         assert {n for n, _ in nn.LayerNorm(4).named_parameters()} == {"gamma", "beta"}
-
-
-class TestDropout:
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError, match="rate"):
-            nn.Dropout(1.0)
-
-    def test_eval_mode_identity(self, rng):
-        drop = nn.Dropout(0.9, rng=rng)
-        drop.eval()
-        x = nn.Tensor(rng.normal(size=(5,)))
-        assert drop(x) is x
-
-    def test_training_mode_drops(self):
-        drop = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        out = drop(nn.Tensor(np.ones(1000)))
-        assert (out.data == 0).sum() > 300
 
 
 class TestActivations:

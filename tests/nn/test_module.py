@@ -33,12 +33,6 @@ class TestRegistration:
         model = TwoLayer()
         assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2 + 1
 
-    def test_register_module(self):
-        m = nn.Module()
-        m.register_module("child", nn.Linear(2, 2))
-        assert len(list(m.named_parameters())) == 2
-        assert m.child.in_features == 2
-
     def test_zero_grad_clears_all(self):
         model = TwoLayer()
         out = model(nn.Tensor(np.ones((1, 4))))
@@ -120,9 +114,9 @@ class TestContainers:
         assert ml[3].out_features == 2
 
     def test_module_list_iteration(self):
-        ml = nn.ModuleList([nn.GELU(), nn.Dropout(0.1)])
+        ml = nn.ModuleList([nn.GELU(), nn.LayerNorm(2)])
         kinds = [type(m).__name__ for m in ml]
-        assert kinds == ["GELU", "Dropout"]
+        assert kinds == ["GELU", "LayerNorm"]
 
     def test_base_forward_raises(self):
         with pytest.raises(NotImplementedError):

@@ -29,10 +29,6 @@ class TestTensorBasics:
         assert "shape=(2, 3)" in repr(t)
         assert "requires_grad=True" in repr(t)
 
-    def test_numpy_returns_underlying(self):
-        arr = np.ones(3)
-        assert Tensor(arr).numpy() is arr
-
     def test_properties(self):
         t = Tensor(np.zeros((2, 3, 4)))
         assert t.ndim == 3
@@ -153,22 +149,3 @@ class TestLosses:
     def test_accuracy_accepts_tensor(self):
         logits = Tensor(np.array([[0.0, 1.0]]))
         assert F.accuracy(logits, np.array([1])) == 1.0
-
-
-class TestDropout:
-    def test_dropout_eval_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(10,)))
-        out = F.dropout(x, 0.5, training=False, rng=rng)
-        assert out is x
-
-    def test_dropout_zero_rate_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(10,)))
-        assert F.dropout(x, 0.0, training=True, rng=rng) is x
-
-    def test_dropout_scales_survivors(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones(10000))
-        out = F.dropout(x, 0.5, training=True, rng=rng)
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, np.full_like(kept, 2.0))
-        assert abs(out.data.mean() - 1.0) < 0.05

@@ -4,11 +4,10 @@ The unified :class:`repro.serving.api.Engine` protocol is the only
 supported integration surface for front ends; these tests run the same
 behavioural checks against :class:`ServingEngine` and
 :class:`ClusterEngine` so the two can never drift apart again, plus the
-:class:`RequestHandle` semantics (typed accessors, bare-int id,
-pickle-to-int) and the stream-vs-close race.
+stream-vs-close race.  Every call names its request by the ``int`` id
+``submit`` returned.
 """
 
-import pickle
 import threading
 import time
 from collections import Counter
@@ -20,7 +19,7 @@ from repro.models import ModelConfig, build_butterfly_decoder
 import repro.serving
 from repro.serving import LoadSheddingAdmission, SamplingParams
 from repro.serving import api
-from repro.serving.api import Engine, RequestHandle
+from repro.serving.api import Engine
 from repro.serving.cluster import ClusterEngine
 from repro.serving.engine import ServingEngine
 from repro.serving.scheduler import (
@@ -63,21 +62,18 @@ class TestProtocolConformance:
     def test_runtime_checkable(self, engine):
         assert isinstance(engine, Engine)
 
-    def test_submit_returns_handle(self, engine):
-        handle = engine.submit(_prompt(), SamplingParams(max_new_tokens=3))
-        assert isinstance(handle, RequestHandle)
-        assert isinstance(handle, int)
-        assert handle.engine is engine
-        assert handle.id == int(handle)
+    def test_submit_returns_the_id(self, engine):
+        rid = engine.submit(_prompt(), SamplingParams(max_new_tokens=3))
+        assert isinstance(rid, int)
         engine.drain(timeout_s=60.0)
-        assert handle.finish_reason == FINISH_LENGTH
+        assert engine.result(rid).finish_reason == FINISH_LENGTH
 
-    def test_handle_stream_drives_engine(self, engine):
-        handle = engine.submit(_prompt(1), SamplingParams(max_new_tokens=4))
-        tokens = list(handle.stream())
+    def test_stream_drives_engine(self, engine):
+        rid = engine.submit(_prompt(1), SamplingParams(max_new_tokens=4))
+        tokens = list(engine.stream(rid))
         assert len(tokens) == 4
-        assert handle.finished
-        assert list(tokens) == list(handle.result().tokens)
+        assert engine.result(rid).finished
+        assert tokens == engine.result(rid).tokens
 
     def test_bare_int_shim(self, engine):
         """The handle is the request id: its int calls the engine the
@@ -88,22 +84,22 @@ class TestProtocolConformance:
         assert engine.result(int(rid)).finish_reason == FINISH_LENGTH
         assert {int(rid): "x"}[rid] == "x"  # usable as a plain dict key
 
-    def test_cancel_via_handle(self, engine):
-        handle = engine.submit(_prompt(3), SamplingParams(max_new_tokens=64))
-        assert handle.cancel() is True
-        assert handle.cancel() is False  # already terminal
-        assert handle.finish_reason == FINISH_CANCELLED
-        assert list(handle.stream()) == list(handle.result().tokens)
+    def test_cancel(self, engine):
+        rid = engine.submit(_prompt(3), SamplingParams(max_new_tokens=64))
+        assert engine.cancel(rid) is True
+        assert engine.cancel(rid) is False  # already terminal
+        assert engine.result(rid).finish_reason == FINISH_CANCELLED
+        assert list(engine.stream(rid)) == engine.result(rid).tokens
 
     def test_has_work_and_step(self, engine):
         assert engine.has_work is False
-        handle = engine.submit(_prompt(4), SamplingParams(max_new_tokens=2))
+        rid = engine.submit(_prompt(4), SamplingParams(max_new_tokens=2))
         assert engine.has_work is True
         deadline = time.monotonic() + 30.0
         while engine.has_work and time.monotonic() < deadline:
             engine.step()
             time.sleep(0.002)  # cluster steps are non-blocking pumps
-        assert handle.finished
+        assert engine.result(rid).finished
 
     def test_drain_returns_results(self, engine):
         handles = [
@@ -115,12 +111,12 @@ class TestProtocolConformance:
             assert results[int(handle)].finish_reason == FINISH_LENGTH
 
     def test_close_flushes_live_requests_to_cancelled(self, engine):
-        handle = engine.submit(_prompt(5), SamplingParams(max_new_tokens=64))
+        rid = engine.submit(_prompt(5), SamplingParams(max_new_tokens=64))
         engine.close()
-        assert handle.finish_reason in (FINISH_CANCELLED, FINISH_LENGTH)
+        assert engine.result(rid).finish_reason in (FINISH_CANCELLED, FINISH_LENGTH)
         # close() is idempotent and stream() never hangs afterwards
         engine.close()
-        assert list(handle.stream()) == list(handle.result().tokens)
+        assert list(engine.stream(rid)) == engine.result(rid).tokens
 
     @pytest.mark.parametrize("bad", [
         [3, 28, 5],     # == vocab_size: raised inside step, never terminal
@@ -129,7 +125,7 @@ class TestProtocolConformance:
     ])
     def test_prompt_outside_the_vocabulary_refused_at_submit(self, engine, bad):
         first = engine.submit(_prompt(7), SamplingParams(max_new_tokens=2))
-        assert len(list(first.stream())) == 2
+        assert len(list(engine.stream(first))) == 2
         with pytest.raises(ValueError, match="prompt"):
             engine.submit(np.asarray(bad, dtype=np.int64),
                           SamplingParams(max_new_tokens=2))
@@ -137,7 +133,8 @@ class TestProtocolConformance:
         second = engine.submit(_prompt(8), SamplingParams(max_new_tokens=2))
         assert int(second) == int(first) + 1  # the refusal consumed no id
         engine.drain(timeout_s=60.0)
-        assert first.finish_reason == second.finish_reason == FINISH_LENGTH
+        assert engine.result(first).finish_reason == FINISH_LENGTH
+        assert engine.result(second).finish_reason == FINISH_LENGTH
         assert engine.metrics_snapshot()["aggregate"]["completed"] == 2
 
     @pytest.mark.parametrize("kind", ENGINES)
@@ -171,30 +168,34 @@ class TestProtocolConformance:
         engine.metrics.on_finish = count_on_finish
         engine.requests.finish = count_finish
         long = SamplingParams(max_new_tokens=100_000)
+
+        def reason(rid):
+            return engine.result(rid).finish_reason
+
         try:
             natural = engine.submit(_prompt(20), SamplingParams(max_new_tokens=2))
-            assert len(list(natural.stream())) == 2
+            assert len(list(engine.stream(natural))) == 2
             cancelled = engine.submit(_prompt(21), long)
-            assert cancelled.cancel()
+            assert engine.cancel(cancelled)
             expiring = engine.submit(
                 _prompt(22), SamplingParams(max_new_tokens=100_000, deadline_s=0.3))
             live = [engine.submit(_prompt(23), long)]
-            while live[-1].finish_reason != FINISH_SHED:
+            while reason(live[-1]) != FINISH_SHED:
                 assert len(live) < 16, "the queue never filled"
                 live.append(engine.submit(_prompt(24 + len(live)), long))
             shed = live.pop()
             stop = time.monotonic() + 30.0
-            while not expiring.finished and time.monotonic() < stop:
+            while reason(expiring) is None and time.monotonic() < stop:
                 engine.step()
                 time.sleep(0.001)
             results = engine.close()
         finally:
             engine.close()
-        assert natural.finish_reason == FINISH_LENGTH
-        assert cancelled.finish_reason == FINISH_CANCELLED
-        assert expiring.finish_reason == FINISH_DEADLINE
-        assert shed.finish_reason == FINISH_SHED
-        assert {h.finish_reason for h in live} == {FINISH_CANCELLED}
+        assert reason(natural) == FINISH_LENGTH
+        assert reason(cancelled) == FINISH_CANCELLED
+        assert reason(expiring) == FINISH_DEADLINE
+        assert reason(shed) == FINISH_SHED
+        assert {reason(rid) for rid in live} == {FINISH_CANCELLED}
         assert set(results) == set(on_finish) == set(transitions)
         assert set(on_finish.values()) == set(transitions.values()) == {1}
 
@@ -213,27 +214,6 @@ class TestProtocolConformance:
 
 
 class TestRequestHandle:
-    def test_pickles_as_plain_int(self, model):
-        engine = ServingEngine(model, max_batch_size=2, seed=0)
-        try:
-            handle = engine.submit(
-                _prompt(7), SamplingParams(max_new_tokens=2)
-            )
-            revived = pickle.loads(pickle.dumps(handle))
-            assert type(revived) is int
-            assert revived == int(handle)
-        finally:
-            engine.close()
-
-    def test_detached_handle_raises(self):
-        detached = RequestHandle(7)
-        assert detached.id == 7
-        assert detached.engine is None
-        with pytest.raises(RuntimeError, match="detached"):
-            detached.result()
-        with pytest.raises(RuntimeError, match="detached"):
-            detached.cancel()
-
     def test_the_id_type_has_one_name(self):
         """The id type has one name."""
         assert not hasattr(api, "SubmitResult")
@@ -254,13 +234,13 @@ class TestStreamShutdownRace:
                 model, workers=2, max_batch_size=2, seed=0,
                 start_method="fork",
             )
-        handle = engine.submit(_prompt(8), SamplingParams(max_new_tokens=64))
+        rid = engine.submit(_prompt(8), SamplingParams(max_new_tokens=64))
         tokens = []
         error = []
 
         def consume():
             try:
-                tokens.extend(handle.stream())
+                tokens.extend(engine.stream(rid))
             except Exception as exc:  # pragma: no cover - failure detail
                 error.append(exc)
 
@@ -270,4 +250,4 @@ class TestStreamShutdownRace:
         consumer.join(timeout=30.0)
         assert not consumer.is_alive(), "stream() hung across close"
         assert not error
-        assert handle.finish_reason in (FINISH_CANCELLED, FINISH_LENGTH)
+        assert engine.result(rid).finish_reason in (FINISH_CANCELLED, FINISH_LENGTH)

@@ -1,8 +1,7 @@
-"""Supervised multi-worker serving: failover determinism, drain, rolling
-restart, restart budgets, cluster-aware shedding and env propagation."""
+"""Supervised multi-worker serving: failover determinism, drain, restart
+budgets, cluster-aware shedding and env propagation."""
 
 import os
-import signal
 import time
 
 import numpy as np
@@ -15,6 +14,7 @@ from repro.serving import (
     SamplingParams,
     ServingEngine,
 )
+from repro.serving import cluster as cluster_module
 from repro.serving.cluster import ClusterEngine, derive_request_seed
 from repro.serving.worker import BLAS_PIN_VARS, child_environment
 
@@ -175,7 +175,7 @@ class TestFailover:
                 for gid, slot in cluster._owner.items() if slot == 0
             )
             if victim_tokens >= 4:
-                state["killed"] = cluster.kill_worker(0, signal.SIGKILL)
+                state["killed"] = cluster.kill_worker(0)
 
         with _cluster(model) as cluster:
             gids = _submit_all(cluster, prompts, 12)
@@ -190,32 +190,38 @@ class TestFailover:
             assert results[gid].finish_reason == base.finish_reason
             assert results[gid].tokens == base.tokens
 
-    def test_restart_budget_exhaustion_raises(self, model):
+    def test_restart_budget_exhaustion_raises(self, model, monkeypatch):
         """When every worker burns its restart budget with sessions
         still live, run() raises instead of spinning forever."""
+        monkeypatch.setattr(cluster_module, "MAX_RESTARTS", 0)
         with _cluster(
-            model, workers=1, max_restarts=0,
+            model, workers=1,
             worker_faults={0: "worker.step:fatal:after=1"},
         ) as cluster:
             _submit_all(cluster, _prompts(2), max_new_tokens=16)
             with pytest.raises(RuntimeError, match="restart budget"):
                 cluster.run(timeout_s=120)
 
-    def test_killed_worker_respawns_into_slot(self, model):
+    def test_killed_worker_respawns_into_slot(self, model, monkeypatch):
         """After a kill the slot comes back (fresh pid) and serves new
         sessions; the restart counter records the respawn."""
-        with _cluster(model, restart_backoff_base_s=0.01) as cluster:
+        monkeypatch.setattr(cluster_module, "RESTART_BACKOFF_BASE_S", 0.01)
+
+        def slot_zero():
+            return cluster.metrics_snapshot()["workers"][0]
+
+        with _cluster(model) as cluster:
             gids = _submit_all(cluster, _prompts(4), max_new_tokens=8)
-            pid_before = cluster.worker_pids()[0]
+            pid_before = slot_zero()["pid"]
             assert cluster.kill_worker(0)
             cluster.run(timeout_s=120)
             deadline = time.monotonic() + 60
-            while cluster.worker_pids()[0] is None:
+            while not slot_zero()["alive"]:
                 cluster.pump()
                 cluster.check_workers()
                 assert time.monotonic() < deadline, "slot never respawned"
                 time.sleep(0.01)
-            assert cluster.worker_pids()[0] != pid_before
+            assert slot_zero()["pid"] != pid_before
             assert _counter(
                 cluster, "cluster_worker_restarts_total{worker=0}") == 1
             extra = cluster.submit(
@@ -246,45 +252,22 @@ class TestLifecycle:
             assert results[gid].finished  # nothing left hanging
         assert cluster.close() is not None  # idempotent
 
-    def test_rolling_restart_drops_zero_sessions(self, model):
-        """Every worker is replaced mid-workload; all sessions still
-        finish naturally and every slot has a fresh pid."""
-        with _cluster(model, restart_backoff_base_s=0.01) as cluster:
-            gids = _submit_all(cluster, _prompts(6), max_new_tokens=20)
-            for _ in range(20):  # let tokens flow before the restart
-                cluster.pump()
-                cluster.check_workers()
-                cluster.dispatch()
-                time.sleep(0.005)
-            pids_before = dict(cluster.worker_pids())
-            cluster.rolling_restart(timeout_s=120)
-            pids_after = dict(cluster.worker_pids())
-            results = cluster.run(timeout_s=120)
-            restarts = _counter(
-                cluster, "cluster_rolling_restarts_total{worker=0}")
-        assert all(results[g].finish_reason == "length" for g in gids)
-        for slot, pid in pids_after.items():
-            assert pid is not None and pid != pids_before[slot]
-        assert restarts == 1
-
-    def test_rolling_restart_single_worker(self, model):
-        """With no survivor to migrate to, the slot drains in place."""
-        with _cluster(model, workers=1) as cluster:
-            gids = _submit_all(cluster, _prompts(3), max_new_tokens=6)
-            cluster.rolling_restart(timeout_s=120)
-            results = cluster.run(timeout_s=120)
-        assert all(results[g].finish_reason == "length" for g in gids)
+    def test_kill_worker_refuses_a_slot_it_does_not_have(self, model):
+        with _cluster(model) as cluster:
+            for slot in (-1, 2):
+                with pytest.raises(ValueError, match="slot"):
+                    cluster.kill_worker(slot)
+            assert cluster.workers_alive == 2
 
 
 class TestClusterShedding:
     def test_sheds_on_aggregate_depth(self, model):
-        """The cluster binds the admission policy's depth_source, so
-        shedding sees the fleet-wide backlog."""
+        """The cluster sheds on its aggregate queue depth, so shedding
+        sees the fleet-wide backlog."""
         admission = LoadSheddingAdmission(max_queue_depth=4)
         with _cluster(
             model, workers=2, max_batch_size=1, admission=admission,
         ) as cluster:
-            assert admission.depth_source is not None
             gids = _submit_all(cluster, _prompts(12), max_new_tokens=4)
             shed = [g for g in gids if cluster.result(g).finish_reason == "shed"]
             assert shed, "aggregate backlog never triggered shedding"
@@ -295,10 +278,8 @@ class TestClusterShedding:
             == len(shed)
 
     def test_single_engine_shedding_unchanged(self, model):
-        """Regression: without a depth_source the policy is exactly the
-        single-engine behavior."""
+        """The policy sheds on the depth the single engine passes."""
         admission = LoadSheddingAdmission(max_queue_depth=2)
-        assert admission.depth_source is None
         assert admission.shed_reason(1) is None
         assert admission.shed_reason(2) == "queue_full"
         engine = ServingEngine(
@@ -310,19 +291,20 @@ class TestClusterShedding:
         reasons = [results[r].finish_reason for r in rids]
         assert "shed" in reasons and "length" in reasons
 
-    def test_depth_source_tightens_local_view(self):
-        calls = []
-
-        def source():
-            calls.append(1)
-            return 10
-
-        admission = LoadSheddingAdmission(
-            max_queue_depth=5, depth_source=source)
-        assert admission.shed_reason(0) == "queue_full"
-        assert calls, "depth_source was never consulted"
-        with pytest.raises(TypeError):
-            LoadSheddingAdmission(depth_source=42)
+    def test_one_admission_serves_two_engines(self, model):
+        """An admission shared by a cluster with a backlog and an idle
+        engine sheds each on its own depth: the idle engine's first
+        request is admitted."""
+        admission = LoadSheddingAdmission(max_queue_depth=2)
+        with _cluster(
+            model, workers=1, max_batch_size=1, admission=admission,
+        ) as cluster:
+            _submit_all(cluster, _prompts(4), max_new_tokens=64)
+            assert cluster.aggregate_queue_depth() >= 2
+            engine = ServingEngine(
+                model, max_batch_size=1, admission=admission, seed=0)
+            rid = engine.submit(_prompts(1)[0], SamplingParams(max_new_tokens=2))
+            assert engine.run()[rid].finish_reason == "length"
 
 
 class TestEnvPropagation:

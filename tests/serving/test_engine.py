@@ -33,8 +33,6 @@ class TestEndToEnd:
         for rid in ids:
             assert results[rid].finish_reason == "length"
             assert len(results[rid].tokens) == 6
-            assert results[rid].full_sequence().size == \
-                results[rid].prompt.size + 6
 
     def test_greedy_engine_matches_generate(self, model, rng):
         prompt = rng.integers(1, 28, size=(6,))

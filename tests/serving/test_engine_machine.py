@@ -61,8 +61,8 @@ def tiny_decoder():
 @functools.lru_cache(maxsize=None)
 def solo_tokens(prompt: tuple, params: SamplingParams) -> list:
     engine = ServingEngine(tiny_decoder(), max_batch_size=1, seed=0)
-    handle = engine.submit(np.asarray(prompt, dtype=np.int64), params)
-    return engine.run()[handle.id].tokens
+    rid = engine.submit(np.asarray(prompt, dtype=np.int64), params)
+    return engine.run()[rid].tokens
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -73,7 +73,7 @@ class EngineMachine(RuleBasedStateMachine):
                                     seed=0, clock=lambda: self.now)
         self.submitted = {}  # request id -> (prompt, params)
         self.expires_at = {}  # request id -> submit time + deadline_s
-        self.handles = []
+        self.ids = []
         self.transitions = Counter()
         self.finished_events = Counter()
         table = self.engine.requests
@@ -107,12 +107,12 @@ class EngineMachine(RuleBasedStateMachine):
         params = SamplingParams(
             max_new_tokens=new_tokens, temperature=temperature, seed=seed,
             deadline_s=deadline_s)
-        handle = self.engine.submit(np.asarray(prompt, dtype=np.int64), params)
-        self.submitted[handle.id] = (prompt, params)
+        rid = self.engine.submit(np.asarray(prompt, dtype=np.int64), params)
+        self.submitted[rid] = (prompt, params)
         if deadline_s is not None:
             # The same sum the table stores: the clock has not moved.
-            self.expires_at[handle.id] = self.now + deadline_s
-        self.handles.append(handle)
+            self.expires_at[rid] = self.now + deadline_s
+        self.ids.append(rid)
 
     @rule(seconds=st.floats(0.05, 1.5))
     def tick(self, seconds):
@@ -121,8 +121,9 @@ class EngineMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.engine.has_work)
     @rule(data=st.data())
     def cancel(self, data):
-        live = [handle for handle in self.handles if not handle.finished]
-        assert data.draw(st.sampled_from(live)).cancel()
+        live = [rid for rid in self.ids
+                if not self.engine.result(rid).finished]
+        assert self.engine.cancel(data.draw(st.sampled_from(live)))
 
     @rule()
     def step(self):

@@ -14,6 +14,7 @@ code is exercised against :class:`ServingEngine` and
 import http.client
 import json
 import os
+import re
 import signal
 import socket
 import struct
@@ -26,6 +27,8 @@ import pytest
 
 from repro.models import ModelConfig, build_butterfly_decoder
 from repro.serving import LoadSheddingAdmission
+from repro.serving import cluster as cluster_module
+from repro.serving import server as server_module
 from repro.serving.cluster import ClusterEngine
 from repro.serving.engine import ServingEngine
 from repro.serving.server import (
@@ -210,6 +213,26 @@ class TestEndpointContract:
         assert b"http_requests_total" in body
         assert b"# TYPE" in body
 
+    def test_client_paths_and_methods_mint_no_series(self, served):
+        """Requests that name no route count as ``unknown``: a burst of
+        distinct paths and methods adds at most two status series."""
+        server, engine = served
+
+        def request_series():
+            return {key for key in engine.metrics.registry.snapshot()
+                    if key.startswith(("http_requests_total", "http_request_ms"))}
+
+        before = request_series()
+        for i in range(20):
+            assert _request(server, "GET", f"/nope/{i}")[0] == 404
+        for i in range(10):
+            assert _request(server, f"VERB{i}", "/healthz")[0] == 405
+        assert request_series() - before <= {
+            "http_requests_total{endpoint=unknown,status=404}",
+            "http_requests_total{endpoint=unknown,status=405}",
+            "http_request_ms{endpoint=unknown}",
+        }
+
     def test_unknown_path_404(self, served):
         server, _ = served
         status, _, body = _request(server, "GET", "/nope")
@@ -268,9 +291,10 @@ class TestEndpointContract:
         assert engine.metrics.registry.counter(
             "http_step_errors_total").value == 0
 
-    def test_body_too_large_413(self, model):
+    def test_body_too_large_413(self, model, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
         engine = ServingEngine(model, max_batch_size=2, seed=0)
-        server = start_http_server(engine, max_body_bytes=64)
+        server = start_http_server(engine)
         try:
             status, _, _ = _generate(server, prompt=list(range(1, 28)) * 4)
             assert status == 413
@@ -370,7 +394,8 @@ class TestShedAndCancel:
 
             status, head, body = _generate(server, max_new_tokens=4)
             assert status == 429
-            assert float(head["retry-after"]) > 0
+            # RFC 9110 delay-seconds: whole seconds only.
+            assert re.fullmatch(r"^\d+$", head["retry-after"])
             assert json.loads(body)["finish_reason"] == "shed"
 
             engine.step = real_step  # thaw; the held request completes
@@ -607,9 +632,10 @@ class TestWritePath:
 
 
 class TestLifecycle:
-    def test_submit_wakes_an_idle_dispatcher(self, model):
+    def test_submit_wakes_an_idle_dispatcher(self, model, monkeypatch):
+        monkeypatch.setattr(server_module, "STEP_IDLE_S", 0.5)
         engine = ServingEngine(model, max_batch_size=2, seed=0)
-        server = start_http_server(engine, step_idle_s=0.5)
+        server = start_http_server(engine)
         try:
             _generate(server, max_new_tokens=2)  # warm the decode program
             for _ in range(5):
@@ -653,10 +679,10 @@ class TestLifecycle:
             consumer.join(timeout=5.0)
             engine.close()
 
-    def test_health_flips_when_fault_domain_exhausted(self, model):
+    def test_health_flips_when_fault_domain_exhausted(self, model, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_RESTARTS", 0)
         engine = ClusterEngine(
-            model, workers=1, max_batch_size=2, seed=0,
-            start_method="fork", max_restarts=0,
+            model, workers=1, max_batch_size=2, seed=0, start_method="fork",
         )
         server = start_http_server(engine)
         try:

@@ -28,7 +28,7 @@ from repro.serving import (
 from repro.serving.kv_cache import DecoderKVCache
 
 VOCAB = 28
-NO_SLEEP = ResilienceConfig(sleep=lambda _s: None)
+RESILIENCE = ResilienceConfig()
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,7 +272,7 @@ class TestWaveRollback:
     def test_transient_on_third_request_rolls_the_whole_wave_back(self):
         lengths = [6, 6, 6, 6]
         engine = ServingEngine(served_model("fp", 32), max_batch_size=4, seed=0,
-                               resilience=NO_SLEEP)
+                               resilience=RESILIENCE)
         _, _, ids = _submit(engine, lengths)
         scheduler = engine.scheduler
         before = _state(scheduler)
@@ -292,7 +292,7 @@ class TestWaveRollback:
     def test_fatal_evicts_only_the_named_request(self):
         lengths = [6, 6, 6, 6]
         spy = PrefillSpy(served_model("fp", 32))
-        engine = ServingEngine(spy, max_batch_size=4, seed=0, resilience=NO_SLEEP)
+        engine = ServingEngine(spy, max_batch_size=4, seed=0, resilience=RESILIENCE)
         _, _, ids = _submit(engine, lengths)
         with use_faults("serving.prefill:fatal:after=2"):
             results = engine.run()

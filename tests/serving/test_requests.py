@@ -2,7 +2,6 @@
 absolute expiry at submit, so the reason and the budget survive the
 cluster's pipe, its pending queue and a failover replay."""
 
-import signal
 import time
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 
 from repro.models import ModelConfig, build_butterfly_decoder
 from repro.serving import SamplingParams
+from repro.serving import cluster as cluster_module
 from repro.serving.cluster import ClusterEngine
 from repro.serving.engine import ServingEngine
 from repro.serving.scheduler import FINISH_DEADLINE
@@ -32,10 +32,10 @@ def _engine(kind, model):
     )
 
 
-def _wait(engine, handle, timeout_s=30.0, hook=None):
-    """Step ``engine`` until ``handle`` is terminal."""
+def _wait(engine, rid, timeout_s=30.0, hook=None):
+    """Step ``engine`` until request ``rid`` is terminal."""
     deadline = time.monotonic() + timeout_s
-    while not handle.finished:
+    while not engine.result(rid).finished:
         assert time.monotonic() < deadline, "request never finished"
         engine.step()
         if hook is not None:
@@ -47,12 +47,12 @@ def _wait(engine, handle, timeout_s=30.0, hook=None):
 def test_deadline_finishes_as_deadline_on_both_engines(kind, model):
     engine = _engine(kind, model)
     try:
-        handle = engine.submit(
+        rid = engine.submit(
             np.array([3, 4, 5, 6]),
             SamplingParams(max_new_tokens=100_000, deadline_s=0.3),
         )
-        _wait(engine, handle)
-        assert handle.finish_reason == FINISH_DEADLINE
+        _wait(engine, rid)
+        assert engine.result(rid).finish_reason == FINISH_DEADLINE
         assert engine.metrics.aggregate()["deadline_exceeded"] == 1
     finally:
         engine.close()
@@ -64,7 +64,7 @@ def test_failover_keeps_the_original_deadline(model):
     budget_s = 0.9
     cluster = _engine("cluster", model)
     try:
-        handle = cluster.submit(
+        rid = cluster.submit(
             np.array([3, 4, 5, 6]),
             SamplingParams(max_new_tokens=100_000, deadline_s=budget_s),
         )
@@ -72,36 +72,37 @@ def test_failover_keeps_the_original_deadline(model):
         killed = []
 
         def kill_owner_at_two_thirds():
-            owner = cluster._owner.get(int(handle))
+            owner = cluster._owner.get(rid)
             if not killed and owner is not None \
                     and time.monotonic() - submitted >= budget_s * 2 / 3:
-                killed.append(cluster.kill_worker(owner, signal.SIGKILL))
+                killed.append(cluster.kill_worker(owner))
 
-        _wait(cluster, handle, hook=kill_owner_at_two_thirds)
+        _wait(cluster, rid, hook=kill_owner_at_two_thirds)
         elapsed = time.monotonic() - submitted
         assert killed == [True]
-        assert handle.finish_reason == FINISH_DEADLINE
+        assert cluster.result(rid).finish_reason == FINISH_DEADLINE
         assert elapsed < budget_s + 0.3
     finally:
         cluster.close()
 
 
-def test_a_pending_session_past_its_deadline_finishes_in_the_supervisor(model):
+def test_a_pending_session_past_its_deadline_finishes_in_the_supervisor(
+        model, monkeypatch):
     """With no worker to dispatch to, the budget still runs out."""
+    monkeypatch.setattr(cluster_module, "MAX_RESTARTS", 0)
     cluster = ClusterEngine(
         model, workers=1, max_batch_size=4, seed=0, start_method="fork",
-        max_restarts=0,
     )
     try:
-        cluster.kill_worker(0, signal.SIGKILL)
+        cluster.kill_worker(0)
         cluster._workers[0].proc.join(timeout=10.0)
-        handle = cluster.submit(
+        rid = cluster.submit(
             np.array([3, 4, 5]),
             SamplingParams(max_new_tokens=8, deadline_s=0.1),
         )
-        _wait(cluster, handle)
-        assert handle.finish_reason == FINISH_DEADLINE
-        assert handle.result().tokens == []
+        _wait(cluster, rid)
+        assert cluster.result(rid).finish_reason == FINISH_DEADLINE
+        assert cluster.result(rid).tokens == []
     finally:
         cluster.close()
 

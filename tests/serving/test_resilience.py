@@ -1,5 +1,5 @@
 """Resilient serving: rollback/retry parity, fault isolation, deadlines,
-shedding, the watchdog, and submit-validation atomicity."""
+shedding and submit-validation atomicity."""
 
 import numpy as np
 import pytest
@@ -33,14 +33,14 @@ def _no_leaked_injector():
     faults.uninstall()
 
 
-NO_SLEEP = ResilienceConfig(sleep=lambda _s: None)
+RESILIENCE = ResilienceConfig()
 
 
 def _prompts(rng, n, vocab=28):
     return [rng.integers(1, vocab, size=4 + i % 5) for i in range(n)]
 
 
-def _run_workload(model, prompts, *, resilience=NO_SLEEP, max_new_tokens=8,
+def _run_workload(model, prompts, *, resilience=RESILIENCE, max_new_tokens=8,
                   **engine_kwargs):
     engine = ServingEngine(model, max_batch_size=4, seed=0,
                            resilience=resilience, **engine_kwargs)
@@ -139,7 +139,7 @@ class TestFaultIsolation:
 
     def test_error_event_reaches_stream_consumers(self, model, rng):
         engine = ServingEngine(model, max_batch_size=2, seed=0,
-                               resilience=NO_SLEEP)
+                               resilience=RESILIENCE)
         rid = engine.submit(rng.integers(1, 28, size=4),
                             SamplingParams(max_new_tokens=8, seed=0))
         with use_faults("serving.sample:transient:every=1,times=20"):
@@ -181,38 +181,13 @@ class TestSnapshot:
         with use_faults(injector):
             with pytest.raises(TransientFault):
                 raise TransientFault("serving.decode_step")
-        assert resilient_step(engine.scheduler, NO_SLEEP)[0] == []
+        assert resilient_step(engine.scheduler, RESILIENCE)[0] == []
 
 
-class TestBackoff:
-    def test_backoff_sequence_is_capped_exponential(self):
-        config = ResilienceConfig(backoff_base_s=0.01, backoff_cap_s=0.05)
-        assert [config.backoff_s(k) for k in (1, 2, 3, 4)] == [
-            0.01, 0.02, 0.04, 0.05,
-        ]
-        assert ResilienceConfig(backoff_base_s=0.0).backoff_s(3) == 0.0
-
-    def test_sleep_called_with_backoff_delays(self, model, rng):
-        delays = []
-        config = ResilienceConfig(
-            backoff_base_s=0.001, backoff_cap_s=0.004, sleep=delays.append,
-        )
-        with use_faults("serving.decode_step:transient:every=1,times=2"):
-            engine, _, _ = _run_workload(
-                model, _prompts(rng, 2), resilience=config,
-            )
-        assert delays  # retried at least once, each retry backed off
-        assert all(0 < d <= 0.004 for d in delays)
-
+class TestConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(backoff_base_s=-0.1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(default_deadline_s=0.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(watchdog_step_s=-1.0)
 
 
 class FakeClock:
@@ -252,20 +227,6 @@ class TestDeadlines:
         assert engine.result(rid).finish_reason == "length"
         assert engine.requests.expires_at == {}
 
-    def test_default_deadline_from_resilience_config(self, model, rng):
-        clock = FakeClock()
-        engine = ServingEngine(
-            model, max_batch_size=2, seed=0, clock=clock,
-            resilience=ResilienceConfig(default_deadline_s=2.0,
-                                        sleep=lambda _s: None),
-        )
-        rid = engine.submit(rng.integers(1, 28, size=4),
-                            SamplingParams(max_new_tokens=50, seed=0))
-        engine.step()
-        clock.now = 3.0
-        engine.step()
-        assert engine.result(rid).finish_reason == "deadline"
-
     def test_queued_request_deadline_expires_without_decode(self, model, rng):
         clock = FakeClock()
         engine = ServingEngine(model, max_batch_size=1, seed=0, clock=clock)
@@ -284,36 +245,6 @@ class TestDeadlines:
     def test_deadline_validation(self):
         with pytest.raises(ValueError):
             SamplingParams(deadline_s=0.0)
-
-
-class TestWatchdog:
-    def test_slow_step_increments_watchdog_counter(self, model, rng):
-        clock = FakeClock()
-        config = ResilienceConfig(watchdog_step_s=0.5, sleep=lambda _s: None)
-        engine = ServingEngine(model, max_batch_size=2, seed=0, clock=clock,
-                               resilience=config)
-        engine.submit(rng.integers(1, 28, size=4),
-                      SamplingParams(max_new_tokens=2, seed=0))
-        original_step = engine.scheduler.step
-
-        def slow_step():
-            clock.now += 1.0
-            return original_step()
-
-        engine.scheduler.step = slow_step
-        engine.step()
-        snap = engine.metrics.registry.snapshot()
-        assert snap["serving_watchdog_slow_steps_total"]["value"] == 1
-
-    def test_fast_steps_do_not_trip_watchdog(self, model, rng):
-        config = ResilienceConfig(watchdog_step_s=1e9, sleep=lambda _s: None)
-        engine = ServingEngine(model, max_batch_size=2, seed=0,
-                               resilience=config)
-        engine.submit(rng.integers(1, 28, size=4),
-                      SamplingParams(max_new_tokens=2, seed=0))
-        engine.run()
-        snap = engine.metrics.registry.snapshot()
-        assert "serving_watchdog_slow_steps_total" not in snap
 
 
 class TestShedding:
@@ -378,9 +309,6 @@ class TestShedding:
         ({"est_step_s": 0.5}, 4, None, None),
         # A full queue is reported before an unreachable deadline.
         ({"max_queue_depth": 3, "est_step_s": 1.0}, 3, 1.0, "queue_full"),
-        # A shorter fleet-wide backlog never loosens a full replica.
-        ({"max_queue_depth": 3, "depth_source": lambda: 0}, 3, None,
-         "queue_full"),
     ])
     def test_shed_reason(self, policy, depth, deadline_s, reason):
         admission = LoadSheddingAdmission(**policy)

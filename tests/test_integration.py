@@ -69,7 +69,7 @@ class TestFullPipeline:
         resources = estimate_resources(hw)
         power = estimate_power(hw, resources)
         assert power.total > 0
-        assert resources.dsps == hw.total_multipliers
+        assert resources.dsps == hw.butterfly_multipliers + hw.attention_multipliers
 
     def test_codesign_to_deployment_flow(self):
         """Search selects a point; its spec/config produce consistent models."""

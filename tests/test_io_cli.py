@@ -152,14 +152,17 @@ class TestDecoderStateDictRoundTrip:
         np.savez(path, **archive)
         return path
 
-    def test_retired_backend_key_dropped(self, tmp_path, rng):
-        """Checkpoints saved while ``ModelConfig`` had a ``backend`` field
-        still load, whatever it named, and forward to the same bytes."""
+    @pytest.mark.parametrize("retired", [
+        {"backend": "threaded"}, {"dropout": 0.1},
+    ], ids=["backend", "dropout"])
+    def test_retired_backend_key_dropped(self, tmp_path, rng, retired):
+        """Checkpoints saved while ``ModelConfig`` had a ``backend`` or a
+        ``dropout`` field still load, whatever it held, and forward to the
+        same bytes."""
         cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,
                           n_heads=2, r_ffn=2, n_total=2, seed=3)
         model = build_butterfly_decoder(cfg).eval()
-        path = self._with_config_keys(model, tmp_path / "old.npz",
-                                      {"backend": "threaded"})
+        path = self._with_config_keys(model, tmp_path / "old.npz", retired)
         restored = load_model(path).eval()
         assert restored.config == cfg
         tokens = rng.integers(1, 28, size=(2, 8))

@@ -1,8 +1,9 @@
 """Reachable surface only: every public name in ``src/repro`` has a caller.
 
-A public top-level ``def`` or ``class`` in a non-``__init__`` module is
-*reached* when some file under ``src/``, ``benchmarks/``, ``examples/`` or
-``scripts/`` refers to it in code, outside the def's own body.  A code
+A public top-level ``def`` or ``class`` in a non-``__init__`` module, and
+each public method or property of a top-level class, is *reached* when
+some file under ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``
+refers to its name in code, outside the def's own body.  A code
 reference is a ``Name``, an ``Attribute`` or a ``from ... import``.  A
 package ``__init__``'s re-exports and ``__all__`` strings do not count, and
 neither do docstrings: a name that only its own tests call is not part of
@@ -29,7 +30,8 @@ SEARCHED = ("src", "benchmarks", "examples", "scripts")
 DOCS = ("CHANGES.md", "CONTRIBUTING.md", "README.md", "ROADMAP.md")
 MAX_DOC_LINE = 400
 
-# Name -> the one-line reason it stays although no code runs it.  Each
+# Name (``Class.name`` for a method) -> the one-line reason it stays
+# although no code runs it.  Each
 # reason is one of the keep list's: a type that enforces a condition, a
 # hook that lets a test substitute a fake, or an oracle tests compare
 # against.  ``*_reference`` oracles are allowed by their suffix.
@@ -39,23 +41,41 @@ ALLOWED = {
     "use_telemetry": "hook: scopes telemetry on or off around one test",
     "validate_program": "oracle: the stream invariants tests check every "
                         "compiled program against",
+    "AdaptableButterflyUnit.butterfly_op": "oracle: one butterfly pair-op, "
+                                           "which test_properties replays "
+                                           "every engine tile through",
+    "AdaptableButterflyUnit.fft_op": "oracle: one FFT pair-op, which "
+                                     "test_properties replays every engine "
+                                     "tile through",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _public_defs(trees):
-    """``{name: {path: [(first, last) line of each def]}}``."""
+    """``{name: {path: [(first, last, label)]}}`` of each public top-level
+    def or class (labelled ``name``) and each public method or property
+    of a top-level class (labelled ``Class.name``)."""
     defs = {}
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                spans = defs.setdefault(node.name, {}).setdefault(path, [])
-                spans.append((node.lineno, node.end_lineno))
+            if not isinstance(node, (*_DEFS, ast.ClassDef)):
+                continue
+            members = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(member, f"{node.name}.{member.name}")
+                            for member in node.body
+                            if isinstance(member, _DEFS)]
+            for member, label in members:
+                if not member.name.startswith("_"):
+                    defs.setdefault(member.name, {}).setdefault(
+                        path, []).append(
+                            (member.lineno, member.end_lineno, label))
     return defs
 
 
@@ -73,8 +93,9 @@ def _references(tree, is_init):
 
 
 def unreached_names(root=ROOT, allowed=ALLOWED):
-    """``module:name`` for each public top-level def no code refers to,
-    and ``allowlist:name`` for each entry that is undefined or reached."""
+    """``module:label`` for each public def, class, method or property no
+    code refers to, and ``allowlist:label`` for each entry that is
+    undefined or reached."""
     package = root / "src" / "repro"
     trees = {path: ast.parse(path.read_text())
              for path in sorted(package.rglob("*.py"))}
@@ -90,13 +111,16 @@ def unreached_names(root=ROOT, allowed=ALLOWED):
             for name, line in _references(tree, path.name == "__init__.py"):
                 if name in pending and not any(
                         first <= line <= last
-                        for first, last in defs[name].get(path, ())):
+                        for first, last, _ in defs[name].get(path, ())):
                     pending.discard(name)
-    flagged = [f"{path.relative_to(package)}:{name}"
-               for name in pending - set(allowed)
-               if not name.endswith("_reference")
-               for path in defs[name]]
-    stale = [f"allowlist:{name}" for name in allowed if name not in pending]
+    unreached = [(path, label)
+                 for name in pending if not name.endswith("_reference")
+                 for path, entries in defs[name].items()
+                 for _, _, label in entries]
+    flagged = [f"{path.relative_to(package)}:{label}"
+               for path, label in unreached if label not in allowed]
+    labels = {label for _, label in unreached}
+    stale = [f"allowlist:{label}" for label in allowed if label not in labels]
     return sorted(flagged + stale)
 
 
@@ -254,10 +278,41 @@ class TestScanner:
     def test_private_and_nested_names_are_not_scanned(self, tmp_path):
         assert _scan(tmp_path, {
             "src/repro/mod.py": "def _helper():\n    pass\n\n"
-                                "class Box:\n    def method(self):\n"
+                                "class Box:\n    def _hidden(self):\n"
                                 "        pass\n\n"
-                                "BOX = Box()\n",
+                                "    def method(self):\n"
+                                "        def inner():\n            pass\n"
+                                "        return inner\n\n"
+                                "BOX = Box().method()\n",
         }) == []
+
+    BOX = "class Box:\n    def target(self):\n        return 1\n"
+
+    def test_unused_method_is_flagged(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": self.BOX + "\nBOX = Box()\n",
+        }) == ["mod.py:Box.target"]
+
+    def test_called_method_is_reached(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": self.BOX,
+            "examples/demo.py": "from repro.mod import Box\nBox().target()\n",
+        }) == []
+
+    def test_property_read_is_reached(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": "class Box:\n    @property\n"
+                                "    def target(self):\n        return 1\n",
+            "scripts/tool.py": "from repro.mod import Box\n"
+                               "print(Box().target)\n",
+        }) == []
+
+    def test_call_inside_the_methods_own_body_does_not_reach(self, tmp_path):
+        recursive = ("class Box:\n    def target(self, n):\n"
+                     "        return self.target(n - 1) if n else 0\n\n"
+                     "BOX = Box()\n")
+        assert _scan(tmp_path, {"src/repro/mod.py": recursive}) == [
+            "mod.py:Box.target"]
 
     def test_init_modules_define_no_surface(self, tmp_path):
         assert _scan(tmp_path, {"src/repro/__init__.py": DEF}) == []

@@ -63,22 +63,3 @@ def test_three_epoch_loss_curve_parity_fp32(text_dataset):
     np.testing.assert_allclose(
         fused.train_losses, composite.train_losses, atol=5e-3, rtol=0
     )
-
-
-def test_parity_with_dropout_active(text_dataset):
-    """With dropout on, both paths draw identical mask streams (dropout
-    stays a standalone node between fused stages), so the curves still
-    match."""
-    cfg = ModelConfig(
-        vocab_size=text_dataset.vocab_size,
-        n_classes=text_dataset.n_classes,
-        max_len=text_dataset.seq_len,
-        d_hidden=16, n_heads=2, r_ffn=2, n_total=1, seed=0,
-        dropout=0.1,
-    )
-    fused = _train(build_transformer, cfg, text_dataset, fused=True, epochs=2)
-    composite = _train(build_transformer, cfg, text_dataset, fused=False,
-                       epochs=2)
-    np.testing.assert_allclose(
-        fused.train_losses, composite.train_losses, atol=1e-6, rtol=0
-    )
