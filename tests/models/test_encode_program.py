@@ -160,6 +160,15 @@ class TestDispatch:
             model(tokens)
         assert model._program.builds == 1
 
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_training_mode_changes_no_logit(self, kind, rng):
+        """No layer reads the mode: a training forward is the eval one."""
+        model = build(kind)
+        tokens, mask = inputs(rng, masked=True)
+        evaluated = graph_logits(model, tokens, mask)
+        trained = graph_logits(model.train(), tokens, mask)
+        assert trained.tobytes() == evaluated.tobytes()
+
     def test_ambient_dtype_policy_is_ignored(self, rng):
         model = build("fabnet", "float32")
         tokens, mask = inputs(rng, masked=True)

@@ -124,6 +124,19 @@ def _requests_counted(engine, endpoint, status):
     ).value
 
 
+def _series_once_counted(engine, endpoint, status):
+    """The registry snapshot once a request to ``endpoint`` answered with
+    ``status`` is counted and timed (or after 5 s)."""
+    keys = (f"http_requests_total{{endpoint={endpoint},status={status}}}",
+            f"http_request_ms{{endpoint={endpoint}}}")
+    deadline = time.monotonic() + 5.0
+    while True:
+        series = engine.metrics.registry.snapshot()
+        if all(key in series for key in keys) or time.monotonic() > deadline:
+            return series
+        time.sleep(0.005)
+
+
 def _chunk(payload):
     return b"%x\r\n" % len(payload) + payload + b"\r\n"
 
@@ -232,6 +245,39 @@ class TestEndpointContract:
             "http_requests_total{endpoint=unknown,status=405}",
             "http_request_ms{endpoint=unknown}",
         }
+
+    ROUTES = [
+        ("GET", "/healthz", None, 200),
+        ("GET", "/metrics", None, 200),
+        ("POST", "/v1/generate", {"prompt": [1, 2], "max_new_tokens": 1}, 200),
+        ("POST", "/v1/cancel", {"request_id": 999}, 404),
+    ]
+
+    @pytest.mark.parametrize("method,path,body,status", ROUTES,
+                             ids=[path for _, path, _, _ in ROUTES])
+    def test_each_route_is_labelled_by_its_route(
+        self, served, method, path, body, status
+    ):
+        server, engine = served
+        assert _request(server, method, path, body=body)[0] == status
+        # Counted once the response is written: wait for the handler.
+        series = _series_once_counted(engine, f"{method} {path}", status)
+        assert series[f"http_requests_total{{endpoint={method} {path},"
+                      f"status={status}}}"]["value"] == 1
+        assert f"http_request_ms{{endpoint={method} {path}}}" in series
+
+    @pytest.mark.parametrize("method,path,body,status", ROUTES,
+                             ids=[path for _, path, _, _ in ROUTES])
+    def test_a_route_under_another_method_counts_as_unknown(
+        self, served, method, path, body, status
+    ):
+        server, engine = served
+        other = "POST" if method == "GET" else "GET"
+        assert _request(server, other, path)[0] == 405
+        series = _series_once_counted(engine, "unknown", 405)
+        assert series["http_requests_total{endpoint=unknown,status=405}"][
+            "value"] == 1
+        assert not any(f"{other} {path}" in key for key in series)
 
     def test_unknown_path_404(self, served):
         server, _ = served
@@ -409,6 +455,37 @@ class TestShedAndCancel:
         finally:
             engine.step = real_step
             server.stop()
+            engine.close()
+
+    @pytest.mark.parametrize("est_step_s,max_queue_depth,header", [
+        (0.01, 1, "1"),
+        (0.25, 4, "1"),
+        (0.5, 3, "2"),
+        (0.3, 10, "3"),
+        (2.0, 4, "8"),
+    ])
+    def test_retry_after_is_the_ceiling_in_whole_seconds(
+        self, model, est_step_s, max_queue_depth, header
+    ):
+        engine = ServingEngine(
+            model, max_batch_size=2, seed=0,
+            admission=LoadSheddingAdmission(
+                max_queue_depth=max_queue_depth, est_step_s=est_step_s,
+            ),
+        )
+        try:
+            assert ServingHTTPServer(engine)._retry_after() == header
+        finally:
+            engine.close()
+
+    def test_retry_after_without_a_step_estimate_is_one_second(self, model):
+        engine = ServingEngine(
+            model, max_batch_size=2, seed=0,
+            admission=LoadSheddingAdmission(max_queue_depth=1),
+        )
+        try:
+            assert ServingHTTPServer(engine)._retry_after() == "1"
+        finally:
             engine.close()
 
     def test_cancel_mid_stream(self, model):

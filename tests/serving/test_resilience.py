@@ -118,6 +118,35 @@ class TestFaultIsolation:
             assert results[rid].tokens == baseline[base_rid].tokens
         assert engine.metrics.aggregate()["errors"] == 1
 
+    @pytest.mark.parametrize("max_retries", [1, 2, 5])
+    def test_faults_within_the_budget_recover(self, model, rng, max_retries):
+        prompts = _prompts(rng, 3)
+        resilience = ResilienceConfig(max_retries=max_retries)
+        _, base_rids, baseline = _run_workload(model, prompts)
+        spec = f"serving.sample:transient:every=1,times={max_retries}"
+        with use_faults(spec) as injector:
+            engine, rids, results = _run_workload(
+                model, prompts, resilience=resilience)
+        assert injector.injected_total == max_retries
+        for base_rid, rid in zip(base_rids, rids):
+            assert results[rid].finish_reason == baseline[base_rid].finish_reason
+            assert results[rid].tokens == baseline[base_rid].tokens
+        assert engine.metrics.aggregate()["errors"] == 0
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 2])
+    def test_one_fault_past_the_budget_fails_one_request(
+        self, model, rng, max_retries
+    ):
+        prompts = _prompts(rng, 3)
+        resilience = ResilienceConfig(max_retries=max_retries)
+        spec = f"serving.sample:transient:every=1,times={max_retries + 1}"
+        with use_faults(spec):
+            engine, rids, results = _run_workload(
+                model, prompts, resilience=resilience)
+        reasons = [results[r].finish_reason for r in rids]
+        assert reasons.count("error") == 1
+        assert engine.metrics.aggregate()["errors"] == 1
+
     def test_fatal_fault_attributes_request_scoped_victim(self, model, rng):
         prompts = _prompts(rng, 3)
         with use_faults("serving.sample:fatal:after=4,times=1"):

@@ -314,6 +314,24 @@ class TestScanner:
         assert _scan(tmp_path, {"src/repro/mod.py": recursive}) == [
             "mod.py:Box.target"]
 
+    def test_method_called_only_from_tests_is_flagged(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": self.BOX + "\nBOX = Box()\n",
+            "tests/test_mod.py": "from repro.mod import Box\n"
+                                 "Box().target()\n",
+        }) == ["mod.py:Box.target"]
+
+    def test_allowlisted_method_passes(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": self.BOX + "\nBOX = Box()\n",
+        }, allowed=["Box.target"]) == []
+
+    def test_reached_allowlisted_method_is_stale(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": self.BOX,
+            "examples/demo.py": "from repro.mod import Box\nBox().target()\n",
+        }, allowed=["Box.target"]) == ["allowlist:Box.target"]
+
     def test_init_modules_define_no_surface(self, tmp_path):
         assert _scan(tmp_path, {"src/repro/__init__.py": DEF}) == []
 
