@@ -33,8 +33,6 @@ class TaskDataset:
     x_test: np.ndarray
     y_test: np.ndarray
     paired: bool = False
-    lengths_train: np.ndarray = None  # true lengths when sequences are padded
-    lengths_test: np.ndarray = None
 
     def __post_init__(self) -> None:
         for split, (x, y) in (
@@ -53,26 +51,6 @@ class TaskDataset:
                 f"expected {expected_ndim}-d inputs for paired={self.paired}, "
                 f"got shape {self.x_train.shape}"
             )
-        for name, lengths, x in (
-            ("lengths_train", self.lengths_train, self.x_train),
-            ("lengths_test", self.lengths_test, self.x_test),
-        ):
-            if lengths is not None:
-                if len(lengths) != len(x):
-                    raise ValueError(f"{name} does not match sample count")
-                if lengths.max(initial=0) > self.seq_len:
-                    raise ValueError(f"{name} exceeds seq_len {self.seq_len}")
-
-    @property
-    def has_lengths(self) -> bool:
-        return self.lengths_train is not None and self.lengths_test is not None
-
-    def masks(self, split: str = "train") -> np.ndarray:
-        """Boolean (n, seq_len) validity masks from the stored lengths."""
-        if not self.has_lengths:
-            raise ValueError(f"dataset {self.name!r} has no length annotations")
-        lengths = self.lengths_train if split == "train" else self.lengths_test
-        return np.arange(self.seq_len)[None, :] < lengths[:, None]
 
     @property
     def n_train(self) -> int:
@@ -93,19 +71,6 @@ class TaskDataset:
         for start in range(0, len(y), batch_size):
             idx = order[start : start + batch_size]
             yield x[idx], y[idx]
-
-    def batches_with_masks(
-        self, batch_size: int, rng: np.random.Generator, split: str = "train"
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Like :meth:`batches` but also yields validity masks."""
-        x, y = (
-            (self.x_train, self.y_train) if split == "train" else (self.x_test, self.y_test)
-        )
-        masks = self.masks(split)
-        order = rng.permutation(len(y))
-        for start in range(0, len(y), batch_size):
-            idx = order[start : start + batch_size]
-            yield x[idx], y[idx], masks[idx]
 
 
 def train_test_split(

@@ -36,8 +36,6 @@ def generate_text(
     n_lexicon_words: int = 12,
     word_len: int = 4,
     signal_ratio: float = 0.35,
-    variable_length: bool = False,
-    min_length_fraction: float = 0.5,
     seed: int = 0,
     test_fraction: float = 0.25,
 ) -> TaskDataset:
@@ -45,11 +43,7 @@ def generate_text(
 
     ``signal_ratio`` is the fraction of words drawn from the label's
     lexicon; the rest come from a shared neutral lexicon, so a classifier
-    must pool weak evidence across the document.  With
-    ``variable_length=True``, documents have random true lengths in
-    ``[min_length_fraction * seq_len, seq_len]`` and are zero-padded; the
-    dataset then carries length annotations for mask-aware training (the
-    real LRA-Text has variable-length reviews).
+    must pool weak evidence across the document.
     """
     rng = np.random.default_rng(seed)
     positive = _make_lexicon(rng, n_lexicon_words, word_len)
@@ -58,20 +52,16 @@ def generate_text(
 
     xs = np.zeros((n_samples, seq_len), dtype=np.int64)
     ys = rng.integers(0, 2, size=n_samples).astype(np.int64)
-    lengths = np.full(n_samples, seq_len, dtype=np.int64)
-    min_len = max(word_len + 1, int(seq_len * min_length_fraction))
     for i in range(n_samples):
         lexicon = positive if ys[i] == 1 else negative
-        limit = int(rng.integers(min_len, seq_len + 1)) if variable_length else seq_len
         pos = 0
-        while pos + word_len + 1 <= limit:
+        while pos + word_len + 1 <= seq_len:
             source = lexicon if rng.random() < signal_ratio else neutral
             word = source[int(rng.integers(0, len(source)))]
             xs[i, pos : pos + word_len] = word
             pos += word_len
             xs[i, pos] = SPACE
             pos += 1
-        lengths[i] = pos if variable_length else seq_len
     order = rng.permutation(n_samples)
     n_test = max(1, int(n_samples * test_fraction))
     test_idx, train_idx = order[:n_test], order[n_test:]
@@ -84,6 +74,4 @@ def generate_text(
         y_train=ys[train_idx],
         x_test=xs[test_idx],
         y_test=ys[test_idx],
-        lengths_train=lengths[train_idx] if variable_length else None,
-        lengths_test=lengths[test_idx] if variable_length else None,
     )

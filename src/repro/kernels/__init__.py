@@ -70,7 +70,7 @@ scales — the one quantizer.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,7 +118,6 @@ from .fused import (
     linear_act_vjp,
     residual_layer_norm_forward,
     residual_layer_norm_vjp,
-    set_fused_enabled,
     use_fused,
 )
 from .grouped import (
@@ -145,7 +144,7 @@ from .layout import (
     pair_indices,
     stage_halves,
 )
-from .pool import ScratchPool
+from .pool import ScratchPool, fresh
 from .quant import (
     CALIBRATION_GRID,
     QMAX,
@@ -182,13 +181,15 @@ def _use_grouped(rows: int, n: int, arrays: Sequence[np.ndarray], halves) -> boo
     return not any(np.iscomplexobj(a) for a in arrays)
 
 
-def _pad_last(x: np.ndarray, n: int) -> np.ndarray:
-    # Zero-allocate + slice assignment: np.pad's generic machinery costs
-    # ~20 us per call whatever the size.
-    if x.shape[-1] == n:
+def _pad_last(x: np.ndarray, n: int, take: Callable = fresh) -> np.ndarray:
+    # Slice assignments: np.pad's generic machinery costs ~20 us per call
+    # whatever the size.
+    width = x.shape[-1]
+    if width == n:
         return x
-    out = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
-    out[..., : x.shape[-1]] = x
+    out = take("butterfly.pad", x.shape[:-1] + (n,), x.dtype)
+    out[..., :width] = x
+    out[..., width:] = 0
     return out
 
 
@@ -203,6 +204,7 @@ def butterfly_apply(
     need_ctx: bool = True,
     in_features: Optional[int] = None,
     out_features: Optional[int] = None,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
     """Apply a ladder of butterfly stages to the last axis of ``x``.
 
@@ -230,7 +232,9 @@ def butterfly_apply(
     n``) and that brings at least ``in_features`` rows runs densified
     instead (:func:`repro.kernels.grouped.dense_forward`): the ladder
     and its VJP see the ``in_features`` identity rows, the call's rows
-    one GEMM each way.
+    one GEMM each way.  On those two paths the result, the context and
+    the VJP's outputs are ``take`` buffers (see :mod:`repro.kernels.pool`);
+    the per-stage chain allocates.
     """
     x = np.asarray(x)
     coeffs = [np.asarray(c) for c in coeffs]
@@ -253,12 +257,12 @@ def butterfly_apply(
                 and dense_by_area(in_features, out_features, n)):
             with span("kernels.butterfly_apply", n=n, rows=rows, path="dense"):
                 y, dctx = dense_forward(x.reshape(rows, in_features), coeffs,
-                                        plan, out_features)
+                                        plan, out_features, take)
             return (y.reshape(*lead, out_features),
                     ("dense", lead, widths, dctx))
         with span("kernels.butterfly_apply", n=n, rows=rows, path="grouped"):
-            y, gctx = grouped_forward(_pad_last(x, n).reshape(rows, n), coeffs,
-                                      plan, need_ctx=need_ctx)
+            y, gctx = grouped_forward(_pad_last(x, n, take).reshape(rows, n),
+                                      coeffs, plan, need_ctx, take)
         ctx = ("grouped", lead, widths, gctx) if need_ctx else None
         return _head(y.reshape(*lead, n), out_features), ctx
     with span("kernels.butterfly_apply", n=n, path="stages"):
@@ -284,15 +288,15 @@ def butterfly_apply_vjp(
         with span("kernels.butterfly_apply_vjp", n=n, rows=rows, path="dense"):
             gx, gcoeffs = dense_vjp(grad.reshape(rows, -1), saved)
         return gx.reshape(*lead, in_features), gcoeffs
-    grad = _pad_last(grad, n)
     if kind == "grouped":
+        grad = _pad_last(grad, n, saved.plan.scratch)  # read once, by the VJP
         with span("kernels.butterfly_apply_vjp", n=n, rows=rows,
                   path="grouped"):
             gx, gcoeffs = grouped_vjp(grad.reshape(rows, n), saved)
         return _head(gx.reshape(*lead, n), in_features), gcoeffs
     inputs, coeffs, halves = saved
     with span("kernels.butterfly_apply_vjp", path="stages"):
-        g = grad
+        g = _pad_last(grad, n)
         gcoeffs: List[Optional[np.ndarray]] = [None] * len(coeffs)
         for s in range(len(coeffs) - 1, -1, -1):
             g, gcoeffs[s] = stage_vjp(g, inputs[s], coeffs[s], halves[s])
@@ -385,7 +389,6 @@ __all__ = [
     "residual_layer_norm_forward",
     "residual_layer_norm_vjp",
     "set_default_dtype",
-    "set_fused_enabled",
     "stage_dense",
     "stage_forward",
     "stage_halves",

@@ -39,14 +39,14 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..telemetry import span
 from . import backend
 from .dtype import mask_fill_value
-from .pool import RECYCLER, SCRATCH, check_out
+from .pool import SCRATCH, check_out, fresh
 
 #: Step along a causal mask's diagonal: most queries in a causal tile,
 #: forward and backward (a tile computes the whole rectangle up to its last
@@ -134,6 +134,7 @@ class AttentionContext(NamedTuple):
     bias2d: Optional[np.ndarray]  # (Lq, Lk) cached causal bias
     bias3d: Optional[np.ndarray]  # (B, Lq, Lk) ragged-start causal bias
     kbias: Optional[np.ndarray]  # (B, Lk) key padding bias
+    take: Callable  # where the VJP's outputs come from
 
 
 def _resolve_bias(
@@ -215,6 +216,7 @@ def attention_forward(
     block: Optional[int] = None,
     need_ctx: bool = True,
     out: Optional[np.ndarray] = None,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[AttentionContext]]:
     """Fused ``softmax(Q K^T * scale + bias) V``, one query tile at a time.
 
@@ -228,9 +230,10 @@ def attention_forward(
     0``) give an empty ``(B, H, 0, D)`` result; queries over no keys are
     refused.
 
-    ``out`` (``need_ctx`` must be off) is a C-contiguous ``(B, H, Lq, D)``
-    array of ``q``'s dtype aliasing no operand; it receives the bytes the
-    allocating call returns.
+    ``out`` is a C-contiguous ``(B, H, Lq, D)`` array of ``q``'s dtype
+    aliasing no operand; it receives the bytes the allocating call
+    returns (a ``take`` buffer without it).  A context keeps the operands
+    and ``out`` by reference, and its logsumexp in a ``take`` buffer.
     """
     q = np.asarray(q)
     k = np.asarray(k)
@@ -256,13 +259,11 @@ def attention_forward(
         raise ValueError(f"causal attention of {lq} queries over {lk} keys")
     kbias = padding_bias(key_mask, dtype) if key_mask is not None else None
     if out is None:
-        out = RECYCLER.empty((b, h, lq, d), dtype)
+        out = take("attention.out", (b, h, lq, d), dtype)
     else:
-        if need_ctx:
-            raise ValueError("out= cannot back a VJP context")
         check_out(out, (b, h, lq, d), dtype, q, k, v)
 
-    shift, lsum = RECYCLER.empty((2, b, h, lq), dtype)
+    shift, lsum = take("attention.lse", (2, b, h, lq), dtype)
     shift[...] = 0  # a row's shift stays 0 unless its tile fails the check
     tiny_per_eps = float(np.finfo(dtype).tiny / np.finfo(dtype).eps)
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
@@ -334,9 +335,10 @@ def attention_forward(
                     lsum[tile] = pv[..., d]
     if not need_ctx:
         return out, None
-    lse = shift + np.log(lsum)
+    lse = np.log(lsum, out=lsum)
+    lse += shift
     return out, AttentionContext(q, k, v, out, lse, scale, block,
-                                 bias2d, bias3d, kbias)
+                                 bias2d, bias3d, kbias, take)
 
 
 def attention_vjp(
@@ -344,12 +346,13 @@ def attention_vjp(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients ``(dq, dk, dv)`` of :func:`attention_forward`, on the
     forward's query tiles (see the module docstring)."""
-    q, k, v, out, lse, scale, block, bias2d, bias3d, kbias = ctx
+    q, k, v, out, lse, scale, block, bias2d, bias3d, kbias, take = ctx
     g = np.asarray(grad_out)
     b, h, lq, d = q.shape
     lk = k.shape[2]
     dtype = q.dtype
-    gq, gk, gv = (RECYCLER.empty(a.shape, dtype) for a in (q, k, v))
+    gq, gk, gv = (take(f"attention.g{name}", a.shape, dtype)
+                  for name, a in zip("qkv", (q, k, v)))
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
     with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
         # The augmented operands (module docstring), once per run of heads.

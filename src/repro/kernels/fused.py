@@ -8,13 +8,11 @@ autograd engine records **one** graph node where the composite path
 recorded three to five:
 
 * :func:`linear_act_forward` / :func:`linear_act_vjp` — dense
-  ``act(x @ W^T + b)`` (identity / relu / gelu) in one node.  The
+  ``act(x @ W^T + b)`` (identity / gelu) in one node.  The
   contiguous ``W^T`` is cached *on the parameter object* and
   invalidated by the optimizer's in-place update (via the parameter's
   version counter, see :meth:`repro.nn.module.Parameter.bump_version`)
-  or by a ``.data`` rebind; the ``dW`` GEMM writes into a per-parameter
-  scratch buffer instead of allocating a fresh ``(out, in)`` array
-  every step (the engine copies it into the parameter's own ``.grad``).
+  or by a ``.data`` rebind.
 * :func:`residual_layer_norm_forward` / :func:`residual_layer_norm_vjp`
   — the ``norm(x + sub(x))`` pattern that closes every transformer
   sub-layer, fused so the residual sum is never recorded as a separate
@@ -36,20 +34,26 @@ is parity-tested against them (``tests/kernels/test_fused_training.py``)
 and the :func:`use_fused` toggle routes the ``repro.nn`` wrappers back
 to the composite graph, which is both the benchmark baseline and the
 oracle for the loss-curve parity tests.
+
+A kernel that takes ``take`` (a :meth:`ScratchPool.take
+<repro.kernels.pool.ScratchPool.take>`-shaped callable; :func:`fresh
+<repro.kernels.pool.fresh>`, which allocates, by default) draws every
+array that outlives the call from it: the result, what the context
+saves and, through the context, what the VJP returns.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..telemetry import span
 from . import backend
-from .pool import RECYCLER, SCRATCH, check_out
+from .pool import SCRATCH, check_out, fresh
 
-ACTIVATIONS = ("identity", "relu", "gelu")
+ACTIVATIONS = ("identity", "gelu")
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
@@ -61,14 +65,6 @@ def fused_enabled() -> bool:
     return _FUSED_ENABLED
 
 
-def set_fused_enabled(flag: bool) -> bool:
-    """Enable/disable the fused fast path; returns the previous setting."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(flag)
-    return previous
-
-
 @contextlib.contextmanager
 def use_fused(flag: bool = True) -> Iterator[bool]:
     """Scope the fused-path toggle (``use_fused(False)`` = composite ops).
@@ -78,11 +74,12 @@ def use_fused(flag: bool = True) -> Iterator[bool]:
     op is *recorded*, so a graph built under one setting backpropagates
     consistently even if the setting changes before ``backward()``.
     """
-    previous = set_fused_enabled(flag)
+    global _FUSED_ENABLED
+    previous, _FUSED_ENABLED = _FUSED_ENABLED, bool(flag)
     try:
-        yield fused_enabled()
+        yield _FUSED_ENABLED
     finally:
-        set_fused_enabled(previous)
+        _FUSED_ENABLED = previous
 
 
 # ----------------------------------------------------------------------
@@ -118,45 +115,6 @@ def cached_transpose(weight) -> np.ndarray:
     return wt
 
 
-def _pop_grad_scratch(holder) -> Optional[np.ndarray]:
-    """Claim the holder's ``dW`` scratch buffer (or None).
-
-    Popping at forward-record time makes concurrent uses of one weight
-    within a graph safe: only the first claim gets the buffer, later
-    ones allocate their own in the VJP.
-    """
-    if holder is None:
-        return None
-    buf = getattr(holder, "_gw_scratch", None)
-    if buf is not None:
-        try:
-            holder._gw_scratch = None
-        except AttributeError:
-            return None
-    return buf
-
-
-def _grad_w_into(
-    scratch: Optional[np.ndarray], holder, g2: np.ndarray, x2: np.ndarray,
-    w_shape: Tuple[int, ...], w_dtype,
-) -> np.ndarray:
-    """``dW = g^T @ x`` into the claimed scratch (or a fresh buffer).
-
-    The array never becomes ``param.grad`` itself — a leaf's gradient is
-    always a copy the autograd engine owns (:meth:`repro.nn.Tensor.
-    backward`) — so the next step may overwrite it.
-    """
-    if scratch is None or scratch.shape != w_shape or scratch.dtype != w_dtype:
-        scratch = np.empty(w_shape, dtype=w_dtype)
-    backend.matmul(g2.T, x2, scratch)
-    if holder is not None:
-        try:
-            holder._gw_scratch = scratch
-        except AttributeError:
-            pass
-    return scratch
-
-
 # ----------------------------------------------------------------------
 # GELU
 # ----------------------------------------------------------------------
@@ -182,33 +140,36 @@ def _gelu_tanh(z: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def gelu_forward(
-    z: np.ndarray, need_ctx: bool = True, out: Optional[np.ndarray] = None
+    z: np.ndarray, need_ctx: bool = True, out: Optional[np.ndarray] = None,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Tanh-approximation GELU ``0.5 z (1 + tanh(c (z + 0.044715 z^3)))``.
 
     Returns ``(y, t)``: ``t`` is the tanh, which :func:`gelu_vjp` reuses,
     or None unless ``need_ctx``.  The chain runs in place through one
-    fresh buffer (a second one for ``y`` when ``t`` must survive) and
+    ``take`` buffer (a second one for ``y`` when ``t`` must survive) and
     never writes into ``z``.
 
-    ``out`` (``need_ctx`` must be off, ``z`` C-contiguous) receives ``y``
-    instead — the same bytes — and the chain runs :data:`GELU_BLOCK`
-    elements at a time through pooled scratch.  In place is defined:
-    ``out`` may be ``z`` itself, each block of which is read until the
-    block's last two passes write it; any other overlap is refused.
+    ``out`` receives ``y`` instead — the same bytes.  Without a context
+    (``z`` C-contiguous) the chain runs :data:`GELU_BLOCK` elements at a
+    time through pooled scratch, and in place is defined: ``out`` may be
+    ``z`` itself, each block of which is read until the block's last two
+    passes write it; any other overlap is refused.
     """
-    if out is None:
-        t = _gelu_tanh(z, RECYCLER.empty(z.shape, z.dtype))
+    if out is None or need_ctx:
+        t = _gelu_tanh(z, take("gelu.t", z.shape, z.dtype))
         if need_ctx:
-            y = np.add(t, 1.0, out=RECYCLER.empty(z.shape, z.dtype))
+            if out is None:
+                out = take("gelu.y", z.shape, z.dtype)
+            else:
+                check_out(out, z.shape, z.dtype, z, t)
+            y = np.add(t, 1.0, out=out)
             y *= z
         else:
             t += 1.0
             y = np.multiply(t, z, out=t)
         y *= 0.5
         return y, (t if need_ctx else None)
-    if need_ctx:
-        raise ValueError("out= keeps no tanh for a VJP context")
     if not z.flags.c_contiguous:
         raise ValueError("out= needs a C-contiguous pre-activation")
     if out is not z:
@@ -224,15 +185,16 @@ def gelu_forward(
     return out, None
 
 
-def gelu_vjp(grad: np.ndarray, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+def gelu_vjp(grad: np.ndarray, z: np.ndarray, t: np.ndarray,
+             take: Callable = fresh) -> np.ndarray:
     """``grad * gelu'(z)`` from the pre-activation and the saved tanh.
 
     ``d/dz gelu(z) = 0.5 * (1 + t + z * (1 - t^2) * dinner)``, chained in
-    place through the buffer it returns, ``dinner`` :data:`GELU_BLOCK`
-    elements at a time through pooled scratch; ``grad``, ``z`` and ``t``
-    are only read.
+    place through the ``take`` buffer it returns, ``dinner``
+    :data:`GELU_BLOCK` elements at a time through pooled scratch;
+    ``grad``, ``z`` and ``t`` are only read.
     """
-    dact = np.multiply(t, t, out=RECYCLER.empty(t.shape, t.dtype))
+    dact = np.multiply(t, t, out=take("gelu.dact", t.shape, t.dtype))
     np.subtract(1.0, dact, out=dact)
     flat_z, flat_dact = z.reshape(-1), dact.reshape(-1)
     chain = SCRATCH.take("gelu", (min(GELU_BLOCK, z.size),), z.dtype)
@@ -259,13 +221,8 @@ class LinearActContext(NamedTuple):
 
     x: np.ndarray
     w: np.ndarray
-    holder: object  # parameter object (scratch/cache host) or None
     has_bias: bool
-    activation: str
-    act_out: Optional[np.ndarray]  # relu: post-activation output
-    z: Optional[np.ndarray]  # gelu: pre-activation
-    t: Optional[np.ndarray]  # gelu: tanh(inner), reused in backward
-    scratch: Optional[np.ndarray]  # claimed dW buffer
+    take: Callable  # where the VJP's outputs come from
 
 
 def linear_act_forward(
@@ -275,24 +232,26 @@ def linear_act_forward(
     activation: str = "identity",
     need_ctx: bool = True,
     out: Optional[np.ndarray] = None,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[LinearActContext]]:
     """Fused ``act(x @ W^T + b)``; ``x`` is ``(..., in)``, ``W`` ``(out, in)``.
 
     ``weight`` may be a parameter object (see :func:`cached_transpose`)
     or a raw array.  ``bias`` must be a 1-D ``(out,)`` vector when
     present.  Returns ``(y, ctx)``; ``ctx`` is None unless ``need_ctx``.
+    ``"gelu"`` runs in place without a context: a recorded projection's
+    GELU is :func:`gelu_forward` on its output.
 
-    ``out`` (``need_ctx`` must be off) is a C-contiguous array of the
-    result's shape and dtype, not aliasing ``x``: the GEMM, the bias add
-    and the activation all run in it, and it comes back as ``y`` with
-    the bytes of the allocating call.
+    ``out`` is a C-contiguous array of the result's shape and dtype, not
+    aliasing ``x``: the GEMM, the bias add and the activation all run in
+    it, and it comes back as ``y`` with the bytes of the allocating call.
     """
-    if activation not in ACTIVATIONS:
+    if activation not in ACTIVATIONS or (need_ctx and activation != "identity"):
         raise ValueError(
-            f"activation must be one of {ACTIVATIONS}, got {activation!r}"
+            f"activation must be one of {ACTIVATIONS} ('identity' with a "
+            f"context), got {activation!r}"
         )
-    holder = None if isinstance(weight, np.ndarray) else weight
-    w = weight if holder is None else holder.data
+    w = weight if isinstance(weight, np.ndarray) else weight.data
     if bias is not None and (bias.ndim != 1 or bias.shape[0] != w.shape[0]):
         raise ValueError(
             f"bias must be 1-D of size {w.shape[0]}, got shape {bias.shape}"
@@ -300,50 +259,29 @@ def linear_act_forward(
     wt = cached_transpose(weight)
     shape = x.shape[:-1] + (wt.shape[1],)
     dtype = np.promote_types(x.dtype, wt.dtype)
-    if out is None:
-        y = RECYCLER.empty(shape, dtype)
-    else:
-        if need_ctx:
-            raise ValueError("out= cannot back a VJP context")
+    if out is not None:
         check_out(out, shape, dtype, x)
-        y = out
+    y = take("linear.y", shape, dtype) if out is None else out
     with span("kernels.linear_act", out=wt.shape[1], act=activation):
         backend.matmul(x, wt, y)
     if bias is not None:
         y += bias
-    act_out = z = t = None
-    if activation == "identity":
-        data = y
-    elif activation == "relu":
-        data = np.maximum(y, 0.0, out=y)  # relu(z) > 0  <=>  z > 0
-        act_out = data
-    else:
-        z = y
-        data, t = gelu_forward(z, need_ctx, out=out)  # in place in ``out``
-    if not need_ctx:
-        return data, None
-    scratch = _pop_grad_scratch(holder)
-    return data, LinearActContext(
-        x, w, holder, bias is not None, activation, act_out, z, t, scratch
-    )
+    if activation == "gelu":  # in place in ``out``; else the allocating chain
+        return gelu_forward(y, need_ctx=False, out=out)
+    return y, LinearActContext(x, w, bias is not None, take) if need_ctx else None
 
 
 def linear_act_vjp(grad: np.ndarray, ctx: LinearActContext) -> tuple:
     """Gradients of :func:`linear_act_forward`: ``(gx, gw[, gb])``."""
-    x, w, holder, has_bias, activation, act_out, z, t, scratch = ctx
-    if activation == "identity":
-        ga = grad
-    elif activation == "relu":
-        ga = grad * (act_out > 0.0)
-    else:
-        ga = gelu_vjp(grad, z, t)
-    gx = RECYCLER.empty(ga.shape[:-1] + (w.shape[1],), np.result_type(ga, w))
+    x, w, has_bias, take = ctx
+    gx = take("linear.gx", grad.shape[:-1] + (w.shape[1],), np.result_type(grad, w))
     with span("kernels.linear_act_vjp", out=w.shape[0]):
-        backend.matmul(ga, w, gx)  # (..., out) @ (out, in)
+        backend.matmul(grad, w, gx)  # (..., out) @ (out, in)
         out_features = w.shape[0]
-        g2 = ga.reshape(-1, out_features)
+        g2 = grad.reshape(-1, out_features)
         x2 = x.reshape(-1, w.shape[1])
-        gw = _grad_w_into(scratch, holder, g2, x2, w.shape, w.dtype)
+        gw = take("linear.gw", w.shape, w.dtype)
+        backend.matmul(g2.T, x2, gw)
     if not has_bias:
         return gx, gw
     return gx, gw, g2.sum(axis=0)
@@ -358,6 +296,7 @@ class ResidualLNContext(NamedTuple):
     normed: np.ndarray  # (x + sub - mu) * inv
     inv: np.ndarray  # 1 / sqrt(var + eps)
     gamma: np.ndarray
+    take: Callable  # where the VJP's outputs come from
 
 
 def residual_layer_norm_forward(
@@ -368,6 +307,7 @@ def residual_layer_norm_forward(
     eps: float = 1e-5,
     need_ctx: bool = True,
     out: Optional[np.ndarray] = None,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[ResidualLNContext]]:
     """Fused ``layer_norm(x + sub)`` over the last axis (affine).
 
@@ -375,22 +315,21 @@ def residual_layer_norm_forward(
     transformer sub-layer; the ``x + sub`` temporary is normalized in
     place instead of being saved as a separate ``add`` node.
 
-    ``out`` (``need_ctx`` must be off) is a C-contiguous array of the
-    result's shape and dtype aliasing neither operand: the sum is formed
-    and normalized in it, the squares go through pooled scratch, and it
-    comes back with the bytes of the allocating call.  The means are
+    ``out`` is a C-contiguous array of the result's shape and dtype
+    aliasing neither operand, and comes back with the bytes of the
+    allocating call; without a context the sum is formed and normalized
+    in it (with one, the normalized sum is a ``take`` buffer).  The
+    squares go through pooled scratch.  The means are
     ``np.mean``'s arithmetic, unwrapped (float16, which it would
     accumulate in float32, is refused).
     """
     if x.shape != sub.shape:
         raise ValueError(f"residual shapes differ: {x.shape} vs {sub.shape}")
-    if out is None:
-        h = np.add(x, sub, out=RECYCLER.out(x, sub))
-    else:
-        if need_ctx:
-            raise ValueError("out= cannot back a VJP context")
-        check_out(out, x.shape, np.promote_types(x.dtype, sub.dtype), x, sub)
-        h = np.add(x, sub, out=out)
+    dtype = np.promote_types(x.dtype, sub.dtype)
+    if out is not None:
+        check_out(out, x.shape, dtype, x, sub)
+    h = np.add(x, sub, out=(take("rln.normed", x.shape, dtype)
+                            if out is None or need_ctx else out))
     if h.dtype == np.float16:
         raise TypeError("layer norm of a float16 sum: cast it to float32")
     count = np.intp(h.shape[-1])
@@ -406,9 +345,12 @@ def residual_layer_norm_forward(
         h *= gamma
         h += beta
         return h, None
-    y = np.multiply(h, gamma, out=RECYCLER.out(h, gamma, beta))
+    if out is None:
+        out = take("rln.y", h.shape, np.promote_types(
+            h.dtype, np.promote_types(gamma.dtype, beta.dtype)))
+    y = np.multiply(h, gamma, out=out)
     y += beta
-    return y, ResidualLNContext(h, inv, gamma)
+    return y, ResidualLNContext(h, inv, gamma, take)
 
 
 def residual_layer_norm_vjp(
@@ -420,12 +362,13 @@ def residual_layer_norm_vjp(
     returning one shared array for both residual branches is safe and
     halves the backward's allocation.
     """
-    normed, inv, gamma = ctx
+    normed, inv, gamma, take = ctx
     n = normed.shape[-1]
     g2 = grad.reshape(-1, n)
     dgamma = np.einsum("bi,bi->i", g2, normed.reshape(-1, n))
     dbeta = g2.sum(axis=0)
-    gn = np.multiply(grad, gamma, out=RECYCLER.out(grad, gamma))
+    gn = np.multiply(grad, gamma, out=take(
+        "rln.gn", normed.shape, np.result_type(grad, gamma)))
     dvar = np.einsum("...i,...i->...", gn, normed)[..., None]
     dmean = gn.sum(axis=-1, keepdims=True)
     # da = inv * (gn - dmean/n - normed * dvar/n), accumulated in place
@@ -463,7 +406,7 @@ def fourier_mix(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
             f"expected a real (..., seq, hidden) array, got {x.dtype} {x.shape}"
         )
     if out is None:
-        out = RECYCLER.empty(x.shape, x.dtype)
+        out = np.empty(x.shape, x.dtype)
     else:
         check_out(out, x.shape, x.dtype, x)
     seq, hidden = x.shape[-2:]
@@ -547,7 +490,8 @@ def cross_entropy_logits_vjp(
 # Segment-sum embedding backward
 # ----------------------------------------------------------------------
 def embedding_grad(
-    indices: np.ndarray, grad: np.ndarray, num_embeddings: int
+    indices: np.ndarray, grad: np.ndarray, num_embeddings: int,
+    take: Callable = fresh,
 ) -> np.ndarray:
     """Scatter-add ``grad`` rows into a ``(num_embeddings, d)`` table.
 
@@ -559,7 +503,7 @@ def embedding_grad(
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     d = grad.shape[-1]
-    out = RECYCLER.empty((num_embeddings, d), grad.dtype)
+    out = take("embedding.grad", (num_embeddings, d), grad.dtype)
     out[...] = 0
     if idx.size == 0:
         return out
@@ -568,9 +512,12 @@ def embedding_grad(
     sidx = idx[order]
     # ``order`` is a permutation: "clip" clips nothing and, unlike "raise", is unbuffered.
     sg = np.take(g, order, axis=0, mode="clip",
-                 out=RECYCLER.empty(g.shape, g.dtype))
+                 out=take("embedding.sorted", g.shape, g.dtype))
     seg_starts = np.concatenate(
         ([0], np.flatnonzero(sidx[1:] != sidx[:-1]) + 1)
     )
-    out[sidx[seg_starts]] = np.add.reduceat(sg, seg_starts, axis=0)
+    # Sized for the most distinct ids a call can bring: one buffer a step.
+    sums = take("embedding.sums", (min(idx.size, num_embeddings), d), g.dtype)
+    out[sidx[seg_starts]] = np.add.reduceat(
+        sg, seg_starts, axis=0, out=sums[:len(seg_starts)])
     return out

@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ from ..faults import fault_point
 from ..telemetry import counter_inc, publish_on_snapshot, span
 from . import backend
 from .layout import check_power_of_two, num_stages
-from .pool import RECYCLER, ScratchPool, check_out
+from .pool import ScratchPool, check_out, fresh
 
 #: Largest number of stages fused into one chunk.  Radix 32 balances the
 #: batched-GEMM efficiency against the O(n * 2^g) chunk-matrix build cost.
@@ -203,7 +203,7 @@ class GroupedPlan:
     Also owns a pool of *transient* scratch buffers (:meth:`scratch`).
     Only arrays that never escape a single kernel call may use it —
     anything saved in a context or returned to the caller is the
-    recycler's (:data:`repro.kernels.pool.RECYCLER`).
+    caller's ``take``'s.
     """
 
     def __init__(self, n: int, stages: int, g: int = MAX_GROUP) -> None:
@@ -345,12 +345,13 @@ def get_plan(n: int, stages: int, g: int = MAX_GROUP) -> GroupedPlan:
 # Chunk matrix build (stacked doubling recursion) and its VJP
 # ----------------------------------------------------------------------
 def _build_matrices(
-    plan: GroupedPlan, coeffs: Sequence[np.ndarray], dtype
+    plan: GroupedPlan, coeffs: Sequence[np.ndarray], dtype,
+    take: Callable = fresh,
 ) -> Tuple[List[np.ndarray], list]:
     """Densify every chunk into ``M[o, h0, T, T]``; one einsum per level.
 
     Returns per-chunk matrices plus the per-level ``(V, C)`` intermediates
-    needed by :func:`_build_matrices_vjp`.
+    needed by :func:`_build_matrices_vjp`, both in ``take`` buffers.
     """
     n = plan.n
     cf = plan.scratch("coeffs", (plan.stages, 4, n // 2), dtype)
@@ -377,7 +378,7 @@ def _build_matrices(
         else:
             V = L.reshape(lev.K, N, 2, m, m)
             C = A.reshape(lev.K, 2, 2, N, m)
-            prod = RECYCLER.empty((lev.K, N, 2, m, 2, m), dtype)
+            prod = take(f"grouped.L{m}", (lev.K, N, 2, m, 2, m), dtype)
             L = np.einsum("ktqnr,knqrc->kntrqc", C, V, out=prod).reshape(lev.K, N, 2 * m, 2 * m)
         saved.append((V, C))
         prev_active = lev.active
@@ -390,7 +391,8 @@ def _build_matrices(
 
 
 def _build_matrices_vjp(
-    dMs: Sequence[np.ndarray], saved: list, plan: GroupedPlan, dtype
+    dMs: Sequence[np.ndarray], saved: list, plan: GroupedPlan, dtype,
+    take: Callable,
 ) -> np.ndarray:
     """Reverse the stacked doubling: scatter chunk-matrix gradients into
     per-stage coefficient gradients of shape ``(stages, 4, n/2)``.
@@ -399,7 +401,7 @@ def _build_matrices_vjp(
     axis, so the scatter is a plain fancy-index assignment.
     """
     n = plan.n
-    G = np.empty((plan.stages, 4, n // 2), dtype=dtype)
+    G = take("grouped.gcoeffs", (plan.stages, 4, n // 2), dtype)
     Gf = G.reshape(-1)
     dL: Optional[np.ndarray] = None
     active: tuple = ()
@@ -441,18 +443,16 @@ def _build_matrices_vjp(
 # ----------------------------------------------------------------------
 # Forward / VJP over the full stage ladder
 # ----------------------------------------------------------------------
-class GroupedContext:
+class GroupedContext(NamedTuple):
     """Saved state from :func:`grouped_forward` needed by :func:`grouped_vjp`."""
 
-    __slots__ = ("plan", "dtype", "rows", "MTs", "build_saved", "xs")
-
-    def __init__(self, plan: GroupedPlan, dtype, rows: int) -> None:
-        self.plan = plan
-        self.dtype = dtype
-        self.rows = rows
-        self.MTs: list = []  # transposed chunk matrices (o, h0, q, t)
-        self.build_saved: list = []
-        self.xs: list = []   # chunk inputs, arranged (o, h0, rows, T)
+    plan: GroupedPlan
+    dtype: np.dtype
+    rows: int
+    take: Callable  # the forward's buffers: the VJP's outputs too
+    MTs: list  # transposed chunk matrices (o, h0, q, t)
+    build_saved: list
+    xs: list  # chunk inputs, arranged (o, h0, rows, T)
 
 
 def _arrange_first(x: np.ndarray, chunk: _ChunkPlan, rows: int) -> np.ndarray:
@@ -462,23 +462,24 @@ def _arrange_first(x: np.ndarray, chunk: _ChunkPlan, rows: int) -> np.ndarray:
 
 
 def _rearrange_between(
-    y: np.ndarray, prev: _ChunkPlan, nxt: _ChunkPlan, rows: int
+    y: np.ndarray, prev: _ChunkPlan, nxt: _ChunkPlan, rows: int,
+    out: np.ndarray,
 ) -> np.ndarray:
-    # chunk output (o, h0, B, T) -> next chunk input (o', h0', B, T'),
-    # composing "undo previous grouping" and "apply next grouping" into a
-    # single 5-axis transpose (one copy instead of two).
+    # chunk output (o, h0, B, T) -> next chunk input (o', h0', B, T') in
+    # ``out``, composing "undo previous grouping" and "apply next
+    # grouping" into a single 5-axis transpose (one copy instead of two).
     o2, T2 = nxt.o, nxt.T
-    return (y.reshape(o2, T2, prev.h0, rows, prev.T)
-            .transpose(0, 4, 2, 3, 1)
-            .reshape(o2, nxt.h0, rows, T2))
+    np.copyto(out.reshape(o2, prev.T, prev.h0, rows, T2),
+              y.reshape(o2, T2, prev.h0, rows, prev.T).transpose(0, 4, 2, 3, 1))
+    return out
 
 
 def _arrange_last_inv(
-    y: np.ndarray, chunk: _ChunkPlan, rows: int, n: int
+    y: np.ndarray, chunk: _ChunkPlan, rows: int, n: int, take: Callable,
 ) -> np.ndarray:
-    # (o, h0, B, T) -> (B, n).  Always an owned copy: ``y`` may live in
-    # pooled scratch, and the result escapes to the caller.
-    out = RECYCLER.empty((rows, n), y.dtype)
+    # (o, h0, B, T) -> (B, n).  Always a copy of the caller's: ``y`` may
+    # live in pooled scratch, and the result escapes to the caller.
+    out = take("grouped.y", (rows, n), y.dtype)
     np.copyto(out.reshape(rows, chunk.o, chunk.T, chunk.h0),
               y.transpose(2, 0, 3, 1))
     return out
@@ -489,38 +490,37 @@ def grouped_forward(
     coeffs: Sequence[np.ndarray],
     plan: GroupedPlan,
     need_ctx: bool = True,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[GroupedContext]]:
-    """Apply the full stage ladder to ``x`` of shape ``(rows, n)``."""
+    """Apply the full stage ladder to ``x`` of shape ``(rows, n)``.
+
+    The result, and what a context saves (each chunk's operator and
+    input, the build's levels), are ``take`` buffers; the rest is the
+    plan's scratch."""
     rows, n = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    Ms, build_saved = _build_matrices(plan, coeffs, dtype)
-    ctx = GroupedContext(plan, dtype, rows) if need_ctx else None
-    if ctx is not None:
-        ctx.build_saved = build_saved
+    saved = take if need_ctx else plan.scratch
+    Ms, build_saved = _build_matrices(plan, coeffs, dtype, saved)
+    ctx = GroupedContext(plan, dtype, rows, take, [], build_saved, [])
     out = None
     for k, chunk in enumerate(plan.chunks):
-        if k == 0:
-            xr = _arrange_first(x, chunk, rows)
-            if not xr.flags.c_contiguous or xr.dtype != dtype:
-                xr = RECYCLER.copy(xr, dtype)
-        else:
-            xr = _rearrange_between(out, plan.chunks[k - 1], chunk, rows)
-        if ctx is not None:
-            # MT is reused by the backward pass, and the next chunk's
-            # rearrangement of ``out`` may alias it (a transpose over
-            # singleton axes can be a view) and gets saved in the context
-            # — so both must own their memory here.
-            MT = RECYCLER.copy(Ms[k].swapaxes(-1, -2))
-            out = RECYCLER.empty(xr.shape, dtype)
-            backend.matmul(xr, MT, out)
-            ctx.MTs.append(MT)
-            ctx.xs.append(xr)
-        else:
-            MT = plan.scratch(f"MT{k}", Ms[k].shape, dtype)
-            np.copyto(MT, Ms[k].swapaxes(-1, -2))
-            out = plan.scratch(f"y{k}", xr.shape, dtype)
-            backend.matmul(xr, MT, out)
-    return _arrange_last_inv(out, plan.chunks[-1], rows, n), ctx
+        xr = _arrange_first(x, chunk, rows) if k == 0 else None
+        if xr is None or not xr.flags.c_contiguous or xr.dtype != dtype:
+            shape = (chunk.o, chunk.h0, rows, chunk.T)
+            buf = saved(f"grouped.x{k}", shape, dtype)
+            if xr is None:
+                xr = _rearrange_between(out, plan.chunks[k - 1], chunk, rows, buf)
+            else:
+                np.copyto(buf, xr)
+                xr = buf
+        MT = saved(f"grouped.MT{k}", Ms[k].shape, dtype)
+        np.copyto(MT, Ms[k].swapaxes(-1, -2))
+        out = plan.scratch(f"y{k}", xr.shape, dtype)
+        backend.matmul(xr, MT, out)
+        ctx.MTs.append(MT)
+        ctx.xs.append(xr)
+    return (_arrange_last_inv(out, plan.chunks[-1], rows, n, take),
+            ctx if need_ctx else None)
 
 
 def grouped_vjp(
@@ -559,10 +559,10 @@ def grouped_vjp(
         gT = plan.scratch(f"gT{k}", shape, ctx.dtype)
         backend.matmul(ctx.MTs[k], grT, gT)
     chunk0 = plan.chunks[0]
-    gx = RECYCLER.empty((rows, n), ctx.dtype)
+    gx = ctx.take("grouped.gx", (rows, n), ctx.dtype)
     np.copyto(gx.reshape(rows, chunk0.o, chunk0.T, chunk0.h0),
               gT.transpose(3, 0, 2, 1))
-    G = _build_matrices_vjp(dMs, ctx.build_saved, plan, ctx.dtype)
+    G = _build_matrices_vjp(dMs, ctx.build_saved, plan, ctx.dtype, ctx.take)
     return gx, list(G)
 
 
@@ -574,6 +574,7 @@ def dense_forward(
     coeffs: Sequence[np.ndarray],
     plan: GroupedPlan,
     out_features: int,
+    take: Callable = fresh,
 ) -> Tuple[np.ndarray, tuple]:
     """``(rows, in_features) -> (rows, out_features)`` as one GEMM with
     ``W = ladder(eye(in_features, n))[:, :out_features]``, built for this
@@ -581,16 +582,19 @@ def dense_forward(
     nothing is cached across calls).
 
     The context keeps ``x`` by reference, ``W`` and the build's own
-    context: nothing else of ``rows`` height.
+    context: nothing else of ``rows`` height.  ``y`` and ``W`` are
+    ``take`` buffers.
     """
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    eye = RECYCLER.empty((in_features, plan.n), dtype)
+    # Scratch: the build saves a view of its input only for a one-chunk
+    # ladder (n <= 2 ** MAX_GROUP), which never takes the grouped path.
+    eye = plan.scratch("eye", (in_features, plan.n), dtype)
     eye[...] = 0
     np.fill_diagonal(eye, 1)
-    full, build = grouped_forward(eye, coeffs, plan)
+    full, build = grouped_forward(eye, coeffs, plan, take=take)
     W = full[:, :out_features]
-    y = RECYCLER.empty((rows, out_features), dtype)
+    y = take("dense.y", (rows, out_features), dtype)
     backend.matmul(x, W, y)
     return y, (x, W, build)
 
@@ -604,7 +608,7 @@ def dense_vjp(
     x, W, build = ctx
     plan, dtype = build.plan, build.dtype
     out_features = W.shape[1]
-    gx = RECYCLER.empty(x.shape, dtype)
+    gx = build.take("dense.gx", x.shape, dtype)
     backend.matmul(grad, W.T, gx)
     dW = plan.scratch("dW", (x.shape[1], plan.n), dtype)
     dW[:, out_features:] = 0

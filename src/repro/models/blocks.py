@@ -29,15 +29,7 @@ class FeedForward(nn.Module):
         self.act = nn.GELU()
 
     def forward(self, x: nn.Tensor) -> nn.Tensor:
-        if self.butterfly or not isinstance(self.fc1, nn.Linear):
-            # Butterfly layers — and the int8 inference replicas that
-            # quantize_for_inference swaps in — run through the module
-            # call; only the dense fp projections take the fused path.
-            return self.fc2(self.act(self.fc1(x)))
-        # Dense fast path: GEMM + bias + GELU fused into one graph node
-        # for the first projection, one fused node for the second.
-        h = F.linear_act(x, self.fc1.weight, self.fc1.bias, activation="gelu")
-        return F.linear_act(h, self.fc2.weight, self.fc2.bias)
+        return self.fc2(self.act(self.fc1(x)))
 
 
 class DecoderBlock(nn.Module):

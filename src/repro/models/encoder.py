@@ -15,17 +15,19 @@ from .. import kernels, nn
 from ..nn import tensor as F
 from .blocks import EncoderBlock, make_abfly_block, make_fbfly_block
 from .config import ModelConfig
-from .encode_program import EncodeProgram
+from .encode_program import EncodeProgram, TrainProgram
 from .program import ProgramCache
 
 
 class EncoderClassifier(nn.Module):
     """Token embeddings + positional embeddings + encoder blocks + head.
 
-    Under ``no_grad``, with the fused kernels on,
-    :meth:`encode` (and so :meth:`forward`) is the model's compiled
-    :class:`~repro.models.encode_program.EncodeProgram`; every other call
-    records the ``Tensor`` graph.
+    With the fused kernels on, :meth:`encode` (and so :meth:`forward`)
+    is the model's compiled program: under ``no_grad`` its
+    :class:`~repro.models.encode_program.EncodeProgram`, with grad enabled
+    its :class:`~repro.models.encode_program.TrainProgram` (one recorded
+    node).  Under :func:`~repro.kernels.use_fused` ``(False)`` every call
+    records the composite ``Tensor`` graph (:meth:`_graph`).
     """
 
     def __init__(self, config: ModelConfig, blocks: List[EncoderBlock],
@@ -44,8 +46,10 @@ class EncoderClassifier(nn.Module):
         self.head_norm = nn.LayerNorm(config.d_hidden)
         self.head = nn.Linear(config.d_hidden, config.n_classes, rng=rng)
         # The no-grad forward, rebuilt when a parameter's (version, data)
-        # or a projection layer changes.
+        # or a projection layer changes; the recorded one, when a
+        # projection layer changes.
         self._program = ProgramCache(EncodeProgram)
+        self._train_program = ProgramCache(TrainProgram)
 
     # ------------------------------------------------------------------
     def _dtype_context(self):
@@ -86,11 +90,18 @@ class EncoderClassifier(nn.Module):
 
     def _run(self, tokens, mask, classify: bool) -> nn.Tensor:
         tokens, mask = self._validated(tokens, mask)
-        if not F.is_grad_enabled() and kernels.fused_enabled():
-            # The program touches no process-wide state (the dtype policy
-            # included), so threads may forward one model concurrently.
-            out = self._program.get(self).run(tokens, mask, classify)
-            return nn.Tensor(out, dtype=out.dtype)
+        if not kernels.fused_enabled():
+            return self._graph(tokens, mask, classify)
+        if F.is_grad_enabled():
+            return self._train_program.get(self).record(tokens, mask, classify)
+        # The program touches no process-wide state (the dtype policy
+        # included), so threads may forward one model concurrently.
+        out = self._program.get(self).run(tokens, mask, classify)
+        return nn.Tensor(out, dtype=out.dtype)
+
+    def _graph(self, tokens, mask, classify: bool) -> nn.Tensor:
+        """The ``Tensor`` graph of validated ids: the composite path, and
+        (under the fused kernels) both programs' oracle."""
         seq = tokens.shape[1]
         with self._dtype_context():
             x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
@@ -236,10 +247,4 @@ class DualEncoderClassifier(nn.Module):
             h1 = self.encoder.encode(tokens_pair[:, 0])
             h2 = self.encoder.encode(tokens_pair[:, 1])
             feats = F.concat([h1, h2, h1 * h2, h1 - h2], axis=-1)
-            if isinstance(self.fc, nn.Linear):
-                # Head MLP on the fused fast path: projection + GELU in one node.
-                hidden = F.linear_act(feats, self.fc.weight, self.fc.bias,
-                                      activation="gelu")
-            else:  # int8 inference replica: run through the module call
-                hidden = F.gelu(self.fc(feats))
-            return self.out(hidden)
+            return self.out(F.gelu(self.fc(feats)))

@@ -26,9 +26,9 @@ from .. import kernels as _kernels
 from ..kernels.dtype import default_dtype as default_dtype
 from ..kernels.dtype import get_default_dtype
 from ..kernels.dtype import set_default_dtype as set_default_dtype
-from ..kernels.pool import RECYCLER as _RECYCLER
 from ..kernels.pool import SCRATCH as _SCRATCH
 from ..kernels.pool import check_out as _check_out
+from ..kernels.pool import fresh as _fresh
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
@@ -74,17 +74,12 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     # Sum over leading dimensions that were added by broadcasting.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)), out=_RECYCLER.out(grad[(0,) * extra]))
+        grad = grad.sum(axis=tuple(range(extra)))
     # Sum over dimensions that were broadcast from size one.
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def _reshaped(array: np.ndarray, shape) -> np.ndarray:
-    """``array.reshape(shape)``; a copy, when it takes one, is recycled."""
-    return (array if array.flags.c_contiguous else _RECYCLER.copy(array)).reshape(shape)
 
 
 class Tensor:
@@ -162,7 +157,7 @@ class Tensor:
         from op backwards are never mutated, because ops may legally
         hand the same array to several parents (e.g. broadcast-free
         ``add``, the fused residual LayerNorm) — so a leaf's ``.grad`` is
-        always its own copy, which ``clip_grad_norm`` may scale in place.
+        always its own copy, which a caller may scale in place.
         """
         if grad is None:
             if self.data.size != 1:
@@ -203,10 +198,9 @@ class Tensor:
                 if node.requires_grad and node._backward is None:
                     # Leaf tensor: accumulate into an array it owns.
                     if node.grad is not None:
-                        node_grad = np.add(node.grad, node_grad,
-                                           out=_RECYCLER.out(node.grad, node_grad))
+                        node_grad = np.add(node.grad, node_grad)
                     elif id(node) not in owned:
-                        node_grad = _RECYCLER.copy(node_grad)
+                        node_grad = node_grad.copy()
                     node.grad = node_grad
                 if node._backward is not None:
                     node._accumulate_parent_grads(node_grad, grads, owned)
@@ -251,7 +245,7 @@ class Tensor:
             else:
                 # Second contribution: promote to an engine-owned buffer
                 # so every further contribution accumulates in place.
-                grads[key] = np.add(buffer, pgrad, out=_RECYCLER.out(buffer, pgrad))
+                grads[key] = np.add(buffer, pgrad)
                 owned.add(key)
 
     # ------------------------------------------------------------------
@@ -320,9 +314,6 @@ class Tensor:
     def tanh(self) -> "Tensor":
         return tanh(self)
 
-    def relu(self) -> "Tensor":
-        return relu(self)
-
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         return max_(self, axis=axis, keepdims=keepdims)
 
@@ -377,7 +368,7 @@ def _make_result(
 # Elementwise arithmetic
 # ----------------------------------------------------------------------
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = np.add(a.data, b.data, out=_RECYCLER.out(a.data, b.data))
+    data = a.data + b.data
 
     def backward(grad: np.ndarray):
         return _unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape)
@@ -463,15 +454,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def backward(grad: np.ndarray):
-        return (grad * (a.data > 0.0),)
-
-    return _make_result(data, (a,), backward)
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -479,11 +461,11 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT).
 
     The live path is the in-place chain of
-    :func:`repro.kernels.gelu_forward`, the one ``linear_act(...,
-    "gelu")`` runs.  Under :func:`repro.kernels.use_fused` ``(False)``
-    the seed's formula is kept verbatim (``x**3`` and all), so the
-    composite baseline the training benchmark compares against stays the
-    true pre-fusion implementation and the parity oracle of the chain.
+    :func:`repro.kernels.gelu_forward`, the one the programs run.  Under
+    :func:`repro.kernels.use_fused` ``(False)`` the seed's formula is kept
+    verbatim (``x**3`` and all), so the composite baseline the training
+    benchmark compares against stays the true pre-fusion implementation
+    and the parity oracle of the chain.
     """
     x = a.data
     if _kernels.fused_enabled():
@@ -536,11 +518,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # Shape manipulation
 # ----------------------------------------------------------------------
 def reshape(a: Tensor, shape: Tuple[int, ...]) -> Tensor:
-    data = _reshaped(a.data, shape)
+    data = a.data.reshape(shape)
     original = a.shape
 
     def backward(grad: np.ndarray):
-        return (_reshaped(grad, original),)
+        return (grad.reshape(original),)
 
     return _make_result(data, (a,), backward)
 
@@ -587,8 +569,7 @@ def getitem(a: Tensor, index) -> Tensor:
     scatter_add = _index_may_repeat(index)
 
     def backward(grad: np.ndarray):
-        full = _RECYCLER.empty(shape, grad.dtype)
-        full[...] = 0
+        full = np.zeros(shape, grad.dtype)
         if scatter_add:
             np.add.at(full, index, grad)
         else:
@@ -635,7 +616,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             axes = tuple(ax % len(shape) for ax in axes)
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        full = _RECYCLER.empty(shape, grad.dtype)
+        full = np.empty(shape, grad.dtype)
         np.copyto(full, g)
         return (full,)
 
@@ -715,7 +696,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     num_rows = weight.shape[0]
     if indices.size and not -num_rows <= indices.min() <= indices.max() < num_rows:
         raise IndexError(f"embedding ids must lie in [{-num_rows}, {num_rows})")
-    data = _RECYCLER.empty(indices.shape + weight.shape[1:], weight.dtype)
+    data = np.empty(indices.shape + weight.shape[1:], weight.dtype)
     np.take(weight.data, indices, axis=0, out=data, mode="wrap")  # unbuffered
     segment_sum = _kernels.fused_enabled()
 
@@ -731,7 +712,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 def layer_norm_forward(
     a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5,
-    out: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None, take: Callable = _fresh,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """``(out, normed, inv)`` of an affine layer norm over the last axis.
 
@@ -742,7 +723,7 @@ def layer_norm_forward(
     not alias ``a``: the same arithmetic runs in it (the variance's
     squares through pooled scratch), it comes back with the bytes of the
     allocating call, and ``normed`` / ``inv`` — what a VJP would need —
-    are ``None``.  Without it the arrays returned are the recycler's.
+    are ``None``.  Without it the arrays returned are ``take`` buffers.
     The mean is ``np.mean``'s arithmetic, unwrapped (float16, which it
     would accumulate in float32, is refused).
     """
@@ -751,7 +732,7 @@ def layer_norm_forward(
     mu = np.add.reduce(a, axis=-1, keepdims=True)
     np.true_divide(mu, np.intp(a.shape[-1]), out=mu, casting="unsafe")
     if out is None:
-        normed = _RECYCLER.empty(a.shape, a.dtype)
+        normed = take("ln.normed", a.shape, a.dtype)
     else:
         _check_out(out, a.shape, a.dtype, a)
         normed = out
@@ -765,7 +746,8 @@ def layer_norm_forward(
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     normed *= inv
     if out is None:
-        y = np.multiply(normed, gamma, out=_RECYCLER.out(a, gamma, beta))
+        dtype = np.promote_types(a.dtype, np.promote_types(gamma.dtype, beta.dtype))
+        y = np.multiply(normed, gamma, out=take("ln.y", a.shape, dtype))
         y += beta
         return y, normed, inv
     out *= gamma
@@ -774,24 +756,14 @@ def layer_norm_forward(
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last dimension with affine parameters."""
+    """Layer normalization over the last dimension with affine parameters;
+    its backward is the residual norm's VJP (one of the sum's operands)."""
     data, normed, inv = layer_norm_forward(a.data, gamma.data, beta.data, eps)
-    n = a.shape[-1]
+    ctx = _kernels.ResidualLNContext(normed, inv, gamma.data, _fresh)
 
     def backward(grad: np.ndarray):
-        # grad * normed is dgamma itself when nothing was broadcast (a 1-D a).
-        dgamma = _unbroadcast(
-            np.multiply(grad, normed, out=_RECYCLER.out(grad, normed)), gamma.shape)
-        dbeta = _unbroadcast(grad, beta.shape)
-        gnormed = np.multiply(grad, gamma.data, out=_RECYCLER.out(grad, gamma.data))
-        t = _SCRATCH.take("layer_norm", gnormed.shape, np.result_type(gnormed, normed))
-        dvar_term = np.multiply(gnormed, normed, out=t).sum(axis=-1, keepdims=True)
-        dmean_term = gnormed.sum(axis=-1, keepdims=True)
-        # inv * (gnormed - dmean_term / n - normed * dvar_term / n), in place:
-        gnormed -= dmean_term / n
-        gnormed -= np.divide(np.multiply(normed, dvar_term, out=t), n, out=t)
-        gnormed *= inv
-        return (gnormed, dgamma, dbeta)
+        gx, _, dgamma, dbeta = _kernels.residual_layer_norm_vjp(grad, ctx)
+        return gx, dgamma, dbeta
 
     return _make_result(data, (a, gamma, beta), backward)
 
@@ -800,37 +772,23 @@ def linear_act(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    activation: str = "identity",
 ) -> Tensor:
-    """Fused ``act(x @ W^T + b)`` as a single autograd node.
+    """Fused ``x @ W^T + b`` as a single autograd node.
 
     The training-step fast path for every dense projection: one graph
     node instead of the composite ``transpose`` / ``matmul`` / bias-add
-    / activation chain, with the contiguous ``W^T`` cached on the weight
-    parameter and the ``dW`` GEMM written into a per-parameter scratch
-    buffer (see :mod:`repro.kernels.fused`).  ``activation`` is one of
-    ``"identity"``, ``"relu"``, ``"gelu"``.  Under
+    chain, with the contiguous ``W^T`` cached on the weight parameter
+    (see :mod:`repro.kernels.fused`).  Under
     :func:`repro.kernels.use_fused` ``(False)`` the composite graph is
     recorded instead (the parity/benchmark baseline).
     """
     if not _kernels.fused_enabled():
         out = matmul(x, transpose(weight))
-        if bias is not None:
-            out = add(out, bias)
-        if activation == "identity":
-            return out
-        if activation == "relu":
-            return relu(out)
-        if activation == "gelu":
-            return gelu(out)
-        raise ValueError(
-            f"activation must be one of {_kernels.ACTIVATIONS}, got {activation!r}"
-        )
+        return out if bias is None else add(out, bias)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    record = _should_record(parents)
     data, ctx = _kernels.linear_act_forward(
         x.data, weight, None if bias is None else bias.data,
-        activation=activation, need_ctx=record,
+        need_ctx=_should_record(parents),
     )
 
     def backward(grad: np.ndarray):

@@ -11,26 +11,16 @@ import numpy as np
 
 from .. import nn
 from ..data.base import TaskDataset
-from ..kernels.pool import RECYCLER
+from ..kernels.pool import STEP
 from ..telemetry import gauge_set, span
 
 
 def _model_dtype_context(model: nn.Module):
-    """The dtype policy scope declared by the model's config, if any.
-
-    Models built from a :class:`~repro.models.ModelConfig` carry the
-    config's ``dtype`` choice; training honors it automatically so a
-    ``dtype="float32"`` model is actually trained in float32 (activations
-    created inside the loop follow the parameters instead of silently
-    upcasting to the global default).
-    """
-    config = getattr(model, "config", None)
-    if config is None:
-        encoder = getattr(model, "encoder", None)
-        config = getattr(encoder, "config", None)
-    if config is not None and hasattr(config, "dtype_context"):
-        return config.dtype_context()
-    return contextlib.nullcontext()
+    """The dtype policy scope of the model's (or its encoder's) config, if
+    any: a ``dtype="float32"`` model trains and evaluates in float32."""
+    config = getattr(model, "config", None) or getattr(
+        getattr(model, "encoder", None), "config", None)
+    return getattr(config, "dtype_context", contextlib.nullcontext)()
 
 
 @dataclass
@@ -76,67 +66,52 @@ class Trainer:
         self,
         model: nn.Module,
         lr: float = 1e-3,
-        weight_decay: float = 0.0,
         batch_size: int = 32,
         seed: int = 0,
-        grad_clip: Optional[float] = None,
-        patience: Optional[int] = None,
-        use_masks: bool = False,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
-        """``grad_clip`` bounds the global gradient norm; ``patience``
-        stops training after that many epochs without a new best test
-        accuracy (early stopping); ``use_masks`` feeds the dataset's
-        padding masks to the model (requires length annotations)."""
+        """``lr`` must be finite and positive, ``batch_size`` an integer of
+        at least 1 (a bool is refused)."""
+        if (isinstance(batch_size, bool)
+                or not isinstance(batch_size, (int, np.integer)) or batch_size < 1):
+            raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
         self.model = model
-        self.optimizer = nn.Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
-        self.batch_size = batch_size
+        self.optimizer = nn.Adam(model.parameters(), lr=lr)
+        self.batch_size = int(batch_size)
         self.rng = np.random.default_rng(seed)
-        self.grad_clip = grad_clip
-        self.patience = patience
-        self.use_masks = use_masks
         self.log = log
 
     # ------------------------------------------------------------------
-    def evaluate(self, dataset: TaskDataset, split: str = "test") -> float:
-        """Return accuracy on a dataset split.
+    def evaluate(self, dataset: TaskDataset) -> float:
+        """Return accuracy on the dataset's test split.
 
         Runs under the model config's dtype policy, like :meth:`fit`, so
-        standalone evaluation of a float32 model stays float32.
+        standalone evaluation of a float32 model stays float32, and leaves
+        the model in the mode it found it in.
         """
-        with _model_dtype_context(self.model):
-            return self._evaluate(dataset, split)
-
-    def _evaluate(self, dataset: TaskDataset, split: str) -> float:
+        x, y = dataset.x_test, dataset.y_test
+        training = self.model.training
         self.model.eval()
-        x, y = (
-            (dataset.x_test, dataset.y_test)
-            if split == "test"
-            else (dataset.x_train, dataset.y_train)
-        )
-        masks = dataset.masks(split) if self.use_masks else None
         correct = 0
-        with nn.no_grad():
-            for start in range(0, len(y), self.batch_size):
-                xb = x[start : start + self.batch_size]
-                yb = y[start : start + self.batch_size]
-                if masks is not None:
-                    logits = self.model(xb, mask=masks[start : start + self.batch_size])
-                else:
-                    logits = self.model(xb)
-                correct += int((logits.data.argmax(axis=-1) == yb).sum())
-        self.model.train()
+        try:
+            with _model_dtype_context(self.model), nn.no_grad():
+                for start in range(0, len(y), self.batch_size):
+                    logits = self.model(x[start : start + self.batch_size])
+                    correct += int((logits.data.argmax(axis=-1)
+                                    == y[start : start + self.batch_size]).sum())
+        finally:
+            self.model.train(training)
         return correct / len(y)
 
     def fit(self, dataset: TaskDataset, epochs: int = 5) -> TrainResult:
         """Train for ``epochs`` epochs, recording loss and accuracies.
 
         Runs under the model config's dtype policy (see
-        :meth:`repro.models.ModelConfig.dtype_context`), each step in the
-        arrays the last one released (:data:`repro.kernels.pool.RECYCLER`):
-        not re-entrant.
+        :meth:`repro.models.ModelConfig.dtype_context`), every step in the
+        buffers the last one used: the fit holds
+        :data:`repro.kernels.pool.STEP` and drops its buffers on exit.
         """
-        with _model_dtype_context(self.model), RECYCLER.scope():
+        with _model_dtype_context(self.model), STEP.held():
             return self._fit(dataset, epochs)
 
     def _fit(self, dataset: TaskDataset, epochs: int) -> TrainResult:
@@ -155,29 +130,13 @@ class Trainer:
 
         start_time = time.time()
         self.model.train()
-        best_acc = -1.0
-        epochs_since_best = 0
         for epoch in range(epochs):
             epoch_losses: List[float] = []
             epoch_correct = 0
             epoch_count = 0
-            if self.use_masks:
-                batch_iter = (
-                    (xb, yb, mb)
-                    for xb, yb, mb in dataset.batches_with_masks(
-                        self.batch_size, self.rng
-                    )
-                )
-            else:
-                batch_iter = (
-                    (xb, yb, None)
-                    for xb, yb in dataset.batches(self.batch_size, self.rng)
-                )
-            for xb, yb, mb in batch_iter:
-                RECYCLER.next_step()
+            for xb, yb in dataset.batches(self.batch_size, self.rng):
                 with _phase("forward"):
-                    logits = (self.model(xb, mask=mb) if mb is not None
-                              else self.model(xb))
+                    logits = self.model(xb)
                     loss = nn.cross_entropy_logits(logits, yb)
                 # Record train metrics from the forward results *before*
                 # backward() — it eagerly releases the graph's saved
@@ -191,10 +150,6 @@ class Trainer:
                     self.optimizer.zero_grad()
                     loss.backward()
                 with _phase("optimizer"):
-                    if self.grad_clip is not None:
-                        nn.optim.clip_grad_norm(
-                            self.model.parameters(), self.grad_clip
-                        )
                     self.optimizer.step()
                 # Drop the batch's graph roots so the logits/loss arrays
                 # are reclaimed before the next forward allocates.
@@ -210,15 +165,6 @@ class Trainer:
                     f"epoch {epoch + 1}/{epochs}: loss={train_loss:.4f} "
                     f"train_acc={train_acc:.3f} test_acc={test_acc:.3f}"
                 )
-            if test_acc > best_acc:
-                best_acc = test_acc
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if self.patience is not None and epochs_since_best >= self.patience:
-                    if self.log is not None:
-                        self.log(f"early stop after epoch {epoch + 1}")
-                    break
         result.wall_time_s = time.time() - start_time
         rate = result.tokens_per_s
         if rate is not None:

@@ -1,108 +1,73 @@
-"""Variable-length sequences, padding masks and mask-aware training."""
+"""Padded sequences and the model's ``mask=``: masked training, and
+padding the mask hides changes nothing."""
 
 import numpy as np
 import pytest
 
+from repro import kernels, nn
 from repro.data import generate_text
-from repro.data.base import TaskDataset
 from repro.models import ModelConfig, build_transformer
-from repro.training import Trainer
 
 
 @pytest.fixture(scope="module")
-def var_dataset():
-    return generate_text(n_samples=120, seq_len=32, variable_length=True, seed=0)
+def padded():
+    """Text documents cut to a random true length in [16, 32] and
+    zero-padded, with their validity masks."""
+    dataset = generate_text(n_samples=120, seq_len=32, seed=0)
+    rng = np.random.default_rng(0)
+    masks = {}
+    for split in ("train", "test"):
+        x = getattr(dataset, f"x_{split}")
+        masks[split] = np.arange(32)[None, :] < rng.integers(16, 33, size=(len(x), 1))
+        x[~masks[split]] = 0
+    return dataset, masks
 
 
-class TestVariableLengthGeneration:
-    def test_lengths_annotated(self, var_dataset):
-        assert var_dataset.has_lengths
-        assert var_dataset.lengths_train.min() >= 5
-        assert var_dataset.lengths_train.max() <= 32
-
-    def test_lengths_actually_vary(self, var_dataset):
-        assert len(np.unique(var_dataset.lengths_train)) > 3
-
-    def test_padding_beyond_length_is_zero(self, var_dataset):
-        for row, length in zip(var_dataset.x_train, var_dataset.lengths_train):
-            assert (row[length:] == 0).all()
-
-    def test_content_before_length_nonzero(self, var_dataset):
-        for row, length in zip(var_dataset.x_train[:20], var_dataset.lengths_train[:20]):
-            assert (row[: max(0, length - 5)] != 0).any()
-
-    def test_fixed_length_has_no_annotations(self):
-        ds = generate_text(n_samples=20, seq_len=16, seed=0)
-        assert not ds.has_lengths
-        with pytest.raises(ValueError, match="length annotations"):
-            ds.masks()
-
-
-class TestMasks:
-    def test_mask_shape_and_semantics(self, var_dataset):
-        masks = var_dataset.masks("train")
-        assert masks.shape == var_dataset.x_train.shape
-        np.testing.assert_array_equal(
-            masks.sum(axis=1), var_dataset.lengths_train
-        )
-
-    def test_batches_with_masks(self, var_dataset, rng):
-        total = 0
-        for xb, yb, mb in var_dataset.batches_with_masks(16, rng):
-            assert xb.shape == mb.shape
-            assert len(xb) == len(yb)
-            total += len(yb)
-        assert total == var_dataset.n_train
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError, match="exceeds seq_len"):
-            TaskDataset(
-                name="t", vocab_size=4, n_classes=2, seq_len=4,
-                x_train=np.zeros((2, 4), dtype=np.int64),
-                y_train=np.zeros(2, dtype=np.int64),
-                x_test=np.zeros((1, 4), dtype=np.int64),
-                y_test=np.zeros(1, dtype=np.int64),
-                lengths_train=np.array([3, 9]),
-                lengths_test=np.array([2]),
-            )
-
-    def test_length_count_validation(self):
-        with pytest.raises(ValueError, match="sample count"):
-            TaskDataset(
-                name="t", vocab_size=4, n_classes=2, seq_len=4,
-                x_train=np.zeros((2, 4), dtype=np.int64),
-                y_train=np.zeros(2, dtype=np.int64),
-                x_test=np.zeros((1, 4), dtype=np.int64),
-                y_test=np.zeros(1, dtype=np.int64),
-                lengths_train=np.array([3]),
-                lengths_test=np.array([2]),
-            )
+def _config(dataset):
+    return ModelConfig(
+        vocab_size=dataset.vocab_size, n_classes=dataset.n_classes,
+        max_len=dataset.seq_len, d_hidden=16, n_heads=2, r_ffn=2,
+        n_total=1, seed=0,
+    )
 
 
 class TestMaskAwareTraining:
-    def test_trainer_with_masks_learns(self, var_dataset):
-        cfg = ModelConfig(
-            vocab_size=var_dataset.vocab_size, n_classes=var_dataset.n_classes,
-            max_len=var_dataset.seq_len, d_hidden=16, n_heads=2, r_ffn=2,
-            n_total=1, seed=0,
-        )
-        trainer = Trainer(build_transformer(cfg), lr=3e-3, use_masks=True)
-        result = trainer.fit(var_dataset, epochs=3)
-        assert result.train_losses[-1] < result.train_losses[0]
-        assert result.best_test_accuracy > 0.55
+    def test_masked_training_learns_on_the_graphs_curve(self, padded):
+        """The model's ``mask=`` through the training program: the loss
+        falls, on the composite graph's curve."""
+        dataset, masks = padded
+        x, y = dataset.x_train, dataset.y_train
+        curves = []
+        for fused in (True, False):
+            with kernels.use_fused(fused):
+                model = build_transformer(_config(dataset))
+                optimizer = nn.Adam(model.parameters(), lr=3e-3)
+                rng, losses = np.random.default_rng(0), []
+                for _ in range(5):
+                    order = rng.permutation(len(y))
+                    for start in range(0, len(y), 32):
+                        rows = order[start:start + 32]
+                        loss = nn.cross_entropy_logits(
+                            model(x[rows], mask=masks["train"][rows]), y[rows])
+                        losses.append(loss.item())
+                        optimizer.zero_grad()
+                        loss.backward()
+                        optimizer.step()
+                curves.append(np.reshape(losses, (5, -1)).mean(axis=1))
+        assert curves[0][-1] < curves[0][0]
+        np.testing.assert_allclose(curves[0], curves[1], rtol=1e-6)
 
-    def test_masked_model_ignores_padding_tokens(self, var_dataset, rng):
+    @pytest.mark.parametrize("grad", [False, True], ids=["program", "training"])
+    def test_masked_model_ignores_padding_tokens(self, padded, rng, grad):
         """Corrupting padded positions cannot change masked predictions."""
-        cfg = ModelConfig(
-            vocab_size=var_dataset.vocab_size, n_classes=2,
-            max_len=var_dataset.seq_len, d_hidden=16, n_heads=2, r_ffn=2,
-            n_total=1, seed=0,
-        )
-        model = build_transformer(cfg).eval()
-        x = var_dataset.x_test[:4].copy()
-        masks = var_dataset.masks("test")[:4]
-        base = model(x, mask=masks).data
-        x_corrupt = x.copy()
-        x_corrupt[~masks] = rng.integers(1, 28, size=(~masks).sum())
-        out = model(x_corrupt, mask=masks).data
+        dataset, masks = padded
+        model = build_transformer(_config(dataset)).eval()
+        x, mask = dataset.x_test[:4].copy(), masks["test"][:4]
+        corrupt = x.copy()
+        corrupt[~mask] = rng.integers(1, 28, size=(~mask).sum())
+        if grad:
+            base, out = model(x, mask=mask).data, model(corrupt, mask=mask).data
+        else:
+            with nn.no_grad():
+                base, out = model(x, mask=mask).data, model(corrupt, mask=mask).data
         np.testing.assert_allclose(base, out, atol=1e-8)

@@ -39,9 +39,8 @@ def _run_loss(out):
 
 class TestLinearActParity:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("activation", ["identity", "relu", "gelu"])
     @pytest.mark.parametrize("use_bias", [True, False])
-    def test_matches_composite(self, dtype, activation, use_bias):
+    def test_matches_composite(self, dtype, use_bias):
         rng = np.random.default_rng(3)
         with K.default_dtype(dtype):
             x_np = rng.normal(size=(5, 7, 6))
@@ -53,7 +52,7 @@ class TestLinearActParity:
                     x = Tensor(x_np.copy(), requires_grad=True)
                     w = nn.Parameter(w_np.copy())
                     b = nn.Parameter(b_np.copy()) if use_bias else None
-                    out = F.linear_act(x, w, b, activation=activation)
+                    out = F.linear_act(x, w, b)
                     _run_loss(out)
                     results[fused] = (
                         out.data.copy(), x.grad.copy(), w.grad.copy(),
@@ -66,28 +65,24 @@ class TestLinearActParity:
                     continue
                 np.testing.assert_allclose(got, want, atol=atol, rtol=atol)
 
-    @pytest.mark.parametrize("activation", ["identity", "relu", "gelu"])
-    def test_finite_difference(self, activation, gradcheck):
+    def test_finite_difference(self, gradcheck):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 6))
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=4)
-        # Shift relu inputs away from the kink for stable numerics.
-        if activation == "relu":
-            x = x + np.where(x >= 0, 0.5, -0.5)
         gradcheck(
-            lambda xt, wt, bt: F.linear_act(xt, wt, bt, activation=activation),
+            F.linear_act,
             x, w, b,
         )
 
-    def test_rejects_unknown_activation(self):
-        x = Tensor(np.zeros((2, 3)))
-        w = nn.Parameter(np.zeros((2, 3)))
+    @pytest.mark.parametrize("activation,need_ctx", [
+        ("swish", False), ("relu", False), ("gelu", True)])
+    def test_rejects_unknown_activation(self, activation, need_ctx):
+        """``relu`` went, and a GELU keeps no context: only tests ever
+        asked a projection for either."""
         with pytest.raises(ValueError, match="activation"):
-            F.linear_act(x, w, activation="swish")
-        with K.use_fused(False):
-            with pytest.raises(ValueError, match="activation"):
-                F.linear_act(x, w, activation="swish")
+            K.linear_act_forward(np.zeros((2, 3)), np.zeros((2, 3)),
+                                 activation=activation, need_ctx=need_ctx)
 
     def test_rejects_bad_bias_shape(self):
         x = Tensor(np.zeros((2, 3)))
@@ -119,7 +114,7 @@ class TestLinearActParity:
 
 class TestGelu:
     """The one GELU chain: ``kernels.gelu_forward`` / ``gelu_vjp``, run by
-    both ``nn.gelu`` and ``linear_act(..., "gelu")``."""
+    both ``nn.gelu`` and ``linear_act_forward(..., "gelu")``."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_matches_the_seed_formula(self, dtype):
@@ -168,26 +163,24 @@ class TestGelu:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_nn_gelu_and_linear_act_agree_to_the_byte(self, dtype):
-        """Same pre-activation in, same bytes out, recording or not — and
-        the same input gradient."""
+        """Same pre-activation in, same bytes out, recording or not, into
+        ``out`` or not."""
         rng = np.random.default_rng(8)
         with K.default_dtype(dtype):
-            x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-            w = nn.Parameter(rng.normal(size=(4, 6)))
-            b = nn.Parameter(rng.normal(size=4))
-            fused = F.linear_act(x, w, b, activation="gelu")
-            pre = Tensor(F.linear_act(x, w, b).data, requires_grad=True)
+            x = rng.normal(size=(5, 6)).astype(dtype)
+            w = rng.normal(size=(4, 6)).astype(dtype)
+            b = rng.normal(size=4).astype(dtype)
+            pre = Tensor(F.linear_act(Tensor(x), nn.Parameter(w), nn.Parameter(b)).data,
+                         requires_grad=True)
             plain = F.gelu(pre)
             with nn.no_grad():
-                no_grad_fused = F.linear_act(x, w, b, activation="gelu")
                 no_grad_plain = F.gelu(pre)
-            grad = rng.normal(size=plain.shape).astype(dtype)
-            plain.backward(grad)
-            fused.backward(grad)
+        fused = K.linear_act_forward(x, w, b, "gelu", need_ctx=False)[0]
+        into = K.linear_act_forward(x, w, b, "gelu", need_ctx=False,
+                                    out=np.empty_like(fused))[0]
         assert plain.dtype == dtype
-        for other in (fused, no_grad_fused, no_grad_plain):
-            assert other.data.tobytes() == plain.data.tobytes()
-        np.testing.assert_array_equal(b.grad, pre.grad.sum(axis=0))
+        for other in (fused, into, no_grad_plain.data):
+            assert other.tobytes() == plain.data.tobytes()
 
     def test_float32_fabnet_step_leaves_fc1_grads_float32(self):
         """``nn.gelu``'s backward once ran in float64 (a ``np.float64``

@@ -40,8 +40,6 @@ def _calls(rng, dtype):
             x, w, b, need_ctx=False, out=out)[0], [x]),
         "linear_gelu": (lambda out=None: kernels.linear_act_forward(
             x, w, b, "gelu", need_ctx=False, out=out)[0], [x]),
-        "linear_relu": (lambda out=None: kernels.linear_act_forward(
-            x, w, b, "relu", need_ctx=False, out=out)[0], [x]),
         "gelu": (lambda out=None: kernels.gelu_forward(
             x, need_ctx=False, out=out)[0], [x]),
         "residual_layer_norm": (
@@ -124,20 +122,46 @@ def test_aliasing_an_input_refused(name, dtype, rng):
     assert carved or name in ("ladder_chunked", "ladder_cut")  # wider than x
 
 
-class TestOutOnlyWithoutAContext:
-    def test_a_vjp_context_cannot_live_in_a_callers_buffer(self, rng):
+class TestAContextInTheCallersBuffers:
+    def test_out_with_a_context_is_the_allocating_call_both_ways(self, rng):
+        """A context may live in the caller's ``out`` (and ``take``)
+        buffers: the result and the VJP's gradients are the allocating
+        call's bytes, and ``out`` comes back as the result."""
         x = rng.normal(size=(3, 4))
-        out = np.empty_like(x)
         w = rng.normal(size=(4, 4))
         q = rng.normal(size=(1, 1, 3, 4))
-        for call in (
-            lambda: kernels.linear_act_forward(x, w, out=out),
-            lambda: kernels.gelu_forward(x, out=out),
-            lambda: kernels.residual_layer_norm_forward(
-                x, x, np.ones(4), np.zeros(4), out=out),
-            lambda: kernels.attention_forward(q, q, q, out=np.empty_like(q)),
+        g = rng.normal(size=(3, 4))
+        for forward, vjp, grad in (
+            (lambda **o: kernels.linear_act_forward(x, w, **o),
+             kernels.linear_act_vjp, g),
+            (lambda **o: kernels.residual_layer_norm_forward(
+                x, 2 * x, np.ones(4), np.zeros(4), **o),
+             kernels.residual_layer_norm_vjp, g),
+            (lambda **o: kernels.attention_forward(q, 2 * q, 3 * q, **o),
+             kernels.attention_vjp, g[None, None]),
         ):
-            with pytest.raises(ValueError, match="context"):
+            want, want_ctx = forward()
+            out = np.full_like(want, np.nan)
+            got, ctx = forward(out=out)
+            assert got is out
+            np.testing.assert_array_equal(got, want)
+            for a, b in zip(vjp(grad, ctx), vjp(grad, want_ctx)):
+                np.testing.assert_array_equal(a, b)
+        want, t = kernels.gelu_forward(x)
+        out = np.empty_like(x)
+        got, t_out = kernels.gelu_forward(x, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(t_out, t)
+
+    def test_a_context_in_a_callers_buffer_still_refuses_aliases(self, rng):
+        x = rng.normal(size=(3, 4))
+        for call in (
+            lambda: kernels.linear_act_forward(x, np.eye(4), out=x),
+            lambda: kernels.residual_layer_norm_forward(
+                x, x, np.ones(4), np.zeros(4), out=x),
+        ):
+            with pytest.raises(ValueError, match="alias"):
                 call()
 
     def test_only_the_frozen_ladder_takes_out(self, rng):

@@ -3,8 +3,9 @@
 Under ``no_grad``, with the fused kernels on,
 ``EncoderClassifier.encode`` / ``forward`` run a flat program of kernel
 calls over buffers the program owns (``repro.models.encode_program``).
-The ``Tensor`` graph it stands in for is still there — it is the training
-path — so the program is held to it directly: to the fused graph at
+The ``Tensor`` graph it stands in for is still there — it is the
+composite path and the oracle of both programs — so the program is held
+to it directly: to the fused graph at
 1e-5 (fp32) / 1e-12 (fp64) and to the composite ``use_fused(False)``
 graph at ``encode_long``'s 1e-4, over {transformer, fnet, fabnet, hybrid}
 x {fp32, fp64} x {mask, none} x {cls, mean} x {odd, even seq} and the
@@ -28,7 +29,7 @@ import pytest
 
 from repro import kernels, nn
 from repro.hardware.quantize import accuracy_under_fp16
-from repro.models.encode_program import WORKSPACE, EncodeProgram
+from repro.models.encode_program import WORKSPACE
 from repro.models import (
     DualEncoderClassifier,
     ModelConfig,
@@ -73,12 +74,9 @@ def program_logits(model, tokens, mask=None):
 
 
 def graph_logits(model, tokens, mask=None, fused=True):
-    """The ``Tensor`` graph (grad enabled), fused or composite — with the
-    program forbidden to run, so a dispatch slip fails loudly."""
-    with kernels.use_fused(fused), mock.patch.object(
-        EncodeProgram, "run", side_effect=AssertionError("the program ran")
-    ):
-        return model(tokens, mask=mask).data
+    """The ``Tensor`` graph (grad enabled), fused or composite."""
+    with kernels.use_fused(fused), model._dtype_context():
+        return model._graph(*model._validated(tokens, mask), True).data
 
 
 def assert_close(got, want, rtol):
@@ -139,16 +137,22 @@ class TestAgainstTheGraph:
 
 
 class TestDispatch:
-    """The program serves fused ``no_grad`` calls; everything else records
-    the graph, and nothing selects between them."""
+    """Fused calls run a program, ``no_grad`` ones the inference program
+    and recorded ones the training program; unfused calls record the
+    graph, and nothing else selects between them."""
 
-    def test_grad_enabled_and_unfused_take_the_graph(self, rng):
+    def test_grad_mode_picks_the_program_and_unfused_takes_the_graph(self, rng):
         model = build("fabnet")
         tokens, _ = inputs(rng)
-        assert model(tokens)._parents  # grad enabled
-        with nn.no_grad(), kernels.use_fused(False):
-            model(tokens)
-        assert model._program.builds == 0
+        with mock.patch.object(model, "_graph", side_effect=AssertionError):
+            recorded = model(tokens)
+        assert recorded._parents == tuple(model.parameters())
+        assert (model._program.builds, model._train_program.builds) == (0, 1)
+        with kernels.use_fused(False):
+            assert len(model(tokens)._parents) < len(recorded._parents)
+            with nn.no_grad():
+                model(tokens)
+        assert (model._program.builds, model._train_program.builds) == (0, 1)
         with nn.no_grad():
             out = model(tokens)
         assert model._program.builds == 1 and not out._parents

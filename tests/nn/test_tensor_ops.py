@@ -94,10 +94,6 @@ class TestForwardValues:
         out = F.gelu(Tensor(np.array([0.0, 100.0, -100.0])))
         np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-6)
 
-    def test_relu_clamps_negatives(self):
-        out = F.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
-        np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0])
-
     def test_embedding_gathers_rows(self, rng):
         w = Tensor(rng.normal(size=(5, 3)))
         out = F.embedding(w, np.array([[4, 0], [1, 1]]))

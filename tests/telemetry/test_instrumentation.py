@@ -161,12 +161,14 @@ class TestTrainResultThroughput:
         assert TrainResult(wall_time_s=1.0).tokens_per_s is None
 
 
-class TestTrainingRecycle:
+class TestTrainingStepBuffers:
     def test_steady_steps_count_hits_only(self):
-        """``Trainer.fit``'s recycler: its first steps allocate, every later
-        step takes all its arrays from what they released (misses stop,
-        hits keep growing), and the bytes it holds read 0 once fit returns."""
+        """``Trainer.fit``'s step buffers (``kernels.pool.STEP``): the first
+        step allocates them, every later step takes all of its arrays from
+        them (misses stop, hits keep growing), and they are gone once fit
+        returns."""
         from repro.data import load_task
+        from repro.kernels.pool import STEP
         from repro.models import build_fabnet
         from repro.training import Trainer
 
@@ -187,17 +189,18 @@ class TestTrainingRecycle:
                 for batch in dataset.batches(batch_size, rng, split):
                     yield batch
                     snapshot = telemetry.get_registry().snapshot()
-                    readings.append([snapshot[f"training_recycle_{name}"]["value"]
-                                     for name in ("misses_total", "hits_total", "bytes")])
+                    readings.append(
+                        [snapshot.get(f"training_step_{name}_total", {}).get("value", 0)
+                         for name in ("misses", "hits")] + [STEP._tls.bytes])
 
         telemetry.STATE.on = True
         Trainer(model, batch_size=4).fit(Feeder(), epochs=1)
         misses, hits, held = np.array(readings).T
         assert len(readings) >= 6
-        assert (misses[2:] == misses[1]).all()
-        assert (np.diff(hits) > 0).all()
-        assert (held == held[1]).all() and held[1] > 0
-        assert telemetry.get_registry().snapshot()["training_recycle_bytes"]["value"] == 0
+        assert misses[0] > 0 and (misses[1:] == misses[0]).all()
+        assert hits[0] == 0 and (np.diff(hits) > 0).all()
+        assert (held == held[0]).all() and held[0] > 0
+        assert STEP._tls.pool is None
 
 
 class TestProfileCLI:

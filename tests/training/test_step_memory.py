@@ -1,11 +1,12 @@
 """A steady ``Trainer.fit`` step takes no page fault, and changes no bytes.
 
-``Trainer.fit`` runs every step in the arrays the previous step released
-(:data:`repro.kernels.pool.RECYCLER`).  The fault gate is taken at the
-e2e ``train_fit`` shape, where the heap used to be trimmed after every
-backward and faulted back in by the next forward (8-10k minor faults per
-step); the byte gate holds the recycled fit to a loop written out by
-hand, which allocates every array afresh.
+``Trainer.fit`` runs every step of the encoder's training program in the
+buffers the previous step used (:data:`repro.kernels.pool.STEP`, held for
+the fit).  The fault gate is taken at the e2e ``train_fit`` shape, where
+the heap used to be trimmed after every backward and faulted back in by
+the next forward (8-10k minor faults per step); the byte gate holds the
+fit to a loop written out by hand outside a fit, where the program
+allocates every array afresh.
 """
 
 import resource
@@ -13,10 +14,10 @@ import resource
 import numpy as np
 import pytest
 
-from repro import nn, telemetry
+from repro import nn
 from repro.data import load_task
-from repro.kernels import pool
-from repro.models import ModelConfig, build_fabnet
+from repro.kernels.pool import STEP
+from repro.models import DualEncoderClassifier, ModelConfig, build_fabnet
 from repro.training import Trainer
 
 
@@ -66,50 +67,66 @@ def _config(dataset, dtype):
                        n_abfly=1, dtype=dtype, seed=1)
 
 
-def test_a_ragged_last_batch_replaces_the_arrays_instead_of_adding_to_them(monkeypatch):
-    """Each epoch ends in a batch of 3 of 4 here.  Its first miss drops the
-    free arrays of every size it has not asked for, and so does the next
-    full batch's, so over three epochs the recycler never keeps more than
-    it does in a fit of full batches only."""
-    kept = []
-    monkeypatch.setattr(pool, "gauge_set", lambda name, value: kept.append(value))
+class HeldBytes(StepMarks):
+    """Records the bytes the step buffers hold each time the trainer comes
+    back for a batch."""
 
-    def most_kept(n_train):
+    def _mark(self):
+        self.faults.append(STEP._tls.bytes)
+
+
+def test_a_ragged_last_batch_holds_no_more_than_full_ones():
+    """Each epoch ends in a batch of 3 of 4 here.  Every buffer is grow-only
+    per tag, so the short batch runs in views of the full batches' buffers
+    and the fit never holds more than one of full batches only."""
+    def most_held(n_train):
         dataset = load_task("text", seq_len=32, n_samples=2 * n_train, seed=0,
                             test_fraction=0.5)
         assert dataset.n_train == n_train
-        kept.clear()
+        marks = HeldBytes(dataset)
         Trainer(build_fabnet(_config(dataset, "float64")),
-                batch_size=4).fit(dataset, epochs=3)
-        return max(kept)
+                batch_size=4).fit(marks, epochs=3)
+        return max(marks.faults)
 
-    assert most_kept(11) <= most_kept(8)
+    assert 0 < most_held(11) <= most_held(8)
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["encoder", "dual"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_fit_is_byte_equal_to_a_loop_that_allocates_afresh(dtype):
+def test_fit_is_byte_equal_to_a_loop_that_allocates_afresh(dtype, dual):
+    """The dual encoder runs two live forwards a step, in two slots."""
     dataset = load_task("text", seq_len=32, n_samples=20, seed=0)
-    fitted = build_fabnet(_config(dataset, dtype))
-    previous = telemetry.set_registry(telemetry.Registry())
-    try:
-        with telemetry.use_telemetry():
-            Trainer(fitted, lr=3e-3, batch_size=4, seed=5,
-                    grad_clip=1.0).fit(dataset, epochs=2)
-        hits = telemetry.get_registry().snapshot()["training_recycle_hits_total"]
-    finally:
-        telemetry.set_registry(previous)
-    assert hits["value"] > 0  # the fit did run in recycled arrays
 
-    model = build_fabnet(_config(dataset, dtype))
+    def build():
+        model = build_fabnet(_config(dataset, dtype))
+        return DualEncoderClassifier(model) if dual else model
+
+    def batches(rng):
+        for xb, yb in dataset.batches(4, rng):
+            yield (np.stack([xb, xb[::-1]], axis=1) if dual else xb), yb
+
+    class Feeder:
+        def __getattr__(self, name):
+            return getattr(dataset, name)
+
+        def batches(self, batch_size, rng, split="train"):
+            assert batch_size == 4 and split == "train"
+            return batches(rng)
+
+    fitted = build()
+    trainer = Trainer(fitted, lr=3e-3, batch_size=4, seed=5)
+    trainer.evaluate = lambda dataset, split="test": 0.0  # tokens only, not pairs
+    trainer.fit(Feeder(), epochs=2)
+
+    model = build()
     optimizer = nn.Adam(model.parameters(), lr=3e-3)
     rng = np.random.default_rng(5)
     with _config(dataset, dtype).dtype_context():
         for _ in range(2):
-            for xb, yb in dataset.batches(4, rng):
+            for xb, yb in batches(rng):
                 loss = nn.cross_entropy_logits(model(xb), yb)
                 optimizer.zero_grad()
                 loss.backward()
-                nn.optim.clip_grad_norm(model.parameters(), 1.0)
                 optimizer.step()
     for (name, a), b in zip(fitted.named_parameters(), model.parameters()):
         assert a.data.dtype == np.dtype(dtype)

@@ -1,5 +1,6 @@
 """Training harness: loss decreases, metrics recorded, evaluation."""
 
+import numpy as np
 import pytest
 
 from repro.data import load_task
@@ -43,15 +44,34 @@ class TestTrainer:
         result = train_model_on_task(small_model, text_dataset, epochs=4, lr=3e-3)
         assert result.best_test_accuracy > 0.65
 
-    def test_evaluate_train_split(self, small_model, text_dataset):
-        trainer = Trainer(small_model, lr=1e-3)
-        acc = trainer.evaluate(text_dataset, split="train")
+    def test_evaluate_the_test_split(self, small_model, text_dataset):
+        acc = Trainer(small_model, lr=1e-3).evaluate(text_dataset)
         assert 0.0 <= acc <= 1.0
 
-    def test_evaluate_restores_training_mode(self, small_model, text_dataset):
-        trainer = Trainer(small_model, lr=1e-3)
-        trainer.evaluate(text_dataset)
-        assert small_model.training
+    @pytest.mark.parametrize("training", [True, False])
+    def test_evaluate_restores_the_callers_mode(self, small_model, text_dataset,
+                                               training):
+        """An ``.eval()`` model used to come back in training mode."""
+        small_model.train(training)
+        Trainer(small_model, lr=1e-3).evaluate(text_dataset)
+        assert small_model.training is training
+
+    @pytest.mark.parametrize("batch_size", [0, -1, True, 2.0, "4", None])
+    def test_bad_batch_sizes_are_refused_at_construction(self, small_model,
+                                                         batch_size):
+        """0 died in ``fit`` on numpy's ``range() arg 3 must not be zero``,
+        -1 with a ``ZeroDivisionError`` after zero steps."""
+        with pytest.raises(ValueError, match="batch_size"):
+            Trainer(small_model, batch_size=batch_size)
+
+    def test_a_numpy_integer_batch_size_is_accepted(self, small_model):
+        assert Trainer(small_model, batch_size=np.int64(4)).batch_size == 4
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0])
+    def test_bad_learning_rates_are_refused(self, small_model, lr):
+        """``lr=nan`` trained a checkpoint of NaN weights and exited 0."""
+        with pytest.raises(ValueError, match="learning rate"):
+            Trainer(small_model, lr=lr)
 
     def test_log_callback_invoked(self, small_model, text_dataset):
         lines = []

@@ -1,4 +1,4 @@
-"""Gradient clipping and early stopping."""
+"""Leaf gradient ownership and the recorded ladder's memory."""
 
 import numpy as np
 import pytest
@@ -6,90 +6,19 @@ import pytest
 from repro import nn
 from repro.data import load_task
 from repro.models import ModelConfig, build_fabnet
-from repro.nn.optim import clip_grad_norm
 from repro.training import Trainer
 
 
-class TestClipGradNorm:
+class TestLeafGradients:
     def test_leaves_handed_one_array_own_their_gradients(self):
         """``add`` hands one gradient array to both parents: each leaf
-        keeps its own copy, or clipping would scale the shared array twice
-        (0.1667 per entry instead of 1 / sqrt(6))."""
+        keeps its own copy, so scaling one leaf's gradient in place leaves
+        the other's alone."""
         p1, p2 = nn.Parameter(np.zeros(3)), nn.Parameter(np.zeros(3))
         (p1 + p2).sum().backward()
         assert not np.shares_memory(p1.grad, p2.grad)
-        clip_grad_norm([p1, p2], 1.0)
-        for p in (p1, p2):
-            np.testing.assert_allclose(p.grad, np.full(3, 1 / np.sqrt(6)))
-
-    def test_large_gradients_scaled_to_max_norm(self):
-        p = nn.Parameter(np.zeros(4))
-        p.grad = np.full(4, 10.0)
-        pre = clip_grad_norm([p], max_norm=1.0)
-        assert pre == pytest.approx(20.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-
-    def test_small_gradients_untouched(self):
-        p = nn.Parameter(np.zeros(4))
-        p.grad = np.full(4, 0.1)
-        clip_grad_norm([p], max_norm=10.0)
-        np.testing.assert_allclose(p.grad, np.full(4, 0.1))
-
-    def test_global_norm_across_params(self):
-        a = nn.Parameter(np.zeros(1))
-        b = nn.Parameter(np.zeros(1))
-        a.grad = np.array([3.0])
-        b.grad = np.array([4.0])
-        pre = clip_grad_norm([a, b], max_norm=1.0)
-        assert pre == pytest.approx(5.0)
-        total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
-        assert total == pytest.approx(1.0)
-
-    def test_params_without_grad_skipped(self):
-        p = nn.Parameter(np.zeros(2))
-        assert clip_grad_norm([p], max_norm=1.0) == 0.0
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError, match="max_norm"):
-            clip_grad_norm([], max_norm=0.0)
-
-
-class TestTrainerExtras:
-    @pytest.fixture(scope="class")
-    def dataset(self):
-        return load_task("text", n_samples=120, seq_len=16, seed=0)
-
-    def _model(self, dataset):
-        cfg = ModelConfig(
-            vocab_size=dataset.vocab_size, n_classes=dataset.n_classes,
-            max_len=dataset.seq_len, d_hidden=16, n_heads=2, r_ffn=2,
-            n_total=1, seed=0,
-        )
-        return build_fabnet(cfg)
-
-    def test_training_with_clipping_still_learns(self, dataset):
-        trainer = Trainer(self._model(dataset), lr=3e-3, grad_clip=1.0)
-        result = trainer.fit(dataset, epochs=3)
-        assert result.train_losses[-1] < result.train_losses[0]
-
-    def test_early_stopping_cuts_epochs(self, dataset):
-        trainer = Trainer(self._model(dataset), lr=1e-6, patience=1)
-        result = trainer.fit(dataset, epochs=10)
-        # With a vanishing LR, accuracy never improves after epoch 1, so
-        # patience=1 stops at epoch 2.
-        assert len(result.test_accuracies) <= 3
-
-    def test_no_patience_runs_all_epochs(self, dataset):
-        trainer = Trainer(self._model(dataset), lr=1e-6)
-        result = trainer.fit(dataset, epochs=4)
-        assert len(result.test_accuracies) == 4
-
-    def test_early_stop_logged(self, dataset):
-        lines = []
-        trainer = Trainer(self._model(dataset), lr=1e-6, patience=1,
-                          log=lines.append)
-        trainer.fit(dataset, epochs=10)
-        assert any("early stop" in line for line in lines)
+        p1.grad *= 0.5
+        np.testing.assert_array_equal(p2.grad, np.ones(3))
 
 
 class TestRecordedLadderMemory:
@@ -137,8 +66,8 @@ class TestRecordedLadderMemory:
 
     def test_a_train_fit_shaped_step_keeps_no_per_token_ladder_state(
             self, dataset, config):
-        """Inside ``Trainer.fit``, whose peak also counts what its recycler
-        keeps for the next step."""
+        """Inside ``Trainer.fit``, whose peak also counts the step buffers
+        it holds for the next step."""
         def prepare():
             trainer = Trainer(build_fabnet(config), batch_size=2)
             return lambda: trainer.fit(dataset, epochs=1)
@@ -147,7 +76,7 @@ class TestRecordedLadderMemory:
 
     def test_a_written_out_step_keeps_no_per_token_ladder_state(
             self, dataset, config):
-        """The same step without ``Trainer.fit``, so without its recycler."""
+        """The same step without ``Trainer.fit``, so allocating."""
         def prepare():
             model = build_fabnet(config)
             optimizer = nn.Adam(model.parameters())
