@@ -98,6 +98,11 @@ class TestAgainstTheGraph:
         with mock.patch.object(encoder, "encode", encode):
             want = loss_and_grads(model, lambda: model(pairs), labels)
         assert_same_step(got, want, FUSED_RTOL[dtype])
+        # In its dtype scope, as under Trainer.fit: outside it a float64
+        # gradient reaches the composite graph's float32 attention VJP.
+        with kernels.use_fused(False), encoder._dtype_context():
+            composite = loss_and_grads(model, lambda: model(pairs), labels)
+        assert_same_step(got, composite, COMPOSITE_RTOL)
 
     def test_chunked_ladders_and_rectangular_folds(self, rng):
         """``d_hidden = 256`` is past the dense-by-area budget: the recorded
