@@ -329,6 +329,13 @@ def cmd_simulate(args) -> int:
     from .hardware.perf import ButterflyPerformanceModel, WorkloadSpec
     from .io import load_model
 
+    # One lane per QK/SV unit: the AP the simulator builds for pqk = psv = 0.
+    config = AcceleratorConfig(pbe=1, pbu=args.pbu, pqk=1, psv=1)
+    try:
+        accel = ButterflyAccelerator(config)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     model = load_model(args.checkpoint)
     model.eval()
     cfg = model.config
@@ -343,9 +350,6 @@ def cmd_simulate(args) -> int:
     counts = ", ".join(f"{program.count(op)} {op.value}" for op in
                        (Opcode.EXEC_FFT2, Opcode.EXEC_ATTN, Opcode.EXEC_BFLY))
     print(f"program: {len(program)} instructions ({counts})")
-    # One lane per QK/SV unit: the AP the simulator builds for pqk = psv = 0.
-    config = AcceleratorConfig(pbe=1, pbu=args.pbu, pqk=1, psv=1)
-    accel = ButterflyAccelerator(config)
     t0 = time.perf_counter()
     hw = accel.run(program, tokens)
     host_s = time.perf_counter() - t0

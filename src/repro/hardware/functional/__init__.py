@@ -12,6 +12,7 @@ from .butterfly_unit import AdaptableButterflyUnit, BUMode
 from .coalesce import (
     StageProgram,
     coalesce_pairs,
+    compile_ladder,
     compile_stage,
     schedule_stage,
     stage_read_cycles,
@@ -44,6 +45,7 @@ __all__ = [
     "StageProgram",
     "bank_of",
     "coalesce_pairs",
+    "compile_ladder",
     "compile_stage",
     "popcount",
     "schedule_stage",

@@ -159,9 +159,7 @@ class ButterflyAccelerator:
         encoder block runs on the engines, as the stream orders.
         """
         model = program.model
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 2:
-            raise ValueError(f"tokens must be (batch, seq), got {tokens.shape}")
+        tokens, _ = model._validated(tokens, None)  # the ids model() accepts
         x = model.token_emb.weight.data[tokens] + model.pos_emb.data[:tokens.shape[1]]
         h = np.stack([self._run(program, sample) for sample in x])
         h = self.postp.layer_norm(

@@ -16,8 +16,9 @@ output order is asserted by tests).
 None of this depends on the data — the engine is configured per layer and
 then streams vectors through fixed wiring — so ``compile_stage`` issues a
 stage's cycles once through those primitives and records the trace as a
-:class:`StageProgram` that the Butterfly Engine replays once per tile,
-over all of its rows at a time.
+:class:`StageProgram`, and ``compile_ladder`` chains a layer's stage
+programs into the :class:`LadderProgram` that the Butterfly Engine
+replays once per tile, over all of its rows at a time.
 """
 
 from __future__ import annotations
@@ -116,6 +117,47 @@ def compile_stage(n: int, half: int, nbanks: int, layout: str, pbu: int) -> Stag
     stats = buffer.stats
     return StageProgram(
         wiring, coeff, tuple(unit_ops), stats.reads, stats.cycles, stats.conflicts
+    )
+
+
+@dataclass(frozen=True)
+class LadderProgram:
+    """A layer's stage programs chained (read-only, shared).  Each stage's
+    results stay in its issue order, tops then bottoms, so ``gathers[s]``
+    indexes stage ``s - 1``'s output (``gathers[0]``, element order)."""
+
+    gathers: Tuple[np.ndarray, ...]  #: per stage, ``(n,)`` operand positions
+    coeffs: Tuple[np.ndarray, ...]  #: per stage, each pair's coefficient index
+    elements: np.ndarray  #: the element each value of the last stage lands on
+    unit_ops: Tuple[int, ...]  #: this and the rest: summed over the stages
+    reads: int
+    cycles: int
+    conflicts: int
+    pairs: int
+
+
+@lru_cache(maxsize=256)  # one key per (layer size, engine configuration)
+def compile_ladder(
+    n: int, halves: Tuple[int, ...], nbanks: int, layout: str, pbu: int
+) -> LadderProgram:
+    """Chain the :func:`compile_stage` programs of ``halves`` (in
+    application order): each stage's ``elements``, composed with the
+    previous stage's wiring, is its gather."""
+    stages = [compile_stage(n, half, nbanks, layout, pbu) for half in halves]
+    gathers, position = [], np.arange(n)  # where each element sits now
+    for stage in stages:
+        elements = stage.elements.reshape(-1)
+        gathers.append(position[elements])
+        position = np.empty(n, dtype=np.intp)
+        position[elements] = np.arange(n)
+    for gather in gathers:
+        gather.setflags(write=False)
+    return LadderProgram(
+        tuple(gathers), tuple(stage.coeff for stage in stages), elements,
+        tuple(map(sum, zip(*(stage.unit_ops for stage in stages)))),
+        *(sum(getattr(stage, field) for stage in stages)
+          for field in ("reads", "cycles", "conflicts")),
+        len(stages) * (n // 2),
     )
 
 

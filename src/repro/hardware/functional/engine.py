@@ -12,18 +12,19 @@ the result is bit-identical (up to float64 rounding) to the numpy
 reference.
 
 Access-accurate does not mean re-deriving the wiring per vector: which
-pairs share a cycle, which banks the cycle hits and how the crossbar
-routes it depend on ``(n, half, banks, layout, pbu)`` and never on the
-data — the hardware is configured per layer and then streams.
-:func:`~repro.hardware.functional.coalesce.compile_stage` issues each
-stage once through ``schedule_stage`` / ``BankedBuffer.read_elements`` /
-``coalesce_pairs``, counting conflicts cycle by cycle as a property of
-the addresses; ``_run_stages`` replays the cached trace once per tile (a
-vector, or a layer's ``(rows, n)`` rows) as one gather, the BU datapath
-over the stage's ``(rows, n/2)`` lanes (the same IEEE operations in the
-same order as the scalar ``butterfly_op`` / ``fft_op``, so outputs are
-bit-identical to issuing the pairs one by one) and one scatter, crediting
-buffer and units ``rows`` times the trace's counts.
+pairs share a cycle, which banks it hits and how the crossbar routes it
+depend on ``(n, half, banks, layout, pbu)``, never on the data — the
+hardware is configured per layer and then streams.
+:func:`~repro.hardware.functional.coalesce.compile_ladder` chains a
+layer's ``compile_stage`` traces (each issued once through the per-cycle
+primitives, conflicts counted cycle by cycle) into one cached program, and
+``_run_stages`` replays it once per tile — a vector, or a layer's
+``(rows, n)`` rows: per stage one gather straight from the previous
+stage's issue order and the BU datapath over ``(rows, n/2)`` lanes (the
+same IEEE operations in the same order as the scalar ``butterfly_op`` /
+``fft_op``, so outputs are bit-identical to issuing the pairs one by
+one); one write-back to element order at the end; counts credited once,
+``rows`` times the ladder's totals.
 
 The software hot path lives in :mod:`repro.kernels`, which implements the
 same pair geometry (see :mod:`repro.kernels.layout` for the pair-major
@@ -52,7 +53,7 @@ from .butterfly_unit import (
     butterfly_datapath,
     fft_datapath,
 )
-from .coalesce import compile_stage
+from .coalesce import compile_ladder
 from .memory import BankedBuffer
 
 
@@ -100,8 +101,10 @@ class ButterflyEngine:
     def __init__(
         self, pbu: int = 4, layout: str = "butterfly", verify: bool = False
     ) -> None:
-        if pbu < 1:
-            raise ValueError(f"pbu must be >= 1, got {pbu}")
+        if (isinstance(pbu, bool) or not isinstance(pbu, (int, np.integer))
+                or pbu < 1 or pbu & (pbu - 1)):
+            # ``2 * pbu`` banks must divide a power-of-two butterfly size.
+            raise ValueError(f"pbu must be a power of two >= 1, got {pbu!r}")
         self.pbu = pbu
         self.nbanks = 2 * pbu
         self.layout = layout
@@ -132,33 +135,31 @@ class ButterflyEngine:
         rows, n = tile.shape
         # Vectors smaller than the bank array only occupy the first banks.
         nbanks = min(self.nbanks, n)
+        ladder = compile_ladder(
+            n, tuple(f.half for f in factors), nbanks, self.layout, self.pbu)
         buffer = BankedBuffer(n, nbanks, layout=self.layout)
         buffer.store(tile)
-        for unit in self.units:
+        values = buffer.read_trace(  # stage 0's operands; credits every stage
+            ladder.gathers[0], ladder.reads, ladder.cycles, ladder.conflicts)
+        for stage, (factor, gather, coeff) in enumerate(
+                zip(factors, ladder.gathers, ladder.coeffs)):
+            operands = values.take(gather, axis=1) if stage else values
+            top, bottom = operands[:, : n // 2], operands[:, n // 2:]
+            if mode is BUMode.FFT:  # the twiddle is the ``b`` coefficient
+                results = fft_datapath(top, bottom, factor.coeffs[1, coeff])
+            else:
+                a, b, c, d = factor.coeffs[:, coeff]
+                results = butterfly_datapath(top, bottom, a, c, b, d)
+            values = self._stage_output(np.concatenate(results, axis=1))
+        buffer.write_elements(ladder.elements, values)
+        for unit, ops in zip(self.units, ladder.unit_ops):
             unit.configure(mode)
             unit.reset_counters()
-        pair_ops = 0
-        for factor in factors:
-            program = compile_stage(n, factor.half, nbanks, self.layout, self.pbu)
-            operands = buffer.read_trace(
-                program.elements, program.reads, program.cycles, program.conflicts
-            )
-            top, bottom = operands[:, 0], operands[:, 1]
-            if mode is BUMode.FFT:  # the twiddle is the ``b`` coefficient
-                results = fft_datapath(top, bottom, factor.coeffs[1, program.coeff])
-            else:
-                a, b, c, d = factor.coeffs[:, program.coeff]
-                results = butterfly_datapath(top, bottom, a, c, b, d)
-            buffer.write_elements(
-                program.elements, self._stage_output(np.stack(results, axis=1))
-            )
-            for unit, ops in zip(self.units, program.unit_ops):
-                unit.issue(mode, rows * ops)
-            pair_ops += rows * program.coeff.size
+            unit.issue(mode, rows * ops)
         stats = EngineRunStats(
             read_cycles=buffer.stats.cycles,
             bank_conflicts=buffer.stats.conflicts,
-            pair_ops=pair_ops,
+            pair_ops=rows * ladder.pairs,
             mult_ops=sum(u.mult_ops for u in self.units),
         )
         self.last_stats = stats
@@ -221,7 +222,9 @@ class ButterflyLinearExecutor:
             raise ValueError(
                 f"expected input dim {layer.in_features}, got {x.shape[-1]}"
             )
-        matrix = layer.to_butterfly_matrix()
+        matrix = ButterflyMatrix([  # over the live stage arrays: no copy
+            ButterflyFactor(layer.n, half, coeffs.data)
+            for half, coeffs in zip(layer.halves, layer.stage_parameters())])
         padded = np.zeros((x.shape[0], layer.n))
         padded[:, : layer.in_features] = x
         out = self.engine.run_butterfly(padded, matrix)

@@ -109,13 +109,13 @@ class BankedBuffer:
     def read_trace(
         self, elements: np.ndarray, reads: int, cycles: int, conflicts: int
     ) -> np.ndarray:
-        """Replay an already-issued sequence of read cycles as one gather.
+        """Credit an already-issued sequence of read cycles (a Butterfly
+        Engine layer's whole ladder) and gather ``elements`` in one access.
 
         Which banks a cycle hits depends on the addresses alone, so a
         trace issued once through :meth:`read_elements` costs the same
-        every time it runs, for every row of the tile: ``elements`` are
-        its accesses (any shape) and the counts, credited once per row,
-        are what ``read_elements`` credited for them then.
+        every time it runs, for every row of the tile: the counts,
+        credited once per row, are what ``read_elements`` credited then.
         """
         rows = self._values.size // self.n
         self.stats.reads += rows * reads

@@ -39,5 +39,6 @@ class PostProcessor:
     def gelu(self, x: np.ndarray) -> np.ndarray:
         """GELU (tanh form), matching :func:`repro.nn.tensor.gelu`."""
         self.activation_elems += x.size
-        inner = _GELU_C * (x + 0.044715 * x**3)
+        # The cube as ``kernels.gelu_forward`` spells it, for its bytes.
+        inner = _GELU_C * (x + 0.044715 * (x * x * x))
         return 0.5 * x * (1.0 + np.tanh(inner))

@@ -117,6 +117,23 @@ class TestRejectsForeignWorkloads:
             accel.run_encoder(model, np.zeros(16, dtype=int))
 
 
+    @pytest.mark.parametrize("tokens, match", [
+        ([[-1] * 16], r"tokens must lie in \[0, 32\)"),
+        ([[32] * 16], r"tokens must lie in \[0, 32\)"),
+        ([[0] * 20], "exceeds max_len 16"),
+    ])
+    def test_token_ids_checked_as_the_model_checks_them(
+            self, fab_config, accel, tokens, match):
+        """An id below 0 wrapped to the last embedding row, one past the
+        vocabulary raised a bare IndexError and a long sequence died as a
+        broadcast error; the simulator now refuses what ``model()`` does."""
+        model = build_fabnet(fab_config).eval()
+        with pytest.raises(ValueError, match=match):
+            model(np.array(tokens))
+        with pytest.raises(ValueError, match=match):
+            accel.run_encoder(model, tokens)
+
+
 class TestTrace:
     def test_trace_counts_accumulate(self, fab_config, accel, rng):
         model = build_fabnet(fab_config).eval()
@@ -187,6 +204,12 @@ class TestPostProcessor:
     def test_shortcut_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             PostProcessor().shortcut_add(np.zeros((2, 4)), np.zeros((2, 5)))
+
+    def test_gelu_is_the_kernels_bytes(self, rng):
+        from repro import kernels
+        x = rng.normal(scale=3.0, size=(16, 256))
+        want, _ = kernels.gelu_forward(x, need_ctx=False)
+        assert PostProcessor().gelu(x).tobytes() == want.tobytes()
 
     def test_gelu_matches_nn(self, rng):
         from repro import nn

@@ -55,6 +55,13 @@ class TestButterflyMode:
         with pytest.raises(ValueError, match="pbu"):
             ButterflyEngine(pbu=0)
 
+    @pytest.mark.parametrize("pbu", [3, 6, 12, True, 4.0])
+    def test_pbu_must_be_a_power_of_two(self, pbu):
+        """``2 * pbu`` banks must divide a power-of-two vector; refused when
+        the engine is built, not deep inside its first invocation."""
+        with pytest.raises(ValueError, match="pbu must be a power of two"):
+            ButterflyEngine(pbu=pbu)
+
     def test_tile_of_rows(self, rng):
         engine = ButterflyEngine(pbu=2)
         matrix = ButterflyMatrix.random(16, rng)

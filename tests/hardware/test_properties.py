@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.butterfly import ButterflyMatrix
-from repro.butterfly.factor import stage_halves
+from repro.butterfly.factor import ButterflyFactor, stage_halves
 from repro.butterfly.fft import bit_reversal_permutation, fft_butterfly
 from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel, WorkloadSpec
 from repro.hardware.functional import (
@@ -23,13 +23,14 @@ from repro.hardware.functional import (
     ButterflyEngine,
     ButterflyLinearExecutor,
     coalesce_pairs,
+    compile_ladder,
     compile_stage,
     schedule_stage,
     stage_read_cycles,
 )
 from repro.hardware.functional import engine as engine_module
 from repro.hardware.functional.memory import LAYOUTS
-from repro.hardware.quantize import quantize_fp16
+from repro.hardware.quantize import Fp16ButterflyEngine, quantize_fp16
 from repro.hardware.resources import dsp_usage, estimate_resources
 
 sizes = st.sampled_from([8, 16, 32, 64])
@@ -163,6 +164,65 @@ def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, r
         rows * access.cycles, rows * access.conflicts)
     assert stats.pair_ops == rows * (n // 2) * log_n
     assert stats.mult_ops == rows * sum(u.mult_ops for u in units) == 4 * stats.pair_ops
+
+
+@given(
+    log_n=st.integers(min_value=1, max_value=8),
+    pbu=st.sampled_from([1, 2, 4, 8]),
+    layout=st.sampled_from(LAYOUTS),
+    mode=st.sampled_from(list(BUMode)),
+    seed=seeds,
+)
+@settings(max_examples=40, deadline=None)
+def test_ladder_chains_its_stage_programs(log_n, pbu, layout, mode, seed):
+    """A layer's ladder is its stage programs chained: the same counts,
+    gathers that hand each stage its own operands, read-only and cached
+    per key; and a narrower datapath still rounds after every stage."""
+    n = 1 << log_n
+    nbanks = min(2 * pbu, n)
+    halves = tuple(stage_halves(n))
+    ladder = compile_ladder(n, halves, nbanks, layout, pbu)
+    assert compile_ladder(n, halves, nbanks, layout, pbu) is ladder
+    stages = [compile_stage(n, half, nbanks, layout, pbu) for half in halves]
+    assert ladder.reads == sum(stage.reads for stage in stages)
+    assert ladder.cycles == sum(stage.cycles for stage in stages)
+    assert ladder.conflicts == sum(stage.conflicts for stage in stages)
+    assert ladder.pairs == len(halves) * (n // 2)
+    assert ladder.unit_ops == tuple(
+        sum(stage.unit_ops[unit] for stage in stages) for unit in range(pbu))
+    order = np.arange(n)  # the element each position of the last output holds
+    for stage, gather, coeff in zip(stages, ladder.gathers, ladder.coeffs):
+        order = order[gather]
+        assert order.tolist() == stage.elements.reshape(-1).tolist()
+        assert coeff is stage.coeff
+    assert ladder.elements.tolist() == order.tolist()
+    for array in (*ladder.gathers, *ladder.coeffs, ladder.elements):
+        assert not array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ladder.cycles = 0
+
+    # fp16: every stage's output is rounded before the next stage reads it.
+    rng = np.random.default_rng(seed)
+    rows = 3
+    if mode is BUMode.FFT:
+        x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        got = Fp16ButterflyEngine(pbu=pbu, layout=layout).run_fft(x)
+        want, factors = x[:, bit_reversal_permutation(n)], fft_butterfly(n).factors
+    else:
+        x = rng.normal(size=(rows, n))
+        matrix = ButterflyMatrix.random(n, rng)
+        got = Fp16ButterflyEngine(pbu=pbu, layout=layout).run_butterfly(x, matrix)
+        want, factors = x.astype(np.complex128), matrix.factors
+    want = quantize_fp16(want)
+    for factor in factors:
+        rounded = ButterflyFactor(n, factor.half, quantize_fp16(factor.coeffs))
+        want = np.stack([
+            replay_per_pair(row, [rounded], mode, pbu, layout)[0] for row in want])
+        want = quantize_fp16(want)
+    if mode is BUMode.BUTTERFLY:
+        want = want.real
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 HW_SIM_MODEL = dict(

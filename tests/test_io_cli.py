@@ -250,6 +250,13 @@ class TestCLI:
         assert f"pair ops: {total}\n" in out
         assert f"read cycles: {total // 4}\n" in out
         assert re.search(r"host time: \d+\.\d{3} s \(\d+\.\d{2} us per pair-op\)", out)
+        # A pbu whose 2 * pbu banks cannot divide a power-of-two vector is
+        # one line and a non-zero exit, before anything is compiled.
+        code = main(["simulate", "--checkpoint", ckpt, "--pbu", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: pbu must be a power of two >= 1, got 3\n"
         # The latency model's fold charges the BP the pair ops the
         # simulator counted: pair ops / (samples x pbe x pbu), pbe = 1.
         modeled, counted = re.search(
