@@ -47,8 +47,9 @@ activation with a parameter-cached ``W^T``), :func:`gelu_forward` /
 :func:`residual_layer_norm_forward` / :func:`residual_layer_norm_vjp`,
 :func:`cross_entropy_logits_forward` / :func:`cross_entropy_logits_vjp`,
 the real-input Fourier mixing :func:`fourier_mix` and the segment-sum
-:func:`embedding_grad`, all toggleable back to the composite graph via
-:func:`use_fused`.
+:func:`embedding_grad`, which the models' training programs chain.
+:func:`use_fused` ``(False)`` makes the models record their ``Tensor``
+graph, the programs' oracle, instead.
 
 The forward kernels an inference program calls take an optional
 ``out=``: a C-contiguous array of the result's shape and dtype that

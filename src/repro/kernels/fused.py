@@ -1,39 +1,33 @@
-"""Fused training-step kernels: projection, residual-norm and loss nodes.
+"""Fused training-step kernels: projection, residual-norm and loss.
 
-PRs 1 and 3 fused the inference-side hot paths (butterfly ladders,
-query-tiled attention); this module gives the *training* loop the
-same treatment.  Each kernel implements one logical operation of the
-encoder/decoder training step as a single forward/VJP pair so the
-autograd engine records **one** graph node where the composite path
-recorded three to five:
+Each kernel implements one logical operation of a training step as a
+single forward/VJP pair; the models' training programs
+(:mod:`repro.models.encode_program`) chain them where the ``Tensor``
+graph records three to five nodes:
 
 * :func:`linear_act_forward` / :func:`linear_act_vjp` — dense
-  ``act(x @ W^T + b)`` (identity / gelu) in one node.  The
+  ``act(x @ W^T + b)`` (identity / gelu) in one call.  The
   contiguous ``W^T`` is cached *on the parameter object* and
   invalidated by the optimizer's in-place update (via the parameter's
   version counter, see :meth:`repro.nn.module.Parameter.bump_version`)
   or by a ``.data`` rebind.
 * :func:`residual_layer_norm_forward` / :func:`residual_layer_norm_vjp`
   — the ``norm(x + sub(x))`` pattern that closes every transformer
-  sub-layer, fused so the residual sum is never recorded as a separate
-  node (one full-activation temporary saved per sub-layer, twice per
-  block).
+  sub-layer, with the residual sum normalized in place.
 * :func:`cross_entropy_logits_forward` / :func:`cross_entropy_logits_vjp`
   — mean cross-entropy straight from logits via a fused logsumexp.  The
   forward caches the softmax so the backward is a single ``O(B*C)``
-  rescale; the composite chain materialized the full log-prob matrix
-  just to gather ``B`` entries and scattered back through a fancy-index
-  ``np.add.at``.
+  rescale.
 * :func:`embedding_grad` — sort/segment-sum backward for embedding
-  lookups, replacing the ``np.add.at`` scatter that dominated the seed
-  char-LM/LRA backward pass (ufunc.at runs one scalar inner loop per
-  element; ``argsort`` + ``np.add.reduceat`` is vectorized end to end).
+  lookups, where the graph scatters through ``np.add.at`` (one scalar
+  inner loop per element; ``argsort`` + ``np.add.reduceat`` is
+  vectorized end to end).
 
-The composite ops remain available and authoritative: every kernel here
-is parity-tested against them (``tests/kernels/test_fused_training.py``)
-and the :func:`use_fused` toggle routes the ``repro.nn`` wrappers back
-to the composite graph, which is both the benchmark baseline and the
-oracle for the loss-curve parity tests.
+The ``Tensor`` graph's ops (:mod:`repro.nn.tensor`) are the oracle:
+every kernel here is parity-tested against them
+(``tests/kernels/test_fused_training.py``), and :func:`use_fused`
+``(False)`` makes the models record that graph instead of running their
+programs.
 
 A kernel that takes ``take`` (a :meth:`ScratchPool.take
 <repro.kernels.pool.ScratchPool.take>`-shaped callable; :func:`fresh
@@ -61,18 +55,16 @@ _FUSED_ENABLED = True
 
 
 def fused_enabled() -> bool:
-    """Whether the fused training fast path is active (default True)."""
+    """Whether the models run their programs (default True)."""
     return _FUSED_ENABLED
 
 
 @contextlib.contextmanager
 def use_fused(flag: bool = True) -> Iterator[bool]:
-    """Scope the fused-path toggle (``use_fused(False)`` = composite ops).
-
-    The composite path is the pre-fusion op-by-op graph — the parity
-    oracle and the benchmark baseline.  The toggle is consulted when an
-    op is *recorded*, so a graph built under one setting backpropagates
-    consistently even if the setting changes before ``backward()``.
+    """Scope which path the models take: ``use_fused(False)`` makes
+    ``EncoderClassifier`` and ``ButterflyDecoderLM`` record their
+    ``Tensor`` graph instead of running their compiled programs — the
+    programs' oracle.  The ``Tensor`` ops themselves never read it.
     """
     global _FUSED_ENABLED
     previous, _FUSED_ENABLED = _FUSED_ENABLED, bool(flag)
@@ -311,9 +303,9 @@ def residual_layer_norm_forward(
 ) -> Tuple[np.ndarray, Optional[ResidualLNContext]]:
     """Fused ``layer_norm(x + sub)`` over the last axis (affine).
 
-    One graph node for the residual-sum-and-normalize that closes every
-    transformer sub-layer; the ``x + sub`` temporary is normalized in
-    place instead of being saved as a separate ``add`` node.
+    The residual-sum-and-normalize that closes every transformer
+    sub-layer, in one call; the ``x + sub`` temporary is normalized in
+    place.
 
     ``out`` is a C-contiguous array of the result's shape and dtype
     aliasing neither operand, and comes back with the bytes of the

@@ -97,7 +97,10 @@ class ScratchPool:
 
     def prefixed(self, prefix):
         """A ``take(tag, shape, dtype)`` over this pool's ``(prefix, tag)``
-        buffers: one caller's namespace."""
+        buffers: one caller's namespace.  Outside :meth:`held`, a pool
+        built ``held=False`` hands out :func:`fresh` itself."""
+        if not self._held and getattr(self._tls, "pool", None) is None:
+            return fresh
         return lambda tag, shape, dtype: self.take((prefix, tag), shape, dtype)
 
     @contextlib.contextmanager

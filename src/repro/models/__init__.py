@@ -18,20 +18,10 @@ from .encoder import (
     build_model,
     build_transformer,
 )
-from .seq2seq import (
-    ButterflySeq2Seq,
-    CrossAttention,
-    Seq2SeqDecoderBlock,
-    generate_copy_task,
-)
 
 __all__ = [
     "ButterflyDecoderLM",
-    "ButterflySeq2Seq",
-    "CrossAttention",
     "DecoderBlock",
-    "Seq2SeqDecoderBlock",
-    "generate_copy_task",
     "FABNET_BASE",
     "FABNET_LARGE",
     "MODEL_BUILDERS",

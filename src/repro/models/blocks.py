@@ -35,9 +35,10 @@ class FeedForward(nn.Module):
 class DecoderBlock(nn.Module):
     """Causal ABfly block: masked butterfly attention + butterfly FFN.
 
-    ``forward`` is the full-window (training) path.  KV-cached
-    incremental decoding reads this block's layers from the decoder's
-    inference program (:mod:`repro.models.decode_program`) instead.
+    ``forward`` is the full-window ``Tensor`` graph, the programs'
+    oracle.  Training and KV-cached incremental decoding read this
+    block's layers from the decoder's programs
+    (:mod:`repro.models.decode_program`) instead.
     """
 
     def __init__(
@@ -59,8 +60,6 @@ class DecoderBlock(nn.Module):
         self.norm2 = nn.LayerNorm(d_hidden)
 
     def forward(self, x: nn.Tensor) -> nn.Tensor:
-        # norm(x + sub(x)) runs as one fused node per sub-layer close
-        # (residual add never materialized as a separate graph node).
         x = F.residual_layer_norm(
             x, self.attn(x),
             self.norm1.gamma, self.norm1.beta, eps=self.norm1.eps,
@@ -116,7 +115,6 @@ class EncoderBlock(nn.Module):
 
     def forward(self, x: nn.Tensor, mask: Optional[np.ndarray] = None) -> nn.Tensor:
         mixed = self.mixer(x, mask=mask)
-        # Fused residual + LayerNorm closes each sub-layer in one node.
         x = F.residual_layer_norm(
             x, mixed, self.norm1.gamma, self.norm1.beta,
             eps=self.norm1.eps,

@@ -14,8 +14,9 @@ butterfly ladder; :class:`DecodeProgram` does it for a whole
     -> LM head
 
 on plain arrays, with no ``Tensor``, ``Module.__call__`` or autograd
-bookkeeping in between.  The ``Tensor`` graph stays the training path;
-this is the only incremental inference path.  ``run`` returns
+bookkeeping in between; it is the only incremental inference path.  A
+decoder trains through :class:`LMTrainProgram`, at the end of this
+module.  ``run`` returns
 ``(batch, vocab)`` logits at each row's last new position, and only that
 position feeds them: every block writes the keys/values of every new
 position, but in a multi-token call the last block's query side (Q,
@@ -60,8 +61,8 @@ The contract (see CONTRIBUTING, "The inference program"):
   keeps no scratch of its own (the kernels' pools are per-thread), so
   concurrent callers never alias.
 * **Oracle**: ``tests/conftest.py::reference_incremental`` is the
-  ``Tensor``-graph version; ``tests/models/test_decode_program.py``
-  holds the program to its bytes.
+  ``Tensor``-graph version (dense layers through the projection kernel);
+  ``tests/models/test_decode_program.py`` holds the program to its bytes.
 """
 
 from __future__ import annotations
@@ -72,11 +73,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ..kernels import (
+    ResidualLNContext,
     attention_decode,
     attention_forward,
     residual_layer_norm_forward,
 )
+from ..kernels.pool import fresh
 from ..nn.tensor import layer_norm_forward
+from .encode_program import TrainProgram, _close_vjp, _project, _project_vjp
 from .program import InferenceProgram, Norm, Projection
 
 
@@ -177,3 +181,29 @@ class DecodeProgram(InferenceProgram):
         logits = self._lm_head(x)[:, 0]
         cache.advance(s_new)
         return logits
+
+
+class LMTrainProgram(TrainProgram):
+    """The decoder's training program: the encoder's
+    :class:`~repro.models.encode_program.TrainProgram` — embeddings, the
+    block walk (causal attention, as the blocks' layers say) and one
+    recorded node — ending in the final norm and the LM head at every
+    position.  ``record(tokens, None, True)`` returns ``(batch, seq,
+    vocab)`` logits, an allocated array."""
+
+    def _compile(self, model) -> None:
+        self._blocks = [self._block(block, block.attn) for block in model.blocks]
+        self._final_norm = self._norm(model.final_norm)
+        self._lm_head = self._projection(model, "lm_head")
+
+    def _end(self, x, mask, classify, tape) -> np.ndarray:
+        gamma, beta, eps = self._final_norm
+        take = tape.take("head")
+        y, normed, inv = layer_norm_forward(x, gamma.data, beta.data, eps, take=take)
+        tape.norm = ResidualLNContext(normed, inv, gamma.data, take)
+        logits, tape.head = _project(self._lm_head, y, fresh)
+        return logits
+
+    def _end_vjp(self, g: np.ndarray, tape) -> np.ndarray:
+        return _close_vjp(self._final_norm,
+                          _project_vjp(self._lm_head, g, tape.head), tape.norm)

@@ -6,7 +6,9 @@ decoder block is the same butterfly-compressed attention + FFN pipeline
 with a causal mask, which is a score-matrix masking detail invisible to
 the Butterfly Processor.  This module provides that decoder variant:
 causal ABfly blocks, an autoregressive LM head, and greedy/sampled
-generation.
+generation.  With grad enabled a forward is one recorded node of the
+model's :class:`~repro.models.decode_program.LMTrainProgram`, the
+encoder's training walk with causal attention.
 
 Generation runs over a per-layer KV cache (:mod:`repro.serving.kv_cache`)
 by default: ``prefill`` runs the prompt once — computing past the last
@@ -28,13 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .. import nn
+from .. import kernels, nn
 from ..nn import tensor as F
+from ..nn.layers import token_ids
 from ..serving.kv_cache import DecoderKVCache
 from ..serving.sampling import sample_logits
 from .blocks import DecoderBlock
 from .config import ModelConfig
-from .decode_program import DecodeProgram
+from .decode_program import DecodeProgram, LMTrainProgram
 from .program import ProgramCache
 
 __all__ = [
@@ -69,8 +72,10 @@ class ButterflyDecoderLM(nn.Module):
         self.final_norm = nn.LayerNorm(config.d_hidden)
         self.lm_head = nn.Linear(config.d_hidden, config.vocab_size, rng=rng)
         # The incremental-inference program, rebuilt when a parameter's
-        # (version, data) or a projection layer changes.
+        # (version, data) or a projection layer changes; the training
+        # program, when a projection layer changes.
         self._program = ProgramCache(DecodeProgram)
+        self._train_program = ProgramCache(LMTrainProgram)
 
     # ------------------------------------------------------------------
     def _dtype_context(self):
@@ -79,30 +84,48 @@ class ButterflyDecoderLM(nn.Module):
         dtype context would otherwise silently compute in fp64."""
         return nn.default_dtype(self.token_emb.weight.dtype)
 
+    def _ids(self, tokens) -> np.ndarray:
+        """Validated int64 ids (see :func:`~repro.nn.layers.token_ids`)."""
+        return token_ids(tokens, self.token_emb.num_embeddings)
+
     def forward(self, tokens: np.ndarray) -> nn.Tensor:
-        """Return next-token logits of shape (batch, seq, vocab)."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        """Return next-token logits of shape (batch, seq, vocab).
+
+        With grad enabled and the fused kernels on, the logits are one
+        recorded node of the model's
+        :class:`~repro.models.decode_program.LMTrainProgram`; otherwise
+        (``no_grad``, or :func:`~repro.kernels.use_fused` ``(False)``)
+        the ``Tensor`` graph, :meth:`_graph`, the program's oracle."""
+        tokens = self._ids(tokens)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, seq), got {tokens.shape}")
         seq = tokens.shape[1]
         if seq > self.config.max_len:
             raise ValueError(f"sequence length {seq} exceeds max_len {self.config.max_len}")
+        if kernels.fused_enabled() and F.is_grad_enabled():
+            return self._train_program.get(self).record(tokens, None, True)
+        return self._graph(tokens)
+
+    def _graph(self, tokens: np.ndarray) -> nn.Tensor:
+        """The ``Tensor`` graph of validated ``(batch, seq)`` ids."""
         with self._dtype_context():
-            x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))
+            x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, tokens.shape[1]))
             for block in self.blocks:
                 x = block(x)
             return self.lm_head(self.final_norm(x))
 
     def loss(self, tokens: np.ndarray) -> nn.Tensor:
-        """Teacher-forced next-token cross-entropy over a token batch."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        """Teacher-forced next-token cross-entropy over a ``(batch, seq >=
+        2)`` token batch."""
+        tokens = self._ids(tokens)
+        if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] < 2:
+            raise ValueError(
+                f"the loss needs (batch, seq >= 2) tokens, got shape {tokens.shape}")
         with self._dtype_context():
             logits = self.forward(tokens[:, :-1])
             batch, seq, vocab = logits.shape
             flat = F.reshape(logits, (batch * seq, vocab))
-            targets = tokens[:, 1:].reshape(-1)
-            # Fused logsumexp loss: never materializes (B*L, V) log-probs.
-            return F.cross_entropy_logits(flat, targets)
+            return F.cross_entropy_logits(flat, tokens[:, 1:].reshape(-1))
 
     # ------------------------------------------------------------------
     # KV-cache incremental decoding (inference-only)
@@ -128,7 +151,7 @@ class ButterflyDecoderLM(nn.Module):
         window at the sliding-window edge).  Runs the compiled
         :class:`~repro.models.decode_program.DecodeProgram`.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = self._ids(tokens)
         if tokens.ndim != 2 or not tokens.shape[1]:
             raise ValueError(
                 f"tokens must be (batch, s_new) with s_new >= 1, got {tokens.shape}")
@@ -176,7 +199,7 @@ class ButterflyDecoderLM(nn.Module):
         if max_new_tokens < 0:
             raise ValueError("max_new_tokens must be non-negative")
         rng = rng or np.random.default_rng()
-        tokens = np.atleast_2d(np.asarray(prompt, dtype=np.int64)).copy()
+        tokens = np.atleast_2d(self._ids(prompt)).copy()
         if max_new_tokens == 0:
             return tokens
         max_len = self.config.max_len

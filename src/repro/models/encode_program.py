@@ -16,8 +16,10 @@ on plain arrays, every activation written through the kernels' ``out=``
 into a workspace the program owns.  With grad enabled,
 :class:`TrainProgram` runs the same forward with its contexts kept and
 records it as one ``Tensor`` node, whose VJP walks the blocks in reverse
-through the kernels' VJPs.  The ``Tensor`` graph
-(``EncoderClassifier._graph``) is the composite path under
+through the kernels' VJPs; the decoder's training program
+(:class:`~repro.models.decode_program.LMTrainProgram`) is the same walk
+with causal attention and its own end.  The ``Tensor`` graph
+(``EncoderClassifier._graph``) is the path under
 :func:`~repro.kernels.use_fused` ``(False)`` and both programs' oracle.
 
 The contract (see CONTRIBUTING, "The inference program"):
@@ -51,7 +53,8 @@ The contract (see CONTRIBUTING, "The inference program"):
 
 A training step's arrays (activations, contexts, the VJP's outputs,
 parameter gradients) are :data:`~repro.kernels.pool.STEP`'s, which
-``Trainer.fit`` holds; outside a fit they are allocated.  A recorded
+``Trainer.fit`` holds (or any ``STEP.held()`` block); outside one they
+are allocated.  A recorded
 forward takes the lowest free *slot* and ``(program, slot, layer)``
 tags, so two live forwards (a dual encoder's towers) never share a
 buffer; the slot frees when its node's VJP has run or the node is
@@ -99,6 +102,7 @@ class _Attention(NamedTuple):
     out_proj: Projection
     n_heads: int
     d_head: int
+    causal: bool
 
 
 class _Block(NamedTuple):
@@ -124,35 +128,45 @@ def _mean(y: np.ndarray, mask: Optional[np.ndarray]):
 
 
 class _Layout(InferenceProgram):
-    """An encoder's blocks, as its program's projection and norm hooks
-    compile them."""
+    """A model's embeddings and blocks, and an encoder's end, as its
+    program's projection and norm hooks compile them."""
 
     def __init__(self, model) -> None:
         super().__init__()
         self._token_emb = self._array(model.token_emb.weight)
         self._pos_emb = self._array(model.pos_emb)
         self.dtype = self._token_emb.dtype
+        self._compile(model)
+
+    def _compile(self, model) -> None:
+        """What follows the embeddings: the blocks and the model's end."""
         self._blocks = [
-            _Block(
-                None if block.mixing_kind == "fourier" else _Attention(
-                    self._projection(block.mixer, "q_proj"),
-                    self._projection(block.mixer, "k_proj"),
-                    self._projection(block.mixer, "v_proj"),
-                    self._projection(block.mixer, "out_proj"),
-                    block.mixer.n_heads,
-                    block.mixer.d_head,
-                ),
-                self._norm(block.norm1),
-                self._projection(block.ffn, "fc1", activation="gelu"),
-                self._projection(block.ffn, "fc2"),
-                self._norm(block.norm2),
-                block.ffn.fc1.out_features,
-            )
+            self._block(block, None if block.mixing_kind == "fourier" else block.mixer)
             for block in model.blocks
         ]
         self._head_norm = self._norm(model.head_norm)
         self._head = self._projection(model, "head")
         self._cls = model.config.pooling == "cls"
+
+    def _block(self, block, attention) -> _Block:
+        """``block``'s layers; ``attention`` is its attention layer, or
+        None for Fourier mixing."""
+        return _Block(
+            None if attention is None else _Attention(
+                self._projection(attention, "q_proj"),
+                self._projection(attention, "k_proj"),
+                self._projection(attention, "v_proj"),
+                self._projection(attention, "out_proj"),
+                attention.n_heads,
+                attention.d_head,
+                attention.causal,
+            ),
+            self._norm(block.norm1),
+            self._projection(block.ffn, "fc1", activation="gelu"),
+            self._projection(block.ffn, "fc2"),
+            self._norm(block.norm2),
+            block.ffn.fc1.out_features,
+        )
 
 
 class EncodeProgram(_Layout):
@@ -196,7 +210,7 @@ class EncodeProgram(_Layout):
 
     def _attend(self, attention: _Attention, x: np.ndarray,
                 mask: Optional[np.ndarray]) -> np.ndarray:
-        q_proj, k_proj, v_proj, out_proj, n_heads, d_head = attention
+        q_proj, k_proj, v_proj, out_proj, n_heads, d_head, _ = attention
         batch, seq, _ = hidden = x.shape
         dtype = self.dtype
         take = WORKSPACE.take
@@ -288,7 +302,11 @@ class TrainProgram(_Layout):
     """The encoder's forward with its contexts kept, recorded as one
     ``Tensor`` node whose VJP walks the blocks in reverse.  It reads every
     parameter live, so only a layer swap rebuilds it.  Its slots are the
-    program's: one thread trains a model (grad mode is process-wide)."""
+    program's: one thread trains a model (grad mode is process-wide).
+
+    The embeddings and the block walk are every model's; what follows the
+    last block is :meth:`_end` / :meth:`_end_vjp`, which a subclass for
+    another model replaces along with :meth:`_compile`."""
 
     def __init__(self, model) -> None:
         super().__init__(model)
@@ -304,31 +322,32 @@ class TrainProgram(_Layout):
     def _projection(self, owner, name: str, activation: str = "identity"):
         layer = getattr(owner, name)
         if not isinstance(layer, (nn.Linear, nn.ButterflyLinear)):
-            raise ValueError(
-                f"{type(layer).__name__} ({name}) stores its weights for "
-                "inference only: run a stored-weight replica under no_grad"
+            raise RuntimeError(
+                f"{type(layer).__name__} ({name}) is inference-only: run a "
+                "stored-weight replica under no_grad"
             )
         self._slots.append((owner, name, layer))
         return layer
 
     def record(self, tokens: np.ndarray, mask: Optional[np.ndarray],
                classify: bool) -> nn.Tensor:
-        """Logits (or pooled features) for validated ids, as one recorded
-        node over the model's parameters."""
+        """The model's output for validated ids (for an encoder, logits or
+        pooled features), as one recorded node over its parameters."""
         tape = _Tape()
         slot = next(i for i in itertools.count() if i not in self._live)
         self._live.add(slot)
         weakref.finalize(tape, self._live.discard, slot)
         tape.take = lambda *layer: STEP.prefixed((id(self), slot) + layer)
-        out = self._forward(tokens, mask, classify, tape)
+        out = self._end(self._forward(tokens, mask, tape), mask, classify, tape)
 
         def backward(grad: np.ndarray):
-            self._backward(np.asarray(grad), tape)
+            self._backward(self._end_vjp(np.asarray(grad), tape), tape)
             return ()  # the parameters' gradients are accumulated
 
         return _make_result(out, self._params, backward)
 
-    def _forward(self, tokens, mask, classify, tape) -> np.ndarray:
+    def _forward(self, tokens, mask, tape) -> np.ndarray:
+        """Embeddings and blocks: the last block's output."""
         batch, seq = tokens.shape
         emb = self._token_emb.data
         dtype = emb.dtype
@@ -346,38 +365,11 @@ class TrainProgram(_Layout):
             sub, f2 = _project(fc2, wide, tape.take(i, "fc2"))
             x, n2 = _close(norm2, y, sub, tape.take(i, "norm2"))
             tape.blocks.append((mix, n1, f1, f2, n2))
-        gamma, beta, eps = self._head_norm
-        tape.weights = None
-        if self._cls:  # the norm is per row: only the pooled row needs it
-            pooled, normed, inv = layer_norm_forward(x[:, 0], gamma.data, beta.data, eps)
-        else:
-            y, normed, inv = layer_norm_forward(x, gamma.data, beta.data, eps,
-                                                take=tape.take("head"))
-            pooled, tape.weights = _mean(y, mask)  # no context keeps y
-        tape.norm = ResidualLNContext(normed, inv, gamma.data, tape.take("head"))
-        tape.head = None
-        if not classify:
-            return pooled
-        logits, tape.head = _project(self._head, pooled, fresh)
-        return logits
+        return x
 
-    def _backward(self, g: np.ndarray, tape: _Tape) -> None:
-        if tape.head is not None:
-            g = _project_vjp(self._head, g, tape.head)
-        hidden = tape.tokens.shape + tape.norm.normed.shape[-1:]
-        take = tape.take("head")
-        if self._cls:
-            gx = take("dx", hidden, g.dtype)
-            gx[...] = 0
-            gx[:, 0] = _close_vjp(self._head_norm, g, tape.norm)
-        else:
-            gy = take("dy", hidden, g.dtype)
-            if tape.weights is None:
-                np.copyto(gy, (g * g.dtype.type(1.0 / hidden[1]))[:, None, :])
-            else:
-                np.copyto(gy, (g / tape.weights[1])[:, None, :])
-                gy *= tape.weights[0]
-            gx = _close_vjp(self._head_norm, gy, tape.norm)
+    def _backward(self, gx: np.ndarray, tape: _Tape) -> None:
+        """The blocks and embeddings in reverse, from the gradient of
+        :meth:`_forward`'s output."""
         for i in range(len(self._blocks) - 1, -1, -1):
             attention, norm1, fc1, fc2, norm2, _ = self._blocks[i]
             mix, n1, f1, f2, n2 = tape.blocks[i]
@@ -394,28 +386,65 @@ class TrainProgram(_Layout):
         take = tape.take("emb")
         _accumulate(self._token_emb, embedding_grad(
             tape.tokens, gx, self._token_emb.shape[0], take))
+        seq = tape.tokens.shape[1]
         dpos = take("dpos", self._pos_emb.shape, gx.dtype)
-        dpos[hidden[1]:] = 0
-        np.add.reduce(gx, axis=0, out=dpos[:hidden[1]])
+        dpos[seq:] = 0
+        np.add.reduce(gx, axis=0, out=dpos[:seq])
         _accumulate(self._pos_emb, dpos)
+
+    def _end(self, x, mask, classify, tape) -> np.ndarray:
+        """Head norm, pooling and (with ``classify``) the classifier."""
+        gamma, beta, eps = self._head_norm
+        tape.weights = None
+        if self._cls:  # the norm is per row: only the pooled row needs it
+            pooled, normed, inv = layer_norm_forward(x[:, 0], gamma.data, beta.data, eps)
+        else:
+            y, normed, inv = layer_norm_forward(x, gamma.data, beta.data, eps,
+                                                take=tape.take("head"))
+            pooled, tape.weights = _mean(y, mask)  # no context keeps y
+        tape.norm = ResidualLNContext(normed, inv, gamma.data, tape.take("head"))
+        tape.head = None
+        if not classify:
+            return pooled
+        logits, tape.head = _project(self._head, pooled, fresh)
+        return logits
+
+    def _end_vjp(self, g: np.ndarray, tape: _Tape) -> np.ndarray:
+        if tape.head is not None:
+            g = _project_vjp(self._head, g, tape.head)
+        hidden = tape.tokens.shape + tape.norm.normed.shape[-1:]
+        take = tape.take("head")
+        if self._cls:
+            gx = take("dx", hidden, g.dtype)
+            gx[...] = 0
+            gx[:, 0] = _close_vjp(self._head_norm, g, tape.norm)
+            return gx
+        gy = take("dy", hidden, g.dtype)
+        if tape.weights is None:
+            np.copyto(gy, (g * g.dtype.type(1.0 / hidden[1]))[:, None, :])
+        else:
+            np.copyto(gy, (g / tape.weights[1])[:, None, :])
+            gy *= tape.weights[0]
+        return _close_vjp(self._head_norm, gy, tape.norm)
 
     def _attend(self, attention: _Attention, x: np.ndarray,
                 mask: Optional[np.ndarray], take, i: int):
-        q_proj, k_proj, v_proj, out_proj, n_heads, d_head = attention
+        q_proj, k_proj, v_proj, out_proj, n_heads, d_head, _ = attention
         heads = x.shape[:2] + (n_heads, d_head)
         (q, qc), (k, kc), (v, vc) = (
             _project(layer, x, take(i, name))
             for layer, name in ((q_proj, "q"), (k_proj, "k"), (v_proj, "v")))
         context, ac = attention_forward(
             *(a.reshape(heads).transpose(0, 2, 1, 3) for a in (q, k, v)),
-            key_mask=mask, scale=1.0 / math.sqrt(d_head), take=take(i))
+            causal=attention.causal, key_mask=mask, scale=1.0 / math.sqrt(d_head),
+            take=take(i))
         merged = take(i)("merged", heads, x.dtype)
         np.copyto(merged, context.transpose(0, 2, 1, 3))
         out, oc = _project(out_proj, merged.reshape(x.shape), take(i, "o"))
         return out, (qc, kc, vc, ac, oc, take(i))
 
     def _attend_vjp(self, attention: _Attention, grad: np.ndarray, ctx) -> np.ndarray:
-        q_proj, k_proj, v_proj, out_proj, n_heads, d_head = attention
+        q_proj, k_proj, v_proj, out_proj, n_heads, d_head, _ = attention
         qc, kc, vc, ac, oc, take = ctx
         heads = grad.shape[:2] + (n_heads, d_head)
         g = _project_vjp(out_proj, grad, oc)

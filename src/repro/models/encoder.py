@@ -13,6 +13,7 @@ import numpy as np
 
 from .. import kernels, nn
 from ..nn import tensor as F
+from ..nn.layers import token_ids
 from .blocks import EncoderBlock, make_abfly_block, make_fbfly_block
 from .config import ModelConfig
 from .encode_program import EncodeProgram, TrainProgram
@@ -27,7 +28,7 @@ class EncoderClassifier(nn.Module):
     :class:`~repro.models.encode_program.EncodeProgram`, with grad enabled
     its :class:`~repro.models.encode_program.TrainProgram` (one recorded
     node).  Under :func:`~repro.kernels.use_fused` ``(False)`` every call
-    records the composite ``Tensor`` graph (:meth:`_graph`).
+    records the ``Tensor`` graph (:meth:`_graph`), the programs' oracle.
     """
 
     def __init__(self, config: ModelConfig, blocks: List[EncoderBlock],
@@ -62,23 +63,14 @@ class EncoderClassifier(nn.Module):
     def _validated(self, tokens, mask):
         """``(tokens, mask)`` as an int64 ``(batch, seq)`` id array and a
         boolean mask of the same shape (or None) — what the graph and the
-        program both assume.  A negative id would wrap in the embedding
-        gather, a float one be truncated, and a mask of another width die
-        as a broadcast error inside the attention tile loop."""
-        tokens = np.asarray(tokens)
+        program both assume.  A mask of another width would die as a
+        broadcast error inside the attention tile loop."""
+        tokens = token_ids(tokens, self.token_emb.num_embeddings)
         if tokens.ndim != 2:
             raise ValueError(f"tokens must be (batch, seq), got shape {tokens.shape}")
-        if tokens.dtype.kind not in "iu":
-            raise ValueError(f"tokens must be integer ids, got dtype {tokens.dtype}")
         seq = tokens.shape[1]
         if seq > self.config.max_len:
             raise ValueError(f"sequence length {seq} exceeds max_len {self.config.max_len}")
-        vocab = self.token_emb.num_embeddings
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab):
-            raise ValueError(
-                f"tokens must lie in [0, {vocab}), got "
-                f"[{tokens.min()}, {tokens.max()}]"
-            )
         if mask is not None:
             mask = np.asarray(mask)
             if mask.dtype != np.bool_ or mask.shape != tokens.shape:
@@ -86,7 +78,7 @@ class EncoderClassifier(nn.Module):
                     f"mask must be a boolean (batch, seq) = {tokens.shape} "
                     f"array, got {mask.dtype} {mask.shape}"
                 )
-        return tokens.astype(np.int64, copy=False), mask
+        return tokens, mask
 
     def _run(self, tokens, mask, classify: bool) -> nn.Tensor:
         tokens, mask = self._validated(tokens, mask)
@@ -100,8 +92,7 @@ class EncoderClassifier(nn.Module):
         return nn.Tensor(out, dtype=out.dtype)
 
     def _graph(self, tokens, mask, classify: bool) -> nn.Tensor:
-        """The ``Tensor`` graph of validated ids: the composite path, and
-        (under the fused kernels) both programs' oracle."""
+        """The ``Tensor`` graph of validated ids: both programs' oracle."""
         seq = tokens.shape[1]
         with self._dtype_context():
             x = self.token_emb(tokens) + F.getitem(self.pos_emb, slice(0, seq))

@@ -33,7 +33,6 @@ from .tensor import (
     get_default_dtype,
     set_default_dtype,
     concat,
-    cross_entropy,
     cross_entropy_logits,
     embedding,
     exp,
@@ -86,7 +85,6 @@ __all__ = [
     "Tensor",
     "accuracy",
     "butterfly_apply",
-    "cross_entropy",
     "cross_entropy_logits",
     "default_dtype",
     "get_default_dtype",

@@ -30,8 +30,6 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        # One fused graph node (GEMM + bias) with the contiguous W^T
-        # cached on the parameter; see repro.kernels.fused.
         return F.linear_act(x, self.weight, self.bias)
 
 
@@ -52,6 +50,23 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return F.embedding(self.weight, indices)
+
+
+def token_ids(tokens, vocab_size: int, name: str = "tokens") -> np.ndarray:
+    """``tokens`` as int64 ids in ``[0, vocab_size)``, the one check every
+    model entry and the serving ``submit`` share: a float id would be
+    truncated by the embedding gather, a negative one wrap to the last
+    row and one past the vocabulary fail deep in a kernel."""
+    tokens = np.asarray(tokens)
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer ids, got dtype {tokens.dtype}")
+    if tokens.size:
+        low = np.minimum.reduce(tokens, axis=None)
+        high = np.maximum.reduce(tokens, axis=None)
+        if low < 0 or high >= vocab_size:
+            raise ValueError(
+                f"{name} must lie in [0, {vocab_size}), got [{low}, {high}]")
+    return tokens.astype(np.int64, copy=False)
 
 
 class LayerNorm(Module):

@@ -15,7 +15,6 @@ verified against finite differences in ``tests/nn/test_autograd.py``.
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -156,7 +155,7 @@ class Tensor:
         an engine-owned buffer (``np.add(..., out=)``); buffers received
         from op backwards are never mutated, because ops may legally
         hand the same array to several parents (e.g. broadcast-free
-        ``add``, the fused residual LayerNorm) — so a leaf's ``.grad`` is
+        ``add``) — so a leaf's ``.grad`` is
         always its own copy, which a caller may scale in place.
         """
         if grad is None:
@@ -276,7 +275,7 @@ class Tensor:
         return div(_ensure_tensor(other), self)
 
     def __neg__(self) -> "Tensor":
-        return mul(self, Tensor(-1.0))
+        return mul(self, Tensor(-1.0, dtype=self.dtype))
 
     def __pow__(self, exponent: float) -> "Tensor":
         return power(self, exponent)
@@ -454,35 +453,15 @@ def tanh(a: Tensor) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, as in BERT).
-
-    The live path is the in-place chain of
-    :func:`repro.kernels.gelu_forward`, the one the programs run.  Under
-    :func:`repro.kernels.use_fused` ``(False)`` the seed's formula is kept
-    verbatim (``x**3`` and all), so the composite baseline the training
-    benchmark compares against stays the true pre-fusion implementation
-    and the parity oracle of the chain.
-    """
+    """Gaussian error linear unit (tanh approximation, as in BERT): the
+    in-place chain of :func:`repro.kernels.gelu_forward`, the one the
+    programs run."""
     x = a.data
-    if _kernels.fused_enabled():
-        data, t = _kernels.gelu_forward(x, need_ctx=_should_record((a,)))
-
-        def backward(grad: np.ndarray):
-            return (_kernels.gelu_vjp(grad, x, t),)
-
-        return _make_result(data, (a,), backward)
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    data, t = _kernels.gelu_forward(x, need_ctx=_should_record((a,)))
 
     def backward(grad: np.ndarray):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        dt = (1.0 - t**2) * dinner
-        return (grad * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+        return (_kernels.gelu_vjp(grad, x, t),)
 
     return _make_result(data, (a,), backward)
 
@@ -631,7 +610,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = 1
         for ax in axes:
             count *= a.shape[ax]
-    return sum_(a, axis=axis, keepdims=keepdims) * (1.0 / count)
+    total = sum_(a, axis=axis, keepdims=keepdims)
+    # The scale in the sum's own dtype: a policy-dtype constant would
+    # promote a float32 mean taken outside its dtype scope to float64.
+    return total * Tensor(1.0 / count, dtype=total.dtype)
 
 
 def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -686,11 +668,9 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Row-gather from an embedding table.
 
     ``indices`` is a plain integer array (token ids are never
-    differentiated).  The backward is the sort/segment-sum scatter
-    (:func:`repro.kernels.embedding_grad`) — the seed's ``np.add.at``
-    runs a scalar inner loop per gradient element and is a hot leaf in
-    every char-LM and LRA training step.  The composite scatter remains
-    behind :func:`repro.kernels.use_fused` as the parity baseline.
+    differentiated); the backward scatters through ``np.add.at``.  The
+    training programs take :func:`repro.kernels.embedding_grad`'s
+    sort/segment-sum instead.
     """
     indices = np.asarray(indices, dtype=np.int64)
     num_rows = weight.shape[0]
@@ -698,11 +678,8 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
         raise IndexError(f"embedding ids must lie in [{-num_rows}, {num_rows})")
     data = np.empty(indices.shape + weight.shape[1:], weight.dtype)
     np.take(weight.data, indices, axis=0, out=data, mode="wrap")  # unbuffered
-    segment_sum = _kernels.fused_enabled()
 
     def backward(grad: np.ndarray):
-        if segment_sum:
-            return (_kernels.embedding_grad(indices, grad, num_rows),)
         full = np.zeros_like(weight.data)
         np.add.at(full, indices, grad)
         return (full,)
@@ -773,80 +750,40 @@ def linear_act(
     weight: Tensor,
     bias: Optional[Tensor] = None,
 ) -> Tensor:
-    """Fused ``x @ W^T + b`` as a single autograd node.
-
-    The training-step fast path for every dense projection: one graph
-    node instead of the composite ``transpose`` / ``matmul`` / bias-add
-    chain, with the contiguous ``W^T`` cached on the weight parameter
-    (see :mod:`repro.kernels.fused`).  Under
-    :func:`repro.kernels.use_fused` ``(False)`` the composite graph is
-    recorded instead (the parity/benchmark baseline).
-    """
-    if not _kernels.fused_enabled():
-        out = matmul(x, transpose(weight))
-        return out if bias is None else add(out, bias)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    data, ctx = _kernels.linear_act_forward(
-        x.data, weight, None if bias is None else bias.data,
-        need_ctx=_should_record(parents),
-    )
-
-    def backward(grad: np.ndarray):
-        return _kernels.linear_act_vjp(grad, ctx)
-
-    return _make_result(data, parents, backward)
+    """``x @ W^T + b`` as the composite ``transpose`` / ``matmul`` /
+    bias-add graph.  The training programs run
+    :func:`repro.kernels.linear_act_forward` instead."""
+    if bias is not None and (bias.ndim != 1 or bias.shape[0] != weight.shape[0]):
+        raise ValueError(
+            f"bias must be 1-D of size {weight.shape[0]}, got shape {bias.shape}"
+        )
+    out = matmul(x, transpose(weight))
+    return out if bias is None else add(out, bias)
 
 
 def residual_layer_norm(
     x: Tensor, sub: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
 ) -> Tensor:
-    """Fused ``layer_norm(x + sub, gamma, beta)`` as a single autograd node.
-
-    The residual-close of every transformer sub-layer: the ``x + sub``
-    temporary is normalized in place instead of living on as a recorded
-    ``add`` node, saving one full-activation buffer per sub-layer.  The
-    backward hands the *same* gradient array to both residual branches
-    (the engine's accumulation never mutates un-owned buffers, so the
-    share is safe).  Under :func:`repro.kernels.use_fused` ``(False)``
-    the composite ``layer_norm(add(...))`` graph is recorded instead.
-    """
-    if not _kernels.fused_enabled():
-        return layer_norm(add(x, sub), gamma, beta, eps=eps)
-    parents = (x, sub, gamma, beta)
-    record = _should_record(parents)
-    data, ctx = _kernels.residual_layer_norm_forward(
-        x.data, sub.data, gamma.data, beta.data, eps=eps, need_ctx=record
-    )
-
-    def backward(grad: np.ndarray):
-        return _kernels.residual_layer_norm_vjp(grad, ctx)
-
-    return _make_result(data, parents, backward)
+    """``layer_norm(x + sub, gamma, beta)``: the residual close of every
+    transformer sub-layer, as the composite graph."""
+    if x.shape != sub.shape:
+        raise ValueError(f"residual shapes differ: {x.shape} vs {sub.shape}")
+    return layer_norm(add(x, sub), gamma, beta, eps=eps)
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy from ``(B, C)`` logits as a single autograd node.
-
-    Fused logsumexp loss: the forward never materializes the full
-    log-probability matrix (the composite :func:`cross_entropy` built it
-    just to gather ``B`` entries through an autograd ``getitem``), and
-    the cached softmax makes the backward one ``O(B*C)`` rescale.  Under
-    :func:`repro.kernels.use_fused` ``(False)`` this falls back to the
-    composite :func:`cross_entropy` graph.
-    """
+    """Mean cross-entropy between ``(B, C)`` logits and integer ``(B,)``
+    targets: ``log_softmax``, the targets' entries, their negated mean."""
     targets = np.asarray(targets, dtype=np.int64)
-    if not _kernels.fused_enabled():
-        return cross_entropy(logits, targets)
-    parents = (logits,)
-    record = _should_record(parents)
-    data, ctx = _kernels.cross_entropy_logits_forward(
-        logits.data, targets, need_ctx=record
-    )
-
-    def backward(grad: np.ndarray):
-        return _kernels.cross_entropy_logits_vjp(grad, ctx)
-
-    return _make_result(data, parents, backward)
+    if logits.ndim != 2:
+        raise ValueError(
+            f"cross_entropy_logits expects (batch, classes) logits, got {logits.shape}")
+    batch = logits.shape[0]
+    if targets.shape != (batch,):
+        raise ValueError(f"targets must be ({batch},), got shape {targets.shape}")
+    logp = log_softmax(logits, axis=-1)
+    picked = getitem(logp, (np.arange(batch), targets))
+    return -mean(picked)
 
 
 def butterfly_apply(
@@ -924,19 +861,12 @@ def fourier_mix_2d(x: Tensor) -> Tensor:
     symmetric (``F.T == F``) and the input is real, the Jacobian of
     ``Re(F x F)`` is ``Re(F) (.) Re(F)`` and the backward pass is the same
     real-FFT mixing applied to the incoming gradient: one real-input
-    kernel, :func:`repro.kernels.fourier_mix`, both ways.  Under
-    :func:`repro.kernels.use_fused` ``(False)`` the seed's
-    ``np.fft.fft2(x).real`` is kept verbatim as its oracle.
+    kernel, :func:`repro.kernels.fourier_mix`, both ways.
     """
-    if _kernels.fused_enabled():
-        mix = _kernels.fourier_mix
-    else:
-        def mix(a: np.ndarray) -> np.ndarray:
-            return np.fft.fft2(a, axes=(-2, -1)).real
-    data = mix(x.data)
+    data = _kernels.fourier_mix(x.data)
 
     def backward(grad: np.ndarray):
-        return (mix(grad),)
+        return (_kernels.fourier_mix(grad),)
 
     return _make_result(data, (x,), backward)
 
@@ -973,17 +903,6 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _make_result(data, (a, b), backward)
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``logits`` (B, C) and integer ``targets`` (B,)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ValueError(f"cross_entropy expects (batch, classes) logits, got {logits.shape}")
-    batch = logits.shape[0]
-    logp = log_softmax(logits, axis=-1)
-    picked = getitem(logp, (np.arange(batch), targets))
-    return -mean(picked)
 
 
 def accuracy(logits: Union[Tensor, np.ndarray], targets: np.ndarray) -> float:

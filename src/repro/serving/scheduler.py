@@ -36,6 +36,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..faults import fault_point
+from ..nn.layers import token_ids
 from ..telemetry import counter_inc, span
 from .kv_cache import DecoderKVCache
 from .sampling import SamplingParams, sample_logits
@@ -50,18 +51,14 @@ FINISH_SHED = "shed"
 
 def validated_prompt(prompt, vocab_size: int) -> np.ndarray:
     """``prompt`` as a flat int64 array — what both engines' ``submit``
-    check before an id is burned.  An id outside ``[0, vocab_size)`` would
-    otherwise raise inside ``step`` (a negative one silently wraps in the
-    embedding gather) and the request never reach a terminal state."""
-    prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
+    check before an id is burned.  An id outside ``[0, vocab_size)`` or a
+    float one would otherwise raise inside ``step`` (or be wrapped or
+    truncated by the embedding gather) and the request never reach a
+    terminal state."""
+    prompt = np.asarray(prompt).reshape(-1)
     if prompt.size == 0:
         raise ValueError("request prompt must be non-empty")
-    if prompt.min() < 0 or prompt.max() >= vocab_size:
-        raise ValueError(
-            f"prompt token ids must lie in [0, {vocab_size}), got "
-            f"[{prompt.min()}, {prompt.max()}]"
-        )
-    return prompt
+    return token_ids(prompt, vocab_size, name="prompt")
 
 
 @dataclass(frozen=True)

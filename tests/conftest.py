@@ -47,7 +47,10 @@ def _reference_incremental(model, tokens, cache):
     decoder's compiled ``DecodeProgram`` (``models/decode_program.py``).
 
     Module calls, ``Tensor`` wrappers and head split/merge nodes, under
-    ``no_grad`` in the model's own dtype.  Same contract as the program:
+    ``no_grad`` in the model's own dtype — except that a dense layer runs
+    the projection kernel the program runs: its ``Tensor`` op is the
+    composite ``matmul`` / bias-add graph, whose GEMM sums in another
+    order.  Same contract as the program:
     writes the new keys/values at each row's tail, advances ``cache``,
     and returns ``(batch, vocab)`` logits at each row's last new
     position — past the last block's keys/values, a multi-token call
@@ -64,6 +67,14 @@ def _reference_incremental(model, tokens, cache):
     positions = lengths[:, None] + np.arange(seq)[None, :]
     rows = np.arange(batch)[:, None]
     last = len(model.blocks) - 1
+
+    def project(layer, x):
+        if not isinstance(layer, nn.Linear):
+            return layer(x)
+        bias = None if layer.bias is None else layer.bias.data
+        return nn.Tensor(kernels.linear_act_forward(
+            x.data, layer.weight, bias, need_ctx=False)[0])
+
     with nn.default_dtype(model.token_emb.weight.dtype), nn.no_grad():
         x = model.token_emb(tokens) + F.embedding(model.pos_emb, positions)
         for index, block in enumerate(model.blocks):
@@ -71,9 +82,9 @@ def _reference_incremental(model, tokens, cache):
             x_q = (F.getitem(x, (slice(None), slice(-1, None)))
                    if index == last and seq > 1 else x)
             width = x_q.shape[1]
-            q = attn._split_heads(attn.q_proj(x_q), batch, width)
+            q = attn._split_heads(project(attn.q_proj, x_q), batch, width)
             k, v = (
-                attn._split_heads(proj(x), batch, seq)
+                attn._split_heads(project(proj, x), batch, seq)
                 for proj in (attn.k_proj, attn.v_proj)
             )
             layer_kv.k[rows, :, positions] = np.swapaxes(k.data, 1, 2)
@@ -92,12 +103,12 @@ def _reference_incremental(model, tokens, cache):
                 context = F.reshape(
                     F.transpose(context, (0, 2, 1, 3)), (batch, width, attn.d_model))
             x = F.residual_layer_norm(
-                x_q, attn.out_proj(context),
+                x_q, project(attn.out_proj, context),
                 block.norm1.gamma, block.norm1.beta, eps=block.norm1.eps)
             x = F.residual_layer_norm(
-                x, block.ffn(x),
+                x, project(block.ffn.fc2, F.gelu(project(block.ffn.fc1, x))),
                 block.norm2.gamma, block.norm2.beta, eps=block.norm2.eps)
-        logits = model.lm_head(model.final_norm(x)).data[:, 0]
+        logits = project(model.lm_head, model.final_norm(x)).data[:, 0]
     cache.advance(seq)
     return logits
 

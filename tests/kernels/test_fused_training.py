@@ -1,18 +1,17 @@
 """Parity and gradcheck suite for the fused training-step kernels.
 
-Every fused node (``linear_act``, ``gelu``, ``residual_layer_norm``,
-``cross_entropy_logits``) is validated two ways:
+Every kernel pair the training programs chain (``linear_act``,
+``gelu``, ``residual_layer_norm``, ``cross_entropy_logits``, the
+segment-sum embedding backward) is validated against the one ``Tensor``
+graph op for the same operation — or, for GELU, against the seed's
+formula (``x**3`` and all), kept here as the reference — forward values
+and every gradient, in both dtypes.  The graph ops themselves are held
+to finite differences.
 
-* **finite differences** — the autograd gradient of the fused node must
-  match a numeric gradient of its own forward;
-* **composite parity** — forward values and all gradients must match the
-  pre-fusion composite op chain (``use_fused(False)``), in both dtypes.
-
-Plus the engine-level guarantees the fast path relies on: in-place
+Plus the engine-level guarantees the graph relies on: in-place
 accumulation never writes through shared gradient arrays, eager release
-frees the graph exactly once, the cached ``W^T`` is invalidated by
-optimizer steps, and the segment-sum embedding backward matches
-``np.add.at``.
+frees the graph exactly once, and the kernels' cached ``W^T`` is
+invalidated by optimizer steps.
 """
 
 import numpy as np
@@ -37,33 +36,39 @@ def _run_loss(out):
     loss.backward()
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def seed_gelu(x):
+    """The seed's GELU and its derivative, verbatim: the kernel's oracle."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    dt = (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * dt
+
+
 class TestLinearActParity:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("use_bias", [True, False])
     def test_matches_composite(self, dtype, use_bias):
+        """The kernel pair against the graph's ``matmul`` / bias-add op."""
         rng = np.random.default_rng(3)
         with K.default_dtype(dtype):
-            x_np = rng.normal(size=(5, 7, 6))
-            w_np = rng.normal(size=(4, 6))
-            b_np = rng.normal(size=4) if use_bias else None
-            results = {}
-            for fused in (True, False):
-                with K.use_fused(fused):
-                    x = Tensor(x_np.copy(), requires_grad=True)
-                    w = nn.Parameter(w_np.copy())
-                    b = nn.Parameter(b_np.copy()) if use_bias else None
-                    out = F.linear_act(x, w, b)
-                    _run_loss(out)
-                    results[fused] = (
-                        out.data.copy(), x.grad.copy(), w.grad.copy(),
-                        None if b is None else b.grad.copy(),
-                    )
+            x_np = rng.normal(size=(5, 7, 6)).astype(dtype)
+            w_np = rng.normal(size=(4, 6)).astype(dtype)
+            b_np = rng.normal(size=4).astype(dtype) if use_bias else None
+            x = Tensor(x_np.copy(), requires_grad=True)
+            w = nn.Parameter(w_np.copy())
+            b = nn.Parameter(b_np.copy()) if use_bias else None
+            out = F.linear_act(x, w, b)
+            _run_loss(out)
+            want = (out.data, x.grad, w.grad, None if b is None else b.grad)
+            y, ctx = K.linear_act_forward(x_np, w_np, b_np)
+            got = (y, *K.linear_act_vjp(2 * y, ctx))
             atol = ATOL[dtype]
-            for got, want in zip(results[True], results[False]):
-                if want is None:
-                    assert got is None
-                    continue
-                np.testing.assert_allclose(got, want, atol=atol, rtol=atol)
+            assert len(got) == (4 if use_bias else 3)
+            for g, w_ in zip(got, want):
+                assert g.dtype == dtype
+                np.testing.assert_allclose(g, w_, atol=atol, rtol=atol)
 
     def test_finite_difference(self, gradcheck):
         rng = np.random.default_rng(5)
@@ -92,12 +97,7 @@ class TestLinearActParity:
             F.linear_act(x, w, b)
 
     def test_grad_accumulation_not_corrupted_by_scratch(self):
-        """Accumulating into .grad across backwards must stay exact.
-
-        The dW scratch buffer may be the parameter's current ``.grad``
-        from the previous step; the kernel must then allocate fresh
-        instead of overwriting the accumulated gradient in place.
-        """
+        """Accumulating into .grad across backwards must stay exact."""
         rng = np.random.default_rng(11)
         x_np = rng.normal(size=(3, 4))
         w = nn.Parameter(rng.normal(size=(2, 4)))
@@ -121,20 +121,21 @@ class TestGelu:
         rng = np.random.default_rng(5)
         z = (3.0 * rng.normal(size=(4, 9, 8))).astype(dtype)
         grad = rng.normal(size=z.shape).astype(dtype)
-        with K.default_dtype(dtype), K.use_fused(False):
-            seed_in = Tensor(z, requires_grad=True)
-            seed_out = F.gelu(seed_in)
-            seed_out.backward(grad)
+        want, slope = seed_gelu(z)
         for need_ctx in (True, False):
             y, t = K.gelu_forward(z, need_ctx)
             assert y.dtype == dtype and (t is None) == (not need_ctx)
-            np.testing.assert_allclose(y, seed_out.data, atol=ATOL[dtype],
-                                       rtol=ATOL[dtype])
+            np.testing.assert_allclose(y, want, atol=ATOL[dtype], rtol=ATOL[dtype])
         _, t = K.gelu_forward(z)
         gz = K.gelu_vjp(grad, z, t)
         assert gz.dtype == t.dtype == dtype
-        np.testing.assert_allclose(gz, seed_in.grad, atol=ATOL[dtype],
+        np.testing.assert_allclose(gz, grad * slope, atol=ATOL[dtype],
                                    rtol=ATOL[dtype])
+        node = Tensor(z, requires_grad=True, dtype=dtype)
+        out = F.gelu(node)
+        out.backward(grad)
+        assert out.data.tobytes() == K.gelu_forward(z, False)[0].tobytes()
+        assert node.grad.tobytes() == gz.tobytes()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_vjp_matches_finite_differences(self, dtype):
@@ -170,7 +171,7 @@ class TestGelu:
             x = rng.normal(size=(5, 6)).astype(dtype)
             w = rng.normal(size=(4, 6)).astype(dtype)
             b = rng.normal(size=4).astype(dtype)
-            pre = Tensor(F.linear_act(Tensor(x), nn.Parameter(w), nn.Parameter(b)).data,
+            pre = Tensor(K.linear_act_forward(x, w, b, need_ctx=False)[0],
                          requires_grad=True)
             plain = F.gelu(pre)
             with nn.no_grad():
@@ -203,26 +204,24 @@ class TestGelu:
 class TestResidualLayerNormParity:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_matches_composite(self, dtype):
+        """The kernel pair against the graph's ``layer_norm(x + sub)``."""
         rng = np.random.default_rng(7)
         with K.default_dtype(dtype):
-            x_np = rng.normal(size=(4, 5, 8))
-            s_np = rng.normal(size=(4, 5, 8))
-            results = {}
-            for fused in (True, False):
-                with K.use_fused(fused):
-                    x = Tensor(x_np.copy(), requires_grad=True)
-                    s = Tensor(s_np.copy(), requires_grad=True)
-                    gamma = nn.Parameter(np.full(8, 1.3))
-                    beta = nn.Parameter(np.full(8, 0.2))
-                    out = F.residual_layer_norm(x, s, gamma, beta)
-                    _run_loss(out)
-                    results[fused] = (
-                        out.data.copy(), x.grad.copy(), s.grad.copy(),
-                        gamma.grad.copy(), beta.grad.copy(),
-                    )
+            x_np = rng.normal(size=(4, 5, 8)).astype(dtype)
+            s_np = rng.normal(size=(4, 5, 8)).astype(dtype)
+            x = Tensor(x_np.copy(), requires_grad=True)
+            s = Tensor(s_np.copy(), requires_grad=True)
+            gamma = nn.Parameter(np.full(8, 1.3))
+            beta = nn.Parameter(np.full(8, 0.2))
+            out = F.residual_layer_norm(x, s, gamma, beta)
+            _run_loss(out)
+            want = (out.data, x.grad, s.grad, gamma.grad, beta.grad)
+            y, ctx = K.residual_layer_norm_forward(x_np, s_np, gamma.data, beta.data)
+            got = (y, *K.residual_layer_norm_vjp(2 * y, ctx))
             atol = ATOL[dtype] * 100  # LN backward stacks a few reductions
-            for got, want in zip(results[True], results[False]):
-                np.testing.assert_allclose(got, want, atol=atol, rtol=atol)
+            for g, w in zip(got, want):
+                assert g.dtype == dtype
+                np.testing.assert_allclose(g, w, atol=atol, rtol=atol)
 
     def test_finite_difference(self, gradcheck):
         rng = np.random.default_rng(9)
@@ -240,42 +239,39 @@ class TestResidualLayerNormParity:
             F.residual_layer_norm(x, s, p, p)
 
     def test_shared_branch_gradients_stay_independent(self):
-        """dx is dsub (one shared array); both residual branches must
-        still accumulate independently when one branch fans out."""
+        """One tensor feeding both residual branches gets the sum of the
+        two branches' gradients (the engine hands one array to both)."""
         rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        g = nn.Parameter(np.ones(4))
-        b = nn.Parameter(np.zeros(4))
-        # x feeds both residual branches: grads must sum, not alias.
-        out = F.residual_layer_norm(x, x * 1.0, g, b)
+        x_np = rng.normal(size=(2, 4))
+        x = Tensor(x_np.copy(), requires_grad=True)
+        out = F.residual_layer_norm(x, x * 1.0, nn.Parameter(np.ones(4)),
+                                    nn.Parameter(np.zeros(4)))
         (out * out).sum().backward()
-        x2 = Tensor(x.data.copy(), requires_grad=True)
-        with K.use_fused(False):
-            out2 = F.residual_layer_norm(x2, x2 * 1.0, nn.Parameter(np.ones(4)),
-                                         nn.Parameter(np.zeros(4)))
-            (out2 * out2).sum().backward()
-        np.testing.assert_allclose(x.grad, x2.grad, atol=1e-12)
+        a, b = (Tensor(x_np.copy(), requires_grad=True) for _ in range(2))
+        out2 = F.residual_layer_norm(a, b * 1.0, nn.Parameter(np.ones(4)),
+                                     nn.Parameter(np.zeros(4)))
+        (out2 * out2).sum().backward()
+        np.testing.assert_allclose(x.grad, a.grad + b.grad, atol=1e-12)
 
 
 class TestCrossEntropyLogitsParity:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_matches_composite(self, dtype):
+        """The fused logsumexp pair against the graph's ``log_softmax`` /
+        gather / mean loss."""
         rng = np.random.default_rng(17)
         with K.default_dtype(dtype):
-            logits_np = rng.normal(size=(9, 6)) * 3
+            logits_np = (rng.normal(size=(9, 6)) * 3).astype(dtype)
             targets = rng.integers(0, 6, size=9)
-            results = {}
-            for fused in (True, False):
-                with K.use_fused(fused):
-                    logits = Tensor(logits_np.copy(), requires_grad=True)
-                    loss = F.cross_entropy_logits(logits, targets)
-                    loss.backward()
-                    results[fused] = (float(loss.data), logits.grad.copy())
-            atol = ATOL[dtype]
-            assert abs(results[True][0] - results[False][0]) < atol
-            np.testing.assert_allclose(
-                results[True][1], results[False][1], atol=atol, rtol=atol
-            )
+            logits = Tensor(logits_np.copy(), requires_grad=True)
+            loss = F.cross_entropy_logits(logits, targets)
+            loss.backward()
+        got, ctx = K.cross_entropy_logits_forward(logits_np, targets)
+        (grad,) = K.cross_entropy_logits_vjp(np.ones((), dtype), ctx)
+        atol = ATOL[dtype]
+        assert loss.dtype == got.dtype == grad.dtype == dtype
+        assert abs(got - loss.item()) < atol
+        np.testing.assert_allclose(grad, logits.grad, atol=atol, rtol=atol)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(19)
@@ -323,28 +319,33 @@ class TestEmbeddingSegmentSum:
         assert got.shape == (7, 3)
         assert not got.any()
 
-    def test_embedding_op_uses_segment_sum_and_matches_composite(self):
+    def test_graph_op_backward_matches_the_kernel(self):
         rng = np.random.default_rng(29)
         idx = rng.integers(0, 6, size=(3, 8))
-        grads = {}
-        for fused in (True, False):
-            with K.use_fused(fused):
-                w = nn.Parameter(rng.normal(size=(6, 4)))
-                out = F.embedding(w, idx)
-                out.backward(np.ones_like(out.data))
-                grads[fused] = w.grad
-        np.testing.assert_allclose(grads[True], grads[False], atol=1e-12)
+        w = nn.Parameter(rng.normal(size=(6, 4)))
+        out = F.embedding(w, idx)
+        grad = rng.normal(size=out.shape)
+        out.backward(grad)
+        np.testing.assert_allclose(w.grad, K.embedding_grad(idx, grad, 6), atol=1e-12)
 
 
 class TestTransposeCache:
+    """The contiguous ``W^T`` :func:`repro.kernels.linear_act_forward`
+    keeps on a weight parameter, as the programs' projections use it."""
+
+    @staticmethod
+    def _project(layer, x):
+        return K.linear_act_forward(x, layer.weight, layer.bias.data,
+                                    need_ctx=False)[0]
+
     def test_optimizer_step_invalidates_cache(self):
         """An in-place Adam step must bump the parameter version so the
         next forward recomputes W^T from the updated weights."""
         rng = np.random.default_rng(31)
         layer = nn.Linear(6, 4, rng=rng)
         opt = nn.Adam(layer.parameters(), lr=0.1)
-        x = Tensor(rng.normal(size=(8, 6)))
-        out1 = layer(x)
+        x = rng.normal(size=(8, 6))
+        out1 = self._project(layer, x)
         assert getattr(layer.weight, "_wt_cache", None) is not None
         layer.zero_grad()
         out = layer(Tensor(rng.normal(size=(8, 6)), requires_grad=True))
@@ -352,40 +353,39 @@ class TestTransposeCache:
         version_before = layer.weight.version
         opt.step()
         assert layer.weight.version > version_before
-        out2 = layer(x)
-        expected = x.data @ layer.weight.data.T + layer.bias.data
-        np.testing.assert_allclose(out2.data, expected, atol=1e-12)
-        assert not np.allclose(out1.data, out2.data)
+        out2 = self._project(layer, x)
+        expected = x @ layer.weight.data.T + layer.bias.data
+        np.testing.assert_allclose(out2, expected, atol=1e-12)
+        assert not np.allclose(out1, out2)
 
     def test_load_state_dict_invalidates_cache(self):
         rng = np.random.default_rng(41)
         layer = nn.Linear(4, 3, rng=rng)
-        x = Tensor(rng.normal(size=(2, 4)))
-        layer(x)  # prime the cache
+        x = rng.normal(size=(2, 4))
+        self._project(layer, x)  # prime the cache
         state = {k: v * 2.0 for k, v in layer.state_dict().items()}
         layer.load_state_dict(state)
-        out = layer(x)
         np.testing.assert_allclose(
-            out.data, x.data @ layer.weight.data.T + layer.bias.data,
+            self._project(layer, x), x @ layer.weight.data.T + layer.bias.data,
             atol=1e-12,
         )
 
     def test_cached_transpose_is_reused_between_steps(self):
         rng = np.random.default_rng(43)
         layer = nn.Linear(5, 5, rng=rng)
-        layer(Tensor(rng.normal(size=(2, 5))))
+        self._project(layer, rng.normal(size=(2, 5)))
         cache1 = layer.weight._wt_cache
-        layer(Tensor(rng.normal(size=(2, 5))))
+        self._project(layer, rng.normal(size=(2, 5)))
         assert layer.weight._wt_cache is cache1
 
     def test_plain_tensor_weight_works_without_cache(self):
         rng = np.random.default_rng(47)
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        out = F.linear_act(x, w)
-        np.testing.assert_allclose(out.data, x.data @ w.data.T, atol=1e-12)
-        (out * out).sum().backward()
-        assert w.grad is not None and x.grad is not None
+        w = Tensor(rng.normal(size=(3, 4)))
+        x = rng.normal(size=(2, 4))
+        out, ctx = K.linear_act_forward(x, w)
+        np.testing.assert_allclose(out, x @ w.data.T, atol=1e-12)
+        gx, gw = K.linear_act_vjp(np.ones_like(out), ctx)
+        assert gx.shape == x.shape and gw.shape == w.shape
 
 
 class TestEngineAccumulation:
@@ -458,13 +458,17 @@ class TestFusedToggle:
             assert not K.fused_enabled()
         assert K.fused_enabled()
 
-    def test_graph_recorded_under_toggle_backprops_consistently(self):
+    def test_graph_ops_do_not_read_the_toggle(self):
+        """It selects the models' path; an op records the same node
+        either way."""
         rng = np.random.default_rng(53)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = nn.Parameter(rng.normal(size=(2, 4)))
-        with K.use_fused(False):
-            out = F.linear_act(x, w)
-        # Toggle flipped back on before backward: composite graph must
-        # still backpropagate through its recorded composite nodes.
-        (out * out).sum().backward()
-        assert x.grad is not None and w.grad is not None
+        x_np, w_np = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        runs = []
+        for fused in (True, False):
+            with K.use_fused(fused):
+                x = Tensor(x_np, requires_grad=True)
+                out = F.gelu(F.linear_act(x, nn.Parameter(w_np)))
+            (out * out).sum().backward()
+            runs.append((out.data, x.grad))
+        for a, b in zip(*runs):
+            assert a.tobytes() == b.tobytes()

@@ -236,13 +236,15 @@ class TestFourierMixOp:
     def test_gradcheck_through_the_op(self, shape, rng, gradcheck):
         gradcheck(nn.fourier_mix_2d, rng.normal(size=shape))
 
-    def test_composite_toggle_keeps_the_seed_formula(self, rng):
+    def test_op_matches_the_seed_formula(self, rng):
+        """The seed's ``np.fft.fft2(x).real``, both ways: the op's oracle."""
         x = rng.normal(size=(6, 8))
-        with kernels.use_fused(False):
-            composite = nn.fourier_mix_2d(nn.Tensor(x)).data
-        np.testing.assert_array_equal(composite, np.fft.fft2(x).real)
-        np.testing.assert_allclose(nn.fourier_mix_2d(nn.Tensor(x)).data,
-                                   composite, atol=1e-12)
+        grad = rng.normal(size=x.shape)
+        node = nn.Tensor(x, requires_grad=True)
+        out = nn.fourier_mix_2d(node)
+        out.backward(grad)
+        np.testing.assert_allclose(out.data, np.fft.fft2(x).real, atol=1e-12)
+        np.testing.assert_allclose(node.grad, np.fft.fft2(grad).real, atol=1e-12)
 
 
 class TestScratchPool:

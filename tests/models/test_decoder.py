@@ -113,6 +113,40 @@ class TestForwardAndLoss:
         assert bfly.num_parameters() < dense.num_parameters()
 
 
+class TestIdsAndShapes:
+    """Every public entry checks ids as the encoder does: a negative one
+    wrapped to the last embedding row, a float one was truncated, and
+    ``generate`` / ``prefill`` raised a bare ``IndexError`` past the
+    vocabulary."""
+
+    ENTRIES = {
+        "loss": lambda lm, t: lm.loss(t),
+        "forward": lambda lm, t: lm(t),
+        "generate": lambda lm, t: lm.generate(t, 2),
+        "prefill": lambda lm, t: lm.eval().prefill(t, lm.make_cache(len(t))),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("tokens, match", [
+        ([[1, -1, 2]], rf"tokens must lie in \[0, {VOCAB_SIZE}\)"),
+        ([[1, VOCAB_SIZE, 2]], rf"tokens must lie in \[0, {VOCAB_SIZE}\)"),
+        ([[1.7, 3.2, 2.0]], "tokens must be integer ids"),
+    ])
+    def test_bad_ids_are_refused(self, lm_config, entry, tokens, match):
+        lm = build_butterfly_decoder(lm_config)
+        with pytest.raises(ValueError, match=match):
+            self.ENTRIES[entry](lm, np.asarray(tokens))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (0, 5), (5,)])
+    def test_the_loss_names_the_shape_it_needs(self, lm_config, shape):
+        """A one-token batch raised ``ZeroDivisionError``, an empty one
+        returned NaN and 1-D tokens a bare ``IndexError``."""
+        lm = build_dense_decoder(lm_config)
+        with pytest.raises(ValueError, match=(
+                rf"\(batch, seq >= 2\) tokens, got shape {re.escape(str(shape))}")):
+            lm.loss(np.ones(shape, np.int64))
+
+
 class TestGeneration:
     def test_greedy_extends_prompt(self, lm_config, rng):
         lm = build_butterfly_decoder(lm_config)

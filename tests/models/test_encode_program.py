@@ -4,13 +4,12 @@ Under ``no_grad``, with the fused kernels on,
 ``EncoderClassifier.encode`` / ``forward`` run a flat program of kernel
 calls over buffers the program owns (``repro.models.encode_program``).
 The ``Tensor`` graph it stands in for is still there — it is the
-composite path and the oracle of both programs — so the program is held
-to it directly: to the fused graph at
-1e-5 (fp32) / 1e-12 (fp64) and to the composite ``use_fused(False)``
-graph at ``encode_long``'s 1e-4, over {transformer, fnet, fabnet, hybrid}
-x {fp32, fp64} x {mask, none} x {cls, mean} x {odd, even seq} and the
-stored-weight replicas.  The rest of the file pins the contract around
-it: which calls take the program and which the graph, that it is rebuilt
+``use_fused(False)`` path and the oracle of both programs — so the
+program is held to it directly, at 1e-5 (fp32) / 1e-12 (fp64), over
+{transformer, fnet, fabnet, hybrid} x {fp32, fp64} x {mask, none} x
+{cls, mean} x {odd, even seq} and the stored-weight replicas.  The rest
+of the file pins the contract around it: which calls take the program
+and which the graph, that it is rebuilt
 exactly when what it was built from changes, that derived state never
 travels with a copy or a pickle, that what it returns is the caller's,
 that threads do not share buffers — and the allocation gate: a forward
@@ -46,10 +45,8 @@ BUILDERS = {
     "fabnet": build_fabnet,
     "hybrid": lambda config: build_hybrid_transformer(config, 1),
 }
-#: program vs the fused graph: same kernels, other operand layouts.
-FUSED_RTOL = {"float32": 1e-5, "float64": 1e-12}
-#: program vs the composite graph: ``encode_long``'s oracle.
-COMPOSITE_RTOL = 1e-4
+#: program vs the graph: the kernels against the ops they stand in for.
+GRAPH_RTOL = {"float32": 1e-5, "float64": 1e-12}
 
 
 def build(kind="fabnet", dtype="float64", **changes):
@@ -73,9 +70,9 @@ def program_logits(model, tokens, mask=None):
         return model(tokens, mask=mask).data
 
 
-def graph_logits(model, tokens, mask=None, fused=True):
-    """The ``Tensor`` graph (grad enabled), fused or composite."""
-    with kernels.use_fused(fused), model._dtype_context():
+def graph_logits(model, tokens, mask=None):
+    """The ``Tensor`` graph (grad enabled)."""
+    with model._dtype_context():
         return model._graph(*model._validated(tokens, mask), True).data
 
 
@@ -90,16 +87,14 @@ class TestAgainstTheGraph:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
     @pytest.mark.parametrize("seq", [MAX_LEN, MAX_LEN - 3])
-    def test_logits_match_fused_and_composite_graphs(
+    def test_logits_match_the_graph(
         self, kind, dtype, masked, pooling, seq, rng
     ):
         model = build(kind, dtype, pooling=pooling)
         tokens, mask = inputs(rng, seq=seq, masked=masked)
         got = program_logits(model, tokens, mask)
         assert got.dtype == np.dtype(dtype)
-        assert_close(got, graph_logits(model, tokens, mask), FUSED_RTOL[dtype])
-        assert_close(got, graph_logits(model, tokens, mask, fused=False),
-                     COMPOSITE_RTOL)
+        assert_close(got, graph_logits(model, tokens, mask), GRAPH_RTOL[dtype])
         assert model._program.builds == 1
 
     @pytest.mark.parametrize("kind", ["transformer", "fabnet"])
@@ -110,7 +105,7 @@ class TestAgainstTheGraph:
         tokens, mask = inputs(rng, masked=True)
         got = program_logits(replica, tokens, mask)
         assert replica._program.builds == 1
-        assert_close(got, graph_logits(replica, tokens, mask), FUSED_RTOL[dtype])
+        assert_close(got, graph_logits(replica, tokens, mask), GRAPH_RTOL[dtype])
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_dual_encoder_first_tower_survives_the_second(self, dtype, rng):
@@ -125,7 +120,7 @@ class TestAgainstTheGraph:
             model.encoder.encode(pairs[:, 1])
         np.testing.assert_array_equal(first, kept)
         assert model.encoder._program.builds == 1
-        assert_close(got, model(pairs).data, FUSED_RTOL[dtype])
+        assert_close(got, model(pairs).data, GRAPH_RTOL[dtype])
 
     def test_chunked_ladders_and_rectangular_folds(self, rng):
         """``d_hidden = 256`` is past the dense-by-area budget: the frozen
@@ -133,7 +128,7 @@ class TestAgainstTheGraph:
         model = build("fabnet", "float32", max_len=8, d_hidden=256, r_ffn=4)
         tokens, _ = inputs(rng, batch=2, seq=8)
         assert_close(program_logits(model, tokens),
-                     graph_logits(model, tokens), FUSED_RTOL["float32"])
+                     graph_logits(model, tokens), GRAPH_RTOL["float32"])
 
 
 class TestDispatch:

@@ -183,6 +183,6 @@ class TestDualEncoder:
     def test_gradients_reach_encoder(self, tiny_config, rng):
         model = DualEncoderClassifier(build_fabnet(tiny_config))
         pairs = rng.integers(0, 8, size=(2, 2, tiny_config.max_len))
-        loss = nn.cross_entropy(model(pairs), np.array([0, 1]))
+        loss = nn.cross_entropy_logits(model(pairs), np.array([0, 1]))
         loss.backward()
         assert model.encoder.token_emb.weight.grad is not None

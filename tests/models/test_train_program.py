@@ -3,18 +3,16 @@
 With grad enabled and the fused kernels on, ``EncoderClassifier`` records
 its forward as one node (``repro.models.encode_program.TrainProgram``)
 whose VJP walks the blocks in reverse through the kernels' VJPs.  The
-graph (``EncoderClassifier._graph``) is its oracle: the loss and every
-parameter gradient equal the fused graph's at 1e-12 (fp64) / 1e-5 (fp32)
-and the composite graph's at ``COMPOSITE_RTOL``, over the inference
-program's matrix, the dual encoder and generated configs.  A gradient is
+graph (``EncoderClassifier._graph``, the ``use_fused(False)`` path) is
+its oracle: the loss, the logits and every parameter gradient equal the
+graph's at 1e-12 (fp64) / 1e-5 (fp32), over the inference program's
+matrix, the dual encoder and generated configs.  A gradient is
 compared against the largest entry of all of them: some are zero up to
 rounding (the key projection's bias, which softmax cannot see).  The rest
 pins the buffers: two live forwards never share one, a slot frees when
 its VJP has run, outside a fit everything is allocated, and a
 stored-weight replica is refused.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from repro import kernels, nn
 from repro.kernels.pool import STEP
 from repro.models import DualEncoderClassifier, ModelConfig
 
-from .test_encode_program import BUILDERS, COMPOSITE_RTOL, FUSED_RTOL, build, inputs
+from .test_encode_program import BUILDERS, GRAPH_RTOL, build, inputs
 
 
 def loss_and_grads(model, forward, labels):
@@ -39,10 +37,10 @@ def loss_and_grads(model, forward, labels):
         None if p.grad is None else p.grad.copy() for p in model.parameters()]
 
 
-def graph(model, tokens, mask=None, fused=True):
-    """``forward`` of the graph: fused, or composite."""
+def graph(model, tokens, mask=None):
+    """``forward`` of the graph."""
     def forward():
-        with kernels.use_fused(fused), model._dtype_context():
+        with model._dtype_context():
             return model._graph(*model._validated(tokens, mask), True)
     return forward
 
@@ -71,7 +69,7 @@ class TestAgainstTheGraph:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("pooling", ["cls", "mean"])
     @pytest.mark.parametrize("seq", [16, 13])
-    def test_loss_and_gradients_match_fused_and_composite_graphs(
+    def test_loss_and_gradients_match_the_graph(
         self, kind, dtype, masked, pooling, seq, rng
     ):
         model = build(kind, dtype, pooling=pooling)
@@ -80,9 +78,7 @@ class TestAgainstTheGraph:
         got = loss_and_grads(model, lambda: model(tokens, mask=mask), labels)
         assert model._train_program.builds == 1
         assert_same_step(got, loss_and_grads(model, graph(model, tokens, mask), labels),
-                         FUSED_RTOL[dtype])
-        assert_same_step(got, loss_and_grads(
-            model, graph(model, tokens, mask, fused=False), labels), COMPOSITE_RTOL)
+                         GRAPH_RTOL[dtype])
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_dual_encoder_two_towers_before_one_backward(self, dtype, rng):
@@ -90,19 +86,9 @@ class TestAgainstTheGraph:
         pairs = rng.integers(0, 32, size=(3, 2, 16))
         labels = labels_for(pairs)
         got = loss_and_grads(model, lambda: model(pairs), labels)
-        encoder = model.encoder
-
-        def encode(tokens, mask=None):
-            return encoder._graph(*encoder._validated(tokens, mask), False)
-
-        with mock.patch.object(encoder, "encode", encode):
+        with kernels.use_fused(False):
             want = loss_and_grads(model, lambda: model(pairs), labels)
-        assert_same_step(got, want, FUSED_RTOL[dtype])
-        # In its dtype scope, as under Trainer.fit: outside it a float64
-        # gradient reaches the composite graph's float32 attention VJP.
-        with kernels.use_fused(False), encoder._dtype_context():
-            composite = loss_and_grads(model, lambda: model(pairs), labels)
-        assert_same_step(got, composite, COMPOSITE_RTOL)
+        assert_same_step(got, want, GRAPH_RTOL[dtype])
 
     def test_chunked_ladders_and_rectangular_folds(self, rng):
         """``d_hidden = 256`` is past the dense-by-area budget: the recorded
@@ -112,7 +98,7 @@ class TestAgainstTheGraph:
         labels = labels_for(tokens)
         assert_same_step(loss_and_grads(model, lambda: model(tokens), labels),
                          loss_and_grads(model, graph(model, tokens), labels),
-                         FUSED_RTOL["float32"])
+                         GRAPH_RTOL["float32"])
 
 
 @st.composite
@@ -141,13 +127,13 @@ def configs(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(configs())
-def test_generated_configs_match_the_fused_graph(drawn):
+def test_generated_configs_match_the_graph(drawn):
     model, tokens, mask = drawn
     labels = labels_for(tokens)
     assert_same_step(
         loss_and_grads(model, lambda: model(tokens, mask=mask), labels),
         loss_and_grads(model, graph(model, tokens, mask), labels),
-        FUSED_RTOL[model.config.dtype])
+        GRAPH_RTOL[model.config.dtype])
 
 
 class TestBuffers:
@@ -184,7 +170,7 @@ class TestBuffers:
     def test_a_stored_weight_replica_is_refused_under_grad(self, rng):
         replica = nn.quantize_for_inference(build("transformer"), mode="int8")
         tokens, _ = inputs(rng)
-        with pytest.raises(ValueError, match="under no_grad"):
+        with pytest.raises(RuntimeError, match="inference-only.*under no_grad"):
             replica(tokens)
         with nn.no_grad():
             replica(tokens)

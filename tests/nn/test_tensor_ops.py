@@ -119,23 +119,23 @@ class TestForwardValues:
 class TestLosses:
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((4, 8)))
-        loss = F.cross_entropy(logits, np.zeros(4, dtype=int))
+        loss = F.cross_entropy_logits(logits, np.zeros(4, dtype=int))
         np.testing.assert_allclose(loss.data, np.log(8.0))
 
     def test_cross_entropy_perfect_prediction(self):
         logits = np.full((2, 3), -100.0)
         logits[0, 1] = 100.0
         logits[1, 2] = 100.0
-        loss = F.cross_entropy(Tensor(logits), np.array([1, 2]))
+        loss = F.cross_entropy_logits(Tensor(logits), np.array([1, 2]))
         assert loss.item() < 1e-6
 
     def test_cross_entropy_requires_2d(self):
         with pytest.raises(ValueError, match="batch"):
-            F.cross_entropy(Tensor(np.zeros(3)), np.array([0]))
+            F.cross_entropy_logits(Tensor(np.zeros(3)), np.array([0]))
 
     def test_cross_entropy_gradient_sums_to_zero(self, rng):
         logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        F.cross_entropy(logits, np.array([0, 1, 2])).backward()
+        F.cross_entropy_logits(logits, np.array([0, 1, 2])).backward()
         np.testing.assert_allclose(logits.grad.sum(axis=-1), np.zeros(3), atol=1e-12)
 
     def test_accuracy(self):

@@ -137,6 +137,12 @@ class TestProtocolConformance:
         assert engine.result(second).finish_reason == FINISH_LENGTH
         assert engine.metrics_snapshot()["aggregate"]["completed"] == 2
 
+    def test_a_float_prompt_is_refused_at_submit(self, engine):
+        """It was truncated to ids (``[1.7, 3.2]`` served ``[1, 3]``)."""
+        with pytest.raises(ValueError, match="prompt must be integer ids"):
+            engine.submit(np.array([1.7, 3.2]), SamplingParams(max_new_tokens=2))
+        assert engine.has_work is False
+
     @pytest.mark.parametrize("kind", ENGINES)
     def test_every_request_finishes_exactly_once(self, kind, model):
         """Normal finish, cancel, shed, deadline and close-with-live-work:

@@ -48,7 +48,8 @@ class TestQuantizedKVParity:
             model = builder(config).eval()
             quantized = quantize_for_inference(model)
             tokens = rng.integers(1, config.vocab_size, size=(3, 12))
-            full = quantized(tokens).data
+            with nn.no_grad():  # a stored-weight replica does not train
+                full = quantized(tokens).data
             cache = quantized.make_cache(3)
             logits = quantized.prefill(tokens[:, :5], cache)
             np.testing.assert_allclose(logits, full[:, 4], atol=ATOL[dtype])

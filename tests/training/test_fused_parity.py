@@ -1,11 +1,11 @@
-"""Loss-curve parity: fused training fast path vs composite ops.
+"""Loss-curve parity: the training program vs the ``Tensor`` graph.
 
-The fused projection/residual-norm/loss kernels and the segment-sum
-embedding backward must be *numerically interchangeable* with the
-composite graph they replace: training the same model from the same
-seed must produce the same loss curve (<= 1e-6 in float64 over 3
-epochs) and the same metrics.  This is the end-to-end guarantee behind
-the per-op parity tests in ``tests/kernels/test_fused_training.py``.
+The encoder's training program (``use_fused(True)``) must be
+*numerically interchangeable* with the graph it is held to
+(``use_fused(False)``): training the same model from the same seed must
+produce the same loss curve (<= 1e-6 in float64 over 3 epochs) and the
+same metrics.  This is the end-to-end guarantee behind the per-op parity
+tests in ``tests/kernels/test_fused_training.py``.
 """
 
 import numpy as np

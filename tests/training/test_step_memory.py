@@ -2,11 +2,12 @@
 
 ``Trainer.fit`` runs every step of the encoder's training program in the
 buffers the previous step used (:data:`repro.kernels.pool.STEP`, held for
-the fit).  The fault gate is taken at the e2e ``train_fit`` shape, where
-the heap used to be trimmed after every backward and faulted back in by
-the next forward (8-10k minor faults per step); the byte gate holds the
-fit to a loop written out by hand outside a fit, where the program
-allocates every array afresh.
+the fit); the decoder's program does the same under ``STEP.held()``.  The
+fault gate is taken at the e2e ``train_fit`` shape, where the heap used to
+be trimmed after every backward and faulted back in by the next forward
+(8-10k minor faults per step); the byte gate holds the fit to a loop
+written out by hand outside a fit, where the program allocates every
+array afresh.
 """
 
 import resource
@@ -16,8 +17,15 @@ import pytest
 
 from repro import nn
 from repro.data import load_task
+from repro.data.charlm import VOCAB_SIZE, generate_charlm
 from repro.kernels.pool import STEP
-from repro.models import DualEncoderClassifier, ModelConfig, build_fabnet
+from repro.models import (
+    DualEncoderClassifier,
+    ModelConfig,
+    build_butterfly_decoder,
+    build_dense_decoder,
+    build_fabnet,
+)
 from repro.training import Trainer
 
 
@@ -58,6 +66,28 @@ def test_a_steady_step_at_train_fit_shape_takes_at_most_100_faults():
     assert len(per_step) == steps
     # The first step allocates what every later one reuses; the second
     # may still meet a first-time path (the optimizer's first update).
+    assert per_step[2:].max() <= 100, per_step
+
+
+@pytest.mark.parametrize("build", [build_butterfly_decoder, build_dense_decoder])
+def test_a_steady_decoder_step_takes_at_most_100_faults(build):
+    """At ``examples/decoder_generation.py``'s shape (batch 16 x 48,
+    ``d_hidden`` 64), under ``STEP.held()``."""
+    steps = 6
+    train, _ = generate_charlm(n_samples=160, seq_len=48, seed=0)
+    model = build(ModelConfig(vocab_size=VOCAB_SIZE, n_classes=2, max_len=48,
+                              d_hidden=64, n_heads=4, r_ffn=2, n_total=2, seed=0))
+    optimizer = nn.Adam(model.parameters(), lr=3e-3)
+    faults = []
+    with STEP.held():
+        for i in range(steps):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            loss = model.loss(train[16 * i:16 * (i + 1)])
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    per_step = np.diff(faults)
     assert per_step[2:].max() <= 100, per_step
 
 
