@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# ``kernels.gelu_forward``'s constants, spelled as it spells them:
+# ``0.5 (1 + tanh(c (x + 0.044715 x^3))) == 1 / (1 + 2^(x (A + B x^2)))``.
+_GELU_A = -2.0 * float(np.sqrt(2.0 / np.pi)) * 1.4426950408889634  # log2(e)
+_GELU_B = _GELU_A * 0.044715
 
 
 class PostProcessor:
@@ -39,6 +42,7 @@ class PostProcessor:
     def gelu(self, x: np.ndarray) -> np.ndarray:
         """GELU (tanh form), matching :func:`repro.nn.tensor.gelu`."""
         self.activation_elems += x.size
-        # The cube as ``kernels.gelu_forward`` spells it, for its bytes.
-        inner = _GELU_C * (x + 0.044715 * (x * x * x))
-        return 0.5 * x * (1.0 + np.tanh(inner))
+        # ``kernels.gelu_forward``'s arithmetic, for its bytes; below
+        # x ~ -21 (float64) ``exp2`` overflows by design and GELU is -0.
+        with np.errstate(over="ignore"):
+            return x / (1.0 + np.exp2(x * (_GELU_A + _GELU_B * (x * x))))

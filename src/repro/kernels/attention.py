@@ -20,12 +20,21 @@ Design
   whole key row is in its tile: no running max, nothing to rescale, and
   peak score memory is one tile, not ``O(B*H*Lq*Lk)``.  Every temporary
   is the per-thread pool's (:data:`repro.kernels.pool.SCRATCH`).
+* **exp2 in float32**: the exponential is :func:`repro.kernels.dtype.
+  softmax_exp`'s pair — float32 scales the queries by ``scale * log2(e)``
+  and runs ``np.exp2`` (half of ``np.exp``'s cost per score), float64
+  keeps ``np.exp``.  ``2^(s log2 e)`` over- and underflows at the same
+  natural scores as ``e^s``, so the check and its floor keep their
+  meaning; the row shift is taken in the scaled units and the
+  logsumexp is stored in natural log.
 * **Analytic backward on the same tiles**: the forward stores only
   ``(q, k, v, out, logsumexp)``; :func:`attention_vjp` recomputes each
   query tile's probabilities exactly: ``[q * scale | -lse] @ [K^T ; 1]``
-  is ``s - lse`` and ``[dO | -delta] @ [V^T ; 1]`` is ``dP - delta``
-  (``delta = rowsum(dO * O)``), so ``dS = P * (dP - delta)`` costs two
-  passes over a tile (exp, the product with P) and dQ is written once.
+  is ``s - lse`` (float32 folds ``log2 e`` into ``[K^T ; 1]``, so dK's
+  operand stays ``q * scale``) and ``[dO | -delta] @ [V^T ; 1]`` is
+  ``dP - delta`` (``delta = rowsum(dO * O)``), so ``dS = P * (dP -
+  delta)`` costs two passes over a tile (exp, the product with P) and dQ
+  is written once.
 * **Cached bias buffers**: the causal additive bias is cached keyed by
   ``(seq, total, dtype)`` (:func:`causal_bias`); the fill value is the
   dtype-aware :func:`repro.kernels.dtype.mask_fill_value`, so masked
@@ -45,7 +54,7 @@ import numpy as np
 
 from ..telemetry import span
 from . import backend
-from .dtype import mask_fill_value
+from .dtype import mask_fill_value, softmax_exp
 from .pool import SCRATCH, check_out, fresh
 
 #: Step along a causal mask's diagonal: most queries in a causal tile,
@@ -230,8 +239,10 @@ def attention_forward(
     0``) give an empty ``(B, H, 0, D)`` result; queries over no keys are
     refused.
 
-    ``out`` is a C-contiguous ``(B, H, Lq, D)`` array of ``q``'s dtype
-    aliasing no operand; it receives the bytes the allocating call
+    ``out`` is a ``(B, H, Lq, D)`` array of ``q``'s dtype aliasing no
+    operand, C-contiguous or the ``(0, 2, 1, 3)`` transpose of a
+    C-contiguous ``(B, Lq, H, D)`` array (heads merged, as an output
+    projection reads them); it receives the bytes the allocating call
     returns (a ``take`` buffer without it).  A context keeps the operands
     and ``out`` by reference, and its logsumexp in a ``take`` buffer.
     """
@@ -260,8 +271,12 @@ def attention_forward(
     kbias = padding_bias(key_mask, dtype) if key_mask is not None else None
     if out is None:
         out = take("attention.out", (b, h, lq, d), dtype)
+    elif isinstance(out, np.ndarray) and out.ndim == 4 and not out.flags.c_contiguous:
+        # The heads-merged layout: a (B, Lq, H, D) array, transposed.
+        check_out(out.transpose(0, 2, 1, 3), (b, lq, h, d), dtype, q, k, v)
     else:
         check_out(out, (b, h, lq, d), dtype, q, k, v)
+    exp, log2e = softmax_exp(dtype)
 
     shift, lsum = take("attention.lse", (2, b, h, lq), dtype)
     shift[...] = 0  # a row's shift stays 0 unless its tile fails the check
@@ -306,7 +321,7 @@ def attention_forward(
                 pv = summed[:size * (d + 1)].reshape(*shape, d + 1)
                 floor = j1 * tiny_per_eps
                 for shifted in (False, True):
-                    qs = np.multiply(q[tile], scale,
+                    qs = np.multiply(q[tile], scale * log2e,
                                      out=summed[:size * d].reshape(*shape, d))
                     np.matmul(qs, keys[..., :j1], out=s)
                     if bias2d is not None:
@@ -320,7 +335,7 @@ def attention_forward(
                         np.maximum.reduce(s, axis=-1, out=shift[tile])
                         np.copyto(shift[tile], 0, where=exact)
                         s -= shift[tile][..., None]
-                    np.exp(s, out=s)
+                    exp(s, out=s)
                     np.matmul(s, v1[:, :, :j1], out=pv)
                     if shifted or _unshifted_is_exact(pv, floor):
                         break
@@ -336,7 +351,7 @@ def attention_forward(
     if not need_ctx:
         return out, None
     lse = np.log(lsum, out=lsum)
-    lse += shift
+    lse += np.multiply(shift, 1.0 / log2e, out=shift)  # natural log
     return out, AttentionContext(q, k, v, out, lse, scale, block,
                                  bias2d, bias3d, kbias, take)
 
@@ -353,6 +368,7 @@ def attention_vjp(
     dtype = q.dtype
     gq, gk, gv = (take(f"attention.g{name}", a.shape, dtype)
                   for name, a in zip("qkv", (q, k, v)))
+    exp, log2e = softmax_exp(dtype)
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
     with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
         # The augmented operands (module docstring), once per run of heads.
@@ -375,9 +391,10 @@ def attention_vjp(
             d1 = np.einsum("...i,...i->...", g[run], out[run],
                            out=delta[:math.prod(n) * lq].reshape(*n, lq))
             np.negative(d1, out=ga1[..., d])
-            kta[..., :d, :] = k[run].swapaxes(-1, -2)
+            np.multiply(k[run].swapaxes(-1, -2), log2e, out=kta[..., :d, :])
             vta[..., :d, :] = v[run].swapaxes(-1, -2)
-            kta[..., d, :] = vta[..., d, :] = 1.0
+            kta[..., d, :] = log2e
+            vta[..., d, :] = 1.0
             k1, gq1, gk1, gv1 = k[run], gq[run], gk[run], gv[run]
             gk1[...] = gv1[...] = 0
             for i0 in range(0, lq, nq):
@@ -392,7 +409,7 @@ def attention_vjp(
                     p += bias3d[b0:b1, None, i0:i1, :j1]
                 if kbias is not None:
                     p += kbias[b0:b1, None, None, :j1]
-                np.exp(p, out=p)
+                exp(p, out=p)
                 np.matmul(ga1[..., i0:i1, :], vta[..., :j1], out=ds)
                 ds *= p
                 np.matmul(ds, k1[..., :j1, :], out=gq1[..., i0:i1, :])

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..telemetry import span
 from . import backend
+from .dtype import LOG2E
 from .pool import SCRATCH, check_out, fresh
 
 ACTIVATIONS = ("identity", "gelu")
@@ -111,96 +112,139 @@ def cached_transpose(weight) -> np.ndarray:
 # GELU
 # ----------------------------------------------------------------------
 #: Elements per block of :func:`gelu_forward`'s ``out=`` chain: 128 KB of
-#: float32, so the nine passes run on a block that stays in L2 instead
-#: of streaming the whole activation nine times.  In place on a fresh
+#: float32, so the chain's passes run on a block that stays in L2 instead
+#: of streaming the whole activation once per pass.  In place on a fresh
 #: ``(1024, 512)`` float32, ms, whole array / 8K / 16K / 32K / 64K / 128K /
-#: 256K: 1.45 / 1.45 / 1.01 / 0.93 / 1.02 / 0.91 / 1.14.
+#: 256K: 1.45 / 1.45 / 1.01 / 0.93 / 1.02 / 0.91 / 1.14 (the tanh chain).
 GELU_BLOCK = 1 << 15
 
+# The tanh approximation through ``0.5 (1 + tanh u) == 1 / (1 + e^(-2u))``:
+# with ``u = c (z + 0.044715 z^3)``, ``e^(-2u) == 2^(z (A + B z^2))``.
+_GELU_A = -2.0 * _GELU_C * LOG2E
+_GELU_B = _GELU_A * 0.044715
 
-def _gelu_tanh(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``tanh(c (z + 0.044715 z^3))`` chained in place through ``u``.  The
-    cube is spelled ``z*z*z`` because ``np.power``'s pow() loop is ~40x
-    slower than two multiplies, and every scalar is a Python float, so
-    the chain stays in ``z``'s dtype."""
+#: ``(lo, hi)`` per dtype: for ``lo <= z <= hi`` no step of the chain
+#: overflows.  The exponent ``z (A + B z^2)`` falls with ``z`` and reaches
+#: ``exp2``'s edge near ``z = -10.7`` (float32) / ``-21.4`` (float64): at
+#: ``lo`` it is 125.9 / 1001.7.  Past ``hi`` (about the dtype's
+#: ``max ** (1/3) / 6``) the polynomial itself may overflow.
+_GELU_TAME = {
+    np.dtype(np.float32): (-10.0, 1e12),
+    np.dtype(np.float64): (-21.0, 1e102),
+}
+
+#: ``|z|`` past which GELU's slope is exactly 0 or 1 in either dtype
+#: (``s (1 - s)`` is 0 from ``|z| ~ 22`` on): :func:`gelu_vjp` caps the
+#: polynomial's ``z^2`` at its square.
+_GELU_FLAT = 64.0
+
+
+def _gelu_denominator(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``1 + 2^(z (A + B z^2))`` chained in place through ``u``: GELU is
+    ``z`` over it, and its reciprocal is the sigmoid ``0.5 (1 + tanh(c (z
+    + 0.044715 z^3)))``.  Five passes and an ``exp2``; every scalar is a
+    Python float, so the chain stays in ``z``'s dtype.  ``exp2`` overflows
+    for ``z`` below ``_GELU_TAME``'s ``lo``, by design: the denominator is
+    ``inf`` and GELU ``-0``, where ``tanh`` rounded to ``-1``."""
     np.multiply(z, z, out=u)
+    u *= _GELU_B
+    u += _GELU_A
     u *= z
-    u *= 0.044715
-    u += z
-    u *= _GELU_C
-    return np.tanh(u, out=u)
+    np.exp2(u, out=u)
+    u += 1.0
+    return u
+
+
+#: What the allocating chain runs under when :func:`_gelu_tame` holds.
+_UNGUARDED = contextlib.nullcontext()
+
+
+def _gelu_tame(z: np.ndarray) -> bool:
+    """Whether ``z`` keeps the chain finite, so it may run outside
+    ``np.errstate``: a decode step's few rows enter no numpy Python
+    wrapper (``tests/models/test_decode_calls.py``).  Two reductions over
+    ``z`` — a min and a max, each about a sixth of a multiply pass."""
+    lo, hi = _GELU_TAME.get(z.dtype, (0.0, 0.0))
+    return not z.size or bool(np.minimum.reduce(z, axis=None) >= lo
+                              and np.maximum.reduce(z, axis=None) <= hi)
 
 
 def gelu_forward(
     z: np.ndarray, need_ctx: bool = True, out: Optional[np.ndarray] = None,
     take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Tanh-approximation GELU ``0.5 z (1 + tanh(c (z + 0.044715 z^3)))``.
+    """Tanh-approximation GELU ``0.5 z (1 + tanh(c (z + 0.044715 z^3)))``,
+    computed as ``z / (1 + 2^(z (A + B z^2)))`` (the same function:
+    ``A = -2 c log2(e)``, ``B = 0.044715 A``).
 
-    Returns ``(y, t)``: ``t`` is the tanh, which :func:`gelu_vjp` reuses,
-    or None unless ``need_ctx``.  The chain runs in place through one
-    ``take`` buffer (a second one for ``y`` when ``t`` must survive) and
-    never writes into ``z``.
+    Returns ``(y, s)``: ``s`` is the sigmoid ``1 / (1 + 2^(...))``, which
+    :func:`gelu_vjp` differentiates from, or None unless ``need_ctx``.
+    The chain runs in place through one ``take`` buffer (a second one for
+    ``y`` when ``s`` must survive) and never writes into ``z``.  Large
+    negative ``z`` overflow ``exp2`` by design (``y`` is ``-0``); the
+    chain runs under ``np.errstate(over="ignore")`` — without a context
+    or ``out``, only when ``z`` reaches that range, which a min and a max
+    reduction over ``z`` decide first (six passes and an ``exp2``, then,
+    plus two reductions).
 
     ``out`` receives ``y`` instead — the same bytes.  Without a context
     (``z`` C-contiguous) the chain runs :data:`GELU_BLOCK` elements at a
     time through pooled scratch, and in place is defined: ``out`` may be
-    ``z`` itself, each block of which is read until the block's last two
-    passes write it; any other overlap is refused.
+    ``z`` itself, each block of which is read until the block's last
+    pass writes it; any other overlap is refused.
     """
-    if out is None or need_ctx:
-        t = _gelu_tanh(z, take("gelu.t", z.shape, z.dtype))
-        if need_ctx:
-            if out is None:
-                out = take("gelu.y", z.shape, z.dtype)
-            else:
-                check_out(out, z.shape, z.dtype, z, t)
-            y = np.add(t, 1.0, out=out)
-            y *= z
+    if out is None and not need_ctx:
+        u = take("gelu.s", z.shape, z.dtype)
+        with _UNGUARDED if _gelu_tame(z) else np.errstate(over="ignore"):
+            return np.divide(z, _gelu_denominator(z, u), out=u), None
+    if need_ctx:
+        s = take("gelu.s", z.shape, z.dtype)
+        if out is None:
+            out = take("gelu.y", z.shape, z.dtype)
         else:
-            t += 1.0
-            y = np.multiply(t, z, out=t)
-        y *= 0.5
-        return y, (t if need_ctx else None)
+            check_out(out, z.shape, z.dtype, z, s)
+        with np.errstate(over="ignore"):
+            y = np.divide(z, _gelu_denominator(z, s), out=out)
+        return y, np.divide(1.0, s, out=s)
     if not z.flags.c_contiguous:
         raise ValueError("out= needs a C-contiguous pre-activation")
     if out is not z:
         check_out(out, z.shape, z.dtype, z)
     flat_z, flat_out = z.reshape(-1), out.reshape(-1)
     chain = SCRATCH.take("gelu", (min(GELU_BLOCK, z.size),), z.dtype)
-    for start in range(0, z.size, GELU_BLOCK):
-        block = flat_z[start:start + GELU_BLOCK]
-        t = _gelu_tanh(block, chain[:block.size])
-        t += 1.0
-        y = np.multiply(t, block, out=flat_out[start:start + GELU_BLOCK])
-        y *= 0.5
+    with np.errstate(over="ignore"):
+        for start in range(0, z.size, GELU_BLOCK):
+            block = flat_z[start:start + GELU_BLOCK]
+            np.divide(block, _gelu_denominator(block, chain[:block.size]),
+                      out=flat_out[start:start + GELU_BLOCK])
     return out, None
 
 
-def gelu_vjp(grad: np.ndarray, z: np.ndarray, t: np.ndarray,
+def gelu_vjp(grad: np.ndarray, z: np.ndarray, s: np.ndarray,
              take: Callable = fresh) -> np.ndarray:
-    """``grad * gelu'(z)`` from the pre-activation and the saved tanh.
+    """``grad * gelu'(z)`` from the pre-activation and the saved sigmoid.
 
-    ``d/dz gelu(z) = 0.5 * (1 + t + z * (1 - t^2) * dinner)``, chained in
-    place through the ``take`` buffer it returns, ``dinner``
+    ``d/dz gelu(z) = s + s (1 - s) z (2c + 6 c 0.044715 z^2)``, chained in
+    place through the ``take`` buffer it returns, the polynomial
     :data:`GELU_BLOCK` elements at a time through pooled scratch;
-    ``grad``, ``z`` and ``t`` are only read.
+    ``grad``, ``z`` and ``s`` are only read.  ``z^2`` is capped at
+    ``_GELU_FLAT ** 2``, where ``s (1 - s)`` is already exactly 0, so a
+    huge ``z`` (whose square overflows) has slope 0 or 1, not NaN.
     """
-    dact = np.multiply(t, t, out=take("gelu.dact", t.shape, t.dtype))
-    np.subtract(1.0, dact, out=dact)
+    dact = np.subtract(1.0, s, out=take("gelu.dact", s.shape, s.dtype))
+    dact *= s
+    dact *= z
     flat_z, flat_dact = z.reshape(-1), dact.reshape(-1)
     chain = SCRATCH.take("gelu", (min(GELU_BLOCK, z.size),), z.dtype)
-    for start in range(0, z.size, GELU_BLOCK):
-        block = flat_z[start:start + GELU_BLOCK]
-        dinner = np.multiply(block, block, out=chain[:block.size])
-        dinner *= 3 * 0.044715
-        dinner += 1.0
-        dinner *= _GELU_C
-        flat_dact[start:start + GELU_BLOCK] *= dinner
-    dact *= z
-    dact += t
-    dact += 1.0
-    dact *= 0.5
+    with np.errstate(over="ignore"):
+        for start in range(0, z.size, GELU_BLOCK):
+            block = flat_z[start:start + GELU_BLOCK]
+            poly = np.multiply(block, block, out=chain[:block.size])
+            np.minimum(poly, _GELU_FLAT * _GELU_FLAT, out=poly)
+            poly *= 6 * _GELU_C * 0.044715
+            poly += 2 * _GELU_C
+            flat_dact[start:start + GELU_BLOCK] *= poly
+    dact += s
     dact *= grad
     return dact
 
@@ -310,10 +354,11 @@ def residual_layer_norm_forward(
     ``out`` is a C-contiguous array of the result's shape and dtype
     aliasing neither operand, and comes back with the bytes of the
     allocating call; without a context the sum is formed and normalized
-    in it (with one, the normalized sum is a ``take`` buffer).  The
-    squares go through pooled scratch.  The means are
-    ``np.mean``'s arithmetic, unwrapped (float16, which it would
-    accumulate in float32, is refused).
+    in it (with one, the normalized sum is a ``take`` buffer).  The mean
+    is ``np.mean``'s arithmetic, unwrapped (float16, which it would
+    accumulate in float32, is refused); the variance is one ``np.vecdot``
+    of each centred row with itself, over ``n``: no squares buffer, no
+    second reduction.
     """
     if x.shape != sub.shape:
         raise ValueError(f"residual shapes differ: {x.shape} vs {sub.shape}")
@@ -327,8 +372,8 @@ def residual_layer_norm_forward(
     count = np.intp(h.shape[-1])
     mu = np.add.reduce(h, axis=-1, keepdims=True)
     h -= np.true_divide(mu, count, out=mu, casting="unsafe")
-    squares = SCRATCH.take("layer_norm", h.shape, h.dtype)
-    var = np.add.reduce(np.square(h, out=squares), axis=-1, keepdims=True)
+    var = mu  # spent: it takes the variance
+    np.vecdot(h, h, out=var[..., 0])
     np.true_divide(var, count, out=var, casting="unsafe")
     var += eps
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)

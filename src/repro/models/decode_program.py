@@ -166,12 +166,12 @@ class DecodeProgram(InferenceProgram):
             if s_new == 1:
                 context = attention_decode(
                     q[:, 0], k_all, v_all, lengths=lengths, scale=scale)
-            else:
-                context, _ = attention_forward(
+            else:  # written with its heads merged, for out_proj
+                context = np.empty(q.shape, q.dtype)
+                attention_forward(
                     q.transpose(0, 2, 1, 3), k_all, v_all, causal=True,
                     q_start=lengths + (s_new - width), scale=scale,
-                    need_ctx=False)
-                context = context.transpose(0, 2, 1, 3)
+                    need_ctx=False, out=context.transpose(0, 2, 1, 3))
             attended = out_proj(context.reshape(batch, width, n_heads * d_head))
             x, _ = residual_layer_norm_forward(
                 x_q, attended, gamma1, beta1, eps=eps1, need_ctx=False)

@@ -7,7 +7,7 @@ the fused kernels on, ``encode`` / ``forward`` run
 
     embedding gather + positions -> per block { Fourier mixing, or
     Q/K/V projections with heads as strided views ->
-    ``attention_forward`` -> heads merged -> output projection;
+    ``attention_forward``, writing the heads merged -> output projection;
     ``residual_layer_norm_forward``; FFN with bias + GELU in the first
     projection's buffer; ``residual_layer_norm_forward`` } -> head norm
     -> pooling
@@ -217,19 +217,17 @@ class EncodeProgram(_Layout):
         heads = (batch, seq, n_heads, d_head)
         # The FFN's wide buffer is idle during attention: the three
         # projections and the context take a quarter each (r_ffn = 4 is
-        # an exact fit).  Heads are strided views of a projection's output.
+        # an exact fit).  Heads are strided views of a projection's
+        # output, and the context is written with its heads merged.
         wide = take("wide", (4,) + hidden, dtype)
         q, k, v = (
             proj(x, part).reshape(heads).transpose(0, 2, 1, 3)
             for proj, part in zip((q_proj, k_proj, v_proj), wide)
         )
-        context, _ = attention_forward(
+        merged = wide[3].reshape(heads)
+        attention_forward(
             q, k, v, key_mask=mask, scale=1.0 / math.sqrt(d_head),
-            need_ctx=False,
-            out=wide[3].reshape(batch, n_heads, seq, d_head))
-        # The queries are spent: their quarter takes the merged heads.
-        merged = wide[0].reshape(heads)
-        np.copyto(merged, context.transpose(0, 2, 1, 3))
+            need_ctx=False, out=merged.transpose(0, 2, 1, 3))
         return out_proj(merged.reshape(hidden), take("sub", hidden, dtype))
 
 
@@ -256,16 +254,16 @@ def _project(layer, x: np.ndarray, take, gelu: bool = False):
             y += bias  # no context keeps the ladder's output
     if not gelu:
         return y, (ctx, None, None, take)
-    act, t = gelu_forward(y, take=take)
-    return act, (ctx, y, t, take)
+    act, s = gelu_forward(y, take=take)
+    return act, (ctx, y, s, take)
 
 
 def _project_vjp(layer, grad: np.ndarray, ctx) -> np.ndarray:
     """The input's gradient of :func:`_project`; the layer's parameters
     accumulate theirs."""
-    ctx, z, t, take = ctx
+    ctx, z, s, take = ctx
     if z is not None:
-        grad = gelu_vjp(grad, z, t, take)
+        grad = gelu_vjp(grad, z, s, take)
     if isinstance(layer, nn.Linear):
         gx, *grads = linear_act_vjp(grad, ctx)
         params = [layer.weight, layer.bias]
@@ -434,12 +432,11 @@ class TrainProgram(_Layout):
         (q, qc), (k, kc), (v, vc) = (
             _project(layer, x, take(i, name))
             for layer, name in ((q_proj, "q"), (k_proj, "k"), (v_proj, "v")))
-        context, ac = attention_forward(
+        merged = take(i)("merged", heads, x.dtype)
+        _, ac = attention_forward(
             *(a.reshape(heads).transpose(0, 2, 1, 3) for a in (q, k, v)),
             causal=attention.causal, key_mask=mask, scale=1.0 / math.sqrt(d_head),
-            take=take(i))
-        merged = take(i)("merged", heads, x.dtype)
-        np.copyto(merged, context.transpose(0, 2, 1, 3))
+            out=merged.transpose(0, 2, 1, 3), take=take(i))
         out, oc = _project(out_proj, merged.reshape(x.shape), take(i, "o"))
         return out, (qc, kc, vc, ac, oc, take(i))
 

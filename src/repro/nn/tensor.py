@@ -25,7 +25,6 @@ from .. import kernels as _kernels
 from ..kernels.dtype import default_dtype as default_dtype
 from ..kernels.dtype import get_default_dtype
 from ..kernels.dtype import set_default_dtype as set_default_dtype
-from ..kernels.pool import SCRATCH as _SCRATCH
 from ..kernels.pool import check_out as _check_out
 from ..kernels.pool import fresh as _fresh
 
@@ -455,13 +454,13 @@ def tanh(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT): the
-    in-place chain of :func:`repro.kernels.gelu_forward`, the one the
-    programs run."""
+    in-place ``exp2`` chain of :func:`repro.kernels.gelu_forward`, the one
+    the programs run; a recorded node keeps its sigmoid for the VJP."""
     x = a.data
-    data, t = _kernels.gelu_forward(x, need_ctx=_should_record((a,)))
+    data, s = _kernels.gelu_forward(x, need_ctx=_should_record((a,)))
 
     def backward(grad: np.ndarray):
-        return (_kernels.gelu_vjp(grad, x, t),)
+        return (_kernels.gelu_vjp(grad, x, s),)
 
     return _make_result(data, (a,), backward)
 
@@ -697,12 +696,13 @@ def layer_norm_forward(
     inference programs so both produce the same bytes.
 
     ``out`` is a C-contiguous array of ``a``'s shape and dtype that does
-    not alias ``a``: the same arithmetic runs in it (the variance's
-    squares through pooled scratch), it comes back with the bytes of the
-    allocating call, and ``normed`` / ``inv`` — what a VJP would need —
-    are ``None``.  Without it the arrays returned are ``take`` buffers.
-    The mean is ``np.mean``'s arithmetic, unwrapped (float16, which it
-    would accumulate in float32, is refused).
+    not alias ``a``: the same arithmetic runs in it, it comes back with
+    the bytes of the allocating call, and ``normed`` / ``inv`` — what a
+    VJP would need — are ``None``.  Without it the arrays returned are
+    ``take`` buffers.  The mean is ``np.mean``'s arithmetic, unwrapped
+    (float16, which it would accumulate in float32, is refused); the
+    variance is one ``np.vecdot`` of each centred row with itself, over
+    ``n``.
     """
     if a.dtype == np.float16:
         raise TypeError("layer norm of a float16 input: cast it to float32")
@@ -713,11 +713,9 @@ def layer_norm_forward(
     else:
         _check_out(out, a.shape, a.dtype, a)
         normed = out
-    squares = _SCRATCH.take("layer_norm", a.shape, a.dtype)
     np.subtract(a, mu, out=normed)
-    # ndarray.var, spelled out: sum((a - mean)^2) / n.
-    var = np.add.reduce(np.multiply(normed, normed, out=squares), axis=-1,
-                        keepdims=True)
+    var = mu  # spent: it takes sum((a - mean)^2) / n
+    np.vecdot(normed, normed, out=var[..., 0])
     var /= a.shape[-1]
     var += eps
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)

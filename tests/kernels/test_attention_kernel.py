@@ -471,6 +471,66 @@ class TestUnshiftedCheck:
                                        atol=1e-12 * max(1.0, np.abs(q[..., -1]).max()))
 
 
+def _peaked_rows(peaks, dtype):
+    """One query row per peak over two keys, scores ``(peak, peak - 40)``
+    exactly (quarters, ``scale`` 1/2), values small enough that a PV
+    block under the overflow edge cannot overflow its sum."""
+    peaks = np.round(np.asarray(peaks) * 4) / 4
+    b = len(peaks)
+    q = np.stack([2 * peaks, np.full(b, -80.0)], axis=-1)[:, None, None, :]
+    k = np.broadcast_to([[1.0, 0.0], [1.0, 1.0]], (b, 1, 2, 2))
+    v = np.broadcast_to([[0.125, 0.0], [-0.125, 0.0]], (b, 1, 2, 2))
+    return peaks, [np.ascontiguousarray(a, dtype=dtype) for a in (q, k, v)]
+
+
+class TestExp2Thresholds:
+    """float32 exponentiates ``exp2(s * log2 e)`` (``softmax_exp``): rows
+    at the edges of :func:`_unshifted_is_exact` take exactly the
+    recompute that natural-log thresholds predict."""
+
+    def test_softmax_exp_is_read_off_the_dtype(self):
+        assert AK.softmax_exp(np.float32) == (np.exp2, K.dtype.LOG2E)
+        assert AK.softmax_exp(np.float64) == (np.exp, 1.0)
+        assert np.exp2(np.float64(K.dtype.LOG2E)) == np.float64(np.e)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_take_the_predicted_recompute(self, dtype):
+        info = np.finfo(dtype)
+        top, floor = np.log(info.max), np.log(info.tiny / info.eps)
+        # Outside _must_fall_back's one-unit margins, and tight around
+        # the edges themselves: overflow past log(max), a denominator
+        # under the floor 2 * tiny / eps (two keys) below log(2 tiny/eps).
+        for peaks, fails in (
+            ((top + 1.5, top - 1.5, floor + 1.5, floor - 1.5), None),
+            ((top + 0.25, top - 0.25), lambda p: p > top),
+            ((floor + np.log(2) + 0.25, floor + np.log(2) - 0.25),
+             lambda p: p < floor + np.log(2)),
+        ):
+            peaks, (q, k, v) = _peaked_rows(peaks, dtype)
+            kwargs = dict(scale=0.5)
+            for row, peak in enumerate(peaks):
+                one = slice(row, row + 1)
+                with _fallbacks() as failed:
+                    solo, ctx = AK.attention_forward(q[one], k[one], v[one], **kwargs)
+                scores = _scores(q[one], k[one], ctx)
+                assert scores.max() == peak
+                predicted = _must_fall_back(scores) if fails is None else fails(peak)
+                assert failed[0] == predicted, (dtype, peak)
+            with _fallbacks():
+                out, ctx = AK.attention_forward(q, k, v, **kwargs)
+            scores = _scores(q, k, ctx)
+            ref = AK.attention_reference(q, k, v, **kwargs)
+            atol = 1e-12 if dtype == np.float64 else 1e-5
+            np.testing.assert_allclose(out, ref, atol=atol)
+            np.testing.assert_allclose(
+                ctx.lse, np.logaddexp.reduce(scores, axis=-1), rtol=atol, atol=0)
+            for row in range(len(peaks)):  # the batch is one tile
+                one = slice(row, row + 1)
+                solo, solo_ctx = AK.attention_forward(q[one], k[one], v[one], **kwargs)
+                assert out[one].tobytes() == solo.tobytes()
+                assert ctx.lse[one].tobytes() == solo_ctx.lse.tobytes()
+
+
 class TestBiasCache:
     def test_causal_bias_cached_by_geometry_and_dtype(self):
         a = K.causal_bias(8, 8, np.float64)

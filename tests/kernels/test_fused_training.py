@@ -137,6 +137,32 @@ class TestGelu:
         assert out.data.tobytes() == K.gelu_forward(z, False)[0].tobytes()
         assert node.grad.tobytes() == gz.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_huge_pre_activations_saturate_without_warnings(self, dtype):
+        """GELU of a large finite ``z`` is ``-0`` or ``z`` and its slope 0
+        or 1, on every path: the exponent overflows ``exp2`` by design
+        (below ``z ~ -10.7`` in float32) and ``z * z`` overflows past
+        ``sqrt(max)``, neither may warn, and an exact-zero ``s (1 - s)``
+        never meets an infinite polynomial (the slope was NaN)."""
+        big = np.finfo(dtype).max / 4
+        z = np.array([1e20, -1e20, big, -big, 30.0, -30.0], dtype=dtype)
+        positive = z > 0
+        want = np.where(positive, z, dtype(-0.0))
+        blocked = np.empty_like(z)
+        node = Tensor(z.copy(), requires_grad=True, dtype=dtype)
+        out = F.gelu(node)
+        out.backward(np.ones_like(z))
+        with nn.no_grad():
+            plain = F.gelu(Tensor(z, dtype=dtype)).data
+        for y in (K.gelu_forward(z)[0], K.gelu_forward(z, False)[0],
+                  K.gelu_forward(z, False, out=blocked)[0], out.data, plain):
+            assert y.dtype == dtype
+            assert y.tobytes() == want.tobytes()  # -0, not +0
+        for slope in (K.gelu_vjp(np.ones_like(z), z, K.gelu_forward(z)[1]),
+                      node.grad):
+            np.testing.assert_array_equal(slope, positive.astype(dtype))
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_vjp_matches_finite_differences(self, dtype):
         rng = np.random.default_rng(6)

@@ -5,8 +5,12 @@ Every forward entry point the encoder's program uses takes an optional
 ``out=``.  One rule for all of them: ``out`` has the result's shape and
 dtype, is C-contiguous, aliases no input (``gelu_forward`` alone defines
 in place) and receives exactly the bytes the allocating call returns.
+``attention_forward`` also takes the heads-merged layout
+(:class:`TestAttentionMergedHeads`).
 """
 
+import os
+import sys
 import threading
 
 import numpy as np
@@ -177,6 +181,55 @@ class TestAContextInTheCallersBuffers:
         assert ladder.apply(x, out) is out
 
 
+class TestAttentionMergedHeads:
+    """``attention_forward``'s ``out`` may be the ``(0, 2, 1, 3)``
+    transpose of a C-contiguous ``(B, Lq, H, D)`` array: the layout the
+    output projection reads, so the programs merge no heads by copy."""
+
+    @staticmethod
+    def _operands(rng, dtype):
+        q, k, v = rng.normal(size=(3, 2, 3, 5, 4)).astype(dtype)
+        mask = np.arange(5)[None, :] < np.array([[5], [3]])
+        return q, k, v, mask
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("need_ctx", [False, True])
+    def test_merged_heads_receive_the_allocating_calls_bytes(
+            self, dtype, need_ctx, rng):
+        q, k, v, mask = self._operands(rng, dtype)
+        g = rng.normal(size=q.shape).astype(dtype)
+        want, want_ctx = kernels.attention_forward(
+            q, k, v, key_mask=mask, need_ctx=need_ctx)
+        merged = np.full((2, 5, 3, 4), np.nan, dtype)
+        got, ctx = kernels.attention_forward(
+            q, k, v, key_mask=mask, need_ctx=need_ctx,
+            out=merged.transpose(0, 2, 1, 3))
+        assert got.shape == want.shape and np.shares_memory(got, merged)
+        assert merged.tobytes() == want.transpose(0, 2, 1, 3).copy().tobytes()
+        if need_ctx:
+            for a, b in zip(kernels.attention_vjp(g, ctx),
+                            kernels.attention_vjp(g, want_ctx)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_views_it_cannot_own_are_refused(self, dtype, rng):
+        """A broadcast view, a view whose heads overlap each other, and
+        merged heads carved from an operand's memory."""
+        q, k, v, mask = self._operands(rng, dtype)
+        item = np.dtype(dtype).itemsize
+        base = np.zeros(2 * 5 * 3 * 4, dtype)
+        overlapping = np.lib.stride_tricks.as_strided(
+            base, (2, 5, 3, 4), (60 * item, 12 * item, 2 * item, item))
+        for bad in (
+            np.broadcast_to(np.zeros((1, 1, 3, 4), dtype), (2, 5, 3, 4)),
+            overlapping,
+            *(a.reshape(2, 5, 3, 4) for a in (q, k, v)),
+        ):
+            with pytest.raises(ValueError, match="out must"):
+                kernels.attention_forward(q, k, v, key_mask=mask, need_ctx=False,
+                                          out=bad.transpose(0, 2, 1, 3))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 class TestGeluInPlace:
     @pytest.mark.parametrize("size", [1, 7, GELU_BLOCK, GELU_BLOCK + 1,
@@ -252,6 +305,7 @@ class TestScratchPool:
         pool = ScratchPool()
         big = pool.take("a", (4, 8), np.float32)
         assert big.shape == (4, 8) and big.flags.c_contiguous
+        assert big.ctypes.data % 64 == 0  # a cache line
         small = pool.take("a", (3, 2), np.float32)
         assert np.shares_memory(small, big)  # a shorter request: same buffer
         again = pool.take("a", (4, 8), np.float32)
@@ -260,6 +314,25 @@ class TestScratchPool:
         assert not np.shares_memory(pool.take("a", (4, 8), np.float64), big)
         grown = pool.take("a", (5, 8), np.float32)
         assert grown.size == 40 and pool._tls.bytes == 40 * 4 + 32 * 4 + 32 * 8
+
+    def test_a_miss_enters_no_numpy_python_code(self):
+        # Misses happen inside training and decode steps, which enter no
+        # numpy Python wrapper (tests/models/test_decode_calls.py).
+        numpy_dir = os.path.dirname(np.__file__) + os.sep
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+                entered.append(frame.f_code.co_name)
+
+        pool = ScratchPool()
+        sys.setprofile(profile)
+        try:
+            pool.take("a", (4, 8), np.float32)
+            pool.take("a", (5, 8), np.float32)  # grows: a second miss
+        finally:
+            sys.setprofile(None)
+        assert entered == []
 
     def test_over_budget_requests_are_plain_allocations(self, monkeypatch):
         pool = ScratchPool()

@@ -3,10 +3,13 @@
 ``residual_layer_norm_forward``, ``layer_norm_forward`` and
 ``attention_decode`` reduce through ``np.add.reduce`` /
 ``np.maximum.reduce`` and divide by the ``np.intp`` count with
-``casting="unsafe"``.  The oracles below are the same kernels spelled
-with ``np.mean``, ``ndarray.max`` and ``ndarray.sum``; every output (and
-every array a VJP context keeps) must have their bytes, at float32 and
-float64, over the widths the models use and a few that fold badly.
+``casting="unsafe"``; the norms take the variance as one ``np.vecdot``
+of each centred row.  The oracles below are the same kernels spelled
+with ``np.mean``, ``ndarray.max``, ``ndarray.sum`` and ``np.vecdot``'s
+``keepdims``; every output (and every array a VJP context keeps) must
+have their bytes, at float32 and float64, over the widths the models use
+and a few that fold badly.  :class:`TestOnePassVariance` holds the
+vecdot variance to a few ulp of the two-pass ``np.mean`` formula.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def residual_layer_norm_oracle(x, sub, gamma, beta, eps):
     """``(y, normed, inv)`` of ``layer_norm(x + sub)``."""
     h = x + sub
     h -= h.mean(axis=-1, keepdims=True)
-    var = np.mean(np.square(h), axis=-1, keepdims=True)
+    var = np.vecdot(h, h, keepdims=True) / h.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
     h *= inv
     y = h * gamma
@@ -44,9 +47,10 @@ def residual_layer_norm_oracle(x, sub, gamma, beta, eps):
 
 
 def layer_norm_oracle(a, gamma, beta, eps):
-    """``(y, normed, inv)``: the variance is ``sum(d * d) / n``."""
+    """``(y, normed, inv)``: the variance is ``sum(d * d) / n``, the sum
+    one dot product per row."""
     normed = a - a.mean(axis=-1, keepdims=True)
-    var = (normed * normed).sum(axis=-1, keepdims=True)
+    var = np.vecdot(normed, normed, keepdims=True)
     var /= a.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
     normed *= inv
@@ -147,6 +151,34 @@ class TestLayerNorms:
             kernels.residual_layer_norm_forward(half, half, gamma, beta)
         with pytest.raises(TypeError, match="float16"):
             layer_norm_forward(half, gamma, beta)
+
+
+class TestOnePassVariance:
+    """The variance as one ``np.vecdot`` per centred row sums the squares
+    in BLAS's order, not ``np.mean``'s pairwise one: in float64 it stays
+    within :data:`VAR_ULP` ulp of the two-pass ``np.mean(np.square(d))``
+    (4 measured over these rows), and the norms' ``inv`` within
+    :data:`INV_ULP` (2 measured)."""
+
+    VAR_ULP = 8
+    INV_ULP = 4
+
+    @pytest.mark.parametrize("width", WIDTHS + [4096])
+    def test_within_a_few_ulp_of_the_two_pass_mean(self, width):
+        for seed in range(8):
+            a, sub = _rows((64,), width, np.float64, seed, 2)
+            ones, zeros = np.ones(width), np.zeros(width)
+            h = a + sub
+            h -= h.mean(axis=-1, keepdims=True)
+            two_pass = np.mean(np.square(h), axis=-1, keepdims=True)
+            one_pass = np.vecdot(h, h, keepdims=True) / width
+            assert (np.abs(one_pass - two_pass)
+                    <= self.VAR_ULP * np.spacing(two_pass)).all()
+            want = 1.0 / np.sqrt(two_pass + EPS)
+            _, ctx = kernels.residual_layer_norm_forward(a, sub, ones, zeros, eps=EPS)
+            _, _, inv = layer_norm_forward(a + sub, ones, zeros, EPS)
+            for got in (ctx.inv, inv):
+                assert (np.abs(got - want) <= self.INV_ULP * np.spacing(want)).all()
 
 
 @st.composite

@@ -51,6 +51,20 @@ class TestArithmeticGradients:
     def test_gelu(self, rng, gradcheck):
         gradcheck(F.gelu, rng.normal(size=(6,)))
 
+    def test_gelu_matches_the_tanh_formula_in_graph_ops(self, rng):
+        # nn.gelu's exp2 chain and sigmoid VJP against the tanh
+        # approximation it computes, recorded op by op through F.tanh.
+        x = rng.normal(size=(4, 8)) * 3
+        weights = rng.normal(size=x.shape)
+        a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        got = F.gelu(a)
+        c = float(np.sqrt(2.0 / np.pi))
+        formula = 0.5 * b * (1.0 + F.tanh(c * (b + 0.044715 * b * b * b)))
+        F.sum_(got * weights).backward()
+        F.sum_(formula * weights).backward()
+        np.testing.assert_allclose(got.data, formula.data, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=1e-14)
+
 
 class TestMatmulGradients:
     def test_2d(self, rng, gradcheck):

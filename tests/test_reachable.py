@@ -47,6 +47,10 @@ ALLOWED = {
     "AdaptableButterflyUnit.fft_op": "oracle: one FFT pair-op, which "
                                      "test_properties replays every engine "
                                      "tile through",
+    "tanh": "oracle: the graph's tanh op, through which test_autograd "
+            "spells the tanh-approximation GELU that nn.gelu's exp2 chain "
+            "must match",
+    "Tensor.tanh": "oracle: the method form of that tanh op",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
