@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..hardware.perf import WorkloadSpec
-
-
-def _next_power_of_two(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+from ..kernels.layout import next_power_of_two
 
 
 def _log2(n: int) -> float:
@@ -36,7 +30,7 @@ def dense_linear_flops(rows: int, d_in: int, d_out: int) -> float:
 
 
 def butterfly_linear_flops(rows: int, d_in: int, d_out: int) -> float:
-    n = _next_power_of_two(max(d_in, d_out))
+    n = next_power_of_two(max(d_in, d_out))
     return 6.0 * rows * (n / 2) * _log2(n)
 
 
@@ -47,8 +41,8 @@ def attention_core_flops(seq: int, d_hidden: int) -> float:
 
 def fft2_mixing_flops(seq: int, d_hidden: int) -> float:
     """2D FFT over a (seq, d) tile, 10 real FLOPs per complex butterfly."""
-    d = _next_power_of_two(d_hidden)
-    s = _next_power_of_two(seq)
+    d = next_power_of_two(d_hidden)
+    s = next_power_of_two(seq)
     return 10.0 * (seq * (d / 2) * _log2(d) + d_hidden * (s / 2) * _log2(s))
 
 
@@ -127,7 +121,7 @@ def dense_linear_params(d_in: int, d_out: int) -> int:
 
 
 def butterfly_linear_params(d_in: int, d_out: int) -> int:
-    n = _next_power_of_two(max(d_in, d_out))
+    n = next_power_of_two(max(d_in, d_out))
     return int(2 * n * _log2(n)) + d_out
 
 

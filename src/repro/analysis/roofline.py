@@ -16,13 +16,7 @@ from typing import List
 
 from ..hardware.config import BYTES_PER_VALUE, AcceleratorConfig
 from ..hardware.perf import WorkloadSpec
-
-
-def _next_power_of_two(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+from ..kernels.layout import next_power_of_two
 
 
 @dataclass(frozen=True)
@@ -42,7 +36,7 @@ class LayerIntensity:
 def butterfly_layer_intensity(rows: int, d_in: int, d_out: int,
                               name: str = "bfly") -> LayerIntensity:
     """Intensity of a butterfly linear layer (weights + activations)."""
-    n = _next_power_of_two(max(d_in, d_out))
+    n = next_power_of_two(max(d_in, d_out))
     stages = int(math.log2(n))
     pair_ops = rows * stages * (n // 2)
     traffic = (
@@ -53,8 +47,8 @@ def butterfly_layer_intensity(rows: int, d_in: int, d_out: int,
 
 def fft2_layer_intensity(rows: int, cols: int, name: str = "fft") -> LayerIntensity:
     """Intensity of a 2D FFT tile (complex intermediates spill off-chip)."""
-    c = _next_power_of_two(cols)
-    r = _next_power_of_two(rows)
+    c = next_power_of_two(cols)
+    r = next_power_of_two(rows)
     pair_ops = rows * int(math.log2(c)) * (c // 2) + cols * int(math.log2(r)) * (r // 2)
     real_tile = rows * cols * BYTES_PER_VALUE
     traffic = real_tile * 2 + 2 * real_tile * 2  # in/out + complex spill
@@ -66,7 +60,7 @@ def workload_intensities(spec: WorkloadSpec) -> List[LayerIntensity]:
     out: List[LayerIntensity] = []
     r, d = spec.seq_len, spec.d_hidden
     for i in range(spec.n_fbfly):
-        out.append(fft2_layer_intensity(r, _next_power_of_two(d), f"fft:block{i}"))
+        out.append(fft2_layer_intensity(r, next_power_of_two(d), f"fft:block{i}"))
         out.append(butterfly_layer_intensity(r, d, spec.d_ffn, f"bfly:block{i}.ffn1"))
         out.append(butterfly_layer_intensity(r, spec.d_ffn, d, f"bfly:block{i}.ffn2"))
     for i in range(spec.n_fbfly, spec.n_total):

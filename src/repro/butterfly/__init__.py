@@ -9,11 +9,8 @@ from .approx import (
 from .factor import ButterflyFactor, num_stages, pair_indices, stage_halves
 from .fft import (
     bit_reversal_permutation,
-    fft,
-    fft2,
     fft_butterfly,
     fft_stage_factor,
-    fourier_mix,
 )
 from .matrix import ButterflyMatrix, butterfly_flops
 
@@ -26,11 +23,8 @@ __all__ = [
     "fit_butterfly",
     "bit_reversal_permutation",
     "butterfly_flops",
-    "fft",
-    "fft2",
     "fft_butterfly",
     "fft_stage_factor",
-    "fourier_mix",
     "num_stages",
     "pair_indices",
     "stage_halves",

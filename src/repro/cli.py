@@ -146,7 +146,8 @@ def _add_generate_parser(subparsers) -> None:
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
-                   help="decode through an int8 stored-weight replica of the model")
+                   help="decode through a replica whose dense weights are "
+                        "stored as int8")
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -165,8 +166,8 @@ def _add_serve_parser(subparsers) -> None:
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quantize", default=None, choices=QUANT_MODES,
-                   help="serve an int8 stored-weight replica "
-                        "(dequant-on-the-fly kernels)")
+                   help="serve a replica whose dense weights are stored as "
+                        "int8 (dequant-on-the-fly kernels)")
     # untrained-model shape knobs (ignored when --checkpoint is given)
     p.add_argument("--d-hidden", type=int, default=32)
     p.add_argument("--n-total", type=int, default=2)
@@ -562,11 +563,12 @@ def cmd_serve(args) -> int:
         return 0
     if args.http_self_test:
         return _serve_http_self_test(args, engine, model)
-    if args.quantize and hasattr(engine.model, "quantization_report"):
-        report = engine.model.quantization_report
-        print(f"serving {report.mode} replica: {report.layers_quantized} dense + "
-              f"{report.butterfly_layers_quantized} butterfly layers quantized, "
-              f"weight memory x{report.memory_ratio:.2f}")
+    if engine.model is not model:  # a ServingEngine's stored replica
+        from .nn import weight_memory_bytes
+
+        ratio = weight_memory_bytes(engine.model) / weight_memory_bytes(model)
+        print(f"serving {args.quantize} replica: dense layers stored, "
+              f"butterfly ladders fp, weight memory x{ratio:.2f}")
     _submit_workload(args, engine, model.config.vocab_size,
                      model.config.max_len)
     results = engine.drain(timeout_s=600.0)

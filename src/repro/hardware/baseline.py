@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..kernels.layout import next_power_of_two
 from .config import BYTES_PER_VALUE
-from .perf import LatencyReport, LayerLatency, WorkloadSpec, _next_power_of_two
+from .perf import LatencyReport, LayerLatency, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class BaselineAccelerator:
         r, d = spec.seq_len, spec.d_hidden
         layers: List[LayerLatency] = []
         if fourier:
-            layers.append(self.dft_mixing(r, _next_power_of_two(d), name=f"dft:block{index}"))
+            layers.append(self.dft_mixing(r, next_power_of_two(d), name=f"dft:block{index}"))
         else:
             for proj in ("q", "k", "v"):
                 layers.append(self.dense_linear(r, d, d, name=f"dense:block{index}.{proj}"))

@@ -165,8 +165,7 @@ class ButterflyAccelerator:
         h = self.postp.layer_norm(
             h, model.head_norm.gamma.data, model.head_norm.beta.data
         )
-        pooled = h[:, 0] if model.config.pooling == "cls" else h.mean(axis=1)
-        return pooled @ model.head.weight.data.T + model.head.bias.data
+        return h.mean(axis=1) @ model.head.weight.data.T + model.head.bias.data
 
     def run_encoder(self, model: EncoderClassifier, tokens: np.ndarray) -> np.ndarray:
         """Full forward pass; returns logits identical to ``model(tokens)``."""

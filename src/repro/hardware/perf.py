@@ -39,17 +39,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal
 
+from ..kernels.layout import next_power_of_two
 from .config import BYTES_PER_VALUE, AcceleratorConfig
 from .isa import Opcode, compile_spec
 
 OverlapStrategy = Literal["naive", "butterfly", "fft"]
-
-
-def _next_power_of_two(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 def _log2i(n: int) -> int:
@@ -186,7 +180,7 @@ class ButterflyPerformanceModel:
         self, rows: int, in_features: int, out_features: int, name: str = "bfly"
     ) -> LayerLatency:
         """Butterfly linear transform of ``rows`` vectors on the BP."""
-        n = _next_power_of_two(max(in_features, out_features))
+        n = next_power_of_two(max(in_features, out_features))
         pair_ops = rows * _log2i(n) * (n // 2)
         compute = pair_ops / (self.config.pbe * self.config.pbu)
         bytes_in = rows * in_features * BYTES_PER_VALUE
@@ -276,7 +270,7 @@ class ButterflyPerformanceModel:
             elif op is Opcode.ADD_NORM:
                 layer = self.postprocess(r, d, name=f"postp:block{b}.{operand}")
             elif op is Opcode.EXEC_FFT2:
-                layer = self.fft2(r, _next_power_of_two(d), name=f"fft:block{b}")
+                layer = self.fft2(r, next_power_of_two(d), name=f"fft:block{b}")
             elif op is Opcode.EXEC_ATTN:
                 layer = self.attention_core(r, d, spec.n_heads, name=f"attn:block{b}")
                 if self.fine_grained_pipeline:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .perf import WorkloadSpec, _next_power_of_two
+from ..kernels.layout import next_power_of_two
+from .perf import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def fabnet_time_s(platform: Platform, spec: WorkloadSpec, batch: int = 1) -> flo
 
     r, d = spec.seq_len, spec.d_hidden
     rows = batch * r
-    n_ffn = _next_power_of_two(spec.d_ffn)
+    n_ffn = next_power_of_two(spec.d_ffn)
     total = 0.0
     log2 = math.log2
     for i in range(spec.n_total):

@@ -106,6 +106,14 @@ def load_model(path: Union[str, Path]) -> Module:
     # changed numerics, and ``dropout`` drew only while training.
     for retired in ("backend", "dropout"):
         config_dict.pop(retired, None)
+    # ``pooling`` chose mean or first-token (CLS) pooling; mean is the one
+    # left, and a CLS-trained head read through mean pooling would give
+    # other logits without a word.
+    pooling = config_dict.pop("pooling", "mean")
+    if pooling != "mean":
+        raise ValueError(
+            f"{path}: checkpoint config has pooling={pooling!r}; only mean "
+            "pooling is supported")
     model = builder(ModelConfig(**config_dict))
     model.load_state_dict(state)
     return model

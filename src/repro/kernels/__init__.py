@@ -6,8 +6,9 @@ unification the paper achieves in hardware, where one adaptable
 Butterfly Engine executes both trainable butterfly linears and FFT
 stages.  Consumers:
 
-* :mod:`repro.butterfly` (``ButterflyFactor`` / ``ButterflyMatrix`` /
-  ``fft``) delegate their apply and materialize paths here;
+* :mod:`repro.butterfly` (``ButterflyFactor`` / ``ButterflyMatrix`` and
+  the FFT twiddle factors) delegate their apply and materialize paths
+  here;
 * :mod:`repro.nn` registers :func:`butterfly_apply` as a single autograd
   op (one graph node for the whole ``log2 n``-stage ladder);
 * :mod:`repro.hardware.functional` keeps its access-accurate banked
@@ -60,12 +61,12 @@ the per-thread, grow-only, capped :class:`ScratchPool`
 (:mod:`repro.kernels.pool`).
 
 Stored-weight inference lives in :mod:`repro.kernels.quant`: per-channel
-symmetric int8 quantization (:func:`quantize_per_channel`, optional
-MSE calibration), the dequant-on-the-fly GEMM over codes packed once
-into the blocks it reads (:func:`pack_weight`, :class:`PackedWeight`,
-:func:`quantized_linear`) and the stored butterfly ladder apply
-(:func:`quantized_butterfly_apply`), both over int8 codes with fp32
-scales — the one quantizer.
+symmetric absmax int8 quantization of dense weights
+(:func:`quantize_per_channel`) and the one dequant-on-the-fly GEMM over
+codes packed once into the blocks it reads (:func:`pack_weight`,
+:class:`PackedWeight`, :func:`quantized_linear`).  Butterfly ladders are
+not stored narrow: their stage coefficients are already small, and a
+stored model runs them through their :class:`FrozenLadder`.
 """
 
 from __future__ import annotations
@@ -89,17 +90,13 @@ from .attention import (
     padding_bias,
 )
 from .dtype import (
-    STORAGE_DTYPES,
-    compute_dtype,
     default_dtype,
     get_default_dtype,
     mask_fill_value,
     set_default_dtype,
 )
 from .fft import (
-    fft_forward,
     fft_stage_coeffs,
-    fft_stage_forward,
     fft_twiddles,
 )
 from .fused import (
@@ -147,19 +144,11 @@ from .layout import (
 )
 from .pool import ScratchPool, fresh
 from .quant import (
-    CALIBRATION_GRID,
     QMAX,
     SCRATCH_TARGET_BYTES,
     PackedWeight,
-    absmax_scales,
-    calibrate_scales,
-    dequantize,
-    dequantize_butterfly_stages,
     pack_weight,
-    quantization_rmse,
-    quantize_butterfly_stages,
     quantize_per_channel,
-    quantized_butterfly_apply,
     quantized_linear,
     quantized_linear_reference,
 )
@@ -321,14 +310,12 @@ def butterfly_apply_reference(
 
 __all__ = [
     "ACTIVATIONS",
-    "CALIBRATION_GRID",
     "DEFAULT_BLOCK",
     "MAX_GROUP",
     "MIN_STAGES",
     "MIN_WORK",
     "QMAX",
     "SCRATCH_TARGET_BYTES",
-    "STORAGE_DTYPES",
     "AttentionContext",
     "CrossEntropyContext",
     "FrozenLadder",
@@ -339,7 +326,6 @@ __all__ = [
     "PackedWeight",
     "ResidualLNContext",
     "ScratchPool",
-    "absmax_scales",
     "attention_decode",
     "attention_forward",
     "attention_reference",
@@ -353,19 +339,13 @@ __all__ = [
     "butterfly_apply_reference",
     "butterfly_apply_vjp",
     "cached_transpose",
-    "calibrate_scales",
     "check_power_of_two",
     "check_stage",
-    "compute_dtype",
     "cross_entropy_logits_forward",
     "cross_entropy_logits_vjp",
     "default_dtype",
-    "dequantize",
-    "dequantize_butterfly_stages",
     "embedding_grad",
-    "fft_forward",
     "fft_stage_coeffs",
-    "fft_stage_forward",
     "fft_twiddles",
     "fourier_mix",
     "fused_enabled",
@@ -381,10 +361,7 @@ __all__ = [
     "pack_weight",
     "pair_index_of",
     "pair_indices",
-    "quantization_rmse",
-    "quantize_butterfly_stages",
     "quantize_per_channel",
-    "quantized_butterfly_apply",
     "quantized_linear",
     "quantized_linear_reference",
     "residual_layer_norm_forward",

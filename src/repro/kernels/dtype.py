@@ -31,12 +31,6 @@ DtypeLike = Union[str, type, np.dtype]
 
 _ALLOWED = (np.float32, np.float64)
 
-#: Dtypes an activation may be *stored* in.  float16 is a storage tier
-#: only (the paper's 16-bit buffers): NumPy has no BLAS half kernels, so
-#: fp16 operands are streamed through fp32 compute blocks (see
-#: :func:`compute_dtype` and :func:`repro.kernels.quant.quantized_linear`).
-STORAGE_DTYPES = (np.float16, np.float32, np.float64)
-
 _default_dtype: np.dtype = np.dtype(np.float64)
 
 
@@ -70,26 +64,6 @@ def default_dtype(dtype: DtypeLike) -> Iterator[np.dtype]:
         yield get_default_dtype()
     finally:
         set_default_dtype(previous)
-
-
-def compute_dtype(storage: DtypeLike) -> np.dtype:
-    """The arithmetic dtype for operands *stored* in ``storage``.
-
-    Promotion rules of the storage tiers: ``float16`` promotes to
-    ``float32`` (no BLAS half kernels — fp16 is a memory format, the
-    compute runs one tier wider, exactly like the accelerator's wide
-    accumulators over narrow buffers); ``float32``/``float64`` compute
-    in themselves.  Anything else is rejected.
-    """
-    dt = np.dtype(storage)
-    if dt == np.dtype(np.float16):
-        return np.dtype(np.float32)
-    if dt in [np.dtype(a) for a in _ALLOWED]:
-        return dt
-    raise ValueError(
-        f"storage dtype must be one of {[np.dtype(d).name for d in STORAGE_DTYPES]}, "
-        f"got {dt}"
-    )
 
 
 def mask_fill_value(dtype: DtypeLike) -> float:

@@ -4,19 +4,16 @@ The radix-2 decimation-in-time FFT is the butterfly product whose 2x2
 pair blocks are ``[[1, w], [1, -w]]`` with twiddle ``w = exp(-2 pi i j /
 (2 half))`` for pair position ``j`` — the reason the paper's adaptable
 Butterfly Unit can execute either workload on the same four multipliers
-(Fig. 7c).  This module provides the vectorized twiddle construction
-(used by :mod:`repro.butterfly.fft` to build coefficient arrays for the
-hardware model) and a specialized stage apply that exploits the
-``(1, w, 1, -w)`` structure: one complex multiply and two complex adds
-per pair instead of the four general multiplies, applied across all
-pairs with broadcasting — no Python loop over pairs or blocks.
+(Fig. 7c).  This module provides the vectorized twiddle construction, used by
+:mod:`repro.butterfly.fft` to build coefficient arrays for the hardware
+model — no Python loop over pairs or blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layout import bit_reversal_permutation, check_stage, stage_halves
+from .layout import check_stage
 
 
 def fft_twiddles(half: int) -> np.ndarray:
@@ -45,41 +42,3 @@ def fft_stage_coeffs(n: int, half: int) -> np.ndarray:
     coeffs[2] = 1.0
     coeffs[3] = -w
     return coeffs
-
-
-def fft_stage_forward(x: np.ndarray, half: int) -> np.ndarray:
-    """Apply one FFT twiddle stage to the last axis of ``x``.
-
-    Specialization of :func:`repro.kernels.stage.stage_forward` for
-    ``(1, w, 1, -w)`` blocks: ``y_top = x_top + w * x_bot`` and
-    ``y_bot = x_top - w * x_bot``.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    check_stage(n, half)
-    nblocks = n // (2 * half)
-    lead = x.shape[:-1]
-    xr = x.reshape(*lead, nblocks, 2, half)
-    t = fft_twiddles(half) * xr[..., 1, :]
-    out = np.empty((*lead, nblocks, 2, half), dtype=t.dtype)
-    np.add(xr[..., 0, :], t, out=out[..., 0, :])
-    np.subtract(xr[..., 0, :], t, out=out[..., 1, :])
-    return out.reshape(*lead, n)
-
-
-def fft_forward(x: np.ndarray) -> np.ndarray:
-    """Radix-2 FFT along the last axis via the butterfly factorization.
-
-    Bit-reverses the input, then applies the ``log2 n`` twiddle stages
-    with :func:`fft_stage_forward`.  Matches ``numpy.fft.fft`` up to
-    floating-point rounding while keeping an operation count the
-    hardware model can account for exactly.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n == 1:
-        return x.astype(np.result_type(x.dtype, np.complex128))
-    out = x[..., bit_reversal_permutation(n)]
-    for half in stage_halves(n):
-        out = fft_stage_forward(out, half)
-    return out

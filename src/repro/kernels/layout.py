@@ -33,6 +33,17 @@ def check_power_of_two(n: int) -> None:
         raise ValueError(f"butterfly size must be a power of two >= 2, got {n}")
 
 
+def next_power_of_two(n: int) -> int:
+    """The smallest power of two ``>= n`` (``n >= 1``): the butterfly
+    size that covers a dimension of ``n``."""
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
+    p = 1
+    while p < n:
+        p *= 2
+    return p
+
+
 def stage_halves(n: int) -> list:
     """Pair strides of each stage in application order: ``[1, 2, ..., n/2]``.
 

@@ -29,7 +29,6 @@ class ModelConfig:
     r_ffn: int = 4
     n_total: int = 2
     n_abfly: int = 0
-    pooling: str = "mean"  # "mean" or "cls"
     seed: int = 0
     dtype: str = "float64"
 
@@ -48,8 +47,6 @@ class ModelConfig:
             raise ValueError(
                 f"n_abfly={self.n_abfly} must lie in [0, n_total={self.n_total}]"
             )
-        if self.pooling not in ("mean", "cls"):
-            raise ValueError(f"pooling must be 'mean' or 'cls', got {self.pooling!r}")
         if self.d_hidden & (self.d_hidden - 1):
             raise ValueError(
                 f"d_hidden must be a power of two for butterfly layers, got {self.d_hidden}"

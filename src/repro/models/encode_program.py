@@ -146,7 +146,6 @@ class _Layout(InferenceProgram):
         ]
         self._head_norm = self._norm(model.head_norm)
         self._head = self._projection(model, "head")
-        self._cls = model.config.pooling == "cls"
 
     def _block(self, block, attention) -> _Block:
         """``block``'s layers; ``attention`` is its attention layer, or
@@ -202,8 +201,6 @@ class EncodeProgram(_Layout):
             x, _ = residual_layer_norm_forward(
                 y, fc2(wide, take("sub", hidden, dtype)), norm2[0], norm2[1],
                 eps=norm2[2], need_ctx=False, out=take("x", hidden, dtype))
-        if self._cls:  # the norm is per row: only the pooled row needs it
-            return layer_norm_forward(x[:, 0], *self._head_norm)[0]
         x, _, _ = layer_norm_forward(
             x, *self._head_norm, out=take("y", hidden, dtype))
         return _mean(x, mask)[0]
@@ -393,13 +390,9 @@ class TrainProgram(_Layout):
     def _end(self, x, mask, classify, tape) -> np.ndarray:
         """Head norm, pooling and (with ``classify``) the classifier."""
         gamma, beta, eps = self._head_norm
-        tape.weights = None
-        if self._cls:  # the norm is per row: only the pooled row needs it
-            pooled, normed, inv = layer_norm_forward(x[:, 0], gamma.data, beta.data, eps)
-        else:
-            y, normed, inv = layer_norm_forward(x, gamma.data, beta.data, eps,
-                                                take=tape.take("head"))
-            pooled, tape.weights = _mean(y, mask)  # no context keeps y
+        y, normed, inv = layer_norm_forward(x, gamma.data, beta.data, eps,
+                                            take=tape.take("head"))
+        pooled, tape.weights = _mean(y, mask)  # no context keeps y
         tape.norm = ResidualLNContext(normed, inv, gamma.data, tape.take("head"))
         tape.head = None
         if not classify:
@@ -411,13 +404,7 @@ class TrainProgram(_Layout):
         if tape.head is not None:
             g = _project_vjp(self._head, g, tape.head)
         hidden = tape.tokens.shape + tape.norm.normed.shape[-1:]
-        take = tape.take("head")
-        if self._cls:
-            gx = take("dx", hidden, g.dtype)
-            gx[...] = 0
-            gx[:, 0] = _close_vjp(self._head_norm, g, tape.norm)
-            return gx
-        gy = take("dy", hidden, g.dtype)
+        gy = tape.take("head")("dy", hidden, g.dtype)
         if tape.weights is None:
             np.copyto(gy, (g * g.dtype.type(1.0 / hidden[1]))[:, None, :])
         else:

@@ -99,16 +99,13 @@ class EncoderClassifier(nn.Module):
             for block in self.blocks:
                 x = block(x, mask=mask)
             x = self.head_norm(x)
-            if self.config.pooling == "cls":
-                pooled = F.getitem(x, (slice(None), 0))
+            if mask is not None:
+                m = mask.astype(x.dtype)[..., None]
+                x = x * nn.Tensor(m)
+                denom = nn.Tensor(m.sum(axis=1).clip(min=1.0))
+                pooled = F.sum_(x, axis=1) / denom
             else:
-                if mask is not None:
-                    m = mask.astype(x.dtype)[..., None]
-                    x = x * nn.Tensor(m)
-                    denom = nn.Tensor(m.sum(axis=1).clip(min=1.0))
-                    pooled = F.sum_(x, axis=1) / denom
-                else:
-                    pooled = F.mean(x, axis=1)
+                pooled = F.mean(x, axis=1)
             return self.head(pooled) if classify else pooled
 
     def encode(self, tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> nn.Tensor:

@@ -91,10 +91,6 @@ class InferenceProgram:
             def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
                 return QK.quantized_linear(x, weight, scales, bias)
 
-        elif isinstance(layer, nn.QuantizedButterflyLinear):
-            def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-                return layer.apply(x)  # reads its stored stages live
-
         else:
             raise TypeError(
                 f"no inference operator for {type(layer).__name__} ({name})"

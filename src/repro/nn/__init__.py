@@ -17,17 +17,13 @@ from .module import Module, ModuleList, Parameter, Sequential
 from .optim import Adam
 from .quantized import (
     QUANT_MODES,
-    QuantizationReport,
-    QuantizedButterflyLinear,
     QuantizedLinear,
     quantize_for_inference,
     weight_memory_bytes,
 )
 from .tensor import (
     Tensor,
-    accuracy,
     add,
-    clip,
     butterfly_apply,
     default_dtype,
     get_default_dtype,
@@ -35,7 +31,6 @@ from .tensor import (
     concat,
     cross_entropy_logits,
     embedding,
-    exp,
     fourier_mix_2d,
     gelu,
     getitem,
@@ -54,15 +49,11 @@ from .tensor import (
     residual_layer_norm,
     scaled_dot_attention,
     softmax,
-    sqrt,
     stack,
     sub,
     sum_,
-    swapaxes,
-    tanh,
     transpose,
     var,
-    where,
 )
 
 __all__ = [
@@ -77,13 +68,10 @@ __all__ = [
     "ModuleList",
     "MultiHeadAttention",
     "Parameter",
-    "QuantizationReport",
     "QUANT_MODES",
-    "QuantizedButterflyLinear",
     "QuantizedLinear",
     "Sequential",
     "Tensor",
-    "accuracy",
     "butterfly_apply",
     "cross_entropy_logits",
     "default_dtype",

@@ -19,18 +19,10 @@ from ..butterfly.factor import stage_halves
 from ..butterfly.matrix import ButterflyMatrix, butterfly_flops
 from ..butterfly.factor import ButterflyFactor
 from ..kernels import FrozenLadderCache
+from ..kernels.layout import next_power_of_two
 from . import tensor as F
 from .module import Module, Parameter
 from .tensor import Tensor
-
-
-def _next_power_of_two(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 class ButterflyLinear(Module):
@@ -62,7 +54,7 @@ class ButterflyLinear(Module):
         rng = rng or np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
-        self.n = _next_power_of_two(max(in_features, out_features))
+        self.n = next_power_of_two(max(in_features, out_features))
         self.halves = stage_halves(self.n)
         scale = 1.0 / np.sqrt(2.0)
         for i, _half in enumerate(self.halves):

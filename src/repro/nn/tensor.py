@@ -300,17 +300,8 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return mean(self, axis=axis, keepdims=keepdims)
 
-    def exp(self) -> "Tensor":
-        return exp(self)
-
     def log(self) -> "Tensor":
         return log(self)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         return max_(self, axis=axis, keepdims=keepdims)
@@ -416,38 +407,11 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * data,)
-
-    return _make_result(data, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
     def backward(grad: np.ndarray):
         return (grad / a.data,)
-
-    return _make_result(data, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * 0.5 / data,)
-
-    return _make_result(data, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * (1.0 - data**2),)
 
     return _make_result(data, (a,), backward)
 
@@ -514,15 +478,6 @@ def transpose(a: Tensor, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
 
     def backward(grad: np.ndarray):
         return (np.transpose(grad, inverse),)
-
-    return _make_result(data, (a,), backward)
-
-
-def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    data = np.swapaxes(a.data, axis1, axis2)
-
-    def backward(grad: np.ndarray):
-        return (np.swapaxes(grad, axis1, axis2),)
 
     return _make_result(data, (a,), backward)
 
@@ -869,42 +824,8 @@ def fourier_mix_2d(x: Tensor) -> Tensor:
     return _make_result(data, (x,), backward)
 
 
-def clip(a: Tensor, low: float, high: float) -> Tensor:
-    """Clamp values to [low, high]; gradient passes only inside the range."""
-    if low > high:
-        raise ValueError(f"clip bounds inverted: [{low}, {high}]")
-    data = np.clip(a.data, low, high)
-
-    def backward(grad: np.ndarray):
-        inside = (a.data > low) & (a.data < high)
-        return (grad * inside,)
-
-    return _make_result(data, (a,), backward)
-
-
 def var(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Population variance along ``axis`` (composite, differentiable)."""
     mu = mean(a, axis=axis, keepdims=True)
     sq = (a - mu) ** 2.0
     return mean(sq, axis=axis, keepdims=keepdims)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select; ``condition`` is a plain boolean array."""
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a.data, b.data)
-
-    def backward(grad: np.ndarray):
-        return (
-            _unbroadcast(np.where(condition, grad, 0.0), a.shape),
-            _unbroadcast(np.where(condition, 0.0, grad), b.shape),
-        )
-
-    return _make_result(data, (a, b), backward)
-
-
-def accuracy(logits: Union[Tensor, np.ndarray], targets: np.ndarray) -> float:
-    """Classification accuracy of argmax predictions."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    preds = arr.argmax(axis=-1)
-    return float((preds == np.asarray(targets)).mean())

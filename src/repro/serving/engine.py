@@ -45,8 +45,9 @@ class ServingEngine:
 
     ``quantize`` serves a *storage-tier replica*: the model is run
     through :func:`repro.nn.quantize_for_inference` at construction and
-    the engine decodes against the int8 copy (``quantize="int8"``, the
-    one stored format; dequant-on-the-fly kernels) while the
+    the engine decodes against the copy whose dense weights are int8
+    (``quantize="int8"``, the one stored format; dequant-on-the-fly
+    kernels; butterfly ladders stay fp) while the
     caller's model object stays untouched in full precision.  This is
     the serving-side switch for the reduced-precision datapath the
     hardware model quantifies.

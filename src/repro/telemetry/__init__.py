@@ -10,7 +10,7 @@ first-class signals.
 default; enable it with ``REPRO_TELEMETRY=1`` in the environment or
 :func:`enable` / :func:`use_telemetry` in code.  While disabled, the
 gated entry points (:func:`counter_inc`, :func:`gauge_set`,
-:func:`observe`, :func:`span`) return immediately without touching the
+:func:`span`) return immediately without touching the
 registry, so instrumented hot paths stay within noise of uninstrumented
 ones (gated by the ``telemetry_overhead`` benchmark).  Instrument
 *objects* obtained directly from a :class:`Registry` are always live —
@@ -29,7 +29,7 @@ Quick tour::
     with telemetry.span("decode.step", request_id=7):
         ...
     telemetry.counter_inc("kernels_plan_cache_hits_total")
-    telemetry.observe("serving_ttft_ms", 12.5)
+    telemetry.get_registry().histogram("serving_ttft_ms").observe(12.5)
 
     print(telemetry.render_span_tree())
     print(telemetry.render_prometheus())
@@ -59,7 +59,6 @@ from .registry import (
     enabled,
     gauge_set,
     get_registry,
-    observe,
     publish_on_snapshot,
     reset,
     set_registry,
@@ -102,7 +101,6 @@ __all__ = [
     "gauge_set",
     "get_collector",
     "get_registry",
-    "observe",
     "publish_on_snapshot",
     "render_prometheus",
     "render_span_tree",

@@ -10,8 +10,7 @@ Design constraints, in order:
 1. **Near-zero overhead when disabled.**  Telemetry is opt-in
    (``REPRO_TELEMETRY=1`` or :func:`enable`).  Hot paths guard with
    ``if STATE.on:`` (two attribute loads) or call the module-level
-   conveniences (:func:`counter_inc` / :func:`gauge_set` /
-   :func:`observe`), which return immediately while disabled and never
+   conveniences (:func:`counter_inc` / :func:`gauge_set`), which return immediately while disabled and never
    touch the registry — the disabled fast path performs *zero* registry
    mutations, asserted by tests and gated by the telemetry-overhead
    benchmark.
@@ -55,7 +54,6 @@ __all__ = [
     "enabled",
     "gauge_set",
     "get_registry",
-    "observe",
     "reset",
     "set_registry",
     "use_telemetry",
@@ -421,15 +419,3 @@ def gauge_set(name: str, value: float, **labels) -> None:
     if not STATE.on:
         return
     _default_registry.gauge(name, **labels).set(value)
-
-
-def observe(
-    name: str,
-    value: float,
-    boundaries: Sequence[float] = DEFAULT_MS_BOUNDARIES,
-    **labels,
-) -> None:
-    """Observe into a default-registry histogram; no-op while disabled."""
-    if not STATE.on:
-        return
-    _default_registry.histogram(name, boundaries=boundaries, **labels).observe(value)

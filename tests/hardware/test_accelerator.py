@@ -49,13 +49,6 @@ class TestCrossValidation:
             accel.run_encoder(model, tokens), model(tokens).data, atol=1e-9
         )
 
-    def test_cls_pooling_model(self, fab_config, accel, rng):
-        model = build_fabnet(fab_config.with_(pooling="cls")).eval()
-        tokens = rng.integers(0, 32, size=(2, 16))
-        np.testing.assert_allclose(
-            accel.run_encoder(model, tokens), model(tokens).data, atol=1e-9
-        )
-
     def test_trained_model_still_matches(self, fab_config, accel, rng):
         """Cross-validation holds after weights move from initialization."""
         from repro.data import load_task

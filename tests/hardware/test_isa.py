@@ -179,7 +179,6 @@ def fabnet_cases(draw):
         n_heads=draw(st.sampled_from((1, 2, 4, 8, 16))),
         r_ffn=draw(st.integers(1, 4)), n_total=n_total,
         n_abfly=draw(st.integers(0, n_total)),
-        pooling=draw(st.sampled_from(("mean", "cls"))),
         dtype="float64", seed=draw(st.integers(0, 2 ** 16)),
     )
     if config.n_abfly < n_total:

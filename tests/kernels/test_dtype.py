@@ -1,4 +1,4 @@
-"""Dtype policy: global default, storage tiers and mask fill values."""
+"""Dtype policy: global default and mask fill values."""
 
 import numpy as np
 import pytest
@@ -33,29 +33,9 @@ class TestDefaultDtypePolicy:
         assert D.get_default_dtype() == before
 
     @pytest.mark.parametrize("bad", ["float16", np.int32, "complex128"])
-    def test_rejects_non_compute_dtypes(self, bad):
+    def test_rejects_non_float_dtypes(self, bad):
         with pytest.raises(ValueError, match="float32 or float64"):
             D.set_default_dtype(bad)
-
-
-class TestStorageTiers:
-    def test_storage_dtypes_include_half(self):
-        assert np.float16 in D.STORAGE_DTYPES
-        assert np.float32 in D.STORAGE_DTYPES
-        assert np.float64 in D.STORAGE_DTYPES
-
-    def test_half_promotes_to_float32(self):
-        assert D.compute_dtype(np.float16) == np.dtype(np.float32)
-        assert D.compute_dtype("float16") == np.dtype(np.float32)
-
-    @pytest.mark.parametrize("dt", [np.float32, np.float64])
-    def test_wide_dtypes_compute_in_themselves(self, dt):
-        assert D.compute_dtype(dt) == np.dtype(dt)
-
-    @pytest.mark.parametrize("bad", [np.int8, np.complex128, np.uint8])
-    def test_rejects_non_storage_dtypes(self, bad):
-        with pytest.raises(ValueError, match="storage dtype"):
-            D.compute_dtype(bad)
 
 
 class TestMaskFillValue:

@@ -115,8 +115,9 @@ class TestQuantScratchPool:
     @pytest.mark.parametrize("mode", QUANT_MODES)
     def test_concurrent_linear_bit_stable(self, rng, store_weight, mode):
         q, s = store_weight(mode, rng.normal(size=(64, 96)))
+        packed = QK.pack_weight(q, s)
         x = rng.normal(size=(5, 96)).astype(np.float32)
-        run = lambda: QK.quantized_linear(x, q, s)
+        run = lambda: QK.quantized_linear(x, packed, s)
         expected = run()
 
         def call(t, c):
@@ -128,11 +129,12 @@ class TestQuantScratchPool:
     def test_scratch_pools_are_per_thread(self, rng):
         w = rng.normal(size=(32, 64))
         q, s = QK.quantize_per_channel(w)
+        packed = QK.pack_weight(q, s)
         x = rng.normal(size=(3, 64)).astype(np.float32)
         pools = {}
 
         def call(t, c):
-            QK.quantized_linear(x, q, s)
+            QK.quantized_linear(x, packed, s)
             pools[threading.get_ident()] = QK._SCRATCH._tls.pool
             return True
 
@@ -151,7 +153,8 @@ class TestQuantScratchPool:
             x = np.ones((2, in_f), dtype=np.float32)
             q, s = QK.quantize_per_channel(np.ones((40, in_f)))
             np.testing.assert_array_equal(
-                QK.quantized_linear(x, q, s), np.full((2, 40), in_f))
+                QK.quantized_linear(x, QK.pack_weight(q, s), s),
+                np.full((2, 40), in_f))
             return QK._SCRATCH._tls.bytes <= QK._SCRATCH.MAX_BYTES
 
         assert all(all(row) for row in _hammer(call))

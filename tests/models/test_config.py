@@ -18,11 +18,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_abfly"):
             ModelConfig(n_total=2, n_abfly=3)
 
-    def test_pooling_values(self):
-        with pytest.raises(ValueError, match="pooling"):
-            ModelConfig(pooling="max")
-        assert ModelConfig(pooling="cls").pooling == "cls"
-
     def test_hidden_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             ModelConfig(d_hidden=48, n_heads=4)

@@ -85,12 +85,11 @@ class TestAgainstTheGraph:
     @pytest.mark.parametrize("kind", list(BUILDERS))
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
     @pytest.mark.parametrize("seq", [MAX_LEN, MAX_LEN - 3])
     def test_logits_match_the_graph(
-        self, kind, dtype, masked, pooling, seq, rng
+        self, kind, dtype, masked, seq, rng
     ):
-        model = build(kind, dtype, pooling=pooling)
+        model = build(kind, dtype)
         tokens, mask = inputs(rng, seq=seq, masked=masked)
         got = program_logits(model, tokens, mask)
         assert got.dtype == np.dtype(dtype)

@@ -113,10 +113,6 @@ class TestEncoderBehavior:
         with pytest.raises(ValueError, match="blocks"):
             EncoderClassifier(tiny_config, [], np.random.default_rng(0))
 
-    def test_cls_pooling(self, tiny_config, tokens):
-        model = build_fnet(tiny_config.with_(pooling="cls")).eval()
-        assert model(tokens).shape == (3, tiny_config.n_classes)
-
     def test_mask_ignores_padding_mean_pool(self, tiny_config, rng):
         model = build_transformer(tiny_config).eval()
         toks = rng.integers(0, 8, size=(1, tiny_config.max_len))

@@ -67,12 +67,11 @@ class TestAgainstTheGraph:
     @pytest.mark.parametrize("kind", list(BUILDERS))
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("pooling", ["cls", "mean"])
     @pytest.mark.parametrize("seq", [16, 13])
     def test_loss_and_gradients_match_the_graph(
-        self, kind, dtype, masked, pooling, seq, rng
+        self, kind, dtype, masked, seq, rng
     ):
-        model = build(kind, dtype, pooling=pooling)
+        model = build(kind, dtype)
         tokens, mask = inputs(rng, seq=seq, masked=masked)
         labels = labels_for(tokens)
         got = loss_and_grads(model, lambda: model(tokens, mask=mask), labels)
@@ -111,7 +110,6 @@ def configs(draw):
         vocab_size=32, n_classes=3, max_len=48, d_hidden=d_hidden,
         n_heads=draw(st.sampled_from([h for h in (1, 2, 4) if d_hidden % h == 0])),
         r_ffn=draw(st.integers(1, 3)), n_total=2, n_abfly=1,
-        pooling=draw(st.sampled_from(["cls", "mean"])),
         dtype=draw(st.sampled_from(["float32", "float64"])),
         seed=draw(st.integers(0, 2**16)),
     )

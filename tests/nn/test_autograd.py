@@ -36,34 +36,27 @@ class TestArithmeticGradients:
         x = np.abs(rng.normal(size=(4,))) + 0.5
         gradcheck(lambda t: F.power(t, 3.0), x)
 
-    def test_exp(self, rng, gradcheck):
-        gradcheck(F.exp, rng.normal(size=(3, 2)) * 0.5)
-
     def test_log(self, rng, gradcheck):
         gradcheck(F.log, np.abs(rng.normal(size=(5,))) + 0.5)
-
-    def test_sqrt(self, rng, gradcheck):
-        gradcheck(F.sqrt, np.abs(rng.normal(size=(4,))) + 0.5)
-
-    def test_tanh(self, rng, gradcheck):
-        gradcheck(F.tanh, rng.normal(size=(3, 3)))
 
     def test_gelu(self, rng, gradcheck):
         gradcheck(F.gelu, rng.normal(size=(6,)))
 
     def test_gelu_matches_the_tanh_formula_in_graph_ops(self, rng):
         # nn.gelu's exp2 chain and sigmoid VJP against the tanh
-        # approximation it computes, recorded op by op through F.tanh.
+        # approximation it computes and that formula's closed-form
+        # derivative, spelled in numpy.
         x = rng.normal(size=(4, 8)) * 3
         weights = rng.normal(size=x.shape)
-        a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        a = Tensor(x, requires_grad=True)
         got = F.gelu(a)
-        c = float(np.sqrt(2.0 / np.pi))
-        formula = 0.5 * b * (1.0 + F.tanh(c * (b + 0.044715 * b * b * b)))
         F.sum_(got * weights).backward()
-        F.sum_(formula * weights).backward()
-        np.testing.assert_allclose(got.data, formula.data, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=1e-14)
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * x**3))
+        formula = 0.5 * x * (1.0 + t)
+        slope = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+        np.testing.assert_allclose(got.data, formula, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(a.grad, weights * slope, rtol=1e-12, atol=1e-14)
 
 
 class TestMatmulGradients:
@@ -95,9 +88,6 @@ class TestShapeGradients:
 
     def test_transpose_axes(self, rng, gradcheck):
         gradcheck(lambda t: F.transpose(t, (1, 2, 0)), rng.normal(size=(2, 3, 4)))
-
-    def test_swapaxes(self, rng, gradcheck):
-        gradcheck(lambda t: F.swapaxes(t, 0, 2), rng.normal(size=(2, 3, 4)))
 
     def test_getitem_slice(self, rng, gradcheck):
         gradcheck(lambda t: F.getitem(t, (slice(0, 2),)), rng.normal(size=(4, 3)))
@@ -167,14 +157,6 @@ class TestNNPrimitiveGradients:
 
     def test_fourier_mix_2d(self, rng, gradcheck):
         gradcheck(F.fourier_mix_2d, rng.normal(size=(4, 4)))
-
-    def test_where(self, rng, gradcheck):
-        cond = rng.random((3, 3)) > 0.5
-        gradcheck(
-            lambda a, b: F.where(cond, a, b),
-            rng.normal(size=(3, 3)),
-            rng.normal(size=(3, 3)),
-        )
 
 
 class TestBackwardMechanics:

@@ -128,7 +128,7 @@ def test_backward_runs_in_the_tensors_own_dtype(monkeypatch, rng):
     with nn.default_dtype("float32"):
         a = nn.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = nn.Tensor(rng.normal(size=(4,)), requires_grad=True)
-        out = F.tanh(a * b)
+        out = F.gelu(a * b)
         loss = F.sum_(out)
     assert F.get_default_dtype() == np.float64
     assert out.dtype == loss.dtype == np.float32

@@ -1,30 +1,9 @@
-"""clip/var operations."""
+"""The var operation."""
 
 import numpy as np
-import pytest
 
 from repro.nn import tensor as F
 from repro.nn.tensor import Tensor
-
-
-class TestClip:
-    def test_forward(self):
-        out = F.clip(Tensor(np.array([-2.0, 0.5, 3.0])), -1.0, 1.0)
-        np.testing.assert_allclose(out.data, [-1.0, 0.5, 1.0])
-
-    def test_gradient_masks_saturated(self):
-        x = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
-        F.clip(x, -1.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError, match="inverted"):
-            F.clip(Tensor(np.zeros(2)), 1.0, -1.0)
-
-    def test_gradient_numeric(self, rng, gradcheck):
-        x = rng.normal(size=(8,)) * 2
-        x[np.abs(np.abs(x) - 1.0) < 0.1] += 0.3  # away from clip edges
-        gradcheck(lambda t: F.clip(t, -1.0, 1.0), x)
 
 
 class TestVar:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import kernels, nn, telemetry
 from repro.models import (
     ModelConfig,
     build_butterfly_decoder,
@@ -12,7 +12,6 @@ from repro.models import (
     build_transformer,
 )
 from repro.nn import (
-    QuantizedButterflyLinear,
     QuantizedLinear,
     quantize_for_inference,
     weight_memory_bytes,
@@ -45,14 +44,12 @@ class TestDecoderQuantization:
         assert isinstance(model.lm_head, nn.Linear)
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, before[name])
-        # replica: every projection quantized
+        # replica: every dense projection stored, every ladder left fp
         assert isinstance(quantized.lm_head, QuantizedLinear)
         attn = quantized.blocks[0].attn
-        expected = QuantizedButterflyLinear if model.butterfly else QuantizedLinear
+        expected = nn.ButterflyLinear if model.butterfly else QuantizedLinear
         for proj in (attn.q_proj, attn.k_proj, attn.v_proj, attn.out_proj):
             assert isinstance(proj, expected)
-        report = quantized.quantization_report
-        assert report.layers_quantized + report.butterfly_layers_quantized == 13
 
     def test_logit_drift_within_documented_bound(self, builder, rng):
         config = _decoder_config()
@@ -75,9 +72,11 @@ class TestDecoderQuantization:
                 q = quantized(tokens).data
         assert q.dtype == np.float32
         assert _rel_drift(q, fp) < REL_DRIFT_BOUND
-        # Under half the fp32 footprint (dense 0.37, butterfly 0.49 here):
-        # codes stored at fp32 width would put it above 1.
-        assert weight_memory_bytes(quantized) < 0.5 * weight_memory_bytes(model)
+        # Dense: under half the fp32 footprint (0.37 here; codes stored at
+        # fp32 width would put it above 1).  Butterfly: only the LM head
+        # is stored, its ladders keep their fp bytes.
+        ratio = weight_memory_bytes(quantized) / weight_memory_bytes(model)
+        assert ratio < (1.0 if model.butterfly else 0.5)
 
 
 class TestMemoryFootprint:
@@ -91,47 +90,6 @@ class TestMemoryFootprint:
         quantized = quantize_for_inference(model)
         ratio = weight_memory_bytes(quantized) / weight_memory_bytes(model)
         assert ratio < 0.27  # also under half precision storage's 0.2708 here
-        assert quantized.quantization_report.memory_ratio == pytest.approx(ratio)
-
-    def test_report_accounts_fp_and_quantized_bytes(self):
-        model = build_dense_decoder(_decoder_config()).eval()
-        quantized = quantize_for_inference(model)
-        report = quantized.quantization_report
-        assert report.fp_weight_bytes == weight_memory_bytes(model)
-        assert report.quant_weight_bytes == weight_memory_bytes(quantized)
-        assert 0.0 < report.memory_ratio < 1.0
-        assert report.weight_rmse  # per-layer round-trip errors recorded
-
-
-class TestCalibration:
-    def test_sample_tokens_record_drift(self, rng):
-        config = _decoder_config()
-        model = build_dense_decoder(config).eval()
-        tokens = rng.integers(1, config.vocab_size, size=(4, 10))
-        quantized = quantize_for_inference(model, sample_tokens=tokens)
-        report = quantized.quantization_report
-        assert report.max_logit_drift is not None
-        assert 0.0 <= report.mean_logit_drift <= report.max_logit_drift
-
-    def test_drift_bound_enforced(self, rng):
-        config = _decoder_config()
-        model = build_dense_decoder(config).eval()
-        tokens = rng.integers(1, config.vocab_size, size=(4, 10))
-        with pytest.raises(ValueError, match="drift"):
-            quantize_for_inference(
-                model, sample_tokens=tokens, max_logit_drift=1e-12
-            )
-
-    def test_mse_calibration_accepted(self, rng):
-        config = _decoder_config()
-        model = build_dense_decoder(config).eval()
-        tokens = rng.integers(1, config.vocab_size, size=(2, 8))
-        quantized = quantize_for_inference(model, calibration="mse")
-        with nn.no_grad():
-            fp = model(tokens).data
-            q = quantized(tokens).data
-        assert _rel_drift(q, fp) < REL_DRIFT_BOUND
-        assert quantized.quantization_report.calibration == "mse"
 
 
 class TestEncoderQuantization:
@@ -204,25 +162,8 @@ class TestStorageTierModes:
         with pytest.raises(ValueError, match="'int8'.*got 'fp16'"):
             quantize_for_inference(model, mode="fp16")
 
-    @pytest.mark.parametrize("mode", nn.QUANT_MODES)
-    def test_unknown_calibration_rejected_in_every_mode(self, mode):
-        model = build_dense_decoder(_decoder_config()).eval()
-        with pytest.raises(ValueError, match="calibration"):
-            quantize_for_inference(model, calibration="bogus", mode=mode)
-
     def test_quant_modes_is_the_tier_tuple(self):
         assert nn.QUANT_MODES == ("int8",)
-
-    @pytest.mark.parametrize("mode", nn.QUANT_MODES)
-    def test_sample_tokens_record_drift_for_tiers(self, mode, rng):
-        config = _decoder_config()
-        model = build_dense_decoder(config).eval()
-        tokens = rng.integers(1, config.vocab_size, size=(2, 8))
-        report = quantize_for_inference(
-            model, mode=mode, sample_tokens=tokens
-        ).quantization_report
-        assert report.max_logit_drift is not None
-        assert report.weight_rmse  # per-layer round-trip drift recorded
 
 
 @pytest.mark.filterwarnings("error")  # no RuntimeWarning may stand in for the refusal
@@ -235,8 +176,7 @@ class TestUnstorableWeightsRefused:
         (build_dense_decoder, "blocks.0.ffn.fc1",
          lambda m: m.blocks[0].ffn.fc1.weight),
         (build_dense_decoder, "lm_head", lambda m: m.lm_head.weight),
-        (build_butterfly_decoder, "blocks.1.attn.k_proj",
-         lambda m: m.blocks[1].attn.k_proj.stage_parameters()[1]),
+        (build_butterfly_decoder, "lm_head", lambda m: m.lm_head.weight),
     ])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("mode", nn.QUANT_MODES)
@@ -258,8 +198,9 @@ class TestUnstorableWeightsRefused:
         """int8's per-channel scale covers any finite range."""
         model = build_dense_decoder(_decoder_config()).eval()
         model.blocks[0].ffn.fc1.weight.data[0, 0] = 1e6
-        report = quantize_for_inference(model, mode="int8").quantization_report
-        assert np.isfinite(list(report.weight_rmse.values())).all()
+        layer = quantize_for_inference(model, mode="int8").blocks[0].ffn.fc1
+        assert np.isfinite(layer.scales).all()
+        assert layer.scales[0] == np.float32(1e6 / 127)
 
     def test_the_first_bad_layer_stops_every_swap(self, monkeypatch):
         """Checked in a walk of its own: the last layer's ``nan`` is found
@@ -275,3 +216,83 @@ class TestUnstorableWeightsRefused:
         with pytest.raises(ValueError, match="^lm_head: "):
             quantize_for_inference(model)
         assert stored == []
+
+
+def _modules(module, prefix=""):
+    """``(path, module)`` of every module below ``module``."""
+    for name, child in module._modules.items():
+        yield prefix + name, child
+        yield from _modules(child, f"{prefix}{name}.")
+
+
+def _ladder_spans(run):
+    """``run()``'s ``kernels.butterfly_apply`` spans, and the frozen-ladder
+    cache's ``(builds, hits)`` growth across it."""
+    from repro.kernels.grouped import plan_cache_stats
+
+    before = plan_cache_stats()
+    telemetry.clear_all()
+    try:
+        with telemetry.use_telemetry(True):
+            run()
+        spans = [record for record in telemetry.span_records()
+                 if record.name == "kernels.butterfly_apply"]
+    finally:
+        telemetry.clear_all()
+    after = plan_cache_stats()
+    return spans, tuple(after[k] - before[k] for k in ("frozen_builds", "frozen_hits"))
+
+
+class TestButterflyLayersStayFp:
+    """int8 stores dense weights only: a replica's butterfly layers are its
+    source's ladders, run through their frozen operators like the fp
+    model's, and its Linear layers are stored."""
+
+    @pytest.fixture(params=["butterfly_decoder", "fabnet"])
+    def pair(self, request):
+        config = _decoder_config("float32").with_(n_abfly=1)
+        builder = {"butterfly_decoder": build_butterfly_decoder,
+                   "fabnet": build_fabnet}[request.param]
+        with config.dtype_context():
+            model = builder(config).eval()
+        return model, quantize_for_inference(model)
+
+    def test_ladders_kept_and_linears_stored(self, pair):
+        model, replica = pair
+        source, stored = dict(_modules(model)), dict(_modules(replica))
+        assert source.keys() == stored.keys()
+        kinds = {type(layer) for layer in source.values()}
+        assert {nn.Linear, nn.ButterflyLinear} <= kinds
+        for path, layer in source.items():
+            twin = stored[path]
+            if isinstance(layer, nn.Linear):
+                assert isinstance(twin, QuantizedLinear), path
+            elif isinstance(layer, nn.ButterflyLinear):
+                assert type(twin) is nn.ButterflyLinear and twin is not layer, path
+                assert [s.data.tobytes() for s in twin.stage_parameters()] == [
+                    s.data.tobytes() for s in layer.stage_parameters()], path
+
+    def test_replica_runs_the_frozen_ladders(self, pair, rng):
+        model, replica = pair
+        ladders = sum(isinstance(layer, nn.ButterflyLinear)
+                      for _, layer in _modules(replica))
+        config = model.config
+        tokens = rng.integers(1, config.vocab_size, size=(2, config.max_len))
+        if hasattr(replica, "decode_step"):
+            cache = replica.make_cache(2)
+            spans, (builds, _) = _ladder_spans(
+                lambda: replica.prefill(tokens[:, :5], cache))
+            assert builds == ladders  # each ladder froze once, for the program
+            step, (builds, _) = _ladder_spans(
+                lambda: replica.decode_step(tokens[:, 5], cache))
+            assert builds == 0 and len(step) == ladders
+            spans += step
+        else:
+            with nn.no_grad():
+                spans, (builds, _) = _ladder_spans(lambda: replica(tokens))
+            assert builds == ladders
+        # the Tensor graph asks each layer's cache again: every one hits
+        with kernels.use_fused(False), nn.no_grad():
+            more, (builds, hits) = _ladder_spans(lambda: replica(tokens))
+        assert builds == 0 and hits == ladders
+        assert spans and {span.attrs["path"] for span in spans + more} == {"frozen"}

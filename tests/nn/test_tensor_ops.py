@@ -60,8 +60,8 @@ class TestOperatorOverloads:
 
     def test_method_chaining(self):
         t = Tensor(np.full((2, 2), 4.0))
-        out = t.sqrt().log().exp().sum()
-        np.testing.assert_allclose(out.data, 8.0)
+        out = t.log().mean(axis=0).sum()
+        np.testing.assert_allclose(out.data, 2 * np.log(4.0))
 
     def test_reshape_tuple_or_varargs(self):
         t = Tensor(np.arange(6.0))
@@ -105,12 +105,6 @@ class TestForwardValues:
         out = F.fourier_mix_2d(Tensor(x))
         np.testing.assert_allclose(out.data, np.fft.fft2(x, axes=(-2, -1)).real)
 
-    def test_where_selects(self):
-        out = F.where(
-            np.array([True, False]), Tensor(np.array([1.0, 1.0])), Tensor(np.array([2.0, 2.0]))
-        )
-        np.testing.assert_allclose(out.data, [1.0, 2.0])
-
     def test_max_all(self, rng):
         x = rng.normal(size=(3, 4))
         assert F.max_(Tensor(x)).item() == pytest.approx(x.max())
@@ -137,11 +131,3 @@ class TestLosses:
         logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         F.cross_entropy_logits(logits, np.array([0, 1, 2])).backward()
         np.testing.assert_allclose(logits.grad.sum(axis=-1), np.zeros(3), atol=1e-12)
-
-    def test_accuracy(self):
-        logits = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        assert F.accuracy(logits, np.array([1, 0, 0])) == pytest.approx(2 / 3)
-
-    def test_accuracy_accepts_tensor(self):
-        logits = Tensor(np.array([[0.0, 1.0]]))
-        assert F.accuracy(logits, np.array([1])) == 1.0

@@ -152,7 +152,7 @@ class TestQuantizeModes:
     def test_all_modes_accepted(self, model):
         for mode in QUANT_MODES:
             engine = ServingEngine(model, quantize=mode)
-            assert engine.model.quantization_report.mode == mode
+            assert isinstance(engine.model.lm_head, nn.QuantizedLinear)
 
     def test_unknown_mode_rejected(self, model):
         # never existed / retired (spelled indirectly: the repo-wide

@@ -11,7 +11,6 @@ from repro.telemetry import (
     Reservoir,
     counter_inc,
     gauge_set,
-    observe,
     use_telemetry,
 )
 
@@ -150,18 +149,15 @@ class TestGatedConveniences:
         with use_telemetry(False):
             counter_inc("kernels_hits_total")
             gauge_set("training_tokens_per_s", 5.0)
-            observe("serving_ttft_ms", 1.0)
         assert telemetry.get_registry().snapshot() == {}
 
     def test_enabled_mode_records(self):
         with use_telemetry(True):
             counter_inc("kernels_hits_total", amount=3)
             gauge_set("training_tokens_per_s", 5.0)
-            observe("serving_ttft_ms", 1.0)
         snap = telemetry.get_registry().snapshot()
         assert snap["kernels_hits_total"]["value"] == 3.0
         assert snap["training_tokens_per_s"]["value"] == 5.0
-        assert snap["serving_ttft_ms"]["count"] == 1
 
     def test_use_telemetry_restores_flag(self):
         telemetry.disable()

@@ -153,12 +153,13 @@ class TestDecoderStateDictRoundTrip:
         return path
 
     @pytest.mark.parametrize("retired", [
-        {"backend": "threaded"}, {"dropout": 0.1},
-    ], ids=["backend", "dropout"])
+        {"backend": "threaded"}, {"dropout": 0.1}, {"pooling": "mean"},
+    ], ids=["backend", "dropout", "pooling"])
     def test_retired_backend_key_dropped(self, tmp_path, rng, retired):
-        """Checkpoints saved while ``ModelConfig`` had a ``backend`` or a
-        ``dropout`` field still load, whatever it held, and forward to the
-        same bytes."""
+        """Checkpoints saved while ``ModelConfig`` had a ``backend``, a
+        ``dropout`` or a ``pooling`` field still load (``pooling`` only at
+        its one surviving value, ``"mean"``) and forward to the same
+        bytes."""
         cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,
                           n_heads=2, r_ffn=2, n_total=2, seed=3)
         model = build_butterfly_decoder(cfg).eval()
@@ -167,6 +168,16 @@ class TestDecoderStateDictRoundTrip:
         assert restored.config == cfg
         tokens = rng.integers(1, 28, size=(2, 8))
         assert model(tokens).data.tobytes() == restored(tokens).data.tobytes()
+
+    def test_cls_pooling_checkpoint_refused_naming_the_field(self, tmp_path):
+        """Mean pooling over a head trained on the first token would give
+        other logits without a word: the checkpoint is refused instead."""
+        cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,
+                          n_heads=2, r_ffn=2, n_total=1, seed=0)
+        path = self._with_config_keys(build_butterfly_decoder(cfg),
+                                      tmp_path / "cls.npz", {"pooling": "cls"})
+        with pytest.raises(ValueError, match="pooling='cls'"):
+            load_model(path)
 
     def test_other_unknown_config_key_rejected(self, tmp_path):
         cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,

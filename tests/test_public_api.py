@@ -41,7 +41,7 @@ class TestImports:
             assert hasattr(repro, name)
 
     def test_key_entry_points_importable(self):
-        from repro.butterfly import ButterflyMatrix, fft  # noqa: F401
+        from repro.butterfly import ButterflyMatrix, fft_butterfly  # noqa: F401
         from repro.cli import main  # noqa: F401
         from repro.hardware import ButterflyPerformanceModel  # noqa: F401
         from repro.hardware.functional import ButterflyAccelerator  # noqa: F401

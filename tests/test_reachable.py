@@ -4,10 +4,13 @@ A public top-level ``def`` or ``class`` in a non-``__init__`` module, and
 each public method or property of a top-level class, is *reached* when
 some file under ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``
 refers to its name in code, outside the def's own body.  A code
-reference is a ``Name``, an ``Attribute`` or a ``from ... import``.  A
-package ``__init__``'s re-exports and ``__all__`` strings do not count, and
-neither do docstrings: a name that only its own tests call is not part of
-what the program does.  CONTRIBUTING's "Reachable surface" section says
+reference is a ``Name``, a ``from ... import`` or an ``Attribute``; an
+attribute read through a module imported from outside ``repro``
+(``np.fft.fft``, ``math.sqrt``) is none, and one on anything but an
+imported name (``self.apply``, ``layer.weight``) reaches only methods and
+properties.  A package ``__init__``'s re-exports and ``__all__`` strings
+do not count, and neither do docstrings: a name that only its own tests
+call is not part of what the program does.  CONTRIBUTING's "Reachable surface" section says
 how to add to the allowlist.
 
 The same file holds the project's prose to lines of at most 400
@@ -47,10 +50,6 @@ ALLOWED = {
     "AdaptableButterflyUnit.fft_op": "oracle: one FFT pair-op, which "
                                      "test_properties replays every engine "
                                      "tile through",
-    "tanh": "oracle: the graph's tanh op, through which test_autograd "
-            "spells the tanh-approximation GELU that nn.gelu's exp2 chain "
-            "must match",
-    "Tensor.tanh": "oracle: the method form of that tanh op",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -60,9 +59,9 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _public_defs(trees):
-    """``{name: {path: [(first, last, label)]}}`` of each public top-level
-    def or class (labelled ``name``) and each public method or property
-    of a top-level class (labelled ``Class.name``)."""
+    """``{(name, is_member): {path: [(first, last, label)]}}`` of each
+    public top-level def or class (labelled ``name``) and each public
+    method or property of a top-level class (labelled ``Class.name``)."""
     defs = {}
     for path, tree in trees.items():
         if path.name == "__init__.py":
@@ -70,30 +69,60 @@ def _public_defs(trees):
         for node in tree.body:
             if not isinstance(node, (*_DEFS, ast.ClassDef)):
                 continue
-            members = [(node, node.name)]
+            members = [(node, node.name, False)]
             if isinstance(node, ast.ClassDef):
-                members += [(member, f"{node.name}.{member.name}")
+                members += [(member, f"{node.name}.{member.name}", True)
                             for member in node.body
                             if isinstance(member, _DEFS)]
-            for member, label in members:
+            for member, label, is_member in members:
                 if not member.name.startswith("_"):
-                    defs.setdefault(member.name, {}).setdefault(
+                    defs.setdefault((member.name, is_member), {}).setdefault(
                         path, []).append(
                             (member.lineno, member.end_lineno, label))
     return defs
 
 
+def _imports(tree):
+    """``{bound name: whether it was imported from repro}`` of every
+    import in ``tree`` (a relative import is repro's)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                repro = alias.name.split(".")[0] == "repro"
+                bound[name] = bound.get(name, False) or repro
+        elif isinstance(node, ast.ImportFrom):
+            repro = node.level > 0 or (node.module or "").split(".")[0] == "repro"
+            for alias in node.names:
+                name = alias.asname or alias.name
+                bound[name] = bound.get(name, False) or repro
+    return bound
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _references(tree, is_init):
-    """Yield ``(name, line)`` for every code reference in ``tree``."""
+    """Yield ``(name, line, members_only)`` for every code reference in
+    ``tree``.  An attribute read through a non-repro import (``np.fft.fft``)
+    is no reference; one on anything but an imported name (``self.x``,
+    ``f().x``) reaches methods and properties only."""
+    imports = _imports(tree)
     for node in ast.walk(tree):
         kind = type(node)
         if kind is ast.Name:
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif kind is ast.Attribute:
-            yield node.attr, node.lineno
+            repro = imports.get(_root(node.value))
+            if repro is not False:
+                yield node.attr, node.lineno, repro is None
         elif kind is ast.ImportFrom and not is_init:
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
 
 
 def unreached_names(root=ROOT, allowed=ALLOWED):
@@ -109,17 +138,21 @@ def unreached_names(root=ROOT, allowed=ALLOWED):
         for path in sorted((root / top).rglob("*.py")):
             text = path.read_text()
             # Parsing dominates the cost: skip files naming nothing pending.
-            if pending.isdisjoint(_IDENTIFIER.findall(text)):
+            if {name for name, _ in pending}.isdisjoint(
+                    _IDENTIFIER.findall(text)):
                 continue
             tree = trees.get(path) or ast.parse(text)
-            for name, line in _references(tree, path.name == "__init__.py"):
-                if name in pending and not any(
-                        first <= line <= last
-                        for first, last, _ in defs[name].get(path, ())):
-                    pending.discard(name)
+            for name, line, members_only in _references(
+                    tree, path.name == "__init__.py"):
+                for key in ((name, True),) if members_only else (
+                        (name, False), (name, True)):
+                    if key in pending and not any(
+                            first <= line <= last
+                            for first, last, _ in defs[key].get(path, ())):
+                        pending.discard(key)
     unreached = [(path, label)
-                 for name in pending if not name.endswith("_reference")
-                 for path, entries in defs[name].items()
+                 for key in pending if not key[0].endswith("_reference")
+                 for path, entries in defs[key].items()
                  for _, _, label in entries]
     flagged = [f"{path.relative_to(package)}:{label}"
                for path, label in unreached if label not in allowed]
@@ -251,6 +284,40 @@ class TestScanner:
             "scripts/tool.py": "from repro import mod\nmod.target()\n",
         }) == []
 
+    @pytest.mark.parametrize("source", [
+        "import numpy as np\nnp.fft.target()\n",
+        "import math\nmath.target(2.0)\n",
+        "from os import path\npath.target()\n",
+    ], ids=["aliased", "plain", "from-import"])
+    def test_attribute_through_a_foreign_import_does_not_reach(
+            self, tmp_path, source):
+        """``np.fft.fft`` is numpy's ``fft``, not a same-named def here."""
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "scripts/tool.py": source,
+        }) == ["mod.py:target"]
+
+    def test_attribute_through_a_foreign_import_reaches_no_method(
+            self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": self.BOX + "\nBOX = Box()\n",
+            "scripts/tool.py": "import math\nmath.target(2.0)\n",
+        }) == ["mod.py:Box.target"]
+
+    def test_attribute_on_a_value_reaches_methods_only(self, tmp_path):
+        """``box.target()`` may call ``Box.target``; it never calls the
+        top-level ``target`` def, whatever ``box`` is."""
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF + "\n\n" + self.BOX + "\nBOX = Box()\n",
+            "examples/demo.py": "def run(box):\n    return box.target()\n",
+        }) == ["mod.py:target"]
+
+    def test_attribute_on_a_relative_import_reaches(self, tmp_path):
+        assert _scan(tmp_path, {
+            "src/repro/mod.py": DEF,
+            "src/repro/user.py": "from . import mod\n\nVALUE = mod.target()\n",
+        }) == []
+
     def test_from_import_outside_an_init_reaches(self, tmp_path):
         assert _scan(tmp_path, {
             "src/repro/mod.py": DEF,
@@ -370,7 +437,7 @@ class TestScanner:
 
     def test_kernels_init_calls_grouped_forward(self):
         path = PACKAGE / "kernels" / "__init__.py"
-        names = {name for name, _ in _references(
+        names = {name for name, _, _ in _references(
             ast.parse(path.read_text()), is_init=True)}
         assert "grouped_forward" in names
 

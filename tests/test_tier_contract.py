@@ -1,10 +1,9 @@
 """The stored-weight tier contract: the obligations of the stored format.
 
 Each entry of ``nn.QUANT_MODES`` (int8 is the only one) is a *stored
-format* served by one kernel pair (``quantized_linear`` /
-``quantized_butterfly_apply``) and one module pair (``QuantizedLinear``
-/ ``QuantizedButterflyLinear``).  Whatever it does to precision, it owes
-the caller the invariants below; the ``store_weight`` fixture
+format* for dense weights, served by one kernel (``quantized_linear``)
+and one module (``QuantizedLinear``).  Whatever it does to precision, it
+owes the caller the invariants below; the ``store_weight`` fixture
 (``tests/conftest.py``) stores a weight in it.
 """
 
@@ -16,25 +15,9 @@ from repro.kernels import quant as QK
 from repro.models import ModelConfig, build_butterfly_decoder, build_dense_decoder
 from repro.serving import SamplingParams, ServingEngine
 
-#: Documented ladder drift of each format against the fp ladder it stores.
-LADDER_DRIFT_BOUND = {"int8": 0.05}
-
-
 @pytest.fixture
 def store(store_weight, mode):
     return lambda w: store_weight(mode, w)
-
-
-@pytest.fixture
-def stored_ladder(store, rng):
-    """``n -> (q_stages, stage_scales, halves, fp coeffs)``."""
-    def build(n):
-        halves = kernels.stage_halves(n)
-        coeffs = [rng.normal(size=(4, n // 2)) for _ in halves]
-        stored = [store(c) for c in coeffs]
-        return [q for q, _ in stored], [s for _, s in stored], halves, coeffs
-
-    return build
 
 
 def _held(*arrays):
@@ -57,18 +40,17 @@ class TestTierContract:
             q, scales = store(rng.normal(size=(out_f, in_f)))
             bias = rng.normal(size=out_f).astype(dtype)
             x = rng.normal(size=(2, 5, in_f)).astype(dtype)
-            got = QK.quantized_linear(x, q, scales, bias)
+            packed = QK.pack_weight(q, scales, bias, itemsize=x.itemsize)
+            got = QK.quantized_linear(x, packed, scales, bias)
             want = QK.quantized_linear_reference(x, q, scales, bias)
             assert got.dtype == dtype and got.shape == (2, 5, out_f)
             np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
-    def test_packed_equals_unpacked_bytes(self, rng, store, mode, dtype):
-        """The layout is execution-only: a weight packed into the blocks
-        the GEMM reads and the plain ``(out, in)`` array it was packed
-        from run the same blocks through the same loop — same values,
-        same bytes.  (One block size, pinned in source: bytes *across*
-        block sizes were never promised, a different column count can
-        pick a different BLAS micro-kernel.)"""
+    def test_packed_holds_the_codes_and_nothing_more(self, rng, store, mode, dtype):
+        """The layout is execution-only: the blocks the GEMM reads are
+        the ``(out, in)`` codes they were packed from, element for
+        element and byte for byte, and the kernel over them computes the
+        unblocked oracle's function."""
         for out_f, in_f in ((100, 64), (300, 520), (5, 3)):
             q, scales = store(rng.normal(size=(out_f, in_f)))
             bias = rng.normal(size=out_f).astype(dtype)
@@ -76,59 +58,32 @@ class TestTierContract:
                 q, scales, bias, itemsize=np.dtype(dtype).itemsize)
             assert packed.shape == q.shape and packed.dtype == q.dtype
             assert packed.nbytes == q.nbytes
-            np.testing.assert_array_equal(packed.unpack(), q)
-            x = rng.normal(size=(7, in_f)).astype(dtype)
-            got = QK.quantized_linear(x, packed, scales, bias)
             np.testing.assert_array_equal(
-                got, QK.quantized_linear(x, q, scales, bias))
+                np.concatenate([block.T for _, _, block in packed.blocks]), q)
+            x = rng.normal(size=(7, in_f)).astype(dtype)
             np.testing.assert_allclose(
-                got, QK.quantized_linear_reference(x, q, scales, bias),
+                QK.quantized_linear(x, packed, scales, bias),
+                QK.quantized_linear_reference(x, q, scales, bias),
                 rtol=2e-5, atol=2e-5)
 
-    def test_ladder_drift_bounded(self, rng, stored_ladder, mode, dtype):
-        q_stages, stage_scales, halves, coeffs = stored_ladder(64)
-        x = rng.normal(size=(8, 64)).astype(dtype)
-        exact, _ = kernels.butterfly_apply(x, coeffs, halves, need_ctx=False)
-        got = QK.quantized_butterfly_apply(x, q_stages, stage_scales, halves)
-        assert got.dtype == dtype
-        drift = np.abs(got - exact).max() / np.abs(exact).max()
-        assert drift < LADDER_DRIFT_BOUND[mode]
-
-    def test_module_forward_equals_kernel_bytes(self, rng, store, stored_ladder, mode, dtype):
+    def test_module_forward_equals_kernel_bytes(self, rng, store, mode, dtype):
         q, scales = store(rng.normal(size=(24, 16)))
         bias = rng.normal(size=24).astype(dtype)
         x = rng.normal(size=(3, 16)).astype(dtype)
-        layer = nn.QuantizedLinear(q, scales, bias)
+        layer = nn.QuantizedLinear(q, scales, bias, dtype=dtype)
         with kernels.default_dtype(dtype), nn.no_grad():
             np.testing.assert_array_equal(
                 layer(nn.Tensor(x)).data,
-                QK.quantized_linear(x, q, scales, bias),
+                QK.quantized_linear(x, layer.q_weight, scales, bias),
             )
-        # a 24 -> 20 layer on a 32-point ladder: pad, apply, truncate, bias
-        q_stages, stage_scales, halves, _ = stored_ladder(32)
-        ladder = nn.QuantizedButterflyLinear(
-            24, 20, 32, halves, q_stages, stage_scales, bias[:20]
-        )
-        xb = rng.normal(size=(3, 24)).astype(dtype)
-        padded = np.pad(xb, [(0, 0), (0, 8)])
-        want = QK.quantized_butterfly_apply(
-            padded, q_stages, stage_scales, halves
-        )[..., :20] + bias[:20]
-        with kernels.default_dtype(dtype), nn.no_grad():
-            np.testing.assert_array_equal(ladder(nn.Tensor(xb)).data, want)
 
-    def test_weight_nbytes_is_sum_of_held_arrays(self, rng, store, stored_ladder, mode, dtype):
+    def test_weight_nbytes_is_sum_of_held_arrays(self, rng, store, mode, dtype):
         q, scales = store(rng.normal(size=(24, 16)))
         bias = rng.normal(size=24).astype(dtype)
         assert nn.QuantizedLinear(q, scales, bias).weight_nbytes() == _held(
             q, scales, bias
         )
         assert nn.QuantizedLinear(q, scales).weight_nbytes() == _held(q, scales)
-        q_stages, stage_scales, halves, _ = stored_ladder(32)
-        ladder = nn.QuantizedButterflyLinear(
-            32, 32, 32, halves, q_stages, stage_scales, bias
-        )
-        assert ladder.weight_nbytes() == _held(*q_stages, *stage_scales, bias)
 
     def test_training_mode_raises(self, rng, mode, dtype):
         config = _decoder_config(dtype)
@@ -141,15 +96,6 @@ class TestTierContract:
                 tokens = rng.integers(1, config.vocab_size, size=(1, 4))
                 with pytest.raises(RuntimeError, match="inference-only"):
                     replica(tokens)
-
-    def test_fp16_activations_stay_fp16(self, rng, store, stored_ladder, mode, dtype):
-        del dtype  # the activation stream under test is half precision
-        q, scales = store(rng.normal(size=(16, 16)))
-        x = rng.normal(size=(3, 16)).astype(np.float16)
-        assert QK.quantized_linear(x, q, scales).dtype == np.float16
-        q_stages, stage_scales, halves, _ = stored_ladder(16)
-        got = QK.quantized_butterfly_apply(x, q_stages, stage_scales, halves)
-        assert got.dtype == np.float16
 
     def test_replica_served_batched_equals_served_solo(self, rng, mode, dtype):
         config = _decoder_config(dtype)
