@@ -25,8 +25,9 @@ Design
   and runs ``np.exp2`` (half of ``np.exp``'s cost per score), float64
   keeps ``np.exp``.  ``2^(s log2 e)`` over- and underflows at the same
   natural scores as ``e^s``, so the check and its floor keep their
-  meaning; the row shift is taken in the scaled units and the
-  logsumexp is stored in natural log.
+  meaning.  A failing row's shifted pass takes its scores, row max and
+  logsumexp in natural units and scales by ``log2 e`` after the shift,
+  so its error is ``eps`` of ``s - max``, not of ``s``.
 * **Analytic backward on the same tiles**: the forward stores only
   ``(q, k, v, out, logsumexp)``; :func:`attention_vjp` recomputes each
   query tile's probabilities exactly: ``[q * scale | -lse] @ [K^T ; 1]``
@@ -281,6 +282,7 @@ def attention_forward(
     shift, lsum = take("attention.lse", (2, b, h, lq), dtype)
     shift[...] = 0  # a row's shift stays 0 unless its tile fails the check
     tiny_per_eps = float(np.finfo(dtype).tiny / np.finfo(dtype).eps)
+    masked = mask_fill_value(dtype) / 2  # a row peak below this is a bias
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
     kt = k.swapaxes(-1, -2)  # (B, H, D, Lk) view
     # Uniform causal masking is the suffix convention, query i at absolute
@@ -323,6 +325,13 @@ def attention_forward(
                 for shifted in (False, True):
                     qs = np.multiply(q[tile], scale * log2e,
                                      out=summed[:size * d].reshape(*shape, d))
+                    if shifted:
+                        # Failing rows are shifted in natural units and
+                        # only then scaled by log2 e: folded into the
+                        # queries, the factor costs |s| * eps of each of
+                        # their (overflowing or underflowing) scores.
+                        failing = ~exact[..., None]
+                        np.multiply(q[tile], scale, out=qs, where=failing)
                     np.matmul(qs, keys[..., :j1], out=s)
                     if bias2d is not None:
                         j0 = offset + i0 + 1
@@ -335,6 +344,11 @@ def attention_forward(
                         np.maximum.reduce(s, axis=-1, out=shift[tile])
                         np.copyto(shift[tile], 0, where=exact)
                         s -= shift[tile][..., None]
+                        np.multiply(s, log2e, out=s, where=failing)
+                        # A fully masked row peaks at its bias, which the
+                        # VJP adds in log2 units: store that peak so.
+                        np.multiply(shift[tile], 1.0 / log2e, out=shift[tile],
+                                    where=shift[tile] < masked)
                     exp(s, out=s)
                     np.matmul(s, v1[:, :, :j1], out=pv)
                     if shifted or _unshifted_is_exact(pv, floor):
@@ -351,7 +365,7 @@ def attention_forward(
     if not need_ctx:
         return out, None
     lse = np.log(lsum, out=lsum)
-    lse += np.multiply(shift, 1.0 / log2e, out=shift)  # natural log
+    lse += shift
     return out, AttentionContext(q, k, v, out, lse, scale, block,
                                  bias2d, bias3d, kbias, take)
 

@@ -1,4 +1,8 @@
-"""FFT-as-butterfly: the bit reversal and the twiddle factors against the DFT."""
+"""FFT-as-butterfly: the bit reversal and the twiddle factors against the DFT.
+
+``fft`` below is the factorization the Butterfly Engine's FFT mode runs:
+the bit-reversal permutation, then :func:`fft_butterfly`'s twiddle stages
+through the shared butterfly kernel."""
 
 import numpy as np
 import pytest
@@ -8,6 +12,17 @@ from repro.butterfly import (
     fft_butterfly,
     fft_stage_factor,
 )
+
+
+def fft(x):
+    """The DFT along the last axis: bit reversal, then the twiddle stages."""
+    n = x.shape[-1]
+    return fft_butterfly(n).apply(x[..., bit_reversal_permutation(n)])
+
+
+def fft2(x):
+    """The 2D DFT over the last two axes: rows, then columns."""
+    return np.swapaxes(fft(np.swapaxes(fft(x), -1, -2)), -1, -2)
 
 
 class TestBitReversal:
@@ -30,6 +45,56 @@ class TestBitReversal:
 
     def test_size_1(self):
         np.testing.assert_array_equal(bit_reversal_permutation(1), [0])
+
+
+class TestFFTCorrectness:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 1024])
+    def test_matches_numpy_real_input(self, n, rng):
+        x = rng.normal(size=n)
+        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 32, 128])
+    def test_matches_numpy_complex_input(self, n, rng):
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-9)
+
+    def test_batched_rows(self, rng):
+        x = rng.normal(size=(5, 16))
+        np.testing.assert_allclose(fft(x), np.fft.fft(x, axis=-1), atol=1e-10)
+
+    def test_impulse_gives_flat_spectrum(self):
+        x = np.zeros(16)
+        x[0] = 1.0
+        np.testing.assert_allclose(fft(x), np.ones(16), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 16, 256, 1024])
+    def test_conjugate_trick_inverts(self, n, rng):
+        """``conj(fft(conj(X))) / n`` is the inverse transform."""
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        np.testing.assert_allclose(np.conj(fft(np.conj(fft(x)))) / n, x,
+                                   atol=1e-10)
+
+    def test_linearity(self, rng):
+        x, y = rng.normal(size=(2, 64))
+        np.testing.assert_allclose(fft(2.0 * x - 3.0 * y),
+                                   2.0 * fft(x) - 3.0 * fft(y), atol=1e-9)
+
+    def test_parseval(self, rng):
+        x = rng.normal(size=128)
+        energy_time = (np.abs(x) ** 2).sum()
+        energy_freq = (np.abs(fft(x)) ** 2).sum() / 128
+        assert energy_time == pytest.approx(energy_freq)
+
+
+class TestFFT2:
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 16), (16, 8), (32, 32)])
+    def test_matches_numpy(self, shape, rng):
+        x = rng.normal(size=shape)
+        np.testing.assert_allclose(fft2(x), np.fft.fft2(x), atol=1e-9)
+
+    def test_batched(self, rng):
+        x = rng.normal(size=(3, 8, 8))
+        np.testing.assert_allclose(fft2(x), np.fft.fft2(x, axes=(-2, -1)), atol=1e-9)
 
 
 class TestFFTStructure:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.butterfly import (
     ButterflyMatrix,
     bit_reversal_permutation,
+    fft_butterfly,
     pair_indices,
     stage_halves,
 )
@@ -34,6 +35,16 @@ def test_butterfly_linearity(n, seed, alpha, beta):
     lhs = matrix.apply(alpha * x + beta * y)
     rhs = alpha * matrix.apply(x) + beta * matrix.apply(y)
     np.testing.assert_allclose(lhs, rhs, atol=1e-7)
+
+
+@given(n=sizes, seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_fft_matches_numpy(n, seed):
+    """The twiddle stages on the bit-reversed input are the DFT."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    got = fft_butterfly(n).apply(x[bit_reversal_permutation(n)])
+    np.testing.assert_allclose(got, np.fft.fft(x), atol=1e-8)
 
 
 @given(n=st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]))

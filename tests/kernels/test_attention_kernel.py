@@ -439,6 +439,24 @@ class TestUnshiftedCheck:
                 np.testing.assert_array_equal(out[one], solo)
                 np.testing.assert_array_equal(ctx.lse[one], solo_ctx.lse)
 
+    def test_a_shifted_fp32_row_errs_by_eps_of_its_shifted_scores(self):
+        """A float32 row under the check's floor (scores near -93, exact
+        quarters) is recomputed in natural units and scaled by ``log2 e``
+        after its shift.  With the factor folded into the queries, each
+        score errs by ``|s| * eps``, which puts this output 1.4e-5 off."""
+        q = np.array([[[[1.75, 0.0, -186.5]]]], dtype=np.float32)
+        k = np.array([[[[0.25, -0.5, 1.0], [-0.25, 0.75, 1.0],
+                        [-1.75, 0.0, 1.0], [-0.75, -0.5, 1.0]]]], dtype=np.float32)
+        v = np.array([[[[3.0, 3.0, 3.0], [3.0, -3.0, -3.0],
+                        [3.0, -3.0, -3.0], [-3.0, -3.0, 3.0]]]], dtype=np.float32)
+        with _fallbacks() as failed:
+            out, ctx = AK.attention_forward(q, k, v, scale=0.5)
+        assert failed == [True]
+        np.testing.assert_allclose(
+            out, AK.attention_reference(q, k, v, scale=0.5), atol=1e-5)
+        np.testing.assert_allclose(
+            ctx.lse, np.logaddexp.reduce(_scores(q, k, ctx), axis=-1), atol=1e-4)
+
     @settings(max_examples=30, deadline=None)
     @given(_lifted_cases(dtype=np.float64, max_batch=3), st.integers(0, 2**32 - 1))
     @example(_one_lifted_row(np.float64), 0)

@@ -101,7 +101,7 @@ class TestForwardVsDense:
 
 
 class TestFFTParity:
-    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("n", [2, 8, 16, 64, 128, 512])
     def test_fft_stage_coeffs_match_general_kernel(self, rng, n):
         """Twiddle coefficient arrays drive the general kernel to the FFT."""
         x = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))

@@ -6,14 +6,14 @@ calls over buffers the program owns (``repro.models.encode_program``).
 The ``Tensor`` graph it stands in for is still there — it is the
 ``use_fused(False)`` path and the oracle of both programs — so the
 program is held to it directly, at 1e-5 (fp32) / 1e-12 (fp64), over
-{transformer, fnet, fabnet, hybrid} x {fp32, fp64} x {mask, none} x
-{cls, mean} x {odd, even seq} and the stored-weight replicas.  The rest
-of the file pins the contract around it: which calls take the program
-and which the graph, that it is rebuilt
-exactly when what it was built from changes, that derived state never
-travels with a copy or a pickle, that what it returns is the caller's,
-that threads do not share buffers — and the allocation gate: a forward
-at a steady shape allocates nothing large and takes no page fault.
+{transformer, fnet, fabnet, hybrid} x {1, 2 heads} x {fp32, fp64} x
+{mask, none} x {batch of 1, of 3} x {odd, even seq} and the stored-weight
+replicas.  The rest of the file pins the contract around it: which calls
+take the program and which the graph, that it is rebuilt exactly when
+what it was built from changes, that derived state never travels with a
+copy or a pickle, that what it returns is the caller's, that threads do
+not share buffers — and the allocation gate: a forward at a steady shape
+allocates nothing large and takes no page fault.
 """
 
 import copy
@@ -45,6 +45,11 @@ BUILDERS = {
     "fabnet": build_fabnet,
     "hybrid": lambda config: build_hybrid_transformer(config, 1),
 }
+#: ``(kind, n_heads)`` of the program-vs-graph matrix: every kind at two
+#: heads, and the kinds with attention at one head too (FNet mixes tokens
+#: with the Fourier transform, not with heads).
+KIND_HEADS = [(kind, heads) for kind in BUILDERS for heads in (1, 2)
+              if heads == 2 or kind != "fnet"]
 #: program vs the graph: the kernels against the ops they stand in for.
 GRAPH_RTOL = {"float32": 1e-5, "float64": 1e-12}
 
@@ -82,15 +87,16 @@ def assert_close(got, want, rtol):
 
 
 class TestAgainstTheGraph:
-    @pytest.mark.parametrize("kind", list(BUILDERS))
+    @pytest.mark.parametrize("kind,heads", KIND_HEADS)
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("seq", [MAX_LEN, MAX_LEN - 3])
     def test_logits_match_the_graph(
-        self, kind, dtype, masked, seq, rng
+        self, kind, heads, dtype, masked, batch, seq, rng
     ):
-        model = build(kind, dtype)
-        tokens, mask = inputs(rng, seq=seq, masked=masked)
+        model = build(kind, dtype, n_heads=heads)
+        tokens, mask = inputs(rng, batch=batch, seq=seq, masked=masked)
         got = program_logits(model, tokens, mask)
         assert got.dtype == np.dtype(dtype)
         assert_close(got, graph_logits(model, tokens, mask), GRAPH_RTOL[dtype])

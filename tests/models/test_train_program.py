@@ -23,7 +23,7 @@ from repro import kernels, nn
 from repro.kernels.pool import STEP
 from repro.models import DualEncoderClassifier, ModelConfig
 
-from .test_encode_program import BUILDERS, GRAPH_RTOL, build, inputs
+from .test_encode_program import BUILDERS, GRAPH_RTOL, KIND_HEADS, build, inputs
 
 
 def loss_and_grads(model, forward, labels):
@@ -64,15 +64,16 @@ def labels_for(tokens):
 
 
 class TestAgainstTheGraph:
-    @pytest.mark.parametrize("kind", list(BUILDERS))
+    @pytest.mark.parametrize("kind,heads", KIND_HEADS)
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("seq", [16, 13])
     def test_loss_and_gradients_match_the_graph(
-        self, kind, dtype, masked, seq, rng
+        self, kind, heads, dtype, masked, batch, seq, rng
     ):
-        model = build(kind, dtype)
-        tokens, mask = inputs(rng, seq=seq, masked=masked)
+        model = build(kind, dtype, n_heads=heads)
+        tokens, mask = inputs(rng, batch=batch, seq=seq, masked=masked)
         labels = labels_for(tokens)
         got = loss_and_grads(model, lambda: model(tokens, mask=mask), labels)
         assert model._train_program.builds == 1
