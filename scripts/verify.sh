@@ -12,8 +12,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Pin BLAS/OMP worker pools to one thread (overridable by pre-setting
 # the variables): library-internal threading varies across runners and
 # would make timings noisy and float32 reductions machine-dependent.
-# BLAS threads are the only in-process parallelism; one BLAS thread is
-# the byte-stable setting.  Multi-core serving is `--workers N` processes.
+# One BLAS thread is the byte-stable setting; attention's one helper lane
+# (byte-identical to one lane) is the only in-process parallelism.
+# Multi-core serving is `--workers N` processes.
 export OMP_NUM_THREADS="${OMP_NUM_THREADS:-1}"
 export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
 export MKL_NUM_THREADS="${MKL_NUM_THREADS:-1}"

@@ -56,7 +56,7 @@ class Platform:
     ) -> float:
         """Roofline time of one operator invocation."""
         if efficiency is None:
-            efficiency = self.gemm_efficiency if gemm else self.gemm_efficiency
+            efficiency = self.gemm_efficiency
         bw = self.bandwidth_gbs * (1.0 if gemm else self.elementwise_bandwidth)
         compute = flops / (self.peak_gflops * 1e9 * efficiency)
         memory = num_bytes / (bw * 1e9)

@@ -20,6 +20,16 @@ Design
   whole key row is in its tile: no running max, nothing to rescale, and
   peak score memory is one tile, not ``O(B*H*Lq*Lk)``.  Every temporary
   is the per-thread pool's (:data:`repro.kernels.pool.SCRATCH`).
+* **Two lanes, one lane's bytes**: the forward's query tiles and the
+  VJP's runs of heads are items that the caller and one helper thread
+  pull from one counter (:func:`_run_items`), on calls of two items or
+  more over :data:`LANE_MIN_SCORES` scores.  Operands every tile of a
+  head reads (``K^T``, ``[V | 1]``) are laid out before the items; an
+  item makes exactly the one-lane loop's calls on its own slices, from
+  its lane's own scratch, and a run's dK / dV sum in query order on one
+  lane.  Outputs, ``lse`` and gradients are byte-identical whichever
+  lane runs an item.  This is the only thread the kernels start: BLAS
+  stays at one thread, and row-sharded GEMMs lost (CONTRIBUTING).
 * **exp2 in float32**: the exponential is :func:`repro.kernels.dtype.
   softmax_exp`'s pair — float32 scales the queries by ``scale * log2(e)``
   and runs ``np.exp2`` (half of ``np.exp``'s cost per score), float64
@@ -48,6 +58,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import queue
 import threading
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -74,6 +86,14 @@ DEFAULT_BLOCK = 64
 #: 11.9, fp64 21.5/18.9/21.0, 20.6/20.9/20.4; ``(1,8,512,64)`` fp32 7.6/6.9/
 #: 6.9, 10.2/9.7/9.2.  256K never wins by more than the runs disagree.
 TILE_SCORES = 1 << 17
+
+#: Score area (``B * H * Lq * Lk``) from which a call's items are shared
+#: with the helper lane (:func:`_run_items`).  Two lanes / one, fp32
+#: forward + VJP, medians of 49 interleaved: ``(4,4,128,8)`` causal (a
+#: tiny decoder's window, 0.26M) 1.13, ``(1,4,256,32)`` (0.26M) 0.74,
+#: ``(2,4,256,32)`` (0.52M) 0.69, ``(1,4,1024,32)`` (4.2M) 0.62; the full
+#: table is CONTRIBUTING's.
+LANE_MIN_SCORES = 1 << 19
 
 # Cached additive causal biases keyed by (seq, total, dtype str).  Entries
 # are (seq, total) arrays of {0, mask_fill_value}; the cache is tiny (one
@@ -198,6 +218,103 @@ def _tile_shape(h: int, lq: int, lk: int, cap: int) -> Tuple[int, int, int]:
     return (rows // (h * lq) if heads == h else 1), heads, lq
 
 
+def _runs(b: int, h: int, nb: int, nh: int) -> list:
+    """``(b0, h0)`` of every run of :func:`_tile_shape`'s batch rows and
+    heads, in the order one lane walks them."""
+    return list(itertools.product(range(0, b, nb), range(0, h, nh)))
+
+
+class _HelperLane:
+    """One daemon thread that runs the jobs a caller posts, one at a time,
+    and answers each on the job's own queue with ``None`` or what it
+    raised.  ``busy`` is held by the one caller sharing it."""
+
+    def __init__(self) -> None:
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.busy = threading.Lock()
+        threading.Thread(target=self._serve, name="repro-attention-lane",
+                         daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            job, done = self.jobs.get()
+            try:
+                job()
+            except BaseException as exc:  # the caller re-raises it
+                done.put(exc)
+            else:
+                done.put(None)
+
+
+_LANE: Optional[_HelperLane] = None
+_LANE_LOCK = threading.Lock()
+
+
+def _helper() -> _HelperLane:
+    """The process's helper lane, started on first use."""
+    global _LANE
+    with _LANE_LOCK:
+        if _LANE is None:
+            _LANE = _HelperLane()
+        return _LANE
+
+
+def _drop_helper() -> None:
+    # A forked child inherits the lane object but not its thread: a job
+    # posted there would wait forever.  The child starts its own.
+    global _LANE, _LANE_LOCK
+    _LANE, _LANE_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _run_items(count: int, scores: int, item: Callable[[int], None]) -> None:
+    """``item(0)``, ..., ``item(count - 1)``: in order on the caller, or,
+    for two items or more over ``scores >=`` :data:`LANE_MIN_SCORES`,
+    pulled from one counter by the caller and the helper lane.
+
+    Items write disjoint outputs and take their temporaries from their
+    own lane's :data:`SCRATCH`, so which lane runs one moves no byte.  The
+    helper runs under the caller's ``np.errstate`` (a thread starts with
+    its own), a failing item stops both lanes pulling, and the caller
+    waits for the helper before it returns or raises.  A caller that
+    finds the lane shared with another thread runs alone.
+    """
+    lane = _helper() if count > 1 and scores >= LANE_MIN_SCORES else None
+    if lane is None or not lane.busy.acquire(blocking=False):
+        for i in range(count):
+            item(i)
+        return
+    try:
+        pull = itertools.count().__next__  # one atomic step under the GIL
+        failed = []
+        errstate = np.geterr()
+
+        def work() -> None:
+            with np.errstate(**errstate):
+                while not failed:
+                    i = pull()
+                    if i >= count:
+                        return
+                    try:
+                        item(i)
+                    except BaseException:
+                        failed.append(i)
+                        raise
+
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        lane.jobs.put((work, done))
+        try:
+            work()
+        finally:
+            error = done.get()
+        if error is not None:
+            raise error
+    finally:
+        lane.busy.release()
+
+
 def _unshifted_is_exact(pv: np.ndarray, floor: float) -> bool:
     """Whether every row of an unshifted tile's PV block ``[P V | l]``
     (``l = sum_j exp(s_j)`` over ``n`` keys) is its softmax to rounding.
@@ -284,84 +401,87 @@ def attention_forward(
     tiny_per_eps = float(np.finfo(dtype).tiny / np.finfo(dtype).eps)
     masked = mask_fill_value(dtype) / 2  # a row peak below this is a bias
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
-    kt = k.swapaxes(-1, -2)  # (B, H, D, Lk) view
+    rows = min(nb, b)
     # Uniform causal masking is the suffix convention, query i at absolute
     # position offset + i: a tile ending at query i1 sees no key from
     # offset + i1 on, and needs the bias only from its first diagonal.
     offset = lk - lq
+    tiles = [(b0, h0, i0) for b0, h0 in _runs(b, h, nb, nh)
+             for i0 in range(0, lq, nq)]
 
-    with span("kernels.attention_forward", lq=lq, lk=lk, block=block), \
-            np.errstate(over="ignore", invalid="ignore"):
+    def item(t: int) -> None:
         # One pass over a score tile (exp) between its two GEMMs, unless
         # the PV block's check (which sees any overflow) sends it round
         # again, shifted.
-        rows = min(nb, b)
+        b0, h0, i0 = tiles[t]
+        b1, h1, i1 = min(b0 + nb, b), min(h0 + nh, h), min(i0 + nq, lq)
+        j1 = offset + i1 if bias2d is not None else lk
+        tile = np.s_[b0:b1, h0:h1, i0:i1]
+        shape = (b1 - b0, h1 - h0, i1 - i0)
+        size = math.prod(shape)
         scores = SCRATCH.take("attention.tile", (rows * nh * nq * lk,), dtype)
         # The scaled queries are spent when the PV product is written:
         # one buffer holds first the one, then the other.
         summed = SCRATCH.take("attention.pv", (rows * nh * nq * (d + 1),), dtype)
-        ones = SCRATCH.take("attention.v", (rows, nh, lk, d + 1), dtype)
-        for b0, h0 in itertools.product(range(0, b, nb), range(0, h, nh)):
-            b1 = min(b0 + nb, b)
-            h1 = min(h0 + nh, h)
-            v1 = ones[:b1 - b0, :h1 - h0]
-            v1[..., :d] = v[b0:b1, h0:h1]
-            v1[..., d] = 1.0
-            keys = kt[b0:b1, h0:h1]
-            if nq < lq:
-                # Every tile of the head reads these keys: lay K^T out
-                # once, rows contiguous, for the QK GEMMs to stream.
-                keys = SCRATCH.take("attention.k", keys.shape, dtype)
-                np.copyto(keys, kt[b0:b1, h0:h1])
-            for i0 in range(0, lq, nq):
-                i1 = min(i0 + nq, lq)
-                j1 = offset + i1 if bias2d is not None else lk
-                tile = np.s_[b0:b1, h0:h1, i0:i1]
-                shape = (b1 - b0, h1 - h0, i1 - i0)
-                size = math.prod(shape)
-                s = scores[:size * j1].reshape(*shape, j1)
-                pv = summed[:size * (d + 1)].reshape(*shape, d + 1)
-                floor = j1 * tiny_per_eps
-                for shifted in (False, True):
-                    qs = np.multiply(q[tile], scale * log2e,
-                                     out=summed[:size * d].reshape(*shape, d))
-                    if shifted:
-                        # Failing rows are shifted in natural units and
-                        # only then scaled by log2 e: folded into the
-                        # queries, the factor costs |s| * eps of each of
-                        # their (overflowing or underflowing) scores.
-                        failing = ~exact[..., None]
-                        np.multiply(q[tile], scale, out=qs, where=failing)
-                    np.matmul(qs, keys[..., :j1], out=s)
-                    if bias2d is not None:
-                        j0 = offset + i0 + 1
-                        s[..., j0:] += bias2d[i0:i1, j0:j1]
-                    if bias3d is not None:
-                        s += bias3d[b0:b1, None, i0:i1]
-                    if kbias is not None:
-                        s += kbias[b0:b1, None, None, :j1]
-                    if shifted:  # 0 on passing rows: their bytes are kept
-                        np.maximum.reduce(s, axis=-1, out=shift[tile])
-                        np.copyto(shift[tile], 0, where=exact)
-                        s -= shift[tile][..., None]
-                        np.multiply(s, log2e, out=s, where=failing)
-                        # A fully masked row peaks at its bias, which the
-                        # VJP adds in log2 units: store that peak so.
-                        np.multiply(shift[tile], 1.0 / log2e, out=shift[tile],
-                                    where=shift[tile] < masked)
-                    exp(s, out=s)
-                    np.matmul(s, v1[:, :, :j1], out=pv)
-                    if shifted or _unshifted_is_exact(pv, floor):
-                        break
-                    # The same rule row by row: l, or NaN on a non-finite row.
-                    rowwise = np.add.reduce(pv, axis=-1, out=shift[tile])
-                    rowwise *= 0
-                    rowwise += pv[..., d]
-                    exact = SCRATCH.take("attention.exact", shape, bool)
-                    np.greater_equal(rowwise, floor, out=exact)
-                np.divide(pv[..., :d], pv[..., d:], out=out[tile])
-                if need_ctx:
-                    lsum[tile] = pv[..., d]
+        s = scores[:size * j1].reshape(*shape, j1)
+        pv = summed[:size * (d + 1)].reshape(*shape, d + 1)
+        floor = j1 * tiny_per_eps
+        for shifted in (False, True):
+            qs = np.multiply(q[tile], scale * log2e,
+                             out=summed[:size * d].reshape(*shape, d))
+            if shifted:
+                # Failing rows are shifted in natural units and only then
+                # scaled by log2 e: folded into the queries, the factor
+                # costs |s| * eps of each of their (overflowing or
+                # underflowing) scores.
+                failing = ~exact[..., None]
+                np.multiply(q[tile], scale, out=qs, where=failing)
+            np.matmul(qs, keys[b0:b1, h0:h1, :, :j1], out=s)
+            if bias2d is not None:
+                j0 = offset + i0 + 1
+                s[..., j0:] += bias2d[i0:i1, j0:j1]
+            if bias3d is not None:
+                s += bias3d[b0:b1, None, i0:i1]
+            if kbias is not None:
+                s += kbias[b0:b1, None, None, :j1]
+            if shifted:  # 0 on passing rows: their bytes are kept
+                np.maximum.reduce(s, axis=-1, out=shift[tile])
+                np.copyto(shift[tile], 0, where=exact)
+                s -= shift[tile][..., None]
+                np.multiply(s, log2e, out=s, where=failing)
+                # A fully masked row peaks at its bias, which the VJP adds
+                # in log2 units: store that peak so.
+                np.multiply(shift[tile], 1.0 / log2e, out=shift[tile],
+                            where=shift[tile] < masked)
+            exp(s, out=s)
+            np.matmul(s, ones[b0:b1, h0:h1, :j1], out=pv)
+            if shifted or _unshifted_is_exact(pv, floor):
+                break
+            # The same rule row by row: l, or NaN on a non-finite row.
+            rowwise = np.add.reduce(pv, axis=-1, out=shift[tile])
+            rowwise *= 0
+            rowwise += pv[..., d]
+            exact = SCRATCH.take("attention.exact", shape, bool)
+            np.greater_equal(rowwise, floor, out=exact)
+        np.divide(pv[..., :d], pv[..., d:], out=out[tile])
+        if need_ctx:
+            lsum[tile] = pv[..., d]
+
+    with span("kernels.attention_forward", lq=lq, lk=lk, block=block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        # The operands every tile of a head reads, laid out once before
+        # the tiles: [V | 1] (the ones column makes the PV GEMM return
+        # each row's denominator) and, when a head has several tiles, K^T
+        # with rows contiguous for the QK GEMMs to stream.
+        ones = SCRATCH.take("attention.v", (b, h, lk, d + 1), dtype)
+        ones[..., :d] = v
+        ones[..., d] = 1.0
+        keys = k.swapaxes(-1, -2)  # (B, H, D, Lk) view
+        if nq < lq:
+            laid = SCRATCH.take("attention.k", keys.shape, dtype)
+            np.copyto(laid, keys)
+            keys = laid
+        _run_items(len(tiles), b * h * lq * lk, item)
     if not need_ctx:
         return out, None
     lse = np.log(lsum, out=lsum)
@@ -384,55 +504,61 @@ def attention_vjp(
                   for name, a in zip("qkv", (q, k, v)))
     exp, log2e = softmax_exp(dtype)
     nb, nh, nq = _tile_shape(h, lq, lk, lq if bias2d is None else block)
-    with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
-        # The augmented operands (module docstring), once per run of heads.
-        rows = min(nb, b)
+    rows = min(nb, b)
+    runs = _runs(b, h, nb, nh)
+
+    def item(r: int) -> None:
+        # One run of heads, its dK and dV summed over its query tiles in
+        # order.  The augmented operands (module docstring), per run.
+        b0, h0 = runs[r]
+        b1, h1 = min(b0 + nb, b), min(h0 + nh, h)
         qa, ga = SCRATCH.take("attention.pv", (2, rows, nh, lq, d + 1), dtype)
         kv = SCRATCH.take("attention.k", (2, rows, nh, d + 1, lk), dtype)
         delta = SCRATCH.take("attention.delta", (rows * nh * lq,), dtype)
         tiles = SCRATCH.take("attention.tile", (2 * rows * nh * nq * lk,), dtype)
         part = SCRATCH.take("attention.dkv", (rows * nh * lk * d,), dtype)
-        for b0, h0 in itertools.product(range(0, b, nb), range(0, h, nh)):
-            b1, h1 = min(b0 + nb, b), min(h0 + nh, h)
-            run = np.s_[b0:b1, h0:h1]
-            n = (b1 - b0, h1 - h0)
-            qa1, ga1 = qa[:n[0], :n[1]], ga[:n[0], :n[1]]
-            kta, vta = kv[:, :n[0], :n[1]]
-            np.multiply(q[run], scale, out=qa1[..., :d])
-            np.negative(lse[run], out=qa1[..., d])
-            ga1[..., :d] = g[run]
-            # rowsum(dO * O) into a contiguous array, then the column.
-            d1 = np.einsum("...i,...i->...", g[run], out[run],
-                           out=delta[:math.prod(n) * lq].reshape(*n, lq))
-            np.negative(d1, out=ga1[..., d])
-            np.multiply(k[run].swapaxes(-1, -2), log2e, out=kta[..., :d, :])
-            vta[..., :d, :] = v[run].swapaxes(-1, -2)
-            kta[..., d, :] = log2e
-            vta[..., d, :] = 1.0
-            k1, gq1, gk1, gv1 = k[run], gq[run], gk[run], gv[run]
-            gk1[...] = gv1[...] = 0
-            for i0 in range(0, lq, nq):
-                i1 = min(i0 + nq, lq)
-                j1 = lk - lq + i1 if bias2d is not None else lk
-                size = math.prod(n) * (i1 - i0) * j1
-                p, ds = tiles[:2 * size].reshape(2, *n, i1 - i0, j1)
-                np.matmul(qa1[..., i0:i1, :], kta[..., :j1], out=p)
-                if bias2d is not None:  # whole rows: one contiguous pass
-                    p += bias2d[i0:i1, :j1]
-                if bias3d is not None:
-                    p += bias3d[b0:b1, None, i0:i1, :j1]
-                if kbias is not None:
-                    p += kbias[b0:b1, None, None, :j1]
-                exp(p, out=p)
-                np.matmul(ga1[..., i0:i1, :], vta[..., :j1], out=ds)
-                ds *= p
-                np.matmul(ds, k1[..., :j1, :], out=gq1[..., i0:i1, :])
-                # dV += P^T dO and dK += dS^T (scale q), over the tile's keys.
-                for grad, a, rhs in ((gv1, p, ga1), (gk1, ds, qa1)):
-                    dst = grad[..., :j1, :]
-                    dst += np.matmul(a.swapaxes(-1, -2), rhs[..., i0:i1, :d],
-                                     out=part[:dst.size].reshape(dst.shape))
-            gq1 *= scale
+        run = np.s_[b0:b1, h0:h1]
+        n = (b1 - b0, h1 - h0)
+        qa1, ga1 = qa[:n[0], :n[1]], ga[:n[0], :n[1]]
+        kta, vta = kv[:, :n[0], :n[1]]
+        np.multiply(q[run], scale, out=qa1[..., :d])
+        np.negative(lse[run], out=qa1[..., d])
+        ga1[..., :d] = g[run]
+        # rowsum(dO * O) into a contiguous array, then the column.
+        d1 = np.einsum("...i,...i->...", g[run], out[run],
+                       out=delta[:math.prod(n) * lq].reshape(*n, lq))
+        np.negative(d1, out=ga1[..., d])
+        np.multiply(k[run].swapaxes(-1, -2), log2e, out=kta[..., :d, :])
+        vta[..., :d, :] = v[run].swapaxes(-1, -2)
+        kta[..., d, :] = log2e
+        vta[..., d, :] = 1.0
+        k1, gq1, gk1, gv1 = k[run], gq[run], gk[run], gv[run]
+        gk1[...] = gv1[...] = 0
+        for i0 in range(0, lq, nq):
+            i1 = min(i0 + nq, lq)
+            j1 = lk - lq + i1 if bias2d is not None else lk
+            size = math.prod(n) * (i1 - i0) * j1
+            p, ds = tiles[:2 * size].reshape(2, *n, i1 - i0, j1)
+            np.matmul(qa1[..., i0:i1, :], kta[..., :j1], out=p)
+            if bias2d is not None:  # whole rows: one contiguous pass
+                p += bias2d[i0:i1, :j1]
+            if bias3d is not None:
+                p += bias3d[b0:b1, None, i0:i1, :j1]
+            if kbias is not None:
+                p += kbias[b0:b1, None, None, :j1]
+            exp(p, out=p)
+            np.matmul(ga1[..., i0:i1, :], vta[..., :j1], out=ds)
+            ds *= p
+            np.matmul(ds, k1[..., :j1, :], out=gq1[..., i0:i1, :])
+            # dV += P^T dO and dK += dS^T (scale q), over the tile's keys.
+            for grad, a, rhs in ((gv1, p, ga1), (gk1, ds, qa1)):
+                dst = grad[..., :j1, :]
+                dst += np.matmul(a.swapaxes(-1, -2), rhs[..., i0:i1, :d],
+                                 out=part[:dst.size].reshape(dst.shape))
+        gq1 *= scale
+
+    with span("kernels.attention_vjp", lq=lq, lk=lk, block=block):
+        _run_items(len(runs), b * h * lq * lk, item)
     return gq, gk, gv
 
 

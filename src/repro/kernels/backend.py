@@ -7,8 +7,10 @@ GEMMs (:mod:`repro.kernels.grouped`), the decode attention step
 ``kernels.matmul`` fault point fires at the same call sites whatever
 the caller, and a test can replace the function to count them.
 
-Parallelism inside a process is BLAS's own thread pool; one BLAS thread
-(``OPENBLAS_NUM_THREADS=1`` and friends) is the byte-stable setting.
+One BLAS thread (``OPENBLAS_NUM_THREADS=1`` and friends) is the
+byte-stable setting, and GEMMs run on their caller's thread.  The one
+parallelism inside a process is attention's helper lane
+(:func:`repro.kernels.attention._run_items`), whose items move no byte.
 Multi-core serving is ``--workers N`` processes
 (:mod:`repro.serving.cluster`).
 """

@@ -275,9 +275,10 @@ _PLAN_CACHE_LOCK = threading.Lock()
 # the telemetry registry when that is enabled.
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
-# Frozen ladders built / reused (see :class:`FrozenLadderCache`).  Builds
-# that keep pace with hits mean inference is interleaved with weight
-# updates and every call pays the chunk-matrix build again.
+# Frozen ladders built (see :class:`FrozenLadderCache`) and applied
+# (:meth:`FrozenLadder.apply`).  Builds that keep pace with hits mean
+# inference is interleaved with weight updates and every call pays the
+# chunk-matrix build again.
 _FROZEN_BUILDS = 0
 _FROZEN_HITS = 0
 _FROZEN_PUBLISHED = [0, 0]  # what the telemetry counters have seen
@@ -285,7 +286,9 @@ _FROZEN_PUBLISHED = [0, 0]  # what the telemetry counters have seen
 
 def plan_cache_stats() -> dict:
     """Lifetime plan-cache ``{"hits", "misses", "size", "hit_rate"}`` plus
-    the frozen-ladder ``{"frozen_builds", "frozen_hits"}``."""
+    the frozen-ladder ``{"frozen_builds", "frozen_hits"}`` (ladders built,
+    ladder applies).  ``hit_rate`` is ``None`` before any lookup: compiled
+    inference runs frozen ladders and never looks a plan up."""
     with _PLAN_CACHE_LOCK:
         hits, misses = _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
         size = len(_PLAN_CACHE)
@@ -303,9 +306,10 @@ def plan_cache_stats() -> dict:
 
 @publish_on_snapshot
 def _publish_frozen_counters() -> None:
-    # The frozen-ladder totals as telemetry counters.  Twelve ladders run
-    # per decode step, so they are counted as plain ints and only the
-    # growth since the last read of the registry is added here.
+    # The frozen-ladder totals as telemetry counters.  Every butterfly
+    # layer's ladder is applied once per forward or decode step, so they
+    # are counted as plain ints and only the growth since the last read
+    # of the registry is added here.
     for i, (name, total) in enumerate((
         ("kernels_frozen_ladder_builds_total", _FROZEN_BUILDS),
         ("kernels_frozen_ladder_hits_total", _FROZEN_HITS),
@@ -705,9 +709,12 @@ class FrozenLadder:
         always an owned array (intermediates live in pooled scratch) —
         or ``out``, a C-contiguous array of the result's shape and dtype
         that does not alias ``x``, filled with the same bytes.  Owns the
-        ``kernels.butterfly_apply`` fault point and ``path="frozen"`` span."""
+        ``kernels.butterfly_apply`` fault point and ``path="frozen"`` span,
+        and counts one frozen hit."""
+        global _FROZEN_HITS
         plan = self.plan
         fault_point("kernels.butterfly_apply", stages=plan.stages)
+        _FROZEN_HITS += 1  # unlocked: a diagnostic on the decode path
         with span("kernels.butterfly_apply", n=plan.n, path="frozen"):
             x = np.asarray(x, dtype=self.dtype)
             if x.shape[-1] != self.in_features:
@@ -804,13 +811,11 @@ class FrozenLadderCache:
         ``version`` counter, in full-ladder order) for inputs of
         ``x_dtype``; ``None`` when the result would be complex — FFT
         stages stay on the per-stage chain."""
-        global _FROZEN_HITS
         entry = self._entry
         if entry is not None and entry[0] == x_dtype and all(
             stage.version == version and stage.data is data
             for stage, (version, data) in zip(stages, entry[1])
         ):
-            _FROZEN_HITS += 1  # unlocked: a diagnostic on the decode path
             return entry[2]
         arrays = [stage.data for stage in stages]
         dtype = np.result_type(x_dtype, *[a.dtype for a in arrays])

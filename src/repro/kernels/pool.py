@@ -15,9 +15,9 @@ The rule, everywhere:
 
 * **Per thread.**  Buffers live in a ``threading.local``: two threads
   forwarding one model (a ``ServerThread`` beside its caller) never see
-  each other's memory.  The kernels themselves run on the caller's
-  thread; in-process parallelism is BLAS's own pool, and multi-core
-  serving is ``--workers N`` processes.
+  each other's memory.  The kernels run on the caller's thread, except
+  attention's items, which its helper lane may run from that lane's own
+  buffers; multi-core serving is ``--workers N`` processes.
 * **Grow-only per ``(tag, dtype)``.**  Callers of different shapes take
   turns on one tag (an FFN's up and down ladders, a long and a short
   batch), so a buffer is replaced only by a larger one.

@@ -20,9 +20,9 @@ Design constraints, in order:
 3. **Thread-safe.**  A ``ServerThread`` and its caller, or a training
    loop beside a scrape, update shared counters from different threads;
    every instrument carries its own lock and the registry serializes
-   instrument creation.  (Kernels run on their caller's thread: the
-   in-process parallelism is BLAS's own pool, and multi-core serving is
-   ``--workers N`` processes, each with its own registry.)
+   instrument creation.  (Kernels run on their caller's thread, bar
+   attention's helper lane, and multi-core serving is ``--workers N``
+   processes, each with its own registry.)
 4. **Deterministic in tests.**  The clock is injectable per registry
    (``Registry(clock=...)``), and histogram reservoirs use a seeded
    stdlib RNG, so timelines and percentiles are reproducible.

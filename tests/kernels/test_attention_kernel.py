@@ -19,6 +19,8 @@ drawn on shapes a test can afford.
 """
 
 import contextlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -743,3 +745,182 @@ class TestExpectedMacs:
         assert K.expected_macs(4, 6, 8) == {
             "qk_macs": 4 * 6 * 8, "sv_macs": 4 * 6 * 8, "softmax_elems": 4 * 6,
         }
+
+
+@contextlib.contextmanager
+def _lane_floor(n):
+    """Scope :data:`~repro.kernels.attention.LANE_MIN_SCORES`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AK, "LANE_MIN_SCORES", n)
+        yield
+
+
+def _forward_and_grads(q, k, v, kwargs, weights):
+    out, ctx = AK.attention_forward(q, k, v, **kwargs)
+    return (out.copy(), ctx.lse.copy(),
+            *(g.copy() for g in AK.attention_vjp(weights, ctx)))
+
+
+@st.composite
+def _lane_cases(draw):
+    """:func:`_lifted_cases` (rows in and out of the shifted recompute,
+    either dtype, causal suffixes, ragged starts, padding masks, ``Lq !=
+    Lk``) cut to ``B * H <= 6``, with the gradient weights."""
+    q, k, v, kwargs, budget = draw(_lifted_cases(max_batch=3))
+    heads = max(1, 6 // q.shape[0])
+    q, k, v = (a[:, :heads].copy() for a in (q, k, v))
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=q.shape).astype(q.dtype)
+    return q, k, v, kwargs, budget, weights
+
+
+#: `repro serve`'s tiny butterfly decoder (``serve_open``, ``http_stream``).
+_SERVE_DECODER = dict(vocab_size=28, n_classes=2, max_len=128, d_hidden=32,
+                      n_heads=4, r_ffn=2, n_total=2, seed=0)
+
+
+class TestLanes:
+    """Query tiles (forward) and runs of heads (VJP) are items the caller
+    and one helper lane pull from one counter: every byte is the one-lane
+    call's, a failure reaches the caller, and shapes under
+    :data:`~repro.kernels.attention.LANE_MIN_SCORES` never wake the lane."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lane_cases())
+    def test_two_lanes_are_the_one_lane_bytes(self, case):
+        q, k, v, kwargs, budget, weights = case
+        with _tile_scores(budget):
+            with _lane_floor(1 << 62):
+                alone = _forward_and_grads(q, k, v, kwargs, weights)
+            with _lane_floor(0):
+                shared = _forward_and_grads(q, k, v, kwargs, weights)
+        for got, want in zip(shared, alone):
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_helper_runs_items(self):
+        """Items 0 and 1 meet at a barrier, so each lane holds one."""
+        meet = threading.Barrier(2, timeout=60)
+        lanes = {}
+
+        def item(i):
+            if i < 2:
+                meet.wait()
+            lanes[i] = threading.get_ident()
+
+        AK._run_items(6, AK.LANE_MIN_SCORES, item)
+        assert sorted(lanes) == list(range(6))
+        assert lanes[0] != lanes[1]
+        assert threading.get_ident() in (lanes[0], lanes[1])
+
+    def test_every_item_runs_once_under_fast_switching(self):
+        """The shared counter hands each item to exactly one lane, with
+        the interpreter switching threads every microsecond and three
+        callers contending for the one lane."""
+        ran = [[] for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def caller(c):
+                for rep in range(5):
+                    AK._run_items(80, AK.LANE_MIN_SCORES,
+                                  lambda i: ran[c].append(80 * rep + i))
+
+            threads = [threading.Thread(target=caller, args=(c,)) for c in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for items in ran:
+            assert sorted(items) == list(range(400))
+
+    def test_a_helper_failure_reaches_the_caller(self, rng):
+        """The helper's first item raises once both lanes have one; the
+        caller re-raises it after the helper stops, and the next call
+        gives the one-lane bytes."""
+        q, k, v = _qkv(rng, b=1, h=4, lq=512, lk=512, d=8, dtype=np.float32)
+        assert 4 * 512 * 512 >= AK.LANE_MIN_SCORES
+        with _lane_floor(1 << 62):
+            want, _ = AK.attention_forward(q, k, v, need_ctx=False)
+        caller, check = threading.get_ident(), AK._unshifted_is_exact
+        meet, met = threading.Barrier(2, timeout=60), set()
+
+        def failing(pv, floor):
+            if threading.get_ident() not in met:
+                met.add(threading.get_ident())
+                meet.wait()
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper lane item")
+            return check(pv, floor)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AK, "_unshifted_is_exact", failing)
+            with pytest.raises(RuntimeError, match="helper lane item"):
+                AK.attention_forward(q, k, v, need_ctx=False)
+        got, _ = AK.attention_forward(q, k, v, need_ctx=False)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name,build,config,batch,prompt", [
+        # serve_open / http_stream: up to four prompts of up to 32 tokens,
+        # and a window at max_len.
+        ("serve_open", "build_butterfly_decoder", _SERVE_DECODER, 4, 32),
+        ("serve_open_window", "build_butterfly_decoder", _SERVE_DECODER, 4, 127),
+        # decode_int8: a dense fp32 decoder, waves of eight 16-token prompts.
+        ("decode_int8", "build_dense_decoder",
+         dict(vocab_size=256, n_classes=2, max_len=96, d_hidden=512, n_heads=8,
+              r_ffn=4, n_total=2, dtype="float32", seed=0), 8, 16),
+    ])
+    def test_serving_prefill_never_wakes_the_lane(
+            self, rng, name, build, config, batch, prompt):
+        from repro import models
+
+        cfg = models.ModelConfig(**config)
+        with cfg.dtype_context():
+            model = getattr(models, build)(cfg).eval()
+        calls = []
+        run_items = AK._run_items
+
+        def spy(count, scores, item):
+            calls.append(scores)
+            return run_items(count, scores, item)
+
+        def refuse():
+            raise AssertionError(f"{name} started the helper lane")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AK, "_run_items", spy)
+            patch.setattr(AK, "_helper", refuse)
+            cache = model.make_cache(batch)
+            tokens = rng.integers(1, cfg.vocab_size, size=(batch, prompt + 1))
+            model.prefill(tokens[:, :prompt], cache)
+            model.decode_step(tokens[:, prompt], cache)
+        assert calls and max(calls) < AK.LANE_MIN_SCORES
+
+    def test_encoder_and_training_step_are_the_one_lane_bytes(self):
+        """A FABNet forward and a training step's loss and gradients at
+        ``L`` 512, batch 2 (above the floor), against the floor raised."""
+        from repro.models import ModelConfig, build_fabnet
+
+        cfg = ModelConfig(vocab_size=32, n_classes=2, max_len=512, d_hidden=64,
+                          n_heads=4, r_ffn=2, n_total=2, n_abfly=1,
+                          dtype="float32", seed=0)
+        tokens = np.random.default_rng(0).integers(0, 32, size=(2, 512))
+        assert 2 * 4 * 512 * 512 >= AK.LANE_MIN_SCORES
+
+        def run():
+            model = build_fabnet(cfg)
+            with cfg.dtype_context():
+                with nn.no_grad():
+                    logits = model.eval()(tokens).data.copy()
+                model.train()
+                loss = nn.cross_entropy_logits(model(tokens), np.array([0, 1]))
+                loss.backward()
+            return [logits, loss.data] + [p.grad for p in model.parameters()]
+
+        shared = run()
+        with _lane_floor(1 << 62):
+            alone = run()
+        for got, want in zip(shared, alone):
+            assert got.tobytes() == want.tobytes()

@@ -238,13 +238,15 @@ class TestLayerCache:
             atol=1e-9)
 
     def test_built_once_then_reused(self, rng):
+        """A lookup builds or returns the ladder; a hit is an apply."""
         stages, halves, cache = self._setup(rng)
         builds, hits = self._counts()
         ladder = cache.get(stages, np.float64)
         assert self._counts() == (builds + 1, hits)
         assert cache.get(stages, np.float64) is ladder
-        assert self._counts() == (builds + 1, hits + 1)
+        assert self._counts() == (builds + 1, hits)
         self._check(ladder, rng.normal(size=(2, 64)), stages, halves)
+        assert self._counts() == (builds + 1, hits + 1)
 
     def test_version_bump_and_data_rebind_rebuild(self, rng):
         stages, halves, cache = self._setup(rng)
@@ -306,14 +308,46 @@ class TestLayerCache:
                 telemetry.get_registry().snapshot()  # flush earlier tests' counts
                 telemetry.clear_all()
                 for _ in range(3):
-                    cache.get(stages, np.float64)
+                    cache.get(stages, np.float64).apply(np.ones((1, 64)))
                 snapshot = telemetry.get_registry().snapshot()
                 text = telemetry.render_prometheus()
         finally:
             telemetry.clear_all()
         assert snapshot["kernels_frozen_ladder_builds_total"]["value"] == 1
-        assert snapshot["kernels_frozen_ladder_hits_total"]["value"] == 2
-        assert "kernels_frozen_ladder_hits_total 2" in text
+        assert snapshot["kernels_frozen_ladder_hits_total"]["value"] == 3
+        assert "kernels_frozen_ladder_hits_total 3" in text
+
+    def test_a_decoders_hits_are_its_ladder_applies(self, rng):
+        """A butterfly decoder's prefill and three decode steps apply every
+        butterfly projection of its program once each: ``frozen_hits`` and,
+        with telemetry on, ``kernels_frozen_ladder_hits_total`` grow by
+        exactly that."""
+        from repro import nn
+        from repro.models import ModelConfig, build_butterfly_decoder
+
+        cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=32, d_hidden=32,
+                          n_heads=4, r_ffn=2, n_total=2, seed=0)
+        model = build_butterfly_decoder(cfg).eval()
+        tokens = rng.integers(1, cfg.vocab_size, size=(2, 8))
+        telemetry.clear_all()
+        try:
+            with telemetry.use_telemetry(True):
+                telemetry.get_registry().snapshot()  # flush earlier tests' counts
+                telemetry.clear_all()
+                _, hits = self._counts()
+                cache = model.make_cache(2)
+                model.prefill(tokens[:, :5], cache)
+                for i in range(5, 8):
+                    model.decode_step(tokens[:, i], cache)
+                _, after = self._counts()
+                snapshot = telemetry.get_registry().snapshot()
+        finally:
+            telemetry.clear_all()
+        program = model._program.get(model)
+        ladders = sum(isinstance(layer, nn.ButterflyLinear)
+                      for _, _, layer in program._slots)
+        assert ladders and after - hits == 4 * ladders
+        assert snapshot["kernels_frozen_ladder_hits_total"]["value"] == 4 * ladders
 
     def test_plan_cache_stats_keeps_its_old_keys(self):
         assert {"hits", "misses", "size", "hit_rate", "frozen_builds",

@@ -176,14 +176,20 @@ class TestAttentionBiasCache:
         assert all(all(row) for row in _hammer(call))
         assert len(AK._BIAS_CACHE) <= AK._BIAS_CACHE_MAX
 
-    def test_concurrent_attention_forward_bit_stable(self, rng):
+    @pytest.mark.parametrize("lane_floor", [None, 0])
+    def test_concurrent_attention_forward_bit_stable(self, rng, monkeypatch,
+                                                     lane_floor):
+        """With the lane floor at 0, one caller at a time shares the
+        helper lane and the others run their items alone."""
+        if lane_floor is not None:
+            monkeypatch.setattr(AK, "LANE_MIN_SCORES", lane_floor)
         q = rng.normal(size=(2, 2, 32, 8))
         k = rng.normal(size=(2, 2, 32, 8))
         v = rng.normal(size=(2, 2, 32, 8))
-        expected, _ = kernels.attention_forward(q, k, v, causal=True)
+        expected, _ = kernels.attention_forward(q, k, v, causal=True, block=8)
 
         def call(t, c):
-            y, _ = kernels.attention_forward(q, k, v, causal=True)
+            y, _ = kernels.attention_forward(q, k, v, causal=True, block=8)
             np.testing.assert_array_equal(y, expected)
             return True
 

@@ -160,12 +160,13 @@ class TestFrozenInference:
         x = nn.Tensor(rng.normal(size=(4, 1, 32)))
         with nn.no_grad():
             before = _builds()
-            first = layer(x).data
-            assert _builds() == before + 1
             hits = plan_cache_stats()["frozen_hits"]
-            second = layer(x).data
+            first = layer(x).data  # builds, then applies: one hit
             assert _builds() == before + 1
             assert plan_cache_stats()["frozen_hits"] == hits + 1
+            second = layer(x).data
+            assert _builds() == before + 1
+            assert plan_cache_stats()["frozen_hits"] == hits + 2
         np.testing.assert_array_equal(first, second)
 
     def _assert_rebuilt_once_and_fresh(self, layer, x, before):
