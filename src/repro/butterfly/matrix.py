@@ -1,8 +1,8 @@
 """Full butterfly matrices as products of butterfly factors.
 
-Application delegates to the shared kernel layer: for complete real
-ladders the fused grouped kernel (:mod:`repro.kernels.grouped`) applies
-batches several times faster than a per-stage sweep, and dense
+Application delegates to the shared kernel layer: the fused grouped
+kernel (:mod:`repro.kernels.grouped`) applies the complete ladder, real
+or complex (FFT twiddles), as a few batched matmuls, and dense
 materialization reuses the same kernels by applying the matrix to an
 identity batch instead of multiplying ``log2 n`` sparse factors.
 """
@@ -51,9 +51,8 @@ class ButterflyMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Multiply ``x`` (last axis of size n) by the butterfly matrix.
 
-        Dispatches to the unified kernel layer, which fuses stage runs
-        into batched matmuls for large real inputs and otherwise applies
-        the vectorized per-stage kernel.
+        Runs on the unified kernel layer's grouped kernel, which fuses
+        stage runs into batched matmuls.
         """
         out, _ = _kernels.butterfly_apply(
             np.asarray(x),

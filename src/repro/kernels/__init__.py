@@ -25,15 +25,18 @@ dtype policy (float64 default, float32 opt-in) in
 Entry points
 ------------
 :func:`butterfly_apply` / :func:`butterfly_apply_vjp` are the recorded
-and raw-array entry: they dispatch between the fused grouped kernels
-(the per-call grouped kernel for large training and raw-array calls,
-run on the identity's rows and one dense GEMM when a recorded fold is
-inside the frozen ladder's area budget) and the per-stage vectorized
-kernels (small such calls, complex twiddles, partial ladders).  All
-paths are loop-free over pairs, and the entry owns a layer's zero-pad
-and output slice in every one of them.  A layer's every inference call
-is its :class:`FrozenLadder`'s own :meth:`~FrozenLadder.apply`, which
-traverses the same fault point and span.
+and raw-array entry, and run every full ladder, real or complex, on the
+fused grouped kernels: densified (the ladder on the identity's rows,
+the call's rows one GEMM) when a recorded fold is inside the frozen
+ladder's area budget and the call brings at least ``in_features`` rows,
+per-call grouped otherwise.  :data:`~repro.kernels.grouped.DENSE_MAX_N`
+is the one constant that picks the path.  The entry owns a layer's
+zero-pad and output slice on both paths.  A layer's every inference
+call is its :class:`FrozenLadder`'s own :meth:`~FrozenLadder.apply`,
+which traverses the same fault point and span.  The per-stage kernels
+(:mod:`repro.kernels.stage`) are the single-factor op and, with
+:func:`butterfly_apply_reference`, the oracle the fused kernels are
+tested against.
 
 The package also hosts the fused query-tiled attention kernel
 (:mod:`repro.kernels.attention`): :func:`attention_forward` /
@@ -120,8 +123,6 @@ from .fused import (
 )
 from .grouped import (
     MAX_GROUP,
-    MIN_STAGES,
-    MIN_WORK,
     FrozenLadder,
     FrozenLadderCache,
     GroupedContext,
@@ -155,22 +156,6 @@ from .quant import (
 from .stage import stage_dense, stage_forward, stage_vjp
 
 
-def _is_full_ladder(n: int, halves: Sequence[int]) -> bool:
-    if n < 2 or (n & (n - 1)) != 0:
-        # Non-power-of-two sizes are legal for single stages (divisible
-        # blocks); they just can't take the grouped full-ladder path.
-        return False
-    return list(halves) == stage_halves(n)
-
-
-def _use_grouped(rows: int, n: int, arrays: Sequence[np.ndarray], halves) -> bool:
-    if n < (1 << MIN_STAGES) or not _is_full_ladder(n, halves):
-        return False
-    if rows * n < MIN_WORK:
-        return False
-    return not any(np.iscomplexobj(a) for a in arrays)
-
-
 def _pad_last(x: np.ndarray, n: int, take: Callable = fresh) -> np.ndarray:
     # Slice assignments: np.pad's generic machinery costs ~20 us per call
     # whatever the size.
@@ -196,11 +181,13 @@ def butterfly_apply(
     out_features: Optional[int] = None,
     take: Callable = fresh,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
-    """Apply a ladder of butterfly stages to the last axis of ``x``.
+    """Apply a full ladder of butterfly stages to the last axis of ``x``.
 
     ``coeffs[s]`` is the ``(4, n/2)`` pair-major array of stage
-    ``halves[s]``; stages are applied in order.  Returns ``(y, ctx)``
-    where ``ctx`` (when ``need_ctx``) feeds :func:`butterfly_apply_vjp`.
+    ``halves[s]``, and ``halves`` must be the whole ladder ``[1, 2, ...,
+    n/2]`` of a power-of-two ``n`` (a partial one raises ``ValueError``;
+    one stage is :func:`stage_forward`).  Returns ``(y, ctx)`` where
+    ``ctx`` (when ``need_ctx``) feeds :func:`butterfly_apply_vjp`.
     Arbitrary leading batch dimensions are supported.
 
     ``in_features`` / ``out_features`` are a layer's fold of the ``n``
@@ -211,20 +198,16 @@ def butterfly_apply(
 
     The recorded / raw-array entry: inference over a layer's parameters
     calls its :class:`FrozenLadder`'s ``apply`` directly instead.  Every
-    call here pays for what it builds — training steps because the
-    weights move, raw-array callers because there is nothing to validate
-    a cache against — so real full power-of-two ladders take the fused
-    grouped kernel only above :data:`MIN_STAGES` /
-    :data:`MIN_WORK` and the per-stage chain below; complex (FFT) stages
-    and partial ladders always take the chain.  Of the calls the grouped
-    kernel takes, one that wants a context, whose fold passes the frozen
-    ladder's area rule (``in_features * out_features <= DENSE_MAX_N *
-    n``) and that brings at least ``in_features`` rows runs densified
-    instead (:func:`repro.kernels.grouped.dense_forward`): the ladder
-    and its VJP see the ``in_features`` identity rows, the call's rows
-    one GEMM each way.  On those two paths the result, the context and
-    the VJP's outputs are ``take`` buffers (see :mod:`repro.kernels.pool`);
-    the per-stage chain allocates.
+    call here builds its chunk matrices, real or complex, because there
+    is nothing to cache them against.  A call that wants a context, whose
+    fold passes the frozen ladder's area rule (``in_features *
+    out_features <= DENSE_MAX_N * n``) and that brings at least
+    ``in_features`` rows runs densified
+    (:func:`repro.kernels.grouped.dense_forward`): the ladder and its VJP
+    see the ``in_features`` identity rows, the call's rows one GEMM each
+    way.  Every other call runs the grouped kernel on the zero-padded
+    rows.  The result, the context and the VJP's outputs are ``take``
+    buffers (see :mod:`repro.kernels.pool`).
     """
     x = np.asarray(x)
     coeffs = [np.asarray(c) for c in coeffs]
@@ -232,39 +215,30 @@ def butterfly_apply(
         raise ValueError(
             f"got {len(coeffs)} coefficient arrays for {len(halves)} stages"
         )
+    n = 2 * coeffs[0].shape[-1] if coeffs else x.shape[-1]
+    if list(halves) != stage_halves(n):  # raises for n not a power of two
+        raise ValueError(f"butterfly_apply runs full ladders only: n={n} "
+                         f"needs stages {stage_halves(n)}, got {list(halves)}")
     fault_point("kernels.butterfly_apply", stages=len(halves))
     lead = x.shape[:-1]
     rows = math.prod(lead)
-    n = 2 * coeffs[0].shape[-1] if coeffs else x.shape[-1]
     in_features = n if in_features is None else in_features
     out_features = n if out_features is None else out_features
     if x.shape[-1] != in_features:
         raise ValueError(f"expected input dim {in_features}, got {x.shape[-1]}")
     widths = (in_features, n)
-    if _use_grouped(rows, n, [x, *coeffs], halves):
-        plan = get_plan(n, len(halves))
-        if (need_ctx and rows >= in_features
-                and dense_by_area(in_features, out_features, n)):
-            with span("kernels.butterfly_apply", n=n, rows=rows, path="dense"):
-                y, dctx = dense_forward(x.reshape(rows, in_features), coeffs,
-                                        plan, out_features, take)
-            return (y.reshape(*lead, out_features),
-                    ("dense", lead, widths, dctx))
-        with span("kernels.butterfly_apply", n=n, rows=rows, path="grouped"):
-            y, gctx = grouped_forward(_pad_last(x, n, take).reshape(rows, n),
-                                      coeffs, plan, need_ctx, take)
-        ctx = ("grouped", lead, widths, gctx) if need_ctx else None
-        return _head(y.reshape(*lead, n), out_features), ctx
-    with span("kernels.butterfly_apply", n=n, path="stages"):
-        saved = [] if need_ctx else None
-        out = _pad_last(x, n)
-        for c, half in zip(coeffs, halves):
-            if need_ctx:
-                saved.append(out)  # each stage's input is all the VJP needs
-            out = stage_forward(out, c, half)
-    ctx = (("stages", lead, widths, (saved, coeffs, list(halves)))
-           if need_ctx else None)
-    return _head(out, out_features), ctx
+    plan = get_plan(n, len(halves))
+    if (need_ctx and rows >= in_features
+            and dense_by_area(in_features, out_features, n)):
+        with span("kernels.butterfly_apply", n=n, rows=rows, path="dense"):
+            y, dctx = dense_forward(x.reshape(rows, in_features), coeffs,
+                                    plan, out_features, take)
+        return y.reshape(*lead, out_features), ("dense", lead, widths, dctx)
+    with span("kernels.butterfly_apply", n=n, rows=rows, path="grouped"):
+        y, gctx = grouped_forward(_pad_last(x, n, take).reshape(rows, n),
+                                  coeffs, plan, need_ctx, take)
+    ctx = ("grouped", lead, widths, gctx) if need_ctx else None
+    return _head(y.reshape(*lead, n), out_features), ctx
 
 
 def butterfly_apply_vjp(
@@ -278,19 +252,10 @@ def butterfly_apply_vjp(
         with span("kernels.butterfly_apply_vjp", n=n, rows=rows, path="dense"):
             gx, gcoeffs = dense_vjp(grad.reshape(rows, -1), saved)
         return gx.reshape(*lead, in_features), gcoeffs
-    if kind == "grouped":
-        grad = _pad_last(grad, n, saved.plan.scratch)  # read once, by the VJP
-        with span("kernels.butterfly_apply_vjp", n=n, rows=rows,
-                  path="grouped"):
-            gx, gcoeffs = grouped_vjp(grad.reshape(rows, n), saved)
-        return _head(gx.reshape(*lead, n), in_features), gcoeffs
-    inputs, coeffs, halves = saved
-    with span("kernels.butterfly_apply_vjp", path="stages"):
-        g = _pad_last(grad, n)
-        gcoeffs: List[Optional[np.ndarray]] = [None] * len(coeffs)
-        for s in range(len(coeffs) - 1, -1, -1):
-            g, gcoeffs[s] = stage_vjp(g, inputs[s], coeffs[s], halves[s])
-    return _head(g, in_features), gcoeffs
+    grad = _pad_last(grad, n, saved.plan.scratch)  # read once, by the VJP
+    with span("kernels.butterfly_apply_vjp", n=n, rows=rows, path="grouped"):
+        gx, gcoeffs = grouped_vjp(grad.reshape(rows, n), saved)
+    return _head(gx.reshape(*lead, n), in_features), gcoeffs
 
 
 def butterfly_apply_reference(
@@ -312,8 +277,6 @@ __all__ = [
     "ACTIVATIONS",
     "DEFAULT_BLOCK",
     "MAX_GROUP",
-    "MIN_STAGES",
-    "MIN_WORK",
     "QMAX",
     "SCRATCH_TARGET_BYTES",
     "AttentionContext",

@@ -34,7 +34,7 @@ Two overhead-control tricks matter as much as the GEMMs themselves:
 * **Plan caching.**  All index geometry — the per-level coefficient
   gather (which doubles as the VJP scatter: each level's indices are a
   bijection onto the stage's ``n/2`` pairs) — is precomputed once per
-  ``(n, stages, radix)`` and cached FFTW-style.
+  ``(n, stages)`` and cached FFTW-style.
 
 At ``n = 1024`` this path makes ``ButterflyLinear`` forward+backward
 several times faster than the per-stage chain while staying exactly
@@ -44,10 +44,9 @@ The chunk matrices are used in three ways:
 
 * **Built per call** (:func:`grouped_forward` / :func:`grouped_vjp`):
   training, where the weights move every step, and raw-array callers,
-  who hold nothing a cache could be validated against.  The build cost
-  is paid on every call, so :data:`MIN_STAGES` / :data:`MIN_WORK` decide
-  when it beats the per-stage chain.  Those thresholds gate nothing
-  else.
+  who hold nothing a cache could be validated against.  Every full
+  ladder that :func:`repro.kernels.butterfly_apply` is handed runs here
+  or densified, real or complex (FFT twiddles).
 * **Built per call and densified** (:func:`dense_forward` /
   :func:`dense_vjp`): a recorded call whose folded ``in_features x
   out_features`` block fits the :data:`DENSE_MAX_N` budget and that
@@ -85,22 +84,13 @@ from .pool import ScratchPool, check_out, fresh
 #: batched-GEMM efficiency against the O(n * 2^g) chunk-matrix build cost.
 MAX_GROUP = 5
 
-#: Calls that build the chunk matrices themselves (training steps,
-#: raw-array callers) use the grouped path only when the stage ladder is
-#: at least this deep; below it the per-stage kernels win (chunk build
-#: cost is batch-independent).  A layer's inference path has no such
-#: floor: its :class:`FrozenLadder` pays the build once per weight version.
-MIN_STAGES = 6
-
-#: Minimum total elements (rows * n) for a per-call build to pay off.
-MIN_WORK = 16384
-
 #: A :class:`FrozenLadder` multiplies its chunks out into one dense block
 #: at build time when the block the layer's fold leaves of it,
 #: ``in_features x out_features``, is no larger than ``DENSE_MAX_N x n``
 #: (for a square ladder: ``n <= DENSE_MAX_N``); a recorded call with at
 #: least ``in_features`` rows densifies the ladder per call under the
-#: same rule (:func:`dense_forward`).  Measured (one BLAS thread, ms,
+#: same rule (:func:`dense_forward`).  It is the one constant that picks
+#: a ladder's path.  Measured (one BLAS thread, ms,
 #: chunked vs dense; ``*`` = dense under the rule).  Inference, by input
 #: shape:
 #:
@@ -198,15 +188,17 @@ class _StackLevel:
 
 
 class GroupedPlan:
-    """Cached index geometry for one ``(n, num_stages, radix)`` problem.
+    """Cached index geometry for one ``(n, num_stages)`` problem, fused
+    :data:`MAX_GROUP` stages at a time.
 
     Also owns a pool of *transient* scratch buffers (:meth:`scratch`).
     Only arrays that never escape a single kernel call may use it —
-    anything saved in a context or returned to the caller is the
-    caller's ``take``'s.
+    anything returned to the caller is the caller's ``take``'s, and a
+    context keeps only what its caller's ``take`` holds, with one
+    exception: :func:`dense_forward`'s ``eye`` (see there).
     """
 
-    def __init__(self, n: int, stages: int, g: int = MAX_GROUP) -> None:
+    def __init__(self, n: int, stages: int) -> None:
         check_power_of_two(n)
         if stages != num_stages(n):
             raise ValueError(
@@ -215,8 +207,8 @@ class GroupedPlan:
             )
         self.n = n
         self.stages = stages
-        # Balance chunk sizes (e.g. 10 stages, g=5 -> [5, 5]; 9 -> [5, 4]).
-        nchunks = -(-stages // g)
+        # Balance chunk sizes (e.g. 10 stages -> [5, 5]; 9 -> [5, 4]).
+        nchunks = -(-stages // MAX_GROUP)
         base, rem = divmod(stages, nchunks)
         sizes = [base + (1 if k < rem else 0) for k in range(nchunks)]
         self.chunks: List[_ChunkPlan] = []
@@ -319,22 +311,22 @@ def _publish_frozen_counters() -> None:
             _FROZEN_PUBLISHED[i] = total
 
 
-def get_plan(n: int, stages: int, g: int = MAX_GROUP) -> GroupedPlan:
-    """Fetch (or build and cache) the plan for an ``(n, stages, g)`` problem.
+def get_plan(n: int, stages: int) -> GroupedPlan:
+    """Fetch (or build and cache) the plan for an ``(n, stages)`` problem.
 
     Thread-safe: concurrent callers for the same key get one shared plan
     (the build runs under the cache lock — it is index-geometry only, a
     few hundred microseconds — so no duplicate plans are ever created).
     """
     global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
-    key = (n, stages, g)
+    key = (n, stages)
     with _PLAN_CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is None:
             _PLAN_CACHE_MISSES += 1
             if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
                 _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-            plan = GroupedPlan(n, stages, g)
+            plan = GroupedPlan(n, stages)
             _PLAN_CACHE[key] = plan
             hit = False
         else:
@@ -591,8 +583,11 @@ def dense_forward(
     """
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    # Scratch: the build saves a view of its input only for a one-chunk
-    # ladder (n <= 2 ** MAX_GROUP), which never takes the grouped path.
+    # Plan scratch, yet the build's context keeps a view of it when the
+    # first chunk's arrangement is contiguous (one chunk, n <= 32, or
+    # in_features == 1): safe only because this is the tag's one writer
+    # and every write is an identity prefix, so a later call of any
+    # width leaves the rows a retained context reads as they were.
     eye = plan.scratch("eye", (in_features, plan.n), dtype)
     eye[...] = 0
     np.fill_diagonal(eye, 1)
@@ -625,7 +620,7 @@ def dense_vjp(
 # Frozen ladder: the inference path
 # ----------------------------------------------------------------------
 class FrozenLadder:
-    """A full real ladder densified once: the chunk operators of
+    """A full ladder densified once: the chunk operators of
     :func:`_build_matrices`, contiguous and already transposed, and an
     :meth:`apply` that is only rearrange + ``backend.matmul`` per chunk.
 
@@ -806,11 +801,10 @@ class FrozenLadderCache:
     def __reduce__(self):
         return (FrozenLadderCache, (self.in_features, self.out_features))
 
-    def get(self, stages: Sequence, x_dtype) -> Optional[FrozenLadder]:
+    def get(self, stages: Sequence, x_dtype) -> FrozenLadder:
         """The ladder over ``stages`` (objects with ``.data`` and a
         ``version`` counter, in full-ladder order) for inputs of
-        ``x_dtype``; ``None`` when the result would be complex — FFT
-        stages stay on the per-stage chain."""
+        ``x_dtype``, real or complex."""
         entry = self._entry
         if entry is not None and entry[0] == x_dtype and all(
             stage.version == version and stage.data is data
@@ -819,8 +813,6 @@ class FrozenLadderCache:
             return entry[2]
         arrays = [stage.data for stage in stages]
         dtype = np.result_type(x_dtype, *[a.dtype for a in arrays])
-        if dtype.kind == "c":
-            return None
         ladder = FrozenLadder(arrays, dtype, self.in_features,
                               self.out_features)
         stamps = [(stage.version, stage.data) for stage in stages]

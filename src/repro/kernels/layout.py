@@ -67,18 +67,6 @@ def check_stage(n: int, half: int) -> None:
         raise ValueError(f"invalid stage half={half} for size {n}")
 
 
-def check_stage_divisible(n: int, half: int) -> None:
-    """Weaker stage check: only ``2 * half`` must tile ``n``.
-
-    A single stage apply is well defined for any ``n`` divisible into
-    size-``2*half`` blocks (the seed implementation accepted e.g.
-    ``n=12, half=2``); only full butterfly ladders and the pair-index
-    geometry require power-of-two sizes.
-    """
-    if half < 1 or n % (2 * half) != 0:
-        raise ValueError(f"stage half={half} does not divide dimension {n}")
-
-
 def pair_indices(n: int, half: int) -> np.ndarray:
     """The ``(n/2, 2)`` array of element index pairs touched by a stage.
 

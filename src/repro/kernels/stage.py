@@ -27,16 +27,20 @@ from typing import Tuple
 
 import numpy as np
 
-from .layout import check_stage, check_stage_divisible, pair_indices
+from .layout import check_stage, pair_indices
 
 
-def _stage_views(x: np.ndarray, coeffs: np.ndarray, half: int):
-    n = x.shape[-1]
-    check_stage_divisible(n, half)
+def _check(n: int, coeffs: np.ndarray, half: int) -> None:
+    check_stage(n, half)
     if coeffs.shape != (4, n // 2):
         raise ValueError(
             f"coeffs must have shape (4, {n // 2}), got {coeffs.shape}"
         )
+
+
+def _stage_views(x: np.ndarray, coeffs: np.ndarray, half: int):
+    n = x.shape[-1]
+    _check(n, coeffs, half)
     nblocks = n // (2 * half)
     lead = x.shape[:-1]
     xr = x.reshape(*lead, nblocks, 2, half)
@@ -97,11 +101,7 @@ def stage_vjp(
 def stage_dense(coeffs: np.ndarray, n: int, half: int) -> np.ndarray:
     """Materialize one stage as a dense ``n x n`` matrix (vectorized scatter)."""
     coeffs = np.asarray(coeffs)
-    check_stage(n, half)
-    if coeffs.shape != (4, n // 2):
-        raise ValueError(
-            f"coeffs must have shape (4, {n // 2}), got {coeffs.shape}"
-        )
+    _check(n, coeffs, half)
     pairs = pair_indices(n, half)
     top, bot = pairs[:, 0], pairs[:, 1]
     mat = np.zeros((n, n), dtype=coeffs.dtype)

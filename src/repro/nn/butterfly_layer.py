@@ -34,7 +34,7 @@ class ButterflyLinear(Module):
         bias: include an additive bias.
         rng: random generator for initialization.
 
-    The internal butterfly size is ``n = next_pow2(max(in, out))``; one
+    The internal butterfly size is ``n = next_pow2(max(in, out, 2))``; one
     stage parameter tensor of shape ``(4, n/2)`` exists per stage, matching
     the coefficient layout consumed by the hardware Butterfly Unit model.
     """
@@ -54,7 +54,8 @@ class ButterflyLinear(Module):
         rng = rng or np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
-        self.n = next_power_of_two(max(in_features, out_features))
+        # At least 2: a ladder has one stage or more.
+        self.n = next_power_of_two(max(in_features, out_features, 2))
         self.halves = stage_halves(self.n)
         scale = 1.0 / np.sqrt(2.0)
         for i, _half in enumerate(self.halves):
@@ -78,10 +79,10 @@ class ButterflyLinear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         # Inference runs the frozen operators (fold built in); a recorded
-        # call, or a complex result, is one autograd node whose kernel
-        # entry owns the fold, its input-width check included.
-        ladder = None if F.is_grad_enabled() else self.frozen_ladder(x.dtype)
-        if ladder is not None:
+        # call is one autograd node whose kernel entry owns the fold, its
+        # input-width check included.
+        if not F.is_grad_enabled():
+            ladder = self.frozen_ladder(x.dtype)
             out = Tensor(ladder.apply(x.data), dtype=ladder.dtype)
         else:
             out = F.butterfly_apply(

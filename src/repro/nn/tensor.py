@@ -750,9 +750,10 @@ def butterfly_apply(
 
     ``coeffs[s]`` is the ``(4, n/2)`` stage tensor for pair stride
     ``halves[s]``; stages apply in order (``halves = [1, 2, ..., n/2]``
-    for a complete butterfly matrix).  It records one graph node for the
-    whole ladder and dispatches to :mod:`repro.kernels`' fused grouped kernel,
-    which is several times faster at ``n >= 256``.
+    for a complete butterfly matrix, the only ladder it takes).  It
+    records one graph node for the whole ladder, which runs on
+    :mod:`repro.kernels`' fused kernels: densified when the fold is small
+    and the call brings at least ``in_features`` rows, grouped otherwise.
 
     ``in_features`` / ``out_features`` hand a layer's fold to the kernel,
     which owns the zero-pad to ``n`` and the output slice in both

@@ -3,7 +3,7 @@
 Value parity against the per-stage reference at every size and shape,
 the bitwise row-independence contract the serving engine relies on, the
 layer-owned cache and its counters, and every other caller's dispatch
-left exactly where it was.
+onto the fused kernels, against the per-stage chain.
 """
 
 import copy
@@ -284,13 +284,21 @@ class TestLayerCache:
         assert (ladder.in_features, ladder.out_features) == (16, 8)
         assert ladder.apply(rng.normal(size=(2, 16))).shape == (2, 8)
 
-    def test_complex_result_has_no_frozen_ladder(self, rng):
+    def test_complex_results_get_a_frozen_ladder(self, rng):
+        """Complex inputs, or complex (FFT twiddle) stages, build a complex
+        ladder like any other dtype; there is no other inference path."""
         stages, halves, cache = self._setup(rng)
-        builds, _ = self._counts()
-        assert cache.get(stages, np.complex128) is None
-        stages[0].data = stages[0].data.astype(np.complex128)
-        assert cache.get(stages, np.float64) is None
-        assert self._counts()[0] == builds
+        x = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+        ladder = cache.get(stages, np.complex128)
+        assert ladder.dtype == np.complex128
+        self._check(ladder, x, stages, halves)
+        fft = [Stage(K.fft_stage_coeffs(64, h)) for h in halves]
+        twiddles = FrozenLadderCache(64, 64).get(fft, np.float64)
+        assert twiddles.dtype == np.complex128
+        x = rng.normal(size=(5, 64))
+        np.testing.assert_allclose(
+            twiddles.apply(x[:, K.bit_reversal_permutation(64)]),
+            np.fft.fft(x), rtol=0, atol=1e-12 * np.abs(np.fft.fft(x)).max())
 
     def test_copies_and_pickles_start_empty(self, rng):
         stages, halves, cache = self._setup(rng, d_in=16, d_out=8)
@@ -354,61 +362,117 @@ class TestLayerCache:
                 "frozen_hits"} == set(plan_cache_stats())
 
 
-class TestOtherCallersStay:
-    @pytest.mark.parametrize("rows,n", [(1, 64), (4, 32), (1, 1024), (512, 32)])
-    def test_raw_arrays_below_the_thresholds_take_the_stage_chain(
-            self, rng, rows, n):
-        """No holder, nothing to cache against: a per-call build would lose
-        to the chain here, so the bits are the chain's and nothing is built."""
+def _chain_and_vjp(x, grad, coeffs, halves, d_out):
+    """Zero-pad, per-stage chain, slice, and the per-stage VJP back: the
+    oracle of the fused kernels, sharing no code with them."""
+    n = 2 * coeffs[0].shape[-1]
+    padded = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
+    padded[..., : x.shape[-1]] = x
+    full = np.zeros(x.shape[:-1] + (n,), dtype=grad.dtype)
+    full[..., :d_out] = grad
+    saved = [padded]
+    for c, h in zip(coeffs[:-1], halves[:-1]):
+        saved.append(K.stage_forward(saved[-1], c, h))
+    g, chain = full, [None] * len(coeffs)
+    for s in range(len(coeffs) - 1, -1, -1):
+        g, chain[s] = K.stage_vjp(g, saved[s], coeffs[s], halves[s])
+    y = K.butterfly_apply_reference(padded, coeffs, halves)[..., :d_out]
+    return y, g[..., : x.shape[-1]], chain
+
+
+class TestEveryOtherCaller:
+    """``kernels.butterfly_apply``: every full ladder on the fused kernels,
+    densified or grouped, whatever its size, rows or dtype."""
+
+    @pytest.mark.parametrize("shape", [(1, 64), (4, 32), (1, 1024), (512, 32),
+                                       (1, 2), (4, 16, 256)])
+    def test_raw_arrays_take_the_grouped_kernel(self, rng, shape):
+        """No holder, nothing to cache against: the bits are the per-call
+        grouped kernel's, and nothing is frozen."""
+        n = shape[-1]
         coeffs, halves = _ladder(rng, n)
-        x = rng.normal(size=(rows, n))
+        x = rng.normal(size=shape)
         builds = plan_cache_stats()["frozen_builds"]
         y, ctx = K.butterfly_apply(x, coeffs, halves, need_ctx=False)
         assert ctx is None
         assert plan_cache_stats()["frozen_builds"] == builds
-        np.testing.assert_array_equal(
-            y, K.butterfly_apply_reference(x, coeffs, halves))
+        y2, _ = K.grouped_forward(x.reshape(-1, n), coeffs,
+                                  K.get_plan(n, len(halves)), need_ctx=False)
+        np.testing.assert_array_equal(y, y2.reshape(shape))
+        np.testing.assert_allclose(
+            y, K.butterfly_apply_reference(x, coeffs, halves), atol=1e-9)
 
-    def test_raw_arrays_above_the_thresholds_take_the_grouped_kernel(self, rng):
-        coeffs, halves = _ladder(rng, 256)
-        x = rng.normal(size=(4, 16, 256))
-        builds = plan_cache_stats()["frozen_builds"]
-        y, _ = K.butterfly_apply(x, coeffs, halves, need_ctx=False)
-        assert plan_cache_stats()["frozen_builds"] == builds
-        y2, _ = K.grouped_forward(x.reshape(64, 256), coeffs,
-                                  K.get_plan(256, len(halves)), need_ctx=False)
-        np.testing.assert_array_equal(y, y2.reshape(4, 16, 256))
-
-    def test_complex_stages_take_the_stage_chain(self, rng):
-        n = 64
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    def test_complex_stages_take_the_grouped_kernel(self, rng, n):
         halves = K.stage_halves(n)
         coeffs = [K.fft_stage_coeffs(n, h) for h in halves]
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         y, _ = K.butterfly_apply(
             x[..., K.bit_reversal_permutation(n)], coeffs, halves, need_ctx=False)
-        np.testing.assert_allclose(y, np.fft.fft(x), atol=1e-9)
+        want = np.fft.fft(x)
+        np.testing.assert_allclose(y, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max() * np.log2(n))
 
     @pytest.mark.parametrize("rows,n,d_in,d_out,kind", [
-        (1, 1024, 1024, 1024, "stages"),   # below MIN_WORK
-        (512, 32, 32, 32, "stages"),       # below MIN_STAGES
-        (512, 32, 8, 32, "stages"),        # ... whatever the fold
-        (64, 256, 256, 256, "grouped"),    # at both thresholds, over the area budget
+        (3, 64, 64, 64, "grouped"),      # rows < in_features
+        (128, 32, 20, 32, "dense"),
+        (7, 256, 256, 256, "grouped"),   # over the area budget
+    ])
+    def test_a_recorded_complex_call_matches_the_stage_chain(
+            self, rng, rows, n, d_in, d_out, kind):
+        """Complex coefficients and inputs on both paths: the output and
+        every gradient against ``stage_vjp``'s chain (the unconjugated
+        transpose, as for real ladders)."""
+        halves = K.stage_halves(n)
+        coeffs = [(rng.normal(size=(4, n // 2)) + 1j * rng.normal(size=(4, n // 2)))
+                  * 0.5 for _ in halves]
+        x = rng.normal(size=(rows, d_in)) + 1j * rng.normal(size=(rows, d_in))
+        grad = rng.normal(size=(rows, d_out)) + 1j * rng.normal(size=(rows, d_out))
+        y, ctx = K.butterfly_apply(x, coeffs, halves,
+                                   in_features=d_in, out_features=d_out)
+        assert ctx[0] == kind
+        gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx)
+        assert {a.dtype for a in (y, gx, *gcoeffs)} == {np.dtype(np.complex128)}
+        want_y, want_gx, chain = _chain_and_vjp(x, grad, coeffs, halves, d_out)
+        for got, want in zip((y, gx, *gcoeffs), (want_y, want_gx, *chain)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-11 * np.abs(want).max())
+
+    @pytest.mark.parametrize("halves", [[1, 2, 4], [2, 1, 4, 8], [1], []])
+    def test_a_partial_ladder_is_refused(self, rng, halves):
+        """Only a whole ``[1, 2, ..., n/2]`` ladder is a ladder here; one
+        stage is ``stage_forward``."""
+        coeffs = [rng.normal(size=(4, 8)) for _ in halves]
+        with pytest.raises(ValueError, match="full ladders only"):
+            K.butterfly_apply(rng.normal(size=(2, 16)), coeffs, halves)
+
+    def test_a_size_that_is_no_power_of_two_is_refused(self, rng):
+        with pytest.raises(ValueError, match="power of two"):
+            K.butterfly_apply(rng.normal(size=(2, 12)),
+                              [rng.normal(size=(4, 6))], [2])
+
+    @pytest.mark.parametrize("rows,n,d_in,d_out,kind", [
+        (1, 1024, 1024, 1024, "grouped"),  # the chain's old shapes ...
+        (4, 32, 32, 32, "grouped"),        # ... rows < in_features
+        (512, 32, 32, 32, "dense"),
+        (512, 32, 8, 32, "dense"),
+        (48, 16, 16, 16, "dense"),
+        (1, 2, 1, 1, "dense"),
+        (64, 256, 256, 256, "grouped"),    # over the area budget
         (256, 512, 256, 512, "grouped"),   # a fold over the budget
         (64, 512, 128, 512, "grouped"),    # inside it, rows < in_features
         (255, 256, 256, 128, "grouped"),   # ... by one row
         (256, 256, 256, 128, "dense"),
-        (256, 64, 64, 64, "dense"),        # at both thresholds, inside the budget
+        (256, 64, 64, 64, "dense"),
         (128, 512, 128, 512, "dense"),     # rows == in_features, area == budget
         (512, 512, 512, 128, "dense"),
     ])
-    def test_training_dispatch_and_bits_unchanged(
-            self, rng, rows, n, d_in, d_out, kind):
-        """With a context wanted, the dispatch table.  The thresholds pick
-        chain or fused kernel as they always did, and there the bits are
-        those of the per-stage chain / the per-step grouped kernel on the
-        zero-padded input; of the calls the grouped kernel used to take,
-        the folds inside the frozen ladder's area budget that bring at
-        least ``in_features`` rows run densified."""
+    def test_training_dispatch_and_bits(self, rng, rows, n, d_in, d_out, kind):
+        """With a context wanted, the dispatch table: a fold inside the
+        frozen ladder's area budget that brings at least ``in_features``
+        rows runs densified (within rounding of the per-stage chain),
+        every other call is the per-step grouped kernel's bits on the
+        zero-padded input."""
         coeffs, halves = _ladder(rng, n)
         x = rng.normal(size=(rows, d_in))
         y, ctx = K.butterfly_apply(x, coeffs, halves,
@@ -416,34 +480,27 @@ class TestOtherCallersStay:
         assert ctx[0] == kind
         grad = rng.normal(size=y.shape)
         gx, gcoeffs = K.butterfly_apply_vjp(grad, ctx)
+        if kind == "dense":
+            y2, gx2, chain = _chain_and_vjp(x, grad, coeffs, halves, d_out)
+            for got, want in zip((y, gx, *gcoeffs), (y2, gx2, *chain)):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+            return
         padded = np.zeros((rows, n))
         padded[:, :d_in] = x
         full = np.zeros((rows, n))
         full[:, :d_out] = grad
-        # The per-stage chain: the bits of "stages", the oracle of the rest.
-        g, saved = full, [padded]
-        for c, h in zip(coeffs[:-1], halves[:-1]):
-            saved.append(K.stage_forward(saved[-1], c, h))
-        chain = [None] * len(coeffs)
-        for s in range(len(coeffs) - 1, -1, -1):
-            g, chain[s] = K.stage_vjp(g, saved[s], coeffs[s], halves[s])
-        expected = (K.butterfly_apply_reference(padded, coeffs, halves)[:, :d_out],
-                    g[:, :d_in], *chain)
-        if kind == "grouped":
-            plan = K.get_plan(n, len(halves))
-            y2, gctx = K.grouped_forward(padded, coeffs, plan)
-            gx2, gcoeffs2 = K.grouped_vjp(full, gctx)
-            expected = (y2[:, :d_out], gx2[:, :d_in], *gcoeffs2)
-        for got, want in zip((y, gx, *gcoeffs), expected):
-            if kind == "dense":
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
-            else:
-                np.testing.assert_array_equal(got, want)
+        plan = K.get_plan(n, len(halves))
+        y2, gctx = K.grouped_forward(padded, coeffs, plan)
+        gx2, gcoeffs2 = K.grouped_vjp(full, gctx)
+        for got, want in zip((y, gx, *gcoeffs),
+                             (y2[:, :d_out], gx2[:, :d_in], *gcoeffs2)):
+            np.testing.assert_array_equal(got, want)
 
     def test_a_call_that_wants_no_context_is_never_densified(self, rng):
         """The dense build is paid for by the backward it makes cheap; raw
-        no-context callers (stored-weight ladders, the hardware model's
-        verify mode) keep the grouped kernel's bits."""
+        no-context callers (``ButterflyMatrix.apply`` and ``.dense()``, a
+        ``Tensor`` call that records nothing) keep the grouped kernel's
+        bits."""
         coeffs, halves = _ladder(rng, 64)
         x = rng.normal(size=(256, 64))
         y, ctx = K.butterfly_apply(x, coeffs, halves, need_ctx=False)

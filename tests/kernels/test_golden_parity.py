@@ -72,23 +72,34 @@ class TestForwardVsDense:
         chunked one, and at n = 64 (inside the dense area budget, rows >= n)
         the one densified for the call."""
         coeffs, halves = _random_ladder(rng, n)
-        rows = max(64, K.MIN_WORK // n)  # enough work to engage the fused path
-        x = rng.normal(size=(rows, n))
+        x = rng.normal(size=(64, n))
         y, ctx = K.butterfly_apply(x, coeffs, halves)
         assert ctx is not None and ctx[0] == ("dense" if n == 64 else "grouped")
         np.testing.assert_allclose(
             y, K.butterfly_apply_reference(x, coeffs, halves), atol=1e-9
         )
 
-    def test_small_work_uses_stage_path(self, rng):
+    def test_single_vector_takes_the_grouped_path(self, rng):
+        """One row is fewer than ``in_features``: grouped, and its VJP
+        equals the per-stage VJP chain."""
         n = 1024
         coeffs, halves = _random_ladder(rng, n)
-        x = rng.normal(size=n)  # single vector: below the grouped threshold
+        x = rng.normal(size=n)
         y, ctx = K.butterfly_apply(x, coeffs, halves)
-        assert ctx[0] == "stages"
+        assert ctx[0] == "grouped" and y.shape == (n,)
         np.testing.assert_allclose(
             y, K.butterfly_apply_reference(x, coeffs, halves), atol=1e-10
         )
+        seed = rng.normal(size=n)
+        gx, gcoeffs = K.butterfly_apply_vjp(seed, ctx)
+        inputs = [x]
+        for c, h in zip(coeffs[:-1], halves[:-1]):
+            inputs.append(K.stage_forward(inputs[-1], c, h))
+        g = seed
+        for s in range(len(halves) - 1, -1, -1):
+            g, want = K.stage_vjp(g, inputs[s], coeffs[s], halves[s])
+            np.testing.assert_allclose(gcoeffs[s], want, atol=1e-9)
+        np.testing.assert_allclose(gx, g, atol=1e-9)
 
     def test_leading_batch_dims(self, rng):
         n = 64

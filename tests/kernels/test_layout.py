@@ -8,6 +8,7 @@ so a regression here cannot hide behind downstream numeric tolerances.
 import numpy as np
 import pytest
 
+from repro import kernels as K
 from repro.kernels import layout as L
 
 
@@ -41,10 +42,14 @@ class TestStageHalves:
         with pytest.raises(ValueError):
             L.check_stage(64, half)
 
-    def test_check_stage_divisible_allows_non_power_sizes(self):
-        L.check_stage_divisible(12, 2)  # 12 = 3 blocks of 4: legal
-        with pytest.raises(ValueError, match="divide"):
-            L.check_stage_divisible(12, 5)
+    def test_stage_kernels_refuse_non_power_sizes(self):
+        """A stage is one factor of a full ladder: n = 12 (three blocks
+        of 4) is refused like the ladder it cannot belong to."""
+        for call in (lambda: K.stage_forward(np.ones((1, 12)), np.ones((4, 6)), 2),
+                     lambda: K.stage_vjp(np.ones((1, 12)), np.ones((1, 12)),
+                                         np.ones((4, 6)), 2)):
+            with pytest.raises(ValueError, match="power of two"):
+                call()
 
 
 class TestPairIndices:

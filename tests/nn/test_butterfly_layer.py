@@ -33,6 +33,22 @@ class TestForwardEquivalence:
         with pytest.raises(ValueError, match="input dim"):
             layer(nn.Tensor(rng.normal(size=(2, 9))))
 
+    def test_one_by_one_layer(self, rng):
+        """``ButterflyLinear(1, 1)`` is a one-stage ``n = 2`` ladder: the
+        recorded call and the frozen one both equal its dense weight."""
+        layer = nn.ButterflyLinear(1, 1, rng=rng)
+        assert layer.n == 2 and layer.halves == [1]
+        x = rng.normal(size=(5, 1))
+        expected = x @ layer.dense_weight().T + layer.bias.data
+        xt = nn.Tensor(x, requires_grad=True)
+        recorded = layer(xt)
+        np.testing.assert_allclose(recorded.data, expected, atol=1e-12)
+        recorded.sum().backward()
+        np.testing.assert_allclose(xt.grad, np.full((5, 1), layer.dense_weight()[0, 0]),
+                                   atol=1e-12)
+        with nn.no_grad():
+            np.testing.assert_allclose(layer(nn.Tensor(x)).data, expected, atol=1e-12)
+
     def test_no_bias(self, rng):
         layer = nn.ButterflyLinear(4, 4, bias=False, rng=rng)
         x = rng.normal(size=(2, 4))
@@ -250,19 +266,18 @@ class TestFrozenInference:
                 np.testing.assert_array_equal(clone(x).data, expected)
         assert layer._frozen._entry is not None
 
-    def test_no_ladder_falls_back_to_pad_chain_slice(self, rng, monkeypatch):
-        """When the cache has no ladder to give (a complex result), a
-        rectangular layer pads, runs the per-stage chain and slices, as it
-        does when recording."""
+    def test_complex_input_runs_the_frozen_ladder(self, rng):
+        """A complex result is a dtype like any other: one frozen ladder,
+        built once, where it used to fall back to pad -> chain -> slice."""
         layer = nn.ButterflyLinear(24, 40, rng=rng)
-        monkeypatch.setattr(kernels.FrozenLadderCache, "get",
-                            lambda self, stages, dtype: None)
-        x = rng.normal(size=(3, 24))
+        x = rng.normal(size=(3, 24)) + 1j * rng.normal(size=(3, 24))
         before = _builds()
         with nn.no_grad():
-            out = layer(nn.Tensor(x)).data
-        assert _builds() == before
-        np.testing.assert_array_equal(out, _fresh_reference(layer, x))
+            out = layer(nn.Tensor(x, dtype=np.complex128)).data
+            layer(nn.Tensor(x, dtype=np.complex128))
+        assert _builds() == before + 1
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, _fresh_reference(layer, x), atol=1e-9)
 
     def test_batch_rows_bitwise_equal_to_solo_rows(self, rng):
         layer = nn.ButterflyLinear(32, 64, rng=rng)
@@ -317,9 +332,9 @@ class TestTrainingPathUnchanged:
     under that node is the dispatch table below."""
 
     @pytest.mark.parametrize("d_in,d_out,rows,kind", [
-        (6, 8, 4, "stages"),
-        (24, 40, 3, "stages"),
-        (128, 512, 64, "grouped"),    # inside the area budget, rows < in_features
+        (6, 8, 4, "grouped"),         # inside the area budget, rows < in_features
+        (24, 40, 3, "grouped"),
+        (128, 512, 64, "grouped"),
         (256, 512, 256, "grouped"),   # over the area budget
     ])
     def test_forward_backward_bits(self, rng, d_in, d_out, rows, kind):

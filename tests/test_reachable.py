@@ -50,6 +50,8 @@ ALLOWED = {
     "AdaptableButterflyUnit.fft_op": "oracle: one FFT pair-op, which "
                                      "test_properties replays every engine "
                                      "tile through",
+    "stage_vjp": "oracle: the per-stage VJP that the fused kernels' tests "
+                 "compare against",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
