@@ -541,20 +541,27 @@ def _submit_workload(args, engine, vocab: int, max_len: int):
     return ids
 
 
-def cmd_serve(args) -> int:
+def _tiny_decoder(args, max_len: int):
+    """The butterfly decoder ``serve``, ``chaos`` and ``profile`` build
+    from ``--d-hidden``, ``--n-total`` and ``--seed`` (at ``serve``'s
+    defaults, ``benchmarks/e2e/serving_common.TINY_DECODER``)."""
     from .models import ModelConfig, build_butterfly_decoder
 
+    config = ModelConfig(
+        vocab_size=28, n_classes=2, max_len=max_len,
+        d_hidden=args.d_hidden, n_heads=4, r_ffn=2,
+        n_total=args.n_total, seed=args.seed,
+    )
+    return build_butterfly_decoder(config).eval()
+
+
+def cmd_serve(args) -> int:
     if args.checkpoint:
         model = _load_decoder(args.checkpoint)
         if model is None:
             return 2
     else:
-        config = ModelConfig(
-            vocab_size=28, n_classes=2, max_len=args.max_len,
-            d_hidden=args.d_hidden, n_heads=4, r_ffn=2,
-            n_total=args.n_total, seed=args.seed,
-        )
-        model = build_butterfly_decoder(config).eval()
+        model = _tiny_decoder(args, args.max_len)
     engine = _build_engine(args, model)
     if args.http is not None:
         from .serving.server import run_http_server
@@ -716,15 +723,9 @@ def cmd_chaos(args) -> int:
     *scenario* differs (in-process injection spec vs. worker kills).
     """
     from . import faults
-    from .models import ModelConfig, build_butterfly_decoder
     from .serving import ResilienceConfig
 
-    config = ModelConfig(
-        vocab_size=28, n_classes=2, max_len=args.max_len,
-        d_hidden=args.d_hidden, n_heads=4, r_ffn=2,
-        n_total=args.n_total, seed=args.seed,
-    )
-    model = build_butterfly_decoder(config).eval()
+    model = _tiny_decoder(args, args.max_len)
     if args.kill_worker is not None and args.workers < 2:
         print("error: --kill-worker needs --workers >= 2 (failover "
               "requires a survivor)", file=sys.stderr)
@@ -831,8 +832,6 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    import time
-
     from . import telemetry
 
     was_on = telemetry.enabled()
@@ -850,15 +849,9 @@ def _profile_instrumented(args, telemetry) -> int:
     t0 = time.perf_counter()
     with telemetry.span("profile.workload", workload=args.workload):
         if args.workload == "serve":
-            from .models import ModelConfig, build_butterfly_decoder
             from .serving import SamplingParams, ServingEngine
 
-            config = ModelConfig(
-                vocab_size=28, n_classes=2, max_len=args.seq_len,
-                d_hidden=args.d_hidden, n_heads=4, r_ffn=2,
-                n_total=args.n_total, seed=args.seed,
-            )
-            model = build_butterfly_decoder(config).eval()
+            model = _tiny_decoder(args, args.seq_len)
             engine = ServingEngine(
                 model, max_batch_size=args.max_batch_size, seed=args.seed,
             )

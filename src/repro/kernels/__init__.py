@@ -127,6 +127,7 @@ from .grouped import (
     FrozenLadderCache,
     GroupedContext,
     GroupedPlan,
+    _pad_last,
     dense_by_area,
     dense_forward,
     dense_vjp,
@@ -154,18 +155,6 @@ from .quant import (
     quantized_linear_reference,
 )
 from .stage import stage_dense, stage_forward, stage_vjp
-
-
-def _pad_last(x: np.ndarray, n: int, take: Callable = fresh) -> np.ndarray:
-    # Slice assignments: np.pad's generic machinery costs ~20 us per call
-    # whatever the size.
-    width = x.shape[-1]
-    if width == n:
-        return x
-    out = take("butterfly.pad", x.shape[:-1] + (n,), x.dtype)
-    out[..., :width] = x
-    out[..., width:] = 0
-    return out
 
 
 def _head(x: np.ndarray, width: int) -> np.ndarray:

@@ -40,13 +40,17 @@ At ``n = 1024`` this path makes ``ButterflyLinear`` forward+backward
 several times faster than the per-stage chain while staying exactly
 equivalent up to matmul reassociation of the 2x2 accumulations.
 
-The chunk matrices are used in three ways:
+Rows meet the chunk operators in one loop, :func:`_walk`: per chunk a
+regrouping copy and one ``backend.matmul``.  Its three callers differ
+only in where the operators come from and what is kept:
 
 * **Built per call** (:func:`grouped_forward` / :func:`grouped_vjp`):
   training, where the weights move every step, and raw-array callers,
   who hold nothing a cache could be validated against.  Every full
   ladder that :func:`repro.kernels.butterfly_apply` is handed runs here
-  or densified, real or complex (FFT twiddles).
+  or densified, real or complex (FFT twiddles).  The walk copies every
+  chunk's input, the first one included, into the caller's ``take``,
+  so a context holds no plan scratch.
 * **Built per call and densified** (:func:`dense_forward` /
   :func:`dense_vjp`): a recorded call whose folded ``in_features x
   out_features`` block fits the :data:`DENSE_MAX_N` budget and that
@@ -56,13 +60,20 @@ The chunk matrices are used in three ways:
   the call's own rows see one GEMM each way, so the ladder's cost no
   longer scales with batch x sequence.
 * **Frozen** (:class:`FrozenLadder`): a layer's inference path builds
-  the contiguous, already-transposed chunk operators **once per weight
-  version** and every later call is rearrange + GEMM per chunk, at every
-  ``(rows, n)`` — trained factors are static at inference, laid out once
-  for the engine's buffers while every token streams through them.  The
-  layer keeps the ladder in a :class:`FrozenLadderCache`, which
-  revalidates it against the stage parameters' version counters on each
-  call.
+  its operators **once per weight version** — one ``in x out`` block,
+  walked out of the identity's rows, when the fold fits the same budget,
+  else the contiguous, already-transposed chunk operators that every
+  later call walks, at every ``(rows, n)``.  Trained factors are static
+  at inference, laid out once for the engine's buffers while every
+  token streams through them.  The layer keeps the ladder in a
+  :class:`FrozenLadderCache`, which revalidates it against the stage
+  parameters' version counters on each call.
+
+Frozen and recorded outputs of one ladder agree to rounding, not to the
+bit, and nothing relies on more: a frozen ladder's last chunk computes
+only the columns its fold keeps, a GEMM BLAS may block differently
+(n 1024 fp32 1024 -> 256 and complex n 64 64 -> 16 differ in the last
+bits), and a dense block sums a row in another order than the chunks.
 """
 
 from __future__ import annotations
@@ -194,8 +205,7 @@ class GroupedPlan:
     Also owns a pool of *transient* scratch buffers (:meth:`scratch`).
     Only arrays that never escape a single kernel call may use it —
     anything returned to the caller is the caller's ``take``'s, and a
-    context keeps only what its caller's ``take`` holds, with one
-    exception: :func:`dense_forward`'s ``eye`` (see there).
+    context keeps only what its caller's ``take`` holds.
     """
 
     def __init__(self, n: int, stages: int) -> None:
@@ -451,34 +461,86 @@ class GroupedContext(NamedTuple):
     xs: list  # chunk inputs, arranged (o, h0, rows, T)
 
 
-def _arrange_first(x: np.ndarray, chunk: _ChunkPlan, rows: int) -> np.ndarray:
-    # (B, n) -> (o, h0, B, T)
-    return (x.reshape(rows, chunk.o, chunk.T, chunk.h0)
-            .transpose(1, 3, 0, 2))
-
-
-def _rearrange_between(
-    y: np.ndarray, prev: _ChunkPlan, nxt: _ChunkPlan, rows: int,
-    out: np.ndarray,
-) -> np.ndarray:
-    # chunk output (o, h0, B, T) -> next chunk input (o', h0', B, T') in
-    # ``out``, composing "undo previous grouping" and "apply next
-    # grouping" into a single 5-axis transpose (one copy instead of two).
-    o2, T2 = nxt.o, nxt.T
-    np.copyto(out.reshape(o2, prev.T, prev.h0, rows, T2),
-              y.reshape(o2, T2, prev.h0, rows, prev.T).transpose(0, 4, 2, 3, 1))
+def _pad_last(x: np.ndarray, n: int, take: Callable = fresh) -> np.ndarray:
+    """``x`` zero-padded on its last axis to width ``n`` in a ``take``
+    buffer, or ``x`` itself when it is that wide already."""
+    # Slice assignments: np.pad's generic machinery costs ~20 us per call
+    # whatever the size.
+    width = x.shape[-1]
+    if width == n:
+        return x
+    out = take("butterfly.pad", x.shape[:-1] + (n,), x.dtype)
+    out[..., :width] = x
+    out[..., width:] = 0
     return out
 
 
-def _arrange_last_inv(
-    y: np.ndarray, chunk: _ChunkPlan, rows: int, n: int, take: Callable,
-) -> np.ndarray:
-    # (o, h0, B, T) -> (B, n).  Always a copy of the caller's: ``y`` may
-    # live in pooled scratch, and the result escapes to the caller.
-    out = take("grouped.y", (rows, n), y.dtype)
-    np.copyto(out.reshape(rows, chunk.o, chunk.T, chunk.h0),
-              y.transpose(2, 0, 3, 1))
-    return out
+def _walk(
+    plan: GroupedPlan,
+    ops: Sequence[np.ndarray],
+    x: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    inputs: Optional[Callable] = None,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Stream ``x`` ``(..., n)`` through the transposed chunk operators
+    ``ops`` — per chunk one regrouping copy and one ``backend.matmul`` —
+    into ``out`` or a new array; returns it and the chunk inputs.  The
+    one forward chunk loop: recorded calls, dense builds and frozen
+    applies all run it.
+
+    Chunk arrays are ``(..., o, h0, S, T)``: the GEMM axes are ``(S, T)``,
+    ``S`` the last leading axis of ``x`` and the axes before it batch
+    axes (:class:`FrozenLadder`'s row independence).  The last operator
+    may keep only its first columns (a fold); the result keeps ``out``'s
+    width, else every column computed.  ``inputs``, a ``take``, gets a
+    copy of every chunk input, the first one included, in the operators'
+    dtype; without it the first chunk reads ``x`` (of that dtype) through
+    a view and the rest live in plan scratch.
+    """
+    lead = x.shape[:-1]
+    batch, S = lead[:-1], (lead[-1] if lead else 1)
+    B = math.prod(batch)
+    dtype = ops[0].dtype
+    first = plan.chunks[0]
+    # The first chunk has h0 == 1, so its arrangement is a view.
+    nb = len(batch)
+    cur = (x.reshape(batch + (S, first.o, 1, first.T))
+           .transpose(*range(nb), nb + 1, nb + 2, nb, nb + 3))
+    xs: List[np.ndarray] = []
+    for k, (chunk, MT) in enumerate(zip(plan.chunks, ops)):
+        shape = batch + (chunk.o, chunk.h0, S, chunk.T)
+        if k or inputs is not None:
+            buf = (inputs or plan.scratch)(f"grouped.x{k}", shape, dtype)
+            if k:
+                # Previous output (o * T, h0', S, T') regroups into
+                # (o, h0 = T' * h0', S, T): undo the old grouping and
+                # apply the new one in a single copy.
+                h0p, Tp = y.shape[-3], y.shape[-1]
+                np.copyto(
+                    buf.reshape(B, chunk.o, Tp, h0p, S, chunk.T),
+                    y.reshape(B, chunk.o, chunk.T, h0p, S, Tp)
+                    .transpose(0, 1, 5, 3, 4, 2),
+                )
+            else:
+                np.copyto(buf, cur)
+            cur = buf
+        y = plan.scratch(f"y{k}", shape[:-1] + (MT.shape[-1],), dtype)
+        backend.matmul(cur, MT, y)
+        xs.append(cur)
+    # The last chunk has one block: (1, h0, S, cols) -> (S, cols * h0), of
+    # which the result keeps its own width: whole groups of h0 positions
+    # in one copy, the group a fold cuts in another.
+    h0, cols = y.shape[-3], y.shape[-1]
+    arranged = y.reshape(B, h0, S, cols).transpose(0, 2, 3, 1)
+    if out is None:
+        out = np.empty(lead + (cols * h0,), dtype)
+    flat = out.reshape(B, S, -1)
+    whole, rest = divmod(flat.shape[-1], h0)
+    np.copyto(flat[..., : whole * h0].reshape(B, S, whole, h0),
+              arranged[:, :, :whole])
+    if rest:
+        flat[..., whole * h0:] = arranged[:, :, whole, :rest]
+    return out, xs
 
 
 def grouped_forward(
@@ -497,26 +559,15 @@ def grouped_forward(
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
     saved = take if need_ctx else plan.scratch
     Ms, build_saved = _build_matrices(plan, coeffs, dtype, saved)
-    ctx = GroupedContext(plan, dtype, rows, take, [], build_saved, [])
-    out = None
-    for k, chunk in enumerate(plan.chunks):
-        xr = _arrange_first(x, chunk, rows) if k == 0 else None
-        if xr is None or not xr.flags.c_contiguous or xr.dtype != dtype:
-            shape = (chunk.o, chunk.h0, rows, chunk.T)
-            buf = saved(f"grouped.x{k}", shape, dtype)
-            if xr is None:
-                xr = _rearrange_between(out, plan.chunks[k - 1], chunk, rows, buf)
-            else:
-                np.copyto(buf, xr)
-                xr = buf
-        MT = saved(f"grouped.MT{k}", Ms[k].shape, dtype)
-        np.copyto(MT, Ms[k].swapaxes(-1, -2))
-        out = plan.scratch(f"y{k}", xr.shape, dtype)
-        backend.matmul(xr, MT, out)
-        ctx.MTs.append(MT)
-        ctx.xs.append(xr)
-    return (_arrange_last_inv(out, plan.chunks[-1], rows, n, take),
-            ctx if need_ctx else None)
+    MTs = []
+    for k, M in enumerate(Ms):
+        MTs.append(saved(f"grouped.MT{k}", M.shape, dtype))
+        np.copyto(MTs[k], M.swapaxes(-1, -2))
+    y, xs = _walk(plan, MTs, x, take("grouped.y", (rows, n), dtype),
+                  inputs=saved)
+    if not need_ctx:
+        return y, None
+    return y, GroupedContext(plan, dtype, rows, take, MTs, build_saved, xs)
 
 
 def grouped_vjp(
@@ -583,11 +634,8 @@ def dense_forward(
     """
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    # Plan scratch, yet the build's context keeps a view of it when the
-    # first chunk's arrangement is contiguous (one chunk, n <= 32, or
-    # in_features == 1): safe only because this is the tag's one writer
-    # and every write is an identity prefix, so a later call of any
-    # width leaves the rows a retained context reads as they were.
+    # Plan scratch: the build's context keeps its own copy of every chunk
+    # input, this one's included.
     eye = plan.scratch("eye", (in_features, plan.n), dtype)
     eye[...] = 0
     np.fill_diagonal(eye, 1)
@@ -620,15 +668,15 @@ def dense_vjp(
 # Frozen ladder: the inference path
 # ----------------------------------------------------------------------
 class FrozenLadder:
-    """A full ladder densified once: the chunk operators of
-    :func:`_build_matrices`, contiguous and already transposed, and an
-    :meth:`apply` that is only rearrange + ``backend.matmul`` per chunk.
-
-    A ladder of at most :data:`MAX_GROUP` stages is a single ``n x n``
-    block and :meth:`apply` a single GEMM; so is any ladder whose folded
+    """A full ladder densified once, in one of two forms.  When the folded
     ``in_features x out_features`` block fits the :data:`DENSE_MAX_N`
-    budget (an ``r_ffn = 4`` FFN's two ladders up to ``d_hidden = 128``,
-    say), whose chunks are multiplied out at build time.
+    budget (every ladder of at most :data:`MAX_GROUP` stages, an
+    ``r_ffn = 4`` FFN's two ladders up to ``d_hidden = 128``), ``ops`` is
+    that one block, walked out of the identity's rows at build time, and
+    :meth:`apply` a single GEMM.  Otherwise ``ops`` are the chunk
+    operators of :func:`_build_matrices`, contiguous and already
+    transposed, and :meth:`apply` walks them (:func:`_walk`).
+
     Arithmetic per row is the grouped path's ``n * T`` multiply-adds per
     chunk (what training already pays) or the dense block's ``in * out``,
     not the butterfly's ``2 n`` per stage; layers keep reporting the
@@ -678,24 +726,20 @@ class FrozenLadder:
         self.out_features = out_features
         Ms, _ = _build_matrices(plan, coeffs, self.dtype)
         # M[o, j] maps x -> M @ x, so the operators are the transposes.
-        self.ops: List[np.ndarray] = [M.swapaxes(-1, -2) for M in Ms]
+        ops = [M.swapaxes(-1, -2) for M in Ms]
         # An output position is t * h0 + j in the last chunk (one block).
-        last = plan.chunks[-1]
-        self.ops[-1] = self.ops[-1][..., : -(-out_features // last.h0)]
-        if len(self.ops) > 1 and dense_by_area(in_features, out_features, n):
+        ops[-1] = ops[-1][..., : -(-out_features // plan.chunks[-1].h0)]
+        if dense_by_area(in_features, out_features, n):
             # The identity's first in_features rows through the chunks,
             # DENSE_MAX_N at a time: the build's scratch, which the plan's
             # pool keeps, stays the size of a short prefill's.
             rows = min(n, DENSE_MAX_N)
-            self.ops = [np.concatenate([
-                self._chunked(np.eye(rows, n, k=i, dtype=self.dtype))
+            block = np.concatenate([
+                _walk(plan, ops, np.eye(rows, n, k=i, dtype=self.dtype))[0]
                 for i in range(0, in_features, rows)
-            ])]
-        elif len(self.ops) == 1:
-            self.ops[0] = self.ops[0][0, 0]
-        if len(self.ops) == 1:  # one (in, out) matrix
-            self.ops[0] = self.ops[0][:in_features, :out_features]
-        self.ops = [np.ascontiguousarray(op) for op in self.ops]
+            ])
+            ops = [block[:in_features, :out_features]]
+        self.ops = [np.ascontiguousarray(op) for op in ops]
         with _PLAN_CACHE_LOCK:
             _FROZEN_BUILDS += 1
 
@@ -723,58 +767,9 @@ class FrozenLadder:
                 check_out(out, shape, self.dtype, x)
             if len(self.ops) == 1:
                 backend.matmul(x, self.ops[0], out)
-                return out
-            n = plan.n
-            if self.in_features < n:
-                whole = plan.scratch("pad", x.shape[:-1] + (n,), self.dtype)
-                whole[..., : self.in_features] = x
-                whole[..., self.in_features:] = 0
-                x = whole
-            return self._chunked(x, out)
-
-    def _chunked(self, x: np.ndarray, out=None) -> np.ndarray:
-        # (..., n) through every chunk, into ``out`` (..., out_features)
-        # or, without one, a fresh array of every column the last chunk
-        # kept.  Chunk inputs and outputs are carried as (B, o, h0, S, T):
-        # the GEMM axes are (S, T), everything before them a batch axis.
-        lead = x.shape[:-1]
-        S = lead[-1] if lead else 1
-        B = math.prod(lead[:-1])
-        dtype, scratch = self.dtype, self.plan.scratch
-        first = self.plan.chunks[0]
-        # The first chunk has h0 == 1, so its arrangement is a view.
-        cur = (x.reshape(B, S, first.o, 1, first.T)
-               .transpose(0, 2, 3, 1, 4))
-        y = None
-        for k, (chunk, MT) in enumerate(zip(self.plan.chunks, self.ops)):
-            if k:
-                # Previous output (B, o * T, h0', S, T') regroups into
-                # (B, o, h0 = T' * h0', S, T): undo the old grouping and
-                # apply the new one in a single copy.
-                h0p, Tp = y.shape[2], y.shape[4]
-                cur = scratch(f"x{k}", (B, chunk.o, chunk.h0, S, chunk.T),
-                              dtype)
-                np.copyto(
-                    cur.reshape(B, chunk.o, Tp, h0p, S, chunk.T),
-                    y.reshape(B, chunk.o, chunk.T, h0p, S, Tp)
-                    .transpose(0, 1, 5, 3, 4, 2),
-                )
-            y = scratch(f"y{k}", cur.shape[:-1] + (MT.shape[-1],), dtype)
-            backend.matmul(cur, MT, y)
-        # Last chunk has one block: (B, 1, h0, S, cols) -> (..., cols * h0),
-        # of which ``out`` keeps its own width: whole groups of h0
-        # positions in one copy, the group the fold cuts in another.
-        cols, h0 = y.shape[4], y.shape[2]
-        arranged = y[:, 0].transpose(0, 2, 3, 1)
-        if out is None:
-            out = np.empty(lead + (cols * h0,), dtype=dtype)
-        flat = out.reshape(B, S, -1)
-        whole, rest = divmod(flat.shape[-1], h0)
-        np.copyto(flat[..., : whole * h0].reshape(B, S, whole, h0),
-                  arranged[:, :, :whole])
-        if rest:
-            flat[..., whole * h0:] = arranged[:, :, whole, :rest]
-        return out
+            else:
+                _walk(plan, self.ops, _pad_last(x, plan.n, plan.scratch), out)
+            return out
 
 
 class FrozenLadderCache:

@@ -462,7 +462,6 @@ class ClusterEngine:
         worker.conn = None
         worker.conn_broken = True
         worker.proc.join(timeout=5.0)
-        exitcode = worker.proc.exitcode
         worker.proc = None
 
         victims = sorted(self._assigned(worker))
@@ -500,7 +499,6 @@ class ClusterEngine:
             worker.fault_rules = [
                 r for r in worker.fault_rules if r.point != "worker.step"
             ]
-        del exitcode  # recorded implicitly via the death counter
 
     def dispatch(self) -> None:
         """Finish sessions past their deadline, then hand pending ones to

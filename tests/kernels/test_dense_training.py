@@ -164,8 +164,8 @@ class TestDtype:
 class TestContextLifetime:
     @pytest.mark.parametrize("n,d_in,d_other", [
         (256, 64, 64),
-        # One chunk: the build's context keeps a view of the plan's "eye"
-        # scratch, which the other layer's narrower and wider builds take.
+        # One chunk: the other layer's narrower and wider builds take the
+        # plan's "eye" scratch again, of which the context keeps a copy.
         (16, 8, 4),
         (16, 8, 16),
     ])
@@ -189,6 +189,19 @@ class TestContextLifetime:
         np.testing.assert_array_equal(first[0], second[0])
         for a, b in zip(first[1], second[1]):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_retained_dense_context_holds_no_plan_scratch(self, rng, n):
+        """The build's context keeps its own copy of every chunk input,
+        the first one included: nothing of the plan's ``eye`` rows, which
+        the next dense call of this size overwrites."""
+        coeffs, halves = _ladder(rng, n)
+        _, ctx = K.butterfly_apply(rng.normal(size=(2 * n, n // 2)), coeffs,
+                                   halves, in_features=n // 2, out_features=n)
+        kind, _, _, (_, _, build) = ctx
+        assert kind == "dense"
+        eye = build.plan.scratch("eye", (n // 2, n), build.dtype)
+        assert not any(np.shares_memory(xk, eye) for xk in build.xs)
 
     def test_fold_of_the_wrong_width_rejected(self, rng):
         coeffs, halves = _ladder(rng, 64)
