@@ -3,8 +3,8 @@
 Application delegates to the shared kernel layer: the fused grouped
 kernel (:mod:`repro.kernels.grouped`) applies the complete ladder, real
 or complex (FFT twiddles), as a few batched matmuls, and dense
-materialization reuses the same kernels by applying the matrix to an
-identity batch instead of multiplying ``log2 n`` sparse factors.
+materialization multiplies the same kernel's chunk blocks out in closed
+form instead of multiplying ``log2 n`` sparse factors.
 """
 
 from __future__ import annotations
@@ -65,14 +65,17 @@ class ButterflyMatrix:
     def dense(self) -> np.ndarray:
         """Expand to a dense matrix: ``B_n @ ... @ B_2``.
 
-        Computed as the butterfly apply of an identity batch — ``O(n^2
-        log n)`` work via the fast kernels instead of ``O(n^3)`` sparse
-        factor multiplies.  The result keeps the factors' dtype (e.g.
-        float32 under the reduced-precision policy, complex for FFT
-        twiddle matrices).
+        Computed in closed form from the fused kernel's chunk blocks
+        (:func:`repro.kernels.dense_block`): one path joins each input to
+        each output, so every entry is a product of one coefficient per
+        chunk — ``O(n^2)`` multiplies instead of ``O(n^3)`` sparse factor
+        multiplies.  The result keeps the factors' dtype (e.g. float32
+        under the reduced-precision policy, complex for FFT twiddle
+        matrices).
         """
         dtype = np.result_type(*[f.coeffs.dtype for f in self.factors])
-        return np.ascontiguousarray(self.apply(np.eye(self.n, dtype=dtype)).T)
+        block = _kernels.dense_block([f.coeffs for f in self.factors], dtype)
+        return np.ascontiguousarray(block.T)
 
     # ------------------------------------------------------------------
     @property

@@ -26,7 +26,7 @@ Entry points
 ------------
 :func:`butterfly_apply` / :func:`butterfly_apply_vjp` are the recorded
 and raw-array entry, and run every full ladder, real or complex, on the
-fused grouped kernels: densified (the ladder on the identity's rows,
+fused grouped kernels: densified (the ladder's block in closed form,
 the call's rows one GEMM) when a recorded fold is inside the frozen
 ladder's area budget and the call brings at least ``in_features`` rows,
 per-call grouped otherwise.  :data:`~repro.kernels.grouped.DENSE_MAX_N`
@@ -129,6 +129,7 @@ from .grouped import (
     GroupedPlan,
     _pad_last,
     dense_by_area,
+    dense_block,
     dense_forward,
     dense_vjp,
     get_plan,
@@ -192,11 +193,11 @@ def butterfly_apply(
     fold passes the frozen ladder's area rule (``in_features *
     out_features <= DENSE_MAX_N * n``) and that brings at least
     ``in_features`` rows runs densified
-    (:func:`repro.kernels.grouped.dense_forward`): the ladder and its VJP
-    see the ``in_features`` identity rows, the call's rows one GEMM each
-    way.  Every other call runs the grouped kernel on the zero-padded
-    rows.  The result, the context and the VJP's outputs are ``take``
-    buffers (see :mod:`repro.kernels.pool`).
+    (:func:`repro.kernels.grouped.dense_forward`): the ladder's block in
+    closed form, the call's rows one GEMM each way.  Every other call
+    runs the grouped kernel on the zero-padded rows.  The result, the
+    context and the VJP's outputs are ``take`` buffers (see
+    :mod:`repro.kernels.pool`).
     """
     x = np.asarray(x)
     coeffs = [np.asarray(c) for c in coeffs]
@@ -296,6 +297,7 @@ __all__ = [
     "cross_entropy_logits_forward",
     "cross_entropy_logits_vjp",
     "default_dtype",
+    "dense_block",
     "embedding_grad",
     "fft_stage_coeffs",
     "fft_twiddles",

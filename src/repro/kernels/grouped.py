@@ -41,8 +41,8 @@ several times faster than the per-stage chain while staying exactly
 equivalent up to matmul reassociation of the 2x2 accumulations.
 
 Rows meet the chunk operators in one loop, :func:`_walk`: per chunk a
-regrouping copy and one ``backend.matmul``.  Its three callers differ
-only in where the operators come from and what is kept:
+regrouping copy and one ``backend.matmul``.  A ladder runs in one of
+three ways:
 
 * **Built per call** (:func:`grouped_forward` / :func:`grouped_vjp`):
   training, where the weights move every step, and raw-array callers,
@@ -54,26 +54,25 @@ only in where the operators come from and what is kept:
 * **Built per call and densified** (:func:`dense_forward` /
   :func:`dense_vjp`): a recorded call whose folded ``in_features x
   out_features`` block fits the :data:`DENSE_MAX_N` budget and that
-  brings at least ``in_features`` rows.  The ladder then runs on the
-  ``in_features`` identity rows only — forward to get the block ``W``,
-  VJP to take ``dW`` back to the per-stage coefficient gradients — and
-  the call's own rows see one GEMM each way, so the ladder's cost no
-  longer scales with batch x sequence.
+  brings at least ``in_features`` rows.  The block ``W`` comes in
+  closed form (:func:`_closed_form`), its VJP is one contraction per
+  chunk, and the call's own rows see one GEMM each way, so the ladder's
+  cost no longer scales with batch x sequence.
 * **Frozen** (:class:`FrozenLadder`): a layer's inference path builds
-  its operators **once per weight version** — one ``in x out`` block,
-  walked out of the identity's rows, when the fold fits the same budget,
-  else the contiguous, already-transposed chunk operators that every
-  later call walks, at every ``(rows, n)``.  Trained factors are static
-  at inference, laid out once for the engine's buffers while every
-  token streams through them.  The layer keeps the ladder in a
+  its operators **once per weight version** — the same ``in x out``
+  block when the fold fits the same budget, else the contiguous,
+  already-transposed chunk operators that every later call walks, at
+  every ``(rows, n)``.  Trained factors are static at inference, laid
+  out once for the engine's buffers while every token streams through
+  them.  The layer keeps the ladder in a
   :class:`FrozenLadderCache`, which revalidates it against the stage
   parameters' version counters on each call.
 
 Frozen and recorded outputs of one ladder agree to rounding, not to the
-bit, and nothing relies on more: a frozen ladder's last chunk computes
-only the columns its fold keeps, a GEMM BLAS may block differently
-(n 1024 fp32 1024 -> 256 and complex n 64 64 -> 16 differ in the last
-bits), and a dense block sums a row in another order than the chunks.
+bit, and nothing relies on more: a chunked frozen ladder's last chunk
+computes only the columns its fold keeps, a GEMM BLAS may block
+differently (n 1024 fp32 1024 -> 256 differs in the last bits), and a
+dense block sums a row in another order than the chunks.
 """
 
 from __future__ import annotations
@@ -131,41 +130,40 @@ MAX_GROUP = 5
 #: the batched decode rows (the serving engine's step) lose up to 5x,
 #: whatever a long prefill would gain.
 #:
-#: Recorded call, forward + VJP, by rows (PR 18; the dense column of a
-#: shape the rule refuses, or of rows < in, is :func:`dense_forward`
-#: called directly):
+#: Recorded call, forward + VJP, by rows (grouped vs dense; the dense
+#: column of a shape the rule refuses is :func:`dense_forward` called
+#: directly; median of 9-25 calls in held buffers, sgemm ~117 GFLOP/s
+#: at 1024^2):
 #:
 #: ======================  ==============  ==============
 #: n, in -> out, dtype     2048 rows       256 rows
 #: ======================  ==============  ==============
-#: 128, square, fp32 *     2.49 vs 2.12    0.49 vs 0.56
-#: 128, square, fp64 *     5.23 vs 4.22    0.58 vs 0.88
-#: 256, 64->256, fp32 *    8.07 vs 2.30    0.87 vs 0.66
-#: 256, 128->256, fp32 *   7.94 vs 3.66    0.83 vs 1.03
-#: 256, square, fp32       7.31 vs 7.19    0.90 vs 1.69
-#: 256, square, fp64       14.6 vs 14.1    1.18 vs 2.79
-#: 512, 128->512, fp32 *   23.9 vs 7.62    1.89 vs 2.04
-#: 512, 512->128, fp32 *   23.8 vs 9.22    1.84 vs 4.14  (rows < in)
-#: 512, 128->512, fp64 *   34.8 vs 15.3    2.73 vs 3.22
-#: 512, 512->128, fp64 *   36.3 vs 20.9    2.83 vs 8.52  (rows < in)
-#: 512, 256->512, fp32     24.4 vs 13.4    1.91 vs 3.41
-#: 512, square, fp32       24.0 vs 24.6    1.71 vs 5.65
-#: 512, square, fp64       33.6 vs 50.6    2.69 vs 12.4
-#: 1024, 128->1024, fp32 * 59.7 vs 14.7    3.89 vs 4.12
-#: 1024, 256->1024, fp32   55.3 vs 25.9    3.89 vs 6.52
-#: 1024, 256->1024, fp64   93.3 vs 56.2    7.77 vs 13.8
+#: 128, square, fp32 *     2.44 vs 2.39    0.51 vs 0.55
+#: 128, square, fp64 *     5.15 vs 5.06    0.65 vs 0.87
+#: 256, 64->256, fp32 *    8.11 vs 2.65    0.89 vs 0.69
+#: 256, 128->256, fp32 *   7.81 vs 4.55    0.92 vs 0.97
+#: 256, square, fp32       7.70 vs 8.31    0.92 vs 1.55
+#: 256, square, fp64       16.9 vs 18.5    1.20 vs 2.71
+#: 512, 128->512, fp32 *   30.7 vs 8.94    1.80 vs 1.77
+#: 512, 512->128, fp32 *   31.2 vs 9.25    1.90 vs 1.89  (rows < in)
+#: 512, 128->512, fp64 *   45.0 vs 19.0    2.81 vs 3.07
+#: 512, 512->128, fp64 *   44.5 vs 20.8    2.93 vs 3.17  (rows < in)
+#: 512, 256->512, fp32     31.3 vs 16.7    1.78 vs 2.94
+#: 512, square, fp32       31.4 vs 31.0    1.81 vs 5.25
+#: 512, square, fp64       46.1 vs 63.1    2.72 vs 10.1
+#: 1024, 128->1024, fp32 * 66.0 vs 19.2    4.33 vs 3.70
+#: 1024, 256->1024, fp32   68.6 vs 33.2    4.27 vs 5.96
+#: 1024, 256->1024, fp64   118 vs 65.2     9.46 vs 10.9
 #: ======================  ==============  ==============
 #:
-#: Within the budget the dense call wins 1.2-4x at 2048 rows.  The
-#: squares the rule refuses are break-even or lose at both row counts;
-#: the refused rectangles (256->512, 256->1024) win ~2x at 2048 rows and
-#: lose ~1.7x at 256, so no refused shape wins at both.  The build is a
-#: ladder over ``in`` rows whatever the call brings: at ``rows < in`` it
-#: is more ladder than the call (the two marked cells, 2-3x slower —
-#: what the row floor is for), and from ``in`` up to about ``4 * in``
-#: rows the dense call still gives back 5-50 % of a sub-3 ms call (the
-#: 256-row column is ``2 * in`` for the 128 -> . shapes) before it pulls
-#: ahead for good.
+#: Within the budget the dense call wins 1-3.5x at 2048 rows and runs
+#: 1.3x faster to 1.3x slower at 256.  The squares the rule refuses are
+#: break-even or lose at both row counts; the refused rectangles win ~2x
+#: at 2048 rows and lose 1.4-1.7x at 256.  The block's build does not
+#: scale with ``in``, but the call's three ``in x out`` GEMMs per row
+#: do, so below the row floor the grouped call wins (512 -> 128 fp32 at
+#: 16 / 64 rows: 0.71 / 0.93 ms against 1.06 / 1.12; square 128 at 127
+#: rows: 0.33 against 0.43); they meet near ``in / 2`` (marked cells).
 DENSE_MAX_N = 128
 
 
@@ -262,6 +260,7 @@ class GroupedPlan:
         # Plans are shared through the process-global cache, so the pool
         # is per thread and capped (see :class:`ScratchPool`).
         self._pool = ScratchPool()
+        self._folds: dict = {}  # (in, out) -> geometry, see :func:`_factors`
 
     def scratch(self, tag: str, shape: tuple, dtype) -> np.ndarray:
         """A reusable uninitialized buffer for call-local temporaries,
@@ -485,8 +484,8 @@ def _walk(
     """Stream ``x`` ``(..., n)`` through the transposed chunk operators
     ``ops`` — per chunk one regrouping copy and one ``backend.matmul`` —
     into ``out`` or a new array; returns it and the chunk inputs.  The
-    one forward chunk loop: recorded calls, dense builds and frozen
-    applies all run it.
+    one forward chunk loop: a recorded grouped call and a chunked frozen
+    apply run it; a dense block comes from :func:`_closed_form` instead.
 
     Chunk arrays are ``(..., o, h0, S, T)``: the GEMM axes are ``(S, T)``,
     ``S`` the last leading axis of ``x`` and the axes before it batch
@@ -614,6 +613,80 @@ def grouped_vjp(
 
 
 # ----------------------------------------------------------------------
+# The dense block in closed form
+# ----------------------------------------------------------------------
+def _factors(plan: GroupedPlan, Ms: Sequence[np.ndarray], in_features: int,
+             out_features: int) -> List[np.ndarray]:
+    """The chunk blocks ``Ms`` as views over the fold's ``2K`` digit axes
+    (row digits ``a_{K-1} .. a_0``, then column digits; digit ``l`` is an
+    index's chunk-``l`` bits), of size 1 where the chunk reads no such
+    digit, each digit cut below the fold's last index (its box)."""
+    geometry = plan._folds.get((in_features, out_features))
+    if geometry is None:
+        K = len(plan.chunks)
+        R = [min(c.T, -(-in_features // c.h0)) for c in plan.chunks]
+        C = [min(c.T, -(-out_features // c.h0)) for c in plan.chunks]
+        geometry = []
+        for k, c in enumerate(plan.chunks):
+            # M[o, j, b_k, a_k]: o is the row digits above k, j the column
+            # digits below, both high first.
+            hi, lo = range(K - 1, k - 1, -1), range(k, -1, -1)
+            shape = [plan.chunks[l].T for l in (*hi[:-1], *lo[1:])] + [c.T, c.T]
+            perm = [*range(K - 1 - k), K, K - 1, *range(K - 1 - k, K - 1)]
+            box = (*(slice(R[l]) for l in hi), *(None,) * (K - 1),
+                   *(slice(C[l]) for l in lo))
+            geometry.append((tuple(shape), tuple(perm), box))
+        plan._folds[(in_features, out_features)] = geometry
+    return [M.reshape(shape).transpose(perm)[box]
+            for M, (shape, perm, box) in zip(Ms, geometry)]
+
+
+def _closed_form(
+    plan: GroupedPlan, Ms: Sequence[np.ndarray], in_features: int,
+    out_features: int, take: Callable = fresh,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The ladder's ``(in_features, out_features)`` block ``W`` and the
+    prefix products a VJP needs (``take`` buffers; the last, ``W``'s box).
+    Chunk ``k`` maps row digit ``a_k`` to column digit ``b_k`` by
+    ``M_k[a_{>k}, b_{<k}][b_k, a_k]``: one path joins each row to each
+    column, and ``W[i, j]`` is the product of one entry per chunk, taken
+    in walk order so the bytes are the identity's rows walked."""
+    factors = _factors(plan, Ms, in_features, out_features)
+    products = [factors[0]]
+    for k, b in enumerate(factors[1:], 1):
+        a = products[-1]
+        out = take(f"dense.P{k}", np.broadcast_shapes(a.shape, b.shape), b.dtype)
+        if out.dtype.kind == "c":  # as zgemm rounds it, with no fused multiply-add
+            np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
+            np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
+        else:
+            np.multiply(a, b, out=out)
+        products.append(out)
+    # The walk's GEMM sums start from +0, so its block holds no -0 (one
+    # chunk: in place in its block).
+    W = np.add(products[-1], 0, out=products[-1])
+    W = W.reshape(math.prod(W.shape[: len(Ms)]), -1)
+    return W[:in_features, :out_features], products
+
+
+def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a * b`` summed over the axes on which ``out`` has size 1."""
+    axes = list(range(a.ndim))
+    keep = [i for i in axes if out.shape[i] > 1]
+    np.einsum(a, axes, b, axes, keep,
+              out=out[(*(slice(None) if n > 1 else 0 for n in out.shape), ...)])
+    return out
+
+
+def dense_block(coeffs: Sequence[np.ndarray], dtype) -> np.ndarray:
+    """The full ladder's dense ``(n, n)`` block (``y = x @ W``), in
+    closed form."""
+    n = 2 * coeffs[0].shape[-1]
+    plan = get_plan(n, len(coeffs))
+    return _closed_form(plan, _build_matrices(plan, coeffs, dtype)[0], n, n)[0]
+
+
+# ----------------------------------------------------------------------
 # Densified per call: the recorded path of a small fold
 # ----------------------------------------------------------------------
 def dense_forward(
@@ -624,44 +697,52 @@ def dense_forward(
     take: Callable = fresh,
 ) -> Tuple[np.ndarray, tuple]:
     """``(rows, in_features) -> (rows, out_features)`` as one GEMM with
-    ``W = ladder(eye(in_features, n))[:, :out_features]``, built for this
-    call through :func:`grouped_forward` (the weights move every step, so
-    nothing is cached across calls).
+    the ladder's block ``W`` (:func:`_closed_form`), built for this call
+    (the weights move every step, so nothing is cached across calls).
 
-    The context keeps ``x`` by reference, ``W`` and the build's own
-    context: nothing else of ``rows`` height.  ``y`` and ``W`` are
-    ``take`` buffers.
+    The context keeps ``x`` by reference, and ``W``, the chunk blocks,
+    the prefix products and the build's levels: nothing else of ``rows``
+    height.  ``y`` and the rest are ``take`` buffers.
     """
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    # Plan scratch: the build's context keeps its own copy of every chunk
-    # input, this one's included.
-    eye = plan.scratch("eye", (in_features, plan.n), dtype)
-    eye[...] = 0
-    np.fill_diagonal(eye, 1)
-    full, build = grouped_forward(eye, coeffs, plan, take=take)
-    W = full[:, :out_features]
+    Ms, build = _build_matrices(plan, coeffs, dtype, take)
+    W, products = _closed_form(plan, Ms, in_features, out_features, take)
     y = take("dense.y", (rows, out_features), dtype)
     backend.matmul(x, W, y)
-    return y, (x, W, build)
+    return y, (plan, take, x, W, Ms, products, build)
 
 
 def dense_vjp(
     grad: np.ndarray, ctx: tuple
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """VJP of :func:`dense_forward`: ``gx = g @ W^T``, and the chain rule
-    through the build — ``dW = x^T @ g``, zero past ``out_features``, is
-    the gradient of the identity rows' ladder output."""
-    x, W, build = ctx
-    plan, dtype = build.plan, build.dtype
-    out_features = W.shape[1]
-    gx = build.take("dense.gx", x.shape, dtype)
+    through the block — ``dW = x^T @ g``, one contraction per chunk
+    against the other chunks' factors, then the build's levels."""
+    plan, take, x, W, Ms, products, build = ctx
+    dtype, (in_features, out_features) = W.dtype, W.shape
+    gx = take("dense.gx", x.shape, dtype)
     backend.matmul(grad, W.T, gx)
-    dW = plan.scratch("dW", (x.shape[1], plan.n), dtype)
-    dW[:, out_features:] = 0
-    backend.matmul(x.T, grad, dW[:, :out_features])
-    _, gcoeffs = grouped_vjp(dW, build)
-    return gx, gcoeffs
+    # Zeros wherever the fold's box reaches past the fold, and in every
+    # chunk block's entries outside the box.
+    dW = plan.scratch("dense.dW", products[-1].shape, dtype)
+    dW[...] = 0
+    backend.matmul(x.T, grad, dW.reshape(math.prod(dW.shape[: len(Ms)]), -1)
+                   [:in_features, :out_features])
+    factors = _factors(plan, Ms, in_features, out_features)
+    dMs = [plan.scratch(f"dense.dM{k}", M.shape, dtype) for k, M in enumerate(Ms)]
+    for dM in dMs:
+        dM[...] = 0
+    dfactors = _factors(plan, dMs, in_features, out_features)
+    # G: dW summed against the factors above chunk k, whose gradient is
+    # G summed against the product of the factors below it.
+    G = dW
+    for k in range(len(Ms) - 1, 0, -1):
+        _contract(G, products[k - 1], dfactors[k])
+        G = _contract(G, factors[k], plan.scratch(
+            f"dense.G{k}", products[k - 1].shape, dtype))
+    np.copyto(dfactors[0], G)
+    return gx, list(_build_matrices_vjp(dMs, build, plan, dtype, take))
 
 
 # ----------------------------------------------------------------------
@@ -672,7 +753,7 @@ class FrozenLadder:
     ``in_features x out_features`` block fits the :data:`DENSE_MAX_N`
     budget (every ladder of at most :data:`MAX_GROUP` stages, an
     ``r_ffn = 4`` FFN's two ladders up to ``d_hidden = 128``), ``ops`` is
-    that one block, walked out of the identity's rows at build time, and
+    that one block, in closed form (:func:`_closed_form`), and
     :meth:`apply` a single GEMM.  Otherwise ``ops`` are the chunk
     operators of :func:`_build_matrices`, contiguous and already
     transposed, and :meth:`apply` walks them (:func:`_walk`).
@@ -725,20 +806,13 @@ class FrozenLadder:
         self.in_features = in_features
         self.out_features = out_features
         Ms, _ = _build_matrices(plan, coeffs, self.dtype)
-        # M[o, j] maps x -> M @ x, so the operators are the transposes.
-        ops = [M.swapaxes(-1, -2) for M in Ms]
-        # An output position is t * h0 + j in the last chunk (one block).
-        ops[-1] = ops[-1][..., : -(-out_features // plan.chunks[-1].h0)]
         if dense_by_area(in_features, out_features, n):
-            # The identity's first in_features rows through the chunks,
-            # DENSE_MAX_N at a time: the build's scratch, which the plan's
-            # pool keeps, stays the size of a short prefill's.
-            rows = min(n, DENSE_MAX_N)
-            block = np.concatenate([
-                _walk(plan, ops, np.eye(rows, n, k=i, dtype=self.dtype))[0]
-                for i in range(0, in_features, rows)
-            ])
-            ops = [block[:in_features, :out_features]]
+            ops = [_closed_form(plan, Ms, in_features, out_features)[0]]
+        else:
+            # M[o, j] maps x -> M @ x, so the operators are the transposes;
+            # an output position is t * h0 + j in the last chunk (one block).
+            ops = [M.swapaxes(-1, -2) for M in Ms]
+            ops[-1] = ops[-1][..., : -(-out_features // plan.chunks[-1].h0)]
         self.ops = [np.ascontiguousarray(op) for op in ops]
         with _PLAN_CACHE_LOCK:
             _FROZEN_BUILDS += 1

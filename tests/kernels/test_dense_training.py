@@ -2,9 +2,11 @@
 
 ``kernels.butterfly_apply`` with a context wanted runs a fold inside the
 frozen ladder's area budget, on at least ``in_features`` rows, as one
-GEMM with ``W = ladder(eye)`` and takes ``dW`` back through the build.
-The oracle here is the per-stage chain (``butterfly_apply_reference`` +
-``stage_vjp``), which shares no code with the grouped or the dense path.
+GEMM with the ladder's dense block ``W`` in closed form and takes ``dW``
+back through it.  The oracle here is the per-stage chain
+(``butterfly_apply_reference`` + ``stage_vjp``), which shares no code
+with the grouped or the dense path; the closed form's own oracle is the
+chunk walk over the identity's rows, byte for byte.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels as K
+from repro.butterfly import ButterflyFactor, ButterflyMatrix
 from repro.kernels import backend, grouped
 from repro.nn import tensor as F
 
@@ -139,6 +142,87 @@ class TestAgainstTheStageChain:
         assert kinds[0] == "dense" and set(kinds[1:]) == {None}
 
 
+@st.composite
+def _folds(draw):
+    """A ladder of one, two or three chunks, any fold inside the area
+    budget (ragged widths included), real or complex, FFT twiddles too."""
+    n = draw(st.sampled_from([2 ** p for p in range(1, 12)]))
+    d_in = draw(st.integers(1, n))
+    d_out = draw(st.integers(1, min(n, grouped.DENSE_MAX_N * n // d_in)))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.complex128]))
+    fft = dtype == np.complex128 and draw(st.booleans())
+    return n, d_in, d_out, dtype, fft, draw(st.integers(0, 2**32 - 1))
+
+
+def _identity_walk(plan, coeffs, dtype, rows):
+    """Rows ``rows`` of the ladder's dense block the way the parent built
+    it: those identity rows walked through the chunk operators."""
+    Ms, _ = grouped._build_matrices(plan, coeffs, dtype)
+    ops = [np.ascontiguousarray(M.swapaxes(-1, -2)) for M in Ms]
+    eye = np.zeros((len(rows), plan.n), dtype)
+    eye[np.arange(len(rows)), rows] = 1
+    return grouped._walk(plan, ops, eye)[0]
+
+
+class TestClosedForm:
+    """The dense block as a product of one chunk-block entry per chunk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_folds())
+    @example((2, 2, 2, np.complex128, True, 0))  # a -0 imaginary twiddle
+    @example((2048, 100, 2048, np.float32, False, 1))
+    @example((2048, 2048, 128, np.float64, False, 2))
+    def test_bytes_of_the_identity_walk_and_gradients_of_its_vjp(self, case):
+        n, d_in, d_out, dtype, fft, seed = case
+        rng = np.random.default_rng(seed)
+        halves = K.stage_halves(n)
+        if fft:
+            coeffs = [K.fft_stage_coeffs(n, h) for h in halves]
+        else:
+            coeffs, _ = _ladder(rng, n, np.float64)
+            if dtype == np.complex128:
+                coeffs = [c + 0.5j * rng.normal(size=c.shape) for c in coeffs]
+            coeffs = [c.astype(dtype) for c in coeffs]
+        plan = K.get_plan(n, len(halves))
+        # Up to 64 of the block's rows, the first and last among them.
+        rows = np.unique(np.concatenate([[0, d_in - 1],
+                                         rng.integers(0, d_in, size=62)]))
+        want = _identity_walk(plan, coeffs, dtype, rows)[:, :d_out]
+        x = rng.normal(size=(d_in + 3, d_in)).astype(dtype)
+        grad = rng.normal(size=(d_in + 3, d_out)).astype(dtype)
+        _, ctx = grouped.dense_forward(x, coeffs, plan, d_out)
+        W = ctx[3]  # the recorded call's block
+        assert W.shape == (d_in, d_out) and W.dtype == dtype
+        assert W[rows].tobytes() == want.tobytes()
+        ladder = grouped.FrozenLadder(coeffs, dtype, d_in, d_out)
+        assert ladder.ops[0][rows].tobytes() == want.tobytes()
+        if n <= 512:
+            matrix = ButterflyMatrix([ButterflyFactor(n, h, c)
+                                      for h, c in zip(halves, coeffs)])
+            full = _identity_walk(plan, coeffs, dtype, np.arange(n))
+            assert matrix.dense().tobytes() == np.ascontiguousarray(full.T).tobytes()
+
+        # The VJP's stage gradients against grouped_vjp on the padded
+        # identity, DENSE_MAX_N of its rows at a time.
+        _, got = grouped.dense_vjp(grad, ctx)
+        dW = np.zeros((d_in, n), dtype)
+        dW[:, :d_out] = x.T @ grad
+        want = [0] * len(halves)
+        for i in range(0, d_in, grouped.DENSE_MAX_N):
+            block = np.arange(i, min(i + grouped.DENSE_MAX_N, d_in))
+            eye = np.zeros((len(block), n), dtype)
+            eye[block - i, block] = 1
+            _, build = K.grouped_forward(eye, coeffs, plan)
+            _, part = K.grouped_vjp(dW[block], build)
+            want = [w + p for w, p in zip(want, part)]
+        scale = max(np.abs(w).max() for w in want)
+        relative = 2e-6 if dtype == np.float32 else 5e-15
+        for s, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == dtype
+            np.testing.assert_allclose(g, w, rtol=0, atol=relative * scale,
+                                       err_msg=f"stage {s}")
+
+
 class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_gemm_operand_is_the_inputs_dtype(self, rng, dtype, monkeypatch):
@@ -165,7 +249,7 @@ class TestContextLifetime:
     @pytest.mark.parametrize("n,d_in,d_other", [
         (256, 64, 64),
         # One chunk: the other layer's narrower and wider builds take the
-        # plan's "eye" scratch again, of which the context keeps a copy.
+        # plan's scratch again, of which the context keeps nothing.
         (16, 8, 4),
         (16, 8, 16),
     ])
@@ -192,16 +276,28 @@ class TestContextLifetime:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_retained_dense_context_holds_no_plan_scratch(self, rng, n):
-        """The build's context keeps its own copy of every chunk input,
-        the first one included: nothing of the plan's ``eye`` rows, which
-        the next dense call of this size overwrites."""
+        """Every array the context keeps — ``x``, ``W``, the chunk blocks,
+        the prefix products, the build's levels — is the caller's or its
+        ``take``'s: none shares memory with a buffer of the plan's scratch
+        pool, which the next call of this size overwrites."""
         coeffs, halves = _ladder(rng, n)
         _, ctx = K.butterfly_apply(rng.normal(size=(2 * n, n // 2)), coeffs,
                                    halves, in_features=n // 2, out_features=n)
-        kind, _, _, (_, _, build) = ctx
+        kind, _, _, saved = ctx
         assert kind == "dense"
-        eye = build.plan.scratch("eye", (n // 2, n), build.dtype)
-        assert not any(np.shares_memory(xk, eye) for xk in build.xs)
+        plan = saved[0]
+
+        def arrays(item):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif isinstance(item, (tuple, list)):
+                for part in item:
+                    yield from arrays(part)
+
+        held = list(arrays(saved))
+        scratch = list(plan._pool._tls.pool.values())
+        assert held and scratch
+        assert not any(np.shares_memory(a, b) for a in held for b in scratch)
 
     def test_fold_of_the_wrong_width_rejected(self, rng):
         coeffs, halves = _ladder(rng, 64)

@@ -498,9 +498,8 @@ class TestEveryOtherCaller:
 
     def test_a_call_that_wants_no_context_is_never_densified(self, rng):
         """The dense build is paid for by the backward it makes cheap; raw
-        no-context callers (``ButterflyMatrix.apply`` and ``.dense()``, a
-        ``Tensor`` call that records nothing) keep the grouped kernel's
-        bits."""
+        no-context callers (``ButterflyMatrix.apply``, a ``Tensor`` call
+        that records nothing) keep the grouped kernel's bits."""
         coeffs, halves = _ladder(rng, 64)
         x = rng.normal(size=(256, 64))
         y, ctx = K.butterfly_apply(x, coeffs, halves, need_ctx=False)

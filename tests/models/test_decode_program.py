@@ -330,11 +330,11 @@ class TestInvalidation:
         # 2-block decoder, as counted at the commit before the program;
         # an int8 replica's ladders are its source's frozen ones, so it
         # traverses the fp model's points less the stored LM head's GEMM.
-        # The prefill also builds the 12 frozen ladders, and each build
-        # walks the identity's rows through its one chunk: one GEMM each.
-        ("butterfly", None, (25, 12), (17, 12)),
+        # The prefill also builds the 12 frozen ladders, in closed form:
+        # no GEMM.
+        ("butterfly", None, (13, 12), (17, 12)),
         ("dense", None, (13, 0), (17, 0)),
-        ("butterfly", "int8", (24, 12), (16, 12)),
+        ("butterfly", "int8", (12, 12), (16, 12)),
         ("dense", "int8", (0, 0), (4, 0)),
     ])
     def test_fault_points_traversed_as_before(self, kind, stored, prefill, decode):

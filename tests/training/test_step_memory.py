@@ -1,4 +1,5 @@
-"""A steady ``Trainer.fit`` step takes no page fault, and changes no bytes.
+"""A steady ``Trainer.fit`` step takes no page fault, holds no walk
+buffer for a dense ladder, and changes no bytes.
 
 ``Trainer.fit`` runs every step of the encoder's training program in the
 buffers the previous step used (:data:`repro.kernels.pool.STEP`, held for
@@ -10,6 +11,7 @@ written out by hand outside a fit, where the program allocates every
 array afresh.
 """
 
+import re
 import resource
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from repro import nn
 from repro.data import load_task
 from repro.data.charlm import VOCAB_SIZE, generate_charlm
+from repro.kernels import grouped
 from repro.kernels.pool import STEP
 from repro.models import (
     DualEncoderClassifier,
@@ -161,3 +164,46 @@ def test_fit_is_byte_equal_to_a_loop_that_allocates_afresh(dtype, dual):
     for (name, a), b in zip(fitted.named_parameters(), model.parameters()):
         assert a.data.dtype == np.dtype(dtype)
         assert a.data.tobytes() == b.data.tobytes(), name
+
+
+class HeldBuffers(StepMarks):
+    """Records the step's buffer keys and every plan's scratch tags each
+    time the trainer comes back for a batch."""
+
+    def _mark(self):
+        plans = {key: set(tag for tag, _ in getattr(plan._pool._tls, "pool", {}))
+                 for key, plan in grouped._PLAN_CACHE.items()}
+        self.faults.append((set(STEP._tls.pool), plans))
+
+
+def test_a_steady_dense_ladder_step_holds_only_the_closed_forms_buffers(monkeypatch):
+    """At ``d_hidden`` 32, L 128, batch 2 every ladder takes the dense path
+    (a 32 -> 32 projection, an FFN's 32 -> 128 and 128 -> 32): its block
+    comes in closed form, so no plan's scratch holds a buffer of the chunk
+    walk, and a ladder's step buffers are the block's build, its prefix
+    products and the call's own GEMM outputs."""
+    monkeypatch.setattr(grouped, "_PLAN_CACHE", {})  # plans of this step only
+    dataset = load_task("text", seq_len=128, n_samples=8, seed=3,
+                        test_fraction=0.25)
+    config = ModelConfig(
+        vocab_size=dataset.vocab_size, n_classes=dataset.n_classes,
+        max_len=128, d_hidden=32, n_heads=2, r_ffn=4, n_total=2, n_abfly=1,
+        dtype="float32", seed=0,
+    )
+    marks = HeldBuffers(dataset)
+    Trainer(build_fabnet(config), batch_size=2).fit(marks, epochs=1)
+    assert len(marks.faults) == 4  # three steps
+    step, plans = marks.faults[-1]
+    assert set(plans) == {(32, 5), (128, 7)}
+    walk = re.compile(r"eye|y\d+|grT\d+|gT\d+")
+    for key, tags in plans.items():
+        assert not any(walk.fullmatch(t) for t in tags), (key, sorted(tags))
+    closed_form = re.compile(r"dense\.(y|gx|P\d+)|grouped\.(L\d+|gcoeffs)")
+    ladders = {}
+    for (prefix, tag), _ in step:
+        if isinstance(tag, str) and tag.startswith(("grouped.", "dense.", "butterfly.")):
+            ladders.setdefault(prefix, set()).add(tag)
+    assert len(ladders) >= 4
+    for prefix, tags in ladders.items():
+        assert "dense.y" in tags and all(closed_form.fullmatch(t) for t in tags), (
+            prefix, sorted(tags))
