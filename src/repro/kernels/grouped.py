@@ -19,26 +19,20 @@ chunk therefore becomes::
 
     y[o, j, b, :] = M[o, j] @ x[o, j, b, :]        # batched GEMM
 
-The dense chunk matrices are built from the pair-major coefficient
-arrays by a logarithmic "doubling" recursion (2x2 blocks -> 4x4 -> ...),
-and the exact VJP reverses that recursion, yielding per-stage coefficient
-gradients in the same ``(4, n/2)`` layout the optimizer expects.
-
-Two overhead-control tricks matter as much as the GEMMs themselves:
-
-* **Level stacking.**  At doubling height ``m`` every chunk merges
-  exactly ``n / 2m`` block pairs, independent of the chunk's position in
-  the ladder, so all chunks share *one* einsum per level (the chunk axis
-  is just a leading batch axis).  This amortizes numpy's per-call
-  iterator setup, which otherwise dominates at small ``m``.
-* **Plan caching.**  All index geometry — the per-level coefficient
-  gather (which doubles as the VJP scatter: each level's indices are a
-  bijection onto the stage's ``n/2`` pairs) — is precomputed once per
-  ``(n, stages)`` and cached FFTW-style.
-
-At ``n = 1024`` this path makes ``ButterflyLinear`` forward+backward
-several times faster than the per-stage chain while staying exactly
-equivalent up to matmul reassociation of the 2x2 accumulations.
+The chunk blocks come in closed form.  Inside a chunk, stage ``l`` maps
+input bit ``a_l`` to output bit ``b_l`` by the 2x2 block of the pair
+that the other bits pick (the output bits below ``l``, the input bits
+above it), so one path joins each input to each output and every block
+entry is a product of one coefficient per stage.  Each stage's ``(4,
+n/2)`` array is viewed on the block's digit axes by reshape and
+transpose alone (:func:`_stage_factors`), and the views are multiplied
+out in stage order (:func:`_product`).  The exact VJP contracts the
+block's gradient back through the same views of the ``(stages, 4,
+n/2)`` gradient (:func:`_chain`), the layout the optimizer expects.  A
+ladder's dense block is the same product one level up, over the chunk
+blocks (:func:`_closed_form`); the two tiers share the product and its
+chain.  All view geometry is computed once per ``(n, stages)`` and
+cached FFTW-style (:func:`get_plan`).
 
 Rows meet the chunk operators in one loop, :func:`_walk`: per chunk a
 regrouping copy and one ``backend.matmul``.  A ladder runs in one of
@@ -85,7 +79,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults import fault_point
-from ..telemetry import counter_inc, publish_on_snapshot, span
+from ..telemetry import STATE, counter_inc, span
 from . import backend
 from .layout import check_power_of_two, num_stages
 from .pool import ScratchPool, check_out, fresh
@@ -182,23 +176,13 @@ class _ChunkPlan:
     T: int   # 2**gc, the dense block size
     h0: int  # 2**s0, elements per low-bit position
     o: int   # n // (T * h0), outer blocks
-
-
-@dataclass
-class _StackLevel:
-    """One doubling height, stacked across all chunks still growing."""
-
-    m: int             # block size being merged (pairs of m x m -> 2m x 2m)
-    N: int             # merged pairs per chunk: n // (2 m)
-    K: int             # chunks active at this height
-    active: tuple      # chunk indices (stack order), len K
-    idx: np.ndarray    # (K, 4, N, m) flat indices into an (S, 4, n/2) buffer;
-                       # used both to gather coefficients and scatter gradients
+    views: tuple  # per stage, see :func:`_stage_factors`
 
 
 class GroupedPlan:
-    """Cached index geometry for one ``(n, num_stages)`` problem, fused
-    :data:`MAX_GROUP` stages at a time.
+    """Cached geometry for one ``(n, num_stages)`` problem, fused
+    :data:`MAX_GROUP` stages at a time: the chunks, each stage's view on
+    its chunk's digit axes, and each fold's view of the chunk blocks.
 
     Also owns a pool of *transient* scratch buffers (:meth:`scratch`).
     Only arrays that never escape a single kernel call may use it —
@@ -223,40 +207,21 @@ class GroupedPlan:
         s0 = 0
         for gc in sizes:
             T, h0 = 1 << gc, 1 << s0
-            self.chunks.append(
-                _ChunkPlan(s0=s0, gc=gc, T=T, h0=h0, o=n // (T * h0))
-            )
+            o = n // (T * h0)
+            views = []
+            for l in range(gc):
+                # Stage s0 + l's pair index is (o, a_{>l}, b_{<l}, h0), so
+                # its (4, n/2) array splits into (b_l, a_l, o, the digits
+                # of a_{>l} and b_{<l}, h0), plus size-1 axes for b_{>l}
+                # and a_{<l}, then moves onto the block's digit axes.
+                u = gc - 1 - l
+                shape = (2, 2, o, *(2,) * (u + l), h0, *(1,) * (u + l))
+                perm = (2, 3 + u + l, *range(4 + u + l, 4 + 2 * u + l), 0,
+                        *range(3 + u, 3 + u + l), *range(3, 3 + u), 1,
+                        *range(4 + 2 * u + l, 4 + 2 * (u + l)))
+                views.append((shape, perm))
+            self.chunks.append(_ChunkPlan(s0, gc, T, h0, o, tuple(views)))
             s0 += gc
-        # Stack order: deepest chunks first, so that at every height the
-        # active chunks are a prefix and finished chunks peel off the tail.
-        order = sorted(range(len(self.chunks)),
-                       key=lambda i: -self.chunks[i].gc)
-        max_gc = self.chunks[order[0]].gc
-        self.levels: List[_StackLevel] = []
-        for sl in range(max_gc):
-            active = tuple(i for i in order if self.chunks[i].gc > sl)
-            K = len(active)
-            m = 1 << sl
-            N = n // (2 * m)
-            idx = np.empty((K, 4, N, m), dtype=np.int64)
-            for kpos, ci in enumerate(active):
-                ch = self.chunks[ci]
-                nb = ch.T // (2 * m)
-                # Pair index of stage s0+sl at chunk coordinates (o, j, tb, r):
-                # p = (o * nb + tb) * m * h0 + r * h0 + j, flattened to (N, m).
-                oi = (np.arange(ch.o, dtype=np.int64)[:, None, None, None]
-                      * (nb * m * ch.h0))
-                ji = np.arange(ch.h0, dtype=np.int64)[None, :, None, None]
-                tb = (np.arange(nb, dtype=np.int64)[None, None, :, None]
-                      * (m * ch.h0))
-                ri = np.arange(m, dtype=np.int64)[None, None, None, :] * ch.h0
-                p = (oi + ji + tb + ri).reshape(N, m)
-                stage = ch.s0 + sl
-                for row in range(4):
-                    idx[kpos, row] = (stage * 4 + row) * (n // 2) + p
-            self.levels.append(
-                _StackLevel(m=m, N=N, K=K, active=active, idx=idx)
-            )
         # Plans are shared through the process-global cache, so the pool
         # is per thread and capped (see :class:`ScratchPool`).
         self._pool = ScratchPool()
@@ -272,17 +237,16 @@ _PLAN_CACHE: dict = {}
 _PLAN_CACHE_MAX = 32
 _PLAN_CACHE_LOCK = threading.Lock()
 # Always-on plain ints (not telemetry counters) so benchmarks can report
-# plan-cache hit rates without the global telemetry opt-in; mirrored into
-# the telemetry registry when that is enabled.
+# plan-cache hit rates without the global telemetry opt-in; each event is
+# also counted in the telemetry registry at its call site while that is on.
 _PLAN_CACHE_HITS = 0
 _PLAN_CACHE_MISSES = 0
 # Frozen ladders built (see :class:`FrozenLadderCache`) and applied
 # (:meth:`FrozenLadder.apply`).  Builds that keep pace with hits mean
 # inference is interleaved with weight updates and every call pays the
-# chunk-matrix build again.
+# chunk-block build again.
 _FROZEN_BUILDS = 0
 _FROZEN_HITS = 0
-_FROZEN_PUBLISHED = [0, 0]  # what the telemetry counters have seen
 
 
 def plan_cache_stats() -> dict:
@@ -305,27 +269,12 @@ def plan_cache_stats() -> dict:
     }
 
 
-@publish_on_snapshot
-def _publish_frozen_counters() -> None:
-    # The frozen-ladder totals as telemetry counters.  Every butterfly
-    # layer's ladder is applied once per forward or decode step, so they
-    # are counted as plain ints and only the growth since the last read
-    # of the registry is added here.
-    for i, (name, total) in enumerate((
-        ("kernels_frozen_ladder_builds_total", _FROZEN_BUILDS),
-        ("kernels_frozen_ladder_hits_total", _FROZEN_HITS),
-    )):
-        if total > _FROZEN_PUBLISHED[i]:
-            counter_inc(name, total - _FROZEN_PUBLISHED[i])
-            _FROZEN_PUBLISHED[i] = total
-
-
 def get_plan(n: int, stages: int) -> GroupedPlan:
     """Fetch (or build and cache) the plan for an ``(n, stages)`` problem.
 
     Thread-safe: concurrent callers for the same key get one shared plan
-    (the build runs under the cache lock — it is index-geometry only, a
-    few hundred microseconds — so no duplicate plans are ever created).
+    (the build runs under the cache lock — it is view geometry only, tens
+    of microseconds — so no duplicate plans are ever created).
     """
     global _PLAN_CACHE_HITS, _PLAN_CACHE_MISSES
     key = (n, stages)
@@ -347,101 +296,103 @@ def get_plan(n: int, stages: int) -> GroupedPlan:
 
 
 # ----------------------------------------------------------------------
-# Chunk matrix build (stacked doubling recursion) and its VJP
+# Blocks in closed form: stages -> chunk blocks -> a ladder's dense block
 # ----------------------------------------------------------------------
-def _build_matrices(
-    plan: GroupedPlan, coeffs: Sequence[np.ndarray], dtype,
-    take: Callable = fresh,
-) -> Tuple[List[np.ndarray], list]:
-    """Densify every chunk into ``M[o, h0, T, T]``; one einsum per level.
-
-    Returns per-chunk matrices plus the per-level ``(V, C)`` intermediates
-    needed by :func:`_build_matrices_vjp`, both in ``take`` buffers.
-    """
-    n = plan.n
-    cf = plan.scratch("coeffs", (plan.stages, 4, n // 2), dtype)
-    for s, c in enumerate(coeffs):
-        cf[s] = c
-    cff = cf.reshape(-1)
-    Ms: List[Optional[np.ndarray]] = [None] * len(plan.chunks)
-    saved = []
-    L: Optional[np.ndarray] = None
-    prev_active: tuple = ()
-    for lev in plan.levels:
-        if L is not None and len(prev_active) > lev.K:
-            # Chunks whose ladder ends at this height: their blocks are done.
-            for kpos in range(lev.K, len(prev_active)):
-                Ms[prev_active[kpos]] = L[kpos]
-            L = L[: lev.K]
-        m, N = lev.m, lev.N
-        A = cff[lev.idx]  # (K, 4, N, m)
-        if L is None:
-            V = C = None
-            L = np.ascontiguousarray(
-                A[..., 0].transpose(0, 2, 1)
-            ).reshape(lev.K, N, 2, 2)
+def _product(factors: Sequence[np.ndarray], take: Callable,
+             tag: str) -> List[np.ndarray]:
+    """Every prefix product of ``factors`` (views over shared digit axes,
+    size 1 where a factor reads no such digit), multiplied left to right
+    by broadcasting: the first is ``factors[0]`` itself, the rest ``take``
+    buffers ``{tag}{k}``.  The last is the block, given ``+ 0`` in place:
+    a lone factor too, so factors view the caller's own buffers."""
+    products = [factors[0]]
+    for k, b in enumerate(factors[1:], 1):
+        a = products[-1]
+        out = take(f"{tag}{k}", tuple(map(max, a.shape, b.shape)), b.dtype)
+        if out.dtype.kind == "c":  # as zgemm rounds it, with no fused multiply-add
+            np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
+            np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
         else:
-            V = L.reshape(lev.K, N, 2, m, m)
-            C = A.reshape(lev.K, 2, 2, N, m)
-            prod = take(f"grouped.L{m}", (lev.K, N, 2, m, 2, m), dtype)
-            L = np.einsum("ktqnr,knqrc->kntrqc", C, V, out=prod).reshape(lev.K, N, 2 * m, 2 * m)
-        saved.append((V, C))
-        prev_active = lev.active
-    for kpos, ci in enumerate(prev_active):
-        Ms[ci] = L[kpos]
-    out = []
-    for ci, chunk in enumerate(plan.chunks):
-        out.append(Ms[ci].reshape(chunk.o, chunk.h0, chunk.T, chunk.T))
-    return out, saved
+            np.multiply(a, b, out=out)
+        products.append(out)
+    # A GEMM's sums start from +0, so the walk's blocks hold no -0.
+    np.add(products[-1], 0, out=products[-1])
+    return products
 
 
-def _build_matrices_vjp(
-    dMs: Sequence[np.ndarray], saved: list, plan: GroupedPlan, dtype,
-    take: Callable,
-) -> np.ndarray:
-    """Reverse the stacked doubling: scatter chunk-matrix gradients into
-    per-stage coefficient gradients of shape ``(stages, 4, n/2)``.
+def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a * b`` summed over the axes on which ``out`` has size 1."""
+    axes = list(range(a.ndim))
+    keep = [i for i, n in enumerate(out.shape) if n > 1]
+    np.einsum(a, axes, b, axes, keep, out=out.squeeze())
+    return out
 
-    Each level's gather indices are a bijection onto the stage's pair
-    axis, so the scatter is a plain fancy-index assignment.
-    """
-    n = plan.n
-    G = take("grouped.gcoeffs", (plan.stages, 4, n // 2), dtype)
-    Gf = G.reshape(-1)
-    dL: Optional[np.ndarray] = None
-    active: tuple = ()
-    for sl in range(len(plan.levels) - 1, -1, -1):
-        lev = plan.levels[sl]
-        m, N = lev.m, lev.N
-        if lev.K > len(active):
-            # Chunks whose ladder ends just above this height join the stack.
-            joining = [
-                dMs[ci].reshape(1, N, 2 * m, 2 * m)
-                for ci in lev.active[len(active):]
-            ]
-            parts = ([dL] if dL is not None else []) + joining
-            if len(parts) > 1:
-                stacked = plan.scratch(
-                    f"dL{sl}", (lev.K, N, 2 * m, 2 * m), dtype
-                )
-                np.concatenate(parts, out=stacked)
-                dL = stacked
-            else:
-                dL = parts[0]
-        active = lev.active
-        V, C = saved[sl]
-        if sl == 0:
-            dC = plan.scratch("dC0", (lev.K, 4, N), dtype)
-            np.copyto(dC, dL.reshape(lev.K, N, 4).transpose(0, 2, 1))
-            Gf[lev.idx] = dC.reshape(lev.K, 4, N, 1)
-            break
-        D = dL.reshape(lev.K, N, 2, m, 2, m)
-        dC = plan.scratch(f"dC{sl}", (lev.K, 2, 2, N, m), dtype)
-        np.einsum("kntrqc,knqrc->ktqnr", D, V, out=dC)
-        Gf[lev.idx] = dC.reshape(lev.K, 4, N, m)
-        dV = plan.scratch(f"dV{sl}", (lev.K, N, 2, m, m), dtype)
-        np.einsum("ktqnr,kntrqc->knqrc", C, D, out=dV)
-        dL = dV.reshape(lev.K, 2 * N, m, m)
+
+def _chain(G: np.ndarray, factors: Sequence[np.ndarray],
+           products: Sequence[np.ndarray], dfactors: Sequence[np.ndarray],
+           plan: GroupedPlan, tag: str) -> None:
+    """The VJP of :func:`_product`: ``G``, the gradient of its last
+    product, into ``dfactors`` (views of the factors' shapes).  Factor
+    ``k``'s gradient is ``G`` summed against the product of the factors
+    before it, and ``G`` moves down past it summed against the factor."""
+    for k in range(len(factors) - 1, 0, -1):
+        # Summed in plan scratch and copied: einsum runs several times
+        # slower into a view as scattered as a stage's.
+        np.copyto(dfactors[k], _contract(G, products[k - 1], plan.scratch(
+            f"{tag}d{k}", factors[k].shape, G.dtype)))
+        G = _contract(G, factors[k], plan.scratch(
+            f"{tag}{k}", products[k - 1].shape, G.dtype))
+    np.copyto(dfactors[0], G)
+
+
+def _stage_factors(chunk: _ChunkPlan,
+                   arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The chunk's stages in ``arrays`` (``(4, n/2)`` each, a ladder's
+    coefficients or their gradients) as views over its block's digit
+    axes ``(o, h0, b_{gc-1} .. b_0, a_{gc-1} .. a_0)``.  Stage ``l`` maps
+    input digit ``a_l`` to output digit ``b_l`` at the pair picked by
+    ``o``, ``h0``, the output digits below ``l`` and the input digits
+    above it; it has size 1 on the rest."""
+    return [arrays[chunk.s0 + l].reshape(shape).transpose(perm)
+            for l, (shape, perm) in enumerate(chunk.views)]
+
+
+class ChunkBlocks(NamedTuple):
+    """Every chunk's block ``Ms[k]`` ``(o, h0, T, T)`` (``M[o, j]`` maps
+    ``x -> M @ x``) and what its VJP needs, per chunk: its stages'
+    views (:func:`_stage_factors`) and their :func:`_product`."""
+
+    Ms: list
+    factors: list
+    products: list
+
+
+def _chunk_blocks(plan: GroupedPlan, coeffs: Sequence[np.ndarray], dtype,
+                  take: Callable = fresh) -> ChunkBlocks:
+    """Every chunk's block as the product of its stages' views over a
+    copy of ``coeffs`` in ``dtype`` (``take`` buffers ``grouped.coeffs``
+    and ``grouped.P{k}.{l}``)."""
+    stages = take("grouped.coeffs", (plan.stages, 4, plan.n // 2), dtype)
+    for s, c in enumerate(coeffs):
+        stages[s] = c
+    factors = [_stage_factors(chunk, stages) for chunk in plan.chunks]
+    products = [_product(f, take, f"grouped.P{k}.") for k, f in enumerate(factors)]
+    Ms = [p[-1].reshape(c.o, c.h0, c.T, c.T)
+          for c, p in zip(plan.chunks, products)]
+    return ChunkBlocks(Ms, factors, products)
+
+
+def _chunk_blocks_vjp(dMs: Sequence[np.ndarray], blocks: ChunkBlocks,
+                      plan: GroupedPlan, take: Callable) -> np.ndarray:
+    """The chunk blocks' gradients ``dMs`` as the stage coefficients'
+    ``(stages, 4, n/2)`` gradient, a ``take`` buffer written through the
+    stages' views."""
+    dtype = blocks.Ms[0].dtype
+    G = take("grouped.gcoeffs", (plan.stages, 4, plan.n // 2), dtype)
+    for k, (chunk, dM) in enumerate(zip(plan.chunks, dMs)):
+        products = blocks.products[k]
+        _chain(dM.reshape(products[-1].shape), blocks.factors[k], products,
+               _stage_factors(chunk, G), plan, f"grouped.G{k}.")
     return G
 
 
@@ -455,8 +406,8 @@ class GroupedContext(NamedTuple):
     dtype: np.dtype
     rows: int
     take: Callable  # the forward's buffers: the VJP's outputs too
-    MTs: list  # transposed chunk matrices (o, h0, q, t)
-    build_saved: list
+    MTs: list  # transposed chunk blocks (o, h0, q, t)
+    blocks: ChunkBlocks
     xs: list  # chunk inputs, arranged (o, h0, rows, T)
 
 
@@ -552,21 +503,21 @@ def grouped_forward(
     """Apply the full stage ladder to ``x`` of shape ``(rows, n)``.
 
     The result, and what a context saves (each chunk's operator and
-    input, the build's levels), are ``take`` buffers; the rest is the
-    plan's scratch."""
+    input, the blocks' prefix products), are ``take`` buffers; the rest
+    is the plan's scratch."""
     rows, n = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
     saved = take if need_ctx else plan.scratch
-    Ms, build_saved = _build_matrices(plan, coeffs, dtype, saved)
+    blocks = _chunk_blocks(plan, coeffs, dtype, saved)
     MTs = []
-    for k, M in enumerate(Ms):
+    for k, M in enumerate(blocks.Ms):
         MTs.append(saved(f"grouped.MT{k}", M.shape, dtype))
         np.copyto(MTs[k], M.swapaxes(-1, -2))
     y, xs = _walk(plan, MTs, x, take("grouped.y", (rows, n), dtype),
                   inputs=saved)
     if not need_ctx:
         return y, None
-    return y, GroupedContext(plan, dtype, rows, take, MTs, build_saved, xs)
+    return y, GroupedContext(plan, dtype, rows, take, MTs, blocks, xs)
 
 
 def grouped_vjp(
@@ -608,8 +559,7 @@ def grouped_vjp(
     gx = ctx.take("grouped.gx", (rows, n), ctx.dtype)
     np.copyto(gx.reshape(rows, chunk0.o, chunk0.T, chunk0.h0),
               gT.transpose(3, 0, 2, 1))
-    G = _build_matrices_vjp(dMs, ctx.build_saved, plan, ctx.dtype, ctx.take)
-    return gx, list(G)
+    return gx, list(_chunk_blocks_vjp(dMs, ctx.blocks, plan, ctx.take))
 
 
 # ----------------------------------------------------------------------
@@ -651,31 +601,10 @@ def _closed_form(
     ``M_k[a_{>k}, b_{<k}][b_k, a_k]``: one path joins each row to each
     column, and ``W[i, j]`` is the product of one entry per chunk, taken
     in walk order so the bytes are the identity's rows walked."""
-    factors = _factors(plan, Ms, in_features, out_features)
-    products = [factors[0]]
-    for k, b in enumerate(factors[1:], 1):
-        a = products[-1]
-        out = take(f"dense.P{k}", np.broadcast_shapes(a.shape, b.shape), b.dtype)
-        if out.dtype.kind == "c":  # as zgemm rounds it, with no fused multiply-add
-            np.subtract(a.real * b.real, a.imag * b.imag, out=out.real)
-            np.add(a.real * b.imag, a.imag * b.real, out=out.imag)
-        else:
-            np.multiply(a, b, out=out)
-        products.append(out)
-    # The walk's GEMM sums start from +0, so its block holds no -0 (one
-    # chunk: in place in its block).
-    W = np.add(products[-1], 0, out=products[-1])
-    W = W.reshape(math.prod(W.shape[: len(Ms)]), -1)
+    products = _product(_factors(plan, Ms, in_features, out_features), take,
+                        "dense.P")
+    W = products[-1].reshape(math.prod(products[-1].shape[: len(Ms)]), -1)
     return W[:in_features, :out_features], products
-
-
-def _contract(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a * b`` summed over the axes on which ``out`` has size 1."""
-    axes = list(range(a.ndim))
-    keep = [i for i in axes if out.shape[i] > 1]
-    np.einsum(a, axes, b, axes, keep,
-              out=out[(*(slice(None) if n > 1 else 0 for n in out.shape), ...)])
-    return out
 
 
 def dense_block(coeffs: Sequence[np.ndarray], dtype) -> np.ndarray:
@@ -683,7 +612,7 @@ def dense_block(coeffs: Sequence[np.ndarray], dtype) -> np.ndarray:
     closed form."""
     n = 2 * coeffs[0].shape[-1]
     plan = get_plan(n, len(coeffs))
-    return _closed_form(plan, _build_matrices(plan, coeffs, dtype)[0], n, n)[0]
+    return _closed_form(plan, _chunk_blocks(plan, coeffs, dtype).Ms, n, n)[0]
 
 
 # ----------------------------------------------------------------------
@@ -700,26 +629,27 @@ def dense_forward(
     the ladder's block ``W`` (:func:`_closed_form`), built for this call
     (the weights move every step, so nothing is cached across calls).
 
-    The context keeps ``x`` by reference, and ``W``, the chunk blocks,
-    the prefix products and the build's levels: nothing else of ``rows``
-    height.  ``y`` and the rest are ``take`` buffers.
+    The context keeps ``x`` and the coefficients by reference, and ``W``
+    and both tiers' prefix products: nothing else of ``rows`` height.
+    ``y`` and the rest are ``take`` buffers.
     """
     rows, in_features = x.shape
     dtype = np.result_type(x.dtype, *[c.dtype for c in coeffs])
-    Ms, build = _build_matrices(plan, coeffs, dtype, take)
-    W, products = _closed_form(plan, Ms, in_features, out_features, take)
+    blocks = _chunk_blocks(plan, coeffs, dtype, take)
+    W, products = _closed_form(plan, blocks.Ms, in_features, out_features, take)
     y = take("dense.y", (rows, out_features), dtype)
     backend.matmul(x, W, y)
-    return y, (plan, take, x, W, Ms, products, build)
+    return y, (plan, take, x, W, blocks, products)
 
 
 def dense_vjp(
     grad: np.ndarray, ctx: tuple
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """VJP of :func:`dense_forward`: ``gx = g @ W^T``, and the chain rule
-    through the block — ``dW = x^T @ g``, one contraction per chunk
-    against the other chunks' factors, then the build's levels."""
-    plan, take, x, W, Ms, products, build = ctx
+    through the block — ``dW = x^T @ g`` down both tiers' products, one
+    contraction per chunk, then one per stage."""
+    plan, take, x, W, blocks, products = ctx
+    Ms = blocks.Ms
     dtype, (in_features, out_features) = W.dtype, W.shape
     gx = take("dense.gx", x.shape, dtype)
     backend.matmul(grad, W.T, gx)
@@ -729,20 +659,12 @@ def dense_vjp(
     dW[...] = 0
     backend.matmul(x.T, grad, dW.reshape(math.prod(dW.shape[: len(Ms)]), -1)
                    [:in_features, :out_features])
-    factors = _factors(plan, Ms, in_features, out_features)
     dMs = [plan.scratch(f"dense.dM{k}", M.shape, dtype) for k, M in enumerate(Ms)]
     for dM in dMs:
         dM[...] = 0
-    dfactors = _factors(plan, dMs, in_features, out_features)
-    # G: dW summed against the factors above chunk k, whose gradient is
-    # G summed against the product of the factors below it.
-    G = dW
-    for k in range(len(Ms) - 1, 0, -1):
-        _contract(G, products[k - 1], dfactors[k])
-        G = _contract(G, factors[k], plan.scratch(
-            f"dense.G{k}", products[k - 1].shape, dtype))
-    np.copyto(dfactors[0], G)
-    return gx, list(_build_matrices_vjp(dMs, build, plan, dtype, take))
+    _chain(dW, _factors(plan, Ms, in_features, out_features), products,
+           _factors(plan, dMs, in_features, out_features), plan, "dense.G")
+    return gx, list(_chunk_blocks_vjp(dMs, blocks, plan, take))
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +677,7 @@ class FrozenLadder:
     ``r_ffn = 4`` FFN's two ladders up to ``d_hidden = 128``), ``ops`` is
     that one block, in closed form (:func:`_closed_form`), and
     :meth:`apply` a single GEMM.  Otherwise ``ops`` are the chunk
-    operators of :func:`_build_matrices`, contiguous and already
+    operators (:func:`_chunk_blocks`), contiguous and already
     transposed, and :meth:`apply` walks them (:func:`_walk`).
 
     Arithmetic per row is the grouped path's ``n * T`` multiply-adds per
@@ -805,7 +727,7 @@ class FrozenLadder:
         self.dtype = np.dtype(dtype)
         self.in_features = in_features
         self.out_features = out_features
-        Ms, _ = _build_matrices(plan, coeffs, self.dtype)
+        Ms = _chunk_blocks(plan, coeffs, self.dtype).Ms
         if dense_by_area(in_features, out_features, n):
             ops = [_closed_form(plan, Ms, in_features, out_features)[0]]
         else:
@@ -816,6 +738,7 @@ class FrozenLadder:
         self.ops = [np.ascontiguousarray(op) for op in ops]
         with _PLAN_CACHE_LOCK:
             _FROZEN_BUILDS += 1
+        counter_inc("kernels_frozen_ladder_builds_total")
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         """``(..., in_features) -> (..., out_features)``; the result is
@@ -828,6 +751,8 @@ class FrozenLadder:
         plan = self.plan
         fault_point("kernels.butterfly_apply", stages=plan.stages)
         _FROZEN_HITS += 1  # unlocked: a diagnostic on the decode path
+        if STATE.on:  # no call at all on the decode path while it is off
+            counter_inc("kernels_frozen_ladder_hits_total")
         with span("kernels.butterfly_apply", n=plan.n, path="frozen"):
             x = np.asarray(x, dtype=self.dtype)
             if x.shape[-1] != self.in_features:

@@ -59,7 +59,6 @@ from .registry import (
     enabled,
     gauge_set,
     get_registry,
-    publish_on_snapshot,
     reset,
     set_registry,
     use_telemetry,
@@ -101,7 +100,6 @@ __all__ = [
     "gauge_set",
     "get_collector",
     "get_registry",
-    "publish_on_snapshot",
     "render_prometheus",
     "render_span_tree",
     "reset",

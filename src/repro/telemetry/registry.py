@@ -343,9 +343,6 @@ class Registry:
 
     def instruments(self) -> List[object]:
         """Every registered instrument, sorted by (name, labels)."""
-        if self is _default_registry and STATE.on:
-            for publish in _PUBLISHERS:
-                publish()
         with self._lock:
             return [self._instruments[k] for k in sorted(self._instruments)]
 
@@ -366,23 +363,6 @@ class Registry:
 
 _default_registry = Registry()
 _default_lock = threading.Lock()
-
-# Run just before the default registry lists its instruments (snapshot,
-# Prometheus render) while telemetry is on.
-_PUBLISHERS: List[Callable[[], None]] = []
-
-
-def publish_on_snapshot(publish: Callable[[], None]) -> Callable[[], None]:
-    """Register ``publish`` to run whenever the default registry is read.
-
-    For always-on plain-int totals kept outside the registry because
-    their call site is too hot for a :func:`counter_inc` per event: the
-    publisher adds what accrued since its last run to a registry counter,
-    so the cost is paid per read instead of per event.
-    """
-    _PUBLISHERS.append(publish)
-    return publish
-
 
 def get_registry() -> Registry:
     """The process-wide default registry."""

@@ -154,10 +154,21 @@ def _folds(draw):
     return n, d_in, d_out, dtype, fft, draw(st.integers(0, 2**32 - 1))
 
 
+def _coefficients(rng, n, dtype, fft):
+    """A full ladder's stages in ``dtype``: random, or FFT twiddles."""
+    if fft:
+        return [K.fft_stage_coeffs(n, h) for h in K.stage_halves(n)]
+    coeffs, _ = _ladder(rng, n, np.float64)
+    if dtype == np.complex128:
+        coeffs = [c + 0.5j * rng.normal(size=c.shape) for c in coeffs]
+    return [c.astype(dtype) for c in coeffs]
+
+
 def _identity_walk(plan, coeffs, dtype, rows):
-    """Rows ``rows`` of the ladder's dense block the way the parent built
-    it: those identity rows walked through the chunk operators."""
-    Ms, _ = grouped._build_matrices(plan, coeffs, dtype)
+    """Rows ``rows`` of the ladder's dense block the way the chunked path
+    computes them: those identity rows walked through the chunk
+    operators."""
+    Ms = grouped._chunk_blocks(plan, coeffs, dtype).Ms
     ops = [np.ascontiguousarray(M.swapaxes(-1, -2)) for M in Ms]
     eye = np.zeros((len(rows), plan.n), dtype)
     eye[np.arange(len(rows)), rows] = 1
@@ -176,13 +187,7 @@ class TestClosedForm:
         n, d_in, d_out, dtype, fft, seed = case
         rng = np.random.default_rng(seed)
         halves = K.stage_halves(n)
-        if fft:
-            coeffs = [K.fft_stage_coeffs(n, h) for h in halves]
-        else:
-            coeffs, _ = _ladder(rng, n, np.float64)
-            if dtype == np.complex128:
-                coeffs = [c + 0.5j * rng.normal(size=c.shape) for c in coeffs]
-            coeffs = [c.astype(dtype) for c in coeffs]
+        coeffs = _coefficients(rng, n, dtype, fft)
         plan = K.get_plan(n, len(halves))
         # Up to 64 of the block's rows, the first and last among them.
         rows = np.unique(np.concatenate([[0, d_in - 1],
@@ -221,6 +226,64 @@ class TestClosedForm:
             assert g.dtype == dtype
             np.testing.assert_allclose(g, w, rtol=0, atol=relative * scale,
                                        err_msg=f"stage {s}")
+
+
+@st.composite
+def _ladders(draw):
+    """A full ladder at n 2-2048, real or complex, FFT twiddles too."""
+    n = draw(st.sampled_from([2 ** p for p in range(1, 12)]))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.complex128]))
+    fft = dtype == np.complex128 and draw(st.booleans())
+    return n, dtype, fft, draw(st.integers(0, 2**32 - 1))
+
+
+#: How far, relative to a block's largest entry, a complex128 block may
+#: sit from the stage chain: numpy may round a complex multiply with a
+#: fused multiply-add, the block's real-parts products never do.
+COMPLEX_BLOCK = 1e-14
+
+
+class TestChunkBlocks:
+    """Every chunk block against the chunk's stages applied one at a time
+    by ``kernels.stage_forward`` to identity rows: one path joins each
+    input to each output, so each entry is the same products in the same
+    order, byte for byte in real dtypes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ladders())
+    @example((2, np.complex128, True, 0))  # a -0 imaginary twiddle
+    @example((2048, np.float32, False, 1))
+    @example((1024, np.float64, False, 2))
+    @example((512, np.complex128, True, 3))
+    def test_each_block_is_its_stages_applied_to_identity_rows(self, case):
+        n, dtype, fft, seed = case
+        rng = np.random.default_rng(seed)
+        halves = K.stage_halves(n)
+        coeffs = _coefficients(rng, n, dtype, fft)
+        plan = K.get_plan(n, len(halves))
+        Ms = grouped._chunk_blocks(plan, coeffs, dtype).Ms
+        for chunk, M in zip(plan.chunks, Ms):
+            # Three blocks (o, j), the first and the last among them:
+            # identity row (o T + a) h0 + j goes through the chunk's
+            # stages to M[o, j, b, a] in column (o T + b) h0 + j.
+            o, j = (np.concatenate([[0, size - 1], rng.integers(0, size, 1)])
+                    for size in (chunk.o, chunk.h0))
+            t = np.arange(chunk.T)
+            index = (o[:, None] * chunk.T + t) * chunk.h0 + j[:, None]
+            y = np.zeros((3 * chunk.T, n), dtype)
+            y[np.arange(3 * chunk.T), index.ravel()] = 1
+            for s in range(chunk.s0, chunk.s0 + chunk.gc):
+                y = K.stage_forward(y, coeffs[s], halves[s])
+            y = y.reshape(3, chunk.T, n)
+            want = y[np.arange(3)[:, None, None], t, index[:, :, None]]
+            got = M[o, j]
+            assert got.dtype == dtype
+            if dtype == np.complex128:
+                np.testing.assert_allclose(
+                    got, want, rtol=0,
+                    atol=COMPLEX_BLOCK * np.abs(want).max())
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDtype:
@@ -276,8 +339,8 @@ class TestContextLifetime:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_retained_dense_context_holds_no_plan_scratch(self, rng, n):
-        """Every array the context keeps — ``x``, ``W``, the chunk blocks,
-        the prefix products, the build's levels — is the caller's or its
+        """Every array the context keeps — ``x``, ``W``, the coefficients'
+        copy, both tiers' prefix products — is the caller's or its
         ``take``'s: none shares memory with a buffer of the plan's scratch
         pool, which the next call of this size overwrites."""
         coeffs, halves = _ladder(rng, n)

@@ -313,8 +313,6 @@ class TestLayerCache:
         telemetry.clear_all()
         try:
             with telemetry.use_telemetry(True):
-                telemetry.get_registry().snapshot()  # flush earlier tests' counts
-                telemetry.clear_all()
                 for _ in range(3):
                     cache.get(stages, np.float64).apply(np.ones((1, 64)))
                 snapshot = telemetry.get_registry().snapshot()
@@ -324,6 +322,23 @@ class TestLayerCache:
         assert snapshot["kernels_frozen_ladder_builds_total"]["value"] == 1
         assert snapshot["kernels_frozen_ladder_hits_total"]["value"] == 3
         assert "kernels_frozen_ladder_hits_total 3" in text
+
+    def test_work_done_with_telemetry_off_is_never_counted(self, rng):
+        """Builds and applies are counted where they happen: those made
+        while telemetry is off do not turn up once it is on."""
+        stages, halves, cache = self._setup(rng)
+        telemetry.clear_all()
+        try:
+            with telemetry.use_telemetry(False):
+                for _ in range(3):
+                    cache.get(stages, np.float64).apply(np.ones((1, 64)))
+            with telemetry.use_telemetry(True):
+                cache.get(stages, np.float64).apply(np.ones((1, 64)))
+                snapshot = telemetry.get_registry().snapshot()
+        finally:
+            telemetry.clear_all()
+        assert "kernels_frozen_ladder_builds_total" not in snapshot
+        assert snapshot["kernels_frozen_ladder_hits_total"]["value"] == 1
 
     def test_a_decoders_hits_are_its_ladder_applies(self, rng):
         """A butterfly decoder's prefill and three decode steps apply every
@@ -340,8 +355,6 @@ class TestLayerCache:
         telemetry.clear_all()
         try:
             with telemetry.use_telemetry(True):
-                telemetry.get_registry().snapshot()  # flush earlier tests' counts
-                telemetry.clear_all()
                 _, hits = self._counts()
                 cache = model.make_cache(2)
                 model.prefill(tokens[:, :5], cache)

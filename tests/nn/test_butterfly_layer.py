@@ -383,9 +383,9 @@ class TestTrainingPathUnchanged:
         assert kept.pop(id(xt.data)) is xt.data
         rows = int(np.prod(lead))
         kept_bytes = sum(a.nbytes for a in kept.values())
-        # W, the identity's two chunk inputs, the chunk operators and the
-        # build's levels: O(in_features * n), where the chunked kernel
-        # keeps two rows x n chunk inputs.
+        # W, the coefficients' copy and both tiers' prefix products:
+        # O(in_features * n), where the chunked kernel keeps two rows x n
+        # chunk inputs.
         assert kept_bytes <= 6 * d_in * layer.n * x.itemsize
         if rows >= 4 * d_in:
             assert kept_bytes < rows * layer.n * x.itemsize

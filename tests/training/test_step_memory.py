@@ -198,7 +198,7 @@ def test_a_steady_dense_ladder_step_holds_only_the_closed_forms_buffers(monkeypa
     walk = re.compile(r"eye|y\d+|grT\d+|gT\d+")
     for key, tags in plans.items():
         assert not any(walk.fullmatch(t) for t in tags), (key, sorted(tags))
-    closed_form = re.compile(r"dense\.(y|gx|P\d+)|grouped\.(L\d+|gcoeffs)")
+    closed_form = re.compile(r"dense\.(y|gx|P\d+)|grouped\.(coeffs|P\d+\.\d+|gcoeffs)")
     ladders = {}
     for (prefix, tag), _ in step:
         if isinstance(tag, str) and tag.startswith(("grouped.", "dense.", "butterfly.")):
