@@ -24,24 +24,17 @@ Subpackages:
 * :mod:`repro.faults` — opt-in deterministic fault injection at named
   points across kernels, serving and io (``REPRO_FAULTS`` spec strings
   or ``faults.use_faults``), driving the serving resilience layer.
+
+``import repro`` imports none of them: each subpackage name resolves when
+first accessed (``repro.hardware``, ``from repro import hardware``), so a
+process loads only the layers it runs.  ``repro serve`` and its cluster
+workers never load ``hardware``, ``analysis``, ``codesign``, ``data`` or
+``training`` (``tests/test_cold_start.py``).
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import (
-    analysis,
-    butterfly,
-    codesign,
-    data,
-    faults,
-    hardware,
-    kernels,
-    models,
-    nn,
-    serving,
-    telemetry,
-    training,
-)
+__version__ = "1.0.0"
 
 __all__ = [
     "analysis",
@@ -58,3 +51,13 @@ __all__ = [
     "training",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

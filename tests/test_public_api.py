@@ -1,6 +1,10 @@
 """Public API surface: imports, __all__ consistency, version."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,10 @@ SUBPACKAGES = [
     "repro.hardware.functional",
     "repro.codesign",
     "repro.analysis",
+    "repro.serving",
+    "repro.kernels",
+    "repro.telemetry",
+    "repro.faults",
 ]
 
 
@@ -39,6 +47,20 @@ class TestImports:
     def test_top_level_all(self):
         for name in repro.__all__:
             assert hasattr(repro, name)
+
+    def test_top_level_names_resolve_after_a_bare_import(self):
+        """In a fresh interpreter, where no test has imported a
+        subpackage yet, every root name resolves and ``dir`` lists it."""
+        probe = (
+            "import repro\n"
+            "print([n for n in repro.__all__\n"
+            "       if not hasattr(repro, n) or n not in dir(repro)])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
     def test_key_entry_points_importable(self):
         from repro.butterfly import ButterflyMatrix, fft_butterfly  # noqa: F401
