@@ -36,6 +36,13 @@ import importlib
 
 __version__ = "1.0.0"
 
+#: Stored weight formats of :func:`repro.nn.quantize_for_inference`.  The
+#: one place the tier list is spelled, here so that ``repro.cli``'s
+#: ``--quantize`` choices load no subpackage: ``nn.QUANT_MODES`` is this
+#: tuple, and :func:`repro.nn.quantized.check_mode` (so ``ServingEngine`` /
+#: ``ClusterEngine(quantize=...)``) refuses any other name.
+QUANT_MODES = ("int8",)
+
 __all__ = [
     "analysis",
     "butterfly",

@@ -72,7 +72,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .nn import QUANT_MODES
+from . import QUANT_MODES
 
 
 def _add_train_parser(subparsers) -> None:

@@ -9,7 +9,12 @@ and two complex adders.  Programmable multiplexers route either
 through the *same* multipliers.  This module reproduces that datapath at
 value level and counts multiplier activations, so tests can assert that
 both modes consume the same silicon (4 multiplies per pair-operation) —
-the core claim behind the unified engine.
+the core claim behind the unified engine.  The Butterfly Engine drives a
+whole stage of a tile through the unit's lane forms at once
+(:func:`butterfly_lanes`, :func:`fft_lanes`): each operand is gathered
+twice, side by side, so the two outputs of every pair come from two
+lane-wide multiplies and one add, or one complex product and one
+add/subtract pair.
 """
 
 from __future__ import annotations
@@ -28,42 +33,43 @@ class BUMode(Enum):
     FFT = "fft"
 
 
-def butterfly_datapath(in1, in2, w1, w2, w3, w4):
-    """Butterfly linear transform pair-op (Fig. 7b)::
+def butterfly_lanes(upper, lower, ac, bd):
+    """Butterfly linear transform pair-ops (Fig. 7b) on doubled lanes::
 
-        out1 = in1 * w1 + in2 * w3
-        out2 = in1 * w2 + in2 * w4
+        upper = [in1 | in1] * [w1 | w2] + [in2 | in2] * [w3 | w4]
+              = [out1 | out2]
 
-    on the four real multipliers and the two real adders; the
-    de-multiplexers bypass the complex adders.  Operands are floats (one
-    pair-op) or equal-shape lane arrays (one pair-op per lane, e.g. a
-    tile's ``(rows, n/2)``): the same IEEE operations in the same order
-    either way.
+    ``upper`` and ``lower`` are a tile's top and bottom operands, each
+    gathered twice side by side (``(rows, n)`` for ``n/2`` pairs); ``ac``
+    and ``bd`` are the matching coefficients.  Two lane-wide multiplies
+    on the four real multipliers, one add on the two real adders, all in
+    place: ``upper`` comes back holding every ``out1`` then every
+    ``out2``.  Per element these are the IEEE operations of
+    :meth:`AdaptableButterflyUnit.butterfly_op`, in the same order.
     """
-    return in1 * w1 + in2 * w3, in1 * w2 + in2 * w4
+    upper *= ac
+    lower *= bd
+    upper += lower
+    return upper
 
 
-def fft_datapath(in1, in2, w):
-    """FFT pair-op (Fig. 7c)::
-
-        t    = in2 * w      (one complex multiply on the 4 multipliers)
-        out1 = in1 + t
-        out2 = in1 - t
-
-    The product is composed from the four real products, exactly as the
-    demux routes them: the real adders combine ``rr - ii`` and
-    ``ri + ir``, then the two complex adders produce the sums.  This is
-    deliberately not a library complex multiply, whose rounding may
-    differ.  Scalars or lane vectors, as :func:`butterfly_datapath`.
+def fft_lanes(upper, in2, w):
+    """FFT pair-ops (Fig. 7c) on doubled lanes: ``upper`` is ``[in1 | in1]``
+    (``(rows, n)`` for ``n/2`` pairs), ``in2`` and ``w`` one bottom operand
+    and one twiddle per pair.  The product ``t = in2 * w`` is formed once
+    per pair from the four real products, as the demux routes them (not
+    a library complex multiply, whose rounding may differ); then the two
+    complex adders write ``[in1 + t | in1 - t]`` into ``upper`` in place.
+    ``out2`` is a subtraction, never ``in1 + (-t)``, which flips a NaN's
+    sign bit.  Bit-identical to :meth:`AdaptableButterflyUnit.fft_op`.
     """
-    rr = in2.real * w.real
-    ii = in2.imag * w.imag
-    ri = in2.real * w.imag
-    ir = in2.imag * w.real
-    t = np.empty(np.shape(rr), dtype=np.complex128)
-    t.real = rr - ii
-    t.imag = ri + ir
-    return in1 + t, in1 - t
+    half = upper.shape[-1] // 2
+    t = np.empty(in2.shape, dtype=np.complex128)
+    np.subtract(in2.real * w.real, in2.imag * w.imag, out=t.real)
+    np.add(in2.real * w.imag, in2.imag * w.real, out=t.imag)
+    upper[..., :half] += t
+    upper[..., half:] -= t
+    return upper
 
 
 @dataclass
@@ -73,8 +79,9 @@ class AdaptableButterflyUnit:
     The unit is configured per layer (``configure``), then driven one
     pair-operation per cycle.  ``mult_ops`` / ``add_ops`` count real
     arithmetic operations so resource sharing can be asserted.  The
-    arithmetic itself is :func:`butterfly_datapath` / :func:`fft_datapath`,
-    shared with the engine's per-stage lane arrays.
+    scalar ops spell the datapath out on their own: they are the oracle
+    that the engine's lane forms (:func:`butterfly_lanes`,
+    :func:`fft_lanes`) are replayed against pair by pair.
     """
 
     mode: BUMode = BUMode.BUTTERFLY
@@ -109,11 +116,23 @@ class AdaptableButterflyUnit:
     def butterfly_op(
         self, in1: float, in2: float, w1: float, w2: float, w3: float, w4: float
     ) -> Tuple[float, float]:
-        """One butterfly linear transform pair-op (Fig. 7b)."""
+        """One butterfly linear transform pair-op (Fig. 7b): the four real
+        multipliers and the two real adders; the de-multiplexers bypass the
+        complex adders."""
         self.issue(BUMode.BUTTERFLY)
-        return butterfly_datapath(in1, in2, w1, w2, w3, w4)
+        return in1 * w1 + in2 * w3, in1 * w2 + in2 * w4
 
     def fft_op(self, in1: complex, in2: complex, w: complex) -> Tuple[complex, complex]:
-        """One FFT pair-op (Fig. 7c)."""
+        """One FFT pair-op (Fig. 7c)::
+
+            t    = in2 * w      (one complex multiply on the 4 multipliers)
+            out1 = in1 + t
+            out2 = in1 - t
+
+        The real adders combine the four real products into ``rr - ii``
+        and ``ri + ir``; the two complex adders produce the sums.
+        """
         self.issue(BUMode.FFT)
-        return fft_datapath(in1, in2, w)
+        t = complex(in2.real * w.real - in2.imag * w.imag,
+                    in2.real * w.imag + in2.imag * w.real)
+        return in1 + t, in1 - t

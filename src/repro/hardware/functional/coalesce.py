@@ -18,7 +18,11 @@ then streams vectors through fixed wiring — so ``compile_stage`` issues a
 stage's cycles once through those primitives and records the trace as a
 :class:`StageProgram`, and ``compile_ladder`` chains a layer's stage
 programs into the :class:`LadderProgram` that the Butterfly Engine
-replays once per tile, over all of its rows at a time.
+replays once per tile, over all of its rows at a time.  The ladder holds
+each stage's operands as doubled lanes: ``[tops | tops]`` and
+``[bottoms | bottoms]`` gathers, and the flat indices of ``[a | c]`` and
+``[b | d]`` in the stage's ``(4, n/2)`` coefficients, so one lane-wide
+multiply covers both outputs of every pair.
 """
 
 from __future__ import annotations
@@ -123,11 +127,13 @@ def compile_stage(n: int, half: int, nbanks: int, layout: str, pbu: int) -> Stag
 @dataclass(frozen=True)
 class LadderProgram:
     """A layer's stage programs chained (read-only, shared).  Each stage's
-    results stay in its issue order, tops then bottoms, so ``gathers[s]``
-    indexes stage ``s - 1``'s output (``gathers[0]``, element order)."""
+    results stay in its issue order, tops then bottoms, so stage ``s``'s
+    gathers index stage ``s - 1``'s output (stage 0's, element order)."""
 
-    gathers: Tuple[np.ndarray, ...]  #: per stage, ``(n,)`` operand positions
-    coeffs: Tuple[np.ndarray, ...]  #: per stage, each pair's coefficient index
+    #: per stage, ``(tops, bottoms, ac, bd)``: the ``(n,)`` operand gathers
+    #: ``[tops | tops]`` and ``[bottoms | bottoms]``, and the flat indices
+    #: of ``[a | c]`` and ``[b | d]`` in the stage's ``(4, n/2)`` coefficients
+    lanes: Tuple[Tuple[np.ndarray, ...], ...]
     elements: np.ndarray  #: the element each value of the last stage lands on
     unit_ops: Tuple[int, ...]  #: this and the rest: summed over the stages
     reads: int
@@ -142,18 +148,21 @@ def compile_ladder(
 ) -> LadderProgram:
     """Chain the :func:`compile_stage` programs of ``halves`` (in
     application order): each stage's ``elements``, composed with the
-    previous stage's wiring, is its gather."""
+    previous stage's wiring, gives its doubled operand lanes."""
     stages = [compile_stage(n, half, nbanks, layout, pbu) for half in halves]
-    gathers, position = [], np.arange(n)  # where each element sits now
+    lanes, position = [], np.arange(n)  # where each element sits now
     for stage in stages:
+        tops, bottoms = position[stage.elements]
+        a, b, c, d = (row * (n // 2) + stage.coeff for row in range(4))
+        lanes.append((np.tile(tops, 2), np.tile(bottoms, 2),
+                      np.concatenate([a, c]), np.concatenate([b, d])))
+        for array in lanes[-1]:
+            array.setflags(write=False)
         elements = stage.elements.reshape(-1)
-        gathers.append(position[elements])
         position = np.empty(n, dtype=np.intp)
         position[elements] = np.arange(n)
-    for gather in gathers:
-        gather.setflags(write=False)
     return LadderProgram(
-        tuple(gathers), tuple(stage.coeff for stage in stages), elements,
+        tuple(lanes), elements,
         tuple(map(sum, zip(*(stage.unit_ops for stage in stages)))),
         *(sum(getattr(stage, field) for stage in stages)
           for field in ("reads", "cycles", "conflicts")),

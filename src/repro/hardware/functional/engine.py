@@ -19,11 +19,15 @@ hardware is configured per layer and then streams.
 layer's ``compile_stage`` traces (each issued once through the per-cycle
 primitives, conflicts counted cycle by cycle) into one cached program, and
 ``_run_stages`` replays it once per tile — a vector, or a layer's
-``(rows, n)`` rows: per stage one gather straight from the previous
-stage's issue order and the BU datapath over ``(rows, n/2)`` lanes (the
-same IEEE operations in the same order as the scalar ``butterfly_op`` /
-``fft_op``, so outputs are bit-identical to issuing the pairs one by
-one); one write-back to element order at the end; counts credited once,
+``(rows, n)`` rows.  Per stage it gathers the doubled lanes ``[tops |
+tops]`` and ``[bottoms | bottoms]`` straight from the previous stage's
+issue order and drives them through the BU's lane form over ``(rows,
+n)``: two lane-wide multiplies and one add (an FFT stage: one complex
+product per pair, then one add and one subtract), whose result is
+already the stage's output in issue order.  These are the IEEE
+operations of the scalar ``butterfly_op`` / ``fft_op`` in the same
+order, so outputs are bit-identical to issuing the pairs one by one.
+One write-back to element order at the end; counts credited once,
 ``rows`` times the ladder's totals.
 
 The software hot path lives in :mod:`repro.kernels`, which implements the
@@ -50,8 +54,8 @@ from ...butterfly.matrix import ButterflyMatrix
 from .butterfly_unit import (
     AdaptableButterflyUnit,
     BUMode,
-    butterfly_datapath,
-    fft_datapath,
+    butterfly_lanes,
+    fft_lanes,
 )
 from .coalesce import compile_ladder
 from .memory import BankedBuffer
@@ -139,18 +143,17 @@ class ButterflyEngine:
             n, tuple(f.half for f in factors), nbanks, self.layout, self.pbu)
         buffer = BankedBuffer(n, nbanks, layout=self.layout)
         buffer.store(tile)
-        values = buffer.read_trace(  # stage 0's operands; credits every stage
-            ladder.gathers[0], ladder.reads, ladder.cycles, ladder.conflicts)
-        for stage, (factor, gather, coeff) in enumerate(
-                zip(factors, ladder.gathers, ladder.coeffs)):
-            operands = values.take(gather, axis=1) if stage else values
-            top, bottom = operands[:, : n // 2], operands[:, n // 2:]
-            if mode is BUMode.FFT:  # the twiddle is the ``b`` coefficient
-                results = fft_datapath(top, bottom, factor.coeffs[1, coeff])
+        # The stored tile, element order; credits every stage's read cycles.
+        values = buffer.read_trace(ladder.reads, ladder.cycles, ladder.conflicts)
+        for factor, (tops, bottoms, ac, bd) in zip(factors, ladder.lanes):
+            upper, coeffs = values.take(tops, axis=1), factor.coeffs
+            if mode is BUMode.FFT:  # one product per pair; the twiddle is ``b``
+                upper = fft_lanes(upper, values.take(bottoms[: n // 2], axis=1),
+                                  coeffs.take(bd[: n // 2]))
             else:
-                a, b, c, d = factor.coeffs[:, coeff]
-                results = butterfly_datapath(top, bottom, a, c, b, d)
-            values = self._stage_output(np.concatenate(results, axis=1))
+                upper = butterfly_lanes(upper, values.take(bottoms, axis=1),
+                                        coeffs.take(ac), coeffs.take(bd))
+            values = self._stage_output(upper)
         buffer.write_elements(ladder.elements, values)
         for unit, ops in zip(self.units, ladder.unit_ops):
             unit.configure(mode)

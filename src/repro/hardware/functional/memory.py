@@ -106,11 +106,10 @@ class BankedBuffer:
         self.stats.conflicts += n_conflicts
         return self._values[..., elements], n_conflicts > 0
 
-    def read_trace(
-        self, elements: np.ndarray, reads: int, cycles: int, conflicts: int
-    ) -> np.ndarray:
+    def read_trace(self, reads: int, cycles: int, conflicts: int) -> np.ndarray:
         """Credit an already-issued sequence of read cycles (a Butterfly
-        Engine layer's whole ladder) and gather ``elements`` in one access.
+        Engine layer's whole ladder) and hand over the stored tile, in
+        element order, for the ladder's own gathers.
 
         Which banks a cycle hits depends on the addresses alone, so a
         trace issued once through :meth:`read_elements` costs the same
@@ -121,7 +120,7 @@ class BankedBuffer:
         self.stats.reads += rows * reads
         self.stats.cycles += rows * cycles
         self.stats.conflicts += rows * conflicts
-        return self._values[..., elements]
+        return self._values
 
     def write_elements(self, elements: Sequence[int], values: Sequence[complex]) -> None:
         """Write results back (the Recover module restores original order);

@@ -33,11 +33,13 @@ class PostProcessor:
     def layer_norm(
         self, x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
     ) -> np.ndarray:
-        """Normalize the last axis; one pass per row as in the RTL."""
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        self.layernorm_rows += int(np.prod(x.shape[:-1]))
-        return (x - mu) / np.sqrt(var + eps) * gamma + beta
+        """Normalize the last axis; one pass per row as in the RTL.  The
+        arithmetic of ``ndarray.mean`` / ``var``, without their wrappers."""
+        n = x.shape[-1]
+        centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+        var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+        self.layernorm_rows += x.size // n
+        return centred / np.sqrt(var + eps) * gamma + beta
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
         """GELU (tanh form), matching :func:`repro.nn.tensor.gelu`."""

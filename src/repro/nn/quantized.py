@@ -33,16 +33,11 @@ from typing import Optional
 
 import numpy as np
 
+from .. import QUANT_MODES  # stored formats: spelled once, in the package root
 from ..kernels import quant as QK
 from .layers import Linear
 from .module import Module, ModuleList, Sequential
 from .tensor import Tensor
-
-#: Stored formats understood by :func:`quantize_for_inference`.  The one
-#: place the tier list is spelled: :func:`check_mode` (and so
-#: ``ServingEngine`` / ``ClusterEngine(quantize=...)``) and the CLI's
-#: ``--quantize`` choices derive from it.
-QUANT_MODES = ("int8",)
 
 
 def check_mode(mode) -> None:
@@ -164,7 +159,11 @@ def quantize_for_inference(model: Module, mode: str = "int8") -> Module:
     checkpoint — persist the original model instead).
     """
     check_mode(mode)
-    quantized = copy.deepcopy(model).eval()
+    # The replica shares the source's Linears until it swaps them out, so
+    # no fp weight is copied only to be dropped; ``eval`` waits for the
+    # swap, so it sets no flag on a shared layer.
+    shared = {id(layer): layer for _, _, layer, _ in _linears(model)}
+    quantized = copy.deepcopy(model, shared)
     for _, _, layer, path in _linears(quantized):
         _check_storable(path, layer)
     swapped = 0
@@ -180,4 +179,4 @@ def quantize_for_inference(model: Module, mode: str = "int8") -> Module:
         swapped += 1
     if not swapped:
         raise ValueError("model has no Linear layers to quantize")
-    return quantized
+    return quantized.eval()

@@ -188,6 +188,18 @@ class TestPostProcessor:
         np.testing.assert_allclose(postp.layer_norm(x, gamma, beta), expected,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(16, 64), (1, 16, 64), (3, 7)])
+    def test_layer_norm_is_mean_and_var_bytes(self, dtype, shape, rng):
+        postp = PostProcessor()
+        x = (rng.normal(size=shape) * 30.0).astype(dtype)
+        gamma, beta = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+        want = ((x - x.mean(axis=-1, keepdims=True))
+                / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * gamma + beta)
+        got = postp.layer_norm(x, gamma, beta)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert postp.layernorm_rows == x.size // shape[-1]
+
     def test_shortcut_add(self, rng):
         postp = PostProcessor()
         a, b = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))

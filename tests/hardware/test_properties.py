@@ -106,18 +106,36 @@ def unit_counters(units):
     return [(u.mult_ops, u.add_ops, u.cycles) for u in units]
 
 
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf])
+
+
+def sprinkle(values, share, rng):
+    """Overwrite about ``share`` of ``values``' real numbers (each real and
+    imaginary part on its own) with signed zeros and infinities, in place;
+    through ``inf * 0`` and ``inf - inf`` the datapath makes NaNs of them."""
+    parts = values.view(np.float64)
+    hit = rng.random(parts.shape) < share
+    parts[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    return values
+
+
 @given(
     log_n=st.integers(min_value=1, max_value=8),
     pbu=st.sampled_from([1, 2, 4, 8]),
     layout=st.sampled_from(LAYOUTS),
     mode=st.sampled_from(list(BUMode)),
-    rows=st.sampled_from([1, 2, 5]),
+    rows=st.integers(min_value=1, max_value=16),  # hw_sim replays 16-row tiles
+    share=st.sampled_from([0.0, 0.02, 0.2]),
     seed=seeds,
 )
 @settings(max_examples=60, deadline=None)
-def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, rows, seed):
+def test_compiled_program_replays_the_per_pair_model(
+        log_n, pbu, layout, mode, rows, share, seed):
     """A tile of ``rows`` vectors is one invocation: each row's bytes are
-    its per-pair replay, and every count is ``rows`` times one vector's."""
+    its per-pair replay, and every count is ``rows`` times one vector's.
+    A ``share`` of the operands and of the coefficients or twiddles are
+    signed zeros and infinities, so the bytes of NaNs and zero signs are
+    held to the scalar Butterfly Unit's too."""
     n = 1 << log_n
     rng = np.random.default_rng(seed)
     buffers = []
@@ -128,17 +146,27 @@ def test_compiled_program_replays_the_per_pair_model(log_n, pbu, layout, mode, r
             buffers.append(self)
 
     engine = ButterflyEngine(pbu=pbu, layout=layout)
-    with mock.patch.object(engine_module, "BankedBuffer", RecordedBuffer):
+    quiet = dict(invalid="ignore")  # inf * 0, inf - inf
+    with np.errstate(**quiet), mock.patch.object(engine_module, "BankedBuffer", RecordedBuffer):
         if mode is BUMode.FFT:
-            x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
-            got = engine.run_fft(x)
-            starts, factors = x[:, bit_reversal_permutation(n)], fft_butterfly(n).factors
+            x = sprinkle(rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n)),
+                         share, rng)
+            perm = bit_reversal_permutation(n)
+            factors = [ButterflyFactor(n, f.half, sprinkle(f.coeffs.copy(), share, rng))
+                       for f in fft_butterfly(n).factors]
+            with mock.patch.object(engine_module, "_fft_plan",
+                                   lambda size: (perm, factors)):
+                got = engine.run_fft(x)
+            starts = x[:, perm]
         else:
-            x = rng.normal(size=(rows, n))
+            x = sprinkle(rng.normal(size=(rows, n)), share, rng)
             matrix = ButterflyMatrix.random(n, rng)
+            for factor in matrix.factors:
+                sprinkle(factor.coeffs, share, rng)
             got = engine.run_butterfly(x, matrix)
             starts, factors = x.astype(np.complex128), matrix.factors
-    replays = [replay_per_pair(start, factors, mode, pbu, layout) for start in starts]
+    with np.errstate(**quiet):
+        replays = [replay_per_pair(start, factors, mode, pbu, layout) for start in starts]
 
     assert got.shape == (rows, n)
     for got_row, (want, _, _) in zip(got, replays):
@@ -191,12 +219,18 @@ def test_ladder_chains_its_stage_programs(log_n, pbu, layout, mode, seed):
     assert ladder.unit_ops == tuple(
         sum(stage.unit_ops[unit] for stage in stages) for unit in range(pbu))
     order = np.arange(n)  # the element each position of the last output holds
-    for stage, gather, coeff in zip(stages, ladder.gathers, ladder.coeffs):
-        order = order[gather]
+    h = n // 2
+    for stage, (tops, bottoms, ac, bd) in zip(stages, ladder.lanes):
+        for lane in (tops, bottoms, ac, bd):  # doubled: each half drives one output
+            assert lane.shape == (n,)
+        assert tops[:h].tolist() == tops[h:].tolist()
+        assert bottoms[:h].tolist() == bottoms[h:].tolist()
+        order = order[np.concatenate([tops[:h], bottoms[:h]])]
         assert order.tolist() == stage.elements.reshape(-1).tolist()
-        assert coeff is stage.coeff
+        a, b, c, d = (row * h + stage.coeff for row in range(4))
+        assert ac.tolist() == [*a, *c] and bd.tolist() == [*b, *d]
     assert ladder.elements.tolist() == order.tolist()
-    for array in (*ladder.gathers, *ladder.coeffs, ladder.elements):
+    for array in (*(lane for stage in ladder.lanes for lane in stage), ladder.elements):
         assert not array.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         ladder.cycles = 0

@@ -91,6 +91,36 @@ class TestMemoryFootprint:
         ratio = weight_memory_bytes(quantized) / weight_memory_bytes(model)
         assert ratio < 0.27  # also under half precision storage's 0.2708 here
 
+    def test_no_dense_weight_is_copied_only_to_be_dropped(self):
+        """The replica shares the source's Linears until it swaps them out:
+        one call's traced peak stays below the source's dense-weight bytes
+        (a whole-model copy alone is all of them), and the source keeps
+        its state and its training flags."""
+        import tracemalloc
+
+        config = ModelConfig(
+            vocab_size=28, n_classes=2, max_len=32, d_hidden=128,
+            n_heads=4, r_ffn=4, n_total=4, seed=0, dtype="float32",
+        )
+        model = build_dense_decoder(config)  # training mode, as trained
+        state = {name: value.copy() for name, value in model.state_dict().items()}
+        modules = [model, *(module for _, module in _modules(model))]
+        dense = sum(module.weight.data.nbytes for module in modules
+                    if isinstance(module, nn.Linear))
+        tracemalloc.start()
+        try:
+            quantized = quantize_for_inference(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense
+        assert all(module.training for module in modules)
+        assert not any(module.training
+                       for module in [quantized, *(m for _, m in _modules(quantized))])
+        assert model.state_dict().keys() == state.keys()
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, state[name])
+
 
 class TestEncoderQuantization:
     @pytest.mark.parametrize("builder", [build_transformer, build_fabnet])

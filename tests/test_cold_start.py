@@ -50,3 +50,10 @@ def test_worker_loads_no_unserved_layer():
     loaded = loaded_subpackages("import repro.serving.worker")
     assert "serving" in loaded
     assert loaded & NOT_SERVED == set()
+
+
+def test_cli_parser_loads_no_layer():
+    """``repro --help`` and every subcommand's parse load only the CLI:
+    each command imports the layers it runs when it runs."""
+    loaded = loaded_subpackages("import repro.cli\nrepro.cli.build_parser()\n")
+    assert loaded & {"butterfly", "faults", "kernels", "nn", "telemetry"} == set()
