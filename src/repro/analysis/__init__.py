@@ -6,13 +6,6 @@ from .configs import (
     TASK_FABNET_SPECS,
     TASK_FNET_SPECS,
 )
-from .roofline import (
-    LayerIntensity,
-    butterfly_layer_intensity,
-    fft2_layer_intensity,
-    saturation_bandwidth_gbs,
-    workload_intensities,
-)
 from .flops import (
     CompressionRatios,
     OpBreakdown,
@@ -33,12 +26,7 @@ from .flops import (
 
 __all__ = [
     "CompressionRatios",
-    "LayerIntensity",
     "MAINSTREAM_MODELS",
-    "butterfly_layer_intensity",
-    "fft2_layer_intensity",
-    "saturation_bandwidth_gbs",
-    "workload_intensities",
     "OpBreakdown",
     "TASK_BASELINE_SPECS",
     "TASK_FABNET_SPECS",

@@ -23,10 +23,10 @@ from ..hardware import (
     estimate_power,
     estimate_resources,
     fabnet_spec,
+    saturation_bandwidth_gbs,
     speedup_over_sota,
     table5,
 )
-from .roofline import saturation_bandwidth_gbs
 
 
 def _fig19_section() -> List[str]:

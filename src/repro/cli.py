@@ -178,9 +178,6 @@ def _add_serve_parser(subparsers) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="number of serving worker processes; >= 2 routes "
                         "the workload through the supervised ClusterEngine")
-    p.add_argument("--start-method", default="spawn",
-                   choices=["spawn", "fork"],
-                   help="multiprocessing start method for cluster workers")
     p.add_argument("--http", type=int, default=None, metavar="PORT",
                    help="serve the asyncio HTTP control plane on this port "
                         "(0 = ephemeral) instead of running the synthetic "
@@ -243,9 +240,6 @@ def _add_chaos_parser(subparsers) -> None:
     p.add_argument("--kill-after", type=int, default=6,
                    help="fault mode: worker steps before the injected kill; "
                         "sigkill mode: delivered tokens before the signal")
-    p.add_argument("--start-method", default="spawn",
-                   choices=["spawn", "fork"],
-                   help="multiprocessing start method for cluster workers")
 
 
 def _add_profile_parser(subparsers) -> None:
@@ -513,7 +507,7 @@ def _build_engine(args, model, worker_faults=None, resilience=None):
             model, workers=args.workers, max_batch_size=args.max_batch_size,
             admission=admission, seed=args.seed,
             quantize=getattr(args, "quantize", None),
-            resilience=resilience, start_method=args.start_method,
+            resilience=resilience,
             worker_faults=worker_faults,
         )
     return ServingEngine(

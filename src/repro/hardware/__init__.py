@@ -8,7 +8,8 @@ Subpackages/modules:
   compiler from a FABNet model (or a workload's shape), and the
   sequencer's static checks.  It is the one description of a block.
 * :mod:`repro.hardware.perf` — cycle-level latency model: a fold over the
-  same stream the simulator replays.
+  same stream the simulator replays, and the Fig. 21 saturation bandwidth
+  read from the same per-layer charges.
 * :mod:`repro.hardware.resources` / :mod:`repro.hardware.power` — the
   paper's analytical DSP/BRAM model and the Table VI power model.
 * :mod:`repro.hardware.baseline` — dense MAC-array baseline accelerator.
@@ -48,6 +49,7 @@ from .perf import (
     LayerLatency,
     WorkloadSpec,
     latency_vs_bandwidth,
+    saturation_bandwidth_gbs,
 )
 from .platforms import (
     JETSON_NANO,
@@ -122,6 +124,7 @@ __all__ = [
     "latency_vs_bandwidth",
     "quantization_error_report",
     "quantize_fp16",
+    "saturation_bandwidth_gbs",
     "our_work_record",
     "speedup_over_sota",
     "table5",

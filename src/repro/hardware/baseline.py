@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..kernels.layout import next_power_of_two
+from ..models.blocks import block_layout
 from .config import BYTES_PER_VALUE
 from .perf import LatencyReport, LayerLatency, WorkloadSpec
 
@@ -112,10 +113,10 @@ class BaselineAccelerator:
         executed — the paper's Fig. 19 methodology).
         """
         report = LatencyReport(clock_mhz=self.config.clock_mhz)
-        for i in range(spec.n_fbfly):
-            report.layers.extend(self.encoder_block(spec, fourier=True, index=i))
-        for i in range(spec.n_fbfly, spec.n_total):
-            report.layers.extend(self.encoder_block(spec, fourier=False, index=i))
+        layout = block_layout(spec.n_fbfly, spec.n_abfly, spec.butterfly)
+        for i, (mixing, _) in enumerate(layout):
+            report.layers.extend(
+                self.encoder_block(spec, fourier=mixing == "fourier", index=i))
         return report
 
 

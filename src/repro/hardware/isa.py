@@ -12,8 +12,11 @@ that control path:
   :class:`~repro.models.encoder.EncoderClassifier` to a linear
   instruction stream, and the one place that refuses a model the machine
   cannot run (vanilla attention, dense FFNs).  `compile_spec` emits the
-  same stream for a :class:`~repro.hardware.perf.WorkloadSpec`'s shape,
-  from the same per-block emitter, so a block is described here only;
+  same stream for a :class:`~repro.hardware.perf.WorkloadSpec`'s shape:
+  both read the model's block layout
+  (:func:`~repro.models.blocks.block_layout`) and share one cached stream
+  per layout, built by one per-block emitter, so a block is described
+  here only;
 * a **validator** (`validate_program`) of the structural invariants a
   hardware sequencer relies on (every EXEC preceded by a CONFIG of the
   right mode, layer-by-layer order, balanced load/store per layer).
@@ -34,7 +37,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..models.blocks import EncoderBlock
+from ..models.blocks import block_layout
 from ..models.encoder import EncoderClassifier
 from ..nn.butterfly_layer import ButterflyLinear
 
@@ -130,41 +133,31 @@ def _emit_block(block_idx: int, mixing: str, butterfly_ffn: bool) -> List[Instru
     return out
 
 
-def compile_block(block: EncoderBlock, block_idx: int) -> List[Instruction]:
-    """Compile one FBfly/ABfly block into the control stream.
-
-    Raises ``TypeError`` for a block the butterfly accelerator cannot run
-    (vanilla attention, a dense FFN): that is the baseline design's work.
-    """
-    butterfly_ffn = all(isinstance(fc, ButterflyLinear)
-                        for fc in (block.ffn.fc1, block.ffn.fc2))
-    return _emit_block(block_idx, block.mixing_kind, butterfly_ffn)
+@lru_cache(maxsize=None)
+def _spec_stream(layout: Tuple[Tuple[str, bool], ...]) -> Tuple[Instruction, ...]:
+    # Only a stream the machine can run is cached: a refusal raises anew.
+    return tuple(inst for idx, (mixing, butterfly_ffn) in enumerate(layout)
+                 for inst in _emit_block(idx, mixing, butterfly_ffn))
 
 
 def compile_model(model: EncoderClassifier) -> Program:
-    """Compile the encoder stack of a FABNet model."""
-    program = Program(model=model)
-    for idx, block in enumerate(model.blocks):
-        program.instructions.extend(compile_block(block, idx))
-    return program
-
-
-@lru_cache(maxsize=None)
-def _spec_stream(n_fbfly: int, n_abfly: int,
-                 butterfly: bool) -> Tuple[Instruction, ...]:
-    # A dense spec's attention blocks are vanilla attention, its FFNs dense.
-    attention = "butterfly_attention" if butterfly else "attention"
-    kinds = ["fourier"] * n_fbfly + [attention] * n_abfly
-    return tuple(inst for idx, mixing in enumerate(kinds)
-                 for inst in _emit_block(idx, mixing, butterfly))
+    """Compile the encoder stack of a FABNet model: the cached stream of
+    its layout (each block's mixing kind, and whether both FFN layers are
+    butterflies), wrapped with the model whose weights it runs."""
+    layout = tuple(
+        (block.mixing_kind, all(isinstance(fc, ButterflyLinear)
+                                for fc in (block.ffn.fc1, block.ffn.fc2)))
+        for block in model.blocks)
+    return Program(list(_spec_stream(layout)), model=model)
 
 
 def compile_spec(spec: WorkloadSpec) -> Program:
     """The stream ``compile_model`` emits for a FABNet of ``spec``'s shape
     (``n_fbfly`` FBfly blocks, then ``n_abfly`` ABfly blocks), without its
     weights; the latency model folds over it.  A dense (``butterfly=False``)
-    spec is refused as ``compile_block`` refuses a dense model."""
-    return Program(list(_spec_stream(spec.n_fbfly, spec.n_abfly, spec.butterfly)))
+    spec is refused as a dense model is."""
+    return Program(list(_spec_stream(
+        block_layout(spec.n_fbfly, spec.n_abfly, spec.butterfly))))
 
 
 def validate_program(program: Program) -> List[str]:

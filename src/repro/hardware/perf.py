@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal
+from typing import Dict, List, Literal, Optional
 
 from ..kernels.layout import next_power_of_two
 from .config import BYTES_PER_VALUE, AcceleratorConfig
-from .isa import Opcode, compile_spec
+from .isa import Instruction, Opcode, compile_spec
 
 OverlapStrategy = Literal["naive", "butterfly", "fft"]
 
@@ -246,11 +246,29 @@ class ButterflyPerformanceModel:
     # ------------------------------------------------------------------
     # Model-level latency: a fold over the compiled stream
     # ------------------------------------------------------------------
+    def _charge(self, spec: WorkloadSpec, inst: Instruction) -> Optional[LayerLatency]:
+        """The layer one instruction of ``spec``'s stream charges: one per
+        EXEC and ADD_NORM.  CONFIG, LOAD, STORE and GELU charge nothing
+        (None): their bytes are inside each EXEC's ``_combine``."""
+        op, b, operand = inst.opcode, inst.block, inst.operand
+        r, d, d_ffn = spec.seq_len, spec.d_hidden, spec.d_ffn
+        if op is Opcode.EXEC_BFLY:
+            in_f, out_f = ((d, d_ffn) if operand == "ffn1" else
+                           (d_ffn, d) if operand == "ffn2" else (d, d))
+            return self.butterfly_linear(r, in_f, out_f,
+                                         name=f"bfly:block{b}.{operand}")
+        if op is Opcode.ADD_NORM:
+            return self.postprocess(r, d, name=f"postp:block{b}.{operand}")
+        if op is Opcode.EXEC_FFT2:
+            return self.fft2(r, next_power_of_two(d), name=f"fft:block{b}")
+        if op is Opcode.EXEC_ATTN:
+            return self.attention_core(r, d, spec.n_heads, name=f"attn:block{b}")
+        return None
+
     def model_latency(self, spec: WorkloadSpec) -> LatencyReport:
         """End-to-end encoder latency: a fold over the stream the simulator
         would replay for ``spec``, one layer per EXEC and ADD_NORM in
-        stream order.  CONFIG, LOAD, STORE and GELU charge nothing: their
-        bytes are inside each EXEC's ``_combine``.
+        stream order (:meth:`_charge`).
 
         With fine-grained pipelining the AP starts as soon as the first Q
         rows leave the BP (Fig. 14), so the Q projection charged just
@@ -259,26 +277,14 @@ class ButterflyPerformanceModel:
         """
         report = LatencyReport(clock_mhz=self.config.clock_mhz)
         layers = report.layers
-        r, d, d_ffn = spec.seq_len, spec.d_hidden, spec.d_ffn
         for inst in compile_spec(spec).instructions:
-            op, b, operand = inst.opcode, inst.block, inst.operand
-            if op is Opcode.EXEC_BFLY:
-                in_f, out_f = ((d, d_ffn) if operand == "ffn1" else
-                               (d_ffn, d) if operand == "ffn2" else (d, d))
-                layer = self.butterfly_linear(r, in_f, out_f,
-                                              name=f"bfly:block{b}.{operand}")
-            elif op is Opcode.ADD_NORM:
-                layer = self.postprocess(r, d, name=f"postp:block{b}.{operand}")
-            elif op is Opcode.EXEC_FFT2:
-                layer = self.fft2(r, next_power_of_two(d), name=f"fft:block{b}")
-            elif op is Opcode.EXEC_ATTN:
-                layer = self.attention_core(r, d, spec.n_heads, name=f"attn:block{b}")
-                if self.fine_grained_pipeline:
-                    remainder = max(0.0, layer.total_cycles - layers[-1].total_cycles)
-                    layer = LayerLatency(layer.name, layer.compute_cycles,
-                                         layer.memory_cycles, remainder)
-            else:
+            layer = self._charge(spec, inst)
+            if layer is None:
                 continue
+            if inst.opcode is Opcode.EXEC_ATTN and self.fine_grained_pipeline:
+                remainder = max(0.0, layer.total_cycles - layers[-1].total_cycles)
+                layer = LayerLatency(layer.name, layer.compute_cycles,
+                                     layer.memory_cycles, remainder)
             layers.append(layer)
         return report
 
@@ -300,3 +306,19 @@ def latency_vs_bandwidth(
         model = ButterflyPerformanceModel(cfg)
         out.append(model.model_latency(spec).latency_ms)
     return out
+
+
+def saturation_bandwidth_gbs(spec: WorkloadSpec, config: AcceleratorConfig) -> float:
+    """Minimum off-chip bandwidth (GB/s) at which every BP layer of
+    ``spec`` is compute-bound — the knee of the Fig. 21 sweep.
+
+    Each EXEC_BFLY / EXEC_FFT2 charge needs ``bandwidth_gbs * memory /
+    compute`` to hide its traffic; the lowest-intensity layer (the FFT,
+    whose complex intermediates spill off-chip) sets the bound.
+    EXEC_ATTN is not charged, so a config without an AP still answers.
+    """
+    model = ButterflyPerformanceModel(config)
+    bp_layers = (model._charge(spec, inst) for inst in compile_spec(spec).instructions
+                 if inst.opcode in (Opcode.EXEC_BFLY, Opcode.EXEC_FFT2))
+    return config.bandwidth_gbs * max(
+        layer.memory_cycles / layer.compute_cycles for layer in bp_layers)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..kernels.layout import next_power_of_two
+from ..models.blocks import block_layout
 from .perf import WorkloadSpec
 
 
@@ -172,9 +173,8 @@ def fabnet_time_s(platform: Platform, spec: WorkloadSpec, batch: int = 1) -> flo
     n_ffn = next_power_of_two(spec.d_ffn)
     total = 0.0
     log2 = math.log2
-    for i in range(spec.n_total):
-        fourier = i < spec.n_fbfly
-        if fourier:
+    for mixing, _ in block_layout(spec.n_fbfly, spec.n_abfly, spec.butterfly):
+        if mixing == "fourier":
             flops = 5.0 * rows * d * log2(d) + 5.0 * batch * d * r * log2(r)
             num_bytes = 4 * rows * d * BYTES
             total += platform.op_time_s(

@@ -1,7 +1,7 @@
 """Model zoo: vanilla Transformer, FNet, FABNet and hybrids."""
 
-from .blocks import EncoderBlock, FeedForward, make_abfly_block, make_fbfly_block
-from .config import FABNET_BASE, FABNET_LARGE, ModelConfig
+from .blocks import EncoderBlock, FeedForward, block_layout
+from .config import ModelConfig
 from .decoder import (
     ButterflyDecoderLM,
     DecoderBlock,
@@ -22,14 +22,13 @@ from .encoder import (
 __all__ = [
     "ButterflyDecoderLM",
     "DecoderBlock",
-    "FABNET_BASE",
-    "FABNET_LARGE",
     "MODEL_BUILDERS",
     "DualEncoderClassifier",
     "EncoderBlock",
     "EncoderClassifier",
     "FeedForward",
     "ModelConfig",
+    "block_layout",
     "build_butterfly_decoder",
     "build_dense_decoder",
     "build_fabnet",
@@ -37,6 +36,4 @@ __all__ = [
     "build_hybrid_transformer",
     "build_model",
     "build_transformer",
-    "make_abfly_block",
-    "make_fbfly_block",
 ]

@@ -1,9 +1,10 @@
-"""Transformer blocks: vanilla/FBfly/ABfly encoder blocks and the causal
-decoder block (paper Fig. 5; Section II-A for the decoder variant)."""
+"""Transformer blocks: vanilla/FBfly/ABfly encoder blocks, the layout a
+model stacks them in, and the causal decoder block (paper Fig. 5; Section
+II-A for the decoder variant)."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -126,22 +127,15 @@ class EncoderBlock(nn.Module):
         return x
 
 
-def make_fbfly_block(
-    d_hidden: int, n_heads: int, r_ffn: int,
-    rng: Optional[np.random.Generator] = None,
-) -> EncoderBlock:
-    """FBfly: Fourier mixing + butterfly FFN (paper Fig. 5, bottom blocks)."""
-    return EncoderBlock(
-        d_hidden, n_heads, r_ffn, mixing="fourier", butterfly_ffn=True, rng=rng
-    )
-
-
-def make_abfly_block(
-    d_hidden: int, n_heads: int, r_ffn: int,
-    rng: Optional[np.random.Generator] = None,
-) -> EncoderBlock:
-    """ABfly: butterfly-projected attention + butterfly FFN (paper Fig. 5)."""
-    return EncoderBlock(
-        d_hidden, n_heads, r_ffn,
-        mixing="butterfly_attention", butterfly_ffn=True, rng=rng,
-    )
+def block_layout(n_fbfly: int, n_abfly: int,
+                 butterfly: bool = True) -> Tuple[Tuple[str, bool], ...]:
+    """A model's blocks in order, as ``(mixing, butterfly_ffn)`` pairs:
+    ``n_fbfly`` Fourier blocks followed by ``n_abfly`` attention blocks
+    (paper Fig. 5).  With ``butterfly`` they are FBfly and ABfly blocks;
+    without it, FNet blocks and vanilla attention blocks with dense FFNs.
+    Every model of a FABNet reads its blocks from here: the builders, the
+    instruction stream and the analytical models.
+    """
+    attention = "butterfly_attention" if butterfly else "attention"
+    return ((("fourier", butterfly),) * n_fbfly
+            + ((attention, butterfly),) * n_abfly)

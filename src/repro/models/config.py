@@ -11,8 +11,15 @@ class ModelConfig:
 
     Mirrors the paper's notation: ``d_hidden`` is :math:`D_{hid}`,
     ``r_ffn`` is :math:`R_{ffn}`, ``n_total`` is :math:`N_{total}` and
-    ``n_abfly`` is :math:`N_{ABfly}` (only meaningful for FABNet, where the
-    first ``n_total - n_abfly`` blocks are FBfly and the rest ABfly).
+    ``n_abfly`` is :math:`N_{ABfly}`.  Which blocks a builder stacks, in
+    which order, is :func:`~repro.models.blocks.block_layout`'s to say
+    (for FABNet, ``n_fbfly`` FBfly blocks, then ``n_abfly`` ABfly blocks);
+    the vanilla Transformer and FNet builders read only ``n_total``.
+
+    ``d_hidden`` must be a power of two, as butterfly layers need.  The
+    paper's FABNet-Base width, 768, is not: the hardware pads it to 1024
+    inside butterfly layers, and the analytical models
+    (:func:`repro.hardware.fabnet_spec`) take 768 as it is.
 
     ``dtype`` selects the software arithmetic via the kernel layer's
     policy (:mod:`repro.kernels.dtype`): ``"float64"`` (default, tightest
@@ -68,18 +75,3 @@ class ModelConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
-
-# The paper's two reference configurations (Section VI-A).
-FABNET_BASE = ModelConfig(
-    vocab_size=30522, n_classes=2, max_len=512,
-    d_hidden=768 if False else 1024, n_heads=8, r_ffn=4, n_total=12, n_abfly=0,
-)
-# d_hidden=768 is not a power of two; butterfly layers need one. The paper's
-# hardware pads to 1024 internally (buffer depth 1024); we model FABNet-Base
-# with the padded hidden size for the algorithmic library and use the
-# *paper's* 768 figure in the analytical FLOPs/latency models, which accept
-# arbitrary sizes.
-FABNET_LARGE = ModelConfig(
-    vocab_size=30522, n_classes=2, max_len=512,
-    d_hidden=1024, n_heads=16, r_ffn=4, n_total=24, n_abfly=0,
-)

@@ -1,8 +1,10 @@
 """Encoder-only classifier models: Transformer, FNet, FABNet.
 
 All three share one skeleton (embeddings -> blocks -> pooling -> head) and
-differ only in which :class:`~repro.models.blocks.EncoderBlock` variants
-they stack, which is exactly the framing of the paper's Figure 5.
+differ only in their block layout
+(:func:`~repro.models.blocks.block_layout`): which
+:class:`~repro.models.blocks.EncoderBlock` variants they stack, in which
+order, which is exactly the framing of the paper's Figure 5.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .. import kernels, nn
 from ..nn import tensor as F
 from ..nn.layers import token_ids
-from .blocks import EncoderBlock, make_abfly_block, make_fbfly_block
+from .blocks import EncoderBlock, block_layout
 from .config import ModelConfig
 from .encode_program import EncodeProgram, TrainProgram
 from .program import ProgramCache
@@ -117,50 +119,33 @@ class EncoderClassifier(nn.Module):
         return self._run(tokens, mask, classify=True)
 
 
-def build_transformer(config: ModelConfig) -> EncoderClassifier:
-    """Vanilla post-LN Transformer encoder (dense attention + dense FFN)."""
+def _build(config: ModelConfig, layout) -> EncoderClassifier:
+    """The classifier whose blocks are ``layout``'s ``(mixing,
+    butterfly_ffn)`` pairs, in order (:func:`~repro.models.blocks.block_layout`),
+    drawn from one RNG seeded by ``config.seed``."""
     with config.dtype_context():
         rng = np.random.default_rng(config.seed)
         blocks = [
-            EncoderBlock(
-                config.d_hidden, config.n_heads, config.r_ffn,
-                mixing="attention", butterfly_ffn=False, rng=rng,
-            )
-            for _ in range(config.n_total)
+            EncoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
+                         mixing=mixing, butterfly_ffn=butterfly_ffn, rng=rng)
+            for mixing, butterfly_ffn in layout
         ]
         return EncoderClassifier(config, blocks, rng)
+
+
+def build_transformer(config: ModelConfig) -> EncoderClassifier:
+    """Vanilla post-LN Transformer encoder (dense attention + dense FFN)."""
+    return _build(config, block_layout(0, config.n_total, butterfly=False))
 
 
 def build_fnet(config: ModelConfig) -> EncoderClassifier:
     """FNet: every block uses Fourier mixing with a dense FFN."""
-    with config.dtype_context():
-        rng = np.random.default_rng(config.seed)
-        blocks = [
-            EncoderBlock(
-                config.d_hidden, config.n_heads, config.r_ffn,
-                mixing="fourier", butterfly_ffn=False, rng=rng,
-            )
-            for _ in range(config.n_total)
-        ]
-        return EncoderClassifier(config, blocks, rng)
+    return _build(config, block_layout(config.n_total, 0, butterfly=False))
 
 
 def build_fabnet(config: ModelConfig) -> EncoderClassifier:
     """FABNet: ``n_fbfly`` FBfly blocks followed by ``n_abfly`` ABfly blocks."""
-    with config.dtype_context():
-        rng = np.random.default_rng(config.seed)
-        blocks: List[EncoderBlock] = []
-        for _ in range(config.n_fbfly):
-            blocks.append(
-                make_fbfly_block(config.d_hidden, config.n_heads, config.r_ffn,
-                                 rng=rng)
-            )
-        for _ in range(config.n_abfly):
-            blocks.append(
-                make_abfly_block(config.d_hidden, config.n_heads, config.r_ffn,
-                                 rng=rng)
-            )
-        return EncoderClassifier(config, blocks, rng)
+    return _build(config, block_layout(config.n_fbfly, config.n_abfly))
 
 
 def build_hybrid_transformer(config: ModelConfig, n_compressed: int) -> EncoderClassifier:
@@ -173,21 +158,8 @@ def build_hybrid_transformer(config: ModelConfig, n_compressed: int) -> EncoderC
         raise ValueError(
             f"n_compressed={n_compressed} out of range [0, {config.n_total}]"
         )
-    with config.dtype_context():
-        rng = np.random.default_rng(config.seed)
-        blocks: List[EncoderBlock] = []
-        n_dense = config.n_total - n_compressed
-        for _ in range(n_dense):
-            blocks.append(
-                EncoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
-                             mixing="attention", rng=rng)
-            )
-        for _ in range(n_compressed):
-            blocks.append(
-                make_fbfly_block(config.d_hidden, config.n_heads, config.r_ffn,
-                                 rng=rng)
-            )
-        return EncoderClassifier(config, blocks, rng)
+    dense = block_layout(0, config.n_total - n_compressed, butterfly=False)
+    return _build(config, dense + block_layout(n_compressed, 0))
 
 
 MODEL_BUILDERS = {

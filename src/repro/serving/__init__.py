@@ -62,7 +62,6 @@ _LAZY = {
     "ServingEngine": "engine",
     "ResilienceConfig": "resilience",
     "SchedulerSnapshot": "resilience",
-    "StepReport": "resilience",
     "resilient_step": "resilience",
     "ClusterEngine": "cluster",
     "derive_request_seed": "cluster",
@@ -93,7 +92,6 @@ __all__ = [
     "ServingHTTPServer",
     "ServingMetrics",
     "StepEvent",
-    "StepReport",
     "WORKER_FAULT_EXIT",
     "WorkerConfig",
     "child_environment",

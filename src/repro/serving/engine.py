@@ -141,19 +141,8 @@ class ServingEngine:
             with span("serve.step", batch=self.scheduler.batch_size,
                       queued=self.scheduler.queue_depth):
                 if config.enabled and faults_active():
-                    events, report = resilient_step(self.scheduler, config)
-                    if report.retries:
-                        self.metrics.registry.counter(
-                            "serving_fault_retries_total"
-                        ).inc(report.retries)
-                    if report.rollbacks:
-                        self.metrics.registry.counter(
-                            "serving_fault_rollbacks_total"
-                        ).inc(report.rollbacks)
-                    if report.failed_events:
-                        self.metrics.registry.counter(
-                            "serving_request_errors_total"
-                        ).inc(len(report.failed_events))
+                    events = resilient_step(
+                        self.scheduler, config, self.metrics.registry)
                 else:
                     events = self.scheduler.step()
             for event in events:

@@ -31,17 +31,16 @@ holds the retry budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..faults import FatalFault, FaultError, TransientFault
-from ..telemetry import counter_inc
+from ..telemetry import Registry
 from .scheduler import FINISH_ERROR, ContinuousBatchScheduler, StepEvent
 
 __all__ = [
     "ResilienceConfig",
     "SchedulerSnapshot",
-    "StepReport",
     "resilient_step",
 ]
 
@@ -106,15 +105,6 @@ class SchedulerSnapshot:
             seq.restore_state(state)
 
 
-@dataclass
-class StepReport:
-    """What resilience did during one engine step (feeds the counters)."""
-
-    retries: int = 0
-    rollbacks: int = 0
-    failed_events: List[StepEvent] = field(default_factory=list)
-
-
 def _pick_victim(
     fault: FaultError, scheduler: ContinuousBatchScheduler
 ) -> Optional[int]:
@@ -143,26 +133,25 @@ def _pick_victim(
 def resilient_step(
     scheduler: ContinuousBatchScheduler,
     config: ResilienceConfig,
-) -> Tuple[List[StepEvent], StepReport]:
+    registry: Registry,
+) -> List[StepEvent]:
     """``scheduler.step()`` with rollback/retry/isolation semantics.
 
     Returns the step's events — eviction events for requests failed this
     step are prepended, mirroring how the scheduler itself reports
-    cancellations first — plus a :class:`StepReport`.
+    cancellations first.  Each rollback, retry and evicted request is
+    counted once, into ``registry`` (the engine's).
     """
-    report = StepReport()
     error_events: List[StepEvent] = []
     while True:
         attempt = 0
         while True:
             snapshot = SchedulerSnapshot(scheduler)
             try:
-                events = scheduler.step()
-                return error_events + events, report
+                return error_events + scheduler.step()
             except FaultError as fault:
                 snapshot.restore()
-                report.rollbacks += 1
-                counter_inc("serving_fault_rollbacks_total")
+                registry.counter("serving_fault_rollbacks_total").inc()
                 retryable = (
                     isinstance(fault, TransientFault)
                     and not isinstance(fault, FatalFault)
@@ -170,8 +159,7 @@ def resilient_step(
                 )
                 if retryable:
                     attempt += 1
-                    report.retries += 1
-                    counter_inc("serving_fault_retries_total")
+                    registry.counter("serving_fault_retries_total").inc()
                     continue
                 victim = _pick_victim(fault, scheduler)
                 if victim is None:
@@ -181,5 +169,5 @@ def resilient_step(
                 event = scheduler.fail_request(victim, FINISH_ERROR)
                 if event is not None:
                     error_events.append(event)
-                    report.failed_events.append(event)
+                    registry.counter("serving_request_errors_total").inc()
                 break  # outer loop: fresh retry budget without the victim

@@ -14,7 +14,6 @@ from repro.hardware.isa import (
     Instruction,
     Opcode,
     Program,
-    compile_block,
     compile_model,
     compile_spec,
     validate_program,
@@ -30,6 +29,10 @@ def fab_model():
     return build_fabnet(cfg).eval()
 
 
+def block_stream(model, block_idx):
+    return [i for i in compile_model(model).instructions if i.block == block_idx]
+
+
 def accelerator():
     return ButterflyAccelerator(AcceleratorConfig(pbe=1, pbu=4, pae=2, pqk=4, psv=4))
 
@@ -42,7 +45,7 @@ class TestCompiler:
         assert blocks_seen == {0, 1}
 
     def test_fbfly_block_uses_fft_config(self, fab_model):
-        instrs = compile_block(fab_model.blocks[0], 0)
+        instrs = block_stream(fab_model, 0)
         opcodes = [i.opcode for i in instrs]
         assert Opcode.CONFIG_FFT in opcodes
         assert Opcode.EXEC_FFT2 in opcodes
@@ -50,7 +53,7 @@ class TestCompiler:
 
     def test_abfly_block_reorders_kv_before_q(self, fab_model):
         """The Fig. 14 schedule: K and V projections execute before Q."""
-        instrs = compile_block(fab_model.blocks[1], 1)
+        instrs = block_stream(fab_model, 1)
         execs = [i.operand for i in instrs if i.opcode == Opcode.EXEC_BFLY]
         assert execs.index("k_proj") < execs.index("q_proj")
         assert execs.index("v_proj") < execs.index("q_proj")
@@ -60,12 +63,32 @@ class TestCompiler:
         assert program.count(Opcode.CONFIG_FFT) == 1
         assert program.count(Opcode.CONFIG_BFLY) > 4  # Q/K/V/O + 2 FFN x blocks
 
+    def test_model_and_spec_share_one_cached_stream(self, fab_model):
+        """``compile_model`` reads the layout from the blocks and wraps the
+        stream ``compile_spec`` reads from the spec's shape: the same
+        instruction objects, built once, in a list of the program's own."""
+        spec = WorkloadSpec(seq_len=16, d_hidden=16, r_ffn=2, n_total=2,
+                            n_abfly=1, n_heads=2)
+        first, again = compile_model(fab_model), compile_model(fab_model)
+        shared = compile_spec(spec).instructions
+        assert first.instructions is not again.instructions
+        assert len(first) == len(again) == len(shared)
+        assert all(a is b is c for a, b, c in
+                   zip(first.instructions, again.instructions, shared))
+
+    def test_a_dense_layer_swapped_into_an_ffn_is_refused(self, fab_model):
+        """The layout reads the FFN's layers, not the block's flag."""
+        fab_model.blocks[1].ffn.fc2 = nn.Linear(32, 16)
+        assert fab_model.blocks[1].butterfly_ffn
+        with pytest.raises(TypeError, match="butterfly FFN"):
+            compile_model(fab_model)
+
     def test_vanilla_attention_not_compilable(self):
         cfg = ModelConfig(vocab_size=16, n_classes=2, max_len=8, d_hidden=16,
                           n_heads=2, r_ffn=2, n_total=1)
         model = build_transformer(cfg)
         with pytest.raises(TypeError, match="baseline"):
-            compile_block(model.blocks[0], 0)
+            compile_model(model)
 
     def test_dense_ffn_refused_before_any_engine_runs(self):
         """FNet's Fourier mixing compiles, its dense FFN does not: the
@@ -88,7 +111,7 @@ class TestCompiler:
     ])
     def test_dense_spec_refused_like_a_dense_model(self, spec, match):
         """A dense (``butterfly=False``) spec is the baseline's work: its
-        stream is refused as ``compile_block`` refuses a dense model, so the
+        stream is refused as ``compile_model`` refuses a dense model, so the
         butterfly machine's latency model charges it nothing."""
         with pytest.raises(TypeError, match=match):
             compile_spec(spec)

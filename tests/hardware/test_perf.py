@@ -15,7 +15,7 @@ from repro.hardware import (
 )
 from repro.hardware.functional import ButterflyAccelerator
 from repro.hardware.isa import Opcode, compile_spec
-from repro.hardware.perf import latency_vs_bandwidth
+from repro.hardware.perf import latency_vs_bandwidth, saturation_bandwidth_gbs
 from repro.models import ModelConfig, build_fabnet
 
 
@@ -275,6 +275,73 @@ class TestBandwidthSweep:
             WorkloadSpec(seq_len=0, d_hidden=64)
         with pytest.raises(ValueError):
             WorkloadSpec(seq_len=64, d_hidden=64, n_total=1, n_abfly=2)
+
+
+def _demand(layer):
+    """Memory cycles per compute cycle: the inverse of a layer's
+    arithmetic intensity, in the units of its bandwidth."""
+    return layer.memory_cycles / layer.compute_cycles
+
+
+class TestSaturation:
+    """The Fig. 21 knee, read from the latency model's per-layer charges."""
+
+    @pytest.fixture
+    def spec(self):
+        return WorkloadSpec(seq_len=1024, d_hidden=1024, r_ffn=4, n_total=24,
+                            n_abfly=0, n_heads=16)
+
+    def test_intensity_grows_with_rows(self):
+        """Weights amortize over more rows -> less traffic per pair op."""
+        model = ButterflyPerformanceModel(AcceleratorConfig(pbe=16, pbu=4))
+        small = model.butterfly_linear(4, 256, 256)
+        large = model.butterfly_linear(1024, 256, 256)
+        assert _demand(large) < _demand(small)
+
+    def test_fft_intensity_lower_than_butterfly(self):
+        """FFT spills complex intermediates, so it is more traffic-heavy."""
+        model = ButterflyPerformanceModel(AcceleratorConfig(pbe=16, pbu=4))
+        fft = model.fft2(1024, 1024)
+        bfly = model.butterfly_linear(1024, 1024, 1024)
+        assert _demand(fft) > _demand(bfly)
+
+    def test_bigger_designs_need_more_bandwidth(self, spec):
+        """The Fig. 21 observation, derived analytically."""
+        bw16 = saturation_bandwidth_gbs(spec, AcceleratorConfig(pbe=16, pbu=4))
+        bw128 = saturation_bandwidth_gbs(spec, AcceleratorConfig(pbe=128, pbu=4))
+        assert bw128 == pytest.approx(8 * bw16)
+        assert 10.0 < bw16 < 100.0  # the paper's ~50 GB/s ballpark
+
+    def test_cross_check_against_cycle_model(self, spec):
+        """Below saturation the cycle model gains from bandwidth; above
+        it the gain collapses."""
+        config = AcceleratorConfig(pbe=64, pbu=4)
+        saturation = saturation_bandwidth_gbs(spec, config)
+
+        def latency_ms(factor):
+            cfg = config.with_(bandwidth_gbs=max(0.5, saturation * factor))
+            return ButterflyPerformanceModel(cfg).model_latency(spec).latency_ms
+
+        gain_below = latency_ms(0.5) / latency_ms(1.0)
+        gain_above = latency_ms(2.0) / latency_ms(4.0)
+        # Saturation is set by the *lowest*-intensity (FFT) layer, so the
+        # aggregate gain below it is modest but clearly larger than the
+        # vanishing gain above it.
+        assert gain_below > 1.10
+        assert gain_above < 1.05
+        assert gain_below > gain_above
+
+    def test_attention_spec_answers_without_an_ap(self):
+        """Only the BP's layers are charged: a config with no Attention
+        Processor, which cannot time an ABfly block, still has a knee,
+        set by the FFT layer as in the block's all-FBfly sibling."""
+        config = AcceleratorConfig(pbe=16, pbu=4, pae=0, pqk=0, psv=0)
+        spec = WorkloadSpec(seq_len=128, d_hidden=128, n_total=2, n_abfly=1)
+        with pytest.raises(ValueError, match="no AP"):
+            ButterflyPerformanceModel(config).model_latency(spec)
+        fbfly = WorkloadSpec(seq_len=128, d_hidden=128, n_total=1, n_abfly=0)
+        assert (saturation_bandwidth_gbs(spec, config)
+                == saturation_bandwidth_gbs(fbfly, config) > 0)
 
 
 @pytest.mark.parametrize("shape, match", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import EncoderBlock, FeedForward, make_abfly_block, make_fbfly_block
+from repro.models import EncoderBlock, FeedForward, block_layout
 from repro.nn.tensor import Tensor
 
 
@@ -64,15 +64,30 @@ class TestEncoderBlock:
             assert p.grad is not None, f"no grad for {name}"
 
 
-class TestBlockFactories:
+def _block(kind, rng):
+    mixing, butterfly_ffn = kind
+    return EncoderBlock(8, 2, 2, mixing=mixing, butterfly_ffn=butterfly_ffn, rng=rng)
+
+
+class TestBlockLayout:
+    def test_fbfly_blocks_come_before_abfly_blocks(self):
+        """Paper Fig. 5: ``N_total - N_ABfly`` FBfly blocks, then ABfly."""
+        fbfly, abfly = ("fourier", True), ("butterfly_attention", True)
+        assert block_layout(2, 1) == (fbfly, fbfly, abfly)
+        assert block_layout(0, 0) == ()
+
+    def test_dense_layout_has_vanilla_blocks(self):
+        assert block_layout(1, 2, butterfly=False) == (
+            ("fourier", False), ("attention", False), ("attention", False))
+
     def test_fbfly_block(self, rng):
-        block = make_fbfly_block(8, 2, 2, rng=rng)
+        block = _block(block_layout(1, 0)[0], rng)
         assert block.mixing_kind == "fourier"
         assert block.butterfly_ffn
         assert isinstance(block.mixer, nn.FourierMixing)
 
     def test_abfly_block(self, rng):
-        block = make_abfly_block(8, 2, 2, rng=rng)
+        block = _block(block_layout(0, 1)[0], rng)
         assert block.mixing_kind == "butterfly_attention"
         assert block.butterfly_ffn
         assert isinstance(block.mixer, nn.MultiHeadAttention)
@@ -80,7 +95,7 @@ class TestBlockFactories:
 
     def test_abfly_all_linear_layers_butterfly(self, rng):
         """The ABfly block compresses every linear layer (paper Fig. 5)."""
-        block = make_abfly_block(8, 2, 2, rng=rng)
+        block = _block(block_layout(0, 1)[0], rng)
         for layer in (block.mixer.q_proj, block.mixer.k_proj, block.mixer.v_proj,
                       block.mixer.out_proj, block.ffn.fc1, block.ffn.fc2):
             assert isinstance(layer, nn.ButterflyLinear)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models import FABNET_BASE, FABNET_LARGE, ModelConfig
+from repro.models import ModelConfig
 
 
 class TestValidation:
@@ -36,16 +36,6 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(Exception):
             ModelConfig().d_hidden = 32
-
-
-class TestReferenceConfigs:
-    def test_fabnet_base(self):
-        assert FABNET_BASE.n_total == 12
-        assert FABNET_BASE.n_abfly == 0
-
-    def test_fabnet_large(self):
-        assert FABNET_LARGE.d_hidden == 1024
-        assert FABNET_LARGE.n_total == 24
 
 
 class TestDtypePolicy:

@@ -4,7 +4,7 @@ shedding and submit-validation atomicity."""
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.faults import FaultRule, TransientFault, use_faults
 from repro.models import ModelConfig, build_butterfly_decoder
 from repro.serving import (
@@ -210,7 +210,32 @@ class TestSnapshot:
         with use_faults(injector):
             with pytest.raises(TransientFault):
                 raise TransientFault("serving.decode_step")
-        assert resilient_step(engine.scheduler, RESILIENCE)[0] == []
+        assert resilient_step(engine.scheduler, RESILIENCE,
+                              engine.metrics.registry) == []
+
+
+class TestCounters:
+    def test_one_exposition_names_each_series_once(self, model, rng):
+        """With telemetry on, a recovered fault is counted once, in the
+        engine's registry: the exposition names each (name, labels) once,
+        every one under its ``# TYPE`` line."""
+        previous = telemetry.set_registry(telemetry.Registry())
+        try:
+            with telemetry.use_telemetry():
+                with use_faults("serving.decode_step:transient:every=2,times=3"):
+                    engine, _, _ = _run_workload(model, _prompts(rng, 2))
+                text = engine.render_prometheus()
+        finally:
+            telemetry.set_registry(previous)
+        series = [line.split(" ")[0] for line in text.splitlines()
+                  if line and not line.startswith("#")]
+        assert len(series) == len(set(series)), text
+        typed = {line.split(" ")[2] for line in text.splitlines()
+                 if line.startswith("# TYPE ")}
+        for name in ("serving_fault_retries_total", "serving_fault_rollbacks_total"):
+            assert series.count(name) == 1 and name in typed
+        assert engine.metrics.registry.snapshot()[
+            "serving_fault_retries_total"]["value"] == 3
 
 
 class TestConfig:

@@ -51,6 +51,7 @@ from repro.hardware import (
     bert_spec,
     fabnet_spec,
     fabnet_time_s,
+    saturation_bandwidth_gbs,
     transformer_breakdown,
 )
 from repro.hardware.isa import compile_model, compile_spec
@@ -198,8 +199,6 @@ def analytical_entries() -> Dict[str, str]:
 
 
 def saturation_entries() -> Dict[str, str]:
-    from repro.analysis.roofline import saturation_bandwidth_gbs
-
     out = {}
     specs = _specs()
     for name in ("fabnet_base_128", "fabnet_base_1024", "fabnet_large_128",
