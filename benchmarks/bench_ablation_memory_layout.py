@@ -1,6 +1,6 @@
 """Ablation: butterfly buffer data layout (paper Figs. 8-10).
 
-DESIGN.md design choice: the S2P module stores column ``i`` rotated by
+Design choice: the S2P module stores column ``i`` rotated by
 ``popcount(i)`` banks, which makes every butterfly stage's paired reads
 conflict-free.  This bench counts read cycles per full butterfly under
 the paper's layout vs row-/column-major placement.

@@ -1,6 +1,6 @@
 """Ablation: double-buffering overlap strategies (paper Fig. 13).
 
-DESIGN.md design choice: the accelerator uses two address-mapping and
+Design choice: the accelerator uses two address-mapping and
 overlap strategies — full input/output overlap for butterfly layers
 (Fig. 13a) and store-with-next-load overlap for FFT (Fig. 13b).  This
 bench quantifies each strategy against the naive (no-overlap) schedule.

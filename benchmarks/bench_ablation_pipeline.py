@@ -1,6 +1,6 @@
 """Ablation: fine-grained BP<->AP pipelining (paper Fig. 14).
 
-DESIGN.md design choice: the accelerator reorders the Q/K/V projections
+Design choice: the accelerator reorders the Q/K/V projections
 (K and V first) so the attention processor can start consuming Q rows
 while the butterfly processor is still producing them, and SV consumes
 score rows as they stream out of QK.  This bench measures ABfly-block

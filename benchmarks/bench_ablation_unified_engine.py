@@ -1,6 +1,6 @@
 """Ablation: unified FFT/butterfly engine vs two dedicated engines.
 
-DESIGN.md design choice: the adaptable BU executes both FFT and butterfly
+Design choice: the adaptable BU executes both FFT and butterfly
 linear transforms on the same four multipliers.  The alternative is two
 dedicated processors splitting the same DSP budget; each then idles while
 the other's layer type runs.  This bench compares FBfly-block latency

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from conftest import print_table
 
-from repro.analysis import MAINSTREAM_MODELS, transformer_flops
+from repro.analysis import MAINSTREAM_MODELS, model_flops
 
 SEQ_LENGTHS = (128, 256, 512, 1024, 2048, 4096)
 
@@ -18,7 +18,7 @@ def compute_breakdown():
     rows = []
     for name, base in MAINSTREAM_MODELS.items():
         for seq in SEQ_LENGTHS:
-            pct = transformer_flops(replace(base, seq_len=seq)).percentages()
+            pct = model_flops(replace(base, seq_len=seq)).percentages()
             rows.append(
                 (name, seq, f"{pct['attention']:.1f}", f"{pct['linear']:.1f}",
                  f"{pct['other']:.1f}")

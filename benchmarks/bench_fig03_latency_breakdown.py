@@ -7,7 +7,7 @@ length 256, and attention grows dominant by 2048.
 
 from conftest import print_table
 
-from repro.hardware import V100, XEON_6154, bert_spec, transformer_breakdown
+from repro.hardware import V100, XEON_6154, bert_spec, platform_breakdown
 
 SETTINGS = [("V100", V100, 8), ("Xeon 6154", XEON_6154, 1)]
 SEQ_LENGTHS = (256, 1024, 2048)
@@ -17,7 +17,7 @@ def compute_breakdowns():
     rows = []
     for name, platform, batch in SETTINGS:
         for seq in SEQ_LENGTHS:
-            pct = transformer_breakdown(
+            pct = platform_breakdown(
                 platform, bert_spec(seq, large=True), batch=batch
             ).percentages()
             rows.append(

@@ -20,7 +20,7 @@ from repro.hardware import (
     estimate_power,
     estimate_resources,
     fabnet_spec,
-    fabnet_time_s,
+    platform_breakdown,
 )
 
 SEQ_LENGTHS = (128, 256, 512, 1024)
@@ -49,7 +49,7 @@ def compute_comparison():
                 spec = fabnet_spec(seq, large)
                 t_fpga = perf.model_latency(spec).latency_s
                 for device in devices:
-                    t_dev = fabnet_time_s(device, spec)
+                    t_dev = platform_breakdown(device, spec).total
                     speedup = t_dev / t_fpga
                     energy_ratio = (t_dev * device.power_w) / (t_fpga * fpga_power)
                     rows.append(

@@ -8,26 +8,20 @@ from .configs import (
 )
 from .flops import (
     CompressionRatios,
-    OpBreakdown,
     attention_core_flops,
     butterfly_linear_flops,
     butterfly_linear_params,
     compression_ratios,
     dense_linear_flops,
     dense_linear_params,
-    fabnet_flops,
-    fabnet_params,
     fft2_mixing_flops,
-    fnet_flops,
-    fnet_params,
-    transformer_flops,
-    transformer_params,
+    model_flops,
+    model_params,
 )
 
 __all__ = [
     "CompressionRatios",
     "MAINSTREAM_MODELS",
-    "OpBreakdown",
     "TASK_BASELINE_SPECS",
     "TASK_FABNET_SPECS",
     "TASK_FNET_SPECS",
@@ -37,11 +31,7 @@ __all__ = [
     "compression_ratios",
     "dense_linear_flops",
     "dense_linear_params",
-    "fabnet_flops",
-    "fabnet_params",
     "fft2_mixing_flops",
-    "fnet_flops",
-    "fnet_params",
-    "transformer_flops",
-    "transformer_params",
+    "model_flops",
+    "model_params",
 ]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
-from ..hardware.perf import WorkloadSpec
+from ..hardware.perf import ComponentBreakdown, WorkloadSpec
 from ..kernels.layout import next_power_of_two
 
 
@@ -51,71 +50,6 @@ def layernorm_residual_flops(seq: int, d_hidden: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Per-model FLOPs / parameters
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class OpBreakdown:
-    """FLOPs split into the Fig. 1 / Fig. 3 component classes."""
-
-    attention: float
-    linear: float
-    other: float
-
-    @property
-    def total(self) -> float:
-        return self.attention + self.linear + self.other
-
-    def percentages(self) -> Dict[str, float]:
-        return {
-            "attention": 100.0 * self.attention / self.total,
-            "linear": 100.0 * self.linear / self.total,
-            "other": 100.0 * self.other / self.total,
-        }
-
-
-def transformer_flops(spec: WorkloadSpec) -> OpBreakdown:
-    """Vanilla Transformer encoder FLOPs by component class."""
-    r, d = spec.seq_len, spec.d_hidden
-    linear = spec.n_total * (
-        4 * dense_linear_flops(r, d, d)
-        + dense_linear_flops(r, d, spec.d_ffn)
-        + dense_linear_flops(r, spec.d_ffn, d)
-    )
-    attention = spec.n_total * attention_core_flops(r, d)
-    other = spec.n_total * 2 * layernorm_residual_flops(r, d)
-    return OpBreakdown(attention, linear, other)
-
-
-def fnet_flops(spec: WorkloadSpec) -> OpBreakdown:
-    """FNet: Fourier mixing + dense FFN."""
-    r, d = spec.seq_len, spec.d_hidden
-    linear = spec.n_total * (
-        dense_linear_flops(r, d, spec.d_ffn) + dense_linear_flops(r, spec.d_ffn, d)
-    )
-    attention = spec.n_total * fft2_mixing_flops(r, d)  # the mixing component
-    other = spec.n_total * 2 * layernorm_residual_flops(r, d)
-    return OpBreakdown(attention, linear, other)
-
-
-def fabnet_flops(spec: WorkloadSpec) -> OpBreakdown:
-    """FABNet: FBfly + ABfly blocks with butterfly linear layers."""
-    r, d = spec.seq_len, spec.d_hidden
-    ffn = butterfly_linear_flops(r, d, spec.d_ffn) + butterfly_linear_flops(
-        r, spec.d_ffn, d
-    )
-    mixing = 0.0
-    linear = 0.0
-    attention = 0.0
-    mixing += spec.n_fbfly * fft2_mixing_flops(r, d)
-    linear += spec.n_fbfly * ffn
-    attention_proj = 4 * butterfly_linear_flops(r, d, d)
-    attention += spec.n_abfly * attention_core_flops(r, d)
-    linear += spec.n_abfly * (attention_proj + ffn)
-    other = spec.n_total * 2 * layernorm_residual_flops(r, d)
-    return OpBreakdown(attention + mixing, linear, other)
-
-
-# ----------------------------------------------------------------------
 def dense_linear_params(d_in: int, d_out: int) -> int:
     return d_in * d_out + d_out
 
@@ -125,35 +59,43 @@ def butterfly_linear_params(d_in: int, d_out: int) -> int:
     return int(2 * n * _log2(n)) + d_out
 
 
-def transformer_params(spec: WorkloadSpec) -> int:
-    d = spec.d_hidden
-    per_layer = (
-        4 * dense_linear_params(d, d)
-        + dense_linear_params(d, spec.d_ffn)
-        + dense_linear_params(spec.d_ffn, d)
-        + 4 * d  # two LayerNorms
-    )
-    return spec.n_total * per_layer
+# ----------------------------------------------------------------------
+# Per-model FLOPs / parameters: folds over the spec's layers
+# ----------------------------------------------------------------------
+def model_flops(spec: WorkloadSpec) -> ComponentBreakdown:
+    """Encoder FLOPs by component class (Figs. 1 and 17) of the model the
+    spec's layout describes: the vanilla Transformer, FNet (whose Fourier
+    mixing counts as attention) or FABNet.  GELU is not counted."""
+    r, d = spec.seq_len, spec.d_hidden
+
+    def flops(kind: str, d_in: int, d_out: int):
+        if kind == "dense":
+            return (dense_linear_flops(r, d_in, d_out),)
+        if kind == "butterfly":
+            return (butterfly_linear_flops(r, d_in, d_out),)
+        if kind == "attention":
+            return (attention_core_flops(r, d),)
+        if kind == "fourier":
+            return (fft2_mixing_flops(r, d),)
+        if kind == "add_norm":
+            return (layernorm_residual_flops(r, d),)
+        return ()
+
+    return ComponentBreakdown.fold(spec, flops)
 
 
-def fnet_params(spec: WorkloadSpec) -> int:
-    d = spec.d_hidden
-    per_layer = (
-        dense_linear_params(d, spec.d_ffn)
-        + dense_linear_params(spec.d_ffn, d)
-        + 4 * d
-    )
-    return spec.n_total * per_layer
-
-
-def fabnet_params(spec: WorkloadSpec) -> int:
-    d = spec.d_hidden
-    ffn = butterfly_linear_params(d, spec.d_ffn) + butterfly_linear_params(
-        spec.d_ffn, d
-    )
-    fbfly = ffn + 4 * d
-    abfly = 4 * butterfly_linear_params(d, d) + ffn + 4 * d
-    return spec.n_fbfly * fbfly + spec.n_abfly * abfly
+def model_params(spec: WorkloadSpec) -> int:
+    """Encoder-block parameters of the model the spec's layout describes:
+    its linear layers, and each add + norm's LayerNorm gain and bias."""
+    total = 0
+    for _, _, kind, d_in, d_out in spec.layers():
+        if kind == "dense":
+            total += dense_linear_params(d_in, d_out)
+        elif kind == "butterfly":
+            total += butterfly_linear_params(d_in, d_out)
+        elif kind == "add_norm":
+            total += 2 * d_in
+    return total
 
 
 def embedding_params(spec: WorkloadSpec, vocab_size: int) -> int:
@@ -183,13 +125,13 @@ def compression_ratios(
     all three models share — this is why the paper's model-size reduction
     (2~22x) is much smaller than its FLOPs reduction (10~66x).
     """
-    fab_flops = fabnet_flops(fabnet).total
-    fab_params = fabnet_params(fabnet) + embedding_params(fabnet, vocab_size)
-    t_params = transformer_params(transformer) + embedding_params(transformer, vocab_size)
-    f_params = fnet_params(fnet) + embedding_params(fnet, vocab_size)
+    fab_flops = model_flops(fabnet).total
+    fab_params = model_params(fabnet) + embedding_params(fabnet, vocab_size)
+    t_params = model_params(transformer) + embedding_params(transformer, vocab_size)
+    f_params = model_params(fnet) + embedding_params(fnet, vocab_size)
     return CompressionRatios(
-        flops_vs_transformer=transformer_flops(transformer).total / fab_flops,
-        flops_vs_fnet=fnet_flops(fnet).total / fab_flops,
+        flops_vs_transformer=model_flops(transformer).total / fab_flops,
+        flops_vs_fnet=model_flops(fnet).total / fab_flops,
         params_vs_transformer=t_params / fab_params,
         params_vs_fnet=f_params / fab_params,
     )

@@ -106,7 +106,8 @@ def generate_report() -> str:
         "# Butterfly accelerator — analytical reproduction report",
         "",
         "Regenerated from the performance, resource and power models; "
-        "see EXPERIMENTS.md for paper-vs-measured commentary.",
+        "the paper benches print each figure beside the paper's values "
+        "(README, \"Benchmarks\").",
         "",
     ]
     lines.extend(_fig19_section())

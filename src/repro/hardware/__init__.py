@@ -5,15 +5,19 @@ Subpackages/modules:
 * :mod:`repro.hardware.functional` — value-accurate simulator of the
   adaptable butterfly accelerator (BUs, BEs, memory system, AP, PostP).
 * :mod:`repro.hardware.isa` — the instruction stream that drives it: the
-  compiler from a FABNet model (or a workload's shape), and the
-  sequencer's static checks.  It is the one description of a block.
-* :mod:`repro.hardware.perf` — cycle-level latency model: a fold over the
+  compiler from a FABNet model (or a workload's shape), which wraps each
+  layer of :func:`repro.models.blocks.block_layers` in its instructions,
+  and the sequencer's static checks.
+* :mod:`repro.hardware.perf` — the analytical workload (`WorkloadSpec`
+  and its layers), the attention/linear/other split every analytical
+  model folds into, and the cycle-level latency model: a fold over the
   same stream the simulator replays, and the Fig. 21 saturation bandwidth
   read from the same per-layer charges.
 * :mod:`repro.hardware.resources` / :mod:`repro.hardware.power` — the
   paper's analytical DSP/BRAM model and the Table VI power model.
 * :mod:`repro.hardware.baseline` — dense MAC-array baseline accelerator.
-* :mod:`repro.hardware.platforms` — roofline CPU/GPU models.
+* :mod:`repro.hardware.platforms` — roofline CPU/GPU models, one
+  attention/linear/other split for any workload.
 * :mod:`repro.hardware.sota` — Table V normalization against published
   accelerators.
 """
@@ -45,6 +49,7 @@ from .config import (
 )
 from .perf import (
     ButterflyPerformanceModel,
+    ComponentBreakdown,
     LatencyReport,
     LayerLatency,
     WorkloadSpec,
@@ -58,10 +63,8 @@ from .platforms import (
     TITAN_XP,
     V100,
     XEON_6154,
-    ComponentBreakdown,
     Platform,
-    fabnet_time_s,
-    transformer_breakdown,
+    platform_breakdown,
 )
 from .power import PowerBreakdown, estimate_power
 from .resources import ResourceUsage, bram_usage, dsp_usage, estimate_resources
@@ -120,13 +123,12 @@ __all__ = [
     "estimate_power",
     "estimate_resources",
     "fabnet_spec",
-    "fabnet_time_s",
     "latency_vs_bandwidth",
     "quantization_error_report",
     "quantize_fp16",
     "saturation_bandwidth_gbs",
     "our_work_record",
+    "platform_breakdown",
     "speedup_over_sota",
     "table5",
-    "transformer_breakdown",
 ]

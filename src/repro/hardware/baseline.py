@@ -17,10 +17,8 @@ hardware-speedup column measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from ..kernels.layout import next_power_of_two
-from ..models.blocks import block_layout
 from .config import BYTES_PER_VALUE
 from .perf import LatencyReport, LayerLatency, WorkloadSpec
 
@@ -88,35 +86,28 @@ class BaselineAccelerator:
         return self._layer(name, macs, num_bytes)
 
     # ------------------------------------------------------------------
-    def encoder_block(self, spec: WorkloadSpec, fourier: bool, index: int) -> List[LayerLatency]:
-        """One encoder block, dense-executed (attention or DFT mixing)."""
-        r, d = spec.seq_len, spec.d_hidden
-        layers: List[LayerLatency] = []
-        if fourier:
-            layers.append(self.dft_mixing(r, next_power_of_two(d), name=f"dft:block{index}"))
-        else:
-            for proj in ("q", "k", "v"):
-                layers.append(self.dense_linear(r, d, d, name=f"dense:block{index}.{proj}"))
-            layers.append(self.attention_core(r, d, spec.n_heads, name=f"attn:block{index}"))
-            layers.append(self.dense_linear(r, d, d, name=f"dense:block{index}.out"))
-        ffn1_out = spec.d_ffn
-        layers.append(self.dense_linear(r, d, ffn1_out, name=f"dense:block{index}.ffn1"))
-        layers.append(self.dense_linear(r, ffn1_out, d, name=f"dense:block{index}.ffn2"))
-        return layers
-
     def model_latency(self, spec: WorkloadSpec) -> LatencyReport:
-        """End-to-end latency of a workload on the baseline.
+        """End-to-end latency of a workload on the baseline, a fold over
+        its layers.
 
-        FBfly blocks map to DFT mixing + dense FFN; ABfly and vanilla
-        attention blocks both map to dense attention blocks (the baseline
-        cannot exploit butterfly weights, so their dense equivalents are
-        executed — the paper's Fig. 19 methodology).
+        Every linear layer runs dense: the baseline cannot exploit
+        butterfly weights, so ABfly and vanilla attention blocks run the
+        same dense projections (the paper's Fig. 19 methodology), and
+        Fourier mixing runs as DFT matmuls.  Add + norm and GELU are not
+        charged.
         """
         report = LatencyReport(clock_mhz=self.config.clock_mhz)
-        layout = block_layout(spec.n_fbfly, spec.n_abfly, spec.butterfly)
-        for i, (mixing, _) in enumerate(layout):
-            report.layers.extend(
-                self.encoder_block(spec, fourier=mixing == "fourier", index=i))
+        r, d = spec.seq_len, spec.d_hidden
+        for block, tag, kind, d_in, d_out in spec.layers():
+            if kind in ("dense", "butterfly"):
+                layer = self.dense_linear(r, d_in, d_out, name=f"dense:block{block}.{tag}")
+            elif kind == "fourier":
+                layer = self.dft_mixing(r, next_power_of_two(d), name=f"dft:block{block}")
+            elif kind == "attention":
+                layer = self.attention_core(r, d, spec.n_heads, name=f"attn:block{block}")
+            else:
+                continue
+            report.layers.append(layer)
         return report
 
 

@@ -15,8 +15,9 @@ that control path:
   same stream for a :class:`~repro.hardware.perf.WorkloadSpec`'s shape:
   both read the model's block layout
   (:func:`~repro.models.blocks.block_layout`) and share one cached stream
-  per layout, built by one per-block emitter, so a block is described
-  here only;
+  per layout, built by one per-block emitter that wraps each of the
+  block's layers (:func:`~repro.models.blocks.block_layers`) in its
+  instructions;
 * a **validator** (`validate_program`) of the structural invariants a
   hardware sequencer relies on (every EXEC preceded by a CONFIG of the
   right mode, layer-by-layer order, balanced load/store per layer).
@@ -37,7 +38,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..models.blocks import block_layout
+from ..models.blocks import block_layers, block_layout
 from ..models.encoder import EncoderClassifier
 from ..nn.butterfly_layer import ButterflyLinear
 
@@ -86,19 +87,18 @@ class Program:
         return sum(1 for i in self.instructions if i.opcode == opcode)
 
 
-def _compile_butterfly_linear(block_idx: int, tag: str) -> List[Instruction]:
-    return [
-        Instruction(Opcode.CONFIG_BFLY, tag, block_idx),
-        Instruction(Opcode.LOAD, tag, block_idx),
-        Instruction(Opcode.EXEC_BFLY, tag, block_idx),
-        Instruction(Opcode.STORE, tag, block_idx),
-    ]
+# A butterfly or Fourier layer is a CONFIG of its engine mode, then LOAD,
+# EXEC, STORE on the BP; every other kind of layer is one instruction.
+_ENGINE_LAYERS = {"butterfly": (Opcode.CONFIG_BFLY, Opcode.EXEC_BFLY),
+                  "fourier": (Opcode.CONFIG_FFT, Opcode.EXEC_FFT2)}
+_ONE_INSTRUCTION = {"attention": Opcode.EXEC_ATTN, "gelu": Opcode.GELU,
+                    "add_norm": Opcode.ADD_NORM}
 
 
 def _emit_block(block_idx: int, mixing: str, butterfly_ffn: bool) -> List[Instruction]:
-    """One block's control stream, from its mixing kind alone: the single
-    description of a block that the simulator replays and the latency
-    model charges.
+    """One block's control stream: the instructions of each of its
+    :func:`~repro.models.blocks.block_layers`, the single description of
+    a block that the simulator replays and the latency model charges.
 
     Raises ``TypeError`` for a block the butterfly accelerator cannot run
     (vanilla attention, a dense FFN): that is the baseline design's work.
@@ -114,22 +114,13 @@ def _emit_block(block_idx: int, mixing: str, butterfly_ffn: bool) -> List[Instru
             "dense layers belong to the baseline design"
         )
     out: List[Instruction] = []
-    if mixing == "fourier":
-        out.append(Instruction(Opcode.CONFIG_FFT, "mix", block_idx))
-        out.append(Instruction(Opcode.LOAD, "mix", block_idx))
-        out.append(Instruction(Opcode.EXEC_FFT2, "mix", block_idx))
-        out.append(Instruction(Opcode.STORE, "mix", block_idx))
-    else:  # butterfly_attention
-        # Paper's reordered schedule (Fig. 14): K and V before Q.
-        for proj in ("k_proj", "v_proj", "q_proj"):
-            out.extend(_compile_butterfly_linear(block_idx, proj))
-        out.append(Instruction(Opcode.EXEC_ATTN, "attn", block_idx))
-        out.extend(_compile_butterfly_linear(block_idx, "out_proj"))
-    out.append(Instruction(Opcode.ADD_NORM, "mix", block_idx))
-    out.extend(_compile_butterfly_linear(block_idx, "ffn1"))
-    out.append(Instruction(Opcode.GELU, "ffn", block_idx))
-    out.extend(_compile_butterfly_linear(block_idx, "ffn2"))
-    out.append(Instruction(Opcode.ADD_NORM, "ffn", block_idx))
+    for tag, kind in block_layers(mixing, butterfly_ffn):
+        if kind in _ENGINE_LAYERS:
+            config, execute = _ENGINE_LAYERS[kind]
+            out.extend(Instruction(op, tag, block_idx)
+                       for op in (config, Opcode.LOAD, execute, Opcode.STORE))
+        else:
+            out.append(Instruction(_ONE_INSTRUCTION[kind], tag, block_idx))
     return out
 
 

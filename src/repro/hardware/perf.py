@@ -28,7 +28,12 @@ Modeled effects:
 A ``WorkloadSpec`` describes the model analytically (no trained weights
 needed) so the same equations cover FABNet at any size, including the
 paper's non-power-of-two ``D_hid = 768`` (padded to the next power of two
-inside butterfly layers, as the hardware does).  A dense
+inside butterfly layers and the 2D FFT, as the hardware does; the FFT
+pads the sequence axis too).  Its ``layers()`` are the model's layers
+with their widths.  The stream charged here wraps the same list, and the
+FLOP and parameter counts, the CPU/GPU rooflines and the dense baseline
+fold over it with their own cost per kind; the FLOP counts and the
+rooflines split their fold with ``ComponentBreakdown``.  A dense
 (``butterfly=False``) spec — BERT, FNet — is refused here as the compiler
 refuses a dense model; :mod:`repro.hardware.baseline` times it.
 """
@@ -37,9 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional
+from typing import Callable, Dict, Iterable, List, Literal, Optional, Tuple
 
 from ..kernels.layout import next_power_of_two
+from ..models.blocks import block_layers, block_layout
 from .config import BYTES_PER_VALUE, AcceleratorConfig
 from .isa import Instruction, Opcode, compile_spec
 
@@ -89,6 +95,60 @@ class WorkloadSpec:
     @property
     def n_fbfly(self) -> int:
         return self.n_total - self.n_abfly
+
+    def widths(self, tag: str) -> Tuple[int, int]:
+        """``(d_in, d_out)`` of the layers ``tag`` names: the FFN widens
+        to ``d_ffn`` and back, every other layer keeps ``d_hidden``."""
+        d, d_ffn = self.d_hidden, self.d_ffn
+        return {"ffn1": (d, d_ffn), "ffn2": (d_ffn, d)}.get(tag, (d, d))
+
+    def layers(self) -> Tuple[Tuple[int, str, str, int, int], ...]:
+        """Every layer of the spec in stream order, as ``(block, tag, kind,
+        d_in, d_out)``: the :func:`~repro.models.blocks.block_layers` of
+        each block of its :func:`~repro.models.blocks.block_layout`."""
+        layout = block_layout(self.n_fbfly, self.n_abfly, self.butterfly)
+        return tuple((block, tag, kind) + self.widths(tag)
+                     for block, (mixing, butterfly_ffn) in enumerate(layout)
+                     for tag, kind in block_layers(mixing, butterfly_ffn))
+
+
+# The component class of each layer kind (paper Figs. 1 and 3): the
+# Fourier mixing of FNet and FBfly blocks counts as their attention.
+_COMPONENT = {"dense": "linear", "butterfly": "linear", "attention": "attention",
+              "fourier": "attention", "gelu": "other", "add_norm": "other"}
+
+
+@dataclass(frozen=True)
+class ComponentBreakdown:
+    """A workload's cost split into attention, linear and other layers:
+    FLOPs for Fig. 1, seconds on a CPU/GPU for Figs. 3 and 20."""
+
+    attention: float
+    linear: float
+    other: float
+
+    @property
+    def total(self) -> float:
+        return self.attention + self.linear + self.other
+
+    def percentages(self) -> Dict[str, float]:
+        return {
+            "attention": 100.0 * self.attention / self.total,
+            "linear": 100.0 * self.linear / self.total,
+            "other": 100.0 * self.other / self.total,
+        }
+
+    @classmethod
+    def fold(cls, spec: WorkloadSpec,
+             cost: Callable[[str, int, int], Iterable[float]]) -> ComponentBreakdown:
+        """Sum ``cost(kind, d_in, d_out)`` — the costs of the operations
+        one layer runs, each added on its own — over ``spec``'s layers,
+        by the component class of each layer's kind."""
+        parts = {"attention": 0.0, "linear": 0.0, "other": 0.0}
+        for _, _, kind, d_in, d_out in spec.layers():
+            for value in cost(kind, d_in, d_out):
+                parts[_COMPONENT[kind]] += value
+        return cls(**parts)
 
 
 @dataclass
@@ -191,11 +251,15 @@ class ButterflyPerformanceModel:
         return LayerLatency(name, compute, mem, total)
 
     def fft2(self, rows: int, cols: int, name: str = "fft") -> LayerLatency:
-        """2D FFT over a (rows, cols) activation tile on the BP.
+        """2D FFT over a (rows, cols) activation tile on the BP; both axes
+        must be powers of two, as the Butterfly Engine's FFT needs.
 
         One complex pair-op per BU per cycle; intermediates are complex,
         doubling the off-chip width for the inter-pass spill.
         """
+        if rows & (rows - 1) or cols & (cols - 1):
+            raise ValueError(
+                f"FFT axes must be powers of two, got ({rows}, {cols})")
         pair_ops = rows * _log2i(cols) * (cols // 2) + cols * _log2i(rows) * (rows // 2)
         compute = pair_ops / (self.config.pbe * self.config.pbu)
         real_tile = rows * cols * BYTES_PER_VALUE
@@ -251,16 +315,15 @@ class ButterflyPerformanceModel:
         EXEC and ADD_NORM.  CONFIG, LOAD, STORE and GELU charge nothing
         (None): their bytes are inside each EXEC's ``_combine``."""
         op, b, operand = inst.opcode, inst.block, inst.operand
-        r, d, d_ffn = spec.seq_len, spec.d_hidden, spec.d_ffn
+        r, d = spec.seq_len, spec.d_hidden
         if op is Opcode.EXEC_BFLY:
-            in_f, out_f = ((d, d_ffn) if operand == "ffn1" else
-                           (d_ffn, d) if operand == "ffn2" else (d, d))
-            return self.butterfly_linear(r, in_f, out_f,
+            return self.butterfly_linear(r, *spec.widths(operand),
                                          name=f"bfly:block{b}.{operand}")
         if op is Opcode.ADD_NORM:
             return self.postprocess(r, d, name=f"postp:block{b}.{operand}")
         if op is Opcode.EXEC_FFT2:
-            return self.fft2(r, next_power_of_two(d), name=f"fft:block{b}")
+            return self.fft2(next_power_of_two(r), next_power_of_two(d),
+                             name=f"fft:block{b}")
         if op is Opcode.EXEC_ATTN:
             return self.attention_core(r, d, spec.n_heads, name=f"attn:block{b}")
         return None

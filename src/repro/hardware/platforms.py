@@ -6,21 +6,22 @@ have none of that hardware, so each device is modeled as a roofline:
 ``time(op) = max(flops / (peak_flops * efficiency), bytes / bandwidth)``
 plus a fixed per-kernel launch overhead.  The ``efficiency`` factors are
 calibrated constants reflecting that framework GEMMs reach a fraction of
-peak while elementwise/softmax kernels are bandwidth-bound; they are the
-documented substitution for the paper's measured numbers (DESIGN.md).
+peak while elementwise/softmax kernels are bandwidth-bound; they stand in
+for the paper's measured numbers.
 
-These models drive Fig. 3 (latency breakdown) and Fig. 20 (speedup and
+`platform_breakdown` prices any workload's layers on one of these
+devices.  It drives Fig. 3 (latency breakdown) and Fig. 20 (speedup and
 energy comparisons), where only *ratios and shapes* matter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..kernels.layout import next_power_of_two
-from ..models.blocks import block_layout
-from .perf import WorkloadSpec
+from .perf import ComponentBreakdown, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -103,102 +104,49 @@ PLATFORMS: Dict[str, Platform] = {
 BYTES = 4  # PyTorch fp32 activations/weights
 
 
-@dataclass
-class ComponentBreakdown:
-    """Per-component execution time of one encoder workload (Fig. 3)."""
-
-    attention_s: float
-    linear_s: float
-    other_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.attention_s + self.linear_s + self.other_s
-
-    def percentages(self) -> Dict[str, float]:
-        total = self.total_s
-        return {
-            "attention": 100.0 * self.attention_s / total,
-            "linear": 100.0 * self.linear_s / total,
-            "other": 100.0 * self.other_s / total,
-        }
-
-
-def transformer_breakdown(
+def platform_breakdown(
     platform: Platform, spec: WorkloadSpec, batch: int = 1
 ) -> ComponentBreakdown:
-    """Model the attention/linear/other latency split of a dense encoder."""
-    r, d = spec.seq_len, spec.d_hidden
+    """The attention/linear/other time split of any encoder workload on a
+    CPU or GPU: one roofline operator per linear layer and FFT, two for
+    the attention core and for each add + norm.
+
+    Dense layers run as GEMMs.  FFTs (cuFFT ``rfft2``) and butterfly
+    layers (the Kaleidoscope CUDA kernels, padded to a power of two as
+    the hardware pads them) run at the platform's butterfly efficiency.
+    ABfly and vanilla attention share the core, whose batched
+    small-``d_head`` matmuls run far below GEMM peak; softmax and norms
+    are bandwidth-bound.
+    """
+    r, d, heads = spec.seq_len, spec.d_hidden, spec.n_heads
     rows = batch * r
-    attention = 0.0
-    linear = 0.0
-    other = 0.0
-    for _ in range(spec.n_total):
-        # Q/K/V/O projections + FFN are "linear".
-        for d_in, d_out in ((d, d),) * 4 + ((d, spec.d_ffn), (spec.d_ffn, d)):
+
+    def op_times(kind: str, d_in: int, d_out: int):
+        if kind == "dense":
             flops = 2.0 * rows * d_in * d_out
             num_bytes = (rows * d_in + d_in * d_out + rows * d_out) * BYTES
-            linear += platform.op_time_s(flops, num_bytes, gemm=True)
-        # Score + context matmuls and softmax are "attention"; the batched
-        # small-d_head matmuls run far below GEMM peak.
-        attn_flops = 2 * 2.0 * batch * spec.n_heads * r * r * (d // spec.n_heads)
-        attn_bytes = (2 * batch * spec.n_heads * r * r + 4 * rows * d) * BYTES
-        attention += platform.op_time_s(
-            attn_flops, attn_bytes, gemm=True,
-            efficiency=platform.attention_efficiency,
-        )
-        softmax_bytes = 2 * batch * spec.n_heads * r * r * BYTES
-        attention += platform.op_time_s(
-            5.0 * batch * spec.n_heads * r * r, softmax_bytes, gemm=False
-        )
-        # LayerNorm, residuals, transposes and IO are "other".
-        for _pass in range(4):
-            other += platform.op_time_s(
-                5.0 * rows * d, 2 * rows * d * BYTES, gemm=False
+            return (platform.op_time_s(flops, num_bytes, gemm=True),)
+        if kind == "butterfly":
+            n = next_power_of_two(max(d_in, d_out))
+            flops = 6.0 * rows * (n / 2) * math.log2(n)
+            num_bytes = (2 * rows * n + 2 * n * math.log2(n)) * BYTES
+            return (platform.op_time_s(
+                flops, num_bytes, efficiency=platform.butterfly_efficiency),)
+        if kind == "fourier":
+            flops = 5.0 * rows * d * math.log2(d) + 5.0 * batch * d * r * math.log2(r)
+            return (platform.op_time_s(
+                flops, 4 * rows * d * BYTES, efficiency=platform.butterfly_efficiency),)
+        if kind == "attention":
+            scores = batch * heads * r * r
+            return (
+                platform.op_time_s(2 * 2.0 * scores * (d // heads),
+                                   (2 * scores + 4 * rows * d) * BYTES, gemm=True,
+                                   efficiency=platform.attention_efficiency),
+                platform.op_time_s(5.0 * scores, 2 * scores * BYTES, gemm=False),
             )
-    return ComponentBreakdown(attention, linear, other)
+        if kind == "add_norm":  # a residual pass and a LayerNorm pass
+            return (platform.op_time_s(5.0 * rows * d, 2 * rows * d * BYTES,
+                                       gemm=False),) * 2
+        return ()
 
-
-def fabnet_time_s(platform: Platform, spec: WorkloadSpec, batch: int = 1) -> float:
-    """FABNet inference time on a CPU/GPU with fast FFT + butterfly kernels.
-
-    The paper uses cuFFT (``rfft2``) and the Kaleidoscope CUDA butterfly
-    kernels; both are modeled at the platform's GEMM efficiency since the
-    published kernels are tuned, with FFT/butterfly FLOP counts.
-    """
-    import math
-
-    r, d = spec.seq_len, spec.d_hidden
-    rows = batch * r
-    n_ffn = next_power_of_two(spec.d_ffn)
-    total = 0.0
-    log2 = math.log2
-    for mixing, _ in block_layout(spec.n_fbfly, spec.n_abfly, spec.butterfly):
-        if mixing == "fourier":
-            flops = 5.0 * rows * d * log2(d) + 5.0 * batch * d * r * log2(r)
-            num_bytes = 4 * rows * d * BYTES
-            total += platform.op_time_s(
-                flops, num_bytes, efficiency=platform.butterfly_efficiency
-            )
-        else:
-            for _ in range(4):  # butterfly Q/K/V/O
-                flops = 6.0 * rows * (d / 2) * log2(d)
-                num_bytes = (2 * rows * d + 2 * d * log2(d)) * BYTES
-                total += platform.op_time_s(
-                    flops, num_bytes, efficiency=platform.butterfly_efficiency
-                )
-            attn_flops = 2 * 2.0 * batch * spec.n_heads * r * r * (d // spec.n_heads)
-            total += platform.op_time_s(
-                attn_flops, 4 * rows * d * BYTES,
-                efficiency=platform.attention_efficiency,
-            )
-        # Butterfly FFN (two layers padded to n_ffn).
-        for _ in range(2):
-            flops = 6.0 * rows * (n_ffn / 2) * log2(n_ffn)
-            num_bytes = (2 * rows * n_ffn + 2 * n_ffn * log2(n_ffn)) * BYTES
-            total += platform.op_time_s(
-                flops, num_bytes, efficiency=platform.butterfly_efficiency
-            )
-        for _pass in range(4):  # norms/residuals
-            total += platform.op_time_s(5.0 * rows * d, 2 * rows * d * BYTES, gemm=False)
-    return total
+    return ComponentBreakdown.fold(spec, op_times)

@@ -134,8 +134,33 @@ def block_layout(n_fbfly: int, n_abfly: int,
     (paper Fig. 5).  With ``butterfly`` they are FBfly and ABfly blocks;
     without it, FNet blocks and vanilla attention blocks with dense FFNs.
     Every model of a FABNet reads its blocks from here: the builders, the
-    instruction stream and the analytical models.
+    instruction stream and the analytical models, which walk each block's
+    :func:`block_layers`.
     """
     attention = "butterfly_attention" if butterfly else "attention"
     return ((("fourier", butterfly),) * n_fbfly
             + ((attention, butterfly),) * n_abfly)
+
+
+def block_layers(mixing: str, butterfly_ffn: bool) -> Tuple[Tuple[str, str], ...]:
+    """One block's layers in stream order, as ``(tag, kind)`` pairs: the
+    only list of a block's sublayers.  The instruction stream, the cycle
+    model, the FLOP and parameter counts, the CPU/GPU rooflines and the
+    dense baseline are each a fold over it with their own cost per kind.
+
+    An attention block projects K, V, then Q (the paper's reordered
+    schedule, Fig. 14), runs the attention core and projects the output;
+    a Fourier block mixes with one 2D FFT.  Both then add + norm, run the
+    FFN (``ffn1``, GELU, ``ffn2``) and add + norm again.  A linear layer's
+    kind is ``"butterfly"`` or ``"dense"``; the others are
+    ``"attention"``, ``"fourier"``, ``"gelu"`` and ``"add_norm"``.
+    """
+    ffn = "butterfly" if butterfly_ffn else "dense"
+    if mixing == "fourier":
+        mix = (("mix", "fourier"),)
+    else:
+        proj = "butterfly" if mixing == "butterfly_attention" else "dense"
+        mix = (("k_proj", proj), ("v_proj", proj), ("q_proj", proj),
+               ("attn", "attention"), ("out_proj", proj))
+    return mix + (("mix", "add_norm"), ("ffn1", ffn), ("ffn", "gelu"),
+                  ("ffn2", ffn), ("ffn", "add_norm"))

@@ -12,20 +12,17 @@ from repro.analysis import (
     compression_ratios,
     dense_linear_flops,
     dense_linear_params,
-    fabnet_flops,
-    fabnet_params,
     fft2_mixing_flops,
-    fnet_params,
-    transformer_flops,
-    transformer_params,
+    model_flops,
+    model_params,
 )
 from repro.analysis.configs import TASK_VOCAB_SIZE
 from repro.hardware.perf import WorkloadSpec
 
 
-def spec(seq=512, d=256, r_ffn=4, n_total=2, n_abfly=0):
-    return WorkloadSpec(seq_len=seq, d_hidden=d, r_ffn=r_ffn,
-                        n_total=n_total, n_abfly=n_abfly, n_heads=4)
+def spec(seq=512, d=256, r_ffn=4, n_total=2, n_abfly=0, butterfly=True):
+    return WorkloadSpec(seq_len=seq, d_hidden=d, r_ffn=r_ffn, n_total=n_total,
+                        n_abfly=n_abfly, n_heads=4, butterfly=butterfly)
 
 
 class TestComponentFormulas:
@@ -55,8 +52,8 @@ class TestParamsMatchRealModels:
         block_params = sum(
             p.size for name, p in model.named_parameters() if name.startswith("blocks")
         )
-        s = spec(seq=32, d=32, r_ffn=2, n_total=2)
-        assert transformer_params(s) == block_params
+        s = spec(seq=32, d=32, r_ffn=2, n_total=2, n_abfly=2, butterfly=False)
+        assert model_params(s) == block_params
 
     def test_fabnet_params_match_built_model(self):
         from repro.models import ModelConfig, build_fabnet
@@ -67,7 +64,7 @@ class TestParamsMatchRealModels:
             p.size for name, p in model.named_parameters() if name.startswith("blocks")
         )
         s = spec(seq=32, d=32, r_ffn=2, n_total=2, n_abfly=1)
-        assert fabnet_params(s) == block_params
+        assert model_params(s) == block_params
 
     def test_fnet_params_match_built_model(self):
         from repro.models import ModelConfig, build_fnet
@@ -77,20 +74,21 @@ class TestParamsMatchRealModels:
         block_params = sum(
             p.size for name, p in model.named_parameters() if name.startswith("blocks")
         )
-        assert fnet_params(spec(seq=32, d=32, r_ffn=2, n_total=2)) == block_params
+        s = spec(seq=32, d=32, r_ffn=2, n_total=2, butterfly=False)
+        assert model_params(s) == block_params
 
 
 class TestFig1Trend:
     def test_linear_dominates_short_sequences(self):
         for name, base in MAINSTREAM_MODELS.items():
-            short = transformer_flops(base.__class__(**{**base.__dict__, "seq_len": 128}))
+            short = model_flops(base.__class__(**{**base.__dict__, "seq_len": 128}))
             assert short.percentages()["linear"] > 80.0, name
 
     def test_attention_share_grows_monotonically(self):
         base = MAINSTREAM_MODELS["BERT-Base"]
         shares = []
         for seq in (128, 512, 1024, 2048, 4096):
-            b = transformer_flops(base.__class__(**{**base.__dict__, "seq_len": seq}))
+            b = model_flops(base.__class__(**{**base.__dict__, "seq_len": seq}))
             shares.append(b.percentages()["attention"])
         assert all(b > a for a, b in zip(shares, shares[1:]))
         assert shares[-1] > 40.0  # attention-dominated regime at 4096
@@ -133,11 +131,11 @@ class TestFig17Bands:
 
 class TestBreakdownInvariants:
     def test_percentages_sum_to_100(self):
-        b = transformer_flops(spec())
+        b = model_flops(spec(n_abfly=2, butterfly=False))
         assert sum(b.percentages().values()) == pytest.approx(100.0)
 
     def test_fabnet_cheaper_than_transformer_everywhere(self):
         for seq in (128, 1024, 4096):
-            s_t = spec(seq=seq, d=512, n_total=6, n_abfly=6)
+            s_t = spec(seq=seq, d=512, n_total=6, n_abfly=6, butterfly=False)
             s_f = spec(seq=seq, d=512, n_total=6, n_abfly=0)
-            assert fabnet_flops(s_f).total < transformer_flops(s_t).total / 5
+            assert model_flops(s_f).total < model_flops(s_t).total / 5

@@ -1,10 +1,12 @@
 """Baseline accelerator, CPU/GPU roofline platforms, and SOTA comparison."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import (
     JETSON_NANO,
     PAPER_OUR_WORK,
+    PLATFORMS,
     RASPBERRY_PI4,
     SOTA_ACCELERATORS,
     V100,
@@ -13,13 +15,12 @@ from repro.hardware import (
     BaselineConfig,
     bert_spec,
     fabnet_spec,
-    fabnet_time_s,
     our_work_record,
+    platform_breakdown,
     speedup_over_sota,
     table5,
-    transformer_breakdown,
 )
-from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel
+from repro.hardware import AcceleratorConfig, ButterflyPerformanceModel, WorkloadSpec
 
 
 class TestBaselineAccelerator:
@@ -76,21 +77,21 @@ class TestPlatforms:
         """Fig. 3: linear layers dominate at seq 256 on both CPU and GPU."""
         for platform in (V100, XEON_6154):
             spec = bert_spec(256, large=True)
-            pct = transformer_breakdown(platform, spec, batch=8).percentages()
+            pct = platform_breakdown(platform, spec, batch=8).percentages()
             assert pct["linear"] > 50.0
 
     def test_breakdown_attention_grows_with_sequence(self):
         spec_small = bert_spec(256, large=True)
         spec_big = bert_spec(2048, large=True)
-        small = transformer_breakdown(V100, spec_small, batch=8).percentages()
-        big = transformer_breakdown(V100, spec_big, batch=8).percentages()
+        small = platform_breakdown(V100, spec_small, batch=8).percentages()
+        big = platform_breakdown(V100, spec_big, batch=8).percentages()
         assert big["attention"] > small["attention"]
         assert big["attention"] > 30.0
 
     def test_fabnet_faster_than_transformer_on_gpu(self):
         spec = fabnet_spec(1024)
-        t_fab = fabnet_time_s(V100, spec)
-        t_trans = transformer_breakdown(V100, bert_spec(1024)).total_s
+        t_fab = platform_breakdown(V100, spec).total
+        t_trans = platform_breakdown(V100, bert_spec(1024)).total
         assert t_fab < t_trans
 
     def test_fpga_beats_edge_devices(self):
@@ -100,8 +101,36 @@ class TestPlatforms:
             AcceleratorConfig(pbe=32, pbu=4, bandwidth_gbs=19.2)
         )
         t_fpga = zynq.model_latency(spec).latency_s
-        assert fabnet_time_s(JETSON_NANO, spec) / t_fpga > 2.0
-        assert fabnet_time_s(RASPBERRY_PI4, spec) / t_fpga > 20.0
+        assert platform_breakdown(JETSON_NANO, spec).total / t_fpga > 2.0
+        assert platform_breakdown(RASPBERRY_PI4, spec).total / t_fpga > 20.0
+
+    @pytest.mark.parametrize("platform", list(PLATFORMS.values()),
+                             ids=list(PLATFORMS))
+    def test_fnet_attention_is_its_fft_mixing(self, platform):
+        """FNet's token mixing is its attention component: one FFT per
+        block at the platform's butterfly efficiency, the FFN linear."""
+        fnet = WorkloadSpec(seq_len=256, d_hidden=512, n_total=2, n_abfly=0,
+                            butterfly=False)
+        parts = platform_breakdown(platform, fnet)
+        rows, d = 256, 512
+        fft_flops = 5.0 * rows * d * np.log2(d) + 5.0 * d * rows * np.log2(rows)
+        fft = platform.op_time_s(fft_flops, 4 * rows * d * 4,
+                                 efficiency=platform.butterfly_efficiency)
+        assert parts.attention == pytest.approx(2 * fft, rel=1e-12)
+        assert parts.linear > 0.0 and parts.other > 0.0
+
+    @pytest.mark.parametrize("platform", list(PLATFORMS.values()),
+                             ids=list(PLATFORMS))
+    def test_abfly_and_vanilla_attention_share_the_core(self, platform):
+        """Only the projections of an ABfly block are butterflies: its
+        QK^T / softmax / SV core costs what a vanilla block's does."""
+        shape = dict(seq_len=512, d_hidden=256, n_total=1, n_abfly=1, n_heads=4)
+        abfly = platform_breakdown(platform, WorkloadSpec(**shape), batch=8)
+        vanilla = platform_breakdown(
+            platform, WorkloadSpec(**shape, butterfly=False), batch=8)
+        assert abfly.attention == vanilla.attention > 0.0
+        assert abfly.other == vanilla.other
+        assert abfly.linear != vanilla.linear
 
     def test_roofline_compute_vs_memory(self):
         t_compute = V100.op_time_s(1e12, 1e3)
@@ -147,7 +176,7 @@ class TestSOTA:
         """Paper: 1.1-4.3x better Pred./J than every ASIC.  Our power model
         uses Table VI's BE-40 total (14.1 W) where the paper's Table V
         quotes 11.4 W, so we assert we beat all but the strongest ASIC
-        (DOTA) and sit within 15% of it (see EXPERIMENTS.md)."""
+        (DOTA) and sit within 15% of it."""
         ours = our_work_record()
         asic_effs = sorted(
             r.energy_eff_pred_j for r in SOTA_ACCELERATORS if "FPGA" not in r.technology

@@ -45,6 +45,14 @@ class TestPrimitives:
         expected = (16 * 6 * 32 + 64 * 4 * 8) / 8
         assert layer.compute_cycles == expected
 
+    def test_fft2_refuses_an_axis_that_is_not_a_power_of_two(self, fast_config):
+        """As the Butterfly Engine's FFT does; ``model_latency`` pads the
+        sequence axis, as it pads ``d_hidden``."""
+        model = ButterflyPerformanceModel(fast_config)
+        for rows, cols in ((100, 64), (64, 48)):
+            with pytest.raises(ValueError, match="powers of two"):
+                model.fft2(rows, cols)
+
     def test_attention_requires_ap(self):
         config = AcceleratorConfig(pbe=2, pbu=4, pae=0, pqk=0, psv=0)
         model = ButterflyPerformanceModel(config)

@@ -5,8 +5,9 @@ Every entry depends only on numpy's RNG and Python float arithmetic (no
 BLAS call, no timing), so it repeats on any machine: the parameter bytes
 of each builder at fp32 and fp64, the ``compile_model`` / ``compile_spec``
 streams, and for the shapes the paper benches use the per-layer cycles of
-``model_latency``, the baseline's and the CPU/GPU platforms' times, the
-FLOP and parameter counts, and the saturation bandwidths.  Floats are
+``model_latency``, the baseline's layers, each platform's
+attention/linear/other split, the FLOP and parameter counts of the model
+each spec describes, and the saturation bandwidths.  Floats are
 pinned by ``repr`` (which round-trips) and long lists by sha256.
 
 A change that means to move an entry regenerates the manifest with
@@ -30,14 +31,7 @@ from repro.analysis.configs import (
     TASK_FABNET_SPECS,
     TASK_FNET_SPECS,
 )
-from repro.analysis.flops import (
-    fabnet_flops,
-    fabnet_params,
-    fnet_flops,
-    fnet_params,
-    transformer_flops,
-    transformer_params,
-)
+from repro.analysis.flops import model_flops, model_params
 from repro.hardware import (
     BE40_CONFIG,
     BE120_CONFIG,
@@ -50,9 +44,8 @@ from repro.hardware import (
     WorkloadSpec,
     bert_spec,
     fabnet_spec,
-    fabnet_time_s,
+    platform_breakdown,
     saturation_bandwidth_gbs,
-    transformer_breakdown,
 )
 from repro.hardware.isa import compile_model, compile_spec
 from repro.hardware.sota import LRA_IMAGE_SPEC
@@ -168,16 +161,15 @@ def analytical_entries() -> Dict[str, str]:
     out = {}
     specs = _specs()
     baseline = BaselineAccelerator(BaselineConfig(n_multipliers=2048))
-    families = {"transformer": transformer_flops, "fnet": fnet_flops,
-                "fabnet": fabnet_flops}
     for name, spec in specs.items():
         out[f"analytical/baseline/{name}"] = _layers(baseline.model_latency(spec))
-        for family, flops in families.items():
-            ops = flops(spec)
-            out[f"analytical/flops/{family}/{name}"] = repr(
-                (ops.attention, ops.linear, ops.other))
-        out[f"analytical/params/{name}"] = repr(
-            (transformer_params(spec), fnet_params(spec), fabnet_params(spec)))
+        ops = model_flops(spec)
+        out[f"analytical/flops/{name}"] = repr((ops.attention, ops.linear, ops.other))
+        out[f"analytical/params/{name}"] = repr(model_params(spec))
+        for platform_name, platform in PLATFORMS.items():
+            parts = [platform_breakdown(platform, spec, batch) for batch in (1, 8)]
+            out[f"analytical/platform/{platform_name}/{name}"] = repr(
+                [(p.attention, p.linear, p.other) for p in parts])
         if not spec.butterfly:
             continue  # refused by compile_spec: see the streams group
         for cfg_name, config in ACCEL_CONFIGS.items():
@@ -186,15 +178,6 @@ def analytical_entries() -> Dict[str, str]:
                     config, fine_grained_pipeline=pipeline, overlap=overlap)
                 key = f"analytical/latency/{name}/{cfg_name}/p{pipeline:d}o{overlap:d}"
                 out[key] = _refusal(lambda: _layers(model.model_latency(spec)))
-        for platform_name, platform in PLATFORMS.items():
-            out[f"analytical/platform/{platform_name}/{name}"] = repr(
-                [fabnet_time_s(platform, spec, batch) for batch in (1, 8)])
-    for platform_name, platform in PLATFORMS.items():
-        for seq in (128, 1024):
-            for batch in (1, 8):
-                parts = transformer_breakdown(platform, bert_spec(seq, True), batch)
-                out[f"analytical/breakdown/{platform_name}/{seq}/{batch}"] = repr(
-                    (parts.attention_s, parts.linear_s, parts.other_s))
     return out
 
 

@@ -225,6 +225,17 @@ class TestCLI:
         assert "latency:" in out
         assert "DSPs" in out
 
+    def test_estimate_pads_the_fft_to_a_power_of_two(self, capsys):
+        """At 100 tokens the 2D FFT runs over 128 rows: it is charged the
+        cycles it takes at 128."""
+        def fft_cycles(seq_len):
+            assert main(["estimate", "--seq-len", str(seq_len)]) == 0
+            line = next(line for line in capsys.readouterr().out.splitlines()
+                        if line.strip().startswith("fft:"))
+            return line.split("(")[0]
+
+        assert fft_cycles(100) == fft_cycles(128)
+
     def test_codesign_command(self, capsys):
         code = main(["codesign", "--task", "text", "--seq-len", "512",
                      "--max-accuracy-loss", "0.05"])
