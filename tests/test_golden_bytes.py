@@ -3,7 +3,9 @@ analytical models produce, pinned in ``tests/golden/manifest.json``.
 
 Every entry depends only on numpy's RNG and Python float arithmetic (no
 BLAS call, no timing), so it repeats on any machine: the parameter bytes
-of each builder at fp32 and fp64, the ``compile_model`` / ``compile_spec``
+of each builder at fp32 and fp64 (the decoders' also at the ``decode_int8``
+benchmark's shape, whose weights span many of an initializer's row-block
+draws), the ``compile_model`` / ``compile_spec``
 streams, and for the shapes the paper benches use the per-layer cycles of
 ``model_latency``, the baseline's layers, each platform's
 attention/linear/other split, the FLOP and parameter counts of the model
@@ -51,6 +53,8 @@ from repro.hardware.isa import compile_model, compile_spec
 from repro.hardware.sota import LRA_IMAGE_SPEC
 from repro.models import (
     ModelConfig,
+    build_butterfly_decoder,
+    build_dense_decoder,
     build_fabnet,
     build_fnet,
     build_hybrid_transformer,
@@ -65,6 +69,13 @@ CONFIGS = {
                        n_heads=2, r_ffn=2, n_total=2, n_abfly=0, seed=3),
     "fb2ab1": ModelConfig(vocab_size=16, n_classes=3, max_len=16, d_hidden=16,
                           n_heads=2, r_ffn=2, n_total=3, n_abfly=1, seed=5),
+}
+#: The ``decode_int8`` benchmark's decoder: its FFN weights are 1M
+#: elements each.
+DECODER_CONFIGS = {
+    **CONFIGS,
+    "d512": ModelConfig(vocab_size=256, n_classes=2, max_len=96, d_hidden=512,
+                        n_heads=8, r_ffn=4, n_total=2, seed=0),
 }
 
 
@@ -93,6 +104,13 @@ def builder_entries() -> Dict[str, str]:
             for n_compressed in sorted({0, 1, config.n_total}):
                 out[f"{key}/hybrid{n_compressed}"] = _param_digest(
                     build_hybrid_transformer(config, n_compressed))
+    for cfg_name, base in DECODER_CONFIGS.items():
+        for dtype in ("float32", "float64"):
+            config = base.with_(dtype=dtype)
+            for name, build in (("decoder", build_butterfly_decoder),
+                                ("dense_decoder", build_dense_decoder)):
+                out[f"builders/{cfg_name}/{dtype}/{name}"] = _param_digest(
+                    build(config))
     return out
 
 
