@@ -33,9 +33,10 @@ def butterfly_linear_flops(rows: int, d_in: int, d_out: int) -> float:
     return 6.0 * rows * (n / 2) * _log2(n)
 
 
-def attention_core_flops(seq: int, d_hidden: int) -> float:
-    """Score (QK^T) + context (SV) matmuls plus the softmax pass."""
-    return 2.0 * 2.0 * seq * seq * d_hidden + 5.0 * seq * seq
+def attention_core_flops(seq: int, d_hidden: int, n_heads: int) -> float:
+    """Score (QK^T) + context (SV) matmuls plus the softmax pass, which
+    every head runs over its own ``seq x seq`` scores."""
+    return 2.0 * 2.0 * seq * seq * d_hidden + 5.0 * n_heads * seq * seq
 
 
 def fft2_mixing_flops(seq: int, d_hidden: int) -> float:
@@ -74,7 +75,7 @@ def model_flops(spec: WorkloadSpec) -> ComponentBreakdown:
         if kind == "butterfly":
             return (butterfly_linear_flops(r, d_in, d_out),)
         if kind == "attention":
-            return (attention_core_flops(r, d),)
+            return (attention_core_flops(r, d, spec.n_heads),)
         if kind == "fourier":
             return (fft2_mixing_flops(r, d),)
         if kind == "add_norm":

@@ -76,14 +76,23 @@ def quantize_per_channel(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     Each channel's scale is ``absmax / 127`` (an all-zero channel gets
     1.0, so its codes, all zero, still dequantize exactly).  Codes use
-    round-half-to-even and saturate at ±127.
+    round-half-to-even and saturate at ±127.  Both passes run per block of
+    :func:`block_rows` channels, so the only full-size array made is the
+    codes.
     """
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"expected 2-D (channels, elements) weights, got {w.shape}")
-    absmax = np.abs(w).max(axis=-1)
+    step = block_rows(w.shape[1], w.itemsize)
+    blocks = [slice(start, start + step) for start in range(0, len(w), step)]
+    absmax = np.empty(len(w), w.dtype)
+    for rows in blocks:
+        np.maximum.reduce(np.abs(w[rows]), axis=-1, out=absmax[rows])
     scales = np.where(absmax > 0.0, absmax / QMAX, 1.0).astype(np.float32)
-    q = np.clip(np.rint(w / scales[:, None]), -QMAX, QMAX).astype(np.int8)
+    q = np.empty(w.shape, np.int8)
+    for rows in blocks:
+        block = w[rows] / scales[rows, None]
+        q[rows] = np.clip(np.rint(block, out=block), -QMAX, QMAX, out=block)
     return q, scales
 
 

@@ -26,6 +26,7 @@ incremental decoding exactly equivalent to full recompute.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -61,9 +62,8 @@ class ButterflyDecoderLM(nn.Module):
         self.config = config
         self.butterfly = butterfly
         self.token_emb = nn.Embedding(config.vocab_size, config.d_hidden, rng=rng)
-        self.pos_emb = nn.Parameter(
-            rng.normal(0.0, 0.02, size=(config.max_len, config.d_hidden))
-        )
+        self.pos_emb = nn.Parameter.drawn(
+            functools.partial(rng.normal, 0.0, 0.02), config.max_len, config.d_hidden)
         self.blocks = nn.ModuleList([
             DecoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
                          butterfly=butterfly, rng=rng)

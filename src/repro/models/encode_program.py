@@ -315,13 +315,12 @@ class TrainProgram(_Layout):
         return norm.gamma, norm.beta, norm.eps
 
     def _projection(self, owner, name: str, activation: str = "identity"):
-        layer = getattr(owner, name)
+        layer = self._slot(owner, name)
         if not isinstance(layer, (nn.Linear, nn.ButterflyLinear)):
             raise RuntimeError(
                 f"{type(layer).__name__} ({name}) is inference-only: run a "
                 "stored-weight replica under no_grad"
             )
-        self._slots.append((owner, name, layer))
         return layer
 
     def record(self, tokens: np.ndarray, mask: Optional[np.ndarray],

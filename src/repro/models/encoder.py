@@ -9,6 +9,7 @@ order, which is exactly the framing of the paper's Figure 5.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 import numpy as np
@@ -42,9 +43,8 @@ class EncoderClassifier(nn.Module):
             )
         self.config = config
         self.token_emb = nn.Embedding(config.vocab_size, config.d_hidden, rng=rng)
-        self.pos_emb = nn.Parameter(
-            rng.normal(0.0, 0.02, size=(config.max_len, config.d_hidden))
-        )
+        self.pos_emb = nn.Parameter.drawn(
+            functools.partial(rng.normal, 0.0, 0.02), config.max_len, config.d_hidden)
         self.blocks = nn.ModuleList(blocks)
         self.head_norm = nn.LayerNorm(config.d_hidden)
         self.head = nn.Linear(config.d_hidden, config.n_classes, rng=rng)

@@ -11,6 +11,9 @@ forward).  Both are built, keyed and invalidated the same way — like
   through :meth:`InferenceProgram._projection`, which records the slot it
   was found in (and, for a stored dense layer, the packed weight, scales
   and bias its closure captured);
+* a program holds nothing that holds it: a slot's owner (the model
+  itself, for the ``lm_head`` / ``head`` slot) is held weakly, so a
+  dropped model is freed at once, not at the next cyclic collection;
 * :meth:`InferenceProgram.current` holds while none of them moved, and
   :class:`ProgramCache` rebuilds the program when it does not — after an
   optimizer step, ``load_state_dict``, a ``.data`` rebind (a dtype switch
@@ -24,6 +27,7 @@ layer's ``FrozenLadder.apply``).  Adding a layer kind means one branch in
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +53,8 @@ class InferenceProgram:
 
     def __init__(self) -> None:
         self._stamps: List[tuple] = []  # (parameter, version, data) read
-        self._slots: List[tuple] = []  # (owner, attribute, the object read there)
+        # (weakref to the owner, attribute, the object read there)
+        self._slots: List[tuple] = []
 
     def _array(self, param) -> np.ndarray:
         self._stamps.append((param, param.version, param.data))
@@ -58,10 +63,16 @@ class InferenceProgram:
     def _norm(self, norm) -> Norm:
         return self._array(norm.gamma), self._array(norm.beta), norm.eps
 
+    def _slot(self, owner, name: str):
+        """``owner.name``, recorded for :meth:`current`.  The owner is held
+        weakly: it may be the model, whose cache holds this program."""
+        layer = getattr(owner, name)
+        self._slots.append((weakref.ref(owner), name, layer))
+        return layer
+
     def _projection(self, owner, name: str, activation: str = "identity") -> Projection:
         """``x -> act(layer(x))`` through the layer's own inference operator."""
-        layer = getattr(owner, name)
-        self._slots.append((owner, name, layer))
+        layer = self._slot(owner, name)
         if isinstance(layer, nn.Linear):
             weight = layer.weight  # read live: cached_transpose keys W^T on it
             bias = None if layer.bias is None else self._array(layer.bias)
@@ -85,8 +96,8 @@ class InferenceProgram:
 
         elif isinstance(layer, nn.QuantizedLinear):
             # Captured, so stamped by identity: rebinding one rebuilds.
-            weight, scales, bias = held = layer.q_weight, layer.scales, layer.bias
-            self._slots += zip((layer,) * 3, ("q_weight", "scales", "bias"), held)
+            weight, scales, bias = (
+                self._slot(layer, held) for held in ("q_weight", "scales", "bias"))
 
             def apply(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
                 return QK.quantized_linear(x, weight, scales, bias)
@@ -113,7 +124,8 @@ class InferenceProgram:
             if param.version != version or param.data is not data:
                 return False
         for owner, name, layer in self._slots:
-            if getattr(owner, name) is not layer:
+            owner = owner()
+            if owner is None or getattr(owner, name) is not layer:
                 return False
         return True
 

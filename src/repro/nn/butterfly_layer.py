@@ -11,6 +11,7 @@ construction used by the butterfly literature the paper builds on
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -57,10 +58,9 @@ class ButterflyLinear(Module):
         # At least 2: a ladder has one stage or more.
         self.n = next_power_of_two(max(in_features, out_features, 2))
         self.halves = stage_halves(self.n)
-        scale = 1.0 / np.sqrt(2.0)
+        sample = functools.partial(rng.normal, 0.0, 1.0 / np.sqrt(2.0))
         for i, _half in enumerate(self.halves):
-            coeffs = rng.normal(0.0, scale, size=(4, self.n // 2))
-            setattr(self, f"stage_{i}", Parameter(coeffs))
+            setattr(self, f"stage_{i}", Parameter.drawn(sample, 4, self.n // 2))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
         # The ladder's fused inference operators, rebuilt when a stage
         # parameter's (version, data) or the input dtype changes.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,8 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         bound = np.sqrt(6.0 / (in_features + out_features))
-        self.weight = Parameter(rng.uniform(-bound, bound, size=(out_features, in_features)))
+        self.weight = Parameter.drawn(
+            functools.partial(rng.uniform, -bound, bound), out_features, in_features)
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -46,7 +48,8 @@ class Embedding(Module):
         rng = rng or np.random.default_rng()
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, embedding_dim)))
+        self.weight = Parameter.drawn(
+            functools.partial(rng.normal, 0.0, 0.02), num_embeddings, embedding_dim)
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return F.embedding(self.weight, indices)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, get_default_dtype
 
 
 class Parameter(Tensor):
@@ -23,6 +23,23 @@ class Parameter(Tensor):
     def __init__(self, data, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
         self.version = 0  # update counter consumed by kernel-side caches
+
+    @classmethod
+    def drawn(cls, sample: Callable[..., np.ndarray], rows: int, cols: int) -> "Parameter":
+        """A ``(rows, cols)`` parameter in the policy dtype holding
+        ``sample(size=(rows, cols))``'s values, drawn in row blocks of about
+        128K elements straight into it (a smaller one in one draw).  A
+        generator's stream does not depend on how its draws are split, so
+        the bytes are those of one full-size draw cast to the policy
+        dtype, without that float64 draw's memory."""
+        step = max(1, (1 << 17) // max(cols, 1))
+        if rows <= step:
+            return cls(sample(size=(rows, cols)))
+        data = np.empty((rows, cols), get_default_dtype())
+        for start in range(0, rows, step):
+            block = data[start:start + step]
+            block[...] = sample(size=block.shape)
+        return cls(data)
 
     def bump_version(self) -> None:
         """Record that ``data`` was mutated in place (invalidates caches)."""

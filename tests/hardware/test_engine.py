@@ -133,6 +133,27 @@ class TestExecutor:
             executor.forward(layer, x), layer(nn.Tensor(x)).data, atol=1e-10
         )
 
+    def test_an_optimizer_step_rebuilds_the_matrix(self, rng):
+        """One read-only matrix per layer, reused until an optimizer step
+        moves a stage; the engine then runs the new weights."""
+        layer = nn.ButterflyLinear(8, 8, rng=rng)
+        engine = ButterflyEngine(pbu=2)
+        executor = ButterflyLinearExecutor(engine)
+        x = rng.normal(size=(2, 8))
+        before = executor.forward(layer, x)
+        matrix = executor._matrix(layer)
+        assert executor._matrix(layer) is matrix
+        assert not any(f.coeffs.flags.writeable for f in matrix.factors)
+        assert matrix in engine._matrix_lanes  # gathered once, on its first run
+        optimizer = nn.Adam(layer.parameters(), lr=0.1)
+        layer(nn.Tensor(x)).sum().backward()
+        optimizer.step()
+        out = executor.forward(layer, x)
+        assert executor._matrix(layer) is not matrix
+        assert np.abs(out - before).min() > 1e-3  # the new weights', not the old
+        with nn.no_grad():
+            np.testing.assert_allclose(out, layer(nn.Tensor(x)).data, atol=1e-10)
+
     def test_wrong_input_dim(self, rng):
         layer = nn.ButterflyLinear(8, 8, rng=rng)
         executor = ButterflyLinearExecutor(ButterflyEngine(pbu=2))

@@ -68,6 +68,24 @@ class TestQuantizeRoundTrip:
         np.testing.assert_array_equal(q, want_q)
         np.testing.assert_array_equal(scales, want_s)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_blocks_give_the_whole_weight_formula_bytes(self, rng, dtype):
+        """Codes and scales computed per block of channels equal the
+        whole-weight expressions, across many blocks, a zero channel and
+        codes that land exactly on a rounding half."""
+        w = rng.normal(size=(300, 512))
+        w[7] = 0.0
+        w[11, :3] = [127.0, 0.5, 1.5]  # scale 1: .5 / 1.5 round to even
+        w = w.astype(dtype)
+        assert QK.block_rows(w.shape[1], w.itemsize) < len(w)
+        absmax = np.abs(w).max(axis=-1)
+        want_s = np.where(absmax > 0.0, absmax / QK.QMAX, 1.0).astype(np.float32)
+        want_q = np.clip(np.rint(w / want_s[:, None]), -QK.QMAX, QK.QMAX).astype(np.int8)
+        q, scales = QK.quantize_per_channel(w)
+        assert q.tobytes() == want_q.tobytes()
+        assert scales.tobytes() == want_s.tobytes()
+        np.testing.assert_array_equal(q[11, :3], [127, 0, 2])
+
     def test_per_channel_beats_per_tensor_on_mixed_magnitudes(self, rng):
         """The small channel keeps precision a per-tensor scale would lose."""
         w = rng.normal(size=(2, 256))
