@@ -28,11 +28,8 @@ already the stage's output in issue order.  These are the IEEE
 operations of the scalar ``butterfly_op`` / ``fft_op`` in the same
 order, so outputs are bit-identical to issuing the pairs one by one.
 One write-back to element order at the end; counts credited once,
-``rows`` times the ladder's totals.  The coefficients' lanes are
-gathered once per weight: :class:`ButterflyLinearExecutor` keeps one
-read-only matrix per layer (rebuilt when a stage parameter moves), whose
-lanes the engine gathers on its first run, and an FFT plan's twiddle
-lanes are gathered once per engine.
+``rows`` times the ladder's totals.  :class:`ButterflyLinearExecutor`
+keeps one matrix per layer, rebuilt only when a stage parameter moves.
 
 The software hot path lives in :mod:`repro.kernels`, which implements the
 same pair geometry (see :mod:`repro.kernels.layout` for the pair-major
@@ -93,17 +90,6 @@ def _fft_plan(n: int) -> Tuple[np.ndarray, Tuple[ButterflyFactor, ...]]:
     return perm, factors
 
 
-def _coeff_lanes(ladder, factors, mode: BUMode) -> list:
-    """Each stage's coefficients gathered into its lanes: ``([a | c],
-    [b | d])`` for a butterfly stage, the twiddles ``(b,)`` of its n/2
-    pairs for an FFT stage."""
-    if mode is BUMode.FFT:
-        return [(f.coeffs.take(bd[: len(bd) // 2]),)
-                for f, (_, _, _, bd) in zip(factors, ladder.lanes)]
-    return [(f.coeffs.take(ac), f.coeffs.take(bd))
-            for f, (_, _, ac, bd) in zip(factors, ladder.lanes)]
-
-
 class ButterflyEngine:
     """One BE: ``pbu`` butterfly units over a ``2 * pbu``-bank buffer.
 
@@ -135,10 +121,6 @@ class ButterflyEngine:
         #: Counts summed over every invocation since construction; callers
         #: that make several invocations (a 2D FFT) difference it.
         self.cumulative_stats = EngineRunStats()
-        # A read-only matrix's lane coefficients, gathered on its first run;
-        # n -> (an FFT plan's twiddle factors, their lanes).
-        self._matrix_lanes = weakref.WeakKeyDictionary()
-        self._fft_lanes = {}
 
     # ------------------------------------------------------------------
     def _stage_output(self, results: np.ndarray) -> np.ndarray:
@@ -150,11 +132,8 @@ class ButterflyEngine:
         x: np.ndarray,
         factors: List[ButterflyFactor],
         mode: BUMode,
-        coeff_lanes: Optional[list] = None,
     ) -> np.ndarray:
-        """One invocation: a vector, or every row of a ``(rows, n)`` tile.
-        ``coeff_lanes`` are ``factors``' lane coefficients on this engine
-        (:func:`_coeff_lanes`), gathered here when not given."""
+        """One invocation: a vector, or every row of a ``(rows, n)`` tile."""
         if x.ndim not in (1, 2) or any(f.n != x.shape[-1] for f in factors):
             raise ValueError(f"expected a vector or (rows, n) tile of size "
                              f"{factors[0].n}, got {x.shape}")
@@ -168,15 +147,14 @@ class ButterflyEngine:
         buffer.store(tile)
         # The stored tile, element order; credits every stage's read cycles.
         values = buffer.read_trace(ladder.reads, ladder.cycles, ladder.conflicts)
-        if coeff_lanes is None:
-            coeff_lanes = _coeff_lanes(ladder, factors, mode)
-        for (tops, bottoms, _, _), coeffs in zip(ladder.lanes, coeff_lanes):
-            upper = values.take(tops, axis=1)
+        for factor, (tops, bottoms, ac, bd) in zip(factors, ladder.lanes):
+            upper, coeffs = values.take(tops, axis=1), factor.coeffs
             if mode is BUMode.FFT:  # one product per pair; the twiddle is ``b``
                 upper = fft_lanes(upper, values.take(bottoms[: n // 2], axis=1),
-                                  *coeffs)
+                                  coeffs.take(bd[: n // 2]))
             else:
-                upper = butterfly_lanes(upper, values.take(bottoms, axis=1), *coeffs)
+                upper = butterfly_lanes(upper, values.take(bottoms, axis=1),
+                                        coeffs.take(ac), coeffs.take(bd))
             values = self._stage_output(upper)
         buffer.write_elements(ladder.elements, values)
         for unit, ops in zip(self.units, ladder.unit_ops):
@@ -209,38 +187,19 @@ class ButterflyEngine:
                 )
         return out
 
-    def _gather(self, factors, mode: BUMode) -> list:
-        """``factors``' lane coefficients on this engine's ladder."""
-        n = factors[0].n
-        ladder = compile_ladder(n, tuple(f.half for f in factors),
-                                min(self.nbanks, n), self.layout, self.pbu)
-        return _coeff_lanes(ladder, factors, mode)
-
     # ------------------------------------------------------------------
     def run_butterfly(self, x: np.ndarray, matrix: ButterflyMatrix) -> np.ndarray:
         """Apply a trainable butterfly matrix to a real vector of size n, or
-        to every row of a ``(rows, n)`` tile in one invocation.
-
-        A matrix whose coefficient arrays are all read-only is a constant
-        (:class:`ButterflyLinearExecutor` builds such copies): its lane
-        coefficients are gathered on its first run and reused."""
+        to every row of a ``(rows, n)`` tile in one invocation."""
         x = np.asarray(x, dtype=np.float64)
-        lanes = self._matrix_lanes.get(matrix)
-        if lanes is None and not any(f.coeffs.flags.writeable for f in matrix.factors):
-            lanes = self._matrix_lanes[matrix] = self._gather(
-                matrix.factors, BUMode.BUTTERFLY)
-        return self._run_stages(x, matrix.factors, BUMode.BUTTERFLY, lanes)
+        return self._run_stages(x, matrix.factors, BUMode.BUTTERFLY)
 
     def run_fft(self, x: np.ndarray) -> np.ndarray:
         """FFT of a vector of power-of-two size n, or of every row of a
         ``(rows, n)`` tile in one invocation."""
         x = np.asarray(x, dtype=np.complex128)
-        n = x.shape[-1]
-        perm, factors = _fft_plan(n)
-        entry = self._fft_lanes.get(n)
-        if entry is None or entry[0] is not factors:  # gathered once per plan
-            entry = self._fft_lanes[n] = (factors, self._gather(factors, BUMode.FFT))
-        return self._run_stages(x[..., perm], factors, BUMode.FFT, entry[1])
+        perm, factors = _fft_plan(x.shape[-1])
+        return self._run_stages(x[..., perm], factors, BUMode.FFT)
 
     def run_fft2(self, x: np.ndarray) -> np.ndarray:
         """2D FFT of a (rows, cols) tile: the rows in one invocation, then
@@ -265,9 +224,9 @@ class ButterflyLinearExecutor:
         self._matrices = weakref.WeakKeyDictionary()
 
     def _matrix(self, layer) -> ButterflyMatrix:
-        """``layer``'s stages as a read-only matrix, rebuilt only when a
-        stage parameter's ``(version, data)`` changes (an optimizer step,
-        ``load_state_dict``, a rebind), as
+        """``layer``'s stages as a matrix over the live stage arrays (no
+        copy), rebuilt only when a stage parameter's ``(version, data)``
+        changes (an optimizer step, ``load_state_dict``, a rebind), as
         :class:`~repro.kernels.FrozenLadderCache` keys its ladder."""
         stages = layer.stage_parameters()
         entry = self._matrices.get(layer)
@@ -276,12 +235,9 @@ class ButterflyLinearExecutor:
             for stage, (version, data) in zip(stages, entry[0])
         ):
             return entry[1]
-        factors = []
-        for half, stage in zip(layer.halves, stages):
-            coeffs = stage.data.copy()
-            coeffs.setflags(write=False)  # a constant: its lanes are gathered once
-            factors.append(ButterflyFactor(layer.n, half, coeffs))
-        matrix = ButterflyMatrix(factors)
+        matrix = ButterflyMatrix([
+            ButterflyFactor(layer.n, half, stage.data)
+            for half, stage in zip(layer.halves, stages)])
         self._matrices[layer] = ([(stage.version, stage.data) for stage in stages],
                                  matrix)
         return matrix

@@ -52,8 +52,7 @@ class Fp16ButterflyEngine(ButterflyEngine):
     def _stage_output(self, results):
         return quantize_fp16(results)
 
-    def _run_stages(self, x, factors, mode, coeff_lanes=None):
-        # The lanes are gathered again, from the rounded coefficients.
+    def _run_stages(self, x, factors, mode):
         factors = [type(f)(f.n, f.half, quantize_fp16(f.coeffs)) for f in factors]
         return super()._run_stages(quantize_fp16(x), factors, mode)
 

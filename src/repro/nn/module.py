@@ -6,6 +6,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..kernels.quant import block_rows
 from .tensor import Tensor, get_default_dtype
 
 
@@ -27,15 +28,13 @@ class Parameter(Tensor):
     @classmethod
     def drawn(cls, sample: Callable[..., np.ndarray], rows: int, cols: int) -> "Parameter":
         """A ``(rows, cols)`` parameter in the policy dtype holding
-        ``sample(size=(rows, cols))``'s values, drawn in row blocks of about
-        128K elements straight into it (a smaller one in one draw).  A
+        ``sample(size=(rows, cols))``'s values, drawn straight into it in
+        :func:`~repro.kernels.quant.block_rows` row blocks of float64.  A
         generator's stream does not depend on how its draws are split, so
         the bytes are those of one full-size draw cast to the policy
         dtype, without that float64 draw's memory."""
-        step = max(1, (1 << 17) // max(cols, 1))
-        if rows <= step:
-            return cls(sample(size=(rows, cols)))
         data = np.empty((rows, cols), get_default_dtype())
+        step = block_rows(cols, np.dtype(np.float64).itemsize)
         for start in range(0, rows, step):
             block = data[start:start + step]
             block[...] = sample(size=block.shape)

@@ -134,8 +134,8 @@ class TestExecutor:
         )
 
     def test_an_optimizer_step_rebuilds_the_matrix(self, rng):
-        """One read-only matrix per layer, reused until an optimizer step
-        moves a stage; the engine then runs the new weights."""
+        """One matrix per layer, reused until an optimizer step moves a
+        stage; the engine then runs the new weights."""
         layer = nn.ButterflyLinear(8, 8, rng=rng)
         engine = ButterflyEngine(pbu=2)
         executor = ButterflyLinearExecutor(engine)
@@ -143,8 +143,6 @@ class TestExecutor:
         before = executor.forward(layer, x)
         matrix = executor._matrix(layer)
         assert executor._matrix(layer) is matrix
-        assert not any(f.coeffs.flags.writeable for f in matrix.factors)
-        assert matrix in engine._matrix_lanes  # gathered once, on its first run
         optimizer = nn.Adam(layer.parameters(), lr=0.1)
         layer(nn.Tensor(x)).sum().backward()
         optimizer.step()
