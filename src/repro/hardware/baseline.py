@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kernels.layout import next_power_of_two
 from .config import BYTES_PER_VALUE
 from .perf import LatencyReport, LayerLatency, WorkloadSpec
 
@@ -102,7 +101,7 @@ class BaselineAccelerator:
             if kind in ("dense", "butterfly"):
                 layer = self.dense_linear(r, d_in, d_out, name=f"dense:block{block}.{tag}")
             elif kind == "fourier":
-                layer = self.dft_mixing(r, next_power_of_two(d), name=f"dft:block{block}")
+                layer = self.dft_mixing(r, d, name=f"dft:block{block}")
             elif kind == "attention":
                 layer = self.attention_core(r, d, spec.n_heads, name=f"attn:block{block}")
             else:

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ...models.blocks import EncoderBlock
+from ...models.blocks import Block
 from ...models.encoder import EncoderClassifier
 from ...nn.attention import MultiHeadAttention
 from ...nn.butterfly_layer import ButterflyLinear
@@ -46,7 +46,7 @@ from .postproc import PostProcessor
 _QKV = ("q_proj", "k_proj", "v_proj")
 
 
-def _layer(block: EncoderBlock, tag: str) -> ButterflyLinear:
+def _layer(block: Block, tag: str) -> ButterflyLinear:
     """The butterfly layer an EXEC_BFLY operand names in ``block``."""
     if tag == "ffn1":
         return block.ffn.fc1

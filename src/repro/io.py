@@ -119,14 +119,16 @@ def load_model(path: Union[str, Path]) -> Module:
     return model
 
 
-# DecoderBlock's FFN moved into a FeedForward submodule when the serving
-# subsystem landed, renaming its parameters; rewrite pre-serving decoder
-# checkpoint keys (blocks.N.fc1.* / blocks.N.fc2.*) to the current names.
-_LEGACY_DECODER_FFN = re.compile(r"^(blocks\.\d+\.)(fc1|fc2)\.")
+# Decoder checkpoints saved before decoders stacked the encoders' Block
+# name each block's attention module `attn`, not `mixer`, and pre-serving
+# ones keep its FFN under blocks.N.fc1.* / blocks.N.fc2.*; rewrite both to
+# the current names.
+_LEGACY_DECODER_KEYS = re.compile(r"^(blocks\.\d+\.)(?:attn|(fc[12]))\.")
 
 
 def _migrate_decoder_keys(state: dict) -> dict:
     return {
-        _LEGACY_DECODER_FFN.sub(r"\1ffn.\2.", key): value
+        _LEGACY_DECODER_KEYS.sub(
+            lambda m: m[1] + (f"ffn.{m[2]}." if m[2] else "mixer."), key): value
         for key, value in state.items()
     }

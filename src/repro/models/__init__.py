@@ -1,10 +1,9 @@
 """Model zoo: vanilla Transformer, FNet, FABNet and hybrids."""
 
-from .blocks import EncoderBlock, FeedForward, block_layout
+from .blocks import Block, FeedForward, block_layout
 from .config import ModelConfig
 from .decoder import (
     ButterflyDecoderLM,
-    DecoderBlock,
     build_butterfly_decoder,
     build_dense_decoder,
 )
@@ -20,11 +19,10 @@ from .encoder import (
 )
 
 __all__ = [
+    "Block",
     "ButterflyDecoderLM",
-    "DecoderBlock",
     "MODEL_BUILDERS",
     "DualEncoderClassifier",
-    "EncoderBlock",
     "EncoderClassifier",
     "FeedForward",
     "ModelConfig",

@@ -1,6 +1,6 @@
-"""Transformer blocks: vanilla/FBfly/ABfly encoder blocks, the layout a
-model stacks them in, and the causal decoder block (paper Fig. 5; Section
-II-A for the decoder variant)."""
+"""The one transformer block — vanilla, FBfly or ABfly, bidirectional or
+causal — and the layout a model stacks it in (paper Fig. 5; Section II-A:
+a decoder block is the same block with a causal mask)."""
 
 from __future__ import annotations
 
@@ -33,46 +33,8 @@ class FeedForward(nn.Module):
         return self.fc2(self.act(self.fc1(x)))
 
 
-class DecoderBlock(nn.Module):
-    """Causal ABfly block: masked butterfly attention + butterfly FFN.
-
-    ``forward`` is the full-window ``Tensor`` graph, the programs'
-    oracle.  Training and KV-cached incremental decoding read this
-    block's layers from the decoder's programs
-    (:mod:`repro.models.decode_program`) instead.
-    """
-
-    def __init__(
-        self,
-        d_hidden: int,
-        n_heads: int,
-        r_ffn: int,
-        butterfly: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.attn = nn.MultiHeadAttention(
-            d_hidden, n_heads, butterfly=butterfly, causal=True, rng=rng,
-        )
-        self.norm1 = nn.LayerNorm(d_hidden)
-        self.ffn = FeedForward(
-            d_hidden, d_hidden * r_ffn, butterfly=butterfly, rng=rng
-        )
-        self.norm2 = nn.LayerNorm(d_hidden)
-
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        x = F.residual_layer_norm(
-            x, self.attn(x),
-            self.norm1.gamma, self.norm1.beta, eps=self.norm1.eps,
-        )
-        return F.residual_layer_norm(
-            x, self.ffn(x), self.norm2.gamma, self.norm2.beta,
-            eps=self.norm2.eps,
-        )
-
-
-class EncoderBlock(nn.Module):
-    """One encoder block: token mixing + FFN, each with residual and LayerNorm.
+class Block(nn.Module):
+    """One block: token mixing + FFN, each with residual and LayerNorm.
 
     ``mixing`` chooses the token-mixing sub-layer:
       * ``"attention"`` — dense multi-head attention (vanilla Transformer).
@@ -80,7 +42,12 @@ class EncoderBlock(nn.Module):
       * ``"butterfly_attention"`` — attention with butterfly Q/K/V/O
         projections (the paper's ABfly block).
 
-    ``butterfly_ffn`` selects butterfly-factorized FFN weights.
+    ``butterfly_ffn`` selects butterfly-factorized FFN weights, and
+    ``causal`` masks attention to earlier positions: a decoder stacks
+    causal blocks, an encoder bidirectional ones.  Fourier mixing has no
+    causal form.  ``forward`` is the ``Tensor`` graph, the programs'
+    oracle; the programs (:mod:`repro.models.program`) read the block's
+    layers instead.
     """
 
     MIXINGS = ("attention", "fourier", "butterfly_attention")
@@ -92,11 +59,14 @@ class EncoderBlock(nn.Module):
         r_ffn: int,
         mixing: str = "attention",
         butterfly_ffn: bool = False,
+        causal: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         if mixing not in self.MIXINGS:
             raise ValueError(f"mixing must be one of {self.MIXINGS}, got {mixing!r}")
+        if causal and mixing == "fourier":
+            raise ValueError("Fourier mixing has no causal form")
         self.mixing_kind = mixing
         self.butterfly_ffn = butterfly_ffn
         if mixing == "fourier":
@@ -106,6 +76,7 @@ class EncoderBlock(nn.Module):
                 d_hidden,
                 n_heads,
                 butterfly=(mixing == "butterfly_attention"),
+                causal=causal,
                 rng=rng,
             )
         self.norm1 = nn.LayerNorm(d_hidden)
@@ -133,9 +104,10 @@ def block_layout(n_fbfly: int, n_abfly: int,
     ``n_fbfly`` Fourier blocks followed by ``n_abfly`` attention blocks
     (paper Fig. 5).  With ``butterfly`` they are FBfly and ABfly blocks;
     without it, FNet blocks and vanilla attention blocks with dense FFNs.
-    Every model of a FABNet reads its blocks from here: the builders, the
-    instruction stream and the analytical models, which walk each block's
-    :func:`block_layers`.
+    Every model reads its blocks from here — the encoder builders, the
+    decoder (``block_layout(0, n_total, butterfly)``, its blocks causal),
+    the instruction stream and the analytical models, which walk each
+    block's :func:`block_layers`.
     """
     attention = "butterfly_attention" if butterfly else "attention"
     return ((("fourier", butterfly),) * n_fbfly

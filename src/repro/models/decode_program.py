@@ -15,6 +15,10 @@ butterfly ladder; :class:`DecodeProgram` does it for a whole
 
 on plain arrays, with no ``Tensor``, ``Module.__call__`` or autograd
 bookkeeping in between; it is the only incremental inference path.  A
+decoder's blocks are the encoders' :class:`~repro.models.blocks.Block`,
+causal, so both programs here compile like the encoder's, through
+:class:`~repro.models.program.InferenceProgram`; only their runs and
+their end (``END``: the final norm and the LM head) are their own.  A
 decoder trains through :class:`LMTrainProgram`, at the end of this
 module.  ``run`` returns
 ``(batch, vocab)`` logits at each row's last new position, and only that
@@ -31,8 +35,8 @@ The contract (see CONTRIBUTING, "The inference program"):
   :class:`~repro.models.program.ProgramCache` rebuilds it when an
   optimizer step, ``load_state_dict``, a ``.data`` rebind (a dtype switch
   is one) or a layer swap (quantization) changes any of them — one sweep
-  per call.  Copies and pickles start empty.  (The base shared with the
-  encoder's program: :mod:`repro.models.program`.)
+  per call.  Copies and pickles start empty.  (The compile and base
+  shared with the encoder's programs: :mod:`repro.models.program`.)
 * **Activations take the parameters' dtype** (``token_emb.weight``),
   never the ambient :func:`~repro.kernels.default_dtype` policy.
 * **Row independence**: every projection is the layer's own inference
@@ -68,7 +72,6 @@ The contract (see CONTRIBUTING, "The inference program"):
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -81,49 +84,14 @@ from ..kernels import (
 from ..kernels.pool import fresh
 from ..nn.tensor import layer_norm_forward
 from .encode_program import TrainProgram, _close_vjp, _project, _project_vjp
-from .program import InferenceProgram, Norm, Projection
-
-
-class _Block(NamedTuple):
-    q_proj: Projection
-    k_proj: Projection
-    v_proj: Projection
-    out_proj: Projection
-    norm1: Norm
-    fc1: Projection  # bias + GELU included
-    fc2: Projection
-    norm2: Norm
-    n_heads: int
-    d_head: int
+from .program import InferenceProgram
 
 
 class DecodeProgram(InferenceProgram):
     """The compiled incremental forward of one decoder, valid while
     :meth:`current` holds."""
 
-    def __init__(self, model) -> None:
-        super().__init__()
-        self.max_len = model.config.max_len
-        self._token_emb = self._array(model.token_emb.weight)
-        self._pos_emb = self._array(model.pos_emb)
-        self.dtype = self._token_emb.dtype
-        self._blocks = [
-            _Block(
-                self._projection(block.attn, "q_proj"),
-                self._projection(block.attn, "k_proj"),
-                self._projection(block.attn, "v_proj"),
-                self._projection(block.attn, "out_proj"),
-                self._norm(block.norm1),
-                self._projection(block.ffn, "fc1", activation="gelu"),
-                self._projection(block.ffn, "fc2"),
-                self._norm(block.norm2),
-                block.attn.n_heads,
-                block.attn.d_head,
-            )
-            for block in model.blocks
-        ]
-        self._final_norm = self._norm(model.final_norm)
-        self._lm_head = self._projection(model, "lm_head")
+    END = ("final_norm", "lm_head")
 
     # -- run -----------------------------------------------------------
     def run(self, tokens: np.ndarray, cache) -> np.ndarray:
@@ -137,7 +105,7 @@ class DecodeProgram(InferenceProgram):
         lengths = cache.lengths
         # The longest row's context after this call: every key view's width.
         total = (int(np.maximum.reduce(lengths)) if batch else 0) + s_new
-        max_len = min(self.max_len, cache.max_len)
+        max_len = min(len(self._pos_emb), cache.max_len)
         if batch and s_new and total > max_len:
             raise ValueError(
                 f"position {total - 1} exceeds max_len "
@@ -148,8 +116,9 @@ class DecodeProgram(InferenceProgram):
         x = self._token_emb[tokens] + self._pos_emb[positions]
         last = len(self._blocks) - 1
         for index, block in enumerate(self._blocks):
-            (q_proj, k_proj, v_proj, out_proj, (gamma1, beta1, eps1),
-             fc1, fc2, (gamma2, beta2, eps2), n_heads, d_head) = block
+            (attention, (gamma1, beta1, eps1), fc1, fc2,
+             (gamma2, beta2, eps2), _) = block
+            q_proj, k_proj, v_proj, out_proj, n_heads, d_head, _ = attention
             heads = (batch, s_new, n_heads, d_head)
             kv = cache.layer(index)
             # Only the last new position feeds the logits: past the last
@@ -191,10 +160,7 @@ class LMTrainProgram(TrainProgram):
     position.  ``record(tokens, None, True)`` returns ``(batch, seq,
     vocab)`` logits, an allocated array."""
 
-    def _compile(self, model) -> None:
-        self._blocks = [self._block(block, block.attn) for block in model.blocks]
-        self._final_norm = self._norm(model.final_norm)
-        self._lm_head = self._projection(model, "lm_head")
+    END = DecodeProgram.END
 
     def _end(self, x, mask, classify, tape) -> np.ndarray:
         gamma, beta, eps = self._final_norm

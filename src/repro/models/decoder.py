@@ -4,8 +4,10 @@ The paper focuses on encoder-only networks but notes (Section II-A) that
 "our hardware design is flexible and applicable to decoders too": a
 decoder block is the same butterfly-compressed attention + FFN pipeline
 with a causal mask, which is a score-matrix masking detail invisible to
-the Butterfly Processor.  This module provides that decoder variant:
-causal ABfly blocks, an autoregressive LM head, and greedy/sampled
+the Butterfly Processor.  This module provides that decoder variant: the
+encoders' :class:`~repro.models.blocks.Block`, causal, stacked over
+``block_layout(0, n_total, butterfly)`` (ABfly blocks, or vanilla ones
+for the dense baseline), an autoregressive LM head, and greedy/sampled
 generation.  With grad enabled a forward is one recorded node of the
 model's :class:`~repro.models.decode_program.LMTrainProgram`, the
 encoder's training walk with causal attention.
@@ -36,14 +38,13 @@ from ..nn import tensor as F
 from ..nn.layers import token_ids
 from ..serving.kv_cache import DecoderKVCache
 from ..serving.sampling import sample_logits
-from .blocks import DecoderBlock
+from .blocks import Block, block_layout
 from .config import ModelConfig
 from .decode_program import DecodeProgram, LMTrainProgram
 from .program import ProgramCache
 
 __all__ = [
     "ButterflyDecoderLM",
-    "DecoderBlock",
     "build_butterfly_decoder",
     "build_dense_decoder",
 ]
@@ -65,9 +66,9 @@ class ButterflyDecoderLM(nn.Module):
         self.pos_emb = nn.Parameter.drawn(
             functools.partial(rng.normal, 0.0, 0.02), config.max_len, config.d_hidden)
         self.blocks = nn.ModuleList([
-            DecoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
-                         butterfly=butterfly, rng=rng)
-            for _ in range(config.n_total)
+            Block(config.d_hidden, config.n_heads, config.r_ffn, mixing=mixing,
+                  butterfly_ffn=butterfly_ffn, causal=True, rng=rng)
+            for mixing, butterfly_ffn in block_layout(0, config.n_total, butterfly)
         ])
         self.final_norm = nn.LayerNorm(config.d_hidden)
         self.lm_head = nn.Linear(config.d_hidden, config.vocab_size, rng=rng)

@@ -24,8 +24,9 @@ with causal attention and its own end.  The ``Tensor`` graph
 
 The contract (see CONTRIBUTING, "The inference program"):
 
-* **Compiled, keyed and invalidated** like the decoder's program
-  (:mod:`repro.models.program`); activations take the parameters' dtype.
+* **Compiled, keyed and invalidated** like the decoder's programs, by
+  the one compile in :mod:`repro.models.program` (its ``END`` here: the
+  head norm and the classifier); activations take the parameters' dtype.
 * **The workspace** (:data:`WORKSPACE`) is one
   :class:`~repro.kernels.pool.ScratchPool` for every encoder in the
   process — a rebuilt program, or the next model of the same shape,
@@ -66,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,30 +89,11 @@ from ..kernels import (
 )
 from ..kernels.pool import STEP, ScratchPool, fresh
 from ..nn.tensor import _make_result, layer_norm_forward
-from .program import InferenceProgram, Norm, Projection
+from .program import InferenceProgram, _Attention
 
 
 #: Every encoder program's activations (see the module docstring).
 WORKSPACE = ScratchPool("models_workspace")
-
-
-class _Attention(NamedTuple):
-    q_proj: Projection
-    k_proj: Projection
-    v_proj: Projection
-    out_proj: Projection
-    n_heads: int
-    d_head: int
-    causal: bool
-
-
-class _Block(NamedTuple):
-    attention: Optional[_Attention]  # None: Fourier mixing
-    norm1: Norm
-    fc1: Projection  # bias + GELU included
-    fc2: Projection
-    norm2: Norm
-    d_ffn: int
 
 
 def _mean(y: np.ndarray, mask: Optional[np.ndarray]):
@@ -127,48 +109,7 @@ def _mean(y: np.ndarray, mask: Optional[np.ndarray]):
     return y.sum(axis=1) / counts, (weights, counts)
 
 
-class _Layout(InferenceProgram):
-    """A model's embeddings and blocks, and an encoder's end, as its
-    program's projection and norm hooks compile them."""
-
-    def __init__(self, model) -> None:
-        super().__init__()
-        self._token_emb = self._array(model.token_emb.weight)
-        self._pos_emb = self._array(model.pos_emb)
-        self.dtype = self._token_emb.dtype
-        self._compile(model)
-
-    def _compile(self, model) -> None:
-        """What follows the embeddings: the blocks and the model's end."""
-        self._blocks = [
-            self._block(block, None if block.mixing_kind == "fourier" else block.mixer)
-            for block in model.blocks
-        ]
-        self._head_norm = self._norm(model.head_norm)
-        self._head = self._projection(model, "head")
-
-    def _block(self, block, attention) -> _Block:
-        """``block``'s layers; ``attention`` is its attention layer, or
-        None for Fourier mixing."""
-        return _Block(
-            None if attention is None else _Attention(
-                self._projection(attention, "q_proj"),
-                self._projection(attention, "k_proj"),
-                self._projection(attention, "v_proj"),
-                self._projection(attention, "out_proj"),
-                attention.n_heads,
-                attention.d_head,
-                attention.causal,
-            ),
-            self._norm(block.norm1),
-            self._projection(block.ffn, "fc1", activation="gelu"),
-            self._projection(block.ffn, "fc2"),
-            self._norm(block.norm2),
-            block.ffn.fc1.out_features,
-        )
-
-
-class EncodeProgram(_Layout):
+class EncodeProgram(InferenceProgram):
     """The compiled forward of one encoder, valid while :meth:`current`
     holds."""
 
@@ -207,7 +148,7 @@ class EncodeProgram(_Layout):
 
     def _attend(self, attention: _Attention, x: np.ndarray,
                 mask: Optional[np.ndarray]) -> np.ndarray:
-        q_proj, k_proj, v_proj, out_proj, n_heads, d_head, _ = attention
+        q_proj, k_proj, v_proj, out_proj, n_heads, d_head, causal = attention
         batch, seq, _ = hidden = x.shape
         dtype = self.dtype
         take = WORKSPACE.take
@@ -223,7 +164,7 @@ class EncodeProgram(_Layout):
         )
         merged = wide[3].reshape(heads)
         attention_forward(
-            q, k, v, key_mask=mask, scale=1.0 / math.sqrt(d_head),
+            q, k, v, causal=causal, key_mask=mask, scale=1.0 / math.sqrt(d_head),
             need_ctx=False, out=merged.transpose(0, 2, 1, 3))
         return out_proj(merged.reshape(hidden), take("sub", hidden, dtype))
 
@@ -293,7 +234,7 @@ class _Tape:
     """One recorded forward's contexts; dropping it frees its slot."""
 
 
-class TrainProgram(_Layout):
+class TrainProgram(InferenceProgram):
     """The encoder's forward with its contexts kept, recorded as one
     ``Tensor`` node whose VJP walks the blocks in reverse.  It reads every
     parameter live, so only a layer swap rebuilds it.  Its slots are the
@@ -301,7 +242,7 @@ class TrainProgram(_Layout):
 
     The embeddings and the block walk are every model's; what follows the
     last block is :meth:`_end` / :meth:`_end_vjp`, which a subclass for
-    another model replaces along with :meth:`_compile`."""
+    another model replaces along with :attr:`END`."""
 
     def __init__(self, model) -> None:
         super().__init__(model)

@@ -3,7 +3,7 @@
 All three share one skeleton (embeddings -> blocks -> pooling -> head) and
 differ only in their block layout
 (:func:`~repro.models.blocks.block_layout`): which
-:class:`~repro.models.blocks.EncoderBlock` variants they stack, in which
+:class:`~repro.models.blocks.Block` variants they stack, in which
 order, which is exactly the framing of the paper's Figure 5.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from .. import kernels, nn
 from ..nn import tensor as F
 from ..nn.layers import token_ids
-from .blocks import EncoderBlock, block_layout
+from .blocks import Block, block_layout
 from .config import ModelConfig
 from .encode_program import EncodeProgram, TrainProgram
 from .program import ProgramCache
@@ -34,7 +34,7 @@ class EncoderClassifier(nn.Module):
     records the ``Tensor`` graph (:meth:`_graph`), the programs' oracle.
     """
 
-    def __init__(self, config: ModelConfig, blocks: List[EncoderBlock],
+    def __init__(self, config: ModelConfig, blocks: List[Block],
                  rng: np.random.Generator) -> None:
         super().__init__()
         if len(blocks) != config.n_total:
@@ -126,8 +126,8 @@ def _build(config: ModelConfig, layout) -> EncoderClassifier:
     with config.dtype_context():
         rng = np.random.default_rng(config.seed)
         blocks = [
-            EncoderBlock(config.d_hidden, config.n_heads, config.r_ffn,
-                         mixing=mixing, butterfly_ffn=butterfly_ffn, rng=rng)
+            Block(config.d_hidden, config.n_heads, config.r_ffn,
+                  mixing=mixing, butterfly_ffn=butterfly_ffn, rng=rng)
             for mixing, butterfly_ffn in layout
         ]
         return EncoderClassifier(config, blocks, rng)

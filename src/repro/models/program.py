@@ -1,9 +1,15 @@
-"""What the inference programs share: compile, stamp, invalidate, cache.
+"""What the programs share: compile, stamp, invalidate, cache.
 
-A model's ``no_grad`` inference runs as a flat program of kernel calls on
-plain arrays (:mod:`~repro.models.decode_program` for a decoder's
-incremental steps, :mod:`~repro.models.encode_program` for an encoder's
-forward).  Both are built, keyed and invalidated the same way — like
+A model's fused forward runs as a flat program of kernel calls on plain
+arrays (:mod:`~repro.models.decode_program` for a decoder's incremental
+steps and training, :mod:`~repro.models.encode_program` for an encoder's
+forward and training).  Every program is compiled the same way, by
+:meth:`InferenceProgram.__init__`: the embeddings, then every block
+through one :meth:`InferenceProgram._block` (a decoder's blocks are the
+encoders' :class:`~repro.models.blocks.Block`, causal), then the model's
+end, the norm and head that :attr:`InferenceProgram.END` names.  The
+programs differ only in how they run and in the hooks below.  They are
+built, keyed and invalidated the same way — like
 :class:`~repro.kernels.FrozenLadderCache`:
 
 * compiling reads each parameter through :meth:`InferenceProgram._array`,
@@ -28,7 +34,7 @@ layer's ``FrozenLadder.apply``).  Adding a layer kind means one branch in
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,18 +49,70 @@ Projection = Callable[..., np.ndarray]
 Norm = Tuple[np.ndarray, np.ndarray, float]
 
 
-class InferenceProgram:
-    """A compiled forward, valid while :meth:`current` holds.
+class _Attention(NamedTuple):
+    q_proj: Projection
+    k_proj: Projection
+    v_proj: Projection
+    out_proj: Projection
+    n_heads: int
+    d_head: int
+    causal: bool
 
-    Subclasses set ``self.dtype`` (the parameters' own, never the
-    ambient :func:`~repro.kernels.default_dtype` policy) before they
-    compile a projection.
+
+class _Block(NamedTuple):
+    attention: Optional[_Attention]  # None: Fourier mixing
+    norm1: Norm
+    fc1: Projection  # bias + GELU included
+    fc2: Projection
+    norm2: Norm
+    d_ffn: int
+
+
+class InferenceProgram:
+    """A model's compiled forward, valid while :meth:`current` holds.
+
+    Compiles the embeddings, every block (:meth:`_block`) and the end
+    :attr:`END` names, each kept as ``_<name>`` (``_head_norm`` /
+    ``_head``, or ``_final_norm`` / ``_lm_head``).  Activations take the
+    parameters' dtype (``self.dtype``), never the ambient
+    :func:`~repro.kernels.default_dtype` policy.
     """
 
-    def __init__(self) -> None:
+    #: The model's norm and head after the last block: an encoder's.
+    END = ("head_norm", "head")
+
+    def __init__(self, model) -> None:
         self._stamps: List[tuple] = []  # (parameter, version, data) read
         # (weakref to the owner, attribute, the object read there)
         self._slots: List[tuple] = []
+        self._token_emb = self._array(model.token_emb.weight)
+        self._pos_emb = self._array(model.pos_emb)
+        self.dtype = self._token_emb.dtype
+        self._blocks = [self._block(block) for block in model.blocks]
+        norm, head = self.END
+        setattr(self, f"_{norm}", self._norm(getattr(model, norm)))
+        setattr(self, f"_{head}", self._projection(model, head))
+
+    def _block(self, block) -> _Block:
+        """A :class:`~repro.models.blocks.Block`'s layers: its attention
+        (None for Fourier mixing), norms and FFN."""
+        mixer = block.mixer
+        return _Block(
+            None if block.mixing_kind == "fourier" else _Attention(
+                self._projection(mixer, "q_proj"),
+                self._projection(mixer, "k_proj"),
+                self._projection(mixer, "v_proj"),
+                self._projection(mixer, "out_proj"),
+                mixer.n_heads,
+                mixer.d_head,
+                mixer.causal,
+            ),
+            self._norm(block.norm1),
+            self._projection(block.ffn, "fc1", activation="gelu"),
+            self._projection(block.ffn, "fc2"),
+            self._norm(block.norm2),
+            block.ffn.fc1.out_features,
+        )
 
     def _array(self, param) -> np.ndarray:
         self._stamps.append((param, param.version, param.data))

@@ -78,7 +78,7 @@ def _reference_incremental(model, tokens, cache):
     with nn.default_dtype(model.token_emb.weight.dtype), nn.no_grad():
         x = model.token_emb(tokens) + F.embedding(model.pos_emb, positions)
         for index, block in enumerate(model.blocks):
-            attn, layer_kv = block.attn, cache.layer(index)
+            attn, layer_kv = block.mixer, cache.layer(index)
             x_q = (F.getitem(x, (slice(None), slice(-1, None)))
                    if index == last and seq > 1 else x)
             width = x_q.shape[1]

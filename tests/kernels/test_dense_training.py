@@ -55,9 +55,13 @@ def _expected_kind(rows, d_in, d_out, n):
     return "grouped"
 
 
-def _assert_close(got, want, relative, what):
-    scale = max(np.abs(want).max(), 1e-30)
-    np.testing.assert_allclose(got, want, rtol=0, atol=relative * scale,
+def _assert_close(got, want, scale, relative, what):
+    """``got`` within ``relative`` of ``scale``, the largest element of
+    the float64 chain over the operands' magnitudes: a rounding-error
+    bound is proportional to that chain, and cancellation in ``want``
+    cannot shrink it."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=relative * max(np.max(scale), 1e-30),
                                err_msg=what)
 
 
@@ -90,6 +94,7 @@ class TestAgainstTheStageChain:
     @settings(max_examples=80, deadline=None)
     @given(_cases())
     @example((1024, 64, 1, (117,), np.float32, 354784))
+    @example((1024, 344, 1, (1,), np.float32, 1))  # y cancels to 2e-4 of its chain
     def test_forward_and_every_gradient(self, case):
         n, d_in, d_out, lead, dtype, seed = case
         rng = np.random.default_rng(seed)
@@ -104,19 +109,19 @@ class TestAgainstTheStageChain:
         assert y.shape == lead + (d_out,) and gx.shape == x.shape
         assert y.dtype == gx.dtype == dtype
         want_y, want_gx, want_gcoeffs = _chain(x, coeffs, halves, n, d_out, grad)
+        scale_y, scale_gx, scale_gcoeffs = _chain(
+            np.abs(x), [np.abs(c) for c in coeffs], halves, n, d_out, np.abs(grad))
         relative = RELATIVE[dtype]
-        _assert_close(y, want_y, relative, "y")
-        _assert_close(gx, want_gx, relative, "gx")
+        _assert_close(y, want_y, scale_y, relative, "y")
+        _assert_close(gx, want_gx, scale_gx, relative, "gx")
         # The dense path takes every stage's gradient back from one dW, so
         # a stage's rounding error follows the largest stage's scale, not
         # its own: a stage whose gradients are 100x smaller than stage 0's
         # carries float32 error of stage 0's size.
-        largest = max(np.abs(want).max() for want in want_gcoeffs)
+        largest = max(scale.max() for scale in scale_gcoeffs)
         for s, (got, want) in enumerate(zip(gcoeffs, want_gcoeffs)):
             assert got.shape == (4, n // 2) and got.dtype == dtype
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=relative * max(largest, 1e-30),
-                                       err_msg=f"stage {s}")
+            _assert_close(got, want, largest, relative, f"stage {s}")
 
     def test_finite_differences_through_the_recorded_node(self, rng, gradcheck):
         """float64 central differences on the layer's one graph node.  The

@@ -1,10 +1,10 @@
-"""Encoder blocks: vanilla, FBfly and ABfly variants."""
+"""The one block: vanilla, FBfly and ABfly variants, bidirectional or causal."""
 
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.models import EncoderBlock, FeedForward, block_layout
+from repro import kernels, nn
+from repro.models import Block, EncoderClassifier, FeedForward, ModelConfig, block_layout
 from repro.nn.tensor import Tensor
 
 
@@ -25,25 +25,47 @@ class TestFeedForward:
         assert bfly.num_parameters() < dense.num_parameters() / 3
 
 
-class TestEncoderBlock:
-    @pytest.mark.parametrize("mixing", EncoderBlock.MIXINGS)
+class TestBlock:
+    @pytest.mark.parametrize("mixing", Block.MIXINGS)
     def test_forward_shape(self, mixing, rng):
-        block = EncoderBlock(8, 2, 2, mixing=mixing, rng=rng).eval()
+        block = Block(8, 2, 2, mixing=mixing, rng=rng).eval()
         out = block(Tensor(rng.normal(size=(2, 4, 8))))
         assert out.shape == (2, 4, 8)
 
     def test_invalid_mixing(self):
         with pytest.raises(ValueError, match="mixing"):
-            EncoderBlock(8, 2, 2, mixing="conv")
+            Block(8, 2, 2, mixing="conv")
+
+    def test_fourier_mixing_has_no_causal_form(self):
+        with pytest.raises(ValueError, match="causal"):
+            Block(8, 2, 2, mixing="fourier", causal=True)
+
+    def test_causal_blocks_run_causal_in_every_encoder_program(self, rng):
+        """The one compile records each block's mask: an encoder stacking
+        causal blocks runs causal attention in its no-grad and its
+        training program, as its graph does."""
+        config = ModelConfig(vocab_size=16, n_classes=3, max_len=8, d_hidden=8,
+                             n_heads=2, r_ffn=2, n_total=2, seed=0)
+        blocks = [Block(8, 2, 2, mixing="butterfly_attention", butterfly_ffn=True,
+                        causal=True, rng=rng) for _ in range(2)]
+        model = EncoderClassifier(config, blocks, rng).eval()
+        tokens = rng.integers(0, 16, size=(2, 8))
+        with kernels.use_fused(False):
+            want = model(tokens).data
+        with nn.no_grad():
+            inferred = model(tokens).data
+        for got in (inferred, model(tokens).data):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
     def test_fourier_block_has_no_attention_params(self, rng):
-        block = EncoderBlock(8, 2, 2, mixing="fourier", rng=rng)
+        block = Block(8, 2, 2, mixing="fourier", rng=rng)
         names = {n for n, _ in block.named_parameters()}
         assert not any("q_proj" in n for n in names)
 
     def test_residual_connection_present(self, rng):
         """Zeroing the FFN and mixer weights must leave a LayerNormed input."""
-        block = EncoderBlock(4, 2, 1, mixing="fourier", butterfly_ffn=False, rng=rng).eval()
+        block = Block(4, 2, 1, mixing="fourier", butterfly_ffn=False, rng=rng).eval()
         block.ffn.fc1.weight.data[:] = 0.0
         block.ffn.fc2.weight.data[:] = 0.0
         block.ffn.fc2.bias.data[:] = 0.0
@@ -56,8 +78,8 @@ class TestEncoderBlock:
         assert np.abs(out - out2).max() > 0
 
     def test_gradients_flow_through_block(self, rng):
-        block = EncoderBlock(8, 2, 2, mixing="butterfly_attention",
-                             butterfly_ffn=True, rng=rng)
+        block = Block(8, 2, 2, mixing="butterfly_attention",
+                      butterfly_ffn=True, rng=rng)
         out = block(Tensor(rng.normal(size=(1, 4, 8))))
         (out * out).sum().backward()
         for name, p in block.named_parameters():
@@ -66,7 +88,7 @@ class TestEncoderBlock:
 
 def _block(kind, rng):
     mixing, butterfly_ffn = kind
-    return EncoderBlock(8, 2, 2, mixing=mixing, butterfly_ffn=butterfly_ffn, rng=rng)
+    return Block(8, 2, 2, mixing=mixing, butterfly_ffn=butterfly_ffn, rng=rng)
 
 
 class TestBlockLayout:

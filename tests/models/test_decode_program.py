@@ -231,10 +231,16 @@ class TestLastPositionPrefill:
             return run
 
         names = ("q_proj", "k_proj", "v_proj", "out_proj", "fc1", "fc2")
+
+        def wrapped(index, layers, fields):
+            return {name: counted(f"{index}.{name}", getattr(layers, name))
+                    for name in fields}
+
         program._blocks = [
-            block._replace(**{
-                name: counted(f"{index}.{name}", getattr(block, name))
-                for name in names})
+            block._replace(
+                attention=block.attention._replace(
+                    **wrapped(index, block.attention, names[:4])),
+                **wrapped(index, block, names[4:]))
             for index, block in enumerate(program._blocks)
         ]
         program._lm_head = counted("lm_head", program._lm_head)
@@ -412,9 +418,9 @@ class TestStoredLayers:
         first = decoded(1)
         decoded(1)
         # one stored layer swapped for a twin over other weights
-        attn = model.blocks[0].attn
+        attn = model.blocks[0].mixer
         twin = nn.QuantizedLinear(
-            *QK.quantize_per_channel(0.5 * source.blocks[0].attn.v_proj.weight.data),
+            *QK.quantize_per_channel(0.5 * source.blocks[0].mixer.v_proj.weight.data),
             attn.v_proj.bias)
         attn._modules["v_proj"] = twin
         object.__setattr__(attn, "v_proj", twin)

@@ -8,7 +8,9 @@ import pytest
 from repro import nn
 from repro.data.charlm import VOCAB_SIZE, decode_tokens, encode_text, generate_charlm
 from repro.models import (
+    Block,
     ModelConfig,
+    block_layout,
     build_butterfly_decoder,
     build_dense_decoder,
 )
@@ -23,6 +25,16 @@ def lm_config():
 
 
 class TestCausality:
+    @pytest.mark.parametrize("butterfly", [True, False])
+    def test_blocks_are_the_encoders_block_made_causal(self, lm_config, butterfly):
+        """A decoder stacks ``block_layout(0, n_total, butterfly)``'s
+        blocks, each a :class:`Block` whose attention is causal."""
+        build = build_butterfly_decoder if butterfly else build_dense_decoder
+        lm = build(lm_config)
+        assert all(type(block) is Block and block.mixer.causal for block in lm.blocks)
+        assert [(b.mixing_kind, b.butterfly_ffn) for b in lm.blocks] == list(
+            block_layout(0, lm_config.n_total, butterfly))
+
     def test_future_tokens_do_not_affect_past_logits(self, lm_config, rng):
         lm = build_butterfly_decoder(lm_config).eval()
         tokens = rng.integers(1, VOCAB_SIZE, size=(1, 16))

@@ -46,7 +46,7 @@ class TestDecoderQuantization:
             np.testing.assert_array_equal(value, before[name])
         # replica: every dense projection stored, every ladder left fp
         assert isinstance(quantized.lm_head, QuantizedLinear)
-        attn = quantized.blocks[0].attn
+        attn = quantized.blocks[0].mixer
         expected = nn.ButterflyLinear if model.butterfly else QuantizedLinear
         for proj in (attn.q_proj, attn.k_proj, attn.v_proj, attn.out_proj):
             assert isinstance(proj, expected)

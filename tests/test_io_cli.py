@@ -112,19 +112,26 @@ class TestDecoderStateDictRoundTrip:
             model.generate(prompt, 6), restored.generate(prompt, 6)
         )
 
-    def test_legacy_ffn_keys_migrated(self, tmp_path, rng):
-        """Pre-serving decoder checkpoints (blocks.N.fc1.*) still load."""
+    @pytest.mark.parametrize("renames", [
+        ((".mixer.", ".attn."),),
+        ((".mixer.", ".attn."), (".ffn.fc", ".fc")),
+    ], ids=["attn", "attn+fc"])
+    def test_legacy_ffn_keys_migrated(self, tmp_path, rng, renames):
+        """Decoder checkpoints saved before the decoder stacked the
+        encoders' block (blocks.N.attn.*), or before the serving
+        subsystem as well (blocks.N.fc1.*), load to the same logits."""
         import json
         from dataclasses import asdict
 
         cfg = ModelConfig(vocab_size=28, n_classes=2, max_len=16, d_hidden=16,
                           n_heads=2, r_ffn=2, n_total=2, seed=3)
         model = build_butterfly_decoder(cfg)
-        legacy = {
-            name.replace(".ffn.fc", ".fc"): param.data
-            for name, param in model.named_parameters()
-        }
-        assert any(".fc1." in k and ".ffn." not in k for k in legacy)
+        legacy = {}
+        for name, param in model.named_parameters():
+            for new, old in renames:
+                name = name.replace(new, old)
+            legacy[name] = param.data
+        assert not any(".mixer." in k for k in legacy)
         legacy["__config_json__"] = np.frombuffer(
             json.dumps(asdict(cfg)).encode(), dtype=np.uint8)
         legacy["__builder__"] = np.frombuffer(
@@ -135,8 +142,7 @@ class TestDecoderStateDictRoundTrip:
         tokens = rng.integers(1, 28, size=(2, 8))
         model.eval()
         restored.eval()
-        np.testing.assert_allclose(model(tokens).data, restored(tokens).data,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(model(tokens).data, restored(tokens).data)
 
     @staticmethod
     def _with_config_keys(model, path, extra):
